@@ -53,6 +53,8 @@ func apiError(resp *http.Response) error {
 		return fmt.Errorf("%w: %s", wavepipe.ErrUnknownJob, msg)
 	case http.StatusTooManyRequests:
 		return fmt.Errorf("%w: %s", wavepipe.ErrQueueFull, msg)
+	case http.StatusUnprocessableEntity:
+		return fmt.Errorf("%w: %s", wavepipe.ErrJobUnsupported, msg)
 	default:
 		return fmt.Errorf("client: %s: %s", resp.Status, msg)
 	}

@@ -31,6 +31,7 @@ type benchMetrics struct {
 	NRIters                int     `json:"nr_iters"`
 	BypassTol              float64 `json:"bypass_tol"`
 	BypassedFactorizations int     `json:"bypassed_factorizations"`
+	ReusedFactorizations   int     `json:"reused_factorizations"`
 	Refactorizations       int     `json:"refactorizations"`
 	FullFactorizations     int     `json:"full_factorizations"`
 	// Incremental-assembly metadata (zero values when -devbypass is unset).
@@ -120,6 +121,7 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 			NRIters:                res.Stats.NRIters,
 			BypassTol:              bypassTol,
 			BypassedFactorizations: res.Stats.BypassedFactorizations,
+			ReusedFactorizations:   res.Stats.ReusedFactorizations,
 			Refactorizations:       res.Stats.Refactorizations,
 			FullFactorizations:     res.Stats.FullFactorizations,
 			DeviceBypass:           devBypass,

@@ -28,6 +28,7 @@ type goldenStats struct {
 	LTERejects int `json:"lte_rejects"`
 	Discarded  int `json:"discarded"`
 	Recoveries int `json:"recoveries"`
+	Reused     int `json:"reused_factorizations"`
 }
 
 // TestGoldenTraceReplays pins the JSONL wire format: a trace recorded by an
@@ -64,6 +65,7 @@ func TestGoldenTraceReplays(t *testing.T) {
 	got := goldenStats{
 		Points: rc.Points, Solves: rc.Solves, NRIters: rc.NRIters,
 		LTERejects: rc.LTERejects, Discarded: rc.Discarded, Recoveries: rc.Recoveries,
+		Reused: rc.ReuseHits,
 	}
 	if got != want {
 		t.Fatalf("golden trace replay mismatch:\n got %+v\nwant %+v", got, want)
@@ -119,7 +121,7 @@ func regenerateGoldenTrace(t *testing.T) {
 	stats, err := json.MarshalIndent(goldenStats{
 		Points: res.Stats.Points, Solves: res.Stats.Solves, NRIters: res.Stats.NRIters,
 		LTERejects: res.Stats.LTERejects, Discarded: res.Stats.Discarded,
-		Recoveries: res.Stats.Recoveries,
+		Recoveries: res.Stats.Recoveries, Reused: res.Stats.ReusedFactorizations,
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func Solve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []flo
 				// and residual are still in the workspace), refactorize for
 				// real, and take the exact Newton step instead.
 				ws.RestoreIterate(x)
-				if err := ws.Solver.FactorizeFresh(); err != nil {
+				if err := Factorize(ws, p.Time, true); err != nil {
 					return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("iteration %d: %w", iter, err))
 				}
 				if err := ws.Solver.Solve(r, dx); err != nil {
@@ -215,48 +215,15 @@ func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64, forceFre
 	if cls, ok := ws.Faults.At(faults.SiteFactor, at); ok && cls == faults.Singular {
 		return fmt.Errorf("%w (injected)", faults.ErrSingular)
 	}
-	if ws.Trace.Active() {
-		return factorAndSolveTraced(ws, at, r, dx, forceFresh)
-	}
-	var err error
-	if forceFresh {
-		err = ws.Solver.FactorizeFresh()
-	} else {
-		err = ws.Solver.Factorize()
-	}
-	if err != nil {
+	if err := Factorize(ws, at, forceFresh); err != nil {
 		return err
 	}
-	return ws.Solver.Solve(r, dx)
-}
-
-// factorAndSolveTraced is the observed twin of factorAndSolve: it splits the
-// linear-solve work into a factorization span (flagged when the bypass
-// policy reused the previous LU) and a triangular-solve span.
-func factorAndSolveTraced(ws *circuit.Workspace, at float64, r, dx []float64, forceFresh bool) error {
+	if !ws.Trace.Active() {
+		return ws.Solver.Solve(r, dx)
+	}
 	t0 := time.Now()
-	var err error
-	if forceFresh {
-		err = ws.Solver.FactorizeFresh()
-	} else {
-		err = ws.Solver.Factorize()
-	}
+	err := ws.Solver.Solve(r, dx)
 	ev := trace.Event{
-		Kind: trace.KindPhase, Phase: trace.PhaseFactor,
-		Dur: time.Since(t0).Nanoseconds(), T: at, Worker: ws.Worker,
-	}
-	if ws.Solver.LastBypassed {
-		ev.Flags |= trace.FlagBypassed
-	}
-	if err != nil {
-		ev.Flags |= trace.FlagFailed
-		ws.Trace.Emit(ev)
-		return err
-	}
-	ws.Trace.Emit(ev)
-	t0 = time.Now()
-	err = ws.Solver.Solve(r, dx)
-	ev = trace.Event{
 		Kind: trace.KindPhase, Phase: trace.PhaseTriSolve,
 		Dur: time.Since(t0).Nanoseconds(), T: at, Worker: ws.Worker,
 	}
@@ -265,6 +232,43 @@ func factorAndSolveTraced(ws *circuit.Workspace, at float64, r, dx []float64, fo
 	}
 	ws.Trace.Emit(ev)
 	return err
+}
+
+// Factorize is the one way the engines ask the workspace's solver for a
+// factorization of the assembled matrix: fresh selects FactorizeFresh (an
+// exact LU, no bypass). When tracing is active every request emits exactly
+// one PhaseFactor event carrying its outcome — FlagBypassed for a stale LU
+// kept within BypassTol, FlagReused for an unchanged matrix answered exactly
+// from the LU in hand — so trace replay reconciles 1:1 with the solver's
+// BypassedFactorizations and ReusedFactorizations counters.
+func Factorize(ws *circuit.Workspace, at float64, fresh bool) error {
+	if !ws.Trace.Active() {
+		return factorize(ws, fresh)
+	}
+	t0 := time.Now()
+	err := factorize(ws, fresh)
+	ev := trace.Event{
+		Kind: trace.KindPhase, Phase: trace.PhaseFactor,
+		Dur: time.Since(t0).Nanoseconds(), T: at, Worker: ws.Worker,
+	}
+	if ws.Solver.LastBypassed {
+		ev.Flags |= trace.FlagBypassed
+	}
+	if ws.Solver.LastReused {
+		ev.Flags |= trace.FlagReused
+	}
+	if err != nil {
+		ev.Flags |= trace.FlagFailed
+	}
+	ws.Trace.Emit(ev)
+	return err
+}
+
+func factorize(ws *circuit.Workspace, fresh bool) error {
+	if fresh {
+		return ws.Solver.FactorizeFresh()
+	}
+	return ws.Solver.Factorize()
 }
 
 // ResumeSolve continues a Newton iteration whose assembly already exists:

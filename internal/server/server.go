@@ -52,8 +52,9 @@ type handler struct {
 }
 
 // fail writes the uniform wire error body with the status the error maps
-// to: unknown job → 404, admission rejection → 429, everything else the
-// caller's default (400 for request shaping, 500 for execution).
+// to: unknown job → 404, admission rejection → 429, options the service
+// cannot run as a job → 422, everything else the caller's default (400 for
+// request shaping, 500 for execution).
 func fail(w http.ResponseWriter, err error, fallback int) {
 	code := fallback
 	switch {
@@ -61,6 +62,8 @@ func fail(w http.ResponseWriter, err error, fallback int) {
 		code = http.StatusNotFound
 	case errors.Is(err, wavepipe.ErrQueueFull):
 		code = http.StatusTooManyRequests
+	case errors.Is(err, wavepipe.ErrJobUnsupported):
+		code = http.StatusUnprocessableEntity
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

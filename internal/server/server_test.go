@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +220,29 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, err := c.Submit(ctx, wavepipe.JobSpec{Deck: "not a deck"}); err == nil {
 		t.Fatal("garbage deck accepted")
+	}
+}
+
+// TestHTTPWindowedJobRefused: a job the service cannot run is refused at
+// submission with a 4xx that maps back to the typed error — it never becomes
+// a failed job.
+func TestHTTPWindowedJobRefused(t *testing.T) {
+	c, svc, ts := newStack(t)
+	spec := wavepipe.JobSpec{Deck: rcDeck, Options: wavepipe.TranOptions{Windows: 4, CoreBudget: 2}}
+	if _, err := c.Submit(context.Background(), spec); !errors.Is(err, wavepipe.ErrJobUnsupported) {
+		t.Fatalf("err = %v, want ErrJobUnsupported", err)
+	}
+	body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":{"windows":4,"coreBudget":2}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	}
+	if ids := svc.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused job was admitted: %v", ids)
 	}
 }
 

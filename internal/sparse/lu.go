@@ -36,14 +36,23 @@ type LU struct {
 	rowInv  []int // original row -> position
 
 	// L: strict lower part, by column in pivot coordinates, rows ascending.
-	lp []int
-	li []int
+	// Indices are int32 (as in the level schedules of parallel.go): the
+	// refactor and solve sweeps are bound by index traffic, and half-width
+	// indices halve it.
+	lp []int32
+	li []int32
 	lx []float64
 	// U: strict upper part, by column in pivot coordinates, rows ascending.
-	up []int
-	ui []int
+	up []int32
+	ui []int32
 	ux []float64
 	ud []float64 // diagonal of U
+
+	// aDst is the refactor kernel's compiled scatter map: CSC position p of
+	// the matrix lands at pivot position aDst[p] of the column workspace
+	// (rowInv[RowIdx[p]], resolved once per pattern instead of per entry per
+	// refactorization). Built by the first Refactor; see scatterMap.
+	aDst []int32
 
 	pivTol    float64
 	work      []float64 // Refactor workspace (an LU serves one goroutine)
@@ -79,8 +88,8 @@ func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
 		colPerm: append([]int(nil), perm...),
 		rowPerm: make([]int, n),
 		rowInv:  make([]int, n),
-		lp:      make([]int, n+1),
-		up:      make([]int, n+1),
+		lp:      make([]int32, n+1),
+		up:      make([]int32, n+1),
 		ud:      make([]float64, n),
 		pivTol:  pivTol,
 	}
@@ -117,9 +126,9 @@ func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
 				pos := f.rowInv[row]
 				advanced := false
 				if pos >= 0 {
-					for c := f.lp[pos] + stackP[top]; c < f.lp[pos+1]; c++ {
-						child := f.li[c] // stored as original row until finalize
-						stackP[top] = c - f.lp[pos] + 1
+					for c := int(f.lp[pos]) + stackP[top]; c < int(f.lp[pos+1]); c++ {
+						child := int(f.li[c]) // stored as original row until finalize
+						stackP[top] = c - int(f.lp[pos]) + 1
 						if mark[child] != k+1 {
 							mark[child] = k + 1
 							stack = append(stack, child)
@@ -192,10 +201,10 @@ func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
 		// Store U(:, k): pivotal rows sorted by ascending pivot position.
 		insertionSortByPos(tmpCols, f.rowInv)
 		for _, r := range tmpCols {
-			f.ui = append(f.ui, f.rowInv[r])
+			f.ui = append(f.ui, int32(f.rowInv[r]))
 			f.ux = append(f.ux, x[r])
 		}
-		f.up[k+1] = len(f.ui)
+		f.up[k+1] = int32(len(f.ui))
 
 		// Store L(:, k): remaining candidates divided by the pivot. Row
 		// indices stay in original-row space until finalize.
@@ -203,16 +212,16 @@ func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
 			if f.rowInv[r] >= 0 || r == pivotRow {
 				continue
 			}
-			f.li = append(f.li, r)
+			f.li = append(f.li, int32(r))
 			f.lx = append(f.lx, x[r]/pv)
 		}
-		f.lp[k+1] = len(f.li)
+		f.lp[k+1] = int32(len(f.li))
 	}
 
 	// Finalize: translate L row indices from original rows to pivot
 	// positions and sort each column ascending (required by Refactor).
 	for p := range f.li {
-		f.li[p] = f.rowInv[f.li[p]]
+		f.li[p] = int32(f.rowInv[f.li[p]])
 	}
 	for k := 0; k < n; k++ {
 		sortColumn(f.li[f.lp[k]:f.lp[k+1]], f.lx[f.lp[k]:f.lp[k+1]])
@@ -231,7 +240,7 @@ func insertionSortByPos(rows []int, pos []int) {
 }
 
 // sortColumn sorts (idx, val) pairs ascending by idx.
-func sortColumn(idx []int, val []float64) {
+func sortColumn(idx []int32, val []float64) {
 	for i := 1; i < len(idx); i++ {
 		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
@@ -250,6 +259,7 @@ func (f *LU) Refactor(m *Matrix) error {
 	if m.N() != f.n {
 		return fmt.Errorf("sparse: Refactor dimension mismatch: %d vs %d", m.N(), f.n)
 	}
+	f.scatterMap(m)
 	if f.work == nil {
 		f.work = make([]float64, f.n)
 	}
@@ -262,55 +272,102 @@ func (f *LU) Refactor(m *Matrix) error {
 	return nil
 }
 
+// scatterMap builds the refactor kernel's scatter map from m's pattern on
+// first use. It is built here rather than by FactorizeWithPerm so that a
+// factorization restored from a checkpoint (which carries no matrix) gets it
+// the same way; every matrix an LU refactors shares one frozen pattern, so
+// one map serves them all.
+func (f *LU) scatterMap(m *Matrix) {
+	if f.aDst != nil {
+		return
+	}
+	f.aDst = make([]int32, len(m.RowIdx))
+	for p, r := range m.RowIdx {
+		f.aDst[p] = int32(f.rowInv[r])
+	}
+}
+
 // refactorColumn recomputes column k of the factorization from the values in
-// m, using w (pivot-position space, zero on entry, restored to zero on a
-// true return) as scatter workspace. It reads only L columns from strictly
-// earlier elimination levels and writes only column k's own storage, which
-// is what makes the level-scheduled parallel Refactor both safe and
-// bit-identical to the serial sweep. A false return means the stored pivot
-// went degenerate (ErrRefactorPivot), leaving w and column k dirty.
+// m, using w (pivot-position space, zero on entry and on return) as scatter
+// workspace. It reads only L columns from strictly earlier elimination
+// levels and writes only column k's own storage, which is what makes the
+// level-scheduled parallel Refactor both safe and bit-identical to the
+// serial sweep. A false return means the stored pivot went degenerate
+// (ErrRefactorPivot), leaving column k's storage undefined.
+//
+// Every loop runs over sub-slices cut once per column, so the only bounds
+// checks left inside are the indirect ones into w. The arithmetic — which
+// products are subtracted from which entry, in which order, and the final
+// division by the pivot — is exactly that of the textbook left-looking
+// sweep, so the factors are a function of (pattern, pivots, values) alone.
 func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 	j := f.colPerm[k]
-	for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-		w[f.rowInv[m.RowIdx[p]]] = m.Values[p]
+	alo, ahi := m.ColPtr[j], m.ColPtr[j+1]
+	vals := m.Values[alo:ahi]
+	dst := f.aDst[alo:ahi]
+	dst = dst[:len(vals)]
+	for p, v := range vals {
+		w[dst[p]] = v
 	}
 	// Forward elimination along the stored U pattern (ascending pivot
 	// positions form a valid topological order for a lower-triangular
 	// dependency structure).
-	for p := f.up[k]; p < f.up[k+1]; p++ {
-		i := f.ui[p]
+	ui := f.ui[f.up[k]:f.up[k+1]]
+	ux := f.ux[f.up[k]:f.up[k+1]]
+	ux = ux[:len(ui)]
+	for p, i := range ui {
 		xi := w[i]
-		f.ux[p] = xi
+		ux[p] = xi
 		if xi == 0 {
 			continue
 		}
-		for q := f.lp[i]; q < f.lp[i+1]; q++ {
-			w[f.li[q]] -= f.lx[q] * xi
+		li := f.li[f.lp[i]:f.lp[i+1]]
+		lx := f.lx[f.lp[i]:f.lp[i+1]]
+		lx = lx[:len(li)]
+		// Four updates per trip: the rows of one L column are distinct, so
+		// the updates are independent and the result is that of the plain
+		// loop; what goes is three quarters of its counter and branch work,
+		// a fifth of a refactorization's time on the mesh patterns.
+		for len(li) >= 4 && len(lx) >= 4 {
+			r0, r1, r2, r3 := li[0], li[1], li[2], li[3]
+			w[r0] -= lx[0] * xi
+			w[r1] -= lx[1] * xi
+			w[r2] -= lx[2] * xi
+			w[r3] -= lx[3] * xi
+			li, lx = li[4:], lx[4:]
+		}
+		lx = lx[:len(li)]
+		for q, r := range li {
+			w[r] -= lx[q] * xi
 		}
 	}
 	pv := w[k]
-	// Scale test: the pivot must not be degenerate relative to the
-	// column it eliminates.
+	// One pass over the L column gathers the unscaled entries, clears their
+	// workspace slots and finds the column scale the pivot is tested against.
+	li := f.li[f.lp[k]:f.lp[k+1]]
+	lx := f.lx[f.lp[k]:f.lp[k+1]]
+	lx = lx[:len(li)]
 	colMax := math.Abs(pv)
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		if a := math.Abs(w[f.li[q]]); a > colMax {
+	for q, r := range li {
+		v := w[r]
+		w[r] = 0
+		lx[q] = v
+		if a := math.Abs(v); a > colMax {
 			colMax = a
 		}
 	}
+	for _, i := range ui {
+		w[i] = 0
+	}
+	w[k] = 0
+	// Scale test: the pivot must not be degenerate relative to the column
+	// it eliminates.
 	if math.Abs(pv) < tinyPivot || (colMax > 0 && math.Abs(pv) < 1e-14*colMax) {
 		return false
 	}
 	f.ud[k] = pv
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		f.lx[q] = w[f.li[q]] / pv
-	}
-	// Clear exactly the touched positions.
-	for p := f.up[k]; p < f.up[k+1]; p++ {
-		w[f.ui[p]] = 0
-	}
-	w[k] = 0
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		w[f.li[q]] = 0
+	for q := range lx {
+		lx[q] /= pv
 	}
 	return true
 }
@@ -328,18 +385,20 @@ func (f *LU) Solve(b, x []float64) {
 // SolveWith is Solve with a caller-provided scratch vector of length N,
 // allowing allocation-free repeated solves.
 func (f *LU) SolveWith(b, x, scratch []float64) {
-	w := scratch
-	for k := 0; k < f.n; k++ {
-		w[k] = b[f.rowPerm[k]]
+	w := scratch[:f.n]
+	for k, r := range f.rowPerm {
+		w[k] = b[r]
 	}
 	// Forward: L·y = P·b (unit diagonal).
-	for k := 0; k < f.n; k++ {
-		yk := w[k]
+	for k, yk := range w {
 		if yk == 0 {
 			continue
 		}
-		for q := f.lp[k]; q < f.lp[k+1]; q++ {
-			w[f.li[q]] -= f.lx[q] * yk
+		li := f.li[f.lp[k]:f.lp[k+1]]
+		lx := f.lx[f.lp[k]:f.lp[k+1]]
+		lx = lx[:len(li)]
+		for q, r := range li {
+			w[r] -= lx[q] * yk
 		}
 	}
 	// Backward: U·z = y, U stored by strict-upper columns + diagonal.
@@ -349,12 +408,15 @@ func (f *LU) SolveWith(b, x, scratch []float64) {
 		if zk == 0 {
 			continue
 		}
-		for p := f.up[k]; p < f.up[k+1]; p++ {
-			w[f.ui[p]] -= f.ux[p] * zk
+		ui := f.ui[f.up[k]:f.up[k+1]]
+		ux := f.ux[f.up[k]:f.up[k+1]]
+		ux = ux[:len(ui)]
+		for p, i := range ui {
+			w[i] -= ux[p] * zk
 		}
 	}
-	for k := 0; k < f.n; k++ {
-		x[f.colPerm[k]] = w[k]
+	for k, c := range f.colPerm {
+		x[c] = w[k]
 	}
 }
 
@@ -405,10 +467,17 @@ type Solver struct {
 	lu      *LU
 	scratch []float64
 	resid   []float64
-	// prevValues snapshots M.Values as of the last real (re)factorization;
-	// bypass drift is measured against it, not the previous iteration, so
-	// slow cumulative change still forces a refactorization eventually.
+	// prevValues snapshots M.Values as of the last real (re)factorization
+	// (nil: no snapshot). Both shortcuts compare against it, not against the
+	// previous iteration, so slow cumulative change still forces a
+	// refactorization eventually.
 	prevValues []float64
+	// refactored reports that the LU in hand is Refactor's output for
+	// prevValues — the only state exact reuse may answer from. An LU out of
+	// a full factorization holds the same matrix to rounding but was summed
+	// in a different order, and the run this call stands in for would have
+	// refactored it.
+	refactored bool
 
 	// Stats.
 	FullFactorizations int
@@ -419,6 +488,13 @@ type Solver struct {
 	// always rests on a fresh factorization.
 	BypassedFactorizations int
 	LastBypassed           bool
+	// ReusedFactorizations counts Factorize/FactorizeFresh calls handed the
+	// very values the LU in hand was refactored from, and answered with that
+	// LU. Unlike a bypass the factorization is exact, so LastBypassed stays
+	// false; LastReused reports the outcome for the trace. Every request ends
+	// in exactly one of the four counters.
+	ReusedFactorizations int
+	LastReused           bool
 }
 
 // NewSolver returns a Solver for m using the given ordering.
@@ -427,31 +503,44 @@ func NewSolver(m *Matrix, o Ordering) *Solver {
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
-// numeric-only refactorization path. With BypassTol > 0 and values within
-// tolerance of the ones that produced the current factorization, the call is
-// a no-op that keeps the previous LU (LastBypassed reports this).
-func (s *Solver) Factorize() error {
-	if s.lu != nil && s.BypassTol > 0 && s.prevValues != nil &&
-		maxRelChange(s.prevValues, s.M.Values) <= s.BypassTol {
-		s.BypassedFactorizations++
-		s.LastBypassed = true
-		return nil
-	}
-	return s.FactorizeFresh()
-}
+// numeric-only refactorization path. Two shortcuts keep the LU in hand
+// instead: values bit-identical to the ones it was refactored from make the
+// call a no-op with an exact result (LastReused), and with BypassTol > 0
+// values within that relative tolerance make it a no-op with a stale one
+// (LastBypassed).
+func (s *Solver) Factorize() error { return s.factorize(s.BypassTol) }
 
-// FactorizeFresh is Factorize without the bypass shortcut: the matrix values
-// are always run through Refactor or a full Factorize. Callers that must
-// leave an exact factorization behind (the final Newton guard, warm-start
-// handoff) use this directly.
-func (s *Solver) FactorizeFresh() error {
-	s.LastBypassed = false
+// FactorizeFresh is Factorize without the bypass shortcut: the call always
+// leaves an exact factorization of the current values behind (the final
+// Newton guard and the warm-start handoff need one). Exact reuse still
+// applies — it is exact.
+func (s *Solver) FactorizeFresh() error { return s.factorize(0) }
+
+func (s *Solver) factorize(tol float64) error {
+	s.LastBypassed, s.LastReused = false, false
+	if s.lu != nil && s.prevValues != nil {
+		switch d := valueDrift(s.prevValues, s.M.Values, tol); {
+		case d == driftNone && s.refactored:
+			s.ReusedFactorizations++
+			s.LastReused = true
+			return nil
+		case d != driftExceeded && tol > 0:
+			s.BypassedFactorizations++
+			s.LastBypassed = true
+			return nil
+		}
+	}
 	if s.lu != nil {
 		if err := s.refactor(); err == nil {
 			s.Refactorizations++
 			s.snapshotValues()
+			s.refactored = true
 			return nil
 		}
+		// The failed sweep left the factors undefined: nothing may be
+		// answered from them, even if the full factorization below fails
+		// too and they stay in hand.
+		s.prevValues, s.refactored = nil, false
 		// Fall through to a full factorization with fresh pivoting.
 	}
 	var lu *LU
@@ -467,42 +556,60 @@ func (s *Solver) FactorizeFresh() error {
 	s.lu = lu
 	s.FullFactorizations++
 	s.snapshotValues()
+	s.refactored = false
 	return nil
 }
 
 // snapshotValues records the matrix values backing the current factorization
-// so later Factorize calls can measure bypass drift against them.
+// for later calls to compare against.
 func (s *Solver) snapshotValues() {
-	if s.BypassTol <= 0 {
-		return
-	}
 	if s.prevValues == nil {
 		s.prevValues = make([]float64, len(s.M.Values))
 	}
 	copy(s.prevValues, s.M.Values)
 }
 
-// maxRelChange returns the maximum elementwise relative change between old
-// and new, with the relative base max(|old|, |new|). A value appearing where
-// there was an exact zero counts as an infinite change.
-func maxRelChange(old, new []float64) float64 {
-	maxRel := 0.0
+// drift is the outcome of comparing incoming matrix values with a snapshot.
+type drift int
+
+const (
+	driftNone     drift = iota // bit-for-bit the snapshot
+	driftWithin                // differs, every entry within the tolerance
+	driftExceeded              // some entry beyond it
+)
+
+// valueDrift compares new against old in one scan that stops at the first
+// entry beyond tol. Equality is on the IEEE bits, so +0 against −0 and any
+// NaN count as a difference; the relative change of a differing entry is
+// |new−old| / max(|old|, |new|), which makes a value appearing where there
+// was an exact zero an infinite change. tol 0 is the exact test — the scan
+// ends at the first differing entry — and a positive tol is the bypass test:
+// one comparison, two outcomes.
+func valueDrift(old, new []float64, tol float64) drift {
+	old = old[:len(new)]
+	d := driftNone
 	for i, nv := range new {
 		ov := old[i]
-		d := math.Abs(nv - ov)
-		if d == 0 {
+		if math.Float64bits(nv) == math.Float64bits(ov) {
 			continue
 		}
-		base := math.Abs(ov)
-		if a := math.Abs(nv); a > base {
-			base = a
+		if tol <= 0 {
+			return driftExceeded
 		}
-		// base > 0 here since d > 0 implies at least one operand is nonzero.
-		if rel := d / base; rel > maxRel {
-			maxRel = rel
+		if diff := math.Abs(nv - ov); diff != 0 {
+			// diff > 0 implies a nonzero operand, so the base is positive; a
+			// NaN fails the test and forces the refactorization.
+			base := math.Abs(ov)
+			if a := math.Abs(nv); a > base {
+				base = a
+			}
+			if rel := diff / base; !(rel <= tol) {
+				return driftExceeded
+			}
 		}
+		d = driftWithin
 	}
-	return maxRel
+	return d
 }
 
 // refactor runs the numeric-only refactorization, level-scheduled across the

@@ -324,6 +324,7 @@ func (f *LU) RefactorParallel(m *Matrix, pool *sched.Pool) error {
 	}
 	nw := pool.Workers()
 	sc := f.schedule(nw)
+	f.scatterMap(m) // before the gang: the workers only read it
 	for len(f.parWork) < nw {
 		f.parWork = append(f.parWork, make([]float64, f.n))
 	}

@@ -1,0 +1,257 @@
+package sparse
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// counts is a Solver's four factorization outcomes.
+type counts struct{ full, refactor, bypassed, reused int }
+
+func countsOf(s *Solver) counts {
+	return counts{s.FullFactorizations, s.Refactorizations, s.BypassedFactorizations, s.ReusedFactorizations}
+}
+
+func wantCounts(t *testing.T, tag string, s *Solver, want counts) {
+	t.Helper()
+	if got := countsOf(s); got != want {
+		t.Fatalf("%s: counts (full, refactor, bypassed, reused) = %+v, want %+v", tag, got, want)
+	}
+}
+
+func mustFactorize(t *testing.T, s *Solver, fresh bool) {
+	t.Helper()
+	f := s.Factorize
+	if fresh {
+		f = s.FactorizeFresh
+	}
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reuseSolver returns a solver whose LU in hand came out of Refactor — the
+// only state exact reuse answers from.
+func reuseSolver(t *testing.T) (*Solver, counts) {
+	t.Helper()
+	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(61))), OrderMinDegree)
+	mustFactorize(t, s, false) // full
+	mustFactorize(t, s, false) // same values, but the LU came from a full factorization: refactor
+	c := counts{full: 1, refactor: 1}
+	wantCounts(t, "setup", s, c)
+	return s, c
+}
+
+// TestExactReuseOnIdenticalValues: identical values are answered from the LU
+// in hand, by Factorize and FactorizeFresh alike, without touching a factor
+// and without raising LastBypassed.
+func TestExactReuseOnIdenticalValues(t *testing.T) {
+	s, c := reuseSolver(t)
+	// Mark the factors: a reused call leaves even a wrong entry alone.
+	lu := s.LU()
+	lx0, ux0, ud0 := lu.lx[0], lu.ux[0], lu.ud[0]
+	lu.lx[0], lu.ux[0], lu.ud[0] = 111, 222, 333
+	for i, fresh := range []bool{false, true, false} {
+		mustFactorize(t, s, fresh)
+		c.reused++
+		wantCounts(t, "identical values", s, c)
+		if !s.LastReused || s.LastBypassed {
+			t.Fatalf("call %d: LastReused=%v LastBypassed=%v, want true, false", i, s.LastReused, s.LastBypassed)
+		}
+	}
+	if lu.lx[0] != 111 || lu.ux[0] != 222 || lu.ud[0] != 333 {
+		t.Fatal("a reused call rewrote the factors")
+	}
+	lu.lx[0], lu.ux[0], lu.ud[0] = lx0, ux0, ud0
+
+	// A real change refactors, and clears LastReused.
+	s.M.Values[3] *= 1.5
+	mustFactorize(t, s, false)
+	c.refactor++
+	wantCounts(t, "changed value", s, c)
+	if s.LastReused {
+		t.Fatal("LastReused survived a refactorization")
+	}
+}
+
+// TestExactReuseIsBitExact: the comparison is on the IEEE bits. One ulp, a
+// zero changing sign and a NaN are all changes.
+func TestExactReuseIsBitExact(t *testing.T) {
+	// A pattern with a structural zero to flip the sign of: entry (0,2).
+	b := NewBuilder(3)
+	var slots [3][3]int
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			slots[i][j] = b.Reserve(i, j)
+		}
+	}
+	m := b.Compile()
+	for i, row := range [][]float64{{4, 1, 0}, {1, 5, 2}, {0.5, 2, 6}} {
+		for j, v := range row {
+			m.Add(slots[i][j], v)
+		}
+	}
+	s := NewSolver(m, OrderNatural)
+	mustFactorize(t, s, false)
+	mustFactorize(t, s, false)
+	c := counts{full: 1, refactor: 1}
+	mustFactorize(t, s, false)
+	c.reused++
+	wantCounts(t, "baseline", s, c)
+
+	zero := m.slotPos[slots[0][2]]
+	other := m.slotPos[slots[1][1]]
+	for _, ch := range []struct {
+		name string
+		pos  int
+		val  float64
+	}{
+		{"one ulp up", other, math.Nextafter(m.Values[other], math.Inf(1))},
+		{"+0 to -0", zero, math.Copysign(0, -1)},
+		{"-0 to +0", zero, 0},
+	} {
+		m.Values[ch.pos] = ch.val
+		mustFactorize(t, s, false)
+		c.refactor++
+		wantCounts(t, ch.name, s, c)
+		mustFactorize(t, s, false) // and the new values are now the snapshot
+		c.reused++
+		wantCounts(t, ch.name+", repeated", s, c)
+	}
+
+	// A NaN is a change whatever happens next (the refactorization may go
+	// through or fall back and fail); it is never answered by reuse.
+	m.Values[other] = math.NaN()
+	_ = s.Factorize()
+	if s.ReusedFactorizations != c.reused {
+		t.Fatal("a NaN entry was answered by reuse")
+	}
+}
+
+// TestNoReuseFromUnrefactoredLU: an LU out of a full factorization, a
+// restored one, and one behind a failed refactorization never answer a
+// request, identical values or not — the next call refactors.
+func TestNoReuseFromUnrefactoredLU(t *testing.T) {
+	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(67))), OrderMinDegree)
+	mustFactorize(t, s, true) // full
+	c := counts{full: 1}
+	mustFactorize(t, s, true) // first call after a full factorization
+	c.refactor++
+	wantCounts(t, "after full", s, c)
+
+	if err := s.RestoreFactor(s.FactorState()); err != nil {
+		t.Fatal(err)
+	}
+	mustFactorize(t, s, false) // first call after RestoreFactor
+	c.refactor++
+	wantCounts(t, "after restore", s, c)
+	mustFactorize(t, s, false)
+	c.reused++
+	wantCounts(t, "after restore, repeated", s, c)
+
+	// Force the ErrRefactorPivot fallback: a 2×2 whose stored pivots vanish.
+	m := FromDense([][]float64{{4, 1}, {1, 4}})
+	s = NewSolver(m, OrderNatural)
+	mustFactorize(t, s, false)
+	mustFactorize(t, s, false)
+	c = counts{full: 1, refactor: 1}
+	setAt(t, m, 0, 0, 0)
+	setAt(t, m, 1, 1, 0)
+	mustFactorize(t, s, false) // refactor fails, full factorization re-pivots
+	c.full++
+	wantCounts(t, "fallback", s, c)
+	mustFactorize(t, s, false) // same values, LU from the fallback: refactor
+	c.refactor++
+	wantCounts(t, "after fallback", s, c)
+	mustFactorize(t, s, false)
+	c.reused++
+	wantCounts(t, "after fallback, repeated", s, c)
+}
+
+// TestFailedRefactorInvalidatesSnapshot: when the refactorization fails and
+// the full factorization behind it fails too, the solver is left holding
+// factors of undefined content. Going back to the last good values must not
+// be answered from them, by reuse or by bypass.
+func TestFailedRefactorInvalidatesSnapshot(t *testing.T) {
+	m := FromDense([][]float64{{4, 1}, {1, 4}})
+	s := NewSolver(m, OrderNatural)
+	s.BypassTol = 0.5
+	mustFactorize(t, s, true)
+	mustFactorize(t, s, true)
+	good := append([]float64(nil), m.Values...)
+	for p := range m.Values {
+		m.Values[p] = 0
+	}
+	if err := s.FactorizeFresh(); err == nil {
+		t.Fatal("a zero matrix factorized")
+	}
+	copy(m.Values, good)
+	mustFactorize(t, s, false)
+	if s.LastReused || s.LastBypassed {
+		t.Fatalf("answered from undefined factors: reused=%v bypassed=%v", s.LastReused, s.LastBypassed)
+	}
+	x := make([]float64, 2)
+	if err := s.Solve([]float64{5, 5}, x); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
+		t.Fatalf("x = %v, want [1 1]", x)
+	}
+}
+
+// TestReuseComposesWithBypass walks one solver with BypassTol > 0 through
+// every outcome: exact reuse and tolerance bypass are one comparison against
+// one snapshot, reuse wins on identical values (unless the LU came from a
+// full factorization — then the call is the bypass it always was), and a
+// bypass leaves the snapshot where it was.
+func TestReuseComposesWithBypass(t *testing.T) {
+	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(71))), OrderMinDegree)
+	s.BypassTol = 1e-3
+	v := s.M.Values
+	v0 := v[5]
+
+	mustFactorize(t, s, false)
+	c := counts{full: 1}
+	wantCounts(t, "first", s, c)
+
+	mustFactorize(t, s, false) // identical, LU from full: a bypass, as before
+	c.bypassed++
+	wantCounts(t, "identical after full", s, c)
+	if !s.LastBypassed || s.LastReused {
+		t.Fatal("identical values on a fully factorized LU must read as bypassed")
+	}
+
+	mustFactorize(t, s, true) // the Newton guard's FactorizeFresh: refactor
+	c.refactor++
+	wantCounts(t, "fresh", s, c)
+
+	mustFactorize(t, s, false) // identical, LU from Refactor: exact reuse
+	c.reused++
+	wantCounts(t, "identical after refactor", s, c)
+	if s.LastBypassed {
+		t.Fatal("exact reuse raised LastBypassed: Newton's stale-LU guards would fire")
+	}
+
+	v[5] = v0 * (1 + 1e-4) // inside the tolerance
+	mustFactorize(t, s, false)
+	c.bypassed++
+	wantCounts(t, "within tolerance", s, c)
+
+	mustFactorize(t, s, true) // stale LU in hand: FactorizeFresh must refactor
+	c.refactor++
+	wantCounts(t, "fresh after bypass", s, c)
+
+	v[5] = v0 * (1 + 2e-4) // drift is measured from the refactored values
+	mustFactorize(t, s, false)
+	c.bypassed++
+	v[5] = v0 * (1 + 1e-4) // exactly the snapshot again, the bypass did not move it
+	mustFactorize(t, s, false)
+	c.reused++
+	wantCounts(t, "back on the snapshot", s, c)
+
+	v[5] = v0 * 1.01 // outside the tolerance
+	mustFactorize(t, s, false)
+	c.refactor++
+	wantCounts(t, "beyond tolerance", s, c)
+}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // LUState is a serializable snapshot of a completed LU factorization: the
@@ -29,6 +30,25 @@ type LUState struct {
 	Ud []float64
 }
 
+// widen and narrow convert between the factorization's int32 index arrays
+// and the snapshot's []int ones: the checkpoint format predates the int32
+// layout and stays as it was.
+func widen(a []int32) []int {
+	out := make([]int, len(a))
+	for i, v := range a {
+		out[i] = int(v)
+	}
+	return out
+}
+
+func narrow(a []int) []int32 {
+	out := make([]int32, len(a))
+	for i, v := range a {
+		out[i] = int32(v)
+	}
+	return out
+}
+
 // State deep-copies the factorization into a serializable snapshot.
 func (f *LU) State() *LUState {
 	st := &LUState{
@@ -36,11 +56,11 @@ func (f *LU) State() *LUState {
 		PivTol:  f.pivTol,
 		ColPerm: append([]int(nil), f.colPerm...),
 		RowPerm: append([]int(nil), f.rowPerm...),
-		Lp:      append([]int(nil), f.lp...),
-		Li:      append([]int(nil), f.li...),
+		Lp:      widen(f.lp),
+		Li:      widen(f.li),
 		Lx:      append([]float64(nil), f.lx...),
-		Up:      append([]int(nil), f.up...),
-		Ui:      append([]int(nil), f.ui...),
+		Up:      widen(f.up),
+		Ui:      widen(f.ui),
 		Ux:      append([]float64(nil), f.ux...),
 		Ud:      append([]float64(nil), f.ud...),
 	}
@@ -54,6 +74,9 @@ func (st *LUState) Validate() error {
 	n := st.N
 	if n <= 0 {
 		return errors.New("lu state: non-positive dimension")
+	}
+	if n >= math.MaxInt32 || len(st.Li) > math.MaxInt32 || len(st.Ui) > math.MaxInt32 {
+		return errors.New("lu state: factor too large for 32-bit indices")
 	}
 	if st.PivTol <= 0 || st.PivTol > 1 {
 		return fmt.Errorf("lu state: pivot tolerance %g out of (0,1]", st.PivTol)
@@ -121,11 +144,11 @@ func RestoreLU(st *LUState) (*LU, error) {
 		colPerm: append([]int(nil), st.ColPerm...),
 		rowPerm: append([]int(nil), st.RowPerm...),
 		rowInv:  make([]int, st.N),
-		lp:      append([]int(nil), st.Lp...),
-		li:      append([]int(nil), st.Li...),
+		lp:      narrow(st.Lp),
+		li:      narrow(st.Li),
 		lx:      append([]float64(nil), st.Lx...),
-		up:      append([]int(nil), st.Up...),
-		ui:      append([]int(nil), st.Ui...),
+		up:      narrow(st.Up),
+		ui:      narrow(st.Ui),
 		ux:      append([]float64(nil), st.Ux...),
 		ud:      append([]float64(nil), st.Ud...),
 	}
@@ -146,9 +169,9 @@ func (s *Solver) FactorState() *LUState {
 
 // RestoreFactor installs a snapshotted factorization so the next Factorize
 // call takes the Refactor path against the restored pivot sequence. The
-// snapshot must match the solver's matrix dimension. Bypass reference values
-// are deliberately not restored: the first post-restore Factorize always
-// refactorizes.
+// snapshot must match the solver's matrix dimension. The value snapshot is
+// deliberately dropped, not restored: the first post-restore Factorize always
+// refactorizes, neither reusing nor bypassing.
 func (s *Solver) RestoreFactor(st *LUState) error {
 	if st == nil {
 		return errors.New("lu state: nil snapshot")
@@ -161,7 +184,7 @@ func (s *Solver) RestoreFactor(st *LUState) error {
 		return err
 	}
 	s.lu = lu
-	s.prevValues = nil
-	s.LastBypassed = false
+	s.prevValues, s.refactored = nil, false
+	s.LastBypassed, s.LastReused = false, false
 	return nil
 }

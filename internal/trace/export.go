@@ -276,6 +276,7 @@ type ReplayCounts struct {
 	Recoveries      int // KindRecovery events
 	SerialFallbacks int // KindSerialFallback events
 	BypassHits      int // bypassed-factorization phase events
+	ReuseHits       int // exactly-reused-factorization phase events
 	BypassedEvals   int // device evals replayed, summed over device-load phases
 	LinearStampHits int // device-load phases flagged as linear-template hits
 	Cancels         int // KindCancel events
@@ -287,7 +288,8 @@ type ReplayCounts struct {
 // Replay recomputes the run counters from a recorded stream. On a complete
 // (undropped) trace these reconcile exactly with the run's transient.Stats:
 // Points, Solves, NRIters, LTERejects, Discarded and Recoveries match the
-// fields of the same name.
+// fields of the same name, BypassHits and ReuseHits match
+// BypassedFactorizations and ReusedFactorizations.
 func Replay(events []Event) ReplayCounts {
 	var c ReplayCounts
 	for _, ev := range events {
@@ -318,6 +320,9 @@ func Replay(events []Event) ReplayCounts {
 		case KindPhase:
 			if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
 				c.BypassHits++
+			}
+			if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
+				c.ReuseHits++
 			}
 			if ev.Phase == PhaseDeviceLoad {
 				c.BypassedEvals += int(ev.Iters)

@@ -119,6 +119,10 @@ const (
 	// linear stamp template (incremental assembly LRU hit). Such events also
 	// carry the load's bypassed-device-eval count in Iters.
 	FlagLinearHit uint8 = 1 << 3
+	// FlagReused marks a factorization request handed the very values the
+	// LU in hand was refactored from and answered with it: exact, unlike
+	// FlagBypassed, and counted apart from it.
+	FlagReused uint8 = 1 << 4
 )
 
 // Event is one structured trace record. The struct is fixed-size and

@@ -31,10 +31,11 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	tr.Emit(Event{Kind: KindDiscard, T: 3e-9})
 	tr.Emit(Event{Kind: KindRecovery, T: 3e-9})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagBypassed})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagReused})
 
 	evs := rec.Events()
-	if len(evs) != 8 {
-		t.Fatalf("got %d events, want 8", len(evs))
+	if len(evs) != 9 {
+		t.Fatalf("got %d events, want 9", len(evs))
 	}
 	var lastSeq uint64
 	for i, ev := range evs {
@@ -59,7 +60,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	}
 
 	c := Replay(evs)
-	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, BypassHits: 1}
+	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, BypassHits: 1, ReuseHits: 1}
 	if c != want {
 		t.Fatalf("Replay = %+v, want %+v", c, want)
 	}
@@ -164,6 +165,8 @@ func sampleStream() ([]Event, []Snapshot) {
 	tr.Emit(Event{Kind: KindSolve, Iters: 4, T: 1e-9, H: 1e-9, Norm: 0.25, Flags: FlagResumed})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseDeviceLoad, Dur: 1200, T: 1e-9})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 400, Flags: FlagBypassed, T: 1e-9})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 40, Flags: FlagReused, T: 1e-9})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 40, Flags: FlagReused, T: 1e-9})
 	tr.Emit(Event{Kind: KindAccept, T: 1e-9, H: 1e-9})
 	tr.Emit(Event{Kind: KindLTEReject, T: 2e-9, Norm: 1.7})
 	tr.Emit(Event{Kind: KindDiscard, T: 2e-9, Worker: 2})
@@ -252,11 +255,11 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 			t.Fatalf("unexpected phase %v", e["ph"])
 		}
 	}
-	if spans != 3 { // device-load, factor, worker spans carry Dur
-		t.Fatalf("got %d spans, want 3", spans)
+	if spans != 5 { // device-load, three factors, worker spans carry Dur
+		t.Fatalf("got %d spans, want 5", spans)
 	}
-	if instants != len(events)-3 {
-		t.Fatalf("got %d instants, want %d", instants, len(events)-3)
+	if instants != len(events)-5 {
+		t.Fatalf("got %d instants, want %d", instants, len(events)-5)
 	}
 	if counters != 2*len(snaps) {
 		t.Fatalf("got %d counters, want %d", counters, 2*len(snaps))
@@ -294,6 +297,7 @@ func TestMetricsObserver(t *testing.T) {
 		"wavepipe_serial_fallbacks_total 1",
 		"wavepipe_cancels_total 1",
 		"wavepipe_bypass_hits_total 1",
+		"wavepipe_reuse_hits_total 2",
 		"# TYPE wavepipe_points_total counter",
 		"# TYPE wavepipe_step_size_seconds gauge",
 	} {

@@ -187,9 +187,13 @@ type Stats struct {
 	WorkerPanics   int
 	DegradedStages int
 	// Factorization accounting (filled from the sparse solver counters):
-	// bypassed calls reused the previous LU outright, refactorizations took
-	// the numeric-only path, full factorizations re-pivoted from scratch.
+	// bypassed calls kept a stale LU within BypassTol, reused calls were
+	// handed the very values the LU in hand was refactored from (exact, no
+	// tolerance), refactorizations took the numeric-only path, full
+	// factorizations re-pivoted from scratch. The four sum to the number of
+	// factorization requests.
 	BypassedFactorizations int
+	ReusedFactorizations   int
 	Refactorizations       int
 	FullFactorizations     int
 	// Incremental-assembly accounting (filled from the workspace counters):
@@ -244,6 +248,7 @@ func (s *Stats) Add(other Stats) {
 	s.WorkerPanics += other.WorkerPanics
 	s.DegradedStages += other.DegradedStages
 	s.BypassedFactorizations += other.BypassedFactorizations
+	s.ReusedFactorizations += other.ReusedFactorizations
 	s.Refactorizations += other.Refactorizations
 	s.FullFactorizations += other.FullFactorizations
 	s.BypassedEvals += other.BypassedEvals
@@ -463,6 +468,7 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 // counters into Stats. Engines call it once per solver before merging stats.
 func (ps *PointSolver) HarvestSolverStats() {
 	ps.Stats.BypassedFactorizations = ps.WS.Solver.BypassedFactorizations
+	ps.Stats.ReusedFactorizations = ps.WS.Solver.ReusedFactorizations
 	ps.Stats.Refactorizations = ps.WS.Solver.Refactorizations
 	ps.Stats.FullFactorizations = ps.WS.Solver.FullFactorizations
 	ps.Stats.BypassedEvals, ps.Stats.LinearStampHits = ps.WS.DeviceBypassCounters()
@@ -584,7 +590,7 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 	// device stamps are allowed here.
 	ps.WS.DisableBypassOnce()
 	ps.loadCounted(x, p)
-	if err := ps.WS.Solver.FactorizeFresh(); err != nil {
+	if err := newton.Factorize(ps.WS, tNew, true); err != nil {
 		return x
 	}
 	ps.warmTime = tNew

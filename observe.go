@@ -70,6 +70,7 @@ const (
 	TraceFlagFailed   = trace.FlagFailed   // the solve attempt errored
 	TraceFlagBypassed = trace.FlagBypassed // factorization reused the prior LU
 	TraceFlagResumed  = trace.FlagResumed  // solve warm-started from speculation
+	TraceFlagReused   = trace.FlagReused   // factorization answered exactly by the LU in hand
 )
 
 // NewTraceRecorder returns an in-memory observer. capacity > 0 bounds the

@@ -63,6 +63,11 @@ func TestTracedRunReconcilesWithStats(t *testing.T) {
 	check("LTERejects", rc.LTERejects, res.Stats.LTERejects)
 	check("Discarded", rc.Discarded, res.Stats.Discarded)
 	check("Recoveries", rc.Recoveries, res.Stats.Recoveries)
+	check("BypassedFactorizations", rc.BypassHits, res.Stats.BypassedFactorizations)
+	check("ReusedFactorizations", rc.ReuseHits, res.Stats.ReusedFactorizations)
+	if res.Stats.ReusedFactorizations == 0 {
+		t.Error("a linear mesh never reused a factorization: the 1:1 check above is vacuous")
+	}
 	if res.Stats.Points == 0 || res.Stats.Solves == 0 {
 		t.Fatalf("degenerate run: %+v", res.Stats)
 	}
@@ -110,7 +115,8 @@ func TestSerialTraceReconciles(t *testing.T) {
 	}
 	rc := wavepipe.ReplayTrace(rec.Events())
 	if rc.Points != res.Stats.Points || rc.Solves != res.Stats.Solves ||
-		rc.NRIters != res.Stats.NRIters || rc.LTERejects != res.Stats.LTERejects {
+		rc.NRIters != res.Stats.NRIters || rc.LTERejects != res.Stats.LTERejects ||
+		rc.ReuseHits != res.Stats.ReusedFactorizations || rc.ReuseHits == 0 {
 		t.Fatalf("serial replay mismatch: %+v vs %+v", rc, res.Stats)
 	}
 }

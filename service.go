@@ -26,6 +26,13 @@ var ErrUnknownJob = errors.New("wavepipe: unknown job")
 // HTTP layer maps it to 429.
 var ErrQueueFull = sched.ErrQueueFull
 
+// ErrJobUnsupported is returned by Submit for options that are valid for a
+// direct RunTransientCtx call but that the service cannot run as a job —
+// today Windows > 1, because every job is checkpointed so the arbiter can
+// preempt it and a time-parallel run has no single state to checkpoint. The
+// job is refused up front, never admitted; the HTTP layer maps it to 422.
+var ErrJobUnsupported = errors.New("wavepipe: job options not supported by the service")
+
 // ServiceConfig sizes an in-process simulation service.
 type ServiceConfig struct {
 	// Cores is the global core budget every concurrent job draws grants
@@ -160,6 +167,14 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	if err := merged.validate(); err != nil {
 		return JobStatus{}, err
 	}
+	// What runs is not merged but merged plus the options the service sets
+	// itself (see run): a combination that only fails once those are in place
+	// must be refused here, not admitted and failed.
+	managed := merged
+	managed.CheckpointPath = s.checkpointPath("submit")
+	if err := managed.validate(); err != nil {
+		return JobStatus{}, fmt.Errorf("%w: every job is checkpointed for preemption: %v", ErrJobUnsupported, err)
+	}
 	base, err := baseOptions(entry.Sys, merged)
 	if err != nil {
 		return JobStatus{}, err
@@ -221,10 +236,15 @@ func managedFieldsZero(o TranOptions) error {
 	return nil
 }
 
+// checkpointPath is where a job's preemption checkpoint lives.
+func (s *Service) checkpointPath(id string) string {
+	return filepath.Join(s.dir, id+".ckpt")
+}
+
 // run drives one job through acquire → simulate → (preempt/resume)* → end.
 func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	defer s.wg.Done()
-	ckpt := filepath.Join(s.dir, j.id+".ckpt")
+	ckpt := s.checkpointPath(j.id)
 	opts.CheckpointPath = ckpt
 	opts.OnAccept = func(t float64, row []float64) {
 		p := StreamPoint{T: t, Values: append([]float64(nil), row...)}
@@ -326,7 +346,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.mu.Unlock()
 	close(j.done)
 	s.finished.Add(1)
-	os.Remove(filepath.Join(s.dir, j.id+".ckpt"))
+	os.Remove(s.checkpointPath(j.id))
 }
 
 // writeTrace flushes a finished job's telemetry to <dir>/<id>.trace.jsonl.

@@ -379,3 +379,26 @@ func TestServiceRejectsManagedFields(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceRefusesWindowedJob: a Windows > 1 run cannot be checkpointed
+// and the service checkpoints every job, so Submit must refuse it with the
+// typed error — not admit a job that can only fail. Windows ≤ 1 is a plain
+// run and goes through.
+func TestServiceRefusesWindowedJob(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Cores: 2})
+	ctx := context.Background()
+	_, err := s.Submit(ctx, JobSpec{Deck: serviceDeck, Options: TranOptions{Windows: 4, CoreBudget: 2}})
+	if !errors.Is(err, ErrJobUnsupported) {
+		t.Fatalf("Windows=4 job: err = %v, want ErrJobUnsupported", err)
+	}
+	if ids := s.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused job was admitted: %v", ids)
+	}
+	st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck, Options: TranOptions{Windows: 1}})
+	if err != nil {
+		t.Fatalf("Windows=1 job refused: %v", err)
+	}
+	if _, err := s.Wait(ctx, st.ID); err != nil {
+		t.Fatalf("Windows=1 job failed: %v", err)
+	}
+}

@@ -210,6 +210,9 @@ type Stats struct {
 	// (omitempty: absent means the run was not reduced).
 	ReducedNodes   int64 `json:"reducedNodes,omitempty"`
 	ReducedDevices int64 `json:"reducedDevices,omitempty"`
+	// Factorization requests answered exactly from the LU in hand. Additive
+	// since schemaVersion 1 (omitempty: absent means none, or an older peer).
+	ReusedFactorizations int `json:"reusedFactorizations,omitempty"`
 }
 
 // FromStats converts engine statistics to their wire form.
@@ -241,6 +244,7 @@ func FromStats(s wavepipe.Stats) Stats {
 		WindowRedos:            s.WindowRedos,
 		ReducedNodes:           s.ReducedNodes,
 		ReducedDevices:         s.ReducedDevices,
+		ReusedFactorizations:   s.ReusedFactorizations,
 	}
 }
 
@@ -273,6 +277,7 @@ func (w Stats) ToStats() wavepipe.Stats {
 		WindowRedos:            w.WindowRedos,
 		ReducedNodes:           w.ReducedNodes,
 		ReducedDevices:         w.ReducedDevices,
+		ReusedFactorizations:   w.ReusedFactorizations,
 	}
 }
 

@@ -1,12 +1,14 @@
 package wavepipe
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
 
 	"wavepipe/internal/circuits"
+	"wavepipe/internal/device"
 )
 
 // suiteWaveformHashes pins the Serial waveform of every suite circuit at its
@@ -31,6 +33,58 @@ var suiteWaveformHashes = map[string]uint64{
 	"ecl8":      0xe1502373c2e813ca,
 }
 
+// engineWaveformHashes extends the pin to the other step-control loops, one
+// row per engine configuration the step-controller fold (PR 14) must not
+// move: the pipelined schemes on every suite circuit, three resistor-scaled
+// ensemble lanes (scale 1, 1.05, 1.1; one hash per lane) and a strict
+// four-window run. Generated on the commit before the fold (PR 13, go1.24
+// linux/amd64), keyed "config/circuit".
+var engineWaveformHashes = map[string]uint64{
+	"backward2/grid16":      0x3de871baad3ab7ad,
+	"forward2/grid16":       0xd07649f6f9b19f53,
+	"combined3/grid16":      0x80732d2ea712ed8c,
+	"lane0/grid16":          0x73a00fde9988dd60,
+	"lane1/grid16":          0x63e4283926d8e995,
+	"lane2/grid16":          0x4ea8b686d9c59be5,
+	"backward2/grid24":      0xe89029a1e9e50aa6,
+	"forward2/grid24":       0x17092f0ca4c6130c,
+	"combined3/grid24":      0x640f49ba57d5b08a,
+	"backward2/grid32":      0xb3deb0232f8f6843,
+	"forward2/grid32":       0x0ff3ae1000be894b,
+	"combined3/grid32":      0x82426f214d8dc8bb,
+	"backward2/ladder400":   0xcc2785ceaab42b36,
+	"forward2/ladder400":    0x53bde847b30e6085,
+	"combined3/ladder400":   0xbe0c1e80b931fe76,
+	"backward2/rlctree8":    0xb57783db425200e7,
+	"forward2/rlctree8":     0xf1b15b0697753244,
+	"combined3/rlctree8":    0x19b1f3c784f06726,
+	"backward2/rect1k":      0x2bfd943f096f70f7,
+	"forward2/rect1k":       0xedd7b7706c6701d1,
+	"combined3/rect1k":      0xbd8835c6451a0e89,
+	"windows4strict/rect1k": 0x2baab5bf34976a41,
+	"backward2/amp10M":      0xfba24c90016f478b,
+	"forward2/amp10M":       0xb224ceb97a37fafc,
+	"combined3/amp10M":      0x3b57f9cf47131db6,
+	"backward2/ring9":       0x63e1fe245630b4ef,
+	"forward2/ring9":        0xe976cdaf5f72b007,
+	"combined3/ring9":       0x056c7fa8e885b74d,
+	"backward2/inv50":       0xc250cf4d7884f459,
+	"forward2/inv50":        0x0ee790e8aeb5b0a5,
+	"combined3/inv50":       0xb0bfc78ecdffaaa5,
+	"backward2/nand5":       0x8c8fbb8ddf022ab4,
+	"forward2/nand5":        0x147d28f276c455a6,
+	"combined3/nand5":       0x3e90329c3cc36098,
+	"backward2/ekv30":       0x8b8935fceec028a2,
+	"forward2/ekv30":        0x50c90d42e0c9ed5b,
+	"combined3/ekv30":       0x66d2f77fd62d6a40,
+	"lane0/ekv30":           0x4f40d15d8b902544,
+	"lane1/ekv30":           0x4f40d15d8b902544,
+	"lane2/ekv30":           0x4f40d15d8b902544,
+	"backward2/ecl8":        0x237cbdcf34dde037,
+	"forward2/ecl8":         0x6e6a05705aba3d08,
+	"combined3/ecl8":        0x6b04c03cbab938cd,
+}
+
 func waveformHash(res *Result) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -53,15 +107,28 @@ func waveformHash(res *Result) uint64 {
 	return h.Sum64()
 }
 
-func TestSuiteWaveformHashesPinned(t *testing.T) {
+// skipUnpinnable skips a hash-table test where the table does not apply.
+func skipUnpinnable(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full-horizon suite run")
 	}
 	if runtime.GOARCH != "amd64" {
 		// Other back ends fuse multiply-adds, which legitimately moves the
-		// last bit; the table is an amd64 record.
-		t.Skipf("hash table recorded on amd64, running on %s", runtime.GOARCH)
+		// last bit; the tables are an amd64 record.
+		t.Skipf("hash tables recorded on amd64, running on %s", runtime.GOARCH)
 	}
+}
+
+func checkPinned(t *testing.T, table map[string]uint64, key string, res *Result) {
+	t.Helper()
+	if got, want := waveformHash(res), table[key]; got != want {
+		t.Errorf("%q: 0x%016x, // pinned 0x%016x; %d points", key, got, want, res.Stats.Points)
+	}
+}
+
+func TestSuiteWaveformHashesPinned(t *testing.T) {
+	skipUnpinnable(t)
 	for _, b := range circuits.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -73,9 +140,77 @@ func TestSuiteWaveformHashesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := waveformHash(res), suiteWaveformHashes[b.Name]; got != want {
-				t.Errorf("%q: 0x%016x, // pinned 0x%016x; %d points", b.Name, got, want, res.Stats.Points)
-			}
+			checkPinned(t, suiteWaveformHashes, b.Name, res)
 		})
+	}
+}
+
+func TestEngineWaveformHashesPinned(t *testing.T) {
+	skipUnpinnable(t)
+	pipelined := []struct {
+		name string
+		opts TranOptions
+	}{
+		{"backward2", TranOptions{Scheme: Backward, Threads: 2}},
+		{"forward2", TranOptions{Scheme: Forward, Threads: 2}},
+		{"combined3", TranOptions{Scheme: Combined, Threads: 3}},
+	}
+	for _, b := range circuits.Suite() {
+		for _, cfg := range pipelined {
+			b, cfg := b, cfg
+			t.Run(cfg.name+"/"+b.Name, func(t *testing.T) {
+				sys, err := b.Make().Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := cfg.opts
+				opts.TStop = b.TStop
+				res, err := RunTransient(sys, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPinned(t, engineWaveformHashes, cfg.name+"/"+b.Name, res)
+			})
+		}
+		if b.Name == "ekv30" || b.Name == "grid16" {
+			b := b
+			t.Run("lanes/"+b.Name, func(t *testing.T) {
+				circs := make([]*Circuit, 3)
+				for i := range circs {
+					circs[i] = b.Make()
+					for _, d := range circs[i].Devices() {
+						if r, ok := d.(*device.Resistor); ok {
+							r.SetValue(r.Value() * (1 + 0.05*float64(i)))
+						}
+					}
+				}
+				res, err := RunEnsembleCircuits(circs, TranOptions{TStop: b.TStop})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, l := range res.Lanes {
+					if l.Err != nil {
+						t.Fatalf("lane %d: %v", i, l.Err)
+					}
+					checkPinned(t, engineWaveformHashes, fmt.Sprintf("lane%d/%s", i, b.Name), l.Res)
+				}
+			})
+		}
+		if b.Name == "rect1k" {
+			b := b
+			t.Run("windows4strict/"+b.Name, func(t *testing.T) {
+				sys, err := b.Make().Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunTransient(sys, TranOptions{
+					TStop: b.TStop, Windows: 4, CoarseOpts: CoarseOptions{Strict: true},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPinned(t, engineWaveformHashes, "windows4strict/"+b.Name, res)
+			})
+		}
 	}
 }

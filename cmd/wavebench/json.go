@@ -2,7 +2,7 @@ package main
 
 // Machine-readable metrics (-json) and the load-scaling figure: the
 // measurements that seed BENCH_*.json perf-trajectory tracking and the
-// EXPERIMENTS.md sharded-vs-colored assembly comparison.
+// EXPERIMENTS.md serial-vs-colored assembly comparison.
 
 import (
 	"encoding/json"
@@ -39,11 +39,7 @@ type benchMetrics struct {
 	BypassedEvals   int64 `json:"bypassed_evals"`
 	LinearStampHits int64 `json:"linear_stamp_hits"`
 	LoadSerialNs    int64 `json:"load_serial_ns"`
-	LoadSharded4Ns  int64 `json:"load_sharded4_ns"`
 	LoadColored4Ns  int64 `json:"load_colored4_ns"`
-	// LoadReductionNs is what one device-load call saves under the colored
-	// direct-stamp path relative to shard-and-reduce at 4 workers.
-	LoadReductionNs int64 `json:"load_reduction_ns"`
 	// Two-level scheduling metadata (zero values when -cores is unset).
 	CoreBudget         int  `json:"core_budget"`
 	PipelineWorkers    int  `json:"pipeline_workers"`
@@ -52,14 +48,11 @@ type benchMetrics struct {
 }
 
 // measureLoadNs returns the fastest observed wall time of one full device
-// load under the given assembly configuration (workers <= 1 is the plain
-// serial path).
-func measureLoadNs(sys *circuit.System, mode circuit.LoadMode, workers int) int64 {
+// load at the given colored-assembly width (workers <= 1, or a coloring
+// Load judges unprofitable, is the plain serial path).
+func measureLoadNs(sys *circuit.System, workers int) int64 {
 	ws := sys.NewWorkspace()
-	if workers > 1 {
-		ws.SetLoadWorkers(workers)
-		ws.SetLoadMode(mode)
-	}
+	ws.SetLoadWorkers(workers)
 	x := make([]float64, sys.N)
 	p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
 	ws.Load(x, p) // warm up (coloring probe, pools)
@@ -90,9 +83,8 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 		if err != nil {
 			return err
 		}
-		loadSerial := measureLoadNs(sys, circuit.LoadAuto, 1)
-		loadSharded := measureLoadNs(sys, circuit.LoadSharded, 4)
-		loadColored := measureLoadNs(sys, circuit.LoadColored, 4)
+		loadSerial := measureLoadNs(sys, 1)
+		loadColored := measureLoadNs(sys, 4)
 		opts := wavepipe.TranOptions{
 			TStop:        window(b),
 			Record:       []string{b.Probe},
@@ -128,9 +120,7 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 			BypassedEvals:          res.Stats.BypassedEvals,
 			LinearStampHits:        res.Stats.LinearStampHits,
 			LoadSerialNs:           loadSerial,
-			LoadSharded4Ns:         loadSharded,
 			LoadColored4Ns:         loadColored,
-			LoadReductionNs:        loadSharded - loadColored,
 			CoreBudget:             res.Stats.CoreBudget,
 			PipelineWorkers:        res.Stats.PipelineWorkers,
 			IntraWorkers:           res.Stats.IntraWorkers,
@@ -328,27 +318,21 @@ func figBypassScale(benchName string, jsonOut bool) error {
 	return nil
 }
 
-// figLoadScale prints the sharded-vs-colored assembly comparison: one full
-// device load at 1/2/4 workers under both strategies, per suite circuit.
+// figLoadScale prints the colored-assembly scaling: one full device load
+// on the serial loop and at 2/4 colored workers, per suite circuit.
 func figLoadScale() error {
-	fmt.Println("Figure F6: device-load assembly scaling, sharded vs colored (ns per load)")
-	fmt.Printf("%-10s %8s %10s %10s %10s %10s %8s %8s\n",
-		"circuit", "serial", "shard2", "shard4", "color2", "color4", "sp2", "sp4")
+	fmt.Println("Figure F6: device-load assembly scaling, serial vs colored (ns per load)")
+	fmt.Printf("%-10s %8s %10s %10s %8s %8s\n", "circuit", "serial", "color2", "color4", "sp2", "sp4")
 	for _, b := range circuits.Suite() {
 		sys, err := build(b)
 		if err != nil {
 			return err
 		}
-		serial := measureLoadNs(sys, circuit.LoadAuto, 1)
-		sh2 := measureLoadNs(sys, circuit.LoadSharded, 2)
-		sh4 := measureLoadNs(sys, circuit.LoadSharded, 4)
-		co2 := measureLoadNs(sys, circuit.LoadColored, 2)
-		co4 := measureLoadNs(sys, circuit.LoadColored, 4)
-		fmt.Printf("%-10s %8d %10d %10d %10d %10d %8.2f %8.2f\n",
-			b.Name, serial, sh2, sh4, co2, co4,
-			float64(sh2)/float64(co2), float64(sh4)/float64(co4))
+		serial, co2, co4 := measureLoadNs(sys, 1), measureLoadNs(sys, 2), measureLoadNs(sys, 4)
+		fmt.Printf("%-10s %8d %10d %10d %8.2f %8.2f\n",
+			b.Name, serial, co2, co4, float64(serial)/float64(co2), float64(serial)/float64(co4))
 	}
-	fmt.Println("sp2/sp4: sharded-vs-colored time ratio at the same worker count (>1 favours colored)")
+	fmt.Println("sp2/sp4: serial-vs-colored time ratio (1.00 where Load judges the coloring unprofitable and stays serial)")
 	return nil
 }
 

@@ -439,7 +439,6 @@ func figScaling() error {
 		{wavepipe.Backward, []int{2, 3, 4}},
 		{wavepipe.Forward, []int{2}},
 		{wavepipe.Combined, []int{3, 4}},
-		{wavepipe.FineGrained, []int{2, 3, 4}},
 	} {
 		for _, th := range c.threads {
 			opts := base
@@ -545,40 +544,6 @@ func figAblation() error {
 		}
 		fmt.Printf("%-8.2f %10.2f %8.2f %10d\n", delta,
 			nanosMS(res.Stats.CriticalNanos), float64(serialCrit)/float64(res.Stats.CriticalNanos), res.Stats.Stages)
-	}
-
-	fmt.Println("\nAblation A2: growth-cap policy (ladder400, combined 4T)")
-	fmt.Printf("%-12s %10s %8s %12s\n", "policy", "wall(ms)", "speedup", "rel-max-dev")
-	lb, _ := findBench("ladder400")
-	lsys, err := build(lb)
-	if err != nil {
-		return err
-	}
-	lbase := wavepipe.TranOptions{TStop: window(lb), Record: []string{lb.Probe}}
-	_, lref, err := timed(lsys, lbase)
-	if err != nil {
-		return err
-	}
-	lserialCrit := lref.Stats.CriticalNanos
-	for _, aggressive := range []bool{false, true} {
-		opts := lbase
-		opts.Scheme = wavepipe.Combined
-		opts.Threads = 4
-		opts.AggressiveGrowth = aggressive
-		_, res, err := timed(lsys, opts)
-		if err != nil {
-			return err
-		}
-		dev, err := wavepipe.Compare(res.W, lref.W, lb.Probe)
-		if err != nil {
-			return err
-		}
-		name := "per-stage"
-		if aggressive {
-			name = "per-point"
-		}
-		fmt.Printf("%-12s %10.2f %8.2f %12.5f\n", name,
-			nanosMS(res.Stats.CriticalNanos), float64(lserialCrit)/float64(res.Stats.CriticalNanos), dev.RelMax())
 	}
 	return nil
 }

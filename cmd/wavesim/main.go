@@ -110,7 +110,6 @@ type runConfig struct {
 	probes       string
 	outPath      string
 	interval     string
-	loadMode     string
 	tracePath    string
 	metricsAddr  string
 	ckptPath     string
@@ -140,7 +139,7 @@ type runConfig struct {
 func main() {
 	cfg := runConfig{}
 	flag.StringVar(&cfg.analysis, "analysis", "tran", "analysis: tran, ac, dc")
-	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward, combined, finegrain")
+	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward, combined")
 	flag.IntVar(&cfg.threads, "threads", 0, "worker threads for parallel schemes (0 = scheme default)")
 	flag.IntVar(&cfg.cores, "cores", 0, "total core budget shared by pipeline workers and intra-point gangs (0 = unmanaged)")
 	flag.StringVar(&cfg.tstop, "tstop", "", "override the deck's .TRAN stop time (SPICE units, e.g. 10u)")
@@ -151,7 +150,6 @@ func main() {
 	flag.BoolVar(&cfg.stats, "stats", false, "print run statistics to stderr")
 	flag.Float64Var(&cfg.bypassTol, "bypasstol", 0, "Newton factorization-bypass tolerance (0 = always factorize)")
 	flag.BoolVar(&cfg.devBypass, "devbypass", false, "enable incremental assembly: linear-stamp template caching + SPICE-style device bypass")
-	flag.StringVar(&cfg.loadMode, "loadmode", "auto", "parallel device-assembly strategy: auto, sharded, colored")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the run's event trace to this file (.jsonl = JSONL event log, anything else = Chrome trace_event JSON)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve live run metrics over HTTP on this address (Prometheus text at /metrics)")
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write durable run checkpoints to this file (periodic + final, atomic replace)")
@@ -291,29 +289,8 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 
 	opts := wavepipe.TranOptions{Threads: cfg.threads, CoreBudget: cfg.cores, BypassTol: cfg.bypassTol, DeviceBypass: cfg.devBypass}
-	switch strings.ToLower(cfg.loadMode) {
-	case "auto", "":
-		opts.LoadMode = wavepipe.LoadAuto
-	case "sharded":
-		opts.LoadMode = wavepipe.LoadSharded
-	case "colored":
-		opts.LoadMode = wavepipe.LoadColored
-	default:
-		return fmt.Errorf("unknown load mode %q", cfg.loadMode)
-	}
-	switch strings.ToLower(cfg.scheme) {
-	case "serial":
-		opts.Scheme = wavepipe.Serial
-	case "backward":
-		opts.Scheme = wavepipe.Backward
-	case "forward":
-		opts.Scheme = wavepipe.Forward
-	case "combined":
-		opts.Scheme = wavepipe.Combined
-	case "finegrain":
-		opts.Scheme = wavepipe.FineGrained
-	default:
-		return fmt.Errorf("unknown scheme %q", cfg.scheme)
+	if opts.Scheme, err = wavepipe.ParseScheme(strings.ToLower(cfg.scheme)); err != nil {
+		return err
 	}
 	switch strings.ToLower(cfg.method) {
 	case "gear2", "":

@@ -41,7 +41,7 @@ func runToFile(t *testing.T, analysis, scheme, deckPath string) string {
 	out := filepath.Join(t.TempDir(), "out.csv")
 	err := runCfg(t, runConfig{
 		deckPath: deckPath, analysis: analysis, scheme: scheme,
-		method: "gear2", probes: "out", outPath: out, loadMode: "auto", threads: 2,
+		method: "gear2", probes: "out", outPath: out, threads: 2,
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", analysis, scheme, err)
@@ -55,7 +55,7 @@ func runToFile(t *testing.T, analysis, scheme, deckPath string) string {
 
 func TestRunTransientAllSchemes(t *testing.T) {
 	deck := writeDeck(t, simDeck)
-	for _, scheme := range []string{"serial", "backward", "forward", "combined", "finegrain"} {
+	for _, scheme := range []string{"serial", "backward", "forward", "combined"} {
 		csv := runToFile(t, "tran", scheme, deck)
 		lines := strings.Split(strings.TrimSpace(csv), "\n")
 		if lines[0] != "time,out" {
@@ -82,17 +82,17 @@ func TestRunACAndDC(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	deck := writeDeck(t, simDeck)
-	base := runConfig{deckPath: deck, analysis: "tran", scheme: "serial", method: "gear2", loadMode: "auto"}
+	base := runConfig{deckPath: deck, analysis: "tran", scheme: "serial", method: "gear2"}
 	cases := []struct {
 		name string
 		mut  func(*runConfig)
 	}{
 		{"bad scheme", func(c *runConfig) { c.scheme = "bogus" }},
+		{"retired scheme", func(c *runConfig) { c.scheme = "finegrain" }},
 		{"bad analysis", func(c *runConfig) { c.analysis = "bogus" }},
 		{"bad method", func(c *runConfig) { c.method = "bogus" }},
 		{"bad tstop", func(c *runConfig) { c.tstop = "zz" }},
 		{"bad interval", func(c *runConfig) { c.interval = "zz" }},
-		{"bad loadmode", func(c *runConfig) { c.loadMode = "bogus" }},
 		{"missing deck", func(c *runConfig) { c.deckPath = "/nonexistent.sp" }},
 	}
 	for _, tc := range cases {
@@ -112,7 +112,7 @@ func TestResampledOutput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "o.csv")
 	err := runCfg(t, runConfig{
 		deckPath: deck, analysis: "tran", scheme: "serial", method: "gear2",
-		tstop: "10u", probes: "out", outPath: out, interval: "1u", loadMode: "auto",
+		tstop: "10u", probes: "out", outPath: out, interval: "1u",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestTstopOverrideAndMethods(t *testing.T) {
 	for _, method := range []string{"gear2", "trap", "be"} {
 		err := runCfg(t, runConfig{
 			deckPath: deck, analysis: "tran", scheme: "serial", method: method,
-			tstop: "5u", probes: "out", outPath: out, loadMode: "auto", stats: true,
+			tstop: "5u", probes: "out", outPath: out, stats: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
@@ -159,7 +159,7 @@ func TestCanceledRun(t *testing.T) {
 	cancel() // canceled before the first time point
 	err := run(ctx, runConfig{
 		deckPath: deck, analysis: "tran", scheme: "serial", method: "gear2",
-		probes: "out", outPath: out, loadMode: "auto", tracePath: trace,
+		probes: "out", outPath: out, tracePath: trace,
 	})
 	if !errors.Is(err, wavepipe.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -189,7 +189,7 @@ func TestTraceFlagOutputs(t *testing.T) {
 	err := runCfg(t, runConfig{
 		deckPath: deck, analysis: "tran", scheme: "combined", method: "gear2",
 		tstop: "5u", probes: "out", outPath: filepath.Join(dir, "a.csv"),
-		loadMode: "auto", threads: 4, tracePath: jsonl,
+		threads: 4, tracePath: jsonl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestTraceFlagOutputs(t *testing.T) {
 	err = runCfg(t, runConfig{
 		deckPath: deck, analysis: "tran", scheme: "serial", method: "gear2",
 		tstop: "5u", probes: "out", outPath: filepath.Join(dir, "b.csv"),
-		loadMode: "auto", tracePath: chrome,
+		tracePath: chrome,
 	})
 	if err != nil {
 		t.Fatal(err)

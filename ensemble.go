@@ -153,6 +153,8 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 		return nil, fmt.Errorf("wavepipe: run-wide fault injection is not supported for ensemble runs (faults are per-lane)")
 	case opts.Windows > 1:
 		return nil, fmt.Errorf("wavepipe: time-parallel windows are not supported inside ensemble lanes (run lanes or windows, not both)")
+	case opts.OnAccept != nil:
+		return nil, fmt.Errorf("wavepipe: OnAccept is not supported for ensemble runs (the callback has no lane argument)")
 	}
 	sys, infos, err := reduceEnsemble(sys, lanes, opts, keepDevices)
 	if err != nil {
@@ -163,13 +165,9 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 		return nil, err
 	}
 	base.Ctx = ctx
-	base.LoadMode = 0
+	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
 	base.CoreBudget = 0
-	res, err := ensemble.Run(sys, lanes, ensemble.Options{
-		Base:    base,
-		Workers: opts.Threads,
-		Trace:   trace.New(opts.Observer, opts.SnapshotEvery),
-	})
+	res, err := ensemble.Run(sys, lanes, ensemble.Options{Base: base, Workers: opts.Threads})
 	if res != nil && infos != nil {
 		for i := range res.Lanes {
 			lr := &res.Lanes[i]

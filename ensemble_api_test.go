@@ -119,6 +119,12 @@ func TestRunEnsembleRejectsUnknownNames(t *testing.T) {
 	if _, err := RunEnsemble(d, []LaneSpec{{}}, TranOptions{DeviceBypass: true}); err == nil {
 		t.Fatal("device bypass accepted")
 	}
+	// The callback has no lane argument; it used to be forwarded and then
+	// never called.
+	onAccept := func(float64, []float64) { t.Error("OnAccept called from an ensemble run") }
+	if _, err := RunEnsemble(d, []LaneSpec{{}}, TranOptions{OnAccept: onAccept}); err == nil {
+		t.Fatal("OnAccept accepted")
+	}
 }
 
 // RunEnsembleCircuits covers programmatic lanes (no deck source).

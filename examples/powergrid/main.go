@@ -76,7 +76,6 @@ func main() {
 		{wavepipe.Backward, 2},
 		{wavepipe.Forward, 2},
 		{wavepipe.Combined, 4},
-		{wavepipe.FineGrained, 4},
 	} {
 		opts := base
 		opts.Scheme = cfg.scheme

@@ -76,7 +76,7 @@ func TestDecksTransientAllSchemes(t *testing.T) {
 		if hi-lo < 1e-3 {
 			t.Fatalf("%s: probe %s never moves (range %g)", name, probe, hi-lo)
 		}
-		for _, scheme := range []Scheme{Backward, Forward, Combined, FineGrained} {
+		for _, scheme := range []Scheme{Backward, Forward, Combined} {
 			res, err := RunDeck(deck, TranOptions{
 				Record: []string{probe}, Scheme: scheme, Threads: 3,
 			})

@@ -314,10 +314,11 @@ type Workspace struct {
 	Limited bool
 
 	// LoadWallNanos and LoadCritNanos accumulate the measured wall-clock
-	// time of Load calls and the corresponding critical-path time (for the
-	// sharded parallel load the slowest shard plus the reduction). The
-	// difference feeds the multi-core pipeline timing model used when the
-	// host machine has fewer cores than the requested thread count.
+	// time of Load calls and the corresponding critical-path time (for a
+	// colored load degraded to class order on a single-CPU host, what its
+	// workers would have achieved). The difference feeds the multi-core
+	// pipeline timing model used when the host machine has fewer cores than
+	// the requested thread count.
 	LoadWallNanos int64
 	LoadCritNanos int64
 
@@ -353,8 +354,6 @@ type Workspace struct {
 	devs []Device
 
 	loadWorkers int
-	loadMode    LoadMode
-	shards      []*shard
 	pool        *sched.Pool
 	evalCtx     EvalCtx   // pooled context for the serial load path
 	wctx        []EvalCtx // pooled per-worker contexts for the colored path
@@ -373,19 +372,13 @@ type Workspace struct {
 // and the sparse solver executes its level-scheduled LU kernels on the same
 // gang. The pool's width becomes the load worker count. The caller keeps
 // ownership and must Close the pool when the run ends; a nil pool detaches.
-//
-// Unlike SetLoadWorkers, attaching a pool never allocates the sharded
-// matrix clones: when the coloring is unprofitable the load simply stays
-// serial, which keeps results independent of the gang width (colored stamps
-// are bit-identical across worker counts; sharded reductions are not).
+// When the coloring is unprofitable the load simply stays serial; colored
+// stamps are bit-identical across worker counts, so results never depend on
+// the gang width.
 func (ws *Workspace) SetPool(p *sched.Pool) {
 	ws.pool = p
 	ws.Solver.Sched = p
-	if p.Workers() > 1 {
-		ws.loadWorkers = p.Workers()
-	} else if ws.shards == nil {
-		ws.loadWorkers = 1
-	}
+	ws.SetLoadWorkers(p.Workers())
 }
 
 // Pool returns the attached gang pool (nil when serial).
@@ -456,17 +449,9 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		}
 		inc.lastBypassed, inc.lastLinear = 0, false
 	}
-	if ws.loadWorkers > 1 {
-		if ws.useColored() {
-			ws.loadColored(x, p)
-			return
-		}
-		if len(ws.shards) > 0 {
-			ws.loadParallel(x, p)
-			return
-		}
-		// Pool-attached workspace whose coloring is unprofitable: the sharded
-		// clones were never allocated, so assemble serially below.
+	if ws.loadWorkers > 1 && ws.useColored() {
+		ws.loadColored(x, p)
+		return
 	}
 	start := time.Now()
 	defer func() {
@@ -496,7 +481,7 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		Q:         ws.Q,
 		B:         ws.B,
 	}
-	for _, d := range ws.deviceList() {
+	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
 	ws.Limited = ctx.Limited
@@ -568,7 +553,7 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 		Q:         ws.Q,
 		B:         ws.B,
 	}
-	for _, d := range ws.deviceList() {
+	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
 	ws.Limited = ctx.Limited

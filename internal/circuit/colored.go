@@ -24,32 +24,23 @@ import (
 // iterate. Every in-tree device satisfies it (MOSFET drain/source swap
 // permutes values among reserved slots, never outside them). A device that
 // panics during the probe disables coloring for the whole system, and Load
-// falls back to the sharded path.
+// stays on the serial loop.
 
-// LoadMode selects the parallel assembly strategy used when a workspace has
-// more than one load worker.
-type LoadMode int
+// SetLoadWorkers sets the width of the colored parallel load: with n > 1
+// and a profitable Build-time coloring, Load evaluates each color class
+// across n workers; otherwise it stays on the serial loop.
+func (ws *Workspace) SetLoadWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	ws.loadWorkers = n
+}
 
-const (
-	// LoadAuto picks colored direct stamping when the Build-time coloring
-	// looks profitable at the configured worker count, else sharded.
-	LoadAuto LoadMode = iota
-	// LoadSharded forces the shard-and-reduce baseline path.
-	LoadSharded
-	// LoadColored forces colored direct stamping whenever a coloring exists
-	// (sharded remains the fallback when Build could not produce one).
-	LoadColored
-)
-
-// SetLoadMode selects the parallel assembly strategy; it has no effect until
-// SetLoadWorkers enables parallel loading.
-func (ws *Workspace) SetLoadMode(m LoadMode) { ws.loadMode = m }
-
-// autoColoredThreshold is the minimum estimated class-parallel speedup at
-// which LoadAuto prefers the colored path; below it the coloring is
-// considered degenerate (for example a dense supply node forcing most
-// devices into singleton classes) and the sharded path wins.
-func autoColoredThreshold(nw int) float64 {
+// coloredThreshold is the minimum estimated class-parallel speedup at which
+// Load takes the colored path; below it the coloring is considered
+// degenerate (for example a dense supply node forcing most devices into
+// singleton classes) and the serial loop wins.
+func coloredThreshold(nw int) float64 {
 	if t := 0.65 * float64(nw); t > 1.3 {
 		return t
 	}
@@ -76,17 +67,8 @@ func (s *System) ColoredSpeedupEstimate(nw int) float64 {
 }
 
 func (ws *Workspace) useColored() bool {
-	if len(ws.Sys.colorClasses) == 0 {
-		return false
-	}
-	switch ws.loadMode {
-	case LoadSharded:
-		return false
-	case LoadColored:
-		return true
-	default:
-		return ws.Sys.ColoredSpeedupEstimate(ws.loadWorkers) >= autoColoredThreshold(ws.loadWorkers)
-	}
+	return len(ws.Sys.colorClasses) > 0 &&
+		ws.Sys.ColoredSpeedupEstimate(ws.loadWorkers) >= coloredThreshold(ws.loadWorkers)
 }
 
 // probeRecorder collects the rows a device writes during the Build-time
@@ -320,8 +302,7 @@ func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int, st
 // calling goroutine. The accumulation order matches the parallel path
 // exactly (within a class every row has a single writer), so the stamps are
 // bit-identical; the critical-path accounting models what nw workers would
-// have achieved, mirroring how the sharded path reports its shard maximum on
-// under-provisioned hosts.
+// have achieved on a host that had them.
 func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
 	start := time.Now()
 	classes := ws.Sys.colorClasses

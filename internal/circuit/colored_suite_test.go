@@ -42,9 +42,8 @@ func TestColoredLoadMatchesSerialOnSuite(t *testing.T) {
 			for name, force := range map[string]bool{"classorder": false, "parallel": true} {
 				ws := sys.NewWorkspace()
 				ws.SetLoadWorkers(4)
-				ws.SetLoadMode(circuit.LoadColored)
 				ws.ForceParallelLoad = force
-				ws.Load(x, p)
+				ws.LoadColoredForced(x, p)
 				for i := range serial.F {
 					if !equalUlpScale(serial.F[i], ws.F[i], tol) ||
 						!equalUlpScale(serial.Q[i], ws.Q[i], tol) ||

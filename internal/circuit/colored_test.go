@@ -62,16 +62,19 @@ func TestColoringPartitionsDevices(t *testing.T) {
 	}
 }
 
-// loadInto runs one Load with the given configuration on a fresh workspace
-// and returns it.
-func loadInto(sys *System, mode LoadMode, workers int, force bool, x []float64, p LoadParams) *Workspace {
+// loadInto runs one load on a fresh workspace and returns it: the serial
+// loop at workers <= 1, else the colored assembly at that width (forced
+// past the profitability estimate; force additionally spawns real worker
+// goroutines on a single-CPU host).
+func loadInto(sys *System, workers int, force bool, x []float64, p LoadParams) *Workspace {
 	ws := sys.NewWorkspace()
-	if workers > 1 {
-		ws.SetLoadWorkers(workers)
-		ws.SetLoadMode(mode)
+	if workers <= 1 {
+		ws.Load(x, p)
+		return ws
 	}
+	ws.SetLoadWorkers(workers)
 	ws.ForceParallelLoad = force
-	ws.Load(x, p)
+	ws.loadColored(x, p)
 	return ws
 }
 
@@ -107,9 +110,9 @@ func TestColoredLoadMatchesSerial(t *testing.T) {
 	}
 	p := LoadParams{Alpha0: 1e3, SrcScale: 0.7, NodeGmin: 1e-6}
 
-	serial := loadInto(sys, LoadAuto, 1, false, x, p)
-	colored := loadInto(sys, LoadColored, 4, false, x, p)
-	parallel := loadInto(sys, LoadColored, 4, true, x, p)
+	serial := loadInto(sys, 1, false, x, p)
+	colored := loadInto(sys, 4, false, x, p)
+	parallel := loadInto(sys, 4, true, x, p)
 	assertStampsEqual(t, serial, colored, 1e-12, "colored vs serial")
 	assertStampsEqual(t, serial, parallel, 1e-12, "parallel colored vs serial")
 
@@ -127,11 +130,11 @@ func TestColoredLoadMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestColoredDegenerateFallsBackToSharded builds a star: every device ties
+// TestColoredDegenerateFallsBackToSerial builds a star: every device ties
 // its own node to the shared hub, so all devices conflict, every class is a
-// singleton and the estimated class-parallel speedup is 1 — LoadAuto must
-// prefer the sharded path, while forcing LoadColored stays correct.
-func TestColoredDegenerateFallsBackToSharded(t *testing.T) {
+// singleton and the estimated class-parallel speedup is 1 — Load must stay
+// on the serial loop, while the colored assembly itself stays correct.
+func TestColoredDegenerateFallsBackToSerial(t *testing.T) {
 	c := New("star")
 	hub := c.Node("hub")
 	for i := 0; i < 12; i++ {
@@ -148,15 +151,15 @@ func TestColoredDegenerateFallsBackToSharded(t *testing.T) {
 	auto := sys.NewWorkspace()
 	auto.SetLoadWorkers(4)
 	if auto.useColored() {
-		t.Fatal("LoadAuto chose colored for a degenerate star coloring")
+		t.Fatal("Load chose colored for a degenerate star coloring")
 	}
 	x := make([]float64, sys.N)
 	for i := range x {
 		x[i] = 0.05 * float64(i)
 	}
 	p := LoadParams{Alpha0: 10, SrcScale: 1}
-	serial := loadInto(sys, LoadAuto, 1, false, x, p)
-	forced := loadInto(sys, LoadColored, 4, true, x, p)
+	serial := loadInto(sys, 1, false, x, p)
+	forced := loadInto(sys, 4, true, x, p)
 	assertStampsEqual(t, serial, forced, 1e-12, "forced colored star")
 }
 
@@ -170,7 +173,7 @@ func TestColoredLoadConcurrentWorkspaces(t *testing.T) {
 		x[i] = 0.02 * float64(i%11)
 	}
 	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
-	ref := loadInto(sys, LoadAuto, 1, false, x, p)
+	ref := loadInto(sys, 1, false, x, p)
 
 	var wg sync.WaitGroup
 	results := make([]*Workspace, 6)
@@ -180,10 +183,9 @@ func TestColoredLoadConcurrentWorkspaces(t *testing.T) {
 			defer wg.Done()
 			ws := sys.NewWorkspace()
 			ws.SetLoadWorkers(3)
-			ws.SetLoadMode(LoadColored)
 			ws.ForceParallelLoad = true
 			for rep := 0; rep < 25; rep++ {
-				ws.Load(x, p)
+				ws.loadColored(x, p)
 			}
 			results[w] = ws
 		}(w)
@@ -198,7 +200,7 @@ func TestColoredLoadConcurrentWorkspaces(t *testing.T) {
 }
 
 // TestColoredSpeedupEstimateChain sanity-checks the profitability estimate
-// the LoadAuto policy ranks colorings with: a long two-colorable chain
+// Load ranks colorings with: a long two-colorable chain
 // should parallelize nearly ideally.
 func TestColoredSpeedupEstimateChain(t *testing.T) {
 	_, sys := buildStubChain(t, 64)

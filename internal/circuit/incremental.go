@@ -34,7 +34,7 @@
 //     plain path,
 //   - a load with bypassed evaluations is never allowed to be the iteration
 //     that declares convergence (enforced in internal/newton),
-//   - the engine covers the serial load path only; parallel colored/sharded
+//   - the engine covers the serial load path only; parallel colored
 //     loads are left untouched.
 package circuit
 

@@ -18,7 +18,7 @@ import (
 //     host (same node names in order, same device sequence with the same
 //     branch/state arity, same Reserve footprint), so every lane device
 //     holds slot ids valid on any clone of the host pattern.
-//   - Lane workspaces assemble serially (no pool, no sharded clones, no
+//   - Lane workspaces assemble serially (no pool, no colored load, no
 //     device bypass), so per-lane results are bit-identical to a serial
 //     run of the same variant.
 
@@ -30,8 +30,9 @@ import (
 // never enables them). A nil devs restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) { ws.devs = devs }
 
-// deviceList returns the devices the serial assembly paths iterate.
-func (ws *Workspace) deviceList() []Device {
+// Devices returns the devices the serial assembly paths iterate: the
+// SetDevices override when there is one, else the host circuit's.
+func (ws *Workspace) Devices() []Device {
 	if ws.devs != nil {
 		return ws.devs
 	}
@@ -170,7 +171,7 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 			Q:         ws.Q,
 			B:         ws.B,
 		}
-		if l := len(ws.deviceList()); l > nd {
+		if l := len(ws.Devices()); l > nd {
 			nd = l
 		}
 	}
@@ -179,7 +180,7 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 			if ws == nil {
 				continue
 			}
-			if dl := ws.deviceList(); di < len(dl) {
+			if dl := ws.Devices(); di < len(dl) {
 				dl[di].Eval(&ws.evalCtx)
 			}
 		}

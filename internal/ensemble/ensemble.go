@@ -13,10 +13,11 @@
 // so device evaluation iterates the models once per batched iteration and
 // stamps the lanes' adjacent blocks (circuit.BatchLoad).
 //
-// Step control stays fully independent per lane: each lane mirrors the
-// serial transient engine's plan/solve/LTE/accept loop exactly, so a lane's
-// waveform is bit-identical to its own independent serial run (all bypass
-// paths are structurally disabled in lanes). Lanes share one sched core
+// Step control stays fully independent per lane: each lane owns a
+// transient.Stepper — the serial engine's own step controller — and only the
+// solve between its Plan and Finish is batched, so a lane's waveform is
+// bit-identical to its own independent serial run (all bypass paths are
+// structurally disabled in lanes). Lanes share one sched core
 // Budget: each round, the active lanes are dealt across the gang's workers,
 // and within a worker's chunk the live Newton iterations advance in
 // lockstep with batched assembly. A lane retires — finishes, faults, or
@@ -32,18 +33,15 @@ package ensemble
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
-	"wavepipe/internal/num"
 	"wavepipe/internal/sched"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
-	"wavepipe/internal/waveform"
 )
 
 // Lane describes one ensemble member: a circuit structurally identical to
@@ -62,7 +60,9 @@ type Lane struct {
 type Options struct {
 	// Base is the per-lane analysis configuration, shared by every lane.
 	// Durability (Guard/Resume), factorization bypass, device bypass and
-	// parallel loads are not supported inside lanes and must be unset.
+	// OnAccept are not supported inside lanes and must be unset. Base.Trace
+	// receives the run's event stream: per lane, the event kinds of a serial
+	// run (Worker = lane index) and one KindLaneRetire.
 	Base transient.Options
 	// Workers is the lane-gang width, caller included (the shared core
 	// budget). 0 selects min(K, max(2, NumCPU)).
@@ -70,9 +70,6 @@ type Options struct {
 	// ForceGang spawns real gang goroutines even on a single-CPU host
 	// (race tests); production runs leave it false and let the pool decide.
 	ForceGang bool
-	// Trace receives the run's event stream: per-lane solve/accept/reject
-	// events (Worker = lane index) and one KindLaneRetire per lane.
-	Trace *trace.Tracer
 }
 
 // LaneResult is one lane's outcome. Res is non-nil even on failure (the
@@ -96,34 +93,20 @@ type Result struct {
 	Rounds int
 }
 
-// laneState is the per-lane mirror of the serial engine's loop variables.
+// laneState is one lane: its step controller and the round's candidate.
 type laneState struct {
 	idx  int
 	name string
-	devs []circuit.Device
-	ps   *transient.PointSolver
-	hist *integrate.History
-	w    *waveform.Set
-	rl   *transient.RecoveryLog
+	s    *transient.Stepper
 
-	bps    []float64
-	nextBp int
-
-	t, h, hUsed float64
-	afterBreak  bool
-	lteTail     []*integrate.Point
-
-	// Current-round candidate.
-	tNew, tLimit float64
-	hitBp        bool
-	cand         *transient.Candidate
-	candErr      error
-	iters        int
-	pt           *integrate.Point
-	co           integrate.Coeffs
-
-	// planned marks a lane that has a candidate time for this round.
+	// Current-round candidate: planned marks a lane that has a candidate
+	// time for this round; the lockstep solve leaves pt/co or candErr.
 	planned bool
+	tNew    float64
+	cand    *transient.Candidate
+	candErr error
+	pt      *integrate.Point
+	co      integrate.Coeffs
 
 	// Retirement.
 	done bool
@@ -132,9 +115,7 @@ type laneState struct {
 }
 
 type engine struct {
-	sys   *circuit.System
 	base  transient.Options
-	ctrl  integrate.Control
 	tr    *trace.Tracer
 	lanes []*laneState
 	pool  *sched.Pool
@@ -163,10 +144,8 @@ func validate(base *transient.Options) error {
 		return fmt.Errorf("ensemble: factorization bypass is not supported inside lanes")
 	case base.DeviceBypassTol != 0:
 		return fmt.Errorf("ensemble: device bypass is not supported inside lanes")
-	case base.LoadWorkers > 1:
-		return fmt.Errorf("ensemble: parallel device loads are not supported inside lanes")
-	case base.Trace != nil:
-		return fmt.Errorf("ensemble: set the tracer on ensemble.Options, not on the lane options")
+	case base.OnAccept != nil:
+		return fmt.Errorf("ensemble: OnAccept is not supported inside lanes (the callback has no lane argument)")
 	}
 	return nil
 }
@@ -212,10 +191,7 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 		pool.Force = true
 	}
 
-	e := &engine{
-		sys: sys, base: base, ctrl: base.Control, tr: opts.Trace,
-		pool: pool, width: pool.Workers(),
-	}
+	e := &engine{base: base, tr: base.Trace, pool: pool, width: pool.Workers()}
 	e.walls = make([]int64, e.width)
 	e.chWS = make([][]*circuit.Workspace, e.width)
 	e.chXS = make([][][]float64, e.width)
@@ -237,13 +213,17 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 	perLanePts := integrate.HistoryDepth + 8
 	arena := make([]float64, k*perLanePts*3*n)
 	e.lanes = make([]*laneState, k)
+	// Cancellation is a gang-level event (one KindCancel, every lane retired
+	// in the same round): the lane controllers poll only their own budgets.
+	laneOpts := base
+	laneOpts.Ctx = nil
 	for i := range lanes {
 		ws := wss[i]
-		devs := lanes[i].Circ.Devices()
-		ws.SetDevices(devs)
-		ws.Faults = lanes[i].Faults
+		ws.SetDevices(lanes[i].Circ.Devices())
 		ps := transient.NewPointSolverOn(ws, base.Method, base.Newton, base.Gmin,
 			scratch[i*3*n:(i+1)*3*n])
+		ps.Attach(&laneOpts, int16(i))
+		ws.Faults = lanes[i].Faults
 		ps.DonatePoints(integrate.CarvePoints(
 			arena[i*perLanePts*3*n:(i+1)*perLanePts*3*n], perLanePts, n))
 		name := lanes[i].Name
@@ -251,11 +231,8 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 			name = fmt.Sprintf("lane%d", i)
 		}
 		e.lanes[i] = &laneState{
-			idx: i, name: name, devs: devs, ps: ps,
-			rl:         &transient.RecoveryLog{},
-			h:          math.Min(base.HInit, e.ctrl.HMax),
-			afterBreak: true, // the t = 0 point counts as a breakpoint start
-			bps:        transient.CollectBreakpointsFor(devs, base.TStop),
+			idx: i, name: name,
+			s: transient.NewStepper(sys, ps, &laneOpts, "transient"),
 		}
 	}
 
@@ -264,7 +241,6 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 
 	lr := make([]LaneResult, k)
 	agg := transient.Stats{}
-	rounds := 0
 	for i, st := range e.lanes {
 		lr[i] = LaneResult{Name: st.name, Res: st.res, Err: st.err}
 		if st.res != nil {
@@ -278,24 +254,14 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 	agg.CoreBudget = e.width
 	agg.PipelineWorkers = e.width
 	agg.IntraWorkers = 1
-	res := &Result{Lanes: lr, Stats: agg, Rounds: e.roundCount}
-	_ = rounds
-	return res, err
+	return &Result{Lanes: lr, Stats: agg, Rounds: e.roundCount}, err
 }
 
 // runDC computes every lane's t = 0 point, dealt across the gang like a
 // solve round (its slowest chunk joins the critical path).
 func (e *engine) runDC() {
 	e.dispatch(func(st *laneState) {
-		p0, err := transient.InitialPoint(e.sys, st.ps, e.base)
-		if err != nil {
-			st.candErr = err
-			return
-		}
-		st.hist = &integrate.History{}
-		st.hist.Add(p0)
-		st.w = transient.RecordSet(e.sys, e.base)
-		st.w.Append(p0.T, p0.X)
+		_, st.candErr = st.s.Start()
 	})
 	for _, st := range e.lanes {
 		if st.candErr != nil {
@@ -306,13 +272,22 @@ func (e *engine) runDC() {
 	}
 }
 
-// dispatch deals every non-retired lane across the gang, runs fn per lane
-// on the owning worker, and folds the slowest worker's wall time into the
-// critical path.
-func (e *engine) dispatch(fn func(*laneState)) {
-	for w := range e.walls {
+// foldWalls adds the slowest worker's wall time of the gang round just
+// joined to the critical path and clears the slate for the next round.
+func (e *engine) foldWalls() {
+	max := int64(0)
+	for w, d := range e.walls {
+		if d > max {
+			max = d
+		}
 		e.walls[w] = 0
 	}
+	e.crit += max
+}
+
+// dispatch deals every non-retired lane across the gang (lane i goes to
+// worker i mod width) and runs fn per lane on the owning worker.
+func (e *engine) dispatch(fn func(*laneState)) {
 	e.pool.Run(func(w int) {
 		t0 := time.Now()
 		busy := false
@@ -326,26 +301,7 @@ func (e *engine) dispatch(fn func(*laneState)) {
 			e.walls[w] = time.Since(t0).Nanoseconds()
 		}
 	})
-	max := int64(0)
-	for _, d := range e.walls {
-		if d > max {
-			max = d
-		}
-	}
-	e.crit += max
-}
-
-// canceled reports whether the run-wide context has been canceled.
-func (e *engine) canceled() bool {
-	if e.base.Ctx == nil {
-		return false
-	}
-	select {
-	case <-e.base.Ctx.Done():
-		return true
-	default:
-		return false
-	}
+	e.foldWalls()
 }
 
 // loop is the round engine: plan (serial) → lockstep chunk solves (gang) →
@@ -361,7 +317,7 @@ func (e *engine) loop() error {
 		if active == 0 {
 			return nil
 		}
-		if e.canceled() {
+		if e.base.Canceled() {
 			if e.tr.Active() {
 				e.tr.Emit(trace.Event{Kind: trace.KindCancel, Worker: -1})
 			}
@@ -372,17 +328,24 @@ func (e *engine) loop() error {
 					continue
 				}
 				if first {
-					firstT, first = st.t, false
+					firstT, first = st.s.T, false
 				}
-				e.retire(st, transient.CancelError("transient", st.t))
+				e.retire(st, transient.CancelError("transient", st.s.T))
 			}
 			return transient.CancelError("ensemble", firstT)
 		}
 		e.roundCount++
 		for _, st := range e.lanes {
-			if !st.done {
-				e.plan(st)
+			st.planned = false
+			if st.done {
+				continue
 			}
+			if err := st.s.Poll(st.s.Snapshot); err != nil {
+				e.retire(st, err)
+				continue
+			}
+			st.tNew, _ = st.s.Plan()
+			st.planned = true
 		}
 		e.dispatchChunks() // each worker's lanes advance in one lockstep chunk
 		for _, st := range e.lanes {
@@ -393,139 +356,30 @@ func (e *engine) loop() error {
 	}
 }
 
-// plan mirrors the serial engine's loop head: MaxPoints guard, breakpoint
-// advance, candidate time with breakpoint clamping.
-func (e *engine) plan(st *laneState) {
-	st.planned = false
-	if st.ps.Stats.Points >= e.base.MaxPoints {
-		e.retire(st, fmt.Errorf("transient: exceeded %d points at t=%g", e.base.MaxPoints, st.t))
-		return
-	}
-	for st.nextBp < len(st.bps) && st.bps[st.nextBp] <= st.t*(1+1e-12) {
-		st.nextBp++
-	}
-	st.tLimit = e.base.TStop
-	if st.nextBp < len(st.bps) {
-		st.tLimit = st.bps[st.nextBp]
-	}
-	st.hitBp = false
-	st.tNew = st.t + st.h
-	if st.tNew >= st.tLimit-0.01*st.h {
-		st.tNew = st.tLimit
-		st.hitBp = true
-	}
-	st.planned = true
-}
-
-// finishRound mirrors the serial engine's post-solve logic for one lane:
-// failure → step shrink (next round) or recovery ladder at the floor; then
-// LTE acceptance, history/waveform commit, breakpoint restart, next step.
+// finishRound takes one lane's solved (or failed) candidate through its
+// step controller: failure → step shrink (re-planned next round) or the
+// recovery ladder at the floor; then LTE acceptance, commit, restart or
+// next step.
 func (e *engine) finishRound(st *laneState) {
-	ps := st.ps
-	ctrl := e.ctrl
+	pt, co := st.pt, st.co
 	if st.candErr != nil {
-		e.emitSolve(st, st.candErr)
-		ps.WS.InvalidateDeviceBypass()
-		if st.h/8 >= ctrl.HMin {
-			st.h /= 8
-			return // re-plan next round with the smaller step
-		}
-		// Step floor: climb the recovery ladder serially — this is the
-		// cold path, and its wall time joins the critical path directly.
-		st.h = ctrl.HMin
-		tNew := st.t + st.h
-		hitBp := tNew >= st.tLimit-0.01*st.h
-		if hitBp {
-			tNew = st.tLimit
-		}
+		// At the floor the ladder climbs serially — the cold path, whose
+		// wall time joins the critical path directly.
 		t0 := time.Now()
-		pt, co, err := ps.RecoverAt(st.hist, tNew, st.rl)
+		var err error
+		pt, co, err = st.s.Failed()
 		e.crit += time.Since(t0).Nanoseconds()
 		if err != nil {
-			e.retire(st, &faults.SimError{
-				Phase: "transient", Time: st.t, Node: -1,
-				Cause: fmt.Errorf("%w at t=%g: %w", faults.ErrStepTooSmall, st.t, err),
-			})
+			e.retire(st, err)
 			return
 		}
-		if e.tr.Active() {
-			e.tr.Emit(trace.Event{Kind: trace.KindRecovery, T: tNew, Worker: int16(st.idx)})
-		}
-		st.tNew, st.hitBp = tNew, hitBp
-		st.pt, st.co = pt, co
-		st.candErr = nil
-	} else {
-		e.emitSolve(st, nil)
-	}
-
-	pt, co := st.pt, st.co
-	norm := 0.0
-	if !e.base.NoLTE {
-		st.lteTail = append(st.hist.AppendTail(st.lteTail[:0], co.Order+1), pt)
-		norm = ctrl.CheckLTEWith(ps.Method, co.Order, st.lteTail, co.H0, co.H1, &ps.LTE)
-		if norm > 1 && co.H0 > ctrl.HMin*1.01 && !st.afterBreak {
-			ps.Stats.LTERejects++
-			if e.tr.Active() {
-				e.tr.Emit(trace.Event{Kind: trace.KindLTEReject, T: st.tNew, H: co.H0, Norm: norm, Worker: int16(st.idx)})
-			}
-			st.h = ctrl.ShrinkOnReject(co.H0, norm, co.Order)
-			ps.WS.InvalidateDeviceBypass()
-			ps.PutPoint(pt)
+		if pt == nil {
 			return
 		}
 	}
-
-	ps.PutPoint(st.hist.Add(pt))
-	st.w.Append(pt.T, pt.X)
-	ps.Stats.Points++
-	st.t = pt.T
-	st.hUsed = co.H0
-	if e.tr.Active() {
-		e.tr.Emit(trace.Event{Kind: trace.KindAccept, T: pt.T, H: co.H0, Norm: norm, Worker: int16(st.idx)})
-	}
-
-	if st.hitBp {
-		for _, dp := range st.hist.Truncate() {
-			ps.PutPoint(dp)
-		}
-		ps.WS.InvalidateDeviceBypass()
-		gap := e.base.TStop - st.t
-		for _, bp := range st.bps[st.nextBp:] {
-			if bp > st.t*(1+1e-12) {
-				gap = bp - st.t
-				break
-			}
-		}
-		st.h = transient.RestartStep(gap, st.hUsed, e.base.HInit, ctrl)
-		st.afterBreak = true
-	} else {
-		st.afterBreak = false
-		if e.base.NoLTE {
-			st.h = ctrl.ClampStep(st.hUsed, st.hUsed)
-		} else {
-			st.h = ctrl.ClampStep(ctrl.NextStep(ps.Method, co.Order, norm, st.hUsed, co.H1, st.hUsed), st.hUsed)
-		}
-	}
-
-	if st.t >= e.base.TStop*(1-1e-12) {
+	if st.s.Finish(pt, co) && st.s.Done() {
 		e.retire(st, nil)
 	}
-}
-
-// emitSolve publishes the lane's one KindSolve event per candidate attempt
-// (lane workspaces carry no tracer, so the engine owns the event stream).
-func (e *engine) emitSolve(st *laneState, err error) {
-	if !e.tr.Active() {
-		return
-	}
-	ev := trace.Event{
-		Kind: trace.KindSolve, T: st.tNew, H: st.co.H0,
-		Iters: int32(st.iters), Worker: int16(st.idx),
-	}
-	if err != nil {
-		ev.Flags |= trace.FlagFailed
-	}
-	e.tr.Emit(ev)
 }
 
 // retire detaches a lane from the gang, freezing its Result. err == nil
@@ -533,18 +387,9 @@ func (e *engine) emitSolve(st *laneState, err error) {
 func (e *engine) retire(st *laneState, err error) {
 	st.done = true
 	st.err = err
-	ps := st.ps
-	ps.Stats.Stages = ps.Stats.Solves // per-lane solves are sequential
-	ps.HarvestSolverStats()
-	res := &transient.Result{W: st.w, Stats: ps.Stats, Recovery: st.rl}
-	if st.hist != nil {
-		if last := st.hist.Last(); last != nil {
-			res.FinalX = num.Copy(last.X)
-		}
-	}
-	st.res = res
+	st.res = st.s.Result(st.s.Totals())
 	if e.tr.Active() {
-		ev := trace.Event{Kind: trace.KindLaneRetire, T: st.t, Worker: int16(st.idx), Detail: "finished"}
+		ev := trace.Event{Kind: trace.KindLaneRetire, T: st.s.T, Worker: int16(st.idx), Detail: "finished"}
 		if err != nil {
 			ev.Flags |= trace.FlagFailed
 			ev.Detail = "failed"
@@ -553,13 +398,9 @@ func (e *engine) retire(st *laneState, err error) {
 	}
 }
 
-// dispatchChunks deals the round's planned lanes across the gang (lane i
-// goes to worker i mod width) and advances each worker's chunk in lockstep;
-// the slowest chunk's wall time joins the critical path.
+// dispatchChunks deals the round's planned lanes across the gang the same
+// way and advances each worker's chunk in lockstep.
 func (e *engine) dispatchChunks() {
-	for w := range e.walls {
-		e.walls[w] = 0
-	}
 	e.pool.Run(func(w int) {
 		chunk := e.chunks[w][:0]
 		for i := w; i < len(e.lanes); i += e.width {
@@ -575,13 +416,7 @@ func (e *engine) dispatchChunks() {
 		e.solveChunk(w, chunk)
 		e.walls[w] = time.Since(t0).Nanoseconds()
 	})
-	max := int64(0)
-	for _, d := range e.walls {
-		if d > max {
-			max = d
-		}
-	}
-	e.crit += max
+	e.foldWalls()
 }
 
 // solveChunk advances one worker's lanes through a full candidate solve in
@@ -594,8 +429,7 @@ func (e *engine) solveChunk(w int, chunk []*laneState) {
 	live := 0
 	for _, st := range chunk {
 		st.cand, st.candErr, st.pt = nil, nil, nil
-		st.iters = 0
-		c, err := st.ps.BeginCandidate(st.hist, st.tNew)
+		c, err := st.s.PS.BeginCandidate(st.s.Hist, st.tNew)
 		if err != nil {
 			st.candErr = err
 			continue
@@ -617,7 +451,7 @@ func (e *engine) solveChunk(w int, chunk []*laneState) {
 				continue
 			}
 			x, p := st.cand.LoadArgs()
-			wss = append(wss, st.ps.WS)
+			wss = append(wss, st.s.PS.WS)
 			xs = append(xs, x)
 			lps = append(lps, p)
 		}
@@ -628,14 +462,12 @@ func (e *engine) solveChunk(w int, chunk []*laneState) {
 			}
 			done, err := st.cand.Step()
 			if err != nil {
-				st.iters = st.cand.Iter
 				st.candErr = st.cand.Fail(err)
 				st.cand = nil
 				live--
 				continue
 			}
 			if done {
-				st.iters = st.cand.Iter
 				st.co = st.cand.Co
 				st.pt = st.cand.Commit()
 				st.cand = nil

@@ -12,6 +12,7 @@ import (
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
 	"wavepipe/internal/faults"
+	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
 )
 
@@ -247,6 +248,7 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 	for name, base := range map[string]transient.Options{
 		"bypass":    {TStop: 1e-9, BypassTol: 1e-3},
 		"devbypass": {TStop: 1e-9, DeviceBypassTol: 1e-3},
+		"onaccept":  {TStop: 1e-9, OnAccept: func(float64, []float64) {}},
 		"no-tstop":  {},
 	} {
 		if _, err := Run(host, lanes, Options{Base: base}); err == nil {
@@ -289,4 +291,56 @@ func BenchmarkEnsembleGrid16(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*k), "allocs/lane")
+}
+
+// Every lane's slice of the event stream (Worker = lane index) must replay
+// to that lane's own Stats by the rule a serial run's stream does — solves
+// climbed on the recovery ladder and exact-reuse factorizations included.
+func TestLaneTraceReplaysToLaneStats(t *testing.T) {
+	const k = 3
+	lanes := ladderLanes(k, 16, 0.5)
+	// A burst of failures that outlasts step shrinking sends lane 1 to the
+	// ladder, whose damping rung the rule spares.
+	lanes[1].Faults = faults.NewInjector(faults.Rule{
+		Class: faults.NoConvergence, After: 2e-9, Count: 40, SpareFrom: faults.StageDamping,
+	})
+	rec := trace.NewRecorder(0)
+	base := transient.Options{TStop: 10e-9, Trace: trace.New(rec, 0)}
+	res, err := Run(hostFor(t, lanes), lanes, Options{Base: base, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perLane := make([][]trace.Event, k)
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindLaneRetire {
+			continue
+		}
+		if ev.Worker < 0 || int(ev.Worker) >= k {
+			t.Fatalf("event %v attributed to worker %d", ev.Kind, ev.Worker)
+		}
+		perLane[ev.Worker] = append(perLane[ev.Worker], ev)
+	}
+	for i, lr := range res.Lanes {
+		if lr.Err != nil {
+			t.Fatalf("lane %d failed: %v", i, lr.Err)
+		}
+		rc, st := trace.Replay(perLane[i]), lr.Res.Stats
+		if rc.Points != st.Points || rc.Solves != st.Solves || rc.NRIters != st.NRIters ||
+			rc.LTERejects != st.LTERejects || rc.Recoveries != st.Recoveries ||
+			rc.ReuseHits != st.ReusedFactorizations {
+			t.Errorf("lane %d: replay %+v does not reconcile with stats %+v", i, rc, st)
+		}
+		phases := 0
+		for _, ev := range perLane[i] {
+			if ev.Kind == trace.KindPhase && ev.Phase == trace.PhaseLTE {
+				phases++
+			}
+		}
+		if want := st.Points + st.LTERejects; phases != want {
+			t.Errorf("lane %d: %d LTE phase events, want one per judged candidate (%d)", i, phases, want)
+		}
+	}
+	if res.Lanes[1].Res.Stats.Recoveries == 0 {
+		t.Fatal("the sabotaged lane never reached the recovery ladder: the test exercises nothing")
+	}
 }

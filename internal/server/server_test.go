@@ -223,6 +223,27 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRetiredOptionsRefused: a peer still sending an option or scheme
+// retired in PR 14 gets a 400 at submission, not a job that silently runs
+// without it.
+func TestHTTPRetiredOptionsRefused(t *testing.T) {
+	_, svc, ts := newStack(t)
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`} {
+		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("options %s: status = %d, want 400", opts, resp.StatusCode)
+		}
+	}
+	if ids := svc.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused jobs were admitted: %v", ids)
+	}
+}
+
 // TestHTTPWindowedJobRefused: a job the service cannot run is refused at
 // submission with a 4xx that maps back to the typed error — it never becomes
 // a failed job.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wavepipe/internal/checkpoint"
-	"wavepipe/internal/circuit"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
 	"wavepipe/internal/num"
@@ -97,45 +96,42 @@ func badCheckpoint(format string, args ...any) error {
 	}
 }
 
-// CaptureState snapshots a run at an accepted-step boundary: the trailing
+// Capture snapshots the run at an accepted-step boundary: the trailing
 // history window (deep-copied — the serial engine recycles evicted points),
 // the step controller's position, the junction-limiting state, the LU
 // factorization (its pivot sequence is what makes serial resume
 // bit-identical), the recorded waveform (aliased — rows are immutable once
 // appended), cumulative stats and the recovery log. total carries the run's
 // cumulative statistics, including any segments before an earlier resume;
-// ps is the solver whose workspace holds the authoritative limiting and
-// factorization state (the serial solver, or pipeline lane 0).
-func CaptureState(sys *circuit.System, ps *PointSolver, opts *Options,
-	w *waveform.Set, rl *RecoveryLog, hist *integrate.History,
-	total Stats, t, h, hUsed float64, afterBreak bool, warmup, scheme int) *checkpoint.State {
-
-	pts := make([]*integrate.Point, hist.Len())
+// warmup and scheme are the pipeline's refill depth and marker (0 for the
+// single-solver engines).
+func (s *Stepper) Capture(total Stats, warmup, scheme int) *checkpoint.State {
+	pts := make([]*integrate.Point, s.Hist.Len())
 	for i := range pts {
-		p := hist.At(i)
+		p := s.Hist.At(i)
 		pts[i] = &integrate.Point{T: p.T, X: num.Copy(p.X), Q: num.Copy(p.Q), Qdot: num.Copy(p.Qdot)}
 	}
-
+	sys, ws, w := s.sys, s.PS.WS, s.W
 	return &checkpoint.State{
 		N:          sys.N,
 		NumStates:  sys.NumStates,
 		NumDevices: len(sys.Circuit.Devices()),
 		PatternNNZ: sys.PatternNNZ(),
-		TStop:      opts.TStop,
-		Method:     int(opts.Method),
+		TStop:      s.opts.TStop,
+		Method:     int(s.opts.Method),
 		Scheme:     scheme,
-		T:          t,
-		H:          h,
-		HUsed:      hUsed,
-		AfterBreak: afterBreak,
+		T:          s.T,
+		H:          s.H,
+		HUsed:      s.HUsed,
+		AfterBreak: s.AfterBreak,
 		Warmup:     warmup,
-		Generation: ps.WS.BypassGeneration(),
+		Generation: ws.BypassGeneration(),
 		Hist:       pts,
-		SPrev:      num.Copy(ps.WS.SPrev),
-		SNext:      num.Copy(ps.WS.SNext),
-		LU:         ps.WS.Solver.FactorState(),
+		SPrev:      num.Copy(ws.SPrev),
+		SNext:      num.Copy(ws.SNext),
+		LU:         ws.Solver.FactorState(),
 		Stats:      snapStats(total),
-		Recovery:   snapRecovery(rl),
+		Recovery:   snapRecovery(s.RL),
 		WaveNames:  w.Names,
 		WaveIndex:  w.Index,
 		WaveTimes:  w.Times[:len(w.Times):len(w.Times)],
@@ -168,76 +164,58 @@ func SalvageResult(st *checkpoint.State) *Result {
 	return res
 }
 
-// Resumed is the engine state RestoreState rebuilds from a checkpoint.
-type Resumed struct {
-	Hist       *integrate.History
-	W          *waveform.Set
-	RL         *RecoveryLog
-	Base       Stats // stats accumulated before the interruption
-	T          float64
-	H          float64
-	HUsed      float64
-	AfterBreak bool
-	Warmup     int
-}
-
-// RestoreState validates a checkpoint against the live system and run
-// options and rebuilds the engine state it describes: history window,
-// waveform, step position, limiting state, the LU factorization, and the
-// incremental-engine generation. The point solver's workspace is mutated in
-// place; every failure surfaces faults.ErrBadCheckpoint.
-func RestoreState(st *checkpoint.State, sys *circuit.System, ps *PointSolver, opts *Options) (*Resumed, error) {
+// restore validates a checkpoint against the live system and run options
+// and loads the state it describes into the stepper: history window,
+// waveform, step position, recovery log and pre-resume totals, plus — in
+// the solver's workspace — the limiting state, the LU factorization and the
+// incremental-engine generation. It returns the checkpointed pipeline
+// warm-up depth; every failure surfaces faults.ErrBadCheckpoint.
+func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
+	sys, ws := s.sys, s.PS.WS
 	if err := st.Matches(sys.N, sys.NumStates, len(sys.Circuit.Devices()),
-		sys.PatternNNZ(), opts.TStop, int(opts.Method)); err != nil {
-		return nil, err
+		sys.PatternNNZ(), s.opts.TStop, int(s.opts.Method)); err != nil {
+		return 0, err
 	}
 	// The waveform must describe the same record set this run would build;
 	// otherwise the resumed tail would append mismatched columns.
-	expect := RecordSet(sys, *opts)
+	expect := RecordSet(sys, s.opts)
 	if len(expect.Index) != len(st.WaveIndex) {
-		return nil, badCheckpoint("record set mismatch: %d signals, checkpoint has %d",
+		return 0, badCheckpoint("record set mismatch: %d signals, checkpoint has %d",
 			len(expect.Index), len(st.WaveIndex))
 	}
 	for i, idx := range expect.Index {
 		if st.WaveIndex[i] != idx {
-			return nil, badCheckpoint("record set mismatch at signal %d", i)
+			return 0, badCheckpoint("record set mismatch at signal %d", i)
 		}
 	}
 	hist, err := integrate.RestoreHistory(st.Hist)
 	if err != nil {
-		return nil, badCheckpoint("%v", err)
+		return 0, badCheckpoint("%v", err)
 	}
 	last := hist.Last()
 	if last == nil || last.T != st.T {
-		return nil, badCheckpoint("history does not end at checkpoint time %g", st.T)
+		return 0, badCheckpoint("history does not end at checkpoint time %g", st.T)
 	}
 	w, err := waveform.Restore(st.WaveNames, st.WaveIndex, st.WaveTimes, st.WaveData)
 	if err != nil {
-		return nil, badCheckpoint("%v", err)
+		return 0, badCheckpoint("%v", err)
 	}
 	if n := w.Len(); n == 0 || w.Times[n-1] != st.T {
-		return nil, badCheckpoint("waveform does not end at checkpoint time %g", st.T)
+		return 0, badCheckpoint("waveform does not end at checkpoint time %g", st.T)
 	}
 	if st.H <= 0 {
-		return nil, badCheckpoint("non-positive step %g", st.H)
+		return 0, badCheckpoint("non-positive step %g", st.H)
 	}
-	copy(ps.WS.SPrev, st.SPrev)
-	copy(ps.WS.SNext, st.SNext)
+	copy(ws.SPrev, st.SPrev)
+	copy(ws.SNext, st.SNext)
 	if st.LU != nil {
-		if err := ps.WS.Solver.RestoreFactor(st.LU); err != nil {
-			return nil, badCheckpoint("%v", err)
+		if err := ws.Solver.RestoreFactor(st.LU); err != nil {
+			return 0, badCheckpoint("%v", err)
 		}
 	}
-	ps.WS.RestoreBypassGeneration(st.Generation)
-	return &Resumed{
-		Hist:       hist,
-		W:          w,
-		RL:         unsnapRecovery(st.Recovery),
-		Base:       unsnapStats(st.Stats),
-		T:          st.T,
-		H:          st.H,
-		HUsed:      st.HUsed,
-		AfterBreak: st.AfterBreak,
-		Warmup:     st.Warmup,
-	}, nil
+	ws.RestoreBypassGeneration(st.Generation)
+	s.Hist, s.W = hist, w
+	s.RL, s.Base = unsnapRecovery(st.Recovery), unsnapStats(st.Stats)
+	s.T, s.H, s.HUsed, s.AfterBreak = st.T, st.H, st.HUsed, st.AfterBreak
+	return st.Warmup, nil
 }

@@ -1,6 +1,8 @@
 package transient
 
 import (
+	"time"
+
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/integrate"
 	"wavepipe/internal/newton"
@@ -15,9 +17,9 @@ import (
 // to SolveAt, so a lane's lockstep trajectory is bit-identical to its own
 // serial run.
 //
-// Unlike SolveAt, candidates do not accumulate Stats.CriticalNanos or emit
-// trace events: the ensemble engine measures its gang's critical path at
-// round granularity and owns the event stream.
+// Unlike SolveAt, candidates do not accumulate Stats.CriticalNanos (the
+// ensemble engine measures its gang's critical path at round granularity),
+// and their KindSolve event carries no duration.
 
 // NewPointSolverOn wraps an existing workspace (typically a lane workspace
 // from System.NewLaneWorkspaces) in a point solver. scratch, when it has at
@@ -122,6 +124,7 @@ func (c *Candidate) Step() (done bool, err error) {
 // from the discretization. The returned point belongs to the caller.
 func (c *Candidate) Commit() *integrate.Point {
 	c.ps.LastIters = c.Iter
+	c.ps.emitSolve(time.Time{}, c.TNew, c.Co.H0, c.Iter, 0, nil)
 	return c.ps.finishPoint(c.pt, c.TNew, c.Co)
 }
 
@@ -130,14 +133,8 @@ func (c *Candidate) Commit() *integrate.Point {
 // for call-site convenience.
 func (c *Candidate) Fail(err error) error {
 	c.ps.LastIters = c.Iter
+	c.ps.emitSolve(time.Time{}, c.TNew, c.Co.H0, c.Iter, 0, err)
 	c.ps.Stats.NRFailures++
 	c.ps.PutPoint(c.pt)
 	return err
-}
-
-// CollectBreakpointsFor is CollectBreakpoints over an explicit device list
-// (ensemble lanes own variant device instances whose source parameters —
-// and therefore breakpoints — may differ per lane).
-func CollectBreakpointsFor(devs []circuit.Device, tstop float64) []float64 {
-	return collectBreakpoints(devs, tstop)
 }

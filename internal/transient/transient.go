@@ -61,18 +61,12 @@ type Options struct {
 	NoLTE bool
 	// GrowthCapOverride, when > 0, replaces Control.GrowthCap (ablation).
 	GrowthCapOverride float64
-	// LoadWorkers > 1 enables fine-grained parallel device evaluation
-	// inside every assembly pass (the conventional parallel-SPICE baseline).
-	LoadWorkers int
 	// CoreBudget > 1 attaches a shared worker gang to the point solver:
 	// colored device loads and the level-scheduled sparse LU kernels run on
 	// one pool of CoreBudget cores (caller included). Results are bit-
 	// identical to the serial path. 0/1 keeps everything serial. Small
 	// systems stay serial regardless (see IntraProfitable).
 	CoreBudget int
-	// LoadMode selects the parallel assembly strategy when LoadWorkers > 1:
-	// automatic, shard-and-reduce, or colored direct stamping.
-	LoadMode circuit.LoadMode
 	// BypassTol > 0 enables Newton factorization bypass: when no Jacobian
 	// value moved by more than this relative tolerance since the last real
 	// factorization, the LU is reused (the accepted final iterate of every
@@ -124,8 +118,8 @@ type Options struct {
 // replayed stamp can never move an iterate across the convergence band.
 const DefaultDeviceBypassTol = 1e-3
 
-// canceled reports whether o.Ctx has been canceled (nil-safe, non-blocking).
-func (o *Options) canceled() bool {
+// Canceled reports whether o.Ctx has been canceled (nil-safe, non-blocking).
+func (o *Options) Canceled() bool {
 	if o.Ctx == nil {
 		return false
 	}
@@ -300,8 +294,8 @@ type PointSolver struct {
 	Stats  Stats
 	// LastNanos is the modeled compute time of the most recent SolveAt,
 	// WarmStart or ResumeAt call: measured wall time, with the device-load
-	// wall time replaced by its parallel critical path when sharded loading
-	// is on. LastIters is the Newton iteration count of that call.
+	// and LU-kernel wall segments replaced by their parallel critical paths.
+	// LastIters is the Newton iteration count of that call.
 	LastNanos int64
 	LastIters int
 
@@ -356,6 +350,17 @@ func NewPointSolver(sys *circuit.System, method integrate.Method, nopts newton.O
 func (ps *PointSolver) SetTrace(tr *trace.Tracer, worker int16) {
 	ps.WS.Trace = tr
 	ps.WS.Worker = worker
+}
+
+// Attach wires the solver's workspace to a run: its fault harness, the
+// guard's abort flag, both bypass engines and the event stream (worker is
+// this solver's lane in the trace).
+func (ps *PointSolver) Attach(opts *Options, worker int16) {
+	ps.WS.Faults = opts.Faults
+	ps.WS.Abort = opts.Guard.AbortFlag()
+	ps.WS.Solver.BypassTol = opts.BypassTol
+	ps.WS.SetDeviceBypass(opts.DeviceBypassTol, 0)
+	ps.SetTrace(opts.Trace, worker)
 }
 
 // Predict extrapolates the solution history polynomially to time t, writing
@@ -514,6 +519,8 @@ func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess 
 
 // emitSolve publishes one KindSolve event covering the whole point solve
 // (integration coefficients, prediction, Newton loop). No-op when untraced.
+// A zero start leaves the duration out: a lockstep candidate's iterations
+// interleave with its chunk's, so it has no span of its own.
 func (ps *PointSolver) emitSolve(start time.Time, tNew, h float64, iters int, flags uint8, err error) {
 	tr := ps.WS.Trace
 	if !tr.Active() {
@@ -521,7 +528,10 @@ func (ps *PointSolver) emitSolve(start time.Time, tNew, h float64, iters int, fl
 	}
 	ev := trace.Event{
 		Kind: trace.KindSolve, T: tNew, H: h, Iters: int32(iters),
-		Worker: ps.WS.Worker, Flags: flags, Dur: time.Since(start).Nanoseconds(),
+		Worker: ps.WS.Worker, Flags: flags,
+	}
+	if !start.IsZero() {
+		ev.Dur = time.Since(start).Nanoseconds()
 	}
 	if err != nil {
 		ev.Flags |= trace.FlagFailed
@@ -727,19 +737,19 @@ func collectBreakpoints(devs []circuit.Device, tstop float64) []float64 {
 	return out
 }
 
-// HorizonIsEdge reports whether a device waveform breakpoint coincides with
+// horizonIsEdge reports whether a device waveform breakpoint coincides with
 // tstop itself. A run ending on a plain horizon keeps its integrator
 // history at full order in the final checkpoint, so a continuation resumed
 // from it (durable restore, time-parallel window chains) picks up
 // seamlessly; a run ending exactly on a waveform edge must capture a
 // restart state instead, because post-edge dynamics bear no relation to the
 // pre-edge derivative history.
-func HorizonIsEdge(sys *circuit.System, tstop float64) bool {
+func horizonIsEdge(devs []circuit.Device, tstop float64) bool {
 	// Waveforms enumerate breakpoints strictly below the stop they are
 	// given, so an edge exactly at tstop only shows up when asked for a
 	// slightly longer horizon.
 	eps := tstop * 1e-9
-	for _, d := range sys.Circuit.Devices() {
+	for _, d := range devs {
 		b, ok := d.(Breakpointer)
 		if !ok {
 			continue
@@ -782,6 +792,17 @@ func RecordSet(sys *circuit.System, opts Options) *waveform.Set {
 	return waveform.NewSet(names, opts.Record)
 }
 
+// GapAfter is the distance from t to the next breakpoint strictly after it
+// (bps ascending), or to tstop when none is left.
+func GapAfter(bps []float64, t, tstop float64) float64 {
+	for _, bp := range bps {
+		if bp > t*(1+1e-12) {
+			return bp - t
+		}
+	}
+	return tstop - t
+}
+
 // RestartStep sizes the first step after a waveform breakpoint: a small
 // fraction of the gap to the next breakpoint, no larger than the last
 // accepted step (the pre-edge dynamics bound what the circuit can follow),
@@ -812,19 +833,8 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 		return nil, fmt.Errorf("transient: TStop must be positive")
 	}
 	opts = opts.WithDefaults()
-	ctrl := opts.Control
-	tr := opts.Trace
-	guard := opts.Guard
 	ps := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
-	ps.WS.Faults = opts.Faults
-	ps.WS.Abort = guard.AbortFlag()
-	ps.WS.Solver.BypassTol = opts.BypassTol
-	ps.WS.SetDeviceBypass(opts.DeviceBypassTol, 0)
-	ps.SetTrace(tr, 0)
-	if opts.LoadWorkers > 1 {
-		ps.WS.SetLoadWorkers(opts.LoadWorkers)
-		ps.WS.SetLoadMode(opts.LoadMode)
-	}
+	ps.Attach(&opts, 0)
 	if opts.CoreBudget > 0 {
 		ps.Stats.CoreBudget = opts.CoreBudget
 		ps.Stats.PipelineWorkers = 1
@@ -839,244 +849,15 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 			ps.Stats.IntraWorkers = pool.Workers()
 		}
 	}
-	rl := &RecoveryLog{}
-	var base Stats // totals of run segments before a resume
-	partial := func(w *waveform.Set, hist *integrate.History) *Result {
-		ps.HarvestSolverStats()
-		st := ps.Stats
-		st.Add(base)
-		res := &Result{W: w, Stats: st, Recovery: rl}
-		if last := hist.Last(); last != nil {
-			res.FinalX = num.Copy(last.X)
-		}
-		return res
+	s := NewStepper(sys, ps, &opts, "transient")
+	defer s.Flush(s.Snapshot, &runErr)
+	if _, err := s.Start(); err != nil {
+		return nil, err
 	}
-
-	var hist *integrate.History
-	var w *waveform.Set
-	h := math.Min(opts.HInit, ctrl.HMax)
-	t := 0.0
-	hUsed := 0.0
-	afterBreak := true // the t=0 point counts as a breakpoint start
-
-	capture := func() *checkpoint.State {
-		ps.HarvestSolverStats()
-		total := ps.Stats
-		total.Add(base)
-		// The serial engine assigns Stages = Solves only at run end; keep
-		// checkpointed totals consistent with that convention.
-		if total.Stages < total.Solves {
-			total.Stages = total.Solves
-		}
-		return CaptureState(sys, ps, &opts, w, rl, hist, total, t, h, hUsed, afterBreak, 0, 0)
-	}
-	// Final checkpoint on every exit path that accepted at least one point —
-	// success, typed abort, cancellation, even a panic unwinding through the
-	// facade's containment. A failed final save on an otherwise-successful
-	// run is an error: the caller asked for durability and did not get it.
-	defer func() {
-		if !guard.Active() || hist == nil || hist.Len() == 0 {
-			return
-		}
-		saveErr := guard.SaveFinal(capture())
-		if runErr == nil && saveErr != nil {
-			runErr = &faults.SimError{Phase: "checkpoint", Time: t, Node: -1, Cause: saveErr}
-		}
-	}()
-
-	if opts.Resume != nil {
-		rs, err := RestoreState(opts.Resume, sys, ps, &opts)
-		if err != nil {
-			return nil, err
-		}
-		hist, w, rl, base = rs.Hist, rs.W, rs.RL, rs.Base
-		t, h, hUsed, afterBreak = rs.T, rs.H, rs.HUsed, rs.AfterBreak
-	} else {
-		p0, err := InitialPoint(sys, ps, opts)
-		if err != nil {
-			return nil, err
-		}
-		hist = &integrate.History{}
-		hist.Add(p0)
-		w = RecordSet(sys, opts)
-		w.Append(p0.T, p0.X)
-		if opts.OnAccept != nil {
-			opts.OnAccept(p0.T, w.Data[len(w.Data)-1])
+	for !s.Done() {
+		if err := s.Step(ps.SolveAt); err != nil {
+			return s.Result(s.Totals()), err
 		}
 	}
-
-	bps := CollectBreakpoints(sys, opts.TStop)
-	nextBp := 0
-	horizonEdge := HorizonIsEdge(sys, opts.TStop)
-	var lteTail []*integrate.Point
-	ckptDue := false
-
-	for t < opts.TStop*(1-1e-12) {
-		if ckptDue {
-			ckptDue = false
-			// Periodic snapshot; a failed write is latched in the controller
-			// but never kills a healthy run.
-			_ = guard.Save(capture())
-		}
-		if aerr := guard.Err(); aerr != nil {
-			return partial(w, hist), &faults.SimError{Phase: "transient", Time: t, Node: -1, Cause: aerr}
-		}
-		if opts.canceled() {
-			if tr.Active() {
-				tr.Emit(trace.Event{Kind: trace.KindCancel, T: t, Worker: -1})
-			}
-			return partial(w, hist), CancelError("transient", t)
-		}
-		if ps.Stats.Points >= opts.MaxPoints {
-			return partial(w, hist), fmt.Errorf("transient: exceeded %d points at t=%g", opts.MaxPoints, t)
-		}
-		// Advance past consumed breakpoints.
-		for nextBp < len(bps) && bps[nextBp] <= t*(1+1e-12) {
-			nextBp++
-		}
-		tLimit := opts.TStop
-		if nextBp < len(bps) {
-			tLimit = bps[nextBp]
-		}
-		hitBp := false
-		tNew := t + h
-		// Clamp onto the breakpoint when the step lands within 1% of it —
-		// step-relative, so a shrinking step can always move the candidate
-		// off the breakpoint (a limit-relative smudge can exceed tiny steps
-		// and trap the rejection loop).
-		if tNew >= tLimit-0.01*h {
-			tNew = tLimit
-			hitBp = true
-		}
-
-		pt, co, err := ps.SolveAt(hist, tNew, nil)
-		if err != nil {
-			// A tripped deadline/watchdog surfaces as a solve error (the
-			// Newton loop polls the abort flag); report the abort, not a
-			// convergence failure.
-			if aerr := guard.Err(); aerr != nil {
-				return partial(w, hist), &faults.SimError{Phase: "transient", Time: t, Node: -1, Cause: aerr}
-			}
-			// Step shrinking is the cheap first response; once the floor is
-			// reached the convergence-recovery ladder takes over at the
-			// smallest representable step.
-			// A failed solve leaves journals recorded at diverging iterates:
-			// retire them so the retry starts from full evaluations.
-			ps.WS.InvalidateDeviceBypass()
-			if h/8 >= ctrl.HMin {
-				h /= 8
-				continue
-			}
-			h = ctrl.HMin
-			tNew = t + h
-			hitBp = tNew >= tLimit-0.01*h
-			if hitBp {
-				tNew = tLimit
-			}
-			pt, co, err = ps.RecoverAt(hist, tNew, rl)
-			if err != nil {
-				if aerr := guard.Err(); aerr != nil {
-					return partial(w, hist), &faults.SimError{Phase: "transient", Time: t, Node: -1, Cause: aerr}
-				}
-				return partial(w, hist), &faults.SimError{
-					Phase: "transient", Time: t, Node: -1,
-					Cause: fmt.Errorf("%w at t=%g: %w", faults.ErrStepTooSmall, t, err),
-				}
-			}
-		}
-
-		// LTE acceptance (the norm is also what sizes the next step). With
-		// too little history (right after breakpoints) the norm is 0 and
-		// the point is accepted, as in SPICE.
-		norm := 0.0
-		if !opts.NoLTE {
-			lteTail = append(hist.AppendTail(lteTail[:0], co.Order+1), pt)
-			if tr.Active() {
-				t0 := time.Now()
-				norm = ctrl.CheckLTEWith(ps.Method, co.Order, lteTail, co.H0, co.H1, &ps.LTE)
-				tr.Emit(trace.Event{
-					Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: pt.T, Norm: norm,
-					Worker: ps.WS.Worker, Dur: time.Since(t0).Nanoseconds(),
-				})
-			} else {
-				norm = ctrl.CheckLTEWith(ps.Method, co.Order, lteTail, co.H0, co.H1, &ps.LTE)
-			}
-			if norm > 1 && co.H0 > ctrl.HMin*1.01 && !afterBreak {
-				ps.Stats.LTERejects++
-				if tr.Active() {
-					tr.Emit(trace.Event{Kind: trace.KindLTEReject, T: tNew, H: co.H0, Norm: norm, Worker: ps.WS.Worker})
-				}
-				h = ctrl.ShrinkOnReject(co.H0, norm, co.Order)
-				// The rejected candidate's journals describe a discarded
-				// trajectory; the retried point must re-evaluate everything.
-				ps.WS.InvalidateDeviceBypass()
-				ps.PutPoint(pt)
-				continue
-			}
-		}
-
-		// The serial engine is the history's sole owner, so a point falling
-		// out of the bounded window can be recycled into the next solve.
-		ps.PutPoint(hist.Add(pt))
-		w.Append(pt.T, pt.X)
-		if opts.OnAccept != nil {
-			opts.OnAccept(pt.T, w.Data[len(w.Data)-1])
-		}
-		ps.Stats.Points++
-		t = pt.T
-		hUsed = co.H0
-		if guard.NoteAccept() {
-			ckptDue = true // snapshot at the top of the next iteration
-		}
-		// Emitted only after t/hist/waveform agree: a panic unwinding out of
-		// this callback flushes a checkpoint, which must see a committed step.
-		if tr.Active() {
-			tr.Emit(trace.Event{Kind: trace.KindAccept, T: pt.T, H: co.H0, Norm: norm, Worker: ps.WS.Worker})
-		}
-
-		if hitBp && (t < opts.TStop*(1-1e-12) || horizonEdge) {
-			// Restart integration after the discontinuity: derivative
-			// history is invalid, so truncate it and re-enter with a step
-			// sized from the upcoming breakpoint gap (clamped by the last
-			// step), as SPICE does. LTE control resumes as soon as enough
-			// history accumulates. A final landing on the *plain* horizon
-			// (no waveform edge at TStop) skips the restart: the run is
-			// over, and keeping the history at full order lets a resumed
-			// continuation pick up without a restart transient.
-			for _, dp := range hist.Truncate() {
-				ps.PutPoint(dp)
-			}
-			// Discontinuity: the next point's dynamics bear no relation to
-			// the journals captured before the edge.
-			ps.WS.InvalidateDeviceBypass()
-			gap := opts.TStop - t
-			for _, bp := range bps[nextBp:] {
-				if bp > t*(1+1e-12) {
-					gap = bp - t
-					break
-				}
-			}
-			h = RestartStep(gap, hUsed, opts.HInit, ctrl)
-			afterBreak = true
-			continue
-		}
-		afterBreak = false
-
-		// Choose the next step from the accepted point's LTE norm.
-		if opts.NoLTE {
-			h = ctrl.ClampStep(hUsed, hUsed)
-			continue
-		}
-		h = ctrl.ClampStep(ctrl.NextStep(ps.Method, co.Order, norm, hUsed, co.H1, hUsed), hUsed)
-		if debugSteps {
-			fmt.Printf("ser t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g -> h=%.3g\n", t, hUsed, norm, co.H1, h)
-		}
-	}
-
-	last := hist.Last()
-	ps.Stats.Stages = ps.Stats.Solves // serial: every solve is sequential
-	ps.HarvestSolverStats()
-	final := ps.Stats
-	final.Add(base)
-	return &Result{W: w, Stats: final, FinalX: num.Copy(last.X), Recovery: rl}, nil
+	return s.Result(s.Totals()), nil
 }

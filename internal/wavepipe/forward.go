@@ -24,27 +24,13 @@ import (
 // by re-solving the forward point against the exact history and LTE-checking
 // every accepted point.
 func (e *engine) forwardStage(combined bool) error {
-	t := e.t()
-	limit := e.stageLimit()
-	t1 := t + e.h
-	hitBp := false
-	if t1 >= limit-0.01*e.h { // step-relative clamp; see transient.Run
-		t1 = limit
-		hitBp = true
-	}
+	t, hist := e.s.T, e.s.Hist
+	t1, hitBp := e.s.Plan()
 	h0 := t1 - t
 	// The forward step is chosen conservatively (no growth) and must not
 	// cross a breakpoint.
-	t2 := t1 + h0
-	doForward := !hitBp
-	fwdHitsBp := false
-	if t2 >= limit-0.01*h0 {
-		t2 = limit
-		fwdHitsBp = true
-		if t2-t1 < 0.1*h0 {
-			doForward = false
-		}
-	}
+	t2, fwdHitsBp := transient.LandOn(e.s.Limit(), t1+h0, h0)
+	doForward := !hitBp && !(fwdHitsBp && t2-t1 < 0.1*h0)
 	fwdHitsBp = fwdHitsBp && doForward
 
 	delta := e.opts.DeltaRatio * h0
@@ -65,20 +51,20 @@ func (e *engine) forwardStage(combined bool) error {
 	// with its own solver's pooled prediction ring, so the concurrent phase-A
 	// tasks never share scratch.
 	predicted := func(ps *transient.PointSolver) *integrate.History {
-		ph := e.hist.Clone()
+		ph := hist.Clone()
 		if doBack1 {
-			ph.Add(ps.PredictPoint(e.hist, t1-delta))
+			ph.Add(ps.PredictPoint(hist, t1-delta))
 		}
-		ph.Add(ps.PredictPoint(e.hist, t1))
+		ph.Add(ps.PredictPoint(hist, t1))
 		return ph
 	}
 	tasksA := []func(){e.guardTask(t1, &main, func() {
-		pt, co, err := e.solvers[0].SolveAt(e.hist, t1, nil)
+		pt, co, err := e.solvers[0].SolveAt(hist, t1, nil)
 		main = pointResult{pt: pt, co: co, err: err}
 	})}
 	if doBack1 {
 		tasksA = append(tasksA, e.guardTask(t1-delta, &back1, func() {
-			pt, co, err := e.solvers[2].SolveAt(e.hist, t1-delta, nil)
+			pt, co, err := e.solvers[2].SolveAt(hist, t1-delta, nil)
 			back1 = pointResult{pt: pt, co: co, err: err}
 		}))
 	}
@@ -113,7 +99,7 @@ func (e *engine) forwardStage(combined bool) error {
 	var fwd, back2 pointResult
 	var trueHist *integrate.History
 	if doForward {
-		trueHist = e.hist.Clone()
+		trueHist = hist.Clone()
 		if doBack1 && back1.err == nil {
 			trueHist.Add(back1.pt)
 		}
@@ -136,33 +122,26 @@ func (e *engine) forwardStage(combined bool) error {
 
 	// ---- Validation and publication, ascending in time ----
 	mainNorm := e.lteNorm(main)
-	if mainNorm > 1 && main.co.H0 > e.ctrl.HMin*1.01 && !e.afterBreak {
+	if e.s.TooCoarse(mainNorm, main.co.H0) {
 		// The whole stage is built on t1: discard everything.
-		e.noteReject(t1, main.co.H0, mainNorm)
+		e.reject(t1, main.co, mainNorm)
 		e.noteDiscards(t1, boolCount(doBack1)+boolCount(doForward)+boolCount(doBack2))
-		e.h = e.ctrl.ShrinkOnReject(main.co.H0, mainNorm, main.co.Order)
 		return nil
 	}
-	accepted := 0
 	if doBack1 {
-		if back1.err == nil && (e.afterBreak || e.lteNorm(back1) <= 1) {
+		if back1.err == nil && (e.s.AfterBreak || e.lteNorm(back1) <= 1) {
 			e.accept(back1.pt)
-			accepted++
 		} else {
 			e.noteDiscards(t1-delta, 1)
 		}
 	}
 	e.accept(main.pt)
-	accepted++
 
-	if hitBp {
-		e.handleBreak(h0)
+	if e.landed(hitBp, h0) {
 		return nil
 	}
-	e.afterBreak = false
-
 	if !doForward {
-		e.nextStep(h0, accepted, mainNorm, main.co.H1)
+		e.nextStep(h0, mainNorm, main.co.H1)
 		return nil
 	}
 
@@ -176,7 +155,6 @@ func (e *engine) forwardStage(combined bool) error {
 	if doBack2 {
 		if back2.err == nil && lteAgainst(back2) <= specBar {
 			e.accept(back2.pt)
-			accepted++
 		} else {
 			e.noteDiscards(t2-delta, 1)
 		}
@@ -186,23 +164,19 @@ func (e *engine) forwardStage(combined bool) error {
 			// back2 may have been accepted between the main point and the
 			// forward point; history stays ascending either way.
 			e.accept(fwd.pt)
-			accepted++
-			if fwdHitsBp {
-				e.handleBreak(fwd.co.H0)
-				return nil
+			if !e.landed(fwdHitsBp, fwd.co.H0) {
+				e.nextStep(fwd.co.H0, fwdNorm, fwd.co.H1)
 			}
-			e.nextStep(fwd.co.H0, accepted, fwdNorm, fwd.co.H1)
 			return nil
 		}
 		// The forward point's LTE feedback still guides the next step.
 		fwdNorm := lteAgainst(fwd)
 		e.noteDiscards(t2, 1)
-		e.noteReject(t2, fwd.co.H0, fwdNorm)
-		e.h = e.ctrl.ShrinkOnReject(fwd.co.H0, fwdNorm, fwd.co.Order)
+		e.reject(t2, fwd.co, fwdNorm)
 		return nil
 	}
 	e.noteDiscards(t2, 1)
-	e.nextStep(h0, accepted, mainNorm, main.co.H1)
+	e.nextStep(h0, mainNorm, main.co.H1)
 	return nil
 }
 
@@ -223,7 +197,7 @@ func (e *engine) notePhaseAOccupancy(t float64, back1, fwd, back2 bool) {
 	emit := func(w int) {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindWorker, T: t, Worker: int16(w),
-			Stage: int32(e.stages), Dur: e.solvers[w].LastNanos,
+			Stage: e.s.Stage, Dur: e.solvers[w].LastNanos,
 		})
 	}
 	emit(0)
@@ -246,12 +220,12 @@ func (e *engine) notePhaseBOccupancy(t float64, back2 bool) {
 	}
 	e.tr.Emit(trace.Event{
 		Kind: trace.KindWorker, T: t, Worker: 1,
-		Stage: int32(e.stages), Dur: e.solvers[1].LastNanos,
+		Stage: e.s.Stage, Dur: e.solvers[1].LastNanos,
 	})
 	if back2 {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindWorker, T: t, Worker: 3,
-			Stage: int32(e.stages), Dur: e.solvers[3].LastNanos,
+			Stage: e.s.Stage, Dur: e.solvers[3].LastNanos,
 		})
 	}
 }

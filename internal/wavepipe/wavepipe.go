@@ -30,7 +30,6 @@ package wavepipe
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -44,7 +43,6 @@ import (
 	"wavepipe/internal/sched"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
-	"wavepipe/internal/waveform"
 )
 
 // Scheme selects the pipelining embodiment.
@@ -90,12 +88,6 @@ type Options struct {
 	// parallel machine where the speculative worker iterates until the
 	// true predecessor point is published.
 	WarmIters int
-	// AggressiveGrowth credits the step-size growth cap once per accepted
-	// point instead of once per stage (cap·GrowthCap^points). Faster on
-	// smooth circuits but defeats the cap's trust-region role near sharp
-	// nonlinear events; kept as an ablation knob (experiment A2), off by
-	// default.
-	AggressiveGrowth bool
 	// ForceParallelWorkers launches stage workers as goroutines even when
 	// the host has fewer cores than Threads (normally they run sequentially
 	// there so the critical-path timing model stays uncontended). Results
@@ -103,23 +95,25 @@ type Options struct {
 	ForceParallelWorkers bool
 }
 
+// Width is the pipeline width a scheme runs at when asked for threads
+// workers (<= 0: the scheme's default) — what the engine uses, and what a
+// caller budgeting cores around it (the window coordinator) must count.
+func Width(scheme Scheme, threads int) int {
+	switch {
+	case scheme == SchemeForward:
+		return 2 // forward pipelining is depth-1 in this implementation
+	case threads <= 0 && scheme == SchemeCombined:
+		return 3
+	case threads <= 0:
+		return 2
+	case threads > 4:
+		return 4
+	}
+	return threads
+}
+
 func (o Options) withDefaults() Options {
-	if o.Threads <= 0 {
-		if o.Scheme == SchemeCombined {
-			o.Threads = 3
-		} else {
-			o.Threads = 2
-		}
-	}
-	if o.Scheme == SchemeForward {
-		o.Threads = 2 // forward pipelining is depth-1 in this implementation
-	}
-	if o.Scheme == SchemeCombined && o.Threads > 4 {
-		o.Threads = 4
-	}
-	if o.Scheme == SchemeBackward && o.Threads > 4 {
-		o.Threads = 4
-	}
+	o.Threads = Width(o.Scheme, o.Threads)
 	if o.DeltaRatio <= 0 || o.DeltaRatio >= 0.9 {
 		o.DeltaRatio = 0.2
 	}
@@ -134,16 +128,7 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 	}
 	opts = opts.withDefaults()
 	base := opts.Base.WithDefaults()
-	e := &engine{
-		sys:   sys,
-		opts:  opts,
-		base:  base,
-		ctrl:  base.Control,
-		rl:    &transient.RecoveryLog{},
-		flt:   base.Faults,
-		tr:    base.Trace,
-		guard: base.Guard,
-	}
+	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
 	// Two-level budget split: one core per pipeline worker first, then the
 	// remainder divided into equal per-solver intra-point gangs. Small
 	// systems keep the whole budget at the pipeline level — barrier costs
@@ -160,25 +145,17 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 		}
 	}
 	for i := 0; i < opts.Threads; i++ {
-		s := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
-		s.WS.Faults = base.Faults
-		s.WS.Abort = e.guard.AbortFlag()
-		if base.LoadWorkers > 1 {
-			s.WS.SetLoadWorkers(base.LoadWorkers)
-			s.WS.SetLoadMode(base.LoadMode)
-		}
+		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
+		ps.Attach(&e.base, int16(i))
 		if e.intra > 1 {
 			// NewPool grants whatever the budget still covers; a nil pool
 			// (budget exhausted) just leaves this solver serial inside.
 			if pool := e.budget.NewPool(e.intra); pool != nil {
-				s.WS.SetPool(pool)
+				ps.WS.SetPool(pool)
 				e.pools = append(e.pools, pool)
 			}
 		}
-		s.WS.Solver.BypassTol = base.BypassTol
-		s.WS.SetDeviceBypass(base.DeviceBypassTol, 0)
-		s.SetTrace(base.Trace, int16(i))
-		e.solvers = append(e.solvers, s)
+		e.solvers = append(e.solvers, ps)
 	}
 	defer func() {
 		for _, p := range e.pools {
@@ -186,81 +163,37 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 		}
 	}()
 
-	// Final checkpoint on every exit path that has at least one accepted
-	// point (see the serial engine's identical contract).
-	defer func() {
-		if !e.guard.Active() || e.hist == nil || e.hist.Len() == 0 {
-			return
-		}
-		saveErr := e.guard.SaveFinal(e.capture())
-		if runErr == nil && saveErr != nil {
-			runErr = &faults.SimError{Phase: "checkpoint", Time: e.t(), Node: -1, Cause: saveErr}
-		}
-	}()
-
+	// Lane 0 computes every main point and every serial-fallback point, so
+	// its workspace holds the authoritative limiting/factorization state:
+	// the step controller is built on it. Coordinator events carry no lane.
+	s := transient.NewStepper(sys, e.solvers[0], &e.base, "wavepipe")
+	s.Worker = -1
+	e.s = s
+	defer s.Flush(e.capture, &runErr)
+	var err error
+	if e.warmup, err = s.Start(); err != nil {
+		return nil, err
+	}
 	if base.Resume != nil {
-		rs, err := transient.RestoreState(base.Resume, sys, e.solvers[0], &base)
-		if err != nil {
-			return nil, err
-		}
 		// Lane 0 received the limiting/factorization state; the other lanes
 		// adopt the limiting state (invalidating their journals). Pipelined
 		// resume is equivalence-tolerance, not bit-identical: only the
 		// serial engine's solve order is reproducible.
-		for _, s := range e.solvers[1:] {
-			s.WS.CopyStateFrom(e.solvers[0].WS)
+		for _, ps := range e.solvers[1:] {
+			ps.WS.CopyStateFrom(e.solvers[0].WS)
 		}
-		e.hist, e.w, e.rl = rs.Hist, rs.W, rs.RL
-		e.baseStats = rs.Base
-		e.h, e.afterBreak, e.warmup = rs.H, rs.AfterBreak, rs.Warmup
-	} else {
-		p0, err := transient.InitialPoint(sys, e.solvers[0], base)
-		if err != nil {
-			return nil, err
-		}
-		e.hist = &integrate.History{}
-		e.hist.Add(p0)
-		e.w = transient.RecordSet(sys, base)
-		e.w.Append(p0.T, p0.X)
-		if base.OnAccept != nil {
-			base.OnAccept(p0.T, e.w.Data[len(e.w.Data)-1])
-		}
-		e.h = math.Min(base.HInit, e.ctrl.HMax)
-		e.afterBreak = true
 	}
-	e.bps = transient.CollectBreakpoints(sys, base.TStop)
-	e.horizonEdge = transient.HorizonIsEdge(sys, base.TStop)
 
-	for e.t() < base.TStop*(1-1e-12) {
-		if e.ckptDue {
-			e.ckptDue = false
-			// Periodic snapshot at a committed stage boundary; a failed
-			// write is latched in the controller, not fatal.
-			_ = e.guard.Save(e.capture())
+	for !s.Done() {
+		if err := s.Poll(e.capture); err != nil {
+			return e.result(), err
 		}
-		if aerr := e.guard.Err(); aerr != nil {
-			return e.result(), &faults.SimError{Phase: "wavepipe", Time: e.t(), Node: -1, Cause: aerr}
-		}
-		if base.Ctx != nil {
-			select {
-			case <-base.Ctx.Done():
-				if e.tr.Active() {
-					e.tr.Emit(trace.Event{Kind: trace.KindCancel, T: e.t(), Worker: -1, Stage: int32(e.stages)})
-				}
-				return e.result(), transient.CancelError("wavepipe", e.t())
-			default:
-			}
-		}
-		if e.points >= base.MaxPoints {
-			return e.result(), fmt.Errorf("wavepipe: exceeded %d points at t=%g", base.MaxPoints, e.t())
-		}
-		e.stages++
-		if debugSteps && e.stages%100000 == 0 {
+		s.Stage++
+		if debugSteps && s.Stage%100000 == 0 {
 			// Stall diagnostic: a healthy run never reaches this.
 			fmt.Printf("wavepipe: stage=%d t=%.6g h=%.3g points=%d rejects=%d\n",
-				e.stages, e.t(), e.h, e.points, e.lteRejects)
+				s.Stage, s.T, s.H, s.PS.Stats.Points, s.PS.Stats.LTERejects)
 		}
-		var err error
 		switch {
 		case e.warmup > 0 || e.degraded > 0:
 			// Pipeline flush: after a waveform discontinuity the truncation-
@@ -278,11 +211,6 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 			err = e.backwardStage()
 		}
 		if err != nil {
-			// A tripped deadline/watchdog can surface as a stage failure
-			// (the Newton loops poll the abort flag); report the abort.
-			if aerr := e.guard.Err(); aerr != nil {
-				return e.result(), &faults.SimError{Phase: "wavepipe", Time: e.t(), Node: -1, Cause: aerr}
-			}
 			return e.result(), err
 		}
 	}
@@ -290,46 +218,19 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 	return e.result(), nil
 }
 
-// capture snapshots the engine at a committed stage boundary. Lane 0 holds
-// the authoritative limiting/factorization state: it computes every main
-// point and every serial-fallback point.
-func (e *engine) capture() *checkpoint.State {
-	total := transient.Stats{}
-	for _, s := range e.solvers {
-		s.HarvestSolverStats()
-		total.Add(s.Stats)
-	}
-	total.Points = e.points
-	total.LTERejects = e.lteRejects
-	total.Discarded = e.discarded
-	total.Stages = e.stages
-	total.WorkerPanics = e.workerPanics
-	total.DegradedStages = e.degradedStages
-	total.CriticalNanos = e.critNanos
-	total.Add(e.baseStats)
-	hUsed := 0.0
-	if n := e.hist.Len(); n >= 2 {
-		hUsed = e.hist.At(n-1).T - e.hist.At(n-2).T
-	}
-	return transient.CaptureState(e.sys, e.solvers[0], &e.base, e.w, e.rl, e.hist,
-		total, e.t(), e.h, hUsed, e.afterBreak, e.warmup, 1)
-}
-
-// result assembles the (possibly partial) run outcome from the engine state.
-func (e *engine) result() *transient.Result {
+// totals sums the per-solver work counters and overlays what only the
+// coordinator knows. The summed per-solver CriticalNanos is total work; the
+// run's is the pipeline critical path accumulated per stage.
+func (e *engine) totals() transient.Stats {
 	stats := transient.Stats{}
-	for _, s := range e.solvers {
-		s.HarvestSolverStats()
-		stats.Add(s.Stats)
+	for _, ps := range e.solvers {
+		ps.HarvestSolverStats()
+		stats.Add(ps.Stats)
 	}
-	stats.Points = e.points
-	stats.LTERejects = e.lteRejects
 	stats.Discarded = e.discarded
-	stats.Stages = e.stages
+	stats.Stages = int(e.s.Stage)
 	stats.WorkerPanics = e.workerPanics
 	stats.DegradedStages = e.degradedStages
-	// The summed per-solver CriticalNanos is total work; replace it with
-	// the pipeline critical path accumulated per stage.
 	stats.CriticalNanos = e.critNanos
 	stats.CoreBudget = e.coreBudget
 	stats.PipelineWorkers = e.opts.Threads
@@ -340,28 +241,28 @@ func (e *engine) result() *transient.Result {
 		}
 	}
 	stats.PipelineSerialized = e.pipelineSerialized
-	stats.Add(e.baseStats)
-	return &transient.Result{W: e.w, Stats: stats, FinalX: num.Copy(e.hist.Last().X), Recovery: e.rl}
+	stats.Add(e.s.Base)
+	return stats
 }
+
+// capture snapshots the engine at a committed stage boundary.
+func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.warmup, 1) }
+
+// result assembles the (possibly partial) run outcome from the engine state.
+func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
 
 // engine holds the per-run coordinator state. Worker goroutines only touch
 // their own PointSolver plus the immutable history snapshot of the stage.
 type engine struct {
-	sys  *circuit.System
 	opts Options
 	base transient.Options
 	ctrl integrate.Control
 
 	solvers []*transient.PointSolver
-	hist    *integrate.History
-	w       *waveform.Set
-
-	bps         []float64
-	nextBp      int
-	horizonEdge bool // a device waveform edge coincides with TStop
-	h           float64
-	afterBreak  bool
-	warmup      int // serial stages remaining after a pipeline flush
+	// s is the run's step controller (history, waveform, step position,
+	// breakpoints, checkpoint cadence), shared with the serial engine.
+	s      *transient.Stepper
+	warmup int // serial stages remaining after a pipeline flush
 
 	// Two-level scheduling state: the run's core budget (0 = unmanaged),
 	// the per-solver intra-point gang width, the budget accountant and the
@@ -372,31 +273,20 @@ type engine struct {
 	pools              []*sched.Pool
 	pipelineSerialized bool
 
-	// Robustness state: the run's recovery log and fault harness, the
-	// remaining serial-fallback window, and the consecutive-failure streak
-	// that triggers it.
-	rl         *transient.RecoveryLog
+	// Robustness state: the run's fault harness, the remaining
+	// serial-fallback window, and the consecutive-failure streak that
+	// triggers it.
 	flt        *faults.Injector
 	degraded   int
 	failStreak int
 
-	// Durability state: the run's guard (nil when unguarded), whether a
-	// periodic checkpoint is due at the next committed stage boundary, and
-	// the stats baseline carried over from before a resume.
-	guard     *checkpoint.Controller
-	ckptDue   bool
-	baseStats transient.Stats
-
 	// tr is the run's event stream (nil when untraced; every emission site
-	// is nil-safe). Counter-bearing emissions go through the accept /
-	// noteDiscards / noteReject / degrade helpers so the trace can never
-	// diverge from the Stats counters.
+	// is nil-safe). Counter-bearing emissions go through the step controller
+	// and the noteDiscards / degrade helpers so the trace can never diverge
+	// from the Stats counters.
 	tr *trace.Tracer
 
-	points         int
-	lteRejects     int
 	discarded      int
-	stages         int
 	workerPanics   int
 	degradedStages int
 	critNanos      int64
@@ -408,21 +298,6 @@ type engine struct {
 	ltePts  []*integrate.Point
 	tailBuf []*integrate.Point
 	lteScr  integrate.LTEScratch
-}
-
-// t returns the current simulation time.
-func (e *engine) t() float64 { return e.hist.Last().T }
-
-// stageLimit returns the next hard time boundary (breakpoint or TStop).
-func (e *engine) stageLimit() float64 {
-	t := e.t()
-	for e.nextBp < len(e.bps) && e.bps[e.nextBp] <= t*(1+1e-12) {
-		e.nextBp++
-	}
-	if e.nextBp < len(e.bps) {
-		return e.bps[e.nextBp]
-	}
-	return e.base.TStop
 }
 
 // warmDepth returns the speculative iteration budget for the forward
@@ -507,7 +382,7 @@ type pointResult struct {
 // derivative from spaced points (see History.SpacedTail) while keeping the
 // candidate's true trailing spacing in the error coefficient.
 func (e *engine) lteNorm(res pointResult) float64 {
-	return e.lteNormAgainst(e.hist, res)
+	return e.lteNormAgainst(e.s.Hist, res)
 }
 
 func (e *engine) lteNormAgainst(hist *integrate.History, res pointResult) float64 {
@@ -518,34 +393,20 @@ func (e *engine) lteNormAgainst(hist *integrate.History, res pointResult) float6
 		norm := e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: res.pt.T, Norm: norm,
-			Worker: -1, Stage: int32(e.stages), Dur: time.Since(t0).Nanoseconds(),
+			Worker: -1, Stage: e.s.Stage, Dur: time.Since(t0).Nanoseconds(),
 		})
 		return norm
 	}
 	return e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
 }
 
-// accept publishes a point into the history and the waveform set. Any
-// accepted point is progress, so the failure streak resets.
+// accept commits a point through the step controller. Pipeline points come
+// from several solvers' pools, so the one falling out of the history window
+// is left to the collector. Any accepted point is progress: the failure
+// streak resets.
 func (e *engine) accept(pt *integrate.Point) {
-	if e.tr.Active() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindAccept, T: pt.T, H: pt.T - e.hist.Last().T,
-			Worker: -1, Stage: int32(e.stages),
-		})
-	}
-	e.hist.Add(pt)
-	e.w.Append(pt.T, pt.X)
-	if e.base.OnAccept != nil {
-		e.base.OnAccept(pt.T, e.w.Data[len(e.w.Data)-1])
-	}
-	e.points++
+	e.s.Commit(pt, pt.T-e.s.T, 0)
 	e.failStreak = 0
-	if e.guard.NoteAccept() {
-		// Mid-stage accept: snapshot at the next committed stage boundary,
-		// never between the parallel phases of one stage.
-		e.ckptDue = true
-	}
 }
 
 // noteDiscards counts n speculative points thrown away unused, pairing each
@@ -554,23 +415,17 @@ func (e *engine) noteDiscards(t float64, n int) {
 	e.discarded += n
 	if e.tr.Active() {
 		for i := 0; i < n; i++ {
-			e.tr.Emit(trace.Event{Kind: trace.KindDiscard, T: t, Worker: -1, Stage: int32(e.stages)})
+			e.tr.Emit(trace.Event{Kind: trace.KindDiscard, T: t, Worker: -1, Stage: e.s.Stage})
 		}
 	}
 }
 
-// noteReject counts one LTE rejection, pairing the Stats.LTERejects
-// increment with one KindLTEReject event. A rejected candidate's journals
-// describe a discarded trajectory, so the bypass state is retired with it.
-func (e *engine) noteReject(t, h, norm float64) {
-	e.lteRejects++
+// reject turns down the stage's anchor candidate at t: the controller counts
+// it and shrinks the step, and every lane — not only the controller's —
+// retires journals that describe the discarded trajectory.
+func (e *engine) reject(t float64, co integrate.Coeffs, norm float64) {
+	e.s.Reject(t, co, norm)
 	e.invalidateBypass()
-	if e.tr.Active() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindLTEReject, T: t, H: h, Norm: norm,
-			Worker: -1, Stage: int32(e.stages),
-		})
-	}
 }
 
 // noteOccupancy publishes one worker-occupancy span for each solver that
@@ -583,7 +438,7 @@ func (e *engine) noteOccupancy(t float64, n int) {
 	for i := 0; i < n && i < len(e.solvers); i++ {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindWorker, T: t, Worker: int16(i),
-			Stage: int32(e.stages), Dur: e.solvers[i].LastNanos,
+			Stage: e.s.Stage, Dur: e.solvers[i].LastNanos,
 		})
 	}
 }
@@ -608,11 +463,11 @@ const degradeWindow = 8
 // degradeWindow stages. The first trigger of a window is logged.
 func (e *engine) degrade(reason string) {
 	if e.degraded == 0 {
-		e.rl.Note(e.t(), transient.RecoverySerialFallback, reason)
+		e.s.RL.Note(e.s.T, transient.RecoverySerialFallback, reason)
 		if e.tr.Active() {
 			e.tr.Emit(trace.Event{
-				Kind: trace.KindSerialFallback, T: e.t(), Worker: -1,
-				Stage: int32(e.stages), Detail: reason,
+				Kind: trace.KindSerialFallback, T: e.s.T, Worker: -1,
+				Stage: e.s.Stage, Detail: reason,
 			})
 		}
 	}
@@ -651,101 +506,61 @@ func (e *engine) notePanics(results ...*pointResult) {
 }
 
 // serialStage advances one plain single-point step (the pipeline-flush
-// refill path after breakpoints).
+// refill path after breakpoints): the serial engine's step with the
+// pipeline's LTE stencil and step selection.
 func (e *engine) serialStage() error {
-	t := e.t()
-	limit := e.stageLimit()
-	tNew := t + e.h
-	hitBp := false
-	if tNew >= limit-0.01*e.h { // step-relative clamp; see transient.Run
-		tNew = limit
-		hitBp = true
-	}
-	pt, co, err := e.solvers[0].SolveAt(e.hist, tNew, nil)
+	s := e.s
+	tNew, hitBp := s.Plan()
+	pt, co, err := e.solvers[0].SolveAt(s.Hist, tNew, nil)
 	if err != nil {
 		// Step shrinking first; at the floor, the serial stage is the
 		// pipeline's last line of defense, so it climbs the same
 		// convergence-recovery ladder as the serial engine.
-		if e.h/8 >= e.ctrl.HMin {
-			e.failStreak++
-			e.invalidateBypass()
-			e.h /= 8
-			return nil
+		e.failStreak++
+		e.invalidateBypass()
+		if pt, co, err = s.Failed(); pt == nil {
+			return err
 		}
-		e.h = e.ctrl.HMin
-		tNew = t + e.h
-		hitBp = tNew >= limit-0.01*e.h
-		if hitBp {
-			tNew = limit
-		}
-		pt, co, err = e.solvers[0].RecoverAt(e.hist, tNew, e.rl)
-		if err != nil {
-			return &faults.SimError{
-				Phase: "wavepipe", Time: t, Node: -1,
-				Cause: fmt.Errorf("%w at t=%g: %w", faults.ErrStepTooSmall, t, err),
-			}
-		}
+		tNew, hitBp = s.Plan() // where Failed placed the ladder's point: one floor step on
 	}
 	e.critNanos += e.solvers[0].LastNanos
 	e.noteOccupancy(tNew, 1)
-	res := pointResult{pt: pt, co: co}
-	norm := e.lteNorm(res)
-	if norm > 1 && co.H0 > e.ctrl.HMin*1.01 && !e.afterBreak {
-		e.noteReject(tNew, co.H0, norm)
-		e.h = e.ctrl.ShrinkOnReject(co.H0, norm, co.Order)
+	norm := e.lteNorm(pointResult{pt: pt, co: co})
+	if s.TooCoarse(norm, co.H0) {
+		e.reject(tNew, co, norm)
 		return nil
 	}
 	e.accept(pt)
 	e.noteMainIters(e.solvers[0].LastIters)
-	if hitBp && !e.finalPlainLanding() {
-		e.handleBreak(co.H0)
+	if e.landed(hitBp, co.H0) {
 		return nil
 	}
-	e.afterBreak = false
 	if e.warmup > 0 {
 		e.warmup--
 	} else if e.degraded > 0 {
 		e.degraded--
 		e.degradedStages++
 	}
-	e.nextStep(co.H0, 1, norm, co.H1)
+	e.nextStep(co.H0, norm, co.H1)
 	return nil
 }
 
-// finalPlainLanding reports whether the engine just landed on the plain
-// simulation horizon rather than on a device waveform edge. Such a landing
-// needs no integrator restart — the run is over, and the final checkpoint
-// keeps the history at full order so a resumed continuation picks up
-// without a restart transient (see transient.HorizonIsEdge).
-func (e *engine) finalPlainLanding() bool {
-	return e.t() >= e.base.TStop*(1-1e-12) && !e.horizonEdge
-}
-
-// handleBreak restarts integration after landing on a breakpoint, sizing
-// the restart step from the next breakpoint gap (see transient.RestartStep).
-func (e *engine) handleBreak(lastStep float64) {
-	e.hist.Truncate()
-	// Discontinuity: journals captured before the edge describe dynamics
-	// that no longer exist.
-	e.invalidateBypass()
-	t := e.t()
-	gap := e.base.TStop - t
-	if e.nextBp < len(e.bps) {
-		// stageLimit has not advanced past the just-consumed breakpoint yet;
-		// scan forward for the next strictly-later one.
-		for _, bp := range e.bps[e.nextBp:] {
-			if bp > t*(1+1e-12) {
-				gap = bp - t
-				break
-			}
-		}
+// landed closes a stage whose last accepted point may sit on a breakpoint:
+// when it does and the landing needs one (see Stepper.RestartDue), the
+// controller restarts integration with a step bounded by lastStep, every
+// lane retires its pre-edge journals, and the pipeline refills serially
+// until the LTE checks have a full stencil again — Gear-2 needs order+2 = 4
+// points, i.e. 3 accepted steps past the breakpoint point. It reports
+// whether the stage is over.
+func (e *engine) landed(hitBp bool, lastStep float64) bool {
+	if hitBp && e.s.RestartDue() {
+		e.s.Restart(lastStep)
+		e.invalidateBypass()
+		e.warmup = 3
+		return true
 	}
-	e.h = transient.RestartStep(gap, lastStep, e.base.HInit, e.ctrl)
-	e.afterBreak = true
-	// Refill serially until the LTE checks have a full stencil again:
-	// Gear-2 needs order+2 = 4 points, i.e. 3 accepted steps past the
-	// breakpoint point.
-	e.warmup = 3
+	e.s.AfterBreak = false
+	return false
 }
 
 // nextStep picks the step for the following stage from the accepted
@@ -753,28 +568,23 @@ func (e *engine) handleBreak(lastStep float64) {
 // The cap is applied to the stage's main advance (hUsed), exactly as the
 // serial engine caps against its last step — the pipelining gain comes from
 // the relaxed LTE error coefficient (clustered trailing history enters
-// h1Next), not from weakening the cap. AggressiveGrowth (ablation A2)
-// credits the cap once per accepted point instead.
-func (e *engine) nextStep(hUsed float64, accepted int, norm, h1Solve float64) {
+// h1Next), not from weakening the cap.
+func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
 	order := e.base.Method.Order()
-	e.tailBuf = e.hist.AppendTail(e.tailBuf[:0], 2)
+	e.tailBuf = e.s.Hist.AppendTail(e.tailBuf[:0], 2)
 	last := e.tailBuf
 	h1Next := 0.0
 	if len(last) == 2 {
 		h1Next = last[1].T - last[0].T
 	}
 	h := e.ctrl.NextStep(e.base.Method, order, norm, hUsed, h1Solve, h1Next)
-	growth := e.ctrl.GrowthCap
-	if e.opts.AggressiveGrowth {
-		growth = math.Pow(e.ctrl.GrowthCap, float64(accepted))
-	}
-	if capV := hUsed * growth; h > capV {
+	if capV := hUsed * e.ctrl.GrowthCap; h > capV {
 		h = capV
 	}
-	e.h = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
+	e.s.H = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
 	if debugSteps {
 		fmt.Printf("bwp t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g h1N=%.3g -> h=%.3g\n",
-			e.t(), hUsed, norm, h1Solve, h1Next, e.h)
+			e.s.T, hUsed, norm, h1Solve, h1Next, e.s.H)
 	}
 }
 
@@ -790,9 +600,9 @@ func (e *engine) shrinkAfterFailure() {
 	if e.failStreak >= 3 {
 		e.degrade("repeated stage failure")
 	}
-	e.h /= 8
-	if e.h < e.ctrl.HMin {
-		e.h = e.ctrl.HMin
+	e.s.H /= 8
+	if e.s.H < e.ctrl.HMin {
+		e.s.H = e.ctrl.HMin
 		e.degrade("step floor reached")
 	}
 }
@@ -801,14 +611,8 @@ func (e *engine) shrinkAfterFailure() {
 // Threads−1 backward points t+h−jδ, all solved concurrently from the same
 // history.
 func (e *engine) backwardStage() error {
-	t := e.t()
-	limit := e.stageLimit()
-	tMain := t + e.h
-	hitBp := false
-	if tMain >= limit-0.01*e.h { // step-relative clamp; see transient.Run
-		tMain = limit
-		hitBp = true
-	}
+	t, hist := e.s.T, e.s.Hist
+	tMain, hitBp := e.s.Plan()
 	h0 := tMain - t
 	delta := e.opts.DeltaRatio * h0
 
@@ -828,7 +632,7 @@ func (e *engine) backwardStage() error {
 	for i := range targets {
 		i := i
 		tasks[i] = e.guardTask(targets[i], &results[i], func() {
-			pt, co, err := e.solvers[i].SolveAt(e.hist, targets[i], nil)
+			pt, co, err := e.solvers[i].SolveAt(hist, targets[i], nil)
 			results[i] = pointResult{pt: pt, co: co, err: err}
 		})
 	}
@@ -858,10 +662,9 @@ func (e *engine) backwardStage() error {
 		return nil
 	}
 	mainNorm := e.lteNorm(main)
-	if mainNorm > 1 && main.co.H0 > e.ctrl.HMin*1.01 && !e.afterBreak {
-		e.noteReject(tMain, main.co.H0, mainNorm)
+	if e.s.TooCoarse(mainNorm, main.co.H0) {
+		e.reject(tMain, main.co, mainNorm)
 		e.noteDiscards(tMain, len(targets)-1)
-		e.h = e.ctrl.ShrinkOnReject(main.co.H0, mainNorm, main.co.Order)
 		return nil
 	}
 
@@ -874,30 +677,25 @@ func (e *engine) backwardStage() error {
 		if r.err != nil {
 			continue
 		}
-		if !e.afterBreak {
+		if !e.s.AfterBreak {
 			if norm := e.lteNorm(r); norm > 1 {
 				continue
 			}
 		}
 		keep[i] = true
 	}
-	accepted := 0
 	for i, r := range results[:len(results)-1] {
 		if keep[i] {
 			e.accept(r.pt)
-			accepted++
 		} else {
 			e.noteDiscards(targets[i], 1)
 		}
 	}
 	e.accept(main.pt)
-	accepted++
 
-	if hitBp && !e.finalPlainLanding() {
-		e.handleBreak(h0)
+	if e.landed(hitBp, h0) {
 		return nil
 	}
-	e.afterBreak = false
-	e.nextStep(h0, accepted, mainNorm, main.co.H1)
+	e.nextStep(h0, mainNorm, main.co.H1)
 	return nil
 }

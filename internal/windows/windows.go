@@ -357,14 +357,7 @@ func planBoundaries(tstop float64, W int, bps []float64) []float64 {
 // step; the coordinator knows the global breakpoint list and restores the
 // step the serial engine would have chosen at the same instant.
 func (r *runner) restartH(t, hUsed float64) float64 {
-	gap := r.base.TStop - t
-	for _, bp := range r.bps {
-		if bp > t*(1+1e-12) {
-			gap = bp - t
-			break
-		}
-	}
-	return transient.RestartStep(gap, hUsed, r.base.HInit, r.base.Control)
+	return transient.RestartStep(transient.GapAfter(r.bps, t, r.base.TStop), hUsed, r.base.HInit, r.base.Control)
 }
 
 // coarseH is the fixed coarse step for window w.
@@ -457,12 +450,8 @@ func (r *runner) coarseSweep() {
 }
 
 func (r *runner) canceled() error {
-	if ctx := r.base.Ctx; ctx != nil {
-		select {
-		case <-ctx.Done():
-			return transient.CancelError("window-coordinator", 0)
-		default:
-		}
+	if r.base.Canceled() {
+		return transient.CancelError("window-coordinator", 0)
 	}
 	return nil
 }

@@ -136,20 +136,6 @@ const (
 	PMOS = device.PMOS
 )
 
-// LoadMode selects the parallel device-assembly strategy.
-type LoadMode = circuit.LoadMode
-
-// Parallel assembly strategies (see TranOptions.LoadMode).
-const (
-	// LoadAuto chooses colored stamping when the conflict coloring predicts
-	// a speedup, sharded accumulation otherwise (the default).
-	LoadAuto = circuit.LoadAuto
-	// LoadSharded always uses per-worker matrix shards with a reduction.
-	LoadSharded = circuit.LoadSharded
-	// LoadColored always uses conflict-colored direct stamping.
-	LoadColored = circuit.LoadColored
-)
-
 // Method selects the implicit integration formula.
 type Method = integrate.Method
 
@@ -163,14 +149,14 @@ const (
 // Scheme selects the simulation engine.
 type Scheme int
 
-// Simulation engines: the serial baseline, the three WavePipe schemes, and
-// the conventional fine-grained parallel-device-load baseline.
+// Simulation engines: the serial baseline and the three WavePipe schemes.
+// (The conventional intra-point parallel baseline is Serial with a
+// CoreBudget.)
 const (
 	Serial Scheme = iota
 	Backward
 	Forward
 	Combined
-	FineGrained
 )
 
 // String returns the scheme name.
@@ -184,8 +170,6 @@ func (s Scheme) String() string {
 		return "forward"
 	case Combined:
 		return "combined"
-	case FineGrained:
-		return "finegrain"
 	default:
 		return "unknown"
 	}
@@ -203,10 +187,8 @@ func ParseScheme(s string) (Scheme, error) {
 		return Forward, nil
 	case "combined":
 		return Combined, nil
-	case "finegrain":
-		return FineGrained, nil
 	default:
-		return 0, fmt.Errorf("wavepipe: unknown scheme %q (serial, backward, forward, combined, finegrain)", s)
+		return 0, fmt.Errorf("wavepipe: unknown scheme %q (serial, backward, forward, combined)", s)
 	}
 }
 
@@ -222,32 +204,6 @@ func ParseMethod(s string) (Method, error) {
 		return BackwardEuler, nil
 	default:
 		return 0, fmt.Errorf("wavepipe: unknown method %q (be, trap, gear2)", s)
-	}
-}
-
-// LoadModeName returns the assembly-strategy name ParseLoadMode inverts.
-func LoadModeName(m LoadMode) string {
-	switch m {
-	case LoadSharded:
-		return "sharded"
-	case LoadColored:
-		return "colored"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLoadMode maps an assembly-strategy name back to the value.
-func ParseLoadMode(s string) (LoadMode, error) {
-	switch s {
-	case "auto", "":
-		return LoadAuto, nil
-	case "sharded":
-		return LoadSharded, nil
-	case "colored":
-		return LoadColored, nil
-	default:
-		return 0, fmt.Errorf("wavepipe: unknown load mode %q (auto, sharded, colored)", s)
 	}
 }
 
@@ -396,8 +352,8 @@ type TranOptions struct {
 	TStop float64
 	// Scheme selects the engine (default Serial).
 	Scheme Scheme
-	// Threads is the worker count for the WavePipe schemes and the shard
-	// count for FineGrained (default: scheme-specific, 2–3).
+	// Threads is the worker count for the WavePipe schemes (default:
+	// scheme-specific, 2–3) and the gang width for ensemble runs.
 	Threads int
 	// Method is the integration formula (default Gear2).
 	Method Method
@@ -417,14 +373,6 @@ type TranOptions struct {
 	Record []string
 	// DeltaRatio tunes the backward offset δ/h (default 0.2).
 	DeltaRatio float64
-	// AggressiveGrowth enables the per-point growth-cap credit (ablation).
-	AggressiveGrowth bool
-	// LoadMode selects the parallel device-assembly strategy when the engine
-	// evaluates devices with multiple workers (FineGrained, or WavePipe
-	// schemes on top of parallel load): LoadAuto picks colored direct
-	// stamping when the circuit's conflict coloring predicts a speedup and
-	// falls back to sharded accumulation otherwise.
-	LoadMode LoadMode
 	// BypassTol enables Newton factorization bypass: when the largest
 	// relative change of any Jacobian entry since the last factorization is
 	// below this tolerance, the previous LU factors are reused for the
@@ -799,27 +747,37 @@ func expandSet(ri *circuit.ReducedInfo, w *waveform.Set) *waveform.Set {
 	return ns
 }
 
-// runEngine dispatches to the selected engine with panic containment: a
-// panic escaping any engine layer becomes an ErrWorkerPanic-wrapped typed
-// error instead of tearing down the process, so the caller still receives
-// the salvaged partial Result and any final checkpoint the deferred save
-// flushed during unwinding.
-func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &faults.SimError{
-				Phase: "transient", Node: -1,
-				Cause: fmt.Errorf("%w: engine panic: %v", faults.ErrWorkerPanic, r),
-			}
+// containPanic is the engines' panic fence, deferred by every function that
+// runs one: a panic escaping any engine layer becomes an ErrWorkerPanic-
+// wrapped typed error instead of tearing down the process, so the caller
+// still receives the salvaged partial Result and any final checkpoint the
+// deferred save flushed during unwinding.
+func containPanic(res **Result, err *error) {
+	if r := recover(); r != nil {
+		*res = nil
+		*err = &faults.SimError{
+			Phase: "transient", Node: -1,
+			Cause: fmt.Errorf("%w: engine panic: %v", faults.ErrWorkerPanic, r),
 		}
-	}()
+	}
+}
+
+// runEngine dispatches to the selected engine, through the window
+// coordinator when Windows asks for it.
+func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Result, err error) {
+	defer containPanic(&res, &err)
 	if opts.Windows > 1 {
+		// One fine engine instance costs its pipeline width in cores — the
+		// gang width the window coordinator splits the core budget by.
+		perWindow := 1
+		if opts.Scheme != Serial {
+			perWindow = wpcore.Width(coreScheme(opts.Scheme), opts.Threads)
+		}
 		return windows.Run(sys, windows.Options{
 			W:                opts.Windows,
 			Coarse:           opts.CoarseOpts,
 			Base:             base,
-			ThreadsPerWindow: effectiveThreads(opts),
+			ThreadsPerWindow: perWindow,
 			CoreBudget:       opts.CoreBudget,
 			Fine: func(b transient.Options) (*Result, error) {
 				return runSchemeEngine(sys, opts, b)
@@ -829,75 +787,34 @@ func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Resu
 	return runSchemeEngine(sys, opts, base)
 }
 
-// effectiveThreads is the core cost of one fine engine instance under the
-// selected scheme — the gang width the window coordinator splits the core
-// budget by. It mirrors the engines' own defaulting (wpcore.withDefaults).
-func effectiveThreads(opts TranOptions) int {
-	th := opts.Threads
-	switch opts.Scheme {
-	case Serial:
-		return 1
-	case FineGrained:
-		if th <= 1 {
-			th = 2
-		}
-		return th
-	case Forward:
-		return 2
+// coreScheme maps a pipelined facade scheme to the engine's.
+func coreScheme(s Scheme) wpcore.Scheme {
+	switch s {
 	case Backward:
-		if th <= 0 {
-			th = 2
-		}
-	case Combined:
-		if th <= 0 {
-			th = 3
-		}
+		return wpcore.SchemeBackward
+	case Forward:
+		return wpcore.SchemeForward
+	default:
+		return wpcore.SchemeCombined
 	}
-	if th > 4 {
-		th = 4
-	}
-	return th
 }
 
 // runSchemeEngine dispatches one engine run. It carries its own panic
 // containment because the window coordinator calls it from per-window
 // worker goroutines, where an escaping panic would tear down the process
-// instead of unwinding through runEngine's recover.
+// instead of unwinding through runEngine's fence.
 func runSchemeEngine(sys *System, opts TranOptions, base transient.Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &faults.SimError{
-				Phase: "transient", Node: -1,
-				Cause: fmt.Errorf("%w: engine panic: %v", faults.ErrWorkerPanic, r),
-			}
-		}
-	}()
+	defer containPanic(&res, &err)
 	switch opts.Scheme {
 	case Serial:
 		return transient.Run(sys, base)
-	case FineGrained:
-		base.LoadWorkers = opts.Threads
-		if base.LoadWorkers <= 1 {
-			base.LoadWorkers = 2
-		}
-		return transient.Run(sys, base)
 	case Backward, Forward, Combined:
-		wopts := wpcore.Options{
-			Base:             base,
-			Threads:          opts.Threads,
-			DeltaRatio:       opts.DeltaRatio,
-			AggressiveGrowth: opts.AggressiveGrowth,
-		}
-		switch opts.Scheme {
-		case Backward:
-			wopts.Scheme = wpcore.SchemeBackward
-		case Forward:
-			wopts.Scheme = wpcore.SchemeForward
-		default:
-			wopts.Scheme = wpcore.SchemeCombined
-		}
-		return wpcore.Run(sys, wopts)
+		return wpcore.Run(sys, wpcore.Options{
+			Base:       base,
+			Scheme:     coreScheme(opts.Scheme),
+			Threads:    opts.Threads,
+			DeltaRatio: opts.DeltaRatio,
+		})
 	default:
 		return nil, fmt.Errorf("wavepipe: unknown scheme %d", opts.Scheme)
 	}
@@ -938,7 +855,6 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 		HInit:      opts.InitStep,
 		UIC:        opts.UIC,
 		Faults:     opts.Faults,
-		LoadMode:   opts.LoadMode,
 		BypassTol:  opts.BypassTol,
 		CoreBudget: opts.CoreBudget,
 		OnAccept:   opts.OnAccept,

@@ -26,7 +26,7 @@ func TestAllSchemesThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Scheme{Backward, Forward, Combined, FineGrained} {
+	for _, s := range []Scheme{Backward, Forward, Combined} {
 		res, err := RunTransient(lowpass(t), TranOptions{TStop: 3e-3, Scheme: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -44,12 +44,17 @@ func TestAllSchemesThroughFacade(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	names := map[Scheme]string{
 		Serial: "serial", Backward: "backward", Forward: "forward",
-		Combined: "combined", FineGrained: "finegrain", Scheme(99): "unknown",
+		Combined: "combined", Scheme(99): "unknown",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", s, s.String())
 		}
+	}
+	// The fine-grained baseline scheme is retired (PR 14): its name no longer
+	// parses, so a CLI flag or wire document still carrying it fails loudly.
+	if _, err := ParseScheme("finegrain"); err == nil {
+		t.Fatal(`ParseScheme("finegrain") accepted a retired scheme`)
 	}
 }
 

@@ -7,7 +7,7 @@
 // rejects both unknown fields and version mismatches — a client from the
 // future fails loudly instead of silently dropping options it meant to set.
 // Enumerations travel as their stable string names (Scheme.String,
-// Method.String, LoadModeName) and durations as Go duration strings, so
+// Method.String) and durations as Go duration strings, so
 // documents stay readable and diffable.
 package wire
 
@@ -30,27 +30,25 @@ const SchemaVersion = 1
 // first cannot cross a process boundary, the second are owned by whichever
 // process runs the simulation.
 type TranOptions struct {
-	TStop            float64            `json:"tstop,omitempty"`
-	Scheme           string             `json:"scheme,omitempty"`
-	Threads          int                `json:"threads,omitempty"`
-	Method           string             `json:"method,omitempty"`
-	RelTol           float64            `json:"reltol,omitempty"`
-	AbsTol           float64            `json:"abstol,omitempty"`
-	MaxStep          float64            `json:"maxStep,omitempty"`
-	InitStep         float64            `json:"initStep,omitempty"`
-	UIC              bool               `json:"uic,omitempty"`
-	IC               map[string]float64 `json:"ic,omitempty"`
-	NodeSet          map[string]float64 `json:"nodeset,omitempty"`
-	Record           []string           `json:"record,omitempty"`
-	DeltaRatio       float64            `json:"deltaRatio,omitempty"`
-	AggressiveGrowth bool               `json:"aggressiveGrowth,omitempty"`
-	LoadMode         string             `json:"loadMode,omitempty"`
-	BypassTol        float64            `json:"bypassTol,omitempty"`
-	DeviceBypass     bool               `json:"deviceBypass,omitempty"`
-	CoreBudget       int                `json:"coreBudget,omitempty"`
-	SnapshotEvery    int                `json:"snapshotEvery,omitempty"`
-	Deadline         string             `json:"deadline,omitempty"`
-	StallFactor      float64            `json:"stallFactor,omitempty"`
+	TStop         float64            `json:"tstop,omitempty"`
+	Scheme        string             `json:"scheme,omitempty"`
+	Threads       int                `json:"threads,omitempty"`
+	Method        string             `json:"method,omitempty"`
+	RelTol        float64            `json:"reltol,omitempty"`
+	AbsTol        float64            `json:"abstol,omitempty"`
+	MaxStep       float64            `json:"maxStep,omitempty"`
+	InitStep      float64            `json:"initStep,omitempty"`
+	UIC           bool               `json:"uic,omitempty"`
+	IC            map[string]float64 `json:"ic,omitempty"`
+	NodeSet       map[string]float64 `json:"nodeset,omitempty"`
+	Record        []string           `json:"record,omitempty"`
+	DeltaRatio    float64            `json:"deltaRatio,omitempty"`
+	BypassTol     float64            `json:"bypassTol,omitempty"`
+	DeviceBypass  bool               `json:"deviceBypass,omitempty"`
+	CoreBudget    int                `json:"coreBudget,omitempty"`
+	SnapshotEvery int                `json:"snapshotEvery,omitempty"`
+	Deadline      string             `json:"deadline,omitempty"`
+	StallFactor   float64            `json:"stallFactor,omitempty"`
 	// Time-parallel (Parareal) window configuration. Additive since
 	// schemaVersion 1: absent fields mean no windowing, so documents from
 	// older peers decode unchanged.
@@ -70,40 +68,36 @@ type TranOptions struct {
 // FromTranOptions converts facade options to their wire form.
 func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 	w := TranOptions{
-		TStop:            o.TStop,
-		Threads:          o.Threads,
-		RelTol:           o.RelTol,
-		AbsTol:           o.AbsTol,
-		MaxStep:          o.MaxStep,
-		InitStep:         o.InitStep,
-		UIC:              o.UIC,
-		IC:               o.IC,
-		NodeSet:          o.NodeSet,
-		Record:           o.Record,
-		DeltaRatio:       o.DeltaRatio,
-		AggressiveGrowth: o.AggressiveGrowth,
-		BypassTol:        o.BypassTol,
-		DeviceBypass:     o.DeviceBypass,
-		CoreBudget:       o.CoreBudget,
-		SnapshotEvery:    o.SnapshotEvery,
-		StallFactor:      o.StallFactor,
-		Windows:          o.Windows,
-		CoarseSteps:      o.CoarseOpts.Steps,
-		CoarseTolScale:   o.CoarseOpts.TolScale,
-		WindowGate:       o.CoarseOpts.Gate,
-		WindowStrict:     o.CoarseOpts.Strict,
-		Reduce:           o.Reduce,
-		ReduceTol:        o.ReduceTol,
-		ReduceKeep:       o.ReduceKeep,
+		TStop:          o.TStop,
+		Threads:        o.Threads,
+		RelTol:         o.RelTol,
+		AbsTol:         o.AbsTol,
+		MaxStep:        o.MaxStep,
+		InitStep:       o.InitStep,
+		UIC:            o.UIC,
+		IC:             o.IC,
+		NodeSet:        o.NodeSet,
+		Record:         o.Record,
+		DeltaRatio:     o.DeltaRatio,
+		BypassTol:      o.BypassTol,
+		DeviceBypass:   o.DeviceBypass,
+		CoreBudget:     o.CoreBudget,
+		SnapshotEvery:  o.SnapshotEvery,
+		StallFactor:    o.StallFactor,
+		Windows:        o.Windows,
+		CoarseSteps:    o.CoarseOpts.Steps,
+		CoarseTolScale: o.CoarseOpts.TolScale,
+		WindowGate:     o.CoarseOpts.Gate,
+		WindowStrict:   o.CoarseOpts.Strict,
+		Reduce:         o.Reduce,
+		ReduceTol:      o.ReduceTol,
+		ReduceKeep:     o.ReduceKeep,
 	}
 	if o.Scheme != wavepipe.Serial {
 		w.Scheme = o.Scheme.String()
 	}
 	if o.Method != wavepipe.Gear2 {
 		w.Method = o.Method.String()
-	}
-	if o.LoadMode != wavepipe.LoadAuto {
-		w.LoadMode = wavepipe.LoadModeName(o.LoadMode)
 	}
 	if o.Deadline > 0 {
 		w.Deadline = o.Deadline.String()
@@ -115,27 +109,26 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 // enumeration names and the deadline duration.
 func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 	o := wavepipe.TranOptions{
-		TStop:            w.TStop,
-		Threads:          w.Threads,
-		RelTol:           w.RelTol,
-		AbsTol:           w.AbsTol,
-		MaxStep:          w.MaxStep,
-		InitStep:         w.InitStep,
-		UIC:              w.UIC,
-		IC:               w.IC,
-		NodeSet:          w.NodeSet,
-		Record:           w.Record,
-		DeltaRatio:       w.DeltaRatio,
-		AggressiveGrowth: w.AggressiveGrowth,
-		BypassTol:        w.BypassTol,
-		DeviceBypass:     w.DeviceBypass,
-		CoreBudget:       w.CoreBudget,
-		SnapshotEvery:    w.SnapshotEvery,
-		StallFactor:      w.StallFactor,
-		Windows:          w.Windows,
-		Reduce:           w.Reduce,
-		ReduceTol:        w.ReduceTol,
-		ReduceKeep:       w.ReduceKeep,
+		TStop:         w.TStop,
+		Threads:       w.Threads,
+		RelTol:        w.RelTol,
+		AbsTol:        w.AbsTol,
+		MaxStep:       w.MaxStep,
+		InitStep:      w.InitStep,
+		UIC:           w.UIC,
+		IC:            w.IC,
+		NodeSet:       w.NodeSet,
+		Record:        w.Record,
+		DeltaRatio:    w.DeltaRatio,
+		BypassTol:     w.BypassTol,
+		DeviceBypass:  w.DeviceBypass,
+		CoreBudget:    w.CoreBudget,
+		SnapshotEvery: w.SnapshotEvery,
+		StallFactor:   w.StallFactor,
+		Windows:       w.Windows,
+		Reduce:        w.Reduce,
+		ReduceTol:     w.ReduceTol,
+		ReduceKeep:    w.ReduceKeep,
 		CoarseOpts: wavepipe.CoarseOptions{
 			Steps:    w.CoarseSteps,
 			TolScale: w.CoarseTolScale,
@@ -148,9 +141,6 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		return o, err
 	}
 	if o.Method, err = wavepipe.ParseMethod(w.Method); err != nil {
-		return o, err
-	}
-	if o.LoadMode, err = wavepipe.ParseLoadMode(w.LoadMode); err != nil {
 		return o, err
 	}
 	if w.Deadline != "" {

@@ -47,8 +47,7 @@ func TestJobRequestGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Scheme != wavepipe.Combined || opts.Method != wavepipe.Trapezoidal ||
-		opts.LoadMode != wavepipe.LoadColored {
+	if opts.Scheme != wavepipe.Combined || opts.Method != wavepipe.Trapezoidal {
 		t.Fatalf("enum decode: scheme=%v method=%v", opts.Scheme, opts.Method)
 	}
 	if opts.Deadline.Seconds() != 30 {
@@ -125,9 +124,21 @@ func TestUnknownFieldRejected(t *testing.T) {
 	if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
 		t.Fatal("unknown top-level field accepted")
 	}
-	doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"bogus":2}}`
-	if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
-		t.Fatal("unknown option field accepted")
+	// Retired options (PR 14) are unknown fields like any other: a peer
+	// still sending them is told so instead of having them dropped.
+	for _, opt := range []string{`"bogus":2`, `"aggressiveGrowth":true`, `"loadMode":"colored"`} {
+		doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,` + opt + `}}`
+		if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
+			t.Fatalf("option field %s accepted", opt)
+		}
+	}
+	doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"scheme":"finegrain"}}`
+	req, err := DecodeJobRequest(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := req.Options.ToTranOptions(); err == nil {
+		t.Fatal("retired scheme finegrain accepted")
 	}
 }
 

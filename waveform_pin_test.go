@@ -9,6 +9,7 @@ import (
 
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
+	"wavepipe/internal/sched"
 )
 
 // suiteWaveformHashes pins the Serial waveform of every suite circuit at its
@@ -83,6 +84,30 @@ var engineWaveformHashes = map[string]uint64{
 	"backward2/ecl8":        0x237cbdcf34dde037,
 	"forward2/ecl8":         0x6e6a05705aba3d08,
 	"combined3/ecl8":        0x6b04c03cbab938cd,
+}
+
+// iterationWaveformHashes pins the configurations the Newton-iteration fold
+// (PR 15) touches and no row above covers: both bypass engines alone and
+// together, the pooled colored load and level-scheduled LU under a forced
+// gang of four, and a default (non-strict) four-window run, whose coarse
+// propagator runs both bypass engines. Generated on the commit before the
+// fold (PR 14, go1.24 linux/amd64), keyed "config/circuit".
+var iterationWaveformHashes = map[string]uint64{
+	"lubypass/ring9":       0x99ff3b004ea3cb04,
+	"devbypass/ring9":      0xde10d30495a8bb15,
+	"bothbypass/ring9":     0x96edf3d2cec5b907,
+	"lubypass/inv50":       0x05af7cf0894e21a9,
+	"devbypass/inv50":      0xba0f0640112ef7b2,
+	"bothbypass/inv50":     0xbbe77dce4090c0aa,
+	"lubypass/ladder400":   0xcbdfebeb3eb3a331,
+	"devbypass/ladder400":  0xe93f98689eb56283,
+	"bothbypass/ladder400": 0x2bdf6c797a7e8848,
+	"lubypass/grid16":      0x2922e0c4ae2d481c,
+	"devbypass/grid16":     0x30aea721065bb1d3,
+	"bothbypass/grid16":    0xcba19ca8276f2adf,
+	"gang4/grid16":         0x63d09baeeddc962c,
+	"gang4/grid24":         0xa319aa75ea4cd8a6,
+	"windows4/rect1k":      0x2baab5bf34976a41,
 }
 
 func waveformHash(res *Result) uint64 {
@@ -211,6 +236,42 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 				}
 				checkPinned(t, engineWaveformHashes, "windows4strict/"+b.Name, res)
 			})
+		}
+	}
+}
+
+func TestIterationWaveformHashesPinned(t *testing.T) {
+	skipUnpinnable(t)
+	run := func(key string, b circuits.Benchmark, opts TranOptions) {
+		t.Run(key, func(t *testing.T) {
+			sys, err := b.Make().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.TStop = b.TStop
+			res, err := RunTransient(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPinned(t, iterationWaveformHashes, key, res)
+		})
+	}
+	for _, b := range circuits.Suite() {
+		switch b.Name {
+		case "ring9", "inv50", "ladder400", "grid16":
+			run("lubypass/"+b.Name, b, TranOptions{BypassTol: 1e-3})
+			run("devbypass/"+b.Name, b, TranOptions{DeviceBypass: true})
+			run("bothbypass/"+b.Name, b, TranOptions{BypassTol: 1e-3, DeviceBypass: true})
+		}
+		if b.Name == "grid16" || b.Name == "grid24" {
+			// A real gang of four on however many CPUs the host has (see
+			// sched.ForceGang); the kernels are bit-identical across widths.
+			sched.ForceGang.Store(true)
+			run("gang4/"+b.Name, b, TranOptions{CoreBudget: 4})
+			sched.ForceGang.Store(false)
+		}
+		if b.Name == "rect1k" {
+			run("windows4/"+b.Name, b, TranOptions{Windows: 4})
 		}
 	}
 }

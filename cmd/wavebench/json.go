@@ -16,6 +16,7 @@ import (
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
+	"wavepipe/internal/sched"
 	wpcore "wavepipe/internal/wavepipe"
 )
 
@@ -48,14 +49,18 @@ type benchMetrics struct {
 }
 
 // measureLoadNs returns the fastest observed wall time of one full device
-// load at the given colored-assembly width (workers <= 1, or a coloring
-// Load judges unprofitable, is the plain serial path).
+// load on a forced gang of the given width (workers <= 1, or a coloring
+// Load judges unprofitable at that width, is the plain serial path).
 func measureLoadNs(sys *circuit.System, workers int) int64 {
 	ws := sys.NewWorkspace()
-	ws.SetLoadWorkers(workers)
+	if pool := sched.NewPool(workers); pool != nil {
+		pool.Force = true // a real gang even on a 1-core host
+		defer pool.Close()
+		ws.SetPool(pool)
+	}
 	x := make([]float64, sys.N)
 	p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
-	ws.Load(x, p) // warm up (coloring probe, pools)
+	ws.Load(x, p) // warm up (per-worker contexts)
 	const iters = 20
 	best := int64(0)
 	for r := 0; r < 5; r++ {

@@ -292,15 +292,8 @@ func run(ctx context.Context, cfg runConfig) error {
 	if opts.Scheme, err = wavepipe.ParseScheme(strings.ToLower(cfg.scheme)); err != nil {
 		return err
 	}
-	switch strings.ToLower(cfg.method) {
-	case "gear2", "":
-		opts.Method = wavepipe.Gear2
-	case "trap":
-		opts.Method = wavepipe.Trapezoidal
-	case "be":
-		opts.Method = wavepipe.BackwardEuler
-	default:
-		return fmt.Errorf("unknown method %q", cfg.method)
+	if opts.Method, err = wavepipe.ParseMethod(strings.ToLower(cfg.method)); err != nil {
+		return err
 	}
 	if cfg.tstop != "" {
 		v, err := netlist.ParseValue(cfg.tstop)

@@ -343,22 +343,16 @@ type Workspace struct {
 	Trace  *trace.Tracer
 	Worker int16
 
-	// ForceParallelLoad makes the colored load spawn real worker goroutines
-	// even on a single-CPU host, where it would otherwise run the color
-	// classes serially (identical results, no spinning). Race tests use it to
-	// exercise the concurrent path regardless of GOMAXPROCS.
-	ForceParallelLoad bool
-
 	// devs, when non-nil, overrides the device list the serial assembly
 	// paths evaluate (see SetDevices in lanes.go — ensemble lane variants).
 	devs []Device
 
-	loadWorkers int
-	pool        *sched.Pool
-	evalCtx     EvalCtx   // pooled context for the serial load path
-	wctx        []EvalCtx // pooled per-worker contexts for the colored path
-	colorBar    sched.Barrier
-	iterSave    []float64 // pooled copy of the Newton iterate (bypass guard)
+	pool     *sched.Pool
+	colored  bool      // the pool is wide enough for the coloring to pay (SetPool)
+	evalCtx  EvalCtx   // pooled context for the serial load paths
+	wctx     []EvalCtx // pooled per-worker contexts for the colored path
+	colorBar sched.Barrier
+	iterSave []float64 // pooled copy of the Newton iterate (bypass guard)
 
 	// inc holds the per-workspace incremental-assembly state (linear stamp
 	// template LRU + per-device bypass journals); nil unless SetDeviceBypass
@@ -370,15 +364,17 @@ type Workspace struct {
 // SetPool attaches a gang pool (see internal/sched) to the workspace: device
 // loads run across the pool's workers using the Build-time color classes,
 // and the sparse solver executes its level-scheduled LU kernels on the same
-// gang. The pool's width becomes the load worker count. The caller keeps
+// gang. The pool's width is the load worker count. The caller keeps
 // ownership and must Close the pool when the run ends; a nil pool detaches.
-// When the coloring is unprofitable the load simply stays serial; colored
-// stamps are bit-identical across worker counts, so results never depend on
-// the gang width.
+// When the coloring is unprofitable at that width the load simply stays
+// serial; colored stamps are bit-identical across worker counts, so results
+// never depend on the gang width.
 func (ws *Workspace) SetPool(p *sched.Pool) {
 	ws.pool = p
 	ws.Solver.Sched = p
-	ws.SetLoadWorkers(p.Workers())
+	nw := p.Workers()
+	ws.colored = nw > 1 && len(ws.Sys.colorClasses) > 0 &&
+		ws.Sys.ColoredSpeedupEstimate(nw) >= coloredThreshold(nw)
 }
 
 // Pool returns the attached gang pool (nil when serial).
@@ -438,34 +434,40 @@ type LoadParams struct {
 }
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
-// vectors at iterate x.
+// vectors at iterate x. Every assembly path — this serial loop, LoadSplit,
+// the colored gang and its class-order fallback, the incremental engine and
+// BatchLoad — is beginLoad, its own device sweep, finishLoad.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	if inc := ws.inc; inc != nil {
 		// Incremental assembly covers the serial path only (the profitability
 		// policy in incremental.go); each WavePipe lane loads serially inside
 		// its own workspace, so this is the common pipeline configuration.
-		if ws.loadWorkers <= 1 && ws.loadIncremental(x, p) {
+		if ws.pool.Workers() <= 1 && ws.loadIncremental(x, p) {
 			return
 		}
 		inc.lastBypassed, inc.lastLinear = 0, false
 	}
-	if ws.loadWorkers > 1 && ws.useColored() {
-		ws.loadColored(x, p)
+	start := time.Now()
+	if ws.colored {
+		ws.loadColored(x, p, start)
 		return
 	}
-	start := time.Now()
-	defer func() {
-		d := time.Since(start).Nanoseconds()
-		ws.LoadWallNanos += d
-		ws.LoadCritNanos += d
-	}()
-	ws.M.Zero()
-	for i := range ws.F {
-		ws.F[i] = 0
-		ws.Q[i] = 0
-		ws.B[i] = 0
-	}
 	ctx := &ws.evalCtx
+	ws.beginLoad(ctx, x, p, 0, 1)
+	for _, d := range ws.Devices() {
+		d.Eval(ctx)
+	}
+	ws.finishLoad(x, p, ctx.Limited, start)
+}
+
+// beginLoad opens an assembly pass at iterate x: worker w of nw zeroes its
+// share of the Jacobian values and of F, Q and B (the serial paths are worker
+// 0 of 1), and ctx is pointed at the workspace buffers under p.
+func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw int) {
+	zeroChunk(ws.M.Values, w, nw)
+	zeroChunk(ws.F, w, nw)
+	zeroChunk(ws.Q, w, nw)
+	zeroChunk(ws.B, w, nw)
 	*ctx = EvalCtx{
 		X:         x,
 		T:         p.Time,
@@ -481,44 +483,51 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		Q:         ws.Q,
 		B:         ws.B,
 	}
-	for _, d := range ws.Devices() {
-		d.Eval(ctx)
+}
+
+// zeroChunk zeroes worker w's contiguous share of v.
+func zeroChunk(v []float64, w, nw int) {
+	s := v[w*len(v)/nw : (w+1)*len(v)/nw]
+	for i := range s {
+		s[i] = 0
 	}
-	ws.Limited = ctx.Limited
+}
+
+// finishLoad closes an assembly pass on the coordinating goroutine: the
+// limiting flag the sweep gathered, the gmin-stepping node conductances, the
+// .NODESET clamps, a scheduled assembly fault, and the pass's wall time booked
+// as both wall and critical path (a zero start books nothing: batched lanes
+// have no span of their own).
+func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool, start time.Time) {
+	ws.Limited = limited
 	if p.NodeGmin > 0 {
 		for i, slot := range ws.Sys.diagSlots {
 			ws.M.Add(slot, p.NodeGmin)
 			ws.F[i] += p.NodeGmin * x[i]
 		}
 	}
-	ws.applyClamps(x, p)
-	ws.injectLoadFault(p)
-}
-
-// injectLoadFault applies a scheduled assembly fault (tests only; Faults is
-// nil otherwise). Bookkeeping loads (NoLimit) are spared: poisoning the
-// post-convergence charge load would corrupt the integration history behind
-// the recovery machinery's back instead of failing the solve in front of it.
-func (ws *Workspace) injectLoadFault(p LoadParams) {
-	if ws.Faults == nil || p.NoLimit {
-		return
-	}
-	if cls, ok := ws.Faults.At(faults.SiteLoad, p.Time); ok && cls == faults.NonFinite {
-		ws.F[0] = math.NaN()
-	}
-}
-
-// applyClamps adds the .NODESET clamp conductances.
-func (ws *Workspace) applyClamps(x []float64, p LoadParams) {
-	if p.ClampG <= 0 {
-		return
-	}
-	for k, i := range p.ClampIdx {
-		if i < 0 || i >= ws.Sys.NumNodes {
-			continue
+	if p.ClampG > 0 {
+		for k, i := range p.ClampIdx {
+			if i < 0 || i >= ws.Sys.NumNodes {
+				continue
+			}
+			ws.M.Add(ws.Sys.diagSlots[i], p.ClampG)
+			ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
 		}
-		ws.M.Add(ws.Sys.diagSlots[i], p.ClampG)
-		ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
+	}
+	// Injected assembly fault (tests only; Faults is nil otherwise).
+	// Bookkeeping loads (NoLimit) are spared: poisoning the post-convergence
+	// charge load would corrupt the integration history behind the recovery
+	// machinery's back instead of failing the solve in front of it.
+	if ws.Faults != nil && !p.NoLimit {
+		if cls, ok := ws.Faults.At(faults.SiteLoad, p.Time); ok && cls == faults.NonFinite {
+			ws.F[0] = math.NaN()
+		}
+	}
+	if !start.IsZero() {
+		d := time.Since(start).Nanoseconds()
+		ws.LoadWallNanos += d
+		ws.LoadCritNanos += d
 	}
 }
 
@@ -530,42 +539,15 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 		ws.MC = ws.M.Clone()
 	}
 	start := time.Now()
-	ws.M.Zero()
 	ws.MC.Zero()
-	for i := range ws.F {
-		ws.F[i] = 0
-		ws.Q[i] = 0
-		ws.B[i] = 0
-	}
+	p.Alpha0 = 0
 	ctx := &ws.evalCtx
-	*ctx = EvalCtx{
-		X:         x,
-		T:         p.Time,
-		Alpha0:    0,
-		Gmin:      p.Gmin,
-		SrcScale:  p.SrcScale,
-		FirstIter: p.FirstIter,
-		SPrev:     ws.SPrev,
-		SNext:     ws.SNext,
-		m:         ws.M,
-		mq:        ws.MC,
-		F:         ws.F,
-		Q:         ws.Q,
-		B:         ws.B,
-	}
+	ws.beginLoad(ctx, x, p, 0, 1)
+	ctx.mq = ws.MC
 	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
-	ws.Limited = ctx.Limited
-	if p.NodeGmin > 0 {
-		for i, slot := range ws.Sys.diagSlots {
-			ws.M.Add(slot, p.NodeGmin)
-			ws.F[i] += p.NodeGmin * x[i]
-		}
-	}
-	d := time.Since(start).Nanoseconds()
-	ws.LoadWallNanos += d
-	ws.LoadCritNanos += d
+	ws.finishLoad(x, p, ctx.Limited, start)
 }
 
 // ACSource is implemented by independent sources that carry a small-signal

@@ -1,8 +1,6 @@
 package circuit
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"wavepipe/internal/sparse"
@@ -26,18 +24,8 @@ import (
 // panics during the probe disables coloring for the whole system, and Load
 // stays on the serial loop.
 
-// SetLoadWorkers sets the width of the colored parallel load: with n > 1
-// and a profitable Build-time coloring, Load evaluates each color class
-// across n workers; otherwise it stays on the serial loop.
-func (ws *Workspace) SetLoadWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ws.loadWorkers = n
-}
-
 // coloredThreshold is the minimum estimated class-parallel speedup at which
-// Load takes the colored path; below it the coloring is considered
+// SetPool puts Load on the colored path; below it the coloring is considered
 // degenerate (for example a dense supply node forcing most devices into
 // singleton classes) and the serial loop wins.
 func coloredThreshold(nw int) float64 {
@@ -64,11 +52,6 @@ func (s *System) ColoredSpeedupEstimate(nw int) float64 {
 		return 0
 	}
 	return float64(devs) / float64(chunks)
-}
-
-func (ws *Workspace) useColored() bool {
-	return len(ws.Sys.colorClasses) > 0 &&
-		ws.Sys.ColoredSpeedupEstimate(ws.loadWorkers) >= coloredThreshold(ws.loadWorkers)
 }
 
 // probeRecorder collects the rows a device writes during the Build-time
@@ -172,47 +155,18 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 	return classes
 }
 
-// zeroChunk zeroes worker w's contiguous share of v.
-func zeroChunk(v []float64, w, nw int) {
-	s := v[w*len(v)/nw : (w+1)*len(v)/nw]
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// colorWorker is the per-gang-member body of the colored direct-stamp
+// colorWorker is one gang member's share of the colored direct-stamp
 // assembly: zero a share of the shared buffers, then stamp a chunk of every
-// color class, with a barrier between phases. It is shared by the pooled
-// path (persistent sched.Pool workers) and the legacy spawn path.
+// color class, with a barrier between phases.
 func (ws *Workspace) colorWorker(w, nw int, x []float64, p LoadParams) {
 	var sense uint32
 	ctx := &ws.wctx[w]
-	*ctx = EvalCtx{
-		X:         x,
-		T:         p.Time,
-		Alpha0:    p.Alpha0,
-		Gmin:      p.Gmin,
-		SrcScale:  p.SrcScale,
-		FirstIter: p.FirstIter,
-		NoLimit:   p.NoLimit,
-		SPrev:     ws.SPrev,
-		SNext:     ws.SNext,
-		m:         ws.M,
-		F:         ws.F,
-		Q:         ws.Q,
-		B:         ws.B,
-	}
-	classes := ws.Sys.colorClasses
-	devices := ws.Sys.Circuit.devices
-	// Phase 0: each worker zeroes its share of the shared buffers.
-	zeroChunk(ws.M.Values, w, nw)
-	zeroChunk(ws.F, w, nw)
-	zeroChunk(ws.Q, w, nw)
-	zeroChunk(ws.B, w, nw)
+	ws.beginLoad(ctx, x, p, w, nw)
 	ws.colorBar.Wait(&sense)
 	// One phase per color class: rows are disjoint within the class, so
 	// workers stamp into the shared buffers without synchronization.
-	for _, class := range classes {
+	devices := ws.Sys.Circuit.devices
+	for _, class := range ws.Sys.colorClasses {
 		lo := w * len(class) / nw
 		hi := (w + 1) * len(class) / nw
 		for _, di := range class[lo:hi] {
@@ -225,49 +179,19 @@ func (ws *Workspace) colorWorker(w, nw int, x []float64, p LoadParams) {
 	}
 }
 
-// loadColored performs the colored direct-stamp assembly. With an attached
-// gang pool the phases run on the pool's persistent workers; otherwise, on a
-// single-CPU host it degrades to evaluating the classes serially (same
-// accumulation order, so bit-identical results) unless ForceParallelLoad is
-// set, in which case — and on genuinely multi-core hosts without a pool —
-// it spawns transient worker goroutines per load.
-func (ws *Workspace) loadColored(x []float64, p LoadParams) {
-	if ws.pool.Gang() {
-		ws.loadColoredPooled(x, p)
-		return
-	}
-	if runtime.GOMAXPROCS(0) == 1 && !ws.ForceParallelLoad {
-		ws.loadColoredSerial(x, p)
-		return
-	}
-	start := time.Now()
-	nw := ws.loadWorkers
-	for len(ws.wctx) < nw {
-		ws.wctx = append(ws.wctx, EvalCtx{})
-	}
-	ws.colorBar.Reset(int32(nw))
-	var wg sync.WaitGroup
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws.colorWorker(w, nw, x, p)
-		}(w)
-	}
-	ws.colorWorker(0, nw, x, p)
-	wg.Wait()
-	ws.finishColoredParallel(x, p, nw, start)
-}
-
-// loadColoredPooled runs the colored assembly on the attached gang pool's
-// persistent workers: no goroutine spawn per load, and a panicking device
-// poisons the barrier (freeing the gang) before the pool re-raises the panic
-// on the caller, where the engine's panic fences handle it like any serial
-// device panic.
-func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
-	start := time.Now()
+// loadColored performs the colored direct-stamp assembly on the attached
+// pool's persistent workers. A panicking device poisons the barrier (freeing
+// the gang) before the pool re-raises the panic on the caller, where the
+// engine's panic fences handle it like any serial device panic. When the
+// pool cannot run its gang concurrently (a single-CPU host) the classes are
+// swept in class order instead.
+func (ws *Workspace) loadColored(x []float64, p LoadParams, start time.Time) {
 	pool := ws.pool
 	nw := pool.Workers()
+	if !pool.Gang() {
+		ws.loadClassOrder(x, p, nw, start)
+		return
+	}
 	for len(ws.wctx) < nw {
 		ws.wctx = append(ws.wctx, EvalCtx{})
 	}
@@ -281,83 +205,34 @@ func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
 		}()
 		ws.colorWorker(w, nw, x, p)
 	})
-	ws.finishColoredParallel(x, p, nw, start)
-}
-
-// finishColoredParallel folds the per-worker limiting flags, applies the
-// coordinator tail and books the timing for a genuinely parallel colored
-// load (wall time is the critical path).
-func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int, start time.Time) {
-	ws.Limited = false
+	limited := false
 	for w := 0; w < nw; w++ {
-		ws.Limited = ws.Limited || ws.wctx[w].Limited
+		limited = limited || ws.wctx[w].Limited
 	}
-	ws.finishColored(x, p)
-	d := time.Since(start).Nanoseconds()
-	ws.LoadWallNanos += d
-	ws.LoadCritNanos += d
+	ws.finishLoad(x, p, limited, start)
 }
 
-// loadColoredSerial evaluates the color classes in class order on the
-// calling goroutine. The accumulation order matches the parallel path
-// exactly (within a class every row has a single writer), so the stamps are
-// bit-identical; the critical-path accounting models what nw workers would
-// have achieved on a host that had them.
-func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
-	start := time.Now()
-	classes := ws.Sys.colorClasses
-	devices := ws.Sys.Circuit.devices
-	nw := ws.loadWorkers
-	ws.M.Zero()
-	for i := range ws.F {
-		ws.F[i] = 0
-		ws.Q[i] = 0
-		ws.B[i] = 0
-	}
-	zeroNanos := time.Since(start).Nanoseconds()
+// loadClassOrder evaluates the color classes in class order on the calling
+// goroutine. The accumulation order matches the gang's exactly (within a
+// class every row has a single writer), so the stamps are bit-identical; the
+// critical-path accounting models what nw workers would have achieved on a
+// host that had them, by taking off the wall time the share of the zeroing
+// and of each class that the other workers would have carried.
+func (ws *Workspace) loadClassOrder(x []float64, p LoadParams, nw int, start time.Time) {
 	ctx := &ws.evalCtx
-	*ctx = EvalCtx{
-		X:         x,
-		T:         p.Time,
-		Alpha0:    p.Alpha0,
-		Gmin:      p.Gmin,
-		SrcScale:  p.SrcScale,
-		FirstIter: p.FirstIter,
-		NoLimit:   p.NoLimit,
-		SPrev:     ws.SPrev,
-		SNext:     ws.SNext,
-		m:         ws.M,
-		F:         ws.F,
-		Q:         ws.Q,
-		B:         ws.B,
-	}
-	var modeledEval int64
-	for _, class := range classes {
+	ws.beginLoad(ctx, x, p, 0, 1)
+	zero := time.Since(start).Nanoseconds()
+	saved := zero - zero/int64(nw)
+	devices := ws.Sys.Circuit.devices
+	for _, class := range ws.Sys.colorClasses {
 		cs := time.Now()
 		for _, di := range class {
 			devices[di].Eval(ctx)
 		}
 		cn := time.Since(cs).Nanoseconds()
 		chunks := int64((len(class) + nw - 1) / nw)
-		modeledEval += cn * chunks / int64(len(class))
+		saved += cn - cn*chunks/int64(len(class))
 	}
-	ws.Limited = ctx.Limited
-	tailStart := time.Now()
-	ws.finishColored(x, p)
-	tail := time.Since(tailStart).Nanoseconds()
-	ws.LoadWallNanos += time.Since(start).Nanoseconds()
-	ws.LoadCritNanos += zeroNanos/int64(nw) + modeledEval + tail
-}
-
-// finishColored applies the coordinator-side tail shared by both colored
-// paths: gmin stepping, nodeset clamps and fault injection.
-func (ws *Workspace) finishColored(x []float64, p LoadParams) {
-	if p.NodeGmin > 0 {
-		for i, slot := range ws.Sys.diagSlots {
-			ws.M.Add(slot, p.NodeGmin)
-			ws.F[i] += p.NodeGmin * x[i]
-		}
-	}
-	ws.applyClamps(x, p)
-	ws.injectLoadFault(p)
+	ws.finishLoad(x, p, ctx.Limited, start)
+	ws.LoadCritNanos -= saved
 }

@@ -3,8 +3,8 @@ package circuit_test
 // Suite-wide equivalence: on every benchmark circuit of the evaluation
 // suite, the colored direct-stamp assembly must reproduce the serial Load's
 // stamps to floating-point reassociation accuracy (rows with three or more
-// contributing devices may differ by ~1 ulp), under both the degraded
-// serial-class-order path and the genuinely parallel path.
+// contributing devices may differ by ~1 ulp), under both the degraded pool's
+// class-order sweep and a forced concurrent gang.
 
 import (
 	"math"
@@ -39,10 +39,9 @@ func TestColoredLoadMatchesSerialOnSuite(t *testing.T) {
 			serial := sys.NewWorkspace()
 			serial.Load(x, p)
 
-			for name, force := range map[string]bool{"classorder": false, "parallel": true} {
+			for name, gang := range map[string]bool{"classorder": false, "parallel": true} {
 				ws := sys.NewWorkspace()
-				ws.SetLoadWorkers(4)
-				ws.ForceParallelLoad = force
+				circuit.AttachTestPool(t, ws, 4, gang)
 				ws.LoadColoredForced(x, p)
 				for i := range serial.F {
 					if !equalUlpScale(serial.F[i], ws.F[i], tol) ||

@@ -63,18 +63,17 @@ func TestColoringPartitionsDevices(t *testing.T) {
 }
 
 // loadInto runs one load on a fresh workspace and returns it: the serial
-// loop at workers <= 1, else the colored assembly at that width (forced
-// past the profitability estimate; force additionally spawns real worker
-// goroutines on a single-CPU host).
-func loadInto(sys *System, workers int, force bool, x []float64, p LoadParams) *Workspace {
+// loop at workers <= 1, else the colored assembly on a pool of that width,
+// forced past the profitability estimate (gang: a forced concurrent gang;
+// otherwise the degraded pool's class-order sweep).
+func loadInto(t *testing.T, sys *System, workers int, gang bool, x []float64, p LoadParams) *Workspace {
 	ws := sys.NewWorkspace()
 	if workers <= 1 {
 		ws.Load(x, p)
 		return ws
 	}
-	ws.SetLoadWorkers(workers)
-	ws.ForceParallelLoad = force
-	ws.loadColored(x, p)
+	AttachTestPool(t, ws, workers, gang)
+	ws.LoadColoredForced(x, p)
 	return ws
 }
 
@@ -110,9 +109,9 @@ func TestColoredLoadMatchesSerial(t *testing.T) {
 	}
 	p := LoadParams{Alpha0: 1e3, SrcScale: 0.7, NodeGmin: 1e-6}
 
-	serial := loadInto(sys, 1, false, x, p)
-	colored := loadInto(sys, 4, false, x, p)
-	parallel := loadInto(sys, 4, true, x, p)
+	serial := loadInto(t, sys, 1, false, x, p)
+	colored := loadInto(t, sys, 4, false, x, p)
+	parallel := loadInto(t, sys, 4, true, x, p)
 	assertStampsEqual(t, serial, colored, 1e-12, "colored vs serial")
 	assertStampsEqual(t, serial, parallel, 1e-12, "parallel colored vs serial")
 
@@ -149,8 +148,8 @@ func TestColoredDegenerateFallsBackToSerial(t *testing.T) {
 		t.Fatalf("star speedup estimate = %g, want ~1", est)
 	}
 	auto := sys.NewWorkspace()
-	auto.SetLoadWorkers(4)
-	if auto.useColored() {
+	AttachTestPool(t, auto, 4, true)
+	if auto.colored {
 		t.Fatal("Load chose colored for a degenerate star coloring")
 	}
 	x := make([]float64, sys.N)
@@ -158,8 +157,8 @@ func TestColoredDegenerateFallsBackToSerial(t *testing.T) {
 		x[i] = 0.05 * float64(i)
 	}
 	p := LoadParams{Alpha0: 10, SrcScale: 1}
-	serial := loadInto(sys, 1, false, x, p)
-	forced := loadInto(sys, 4, true, x, p)
+	serial := loadInto(t, sys, 1, false, x, p)
+	forced := loadInto(t, sys, 4, true, x, p)
 	assertStampsEqual(t, serial, forced, 1e-12, "forced colored star")
 }
 
@@ -173,19 +172,18 @@ func TestColoredLoadConcurrentWorkspaces(t *testing.T) {
 		x[i] = 0.02 * float64(i%11)
 	}
 	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
-	ref := loadInto(sys, 1, false, x, p)
+	ref := loadInto(t, sys, 1, false, x, p)
 
 	var wg sync.WaitGroup
 	results := make([]*Workspace, 6)
 	for w := range results {
+		ws := sys.NewWorkspace()
+		AttachTestPool(t, ws, 3, true)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ws := sys.NewWorkspace()
-			ws.SetLoadWorkers(3)
-			ws.ForceParallelLoad = true
 			for rep := 0; rep < 25; rep++ {
-				ws.loadColored(x, p)
+				ws.LoadColoredForced(x, p)
 			}
 			results[w] = ws
 		}(w)

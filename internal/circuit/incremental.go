@@ -632,47 +632,19 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	replay := !inc.skipOnce
 	inc.skipOnce = false
 	start := time.Now()
-	defer func() {
-		d := time.Since(start).Nanoseconds()
-		ws.LoadWallNanos += d
-		ws.LoadCritNanos += d
-	}()
 	basis := inc.basis
+	devices := ws.Sys.Circuit.devices
+	ctx := &ws.evalCtx
+	ws.beginLoad(ctx, x, p, 0, 1)
 	// Linear layer: one memcpy of the blended template replaces re-stamping
 	// every linear device, and the compact split triples rebuild the linear
 	// part of F and Q without touching the nonlinear-dominated pattern.
 	copy(ws.M.Values, inc.template(p.Alpha0))
-	for i := range ws.F {
-		ws.F[i] = 0
-	}
 	for t, r := range basis.jfR {
 		ws.F[r] += basis.jfV[t] * x[basis.jfC[t]]
 	}
-	for i := range ws.Q {
-		ws.Q[i] = 0
-	}
 	for t, r := range basis.jqR {
 		ws.Q[r] += basis.jqV[t] * x[basis.jqC[t]]
-	}
-	for i := range ws.B {
-		ws.B[i] = 0
-	}
-	devices := ws.Sys.Circuit.devices
-	ctx := &ws.evalCtx
-	*ctx = EvalCtx{
-		X:         x,
-		T:         p.Time,
-		Alpha0:    p.Alpha0,
-		Gmin:      p.Gmin,
-		SrcScale:  p.SrcScale,
-		FirstIter: p.FirstIter,
-		NoLimit:   p.NoLimit,
-		SPrev:     ws.SPrev,
-		SNext:     ws.SNext,
-		m:         ws.M,
-		F:         ws.F,
-		Q:         ws.Q,
-		B:         ws.B,
 	}
 	if len(basis.sources) > 0 {
 		// Independent sources re-stamp only B each load; their constant
@@ -689,9 +661,6 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 		}
 		ctx.m, ctx.F, ctx.Q = ws.M, ws.F, ws.Q
 	}
-	alphaBits := math.Float64bits(p.Alpha0)
-	gminBits := math.Float64bits(p.Gmin)
-	bypassed := 0
 	limited := false
 	if !inc.doBypass || inc.coolLoads > 0 {
 		// Below the profitability gate, or cooling down after an unprofitable
@@ -703,18 +672,26 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 		for _, di := range basis.nonlinear {
 			devices[di].Eval(ctx)
 		}
-		ws.Limited = ctx.Limited
+		limited = ctx.Limited
 		inc.lastBypassed = 0
-		if p.NodeGmin > 0 {
-			for i, slot := range ws.Sys.diagSlots {
-				ws.M.Add(slot, p.NodeGmin)
-				ws.F[i] += p.NodeGmin * x[i]
-			}
-		}
-		ws.applyClamps(x, p)
-		ws.injectLoadFault(p)
-		return true
+	} else {
+		limited = ws.sweepJournaled(ctx, x, p, replay)
 	}
+	ws.finishLoad(x, p, limited, start)
+	return true
+}
+
+// sweepJournaled is the device-bypass stage of an incremental load: every
+// nonlinear device is either answered by replaying its journal (replay
+// permitting) or evaluated and re-journaled. It reports whether any evaluated
+// device limited, and feeds the dynamic profitability window.
+func (ws *Workspace) sweepJournaled(ctx *EvalCtx, x []float64, p LoadParams, replay bool) (limited bool) {
+	inc := ws.inc
+	basis := inc.basis
+	devices := ws.Sys.Circuit.devices
+	alphaBits := math.Float64bits(p.Alpha0)
+	gminBits := math.Float64bits(p.Gmin)
+	bypassed := 0
 	for _, di := range basis.nonlinear {
 		j := &inc.journals[di]
 		cols := basis.devCols[di]
@@ -782,7 +759,6 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 		j.alphaBits, j.gminBits, j.gen = alphaBits, gminBits, inc.gen
 		j.valid = true
 	}
-	ws.Limited = limited
 	inc.lastBypassed = bypassed
 	inc.bypassedEvals += int64(bypassed)
 	inc.winBypassed += int64(bypassed)
@@ -792,13 +768,5 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 		}
 		inc.winLoads, inc.winBypassed = 0, 0
 	}
-	if p.NodeGmin > 0 {
-		for i, slot := range ws.Sys.diagSlots {
-			ws.M.Add(slot, p.NodeGmin)
-			ws.F[i] += p.NodeGmin * x[i]
-		}
-	}
-	ws.applyClamps(x, p)
-	ws.injectLoadFault(p)
-	return true
+	return limited
 }

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"time"
 
 	"wavepipe/internal/sparse"
 )
@@ -145,34 +146,9 @@ func (s *System) NewLaneWorkspaces(k int) []*Workspace {
 func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	nd := 0
 	for li, ws := range lanes {
-		if ws == nil {
-			continue
-		}
-		ws.M.Zero()
-		for i := range ws.F {
-			ws.F[i] = 0
-			ws.Q[i] = 0
-			ws.B[i] = 0
-		}
-		p := ps[li]
-		ctx := &ws.evalCtx
-		*ctx = EvalCtx{
-			X:         xs[li],
-			T:         p.Time,
-			Alpha0:    p.Alpha0,
-			Gmin:      p.Gmin,
-			SrcScale:  p.SrcScale,
-			FirstIter: p.FirstIter,
-			NoLimit:   p.NoLimit,
-			SPrev:     ws.SPrev,
-			SNext:     ws.SNext,
-			m:         ws.M,
-			F:         ws.F,
-			Q:         ws.Q,
-			B:         ws.B,
-		}
-		if l := len(ws.Devices()); l > nd {
-			nd = l
+		if ws != nil {
+			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], 0, 1)
+			nd = max(nd, len(ws.Devices()))
 		}
 	}
 	for di := 0; di < nd; di++ {
@@ -186,19 +162,8 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 		}
 	}
 	for li, ws := range lanes {
-		if ws == nil {
-			continue
+		if ws != nil {
+			ws.finishLoad(xs[li], ps[li], ws.evalCtx.Limited, time.Time{})
 		}
-		p := ps[li]
-		ws.Limited = ws.evalCtx.Limited
-		if p.NodeGmin > 0 {
-			x := xs[li]
-			for i, slot := range ws.Sys.diagSlots {
-				ws.M.Add(slot, p.NodeGmin)
-				ws.F[i] += p.NodeGmin * x[i]
-			}
-		}
-		ws.applyClamps(xs[li], p)
-		ws.injectLoadFault(p)
 	}
 }

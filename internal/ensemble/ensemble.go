@@ -100,10 +100,11 @@ type laneState struct {
 	s    *transient.Stepper
 
 	// Current-round candidate: planned marks a lane that has a candidate
-	// time for this round; the lockstep solve leaves pt/co or candErr.
+	// time for this round, solving one whose point solve is open on the
+	// lane's solver; the lockstep solve leaves pt/co or candErr.
 	planned bool
 	tNew    float64
-	cand    *transient.Candidate
+	solving bool
 	candErr error
 	pt      *integrate.Point
 	co      integrate.Coeffs
@@ -428,15 +429,12 @@ func (e *engine) dispatchChunks() {
 func (e *engine) solveChunk(w int, chunk []*laneState) {
 	live := 0
 	for _, st := range chunk {
-		st.cand, st.candErr, st.pt = nil, nil, nil
-		c, err := st.s.PS.BeginCandidate(st.s.Hist, st.tNew)
-		if err != nil {
-			st.candErr = err
-			continue
+		st.pt = nil
+		st.candErr = st.s.PS.Begin(st.s.Hist, st.tNew)
+		st.co = st.s.PS.Coeffs()
+		if st.solving = st.candErr == nil; st.solving {
+			live++
 		}
-		st.cand = c
-		st.co = c.Co
-		live++
 	}
 	wss := e.chWS[w][:0]
 	xs := e.chXS[w][:0]
@@ -444,35 +442,32 @@ func (e *engine) solveChunk(w int, chunk []*laneState) {
 	for live > 0 {
 		wss, xs, lps = wss[:0], xs[:0], lps[:0]
 		for _, st := range chunk {
-			if st.cand == nil {
+			if !st.solving {
 				wss = append(wss, nil)
 				xs = append(xs, nil)
 				lps = append(lps, circuit.LoadParams{})
 				continue
 			}
-			x, p := st.cand.LoadArgs()
+			x, p := st.s.PS.LoadArgs()
 			wss = append(wss, st.s.PS.WS)
 			xs = append(xs, x)
 			lps = append(lps, p)
 		}
 		circuit.BatchLoad(wss, xs, lps)
 		for _, st := range chunk {
-			if st.cand == nil {
+			if !st.solving {
 				continue
 			}
-			done, err := st.cand.Step()
+			done, err := st.s.PS.Step()
 			if err != nil {
-				st.candErr = st.cand.Fail(err)
-				st.cand = nil
-				live--
+				st.candErr = st.s.PS.Fail(err)
+			} else if done {
+				st.pt = st.s.PS.Commit()
+			} else {
 				continue
 			}
-			if done {
-				st.co = st.cand.Co
-				st.pt = st.cand.Commit()
-				st.cand = nil
-				live--
-			}
+			st.solving = false
+			live--
 		}
 	}
 	e.chWS[w], e.chXS[w], e.chPS[w] = wss, xs, lps

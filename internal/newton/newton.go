@@ -22,19 +22,20 @@ var ErrNoConvergence = faults.ErrNoConvergence
 
 // Options controls the Newton iteration.
 type Options struct {
-	MaxIter int            // iteration limit (default 50)
+	MaxIter int            // iteration limit (default DefaultMaxIter)
 	Tol     num.Tolerances // per-unknown update tolerance
 	// Damping clamps each solution update component to ±Damping
 	// (0 disables). Useful for MOS circuits without junction limiting.
 	Damping float64
-	// ResidualCheck additionally requires the weighted residual norm to
-	// drop below ResidualTol (skipped when 0).
-	ResidualTol float64
 }
+
+// DefaultMaxIter is the iteration limit applied when Options.MaxIter is
+// unset.
+const DefaultMaxIter = 50
 
 // DefaultOptions returns the options used across the repository.
 func DefaultOptions() Options {
-	return Options{MaxIter: 50, Tol: num.DefaultTolerances(), Damping: 5}
+	return Options{MaxIter: DefaultMaxIter, Tol: num.DefaultTolerances(), Damping: 5}
 }
 
 // Result reports what one Newton solve did.
@@ -52,148 +53,221 @@ type Result struct {
 // point no further than one converged update from x (the standard SPICE
 // convention: the last Load happened at the previous iterate).
 func Solve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (Result, error) {
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 50
-	}
-	res := Result{}
-	if cls, ok := ws.Faults.At(faults.SiteNewton, p.Time); ok && cls == faults.NoConvergence {
-		return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
-	}
-	// forceFresh suppresses factorization bypass for one iteration: set after
+	var it Iter
+	done, err := it.Run(ws, x, p, qhist, opts, r, dx)
+	return Result{Iters: it.N, Converged: done}, err
+}
+
+// ResumeSolve continues a Newton iteration whose assembly already exists:
+// the workspace must hold a Load taken at x (same time point and Alpha0)
+// with a valid factorization — the state a speculative warm start leaves
+// behind (see Iter.Warm).
+func ResumeSolve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (Result, error) {
+	it := Iter{Warm: true}
+	done, err := it.Run(ws, x, p, qhist, opts, r, dx)
+	return Result{Iters: it.N, Converged: done}, err
+}
+
+// Iter is the state one point's Newton iteration carries from step to step.
+// The zero value starts a fresh iteration.
+type Iter struct {
+	// N counts the iterations executed so far.
+	N int
+	// Warm marks the workspace as already assembled and factorized exactly at
+	// the iterate. Because the device assembly does not depend on the
+	// integration history, only the residual changes when the true history
+	// replaces a predicted one: the next step therefore takes no load, no
+	// factorization and no limiting-state flip — one residual rebuild and one
+	// triangular solve — and the iteration then continues with full steps.
+	// This is what makes forward pipelining pay: most of the forward point's
+	// computation happened speculatively, off the critical path.
+	Warm bool
+	// forceFresh suppresses factorization bypass for the next step: set after
 	// a bypassed (stale-LU, quasi-Newton) step failed the convergence test,
 	// so a wildly off LU cannot stall the whole iteration budget.
-	forceFresh := false
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Cooperative abort: a tripped deadline or watchdog interrupts even
-		// a hung iteration at the next iteration boundary.
-		if err := ws.Abort.Err(); err != nil {
-			return res, faults.Wrap("newton", p.Time, -1, err)
+	forceFresh bool
+}
+
+// EntryFault is the fault-injection check at the entry of a Newton iteration
+// that starts from a fresh assembly (a resumed one took its check when its
+// warm start began): nil in production, where ws.Faults is nil.
+func EntryFault(ws *circuit.Workspace, t float64) error {
+	if cls, ok := ws.Faults.At(faults.SiteNewton, t); ok && cls == faults.NoConvergence {
+		return faults.Wrap("newton", t, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
+	}
+	return nil
+}
+
+// Run drives the iteration to convergence or a terminal error (an exhausted
+// budget included): a Load at the current iterate, unless the workspace is
+// warm, then Step. The lockstep driver runs the same two halves itself, with
+// the loads of several lanes batched.
+func (it *Iter) Run(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (done bool, err error) {
+	if !it.Warm {
+		if err := EntryFault(ws, p.Time); err != nil {
+			return false, err
 		}
-		p.FirstIter = iter == 0
-		loadTraced(ws, x, p)
-		limited := ws.Limited
-		ws.Residual(p.Alpha0, qhist, r)
-		if err := factorAndSolve(ws, p.Time, r, dx, forceFresh); err != nil {
-			return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("iteration %d: %w", iter, err))
+	}
+	for !done && err == nil {
+		if !it.Warm {
+			p.FirstIter = it.N == 0
+			Load(ws, x, p)
 		}
-		forceFresh = false
-		// A bypassed factorization makes this a quasi-Newton step: keep the
-		// pre-update iterate around so the convergence guard below can redo
-		// the step exactly.
-		bypassed := ws.Solver.LastBypassed
-		if bypassed {
-			ws.SaveIterate(x)
-		}
-		// x_{k+1} = x_k − J⁻¹·R, with optional per-component damping.
-		maxRatio := applyUpdate(x, dx, opts)
+		done, err = it.Step(ws, x, p, qhist, opts, r, dx)
+	}
+	return done, err
+}
+
+// Step runs the post-assembly remainder of one Newton iteration — residual,
+// factorize + solve, damped update, limiting-state flip, non-finite guard and
+// the convergence test with its bypass certification — on a workspace whose
+// Load at x the caller has performed. done reports convergence; a non-nil err
+// is terminal for this point, and running out of opts.MaxIter is one.
+func (it *Iter) Step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (done bool, err error) {
+	if opts.MaxIter <= 0 {
+		opts.MaxIter = DefaultMaxIter
+	}
+	done, err = it.step(ws, x, p, qhist, opts, r, dx)
+	if !done && err == nil && it.N >= opts.MaxIter {
+		err = faults.Wrap("newton", p.Time, -1,
+			fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter))
+	}
+	return done, err
+}
+
+func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (bool, error) {
+	// Cooperative abort: a tripped deadline or watchdog interrupts even a
+	// hung iteration at the next iteration boundary.
+	if err := ws.Abort.Err(); err != nil {
+		return false, faults.Wrap("newton", p.Time, -1, err)
+	}
+	iter := it.N
+	limited := ws.Limited
+	ws.Residual(p.Alpha0, qhist, r)
+	warm := it.Warm
+	it.Warm = false
+	var err error
+	if warm {
+		err = ws.Solver.Solve(r, dx)
+	} else {
+		err = factorAndSolve(ws, p.Time, r, dx, it.forceFresh)
+	}
+	if err != nil {
+		return false, iterErr(p.Time, iter, err)
+	}
+	it.forceFresh = false
+	// A bypassed factorization makes this a quasi-Newton step: keep the
+	// pre-update iterate around so the convergence guard below can redo
+	// the step exactly.
+	bypassed := ws.Solver.LastBypassed
+	if bypassed {
+		ws.SaveIterate(x)
+	}
+	// x_{k+1} = x_k − J⁻¹·R, with optional per-component damping.
+	maxRatio := applyUpdate(x, dx, opts)
+	if !warm {
 		ws.FlipState()
-		res.Iters = iter + 1
-		// A NaN/Inf iterate can never converge — every later update test
-		// compares against NaN — so abort at once instead of burning the
-		// whole iteration budget, and name the unknown that went bad.
-		if i := num.NonFiniteIndex(x); i >= 0 {
-			return res, faults.Wrap("newton", p.Time, i,
-				fmt.Errorf("%w in iterate after %d iterations", faults.ErrNonFinite, res.Iters))
-		}
-		// SPICE's convergence rule: accept as soon as the Newton update is
-		// inside the tolerance band, on any iteration — the update was
-		// computed from an exact Jacobian/residual at the previous iterate,
-		// so a small step certifies the iterate. The guard against the
-		// pn-junction false-convergence trap (an iterate assembled under
-		// active device limiting may pass the update test while grossly
-		// violating the true residual) is the limiting flag.
-		if maxRatio <= 1 && !limited {
-			if ws.LastLoadBypassed() > 0 {
-				// A load with bypassed device evaluations is never allowed to
-				// be the iteration that declares convergence: the replayed
-				// stamps are within tolerance but not exact.
-				if bypassed {
-					// The step also came from a reused LU — two staleness
-					// sources stack, so certify nothing in place: force a
-					// fully evaluated iteration and re-test.
-					ws.DisableBypassOnce()
-					continue
-				}
-				// In-place certification: reload with every device fully
-				// evaluated at the candidate iterate, then take one exact-
-				// residual step through the current factorization. Accepting
-				// only when that step also lands inside the band gives the
-				// declaring iteration an exact assembly at a fraction of a
-				// full iteration (no refactorization).
-				ws.DisableBypassOnce()
-				loadTraced(ws, x, p)
-				if ws.Limited {
-					continue
-				}
-				ws.Residual(p.Alpha0, qhist, r)
-				if err := ws.Solver.Solve(r, dx); err != nil {
-					return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("iteration %d: %w", iter, err))
-				}
-				maxRatio = applyUpdate(x, dx, opts)
-				ws.FlipState()
-				if i := num.NonFiniteIndex(x); i >= 0 {
-					return res, faults.Wrap("newton", p.Time, i,
-						fmt.Errorf("%w in iterate after %d iterations", faults.ErrNonFinite, res.Iters))
-				}
-				if maxRatio > 1 {
-					// The exact assembly disagreed: keep iterating from the
-					// genuine Newton step it produced.
-					continue
-				}
-			}
-			if bypassed {
-				// Never accept an iterate produced under factorization
-				// bypass: rewind to the pre-update iterate (whose assembly
-				// and residual are still in the workspace), refactorize for
-				// real, and take the exact Newton step instead.
-				ws.RestoreIterate(x)
-				if err := Factorize(ws, p.Time, true); err != nil {
-					return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("iteration %d: %w", iter, err))
-				}
-				if err := ws.Solver.Solve(r, dx); err != nil {
-					return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("iteration %d: %w", iter, err))
-				}
-				maxRatio = applyUpdate(x, dx, opts)
-				if i := num.NonFiniteIndex(x); i >= 0 {
-					return res, faults.Wrap("newton", p.Time, i,
-						fmt.Errorf("%w in iterate after %d iterations", faults.ErrNonFinite, res.Iters))
-				}
-				if maxRatio > 1 {
-					// The exact step disagreed with the bypassed one by more
-					// than the tolerance band; keep iterating from it.
-					continue
-				}
-			}
-			if opts.ResidualTol > 0 {
-				// The residual that certifies convergence must come from a
-				// fully evaluated assembly, never from replayed stamps.
-				ws.DisableBypassOnce()
-				loadTraced(ws, x, p)
-				ws.Residual(p.Alpha0, qhist, r)
-				if num.MaxAbs(r) > opts.ResidualTol {
-					continue
-				}
-			}
-			res.Converged = true
-			return res, nil
-		}
+	}
+	it.N++
+	if err := nonFiniteErr(x, p.Time, it.N); err != nil {
+		return false, err
+	}
+	// SPICE's convergence rule: accept as soon as the Newton update is
+	// inside the tolerance band, on any iteration — the update was
+	// computed from an exact Jacobian/residual at the previous iterate,
+	// so a small step certifies the iterate. The guard against the
+	// pn-junction false-convergence trap (an iterate assembled under
+	// active device limiting may pass the update test while grossly
+	// violating the true residual) is the limiting flag.
+	if maxRatio > 1 || limited {
 		// The step missed the convergence band. If it was computed from a
 		// reused (bypassed) factorization the quasi-Newton direction may be
 		// arbitrarily wrong — a stale LU can even diverge on a linear
 		// circuit — so insist on a real factorization next iteration.
 		// Genuine Newton steps that miss the band keep iterating normally.
-		forceFresh = bypassed
+		it.forceFresh = bypassed
+		return false, nil
 	}
-	return res, faults.Wrap("newton", p.Time, -1,
-		fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter))
+	if ws.LastLoadBypassed() > 0 {
+		// A load with bypassed device evaluations is never allowed to
+		// be the iteration that declares convergence: the replayed
+		// stamps are within tolerance but not exact.
+		ws.DisableBypassOnce()
+		if bypassed {
+			// The step also came from a reused LU — two staleness
+			// sources stack, so certify nothing in place: force a
+			// fully evaluated iteration and re-test.
+			return false, nil
+		}
+		// In-place certification: reload with every device fully
+		// evaluated at the candidate iterate, then take one exact-
+		// residual step through the current factorization. Accepting
+		// only when that step also lands inside the band gives the
+		// declaring iteration an exact assembly at a fraction of a
+		// full iteration (no refactorization).
+		Load(ws, x, p)
+		if ws.Limited {
+			return false, nil
+		}
+		ws.Residual(p.Alpha0, qhist, r)
+		if err := ws.Solver.Solve(r, dx); err != nil {
+			return false, iterErr(p.Time, iter, err)
+		}
+		maxRatio = applyUpdate(x, dx, opts)
+		ws.FlipState()
+		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
+			return false, err
+		}
+		// When the exact assembly disagreed, keep iterating from the
+		// genuine Newton step it produced.
+		return maxRatio <= 1, nil
+	}
+	if bypassed {
+		// Never accept an iterate produced under factorization
+		// bypass: rewind to the pre-update iterate (whose assembly
+		// and residual are still in the workspace), refactorize for
+		// real, and take the exact Newton step instead.
+		ws.RestoreIterate(x)
+		if err := Factorize(ws, p.Time, true); err != nil {
+			return false, iterErr(p.Time, iter, err)
+		}
+		if err := ws.Solver.Solve(r, dx); err != nil {
+			return false, iterErr(p.Time, iter, err)
+		}
+		maxRatio = applyUpdate(x, dx, opts)
+		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
+			return false, err
+		}
+		// When the exact step disagreed with the bypassed one by more
+		// than the tolerance band, keep iterating from it.
+		return maxRatio <= 1, nil
+	}
+	return true, nil
 }
 
-// loadTraced assembles the system, pairing each Load with exactly one
-// PhaseDeviceLoad event when tracing is active. The event carries the
-// incremental-assembly outcome — Iters holds the bypassed-eval count and
-// FlagLinearHit marks a linear-template hit — so trace replay reconciles
-// 1:1 with the workspace's DeviceBypassCounters.
-func loadTraced(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
+func iterErr(t float64, iter int, err error) error {
+	return faults.Wrap("newton", t, -1, fmt.Errorf("iteration %d: %w", iter, err))
+}
+
+// nonFiniteErr guards the iterate after an update: a NaN/Inf iterate can
+// never converge — every later update test compares against NaN — so the
+// iteration aborts at once instead of burning its whole budget, and names the
+// unknown that went bad.
+func nonFiniteErr(x []float64, t float64, iters int) error {
+	if i := num.NonFiniteIndex(x); i >= 0 {
+		return faults.Wrap("newton", t, i,
+			fmt.Errorf("%w in iterate after %d iterations", faults.ErrNonFinite, iters))
+	}
+	return nil
+}
+
+// Load assembles the system, pairing each load the engines perform — inside
+// the iteration or around it (initial point, warm start, charge bookkeeping)
+// — with exactly one PhaseDeviceLoad event when tracing is active. The event
+// carries the incremental-assembly outcome — Iters holds the bypassed-eval
+// count and FlagLinearHit marks a linear-template hit — so trace replay
+// reconciles 1:1 with the workspace's DeviceBypassCounters.
+func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		ws.Load(x, p)
 		return
@@ -269,45 +343,6 @@ func factorize(ws *circuit.Workspace, fresh bool) error {
 		return ws.Solver.FactorizeFresh()
 	}
 	return ws.Solver.Factorize()
-}
-
-// ResumeSolve continues a Newton iteration whose assembly already exists:
-// the workspace must hold a Load taken at x (same time point and Alpha0)
-// with a valid factorization — the state a speculative warm start leaves
-// behind. Because the device assembly does not depend on the integration
-// history, only the residual changes when the true history replaces the
-// predicted one: iteration 0 therefore costs one residual rebuild and one
-// triangular solve, and the loop then continues with full iterations. This
-// is what makes forward pipelining pay: most of the forward point's
-// computation happened speculatively, off the critical path.
-func ResumeSolve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (Result, error) {
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 50
-	}
-	res := Result{}
-	ws.Residual(p.Alpha0, qhist, r)
-	if err := ws.Solver.Solve(r, dx); err != nil {
-		return res, faults.Wrap("newton", p.Time, -1, fmt.Errorf("resume: %w", err))
-	}
-	maxRatio := applyUpdate(x, dx, opts)
-	res.Iters = 1
-	// Same non-finite guard as Solve: a poisoned warm iterate must fail
-	// fast, not spin through the full continuation below.
-	if i := num.NonFiniteIndex(x); i >= 0 {
-		return res, faults.Wrap("newton", p.Time, i,
-			fmt.Errorf("%w in resumed iterate", faults.ErrNonFinite))
-	}
-	// The assembly and factorization are exact for the warm iterate (only
-	// the history vector changed), so this is a true Newton step and the
-	// standard acceptance rule applies.
-	if maxRatio <= 1 && !ws.Limited {
-		res.Converged = true
-		return res, nil
-	}
-	inner, err := Solve(ws, x, p, qhist, opts, r, dx)
-	res.Iters += inner.Iters
-	res.Converged = inner.Converged
-	return res, err
 }
 
 // applyUpdate performs x -= clamp(dx) and returns the weighted update norm.

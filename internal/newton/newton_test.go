@@ -152,23 +152,6 @@ func TestDampingLimitsUpdates(t *testing.T) {
 	}
 }
 
-func TestResidualCheckOption(t *testing.T) {
-	ws := build(t, func(c *circuit.Circuit) {
-		in := c.Node("in")
-		c.Add(device.NewVSource("V1", in, circuit.Ground, device.DC(1)))
-		c.Add(device.NewResistor("R1", in, circuit.Ground, 1e3))
-	})
-	x := make([]float64, ws.Sys.N)
-	r := make([]float64, ws.Sys.N)
-	dx := make([]float64, ws.Sys.N)
-	opts := DefaultOptions()
-	opts.ResidualTol = 1e-9
-	res, err := Solve(ws, x, circuit.LoadParams{SrcScale: 1}, nil, opts, r, dx)
-	if err != nil || !res.Converged {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-}
-
 func TestQhistEntersResidual(t *testing.T) {
 	// A capacitor integrated with Alpha0 and a qhist vector reproduces the
 	// backward-Euler update of an RC discharge step by step.

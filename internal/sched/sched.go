@@ -104,7 +104,7 @@ func (p *Pool) Gang() bool {
 // Run executes fn(w) for every worker w in [0, Workers()) and returns once
 // all have completed. If any fn panics, the first recovered value is
 // re-panicked on the caller after the gang has drained, so engine-level
-// panic fences (wavepipe's guardTask) see it exactly like a serial panic.
+// panic fences (wavepipe's runRound) see it exactly like a serial panic.
 // With a nil pool, or when Gang() is false, fn is called sequentially.
 func (p *Pool) Run(fn func(w int)) {
 	if !p.Gang() {

@@ -120,61 +120,3 @@ func TestCondEst1FlagsIllConditioning(t *testing.T) {
 		t.Fatalf("identity condition estimate = %g", est)
 	}
 }
-
-func TestIterativeRefinementImprovesResidual(t *testing.T) {
-	// A graded, poorly scaled system where plain LU leaves visible residual.
-	n := 30
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		d[i][i] = math.Pow(10, float64(i%12)-6)
-		if i+1 < n {
-			d[i][i+1] = d[i][i] * 0.99
-		}
-		if i > 0 {
-			d[i][i-1] = d[i][i] * 0.97
-		}
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Pow(-1, float64(i)) * math.Pow(10, float64(i%7)-3)
-	}
-	// Componentwise backward error |b − A·x|_i / (|A|·|x| + |b|)_i — the
-	// quantity one refinement step reliably reduces.
-	backwardErr := func(refine bool) float64 {
-		m := FromDense(d)
-		s := NewSolver(m, OrderNatural)
-		s.Refine = refine
-		if err := s.Factorize(); err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, n)
-		if err := s.Solve(b, x); err != nil {
-			t.Fatal(err)
-		}
-		r := make([]float64, n)
-		m.MulVec(x, r)
-		worst := 0.0
-		for i := range r {
-			den := math.Abs(b[i])
-			for j := 0; j < n; j++ {
-				den += math.Abs(d[i][j]) * math.Abs(x[j])
-			}
-			if den == 0 {
-				continue
-			}
-			if v := math.Abs(r[i]-b[i]) / den; v > worst {
-				worst = v
-			}
-		}
-		return worst
-	}
-	plain := backwardErr(false)
-	refined := backwardErr(true)
-	if refined > plain {
-		t.Fatalf("refinement did not help: %g -> %g", plain, refined)
-	}
-	if refined > 1e-14 {
-		t.Fatalf("refined backward error = %g, want near machine precision", refined)
-	}
-}

@@ -441,10 +441,6 @@ type Solver struct {
 	// out many solvers over one sparsity pattern share a single ordering
 	// this way (the ordering depends only on the pattern). Read-only here.
 	ColPerm []int
-	// Refine enables one step of iterative refinement per solve
-	// (x += A⁻¹·(b − A·x)): roughly halves the effective backward error on
-	// ill-conditioned MNA matrices for one extra matvec + triangular solve.
-	Refine bool
 	// BypassTol enables SPICE-style factorization bypass: when every matrix
 	// value has changed by at most this relative amount since the values that
 	// produced the current factorization, Factorize keeps the previous LU and
@@ -466,7 +462,6 @@ type Solver struct {
 
 	lu      *LU
 	scratch []float64
-	resid   []float64
 	// prevValues snapshots M.Values as of the last real (re)factorization
 	// (nil: no snapshot). Both shortcuts compare against it, not against the
 	// previous iteration, so slow cumulative change still forces a
@@ -641,9 +636,16 @@ func (s *Solver) refactor() error {
 	return s.lu.Refactor(s.M)
 }
 
-// solveVec applies the factorization to one right-hand side, routing through
-// the level-scheduled parallel solve when it is attached and profitable.
-func (s *Solver) solveVec(b, x []float64) {
+// Solve computes x with A·x = b for the most recent factorization, routing
+// through the level-scheduled parallel solve when it is attached and
+// profitable.
+func (s *Solver) Solve(b, x []float64) error {
+	if s.lu == nil {
+		return errors.New("sparse: Solve called before Factorize")
+	}
+	if s.scratch == nil {
+		s.scratch = make([]float64, s.M.N())
+	}
 	if s.Sched.Workers() > 1 {
 		if sc := s.lu.schedule(s.Sched.Workers()); sc.solvePar {
 			start := time.Now()
@@ -658,35 +660,10 @@ func (s *Solver) solveVec(b, x []float64) {
 				s.LUWallNanos += wall
 				s.LUCritNanos += int64(float64(wall) * sc.solveFrac)
 			}
-			return
+			return nil
 		}
 	}
 	s.lu.SolveWith(b, x, s.scratch)
-}
-
-// Solve computes x with A·x = b for the most recent factorization.
-func (s *Solver) Solve(b, x []float64) error {
-	if s.lu == nil {
-		return errors.New("sparse: Solve called before Factorize")
-	}
-	if s.scratch == nil {
-		s.scratch = make([]float64, s.M.N())
-	}
-	s.solveVec(b, x)
-	if s.Refine {
-		if s.resid == nil {
-			s.resid = make([]float64, s.M.N())
-		}
-		// r = b − A·x, then x += A⁻¹·r.
-		s.M.MulVec(x, s.resid)
-		for i := range s.resid {
-			s.resid[i] = b[i] - s.resid[i]
-		}
-		s.solveVec(s.resid, s.resid)
-		for i := range x {
-			x[i] += s.resid[i]
-		}
-	}
 	return nil
 }
 

@@ -153,7 +153,7 @@ func TestSolveParallelBitIdentical(t *testing.T) {
 		lu.SolveParallelWith(rhs, xp, scratchP, pool)
 		bitsEqual(t, "x", xp, xs)
 	}
-	// Aliased solve (b == x), as used by iterative refinement.
+	// Aliased solve (b == x).
 	copy(xs, rhs)
 	copy(xp, rhs)
 	lu.SolveWith(xs, xs, scratchS)
@@ -162,7 +162,7 @@ func TestSolveParallelBitIdentical(t *testing.T) {
 }
 
 // TestSolverSchedBitIdentical runs the whole Solver path (factorize,
-// refactor loop, solve with refinement) with and without an attached gang
+// refactor loop, solve) with and without an attached gang
 // and compares every solution bitwise.
 func TestSolverSchedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -176,8 +176,6 @@ func TestSolverSchedBitIdentical(t *testing.T) {
 	ss := NewSolver(m1, OrderMinDegree)
 	sp := NewSolver(mp, OrderMinDegree)
 	sp.Sched = forcedPool(t, 3)
-	ss.Refine = true
-	sp.Refine = true
 	n := m1.N()
 	xs := make([]float64, n)
 	xp := make([]float64, n)

@@ -167,7 +167,7 @@ func (ps *PointSolver) RecoverAt(hist *integrate.History, tNew float64, log *Rec
 // and finish with a clean solve of the true system.
 func (ps *PointSolver) gminRampAt(hist *integrate.History, tNew float64) (*integrate.Point, integrate.Coeffs, error) {
 	guess := make([]float64, ps.WS.Sys.N)
-	Predict(hist, tNew, guess)
+	ps.pred.extrapolate(hist, tNew, guess, pointX)
 	g := 1e-2
 	const decades = 8
 	for i := 0; i < decades; i++ {

@@ -314,9 +314,6 @@ func (s *Stepper) Finish(pt *integrate.Point, co integrate.Coeffs) bool {
 		return true
 	}
 	s.H = s.ctrl.ClampStep(s.ctrl.NextStep(ps.Method, co.Order, norm, s.HUsed, co.H1, s.HUsed), s.HUsed)
-	if debugSteps {
-		fmt.Printf("ser t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g -> h=%.3g\n", s.T, s.HUsed, norm, co.H1, s.H)
-	}
 	return true
 }
 

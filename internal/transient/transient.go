@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -23,9 +22,6 @@ import (
 	"wavepipe/internal/trace"
 	"wavepipe/internal/waveform"
 )
-
-// debugSteps enables step-decision tracing (tests/diagnostics only).
-var debugSteps = os.Getenv("WAVEPIPE_DEBUG") != ""
 
 // Breakpointer is implemented by devices whose waveforms have slope
 // discontinuities the engine must land on exactly.
@@ -59,8 +55,6 @@ type Options struct {
 	// NoLTE disables truncation-error step control (fixed conservative
 	// stepping; used by ablation experiments).
 	NoLTE bool
-	// GrowthCapOverride, when > 0, replaces Control.GrowthCap (ablation).
-	GrowthCapOverride float64
 	// CoreBudget > 1 attaches a shared worker gang to the point solver:
 	// colored device loads and the level-scheduled sparse LU kernels run on
 	// one pool of CoreBudget cores (caller included). Results are bit-
@@ -146,9 +140,6 @@ func (o Options) WithDefaults() Options {
 	if o.Control == (integrate.Control{}) {
 		o.Control = integrate.DefaultControl(o.TStop)
 	}
-	if o.GrowthCapOverride > 0 {
-		o.Control.GrowthCap = o.GrowthCapOverride
-	}
 	if o.Newton.MaxIter == 0 {
 		o.Newton = newton.DefaultOptions()
 	}
@@ -164,52 +155,55 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Stats aggregates the work a transient run performed.
+// Stats aggregates the work a transient run performed. The JSON tags are
+// its wire form (package wire, schemaVersion 1): the three omitempty fields
+// were added to the schema after its first release, so absent means zero or
+// an older peer.
 type Stats struct {
-	Points     int // accepted time points
-	Solves     int // Newton point solves attempted (incl. rejected/discarded)
-	NRIters    int // total Newton iterations
-	LTERejects int // points rejected by truncation-error control
-	NRFailures int // Newton non-convergence retries
-	Discarded  int // speculative points thrown away (parallel engines)
-	OpIters    int // operating-point Newton iterations
-	Stages     int // sequential solve rounds on the critical path
-	Recoveries int // points rescued by the convergence-recovery ladder
+	Points     int `json:"points"`     // accepted time points
+	Solves     int `json:"solves"`     // Newton point solves attempted (incl. rejected/discarded)
+	NRIters    int `json:"nrIters"`    // total Newton iterations
+	LTERejects int `json:"lteRejects"` // points rejected by truncation-error control
+	NRFailures int `json:"nrFailures"` // Newton non-convergence retries
+	Discarded  int `json:"discarded"`  // speculative points thrown away (parallel engines)
+	OpIters    int `json:"opIters"`    // operating-point Newton iterations
+	Stages     int `json:"stages"`     // sequential solve rounds on the critical path
+	Recoveries int `json:"recoveries"` // points rescued by the convergence-recovery ladder
 	// WorkerPanics counts pipeline-stage worker panics converted to typed
 	// errors; DegradedStages counts stages the pipeline ran serially because
 	// of degradation (not counting post-breakpoint warmup).
-	WorkerPanics   int
-	DegradedStages int
+	WorkerPanics   int `json:"workerPanics"`
+	DegradedStages int `json:"degradedStages"`
 	// Factorization accounting (filled from the sparse solver counters):
 	// bypassed calls kept a stale LU within BypassTol, reused calls were
 	// handed the very values the LU in hand was refactored from (exact, no
 	// tolerance), refactorizations took the numeric-only path, full
 	// factorizations re-pivoted from scratch. The four sum to the number of
 	// factorization requests.
-	BypassedFactorizations int
-	ReusedFactorizations   int
-	Refactorizations       int
-	FullFactorizations     int
+	BypassedFactorizations int `json:"bypassedFactorizations"`
+	ReusedFactorizations   int `json:"reusedFactorizations,omitempty"`
+	Refactorizations       int `json:"refactorizations"`
+	FullFactorizations     int `json:"fullFactorizations"`
 	// Incremental-assembly accounting (filled from the workspace counters):
 	// BypassedEvals counts device evaluations answered by journal replay,
 	// LinearStampHits counts device loads that started from a cached linear
 	// stamp template instead of re-stamping every linear device.
-	BypassedEvals   int64
-	LinearStampHits int64
+	BypassedEvals   int64 `json:"bypassedEvals"`
+	LinearStampHits int64 `json:"linearStampHits"`
 	// CriticalNanos is the modeled multi-core wall-clock time: per pipeline
 	// stage, the slowest concurrent worker's measured compute time. For the
 	// serial engine it equals the sum of all point-solve times. This is the
 	// timing model used to report speedups on hosts with fewer cores than
 	// worker threads (see DESIGN.md, hardware substitution).
-	CriticalNanos int64
+	CriticalNanos int64 `json:"criticalNanos"`
 	// Two-level scheduling accounting: the core budget the run was given,
 	// how it was split between pipeline workers and intra-point workers,
 	// and whether the pipeline had to serialize because the host (or the
 	// budget) could not actually run the stage gangs concurrently.
-	CoreBudget         int
-	PipelineWorkers    int
-	IntraWorkers       int
-	PipelineSerialized bool
+	CoreBudget         int  `json:"coreBudget"`
+	PipelineWorkers    int  `json:"pipelineWorkers"`
+	IntraWorkers       int  `json:"intraWorkers"`
+	PipelineSerialized bool `json:"pipelineSerialized"`
 	// Time-parallel (Parareal) window accounting, filled only by the
 	// internal/windows coordinator: windows launched, fine-propagator
 	// invocations (speculative solves plus redos), and windows that failed
@@ -217,15 +211,15 @@ type Stats struct {
 	// state. Points/Solves above count every inner run, including
 	// speculative window solves later discarded, so trace replay still
 	// reconciles 1:1; the stitched waveform is shorter than Points.
-	WindowsLaunched int64
-	PararealIters   int64
-	WindowRedos     int64
+	WindowsLaunched int64 `json:"windowsLaunched"`
+	PararealIters   int64 `json:"pararealIters"`
+	WindowRedos     int64 `json:"windowRedos"`
 	// Parasitic-reduction accounting, filled by the facade when the
 	// internal/reduce pass shrank the system before this run: original
 	// nodes and devices the pass suppressed. Like the scheduling fields,
 	// they describe the run rather than per-worker work.
-	ReducedNodes   int64
-	ReducedDevices int64
+	ReducedNodes   int64 `json:"reducedNodes,omitempty"`
+	ReducedDevices int64 `json:"reducedDevices,omitempty"`
 }
 
 // Add accumulates other into s (used to merge per-worker stats).
@@ -295,30 +289,29 @@ type PointSolver struct {
 	// LastNanos is the modeled compute time of the most recent SolveAt,
 	// WarmStart or ResumeAt call: measured wall time, with the device-load
 	// and LU-kernel wall segments replaced by their parallel critical paths.
-	// LastIters is the Newton iteration count of that call.
+	// LastIters is the Newton iteration count of the last closed solve.
 	LastNanos int64
 	LastIters int
 
 	qhist, r, dx []float64
 
-	// Warm-start bookkeeping for ResumeAt: the time point and Alpha0 the
-	// workspace's current assembly and factorization correspond to.
+	// cur is the point solve in flight, between begin and Commit/Fail; it
+	// lives here so that steady-state stepping allocates nothing.
+	cur pointSolve
+
+	// Warm-start bookkeeping for ResumeAt: the iterate WarmStart returned
+	// (recycled by the next WarmStart, after the matching ResumeAt copied it)
+	// and the time point and Alpha0 the workspace's current assembly and
+	// factorization correspond to.
+	warmPt     *integrate.Point
 	warmTime   float64
 	warmAlpha0 float64
 	warmValid  bool
 
-	// Pooled per-point scratch: steady-state transient iteration allocates
-	// nothing. tailBuf/predTs/predXs/predYs/predC serve the polynomial
-	// predictor; warmBuf is WarmStart's returned iterate (consumed by the
-	// matching ResumeAt before the next WarmStart on this solver); LTE holds
-	// the divided-difference scratch of the engines' acceptance checks.
-	tailBuf []*integrate.Point
-	predTs  []float64
-	predXs  [][]float64
-	predYs  []float64
-	predC   []float64
-	warmBuf []float64
-	LTE     integrate.LTEScratch
+	// pred is the polynomial predictor's scratch; LTE holds the divided-
+	// difference scratch of the engines' acceptance checks.
+	pred predictor
+	LTE  integrate.LTEScratch
 
 	// ptPool recycles Point buffers (X/Q/Qdot) through takePoint/PutPoint.
 	// predRing backs PredictPoint's speculative full-point predictions: a
@@ -327,21 +320,27 @@ type PointSolver struct {
 	ptPool   []*integrate.Point
 	predRing [4]*integrate.Point
 	predNext int
-	predQs   [][]float64
-	predQds  [][]float64
 }
 
 // NewPointSolver allocates a solver on a fresh workspace of sys.
 func NewPointSolver(sys *circuit.System, method integrate.Method, nopts newton.Options, gmin float64) *PointSolver {
-	n := sys.N
+	return NewPointSolverOn(sys.NewWorkspace(), method, nopts, gmin, nil)
+}
+
+// NewPointSolverOn wraps an existing workspace (typically a lane workspace
+// from System.NewLaneWorkspaces) in a point solver. scratch, when it has at
+// least 3·N capacity, backs the solver's qhist/residual/update vectors —
+// the ensemble carves one contiguous block per lane so the per-iteration
+// vectors of adjacent lanes stay cache-adjacent; a nil or short scratch
+// falls back to a private allocation.
+func NewPointSolverOn(ws *circuit.Workspace, method integrate.Method, nopts newton.Options, gmin float64, scratch []float64) *PointSolver {
+	n := ws.Sys.N
+	if len(scratch) < 3*n {
+		scratch = make([]float64, 3*n)
+	}
 	return &PointSolver{
-		WS:     sys.NewWorkspace(),
-		Method: method,
-		Newton: nopts,
-		Gmin:   gmin,
-		qhist:  make([]float64, n),
-		r:      make([]float64, n),
-		dx:     make([]float64, n),
+		WS: ws, Method: method, Newton: nopts, Gmin: gmin,
+		qhist: scratch[0:n:n], r: scratch[n : 2*n : 2*n], dx: scratch[2*n : 3*n : 3*n],
 	}
 }
 
@@ -363,53 +362,56 @@ func (ps *PointSolver) Attach(opts *Options, worker int16) {
 	ps.SetTrace(opts.Trace, worker)
 }
 
-// Predict extrapolates the solution history polynomially to time t, writing
-// the initial Newton guess into dst. At most three trailing points are used
-// (quadratic prediction).
-func Predict(hist *integrate.History, t float64, dst []float64) {
-	pts := hist.Tail(3)
-	ts := make([]float64, len(pts))
-	xs := make([][]float64, len(pts))
-	for i, p := range pts {
-		ts[i] = p.T
-		xs[i] = p.X
-	}
-	num.PredictVectorAt(ts, xs, t, dst)
+// predictor is the scratch of the polynomial predictor: the trailing (at
+// most three, so quadratic) history points and the per-component work
+// vectors. The zero value is ready.
+type predictor struct {
+	tail      [3]*integrate.Point
+	ts, ys, c [3]float64
+	vs        [3][]float64
 }
 
-// predict is Predict running entirely on the solver's pooled scratch.
-func (ps *PointSolver) predict(hist *integrate.History, t float64, dst []float64) {
-	ps.tailBuf = hist.AppendTail(ps.tailBuf[:0], 3)
-	pts := ps.tailBuf
+// extrapolate writes into dst the polynomial extrapolation to time t of one
+// vector per trailing history point; pick selects which (X, Q or Qdot).
+func (pr *predictor) extrapolate(hist *integrate.History, t float64, dst []float64, pick func(*integrate.Point) []float64) {
+	pts := hist.AppendTail(pr.tail[:0], 3)
 	k := len(pts)
-	if cap(ps.predTs) < k {
-		ps.predTs = make([]float64, k)
-		ps.predXs = make([][]float64, k)
-		ps.predYs = make([]float64, k)
-		ps.predC = make([]float64, k)
-	}
-	ts, xs := ps.predTs[:k], ps.predXs[:k]
 	for i, p := range pts {
-		ts[i] = p.T
-		xs[i] = p.X
+		pr.ts[i] = p.T
+		pr.vs[i] = pick(p)
 	}
-	num.PredictVectorAtWith(ts, xs, t, dst, ps.predYs[:k], ps.predC[:k])
+	num.PredictVectorAtWith(pr.ts[:k], pr.vs[:k], t, dst, pr.ys[:k], pr.c[:k])
 }
 
-// takePoint pops a recycled point (or allocates one) with X/Q/Qdot buffers
-// of the system size.
-func (ps *PointSolver) takePoint() *integrate.Point {
-	if k := len(ps.ptPool); k > 0 {
-		pt := ps.ptPool[k-1]
-		ps.ptPool = ps.ptPool[:k-1]
-		return pt
-	}
+func pointX(p *integrate.Point) []float64    { return p.X }
+func pointQ(p *integrate.Point) []float64    { return p.Q }
+func pointQdot(p *integrate.Point) []float64 { return p.Qdot }
+
+// Predict extrapolates the solution history polynomially to time t, writing
+// the initial Newton guess into dst.
+func Predict(hist *integrate.History, t float64, dst []float64) {
+	var pr predictor
+	pr.extrapolate(hist, t, dst, pointX)
+}
+
+// newPoint allocates a point with X/Q/Qdot buffers of the system size.
+func (ps *PointSolver) newPoint() *integrate.Point {
 	n := ps.WS.Sys.N
 	return &integrate.Point{
 		X:    make([]float64, n),
 		Q:    make([]float64, n),
 		Qdot: make([]float64, n),
 	}
+}
+
+// takePoint pops a recycled point, or allocates one.
+func (ps *PointSolver) takePoint() *integrate.Point {
+	if k := len(ps.ptPool); k > 0 {
+		pt := ps.ptPool[k-1]
+		ps.ptPool = ps.ptPool[:k-1]
+		return pt
+	}
+	return ps.newPoint()
 }
 
 // PutPoint hands a point's buffers back to the solver pool. The caller must
@@ -423,49 +425,29 @@ func (ps *PointSolver) PutPoint(pt *integrate.Point) {
 	ps.ptPool = append(ps.ptPool, pt)
 }
 
+// DonatePoints seeds the solver's point pool with pre-allocated points
+// (the ensemble carves each lane's points from one strided backing array,
+// so history rings and candidates stay struct-of-arrays too).
+func (ps *PointSolver) DonatePoints(pts []*integrate.Point) {
+	ps.ptPool = append(ps.ptPool, pts...)
+}
+
 // PredictPoint extrapolates a full (X, Q, Qdot) point from history — the
 // speculative stand-in for a predecessor that has not converged yet. The
 // returned point comes from a fixed four-slot rotation: it stays valid for
 // the duration of the pipeline stage that requested it and is reused two
 // PredictPoint calls later.
 func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integrate.Point {
-	pt := ps.predRing[ps.predNext]
+	slot := &ps.predRing[ps.predNext]
 	ps.predNext = (ps.predNext + 1) % len(ps.predRing)
-	n := ps.WS.Sys.N
-	if pt == nil || len(pt.X) != n {
-		pt = &integrate.Point{
-			X:    make([]float64, n),
-			Q:    make([]float64, n),
-			Qdot: make([]float64, n),
-		}
-		ps.predRing[(ps.predNext+len(ps.predRing)-1)%len(ps.predRing)] = pt
+	if *slot == nil {
+		*slot = ps.newPoint()
 	}
+	pt := *slot
 	pt.T = t
-	ps.tailBuf = hist.AppendTail(ps.tailBuf[:0], 3)
-	pts := ps.tailBuf
-	k := len(pts)
-	if cap(ps.predTs) < k {
-		ps.predTs = make([]float64, k)
-		ps.predXs = make([][]float64, k)
-		ps.predYs = make([]float64, k)
-		ps.predC = make([]float64, k)
-	}
-	if cap(ps.predQs) < k {
-		ps.predQs = make([][]float64, k)
-		ps.predQds = make([][]float64, k)
-	}
-	ts, xs := ps.predTs[:k], ps.predXs[:k]
-	qs, qds := ps.predQs[:k], ps.predQds[:k]
-	for i, p := range pts {
-		ts[i] = p.T
-		xs[i] = p.X
-		qs[i] = p.Q
-		qds[i] = p.Qdot
-	}
-	ys, c := ps.predYs[:k], ps.predC[:k]
-	num.PredictVectorAtWith(ts, xs, t, pt.X, ys, c)
-	num.PredictVectorAtWith(ts, qs, t, pt.Q, ys, c)
-	num.PredictVectorAtWith(ts, qds, t, pt.Qdot, ys, c)
+	ps.pred.extrapolate(hist, t, pt.X, pointX)
+	ps.pred.extrapolate(hist, t, pt.Q, pointQ)
+	ps.pred.extrapolate(hist, t, pt.Qdot, pointQdot)
 	return pt
 }
 
@@ -479,6 +461,164 @@ func (ps *PointSolver) HarvestSolverStats() {
 	ps.Stats.BypassedEvals, ps.Stats.LinearStampHits = ps.WS.DeviceBypassCounters()
 }
 
+// pointSolve is the state of one point solve between begin and Commit/Fail.
+// Every way a point is computed is this one sequence: SolveAt and the
+// recovery ladder run it through (begin, iterate, Commit/Fail); ResumeAt does
+// the same with a warm iteration; WarmStart ends it by keeping the iterate
+// instead of closing it; and the ensemble drives it open, between Begin and
+// Commit/Fail, so the device loads of several lanes can be batched
+// (circuit.BatchLoad) while Step runs the rest of each iteration per lane.
+type pointSolve struct {
+	// start is when the solve began; zero for a lockstep solve, whose
+	// iterations interleave with its chunk's so that it has no span of its
+	// own — the ensemble measures its gang's critical path by the round.
+	start time.Time
+	saved int64 // modeledSaving at begin
+	pt    *integrate.Point
+	co    integrate.Coeffs
+	p     circuit.LoadParams
+	opts  newton.Options
+	it    newton.Iter
+	flags uint8 // trace flags of the closing KindSolve event
+}
+
+// modeledSaving is the wall time the hardware-substitution model has taken
+// off this workspace so far: device-load and LU-kernel wall segments less
+// their parallel critical paths (see DESIGN.md, hardware substitution).
+func (ps *PointSolver) modeledSaving() int64 {
+	ws := ps.WS
+	return ws.LoadWallNanos - ws.LoadCritNanos + ws.Solver.LUWallNanos - ws.Solver.LUCritNanos
+}
+
+// begin opens a point solve at tNew against hist: the integration
+// coefficients and history vector, a pooled point holding seed (the
+// polynomial prediction from hist when nil), the assembly parameters and a
+// fresh iteration under opts. nodeGmin is the recovery ladder's
+// node-to-ground conductance. On error nothing is left open.
+func (ps *PointSolver) begin(start time.Time, hist *integrate.History, tNew float64, seed []float64, opts newton.Options, nodeGmin float64) error {
+	ps.cur = pointSolve{start: start, saved: ps.modeledSaving(), opts: opts}
+	s := &ps.cur
+	var err error
+	if s.co, err = integrate.Compute(ps.Method, hist, tNew, ps.qhist); err != nil {
+		ps.model()
+		return err
+	}
+	s.pt = ps.takePoint()
+	if seed != nil {
+		copy(s.pt.X, seed)
+	} else {
+		ps.pred.extrapolate(hist, tNew, s.pt.X, pointX)
+	}
+	s.p = circuit.LoadParams{Time: tNew, Alpha0: s.co.Alpha0, Gmin: ps.Gmin, SrcScale: 1, NodeGmin: nodeGmin}
+	return nil
+}
+
+// run iterates the open solve to convergence or failure and closes it.
+func (ps *PointSolver) run() (*integrate.Point, integrate.Coeffs, error) {
+	s := &ps.cur
+	ps.Stats.Solves++
+	if _, err := s.it.Run(ps.WS, s.pt.X, s.p, ps.qhist, s.opts, ps.r, ps.dx); err != nil {
+		return nil, s.co, ps.Fail(err)
+	}
+	return ps.Commit(), s.co, nil
+}
+
+// Begin opens a lockstep point solve at tNew, seeded with the polynomial
+// prediction: the caller loads (LoadArgs) and Steps it until it converges
+// or fails, then calls Commit or Fail. A non-nil error is terminal for this
+// point and the solve is already closed.
+func (ps *PointSolver) Begin(hist *integrate.History, tNew float64) error {
+	if err := ps.begin(time.Time{}, hist, tNew, nil, ps.Newton, 0); err != nil {
+		return err
+	}
+	ps.Stats.Solves++
+	if err := newton.EntryFault(ps.WS, tNew); err != nil {
+		return ps.Fail(err)
+	}
+	return nil
+}
+
+// LoadArgs returns the iterate and assembly parameters the load of the open
+// solve's next iteration must use.
+func (ps *PointSolver) LoadArgs() ([]float64, circuit.LoadParams) {
+	p := ps.cur.p
+	p.FirstIter = ps.cur.it.N == 0
+	return ps.cur.pt.X, p
+}
+
+// Step runs the post-assembly remainder of the open solve's current Newton
+// iteration; the caller must have loaded the workspace with LoadArgs first.
+// done reports convergence; err is terminal (exhausted iteration budget
+// included) and the caller must follow with Fail.
+func (ps *PointSolver) Step() (done bool, err error) {
+	s := &ps.cur
+	return s.it.Step(ps.WS, s.pt.X, s.p, ps.qhist, s.opts, ps.r, ps.dx)
+}
+
+// Coeffs returns the integration coefficients of the open (or last) solve.
+func (ps *PointSolver) Coeffs() integrate.Coeffs { return ps.cur.co }
+
+// Commit closes a converged solve: one bookkeeping assembly at the solution
+// so the stored charge vector is exactly Q(x), Qdot from the discretization.
+// The returned point belongs to the caller.
+func (ps *PointSolver) Commit() *integrate.Point {
+	s := &ps.cur
+	ps.closeSolve(nil)
+	p := s.p
+	p.NodeGmin, p.NoLimit = 0, true
+	newton.Load(ps.WS, s.pt.X, p)
+	s.pt.T = p.Time
+	copy(s.pt.Q, ps.WS.Q)
+	for i := range s.pt.Qdot {
+		s.pt.Qdot[i] = s.co.Alpha0*s.pt.Q[i] + ps.qhist[i]
+	}
+	ps.model()
+	return s.pt
+}
+
+// Fail closes a solve that ended in a terminal error, recycling its point.
+// Returns err unchanged for call-site convenience.
+func (ps *PointSolver) Fail(err error) error {
+	ps.closeSolve(err)
+	ps.Stats.NRFailures++
+	ps.PutPoint(ps.cur.pt)
+	ps.model()
+	return err
+}
+
+// closeSolve books the iteration count and publishes the one KindSolve event
+// covering the solve so far (integration coefficients, prediction, Newton
+// loop).
+func (ps *PointSolver) closeSolve(err error) {
+	s := &ps.cur
+	ps.Stats.NRIters += s.it.N
+	ps.LastIters = s.it.N
+	tr := ps.WS.Trace
+	if !tr.Active() {
+		return
+	}
+	ev := trace.Event{
+		Kind: trace.KindSolve, T: s.p.Time, H: s.co.H0, Iters: int32(s.it.N),
+		Worker: ps.WS.Worker, Flags: s.flags,
+	}
+	if !s.start.IsZero() {
+		ev.Dur = time.Since(s.start).Nanoseconds()
+	}
+	if err != nil {
+		ev.Flags |= trace.FlagFailed
+	}
+	tr.Emit(ev)
+}
+
+// model records the modeled compute time of the solve being closed: measured
+// wall time less what the hardware-substitution model saved during it.
+func (ps *PointSolver) model() {
+	if s := &ps.cur; !s.start.IsZero() {
+		ps.LastNanos = time.Since(s.start).Nanoseconds() - (ps.modeledSaving() - s.saved)
+		ps.Stats.CriticalNanos += ps.LastNanos
+	}
+}
+
 // SolveAt computes the converged solution at tNew using hist for the
 // integration formula. guess, when non-nil, seeds Newton (otherwise a
 // polynomial prediction from hist is used). It returns the new point and
@@ -490,78 +630,10 @@ func (ps *PointSolver) SolveAt(hist *integrate.History, tNew float64, guess []fl
 // solveAtWith is SolveAt with explicit Newton options and an optional
 // node-to-ground conductance (the recovery ladder's knobs).
 func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess []float64, nopts newton.Options, nodeGmin float64) (*integrate.Point, integrate.Coeffs, error) {
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
-	co, err := integrate.Compute(ps.Method, hist, tNew, ps.qhist)
-	if err != nil {
-		return nil, co, err
+	if err := ps.begin(time.Now(), hist, tNew, guess, nopts, nodeGmin); err != nil {
+		return nil, ps.cur.co, err
 	}
-	pt := ps.takePoint()
-	x := pt.X
-	if guess != nil {
-		copy(x, guess)
-	} else {
-		ps.predict(hist, tNew, x)
-	}
-	p := circuit.LoadParams{Time: tNew, Alpha0: co.Alpha0, Gmin: ps.Gmin, SrcScale: 1, NodeGmin: nodeGmin}
-	ps.Stats.Solves++
-	res, err := newton.Solve(ps.WS, x, p, ps.qhist, nopts, ps.r, ps.dx)
-	ps.Stats.NRIters += res.Iters
-	ps.LastIters = res.Iters
-	ps.emitSolve(start, tNew, co.H0, res.Iters, 0, err)
-	if err != nil {
-		ps.Stats.NRFailures++
-		ps.PutPoint(pt)
-		return nil, co, err
-	}
-	return ps.finishPoint(pt, tNew, co), co, nil
-}
-
-// emitSolve publishes one KindSolve event covering the whole point solve
-// (integration coefficients, prediction, Newton loop). No-op when untraced.
-// A zero start leaves the duration out: a lockstep candidate's iterations
-// interleave with its chunk's, so it has no span of its own.
-func (ps *PointSolver) emitSolve(start time.Time, tNew, h float64, iters int, flags uint8, err error) {
-	tr := ps.WS.Trace
-	if !tr.Active() {
-		return
-	}
-	ev := trace.Event{
-		Kind: trace.KindSolve, T: tNew, H: h, Iters: int32(iters),
-		Worker: ps.WS.Worker, Flags: flags,
-	}
-	if !start.IsZero() {
-		ev.Dur = time.Since(start).Nanoseconds()
-	}
-	if err != nil {
-		ev.Flags |= trace.FlagFailed
-	}
-	tr.Emit(ev)
-}
-
-// loadCounted pairs a device load performed outside the Newton loop with the
-// same PhaseDeviceLoad event internal/newton emits for its loads, so trace
-// replay stays reconcilable 1:1 with the workspace's bypass counters (the
-// initial-point and warm-start loads can hit the linear template, and the
-// former can even replay journals when the operating point just converged at
-// the same iterate).
-func (ps *PointSolver) loadCounted(x []float64, p circuit.LoadParams) {
-	tr := ps.WS.Trace
-	if !tr.Active() {
-		ps.WS.Load(x, p)
-		return
-	}
-	t0 := time.Now()
-	ps.WS.Load(x, p)
-	ev := trace.Event{
-		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
-		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ps.WS.Worker,
-		Iters: int32(ps.WS.LastLoadBypassed()),
-	}
-	if ps.WS.LastLoadLinearHit() {
-		ev.Flags |= trace.FlagLinearHit
-	}
-	tr.Emit(ev)
+	return ps.run()
 }
 
 // WarmStart runs up to maxIter Newton iterations at tNew against the given
@@ -569,42 +641,39 @@ func (ps *PointSolver) loadCounted(x []float64, p circuit.LoadParams) {
 // regardless of convergence. Forward pipelining uses it to pre-iterate on a
 // predicted history while the true predecessor point is still being solved.
 func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter int) []float64 {
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
 	ps.warmValid = false
-	co, err := integrate.Compute(ps.Method, hist, tNew, ps.qhist)
-	if err != nil {
-		return nil
-	}
-	if ps.warmBuf == nil {
-		ps.warmBuf = make([]float64, ps.WS.Sys.N)
-	}
-	x := ps.warmBuf
-	ps.predict(hist, tNew, x)
+	ps.PutPoint(ps.warmPt)
+	ps.warmPt = nil
 	opts := ps.Newton
 	opts.MaxIter = maxIter
-	p := circuit.LoadParams{Time: tNew, Alpha0: co.Alpha0, Gmin: ps.Gmin, SrcScale: 1}
-	res, _ := newton.Solve(ps.WS, x, p, ps.qhist, opts, ps.r, ps.dx) // non-convergence is fine
-	ps.Stats.NRIters += res.Iters
+	if ps.begin(time.Now(), hist, tNew, nil, opts, 0) != nil {
+		return nil
+	}
+	defer ps.model()
+	s := &ps.cur
+	ps.warmPt = s.pt
+	x := s.pt.X
+	s.it.Run(ps.WS, x, s.p, ps.qhist, s.opts, ps.r, ps.dx) // non-convergence is fine
+	ps.Stats.NRIters += s.it.N
 	if tr := ps.WS.Trace; tr.Active() {
 		tr.Emit(trace.Event{
-			Kind: trace.KindPredict, T: tNew, H: co.H0, Iters: int32(res.Iters),
-			Worker: ps.WS.Worker, Dur: time.Since(start).Nanoseconds(),
+			Kind: trace.KindPredict, T: tNew, H: s.co.H0, Iters: int32(s.it.N),
+			Worker: ps.WS.Worker, Dur: time.Since(s.start).Nanoseconds(),
 		})
 	}
 	// Leave the workspace assembled and factorized exactly at x so ResumeAt
 	// can pick the speculative work up with only a residual rebuild. The
 	// device assembly is history-independent; only qhist will change. The
-	// factorization must be a real one — ResumeSolve's first step assumes an
-	// exact LU at x — so neither the factorization bypass nor replayed
+	// factorization must be a real one — a warm iteration's first step assumes
+	// an exact LU at x — so neither the factorization bypass nor replayed
 	// device stamps are allowed here.
 	ps.WS.DisableBypassOnce()
-	ps.loadCounted(x, p)
+	newton.Load(ps.WS, x, s.p)
 	if err := newton.Factorize(ps.WS, tNew, true); err != nil {
 		return x
 	}
 	ps.warmTime = tNew
-	ps.warmAlpha0 = co.Alpha0
+	ps.warmAlpha0 = s.co.Alpha0
 	ps.warmValid = true
 	return x
 }
@@ -612,64 +681,20 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 // ResumeAt finishes a speculatively warm-started point against the true
 // history: if the stored assembly matches (same time point, same Alpha0 —
 // i.e. the predicted history had the same spacings), the first correction
-// costs one residual rebuild and triangular solve; otherwise it falls back
-// to a plain SolveAt.
+// costs one residual rebuild and triangular solve; otherwise it is a plain
+// SolveAt from the warm iterate.
 func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []float64) (*integrate.Point, integrate.Coeffs, error) {
-	co, err := integrate.Compute(ps.Method, hist, tNew, ps.qhist)
-	if err != nil {
-		return nil, co, err
+	if err := ps.begin(time.Now(), hist, tNew, warm, ps.Newton, 0); err != nil {
+		return nil, ps.cur.co, err
 	}
-	match := ps.warmValid && warm != nil && ps.warmTime == tNew &&
-		math.Abs(ps.warmAlpha0-co.Alpha0) <= 1e-9*math.Abs(co.Alpha0) &&
-		os.Getenv("WAVEPIPE_NO_RESUME") == ""
+	s := &ps.cur
+	if ps.warmValid && warm != nil && ps.warmTime == tNew &&
+		math.Abs(ps.warmAlpha0-s.co.Alpha0) <= 1e-9*math.Abs(s.co.Alpha0) {
+		s.it.Warm = true
+		s.flags = trace.FlagResumed
+	}
 	ps.warmValid = false
-	if !match {
-		return ps.SolveAt(hist, tNew, warm)
-	}
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
-	pt := ps.takePoint()
-	x := pt.X
-	copy(x, warm)
-	p := circuit.LoadParams{Time: tNew, Alpha0: co.Alpha0, Gmin: ps.Gmin, SrcScale: 1}
-	ps.Stats.Solves++
-	res, err := newton.ResumeSolve(ps.WS, x, p, ps.qhist, ps.Newton, ps.r, ps.dx)
-	ps.Stats.NRIters += res.Iters
-	ps.LastIters = res.Iters
-	ps.emitSolve(start, tNew, co.H0, res.Iters, trace.FlagResumed, err)
-	if err != nil {
-		ps.Stats.NRFailures++
-		ps.PutPoint(pt)
-		return nil, co, err
-	}
-	return ps.finishPoint(pt, tNew, co), co, nil
-}
-
-// model records the modeled compute time of the finished call: measured wall
-// time with the device-load and LU-kernel wall segments replaced by their
-// parallel critical paths (see DESIGN.md, hardware substitution).
-func (ps *PointSolver) model(start time.Time, loadWall0, loadCrit0, luWall0, luCrit0 int64) {
-	wall := time.Since(start).Nanoseconds()
-	loadWall := ps.WS.LoadWallNanos - loadWall0
-	loadCrit := ps.WS.LoadCritNanos - loadCrit0
-	luWall := ps.WS.Solver.LUWallNanos - luWall0
-	luCrit := ps.WS.Solver.LUCritNanos - luCrit0
-	ps.LastNanos = wall - loadWall + loadCrit - luWall + luCrit
-	ps.Stats.CriticalNanos += ps.LastNanos
-}
-
-// finishPoint assembles once more at the converged solution pt.X so the
-// stored charge vector is exactly Q(x), then derives Qdot from the
-// discretization. pt comes from takePoint and is filled in place.
-func (ps *PointSolver) finishPoint(pt *integrate.Point, tNew float64, co integrate.Coeffs) *integrate.Point {
-	p := circuit.LoadParams{Time: tNew, Alpha0: co.Alpha0, Gmin: ps.Gmin, SrcScale: 1, NoLimit: true}
-	ps.loadCounted(pt.X, p)
-	pt.T = tNew
-	copy(pt.Q, ps.WS.Q)
-	for i := range pt.Qdot {
-		pt.Qdot[i] = co.Alpha0*pt.Q[i] + ps.qhist[i]
-	}
-	return pt
+	return ps.run()
 }
 
 // InitialPoint computes the t = 0 point: a DC operating point (or the UIC
@@ -702,7 +727,7 @@ func InitialPoint(sys *circuit.System, ps *PointSolver, opts Options) (*integrat
 			}
 		}
 	}
-	ps.loadCounted(x, circuit.LoadParams{Time: 0, Alpha0: 0, Gmin: opts.Gmin, SrcScale: 1})
+	newton.Load(ps.WS, x, circuit.LoadParams{Time: 0, Alpha0: 0, Gmin: opts.Gmin, SrcScale: 1})
 	return &integrate.Point{
 		T:    0,
 		X:    x,

@@ -5,7 +5,6 @@ import (
 
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
-	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
 )
 
@@ -44,48 +43,35 @@ func (e *engine) forwardStage(combined bool) error {
 	// a cold solve.
 	var warmFwdRes, warmB2Res pointResult
 	var warmFwd, warmB2 []float64
-	var warmFwdNanos, warmB2Nanos int64
-	// The predicted history mirrors the spacing of the true one (including
-	// the backward point when present) so the speculative assemblies'
-	// Alpha0 match and ResumeAt can reuse them. Each warm-start task predicts
-	// with its own solver's pooled prediction ring, so the concurrent phase-A
-	// tasks never share scratch.
-	predicted := func(ps *transient.PointSolver) *integrate.History {
-		ph := hist.Clone()
-		if doBack1 {
-			ph.Add(ps.PredictPoint(hist, t1-delta))
-		}
-		ph.Add(ps.PredictPoint(hist, t1))
-		return ph
-	}
-	tasksA := []func(){e.guardTask(t1, &main, func() {
-		pt, co, err := e.solvers[0].SolveAt(hist, t1, nil)
-		main = pointResult{pt: pt, co: co, err: err}
-	})}
-	if doBack1 {
-		tasksA = append(tasksA, e.guardTask(t1-delta, &back1, func() {
-			pt, co, err := e.solvers[2].SolveAt(hist, t1-delta, nil)
-			back1 = pointResult{pt: pt, co: co, err: err}
-		}))
-	}
 	depth := e.warmDepth()
+	warmTask := func(w int, t float64, res *pointResult, warm *[]float64) roundTask {
+		return roundTask{w: w, t: t, res: res, f: func() {
+			// The predicted history mirrors the spacing of the true one
+			// (including the backward point when present) so the speculative
+			// assemblies' Alpha0 match and ResumeAt can reuse them. Each
+			// warm-start task predicts with its own solver's pooled prediction
+			// ring, so the concurrent phase-A tasks never share scratch.
+			ps := e.solvers[w]
+			ph := hist.Clone()
+			if doBack1 {
+				ph.Add(ps.PredictPoint(hist, t1-delta))
+			}
+			ph.Add(ps.PredictPoint(hist, t1))
+			*warm = ps.WarmStart(ph, t, depth)
+		}}
+	}
+	tasksA := []roundTask{e.solveTask(0, hist, t1, &main)}
+	if doBack1 {
+		tasksA = append(tasksA, e.solveTask(2, hist, t1-delta, &back1))
+	}
 	if doForward {
-		tasksA = append(tasksA, e.guardTask(t2, &warmFwdRes, func() {
-			warmFwd = e.solvers[1].WarmStart(predicted(e.solvers[1]), t2, depth)
-			warmFwdNanos = e.solvers[1].LastNanos
-		}))
+		tasksA = append(tasksA, warmTask(1, t2, &warmFwdRes, &warmFwd))
 	}
 	if doBack2 {
-		tasksA = append(tasksA, e.guardTask(t2-delta, &warmB2Res, func() {
-			warmB2 = e.solvers[3].WarmStart(predicted(e.solvers[3]), t2-delta, depth)
-			warmB2Nanos = e.solvers[3].LastNanos
-		}))
+		tasksA = append(tasksA, warmTask(3, t2-delta, &warmB2Res, &warmB2))
 	}
-	e.runTasks(tasksA...)
-	e.notePanics(&main, &back1, &warmFwdRes, &warmB2Res)
-	e.critNanos += e.phaseACrit(doBack1, warmFwdNanos, warmB2Nanos)
+	e.runRound(t1, tasksA...)
 	e.noteMainIters(e.solvers[0].LastIters)
-	e.notePhaseAOccupancy(t1, doBack1, doForward, doBack2)
 
 	if main.err != nil {
 		e.noteDiscards(t1, boolCount(doBack1))
@@ -104,20 +90,17 @@ func (e *engine) forwardStage(combined bool) error {
 			trueHist.Add(back1.pt)
 		}
 		trueHist.Add(main.pt)
-		tasksB := []func(){e.guardTask(t2, &fwd, func() {
-			pt, co, err := e.solvers[1].ResumeAt(trueHist, t2, warmFwd)
-			fwd = pointResult{pt: pt, co: co, err: err}
-		})}
-		if doBack2 {
-			tasksB = append(tasksB, e.guardTask(t2-delta, &back2, func() {
-				pt, co, err := e.solvers[3].ResumeAt(trueHist, t2-delta, warmB2)
-				back2 = pointResult{pt: pt, co: co, err: err}
-			}))
+		resumeTask := func(w int, t float64, res *pointResult, warm []float64) roundTask {
+			return roundTask{w: w, t: t, res: res, f: func() {
+				pt, co, err := e.solvers[w].ResumeAt(trueHist, t, warm)
+				*res = pointResult{pt: pt, co: co, err: err}
+			}}
 		}
-		e.runTasks(tasksB...)
-		e.notePanics(&fwd, &back2)
-		e.critNanos += e.phaseBCrit(doBack2)
-		e.notePhaseBOccupancy(t2, doBack2)
+		tasksB := []roundTask{resumeTask(1, t2, &fwd, warmFwd)}
+		if doBack2 {
+			tasksB = append(tasksB, resumeTask(3, t2-delta, &back2, warmB2))
+		}
+		e.runRound(t2, tasksB...)
 	}
 
 	// ---- Validation and publication, ascending in time ----
@@ -185,74 +168,4 @@ func boolCount(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// notePhaseAOccupancy publishes worker-occupancy spans for the forward
-// stage's first parallel round (main solve, optional backward point, the
-// speculative warm starts), matching the worker→solver assignment above.
-func (e *engine) notePhaseAOccupancy(t float64, back1, fwd, back2 bool) {
-	if !e.tr.Active() {
-		return
-	}
-	emit := func(w int) {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: int16(w),
-			Stage: e.s.Stage, Dur: e.solvers[w].LastNanos,
-		})
-	}
-	emit(0)
-	if back1 {
-		emit(2)
-	}
-	if fwd {
-		emit(1)
-	}
-	if back2 {
-		emit(3)
-	}
-}
-
-// notePhaseBOccupancy publishes the second round's spans: the corrective
-// forward solve and the optional backward point under it.
-func (e *engine) notePhaseBOccupancy(t float64, back2 bool) {
-	if !e.tr.Active() {
-		return
-	}
-	e.tr.Emit(trace.Event{
-		Kind: trace.KindWorker, T: t, Worker: 1,
-		Stage: e.s.Stage, Dur: e.solvers[1].LastNanos,
-	})
-	if back2 {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: 3,
-			Stage: e.s.Stage, Dur: e.solvers[3].LastNanos,
-		})
-	}
-}
-
-// phaseACrit returns the critical-path time of the stage's first parallel
-// round: the main point, the optional backward point and the speculative
-// warm starts all run concurrently.
-func (e *engine) phaseACrit(withBack1 bool, warmNanos ...int64) int64 {
-	crit := e.solvers[0].LastNanos
-	if withBack1 && e.solvers[2].LastNanos > crit {
-		crit = e.solvers[2].LastNanos
-	}
-	for _, w := range warmNanos {
-		if w > crit {
-			crit = w
-		}
-	}
-	return crit
-}
-
-// phaseBCrit returns the critical-path time of the stage's second parallel
-// round: the corrective forward solve and the optional backward point under
-// it.
-func (e *engine) phaseBCrit(withBack2 bool) int64 {
-	crit := e.solvers[1].LastNanos
-	if withBack2 && e.solvers[3].LastNanos > crit {
-		crit = e.solvers[3].LastNanos
-	}
-	return crit
 }

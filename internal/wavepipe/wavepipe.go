@@ -30,7 +30,6 @@ package wavepipe
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -82,12 +81,6 @@ type Options struct {
 	Threads int
 	// DeltaRatio sets the backward offset δ = DeltaRatio·h (default 0.2).
 	DeltaRatio float64
-	// WarmIters is how many speculative Newton iterations the forward
-	// worker runs on the predicted history. 0 (the default) adapts the
-	// depth to the rolling main-solve iteration count, mirroring a real
-	// parallel machine where the speculative worker iterates until the
-	// true predecessor point is published.
-	WarmIters int
 	// ForceParallelWorkers launches stage workers as goroutines even when
 	// the host has fewer cores than Threads (normally they run sequentially
 	// there so the critical-path timing model stays uncontended). Results
@@ -189,11 +182,6 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 			return e.result(), err
 		}
 		s.Stage++
-		if debugSteps && s.Stage%100000 == 0 {
-			// Stall diagnostic: a healthy run never reaches this.
-			fmt.Printf("wavepipe: stage=%d t=%.6g h=%.3g points=%d rejects=%d\n",
-				s.Stage, s.T, s.H, s.PS.Stats.Points, s.PS.Stats.LTERejects)
-		}
 		switch {
 		case e.warmup > 0 || e.degraded > 0:
 			// Pipeline flush: after a waveform discontinuity the truncation-
@@ -301,14 +289,12 @@ type engine struct {
 }
 
 // warmDepth returns the speculative iteration budget for the forward
-// worker: the configured WarmIters, or (adaptively) one less than the
-// rolling main-solve iteration count — the warm start's trailing
-// assembly+factorization costs roughly one more iteration, keeping the
-// speculative task no heavier than the concurrent main solve.
+// worker: the rolling main-solve iteration count, mirroring a real parallel
+// machine where the speculative worker iterates until the true predecessor
+// point is published. The warm start's trailing assembly+factorization costs
+// roughly one more iteration, keeping the speculative task no heavier than
+// the concurrent main solve.
 func (e *engine) warmDepth() int {
-	if e.opts.WarmIters > 0 {
-		return e.opts.WarmIters
-	}
 	d := int(e.emaIters + 0.5)
 	if d < 1 {
 		d = 1
@@ -428,21 +414,6 @@ func (e *engine) reject(t float64, co integrate.Coeffs, norm float64) {
 	e.invalidateBypass()
 }
 
-// noteOccupancy publishes one worker-occupancy span for each solver that
-// participated in the just-joined parallel round (tasks i < n), using the
-// solver's modeled compute time as the span length.
-func (e *engine) noteOccupancy(t float64, n int) {
-	if !e.tr.Active() {
-		return
-	}
-	for i := 0; i < n && i < len(e.solvers); i++ {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: int16(i),
-			Stage: e.s.Stage, Dur: e.solvers[i].LastNanos,
-		})
-	}
-}
-
 // invalidateBypass retires every solver's device-bypass journals. The
 // coordinator calls it whenever the run's trajectory breaks — rejections,
 // failures, breakpoints — so no pipeline lane replays stamps captured on a
@@ -474,35 +445,71 @@ func (e *engine) degrade(reason string) {
 	e.degraded = degradeWindow
 }
 
-// guardTask wraps one stage-worker task so that a panic (real or injected)
-// surfaces as a typed error on res instead of killing the process — a bad
-// device model must cost at most the stage, never the run.
-func (e *engine) guardTask(tTarget float64, res *pointResult, f func()) func() {
-	return func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.err = &faults.SimError{
-					Phase: "wavepipe", Time: tTarget, Node: -1,
-					Cause: fmt.Errorf("%w: %v", faults.ErrWorkerPanic, r),
-				}
-			}
-		}()
-		if cls, ok := e.flt.At(faults.SiteWorker, tTarget); ok && cls == faults.WorkerPanic {
-			panic(fmt.Sprintf("injected worker panic at t=%g", tTarget))
-		}
-		f()
-	}
+// roundTask is one solver's share of a parallel round: solver w (also its
+// lane in the trace) works toward the point at t, leaving its outcome in res.
+type roundTask struct {
+	w   int
+	t   float64
+	res *pointResult
+	f   func()
 }
 
-// notePanics counts worker panics among the stage's results and schedules
-// the serial-fallback window.
-func (e *engine) notePanics(results ...*pointResult) {
-	for _, r := range results {
-		if r != nil && r.err != nil && errors.Is(r.err, faults.ErrWorkerPanic) {
+// runRound executes one parallel round of a stage and returns with it on the
+// books. Each task runs behind a panic fence, so that a panic (real or
+// injected) surfaces as a typed error on its res instead of killing the
+// process — a bad device model must cost at most the stage, never the run —
+// and schedules the serial-fallback window. The slowest participating
+// solver's modeled compute time joins the run's critical path, and every
+// participant's is published as a worker-occupancy span at time t.
+func (e *engine) runRound(t float64, tasks ...roundTask) {
+	fns := make([]func(), len(tasks))
+	for i, k := range tasks {
+		fns[i] = func() {
+			defer func() {
+				if r := recover(); r != nil {
+					k.res.err = &faults.SimError{
+						Phase: "wavepipe", Time: k.t, Node: -1,
+						Cause: fmt.Errorf("%w: %v", faults.ErrWorkerPanic, r),
+					}
+				}
+			}()
+			if cls, ok := e.flt.At(faults.SiteWorker, k.t); ok && cls == faults.WorkerPanic {
+				panic(fmt.Sprintf("injected worker panic at t=%g", k.t))
+			}
+			k.f()
+		}
+	}
+	e.runTasks(fns...)
+	var crit int64
+	for _, k := range tasks {
+		if errors.Is(k.res.err, faults.ErrWorkerPanic) {
 			e.workerPanics++
 			e.degrade("worker panic")
 		}
+		crit = max(crit, e.noteWorker(t, k.w))
 	}
+	e.critNanos += crit
+}
+
+// noteWorker publishes solver w's modeled compute time in the round just
+// joined as a worker-occupancy span at time t, and returns it.
+func (e *engine) noteWorker(t float64, w int) int64 {
+	d := e.solvers[w].LastNanos
+	if e.tr.Active() {
+		e.tr.Emit(trace.Event{
+			Kind: trace.KindWorker, T: t, Worker: int16(w), Stage: e.s.Stage, Dur: d,
+		})
+	}
+	return d
+}
+
+// solveTask is the round task in which solver w solves the point at t from
+// hist.
+func (e *engine) solveTask(w int, hist *integrate.History, t float64, res *pointResult) roundTask {
+	return roundTask{w: w, t: t, res: res, f: func() {
+		pt, co, err := e.solvers[w].SolveAt(hist, t, nil)
+		*res = pointResult{pt: pt, co: co, err: err}
+	}}
 }
 
 // serialStage advances one plain single-point step (the pipeline-flush
@@ -523,8 +530,7 @@ func (e *engine) serialStage() error {
 		}
 		tNew, hitBp = s.Plan() // where Failed placed the ladder's point: one floor step on
 	}
-	e.critNanos += e.solvers[0].LastNanos
-	e.noteOccupancy(tNew, 1)
+	e.critNanos += e.noteWorker(tNew, 0)
 	norm := e.lteNorm(pointResult{pt: pt, co: co})
 	if s.TooCoarse(norm, co.H0) {
 		e.reject(tNew, co, norm)
@@ -582,14 +588,7 @@ func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
 		h = capV
 	}
 	e.s.H = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
-	if debugSteps {
-		fmt.Printf("bwp t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g h1N=%.3g -> h=%.3g\n",
-			e.s.T, hUsed, norm, h1Solve, h1Next, e.s.H)
-	}
 }
-
-// debugSteps enables step-decision tracing (tests/diagnostics only).
-var debugSteps = os.Getenv("WAVEPIPE_DEBUG") != ""
 
 // shrinkAfterFailure reduces the stage step after a Newton failure. It never
 // fails the run: repeated failures and the step floor both hand control to
@@ -628,27 +627,11 @@ func (e *engine) backwardStage() error {
 	targets = append(targets, tMain)
 
 	results := make([]pointResult, len(targets))
-	tasks := make([]func(), len(targets))
+	tasks := make([]roundTask, len(targets))
 	for i := range targets {
-		i := i
-		tasks[i] = e.guardTask(targets[i], &results[i], func() {
-			pt, co, err := e.solvers[i].SolveAt(hist, targets[i], nil)
-			results[i] = pointResult{pt: pt, co: co, err: err}
-		})
+		tasks[i] = e.solveTask(i, hist, targets[i], &results[i])
 	}
-	e.runTasks(tasks...)
-	for i := range results {
-		e.notePanics(&results[i])
-	}
-	// Stage critical path: the slowest of the concurrent workers.
-	var stageCrit int64
-	for i := range targets {
-		if d := e.solvers[i].LastNanos; d > stageCrit {
-			stageCrit = d
-		}
-	}
-	e.critNanos += stageCrit
-	e.noteOccupancy(tMain, len(targets))
+	e.runRound(tMain, tasks...)
 
 	main := results[len(results)-1]
 	if main.err != nil {

@@ -173,7 +173,7 @@ func TestCombinedSchemeUsesFourWorkers(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{Scheme: SchemeCombined}.withDefaults()
-	if o.Threads != 3 || o.DeltaRatio != 0.2 || o.WarmIters != 0 {
+	if o.Threads != 3 || o.DeltaRatio != 0.2 {
 		t.Fatalf("combined defaults: %+v", o)
 	}
 	o = Options{Scheme: SchemeForward, Threads: 8}.withDefaults()
@@ -336,10 +336,6 @@ func TestWarmDepthAdaptivity(t *testing.T) {
 	}
 	if d := e.warmDepth(); d != 10 {
 		t.Fatalf("depth cap = %d, want 10", d)
-	}
-	e.opts.WarmIters = 3
-	if e.warmDepth() != 3 {
-		t.Fatal("explicit WarmIters must win")
 	}
 }
 

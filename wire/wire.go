@@ -170,118 +170,17 @@ type JobStatus struct {
 	wavepipe.JobStatus
 }
 
-// Stats is the wire form of wavepipe.Stats, field for field.
-type Stats struct {
-	Points                 int   `json:"points"`
-	Solves                 int   `json:"solves"`
-	NRIters                int   `json:"nrIters"`
-	LTERejects             int   `json:"lteRejects"`
-	NRFailures             int   `json:"nrFailures"`
-	Discarded              int   `json:"discarded"`
-	OpIters                int   `json:"opIters"`
-	Stages                 int   `json:"stages"`
-	Recoveries             int   `json:"recoveries"`
-	WorkerPanics           int   `json:"workerPanics"`
-	DegradedStages         int   `json:"degradedStages"`
-	BypassedFactorizations int   `json:"bypassedFactorizations"`
-	Refactorizations       int   `json:"refactorizations"`
-	FullFactorizations     int   `json:"fullFactorizations"`
-	BypassedEvals          int64 `json:"bypassedEvals"`
-	LinearStampHits        int64 `json:"linearStampHits"`
-	CriticalNanos          int64 `json:"criticalNanos"`
-	CoreBudget             int   `json:"coreBudget"`
-	PipelineWorkers        int   `json:"pipelineWorkers"`
-	IntraWorkers           int   `json:"intraWorkers"`
-	PipelineSerialized     bool  `json:"pipelineSerialized"`
-	WindowsLaunched        int64 `json:"windowsLaunched"`
-	PararealIters          int64 `json:"pararealIters"`
-	WindowRedos            int64 `json:"windowRedos"`
-	// Parasitic-reduction counters. Additive since schemaVersion 1
-	// (omitempty: absent means the run was not reduced).
-	ReducedNodes   int64 `json:"reducedNodes,omitempty"`
-	ReducedDevices int64 `json:"reducedDevices,omitempty"`
-	// Factorization requests answered exactly from the LU in hand. Additive
-	// since schemaVersion 1 (omitempty: absent means none, or an older peer).
-	ReusedFactorizations int `json:"reusedFactorizations,omitempty"`
-}
-
-// FromStats converts engine statistics to their wire form.
-func FromStats(s wavepipe.Stats) Stats {
-	return Stats{
-		Points:                 s.Points,
-		Solves:                 s.Solves,
-		NRIters:                s.NRIters,
-		LTERejects:             s.LTERejects,
-		NRFailures:             s.NRFailures,
-		Discarded:              s.Discarded,
-		OpIters:                s.OpIters,
-		Stages:                 s.Stages,
-		Recoveries:             s.Recoveries,
-		WorkerPanics:           s.WorkerPanics,
-		DegradedStages:         s.DegradedStages,
-		BypassedFactorizations: s.BypassedFactorizations,
-		Refactorizations:       s.Refactorizations,
-		FullFactorizations:     s.FullFactorizations,
-		BypassedEvals:          s.BypassedEvals,
-		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
-		CoreBudget:             s.CoreBudget,
-		PipelineWorkers:        s.PipelineWorkers,
-		IntraWorkers:           s.IntraWorkers,
-		PipelineSerialized:     s.PipelineSerialized,
-		WindowsLaunched:        s.WindowsLaunched,
-		PararealIters:          s.PararealIters,
-		WindowRedos:            s.WindowRedos,
-		ReducedNodes:           s.ReducedNodes,
-		ReducedDevices:         s.ReducedDevices,
-		ReusedFactorizations:   s.ReusedFactorizations,
-	}
-}
-
-// ToStats converts wire statistics back to the facade type.
-func (w Stats) ToStats() wavepipe.Stats {
-	return wavepipe.Stats{
-		Points:                 w.Points,
-		Solves:                 w.Solves,
-		NRIters:                w.NRIters,
-		LTERejects:             w.LTERejects,
-		NRFailures:             w.NRFailures,
-		Discarded:              w.Discarded,
-		OpIters:                w.OpIters,
-		Stages:                 w.Stages,
-		Recoveries:             w.Recoveries,
-		WorkerPanics:           w.WorkerPanics,
-		DegradedStages:         w.DegradedStages,
-		BypassedFactorizations: w.BypassedFactorizations,
-		Refactorizations:       w.Refactorizations,
-		FullFactorizations:     w.FullFactorizations,
-		BypassedEvals:          w.BypassedEvals,
-		LinearStampHits:        w.LinearStampHits,
-		CriticalNanos:          w.CriticalNanos,
-		CoreBudget:             w.CoreBudget,
-		PipelineWorkers:        w.PipelineWorkers,
-		IntraWorkers:           w.IntraWorkers,
-		PipelineSerialized:     w.PipelineSerialized,
-		WindowsLaunched:        w.WindowsLaunched,
-		PararealIters:          w.PararealIters,
-		WindowRedos:            w.WindowRedos,
-		ReducedNodes:           w.ReducedNodes,
-		ReducedDevices:         w.ReducedDevices,
-		ReusedFactorizations:   w.ReusedFactorizations,
-	}
-}
-
 // Result is the wire form of a finished run: the recorded waveforms, the
 // run statistics and the final solution vector. The in-process recovery log
 // does not travel — it is diagnostic detail for local callers.
 type Result struct {
-	SchemaVersion int         `json:"schemaVersion"`
-	Signals       []string    `json:"signals"`
-	Index         []int       `json:"index"`
-	Times         []float64   `json:"times"`
-	Data          [][]float64 `json:"data"`
-	Stats         Stats       `json:"stats"`
-	FinalX        []float64   `json:"finalX,omitempty"`
+	SchemaVersion int            `json:"schemaVersion"`
+	Signals       []string       `json:"signals"`
+	Index         []int          `json:"index"`
+	Times         []float64      `json:"times"`
+	Data          [][]float64    `json:"data"`
+	Stats         wavepipe.Stats `json:"stats"`
+	FinalX        []float64      `json:"finalX,omitempty"`
 	// Err carries the typed simulation error message of a failed run whose
 	// partial result was still worth returning.
 	Err string `json:"error,omitempty"`
@@ -295,7 +194,7 @@ func FromResult(r *wavepipe.Result) *Result {
 	}
 	out := &Result{
 		SchemaVersion: SchemaVersion,
-		Stats:         FromStats(r.Stats),
+		Stats:         r.Stats,
 		FinalX:        r.FinalX,
 	}
 	if r.W != nil {
@@ -341,7 +240,7 @@ func (w *Result) ToResult() (*wavepipe.Result, error) {
 			Times: w.Times,
 			Data:  w.Data,
 		},
-		Stats:  w.Stats.ToStats(),
+		Stats:  w.Stats,
 		FinalX: w.FinalX,
 	}, nil
 }

@@ -110,6 +110,63 @@ var iterationWaveformHashes = map[string]uint64{
 	"windows4/rect1k":      0x2baab5bf34976a41,
 }
 
+// stageWaveformHashes pins the stage shapes the pipeline-stage fold (PR 16)
+// rewrites and no row above reaches: two and three backward points under the
+// main point, Combined at width 2 (no backward point: the Forward stage) and
+// at width 4 (a backward point under the forward point as well). Generated on
+// the commit before the fold (PR 15, go1.24 linux/amd64), keyed
+// "config/circuit".
+var stageWaveformHashes = map[string]uint64{
+	"backward3/grid16":    0xf9aecad98b62bfe5,
+	"backward4/grid16":    0xaecf60c7a78921ce,
+	"combined2/grid16":    0xd07649f6f9b19f53,
+	"combined4/grid16":    0x17a02b09d7b3e701,
+	"backward3/grid24":    0xf20e0b952caee143,
+	"backward4/grid24":    0x536657e9c3c916b9,
+	"combined2/grid24":    0x17092f0ca4c6130c,
+	"combined4/grid24":    0xadc293a762e581fd,
+	"backward3/grid32":    0xff6c39027f6e5958,
+	"backward4/grid32":    0x0d297136e52fe611,
+	"combined2/grid32":    0x0ff3ae1000be894b,
+	"combined4/grid32":    0xd50e4fe07bfccb97,
+	"backward3/ladder400": 0x0e5124181785c708,
+	"backward4/ladder400": 0xa477bdfc7df8253a,
+	"combined2/ladder400": 0x53bde847b30e6085,
+	"combined4/ladder400": 0x8aa75d5bab0e3ee7,
+	"backward3/rlctree8":  0xd162440bd70ffe89,
+	"backward4/rlctree8":  0x915897e7ce88a9e8,
+	"combined2/rlctree8":  0xf1b15b0697753244,
+	"combined4/rlctree8":  0x36a24ae327c343d0,
+	"backward3/rect1k":    0xc8151cb129233896,
+	"backward4/rect1k":    0xa58e9d4dcc2a2bff,
+	"combined2/rect1k":    0xedd7b7706c6701d1,
+	"combined4/rect1k":    0x2390c08eecceb59f,
+	"backward3/amp10M":    0x236aab07dd8eb578,
+	"backward4/amp10M":    0x84a6399ea608bbd1,
+	"combined2/amp10M":    0xb224ceb97a37fafc,
+	"combined4/amp10M":    0xd0ecc8487053f868,
+	"backward3/ring9":     0x57e936305700c411,
+	"backward4/ring9":     0x4affb2878d8caeda,
+	"combined2/ring9":     0xe976cdaf5f72b007,
+	"combined4/ring9":     0x6355a3a4572bb747,
+	"backward3/inv50":     0x285809008e1b26f7,
+	"backward4/inv50":     0x83a72181234933e5,
+	"combined2/inv50":     0x0ee790e8aeb5b0a5,
+	"combined4/inv50":     0x47e36df28a940447,
+	"backward3/nand5":     0x3283fb71c6acd320,
+	"backward4/nand5":     0x1b8d776c4e824c31,
+	"combined2/nand5":     0x147d28f276c455a6,
+	"combined4/nand5":     0x300375b5d001c72c,
+	"backward3/ekv30":     0x44ca4e66d7d6b27c,
+	"backward4/ekv30":     0xb08cfc634a435875,
+	"combined2/ekv30":     0x50c90d42e0c9ed5b,
+	"combined4/ekv30":     0xde877eb319b123cb,
+	"backward3/ecl8":      0xf1511440146b9e5e,
+	"backward4/ecl8":      0xbb95662a944efde3,
+	"combined2/ecl8":      0x6e6a05705aba3d08,
+	"combined4/ecl8":      0x8418263a67a2f787,
+}
+
 func waveformHash(res *Result) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -173,12 +230,17 @@ func TestSuiteWaveformHashesPinned(t *testing.T) {
 func TestEngineWaveformHashesPinned(t *testing.T) {
 	skipUnpinnable(t)
 	pipelined := []struct {
-		name string
-		opts TranOptions
+		name  string
+		opts  TranOptions
+		table map[string]uint64
 	}{
-		{"backward2", TranOptions{Scheme: Backward, Threads: 2}},
-		{"forward2", TranOptions{Scheme: Forward, Threads: 2}},
-		{"combined3", TranOptions{Scheme: Combined, Threads: 3}},
+		{"backward2", TranOptions{Scheme: Backward, Threads: 2}, engineWaveformHashes},
+		{"forward2", TranOptions{Scheme: Forward, Threads: 2}, engineWaveformHashes},
+		{"combined3", TranOptions{Scheme: Combined, Threads: 3}, engineWaveformHashes},
+		{"backward3", TranOptions{Scheme: Backward, Threads: 3}, stageWaveformHashes},
+		{"backward4", TranOptions{Scheme: Backward, Threads: 4}, stageWaveformHashes},
+		{"combined2", TranOptions{Scheme: Combined, Threads: 2}, stageWaveformHashes},
+		{"combined4", TranOptions{Scheme: Combined, Threads: 4}, stageWaveformHashes},
 	}
 	for _, b := range circuits.Suite() {
 		for _, cfg := range pipelined {
@@ -194,7 +256,7 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPinned(t, engineWaveformHashes, cfg.name+"/"+b.Name, res)
+				checkPinned(t, cfg.table, cfg.name+"/"+b.Name, res)
 			})
 		}
 		if b.Name == "ekv30" || b.Name == "grid16" {

@@ -17,7 +17,6 @@ import (
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
 	"wavepipe/internal/sched"
-	wpcore "wavepipe/internal/wavepipe"
 )
 
 // benchMetrics is one benchmark's machine-readable record.
@@ -182,9 +181,9 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 		if budget == 1 {
 			opts.Scheme = wavepipe.Serial
 		} else {
-			// Split policy: see wpcore.PlanThreads.
+			// Split policy: see planThreads.
 			opts.Scheme = wavepipe.Combined
-			opts.Threads = wpcore.PlanThreads(budget)
+			opts.Threads = planThreads(budget)
 		}
 		wall, res, err := timed(sys, opts)
 		if err != nil {
@@ -500,10 +499,28 @@ type windowScaleRecord struct {
 	RelMaxDev       float64 `json:"rel_max_dev"`
 }
 
+// planThreads is the pipeline width the two-level core-budget split policy
+// picks for the combined scheme: below 8 cores the pipeline gets everything
+// (intra-point gangs of 2-3 rarely clear the level-schedule profitability
+// gate, so they would idle); from 8 cores on, pipeline width is traded for
+// gang width — the mesh circuits' LU schedules only go parallel at gang
+// width >= 4, and a 2-wide pipeline with 4-wide gangs beats a 4-wide
+// pipeline with 2-wide gangs (grid32: 1046 ms vs 1597 ms critical path).
+// Width is always clamped to the scheme's useful 2-4 range. The corescale
+// and windowscale figures use this as the "best WavePipe-only" baseline
+// configuration at a given budget.
+func planThreads(budget int) int {
+	th := budget
+	if budget >= 8 {
+		th = budget / 4
+	}
+	return min(max(th, 2), 4)
+}
+
 // figWindowScale sweeps time-parallel window count against core budget:
 // for every budget (powers of two up to maxCores) it records the serial
 // baseline, the best WavePipe-only configuration at that budget
-// (combined scheme, wpcore.PlanThreads width), and windowed runs at
+// (combined scheme, planThreads width), and windowed runs at
 // W = 2/4/8 with serial fine engines — once at the accuracy-first
 // default gate and once at the speed tier (gate 32, "windows-fast"),
 // which accepts coarse seeds within 32 fine error weights and trades a
@@ -579,7 +596,7 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 			}
 			wp := base
 			wp.Scheme = wavepipe.Combined
-			wp.Threads = wpcore.PlanThreads(budget)
+			wp.Threads = planThreads(budget)
 			wp.CoreBudget = budget
 			if err := add("wavepipe", 0, wp); err != nil {
 				return err

@@ -415,12 +415,11 @@ func (s *System) NewWorkspace() *Workspace {
 
 // LoadParams bundles the knobs of one assembly pass.
 type LoadParams struct {
-	Time      float64 // waveform evaluation time
-	Alpha0    float64 // d/dt Q ≈ Alpha0·Q(x) + history (0 for DC)
-	Gmin      float64 // junction + node-diagonal shunt conductance
-	NodeGmin  float64 // extra conductance added on every node diagonal (gmin stepping)
-	SrcScale  float64 // source scaling in [0,1] (source stepping); 1 = full
-	FirstIter bool    // first Newton iteration at this point (limiting seed)
+	Time     float64 // waveform evaluation time
+	Alpha0   float64 // d/dt Q ≈ Alpha0·Q(x) + history (0 for DC)
+	Gmin     float64 // junction + node-diagonal shunt conductance
+	NodeGmin float64 // extra conductance added on every node diagonal (gmin stepping)
+	SrcScale float64 // source scaling in [0,1] (source stepping); 1 = full
 	// NoLimit disables junction-voltage limiting: post-convergence
 	// bookkeeping loads must evaluate charges at the exact solution, not a
 	// clamped voltage (the per-worker limiting state may be stale there).
@@ -469,19 +468,18 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw in
 	zeroChunk(ws.Q, w, nw)
 	zeroChunk(ws.B, w, nw)
 	*ctx = EvalCtx{
-		X:         x,
-		T:         p.Time,
-		Alpha0:    p.Alpha0,
-		Gmin:      p.Gmin,
-		SrcScale:  p.SrcScale,
-		FirstIter: p.FirstIter,
-		NoLimit:   p.NoLimit,
-		SPrev:     ws.SPrev,
-		SNext:     ws.SNext,
-		m:         ws.M,
-		F:         ws.F,
-		Q:         ws.Q,
-		B:         ws.B,
+		X:        x,
+		T:        p.Time,
+		Alpha0:   p.Alpha0,
+		Gmin:     p.Gmin,
+		SrcScale: p.SrcScale,
+		NoLimit:  p.NoLimit,
+		SPrev:    ws.SPrev,
+		SNext:    ws.SNext,
+		m:        ws.M,
+		F:        ws.F,
+		Q:        ws.Q,
+		B:        ws.B,
 	}
 }
 
@@ -588,15 +586,14 @@ func (ws *Workspace) CopyStateFrom(other *Workspace) {
 
 // EvalCtx is the device evaluation context for one assembly pass.
 type EvalCtx struct {
-	X         []float64
-	T         float64
-	Alpha0    float64
-	Gmin      float64
-	SrcScale  float64
-	FirstIter bool
-	NoLimit   bool
-	SPrev     []float64
-	SNext     []float64
+	X        []float64
+	T        float64
+	Alpha0   float64
+	Gmin     float64
+	SrcScale float64
+	NoLimit  bool
+	SPrev    []float64
+	SNext    []float64
 
 	m  *sparse.Matrix
 	mq *sparse.Matrix // non-nil during split (G/C) assembly

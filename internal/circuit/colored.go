@@ -89,17 +89,16 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 	// buffers, capturing its F/Q/B rows.
 	rec := &probeRecorder{}
 	ctx := EvalCtx{
-		X:         make([]float64, n),
-		SrcScale:  1,
-		FirstIter: true,
-		NoLimit:   true,
-		SPrev:     make([]float64, numStates),
-		SNext:     make([]float64, numStates),
-		m:         pattern.Clone(),
-		F:         make([]float64, n),
-		Q:         make([]float64, n),
-		B:         make([]float64, n),
-		rec:       rec,
+		X:        make([]float64, n),
+		SrcScale: 1,
+		NoLimit:  true,
+		SPrev:    make([]float64, numStates),
+		SNext:    make([]float64, numStates),
+		m:        pattern.Clone(),
+		F:        make([]float64, n),
+		Q:        make([]float64, n),
+		B:        make([]float64, n),
+		rec:      rec,
 	}
 
 	// footprint[d]: deduplicated union of Reserve rows and probe rows.

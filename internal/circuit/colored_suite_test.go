@@ -34,7 +34,7 @@ func TestColoredLoadMatchesSerialOnSuite(t *testing.T) {
 				// range while exercising nonlinear stamps.
 				x[i] = 0.05 * float64(i%7-3)
 			}
-			p := circuit.LoadParams{Time: 1e-9, Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1, FirstIter: true}
+			p := circuit.LoadParams{Time: 1e-9, Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
 
 			serial := sys.NewWorkspace()
 			serial.Load(x, p)

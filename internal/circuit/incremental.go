@@ -204,34 +204,32 @@ func buildIncBasis(s *System) (basis *incBasis) {
 	// B writes are discarded — for a linear device F(0) = Q(0) = 0 and its
 	// B contribution, if any, is re-stamped every load.
 	linCtx := EvalCtx{
-		X:         make([]float64, n),
-		SrcScale:  1,
-		FirstIter: true,
-		NoLimit:   true,
-		SPrev:     make([]float64, s.NumStates),
-		SNext:     make([]float64, s.NumStates),
-		m:         b.jf,
-		mq:        b.jq,
-		F:         dumpF,
-		Q:         dumpQ,
-		B:         dumpB,
+		X:        make([]float64, n),
+		SrcScale: 1,
+		NoLimit:  true,
+		SPrev:    make([]float64, s.NumStates),
+		SNext:    make([]float64, s.NumStates),
+		m:        b.jf,
+		mq:       b.jq,
+		F:        dumpF,
+		Q:        dumpQ,
+		B:        dumpB,
 	}
 	// Recording probe for the nonlinear devices: capture the F/Q/B rows each
 	// one writes, so rows never named in Reserve still enter its journal
 	// footprint, and so B-stamping devices are barred from bypass.
 	rec := &probeRecorder{}
 	probeCtx := EvalCtx{
-		X:         make([]float64, n),
-		SrcScale:  1,
-		FirstIter: true,
-		NoLimit:   true,
-		SPrev:     make([]float64, s.NumStates),
-		SNext:     make([]float64, s.NumStates),
-		m:         s.pattern.Clone(),
-		F:         dumpF,
-		Q:         dumpQ,
-		B:         dumpB,
-		rec:       rec,
+		X:        make([]float64, n),
+		SrcScale: 1,
+		NoLimit:  true,
+		SPrev:    make([]float64, s.NumStates),
+		SNext:    make([]float64, s.NumStates),
+		m:        s.pattern.Clone(),
+		F:        dumpF,
+		Q:        dumpQ,
+		B:        dumpB,
+		rec:      rec,
 	}
 	seenRow := make([]int, n)
 	seenCol := make([]int, n)

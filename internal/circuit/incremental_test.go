@@ -148,7 +148,7 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 	for i := range x {
 		x[i] = 0.3 * math.Sin(float64(i+1))
 	}
-	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, FirstIter: true, NodeGmin: 1e-9}
+	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
 
 	step := func(what string) {
 		inc.Load(x, p)
@@ -158,7 +158,6 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 	step("first iteration (template build + capture)")
 
 	// Second iteration at a barely moved iterate: replay regime.
-	p.FirstIter = false
 	for i := range x {
 		x[i] += 1e-9
 	}
@@ -202,10 +201,9 @@ func TestIncrementalBypassGuards(t *testing.T) {
 	ws.SetDeviceBypass(1e-3, 1e-6)
 	ws.inc.doBypass = true // fixture sits below the profitability gate
 	x := make([]float64, sys.N)
-	p := LoadParams{Alpha0: 1e6, SrcScale: 1, FirstIter: true}
+	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
 
 	ws.Load(x, p)
-	p.FirstIter = false
 	ws.Load(x, p)
 	if got := ws.LastLoadBypassed(); got != len(nls) {
 		t.Fatalf("expected %d bypassed evals, got %d", len(nls), got)
@@ -274,12 +272,11 @@ func TestIncrementalLimitedJournalNotReplayed(t *testing.T) {
 	ws.inc.doBypass = true // fixture sits below the profitability gate
 	x := make([]float64, sys.N)
 	x[a] = 1.0 // beyond limitAt: the capture happens under limiting
-	p := LoadParams{Alpha0: 1e6, SrcScale: 1, FirstIter: true}
+	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
 	ws.Load(x, p)
 	if !ws.Limited {
 		t.Fatal("expected a limited load")
 	}
-	p.FirstIter = false
 	ws.Load(x, p)
 	if ws.LastLoadBypassed() != 0 {
 		t.Fatal("replayed a journal recorded under active limiting")

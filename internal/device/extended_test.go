@@ -33,7 +33,6 @@ func TestBJTForwardActive(t *testing.T) {
 	dx := make([]float64, sys.N)
 	p := circuit.LoadParams{SrcScale: 1, Gmin: 1e-12}
 	for iter := 0; iter < 200; iter++ {
-		p.FirstIter = iter == 0
 		ws.Load(x, p)
 		ws.Residual(0, nil, r)
 		if err := ws.Solver.Factorize(); err != nil {

@@ -67,9 +67,6 @@ type Options struct {
 	// Workers is the lane-gang width, caller included (the shared core
 	// budget). 0 selects min(K, max(2, NumCPU)).
 	Workers int
-	// ForceGang spawns real gang goroutines even on a single-CPU host
-	// (race tests); production runs leave it false and let the pool decide.
-	ForceGang bool
 }
 
 // LaneResult is one lane's outcome. Res is non-nil even on failure (the
@@ -188,9 +185,6 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 	budget.Reserve(1) // the caller is the gang leader
 	pool := budget.NewPool(width)
 	defer pool.Close()
-	if opts.ForceGang && pool != nil {
-		pool.Force = true
-	}
 
 	e := &engine{base: base, tr: base.Trace, pool: pool, width: pool.Workers()}
 	e.walls = make([]int64, e.width)

@@ -175,16 +175,16 @@ func TestFaultedLaneRetiresWithoutStallingGang(t *testing.T) {
 	}
 }
 
-// ForceGang spawns real worker goroutines even on one CPU; under -race
-// this exercises the lockstep rounds for data races. The pool must not
+// A forced gang runs its members on real goroutines even on one CPU; under
+// -race this exercises the lockstep rounds for data races. The pool must not
 // leak goroutines after Run returns.
 func TestLockstepGangRace(t *testing.T) {
+	forceGang(t)
 	before := runtime.NumGoroutine()
 	lanes := ladderLanes(6, 12, 0.6)
 	res, err := Run(hostFor(t, lanes), lanes, Options{
-		Base:      transient.Options{TStop: 8e-9},
-		Workers:   3,
-		ForceGang: true,
+		Base:    transient.Options{TStop: 8e-9},
+		Workers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

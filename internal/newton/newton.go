@@ -110,7 +110,6 @@ func (it *Iter) Run(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qh
 	}
 	for !done && err == nil {
 		if !it.Warm {
-			p.FirstIter = it.N == 0
 			Load(ws, x, p)
 		}
 		done, err = it.Step(ws, x, p, qhist, opts, r, dx)

@@ -97,8 +97,16 @@ func (p *Pool) Workers() int {
 // the caller down, so Run degrades to a sequential sweep unless Force is set;
 // kernels use Gang to pick between their concurrent and serial forms (and,
 // for the serial form, to model the would-be parallel critical path).
-func (p *Pool) Gang() bool {
-	return p != nil && p.n > 1 && (p.Force || ForceGang.Load() || runtime.GOMAXPROCS(0) > 1)
+func (p *Pool) Gang() bool { return p.Covers(2) }
+
+// Covers reports whether n independent tasks can each have a gang member and
+// a core of their own: the pool is at least n wide — a pool carved from a
+// Budget is only as wide as the budget granted — and the host schedules at
+// least n threads (or the gang is forced). Tasks that time-share a core gain
+// nothing and blur every per-task clock reading behind the critical-path
+// model. GOMAXPROCS is read on every call: it can change mid-run.
+func (p *Pool) Covers(n int) bool {
+	return p != nil && n <= p.n && (p.Force || ForceGang.Load() || runtime.GOMAXPROCS(0) >= n)
 }
 
 // Run executes fn(w) for every worker w in [0, Workers()) and returns once
@@ -113,13 +121,36 @@ func (p *Pool) Run(fn func(w int)) {
 		}
 		return
 	}
+	p.dispatch(p.n, fn)
+}
+
+// Round executes the n independent tasks of one round, fn(0) … fn(n-1), and
+// returns once all have completed: task i on gang member i (the caller takes
+// task 0) when Covers(n), otherwise one after another on the caller — the
+// results are the same either way. It reports whether the round ran as
+// asked, i.e. false when more than one task had to be serialized. Panics
+// surface as in Run.
+func (p *Pool) Round(n int, fn func(i int)) bool {
+	if n > 1 && p.Covers(n) {
+		p.dispatch(n, fn)
+		return true
+	}
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+	return n <= 1
+}
+
+// dispatch runs fn on the caller and the first n-1 hired workers.
+func (p *Pool) dispatch(n int, fn func(int)) {
 	p.mu.Lock()
 	p.pv = nil
 	p.mu.Unlock()
-	p.wg.Add(p.n - 1)
-	for _, ch := range p.tasks {
+	p.wg.Add(n - 1)
+	for _, ch := range p.tasks[:n-1] {
 		ch <- fn
 	}
+	runtime.Gosched()
 	p.runGuarded(fn, 0)
 	p.wg.Wait()
 	p.mu.Lock()

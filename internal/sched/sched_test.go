@@ -200,3 +200,73 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// A round is covered when the pool is wide enough and the host schedules a
+// thread per task; a round that is not covered runs on the caller, in order,
+// and says so.
+func TestRoundRunsCoveredRoundsOnTheGang(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(3)
+	defer p.Close()
+	if !p.Covers(2) || p.Covers(3) || p.Covers(4) {
+		t.Fatalf("3-wide pool at GOMAXPROCS 2 covers 2:%v 3:%v 4:%v", p.Covers(2), p.Covers(3), p.Covers(4))
+	}
+	var order []int
+	if p.Round(3, func(i int) { order = append(order, i) }) {
+		t.Fatal("an uncovered round reported as concurrent")
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("uncovered round ran %v, want 0 1 2 on the caller", order)
+	}
+	if !p.Round(1, func(int) {}) || !p.Round(0, func(int) {}) {
+		t.Fatal("a round of at most one task has nothing to serialize")
+	}
+
+	p.Force = true
+	if !p.Covers(3) || p.Covers(4) {
+		t.Fatal("forcing covers the pool's width and no more")
+	}
+	var hits [3]atomic.Int64
+	for r := 0; r < 200; r++ {
+		if !p.Round(2, func(i int) { hits[i].Add(1) }) {
+			t.Fatal("a covered round reported as serialized")
+		}
+	}
+	if hits[0].Load() != 200 || hits[1].Load() != 200 || hits[2].Load() != 0 {
+		t.Fatalf("two-task rounds ran tasks %d/%d/%d times", hits[0].Load(), hits[1].Load(), hits[2].Load())
+	}
+	var nilPool *Pool
+	if nilPool.Covers(1) || nilPool.Round(2, func(int) {}) {
+		t.Fatal("the nil pool covers nothing and serializes every round")
+	}
+}
+
+// A panic in a round task on a hired worker resurfaces on the caller once
+// the round has drained, and the pool stays usable.
+func TestRoundPanicOnHiredWorkerReachesCaller(t *testing.T) {
+	p := NewPool(2)
+	p.Force = true
+	defer p.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "task 1" {
+				t.Fatalf("recovered %v, want the hired worker's panic", r)
+			}
+		}()
+		p.Round(2, func(i int) {
+			if i == 1 {
+				panic("task 1")
+			}
+		})
+	}()
+	ran := 0
+	p.Round(2, func(i int) {
+		if i == 0 {
+			ran++
+		}
+	})
+	if ran != 1 {
+		t.Fatal("pool unusable after a panicked round")
+	}
+}

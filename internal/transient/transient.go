@@ -541,9 +541,7 @@ func (ps *PointSolver) Begin(hist *integrate.History, tNew float64) error {
 // LoadArgs returns the iterate and assembly parameters the load of the open
 // solve's next iteration must use.
 func (ps *PointSolver) LoadArgs() ([]float64, circuit.LoadParams) {
-	p := ps.cur.p
-	p.FirstIter = ps.cur.it.N == 0
-	return ps.cur.pt.X, p
+	return ps.cur.pt.X, ps.cur.p
 }
 
 // Step runs the post-assembly remainder of the open solve's current Newton

@@ -7,8 +7,9 @@ import (
 	"wavepipe/internal/waveform"
 )
 
-// TestParallelWorkersRaceAndEquivalence forces the truly concurrent worker
-// path (normally skipped on hosts with fewer cores than threads) so the
+// TestParallelWorkersRaceAndEquivalence forces the truly concurrent stage
+// gang (see runForced; normally serialized on hosts with fewer cores than
+// threads) so the
 // race detector can inspect the sharing discipline: immutable history
 // points, per-worker solvers, coordinator-only acceptance. It also checks
 // that the concurrent path produces the same waveform as the sequential
@@ -23,11 +24,10 @@ func TestParallelWorkersRaceAndEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v sequential: %v", scheme, err)
 		}
-		parRes, err := Run(rectifierSystem(t), Options{
-			Base:                 transient.Options{TStop: 1e-3},
-			Scheme:               scheme,
-			Threads:              4,
-			ForceParallelWorkers: true,
+		parRes, err := runForced(rectifierSystem(t), Options{
+			Base:    transient.Options{TStop: 1e-3},
+			Scheme:  scheme,
+			Threads: 4,
 		})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", scheme, err)

@@ -1,6 +1,8 @@
 package wavepipe
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"wavepipe/internal/faults"
@@ -12,11 +14,10 @@ import (
 // real concurrent workers and the given fault harness.
 func runRectifier(t *testing.T, in *faults.Injector) *transient.Result {
 	t.Helper()
-	res, err := Run(rectifierSystem(t), Options{
-		Base:                 transient.Options{TStop: 3e-3, Faults: in},
-		Scheme:               SchemeCombined,
-		Threads:              4,
-		ForceParallelWorkers: true,
+	res, err := runForced(rectifierSystem(t), Options{
+		Base:    transient.Options{TStop: 3e-3, Faults: in},
+		Scheme:  SchemeCombined,
+		Threads: 4,
 	})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
@@ -97,6 +98,45 @@ func TestPipelineSurvivesWorkerPanics(t *testing.T) {
 	}
 	if res.Stats.DegradedStages == 0 {
 		t.Fatal("degradation window never ran serial stages")
+	}
+}
+
+// The fence is per task, not per goroutine: when every task of a four-wide
+// round panics at once, three of them do so on gang members other than the
+// caller, and each is caught on its own slot. The firing log proves they
+// shared a round: its four times are exactly the four targets of the first
+// stage's plan (a panic in a later flush stage would repeat the main time).
+func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: maxWidth})
+	res := checkFaulted(t, in)
+	if res.Stats.WorkerPanics != maxWidth {
+		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, maxWidth)
+	}
+	var fired []float64
+	for _, f := range in.Firings() {
+		fired = append(fired, f.T)
+	}
+	sort.Float64s(fired)
+	o := Options{Scheme: SchemeCombined, Threads: maxWidth}.withDefaults()
+	p := planStage(o, false, 0, fired[1], false, 3e-3)
+	want := []float64{p.backs[0].t, p.main.t, p.fwdBack.t, p.fwd.t}
+	if p.nBack != 1 || !slices.Equal(fired, want) {
+		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)
+	}
+}
+
+// A panic in the flush stage itself — the fifth firing, after a whole round
+// went down — is fenced like any other and costs a step shrink, not the run.
+func TestFlushStagePanicIsContained(t *testing.T) {
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: maxWidth + 1})
+	res := checkFaulted(t, in)
+	if res.Stats.WorkerPanics != maxWidth+1 {
+		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, maxWidth+1)
+	}
+	fired := in.Firings()
+	last := fired[maxWidth]
+	if !slices.ContainsFunc(fired[:maxWidth], func(f faults.Firing) bool { return f.T == last.T }) {
+		t.Fatalf("fifth panic at t=%g is not the flush stage redoing the main point: %+v", last.T, fired)
 	}
 }
 

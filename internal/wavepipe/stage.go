@@ -1,0 +1,350 @@
+package wavepipe
+
+import (
+	"errors"
+	"fmt"
+
+	"wavepipe/internal/faults"
+	"wavepipe/internal/integrate"
+	"wavepipe/internal/trace"
+	"wavepipe/internal/transient"
+)
+
+// target is one point of a stage: the time it is solved at and the solver —
+// and with it the trace lane and the result slot — that owns it.
+type target struct {
+	solver int // < 0: the stage does not compute this point
+	t      float64
+}
+
+var noTarget = target{solver: -1}
+
+// stagePlan is the shape of one stage, the scheme as data: which points ride
+// along with the main point and which solver owns each.
+//
+//	               main   backward under main       forward   backward under forward
+//	flush          0      —                         —         —
+//	Backward/W     k      0..k-1, k ≤ W-1 kept      —         —
+//	Forward        0      —                         1         —
+//	Combined/2     0      —                         1         —
+//	Combined/3     0      2                         1         —
+//	Combined/4     0      2                         1         3
+//
+// The assignment is part of the result, not a free choice: a solver's
+// limiting state, bypass journals and warm factorization follow what it
+// solved last, so moving a role to another solver moves the waveform in the
+// last bits. Backward numbers its points in time order (main last), the
+// forward schemes in the order they were added to the engine.
+type stagePlan struct {
+	// flush marks the single-point stage that refills the pipeline after a
+	// breakpoint or a degradation: its main failure climbs the recovery
+	// ladder instead of falling back to — itself.
+	flush bool
+	main  target
+	hitBp bool // main lands on the controller's limit
+	// backs are the backward points main−jδ, ascending; offsets that would
+	// crowd the stage's base point are dropped.
+	backs [maxWidth - 1]target
+	nBack int
+	// fwd is the speculated point after main, one step of the same size on
+	// (no growth), never across a breakpoint; fwdBack the backward point
+	// under it.
+	fwd       target
+	fwdHitsBp bool
+	fwdBack   target
+}
+
+// planStage expands scheme × width × flush state into the stage that takes
+// the run from t to tMain (on the limit when hitBp).
+func planStage(o Options, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
+	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, fwd: noTarget, fwdBack: noTarget}
+	if flush {
+		return p
+	}
+	h0 := tMain - t
+	delta := o.DeltaRatio * h0
+	clearOf := func(tb, base float64) bool { return tb > base+0.05*h0 }
+
+	under := 0 // backward points asked for under main
+	switch {
+	case o.Scheme == SchemeBackward:
+		under = o.Threads - 1
+	case o.Scheme == SchemeCombined && o.Threads >= 3:
+		under = 1
+	}
+	for j := under; j >= 1; j-- {
+		if tb := tMain - float64(j)*delta; clearOf(tb, t) {
+			p.backs[p.nBack] = target{2, tb}
+			if o.Scheme == SchemeBackward {
+				p.backs[p.nBack].solver = p.nBack
+			}
+			p.nBack++
+		}
+	}
+	if o.Scheme == SchemeBackward {
+		p.main.solver = p.nBack
+		return p
+	}
+
+	t2, fwdHitsBp := transient.LandOn(limit, tMain+h0, h0)
+	if hitBp || (fwdHitsBp && t2-tMain < 0.1*h0) {
+		return p
+	}
+	p.fwd, p.fwdHitsBp = target{1, t2}, fwdHitsBp
+	if o.Scheme == SchemeCombined && o.Threads >= 4 && clearOf(t2-delta, tMain) {
+		p.fwdBack = target{3, t2 - delta}
+	}
+	return p
+}
+
+// job is what a round asks of a solver.
+type job uint8
+
+const (
+	jobSolve  job = iota // solve the target from the round's history
+	jobWarm              // pre-iterate the target against a predicted history
+	jobResume            // finish a warm-started target against the true history
+)
+
+// roundTask is one solver's share of a round.
+type roundTask struct {
+	target
+	job job
+}
+
+// queue appends a task for tg, if the stage computes it at all.
+func (e *engine) queue(tasks []roundTask, tg target, j job) []roundTask {
+	if tg.solver < 0 {
+		return tasks
+	}
+	return append(tasks, roundTask{tg, j})
+}
+
+// runRound executes one parallel round of a stage on the stage gang and
+// returns with it on the books: concurrently when host and budget cover
+// every task (sched.Pool.Covers, asked each round), else one task after
+// another — same results either way. A panic in a task (real or injected)
+// has surfaced as a typed error in its result slot (see runTask) and
+// schedules the serial-fallback window. The slowest participating solver's
+// modeled compute time joins the run's critical path, and every
+// participant's is published as a worker-occupancy span at time t.
+func (e *engine) runRound(t float64, hist *integrate.History, tasks []roundTask) {
+	e.from, e.round = hist, tasks
+	if !e.gang.Round(len(tasks), e.taskFn) {
+		e.pipelineSerialized = true
+	}
+	var crit int64
+	for _, k := range tasks {
+		if errors.Is(e.res[k.solver].err, faults.ErrWorkerPanic) {
+			e.workerPanics++
+			e.degrade("worker panic")
+		}
+		crit = max(crit, e.noteWorker(t, k.solver))
+	}
+	e.critNanos += crit
+}
+
+// noteWorker publishes solver w's modeled compute time in the round just
+// joined as a worker-occupancy span at time t, and returns it.
+func (e *engine) noteWorker(t float64, w int) int64 {
+	d := e.solvers[w].LastNanos
+	if e.tr.Active() {
+		e.tr.Emit(trace.Event{
+			Kind: trace.KindWorker, T: t, Worker: int16(w), Stage: e.s.Stage, Dur: d,
+		})
+	}
+	return d
+}
+
+// runTask is task i of the round in flight, run by one member of the stage
+// gang. It touches only its own solver and result slot plus the immutable
+// stage plan and history. The panic fence turns a panic into a typed error
+// on the slot instead of killing the process — a bad device model must cost
+// at most the stage, never the run.
+func (e *engine) runTask(i int) {
+	k := e.round[i]
+	ps, res := e.solvers[k.solver], &e.res[k.solver]
+	*res = pointResult{}
+	defer func() {
+		if r := recover(); r != nil {
+			res.err = &faults.SimError{
+				Phase: "wavepipe", Time: k.t, Node: -1,
+				Cause: fmt.Errorf("%w: %v", faults.ErrWorkerPanic, r),
+			}
+		}
+	}()
+	if cls, ok := e.flt.At(faults.SiteWorker, k.t); ok && cls == faults.WorkerPanic {
+		panic(fmt.Sprintf("injected worker panic at t=%g", k.t))
+	}
+	switch k.job {
+	case jobSolve:
+		res.pt, res.co, res.err = ps.SolveAt(e.from, k.t, nil)
+	case jobWarm:
+		// The predicted history mirrors the spacing of the true one (the
+		// backward point under main included) so the speculative assembly's
+		// Alpha0 matches and ResumeAt can reuse it. Each solver predicts with
+		// its own pooled prediction ring, so concurrent warm-ups share no
+		// scratch. A panic leaves warm nil and the resume solves cold.
+		e.warm[k.solver] = nil
+		ph := e.from.Clone()
+		for _, b := range e.p.backs[:e.p.nBack] {
+			ph.Add(ps.PredictPoint(e.from, b.t))
+		}
+		ph.Add(ps.PredictPoint(e.from, e.p.main.t))
+		e.warm[k.solver] = ps.WarmStart(ph, k.t, e.depth)
+	case jobResume:
+		res.pt, res.co, res.err = ps.ResumeAt(e.from, k.t, e.warm[k.solver])
+	}
+}
+
+// passes reports whether a backward candidate may be published: it converged
+// and meets the LTE bar against the history it was solved from (right after
+// a breakpoint there is no history to measure against, as for the main
+// point). Backward points are optional accelerators: a failure only costs
+// the speed-up they would have bought.
+func (e *engine) passes(hist *integrate.History, res *pointResult) bool {
+	return res.err == nil && (e.s.AfterBreak || e.lte(hist, res) <= 1)
+}
+
+// stage runs one pipeline stage:
+//
+//	round A — the main point t1 = t+h and the backward points t1−jδ, all from
+//	          the accepted history; meanwhile the forward solvers pre-iterate
+//	          t2 = t1+h (and t2−δ) against a polynomially *predicted* t1
+//	round B — the forward solvers finish t2 (and t2−δ) from the exact
+//	          history, warm-started from round A
+//
+// then validates and publishes in time order. Round B starts the moment the
+// true t1 point exists, before its LTE check. Accuracy is protected by
+// re-solving the forward points against the exact history and LTE-checking
+// every accepted point against the history it was solved from.
+func (e *engine) stage(flush bool) error {
+	s := e.s
+	hist := s.Hist
+	tMain, hitBp := s.Plan()
+	e.p = planStage(e.opts, flush, s.T, tMain, hitBp, s.Limit())
+	p := &e.p
+	e.depth = e.warmDepth()
+
+	tasks := e.tasks[:0]
+	for _, b := range p.backs[:p.nBack] {
+		tasks = append(tasks, roundTask{b, jobSolve})
+	}
+	tasks = append(tasks, roundTask{p.main, jobSolve})
+	tasks = e.queue(e.queue(tasks, p.fwd, jobWarm), p.fwdBack, jobWarm)
+	e.runRound(p.main.t, hist, tasks)
+	main := &e.res[p.main.solver]
+	if !flush {
+		e.noteMainIters(e.solvers[p.main.solver].LastIters)
+	}
+
+	if main.err != nil {
+		e.noteDiscards(p.main.t, p.nBack)
+		if !flush && errors.Is(main.err, faults.ErrWorkerPanic) {
+			// A panicked main worker is not a step-size problem; the flush
+			// stages its panic scheduled simply redo the point.
+			return nil
+		}
+		e.failStreak++
+		e.invalidateBypass()
+		if !flush {
+			e.shrinkAfterFailure()
+			return nil
+		}
+		// Step shrinking first; at the floor, the flush stage is the
+		// pipeline's last line of defense, so it climbs the same
+		// convergence-recovery ladder as the serial engine.
+		pt, co, err := s.Failed()
+		if pt == nil {
+			return err
+		}
+		*main = pointResult{pt: pt, co: co}
+		p.main.t, p.hitBp = s.Plan() // where Failed placed the ladder's point: one floor step on
+		e.critNanos += e.noteWorker(p.main.t, 0)
+	}
+
+	// Round B, speculative with respect to the LTE checks below.
+	var trueHist *integrate.History
+	spec := 0 // forward-side points solved
+	if p.fwd.solver >= 0 {
+		trueHist = hist.Clone()
+		for _, b := range p.backs[:p.nBack] {
+			if r := &e.res[b.solver]; r.err == nil {
+				trueHist.Add(r.pt)
+			}
+		}
+		trueHist.Add(main.pt)
+		tasks = e.queue(e.queue(e.tasks[:0], p.fwd, jobResume), p.fwdBack, jobResume)
+		e.runRound(p.fwd.t, trueHist, tasks)
+		spec = len(tasks)
+	}
+
+	// Validation and publication, ascending in time. The stage is built on
+	// the main point: if it goes, everything goes.
+	mainNorm := e.lte(hist, main)
+	if s.TooCoarse(mainNorm, main.co.H0) {
+		e.reject(p.main.t, main.co, mainNorm)
+		e.noteDiscards(p.main.t, p.nBack+spec)
+		return nil
+	}
+	// Accepting a point moves the history the next one would be measured
+	// against, so judge all backward points first.
+	for i, b := range p.backs[:p.nBack] {
+		e.keep[i] = e.passes(hist, &e.res[b.solver])
+	}
+	for i, b := range p.backs[:p.nBack] {
+		if e.keep[i] {
+			e.accept(e.res[b.solver].pt)
+		} else {
+			e.noteDiscards(b.t, 1)
+		}
+	}
+	e.accept(main.pt)
+	if flush {
+		e.noteMainIters(e.solvers[p.main.solver].LastIters)
+	}
+	if e.landed(p.hitBp, main.co.H0) {
+		return nil
+	}
+	if flush {
+		if e.warmup > 0 {
+			e.warmup--
+		} else {
+			e.degraded--
+			e.degradedStages++
+		}
+	}
+
+	// The forward side. Speculative points pass the same LTE bar as
+	// everything else; a stricter bar was tried and bought no measurable
+	// accuracy while discarding ~15% more points (see EXPERIMENTS.md). A
+	// backward point accepted here sits between the main and the forward
+	// point; history stays ascending either way.
+	last, lastNorm := main, mainNorm // the anchor the next step is sized from
+	if p.fwd.solver >= 0 {
+		if p.fwdBack.solver >= 0 {
+			if r := &e.res[p.fwdBack.solver]; e.passes(trueHist, r) {
+				e.accept(r.pt)
+			} else {
+				e.noteDiscards(p.fwdBack.t, 1)
+			}
+		}
+		fwd := &e.res[p.fwd.solver]
+		if fwd.err != nil {
+			e.noteDiscards(p.fwd.t, 1)
+		} else if norm := e.lte(trueHist, fwd); norm > 1 {
+			// The forward point's LTE feedback still guides the next step.
+			e.noteDiscards(p.fwd.t, 1)
+			e.reject(p.fwd.t, fwd.co, norm)
+			return nil
+		} else {
+			e.accept(fwd.pt)
+			if e.landed(p.fwdHitsBp, fwd.co.H0) {
+				return nil
+			}
+			last, lastNorm = fwd, norm
+		}
+	}
+	e.nextStep(last.co.H0, lastNorm, last.co.H1)
+	return nil
+}

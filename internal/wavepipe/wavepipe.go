@@ -28,10 +28,7 @@
 package wavepipe
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"wavepipe/internal/checkpoint"
@@ -81,12 +78,11 @@ type Options struct {
 	Threads int
 	// DeltaRatio sets the backward offset δ = DeltaRatio·h (default 0.2).
 	DeltaRatio float64
-	// ForceParallelWorkers launches stage workers as goroutines even when
-	// the host has fewer cores than Threads (normally they run sequentially
-	// there so the critical-path timing model stays uncontended). Results
-	// are identical either way; used by the race-detector tests.
-	ForceParallelWorkers bool
 }
+
+// maxWidth is the widest pipeline any scheme runs: a main point with three
+// backward points, or a main and a forward point with one backward point each.
+const maxWidth = 4
 
 // Width is the pipeline width a scheme runs at when asked for threads
 // workers (<= 0: the scheme's default) — what the engine uses, and what a
@@ -99,8 +95,8 @@ func Width(scheme Scheme, threads int) int {
 		return 3
 	case threads <= 0:
 		return 2
-	case threads > 4:
-		return 4
+	case threads > maxWidth:
+		return maxWidth
 	}
 	return threads
 }
@@ -115,50 +111,70 @@ func (o Options) withDefaults() Options {
 
 // Run executes a WavePipe transient analysis and returns a result of the
 // same shape as the serial engine's.
-func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr error) {
+func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 	if opts.Base.TStop <= 0 {
 		return nil, fmt.Errorf("wavepipe: TStop must be positive")
 	}
+	e := newEngine(sys, opts)
+	defer e.close()
+	return e.run(sys)
+}
+
+// newEngine builds the run's solvers — one per pipeline slot — and its
+// worker gangs.
+func newEngine(sys *circuit.System, opts Options) *engine {
 	opts = opts.withDefaults()
 	base := opts.Base.WithDefaults()
 	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
-	// Two-level budget split: one core per pipeline worker first, then the
-	// remainder divided into equal per-solver intra-point gangs. Small
-	// systems keep the whole budget at the pipeline level — barrier costs
-	// would eat the intra-point gain (see transient.IntraProfitable).
-	e.intra = 1
+	e.taskFn = e.runTask
+	// Two-level budget split: the stage gang first — one core for the
+	// coordinator, which leads it, and one per further pipeline slot as far as
+	// the budget goes — then the remainder divided into equal per-solver
+	// intra-point gangs. Small systems keep the whole budget at the pipeline
+	// level — barrier costs would eat the intra-point gain (see
+	// transient.IntraProfitable).
+	var budget *sched.Budget
+	intra := 1
 	if base.CoreBudget > 0 {
-		e.coreBudget = base.CoreBudget
-		e.budget = sched.NewBudget(base.CoreBudget)
-		e.budget.Reserve(opts.Threads) // pipeline leaders (may be partial)
-		if transient.IntraProfitable(sys) {
-			if intra := base.CoreBudget / opts.Threads; intra > 1 {
-				e.intra = intra
-			}
+		budget = sched.NewBudget(base.CoreBudget)
+		budget.Reserve(1)
+		e.gang = budget.NewPool(opts.Threads)
+		if n := base.CoreBudget / opts.Threads; n > 1 && transient.IntraProfitable(sys) {
+			intra = n
 		}
+	} else {
+		e.gang = sched.NewPool(opts.Threads)
 	}
 	for i := 0; i < opts.Threads; i++ {
 		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		ps.Attach(&e.base, int16(i))
-		if e.intra > 1 {
-			// NewPool grants whatever the budget still covers; a nil pool
-			// (budget exhausted) just leaves this solver serial inside.
-			if pool := e.budget.NewPool(e.intra); pool != nil {
-				ps.WS.SetPool(pool)
-				e.pools = append(e.pools, pool)
-			}
+		// NewPool grants whatever the budget still covers; a nil pool (budget
+		// exhausted, or no intra level at all) leaves this solver serial inside.
+		if pool := budget.NewPool(intra); pool != nil {
+			ps.WS.SetPool(pool)
+			e.pools = append(e.pools, pool)
 		}
 		e.solvers = append(e.solvers, ps)
 	}
-	defer func() {
-		for _, p := range e.pools {
-			p.Close()
-		}
-	}()
+	return e
+}
 
-	// Lane 0 computes every main point and every serial-fallback point, so
-	// its workspace holds the authoritative limiting/factorization state:
-	// the step controller is built on it. Coordinator events carry no lane.
+// close stops the run's worker gangs.
+func (e *engine) close() {
+	e.gang.Close()
+	for _, p := range e.pools {
+		p.Close()
+	}
+}
+
+// run advances the step controller stage by stage to the horizon.
+func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr error) {
+	// The controller is built on solver 0: it solves every flush stage — the
+	// refill after a breakpoint, the fallback after a failure — and climbs the
+	// recovery ladder, so its workspace holds the limiting and factorization
+	// state a resume restores. Which solver owns the main point of a pipelined
+	// stage is the plan's business (see planStage). Coordinator events carry
+	// no lane.
 	s := transient.NewStepper(sys, e.solvers[0], &e.base, "wavepipe")
 	s.Worker = -1
 	e.s = s
@@ -167,8 +183,8 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 	if e.warmup, err = s.Start(); err != nil {
 		return nil, err
 	}
-	if base.Resume != nil {
-		// Lane 0 received the limiting/factorization state; the other lanes
+	if e.base.Resume != nil {
+		// Solver 0 received the limiting/factorization state; the others
 		// adopt the limiting state (invalidating their journals). Pipelined
 		// resume is equivalence-tolerance, not bit-identical: only the
 		// serial engine's solve order is reproducible.
@@ -176,33 +192,21 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 			ps.WS.CopyStateFrom(e.solvers[0].WS)
 		}
 	}
-
 	for !s.Done() {
 		if err := s.Poll(e.capture); err != nil {
 			return e.result(), err
 		}
 		s.Stage++
-		switch {
-		case e.warmup > 0 || e.degraded > 0:
-			// Pipeline flush: after a waveform discontinuity the truncation-
-			// error checks have no valid history, so speculative points
-			// would be accepted blind. Like a hardware pipeline after a
-			// branch, refill serially until LTE control re-engages. The same
-			// serial path is the degradation fallback after worker panics or
-			// repeated stage failures (see degrade).
-			err = e.serialStage()
-		case opts.Scheme == SchemeForward:
-			err = e.forwardStage(false)
-		case opts.Scheme == SchemeCombined:
-			err = e.forwardStage(true)
-		default:
-			err = e.backwardStage()
-		}
-		if err != nil {
+		// Pipeline flush: after a waveform discontinuity the truncation-error
+		// checks have no valid history, so speculative points would be accepted
+		// blind. Like a hardware pipeline after a branch, refill one point per
+		// stage until LTE control re-engages. The same flush stage is the
+		// degradation fallback after worker panics or repeated stage failures
+		// (see degrade).
+		if err := e.stage(e.warmup > 0 || e.degraded > 0); err != nil {
 			return e.result(), err
 		}
 	}
-
 	return e.result(), nil
 }
 
@@ -220,7 +224,7 @@ func (e *engine) totals() transient.Stats {
 	stats.WorkerPanics = e.workerPanics
 	stats.DegradedStages = e.degradedStages
 	stats.CriticalNanos = e.critNanos
-	stats.CoreBudget = e.coreBudget
+	stats.CoreBudget = e.base.CoreBudget
 	stats.PipelineWorkers = e.opts.Threads
 	stats.IntraWorkers = 1
 	for _, p := range e.pools {
@@ -239,8 +243,9 @@ func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.
 // result assembles the (possibly partial) run outcome from the engine state.
 func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
 
-// engine holds the per-run coordinator state. Worker goroutines only touch
-// their own PointSolver plus the immutable history snapshot of the stage.
+// engine holds the per-run coordinator state. A round's tasks only touch
+// their own PointSolver and result slot plus the immutable plan and history
+// of the stage.
 type engine struct {
 	opts Options
 	base transient.Options
@@ -250,18 +255,17 @@ type engine struct {
 	// s is the run's step controller (history, waveform, step position,
 	// breakpoints, checkpoint cadence), shared with the serial engine.
 	s      *transient.Stepper
-	warmup int // serial stages remaining after a pipeline flush
+	warmup int // flush stages remaining after a breakpoint
 
-	// Two-level scheduling state: the run's core budget (0 = unmanaged),
-	// the per-solver intra-point gang width, the budget accountant and the
-	// pools it granted, and whether any pipeline phase had to serialize.
-	coreBudget         int
-	intra              int
-	budget             *sched.Budget
+	// Two-level scheduling state: the stage gang the rounds run on (as wide
+	// as the pipeline, or as the core budget let it be), the intra-point
+	// pools the budget granted the solvers, and whether any round had to
+	// serialize.
+	gang               *sched.Pool
 	pools              []*sched.Pool
 	pipelineSerialized bool
 
-	// Robustness state: the run's fault harness, the remaining
+	// Robustness state: the run's fault harness, the flush stages left in the
 	// serial-fallback window, and the consecutive-failure streak that
 	// triggers it.
 	flt        *faults.Injector
@@ -286,6 +290,18 @@ type engine struct {
 	ltePts  []*integrate.Point
 	tailBuf []*integrate.Point
 	lteScr  integrate.LTEScratch
+
+	// The stage in flight (see stage.go). res and warm are indexed by solver:
+	// a solver has at most one point per stage, so its slot is its own.
+	p      stagePlan
+	res    [maxWidth]pointResult
+	warm   [maxWidth][]float64
+	keep   [maxWidth]bool
+	depth  int                // the stage's speculative iteration budget
+	from   *integrate.History // what the round in flight solves from
+	round  []roundTask
+	tasks  [maxWidth]roundTask
+	taskFn func(int) // e.runTask, bound once
 }
 
 // warmDepth returns the speculative iteration budget for the forward
@@ -314,49 +330,6 @@ func (e *engine) noteMainIters(iters int) {
 	e.emaIters += 0.2 * (float64(iters) - e.emaIters)
 }
 
-// sequentialFor reports whether a phase of n concurrent tasks must run
-// sequentially. Two reasons force it: the host has fewer schedulable cores
-// than tasks (concurrent solves would time-share the CPU and pollute the
-// per-solve measurements behind the critical-path model), or the run's core
-// budget grants fewer pipeline slots than the phase needs. Both are
-// rechecked every phase — GOMAXPROCS is mutable at runtime, so a one-shot
-// answer captured at engine construction can go stale mid-run.
-func (e *engine) sequentialFor(n int) bool {
-	if e.opts.ForceParallelWorkers {
-		return false
-	}
-	if runtime.GOMAXPROCS(0) < n {
-		return true
-	}
-	return e.coreBudget > 0 && e.coreBudget < n
-}
-
-// runTasks executes the independent tasks of one pipeline phase, in
-// parallel on hosts with enough cores and budget, and sequentially
-// otherwise (same results either way; see sequentialFor).
-func (e *engine) runTasks(tasks ...func()) {
-	if len(tasks) == 1 {
-		tasks[0]()
-		return
-	}
-	if e.sequentialFor(len(tasks)) {
-		e.pipelineSerialized = true
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(t)
-	}
-	wg.Wait()
-}
-
 // pointResult carries one worker's outcome back to the coordinator.
 type pointResult struct {
 	pt  *integrate.Point
@@ -364,14 +337,11 @@ type pointResult struct {
 	err error
 }
 
-// lteNorm checks a candidate against the pre-stage history, estimating the
-// derivative from spaced points (see History.SpacedTail) while keeping the
-// candidate's true trailing spacing in the error coefficient.
-func (e *engine) lteNorm(res pointResult) float64 {
-	return e.lteNormAgainst(e.s.Hist, res)
-}
-
-func (e *engine) lteNormAgainst(hist *integrate.History, res pointResult) float64 {
+// lte is the truncation-error norm of a candidate against the history it was
+// solved from, estimating the derivative from spaced points (see
+// History.SpacedTail) while keeping the candidate's true trailing spacing in
+// the error coefficient.
+func (e *engine) lte(hist *integrate.History, res *pointResult) float64 {
 	e.ltePts = hist.AppendSpacedTail(e.ltePts[:0], res.co.Order+1, res.co.H0/4)
 	e.ltePts = append(e.ltePts, res.pt)
 	if e.tr.Active() {
@@ -426,7 +396,7 @@ func (e *engine) invalidateBypass() {
 	}
 }
 
-// degradeWindow is how many serial stages the pipeline runs after a
+// degradeWindow is how many flush stages the pipeline runs after a
 // degradation trigger before re-entering pipelined operation.
 const degradeWindow = 8
 
@@ -443,112 +413,6 @@ func (e *engine) degrade(reason string) {
 		}
 	}
 	e.degraded = degradeWindow
-}
-
-// roundTask is one solver's share of a parallel round: solver w (also its
-// lane in the trace) works toward the point at t, leaving its outcome in res.
-type roundTask struct {
-	w   int
-	t   float64
-	res *pointResult
-	f   func()
-}
-
-// runRound executes one parallel round of a stage and returns with it on the
-// books. Each task runs behind a panic fence, so that a panic (real or
-// injected) surfaces as a typed error on its res instead of killing the
-// process — a bad device model must cost at most the stage, never the run —
-// and schedules the serial-fallback window. The slowest participating
-// solver's modeled compute time joins the run's critical path, and every
-// participant's is published as a worker-occupancy span at time t.
-func (e *engine) runRound(t float64, tasks ...roundTask) {
-	fns := make([]func(), len(tasks))
-	for i, k := range tasks {
-		fns[i] = func() {
-			defer func() {
-				if r := recover(); r != nil {
-					k.res.err = &faults.SimError{
-						Phase: "wavepipe", Time: k.t, Node: -1,
-						Cause: fmt.Errorf("%w: %v", faults.ErrWorkerPanic, r),
-					}
-				}
-			}()
-			if cls, ok := e.flt.At(faults.SiteWorker, k.t); ok && cls == faults.WorkerPanic {
-				panic(fmt.Sprintf("injected worker panic at t=%g", k.t))
-			}
-			k.f()
-		}
-	}
-	e.runTasks(fns...)
-	var crit int64
-	for _, k := range tasks {
-		if errors.Is(k.res.err, faults.ErrWorkerPanic) {
-			e.workerPanics++
-			e.degrade("worker panic")
-		}
-		crit = max(crit, e.noteWorker(t, k.w))
-	}
-	e.critNanos += crit
-}
-
-// noteWorker publishes solver w's modeled compute time in the round just
-// joined as a worker-occupancy span at time t, and returns it.
-func (e *engine) noteWorker(t float64, w int) int64 {
-	d := e.solvers[w].LastNanos
-	if e.tr.Active() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: int16(w), Stage: e.s.Stage, Dur: d,
-		})
-	}
-	return d
-}
-
-// solveTask is the round task in which solver w solves the point at t from
-// hist.
-func (e *engine) solveTask(w int, hist *integrate.History, t float64, res *pointResult) roundTask {
-	return roundTask{w: w, t: t, res: res, f: func() {
-		pt, co, err := e.solvers[w].SolveAt(hist, t, nil)
-		*res = pointResult{pt: pt, co: co, err: err}
-	}}
-}
-
-// serialStage advances one plain single-point step (the pipeline-flush
-// refill path after breakpoints): the serial engine's step with the
-// pipeline's LTE stencil and step selection.
-func (e *engine) serialStage() error {
-	s := e.s
-	tNew, hitBp := s.Plan()
-	pt, co, err := e.solvers[0].SolveAt(s.Hist, tNew, nil)
-	if err != nil {
-		// Step shrinking first; at the floor, the serial stage is the
-		// pipeline's last line of defense, so it climbs the same
-		// convergence-recovery ladder as the serial engine.
-		e.failStreak++
-		e.invalidateBypass()
-		if pt, co, err = s.Failed(); pt == nil {
-			return err
-		}
-		tNew, hitBp = s.Plan() // where Failed placed the ladder's point: one floor step on
-	}
-	e.critNanos += e.noteWorker(tNew, 0)
-	norm := e.lteNorm(pointResult{pt: pt, co: co})
-	if s.TooCoarse(norm, co.H0) {
-		e.reject(tNew, co, norm)
-		return nil
-	}
-	e.accept(pt)
-	e.noteMainIters(e.solvers[0].LastIters)
-	if e.landed(hitBp, co.H0) {
-		return nil
-	}
-	if e.warmup > 0 {
-		e.warmup--
-	} else if e.degraded > 0 {
-		e.degraded--
-		e.degradedStages++
-	}
-	e.nextStep(co.H0, norm, co.H1)
-	return nil
 }
 
 // landed closes a stage whose last accepted point may sit on a breakpoint:
@@ -590,12 +454,11 @@ func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
 	e.s.H = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
 }
 
-// shrinkAfterFailure reduces the stage step after a Newton failure. It never
-// fails the run: repeated failures and the step floor both hand control to
-// the serial fallback, whose recovery ladder is the last word.
+// shrinkAfterFailure reduces the stage step after a pipelined stage's main
+// point failed Newton. It never fails the run: repeated failures and the
+// step floor both hand control to the flush stage, whose recovery ladder is
+// the last word.
 func (e *engine) shrinkAfterFailure() {
-	e.failStreak++
-	e.invalidateBypass()
 	if e.failStreak >= 3 {
 		e.degrade("repeated stage failure")
 	}
@@ -604,81 +467,4 @@ func (e *engine) shrinkAfterFailure() {
 		e.s.H = e.ctrl.HMin
 		e.degrade("step floor reached")
 	}
-}
-
-// backwardStage runs one backward-pipelining stage: the main point t+h and
-// Threads−1 backward points t+h−jδ, all solved concurrently from the same
-// history.
-func (e *engine) backwardStage() error {
-	t, hist := e.s.T, e.s.Hist
-	tMain, hitBp := e.s.Plan()
-	h0 := tMain - t
-	delta := e.opts.DeltaRatio * h0
-
-	// Backward targets, ascending, ending with the main point. Offsets that
-	// would crowd the base point are dropped.
-	targets := make([]float64, 0, e.opts.Threads)
-	for j := e.opts.Threads - 1; j >= 1; j-- {
-		tb := tMain - float64(j)*delta
-		if tb > t+0.05*h0 {
-			targets = append(targets, tb)
-		}
-	}
-	targets = append(targets, tMain)
-
-	results := make([]pointResult, len(targets))
-	tasks := make([]roundTask, len(targets))
-	for i := range targets {
-		tasks[i] = e.solveTask(i, hist, targets[i], &results[i])
-	}
-	e.runRound(tMain, tasks...)
-
-	main := results[len(results)-1]
-	if main.err != nil {
-		e.noteDiscards(tMain, len(targets)-1)
-		if !errors.Is(main.err, faults.ErrWorkerPanic) {
-			// A panicked main worker is not a step-size problem; the
-			// scheduled serial fallback simply redoes the point. Newton
-			// failures shrink the step as before.
-			e.shrinkAfterFailure()
-		}
-		return nil
-	}
-	mainNorm := e.lteNorm(main)
-	if e.s.TooCoarse(mainNorm, main.co.H0) {
-		e.reject(tMain, main.co, mainNorm)
-		e.noteDiscards(tMain, len(targets)-1)
-		return nil
-	}
-
-	// Accept the surviving backward points (ascending) and then the main
-	// point. Backward points are optional accelerators: failures only cost
-	// their potential speedup. LTE norms are evaluated against the
-	// pre-stage history every candidate was actually solved from.
-	keep := make([]bool, len(results)-1)
-	for i, r := range results[:len(results)-1] {
-		if r.err != nil {
-			continue
-		}
-		if !e.s.AfterBreak {
-			if norm := e.lteNorm(r); norm > 1 {
-				continue
-			}
-		}
-		keep[i] = true
-	}
-	for i, r := range results[:len(results)-1] {
-		if keep[i] {
-			e.accept(r.pt)
-		} else {
-			e.noteDiscards(targets[i], 1)
-		}
-	}
-	e.accept(main.pt)
-
-	if e.landed(hitBp, h0) {
-		return nil
-	}
-	e.nextStep(h0, mainNorm, main.co.H1)
-	return nil
 }

@@ -352,8 +352,12 @@ type TranOptions struct {
 	TStop float64
 	// Scheme selects the engine (default Serial).
 	Scheme Scheme
-	// Threads is the worker count for the WavePipe schemes (default:
-	// scheme-specific, 2–3) and the gang width for ensemble runs.
+	// Threads is the pipeline width of the WavePipe schemes — how many
+	// points a stage solves at once, and the size of the run's persistent
+	// stage gang (default: scheme-specific, 2–3) — and the gang width for
+	// ensemble runs. On a host, or under a CoreBudget, with fewer cores than
+	// a round has tasks the round runs them one after another (same
+	// results; Stats.PipelineSerialized).
 	Threads int
 	// Method is the integration formula (default Gear2).
 	Method Method

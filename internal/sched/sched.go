@@ -150,6 +150,10 @@ func (p *Pool) dispatch(n int, fn func(int)) {
 	for _, ch := range p.tasks[:n-1] {
 		ch <- fn
 	}
+	// A woken worker sits in this P's run-next slot, which other Ps steal
+	// only as a last resort and after a timed sleep: the caller would be well
+	// into its own share before the worker started. Yielding once lets this P
+	// start a worker now; the P being woken picks the caller up.
 	runtime.Gosched()
 	p.runGuarded(fn, 0)
 	p.wg.Wait()

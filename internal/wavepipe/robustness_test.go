@@ -118,7 +118,7 @@ func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
 	}
 	sort.Float64s(fired)
 	o := Options{Scheme: SchemeCombined, Threads: maxWidth}.withDefaults()
-	p := planStage(o, false, 0, fired[1], false, 3e-3)
+	p := planStage(&o, false, 0, fired[1], false, 3e-3)
 	want := []float64{p.backs[0].t, p.main.t, p.fwdBack.t, p.fwd.t}
 	if p.nBack != 1 || !slices.Equal(fired, want) {
 		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)

@@ -56,7 +56,7 @@ type stagePlan struct {
 
 // planStage expands scheme × width × flush state into the stage that takes
 // the run from t to tMain (on the limit when hitBp).
-func planStage(o Options, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
+func planStage(o *Options, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
 	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, fwd: noTarget, fwdBack: noTarget}
 	if flush {
 		return p
@@ -74,10 +74,11 @@ func planStage(o Options, flush bool, t, tMain float64, hitBp bool, limit float6
 	}
 	for j := under; j >= 1; j-- {
 		if tb := tMain - float64(j)*delta; clearOf(tb, t) {
-			p.backs[p.nBack] = target{2, tb}
+			solver := 2
 			if o.Scheme == SchemeBackward {
-				p.backs[p.nBack].solver = p.nBack
+				solver = p.nBack
 			}
+			p.backs[p.nBack] = target{solver, tb}
 			p.nBack++
 		}
 	}
@@ -113,7 +114,7 @@ type roundTask struct {
 }
 
 // queue appends a task for tg, if the stage computes it at all.
-func (e *engine) queue(tasks []roundTask, tg target, j job) []roundTask {
+func queue(tasks []roundTask, tg target, j job) []roundTask {
 	if tg.solver < 0 {
 		return tasks
 	}
@@ -129,7 +130,8 @@ func (e *engine) queue(tasks []roundTask, tg target, j job) []roundTask {
 // modeled compute time joins the run's critical path, and every
 // participant's is published as a worker-occupancy span at time t.
 func (e *engine) runRound(t float64, hist *integrate.History, tasks []roundTask) {
-	e.from, e.round = hist, tasks
+	// tasks is the head of e.tasks, where runTask finds its share.
+	e.from = hist
 	if !e.gang.Round(len(tasks), e.taskFn) {
 		e.pipelineSerialized = true
 	}
@@ -162,7 +164,7 @@ func (e *engine) noteWorker(t float64, w int) int64 {
 // on the slot instead of killing the process — a bad device model must cost
 // at most the stage, never the run.
 func (e *engine) runTask(i int) {
-	k := e.round[i]
+	k := e.tasks[i]
 	ps, res := e.solvers[k.solver], &e.res[k.solver]
 	*res = pointResult{}
 	defer func() {
@@ -222,7 +224,7 @@ func (e *engine) stage(flush bool) error {
 	s := e.s
 	hist := s.Hist
 	tMain, hitBp := s.Plan()
-	e.p = planStage(e.opts, flush, s.T, tMain, hitBp, s.Limit())
+	e.p = planStage(&e.opts, flush, s.T, tMain, hitBp, s.Limit())
 	p := &e.p
 	e.depth = e.warmDepth()
 
@@ -231,23 +233,28 @@ func (e *engine) stage(flush bool) error {
 		tasks = append(tasks, roundTask{b, jobSolve})
 	}
 	tasks = append(tasks, roundTask{p.main, jobSolve})
-	tasks = e.queue(e.queue(tasks, p.fwd, jobWarm), p.fwdBack, jobWarm)
+	tasks = queue(queue(tasks, p.fwd, jobWarm), p.fwdBack, jobWarm)
 	e.runRound(p.main.t, hist, tasks)
 	main := &e.res[p.main.solver]
-	if !flush {
+	// The rolling iteration count sizes the next warm-up. A pipelined main
+	// solve is a sample whatever becomes of it — the forward solver iterated
+	// beside it either way; a flush stage counts only the points it
+	// publishes (below). Both sampling points are pinned by the waveform
+	// hashes.
+	if !p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
 	}
 
 	if main.err != nil {
 		e.noteDiscards(p.main.t, p.nBack)
-		if !flush && errors.Is(main.err, faults.ErrWorkerPanic) {
+		if !p.flush && errors.Is(main.err, faults.ErrWorkerPanic) {
 			// A panicked main worker is not a step-size problem; the flush
 			// stages its panic scheduled simply redo the point.
 			return nil
 		}
 		e.failStreak++
 		e.invalidateBypass()
-		if !flush {
+		if !p.flush {
 			e.shrinkAfterFailure()
 			return nil
 		}
@@ -274,7 +281,7 @@ func (e *engine) stage(flush bool) error {
 			}
 		}
 		trueHist.Add(main.pt)
-		tasks = e.queue(e.queue(e.tasks[:0], p.fwd, jobResume), p.fwdBack, jobResume)
+		tasks = queue(queue(e.tasks[:0], p.fwd, jobResume), p.fwdBack, jobResume)
 		e.runRound(p.fwd.t, trueHist, tasks)
 		spec = len(tasks)
 	}
@@ -300,13 +307,13 @@ func (e *engine) stage(flush bool) error {
 		}
 	}
 	e.accept(main.pt)
-	if flush {
+	if p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
 	}
 	if e.landed(p.hitBp, main.co.H0) {
 		return nil
 	}
-	if flush {
+	if p.flush { // one stage of the refill, or of the fallback window, done
 		if e.warmup > 0 {
 			e.warmup--
 		} else {

@@ -70,7 +70,7 @@ func TestPlanStage(t *testing.T) {
 	}
 	for _, c := range cases {
 		o := Options{Scheme: c.scheme, Threads: c.threads, DeltaRatio: c.delta}
-		p := planStage(o, c.flush, 1, 2, c.hitBp, c.limit)
+		p := planStage(&o, c.flush, 1, 2, c.hitBp, c.limit)
 		if p.flush != c.flush || p.hitBp != c.hitBp || p.main != c.main ||
 			p.fwd != c.fwd || p.fwdBack != c.fwdBack || p.fwdHitsBp != c.fwdHitsBp {
 			t.Errorf("%s: plan %+v, want main %v fwd %v fwdBack %v fwdHitsBp %v",

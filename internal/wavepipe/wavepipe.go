@@ -297,11 +297,10 @@ type engine struct {
 	res    [maxWidth]pointResult
 	warm   [maxWidth][]float64
 	keep   [maxWidth]bool
-	depth  int                // the stage's speculative iteration budget
-	from   *integrate.History // what the round in flight solves from
-	round  []roundTask
-	tasks  [maxWidth]roundTask
-	taskFn func(int) // e.runTask, bound once
+	depth  int                 // the stage's speculative iteration budget
+	from   *integrate.History  // what the round in flight solves from
+	tasks  [maxWidth]roundTask // the round in flight, task i for gang member i
+	taskFn func(int)           // e.runTask, bound once
 }
 
 // warmDepth returns the speculative iteration budget for the forward

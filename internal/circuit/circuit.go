@@ -114,10 +114,12 @@ func (c *Circuit) Build() (*System, error) {
 	numNodes := len(c.nodeNames)
 	branch := numNodes
 	state := 0
+	linear := true
 	for _, d := range c.devices {
 		d.Bind(branch, state)
 		branch += d.Branches()
 		state += d.States()
+		linear = linear && linearDevice(d)
 	}
 	n := branch
 	b := sparse.NewBuilder(n)
@@ -159,6 +161,7 @@ func (c *Circuit) Build() (*System, error) {
 		NumNodes:     numNodes,
 		NumBranches:  n - numNodes,
 		NumStates:    state,
+		linear:       linear,
 		pattern:      m,
 		diagSlots:    diag,
 		colorClasses: buildColoring(c, m, n, state, r.devRows),
@@ -227,6 +230,10 @@ type System struct {
 	NumBranches int
 	NumStates   int
 
+	// linear is fixed at Build: every device is a LinearStamper without
+	// limiting state (see Linear).
+	linear bool
+
 	pattern   *sparse.Matrix
 	diagSlots []int
 
@@ -277,6 +284,42 @@ func (s *System) fillOrdering() []int {
 		s.colPerm = sparse.SharedOrdering(s.pattern, sparse.OrderMinDegree)
 	})
 	return s.colPerm
+}
+
+// Linear reports whether the circuit equations are linear in the iterate:
+// F = J_F·x and Q = J_Q·x with constant Jacobians, so the assembled matrix
+// J_F + Alpha0·J_Q depends on the step alone and one full Newton step through
+// its exact factorization is the solution. The property is found at Build —
+// it is a fact about the device list, not something a caller asks for — and
+// two layers act on it: the Newton iteration certifies such a step at once
+// (newton.Iter.Step), and the step controller keeps its steps on short
+// mantissas so that Alpha0, and with it the matrix, repeats bit for bit
+// whenever a step does (transient.Stepper.SetStep).
+func (s *System) Linear() bool { return s.linear }
+
+// linearStoreBytes bounds the factor store of a linear system's solver (see
+// sparse.Solver.StoreBytes). A linear matrix is a function of Alpha0 alone,
+// so the store's working set is the number of distinct steps a run revisits.
+// Measured on the clocked meshes of the suite, serial, full horizon: grid32
+// holds 53 sets of 227 KB (11.7 MB) by the end and touches 36 of them (8.0
+// MB) in one clock period; grid24 59 of 112 KB (6.5 MB), 41 a period; grid16
+// 62 of 41 KB (2.5 MB), 43 a period. 32 MB holds the largest of those whole
+// runs 2.7 times over, or the period of a mesh of four times the unknowns. A
+// circuit whose steps do not come back within that (ladder400: 575 sets of 19
+// KB; rlctree8: its 912-set period is 64 MB) fills the bound with chain
+// factors that are as cheap to recompute as to look up, and stops there. The
+// store belongs to the workspace and is freed with it.
+const linearStoreBytes = 32 << 20
+
+// newSolver returns the sparse solver of one workspace on matrix m: the
+// shared fill ordering, and on a linear system the keyed factor store.
+func (s *System) newSolver(m *sparse.Matrix) *sparse.Solver {
+	sol := sparse.NewSolver(m, sparse.OrderMinDegree)
+	sol.ColPerm = s.fillOrdering()
+	if s.linear {
+		sol.StoreBytes = linearStoreBytes
+	}
+	return sol
 }
 
 // Prewarm eagerly computes the lazily derived artifacts that every run of
@@ -398,12 +441,10 @@ func (ws *Workspace) RestoreIterate(x []float64) {
 // NewWorkspace allocates a workspace (one per concurrent worker).
 func (s *System) NewWorkspace() *Workspace {
 	m := s.pattern.Clone()
-	sol := sparse.NewSolver(m, sparse.OrderMinDegree)
-	sol.ColPerm = s.fillOrdering()
 	return &Workspace{
 		Sys:    s,
 		M:      m,
-		Solver: sol,
+		Solver: s.newSolver(m),
 		F:      make([]float64, s.N),
 		Q:      make([]float64, s.N),
 		B:      make([]float64, s.N),

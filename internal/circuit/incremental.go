@@ -58,6 +58,14 @@ type LinearStamper interface {
 	LinearStamps() (timeVaryingB bool)
 }
 
+// linearDevice reports whether d keeps that promise with no limiting state
+// of its own: the devices the linear template absorbs, and — when every
+// device of a circuit is one — what makes the System Linear.
+func linearDevice(d Device) bool {
+	_, ok := d.(LinearStamper)
+	return ok && d.States() == 0
+}
+
 // DefaultBypassAbsTol is the absolute term of the bypass voltage test when
 // the caller does not supply one (1 µV, the SPICE3 vntol default).
 const DefaultBypassAbsTol = 1e-6
@@ -236,9 +244,9 @@ func buildIncBasis(s *System) (basis *incBasis) {
 	seenSlot := make([]int, s.pattern.NNZ())
 	var keptRows, keptCols []int
 	for di, d := range devices {
-		if ls, ok := d.(LinearStamper); ok && devStates[di] == 0 {
+		if linearDevice(d) {
 			d.Eval(&linCtx)
-			if ls.LinearStamps() {
+			if d.(LinearStamper).LinearStamps() {
 				b.sources = append(b.sources, di)
 			}
 			continue

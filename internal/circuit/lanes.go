@@ -3,8 +3,6 @@ package circuit
 import (
 	"fmt"
 	"time"
-
-	"wavepipe/internal/sparse"
 )
 
 // Lane support: the ensemble engine runs K parameter-variants of one
@@ -72,6 +70,12 @@ func (s *System) BindLanes(c *Circuit) error {
 			return fmt.Errorf("circuit %q: device %d is %s(br=%d,st=%d), host has %s(br=%d,st=%d)",
 				c.Title, i, d.Name(), d.Branches(), d.States(), h.Name(), h.Branches(), h.States())
 		}
+		// A lane iterates under the host's Linear(): a nonlinear model behind
+		// a linear host device would be declared converged after one step.
+		if linearDevice(d) != linearDevice(h) {
+			return fmt.Errorf("circuit %q: device %s is linear in the lane or the host but not in both",
+				c.Title, d.Name())
+		}
 		d.Bind(branch, state)
 		branch += d.Branches()
 		state += d.States()
@@ -116,14 +120,12 @@ func (s *System) NewLaneWorkspaces(k int) []*Workspace {
 	lanes := make([]*Workspace, k)
 	for i := 0; i < k; i++ {
 		m := s.pattern.CloneWithValues(vals[i*nnz : (i+1)*nnz : (i+1)*nnz])
-		sol := sparse.NewSolver(m, sparse.OrderMinDegree)
-		sol.ColPerm = s.fillOrdering()
 		vb := vecs[i*3*n : (i+1)*3*n]
 		sb := states[i*2*ns : (i+1)*2*ns]
 		lanes[i] = &Workspace{
 			Sys:    s,
 			M:      m,
-			Solver: sol,
+			Solver: s.newSolver(m),
 			F:      vb[0:n:n],
 			Q:      vb[n : 2*n : 2*n],
 			B:      vb[2*n : 3*n : 3*n],

@@ -82,6 +82,10 @@ type Iter struct {
 	// This is what makes forward pipelining pay: most of the forward point's
 	// computation happened speculatively, off the critical path.
 	Warm bool
+	// WarmExact adds that the warm factorization is of the very matrix this
+	// point assembles — the warm start ran under this point's Alpha0, bit for
+	// bit — rather than of one a rounding away, which Warm alone admits.
+	WarmExact bool
 	// forceFresh suppresses factorization bypass for the next step: set after
 	// a bypassed (stale-LU, quasi-Newton) step failed the convergence test,
 	// so a wildly off LU cannot stall the whole iteration budget.
@@ -163,13 +167,24 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 		ws.SaveIterate(x)
 	}
 	// x_{k+1} = x_k − J⁻¹·R, with optional per-component damping.
-	maxRatio := applyUpdate(x, dx, opts)
+	maxRatio, clamped := applyUpdate(x, dx, opts)
 	if !warm {
 		ws.FlipState()
 	}
 	it.N++
 	if err := nonFiniteErr(x, p.Time, it.N); err != nil {
 		return false, err
+	}
+	// On a linear system the residual is affine in x and the assembled matrix
+	// is its Jacobian everywhere, so a full Newton step taken through an exact
+	// factorization of that matrix lands on the solution: it is certified by
+	// construction, and an iteration spent confirming it would move x by
+	// round-off only. Three steps are not that step and go on to the update
+	// test below like any other: one through a bypassed (stale) LU, one that
+	// applyUpdate clamped, and a warm one whose LU was factorized under an
+	// Alpha0 differing from this point's in any bit.
+	if ws.Sys.Linear() && !bypassed && !clamped && (!warm || it.WarmExact) {
+		return true, nil
 	}
 	// SPICE's convergence rule: accept as soon as the Newton update is
 	// inside the tolerance band, on any iteration — the update was
@@ -212,7 +227,7 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 		if err := ws.Solver.Solve(r, dx); err != nil {
 			return false, iterErr(p.Time, iter, err)
 		}
-		maxRatio = applyUpdate(x, dx, opts)
+		maxRatio, _ = applyUpdate(x, dx, opts)
 		ws.FlipState()
 		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
 			return false, err
@@ -233,7 +248,7 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 		if err := ws.Solver.Solve(r, dx); err != nil {
 			return false, iterErr(p.Time, iter, err)
 		}
-		maxRatio = applyUpdate(x, dx, opts)
+		maxRatio, _ = applyUpdate(x, dx, opts)
 		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
 			return false, err
 		}
@@ -344,13 +359,15 @@ func factorize(ws *circuit.Workspace, fresh bool) error {
 	return ws.Solver.Factorize()
 }
 
-// applyUpdate performs x -= clamp(dx) and returns the weighted update norm.
-func applyUpdate(x, dx []float64, opts Options) float64 {
-	maxRatio := 0.0
+// applyUpdate performs x -= clamp(dx) and returns the weighted update norm
+// and whether damping cut any component short of the full Newton step.
+func applyUpdate(x, dx []float64, opts Options) (maxRatio float64, clamped bool) {
 	for i := range x {
 		d := dx[i]
 		if opts.Damping > 0 {
-			d = num.Clamp(d, -opts.Damping, opts.Damping)
+			if c := num.Clamp(d, -opts.Damping, opts.Damping); c != d {
+				d, clamped = c, true
+			}
 		}
 		xOld := x[i]
 		x[i] -= d
@@ -359,5 +376,5 @@ func applyUpdate(x, dx []float64, opts Options) float64 {
 			maxRatio = ratio
 		}
 	}
-	return maxRatio
+	return maxRatio, clamped
 }

@@ -46,7 +46,8 @@ var ForceGang atomic.Bool
 type Pool struct {
 	n     int              // gang width including the caller
 	tasks []chan func(int) // one per hired worker (n-1)
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup   // the round in flight
+	hired sync.WaitGroup   // the worker goroutines themselves; Close joins them
 
 	// Force makes Gang() report true even on GOMAXPROCS=1 hosts, so race
 	// tests can drive the concurrent paths on single-CPU machines.
@@ -74,7 +75,9 @@ func NewPool(n int) *Pool {
 		ch := make(chan func(int))
 		p.tasks[i] = ch
 		w := i + 1
+		p.hired.Add(1)
 		go func() {
+			defer p.hired.Done()
 			for fn := range ch {
 				p.runGuarded(fn, w)
 				p.wg.Done()
@@ -178,8 +181,10 @@ func (p *Pool) runGuarded(fn func(int), w int) {
 	fn(w)
 }
 
-// Close stops the hired workers and releases the pool's reservation back to
-// its Budget. Safe on nil and safe to call twice.
+// Close stops the hired workers, waits for them to exit and only then
+// releases the pool's reservation back to its Budget: a core handed on is
+// free, and a caller counting goroutines after Close counts none of this
+// pool's. Safe on nil and safe to call twice.
 func (p *Pool) Close() {
 	if p == nil {
 		return
@@ -194,6 +199,7 @@ func (p *Pool) Close() {
 	for _, ch := range p.tasks {
 		close(ch)
 	}
+	p.hired.Wait()
 	if p.budget != nil {
 		p.budget.Release(p.granted)
 	}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestPoolRunCoversAllWorkers checks every worker index runs exactly once
@@ -175,8 +174,9 @@ func TestBudgetInvariant(t *testing.T) {
 	p.Close()
 }
 
-// TestPoolNoGoroutineLeak runs gangs on several pools, closes them, and
-// checks the goroutine count returns to its baseline.
+// TestPoolNoGoroutineLeak runs gangs on several pools and closes them: Close
+// joins its workers, so the goroutine count is back at its baseline the
+// moment the last Close returns.
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
@@ -191,13 +191,27 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 		p.Close()
 		p.Close() // double close is safe
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, now)
+	}
+}
+
+// TestCloseReleasesAfterWorkersExit: the reservation goes back to the budget
+// only once the hired goroutines are gone, so whoever is granted the cores
+// next never shares them with a worker still on its way out.
+func TestCloseReleasesAfterWorkersExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := NewBudget(4)
+	b.Reserve(1)
+	p := b.NewPool(4)
+	p.Force = true
+	p.Run(func(int) {})
+	if got := runtime.NumGoroutine(); got != before+3 {
+		t.Fatalf("%d goroutines with a 4-wide pool open, want %d", got, before+3)
+	}
+	p.Close()
+	if used, now := b.InUse(), runtime.NumGoroutine(); used != 1 || now != before {
+		t.Fatalf("after Close: %d cores in use (want 1), %d goroutines (want %d)", used, now, before)
 	}
 }
 

@@ -460,19 +460,21 @@ type Solver struct {
 	LUWallNanos int64
 	LUCritNanos int64
 
+	// StoreBytes bounds a keyed store of earlier Refactor outputs (see
+	// factorStore): a request whose values are bit-for-bit those of a stored
+	// set is answered by attaching that set instead of refactorizing. 0 keeps
+	// only the set in hand. Set it before the first Factorize: sets admitted
+	// under a zero bound carry no hash.
+	StoreBytes int
+
 	lu      *LU
 	scratch []float64
-	// prevValues snapshots M.Values as of the last real (re)factorization
-	// (nil: no snapshot). Both shortcuts compare against it, not against the
-	// previous iteration, so slow cumulative change still forces a
-	// refactorization eventually.
-	prevValues []float64
-	// refactored reports that the LU in hand is Refactor's output for
-	// prevValues — the only state exact reuse may answer from. An LU out of
-	// a full factorization holds the same matrix to rounding but was summed
-	// in a different order, and the run this call stands in for would have
-	// refactored it.
-	refactored bool
+	// store holds the numeric factorizations a request may be answered from,
+	// the one attached to lu first among them. Both shortcuts compare against
+	// the values that set was factorized from, not against the previous
+	// iteration, so slow cumulative change still forces a refactorization
+	// eventually.
+	store factorStore
 
 	// Stats.
 	FullFactorizations int
@@ -484,10 +486,11 @@ type Solver struct {
 	BypassedFactorizations int
 	LastBypassed           bool
 	// ReusedFactorizations counts Factorize/FactorizeFresh calls handed the
-	// very values the LU in hand was refactored from, and answered with that
-	// LU. Unlike a bypass the factorization is exact, so LastBypassed stays
-	// false; LastReused reports the outcome for the trace. Every request ends
-	// in exactly one of the four counters.
+	// very values a factorization the solver still holds was refactored from
+	// — the one in hand, or one in the keyed store — and answered with it.
+	// Unlike a bypass the factorization is exact, so LastBypassed stays false;
+	// LastReused reports the outcome for the trace. Every request ends in
+	// exactly one of the four counters.
 	ReusedFactorizations int
 	LastReused           bool
 }
@@ -498,11 +501,11 @@ func NewSolver(m *Matrix, o Ordering) *Solver {
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
-// numeric-only refactorization path. Two shortcuts keep the LU in hand
-// instead: values bit-identical to the ones it was refactored from make the
+// numeric-only refactorization path. Two shortcuts avoid even that: values
+// bit-identical to the ones a held factorization was refactored from make the
 // call a no-op with an exact result (LastReused), and with BypassTol > 0
-// values within that relative tolerance make it a no-op with a stale one
-// (LastBypassed).
+// values within that relative tolerance of the ones behind the LU in hand
+// make it a no-op with a stale one (LastBypassed).
 func (s *Solver) Factorize() error { return s.factorize(s.BypassTol) }
 
 // FactorizeFresh is Factorize without the bypass shortcut: the call always
@@ -513,11 +516,11 @@ func (s *Solver) FactorizeFresh() error { return s.factorize(0) }
 
 func (s *Solver) factorize(tol float64) error {
 	s.LastBypassed, s.LastReused = false, false
-	if s.lu != nil && s.prevValues != nil {
-		switch d := valueDrift(s.prevValues, s.M.Values, tol); {
-		case d == driftNone && s.refactored:
-			s.ReusedFactorizations++
-			s.LastReused = true
+	st := &s.store
+	if cur := st.cur; cur != nil {
+		switch d := valueDrift(cur.values, s.M.Values, tol); {
+		case d == driftNone && cur.refactored:
+			s.reused()
 			return nil
 		case d != driftExceeded && tol > 0:
 			s.BypassedFactorizations++
@@ -526,17 +529,26 @@ func (s *Solver) factorize(tol float64) error {
 		}
 	}
 	if s.lu != nil {
+		var h uint64
+		if s.StoreBytes > 0 {
+			h = st.key(s.M.Values)
+			if f := st.find(h, s.M.Values); f != nil {
+				st.attach(s.lu, f)
+				s.reused()
+				return nil
+			}
+		}
+		st.claim(s.lu, len(s.M.Values), s.StoreBytes)
 		if err := s.refactor(); err == nil {
 			s.Refactorizations++
-			s.snapshotValues()
-			s.refactored = true
+			st.admit(h, s.M.Values)
 			return nil
 		}
-		// The failed sweep left the factors undefined: nothing may be
-		// answered from them, even if the full factorization below fails
-		// too and they stay in hand.
-		s.prevValues, s.refactored = nil, false
-		// Fall through to a full factorization with fresh pivoting.
+		// The failed sweep left the claimed set undefined, and the pivots the
+		// others were computed along are about to be replaced: nothing may be
+		// answered from any of them, even if the full factorization below
+		// fails too and the LU stays in hand.
+		st.flush()
 	}
 	var lu *LU
 	var err error
@@ -550,18 +562,13 @@ func (s *Solver) factorize(tol float64) error {
 	}
 	s.lu = lu
 	s.FullFactorizations++
-	s.snapshotValues()
-	s.refactored = false
+	st.adopt(lu, s.M.Values)
 	return nil
 }
 
-// snapshotValues records the matrix values backing the current factorization
-// for later calls to compare against.
-func (s *Solver) snapshotValues() {
-	if s.prevValues == nil {
-		s.prevValues = make([]float64, len(s.M.Values))
-	}
-	copy(s.prevValues, s.M.Values)
+func (s *Solver) reused() {
+	s.ReusedFactorizations++
+	s.LastReused = true
 }
 
 // drift is the outcome of comparing incoming matrix values with a snapshot.

@@ -129,44 +129,81 @@ func TestExactReuseIsBitExact(t *testing.T) {
 	}
 }
 
+// bothStores runs f against the one-set store every solver has and against a
+// keyed store with room to spare.
+func bothStores(t *testing.T, f func(t *testing.T, storeBytes int)) {
+	t.Run("one set", func(t *testing.T) { f(t, 0) })
+	t.Run("keyed", func(t *testing.T) { f(t, 1<<20) })
+}
+
+// wantEmptyStore fails unless the solver holds no set a request could be
+// answered from.
+func wantEmptyStore(t *testing.T, tag string, s *Solver) {
+	t.Helper()
+	if len(s.store.sets) != 0 || s.store.bytes != 0 {
+		t.Fatalf("%s: store still holds %d sets in %d bytes", tag, len(s.store.sets), s.store.bytes)
+	}
+}
+
 // TestNoReuseFromUnrefactoredLU: an LU out of a full factorization, a
 // restored one, and one behind a failed refactorization never answer a
-// request, identical values or not — the next call refactors.
+// request, identical values or not — the next call refactors. Each of the
+// three also changes or voids the pivot sequence every stored set was
+// computed along, so each empties a keyed store: values it held before are
+// refactorized again afterwards.
 func TestNoReuseFromUnrefactoredLU(t *testing.T) {
-	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(67))), OrderMinDegree)
-	mustFactorize(t, s, true) // full
-	c := counts{full: 1}
-	mustFactorize(t, s, true) // first call after a full factorization
-	c.refactor++
-	wantCounts(t, "after full", s, c)
+	bothStores(t, func(t *testing.T, storeBytes int) {
+		s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(67))), OrderMinDegree)
+		s.StoreBytes = storeBytes
+		base := append([]float64(nil), s.M.Values...)
+		mustFactorize(t, s, true) // full
+		c := counts{full: 1}
+		wantEmptyStore(t, "after full", s)
+		mustFactorize(t, s, true) // first call after a full factorization
+		c.refactor++
+		wantCounts(t, "after full", s, c)
+		request(t, s, variant(base, 1)) // a second set for the keyed store to hold
+		c.refactor++
 
-	if err := s.RestoreFactor(s.FactorState()); err != nil {
-		t.Fatal(err)
-	}
-	mustFactorize(t, s, false) // first call after RestoreFactor
-	c.refactor++
-	wantCounts(t, "after restore", s, c)
-	mustFactorize(t, s, false)
-	c.reused++
-	wantCounts(t, "after restore, repeated", s, c)
+		if err := s.RestoreFactor(s.FactorState()); err != nil {
+			t.Fatal(err)
+		}
+		wantEmptyStore(t, "after restore", s)
+		for _, k := range []int{1, 0} { // both were refactored before the restore
+			request(t, s, variant(base, k))
+			c.refactor++
+			wantCounts(t, "after restore", s, c)
+			wantRefactorBits(t, "after restore", s, variant(base, k))
+		}
+		mustFactorize(t, s, false)
+		c.reused++
+		wantCounts(t, "after restore, repeated", s, c)
 
-	// Force the ErrRefactorPivot fallback: a 2×2 whose stored pivots vanish.
-	m := FromDense([][]float64{{4, 1}, {1, 4}})
-	s = NewSolver(m, OrderNatural)
-	mustFactorize(t, s, false)
-	mustFactorize(t, s, false)
-	c = counts{full: 1, refactor: 1}
-	setAt(t, m, 0, 0, 0)
-	setAt(t, m, 1, 1, 0)
-	mustFactorize(t, s, false) // refactor fails, full factorization re-pivots
-	c.full++
-	wantCounts(t, "fallback", s, c)
-	mustFactorize(t, s, false) // same values, LU from the fallback: refactor
-	c.refactor++
-	wantCounts(t, "after fallback", s, c)
-	mustFactorize(t, s, false)
-	c.reused++
-	wantCounts(t, "after fallback, repeated", s, c)
+		// Force the ErrRefactorPivot fallback: a 2×2 whose stored pivots vanish.
+		m := FromDense([][]float64{{4, 1}, {1, 4}})
+		s = NewSolver(m, OrderNatural)
+		s.StoreBytes = storeBytes
+		good := append([]float64(nil), m.Values...)
+		mustFactorize(t, s, false)
+		mustFactorize(t, s, false)
+		c = counts{full: 1, refactor: 1}
+		setAt(t, m, 0, 0, 0)
+		setAt(t, m, 1, 1, 0)
+		mustFactorize(t, s, false) // refactor fails, full factorization re-pivots
+		c.full++
+		wantCounts(t, "fallback", s, c)
+		wantEmptyStore(t, "fallback", s)
+		mustFactorize(t, s, false) // same values, LU from the fallback: refactor
+		c.refactor++
+		wantCounts(t, "after fallback", s, c)
+		mustFactorize(t, s, false)
+		c.reused++
+		wantCounts(t, "after fallback, repeated", s, c)
+		request(t, s, good) // refactored along the old pivots, never along these
+		c.refactor++
+		wantCounts(t, "old values, new pivots", s, c)
+		wantRefactorBits(t, "old values, new pivots", s, good)
+	})
 }
 
 // TestFailedRefactorInvalidatesSnapshot: when the refactorization fails and
@@ -174,39 +211,49 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 // factors of undefined content. Going back to the last good values must not
 // be answered from them, by reuse or by bypass.
 func TestFailedRefactorInvalidatesSnapshot(t *testing.T) {
-	m := FromDense([][]float64{{4, 1}, {1, 4}})
-	s := NewSolver(m, OrderNatural)
-	s.BypassTol = 0.5
-	mustFactorize(t, s, true)
-	mustFactorize(t, s, true)
-	good := append([]float64(nil), m.Values...)
-	for p := range m.Values {
-		m.Values[p] = 0
-	}
-	if err := s.FactorizeFresh(); err == nil {
-		t.Fatal("a zero matrix factorized")
-	}
-	copy(m.Values, good)
-	mustFactorize(t, s, false)
-	if s.LastReused || s.LastBypassed {
-		t.Fatalf("answered from undefined factors: reused=%v bypassed=%v", s.LastReused, s.LastBypassed)
-	}
-	x := make([]float64, 2)
-	if err := s.Solve([]float64{5, 5}, x); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
-		t.Fatalf("x = %v, want [1 1]", x)
-	}
+	bothStores(t, func(t *testing.T, storeBytes int) {
+		m := FromDense([][]float64{{4, 1}, {1, 4}})
+		s := NewSolver(m, OrderNatural)
+		s.StoreBytes = storeBytes
+		s.BypassTol = 0.5
+		mustFactorize(t, s, true)
+		mustFactorize(t, s, true)
+		good := append([]float64(nil), m.Values...)
+		for p := range m.Values {
+			m.Values[p] = 0
+		}
+		if err := s.FactorizeFresh(); err == nil {
+			t.Fatal("a zero matrix factorized")
+		}
+		wantEmptyStore(t, "after the double failure", s)
+		copy(m.Values, good)
+		mustFactorize(t, s, false)
+		if s.LastReused || s.LastBypassed {
+			t.Fatalf("answered from undefined factors: reused=%v bypassed=%v", s.LastReused, s.LastBypassed)
+		}
+		x := make([]float64, 2)
+		if err := s.Solve([]float64{5, 5}, x); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
+			t.Fatalf("x = %v, want [1 1]", x)
+		}
+	})
 }
 
 // TestReuseComposesWithBypass walks one solver with BypassTol > 0 through
 // every outcome: exact reuse and tolerance bypass are one comparison against
 // one snapshot, reuse wins on identical values (unless the LU came from a
 // full factorization — then the call is the bypass it always was), and a
-// bypass leaves the snapshot where it was.
+// bypass leaves the snapshot where it was. A keyed store changes none of it:
+// the tolerance is measured against the set in hand and no other.
 func TestReuseComposesWithBypass(t *testing.T) {
+	bothStores(t, testReuseComposesWithBypass)
+}
+
+func testReuseComposesWithBypass(t *testing.T, storeBytes int) {
 	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(71))), OrderMinDegree)
+	s.StoreBytes = storeBytes
 	s.BypassTol = 1e-3
 	v := s.M.Values
 	v0 := v[5]
@@ -254,4 +301,34 @@ func TestReuseComposesWithBypass(t *testing.T) {
 	mustFactorize(t, s, false)
 	c.refactor++
 	wantCounts(t, "beyond tolerance", s, c)
+
+	if storeBytes == 0 {
+		return
+	}
+	// A and B both stored, B in hand.
+	a := append([]float64(nil), v...)
+	b := variant(a, 5)
+	request(t, s, b)
+	c.refactor++
+	near := append([]float64(nil), a...)
+	near[5] *= 1 + 1e-4
+	request(t, s, near) // within tolerance of stored A, far from B in hand: no bypass, and no hit
+	c.refactor++
+	wantCounts(t, "near a stored set, far from the one in hand", s, c)
+	request(t, s, b) // bit for bit stored B: the store answers
+	c.reused++
+	request(t, s, a) // and again for A, which is in hand from here on
+	c.reused++
+	wantCounts(t, "stored sets", s, c)
+	if s.LastBypassed {
+		t.Fatal("a store hit raised LastBypassed")
+	}
+	near[5] = a[5] * (1 + 2e-4)
+	request(t, s, near) // now the same drift is a bypass
+	c.bypassed++
+	wantCounts(t, "near the set in hand", s, c)
+	request(t, s, b) // beyond tolerance of A, bit for bit stored B
+	c.reused++
+	wantCounts(t, "stored set, past the tolerance of the one in hand", s, c)
+	wantRefactorBits(t, "stored set", s, b)
 }

@@ -169,9 +169,9 @@ func (s *Solver) FactorState() *LUState {
 
 // RestoreFactor installs a snapshotted factorization so the next Factorize
 // call takes the Refactor path against the restored pivot sequence. The
-// snapshot must match the solver's matrix dimension. The value snapshot is
-// deliberately dropped, not restored: the first post-restore Factorize always
-// refactorizes, neither reusing nor bypassing.
+// snapshot must match the solver's matrix dimension. The factor store is
+// flushed, not restored — its sets followed the old pivots — so the first
+// post-restore Factorize always refactorizes, neither reusing nor bypassing.
 func (s *Solver) RestoreFactor(st *LUState) error {
 	if st == nil {
 		return errors.New("lu state: nil snapshot")
@@ -184,7 +184,7 @@ func (s *Solver) RestoreFactor(st *LUState) error {
 		return err
 	}
 	s.lu = lu
-	s.prevValues, s.refactored = nil, false
+	s.store.flush()
 	s.LastBypassed, s.LastReused = false, false
 	return nil
 }

@@ -216,6 +216,7 @@ func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
 	ws.RestoreBypassGeneration(st.Generation)
 	s.Hist, s.W = hist, w
 	s.RL, s.Base = unsnapRecovery(st.Recovery), unsnapStats(st.Stats)
-	s.T, s.H, s.HUsed, s.AfterBreak = st.T, st.H, st.HUsed, st.AfterBreak
+	s.T, s.HUsed, s.AfterBreak = st.T, st.HUsed, st.AfterBreak
+	s.SetStep(st.H)
 	return st.Warmup, nil
 }

@@ -67,15 +67,51 @@ type Stepper struct {
 // computes (or restores) it. opts must have its defaults applied.
 func NewStepper(sys *circuit.System, ps *PointSolver, opts *Options, phase string) *Stepper {
 	devs := ps.WS.Devices()
-	return &Stepper{
+	s := &Stepper{
 		PS: ps, RL: &RecoveryLog{},
-		H:          math.Min(opts.HInit, opts.Control.HMax),
 		AfterBreak: true, // the t = 0 point counts as a breakpoint start
 		Worker:     ps.WS.Worker,
 		sys:        sys, opts: *opts, ctrl: opts.Control, tr: opts.Trace, phase: phase,
 		bps:         collectBreakpoints(devs, opts.TStop),
 		horizonEdge: horizonIsEdge(devs, opts.TStop),
 	}
+	s.SetStep(math.Min(opts.HInit, opts.Control.HMax))
+	return s
+}
+
+// stepMantissaBits is how many leading significant bits of a step SetStep
+// keeps on a linear system. Any short width would do — the number of distinct
+// steps a periodic run settles on is flat from 6 bits to 36 — and 12 is where
+// the exactness argument reaches the step floor: a step with 12 significant
+// bits is a whole multiple of 2⁻¹¹ of its own binade, an ulp of T is 2⁻⁵² of
+// T's, so the step is a whole number of ulps of T for h/T down to 2⁻⁴⁰, and
+// HMin is TStop·10⁻¹² ≈ 2⁻⁴⁰·TStop. A longer mantissa would give up exactness
+// above the floor; a shorter one moves the step by more than it has to (the
+// cost is under 2⁻¹¹ of a step, rounded down, so never past an LTE bound or a
+// breakpoint).
+const stepMantissaBits = 12
+
+// SetStep is the one place the step is assigned: the controller's own
+// decisions, the pipeline coordinator's, and a restored checkpoint's all
+// arrive here. On a nonlinear system it stores h as given. On a linear one
+// (circuit.System.Linear) it rounds h down to stepMantissaBits significant
+// bits. The point is what integrate.Compute then recovers from the history:
+// T and such an h are both whole multiples of an ulp of T, so while T+h stays
+// in T's binade the sum is exact and (T+h)−T == h whatever the bits of T — h0
+// and h1 are the steps that were set, Alpha0 is a function of them alone, and
+// when the controller repeats a step the assembled matrix repeats bit for
+// bit, which is what the solver's factor store is keyed on. Two kinds of step
+// are outside the argument: one that lands on a breakpoint is the remainder
+// it is, and a sum that crosses a power of two (a run crosses each once) may
+// be rounded. Both yield an Alpha0 that is self-consistent — Compute derives
+// it from the spacing actually taken — and at worst a store miss. Rounding is
+// idempotent, so a step read back from a checkpoint this version wrote is
+// unchanged and resume stays bit-identical.
+func (s *Stepper) SetStep(h float64) {
+	if s.sys.Linear() {
+		h = math.Float64frombits(math.Float64bits(h) &^ (1<<(53-stepMantissaBits) - 1))
+	}
+	s.H = h
 }
 
 // Start establishes the first point: the checkpoint named by Options.Resume
@@ -192,10 +228,10 @@ func (s *Stepper) Failed() (*integrate.Point, integrate.Coeffs, error) {
 	// them so the retry starts from full evaluations.
 	s.PS.WS.InvalidateDeviceBypass()
 	if s.H/8 >= s.ctrl.HMin {
-		s.H /= 8
+		s.SetStep(s.H / 8)
 		return nil, co, nil
 	}
-	s.H = s.ctrl.HMin
+	s.SetStep(s.ctrl.HMin)
 	tNew, _ := s.Plan()
 	pt, co, err := s.PS.RecoverAt(s.Hist, tNew, s.RL)
 	if err != nil {
@@ -225,7 +261,7 @@ func (s *Stepper) Reject(t float64, co integrate.Coeffs, norm float64) {
 	if s.tr.Active() {
 		s.tr.Emit(trace.Event{Kind: trace.KindLTEReject, T: t, H: co.H0, Norm: norm, Worker: s.Worker, Stage: s.Stage})
 	}
-	s.H = s.ctrl.ShrinkOnReject(co.H0, norm, co.Order)
+	s.SetStep(s.ctrl.ShrinkOnReject(co.H0, norm, co.Order))
 	s.PS.WS.InvalidateDeviceBypass()
 }
 
@@ -270,7 +306,7 @@ func (s *Stepper) Restart(lastStep float64) (dropped []*integrate.Point) {
 	// The next point's dynamics bear no relation to the journals captured
 	// before the edge.
 	s.PS.WS.InvalidateDeviceBypass()
-	s.H = RestartStep(GapAfter(s.bps[s.nextBp:], s.T, s.opts.TStop), lastStep, s.opts.HInit, s.ctrl)
+	s.SetStep(RestartStep(GapAfter(s.bps[s.nextBp:], s.T, s.opts.TStop), lastStep, s.opts.HInit, s.ctrl))
 	s.AfterBreak = true
 	return dropped
 }
@@ -310,10 +346,10 @@ func (s *Stepper) Finish(pt *integrate.Point, co integrate.Coeffs) bool {
 	}
 	s.AfterBreak = false
 	if s.opts.NoLTE {
-		s.H = s.ctrl.ClampStep(s.HUsed, s.HUsed)
+		s.SetStep(s.ctrl.ClampStep(s.HUsed, s.HUsed))
 		return true
 	}
-	s.H = s.ctrl.ClampStep(s.ctrl.NextStep(ps.Method, co.Order, norm, s.HUsed, co.H1, s.HUsed), s.HUsed)
+	s.SetStep(s.ctrl.ClampStep(s.ctrl.NextStep(ps.Method, co.Order, norm, s.HUsed, co.H1, s.HUsed), s.HUsed))
 	return true
 }
 

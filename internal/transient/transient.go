@@ -689,6 +689,7 @@ func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []fl
 	if ps.warmValid && warm != nil && ps.warmTime == tNew &&
 		math.Abs(ps.warmAlpha0-s.co.Alpha0) <= 1e-9*math.Abs(s.co.Alpha0) {
 		s.it.Warm = true
+		s.it.WarmExact = ps.warmAlpha0 == s.co.Alpha0
 		s.flags = trace.FlagResumed
 	}
 	ps.warmValid = false

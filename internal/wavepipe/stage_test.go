@@ -3,7 +3,6 @@ package wavepipe
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
@@ -92,14 +91,7 @@ func TestPlanStage(t *testing.T) {
 // the first stage to the last — no spawn per round — at one above the
 // caller's for a two-wide pipeline, and is back where it started after Run.
 func TestStageGangIsPersistent(t *testing.T) {
-	// Earlier tests' gangs exit just after their Close: let the count settle.
 	before := runtime.NumGoroutine()
-	for settled := 0; settled < 3; settled++ {
-		time.Sleep(2 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n != before {
-			before, settled = n, 0
-		}
-	}
 	var during []int
 	res, err := runForced(rectifierSystem(t), Options{
 		Base: transient.Options{TStop: 6e-3, OnAccept: func(float64, []float64) {
@@ -119,11 +111,9 @@ func TestStageGangIsPersistent(t *testing.T) {
 				i, len(during), n, before)
 		}
 	}
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+	// sched.Pool.Close joins its workers, so the gang is gone when Run returns.
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
 

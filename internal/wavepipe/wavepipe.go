@@ -450,7 +450,7 @@ func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
 	if capV := hUsed * e.ctrl.GrowthCap; h > capV {
 		h = capV
 	}
-	e.s.H = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
+	e.s.SetStep(num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax))
 }
 
 // shrinkAfterFailure reduces the stage step after a pipelined stage's main
@@ -461,9 +461,10 @@ func (e *engine) shrinkAfterFailure() {
 	if e.failStreak >= 3 {
 		e.degrade("repeated stage failure")
 	}
-	e.s.H /= 8
-	if e.s.H < e.ctrl.HMin {
-		e.s.H = e.ctrl.HMin
+	if h := e.s.H / 8; h >= e.ctrl.HMin {
+		e.s.SetStep(h)
+	} else {
+		e.s.SetStep(e.ctrl.HMin)
 		e.degrade("step floor reached")
 	}
 }

@@ -122,6 +122,8 @@ func TestBackwardPipeliningTakesLargerSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("backward stages %d, serial stages %d, ratio %.3f",
+		res.Stats.Stages, ref.Stats.Stages, float64(res.Stats.Stages)/float64(ref.Stats.Stages))
 	if float64(res.Stats.Stages) > 0.85*float64(ref.Stats.Stages) {
 		t.Fatalf("backward pipelining stages (%d) not below 85%% of serial (%d)",
 			res.Stats.Stages, ref.Stats.Stages)

@@ -443,8 +443,9 @@ func (r *runner) coarseSweep() {
 			resume = seedFrom(end, r.tb[k+2], 0, 0)
 			// The coarse chain is NoLTE fixed-step: a truncated landing
 			// step must not leak into the next segment (NoLTE never grows
-			// the step back), so pin the segment's own coarse step.
-			resume.H = r.coarseH(k + 1)
+			// the step back), so pin the segment's own coarse step. The
+			// segment's Stepper reads it through SetStep.
+			resume.H = r.coarseH(k + 1) // checkpoint.State
 		}
 	}
 }
@@ -480,7 +481,9 @@ func seedFrom(st *checkpoint.State, tEnd, hOverride float64, warmup int) *checkp
 	s.Scheme = 0
 	s.Warmup = warmup
 	if hOverride > 0 && s.AfterBreak {
-		s.H = hOverride
+		// The consuming Stepper reads the seed's step through SetStep, as
+		// the uninterrupted run's Restart would have set it.
+		s.H = hOverride // checkpoint.State
 	}
 	s.Stats = checkpoint.Stats{}
 	s.Recovery = nil

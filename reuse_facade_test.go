@@ -2,8 +2,9 @@ package wavepipe
 
 // Exact factorization reuse at the facade: the four factorization counters
 // account for every request, the trace reconciles with them 1:1, linear
-// circuits reuse at least once per multi-iteration solve, and reuse composes
-// with the tolerance bypass under Newton's stale-LU guards.
+// circuits take one Newton iteration per solve and the periodically excited
+// ones refactorize far less often than they accept a point, and reuse
+// composes with the tolerance bypass under Newton's stale-LU guards.
 
 import (
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 func TestFactorizationAccountingOnSuite(t *testing.T) {
 	linear := map[string]bool{"grid16": true, "grid24": true, "grid32": true, "ladder400": true, "rlctree8": true}
+	periodic := map[string]bool{"grid16": true, "grid24": true, "grid32": true}
 	for _, b := range circuits.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -20,9 +22,13 @@ func TestFactorizationAccountingOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tstop := b.TStop / 4
+			if periodic[b.Name] {
+				tstop = b.TStop // ten clock periods: the store needs the first to fill
+			}
 			rec := NewTraceRecorder(0)
 			res, err := RunTransient(sys, TranOptions{
-				TStop: b.TStop / 4, Record: []string{b.Probe}, Observer: rec,
+				TStop: tstop, Record: []string{b.Probe}, Observer: rec,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -45,12 +51,20 @@ func TestFactorizationAccountingOnSuite(t *testing.T) {
 			if st.BypassedFactorizations != 0 {
 				t.Errorf("%d bypasses with BypassTol unset", st.BypassedFactorizations)
 			}
-			// A linear circuit's matrix depends on the step alone, so every
-			// Newton iteration after a solve's first is handed the matrix
-			// just factored.
-			if extra := st.NRIters - st.Solves; linear[b.Name] && (extra <= 0 || st.ReusedFactorizations < extra) {
-				t.Errorf("linear circuit reused %d factorizations over %d confirming iterations",
-					st.ReusedFactorizations, extra)
+			if sys.Linear() != linear[b.Name] {
+				t.Fatalf("Build finds Linear() = %v", sys.Linear())
+			}
+			// On a linear circuit the first Newton step is the solution.
+			if linear[b.Name] && st.NRIters != st.Solves {
+				t.Errorf("linear circuit took %d Newton iterations over %d solves", st.NRIters, st.Solves)
+			}
+			// Its matrix depends on the step alone, and under a clock the
+			// steps of one period are the steps of the next: past the first
+			// period and a half a point solve finds its factorization in the
+			// store.
+			if periodic[b.Name] && 4*st.Refactorizations > st.Points {
+				t.Errorf("periodically excited linear circuit refactorized %d times over %d points",
+					st.Refactorizations, st.Points)
 			}
 		})
 	}

@@ -80,8 +80,8 @@ func NewStepper(sys *circuit.System, ps *PointSolver, opts *Options, phase strin
 }
 
 // stepMantissaBits is how many leading significant bits of a step SetStep
-// keeps on a linear system. Any short width would do — the number of distinct
-// steps a periodic run settles on is flat from 6 bits to 36 — and 12 is where
+// keeps on a linear system. Any short width would do — the refactorizations a
+// clocked mesh is left with are flat from 6 bits to 36 — and 12 is where
 // the exactness argument reaches the step floor: a step with 12 significant
 // bits is a whole multiple of 2⁻¹¹ of its own binade, an ulp of T is 2⁻⁵² of
 // T's, so the step is a whole number of ulps of T for h/T down to 2⁻⁴⁰, and

@@ -16,7 +16,6 @@ type factors struct {
 	// different order, and the run the answer stands in for would have
 	// refactored it; such a set serves the bypass comparison only.
 	refactored bool
-	hash       uint64 // hashValues(values); only a keyed store computes it
 	used       uint64 // store clock when the set last answered or was written
 }
 
@@ -34,9 +33,12 @@ func (f *factors) bytes() int {
 // changes or voids the pivots (a full factorization, RestoreFactor, a failed
 // refactorization) flushes it.
 type factorStore struct {
-	cur   *factors
-	sets  []*factors // the refactored sets, cur among them when it is one
-	bytes int        // Σ sets[i].bytes()
+	cur  *factors
+	sets []*factors // the refactored sets, cur among them when it is one
+	// keys[i] is the hash of sets[i].values (zero in a store that is not
+	// keyed), kept apart from the sets so that a lookup scans one contiguous
+	// array instead of touching every set.
+	keys  []uint64
 	clock uint64
 	// hash, when non-nil, replaces hashValues (tests force collisions with it).
 	hash func([]float64) uint64
@@ -52,10 +54,7 @@ func (st *factorStore) key(values []float64) uint64 {
 
 // flush forgets every set and leaves nothing in hand.
 func (st *factorStore) flush() {
-	for i := range st.sets {
-		st.sets[i] = nil
-	}
-	st.sets, st.cur, st.bytes = st.sets[:0], nil, 0
+	st.sets, st.keys, st.cur = nil, nil, nil
 }
 
 // adopt makes the LU's own arrays — fresh out of a full factorization of
@@ -68,9 +67,9 @@ func (st *factorStore) adopt(lu *LU, values []float64) {
 // find returns the stored set whose values are bit-for-bit the given ones, or
 // nil. The hash only nominates candidates; the comparison decides.
 func (st *factorStore) find(h uint64, values []float64) *factors {
-	for _, f := range st.sets {
-		if f.hash == h && valueDrift(f.values, values, 0) == driftNone {
-			return f
+	for i, k := range st.keys {
+		if k == h && valueDrift(st.sets[i].values, values, 0) == driftNone {
+			return st.sets[i]
 		}
 	}
 	return nil
@@ -89,15 +88,16 @@ func (st *factorStore) attach(lu *LU, f *factors) {
 // out of the findable sets, its content being about to go. In order of
 // preference: the set in hand when it must not survive anyway (a one-set
 // store, or factors no request can be answered from), the LU's own arrays
-// when nothing is in hand, a new set while the bound of limit bytes has room,
-// and the least recently used set otherwise.
+// when nothing is in hand, a new set while the bound of limit bytes has room
+// (sets on one pivot sequence are all of one size), and the least recently
+// used set otherwise.
 func (st *factorStore) claim(lu *LU, nvalues, limit int) {
 	f := st.cur
 	switch {
 	case f != nil && (limit <= 0 || !f.refactored):
 	case f == nil:
 		f = &factors{values: make([]float64, nvalues), lx: lu.lx, ux: lu.ux, ud: lu.ud}
-	case st.bytes+f.bytes() <= limit:
+	case (len(st.sets)+1)*f.bytes() <= limit:
 		f = &factors{
 			values: make([]float64, nvalues),
 			lx:     make([]float64, len(lu.lx)),
@@ -116,12 +116,12 @@ func (st *factorStore) claim(lu *LU, nvalues, limit int) {
 		for i, g := range st.sets {
 			if g == f {
 				last := len(st.sets) - 1
-				st.sets[i], st.sets[last] = st.sets[last], nil
-				st.sets = st.sets[:last]
+				st.sets[i], st.keys[i] = st.sets[last], st.keys[last]
+				st.sets[last] = nil
+				st.sets, st.keys = st.sets[:last], st.keys[:last]
 				break
 			}
 		}
-		st.bytes -= f.bytes()
 	}
 	st.attach(lu, f)
 }
@@ -131,9 +131,8 @@ func (st *factorStore) claim(lu *LU, nvalues, limit int) {
 func (st *factorStore) admit(h uint64, values []float64) {
 	f := st.cur
 	copy(f.values, values)
-	f.hash, f.refactored = h, true
-	st.sets = append(st.sets, f)
-	st.bytes += f.bytes()
+	f.refactored = true
+	st.sets, st.keys = append(st.sets, f), append(st.keys, h)
 }
 
 // hashValues hashes the IEEE bits of v. Four independent multiply–xor lanes

@@ -122,8 +122,8 @@ func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
 	request(t, s, v(3)) // D evicts B
 	c.refactor++
 	wantCounts(t, "fill and evict", s, c)
-	if got := s.store.bytes; got > s.StoreBytes || len(s.store.sets) != 3 {
-		t.Fatalf("store holds %d sets in %d bytes under a bound of %d", len(s.store.sets), got, s.StoreBytes)
+	if n := len(s.store.sets); n != 3 {
+		t.Fatalf("store holds %d sets under a bound of 3", n)
 	}
 	for _, k := range []int{0, 2, 3} {
 		request(t, s, v(k))
@@ -151,8 +151,8 @@ func TestStoreCyclicWalkPastTheBound(t *testing.T) {
 			c.refactor++
 			wantCounts(t, "cycle", s, c)
 			wantRefactorBits(t, "cycle", s, v)
-			if s.store.bytes > s.StoreBytes {
-				t.Fatalf("store grew to %d bytes past its bound of %d", s.store.bytes, s.StoreBytes)
+			if n := len(s.store.sets); n > 3 {
+				t.Fatalf("store grew to %d sets past its bound of 3", n)
 			}
 		}
 	}

@@ -25,15 +25,12 @@ func runStepper(t *testing.T, delay, tstop float64) *Stepper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{TStop: tstop}.WithDefaults()
-	ps := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
-	ps.Attach(&opts, 0)
-	s := NewStepper(sys, ps, &opts, "transient")
+	s := newStepper(t, sys, tstop)
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	for !s.Done() {
-		if err := s.Step(ps.SolveAt); err != nil {
+		if err := s.Step(s.PS.SolveAt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -218,6 +218,42 @@ func TestStructuralMismatchRejected(t *testing.T) {
 	}
 }
 
+// A lane runs under its host's Linear(): one Newton step per point, declared
+// converged. A lane that puts a nonlinear model behind a linear host — here a
+// voltage-controlled switch in the place, name and stamp footprint of a
+// controlled source — must be refused at bind time, not iterated once.
+func TestNonlinearLaneOfLinearHostRejected(t *testing.T) {
+	mk := func(nonlinear bool) *circuit.Circuit {
+		c := circuit.New("gm-stage")
+		in, out := c.Node("in"), c.Node("out")
+		c.Add(device.NewVSource("V1", in, circuit.Ground, device.Pulse{V2: 1, Rise: 1e-9, Width: 1}))
+		c.Add(device.NewResistor("Rin", in, circuit.Ground, 1e3))
+		c.Add(device.NewResistor("Rfb", out, in, 1e4)) // reserves (out,in): the switch's control stamps land on the source's
+		c.Add(device.NewResistor("Rl", out, circuit.Ground, 1e3))
+		c.Add(device.NewCapacitor("Cl", out, circuit.Ground, 1e-12))
+		if nonlinear {
+			c.Add(device.NewSwitch("G1", out, circuit.Ground, in, circuit.Ground, device.SwitchModel{VT: 0.5}))
+		} else {
+			c.Add(device.NewVCCS("G1", out, circuit.Ground, in, circuit.Ground, 1e-3))
+		}
+		return c
+	}
+	lanes := []Lane{{Name: "host", Circ: mk(false)}, {Name: "switch", Circ: mk(true)}}
+	host := hostFor(t, lanes)
+	if !host.Linear() {
+		t.Fatal("the host is not linear")
+	}
+	if _, err := Run(host, lanes, Options{Base: transient.Options{TStop: 1e-9}}); err == nil {
+		t.Fatal("a nonlinear lane was bound to a linear host")
+	}
+	// The other way round is harmless — a linear lane iterates under the
+	// nonlinear host's ordinary convergence test — and stays admitted.
+	lanes[0], lanes[1] = lanes[1], lanes[0]
+	if _, err := Run(hostFor(t, lanes), lanes, Options{Base: transient.Options{TStop: 1e-9}}); err != nil {
+		t.Fatalf("linear lane of a nonlinear host: %v", err)
+	}
+}
+
 // Cancellation retires every active lane with a partial result.
 func TestCancellationRetiresLanes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

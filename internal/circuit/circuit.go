@@ -155,6 +155,7 @@ func (c *Circuit) Build() (*System, error) {
 			return nil, fmt.Errorf("circuit %q: node %q has no device connected", c.Title, c.nodeNames[i])
 		}
 	}
+	classes, wroteQ := buildColoring(c, m, n, state, r.devRows)
 	return &System{
 		Circuit:      c,
 		N:            n,
@@ -164,7 +165,8 @@ func (c *Circuit) Build() (*System, error) {
 		linear:       linear,
 		pattern:      m,
 		diagSlots:    diag,
-		colorClasses: buildColoring(c, m, n, state, r.devRows),
+		colorClasses: classes,
+		chargeDevs:   chargeDevices(c.devices, wroteQ),
 		devSlots:     r.devSlots,
 		devCols:      r.devCols,
 		devRows:      r.devRows,
@@ -241,6 +243,10 @@ type System struct {
 	// classes (see colored.go); nil when Build could not produce a coloring
 	// (a device probe panicked) and the colored load path is unavailable.
 	colorClasses [][]int
+
+	// chargeDevs lists, in device order, the devices a charge pass visits
+	// (see charge.go): the ones that book charge or limiting state.
+	chargeDevs []int32
 
 	// colPerm caches the fill-reducing column ordering of the Jacobian
 	// pattern. The pattern never changes after Build, so every workspace's
@@ -390,6 +396,12 @@ type Workspace struct {
 	// paths evaluate (see SetDevices in lanes.go — ensemble lane variants).
 	devs []Device
 
+	// chargeOrder and chargeEvalers are the charge pass resolved for this
+	// workspace's device list and load path (see planCharges); nil until the
+	// first LoadCharges, and again after SetPool or SetDevices.
+	chargeOrder   []int32
+	chargeEvalers []ChargeEvaler
+
 	pool     *sched.Pool
 	colored  bool      // the pool is wide enough for the coloring to pay (SetPool)
 	evalCtx  EvalCtx   // pooled context for the serial load paths
@@ -418,6 +430,7 @@ func (ws *Workspace) SetPool(p *sched.Pool) {
 	nw := p.Workers()
 	ws.colored = nw > 1 && len(ws.Sys.colorClasses) > 0 &&
 		ws.Sys.ColoredSpeedupEstimate(nw) >= coloredThreshold(nw)
+	ws.chargeEvalers = nil // the charge pass follows the load path's row order
 }
 
 // Pool returns the attached gang pool (nil when serial).
@@ -461,9 +474,11 @@ type LoadParams struct {
 	Gmin     float64 // junction + node-diagonal shunt conductance
 	NodeGmin float64 // extra conductance added on every node diagonal (gmin stepping)
 	SrcScale float64 // source scaling in [0,1] (source stepping); 1 = full
-	// NoLimit disables junction-voltage limiting: post-convergence
-	// bookkeeping loads must evaluate charges at the exact solution, not a
-	// clamped voltage (the per-worker limiting state may be stale there).
+	// NoLimit disables junction-voltage limiting: what is evaluated at a
+	// solution — the charge pass that closes a point solve (LoadCharges sets
+	// it), the sensitivity analysis, the Build-time probes — must see the
+	// exact voltages, not clamped ones (the per-worker limiting state may be
+	// stale there).
 	NoLimit bool
 	// ClampIdx/ClampV/ClampG pull the listed node unknowns toward target
 	// voltages through a conductance ClampG — the mechanism behind
@@ -493,21 +508,38 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		return
 	}
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1)
+	ws.beginLoad(ctx, x, p, 0, 1, zeroAll)
 	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
 	ws.finishLoad(x, p, ctx.Limited, start)
 }
 
+// passZero names the workspace buffers an assembly pass starts from zero.
+type passZero uint8
+
+const (
+	zeroM  passZero = 1 << iota // the Jacobian values
+	zeroFB                      // F and B
+	zeroQ
+	zeroVectors = zeroFB | zeroQ      // the incremental sweep: a template copy overwrites M whole
+	zeroAll     = zeroM | zeroVectors // every full assembly
+)
+
 // beginLoad opens an assembly pass at iterate x: worker w of nw zeroes its
-// share of the Jacobian values and of F, Q and B (the serial paths are worker
-// 0 of 1), and ctx is pointed at the workspace buffers under p.
-func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw int) {
-	zeroChunk(ws.M.Values, w, nw)
-	zeroChunk(ws.F, w, nw)
-	zeroChunk(ws.Q, w, nw)
-	zeroChunk(ws.B, w, nw)
+// share of the buffers named in zero (the serial paths are worker 0 of 1),
+// and ctx is pointed at the workspace buffers under p.
+func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw int, zero passZero) {
+	if zero&zeroM != 0 {
+		zeroChunk(ws.M.Values, w, nw)
+	}
+	if zero&zeroFB != 0 {
+		zeroChunk(ws.F, w, nw)
+		zeroChunk(ws.B, w, nw)
+	}
+	if zero&zeroQ != 0 {
+		zeroChunk(ws.Q, w, nw)
+	}
 	*ctx = EvalCtx{
 		X:        x,
 		T:        p.Time,
@@ -554,10 +586,11 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool, start t
 			ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
 		}
 	}
-	// Injected assembly fault (tests only; Faults is nil otherwise).
-	// Bookkeeping loads (NoLimit) are spared: poisoning the post-convergence
-	// charge load would corrupt the integration history behind the recovery
-	// machinery's back instead of failing the solve in front of it.
+	// Injected assembly fault (tests only; Faults is nil otherwise). NoLimit
+	// loads are spared, as is the charge pass, which never comes here: what
+	// is evaluated after convergence feeds the integration history, and
+	// poisoning it would corrupt that history behind the recovery machinery's
+	// back instead of failing the solve in front of it.
 	if ws.Faults != nil && !p.NoLimit {
 		if cls, ok := ws.Faults.At(faults.SiteLoad, p.Time); ok && cls == faults.NonFinite {
 			ws.F[0] = math.NaN()
@@ -581,7 +614,7 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 	ws.MC.Zero()
 	p.Alpha0 = 0
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1)
+	ws.beginLoad(ctx, x, p, 0, 1, zeroAll)
 	ctx.mq = ws.MC
 	for _, d := range ws.Devices() {
 		d.Eval(ctx)
@@ -697,7 +730,7 @@ func (e *EvalCtx) AddF(i int, v float64) {
 func (e *EvalCtx) AddQ(i int, v float64) {
 	if i != Ground {
 		if e.rec != nil {
-			e.rec.note(i)
+			e.rec.noteQ(i)
 		}
 		e.Q[i] += v
 	}

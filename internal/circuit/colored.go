@@ -61,9 +61,17 @@ func (s *System) ColoredSpeedupEstimate(nw int) float64 {
 type probeRecorder struct {
 	rows  []int
 	bRows []int
+	// wroteQ reports a write through AddQ: the device stores charge and the
+	// charge pass must visit it (see charge.go).
+	wroteQ bool
 }
 
 func (r *probeRecorder) note(i int) { r.rows = append(r.rows, i) }
+
+func (r *probeRecorder) noteQ(i int) {
+	r.rows = append(r.rows, i)
+	r.wroteQ = true
+}
 
 func (r *probeRecorder) noteB(i int) {
 	r.rows = append(r.rows, i)
@@ -71,18 +79,19 @@ func (r *probeRecorder) noteB(i int) {
 }
 
 // buildColoring computes the conflict-free device classes for a compiled
-// circuit. It returns nil — disabling the colored path — if any device
-// panics during the recording probe.
-func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows [][]int) (classes [][]int) {
+// circuit and notes, per device, whether its probe wrote Q. It returns nil
+// for both — disabling the colored path, and leaving the charge pass to
+// sweep every device — if any device panics during the recording probe.
+func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows [][]int) (classes [][]int, wroteQ []bool) {
 	defer func() {
 		if recover() != nil {
-			classes = nil
+			classes, wroteQ = nil, nil
 		}
 	}()
 	devices := c.devices
 	nd := len(devices)
 	if nd == 0 {
-		return nil
+		return nil, nil
 	}
 
 	// Recording probe: evaluate every device once at x = 0 into throwaway
@@ -103,10 +112,12 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 
 	// footprint[d]: deduplicated union of Reserve rows and probe rows.
 	footprint := make([][]int, nd)
+	wroteQ = make([]bool, nd)
 	seen := make([]int, n) // row -> device index + 1 (dedup stamp)
 	for di, d := range devices {
-		rec.rows, rec.bRows = rec.rows[:0], rec.bRows[:0]
+		rec.rows, rec.bRows, rec.wroteQ = rec.rows[:0], rec.bRows[:0], false
 		d.Eval(&ctx)
+		wroteQ[di] = rec.wroteQ
 		var rows []int
 		for _, r := range devRows[di] {
 			if seen[r] != di+1 {
@@ -151,7 +162,7 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 	for di, cc := range color {
 		classes[cc] = append(classes[cc], di)
 	}
-	return classes
+	return classes, wroteQ
 }
 
 // colorWorker is one gang member's share of the colored direct-stamp
@@ -160,7 +171,7 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 func (ws *Workspace) colorWorker(w, nw int, x []float64, p LoadParams) {
 	var sense uint32
 	ctx := &ws.wctx[w]
-	ws.beginLoad(ctx, x, p, w, nw)
+	ws.beginLoad(ctx, x, p, w, nw, zeroAll)
 	ws.colorBar.Wait(&sense)
 	// One phase per color class: rows are disjoint within the class, so
 	// workers stamp into the shared buffers without synchronization.
@@ -219,7 +230,7 @@ func (ws *Workspace) loadColored(x []float64, p LoadParams, start time.Time) {
 // and of each class that the other workers would have carried.
 func (ws *Workspace) loadClassOrder(x []float64, p LoadParams, nw int, start time.Time) {
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1)
+	ws.beginLoad(ctx, x, p, 0, 1, zeroAll)
 	zero := time.Since(start).Nanoseconds()
 	saved := zero - zero/int64(nw)
 	devices := ws.Sys.Circuit.devices

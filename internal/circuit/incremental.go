@@ -30,8 +30,9 @@
 //   - journals are keyed by (Alpha0 bits, Gmin bits, generation); any
 //     step-size change or gmin ramp misses the key, and LTE rejections,
 //     recovery actions, and adopted foreign state bump the generation,
-//   - NoLimit bookkeeping loads and source-stepping loads always take the
-//     plain path,
+//   - NoLimit loads and source-stepping loads always take the plain path
+//     (the charge pass that closes a point is not a Load at all and touches
+//     neither journals nor counters),
 //   - a load with bypassed evaluations is never allowed to be the iteration
 //     that declares convergence (enforced in internal/newton),
 //   - the engine covers the serial load path only; parallel colored
@@ -625,9 +626,9 @@ func (inc *incState) template(alpha0 float64) []float64 {
 // untouched.
 func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	inc := ws.inc
-	// NoLimit bookkeeping loads must evaluate charges exactly at the
-	// converged solution; source-stepping loads rescale B under the
-	// template's feet. Both take the plain path.
+	// NoLimit loads must evaluate every device exactly at the iterate;
+	// source-stepping loads rescale B under the template's feet. Both take
+	// the plain path.
 	if p.NoLimit || p.SrcScale != 1 {
 		return false
 	}
@@ -641,10 +642,11 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	basis := inc.basis
 	devices := ws.Sys.Circuit.devices
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1)
 	// Linear layer: one memcpy of the blended template replaces re-stamping
-	// every linear device, and the compact split triples rebuild the linear
-	// part of F and Q without touching the nonlinear-dominated pattern.
+	// every linear device — and clearing the matrix first: the copy writes
+	// every entry — and the compact split triples rebuild the linear part of
+	// F and Q without touching the nonlinear-dominated pattern.
+	ws.beginLoad(ctx, x, p, 0, 1, zeroVectors)
 	copy(ws.M.Values, inc.template(p.Alpha0))
 	for t, r := range basis.jfR {
 		ws.F[r] += basis.jfV[t] * x[basis.jfC[t]]

@@ -15,8 +15,10 @@ import (
 // The invariants that make sharing sound:
 //   - BindLanes only succeeds for circuits structurally identical to the
 //     host (same node names in order, same device sequence with the same
-//     branch/state arity, same Reserve footprint), so every lane device
-//     holds slot ids valid on any clone of the host pattern.
+//     branch/state arity, same Reserve footprint, charge stored only where
+//     the host stores some), so every lane device holds slot ids valid on
+//     any clone of the host pattern and the host's charge-pass list covers
+//     every lane.
 //   - Lane workspaces assemble serially (no pool, no colored load, no
 //     device bypass), so per-lane results are bit-identical to a serial
 //     run of the same variant.
@@ -24,10 +26,14 @@ import (
 // SetDevices overrides the device list this workspace's serial assembly
 // paths evaluate, so a lane workspace compiled against the host pattern
 // stamps its own variant's device instances. Only the serial Load/LoadSplit
-// paths honor the override; parallel loads and the incremental engine index
-// the host System's devices and must not be combined with it (NewLaneWorkspaces
-// never enables them). A nil devs restores the host circuit's devices.
-func (ws *Workspace) SetDevices(devs []Device) { ws.devs = devs }
+// paths and the charge pass honor the override; parallel loads and the
+// incremental engine index the host System's devices and must not be combined
+// with it (NewLaneWorkspaces never enables them). A nil devs restores the host
+// circuit's devices.
+func (ws *Workspace) SetDevices(devs []Device) {
+	ws.devs = devs
+	ws.chargeEvalers = nil // the charge pass dispatches to these instances
+}
 
 // Devices returns the devices the serial assembly paths iterate: the
 // SetDevices override when there is one, else the host circuit's.
@@ -64,6 +70,7 @@ func (s *System) BindLanes(c *Circuit) error {
 	}
 	branch := s.NumNodes
 	state := 0
+	charged := s.chargeDevs // cursor over the host's charge-pass list
 	for i, d := range c.devices {
 		h := host.devices[i]
 		if d.Name() != h.Name() || d.Branches() != h.Branches() || d.States() != h.States() {
@@ -74,6 +81,15 @@ func (s *System) BindLanes(c *Circuit) error {
 		// lane of a linear host would be declared converged after one step.
 		if s.linear && !linearDevice(d) {
 			return fmt.Errorf("circuit %q: device %s is not linear, host %q is",
+				c.Title, d.Name(), host.Title)
+		}
+		// A lane closes its points with the host's charge-pass list: a device
+		// that books charge where the host's books none would never be asked
+		// for it. (The other way round the pass finds nothing to book.)
+		if len(charged) > 0 && int(charged[0]) == i {
+			charged = charged[1:]
+		} else if _, ok := d.(ChargeEvaler); ok {
+			return fmt.Errorf("circuit %q: device %s stores charge or limiting state, host %q has none there",
 				c.Title, d.Name(), host.Title)
 		}
 		d.Bind(branch, state)
@@ -149,7 +165,7 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	nd := 0
 	for li, ws := range lanes {
 		if ws != nil {
-			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], 0, 1)
+			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], 0, 1, zeroAll)
 			nd = max(nd, len(ws.Devices()))
 		}
 	}

@@ -93,8 +93,9 @@ type BJT struct {
 	Model   BJTModel
 	Area    float64
 
-	vcrit float64
-	state int // two slots: limited vbe, limited vbc
+	vcrit        float64
+	depBE, depBC depletion
+	state        int // two slots: limited vbe, limited vbc
 
 	scc, scb, sce int
 	sbc, sbb, sbe int
@@ -111,6 +112,8 @@ func NewBJT(name string, c, b, e int, model BJTModel, area float64) *BJT {
 	return &BJT{
 		Inst: name, C: c, B: b, E: e, Model: m, Area: area,
 		vcrit: nvt * math.Log(nvt/(math.Sqrt2*m.IS*area)),
+		depBE: newDepletion(m.CJE*area, m.VJE, m.MJE, m.FC),
+		depBC: newDepletion(m.CJC*area, m.VJC, m.MJC, m.FC),
 	}
 }
 
@@ -139,6 +142,10 @@ func (d *BJT) Reserve(r *circuit.Reserver) {
 	d.see = r.J(d.E, d.E)
 }
 
+// expNeg5 is the slope of the reverse-bias junction branch: below −5·n·Vt
+// the exponential is held at its value there.
+var expNeg5 = math.Exp(-5)
+
 // junction returns the diode current and conductance of one junction with
 // the device's gmin folded in.
 func junction(v, is, nvt, gmin float64) (i, g float64) {
@@ -148,27 +155,52 @@ func junction(v, is, nvt, gmin float64) (i, g float64) {
 		g = is * ev / nvt
 	} else {
 		i = -is
-		g = is / nvt * math.Exp(-5)
+		g = is / nvt * expNeg5
 	}
 	return i + gmin*v, g + gmin
 }
 
-// depletion returns the standard SPICE depletion charge and capacitance.
-func depletion(v, cj0, vj, mj, fc float64) (q, c float64) {
-	if cj0 == 0 {
+// diffusion returns the diffusion charge tt·i of a junction at v — for a
+// charge pass, which has no current in hand. Callers skip it when tt is zero:
+// the product of zero and a finite current is a zero of either sign, and
+// adding one to a charge, or to a row of Q (which starts a pass at +0 and so
+// never holds −0), changes no bit.
+func diffusion(tt, v, is, nvt, gmin float64) float64 {
+	i, _ := junction(v, is, nvt, gmin)
+	return tt * i
+}
+
+// depletion is the standard SPICE depletion-charge model of one junction,
+// with everything that depends on the model card alone — the forward-bias
+// branch point FC·VJ and its F1, F2, F3 coefficients, two powers — evaluated
+// once, at construction.
+type depletion struct {
+	cj0, vj, mj     float64
+	fcv, f1, f2, f3 float64
+}
+
+func newDepletion(cj0, vj, mj, fc float64) depletion {
+	return depletion{
+		cj0: cj0, vj: vj, mj: mj,
+		fcv: fc * vj,
+		f1:  vj / (1 - mj) * (1 - math.Pow(1-fc, 1-mj)),
+		f2:  math.Pow(1-fc, 1+mj),
+		f3:  1 - fc*(1+mj),
+	}
+}
+
+// eval returns the depletion charge and capacitance at junction voltage v.
+func (j *depletion) eval(v float64) (q, c float64) {
+	if j.cj0 == 0 {
 		return 0, 0
 	}
-	fcv := fc * vj
-	if v < fcv {
-		arg := 1 - v/vj
-		s := math.Pow(arg, -mj)
-		return cj0 * vj / (1 - mj) * (1 - arg*s), cj0 * s
+	if v < j.fcv {
+		arg := 1 - v/j.vj
+		s := math.Pow(arg, -j.mj)
+		return j.cj0 * j.vj / (1 - j.mj) * (1 - arg*s), j.cj0 * s
 	}
-	f1 := vj / (1 - mj) * (1 - math.Pow(1-fc, 1-mj))
-	f2 := math.Pow(1-fc, 1+mj)
-	f3 := 1 - fc*(1+mj)
-	q = cj0 * (f1 + (f3*(v-fcv)+mj/(2*vj)*(v*v-fcv*fcv))/f2)
-	c = cj0 / f2 * (f3 + mj*v/vj)
+	q = j.cj0 * (j.f1 + (j.f3*(v-j.fcv)+j.mj/(2*j.vj)*(v*v-j.fcv*j.fcv))/j.f2)
+	c = j.cj0 / j.f2 * (j.f3 + j.mj*v/j.vj)
 	return q, c
 }
 
@@ -250,8 +282,8 @@ func (d *BJT) Eval(e *circuit.EvalCtx) {
 	// Charge storage: diffusion (TF·icc, TR·iec) plus depletion, stamped
 	// as capacitors B-E and B-C in actual node space (q flips with pol,
 	// matching the flipped junction voltages; capacitances stay positive).
-	qje, cje := depletion(vbe, m.CJE*d.Area, m.VJE, m.MJE, m.FC)
-	qjc, cjc := depletion(vbc, m.CJC*d.Area, m.VJC, m.MJC, m.FC)
+	qje, cje := d.depBE.eval(vbe)
+	qjc, cjc := d.depBC.eval(vbc)
 	qbe := m.TF*icc + qje
 	cbe := m.TF*gif + cje
 	qbc := m.TR*iec + qjc
@@ -267,4 +299,30 @@ func (d *BJT) Eval(e *circuit.EvalCtx) {
 	e.AddJQ(d.see, cbe)
 	e.AddJQ(d.scb, -cbc)
 	e.AddJQ(d.scc, cbc)
+}
+
+// EvalQ implements circuit.ChargeEvaler.
+func (d *BJT) EvalQ(e *circuit.EvalCtx) {
+	m := d.Model
+	pol := 1.0
+	if m.Type == PNP {
+		pol = -1
+	}
+	vbe := pol * (e.V(d.B) - e.V(d.E))
+	vbc := pol * (e.V(d.B) - e.V(d.C))
+	e.SNext[d.state] = vbe
+	e.SNext[d.state+1] = vbc
+
+	qbe, _ := d.depBE.eval(vbe)
+	qbc, _ := d.depBC.eval(vbc)
+	is := m.IS * d.Area
+	if m.TF != 0 {
+		qbe = diffusion(m.TF, vbe, is, m.NF*VThermal, e.Gmin) + qbe
+	}
+	if m.TR != 0 {
+		qbc = diffusion(m.TR, vbc, is, m.NR*VThermal, e.Gmin) + qbc
+	}
+	e.AddQ(d.B, pol*(qbe+qbc))
+	e.AddQ(d.E, -pol*qbe)
+	e.AddQ(d.C, -pol*qbc)
 }

@@ -61,6 +61,7 @@ type Diode struct {
 	Area  float64
 
 	vcrit              float64
+	dep                depletion
 	state              int // state slot: limited junction voltage of the previous iterate
 	spp, spn, snp, snn int
 }
@@ -75,6 +76,7 @@ func NewDiode(name string, p, n int, model DiodeModel, area float64) *Diode {
 	return &Diode{
 		Inst: name, P: p, N: n, Model: m, Area: area,
 		vcrit: nvt * math.Log(nvt/(math.Sqrt2*m.IS*area)),
+		dep:   newDepletion(m.CJ0*area, m.VJ, m.M, m.FC),
 	}
 }
 
@@ -128,18 +130,7 @@ func (d *Diode) Eval(e *circuit.EvalCtx) {
 	}
 	e.SNext[d.state] = v
 
-	is := m.IS * d.Area
-	var id, gd float64
-	if v >= -5*nvt {
-		ev := math.Exp(v / nvt)
-		id = is * (ev - 1)
-		gd = is * ev / nvt
-	} else {
-		id = -is
-		gd = is / nvt * math.Exp(-5)
-	}
-	gd += e.Gmin
-	id += e.Gmin * v
+	id, gd := junction(v, m.IS*d.Area, nvt, e.Gmin)
 	// Linearized around the limited voltage: the residual uses
 	// i(v_lim) + g·(v_actual − v_lim) so F and J stay consistent.
 	ieff := id + gd*(vact-v)
@@ -154,30 +145,29 @@ func (d *Diode) Eval(e *circuit.EvalCtx) {
 	// Charge: depletion (with the standard forward-bias linearization
 	// above FC·VJ) plus diffusion TT·id.
 	if m.CJ0 > 0 || m.TT > 0 {
-		cj0 := m.CJ0 * d.Area
-		var qj, cj float64
-		fcv := m.FC * m.VJ
-		if v < fcv {
-			arg := 1 - v/m.VJ
-			s := math.Pow(arg, -m.M)
-			qj = cj0 * m.VJ / (1 - m.M) * (1 - arg*s) // VJ/(1−M)·(1−(1−v/VJ)^{1−M})
-			cj = cj0 * s
-		} else {
-			f1 := m.VJ / (1 - m.M) * (1 - math.Pow(1-m.FC, 1-m.M))
-			f2 := math.Pow(1-m.FC, 1+m.M)
-			f3 := 1 - m.FC*(1+m.M)
-			qj = cj0 * (f1 + (f3*(v-fcv)+m.M/(2*m.VJ)*(v*v-fcv*fcv))/f2)
-			cj = cj0 / f2 * (f3 + m.M*v/m.VJ)
-		}
-		qd := m.TT * id
-		cd := m.TT * gd
-		q := qj + qd
-		c := cj + cd
+		qj, cj := d.dep.eval(v)
+		q := qj + m.TT*id
+		c := cj + m.TT*gd
 		e.AddQ(d.P, q)
 		e.AddQ(d.N, -q)
 		e.AddJQ(d.spp, c)
 		e.AddJQ(d.spn, -c)
 		e.AddJQ(d.snp, -c)
 		e.AddJQ(d.snn, c)
+	}
+}
+
+// EvalQ implements circuit.ChargeEvaler.
+func (d *Diode) EvalQ(e *circuit.EvalCtx) {
+	m := d.Model
+	v := e.V(d.P) - e.V(d.N)
+	e.SNext[d.state] = v
+	if m.CJ0 > 0 || m.TT > 0 {
+		q, _ := d.dep.eval(v)
+		if m.TT != 0 { // a zero transit time adds TT·id = ±0: see diffusion
+			q += diffusion(m.TT, v, m.IS*d.Area, m.N*VThermal, e.Gmin)
+		}
+		e.AddQ(d.P, q)
+		e.AddQ(d.N, -q)
 	}
 }

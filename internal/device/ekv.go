@@ -173,9 +173,27 @@ func (m *MOSFETEKV) Eval(e *circuit.EvalCtx) {
 	e.AddJ(m.sss, -gs)
 	e.AddJ(m.ssb, -gb)
 
-	// Linear gate capacitances (shared helper from the Level-1 model).
+	// Linear gate capacitances.
 	stampTwoNodeCap(e, m.cgs, m.G, m.S, m.sgg, m.sgs, m.ssg, m.sss)
 	stampTwoNodeCap(e, m.cgd, m.G, m.D, m.sgg, m.sgd, m.sdg, m.sdd)
+}
+
+// EvalQ implements circuit.ChargeEvaler: the gate capacitances are linear,
+// so the charges need none of the interpolation function.
+func (m *MOSFETEKV) EvalQ(e *circuit.EvalCtx) {
+	capQ(e, m.cgs, m.G, m.S)
+	capQ(e, m.cgd, m.G, m.D)
+}
+
+// capQ books the charge of a linear capacitor c between nodes p and n; a zero
+// capacitance books nothing.
+func capQ(e *circuit.EvalCtx, c float64, p, n int) {
+	if c == 0 {
+		return
+	}
+	q := c * (e.V(p) - e.V(n))
+	e.AddQ(p, q)
+	e.AddQ(n, -q)
 }
 
 // stampTwoNodeCap stamps a linear capacitor c between nodes p and n using
@@ -184,9 +202,7 @@ func stampTwoNodeCap(e *circuit.EvalCtx, c float64, p, n int, spp, spn, snp, snn
 	if c == 0 {
 		return
 	}
-	q := c * (e.V(p) - e.V(n))
-	e.AddQ(p, q)
-	e.AddQ(n, -q)
+	capQ(e, c, p, n)
 	e.AddJQ(spp, c)
 	e.AddJQ(spn, -c)
 	e.AddJQ(snp, -c)

@@ -50,6 +50,7 @@ type MOSFET struct {
 	W, L       float64
 
 	beta          float64
+	sphi          float64 // √PHI
 	cgs, cgd, cgb float64
 	// Jacobian slots: rows D and S against columns D, G, S, B; gate and
 	// bulk capacitive rows against their coupled columns.
@@ -71,6 +72,7 @@ func NewMOSFET(name string, d, g, s, b int, model MOSModel, w, l float64) *MOSFE
 	}
 	m := &MOSFET{Inst: name, D: d, G: g, S: s, B: b, Model: model, W: w, L: l}
 	m.beta = model.KP * w / l
+	m.sphi = math.Sqrt(model.PHI)
 	half := 0.5 * model.COX * w * l
 	m.cgs = half + model.CGSO*w
 	m.cgd = half + model.CGDO*w
@@ -124,7 +126,7 @@ func (m *MOSFET) ids(vgs, vds, vbs float64) (id, gm, gds, gmbs float64) {
 	if md.GAMMA != 0 {
 		// SPICE3 mos1 body effect: square root for reverse bias, linear
 		// extension (C1 at vbs = 0) for forward bias, clamped at zero.
-		sphi := math.Sqrt(md.PHI)
+		sphi := m.sphi
 		var sarg, dsarg float64
 		if vbs <= 0 {
 			sarg = math.Sqrt(md.PHI - vbs)
@@ -215,14 +217,28 @@ func (m *MOSFET) Eval(e *circuit.EvalCtx) {
 	}
 
 	// Linear gate and junction capacitances.
-	m.stampCap(e, m.cgs, m.G, m.S, m.sgg, m.sgs, m.sgsT(), m.sss)
-	m.stampCap(e, m.cgd, m.G, m.D, m.sgg, m.sgd, m.sgdT(), m.sdd)
-	m.stampCap(e, m.cgb, m.G, m.B, m.sgg, m.sgb, m.sbg, m.sbb)
+	stampTwoNodeCap(e, m.cgs, m.G, m.S, m.sgg, m.sgs, m.sgsT(), m.sss)
+	stampTwoNodeCap(e, m.cgd, m.G, m.D, m.sgg, m.sgd, m.sgdT(), m.sdd)
+	stampTwoNodeCap(e, m.cgb, m.G, m.B, m.sgg, m.sgb, m.sbg, m.sbb)
 	if m.Model.CBD > 0 {
-		m.stampCap(e, m.Model.CBD, m.B, m.D, m.sbb, m.sbdD, m.sbdB, m.sdbB2)
+		stampTwoNodeCap(e, m.Model.CBD, m.B, m.D, m.sbb, m.sbdD, m.sbdB, m.sdbB2)
 	}
 	if m.Model.CBS > 0 {
-		m.stampCap(e, m.Model.CBS, m.B, m.S, m.sbb, m.sbsS, m.sbsB, m.ssbB2)
+		stampTwoNodeCap(e, m.Model.CBS, m.B, m.S, m.sbb, m.sbsS, m.sbsB, m.ssbB2)
+	}
+}
+
+// EvalQ implements circuit.ChargeEvaler: the model's capacitances are
+// linear, so its charges need no channel current.
+func (m *MOSFET) EvalQ(e *circuit.EvalCtx) {
+	capQ(e, m.cgs, m.G, m.S)
+	capQ(e, m.cgd, m.G, m.D)
+	capQ(e, m.cgb, m.G, m.B)
+	if m.Model.CBD > 0 {
+		capQ(e, m.Model.CBD, m.B, m.D)
+	}
+	if m.Model.CBS > 0 {
+		capQ(e, m.Model.CBS, m.B, m.S)
 	}
 }
 
@@ -230,18 +246,3 @@ func (m *MOSFET) Eval(e *circuit.EvalCtx) {
 // with rows S and D against column G.
 func (m *MOSFET) sgsT() int { return m.ssg }
 func (m *MOSFET) sgdT() int { return m.sdg }
-
-// stampCap stamps a linear capacitor c between nodes p and n using the
-// provided (p,p), (p,n), (n,p), (n,n) slots.
-func (m *MOSFET) stampCap(e *circuit.EvalCtx, c float64, p, n int, spp, spn, snp, snn int) {
-	if c == 0 {
-		return
-	}
-	q := c * (e.V(p) - e.V(n))
-	e.AddQ(p, q)
-	e.AddQ(n, -q)
-	e.AddJQ(spp, c)
-	e.AddJQ(spn, -c)
-	e.AddJQ(snp, -c)
-	e.AddJQ(snn, c)
-}

@@ -117,14 +117,15 @@ func (d *Capacitor) Reserve(r *circuit.Reserver) {
 
 // Eval implements circuit.Device.
 func (d *Capacitor) Eval(e *circuit.EvalCtx) {
-	q := d.C * (e.V(d.P) - e.V(d.N))
-	e.AddQ(d.P, q)
-	e.AddQ(d.N, -q)
+	d.EvalQ(e)
 	e.AddJQ(d.spp, d.C)
 	e.AddJQ(d.spn, -d.C)
 	e.AddJQ(d.snp, -d.C)
 	e.AddJQ(d.snn, d.C)
 }
+
+// EvalQ implements circuit.ChargeEvaler.
+func (d *Capacitor) EvalQ(e *circuit.EvalCtx) { capQ(e, d.C, d.P, d.N) }
 
 // Inductor is a linear inductor with a branch current unknown. The branch
 // equation is v_p − v_n − dφ/dt = 0 with φ = L·i.
@@ -177,10 +178,15 @@ func (d *Inductor) Eval(e *circuit.EvalCtx) {
 	e.AddJ(d.snb, -1)
 	// Branch: (v_p − v_n) − dφ/dt = 0 → F = v_p − v_n, Q = −L·i.
 	e.AddF(d.br, e.V(d.P)-e.V(d.N))
-	e.AddQ(d.br, -d.L*i)
+	d.EvalQ(e)
 	e.AddJ(d.sbp, 1)
 	e.AddJ(d.sbn, -1)
 	e.AddJQ(d.sbb, -d.L)
+}
+
+// EvalQ implements circuit.ChargeEvaler: the flux −L·i on the branch row.
+func (d *Inductor) EvalQ(e *circuit.EvalCtx) {
+	e.AddQ(d.br, -d.L*e.X[d.br])
 }
 
 // VSource is an independent voltage source with a branch current unknown.

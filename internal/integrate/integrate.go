@@ -295,6 +295,7 @@ func DefaultControl(tstop float64) Control {
 // use; one scratch serves one goroutine.
 type LTEScratch struct {
 	ts, ys, dd []float64
+	xs         [][]float64
 }
 
 func (s *LTEScratch) ensure(n int) {
@@ -302,8 +303,9 @@ func (s *LTEScratch) ensure(n int) {
 		s.ts = make([]float64, n)
 		s.ys = make([]float64, n)
 		s.dd = make([]float64, n)
+		s.xs = make([][]float64, n)
 	}
-	s.ts, s.ys, s.dd = s.ts[:n], s.ys[:n], s.dd[:n]
+	s.ts, s.ys, s.dd, s.xs = s.ts[:n], s.ys[:n], s.dd[:n], s.xs[:n]
 }
 
 // DerivNorm estimates the weighted norm of the (order+1)-th solution
@@ -324,30 +326,15 @@ func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) f
 	}
 	pts = pts[len(pts)-(k+1):]
 	s.ensure(k + 1)
-	ts := s.ts
 	for i, p := range pts {
-		ts[i] = p.T
+		s.ts[i], s.xs[i] = p.T, p.X
 	}
-	ref := pts[len(pts)-1].X
-	nUnk := len(ref)
-	ys := s.ys
-	dd := s.dd
 	fact := 1.0
 	for i := 2; i <= k; i++ {
 		fact *= float64(i)
 	}
-	maxNorm := 0.0
-	for i := 0; i < nUnk; i++ {
-		for j, p := range pts {
-			ys[j] = p.X[i]
-		}
-		num.DividedDifferencesInto(ts, ys, dd)
-		d := dd[k] * fact // ≈ x_i^(k)
-		if v := math.Abs(d) / tol.Weight(ref[i]); v > maxNorm {
-			maxNorm = v
-		}
-	}
-	return maxNorm
+	// x_i^(k) ≈ k!·x_i[t_0, …, t_k], weighted by the candidate's magnitude.
+	return tol.TopDifferenceNorm(s.ts, s.xs, fact, pts[len(pts)-1].X, s.ys, s.dd)
 }
 
 // CheckLTE returns the dimensionless LTE norm of the candidate step: the

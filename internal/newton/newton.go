@@ -276,8 +276,8 @@ func nonFiniteErr(x []float64, t float64, iters int) error {
 }
 
 // Load assembles the system, pairing each load the engines perform — inside
-// the iteration or around it (initial point, warm start, charge bookkeeping)
-// — with exactly one PhaseDeviceLoad event when tracing is active. The event
+// the iteration or around it (initial point, warm start) — with exactly one
+// PhaseDeviceLoad event when tracing is active. The event
 // carries the incremental-assembly outcome — Iters holds the bypassed-eval
 // count and FlagLinearHit marks a linear-template hit — so trace replay
 // reconciles 1:1 with the workspace's DeviceBypassCounters.
@@ -297,6 +297,25 @@ func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 		ev.Flags |= trace.FlagLinearHit
 	}
 	ws.Trace.Emit(ev)
+}
+
+// ChargePass books the charges of a converged iterate (Workspace.LoadCharges)
+// in place of the full load that used to, under the same one PhaseDeviceLoad
+// event: the device-model time of a point is still the sum of its
+// PhaseDeviceLoad spans, and a trace still holds one per point closed. The
+// event reports no bypassed evaluation and no template hit — the pass has
+// neither.
+func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
+	if !ws.Trace.Active() {
+		ws.LoadCharges(x, p)
+		return
+	}
+	t0 := time.Now()
+	ws.LoadCharges(x, p)
+	ws.Trace.Emit(trace.Event{
+		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
+		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ws.Worker,
+	})
 }
 
 func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64, forceFresh bool) error {

@@ -166,16 +166,40 @@ func PredictVectorAt(ts []float64, hist [][]float64, t float64, dst []float64) {
 // PredictVectorAtWith is PredictVectorAt with caller-pooled scratch vectors
 // ys and c of length >= len(ts) (nil allocates fresh ones), for
 // allocation-free prediction in the point-solve hot path.
+//
+// The triangle's denominators ts[i]−ts[i−k] and the Horner factors t−ts[j]
+// are the same for every component, so for the stencils the engines use (two
+// and three points) they are computed once and the triangle runs straight
+// off the history vectors — every subtraction and division of
+// DividedDifferencesInto, in its order, hence its bits; longer stencils
+// gather each component and run the generic triangle.
 func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c []float64) {
 	n := len(ts)
-	if n == 0 {
+	switch n {
+	case 0:
 		for i := range dst {
 			dst[i] = 0
 		}
 		return
-	}
-	if n == 1 {
+	case 1:
 		copy(dst, hist[0])
+		return
+	case 2:
+		d10, e0 := ts[1]-ts[0], t-ts[0]
+		y0, y1 := hist[0][:len(dst)], hist[1][:len(dst)]
+		for i := range dst {
+			dst[i] = (y1[i]-y0[i])/d10*e0 + y0[i]
+		}
+		return
+	case 3:
+		d10, d21, d20 := ts[1]-ts[0], ts[2]-ts[1], ts[2]-ts[0]
+		e0, e1 := t-ts[0], t-ts[1]
+		y0, y1, y2 := hist[0][:len(dst)], hist[1][:len(dst)], hist[2][:len(dst)]
+		for i := range dst {
+			c1 := (y1[i] - y0[i]) / d10
+			c2 := ((y2[i]-y1[i])/d21 - c1) / d20
+			dst[i] = (c2*e1+c1)*e0 + y0[i]
+		}
 		return
 	}
 	// Per-component Newton interpolation with shared scratch buffers.
@@ -195,6 +219,55 @@ func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c [
 		}
 		dst[i] = v
 	}
+}
+
+// TopDifferenceNorm returns max_i |scale·y_i[t_0, …, t_{n−1}]| / Weight(ref[i]):
+// the weighted max norm of the highest-order divided difference of every
+// component of the vectors vs (vs[j] sampled at ts[j]), scaled — with scale =
+// (n−1)! the derivative norm the LTE estimate is built on. Like
+// PredictVectorAtWith it computes the denominators once and runs the triangle
+// off the vectors for the stencils in use (three and four points), bit for
+// bit DividedDifferencesInto's top coefficient; other lengths gather into the
+// scratch ys, c (length >= len(ts)).
+func (t Tolerances) TopDifferenceNorm(ts []float64, vs [][]float64, scale float64, ref, ys, c []float64) float64 {
+	n := len(ts)
+	norm := 0.0
+	switch n {
+	case 3:
+		d10, d21, d20 := ts[1]-ts[0], ts[2]-ts[1], ts[2]-ts[0]
+		y0, y1, y2 := vs[0][:len(ref)], vs[1][:len(ref)], vs[2][:len(ref)]
+		for i, r := range ref {
+			top := ((y2[i]-y1[i])/d21 - (y1[i]-y0[i])/d10) / d20
+			if v := math.Abs(top*scale) / t.Weight(r); v > norm {
+				norm = v
+			}
+		}
+	case 4:
+		d10, d21, d32 := ts[1]-ts[0], ts[2]-ts[1], ts[3]-ts[2]
+		d20, d31, d30 := ts[2]-ts[0], ts[3]-ts[1], ts[3]-ts[0]
+		y0, y1, y2, y3 := vs[0][:len(ref)], vs[1][:len(ref)], vs[2][:len(ref)], vs[3][:len(ref)]
+		for i, r := range ref {
+			c1 := (y1[i] - y0[i]) / d10
+			c2 := (y2[i] - y1[i]) / d21
+			c3 := (y3[i] - y2[i]) / d32
+			top := ((c3-c2)/d31 - (c2-c1)/d20) / d30
+			if v := math.Abs(top*scale) / t.Weight(r); v > norm {
+				norm = v
+			}
+		}
+	default:
+		ys, c = ys[:n], c[:n]
+		for i, r := range ref {
+			for j := range ys {
+				ys[j] = vs[j][i]
+			}
+			DividedDifferencesInto(ts, ys, c)
+			if v := math.Abs(c[n-1]*scale) / t.Weight(r); v > norm {
+				norm = v
+			}
+		}
+	}
+	return norm
 }
 
 // Clamp returns v limited to the closed interval [lo, hi].

@@ -194,3 +194,89 @@ func TestPredictAtInterpolatesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// triangleOracle is the per-component computation the vector kernels
+// replace: gather component i, run the generic triangle, and return the
+// Newton-form value at t and the top coefficient.
+func triangleOracle(ts []float64, vs [][]float64, i int, t float64) (pred, top float64) {
+	n := len(ts)
+	ys, c := make([]float64, n), make([]float64, n)
+	for j := range ys {
+		ys[j] = vs[j][i]
+	}
+	DividedDifferencesInto(ts, ys, c)
+	v := c[n-1]
+	for j := n - 2; j >= 0; j-- {
+		v = v*(t-ts[j]) + c[j]
+	}
+	return v, c[n-1]
+}
+
+// TestVectorKernelsMatchTheTriangle: PredictVectorAtWith and
+// TopDifferenceNorm compute the triangle's denominators once per call and
+// unroll it over the vectors for the stencils the engines use; the results
+// must be DividedDifferencesInto's in every bit, for two to five points (the
+// unrolled lengths and the gathering fallback on either side), on random
+// time stamps and on the clustered ones backward pipelining produces (a
+// point at δ = 0.2·h, or 0.05·h, behind its successor).
+func TestVectorKernelsMatchTheTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	tol := DefaultTolerances()
+	const nUnk = 257
+	for trial := 0; trial < 400; trial++ {
+		for n := 2; n <= 5; n++ {
+			ts := make([]float64, n)
+			ts[0] = math.Ldexp(rng.Float64(), rng.Intn(40)-30)
+			h := ts[0] * math.Ldexp(1+rng.Float64(), -rng.Intn(30))
+			for j := 1; j < n; j++ {
+				step := h * (0.5 + rng.Float64())
+				switch trial % 3 {
+				case 1:
+					if j%2 == 0 {
+						step = 0.2 * h
+					}
+				case 2:
+					if j%2 == 1 {
+						step = 0.05 * h
+					}
+				}
+				ts[j] = ts[j-1] + step
+			}
+			at := ts[n-1] + h*rng.Float64()
+			vs := make([][]float64, n)
+			for j := range vs {
+				vs[j] = make([]float64, nUnk)
+				for i := range vs[j] {
+					// A smooth trend plus noise at the tolerance scale,
+					// components spread over twelve decades.
+					scale := math.Pow(10, float64(i%12)-8)
+					vs[j][i] = scale * (math.Sin(float64(i)+1e3*ts[j]) + 1e-4*rng.NormFloat64())
+				}
+			}
+			ref := vs[n-1]
+			fact := 1.0
+			for k := 2; k < n; k++ {
+				fact *= float64(k)
+			}
+
+			dst := make([]float64, nUnk)
+			PredictVectorAtWith(ts, vs, at, dst, make([]float64, n), make([]float64, n))
+			wantNorm := 0.0
+			for i := range dst {
+				pred, top := triangleOracle(ts, vs, i, at)
+				if math.Float64bits(dst[i]) != math.Float64bits(pred) {
+					t.Fatalf("n=%d trial %d: prediction[%d] = %x, triangle gives %x", n, trial, i,
+						math.Float64bits(dst[i]), math.Float64bits(pred))
+				}
+				if v := math.Abs(top*fact) / tol.Weight(ref[i]); v > wantNorm {
+					wantNorm = v
+				}
+			}
+			got := tol.TopDifferenceNorm(ts, vs, fact, ref, make([]float64, n), make([]float64, n))
+			if math.Float64bits(got) != math.Float64bits(wantNorm) {
+				t.Fatalf("n=%d trial %d: top-difference norm %x, triangle gives %x", n, trial,
+					math.Float64bits(got), math.Float64bits(wantNorm))
+			}
+		}
+	}
+}

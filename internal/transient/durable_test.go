@@ -3,6 +3,7 @@ package transient
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wavepipe/internal/checkpoint"
@@ -173,6 +174,40 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, err := Run(other, otherOpts); !errors.Is(err, faults.ErrBadCheckpoint) {
 		t.Fatalf("mismatched resume: %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// MaxPoints bounds the run, not the segment: a resume restarts the solver's
+// counter at zero with the earlier segments in Stepper.Base, and the budget
+// used to be compared with the counter alone — every preempted job, every
+// wavesim -resume, got a fresh one. Resumed one point short of the budget, a
+// run accepts exactly one more point and stops with the budget error.
+func TestPointBudgetSurvivesResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wpcp")
+	sys, _ := rcCircuit(1e3, 1e-7)
+	guard := checkpoint.NewController(checkpoint.Config{Path: path})
+	guard.Start()
+	_, err := Run(sys, Options{TStop: 1e-3, MaxPoints: 20, Guard: guard})
+	guard.Stop()
+	if err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	st, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats.Points != 20 {
+		t.Fatalf("checkpoint holds %d points, want the 20 of the budget", st.Stats.Points)
+	}
+
+	sys, _ = rcCircuit(1e3, 1e-7)
+	res, err := Run(sys, Options{TStop: 1e-3, MaxPoints: 21, Resume: st})
+	if err == nil || !strings.Contains(err.Error(), "exceeded 21 points") {
+		t.Fatalf("resumed one point short of the budget: err = %v, want the budget error", err)
+	}
+	if res.Stats.Points != 21 || res.W.Len() != len(st.WaveTimes)+1 {
+		t.Fatalf("resumed run stopped at %d points, %d rows; want 21 points, %d rows",
+			res.Stats.Points, res.W.Len(), len(st.WaveTimes)+1)
 	}
 }
 

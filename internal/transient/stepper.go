@@ -162,7 +162,9 @@ func (s *Stepper) Poll(capture func() *checkpoint.State) error {
 		}
 		return CancelError(s.phase, s.T)
 	}
-	if s.PS.Stats.Points >= s.opts.MaxPoints {
+	// The budget is the run's, not the segment's: a resume restarts the
+	// solver's counter and carries the earlier segments in Base.
+	if s.Base.Points+s.PS.Stats.Points >= s.opts.MaxPoints {
 		return fmt.Errorf("%s: exceeded %d points at t=%g", s.phase, s.opts.MaxPoints, s.T)
 	}
 	return nil

@@ -556,23 +556,30 @@ func (ps *PointSolver) Step() (done bool, err error) {
 // Coeffs returns the integration coefficients of the open (or last) solve.
 func (ps *PointSolver) Coeffs() integrate.Coeffs { return ps.cur.co }
 
-// Commit closes a converged solve: one bookkeeping assembly at the solution
-// so the stored charge vector is exactly Q(x), Qdot from the discretization.
-// The returned point belongs to the caller.
+// Commit closes a converged solve: one charge pass at the solution, so the
+// stored charge vector is exactly Q(x) — the last load of the iteration sits
+// one converged update away, and under junction limiting — then Qdot from
+// the discretization. The returned point belongs to the caller.
 func (ps *PointSolver) Commit() *integrate.Point {
 	s := &ps.cur
 	ps.closeSolve(nil)
-	p := s.p
-	p.NodeGmin, p.NoLimit = 0, true
-	newton.Load(ps.WS, s.pt.X, p)
-	s.pt.T = p.Time
+	newton.ChargePass(ps.WS, s.pt.X, s.p)
+	s.pt.T = s.p.Time
 	copy(s.pt.Q, ps.WS.Q)
 	for i := range s.pt.Qdot {
 		s.pt.Qdot[i] = s.co.Alpha0*s.pt.Q[i] + ps.qhist[i]
 	}
+	if testHookCommit != nil {
+		testHookCommit(ps)
+	}
 	ps.model()
 	return s.pt
 }
+
+// testHookCommit, nil outside tests (export_test.go sets it), observes every
+// Commit of every engine once the point's charges are booked — where the
+// tests compare the charge pass with the full bookkeeping load it replaced.
+var testHookCommit func(ps *PointSolver)
 
 // Fail closes a solve that ended in a terminal error, recycling its point.
 // Returns err unchanged for call-site convenience.

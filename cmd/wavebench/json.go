@@ -21,22 +21,19 @@ import (
 
 // benchMetrics is one benchmark's machine-readable record.
 type benchMetrics struct {
-	Circuit                string  `json:"circuit"`
-	Scheme                 string  `json:"scheme"`
-	GOMAXPROCS             int     `json:"gomaxprocs"`
-	NsPerOp                int64   `json:"ns_per_op"`
-	AllocsPerOp            uint64  `json:"allocs_per_op"`
-	Points                 int     `json:"points"`
-	Stages                 int     `json:"stages"`
-	NRIters                int     `json:"nr_iters"`
-	BypassTol              float64 `json:"bypass_tol"`
-	BypassedFactorizations int     `json:"bypassed_factorizations"`
-	ReusedFactorizations   int     `json:"reused_factorizations"`
-	Refactorizations       int     `json:"refactorizations"`
-	FullFactorizations     int     `json:"full_factorizations"`
+	Circuit              string `json:"circuit"`
+	Scheme               string `json:"scheme"`
+	GOMAXPROCS           int    `json:"gomaxprocs"`
+	NsPerOp              int64  `json:"ns_per_op"`
+	AllocsPerOp          uint64 `json:"allocs_per_op"`
+	Points               int    `json:"points"`
+	Stages               int    `json:"stages"`
+	NRIters              int    `json:"nr_iters"`
+	ReusedFactorizations int    `json:"reused_factorizations"`
+	Refactorizations     int    `json:"refactorizations"`
+	FullFactorizations   int    `json:"full_factorizations"`
 	// Incremental-assembly metadata (zero values when -devbypass is unset).
 	DeviceBypass    bool  `json:"device_bypass"`
-	BypassedEvals   int64 `json:"bypassed_evals"`
 	LinearStampHits int64 `json:"linear_stamp_hits"`
 	LoadSerialNs    int64 `json:"load_serial_ns"`
 	LoadColored4Ns  int64 `json:"load_colored4_ns"`
@@ -77,7 +74,7 @@ func measureLoadNs(sys *circuit.System, workers int) int64 {
 
 // jsonMetrics runs the selected circuit once per configuration and emits a
 // JSON array of benchMetrics on stdout.
-func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass bool) error {
+func jsonMetrics(benchName string, coreBudget int, devBypass bool) error {
 	var records []benchMetrics
 	for _, b := range circuits.Suite() {
 		if benchName != "all" && b.Name != benchName {
@@ -92,7 +89,6 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 		opts := wavepipe.TranOptions{
 			TStop:        window(b),
 			Record:       []string{b.Probe},
-			BypassTol:    bypassTol,
 			CoreBudget:   coreBudget,
 			DeviceBypass: devBypass,
 		}
@@ -107,28 +103,25 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
 		records = append(records, benchMetrics{
-			Circuit:                b.Name,
-			Scheme:                 "serial",
-			GOMAXPROCS:             runtime.GOMAXPROCS(0),
-			NsPerOp:                wall.Nanoseconds(),
-			AllocsPerOp:            ms1.Mallocs - ms0.Mallocs,
-			Points:                 res.Stats.Points,
-			Stages:                 res.Stats.Stages,
-			NRIters:                res.Stats.NRIters,
-			BypassTol:              bypassTol,
-			BypassedFactorizations: res.Stats.BypassedFactorizations,
-			ReusedFactorizations:   res.Stats.ReusedFactorizations,
-			Refactorizations:       res.Stats.Refactorizations,
-			FullFactorizations:     res.Stats.FullFactorizations,
-			DeviceBypass:           devBypass,
-			BypassedEvals:          res.Stats.BypassedEvals,
-			LinearStampHits:        res.Stats.LinearStampHits,
-			LoadSerialNs:           loadSerial,
-			LoadColored4Ns:         loadColored,
-			CoreBudget:             res.Stats.CoreBudget,
-			PipelineWorkers:        res.Stats.PipelineWorkers,
-			IntraWorkers:           res.Stats.IntraWorkers,
-			PipelineSerialized:     res.Stats.PipelineSerialized,
+			Circuit:              b.Name,
+			Scheme:               "serial",
+			GOMAXPROCS:           runtime.GOMAXPROCS(0),
+			NsPerOp:              wall.Nanoseconds(),
+			AllocsPerOp:          ms1.Mallocs - ms0.Mallocs,
+			Points:               res.Stats.Points,
+			Stages:               res.Stats.Stages,
+			NRIters:              res.Stats.NRIters,
+			ReusedFactorizations: res.Stats.ReusedFactorizations,
+			Refactorizations:     res.Stats.Refactorizations,
+			FullFactorizations:   res.Stats.FullFactorizations,
+			DeviceBypass:         devBypass,
+			LinearStampHits:      res.Stats.LinearStampHits,
+			LoadSerialNs:         loadSerial,
+			LoadColored4Ns:       loadColored,
+			CoreBudget:           res.Stats.CoreBudget,
+			PipelineWorkers:      res.Stats.PipelineWorkers,
+			IntraWorkers:         res.Stats.IntraWorkers,
+			PipelineSerialized:   res.Stats.PipelineSerialized,
 		})
 	}
 	if len(records) == 0 {
@@ -217,108 +210,6 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 			r.CoreBudget, r.Scheme, r.PipelineWorkers, r.IntraWorkers, r.PipelineSerialized,
 			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup)
 	}
-	return nil
-}
-
-// bypassScaleRecord is one point of the incremental-assembly sweep.
-type bypassScaleRecord struct {
-	Circuit      string `json:"circuit"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	Scheme       string `json:"scheme"`
-	Threads      int    `json:"threads"`
-	DeviceBypass bool   `json:"device_bypass"`
-	WallNs       int64  `json:"wall_ns"`
-	CriticalNs   int64  `json:"critical_ns"`
-	// Speedup is against the serial bypass-off baseline of the same circuit
-	// (critical-path timing model), so the device-level and pipeline-level
-	// gains compose in one column.
-	Speedup         float64 `json:"speedup"`
-	Points          int     `json:"points"`
-	NRIters         int     `json:"nr_iters"`
-	BypassedEvals   int64   `json:"bypassed_evals"`
-	LinearStampHits int64   `json:"linear_stamp_hits"`
-	// LinearHitRate is LinearStampHits per Newton iteration (every iteration
-	// performs one device load); BypassPerIter is the mean number of device
-	// evaluations answered by journal replay per load.
-	LinearHitRate float64 `json:"linear_hit_rate"`
-	BypassPerIter float64 `json:"bypass_per_iter"`
-}
-
-// figBypassScale measures how the incremental assembly engine (linear-stamp
-// template caching + SPICE-style device bypass) composes with WavePipe
-// pipelining: serial and combined 2-4T, each with device bypass off and on,
-// reported against the serial bypass-off baseline (reconstruction F8).
-func figBypassScale(benchName string, jsonOut bool) error {
-	var records []bypassScaleRecord
-	for _, b := range circuits.Suite() {
-		if benchName != "all" && b.Name != benchName {
-			continue
-		}
-		sys, err := build(b)
-		if err != nil {
-			return err
-		}
-		base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-		type cfg struct {
-			scheme  wavepipe.Scheme
-			threads int
-		}
-		cfgs := []cfg{{wavepipe.Serial, 1}, {wavepipe.Combined, 2}, {wavepipe.Combined, 3}, {wavepipe.Combined, 4}}
-		var serialCrit int64
-		for _, c := range cfgs {
-			for _, bypass := range []bool{false, true} {
-				opts := base
-				opts.Scheme = c.scheme
-				if c.scheme != wavepipe.Serial {
-					opts.Threads = c.threads
-				}
-				opts.DeviceBypass = bypass
-				wall, res, err := timed(sys, opts)
-				if err != nil {
-					return err
-				}
-				if c.scheme == wavepipe.Serial && !bypass {
-					serialCrit = res.Stats.CriticalNanos
-				}
-				rec := bypassScaleRecord{
-					Circuit:         b.Name,
-					GOMAXPROCS:      runtime.GOMAXPROCS(0),
-					Scheme:          opts.Scheme.String(),
-					Threads:         c.threads,
-					DeviceBypass:    bypass,
-					WallNs:          wall.Nanoseconds(),
-					CriticalNs:      res.Stats.CriticalNanos,
-					Speedup:         float64(serialCrit) / float64(res.Stats.CriticalNanos),
-					Points:          res.Stats.Points,
-					NRIters:         res.Stats.NRIters,
-					BypassedEvals:   res.Stats.BypassedEvals,
-					LinearStampHits: res.Stats.LinearStampHits,
-				}
-				if res.Stats.NRIters > 0 {
-					rec.LinearHitRate = float64(res.Stats.LinearStampHits) / float64(res.Stats.NRIters)
-					rec.BypassPerIter = float64(res.Stats.BypassedEvals) / float64(res.Stats.NRIters)
-				}
-				records = append(records, rec)
-			}
-		}
-	}
-	if len(records) == 0 {
-		return fmt.Errorf("no benchmark circuit %q", benchName)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(records)
-	}
-	fmt.Printf("Figure F8: incremental assembly x WavePipe (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,scheme,threads,devbypass,wall_ms,crit_ms,speedup,points,nr_iters,linear_hit_rate,bypass_per_iter")
-	for _, r := range records {
-		fmt.Printf("%s,%s,%d,%v,%.2f,%.2f,%.2f,%d,%d,%.3f,%.2f\n",
-			r.Circuit, r.Scheme, r.Threads, r.DeviceBypass,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup,
-			r.Points, r.NRIters, r.LinearHitRate, r.BypassPerIter)
-	}
-	fmt.Println("speedup is vs the serial devbypass=false baseline (critical-path model)")
 	return nil
 }
 

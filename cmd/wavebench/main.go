@@ -56,12 +56,11 @@ func isFlagSet(name string) bool {
 
 func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
-	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, loadscale, corescale, bypassscale, lanescale, windowscale, reducescale")
+	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, loadscale, corescale, lanescale, windowscale, reducescale")
 	all := flag.Bool("all", false, "regenerate every table and figure")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -bypasstol)")
-	benchName := flag.String("bench", "grid16", "circuit for -json, -fig corescale and -fig bypassscale (a suite name, or all)")
-	bypassTol := flag.Float64("bypasstol", 0, "factorization-bypass tolerance for the -json run")
-	devBypass := flag.Bool("devbypass", false, "enable incremental assembly (linear-stamp caching + device bypass) for the -json run")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -cores, -devbypass)")
+	benchName := flag.String("bench", "grid16", "circuit for -json and -fig corescale (a suite name, or all)")
+	devBypass := flag.Bool("devbypass", false, "enable incremental assembly (the linear-stamp template) for the -json run")
 	cores := flag.Int("cores", 0, "core budget for the -json run (0 = unmanaged)")
 	maxCores := flag.Int("maxcores", 0, "largest core budget for -fig corescale (0 = NumCPU)")
 	flag.Parse()
@@ -109,8 +108,8 @@ func main() {
 		}
 	}()
 
-	// corescale and bypassscale are resolved before the -json early return:
-	// with -json they emit the sweep as JSON records instead of CSV text.
+	// The figures below are resolved before the -json early return: with -json
+	// they emit the sweep as JSON records instead of CSV text.
 	if *fig == "corescale" {
 		if err := figCoreScale(*benchName, *maxCores, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
@@ -140,13 +139,6 @@ func main() {
 		}
 		return
 	}
-	if *fig == "bypassscale" {
-		if err := figBypassScale(*benchName, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "wavebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *fig == "lanescale" {
 		if err := figLaneScale(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
@@ -155,7 +147,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		if err := jsonMetrics(*benchName, *bypassTol, *cores, *devBypass); err != nil {
+		if err := jsonMetrics(*benchName, *cores, *devBypass); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
 			os.Exit(1)
 		}
@@ -210,9 +202,6 @@ func main() {
 	}
 	if *all || *fig == "loadscale" {
 		run("loadscale", figLoadScale)
-	}
-	if *all {
-		run("bypassscale", func() error { return figBypassScale(*benchName, false) })
 	}
 }
 

@@ -128,7 +128,6 @@ type runConfig struct {
 	windowStrict bool
 	reduceOn     bool
 	reduceTol    float64
-	bypassTol    float64
 	devBypass    bool
 	stats        bool
 	jsonOut      bool
@@ -148,8 +147,7 @@ func main() {
 	flag.StringVar(&cfg.interval, "interval", "", "resample transient output uniformly at this interval (e.g. 1u); default: the solver's own time points")
 	flag.StringVar(&cfg.outPath, "o", "", "CSV output file (default: stdout)")
 	flag.BoolVar(&cfg.stats, "stats", false, "print run statistics to stderr")
-	flag.Float64Var(&cfg.bypassTol, "bypasstol", 0, "Newton factorization-bypass tolerance (0 = always factorize)")
-	flag.BoolVar(&cfg.devBypass, "devbypass", false, "enable incremental assembly: linear-stamp template caching + SPICE-style device bypass")
+	flag.BoolVar(&cfg.devBypass, "devbypass", false, "enable incremental assembly: linear devices are copied from a cached per-step stamp template instead of re-stamped")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the run's event trace to this file (.jsonl = JSONL event log, anything else = Chrome trace_event JSON)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve live run metrics over HTTP on this address (Prometheus text at /metrics)")
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write durable run checkpoints to this file (periodic + final, atomic replace)")
@@ -288,7 +286,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		return fmt.Errorf("unknown analysis %q", cfg.analysis)
 	}
 
-	opts := wavepipe.TranOptions{Threads: cfg.threads, CoreBudget: cfg.cores, BypassTol: cfg.bypassTol, DeviceBypass: cfg.devBypass}
+	opts := wavepipe.TranOptions{Threads: cfg.threads, CoreBudget: cfg.cores, DeviceBypass: cfg.devBypass}
 	if opts.Scheme, err = wavepipe.ParseScheme(strings.ToLower(cfg.scheme)); err != nil {
 		return err
 	}
@@ -403,16 +401,14 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr,
-			"wavesim: %s | scheme=%s points=%d stages=%d nr-iters=%d lte-rejects=%d discarded=%d recoveries=%d full-factor=%d refactor=%d reused=%d bypassed=%d wall=%s\n",
+			"wavesim: %s | scheme=%s points=%d stages=%d nr-iters=%d lte-rejects=%d discarded=%d recoveries=%d full-factor=%d refactor=%d reused=%d wall=%s\n",
 			deck.Title, cfg.scheme, res.Stats.Points, res.Stats.Stages,
 			res.Stats.NRIters, res.Stats.LTERejects, res.Stats.Discarded,
 			res.Stats.Recoveries, res.Stats.FullFactorizations, res.Stats.Refactorizations,
-			res.Stats.ReusedFactorizations, res.Stats.BypassedFactorizations,
-			wall.Round(time.Microsecond))
+			res.Stats.ReusedFactorizations, wall.Round(time.Microsecond))
 		if cfg.devBypass {
 			fmt.Fprintf(os.Stderr,
-				"wavesim: device bypass: bypassed-evals=%d linear-stamp-hits=%d\n",
-				res.Stats.BypassedEvals, res.Stats.LinearStampHits)
+				"wavesim: device bypass: linear-stamp-hits=%d\n", res.Stats.LinearStampHits)
 		}
 		if res.Stats.CoreBudget > 0 {
 			fmt.Fprintf(os.Stderr,

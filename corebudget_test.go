@@ -196,3 +196,19 @@ func TestCoreBudgetNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("goroutine leak: %d before, %d after budgeted runs", before, now)
 	}
 }
+
+func suiteSystem(t *testing.T, name string) (*System, TranOptions) {
+	t.Helper()
+	for _, bb := range circuits.Suite() {
+		if bb.Name != name {
+			continue
+		}
+		sys, err := bb.Make().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, TranOptions{TStop: bb.TStop, Record: []string{bb.Probe}}
+	}
+	t.Fatalf("no suite circuit %q", name)
+	return nil, TranOptions{}
+}

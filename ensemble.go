@@ -54,7 +54,7 @@ type EnsembleResult = ensemble.Result
 // Options follow RunTransient semantics with Threads as the gang width;
 // Scheme must be Serial (lanes are whole-waveform units — the WavePipe
 // schemes parallelize inside one waveform and do not compose with lane
-// batching), and durability, bypass and fault options are not supported.
+// batching), and durability, DeviceBypass and fault options are not supported.
 //
 // Deprecated: new code should call RunEnsembleCtx — the context-first core
 // every facade entry point now funnels through. This wrapper is kept so
@@ -143,8 +143,8 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 	switch {
 	case opts.Scheme != Serial:
 		return nil, fmt.Errorf("wavepipe: ensemble lanes are whole-waveform units; Scheme must be Serial (got %v)", opts.Scheme)
-	case opts.BypassTol != 0 || opts.DeviceBypass:
-		return nil, fmt.Errorf("wavepipe: bypass options are not supported inside ensemble lanes")
+	case opts.DeviceBypass:
+		return nil, fmt.Errorf("wavepipe: DeviceBypass is not supported inside ensemble lanes")
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return nil, fmt.Errorf("wavepipe: checkpoint/resume is not supported for ensemble runs")
 	case opts.Deadline > 0 || opts.StallFactor > 0:

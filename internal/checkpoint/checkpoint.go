@@ -63,7 +63,6 @@ type State struct {
 	HUsed      float64 // size of the last accepted step
 	AfterBreak bool    // first step after a breakpoint restart
 	Warmup     int     // pipeline serial-warmup stages remaining (0 for serial)
-	Generation uint64  // incremental-assembly generation counter
 
 	// Engine state proper.
 	Hist  []*integrate.Point // trailing window, ascending, deep-copied
@@ -85,27 +84,25 @@ type State struct {
 // platform-independent. The transient package converts in both directions
 // (it imports checkpoint, so checkpoint cannot name its type).
 type Stats struct {
-	Points                 int64
-	Solves                 int64
-	NRIters                int64
-	LTERejects             int64
-	NRFailures             int64
-	Discarded              int64
-	OpIters                int64
-	Stages                 int64
-	Recoveries             int64
-	WorkerPanics           int64
-	DegradedStages         int64
-	BypassedFactorizations int64
-	Refactorizations       int64
-	FullFactorizations     int64
-	BypassedEvals          int64
-	LinearStampHits        int64
-	CriticalNanos          int64
-	CoreBudget             int64
-	PipelineWorkers        int64
-	IntraWorkers           int64
-	PipelineSerialized     bool
+	Points             int64
+	Solves             int64
+	NRIters            int64
+	LTERejects         int64
+	NRFailures         int64
+	Discarded          int64
+	OpIters            int64
+	Stages             int64
+	Recoveries         int64
+	WorkerPanics       int64
+	DegradedStages     int64
+	Refactorizations   int64
+	FullFactorizations int64
+	LinearStampHits    int64
+	CriticalNanos      int64
+	CoreBudget         int64
+	PipelineWorkers    int64
+	IntraWorkers       int64
+	PipelineSerialized bool
 }
 
 // RecoveryEvent mirrors transient.RecoveryEvent (same import-direction

@@ -51,7 +51,6 @@ func testState(t *testing.T) *State {
 		N: 3, NumStates: 2, NumDevices: 4, PatternNNZ: 6,
 		TStop: 1e-6, Method: 2, Scheme: 0,
 		T: 3e-7, H: 1e-8, HUsed: 0.8e-8, AfterBreak: true, Warmup: 2,
-		Generation: 17,
 		Hist: []*integrate.Point{
 			{T: 1e-7, X: []float64{1, 2, 3}, Q: []float64{0.1, 0.2, 0.3}, Qdot: []float64{-1, -2, -3}},
 			{T: 2e-7, X: []float64{1.5, 2.5, 3.5}, Q: []float64{0.15, 0.25, 0.35}, Qdot: []float64{-1.5, -2.5, -3.5}},

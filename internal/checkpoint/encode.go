@@ -199,7 +199,7 @@ func Encode(s *State) []byte {
 	e.f64(s.HUsed)
 	e.boolByte(s.AfterBreak)
 	e.u32(uint32(s.Warmup))
-	e.u64(s.Generation)
+	e.u64(0) // retired: the device-bypass generation counter
 
 	// Stats.
 	for _, v := range s.Stats.fields() {
@@ -277,13 +277,16 @@ func encodeSizeHint(s *State) int {
 	return n
 }
 
-// fields returns the int64 stats in their fixed wire order.
+// fields returns the int64 stats in their fixed wire order. Slots 11 and 14
+// held the counters of the two retired bypass engines; format version 1 keeps
+// their places, written as 0 and ignored on read, so files written before the
+// retirement still decode.
 func (st *Stats) fields() [20]int64 {
 	return [20]int64{
 		st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures,
 		st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics,
-		st.DegradedStages, st.BypassedFactorizations, st.Refactorizations,
-		st.FullFactorizations, st.BypassedEvals, st.LinearStampHits,
+		st.DegradedStages, 0, st.Refactorizations,
+		st.FullFactorizations, 0, st.LinearStampHits,
 		st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers,
 	}
 }
@@ -291,8 +294,8 @@ func (st *Stats) fields() [20]int64 {
 func (st *Stats) setFields(v [20]int64) {
 	st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures = v[0], v[1], v[2], v[3], v[4]
 	st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics = v[5], v[6], v[7], v[8], v[9]
-	st.DegradedStages, st.BypassedFactorizations, st.Refactorizations = v[10], v[11], v[12]
-	st.FullFactorizations, st.BypassedEvals, st.LinearStampHits = v[13], v[14], v[15]
+	st.DegradedStages, st.Refactorizations = v[10], v[12]
+	st.FullFactorizations, st.LinearStampHits = v[13], v[15]
 	st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers = v[16], v[17], v[18], v[19]
 }
 
@@ -334,7 +337,7 @@ func Decode(data []byte) (*State, error) {
 	s.HUsed = d.f64()
 	s.AfterBreak = d.boolByte()
 	s.Warmup = int(d.u32())
-	s.Generation = d.u64()
+	d.u64() // retired slot, see Encode
 
 	var sf [20]int64
 	for i := range sf {

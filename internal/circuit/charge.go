@@ -84,11 +84,11 @@ func (ws *Workspace) planCharges() {
 // the unlimited junction voltages there — bit for bit what a full Load under
 // p with NoLimit leaves in them — without assembling anything else: it zeroes
 // Q only, sweeps only the devices that book charge or limiting state, and
-// leaves M, F, B, Limited and the bypass journals as the last Load left them
-// (a listed device without EvalQ goes through its full Eval, whose stamps
-// land on top of that Load's; nothing reads them before the next Load's
-// zeroing). It is what closes a converged point solve; the full NoLimit load
-// it replaced survives as the oracle of the tests.
+// leaves M, F, B and Limited as the last Load left them (a listed device
+// without EvalQ goes through its full Eval, whose stamps land on top of that
+// Load's; nothing reads them before the next Load's zeroing). It is what
+// closes a converged point solve; the full NoLimit load it replaced survives
+// as the oracle of the tests.
 func (ws *Workspace) LoadCharges(x []float64, p LoadParams) {
 	if ws.chargeEvalers == nil {
 		ws.planCharges()

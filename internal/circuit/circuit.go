@@ -123,14 +123,7 @@ func (c *Circuit) Build() (*System, error) {
 	}
 	n := branch
 	b := sparse.NewBuilder(n)
-	r := &Reserver{
-		b:           b,
-		devRows:     make([][]int, len(c.devices)),
-		devSlots:    make([][]int, len(c.devices)),
-		devCols:     make([][]int, len(c.devices)),
-		devSlotRows: make([][]int, len(c.devices)),
-		devSlotCols: make([][]int, len(c.devices)),
-	}
+	r := &Reserver{b: b, devRows: make([][]int, len(c.devices))}
 	for i, d := range c.devices {
 		r.current, r.devIdx = d, i
 		d.Reserve(r)
@@ -167,11 +160,6 @@ func (c *Circuit) Build() (*System, error) {
 		diagSlots:    diag,
 		colorClasses: classes,
 		chargeDevs:   chargeDevices(c.devices, wroteQ),
-		devSlots:     r.devSlots,
-		devCols:      r.devCols,
-		devRows:      r.devRows,
-		devSlotRows:  r.devSlotRows,
-		devSlotCols:  r.devSlotCols,
 	}, nil
 }
 
@@ -185,10 +173,6 @@ type Reserver struct {
 	current     Device
 	devIdx      int
 	devRows     [][]int // per-device rows named in J calls (coloring footprint)
-	devSlots    [][]int // per-device Jacobian slots (incremental-assembly footprint)
-	devCols     [][]int // per-device columns named in J calls (bypass read set)
-	devSlotRows [][]int // row index per devSlots entry (aligned 1:1 with devSlots)
-	devSlotCols [][]int // column index per devSlots entry (aligned 1:1 with devSlots)
 	touchedRows []int
 }
 
@@ -197,9 +181,6 @@ type Reserver struct {
 func (r *Reserver) J(row, col int) int {
 	if row != Ground {
 		r.devRows[r.devIdx] = append(r.devRows[r.devIdx], row)
-	}
-	if col != Ground {
-		r.devCols[r.devIdx] = append(r.devCols[r.devIdx], col)
 	}
 	if row == Ground || col == Ground {
 		return -1
@@ -210,16 +191,9 @@ func (r *Reserver) J(row, col int) int {
 		if slot < 0 && r.lookupErr == nil {
 			r.lookupErr = fmt.Errorf("stamp (%d,%d) not in host pattern", row, col)
 		}
-		r.devSlots[r.devIdx] = append(r.devSlots[r.devIdx], slot)
-		r.devSlotRows[r.devIdx] = append(r.devSlotRows[r.devIdx], row)
-		r.devSlotCols[r.devIdx] = append(r.devSlotCols[r.devIdx], col)
 		return slot
 	}
-	slot := r.b.Reserve(row, col)
-	r.devSlots[r.devIdx] = append(r.devSlots[r.devIdx], slot)
-	r.devSlotRows[r.devIdx] = append(r.devSlotRows[r.devIdx], row)
-	r.devSlotCols[r.devIdx] = append(r.devSlotCols[r.devIdx], col)
-	return slot
+	return r.b.Reserve(row, col)
 }
 
 // System is a compiled circuit: a frozen Jacobian pattern plus the device
@@ -255,23 +229,9 @@ type System struct {
 	colPermOnce sync.Once
 	colPerm     []int
 
-	// devSlots/devCols/devRows record, per device, the Jacobian slots, the
-	// columns (controlling unknowns), and the rows it named in Reserve. The
-	// incremental assembly engine turns them into the dedup'd stamp
-	// footprints it journals and replays (see incremental.go).
-	devSlots [][]int
-	devCols  [][]int
-	devRows  [][]int
-	// devSlotRows/devSlotCols give the (row, col) coordinates of each
-	// devSlots entry, aligned index-for-index. The bypass engine's
-	// predicted-residual guard needs them to map a Jacobian slot back to
-	// the equation row it perturbs and the unknown it is controlled by.
-	devSlotRows [][]int
-	devSlotCols [][]int
-
-	// inc caches the Build-time incremental-assembly basis (linear stamp
-	// template + per-device footprints); built lazily on the first workspace
-	// that enables device bypass, nil when the circuit does not support it.
+	// inc caches the Build-time incremental-assembly basis (the linear stamp
+	// template); built lazily on the first workspace that enables device
+	// bypass, nil when the circuit does not support it.
 	incOnce sync.Once
 	inc     *incBasis
 
@@ -407,12 +367,10 @@ type Workspace struct {
 	evalCtx  EvalCtx   // pooled context for the serial load paths
 	wctx     []EvalCtx // pooled per-worker contexts for the colored path
 	colorBar sched.Barrier
-	iterSave []float64 // pooled copy of the Newton iterate (bypass guard)
 
-	// inc holds the per-workspace incremental-assembly state (linear stamp
-	// template LRU + per-device bypass journals); nil unless SetDeviceBypass
-	// enabled it. Each workspace owns an independent copy, so concurrent
-	// pipeline points never share mutable device-bypass state.
+	// inc holds the per-workspace incremental-assembly state (the linear stamp
+	// template LRU); nil unless SetDeviceBypass enabled it. Each workspace
+	// owns an independent copy, so concurrent pipeline points never share it.
 	inc *incState
 }
 
@@ -435,21 +393,6 @@ func (ws *Workspace) SetPool(p *sched.Pool) {
 
 // Pool returns the attached gang pool (nil when serial).
 func (ws *Workspace) Pool() *sched.Pool { return ws.pool }
-
-// SaveIterate stashes a copy of the iterate in a pooled workspace buffer.
-// The Newton factorization-bypass guard uses it to rewind a quasi-Newton
-// step and redo it against a fresh factorization before accepting.
-func (ws *Workspace) SaveIterate(x []float64) {
-	if ws.iterSave == nil {
-		ws.iterSave = make([]float64, ws.Sys.N)
-	}
-	copy(ws.iterSave, x)
-}
-
-// RestoreIterate copies the last SaveIterate snapshot back into x.
-func (ws *Workspace) RestoreIterate(x []float64) {
-	copy(x, ws.iterSave)
-}
 
 // NewWorkspace allocates a workspace (one per concurrent worker).
 func (s *System) NewWorkspace() *Workspace {
@@ -494,13 +437,13 @@ type LoadParams struct {
 // BatchLoad — is beginLoad, its own device sweep, finishLoad.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	if inc := ws.inc; inc != nil {
-		// Incremental assembly covers the serial path only (the profitability
-		// policy in incremental.go); each WavePipe lane loads serially inside
-		// its own workspace, so this is the common pipeline configuration.
+		// Incremental assembly covers the serial path only; each WavePipe lane
+		// loads serially inside its own workspace, so this is the common
+		// pipeline configuration.
 		if ws.pool.Workers() <= 1 && ws.loadIncremental(x, p) {
 			return
 		}
-		inc.lastBypassed, inc.lastLinear = 0, false
+		inc.lastLinear = false
 	}
 	start := time.Now()
 	if ws.colored {
@@ -650,12 +593,9 @@ func (ws *Workspace) FlipState() {
 
 // CopyStateFrom copies the limiting state of another workspace (used when a
 // speculative worker adopts the state of the worker whose point it follows).
-// Adopting foreign state invalidates any device-bypass journals recorded
-// against this workspace's own history.
 func (ws *Workspace) CopyStateFrom(other *Workspace) {
 	copy(ws.SPrev, other.SPrev)
 	copy(ws.SNext, other.SNext)
-	ws.InvalidateDeviceBypass()
 }
 
 // EvalCtx is the device evaluation context for one assembly pass.
@@ -740,7 +680,7 @@ func (e *EvalCtx) AddQ(i int, v float64) {
 func (e *EvalCtx) AddB(i int, v float64) {
 	if i != Ground {
 		if e.rec != nil {
-			e.rec.noteB(i)
+			e.rec.note(i)
 		}
 		e.B[i] += e.SrcScale * v
 	}

@@ -55,12 +55,9 @@ func (s *System) ColoredSpeedupEstimate(nw int) float64 {
 }
 
 // probeRecorder collects the rows a device writes during the Build-time
-// recording probe. bRows separately tracks the rows written through AddB:
-// a device that stamps the source vector is time-varying and can never be
-// bypassed (its contribution changes even at a frozen iterate).
+// recording probe.
 type probeRecorder struct {
-	rows  []int
-	bRows []int
+	rows []int
 	// wroteQ reports a write through AddQ: the device stores charge and the
 	// charge pass must visit it (see charge.go).
 	wroteQ bool
@@ -71,11 +68,6 @@ func (r *probeRecorder) note(i int) { r.rows = append(r.rows, i) }
 func (r *probeRecorder) noteQ(i int) {
 	r.rows = append(r.rows, i)
 	r.wroteQ = true
-}
-
-func (r *probeRecorder) noteB(i int) {
-	r.rows = append(r.rows, i)
-	r.bRows = append(r.bRows, i)
 }
 
 // buildColoring computes the conflict-free device classes for a compiled
@@ -115,7 +107,7 @@ func buildColoring(c *Circuit, pattern *sparse.Matrix, n, numStates int, devRows
 	wroteQ = make([]bool, nd)
 	seen := make([]int, n) // row -> device index + 1 (dedup stamp)
 	for di, d := range devices {
-		rec.rows, rec.bRows, rec.wroteQ = rec.rows[:0], rec.bRows[:0], false
+		rec.rows, rec.wroteQ = rec.rows[:0], false
 		d.Eval(&ctx)
 		wroteQ[di] = rec.wroteQ
 		var rows []int

@@ -65,8 +65,8 @@ func (d *srcStub) Eval(e *EvalCtx) {
 }
 
 // nlStub is a smooth nonlinear conductance i = g·v³ with one state slot and
-// tanh-style soft limiting, so incremental tests exercise capture/replay,
-// the state window, and the limited-journal guard.
+// a limiting threshold, so incremental tests exercise the plain evaluation of
+// nonlinear devices on top of the template and the Limited flag.
 type nlStub struct {
 	name               string
 	p, n               int
@@ -74,7 +74,7 @@ type nlStub struct {
 	limitAt            float64 // |v| beyond which the device reports limiting (0 = never)
 	state0             int
 	spp, spn, snp, snn int
-	evals              int // direct Eval count (not bypassed)
+	evals              int // Eval count
 }
 
 func (d *nlStub) Name() string  { return d.name }
@@ -132,16 +132,16 @@ func buildIncMix(t *testing.T, nodes int) (*System, []*nlStub) {
 }
 
 // TestIncrementalLoadMatchesPlain drives the incremental path through the
-// template-build, capture, and replay regimes and checks the assembled
-// system against the plain serial load each time.
+// template-build, template-hit and rebuild regimes and checks the assembled
+// system against the plain serial load each time, and that every nonlinear
+// device is evaluated on every load.
 func TestIncrementalLoadMatchesPlain(t *testing.T) {
-	sys, _ := buildIncMix(t, 9)
+	sys, nls := buildIncMix(t, 9)
 	inc := sys.NewWorkspace()
-	inc.SetDeviceBypass(1e-3, 1e-6)
-	if !inc.DeviceBypassEnabled() {
+	inc.SetDeviceBypass(true)
+	if inc.inc == nil {
 		t.Fatal("device bypass did not enable")
 	}
-	inc.inc.doBypass = true // fixture sits below the profitability gate
 	ref := sys.NewWorkspace()
 
 	x := make([]float64, sys.N)
@@ -150,147 +150,90 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 	}
 	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
 
-	step := func(what string) {
+	step := func(what string, wantHit bool) {
+		t.Helper()
+		evals := nls[0].evals
 		inc.Load(x, p)
+		if nls[0].evals != evals+1 {
+			t.Fatalf("%s: the incremental load evaluated a nonlinear device %d times, want 1", what, nls[0].evals-evals)
+		}
 		ref.Load(x, p)
 		assertStampsEqual(t, inc, ref, 1e-12, what)
+		if inc.LastLoadLinearHit() != wantHit {
+			t.Fatalf("%s: template hit = %v, want %v", what, !wantHit, wantHit)
+		}
 	}
-	step("first iteration (template build + capture)")
+	step("first iteration (template build)", false)
 
-	// Second iteration at a barely moved iterate: replay regime.
+	// The template depends on Alpha0 alone: an unchanged, a barely moved and
+	// a far moved iterate all start from it.
+	step("same iterate", true)
 	for i := range x {
 		x[i] += 1e-9
 	}
-	step("bypassed iteration (replay)")
-	if inc.LastLoadBypassed() == 0 {
-		t.Fatal("no devices bypassed at an unchanged iterate")
-	}
-	if !inc.LastLoadLinearHit() {
-		t.Fatal("second load missed the linear template")
-	}
-
-	// Big move: every journal must miss and recapture.
+	step("barely moved iterate", true)
 	for i := range x {
 		x[i] += 0.1
 	}
-	step("recapture after a large move")
-	if inc.LastLoadBypassed() != 0 {
-		t.Fatal("bypass fired across a large iterate move")
-	}
+	step("large move", true)
 
-	// New Alpha0 (step-size change): template rebuild, journals keyed out.
+	// New Alpha0 (step-size change): template rebuild.
 	p.Alpha0 = 3.7e6
-	step("alpha0 change (template rebuild)")
-	if inc.LastLoadLinearHit() {
-		t.Fatal("template hit reported for an unseen alpha0")
-	}
-	if inc.LastLoadBypassed() != 0 {
-		t.Fatal("bypass fired across an alpha0 change")
-	}
-	step("steady state at new alpha0")
-	if !inc.LastLoadLinearHit() || inc.LastLoadBypassed() == 0 {
-		t.Fatal("steady state did not hit template + bypass")
-	}
+	step("alpha0 change (template rebuild)", false)
+	step("steady state at new alpha0", true)
 }
 
-// TestIncrementalBypassGuards checks the one-shot suppression, the
-// generation invalidation, and the NoLimit decline.
+// TestIncrementalBypassGuards checks which loads the engine declines —
+// NoLimit and source-stepping loads take the plain path — and that the
+// Limited flag is reported exactly like the plain path reports it.
 func TestIncrementalBypassGuards(t *testing.T) {
-	sys, nls := buildIncMix(t, 7)
-	ws := sys.NewWorkspace()
-	ws.SetDeviceBypass(1e-3, 1e-6)
-	ws.inc.doBypass = true // fixture sits below the profitability gate
-	x := make([]float64, sys.N)
-	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
-
-	ws.Load(x, p)
-	ws.Load(x, p)
-	if got := ws.LastLoadBypassed(); got != len(nls) {
-		t.Fatalf("expected %d bypassed evals, got %d", len(nls), got)
-	}
-
-	// Generation bump invalidates every journal.
-	ws.InvalidateDeviceBypass()
-	ws.Load(x, p)
-	if ws.LastLoadBypassed() != 0 {
-		t.Fatal("bypass fired across a generation bump")
-	}
-
-	// One-shot suppression blocks replay exactly once: every nonlinear
-	// device is fully evaluated, while the assembly stays incremental
-	// (the linear template is still in play).
-	ws.DisableBypassOnce()
-	evals := nls[0].evals
-	ws.Load(x, p)
-	if ws.LastLoadBypassed() != 0 {
-		t.Fatal("DisableBypassOnce did not suppress replay")
-	}
-	if nls[0].evals != evals+1 {
-		t.Fatal("suppressed-replay load did not evaluate the nonlinear device")
-	}
-	ws.Load(x, p)
-	if ws.LastLoadBypassed() != len(nls) {
-		t.Fatal("bypass did not resume after the one-shot suppression")
-	}
-
-	// NoLimit bookkeeping loads always take the plain path and reset the
-	// per-load counters.
-	evalsBefore := nls[0].evals
-	ws.Load(x, LoadParams{Alpha0: 1e6, SrcScale: 1, NoLimit: true})
-	if ws.LastLoadBypassed() != 0 || ws.LastLoadLinearHit() {
-		t.Fatal("NoLimit load went through the incremental path")
-	}
-	if nls[0].evals != evalsBefore+1 {
-		t.Fatal("NoLimit load did not evaluate the nonlinear device")
-	}
-
-	// CopyStateFrom adopts foreign state and must invalidate journals.
-	ws.Load(x, p)
-	other := sys.NewWorkspace()
-	ws.CopyStateFrom(other)
-	ws.Load(x, p)
-	if ws.LastLoadBypassed() != 0 {
-		t.Fatal("bypass fired after adopting foreign state")
-	}
-}
-
-// TestIncrementalLimitedJournalNotReplayed ensures a journal recorded under
-// active limiting is never replayed, and that the Limited flag is reported
-// exactly like the plain path reports it.
-func TestIncrementalLimitedJournalNotReplayed(t *testing.T) {
-	c := New("limited")
+	c := New("guards")
 	a := c.Node("a")
 	nl := &nlStub{name: "N", p: a, n: Ground, g: 1e-3, limitAt: 0.5}
 	c.Add(&linStub{name: "L", p: a, n: Ground, g: 1e-3, c: 1e-9})
+	c.Add(&srcStub{name: "I", p: a, g: 1e-6, amp: 1e-3})
 	c.Add(nl)
 	sys, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := sys.NewWorkspace()
-	ws.SetDeviceBypass(1e-3, 1e-6)
-	ws.inc.doBypass = true // fixture sits below the profitability gate
+	ws.SetDeviceBypass(true)
+	ref := sys.NewWorkspace()
 	x := make([]float64, sys.N)
-	x[a] = 1.0 // beyond limitAt: the capture happens under limiting
 	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
 	ws.Load(x, p)
-	if !ws.Limited {
-		t.Fatal("expected a limited load")
-	}
 	ws.Load(x, p)
-	if ws.LastLoadBypassed() != 0 {
-		t.Fatal("replayed a journal recorded under active limiting")
+	if !ws.LastLoadLinearHit() {
+		t.Fatal("second load missed the linear template")
 	}
 
-	// Below the limiting threshold the journal becomes replayable.
-	x[a] = 0.1
-	ws.Load(x, p)
-	if ws.Limited {
-		t.Fatal("limited flag stuck")
+	for _, plain := range []LoadParams{
+		{Alpha0: 1e6, SrcScale: 1, NoLimit: true},
+		{Alpha0: 1e6, SrcScale: 0.5},
+	} {
+		evals := nl.evals
+		ws.Load(x, plain)
+		if ws.LastLoadLinearHit() {
+			t.Fatalf("load %+v went through the incremental path", plain)
+		}
+		if nl.evals != evals+1 {
+			t.Fatalf("load %+v did not evaluate the nonlinear device", plain)
+		}
+		ref.Load(x, plain)
+		assertStampsEqual(t, ws, ref, 0, "declined load")
 	}
-	ws.Load(x, p)
-	if ws.LastLoadBypassed() != 1 {
-		t.Fatal("bypass did not fire on a clean journal")
+	if got := ws.LinearStampHits(); got != 1 {
+		t.Fatalf("%d linear hits after the declined loads, want 1", got)
+	}
+
+	for _, v := range []float64{1.0, 0.1} { // beyond limitAt, then below it
+		x[a] = v
+		ws.Load(x, p)
+		ref.Load(x, p)
+		if ws.Limited != ref.Limited || ws.Limited != (v > nl.limitAt) {
+			t.Fatalf("v = %g: Limited = %v, the plain load reports %v", v, ws.Limited, ref.Limited)
+		}
 	}
 }
 
@@ -300,7 +243,7 @@ func TestIncrementalLimitedJournalNotReplayed(t *testing.T) {
 func TestIncrementalTemplateLRU(t *testing.T) {
 	sys, _ := buildIncMix(t, 5)
 	ws := sys.NewWorkspace()
-	ws.SetDeviceBypass(1e-3, 1e-6)
+	ws.SetDeviceBypass(true)
 	x := make([]float64, sys.N)
 	load := func(alpha0 float64) bool {
 		ws.Load(x, LoadParams{Alpha0: alpha0, SrcScale: 1})
@@ -324,8 +267,7 @@ func TestIncrementalTemplateLRU(t *testing.T) {
 	if load(1e6) {
 		t.Fatal("evicted alpha0 still resident")
 	}
-	_, hits := ws.DeviceBypassCounters()
-	if hits != 4 {
+	if hits := ws.LinearStampHits(); hits != 4 {
 		t.Fatalf("expected 4 linear hits, got %d", hits)
 	}
 }

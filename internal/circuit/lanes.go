@@ -100,14 +100,7 @@ func (s *System) BindLanes(c *Circuit) error {
 		return fmt.Errorf("circuit %q: lane binds %d unknowns/%d states, host has %d/%d",
 			c.Title, branch, state, s.N, s.NumStates)
 	}
-	r := &Reserver{
-		lookup:      s.pattern,
-		devRows:     make([][]int, len(c.devices)),
-		devSlots:    make([][]int, len(c.devices)),
-		devCols:     make([][]int, len(c.devices)),
-		devSlotRows: make([][]int, len(c.devices)),
-		devSlotCols: make([][]int, len(c.devices)),
-	}
+	r := &Reserver{lookup: s.pattern, devRows: make([][]int, len(c.devices))}
 	for i, d := range c.devices {
 		r.current, r.devIdx = d, i
 		d.Reserve(r)

@@ -11,10 +11,10 @@ import (
 // grid of deterministic operating points and at several Alpha0 blends
 // (Alpha0 = 0 isolates dF/dx; the large values fold dQ/dx in).
 //
-// The incremental assembly engine (internal/circuit) replays journaled stamp
-// deltas and applies a first-order Σ J·Δv correction on bypassed loads, so an
+// The incremental assembly engine (internal/circuit) takes the linear devices'
+// Jacobians as the whole of their F and Q (F = J_F·x, Q = J_Q·x), so an
 // analytic Jacobian that disagrees with the residual would not just slow
-// Newton down — it would silently corrupt bypassed assemblies. This sweep is
+// Newton down — it would silently corrupt templated assemblies. This sweep is
 // the safety net named in that engine's package contract.
 func TestJacobianFDSweep(t *testing.T) {
 	alphas := []float64{0, 1e6, 1e8}

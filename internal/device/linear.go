@@ -11,7 +11,7 @@ import "wavepipe/internal/circuit"
 // passives and controlled sources never touch B.
 //
 // This is a correctness promise. The finite-difference Jacobian checker in
-// jacobian_test.go and the bypass equivalence suite are the safety net; a
+// jacobian_test.go and the template equivalence suite are the safety net; a
 // device whose stamps depend nonlinearly on x (or on time outside B) must
 // not implement this interface.
 

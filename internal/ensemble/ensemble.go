@@ -16,8 +16,8 @@
 // Step control stays fully independent per lane: each lane owns a
 // transient.Stepper — the serial engine's own step controller — and only the
 // solve between its Plan and Finish is batched, so a lane's waveform is
-// bit-identical to its own independent serial run (all bypass paths are
-// structurally disabled in lanes). Lanes share one sched core
+// bit-identical to its own independent serial run (the incremental assembly
+// engine is refused in lanes). Lanes share one sched core
 // Budget: each round, the active lanes are dealt across the gang's workers,
 // and within a worker's chunk the live Newton iterations advance in
 // lockstep with batched assembly. A lane retires — finishes, faults, or
@@ -59,10 +59,10 @@ type Lane struct {
 // Options configures an ensemble run.
 type Options struct {
 	// Base is the per-lane analysis configuration, shared by every lane.
-	// Durability (Guard/Resume), factorization bypass, device bypass and
-	// OnAccept are not supported inside lanes and must be unset. Base.Trace
-	// receives the run's event stream: per lane, the event kinds of a serial
-	// run (Worker = lane index) and one KindLaneRetire.
+	// Durability (Guard/Resume), device bypass and OnAccept are not supported
+	// inside lanes and must be unset. Base.Trace receives the run's event
+	// stream: per lane, the event kinds of a serial run (Worker = lane index)
+	// and one KindLaneRetire.
 	Base transient.Options
 	// Workers is the lane-gang width, caller included (the shared core
 	// budget). 0 selects min(K, max(2, NumCPU)).
@@ -138,9 +138,7 @@ func validate(base *transient.Options) error {
 		return fmt.Errorf("ensemble: TStop must be positive")
 	case base.Guard != nil || base.Resume != nil:
 		return fmt.Errorf("ensemble: durable runs (Guard/Resume) are not supported inside lanes")
-	case base.BypassTol != 0:
-		return fmt.Errorf("ensemble: factorization bypass is not supported inside lanes")
-	case base.DeviceBypassTol != 0:
+	case base.DeviceBypass:
 		return fmt.Errorf("ensemble: device bypass is not supported inside lanes")
 	case base.OnAccept != nil:
 		return fmt.Errorf("ensemble: OnAccept is not supported inside lanes (the callback has no lane argument)")

@@ -282,8 +282,7 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 	lanes := ladderLanes(1, 8, 0)
 	host := hostFor(t, lanes)
 	for name, base := range map[string]transient.Options{
-		"bypass":    {TStop: 1e-9, BypassTol: 1e-3},
-		"devbypass": {TStop: 1e-9, DeviceBypassTol: 1e-3},
+		"devbypass": {TStop: 1e-9, DeviceBypass: true},
 		"onaccept":  {TStop: 1e-9, OnAccept: func(float64, []float64) {}},
 		"no-tstop":  {},
 	} {

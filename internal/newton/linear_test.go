@@ -198,38 +198,6 @@ func TestLinearClampedStepStillIterates(t *testing.T) {
 	}
 }
 
-// A step through a bypassed factorization is a quasi-Newton step: it is put
-// to the update test, fails it from this far out, and the exact step behind
-// it is the one certified.
-func TestLinearBypassedStepStillIterates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b := newBEPoint(t, randomLinear(rng), rng, 0, 1e-11)
-	b.ws.Solver.BypassTol = 1e-3
-	opts := DefaultOptions()
-	x0 := append([]float64(nil), b.x...)
-	b.solve(t, opts) // leaves a factorization for Alpha0 = 1/h behind
-	want := append([]float64(nil), b.x...)
-
-	copy(b.x, x0)
-	b.p.Alpha0 *= 1 + 1e-6 // inside the bypass tolerance of that factorization
-	for i := range b.qhist {
-		b.qhist[i] *= 1 + 1e-6
-	}
-	before := b.ws.Solver.BypassedFactorizations
-	res := b.solve(t, opts)
-	if got := b.ws.Solver.BypassedFactorizations - before; got != 1 {
-		t.Fatalf("%d bypassed factorizations, want 1: the test no longer exercises the stale-LU step", got)
-	}
-	if res.Iters != 2 {
-		t.Fatalf("%d iterations, want the bypassed step and the exact one", res.Iters)
-	}
-	for i := range want {
-		if math.Abs(b.x[i]-want[i]) > 1e-5*math.Max(1, math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %g; the same point at Alpha0/(1+1e-6) gave %g", i, b.x[i], want[i])
-		}
-	}
-}
-
 // A warm step rests on the factorization its warm start left. When that was
 // made under this very Alpha0 the step is exact and certified; when the two
 // differ — here in the last bit — it is not, however close.
@@ -249,7 +217,7 @@ func TestLinearWarmStepNeedsTheSameAlpha0(t *testing.T) {
 			// What a warm start leaves: the assembly and an exact
 			// factorization at the iterate, under the warm start's Alpha0.
 			Load(b.ws, b.x, warm)
-			if err := Factorize(b.ws, warm.Time, true); err != nil {
+			if err := Factorize(b.ws, warm.Time); err != nil {
 				t.Fatal(err)
 			}
 			it := Iter{Warm: true, WarmExact: warm.Alpha0 == b.p.Alpha0}

@@ -86,10 +86,6 @@ type Iter struct {
 	// point assembles — the warm start ran under this point's Alpha0, bit for
 	// bit — rather than of one a rounding away, which Warm alone admits.
 	WarmExact bool
-	// forceFresh suppresses factorization bypass for the next step: set after
-	// a bypassed (stale-LU, quasi-Newton) step failed the convergence test,
-	// so a wildly off LU cannot stall the whole iteration budget.
-	forceFresh bool
 }
 
 // EntryFault is the fault-injection check at the entry of a Newton iteration
@@ -123,9 +119,9 @@ func (it *Iter) Run(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qh
 
 // Step runs the post-assembly remainder of one Newton iteration — residual,
 // factorize + solve, damped update, limiting-state flip, non-finite guard and
-// the convergence test with its bypass certification — on a workspace whose
-// Load at x the caller has performed. done reports convergence; a non-nil err
-// is terminal for this point, and running out of opts.MaxIter is one.
+// the convergence test — on a workspace whose Load at x the caller has
+// performed. done reports convergence; a non-nil err is terminal for this
+// point, and running out of opts.MaxIter is one.
 func (it *Iter) Step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (done bool, err error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = DefaultMaxIter
@@ -153,18 +149,10 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	if warm {
 		err = ws.Solver.Solve(r, dx)
 	} else {
-		err = factorAndSolve(ws, p.Time, r, dx, it.forceFresh)
+		err = factorAndSolve(ws, p.Time, r, dx)
 	}
 	if err != nil {
 		return false, iterErr(p.Time, iter, err)
-	}
-	it.forceFresh = false
-	// A bypassed factorization makes this a quasi-Newton step: keep the
-	// pre-update iterate around so the convergence guard below can redo
-	// the step exactly.
-	bypassed := ws.Solver.LastBypassed
-	if bypassed {
-		ws.SaveIterate(x)
 	}
 	// x_{k+1} = x_k − J⁻¹·R, with optional per-component damping.
 	maxRatio, clamped := applyUpdate(x, dx, opts)
@@ -179,11 +167,11 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	// is its Jacobian everywhere, so a full Newton step taken through an exact
 	// factorization of that matrix lands on the solution: it is certified by
 	// construction, and an iteration spent confirming it would move x by
-	// round-off only. Three steps are not that step and go on to the update
-	// test below like any other: one through a bypassed (stale) LU, one that
-	// applyUpdate clamped, and a warm one whose LU was factorized under an
-	// Alpha0 differing from this point's in any bit.
-	if ws.Sys.Linear() && !bypassed && !clamped && (!warm || it.WarmExact) {
+	// round-off only. Two steps are not that step and go on to the update
+	// test below like any other: one that applyUpdate clamped, and a warm one
+	// whose LU was factorized under an Alpha0 differing from this point's in
+	// any bit.
+	if ws.Sys.Linear() && !clamped && (!warm || it.WarmExact) {
 		return true, nil
 	}
 	// SPICE's convergence rule: accept as soon as the Newton update is
@@ -193,70 +181,7 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	// pn-junction false-convergence trap (an iterate assembled under
 	// active device limiting may pass the update test while grossly
 	// violating the true residual) is the limiting flag.
-	if maxRatio > 1 || limited {
-		// The step missed the convergence band. If it was computed from a
-		// reused (bypassed) factorization the quasi-Newton direction may be
-		// arbitrarily wrong — a stale LU can even diverge on a linear
-		// circuit — so insist on a real factorization next iteration.
-		// Genuine Newton steps that miss the band keep iterating normally.
-		it.forceFresh = bypassed
-		return false, nil
-	}
-	if ws.LastLoadBypassed() > 0 {
-		// A load with bypassed device evaluations is never allowed to
-		// be the iteration that declares convergence: the replayed
-		// stamps are within tolerance but not exact.
-		ws.DisableBypassOnce()
-		if bypassed {
-			// The step also came from a reused LU — two staleness
-			// sources stack, so certify nothing in place: force a
-			// fully evaluated iteration and re-test.
-			return false, nil
-		}
-		// In-place certification: reload with every device fully
-		// evaluated at the candidate iterate, then take one exact-
-		// residual step through the current factorization. Accepting
-		// only when that step also lands inside the band gives the
-		// declaring iteration an exact assembly at a fraction of a
-		// full iteration (no refactorization).
-		Load(ws, x, p)
-		if ws.Limited {
-			return false, nil
-		}
-		ws.Residual(p.Alpha0, qhist, r)
-		if err := ws.Solver.Solve(r, dx); err != nil {
-			return false, iterErr(p.Time, iter, err)
-		}
-		maxRatio, _ = applyUpdate(x, dx, opts)
-		ws.FlipState()
-		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
-			return false, err
-		}
-		// When the exact assembly disagreed, keep iterating from the
-		// genuine Newton step it produced.
-		return maxRatio <= 1, nil
-	}
-	if bypassed {
-		// Never accept an iterate produced under factorization
-		// bypass: rewind to the pre-update iterate (whose assembly
-		// and residual are still in the workspace), refactorize for
-		// real, and take the exact Newton step instead.
-		ws.RestoreIterate(x)
-		if err := Factorize(ws, p.Time, true); err != nil {
-			return false, iterErr(p.Time, iter, err)
-		}
-		if err := ws.Solver.Solve(r, dx); err != nil {
-			return false, iterErr(p.Time, iter, err)
-		}
-		maxRatio, _ = applyUpdate(x, dx, opts)
-		if err := nonFiniteErr(x, p.Time, it.N); err != nil {
-			return false, err
-		}
-		// When the exact step disagreed with the bypassed one by more
-		// than the tolerance band, keep iterating from it.
-		return maxRatio <= 1, nil
-	}
-	return true, nil
+	return maxRatio <= 1 && !limited, nil
 }
 
 func iterErr(t float64, iter int, err error) error {
@@ -277,10 +202,9 @@ func nonFiniteErr(x []float64, t float64, iters int) error {
 
 // Load assembles the system, pairing each load the engines perform — inside
 // the iteration or around it (initial point, warm start) — with exactly one
-// PhaseDeviceLoad event when tracing is active. The event
-// carries the incremental-assembly outcome — Iters holds the bypassed-eval
-// count and FlagLinearHit marks a linear-template hit — so trace replay
-// reconciles 1:1 with the workspace's DeviceBypassCounters.
+// PhaseDeviceLoad event when tracing is active. FlagLinearHit marks a load
+// that started from a cached linear template, so trace replay reconciles 1:1
+// with the workspace's LinearStampHits.
 func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		ws.Load(x, p)
@@ -291,7 +215,6 @@ func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	ev := trace.Event{
 		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
 		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ws.Worker,
-		Iters: int32(ws.LastLoadBypassed()),
 	}
 	if ws.LastLoadLinearHit() {
 		ev.Flags |= trace.FlagLinearHit
@@ -303,8 +226,7 @@ func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 // in place of the full load that used to, under the same one PhaseDeviceLoad
 // event: the device-model time of a point is still the sum of its
 // PhaseDeviceLoad spans, and a trace still holds one per point closed. The
-// event reports no bypassed evaluation and no template hit — the pass has
-// neither.
+// event reports no template hit — the pass copies none.
 func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		ws.LoadCharges(x, p)
@@ -318,11 +240,11 @@ func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	})
 }
 
-func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64, forceFresh bool) error {
+func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64) error {
 	if cls, ok := ws.Faults.At(faults.SiteFactor, at); ok && cls == faults.Singular {
 		return fmt.Errorf("%w (injected)", faults.ErrSingular)
 	}
-	if err := Factorize(ws, at, forceFresh); err != nil {
+	if err := Factorize(ws, at); err != nil {
 		return err
 	}
 	if !ws.Trace.Active() {
@@ -342,24 +264,20 @@ func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64, forceFre
 }
 
 // Factorize is the one way the engines ask the workspace's solver for a
-// factorization of the assembled matrix: fresh selects FactorizeFresh (an
-// exact LU, no bypass). When tracing is active every request emits exactly
-// one PhaseFactor event carrying its outcome — FlagBypassed for a stale LU
-// kept within BypassTol, FlagReused for an unchanged matrix answered exactly
-// from the LU in hand — so trace replay reconciles 1:1 with the solver's
-// BypassedFactorizations and ReusedFactorizations counters.
-func Factorize(ws *circuit.Workspace, at float64, fresh bool) error {
+// factorization of the assembled matrix. When tracing is active every request
+// emits exactly one PhaseFactor event carrying its outcome — FlagReused for an
+// unchanged matrix answered exactly from a factorization the solver holds —
+// so trace replay reconciles 1:1 with the solver's ReusedFactorizations
+// counter.
+func Factorize(ws *circuit.Workspace, at float64) error {
 	if !ws.Trace.Active() {
-		return factorize(ws, fresh)
+		return ws.Solver.Factorize()
 	}
 	t0 := time.Now()
-	err := factorize(ws, fresh)
+	err := ws.Solver.Factorize()
 	ev := trace.Event{
 		Kind: trace.KindPhase, Phase: trace.PhaseFactor,
 		Dur: time.Since(t0).Nanoseconds(), T: at, Worker: ws.Worker,
-	}
-	if ws.Solver.LastBypassed {
-		ev.Flags |= trace.FlagBypassed
 	}
 	if ws.Solver.LastReused {
 		ev.Flags |= trace.FlagReused
@@ -369,13 +287,6 @@ func Factorize(ws *circuit.Workspace, at float64, fresh bool) error {
 	}
 	ws.Trace.Emit(ev)
 	return err
-}
-
-func factorize(ws *circuit.Workspace, fresh bool) error {
-	if fresh {
-		return ws.Solver.FactorizeFresh()
-	}
-	return ws.Solver.Factorize()
 }
 
 // applyUpdate performs x -= clamp(dx) and returns the weighted update norm

@@ -34,9 +34,14 @@ type Config struct {
 	Metrics func(w io.Writer) error
 }
 
+// maxRequestBytes bounds the body of POST /v1/jobs: a deck and its options.
+const maxRequestBytes = 64 << 20
+
 // New returns the HTTP handler for the service API.
-func New(cfg Config) http.Handler {
-	h := &handler{cfg: cfg}
+func New(cfg Config) http.Handler { return newHandler(cfg, maxRequestBytes) }
+
+func newHandler(cfg Config, maxBody int64) http.Handler {
+	h := &handler{cfg: cfg, maxBody: maxBody}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", h.submit)
 	mux.HandleFunc("GET /v1/jobs/{id}", h.status)
@@ -48,16 +53,20 @@ func New(cfg Config) http.Handler {
 }
 
 type handler struct {
-	cfg Config
+	cfg     Config
+	maxBody int64
 }
 
 // fail writes the uniform wire error body with the status the error maps
 // to: unknown job → 404, admission rejection → 429, options the service
-// cannot run as a job → 422, everything else the caller's default (400 for
-// request shaping, 500 for execution).
+// cannot run as a job → 422, a body over the bound → 413, everything else the
+// caller's default (400 for request shaping, 500 for execution).
 func fail(w http.ResponseWriter, err error, fallback int) {
 	code := fallback
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, wavepipe.ErrUnknownJob):
 		code = http.StatusNotFound
 	case errors.Is(err, wavepipe.ErrQueueFull):
@@ -77,7 +86,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
-	req, err := wire.DecodeJobRequest(io.LimitReader(r.Body, 64<<20))
+	req, err := wire.DecodeJobRequest(http.MaxBytesReader(w, r.Body, h.maxBody))
 	if err != nil {
 		fail(w, err, http.StatusBadRequest)
 		return

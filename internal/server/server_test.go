@@ -223,12 +223,11 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPRetiredOptionsRefused: a peer still sending an option or scheme
-// retired in PR 14 gets a 400 at submission, not a job that silently runs
-// without it.
+// TestHTTPRetiredOptionsRefused: a peer still sending a retired option or
+// scheme gets a 400 at submission, not a job that silently runs without it.
 func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	_, svc, ts := newStack(t)
-	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`} {
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`} {
 		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -241,6 +240,41 @@ func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	}
 	if ids := svc.Jobs(); len(ids) != 0 {
 		t.Fatalf("refused jobs were admitted: %v", ids)
+	}
+}
+
+// TestHTTPOversizedBodyRefused: a body over the bound is answered 413 with the
+// limit named in the wire error — not cut short and reported as a JSON syntax
+// error — and a body just under it is still admitted.
+func TestHTTPOversizedBodyRefused(t *testing.T) {
+	svc, err := wavepipe.NewService(wavepipe.ServiceConfig{Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `}`
+	post := func(limit int64) *http.Response {
+		ts := httptest.NewServer(server.NewWithBodyLimit(server.Config{Client: svc}, limit))
+		defer ts.Close()
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post(int64(len(body)) - 1)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "too large") {
+		t.Fatalf("oversized body: status = %d, body %s; want 413 naming the limit", resp.StatusCode, msg)
+	}
+	if ids := svc.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused job was admitted: %v", ids)
+	}
+	resp = post(int64(len(body)))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("body at the bound: status = %d, want 202", resp.StatusCode)
 	}
 }
 

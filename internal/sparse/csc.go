@@ -152,23 +152,6 @@ func (m *Matrix) Add(slot int, v float64) {
 	m.Values[m.slotPos[slot]] += v
 }
 
-// SlotValue returns the value currently stored in the slot previously
-// returned by Builder.Reserve. The incremental assembly engine reads a
-// device's slots around its evaluation to journal the stamp deltas it
-// replays on bypassed iterations.
-func (m *Matrix) SlotValue(slot int) float64 {
-	return m.Values[m.slotPos[slot]]
-}
-
-// SlotPos returns the CSC position backing a slot. Positions are identical
-// across clones of the same pattern, so a caller that precomputes them once
-// can index Values directly on every clone instead of paying the slot
-// indirection on each access (the incremental engine's capture and replay
-// loops are exactly such a hot path).
-func (m *Matrix) SlotPos(slot int) int {
-	return m.slotPos[slot]
-}
-
 // SlotAt returns the builder slot index stored at (row, col), or -1 if the
 // pattern has no entry there. The ensemble engine uses it to replay a
 // structurally identical circuit's Reserve calls against a frozen host

@@ -441,11 +441,6 @@ type Solver struct {
 	// out many solvers over one sparsity pattern share a single ordering
 	// this way (the ordering depends only on the pattern). Read-only here.
 	ColPerm []int
-	// BypassTol enables SPICE-style factorization bypass: when every matrix
-	// value has changed by at most this relative amount since the values that
-	// produced the current factorization, Factorize keeps the previous LU and
-	// the solve becomes a quasi-Newton step. 0 disables bypass.
-	BypassTol float64
 	// Sched, when non-nil, runs Refactor and the triangular solves
 	// level-scheduled across the pool's gang (see parallel.go). Each pattern
 	// is profitability-gated: chain-like structures with no level width stay
@@ -470,27 +465,17 @@ type Solver struct {
 	lu      *LU
 	scratch []float64
 	// store holds the numeric factorizations a request may be answered from,
-	// the one attached to lu first among them. Both shortcuts compare against
-	// the values that set was factorized from, not against the previous
-	// iteration, so slow cumulative change still forces a refactorization
-	// eventually.
+	// the one attached to lu first among them.
 	store factorStore
 
 	// Stats.
 	FullFactorizations int
 	Refactorizations   int
-	// BypassedFactorizations counts Factorize calls answered by reusing the
-	// previous LU. LastBypassed reports whether the most recent Factorize was
-	// one of them — the Newton guard uses it to ensure an accepted iterate
-	// always rests on a fresh factorization.
-	BypassedFactorizations int
-	LastBypassed           bool
-	// ReusedFactorizations counts Factorize/FactorizeFresh calls handed the
-	// very values a factorization the solver still holds was refactored from
-	// — the one in hand, or one in the keyed store — and answered with it.
-	// Unlike a bypass the factorization is exact, so LastBypassed stays false;
-	// LastReused reports the outcome for the trace. Every request ends in
-	// exactly one of the four counters.
+	// ReusedFactorizations counts Factorize calls handed the very values a
+	// factorization the solver still holds was refactored from — the one in
+	// hand, or one in the keyed store — and answered with it: the result is
+	// exact. LastReused reports the outcome for the trace. Every request ends
+	// in exactly one of the three counters.
 	ReusedFactorizations int
 	LastReused           bool
 }
@@ -501,32 +486,15 @@ func NewSolver(m *Matrix, o Ordering) *Solver {
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
-// numeric-only refactorization path. Two shortcuts avoid even that: values
-// bit-identical to the ones a held factorization was refactored from make the
-// call a no-op with an exact result (LastReused), and with BypassTol > 0
-// values within that relative tolerance of the ones behind the LU in hand
-// make it a no-op with a stale one (LastBypassed).
-func (s *Solver) Factorize() error { return s.factorize(s.BypassTol) }
-
-// FactorizeFresh is Factorize without the bypass shortcut: the call always
-// leaves an exact factorization of the current values behind (the final
-// Newton guard and the warm-start handoff need one). Exact reuse still
-// applies — it is exact.
-func (s *Solver) FactorizeFresh() error { return s.factorize(0) }
-
-func (s *Solver) factorize(tol float64) error {
-	s.LastBypassed, s.LastReused = false, false
+// numeric-only refactorization path. Values bit-identical to the ones a held
+// factorization was refactored from avoid even that: the call is a no-op with
+// an exact result (LastReused).
+func (s *Solver) Factorize() error {
+	s.LastReused = false
 	st := &s.store
-	if cur := st.cur; cur != nil {
-		switch d := valueDrift(cur.values, s.M.Values, tol); {
-		case d == driftNone && cur.refactored:
-			s.reused()
-			return nil
-		case d != driftExceeded && tol > 0:
-			s.BypassedFactorizations++
-			s.LastBypassed = true
-			return nil
-		}
+	if cur := st.cur; cur != nil && cur.refactored && sameBits(cur.values, s.M.Values) {
+		s.reused()
+		return nil
 	}
 	if s.lu != nil {
 		var h uint64
@@ -571,47 +539,17 @@ func (s *Solver) reused() {
 	s.LastReused = true
 }
 
-// drift is the outcome of comparing incoming matrix values with a snapshot.
-type drift int
-
-const (
-	driftNone     drift = iota // bit-for-bit the snapshot
-	driftWithin                // differs, every entry within the tolerance
-	driftExceeded              // some entry beyond it
-)
-
-// valueDrift compares new against old in one scan that stops at the first
-// entry beyond tol. Equality is on the IEEE bits, so +0 against −0 and any
-// NaN count as a difference; the relative change of a differing entry is
-// |new−old| / max(|old|, |new|), which makes a value appearing where there
-// was an exact zero an infinite change. tol 0 is the exact test — the scan
-// ends at the first differing entry — and a positive tol is the bypass test:
-// one comparison, two outcomes.
-func valueDrift(old, new []float64, tol float64) drift {
+// sameBits reports whether new is old bit for bit. Equality is on the IEEE
+// bits, so +0 against −0 and any NaN count as a difference; the scan ends at
+// the first differing entry.
+func sameBits(old, new []float64) bool {
 	old = old[:len(new)]
-	d := driftNone
 	for i, nv := range new {
-		ov := old[i]
-		if math.Float64bits(nv) == math.Float64bits(ov) {
-			continue
+		if math.Float64bits(nv) != math.Float64bits(old[i]) {
+			return false
 		}
-		if tol <= 0 {
-			return driftExceeded
-		}
-		if diff := math.Abs(nv - ov); diff != 0 {
-			// diff > 0 implies a nonzero operand, so the base is positive; a
-			// NaN fails the test and forces the refactorization.
-			base := math.Abs(ov)
-			if a := math.Abs(nv); a > base {
-				base = a
-			}
-			if rel := diff / base; !(rel <= tol) {
-				return driftExceeded
-			}
-		}
-		d = driftWithin
 	}
-	return d
+	return true
 }
 
 // refactor runs the numeric-only refactorization, level-scheduled across the

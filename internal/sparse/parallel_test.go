@@ -186,10 +186,10 @@ func TestSolverSchedBitIdentical(t *testing.T) {
 			m1.Values[i] *= scale
 			mp.Values[i] *= scale
 		}
-		if err := ss.FactorizeFresh(); err != nil {
+		if err := ss.Factorize(); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.FactorizeFresh(); err != nil {
+		if err := sp.Factorize(); err != nil {
 			t.Fatal(err)
 		}
 		for i := range rhs {

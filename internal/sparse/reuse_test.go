@@ -6,27 +6,23 @@ import (
 	"testing"
 )
 
-// counts is a Solver's four factorization outcomes.
-type counts struct{ full, refactor, bypassed, reused int }
+// counts is a Solver's three factorization outcomes.
+type counts struct{ full, refactor, reused int }
 
 func countsOf(s *Solver) counts {
-	return counts{s.FullFactorizations, s.Refactorizations, s.BypassedFactorizations, s.ReusedFactorizations}
+	return counts{s.FullFactorizations, s.Refactorizations, s.ReusedFactorizations}
 }
 
 func wantCounts(t *testing.T, tag string, s *Solver, want counts) {
 	t.Helper()
 	if got := countsOf(s); got != want {
-		t.Fatalf("%s: counts (full, refactor, bypassed, reused) = %+v, want %+v", tag, got, want)
+		t.Fatalf("%s: counts (full, refactor, reused) = %+v, want %+v", tag, got, want)
 	}
 }
 
-func mustFactorize(t *testing.T, s *Solver, fresh bool) {
+func mustFactorize(t *testing.T, s *Solver) {
 	t.Helper()
-	f := s.Factorize
-	if fresh {
-		f = s.FactorizeFresh
-	}
-	if err := f(); err != nil {
+	if err := s.Factorize(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,28 +32,27 @@ func mustFactorize(t *testing.T, s *Solver, fresh bool) {
 func reuseSolver(t *testing.T) (*Solver, counts) {
 	t.Helper()
 	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(61))), OrderMinDegree)
-	mustFactorize(t, s, false) // full
-	mustFactorize(t, s, false) // same values, but the LU came from a full factorization: refactor
+	mustFactorize(t, s) // full
+	mustFactorize(t, s) // same values, but the LU came from a full factorization: refactor
 	c := counts{full: 1, refactor: 1}
 	wantCounts(t, "setup", s, c)
 	return s, c
 }
 
 // TestExactReuseOnIdenticalValues: identical values are answered from the LU
-// in hand, by Factorize and FactorizeFresh alike, without touching a factor
-// and without raising LastBypassed.
+// in hand without touching a factor.
 func TestExactReuseOnIdenticalValues(t *testing.T) {
 	s, c := reuseSolver(t)
 	// Mark the factors: a reused call leaves even a wrong entry alone.
 	lu := s.LU()
 	lx0, ux0, ud0 := lu.lx[0], lu.ux[0], lu.ud[0]
 	lu.lx[0], lu.ux[0], lu.ud[0] = 111, 222, 333
-	for i, fresh := range []bool{false, true, false} {
-		mustFactorize(t, s, fresh)
+	for i := 0; i < 3; i++ {
+		mustFactorize(t, s)
 		c.reused++
 		wantCounts(t, "identical values", s, c)
-		if !s.LastReused || s.LastBypassed {
-			t.Fatalf("call %d: LastReused=%v LastBypassed=%v, want true, false", i, s.LastReused, s.LastBypassed)
+		if !s.LastReused {
+			t.Fatalf("call %d: LastReused=false", i)
 		}
 	}
 	if lu.lx[0] != 111 || lu.ux[0] != 222 || lu.ud[0] != 333 {
@@ -67,7 +62,7 @@ func TestExactReuseOnIdenticalValues(t *testing.T) {
 
 	// A real change refactors, and clears LastReused.
 	s.M.Values[3] *= 1.5
-	mustFactorize(t, s, false)
+	mustFactorize(t, s)
 	c.refactor++
 	wantCounts(t, "changed value", s, c)
 	if s.LastReused {
@@ -93,10 +88,10 @@ func TestExactReuseIsBitExact(t *testing.T) {
 		}
 	}
 	s := NewSolver(m, OrderNatural)
-	mustFactorize(t, s, false)
-	mustFactorize(t, s, false)
+	mustFactorize(t, s)
+	mustFactorize(t, s)
 	c := counts{full: 1, refactor: 1}
-	mustFactorize(t, s, false)
+	mustFactorize(t, s)
 	c.reused++
 	wantCounts(t, "baseline", s, c)
 
@@ -112,10 +107,10 @@ func TestExactReuseIsBitExact(t *testing.T) {
 		{"-0 to +0", zero, 0},
 	} {
 		m.Values[ch.pos] = ch.val
-		mustFactorize(t, s, false)
+		mustFactorize(t, s)
 		c.refactor++
 		wantCounts(t, ch.name, s, c)
-		mustFactorize(t, s, false) // and the new values are now the snapshot
+		mustFactorize(t, s) // and the new values are now the snapshot
 		c.reused++
 		wantCounts(t, ch.name+", repeated", s, c)
 	}
@@ -156,10 +151,10 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 		s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(67))), OrderMinDegree)
 		s.StoreBytes = storeBytes
 		base := append([]float64(nil), s.M.Values...)
-		mustFactorize(t, s, true) // full
+		mustFactorize(t, s) // full
 		c := counts{full: 1}
 		wantEmptyStore(t, "after full", s)
-		mustFactorize(t, s, true) // first call after a full factorization
+		mustFactorize(t, s) // first call after a full factorization
 		c.refactor++
 		wantCounts(t, "after full", s, c)
 		request(t, s, variant(base, 1)) // a second set for the keyed store to hold
@@ -175,7 +170,7 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 			wantCounts(t, "after restore", s, c)
 			wantRefactorBits(t, "after restore", s, variant(base, k))
 		}
-		mustFactorize(t, s, false)
+		mustFactorize(t, s)
 		c.reused++
 		wantCounts(t, "after restore, repeated", s, c)
 
@@ -184,19 +179,19 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 		s = NewSolver(m, OrderNatural)
 		s.StoreBytes = storeBytes
 		good := append([]float64(nil), m.Values...)
-		mustFactorize(t, s, false)
-		mustFactorize(t, s, false)
+		mustFactorize(t, s)
+		mustFactorize(t, s)
 		c = counts{full: 1, refactor: 1}
 		setAt(t, m, 0, 0, 0)
 		setAt(t, m, 1, 1, 0)
-		mustFactorize(t, s, false) // refactor fails, full factorization re-pivots
+		mustFactorize(t, s) // refactor fails, full factorization re-pivots
 		c.full++
 		wantCounts(t, "fallback", s, c)
 		wantEmptyStore(t, "fallback", s)
-		mustFactorize(t, s, false) // same values, LU from the fallback: refactor
+		mustFactorize(t, s) // same values, LU from the fallback: refactor
 		c.refactor++
 		wantCounts(t, "after fallback", s, c)
-		mustFactorize(t, s, false)
+		mustFactorize(t, s)
 		c.reused++
 		wantCounts(t, "after fallback, repeated", s, c)
 		request(t, s, good) // refactored along the old pivots, never along these
@@ -209,27 +204,26 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 // TestFailedRefactorInvalidatesSnapshot: when the refactorization fails and
 // the full factorization behind it fails too, the solver is left holding
 // factors of undefined content. Going back to the last good values must not
-// be answered from them, by reuse or by bypass.
+// be answered from them.
 func TestFailedRefactorInvalidatesSnapshot(t *testing.T) {
 	bothStores(t, func(t *testing.T, storeBytes int) {
 		m := FromDense([][]float64{{4, 1}, {1, 4}})
 		s := NewSolver(m, OrderNatural)
 		s.StoreBytes = storeBytes
-		s.BypassTol = 0.5
-		mustFactorize(t, s, true)
-		mustFactorize(t, s, true)
+		mustFactorize(t, s)
+		mustFactorize(t, s)
 		good := append([]float64(nil), m.Values...)
 		for p := range m.Values {
 			m.Values[p] = 0
 		}
-		if err := s.FactorizeFresh(); err == nil {
+		if err := s.Factorize(); err == nil {
 			t.Fatal("a zero matrix factorized")
 		}
 		wantEmptyStore(t, "after the double failure", s)
 		copy(m.Values, good)
-		mustFactorize(t, s, false)
-		if s.LastReused || s.LastBypassed {
-			t.Fatalf("answered from undefined factors: reused=%v bypassed=%v", s.LastReused, s.LastBypassed)
+		mustFactorize(t, s)
+		if s.LastReused {
+			t.Fatal("answered from undefined factors")
 		}
 		x := make([]float64, 2)
 		if err := s.Solve([]float64{5, 5}, x); err != nil {
@@ -239,96 +233,4 @@ func TestFailedRefactorInvalidatesSnapshot(t *testing.T) {
 			t.Fatalf("x = %v, want [1 1]", x)
 		}
 	})
-}
-
-// TestReuseComposesWithBypass walks one solver with BypassTol > 0 through
-// every outcome: exact reuse and tolerance bypass are one comparison against
-// one snapshot, reuse wins on identical values (unless the LU came from a
-// full factorization — then the call is the bypass it always was), and a
-// bypass leaves the snapshot where it was. A keyed store changes none of it:
-// the tolerance is measured against the set in hand and no other.
-func TestReuseComposesWithBypass(t *testing.T) {
-	bothStores(t, testReuseComposesWithBypass)
-}
-
-func testReuseComposesWithBypass(t *testing.T, storeBytes int) {
-	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(71))), OrderMinDegree)
-	s.StoreBytes = storeBytes
-	s.BypassTol = 1e-3
-	v := s.M.Values
-	v0 := v[5]
-
-	mustFactorize(t, s, false)
-	c := counts{full: 1}
-	wantCounts(t, "first", s, c)
-
-	mustFactorize(t, s, false) // identical, LU from full: a bypass, as before
-	c.bypassed++
-	wantCounts(t, "identical after full", s, c)
-	if !s.LastBypassed || s.LastReused {
-		t.Fatal("identical values on a fully factorized LU must read as bypassed")
-	}
-
-	mustFactorize(t, s, true) // the Newton guard's FactorizeFresh: refactor
-	c.refactor++
-	wantCounts(t, "fresh", s, c)
-
-	mustFactorize(t, s, false) // identical, LU from Refactor: exact reuse
-	c.reused++
-	wantCounts(t, "identical after refactor", s, c)
-	if s.LastBypassed {
-		t.Fatal("exact reuse raised LastBypassed: Newton's stale-LU guards would fire")
-	}
-
-	v[5] = v0 * (1 + 1e-4) // inside the tolerance
-	mustFactorize(t, s, false)
-	c.bypassed++
-	wantCounts(t, "within tolerance", s, c)
-
-	mustFactorize(t, s, true) // stale LU in hand: FactorizeFresh must refactor
-	c.refactor++
-	wantCounts(t, "fresh after bypass", s, c)
-
-	v[5] = v0 * (1 + 2e-4) // drift is measured from the refactored values
-	mustFactorize(t, s, false)
-	c.bypassed++
-	v[5] = v0 * (1 + 1e-4) // exactly the snapshot again, the bypass did not move it
-	mustFactorize(t, s, false)
-	c.reused++
-	wantCounts(t, "back on the snapshot", s, c)
-
-	v[5] = v0 * 1.01 // outside the tolerance
-	mustFactorize(t, s, false)
-	c.refactor++
-	wantCounts(t, "beyond tolerance", s, c)
-
-	if storeBytes == 0 {
-		return
-	}
-	// A and B both stored, B in hand.
-	a := append([]float64(nil), v...)
-	b := variant(a, 5)
-	request(t, s, b)
-	c.refactor++
-	near := append([]float64(nil), a...)
-	near[5] *= 1 + 1e-4
-	request(t, s, near) // within tolerance of stored A, far from B in hand: no bypass, and no hit
-	c.refactor++
-	wantCounts(t, "near a stored set, far from the one in hand", s, c)
-	request(t, s, b) // bit for bit stored B: the store answers
-	c.reused++
-	request(t, s, a) // and again for A, which is in hand from here on
-	c.reused++
-	wantCounts(t, "stored sets", s, c)
-	if s.LastBypassed {
-		t.Fatal("a store hit raised LastBypassed")
-	}
-	near[5] = a[5] * (1 + 2e-4)
-	request(t, s, near) // now the same drift is a bypass
-	c.bypassed++
-	wantCounts(t, "near the set in hand", s, c)
-	request(t, s, b) // beyond tolerance of A, bit for bit stored B
-	c.reused++
-	wantCounts(t, "stored set, past the tolerance of the one in hand", s, c)
-	wantRefactorBits(t, "stored set", s, b)
 }

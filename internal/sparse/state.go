@@ -171,7 +171,7 @@ func (s *Solver) FactorState() *LUState {
 // call takes the Refactor path against the restored pivot sequence. The
 // snapshot must match the solver's matrix dimension. The factor store is
 // flushed, not restored — its sets followed the old pivots — so the first
-// post-restore Factorize always refactorizes, neither reusing nor bypassing.
+// post-restore Factorize always refactorizes.
 func (s *Solver) RestoreFactor(st *LUState) error {
 	if st == nil {
 		return errors.New("lu state: nil snapshot")
@@ -185,6 +185,6 @@ func (s *Solver) RestoreFactor(st *LUState) error {
 	}
 	s.lu = lu
 	s.store.flush()
-	s.LastBypassed, s.LastReused = false, false
+	s.LastReused = false
 	return nil
 }

@@ -14,7 +14,7 @@ type factors struct {
 	// only state a request may be answered from exactly. A set out of a full
 	// factorization holds the same matrix to rounding but was summed in a
 	// different order, and the run the answer stands in for would have
-	// refactored it; such a set serves the bypass comparison only.
+	// refactored it; such a set answers nothing and is the next one claimed.
 	refactored bool
 	used       uint64 // store clock when the set last answered or was written
 }
@@ -68,7 +68,7 @@ func (st *factorStore) adopt(lu *LU, values []float64) {
 // nil. The hash only nominates candidates; the comparison decides.
 func (st *factorStore) find(h uint64, values []float64) *factors {
 	for i, k := range st.keys {
-		if k == h && valueDrift(st.sets[i].values, values, 0) == driftNone {
+		if k == h && sameBits(st.sets[i].values, values) {
 			return st.sets[i]
 		}
 	}

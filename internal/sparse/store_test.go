@@ -11,7 +11,7 @@ import (
 func keyedSolver(t *testing.T, seed int64, sets int) (*Solver, []float64) {
 	t.Helper()
 	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(seed))), OrderMinDegree)
-	mustFactorize(t, s, false)
+	mustFactorize(t, s)
 	s.StoreBytes = sets * s.store.cur.bytes()
 	return s, append([]float64(nil), s.M.Values...)
 }
@@ -30,7 +30,7 @@ func variant(base []float64, k int) []float64 {
 func request(t *testing.T, s *Solver, values []float64) {
 	t.Helper()
 	copy(s.M.Values, values)
-	mustFactorize(t, s, false)
+	mustFactorize(t, s)
 }
 
 // wantRefactorBits fails unless the factors attached to s are, bit for bit,
@@ -45,7 +45,7 @@ func wantRefactorBits(t *testing.T, tag string, s *Solver, values []float64) {
 	if err := ref.RestoreFactor(s.FactorState()); err != nil {
 		t.Fatal(err)
 	}
-	mustFactorize(t, ref, false)
+	mustFactorize(t, ref)
 	wantCounts(t, tag+": reference", ref, counts{refactor: 1})
 	for _, c := range []struct {
 		name      string
@@ -97,8 +97,8 @@ func TestStoreHitIsRefactorBitForBit(t *testing.T) {
 			c.refactor++
 		}
 		wantCounts(t, "walk", s, c)
-		if s.LastReused != step.hit || s.LastBypassed {
-			t.Fatalf("request %d: LastReused=%v LastBypassed=%v", i, s.LastReused, s.LastBypassed)
+		if s.LastReused != step.hit {
+			t.Fatalf("request %d: LastReused=%v", i, s.LastReused)
 		}
 		wantRefactorBits(t, "walk", s, v)
 	}

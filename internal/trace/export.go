@@ -33,8 +33,6 @@ type jsonlRecord struct {
 	LTERejects      int64   `json:"lte_rejects,omitempty"`
 	Discarded       int64   `json:"discarded,omitempty"`
 	Recoveries      int64   `json:"recoveries,omitempty"`
-	BypassHits      int64   `json:"bypass_hits,omitempty"`
-	BypassedEvals   int64   `json:"bypassed_evals,omitempty"`
 	LinearStampHits int64   `json:"linear_stamp_hits,omitempty"`
 	PointsPerSec    float64 `json:"points_per_sec,omitempty"`
 }
@@ -67,8 +65,7 @@ func WriteJSONL(w io.Writer, events []Event, snaps []Snapshot) error {
 				Type: "snapshot", Seq: s.Seq, Wall: s.Wall, T: s.T, H: s.H,
 				Points: s.Points, Solves: s.Solves, NRIters: s.NRIters,
 				LTERejects: s.LTERejects, Discarded: s.Discarded,
-				Recoveries: s.Recoveries, BypassHits: s.BypassHits,
-				BypassedEvals: s.BypassedEvals, LinearStampHits: s.LinearStampHits,
+				Recoveries: s.Recoveries, LinearStampHits: s.LinearStampHits,
 				PointsPerSec: s.PointsPerSec,
 			}
 		}
@@ -122,8 +119,7 @@ func ReadJSONL(r io.Reader) ([]Event, []Snapshot, error) {
 				Seq: rec.Seq, Wall: rec.Wall, T: rec.T, H: rec.H,
 				Points: rec.Points, Solves: rec.Solves, NRIters: rec.NRIters,
 				LTERejects: rec.LTERejects, Discarded: rec.Discarded,
-				Recoveries: rec.Recoveries, BypassHits: rec.BypassHits,
-				BypassedEvals: rec.BypassedEvals, LinearStampHits: rec.LinearStampHits,
+				Recoveries: rec.Recoveries, LinearStampHits: rec.LinearStampHits,
 				PointsPerSec: rec.PointsPerSec,
 			})
 		default:
@@ -275,9 +271,7 @@ type ReplayCounts struct {
 	Discarded       int // KindDiscard events
 	Recoveries      int // KindRecovery events
 	SerialFallbacks int // KindSerialFallback events
-	BypassHits      int // bypassed-factorization phase events
 	ReuseHits       int // exactly-reused-factorization phase events
-	BypassedEvals   int // device evals replayed, summed over device-load phases
 	LinearStampHits int // device-load phases flagged as linear-template hits
 	Cancels         int // KindCancel events
 	WindowSeeds     int // KindWindowSeed events (Parareal windows launched)
@@ -288,8 +282,8 @@ type ReplayCounts struct {
 // Replay recomputes the run counters from a recorded stream. On a complete
 // (undropped) trace these reconcile exactly with the run's transient.Stats:
 // Points, Solves, NRIters, LTERejects, Discarded and Recoveries match the
-// fields of the same name, BypassHits and ReuseHits match
-// BypassedFactorizations and ReusedFactorizations.
+// fields of the same name, ReuseHits matches ReusedFactorizations and
+// LinearStampHits the field of the same name.
 func Replay(events []Event) ReplayCounts {
 	var c ReplayCounts
 	for _, ev := range events {
@@ -318,17 +312,11 @@ func Replay(events []Event) ReplayCounts {
 		case KindWindowRedo:
 			c.WindowRedos++
 		case KindPhase:
-			if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
-				c.BypassHits++
-			}
 			if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
 				c.ReuseHits++
 			}
-			if ev.Phase == PhaseDeviceLoad {
-				c.BypassedEvals += int(ev.Iters)
-				if ev.Flags&FlagLinearHit != 0 {
-					c.LinearStampHits++
-				}
+			if ev.Phase == PhaseDeviceLoad && ev.Flags&FlagLinearHit != 0 {
+				c.LinearStampHits++
 			}
 		}
 	}

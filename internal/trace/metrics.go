@@ -22,7 +22,6 @@ type Metrics struct {
 	recoveries atomic.Int64
 	fallbacks  atomic.Int64
 	cancels    atomic.Int64
-	bypassHits atomic.Int64
 	reuseHits  atomic.Int64
 	events     atomic.Int64
 
@@ -58,9 +57,6 @@ func (m *Metrics) OnEvent(ev Event) {
 	case KindCancel:
 		m.cancels.Add(1)
 	case KindPhase:
-		if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
-			m.bypassHits.Add(1)
-		}
 		if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
 			m.reuseHits.Add(1)
 		}
@@ -93,7 +89,6 @@ func (m *Metrics) metricRows() []struct {
 		{"wavepipe_recoveries_total", "Recovery-ladder rescues.", false, float64(m.recoveries.Load())},
 		{"wavepipe_serial_fallbacks_total", "Pipeline degradations to serial integration.", false, float64(m.fallbacks.Load())},
 		{"wavepipe_cancels_total", "Context cancellations observed.", false, float64(m.cancels.Load())},
-		{"wavepipe_bypass_hits_total", "Factorizations answered by a stale LU within the bypass tolerance.", false, float64(m.bypassHits.Load())},
 		{"wavepipe_reuse_hits_total", "Factorizations answered exactly by the LU in hand (unchanged matrix).", false, float64(m.reuseHits.Load())},
 		{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events.Load())},
 		{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, f(&m.stepSize)},

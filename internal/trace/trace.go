@@ -81,7 +81,7 @@ type Phase uint8
 const (
 	PhaseNone       Phase = iota
 	PhaseDeviceLoad       // device evaluation + matrix assembly
-	PhaseFactor           // sparse LU factorization (or bypass)
+	PhaseFactor           // sparse LU factorization (or exact reuse)
 	PhaseTriSolve         // forward/backward triangular solves
 	PhaseLTE              // truncation-error estimation
 	phaseCount
@@ -109,19 +109,18 @@ func PhaseFromString(s string) (Phase, bool) {
 
 // Event flag bits.
 const (
-	// FlagFailed marks a solve attempt that returned an error.
+	// FlagFailed marks a solve attempt that returned an error. Bit 1 is
+	// unassigned (it marked the retired factorization bypass), so the flags
+	// below keep the values recorded traces carry.
 	FlagFailed uint8 = 1 << 0
-	// FlagBypassed marks a factorization answered by reusing the prior LU.
-	FlagBypassed uint8 = 1 << 1
 	// FlagResumed marks a solve warm-started from speculative iterations.
 	FlagResumed uint8 = 1 << 2
 	// FlagLinearHit marks a device-load phase that started from a cached
-	// linear stamp template (incremental assembly LRU hit). Such events also
-	// carry the load's bypassed-device-eval count in Iters.
+	// linear stamp template (incremental assembly LRU hit).
 	FlagLinearHit uint8 = 1 << 3
-	// FlagReused marks a factorization request handed the very values the
-	// LU in hand was refactored from and answered with it: exact, unlike
-	// FlagBypassed, and counted apart from it.
+	// FlagReused marks a factorization request handed the very values a
+	// factorization the solver holds was refactored from and answered with
+	// it, exactly.
 	FlagReused uint8 = 1 << 4
 )
 
@@ -157,8 +156,6 @@ type Snapshot struct {
 	LTERejects      int64   // truncation-error rejections
 	Discarded       int64   // speculative points thrown away
 	Recoveries      int64   // recovery-ladder rescues
-	BypassHits      int64   // factorizations answered by LU reuse
-	BypassedEvals   int64   // device evaluations answered by journal replay
 	LinearStampHits int64   // device loads started from a cached linear template
 	PointsPerSec    float64 // accept rate since the previous snapshot
 }
@@ -227,8 +224,7 @@ type Tracer struct {
 	// Rolling counters feeding snapshots.
 	points, solves, nrIters     int64
 	lteRejects, discarded       int64
-	recoveries, bypassHits      int64
-	evalBypasses, linearHits    int64
+	recoveries, linearHits      int64
 	lastSnapPoints, lastSnapWal int64
 }
 
@@ -279,14 +275,8 @@ func (t *Tracer) Emit(ev Event) {
 	case KindRecovery:
 		t.recoveries++
 	case KindPhase:
-		if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
-			t.bypassHits++
-		}
-		if ev.Phase == PhaseDeviceLoad {
-			t.evalBypasses += int64(ev.Iters)
-			if ev.Flags&FlagLinearHit != 0 {
-				t.linearHits++
-			}
+		if ev.Phase == PhaseDeviceLoad && ev.Flags&FlagLinearHit != 0 {
+			t.linearHits++
 		}
 	}
 	t.obs.OnEvent(ev)
@@ -309,8 +299,6 @@ func (t *Tracer) snapshotLocked(at Event) {
 		LTERejects:      t.lteRejects,
 		Discarded:       t.discarded,
 		Recoveries:      t.recoveries,
-		BypassHits:      t.bypassHits,
-		BypassedEvals:   t.evalBypasses,
 		LinearStampHits: t.linearHits,
 	}
 	if dw := at.Wall - t.lastSnapWal; dw > 0 {

@@ -30,7 +30,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	tr.Emit(Event{Kind: KindLTEReject, T: 3e-9})
 	tr.Emit(Event{Kind: KindDiscard, T: 3e-9})
 	tr.Emit(Event{Kind: KindRecovery, T: 3e-9})
-	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagBypassed})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseDeviceLoad, Flags: FlagLinearHit})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagReused})
 
 	evs := rec.Events()
@@ -52,7 +52,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 		t.Fatalf("got %d snapshots, want 1 (cadence 2, 2 accepts)", len(snaps))
 	}
 	s := snaps[0]
-	if s.Points != 2 || s.Solves != 2 || s.NRIters != 5 || s.BypassHits != 0 {
+	if s.Points != 2 || s.Solves != 2 || s.NRIters != 5 || s.LinearStampHits != 0 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.Seq <= evs[3].Seq {
@@ -60,7 +60,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	}
 
 	c := Replay(evs)
-	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, BypassHits: 1, ReuseHits: 1}
+	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, ReuseHits: 1, LinearStampHits: 1}
 	if c != want {
 		t.Fatalf("Replay = %+v, want %+v", c, want)
 	}
@@ -164,7 +164,7 @@ func sampleStream() ([]Event, []Snapshot) {
 	tr.Emit(Event{Kind: KindPredict, Iters: 2, T: 0.5e-9, Worker: 1, Stage: 3})
 	tr.Emit(Event{Kind: KindSolve, Iters: 4, T: 1e-9, H: 1e-9, Norm: 0.25, Flags: FlagResumed})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseDeviceLoad, Dur: 1200, T: 1e-9})
-	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 400, Flags: FlagBypassed, T: 1e-9})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 400, T: 1e-9})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 40, Flags: FlagReused, T: 1e-9})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Dur: 40, Flags: FlagReused, T: 1e-9})
 	tr.Emit(Event{Kind: KindAccept, T: 1e-9, H: 1e-9})
@@ -296,7 +296,6 @@ func TestMetricsObserver(t *testing.T) {
 		"wavepipe_recoveries_total 1",
 		"wavepipe_serial_fallbacks_total 1",
 		"wavepipe_cancels_total 1",
-		"wavepipe_bypass_hits_total 1",
 		"wavepipe_reuse_hits_total 2",
 		"# TYPE wavepipe_points_total counter",
 		"# TYPE wavepipe_step_size_seconds gauge",

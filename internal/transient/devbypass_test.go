@@ -27,24 +27,23 @@ func suiteBench(t *testing.T, name string) circuits.Benchmark {
 // also actually fire somewhere: a suite where no circuit records a single
 // template hit means the wiring regressed, not the tolerance.
 func TestDeviceBypassSuiteEquivalence(t *testing.T) {
-	var totalHits, totalBypassed int64
+	var totalHits int64
 	for _, b := range circuits.Suite() {
-		run := func(tol float64) *transient.Result {
+		run := func(on bool) *transient.Result {
 			sys, err := b.Make().Build()
 			if err != nil {
 				t.Fatalf("%s: %v", b.Name, err)
 			}
-			res, err := transient.Run(sys, transient.Options{TStop: b.TStop / 5, DeviceBypassTol: tol})
+			res, err := transient.Run(sys, transient.Options{TStop: b.TStop / 5, DeviceBypass: on})
 			if err != nil {
-				t.Fatalf("%s (tol=%g): %v", b.Name, tol, err)
+				t.Fatalf("%s (on=%v): %v", b.Name, on, err)
 			}
 			return res
 		}
-		ref := run(0)
-		res := run(transient.DefaultDeviceBypassTol)
-		if ref.Stats.BypassedEvals != 0 || ref.Stats.LinearStampHits != 0 {
-			t.Fatalf("%s: engine off, yet counters filled (%d, %d)",
-				b.Name, ref.Stats.BypassedEvals, ref.Stats.LinearStampHits)
+		ref := run(false)
+		res := run(true)
+		if ref.Stats.LinearStampHits != 0 {
+			t.Fatalf("%s: engine off, yet %d template hits counted", b.Name, ref.Stats.LinearStampHits)
 		}
 		dev, err := waveform.Compare(res.W, ref.W, b.Probe)
 		if err != nil {
@@ -55,33 +54,30 @@ func TestDeviceBypassSuiteEquivalence(t *testing.T) {
 		// a ratio of two roundoff-sized numbers; an absolute femtovolt bound
 		// covers those.
 		if dev.RelMax() > 0.02 && dev.Max > 1e-9 {
-			t.Errorf("%s: bypassed run deviates by %.4f of signal range (max %g over %g)",
+			t.Errorf("%s: templated run deviates by %.4f of signal range (max %g over %g)",
 				b.Name, dev.RelMax(), dev.Max, dev.Range)
 		}
 		totalHits += res.Stats.LinearStampHits
-		totalBypassed += res.Stats.BypassedEvals
 	}
 	if totalHits == 0 {
 		t.Fatal("no suite circuit recorded a linear-template hit")
 	}
-	if totalBypassed == 0 {
-		t.Fatal("no suite circuit recorded a bypassed device evaluation")
-	}
 }
 
 // TestDeviceBypassStrictModeBitIdentical pins the strict-mode contract:
-// DeviceBypassTol = 0 keeps the incremental engine out of the build entirely,
+// DeviceBypass = false keeps the incremental engine out of the run entirely,
 // so the run must be bit-identical — not merely close — to one that never
 // mentioned the option. The second half pins determinism of the engine
-// itself: two bypass-enabled runs of the same circuit must agree bit for bit.
+// itself: two template-enabled runs of the same circuit must agree bit for
+// bit.
 func TestDeviceBypassStrictModeBitIdentical(t *testing.T) {
 	b := suiteBench(t, "ring9")
-	run := func(tol float64) *transient.Result {
+	run := func(on bool) *transient.Result {
 		sys, err := b.Make().Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := transient.Run(sys, transient.Options{TStop: b.TStop / 5, DeviceBypassTol: tol})
+		res, err := transient.Run(sys, transient.Options{TStop: b.TStop / 5, DeviceBypass: on})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +101,19 @@ func TestDeviceBypassStrictModeBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	base := run(0)
-	bitIdentical("strict mode vs untouched baseline", run(0), base)
-	on := run(transient.DefaultDeviceBypassTol)
-	if on.Stats.BypassedEvals == 0 {
-		t.Fatal("bypass never fired on ring9")
+	base := run(false)
+	bitIdentical("strict mode vs untouched baseline", run(false), base)
+	on := run(true)
+	if on.Stats.LinearStampHits == 0 {
+		t.Fatal("the template never hit on ring9")
 	}
-	bitIdentical("bypass-enabled determinism", run(transient.DefaultDeviceBypassTol), on)
+	bitIdentical("template-enabled determinism", run(true), on)
 }
 
 // TestDeviceBypassTraceReconciliation replays a complete (unbounded) trace of
-// a bypass-enabled run and requires the per-event counters to reconcile 1:1
-// with the run's Stats: every bypassed evaluation and every template hit must
-// appear in exactly one device-load phase event.
+// a template-enabled run and requires the per-event counter to reconcile 1:1
+// with the run's Stats: every template hit must appear as exactly one
+// device-load phase event carrying FlagLinearHit.
 func TestDeviceBypassTraceReconciliation(t *testing.T) {
 	b := suiteBench(t, "ring9")
 	sys, err := b.Make().Build()
@@ -126,21 +122,17 @@ func TestDeviceBypassTraceReconciliation(t *testing.T) {
 	}
 	rec := trace.NewRecorder(0)
 	res, err := transient.Run(sys, transient.Options{
-		TStop:           b.TStop / 5,
-		DeviceBypassTol: transient.DefaultDeviceBypassTol,
-		Trace:           trace.New(rec, 0),
+		TStop:        b.TStop / 5,
+		DeviceBypass: true,
+		Trace:        trace.New(rec, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.BypassedEvals == 0 || res.Stats.LinearStampHits == 0 {
-		t.Fatalf("engine idle (bypassed=%d, hits=%d): nothing to reconcile",
-			res.Stats.BypassedEvals, res.Stats.LinearStampHits)
+	if res.Stats.LinearStampHits == 0 {
+		t.Fatal("engine idle (no template hit): nothing to reconcile")
 	}
 	c := trace.Replay(rec.Events())
-	if int64(c.BypassedEvals) != res.Stats.BypassedEvals {
-		t.Errorf("trace replays %d bypassed evals, stats say %d", c.BypassedEvals, res.Stats.BypassedEvals)
-	}
 	if int64(c.LinearStampHits) != res.Stats.LinearStampHits {
 		t.Errorf("trace replays %d template hits, stats say %d", c.LinearStampHits, res.Stats.LinearStampHits)
 	}

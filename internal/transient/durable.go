@@ -18,54 +18,50 @@ import (
 // snapStats widens engine stats to the checkpoint's fixed-width mirror.
 func snapStats(s Stats) checkpoint.Stats {
 	return checkpoint.Stats{
-		Points:                 int64(s.Points),
-		Solves:                 int64(s.Solves),
-		NRIters:                int64(s.NRIters),
-		LTERejects:             int64(s.LTERejects),
-		NRFailures:             int64(s.NRFailures),
-		Discarded:              int64(s.Discarded),
-		OpIters:                int64(s.OpIters),
-		Stages:                 int64(s.Stages),
-		Recoveries:             int64(s.Recoveries),
-		WorkerPanics:           int64(s.WorkerPanics),
-		DegradedStages:         int64(s.DegradedStages),
-		BypassedFactorizations: int64(s.BypassedFactorizations),
-		Refactorizations:       int64(s.Refactorizations),
-		FullFactorizations:     int64(s.FullFactorizations),
-		BypassedEvals:          s.BypassedEvals,
-		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
-		CoreBudget:             int64(s.CoreBudget),
-		PipelineWorkers:        int64(s.PipelineWorkers),
-		IntraWorkers:           int64(s.IntraWorkers),
-		PipelineSerialized:     s.PipelineSerialized,
+		Points:             int64(s.Points),
+		Solves:             int64(s.Solves),
+		NRIters:            int64(s.NRIters),
+		LTERejects:         int64(s.LTERejects),
+		NRFailures:         int64(s.NRFailures),
+		Discarded:          int64(s.Discarded),
+		OpIters:            int64(s.OpIters),
+		Stages:             int64(s.Stages),
+		Recoveries:         int64(s.Recoveries),
+		WorkerPanics:       int64(s.WorkerPanics),
+		DegradedStages:     int64(s.DegradedStages),
+		Refactorizations:   int64(s.Refactorizations),
+		FullFactorizations: int64(s.FullFactorizations),
+		LinearStampHits:    s.LinearStampHits,
+		CriticalNanos:      s.CriticalNanos,
+		CoreBudget:         int64(s.CoreBudget),
+		PipelineWorkers:    int64(s.PipelineWorkers),
+		IntraWorkers:       int64(s.IntraWorkers),
+		PipelineSerialized: s.PipelineSerialized,
 	}
 }
 
 // unsnapStats narrows checkpointed stats back to the engine representation.
 func unsnapStats(s checkpoint.Stats) Stats {
 	return Stats{
-		Points:                 int(s.Points),
-		Solves:                 int(s.Solves),
-		NRIters:                int(s.NRIters),
-		LTERejects:             int(s.LTERejects),
-		NRFailures:             int(s.NRFailures),
-		Discarded:              int(s.Discarded),
-		OpIters:                int(s.OpIters),
-		Stages:                 int(s.Stages),
-		Recoveries:             int(s.Recoveries),
-		WorkerPanics:           int(s.WorkerPanics),
-		DegradedStages:         int(s.DegradedStages),
-		BypassedFactorizations: int(s.BypassedFactorizations),
-		Refactorizations:       int(s.Refactorizations),
-		FullFactorizations:     int(s.FullFactorizations),
-		BypassedEvals:          s.BypassedEvals,
-		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
-		CoreBudget:             int(s.CoreBudget),
-		PipelineWorkers:        int(s.PipelineWorkers),
-		IntraWorkers:           int(s.IntraWorkers),
-		PipelineSerialized:     s.PipelineSerialized,
+		Points:             int(s.Points),
+		Solves:             int(s.Solves),
+		NRIters:            int(s.NRIters),
+		LTERejects:         int(s.LTERejects),
+		NRFailures:         int(s.NRFailures),
+		Discarded:          int(s.Discarded),
+		OpIters:            int(s.OpIters),
+		Stages:             int(s.Stages),
+		Recoveries:         int(s.Recoveries),
+		WorkerPanics:       int(s.WorkerPanics),
+		DegradedStages:     int(s.DegradedStages),
+		Refactorizations:   int(s.Refactorizations),
+		FullFactorizations: int(s.FullFactorizations),
+		LinearStampHits:    s.LinearStampHits,
+		CriticalNanos:      s.CriticalNanos,
+		CoreBudget:         int(s.CoreBudget),
+		PipelineWorkers:    int(s.PipelineWorkers),
+		IntraWorkers:       int(s.IntraWorkers),
+		PipelineSerialized: s.PipelineSerialized,
 	}
 }
 
@@ -125,7 +121,6 @@ func (s *Stepper) Capture(total Stats, warmup, scheme int) *checkpoint.State {
 		HUsed:      s.HUsed,
 		AfterBreak: s.AfterBreak,
 		Warmup:     warmup,
-		Generation: ws.BypassGeneration(),
 		Hist:       pts,
 		SPrev:      num.Copy(ws.SPrev),
 		SNext:      num.Copy(ws.SNext),
@@ -213,7 +208,6 @@ func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
 			return 0, badCheckpoint("%v", err)
 		}
 	}
-	ws.RestoreBypassGeneration(st.Generation)
 	s.Hist, s.W = hist, w
 	s.RL, s.Base = unsnapRecovery(st.Recovery), unsnapStats(st.Stats)
 	s.T, s.HUsed, s.AfterBreak = st.T, st.HUsed, st.AfterBreak

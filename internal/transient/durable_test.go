@@ -1,63 +1,22 @@
 package transient
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/faults"
-	"wavepipe/internal/integrate"
 )
 
-// Regression for the recovery-ladder × device-bypass interaction: every
-// ladder escalation solves a different system (tighter damping, a new gmin
-// rung, the final clean system), so each one must bump the incremental-
-// assembly generation — a stamp journaled under one rung's regime replayed
-// under the next would assemble the wrong matrix. Before the fix the ladder
-// bumped only once at entry.
-func TestRecoveryLadderBumpsBypassGeneration(t *testing.T) {
-	sys, _ := rcCircuit(1e3, 1e-7)
-	opts := Options{TStop: 1e-3}
-	opts = opts.WithDefaults()
-	ps := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
-	ps.WS.SetDeviceBypass(DefaultDeviceBypassTol, 0)
-	// Defeat both damping rungs (sparing the t=0 operating point); the gmin
-	// ramp is spared and succeeds.
-	in := faults.NewInjector(faults.Rule{
-		Class:     faults.NoConvergence,
-		After:     1e-16,
-		Count:     2,
-		SpareFrom: faults.StageGmin,
-	})
-	ps.WS.Faults = in
-
-	p0, err := InitialPoint(sys, ps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := &integrate.History{}
-	hist.Add(p0)
-
-	gen0 := ps.WS.BypassGeneration()
-	rl := &RecoveryLog{}
-	if _, _, err := ps.RecoverAt(hist, 1e-6, rl); err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	if rl.Count(RecoveryGminRamp) != 1 {
-		t.Fatalf("expected a gmin-ramp rescue, got %+v", rl.Events())
-	}
-	// Ladder entry (1) + two damping rungs (2) + eight gmin rungs (8) + the
-	// final clean solve (1): at least 12 distinct assembly regimes.
-	if delta := ps.WS.BypassGeneration() - gen0; delta < 12 {
-		t.Fatalf("generation advanced by %d, want >= 12 (one per escalation)", delta)
-	}
-}
-
 // The ladder must rescue a device-bypass run without bending the answer:
-// same closed-form check the plain-path recovery tests use, with journals
-// live across the forced rungs.
+// same closed-form check the plain-path recovery tests use, with the template
+// in play across the forced rungs.
 func TestRecoveryWithDeviceBypassKeepsAnswer(t *testing.T) {
 	sys, _ := rcCircuit(1e3, 1e-7) // tau = 1e-4
 	in := faults.NewInjector(faults.Rule{
@@ -66,7 +25,7 @@ func TestRecoveryWithDeviceBypassKeepsAnswer(t *testing.T) {
 		Count:     9, // shrink attempts + both damping rungs
 		SpareFrom: faults.StageGmin,
 	})
-	res, err := Run(sys, Options{TStop: 1e-3, Faults: in, DeviceBypassTol: DefaultDeviceBypassTol})
+	res, err := Run(sys, Options{TStop: 1e-3, Faults: in, DeviceBypass: true})
 	if err != nil {
 		t.Fatalf("run failed despite gmin ramp: %v", err)
 	}
@@ -100,40 +59,36 @@ func sameWaveform(t *testing.T, got, want *Result, ctxt string) {
 	}
 }
 
-// Serial kill-and-resume bit-identity at the unit level: interrupt a run
-// mid-flight (MaxPoints), resume from the final checkpoint, and require the
-// complete waveform to equal the uninterrupted run's bit for bit.
-func TestSerialResumeBitIdentical(t *testing.T) {
-	build := func() Options { return Options{TStop: 1e-3} }
+// interruptedRun runs the RC circuit uninterrupted for reference, then again
+// with a guard and half the point budget, and returns the reference and the
+// path of the checkpoint the interrupted run left.
+func interruptedRun(t *testing.T) (ref *Result, path string) {
+	t.Helper()
 	sysRef, _ := rcCircuit(1e3, 1e-7)
-	ref, err := Run(sysRef, build())
+	ref, err := Run(sysRef, Options{TStop: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Stats.Points < 40 {
 		t.Fatalf("reference run too short for a meaningful interrupt (%d points)", ref.Stats.Points)
 	}
-
-	path := filepath.Join(t.TempDir(), "run.wpcp")
-	sysA, _ := rcCircuit(1e3, 1e-7)
-	optsA := build()
-	optsA.MaxPoints = ref.Stats.Points / 2
-	guardA := checkpoint.NewController(checkpoint.Config{Path: path})
-	guardA.Start()
-	optsA.Guard = guardA
-	if _, err := Run(sysA, optsA); err == nil {
+	path = filepath.Join(t.TempDir(), "run.wpcp")
+	sys, _ := rcCircuit(1e3, 1e-7)
+	guard := checkpoint.NewController(checkpoint.Config{Path: path})
+	guard.Start()
+	defer guard.Stop()
+	if _, err := Run(sys, Options{TStop: 1e-3, MaxPoints: ref.Stats.Points / 2, Guard: guard}); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	guardA.Stop()
+	return ref, path
+}
 
-	st, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatalf("loading final checkpoint: %v", err)
-	}
-	sysB, _ := rcCircuit(1e3, 1e-7)
-	optsB := build()
-	optsB.Resume = st
-	res, err := Run(sysB, optsB)
+// resumeMatches resumes the RC run from st and requires the complete waveform
+// to equal the uninterrupted run's bit for bit, cumulative stats included.
+func resumeMatches(t *testing.T, st *checkpoint.State, ref *Result) {
+	t.Helper()
+	sys, _ := rcCircuit(1e3, 1e-7)
+	res, err := Run(sys, Options{TStop: 1e-3, Resume: st})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -145,6 +100,51 @@ func TestSerialResumeBitIdentical(t *testing.T) {
 	if res.Stats.Solves != ref.Stats.Solves {
 		t.Fatalf("cumulative solves %d, want %d", res.Stats.Solves, ref.Stats.Solves)
 	}
+}
+
+// Serial kill-and-resume bit-identity at the unit level: interrupt a run
+// mid-flight (MaxPoints), resume from the final checkpoint, and require the
+// complete waveform to equal the uninterrupted run's bit for bit.
+func TestSerialResumeBitIdentical(t *testing.T) {
+	ref, path := interruptedRun(t)
+	st, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatalf("loading final checkpoint: %v", err)
+	}
+	resumeMatches(t, st, ref)
+}
+
+// Format version 1 keeps the places of three retired values — the device-
+// bypass generation and the two bypass counters among the stats — written as
+// 0. A file from before the retirement carries numbers there: it must still
+// decode, validate and resume to the same waveform, and nothing of them may
+// come back out when the state is encoded again.
+func TestResumeIgnoresRetiredCheckpointSlots(t *testing.T) {
+	ref, path := interruptedRun(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets in the file: 8 header bytes, 32 of fingerprint and run identity,
+	// 29 of engine position, then the generation (u64) and twenty i64 stats,
+	// the bypass counters being stats 11 and 14.
+	const generation, stats = 8 + 32 + 29, 8 + 32 + 29 + 8
+	old := append([]byte(nil), data...)
+	for _, off := range []int{generation, stats + 8*11, stats + 8*14} {
+		if binary.LittleEndian.Uint64(old[off:]) != 0 {
+			t.Fatalf("retired slot at byte %d written non-zero", off)
+		}
+		binary.LittleEndian.PutUint64(old[off:], 12345)
+	}
+	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[8:len(old)-4]))
+	st, err := checkpoint.Decode(old)
+	if err != nil {
+		t.Fatalf("decoding a pre-retirement checkpoint: %v", err)
+	}
+	if !bytes.Equal(checkpoint.Encode(st), data) {
+		t.Fatal("retired values survived a decode-encode round trip")
+	}
+	resumeMatches(t, st, ref)
 }
 
 // Resuming against the wrong circuit or options must fail with the typed

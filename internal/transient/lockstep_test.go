@@ -14,30 +14,28 @@ import (
 // and drives it the way the ensemble does — Begin, then load and Step per
 // iteration, then Commit — beside a plain SolveAt of the same points on an
 // ordinary workspace. Both run the one iteration body, so the iterate, the
-// charge bookkeeping and every counter must agree bit for bit, with either
-// bypass engine on as well as off (before the fold the lockstep half had no
-// certification branches, and this held only without bypass).
+// charge bookkeeping and every counter must agree bit for bit, with the
+// incremental assembly engine on as well as off.
 func TestHandDrivenSolveMatchesSolveAt(t *testing.T) {
 	batched := func(ps *PointSolver, x []float64, p circuit.LoadParams) {
 		circuit.BatchLoad([]*circuit.Workspace{ps.WS}, [][]float64{x}, []circuit.LoadParams{p})
 	}
 	single := func(ps *PointSolver, x []float64, p circuit.LoadParams) { newton.Load(ps.WS, x, p) }
 	for _, tc := range []struct {
-		name              string
-		bypassTol, devTol float64
-		load              func(*PointSolver, []float64, circuit.LoadParams)
+		name      string
+		devBypass bool
+		load      func(*PointSolver, []float64, circuit.LoadParams)
 	}{
-		{"plain", 0, 0, batched},
-		{"lubypass", 1e-3, 0, single},
+		{"plain", false, batched},
 		// The incremental engine lives in Workspace.Load; BatchLoad has none.
-		{"devbypass", 0, DefaultDeviceBypassTol, single},
+		{"devbypass", true, single},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := circuits.InverterChain(50, 1.8).Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{TStop: 25e-9, BypassTol: tc.bypassTol, DeviceBypassTol: tc.devTol}.WithDefaults()
+			opts := Options{TStop: 25e-9, DeviceBypass: tc.devBypass}.WithDefaults()
 			ref := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
 			hand := NewPointSolverOn(sys.NewLaneWorkspaces(1)[0], opts.Method, opts.Newton, opts.Gmin, nil)
 			hists := [2]*integrate.History{{}, {}}
@@ -88,11 +86,8 @@ func TestHandDrivenSolveMatchesSolveAt(t *testing.T) {
 			if r != h {
 				t.Fatalf("counters differ:\nhand-driven %+v\nSolveAt     %+v", h, r)
 			}
-			if tc.bypassTol > 0 && r.BypassedFactorizations == 0 {
-				t.Fatal("factorization bypass never engaged: the case proves nothing")
-			}
-			if tc.devTol > 0 && r.BypassedEvals == 0 {
-				t.Fatal("device bypass never engaged: the case proves nothing")
+			if tc.devBypass && r.LinearStampHits == 0 {
+				t.Fatal("the linear template never hit: the case proves nothing")
 			}
 		})
 	}

@@ -111,10 +111,6 @@ func (l *RecoveryLog) Count(kind string) int {
 func (ps *PointSolver) RecoverAt(hist *integrate.History, tNew float64, log *RecoveryLog) (*integrate.Point, integrate.Coeffs, error) {
 	in := ps.WS.Faults
 	defer in.SetStage(faults.StageNormal)
-	// Recovery always restarts from full device evaluations: the journals
-	// left behind by the failed solves describe diverging iterates.
-	ps.WS.InvalidateDeviceBypass()
-
 	// Rung 1: escalating damping. Tighter clamps trade convergence speed
 	// for stability, so the iteration budget doubles.
 	in.SetStage(faults.StageDamping)
@@ -131,10 +127,6 @@ func (ps *PointSolver) RecoverAt(hist *integrate.History, tNew float64, log *Rec
 		opts := ps.Newton
 		opts.Damping = damp * scale
 		opts.MaxIter = 2 * maxIter
-		// Every escalation starts clean: the previous rung's failed solve
-		// left journals recorded at diverging iterates, and nothing captured
-		// under one rung's regime may replay under the next.
-		ps.WS.InvalidateDeviceBypass()
 		pt, co, err := ps.solveAtWith(hist, tNew, nil, opts, 0)
 		if err == nil {
 			ps.Stats.Recoveries++
@@ -171,11 +163,6 @@ func (ps *PointSolver) gminRampAt(hist *integrate.History, tNew float64) (*integ
 	g := 1e-2
 	const decades = 8
 	for i := 0; i < decades; i++ {
-		// Each rung solves a different continuation system; a stamp
-		// journaled under one rung's conductance must never replay under
-		// the next (or under the clean system below), so every rung bumps
-		// the incremental-engine generation.
-		ps.WS.InvalidateDeviceBypass()
 		pt, co, err := ps.solveAtWith(hist, tNew, guess, ps.Newton, g)
 		if err != nil {
 			return nil, co, fmt.Errorf("gmin ramp at g=%.0e: %w", g, err)
@@ -184,6 +171,5 @@ func (ps *PointSolver) gminRampAt(hist *integrate.History, tNew float64) (*integ
 		ps.PutPoint(pt) // rung points are never published
 		g /= 10
 	}
-	ps.WS.InvalidateDeviceBypass()
 	return ps.solveAtWith(hist, tNew, guess, ps.Newton, 0)
 }

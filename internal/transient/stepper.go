@@ -226,9 +226,6 @@ func (s *Stepper) Failed() (*integrate.Point, integrate.Coeffs, error) {
 	if aerr := s.opts.Guard.Err(); aerr != nil {
 		return nil, co, s.abort(aerr)
 	}
-	// A failed solve leaves journals recorded at diverging iterates: retire
-	// them so the retry starts from full evaluations.
-	s.PS.WS.InvalidateDeviceBypass()
 	if s.H/8 >= s.ctrl.HMin {
 		s.SetStep(s.H / 8)
 		return nil, co, nil
@@ -256,15 +253,12 @@ func (s *Stepper) TooCoarse(norm, h0 float64) bool {
 }
 
 // Reject counts one LTE rejection of a candidate at t and shrinks the step.
-// The rejected candidate's journals describe a discarded trajectory; the
-// retried point must re-evaluate everything.
 func (s *Stepper) Reject(t float64, co integrate.Coeffs, norm float64) {
 	s.PS.Stats.LTERejects++
 	if s.tr.Active() {
 		s.tr.Emit(trace.Event{Kind: trace.KindLTEReject, T: t, H: co.H0, Norm: norm, Worker: s.Worker, Stage: s.Stage})
 	}
 	s.SetStep(s.ctrl.ShrinkOnReject(co.H0, norm, co.Order))
-	s.PS.WS.InvalidateDeviceBypass()
 }
 
 // Commit publishes an accepted point reached by a step of h: history,
@@ -305,9 +299,6 @@ func (s *Stepper) RestartDue() bool { return !s.Done() || s.horizonEdge }
 // as soon as enough history accumulates.
 func (s *Stepper) Restart(lastStep float64) (dropped []*integrate.Point) {
 	dropped = s.Hist.Truncate()
-	// The next point's dynamics bear no relation to the journals captured
-	// before the edge.
-	s.PS.WS.InvalidateDeviceBypass()
 	s.SetStep(RestartStep(GapAfter(s.bps[s.nextBp:], s.T, s.opts.TStop), lastStep, s.opts.HInit, s.ctrl))
 	s.AfterBreak = true
 	return dropped

@@ -227,3 +227,21 @@ func TestLinearRunStepsAreCanonical(t *testing.T) {
 		t.Fatalf("%d of %d free-running accepted steps are canonical (%d more crossed a binade)", canonical, free, crossed)
 	}
 }
+
+// rectifierCircuit builds the half-wave rectifier of TestDiodeRectifier: the
+// nonlinear system the step-grid test needs beside the linear ones.
+func rectifierCircuit(t *testing.T) *circuit.System {
+	t.Helper()
+	ckt := circuit.New("rect")
+	in := ckt.Node("in")
+	out := ckt.Node("out")
+	ckt.Add(device.NewVSource("V1", in, circuit.Ground, device.Sin{Amplitude: 5, Freq: 1e3}))
+	ckt.Add(device.NewDiode("D1", in, out, device.DefaultDiodeModel(), 1))
+	ckt.Add(device.NewResistor("RL", out, circuit.Ground, 10e3))
+	ckt.Add(device.NewCapacitor("CL", out, circuit.Ground, 1e-6))
+	sys, err := ckt.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}

@@ -61,20 +61,13 @@ type Options struct {
 	// identical to the serial path. 0/1 keeps everything serial. Small
 	// systems stay serial regardless (see IntraProfitable).
 	CoreBudget int
-	// BypassTol > 0 enables Newton factorization bypass: when no Jacobian
-	// value moved by more than this relative tolerance since the last real
-	// factorization, the LU is reused (the accepted final iterate of every
-	// point is still guaranteed a fresh factorization). 0 disables.
-	BypassTol float64
-	// DeviceBypassTol > 0 enables the incremental assembly engine: linear
-	// devices collapse into a cached per-Alpha0 stamp template, and nonlinear
-	// devices whose controlling voltages moved by less than
-	// DeviceBypassTol·|v| + abstol since their last evaluation are answered
-	// by journal replay instead of a model evaluation (SPICE3-style device
-	// bypass). The iteration that declares convergence is always fully
-	// evaluated, so accepted points never rest on replayed stamps.
-	// 0 disables (the default, and the bit-exact reference path).
-	DeviceBypassTol float64
+	// DeviceBypass enables the incremental assembly engine on serial loads:
+	// linear devices collapse into a cached per-Alpha0 stamp template and two
+	// compact matrix-vector products; nonlinear devices are evaluated as
+	// always. The template sums the linear stamps in a different order than
+	// the device sweep, so results agree with the default path to rounding,
+	// not bit for bit. false is the default, and the bit-exact reference path.
+	DeviceBypass bool
 	// Faults, when non-nil, is a deterministic fault-injection harness shared
 	// by every solver layer of the run (tests only; nil in production).
 	Faults *faults.Injector
@@ -106,11 +99,6 @@ type Options struct {
 	// checkpoint.
 	OnAccept func(t float64, row []float64)
 }
-
-// DefaultDeviceBypassTol is the relative tolerance the facade enables
-// device bypass with. It sits well inside the Newton update tolerance, so a
-// replayed stamp can never move an iterate across the convergence band.
-const DefaultDeviceBypassTol = 1e-3
 
 // Canceled reports whether o.Ctx has been canceled (nil-safe, non-blocking).
 func (o *Options) Canceled() bool {
@@ -175,20 +163,21 @@ type Stats struct {
 	WorkerPanics   int `json:"workerPanics"`
 	DegradedStages int `json:"degradedStages"`
 	// Factorization accounting (filled from the sparse solver counters):
-	// bypassed calls kept a stale LU within BypassTol, reused calls were
-	// handed the very values the LU in hand was refactored from (exact, no
-	// tolerance), refactorizations took the numeric-only path, full
-	// factorizations re-pivoted from scratch. The four sum to the number of
-	// factorization requests.
+	// reused calls were handed the very values a factorization the solver
+	// holds was refactored from (exact, no tolerance), refactorizations took
+	// the numeric-only path, full factorizations re-pivoted from scratch. The
+	// three sum to the number of factorization requests.
+	//
+	// BypassedFactorizations is always 0: factorization bypass is retired and
+	// the field stays only because bench/harness.go reads it. The next
+	// benchmark PR removes it together with sparse.bypassed_factorizations.
 	BypassedFactorizations int `json:"bypassedFactorizations"`
 	ReusedFactorizations   int `json:"reusedFactorizations,omitempty"`
 	Refactorizations       int `json:"refactorizations"`
 	FullFactorizations     int `json:"fullFactorizations"`
-	// Incremental-assembly accounting (filled from the workspace counters):
-	// BypassedEvals counts device evaluations answered by journal replay,
 	// LinearStampHits counts device loads that started from a cached linear
-	// stamp template instead of re-stamping every linear device.
-	BypassedEvals   int64 `json:"bypassedEvals"`
+	// stamp template instead of re-stamping every linear device (filled from
+	// the workspace counter; 0 unless DeviceBypass is on).
 	LinearStampHits int64 `json:"linearStampHits"`
 	// CriticalNanos is the modeled multi-core wall-clock time: per pipeline
 	// stage, the slowest concurrent worker's measured compute time. For the
@@ -235,11 +224,9 @@ func (s *Stats) Add(other Stats) {
 	s.Recoveries += other.Recoveries
 	s.WorkerPanics += other.WorkerPanics
 	s.DegradedStages += other.DegradedStages
-	s.BypassedFactorizations += other.BypassedFactorizations
 	s.ReusedFactorizations += other.ReusedFactorizations
 	s.Refactorizations += other.Refactorizations
 	s.FullFactorizations += other.FullFactorizations
-	s.BypassedEvals += other.BypassedEvals
 	s.LinearStampHits += other.LinearStampHits
 	s.CriticalNanos += other.CriticalNanos
 	// Scheduling fields describe the run, not per-worker work: keep the
@@ -352,13 +339,12 @@ func (ps *PointSolver) SetTrace(tr *trace.Tracer, worker int16) {
 }
 
 // Attach wires the solver's workspace to a run: its fault harness, the
-// guard's abort flag, both bypass engines and the event stream (worker is
-// this solver's lane in the trace).
+// guard's abort flag, the incremental assembly engine and the event stream
+// (worker is this solver's lane in the trace).
 func (ps *PointSolver) Attach(opts *Options, worker int16) {
 	ps.WS.Faults = opts.Faults
 	ps.WS.Abort = opts.Guard.AbortFlag()
-	ps.WS.Solver.BypassTol = opts.BypassTol
-	ps.WS.SetDeviceBypass(opts.DeviceBypassTol, 0)
+	ps.WS.SetDeviceBypass(opts.DeviceBypass)
 	ps.SetTrace(opts.Trace, worker)
 }
 
@@ -454,11 +440,10 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 // HarvestSolverStats copies the workspace's cumulative sparse-solver
 // counters into Stats. Engines call it once per solver before merging stats.
 func (ps *PointSolver) HarvestSolverStats() {
-	ps.Stats.BypassedFactorizations = ps.WS.Solver.BypassedFactorizations
 	ps.Stats.ReusedFactorizations = ps.WS.Solver.ReusedFactorizations
 	ps.Stats.Refactorizations = ps.WS.Solver.Refactorizations
 	ps.Stats.FullFactorizations = ps.WS.Solver.FullFactorizations
-	ps.Stats.BypassedEvals, ps.Stats.LinearStampHits = ps.WS.DeviceBypassCounters()
+	ps.Stats.LinearStampHits = ps.WS.LinearStampHits()
 }
 
 // pointSolve is the state of one point solve between begin and Commit/Fail.
@@ -668,13 +653,9 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 	}
 	// Leave the workspace assembled and factorized exactly at x so ResumeAt
 	// can pick the speculative work up with only a residual rebuild. The
-	// device assembly is history-independent; only qhist will change. The
-	// factorization must be a real one — a warm iteration's first step assumes
-	// an exact LU at x — so neither the factorization bypass nor replayed
-	// device stamps are allowed here.
-	ps.WS.DisableBypassOnce()
+	// device assembly is history-independent; only qhist will change.
 	newton.Load(ps.WS, x, s.p)
-	if err := newton.Factorize(ps.WS, tNew, true); err != nil {
+	if err := newton.Factorize(ps.WS, tNew); err != nil {
 		return x
 	}
 	ps.warmTime = tNew

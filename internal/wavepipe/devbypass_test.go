@@ -11,10 +11,9 @@ import (
 // TestDeviceBypassPipelinedMatchesSerial runs a digital suite circuit through
 // every pipelining scheme at 2-4 workers with the incremental assembly engine
 // enabled, and requires the probe waveform to track the serial bypass-off
-// reference. Each pipeline lane owns an independent incState (template LRU,
-// journals, generation counter), so this test doubles as the -race workout
-// for concurrent per-point bypass state — the CI race step runs it with the
-// race detector on.
+// reference. Each pipeline lane owns an independent incState (the template
+// LRU), so this test doubles as the -race workout for concurrent per-point
+// template state — the CI race step runs it with the race detector on.
 func TestDeviceBypassPipelinedMatchesSerial(t *testing.T) {
 	var bench circuits.Benchmark
 	for _, b := range circuits.Suite() {
@@ -27,10 +26,7 @@ func TestDeviceBypassPipelinedMatchesSerial(t *testing.T) {
 	}
 	tstop := bench.TStop / 2
 	mk := func() *Options {
-		return &Options{Base: transient.Options{
-			TStop:           tstop,
-			DeviceBypassTol: transient.DefaultDeviceBypassTol,
-		}}
+		return &Options{Base: transient.Options{TStop: tstop, DeviceBypass: true}}
 	}
 	refSys, err := bench.Make().Build()
 	if err != nil {

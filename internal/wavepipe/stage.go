@@ -31,10 +31,10 @@ var noTarget = target{solver: -1}
 //	Combined/4     0      2                         1         3
 //
 // The assignment is part of the result, not a free choice: a solver's
-// limiting state, bypass journals and warm factorization follow what it
-// solved last, so moving a role to another solver moves the waveform in the
-// last bits. Backward numbers its points in time order (main last), the
-// forward schemes in the order they were added to the engine.
+// limiting state and warm factorization follow what it solved last, so moving
+// a role to another solver moves the waveform in the last bits. Backward
+// numbers its points in time order (main last), the forward schemes in the
+// order they were added to the engine.
 type stagePlan struct {
 	// flush marks the single-point stage that refills the pipeline after a
 	// breakpoint or a degradation: its main failure climbs the recovery
@@ -253,7 +253,6 @@ func (e *engine) stage(flush bool) error {
 			return nil
 		}
 		e.failStreak++
-		e.invalidateBypass()
 		if !p.flush {
 			e.shrinkAfterFailure()
 			return nil
@@ -290,7 +289,7 @@ func (e *engine) stage(flush bool) error {
 	// the main point: if it goes, everything goes.
 	mainNorm := e.lte(hist, main)
 	if s.TooCoarse(mainNorm, main.co.H0) {
-		e.reject(p.main.t, main.co, mainNorm)
+		e.s.Reject(p.main.t, main.co, mainNorm)
 		e.noteDiscards(p.main.t, p.nBack+spec)
 		return nil
 	}
@@ -342,7 +341,7 @@ func (e *engine) stage(flush bool) error {
 		} else if norm := e.lte(trueHist, fwd); norm > 1 {
 			// The forward point's LTE feedback still guides the next step.
 			e.noteDiscards(p.fwd.t, 1)
-			e.reject(p.fwd.t, fwd.co, norm)
+			e.s.Reject(p.fwd.t, fwd.co, norm)
 			return nil
 		} else {
 			e.accept(fwd.pt)

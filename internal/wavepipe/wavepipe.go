@@ -185,9 +185,9 @@ func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr erro
 	}
 	if e.base.Resume != nil {
 		// Solver 0 received the limiting/factorization state; the others
-		// adopt the limiting state (invalidating their journals). Pipelined
-		// resume is equivalence-tolerance, not bit-identical: only the
-		// serial engine's solve order is reproducible.
+		// adopt the limiting state. Pipelined resume is equivalence-
+		// tolerance, not bit-identical: only the serial engine's solve order
+		// is reproducible.
 		for _, ps := range e.solvers[1:] {
 			ps.WS.CopyStateFrom(e.solvers[0].WS)
 		}
@@ -375,26 +375,6 @@ func (e *engine) noteDiscards(t float64, n int) {
 	}
 }
 
-// reject turns down the stage's anchor candidate at t: the controller counts
-// it and shrinks the step, and every lane — not only the controller's —
-// retires journals that describe the discarded trajectory.
-func (e *engine) reject(t float64, co integrate.Coeffs, norm float64) {
-	e.s.Reject(t, co, norm)
-	e.invalidateBypass()
-}
-
-// invalidateBypass retires every solver's device-bypass journals. The
-// coordinator calls it whenever the run's trajectory breaks — rejections,
-// failures, breakpoints — so no pipeline lane replays stamps captured on a
-// discarded path. Each workspace owns an independent generation counter, so
-// concurrent stage workers are never exposed to a mid-flight bump (the
-// coordinator only calls this between parallel phases).
-func (e *engine) invalidateBypass() {
-	for _, s := range e.solvers {
-		s.WS.InvalidateDeviceBypass()
-	}
-}
-
 // degradeWindow is how many flush stages the pipeline runs after a
 // degradation trigger before re-entering pipelined operation.
 const degradeWindow = 8
@@ -416,15 +396,13 @@ func (e *engine) degrade(reason string) {
 
 // landed closes a stage whose last accepted point may sit on a breakpoint:
 // when it does and the landing needs one (see Stepper.RestartDue), the
-// controller restarts integration with a step bounded by lastStep, every
-// lane retires its pre-edge journals, and the pipeline refills serially
-// until the LTE checks have a full stencil again — Gear-2 needs order+2 = 4
-// points, i.e. 3 accepted steps past the breakpoint point. It reports
-// whether the stage is over.
+// controller restarts integration with a step bounded by lastStep and the
+// pipeline refills serially until the LTE checks have a full stencil again —
+// Gear-2 needs order+2 = 4 points, i.e. 3 accepted steps past the breakpoint
+// point. It reports whether the stage is over.
 func (e *engine) landed(hitBp bool, lastStep float64) bool {
 	if hitBp && e.s.RestartDue() {
 		e.s.Restart(lastStep)
-		e.invalidateBypass()
 		e.warmup = 3
 		return true
 	}

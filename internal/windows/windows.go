@@ -5,16 +5,16 @@
 // WavePipe's pipelined time-stepping saturates at 3-4 threads by
 // construction, so cores beyond that are idle for a single run. The window
 // coordinator soaks them up along the time axis: a cheap coarse propagator
-// (large fixed steps, loosened Newton tolerance, aggressive device bypass)
-// sweeps [0, TStop] once and hands each of W windows a seed state in the
-// PR-6 checkpoint format; every window is then refined concurrently by an
-// ordinary fine engine resumed from its seed. Window w's fine solution is
-// speculative until window w-1 has converged: the coordinator compares the
-// coarse seed against the exact predecessor end state under the fine
-// tolerances, and either accepts the speculative solve (gate passed) or
-// redoes the window from the exact state (one pipelined Parareal
-// correction). Because window w+1 only waits for window w's *convergence*,
-// corrections propagate without a global iteration barrier.
+// (large fixed steps, loosened Newton tolerance) sweeps [0, TStop] once and
+// hands each of W windows a seed state in the checkpoint format; every window
+// is then refined concurrently by an ordinary fine engine resumed from its
+// seed. Window w's fine solution is speculative until window w-1 has
+// converged: the coordinator compares the coarse seed against the exact
+// predecessor end state under the fine tolerances, and either accepts the
+// speculative solve (gate passed) or redoes the window from the exact state
+// (one pipelined Parareal correction). Because window w+1 only waits for
+// window w's *convergence*, corrections propagate without a global iteration
+// barrier.
 //
 // Guarantees and containment mirror the FWP discard/redo logic:
 //
@@ -58,12 +58,6 @@ const (
 	DefaultTolScale      = 8  // coarse Newton-tolerance loosening factor
 	DefaultGate          = 2  // convergence gate in fine error weights
 	DefaultFallbackAfter = 2  // consecutive redos before serial fallback
-)
-
-// Floors for the coarse propagator's aggressive bypass settings.
-const (
-	coarseBypassTol       = 0.05
-	coarseDeviceBypassTol = 1e-2
 )
 
 // CoarseOptions tunes the Parareal coarse propagator and the per-window
@@ -367,8 +361,7 @@ func (r *runner) coarseH(w int) float64 {
 
 // coarseOptions derives the coarse propagator configuration for the
 // segment covering window w from the fine base: fixed NoLTE steps at
-// windowLen/Steps, Newton tolerances loosened by TolScale, and the bypass
-// engines forced at least as aggressive as the coarse floors. Fault
+// windowLen/Steps and Newton tolerances loosened by TolScale. Fault
 // injection is stripped — the coarse sweep is an accelerator, and injected
 // faults belong to the fine runs whose results actually ship.
 func (r *runner) coarseOptions(w int, resume *checkpoint.State) transient.Options {
@@ -388,12 +381,6 @@ func (r *runner) coarseOptions(w int, resume *checkpoint.State) transient.Option
 	o.Newton = n
 	o.Control.Tol.RelTol *= r.coarse.TolScale
 	o.Control.Tol.AbsTol *= r.coarse.TolScale
-	if o.BypassTol < coarseBypassTol {
-		o.BypassTol = coarseBypassTol
-	}
-	if o.DeviceBypassTol < coarseDeviceBypassTol {
-		o.DeviceBypassTol = coarseDeviceBypassTol
-	}
 	o.Faults = nil
 	o.CoreBudget = r.innerBudget
 	o.Resume = resume

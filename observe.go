@@ -67,10 +67,9 @@ const (
 
 // Trace event flag bits.
 const (
-	TraceFlagFailed   = trace.FlagFailed   // the solve attempt errored
-	TraceFlagBypassed = trace.FlagBypassed // factorization reused the prior LU
-	TraceFlagResumed  = trace.FlagResumed  // solve warm-started from speculation
-	TraceFlagReused   = trace.FlagReused   // factorization answered exactly by the LU in hand
+	TraceFlagFailed  = trace.FlagFailed  // the solve attempt errored
+	TraceFlagResumed = trace.FlagResumed // solve warm-started from speculation
+	TraceFlagReused  = trace.FlagReused  // factorization answered exactly by a held LU
 )
 
 // NewTraceRecorder returns an in-memory observer. capacity > 0 bounds the

@@ -63,7 +63,7 @@ func TestTracedRunReconcilesWithStats(t *testing.T) {
 	check("LTERejects", rc.LTERejects, res.Stats.LTERejects)
 	check("Discarded", rc.Discarded, res.Stats.Discarded)
 	check("Recoveries", rc.Recoveries, res.Stats.Recoveries)
-	check("BypassedFactorizations", rc.BypassHits, res.Stats.BypassedFactorizations)
+	check("ReusedFactorizations", rc.ReuseHits, res.Stats.ReusedFactorizations)
 	check("ReusedFactorizations", rc.ReuseHits, res.Stats.ReusedFactorizations)
 	if res.Stats.ReusedFactorizations == 0 {
 		t.Error("a linear mesh never reused a factorization: the 1:1 check above is vacuous")

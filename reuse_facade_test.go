@@ -1,10 +1,9 @@
 package wavepipe
 
-// Exact factorization reuse at the facade: the four factorization counters
+// Exact factorization reuse at the facade: the three factorization counters
 // account for every request, the trace reconciles with them 1:1, linear
 // circuits take one Newton iteration per solve and the periodically excited
-// ones refactorize far less often than they accept a point, and reuse
-// composes with the tolerance bypass under Newton's stale-LU guards.
+// ones refactorize far less often than they accept a point.
 
 import (
 	"testing"
@@ -40,16 +39,15 @@ func TestFactorizationAccountingOnSuite(t *testing.T) {
 				}
 			}
 			st := res.Stats
-			if sum := st.FullFactorizations + st.Refactorizations + st.BypassedFactorizations + st.ReusedFactorizations; sum != requests {
-				t.Errorf("full %d + refactor %d + bypassed %d + reused %d = %d, trace shows %d factorization requests",
-					st.FullFactorizations, st.Refactorizations, st.BypassedFactorizations, st.ReusedFactorizations, sum, requests)
+			if sum := st.FullFactorizations + st.Refactorizations + st.ReusedFactorizations; sum != requests {
+				t.Errorf("full %d + refactor %d + reused %d = %d, trace shows %d factorization requests",
+					st.FullFactorizations, st.Refactorizations, st.ReusedFactorizations, sum, requests)
 			}
-			if rc := ReplayTrace(rec.Events()); rc.ReuseHits != st.ReusedFactorizations || rc.BypassHits != st.BypassedFactorizations {
-				t.Errorf("trace replays %d reused, %d bypassed; Stats say %d, %d",
-					rc.ReuseHits, rc.BypassHits, st.ReusedFactorizations, st.BypassedFactorizations)
+			if rc := ReplayTrace(rec.Events()); rc.ReuseHits != st.ReusedFactorizations {
+				t.Errorf("trace replays %d reused; Stats say %d", rc.ReuseHits, st.ReusedFactorizations)
 			}
 			if st.BypassedFactorizations != 0 {
-				t.Errorf("%d bypasses with BypassTol unset", st.BypassedFactorizations)
+				t.Errorf("retired counter BypassedFactorizations = %d", st.BypassedFactorizations)
 			}
 			if sys.Linear() != linear[b.Name] {
 				t.Fatalf("Build finds Linear() = %v", sys.Linear())
@@ -67,41 +65,5 @@ func TestFactorizationAccountingOnSuite(t *testing.T) {
 					st.Refactorizations, st.Points)
 			}
 		})
-	}
-}
-
-// TestReuseComposesWithBypassTol: with the tolerance bypass on, a linear mesh
-// still reuses exactly (never counted as a bypass), the run stays inside the
-// bypass accuracy bar, and it is deterministic.
-func TestReuseComposesWithBypassTol(t *testing.T) {
-	sys, opts := suiteSystem(t, "grid16")
-	ref, err := RunTransient(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := opts
-	bp.BypassTol = 1e-3
-	res, err := RunTransient(sys, bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ReusedFactorizations == 0 {
-		t.Fatal("no exact reuse with BypassTol set")
-	}
-	dev, err := Compare(res.W, ref.W, opts.Record[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.RelMax() > 0.02 {
-		t.Fatalf("deviates by %g of signal range", dev.RelMax())
-	}
-	again, err := RunTransient(sys, bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameWaveform(t, "bypass+reuse rerun", again, res)
-	if again.Stats.ReusedFactorizations != res.Stats.ReusedFactorizations ||
-		again.Stats.BypassedFactorizations != res.Stats.BypassedFactorizations {
-		t.Fatalf("counters moved between identical runs: %+v vs %+v", again.Stats, res.Stats)
 	}
 }

@@ -90,27 +90,24 @@ var engineWaveformHashes = map[string]uint64{
 }
 
 // iterationWaveformHashes pins the configurations the Newton-iteration fold
-// (PR 15) touches and no row above covers: both bypass engines alone and
-// together, the pooled colored load and level-scheduled LU under a forced
-// gang of four, and a default (non-strict) four-window run, whose coarse
-// propagator runs both bypass engines. Generated on the commit before the
-// fold (PR 14, go1.24 linux/amd64), keyed "config/circuit".
+// (PR 15) touches and no row above covers: the incremental assembly engine,
+// the pooled colored load and level-scheduled LU under a forced gang of four,
+// and a default (non-strict) four-window run. Generated on the commit before
+// the fold (PR 14, go1.24 linux/amd64), keyed "config/circuit". PR 22 retired
+// the nonlinear device bypass behind DeviceBypass and kept the linear-stamp
+// template: the two linear rows (ladder400, grid16) are as they were, the two
+// nonlinear ones were regenerated once — against the default run of the same
+// circuit the new waveforms differ by 1.4e-13 (ring9) and 1.1e-3 (inv50) of
+// the probe's range (the template sums linear stamps in another order; inv50
+// takes 1608 points to the default's 1605).
 var iterationWaveformHashes = map[string]uint64{
-	"lubypass/ring9":       0x99ff3b004ea3cb04,
-	"devbypass/ring9":      0xde10d30495a8bb15,
-	"bothbypass/ring9":     0x96edf3d2cec5b907,
-	"lubypass/inv50":       0x05af7cf0894e21a9,
-	"devbypass/inv50":      0xba0f0640112ef7b2,
-	"bothbypass/inv50":     0xbbe77dce4090c0aa,
-	"lubypass/ladder400":   0x73b35368a83fa2bd,
-	"devbypass/ladder400":  0x9fc36a7690893462,
-	"bothbypass/ladder400": 0xef998d361e72e1f2,
-	"lubypass/grid16":      0x2d7c0117b5a3840d,
-	"devbypass/grid16":     0x3cc0f120b5ec0af6,
-	"bothbypass/grid16":    0x984f4e3f486fe6a9,
-	"gang4/grid16":         0x52b577a1a9238cb6,
-	"gang4/grid24":         0x1a121213e69816bf,
-	"windows4/rect1k":      0x2baab5bf34976a41,
+	"devbypass/ring9":     0x39918cdf98c2dc85,
+	"devbypass/inv50":     0xcaa9f7474bf7fbf6,
+	"devbypass/ladder400": 0x9fc36a7690893462,
+	"devbypass/grid16":    0x3cc0f120b5ec0af6,
+	"gang4/grid16":        0x52b577a1a9238cb6,
+	"gang4/grid24":        0x1a121213e69816bf,
+	"windows4/rect1k":     0x2baab5bf34976a41,
 }
 
 // stageWaveformHashes pins the stage shapes the pipeline-stage fold (PR 16)
@@ -324,9 +321,7 @@ func TestIterationWaveformHashesPinned(t *testing.T) {
 	for _, b := range circuits.Suite() {
 		switch b.Name {
 		case "ring9", "inv50", "ladder400", "grid16":
-			run("lubypass/"+b.Name, b, TranOptions{BypassTol: 1e-3})
 			run("devbypass/"+b.Name, b, TranOptions{DeviceBypass: true})
-			run("bothbypass/"+b.Name, b, TranOptions{BypassTol: 1e-3, DeviceBypass: true})
 		}
 		if b.Name == "grid16" || b.Name == "grid24" {
 			// A real gang of four on however many CPUs the host has (see

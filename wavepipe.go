@@ -377,20 +377,14 @@ type TranOptions struct {
 	Record []string
 	// DeltaRatio tunes the backward offset δ/h (default 0.2).
 	DeltaRatio float64
-	// BypassTol enables Newton factorization bypass: when the largest
-	// relative change of any Jacobian entry since the last factorization is
-	// below this tolerance, the previous LU factors are reused for the
-	// iteration. 0 (the default) disables bypass and keeps waveforms
-	// bit-identical to the always-factorize engine.
-	BypassTol float64
-	// DeviceBypass enables the incremental assembly engine: exactly linear
-	// devices are folded into a cached per-step-size stamp template, and
-	// nonlinear devices whose controlling voltages barely moved since their
-	// last evaluation are answered by replaying their recorded stamps
-	// (SPICE3-style device bypass). The iteration that declares convergence
-	// is always fully evaluated, so accepted waveforms agree with the plain
-	// path within the Newton tolerance band. false (the default) keeps
-	// assembly bit-identical to the always-evaluate engine.
+	// DeviceBypass enables the incremental assembly engine on serial device
+	// loads: exactly linear devices are folded into a cached per-step-size
+	// stamp template and two compact matrix-vector products instead of being
+	// re-stamped one by one; nonlinear devices are evaluated as always. Every
+	// assembly is exact, but the template sums the linear stamps in another
+	// order, so waveforms agree with the plain path to rounding, inside the
+	// LTE band. false (the default) keeps assembly bit-identical to the
+	// always-evaluate engine.
 	DeviceBypass bool
 	// CoreBudget caps the total cores the run may occupy at once across
 	// both scheduling levels. The WavePipe schemes give one core to each
@@ -854,17 +848,14 @@ func RunDeckCtx(ctx context.Context, d *Deck, opts TranOptions) (*Result, error)
 // already vetted by the single validate() path.
 func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 	base := transient.Options{
-		TStop:      opts.TStop,
-		Method:     opts.Method,
-		HInit:      opts.InitStep,
-		UIC:        opts.UIC,
-		Faults:     opts.Faults,
-		BypassTol:  opts.BypassTol,
-		CoreBudget: opts.CoreBudget,
-		OnAccept:   opts.OnAccept,
-	}
-	if opts.DeviceBypass {
-		base.DeviceBypassTol = transient.DefaultDeviceBypassTol
+		TStop:        opts.TStop,
+		Method:       opts.Method,
+		HInit:        opts.InitStep,
+		UIC:          opts.UIC,
+		Faults:       opts.Faults,
+		DeviceBypass: opts.DeviceBypass,
+		CoreBudget:   opts.CoreBudget,
+		OnAccept:     opts.OnAccept,
 	}
 	ctrl := integrate.DefaultControl(opts.TStop)
 	if opts.RelTol > 0 {

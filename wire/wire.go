@@ -43,7 +43,6 @@ type TranOptions struct {
 	NodeSet       map[string]float64 `json:"nodeset,omitempty"`
 	Record        []string           `json:"record,omitempty"`
 	DeltaRatio    float64            `json:"deltaRatio,omitempty"`
-	BypassTol     float64            `json:"bypassTol,omitempty"`
 	DeviceBypass  bool               `json:"deviceBypass,omitempty"`
 	CoreBudget    int                `json:"coreBudget,omitempty"`
 	SnapshotEvery int                `json:"snapshotEvery,omitempty"`
@@ -79,7 +78,6 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 		NodeSet:        o.NodeSet,
 		Record:         o.Record,
 		DeltaRatio:     o.DeltaRatio,
-		BypassTol:      o.BypassTol,
 		DeviceBypass:   o.DeviceBypass,
 		CoreBudget:     o.CoreBudget,
 		SnapshotEvery:  o.SnapshotEvery,
@@ -120,7 +118,6 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		NodeSet:       w.NodeSet,
 		Record:        w.Record,
 		DeltaRatio:    w.DeltaRatio,
-		BypassTol:     w.BypassTol,
 		DeviceBypass:  w.DeviceBypass,
 		CoreBudget:    w.CoreBudget,
 		SnapshotEvery: w.SnapshotEvery,

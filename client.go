@@ -30,9 +30,11 @@ type JobSpec struct {
 	Deck string
 	// Options configures the analysis. Deck cards fill unset fields
 	// (Deck.ApplyTo precedence). The scheduling and durability fields are
-	// owned by the service: CoreBudget and Threads size the core request,
-	// while CheckpointPath, ResumeFrom, OnAccept, Observer and Faults must
-	// be zero — the service installs its own.
+	// owned by the service: the scheme's pipeline width (Threads), capped
+	// by CoreBudget, sizes the core request — a Serial job asks for one
+	// core — and the result does not depend on what was granted, while
+	// CheckpointPath, ResumeFrom, OnAccept, Observer and Faults must be
+	// zero — the service installs its own.
 	Options TranOptions
 	// Priority orders the global queue: higher runs first, and a strictly
 	// higher-priority job may preempt a running lower-priority one at its
@@ -53,7 +55,7 @@ type JobStatus struct {
 	// Resumes counts preemption checkpoint/resume cycles the job survived.
 	Resumes int `json:"resumes"`
 	// CacheHit reports whether the deck's compiled artifacts (System build,
-	// fill ordering, coloring, stamp templates) were reused from the cache.
+	// fill ordering, stamp templates) were reused from the cache.
 	CacheHit bool `json:"cacheHit"`
 	// Signals are the waveform column names the job records.
 	Signals []string `json:"signals,omitempty"`

@@ -1,8 +1,7 @@
 package main
 
-// Machine-readable metrics (-json) and the load-scaling figure: the
-// measurements that seed BENCH_*.json perf-trajectory tracking and the
-// EXPERIMENTS.md serial-vs-colored assembly comparison.
+// Machine-readable metrics (-json) and the figures that can emit their
+// sweep as JSON records (lanescale, windowscale, reducescale).
 
 import (
 	"encoding/json"
@@ -16,7 +15,6 @@ import (
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
-	"wavepipe/internal/sched"
 )
 
 // benchMetrics is one benchmark's machine-readable record.
@@ -35,46 +33,11 @@ type benchMetrics struct {
 	// Incremental-assembly metadata (zero values when -devbypass is unset).
 	DeviceBypass    bool  `json:"device_bypass"`
 	LinearStampHits int64 `json:"linear_stamp_hits"`
-	LoadSerialNs    int64 `json:"load_serial_ns"`
-	LoadColored4Ns  int64 `json:"load_colored4_ns"`
-	// Two-level scheduling metadata (zero values when -cores is unset).
-	CoreBudget         int  `json:"core_budget"`
-	PipelineWorkers    int  `json:"pipeline_workers"`
-	IntraWorkers       int  `json:"intra_workers"`
-	PipelineSerialized bool `json:"pipeline_serialized"`
-}
-
-// measureLoadNs returns the fastest observed wall time of one full device
-// load on a forced gang of the given width (workers <= 1, or a coloring
-// Load judges unprofitable at that width, is the plain serial path).
-func measureLoadNs(sys *circuit.System, workers int) int64 {
-	ws := sys.NewWorkspace()
-	if pool := sched.NewPool(workers); pool != nil {
-		pool.Force = true // a real gang even on a 1-core host
-		defer pool.Close()
-		ws.SetPool(pool)
-	}
-	x := make([]float64, sys.N)
-	p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
-	ws.Load(x, p) // warm up (per-worker contexts)
-	const iters = 20
-	best := int64(0)
-	for r := 0; r < 5; r++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			ws.Load(x, p)
-		}
-		d := time.Since(start).Nanoseconds() / iters
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // jsonMetrics runs the selected circuit once per configuration and emits a
 // JSON array of benchMetrics on stdout.
-func jsonMetrics(benchName string, coreBudget int, devBypass bool) error {
+func jsonMetrics(benchName string, devBypass bool) error {
 	var records []benchMetrics
 	for _, b := range circuits.Suite() {
 		if benchName != "all" && b.Name != benchName {
@@ -84,12 +47,9 @@ func jsonMetrics(benchName string, coreBudget int, devBypass bool) error {
 		if err != nil {
 			return err
 		}
-		loadSerial := measureLoadNs(sys, 1)
-		loadColored := measureLoadNs(sys, 4)
 		opts := wavepipe.TranOptions{
 			TStop:        window(b),
 			Record:       []string{b.Probe},
-			CoreBudget:   coreBudget,
 			DeviceBypass: devBypass,
 		}
 		var ms0, ms1 runtime.MemStats
@@ -116,12 +76,6 @@ func jsonMetrics(benchName string, coreBudget int, devBypass bool) error {
 			FullFactorizations:   res.Stats.FullFactorizations,
 			DeviceBypass:         devBypass,
 			LinearStampHits:      res.Stats.LinearStampHits,
-			LoadSerialNs:         loadSerial,
-			LoadColored4Ns:       loadColored,
-			CoreBudget:           res.Stats.CoreBudget,
-			PipelineWorkers:      res.Stats.PipelineWorkers,
-			IntraWorkers:         res.Stats.IntraWorkers,
-			PipelineSerialized:   res.Stats.PipelineSerialized,
 		})
 	}
 	if len(records) == 0 {
@@ -130,105 +84,6 @@ func jsonMetrics(benchName string, coreBudget int, devBypass bool) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
-}
-
-// coreScaleRecord is one point of the core-budget scaling sweep.
-type coreScaleRecord struct {
-	Circuit            string  `json:"circuit"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	Scheme             string  `json:"scheme"`
-	CoreBudget         int     `json:"core_budget"`
-	PipelineWorkers    int     `json:"pipeline_workers"`
-	IntraWorkers       int     `json:"intra_workers"`
-	PipelineSerialized bool    `json:"pipeline_serialized"`
-	WallNs             int64   `json:"wall_ns"`
-	CriticalNs         int64   `json:"critical_ns"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// figCoreScale sweeps the core budget from 1 to maxCores on one circuit:
-// budget 1 is the serial baseline; larger budgets run the combined WavePipe
-// scheme with 2-4 pipeline workers and hand the remainder to the intra-point
-// gangs. Speedups use the critical-path timing model, so the sweep is
-// meaningful (if noisier) even on hosts with fewer physical cores than the
-// budget — the recorded GOMAXPROCS and pipeline_serialized fields say how
-// much of each point was measured concurrently.
-func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
-	if maxCores <= 0 {
-		maxCores = runtime.NumCPU()
-	}
-	b, ok := findBench(benchName)
-	if !ok {
-		return fmt.Errorf("no benchmark circuit %q", benchName)
-	}
-	sys, err := build(b)
-	if err != nil {
-		return err
-	}
-	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-	var records []coreScaleRecord
-	var serialCrit int64
-	for budget := 1; budget <= maxCores; budget++ {
-		opts := base
-		opts.CoreBudget = budget
-		if budget == 1 {
-			opts.Scheme = wavepipe.Serial
-		} else {
-			// Split policy: see planThreads.
-			opts.Scheme = wavepipe.Combined
-			opts.Threads = planThreads(budget)
-		}
-		wall, res, err := timed(sys, opts)
-		if err != nil {
-			return err
-		}
-		if budget == 1 {
-			serialCrit = res.Stats.CriticalNanos
-		}
-		records = append(records, coreScaleRecord{
-			Circuit:            b.Name,
-			GOMAXPROCS:         runtime.GOMAXPROCS(0),
-			Scheme:             opts.Scheme.String(),
-			CoreBudget:         budget,
-			PipelineWorkers:    res.Stats.PipelineWorkers,
-			IntraWorkers:       res.Stats.IntraWorkers,
-			PipelineSerialized: res.Stats.PipelineSerialized,
-			WallNs:             wall.Nanoseconds(),
-			CriticalNs:         res.Stats.CriticalNanos,
-			Speedup:            float64(serialCrit) / float64(res.Stats.CriticalNanos),
-		})
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(records)
-	}
-	fmt.Printf("Figure F7: speedup vs core budget (%s, GOMAXPROCS=%d)\n", b.Name, runtime.GOMAXPROCS(0))
-	fmt.Println("budget,scheme,pipeline,intra,serialized,wall_ms,crit_ms,speedup")
-	for _, r := range records {
-		fmt.Printf("%d,%s,%d,%d,%v,%.2f,%.2f,%.2f\n",
-			r.CoreBudget, r.Scheme, r.PipelineWorkers, r.IntraWorkers, r.PipelineSerialized,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup)
-	}
-	return nil
-}
-
-// figLoadScale prints the colored-assembly scaling: one full device load
-// on the serial loop and at 2/4 colored workers, per suite circuit.
-func figLoadScale() error {
-	fmt.Println("Figure F6: device-load assembly scaling, serial vs colored (ns per load)")
-	fmt.Printf("%-10s %8s %10s %10s %8s %8s\n", "circuit", "serial", "color2", "color4", "sp2", "sp4")
-	for _, b := range circuits.Suite() {
-		sys, err := build(b)
-		if err != nil {
-			return err
-		}
-		serial, co2, co4 := measureLoadNs(sys, 1), measureLoadNs(sys, 2), measureLoadNs(sys, 4)
-		fmt.Printf("%-10s %8d %10d %10d %8.2f %8.2f\n",
-			b.Name, serial, co2, co4, float64(serial)/float64(co2), float64(serial)/float64(co4))
-	}
-	fmt.Println("sp2/sp4: serial-vs-colored time ratio (1.00 where Load judges the coloring unprofitable and stays serial)")
-	return nil
 }
 
 // laneScaleRecord is one point of the batched-ensemble throughput sweep.
@@ -390,23 +245,10 @@ type windowScaleRecord struct {
 	RelMaxDev       float64 `json:"rel_max_dev"`
 }
 
-// planThreads is the pipeline width the two-level core-budget split policy
-// picks for the combined scheme: below 8 cores the pipeline gets everything
-// (intra-point gangs of 2-3 rarely clear the level-schedule profitability
-// gate, so they would idle); from 8 cores on, pipeline width is traded for
-// gang width — the mesh circuits' LU schedules only go parallel at gang
-// width >= 4, and a 2-wide pipeline with 4-wide gangs beats a 4-wide
-// pipeline with 2-wide gangs (grid32: 1046 ms vs 1597 ms critical path).
-// Width is always clamped to the scheme's useful 2-4 range. The corescale
-// and windowscale figures use this as the "best WavePipe-only" baseline
-// configuration at a given budget.
-func planThreads(budget int) int {
-	th := budget
-	if budget >= 8 {
-		th = budget / 4
-	}
-	return min(max(th, 2), 4)
-}
+// planThreads is the pipeline width of the "best WavePipe-only" baseline of
+// the windowscale figure at a given budget: the whole budget, clamped to the
+// combined scheme's useful 2-4 range.
+func planThreads(budget int) int { return min(max(budget, 2), 4) }
 
 // figWindowScale sweeps time-parallel window count against core budget:
 // for every budget (powers of two up to maxCores) it records the serial

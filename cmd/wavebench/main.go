@@ -56,13 +56,12 @@ func isFlagSet(name string) bool {
 
 func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
-	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, loadscale, corescale, lanescale, windowscale, reducescale")
+	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, lanescale, windowscale, reducescale")
 	all := flag.Bool("all", false, "regenerate every table and figure")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -cores, -devbypass)")
-	benchName := flag.String("bench", "grid16", "circuit for -json and -fig corescale (a suite name, or all)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -devbypass)")
+	benchName := flag.String("bench", "grid16", "circuit for -json and the -fig windowscale/reducescale sweeps (a suite name, or all)")
 	devBypass := flag.Bool("devbypass", false, "enable incremental assembly (the linear-stamp template) for the -json run")
-	cores := flag.Int("cores", 0, "core budget for the -json run (0 = unmanaged)")
-	maxCores := flag.Int("maxcores", 0, "largest core budget for -fig corescale (0 = NumCPU)")
+	maxCores := flag.Int("maxcores", 0, "largest core budget for -fig windowscale (0 = NumCPU)")
 	flag.Parse()
 
 	if *deadline != "" {
@@ -110,13 +109,6 @@ func main() {
 
 	// The figures below are resolved before the -json early return: with -json
 	// they emit the sweep as JSON records instead of CSV text.
-	if *fig == "corescale" {
-		if err := figCoreScale(*benchName, *maxCores, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "wavebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *fig == "windowscale" {
 		name := *benchName
 		if !isFlagSet("bench") {
@@ -147,7 +139,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		if err := jsonMetrics(*benchName, *cores, *devBypass); err != nil {
+		if err := jsonMetrics(*benchName, *devBypass); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
 			os.Exit(1)
 		}
@@ -199,9 +191,6 @@ func main() {
 	}
 	if *all || *fig == "ablation" {
 		run("ablation", figAblation)
-	}
-	if *all || *fig == "loadscale" {
-		run("loadscale", figLoadScale)
 	}
 }
 

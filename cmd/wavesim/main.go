@@ -140,7 +140,7 @@ func main() {
 	flag.StringVar(&cfg.analysis, "analysis", "tran", "analysis: tran, ac, dc")
 	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward, combined")
 	flag.IntVar(&cfg.threads, "threads", 0, "worker threads for parallel schemes (0 = scheme default)")
-	flag.IntVar(&cfg.cores, "cores", 0, "total core budget shared by pipeline workers and intra-point gangs (0 = unmanaged)")
+	flag.IntVar(&cfg.cores, "cores", 0, "cap on the cores the run occupies at once: pipeline workers and concurrent windows (0 = unmanaged)")
 	flag.StringVar(&cfg.tstop, "tstop", "", "override the deck's .TRAN stop time (SPICE units, e.g. 10u)")
 	flag.StringVar(&cfg.method, "method", "gear2", "integration method: gear2, trap, be")
 	flag.StringVar(&cfg.probes, "probe", "", "comma-separated node names to record (default: all nodes)")
@@ -412,9 +412,8 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 		if res.Stats.CoreBudget > 0 {
 			fmt.Fprintf(os.Stderr,
-				"wavesim: core budget %d split as %d pipeline x %d intra (pipeline serialized: %v)\n",
-				res.Stats.CoreBudget, res.Stats.PipelineWorkers, res.Stats.IntraWorkers,
-				res.Stats.PipelineSerialized)
+				"wavesim: core budget %d, %d pipeline workers (pipeline serialized: %v)\n",
+				res.Stats.CoreBudget, res.Stats.PipelineWorkers, res.Stats.PipelineSerialized)
 		}
 		if res.Stats.WindowsLaunched > 0 {
 			fmt.Fprintf(os.Stderr,

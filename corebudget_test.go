@@ -1,13 +1,14 @@
 package wavepipe
 
-// Two-level scheduler acceptance tests: the core-budget runs must be
-// bit-identical whether the gangs actually run concurrently (enough
-// GOMAXPROCS) or degrade to the in-place sequential sweep (the determinism
-// contract that makes CoreBudget safe to enable anywhere), must stay within
-// LTE accuracy of the unmanaged engine, must split the budget as documented,
-// and must not leak gang goroutines.
+// Core-budget acceptance tests. A budget caps the cores a run's coordinators
+// (pipeline stage gang, concurrent windows) may occupy; a
+// time point is solved by one goroutine whatever it says. So no budget may
+// change a waveform, a pipelined run must be bit-identical whether its stage
+// gang really runs concurrently or degrades to the sequential sweep, the
+// budget must be surfaced in Stats, and no gang goroutine may outlive its run.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -30,11 +31,9 @@ func budgetRun(t *testing.T, sys *System, opts TranOptions, budget, procs int) *
 	return res
 }
 
-// forcedRun executes one run with the gang kernels forced on at GOMAXPROCS=1:
-// the concurrent code paths run bit-for-bit, round-robined cooperatively on
-// one CPU. Raising GOMAXPROCS past the hardware thread count instead would
-// push every barrier crossing into OS time-slicing and make the big suite
-// circuits take minutes each (see sched.ForceGang).
+// forcedRun executes one run with the gangs forced on at GOMAXPROCS=1: the
+// stage gang's goroutines really run, taking turns on one CPU, whatever the
+// host (see sched.ForceGang).
 func forcedRun(t *testing.T, sys *System, opts TranOptions, budget int) *Result {
 	t.Helper()
 	sched.ForceGang.Store(true)
@@ -61,13 +60,22 @@ func sameWaveform(t *testing.T, tag string, got, want *Result) {
 	}
 }
 
-// TestCoreBudgetBitIdenticalSuite runs every evaluation circuit twice with
-// the same core budget: once with the gang kernels forced through their
-// concurrent code paths, once with every kernel degraded to its sequential
-// sweep. The waveforms must match bit for bit — the parallel level-scheduled
-// LU and the pooled colored load are exact reimplementations, not
-// approximations.
-func TestCoreBudgetBitIdenticalSuite(t *testing.T) {
+// TestCoreBudgetNeverChangesAWaveform holds CoreBudget to its contract on
+// every evaluation circuit, all node voltages recorded: a Serial run at
+// budgets 1, 2, 4 and 8 is the run without a budget bit for bit, and on
+// grid16 and nand5 — a linear mesh and a nonlinear circuit, both large enough
+// that a wider budget once bought a point solve a gang of its own — the
+// pinned two- and three-thread pipeline rows reproduce their hashes at
+// budgets 2, 4 and 8.
+func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
+	pinned := []struct {
+		name string
+		opts TranOptions
+	}{
+		{"backward2", TranOptions{Scheme: Backward, Threads: 2}},
+		{"forward2", TranOptions{Scheme: Forward, Threads: 2}},
+		{"combined3", TranOptions{Scheme: Combined, Threads: 3}},
+	}
 	for _, b := range circuits.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -75,55 +83,73 @@ func TestCoreBudgetBitIdenticalSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}}
-			par := forcedRun(t, sys, opts, 4)
-			deg := budgetRun(t, sys, opts, 4, 1)
-			sameWaveform(t, "gang vs degraded", par, deg)
-			if par.Stats.CoreBudget != 4 {
-				t.Fatalf("Stats.CoreBudget = %d, want 4", par.Stats.CoreBudget)
+			opts := TranOptions{TStop: b.TStop}
+			if testing.Short() {
+				opts.TStop /= 5
+			}
+			ref, err := RunTransient(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Stats.CoreBudget != 0 || ref.Stats.IntraWorkers != 0 {
+				t.Fatalf("no budget, but Stats reports CoreBudget=%d IntraWorkers=%d", ref.Stats.CoreBudget, ref.Stats.IntraWorkers)
+			}
+			for _, budget := range []int{1, 2, 4, 8} {
+				res := budgetRun(t, sys, opts, budget, runtime.GOMAXPROCS(0))
+				tag := fmt.Sprintf("serial, budget %d vs none", budget)
+				sameWaveform(t, tag, res, ref)
+				if got, want := waveformHash(res), waveformHash(ref); got != want {
+					t.Fatalf("%s: final solution differs (hash %#x vs %#x)", tag, got, want)
+				}
+				if res.Stats.CoreBudget != budget || res.Stats.PipelineWorkers != 1 || res.Stats.IntraWorkers != 1 {
+					t.Fatalf("%s: Stats reports CoreBudget=%d PipelineWorkers=%d IntraWorkers=%d, want %d/1/1",
+						tag, res.Stats.CoreBudget, res.Stats.PipelineWorkers, res.Stats.IntraWorkers, budget)
+				}
+			}
+			if b.Name != "grid16" && b.Name != "nand5" {
+				return
+			}
+			for _, cfg := range pinned {
+				cfg := cfg
+				t.Run(cfg.name, func(t *testing.T) {
+					skipUnpinnable(t)
+					for _, budget := range []int{2, 4, 8} {
+						o := cfg.opts
+						o.TStop = b.TStop
+						res := budgetRun(t, sys, o, budget, runtime.GOMAXPROCS(0))
+						checkPinned(t, engineWaveformHashes, cfg.name+"/"+b.Name, res)
+						if res.Stats.IntraWorkers != 1 {
+							t.Fatalf("budget %d: IntraWorkers = %d, want 1", budget, res.Stats.IntraWorkers)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestCoreBudgetCombinedBitIdentical covers the same determinism contract
-// through the combined WavePipe scheme, where the budget is split between
-// pipeline workers and per-solver gangs.
+// TestCoreBudgetCombinedBitIdentical: the combined scheme under a budget is
+// bit-identical whether its stage gang is forced through real goroutines or
+// degraded to the sequential sweep, and it reports what it ran as.
 func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
-	b, sysOpts := func() (circuits.Benchmark, TranOptions) {
-		for _, bb := range circuits.Suite() {
-			if bb.Name == "grid16" {
-				return bb, TranOptions{TStop: bb.TStop / 5, Record: []string{bb.Probe}}
-			}
-		}
-		t.Fatal("no grid16 in suite")
-		return circuits.Benchmark{}, TranOptions{}
-	}()
-	sys, err := b.Make().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sysOpts
+	sys, opts := suiteSystem(t, "grid16")
+	opts.TStop /= 5
 	opts.Scheme = Combined
 	opts.Threads = 4
 	par := forcedRun(t, sys, opts, 8)
 	deg := budgetRun(t, sys, opts, 8, 1)
 	sameWaveform(t, "combined gang vs degraded", par, deg)
-	if par.Stats.CoreBudget != 8 || par.Stats.PipelineWorkers != 4 {
-		t.Fatalf("budget split not surfaced: %+v", par.Stats)
-	}
-	if par.Stats.IntraWorkers != 2 {
-		t.Fatalf("IntraWorkers = %d, want 2 (budget 8 / 4 pipeline workers)", par.Stats.IntraWorkers)
+	if par.Stats.CoreBudget != 8 || par.Stats.PipelineWorkers != 4 || par.Stats.IntraWorkers != 1 {
+		t.Fatalf("budget not surfaced: %+v", par.Stats)
 	}
 	if !deg.Stats.PipelineSerialized {
 		t.Fatal("1-core run did not report pipeline serialization")
 	}
 
-	// The per-phase serialization check (satellite of the old Engine.seq
-	// bug): with enough GOMAXPROCS and budget the pipeline must NOT report
-	// serialization. Use a circuit below the intra-point profitability
-	// threshold so no gangs attach — pipeline workers alone don't spin, so
-	// GOMAXPROCS above the hardware thread count is harmless here.
+	// With enough GOMAXPROCS and budget the pipeline must NOT report
+	// serialization (parked gang members don't spin, so GOMAXPROCS above the
+	// hardware thread count is harmless here); with a budget narrower than a
+	// round it must.
 	small := lowpass(t)
 	wide := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined, Threads: 4}, 4, 4)
 	if wide.Stats.PipelineSerialized {
@@ -135,9 +161,12 @@ func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoreBudgetMatchesReference compares a budgeted run against the
-// unmanaged engine. The colored load reassociates row sums, so the check is
-// the engine's LTE-scale tolerance, not bit-identity.
+// TestCoreBudgetMatchesReference compares a budgeted pipelined run — stage
+// gang on real goroutines, a budget as wide as the pipeline — against the
+// serial engine. The pipeline takes other steps than the serial loop, so the
+// check is the bar the suite holds pipelined runs to elsewhere (5 % of the
+// probe's range; grid16 reads 3.5 % with or without a budget), not
+// bit-identity.
 func TestCoreBudgetMatchesReference(t *testing.T) {
 	for _, name := range []string{"grid16", "ring9"} {
 		name := name
@@ -147,43 +176,32 @@ func TestCoreBudgetMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := budgetRun(t, sys, opts, 4, 4)
+			wp := opts
+			wp.Scheme = Combined
+			wp.Threads = 4
+			res := budgetRun(t, sys, wp, 4, 4)
 			dev, err := Compare(res.W, ref.W, opts.Record[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dev.RelMax() > 0.02 {
+			if dev.RelMax() > 0.05 {
 				t.Fatalf("budgeted run deviates by %g of signal range", dev.RelMax())
 			}
 		})
 	}
 }
 
-// TestCoreBudgetProfitabilityGate: a circuit below the intra-point
-// profitability threshold must keep its whole budget unused (IntraWorkers
-// stays 1) while a mesh-sized circuit splits it.
-func TestCoreBudgetProfitabilityGate(t *testing.T) {
-	small := budgetRun(t, lowpass(t), TranOptions{TStop: 3e-3}, 8, 4)
-	if small.Stats.IntraWorkers != 1 {
-		t.Fatalf("small circuit got an intra gang: IntraWorkers = %d", small.Stats.IntraWorkers)
-	}
-	sys, opts := suiteSystem(t, "grid16")
-	opts.TStop /= 5
-	big := forcedRun(t, sys, opts, 8)
-	if big.Stats.IntraWorkers != 8 {
-		t.Fatalf("serial engine should give the whole budget to the gang: IntraWorkers = %d", big.Stats.IntraWorkers)
-	}
-}
-
-// TestCoreBudgetNoGoroutineLeak: the gangs attached by budgeted runs are
-// closed with their runs; repeated runs must not accumulate goroutines.
+// TestCoreBudgetNoGoroutineLeak: the stage gangs of budgeted runs are closed
+// with their runs; repeated runs must not accumulate goroutines.
 func TestCoreBudgetNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sys, opts := suiteSystem(t, "grid16")
 	opts.TStop /= 10
 	for i := 0; i < 3; i++ {
-		forcedRun(t, sys, opts, 4)
 		wp := opts
+		wp.Scheme = Backward
+		wp.Threads = 2
+		forcedRun(t, sys, wp, 2)
 		wp.Scheme = Combined
 		wp.Threads = 4
 		forcedRun(t, sys, wp, 8)

@@ -42,10 +42,10 @@ type EnsembleLane = ensemble.LaneResult
 type EnsembleResult = ensemble.Result
 
 // RunEnsemble runs K parameter-variants of one deck in lockstep over a
-// struct-of-arrays workspace: the Jacobian pattern, fill-reducing
-// ordering, conflict coloring and LU level schedules are computed once and
-// shared by every lane, and device evaluation iterates the models once per
-// batched Newton iteration, stamping all lanes' adjacent value blocks.
+// struct-of-arrays workspace: the Jacobian pattern and the fill-reducing
+// ordering are computed once and shared by every lane, and device evaluation
+// iterates the models once per batched Newton iteration, stamping all lanes'
+// adjacent value blocks.
 //
 // Step control stays independent per lane, so each lane's waveform is
 // bit-identical to its own serial RunTransient. Lanes that finish, fault

@@ -62,7 +62,7 @@ func main() {
 
 	// Verify the estimate by brute force: run the extreme corners as one
 	// batched ensemble. Every lane shares the nominal circuit's matrix
-	// pattern, fill-in ordering and conflict coloring; only values differ.
+	// pattern and fill-in ordering; only values differ.
 	corner := func(name string, dr1, dr2, dv float64) *wavepipe.Circuit {
 		c := wavepipe.NewCircuit(name)
 		in := c.Node("in")

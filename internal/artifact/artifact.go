@@ -3,11 +3,10 @@
 // to timestepping instead of re-running symbolic analysis.
 //
 // A deck's expensive derived artifacts all hang off its compiled
-// circuit.System: the frozen Jacobian pattern, the Build-time conflict
-// coloring, the fill-reducing column ordering (computed once per System and
-// shared by every workspace via FactorizeWithPerm), the level schedules the
-// parallel LU caches per pattern, and the incremental-assembly basis
-// (linear-stamp templates + per-device footprints). A System is immutable
+// circuit.System: the frozen Jacobian pattern, the charge-pass device list,
+// the fill-reducing column ordering (computed once per System and shared by
+// every workspace via FactorizeWithPerm) and the incremental-assembly basis
+// (the linear-stamp template). A System is immutable
 // and safe to share across concurrent runs — per-run numerics live in
 // Workspaces — so caching the System *is* caching every artifact at once.
 //
@@ -39,7 +38,7 @@ type Entry struct {
 	Key string
 	// Deck is the parsed netlist (analysis cards, ICs, options).
 	Deck *netlist.Deck
-	// Sys is the compiled system: pattern, coloring, shared fill ordering.
+	// Sys is the compiled system: pattern, shared fill ordering.
 	Sys *circuit.System
 }
 

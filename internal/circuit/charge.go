@@ -1,5 +1,7 @@
 package circuit
 
+import "wavepipe/internal/sparse"
+
 // The charge pass: what a converged point still owes the integrator is the
 // charge vector Q(x) at the accepted iterate — not the currents, conductances
 // and Jacobian stamps a full Load assembles beside it. LoadCharges evaluates
@@ -21,63 +23,60 @@ type ChargeEvaler interface {
 }
 
 // chargeDevices lists, in device order, the devices a charge pass must visit:
-// every ChargeEvaler, and every device the Build-time probe saw write Q
-// without being one (swept through its full Eval — slower, never wrong). A
-// nil wroteQ means the probe failed and nothing is known: every device is
-// listed, which is the cost of the full load the pass replaces. wroteQ is
-// consumed.
-func chargeDevices(devices []Device, wroteQ []bool) []int32 {
-	n := len(devices)
-	if wroteQ != nil {
-		n = 0
-		for i, d := range devices {
-			if _, ok := d.(ChargeEvaler); ok {
-				wroteQ[i] = true
-			}
-			if wroteQ[i] {
-				n++
+// every ChargeEvaler, and every device a one-shot Eval at x = 0 into throwaway
+// buffers saw write Q without being one (swept through its full Eval — slower,
+// never wrong). The contract this relies on: whether a device writes Q must
+// not depend on the iterate. A device that panics under the probe leaves
+// nothing known, and every device is listed, which is the cost of the full
+// load the pass replaces.
+func chargeDevices(devices []Device, pattern *sparse.Matrix, n, numStates int) (list []int32) {
+	defer func() {
+		if recover() != nil {
+			list = make([]int32, len(devices))
+			for i := range list {
+				list[i] = int32(i)
 			}
 		}
+	}()
+	var wroteQ bool
+	ctx := EvalCtx{
+		X:        make([]float64, n),
+		SrcScale: 1,
+		NoLimit:  true,
+		SPrev:    make([]float64, numStates),
+		SNext:    make([]float64, numStates),
+		m:        pattern.Clone(),
+		F:        make([]float64, n),
+		Q:        make([]float64, n),
+		B:        make([]float64, n),
+		wroteQ:   &wroteQ,
 	}
-	list := make([]int32, 0, n)
-	for i := range devices {
-		if wroteQ == nil || wroteQ[i] {
+	for i, d := range devices {
+		_, books := d.(ChargeEvaler)
+		if !books {
+			wroteQ = false
+			d.Eval(&ctx)
+			books = wroteQ
+		}
+		if books {
 			list = append(list, int32(i))
 		}
 	}
 	return list
 }
 
-// planCharges resolves the charge pass for this workspace: the order the
-// listed devices are swept in and, per device, the EvalQ to call (nil: the
-// full Eval). The order is the one the workspace's Load accumulates rows in —
-// device order, or color-class order once SetPool put Load on the colored
-// path — so a row several devices charge sums in the same sequence either
-// way. The dispatch is resolved against ws.Devices(), so a lane workspace
-// books its own variant's instances.
+// planCharges resolves, per listed device, the EvalQ the charge pass calls
+// (nil: the full Eval). The devices are swept in device order, the order Load
+// accumulates rows in, so a row several devices charge sums in the same
+// sequence either way. The dispatch is resolved against ws.Devices(), so a
+// lane workspace books its own variant's instances.
 func (ws *Workspace) planCharges() {
-	sys := ws.Sys
-	order := sys.chargeDevs
-	if ws.colored {
-		listed := make([]bool, len(sys.Circuit.devices))
-		for _, di := range order {
-			listed[di] = true
-		}
-		order = make([]int32, 0, len(sys.chargeDevs))
-		for _, class := range sys.colorClasses {
-			for _, di := range class {
-				if listed[di] {
-					order = append(order, int32(di))
-				}
-			}
-		}
-	}
 	devs := ws.Devices()
-	evalers := make([]ChargeEvaler, len(order))
-	for k, di := range order {
+	evalers := make([]ChargeEvaler, len(ws.Sys.chargeDevs))
+	for k, di := range ws.Sys.chargeDevs {
 		evalers[k], _ = devs[di].(ChargeEvaler)
 	}
-	ws.chargeOrder, ws.chargeEvalers = order, evalers
+	ws.chargeEvalers = evalers
 }
 
 // LoadCharges leaves in ws.Q the charge vector at iterate x and in ws.SNext
@@ -95,9 +94,9 @@ func (ws *Workspace) LoadCharges(x []float64, p LoadParams) {
 	}
 	p.NoLimit = true
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1, zeroQ)
+	ws.beginLoad(ctx, x, p, zeroQ)
 	devs := ws.Devices()
-	for k, di := range ws.chargeOrder {
+	for k, di := range ws.Sys.chargeDevs {
 		if q := ws.chargeEvalers[k]; q != nil {
 			q.EvalQ(ctx)
 		} else {

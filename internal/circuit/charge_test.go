@@ -171,11 +171,9 @@ func TestChargePassAfterFailedProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.colorClasses != nil {
-		t.Fatal("the probe did not fail: the test no longer reaches the fallback")
-	}
+	// The conductances write no Q: only a failed probe lists them.
 	if len(sys.chargeDevs) != len(c.devices) {
-		t.Fatalf("%d of %d devices listed after a failed probe", len(sys.chargeDevs), len(c.devices))
+		t.Fatalf("%d of %d devices listed: the probe did not fail, or its fallback lost devices", len(sys.chargeDevs), len(c.devices))
 	}
 	for _, d := range viaEval {
 		d.armed = false
@@ -257,54 +255,5 @@ func TestBindLanesRefusesChargeWhereHostHasNone(t *testing.T) {
 	}
 	if err := sys.BindLanes(build(false)); err != nil {
 		t.Fatalf("lane without charge where the host has some: %v", err)
-	}
-}
-
-// TestChargePassFollowsColoredOrder: once SetPool puts Load on the colored
-// path a row sums its devices in color-class order, which differs from device
-// order where an early device was pushed to a late class. The charge pass
-// must sum in that same order, or the Q it books is a rounding away from the
-// Q every gang width has booked so far.
-func TestChargePassFollowsColoredOrder(t *testing.T) {
-	c := New("colored order")
-	a, b := c.Node("a"), c.Node("b")
-	z := func(i int) int { return c.Node(string(rune('p' + i))) }
-	charge := func(p, n int, cv float64) {
-		c.Add(&capStubQ{capStub{name: "C", p: p, n: n, c: cv, g: 1e-9}})
-	}
-	// Three devices on row b give X = (a, b) the fourth color; Y and Z, later
-	// in device order, take the first two: row a sums X, Y, Z in device order
-	// and Y, Z, X in class order.
-	charge(b, Ground, 1e-12)
-	charge(b, z(0), 2e-12)
-	charge(b, z(1), 3e-12)
-	charge(a, b, 0.1e-12) // X
-	charge(a, Ground, 0.7e-12)
-	charge(a, z(2), 1e-15)
-	charge(z(0), z(1), 1e-12)
-	charge(z(2), Ground, 1e-12)
-	sys, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1.1, -0.7, 0.3, 0.9, 1e-3}[:sys.N]
-	p := LoadParams{Alpha0: 1e9, SrcScale: 1}
-
-	serial := sys.NewWorkspace()
-	serial.LoadCharges(x, p)
-	sameBits(t, "device order", serial.Q, fullQ(serial, x, p))
-
-	for _, gang := range []bool{false, true} {
-		ws := sys.NewWorkspace()
-		AttachTestPool(t, ws, 2, gang)
-		ws.colored = true // past the profitability estimate, as LoadColoredForced
-		p.NoLimit = true
-		ws.Load(x, p)
-		want := append([]float64(nil), ws.Q...)
-		if math.Float64bits(want[a]) == math.Float64bits(serial.Q[a]) {
-			t.Fatal("class order and device order sum row a to the same bits: the test no longer tells them apart")
-		}
-		ws.LoadCharges(x, p)
-		sameBits(t, "class order", ws.Q, want)
 	}
 }

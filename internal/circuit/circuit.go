@@ -17,10 +17,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"wavepipe/internal/faults"
-	"wavepipe/internal/sched"
 	"wavepipe/internal/sparse"
 	"wavepipe/internal/trace"
 )
@@ -123,9 +121,8 @@ func (c *Circuit) Build() (*System, error) {
 	}
 	n := branch
 	b := sparse.NewBuilder(n)
-	r := &Reserver{b: b, devRows: make([][]int, len(c.devices))}
-	for i, d := range c.devices {
-		r.current, r.devIdx = d, i
+	r := &Reserver{b: b}
+	for _, d := range c.devices {
 		d.Reserve(r)
 	}
 	// Reserve every diagonal so gmin continuation can always shunt node
@@ -148,18 +145,16 @@ func (c *Circuit) Build() (*System, error) {
 			return nil, fmt.Errorf("circuit %q: node %q has no device connected", c.Title, c.nodeNames[i])
 		}
 	}
-	classes, wroteQ := buildColoring(c, m, n, state, r.devRows)
 	return &System{
-		Circuit:      c,
-		N:            n,
-		NumNodes:     numNodes,
-		NumBranches:  n - numNodes,
-		NumStates:    state,
-		linear:       linear,
-		pattern:      m,
-		diagSlots:    diag,
-		colorClasses: classes,
-		chargeDevs:   chargeDevices(c.devices, wroteQ),
+		Circuit:     c,
+		N:           n,
+		NumNodes:    numNodes,
+		NumBranches: n - numNodes,
+		NumStates:   state,
+		linear:      linear,
+		pattern:     m,
+		diagSlots:   diag,
+		chargeDevs:  chargeDevices(c.devices, m, n, state),
 	}, nil
 }
 
@@ -170,18 +165,12 @@ type Reserver struct {
 	b           *sparse.Builder
 	lookup      *sparse.Matrix
 	lookupErr   error
-	current     Device
-	devIdx      int
-	devRows     [][]int // per-device rows named in J calls (coloring footprint)
 	touchedRows []int
 }
 
 // J reserves the Jacobian slot (row, col) and returns its id, or -1 when
 // either index is Ground (stamps to -1 are discarded at Eval time).
 func (r *Reserver) J(row, col int) int {
-	if row != Ground {
-		r.devRows[r.devIdx] = append(r.devRows[r.devIdx], row)
-	}
 	if row == Ground || col == Ground {
 		return -1
 	}
@@ -212,11 +201,6 @@ type System struct {
 
 	pattern   *sparse.Matrix
 	diagSlots []int
-
-	// colorClasses partitions the device indices into write-conflict-free
-	// classes (see colored.go); nil when Build could not produce a coloring
-	// (a device probe panicked) and the colored load path is unavailable.
-	colorClasses [][]int
 
 	// chargeDevs lists, in device order, the devices a charge pass visits
 	// (see charge.go): the ones that book charge or limiting state.
@@ -289,16 +273,10 @@ func (s *System) newSolver(m *sparse.Matrix) *sparse.Solver {
 }
 
 // Prewarm eagerly computes the lazily derived artifacts that every run of
-// this System shares — today the fill-reducing column ordering (the coloring
-// and device footprints are already fixed at Build). The artifact cache
-// calls it on insert so a cache hit skips straight to timestepping without
-// paying the symbolic analysis on its first factorization.
+// this System shares — today the fill-reducing column ordering. The artifact
+// cache calls it on insert so a cache hit skips straight to timestepping
+// without paying the symbolic analysis on its first factorization.
 func (s *System) Prewarm() { s.fillOrdering() }
-
-// ColorClasses returns the conflict-free device classes computed at Build
-// time (nil when unavailable). The outer slice is indexed by color; do not
-// mutate.
-func (s *System) ColorClasses() [][]int { return s.colorClasses }
 
 // PatternNNZ returns the structural nonzero count of the MNA pattern. It is
 // part of the circuit fingerprint durable checkpoints validate on resume.
@@ -322,15 +300,6 @@ type Workspace struct {
 	// not be declared converged (the linearization is not the true model).
 	Limited bool
 
-	// LoadWallNanos and LoadCritNanos accumulate the measured wall-clock
-	// time of Load calls and the corresponding critical-path time (for a
-	// colored load degraded to class order on a single-CPU host, what its
-	// workers would have achieved). The difference feeds the multi-core
-	// pipeline timing model used when the host machine has fewer cores than
-	// the requested thread count.
-	LoadWallNanos int64
-	LoadCritNanos int64
-
 	// MC holds dQ/dx after LoadSplit (AC analysis); nil until first use.
 	MC *sparse.Matrix
 
@@ -352,47 +321,22 @@ type Workspace struct {
 	Trace  *trace.Tracer
 	Worker int16
 
-	// devs, when non-nil, overrides the device list the serial assembly
-	// paths evaluate (see SetDevices in lanes.go — ensemble lane variants).
+	// devs, when non-nil, overrides the device list the assembly paths
+	// evaluate (see SetDevices in lanes.go — ensemble lane variants).
 	devs []Device
 
-	// chargeOrder and chargeEvalers are the charge pass resolved for this
-	// workspace's device list and load path (see planCharges); nil until the
-	// first LoadCharges, and again after SetPool or SetDevices.
-	chargeOrder   []int32
+	// chargeEvalers is the charge pass's dispatch resolved for this
+	// workspace's device list (see planCharges); nil until the first
+	// LoadCharges, and again after SetDevices.
 	chargeEvalers []ChargeEvaler
 
-	pool     *sched.Pool
-	colored  bool      // the pool is wide enough for the coloring to pay (SetPool)
-	evalCtx  EvalCtx   // pooled context for the serial load paths
-	wctx     []EvalCtx // pooled per-worker contexts for the colored path
-	colorBar sched.Barrier
+	evalCtx EvalCtx // the load paths' context, reused across passes
 
 	// inc holds the per-workspace incremental-assembly state (the linear stamp
 	// template LRU); nil unless SetDeviceBypass enabled it. Each workspace
 	// owns an independent copy, so concurrent pipeline points never share it.
 	inc *incState
 }
-
-// SetPool attaches a gang pool (see internal/sched) to the workspace: device
-// loads run across the pool's workers using the Build-time color classes,
-// and the sparse solver executes its level-scheduled LU kernels on the same
-// gang. The pool's width is the load worker count. The caller keeps
-// ownership and must Close the pool when the run ends; a nil pool detaches.
-// When the coloring is unprofitable at that width the load simply stays
-// serial; colored stamps are bit-identical across worker counts, so results
-// never depend on the gang width.
-func (ws *Workspace) SetPool(p *sched.Pool) {
-	ws.pool = p
-	ws.Solver.Sched = p
-	nw := p.Workers()
-	ws.colored = nw > 1 && len(ws.Sys.colorClasses) > 0 &&
-		ws.Sys.ColoredSpeedupEstimate(nw) >= coloredThreshold(nw)
-	ws.chargeEvalers = nil // the charge pass follows the load path's row order
-}
-
-// Pool returns the attached gang pool (nil when serial).
-func (ws *Workspace) Pool() *sched.Pool { return ws.pool }
 
 // NewWorkspace allocates a workspace (one per concurrent worker).
 func (s *System) NewWorkspace() *Workspace {
@@ -432,30 +376,22 @@ type LoadParams struct {
 }
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
-// vectors at iterate x. Every assembly path — this serial loop, LoadSplit,
-// the colored gang and its class-order fallback, the incremental engine and
-// BatchLoad — is beginLoad, its own device sweep, finishLoad.
+// vectors at iterate x. Every assembly path — this loop, LoadSplit, the
+// incremental engine and BatchLoad — is beginLoad, its own device sweep,
+// finishLoad, on the calling goroutine and without a clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	if inc := ws.inc; inc != nil {
-		// Incremental assembly covers the serial path only; each WavePipe lane
-		// loads serially inside its own workspace, so this is the common
-		// pipeline configuration.
-		if ws.pool.Workers() <= 1 && ws.loadIncremental(x, p) {
+		if ws.loadIncremental(x, p) {
 			return
 		}
 		inc.lastLinear = false
 	}
-	start := time.Now()
-	if ws.colored {
-		ws.loadColored(x, p, start)
-		return
-	}
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1, zeroAll)
+	ws.beginLoad(ctx, x, p, zeroAll)
 	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
-	ws.finishLoad(x, p, ctx.Limited, start)
+	ws.finishLoad(x, p, ctx.Limited)
 }
 
 // passZero names the workspace buffers an assembly pass starts from zero.
@@ -469,19 +405,18 @@ const (
 	zeroAll     = zeroM | zeroVectors // every full assembly
 )
 
-// beginLoad opens an assembly pass at iterate x: worker w of nw zeroes its
-// share of the buffers named in zero (the serial paths are worker 0 of 1),
-// and ctx is pointed at the workspace buffers under p.
-func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw int, zero passZero) {
+// beginLoad opens an assembly pass at iterate x: the buffers named in zero
+// are cleared and ctx is pointed at the workspace buffers under p.
+func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, zero passZero) {
 	if zero&zeroM != 0 {
-		zeroChunk(ws.M.Values, w, nw)
+		clear(ws.M.Values)
 	}
 	if zero&zeroFB != 0 {
-		zeroChunk(ws.F, w, nw)
-		zeroChunk(ws.B, w, nw)
+		clear(ws.F)
+		clear(ws.B)
 	}
 	if zero&zeroQ != 0 {
-		zeroChunk(ws.Q, w, nw)
+		clear(ws.Q)
 	}
 	*ctx = EvalCtx{
 		X:        x,
@@ -499,20 +434,10 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, w, nw in
 	}
 }
 
-// zeroChunk zeroes worker w's contiguous share of v.
-func zeroChunk(v []float64, w, nw int) {
-	s := v[w*len(v)/nw : (w+1)*len(v)/nw]
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// finishLoad closes an assembly pass on the coordinating goroutine: the
-// limiting flag the sweep gathered, the gmin-stepping node conductances, the
-// .NODESET clamps, a scheduled assembly fault, and the pass's wall time booked
-// as both wall and critical path (a zero start books nothing: batched lanes
-// have no span of their own).
-func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool, start time.Time) {
+// finishLoad closes an assembly pass: the limiting flag the sweep gathered,
+// the gmin-stepping node conductances, the .NODESET clamps and a scheduled
+// assembly fault.
+func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	ws.Limited = limited
 	if p.NodeGmin > 0 {
 		for i, slot := range ws.Sys.diagSlots {
@@ -539,11 +464,6 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool, start t
 			ws.F[0] = math.NaN()
 		}
 	}
-	if !start.IsZero() {
-		d := time.Since(start).Nanoseconds()
-		ws.LoadWallNanos += d
-		ws.LoadCritNanos += d
-	}
 }
 
 // LoadSplit assembles dF/dx into M and dQ/dx into MC separately at the
@@ -553,16 +473,15 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 	if ws.MC == nil {
 		ws.MC = ws.M.Clone()
 	}
-	start := time.Now()
 	ws.MC.Zero()
 	p.Alpha0 = 0
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, 0, 1, zeroAll)
+	ws.beginLoad(ctx, x, p, zeroAll)
 	ctx.mq = ws.MC
 	for _, d := range ws.Devices() {
 		d.Eval(ctx)
 	}
-	ws.finishLoad(x, p, ctx.Limited, start)
+	ws.finishLoad(x, p, ctx.Limited)
 }
 
 // ACSource is implemented by independent sources that carry a small-signal
@@ -615,11 +534,10 @@ type EvalCtx struct {
 	Q  []float64
 	B  []float64
 
-	// rec is non-nil only during the Build-time coloring probe; it records
-	// every F/Q/B row a device writes so rows that were never named in
-	// Reserve (current sources stamp B without reserving Jacobian slots)
-	// still enter the device's conflict footprint.
-	rec *probeRecorder
+	// wroteQ is non-nil only during the Build-time charge probe (see
+	// chargeDevices): AddQ sets it, which is how a device that stores charge
+	// without being a ChargeEvaler is found.
+	wroteQ *bool
 
 	// Limited is set by devices that clamp a controlling voltage (for
 	// example pn-junction limiting); it blocks convergence this iteration.
@@ -659,9 +577,6 @@ func (e *EvalCtx) AddJQ(slot int, v float64) {
 // AddF accumulates a static current into row i. Ground rows are discarded.
 func (e *EvalCtx) AddF(i int, v float64) {
 	if i != Ground {
-		if e.rec != nil {
-			e.rec.note(i)
-		}
 		e.F[i] += v
 	}
 }
@@ -669,8 +584,8 @@ func (e *EvalCtx) AddF(i int, v float64) {
 // AddQ accumulates a charge/flux into row i.
 func (e *EvalCtx) AddQ(i int, v float64) {
 	if i != Ground {
-		if e.rec != nil {
-			e.rec.noteQ(i)
+		if e.wroteQ != nil {
+			*e.wroteQ = true
 		}
 		e.Q[i] += v
 	}
@@ -679,9 +594,6 @@ func (e *EvalCtx) AddQ(i int, v float64) {
 // AddB accumulates a source term into row i, scaled by SrcScale.
 func (e *EvalCtx) AddB(i int, v float64) {
 	if i != Ground {
-		if e.rec != nil {
-			e.rec.note(i)
-		}
 		e.B[i] += e.SrcScale * v
 	}
 }

@@ -15,13 +15,11 @@
 //
 // What stays on the plain path:
 //   - NoLimit loads and source-stepping loads (the charge pass that closes a
-//     point is not a Load at all and touches neither template nor counters),
-//   - parallel colored loads: the engine covers the serial load path only.
+//     point is not a Load at all and touches neither template nor counters).
 package circuit
 
 import (
 	"math"
-	"time"
 
 	"wavepipe/internal/sparse"
 )
@@ -92,7 +90,7 @@ func (s *System) incrementalBasis() *incBasis {
 }
 
 // buildIncBasis probes the compiled circuit once and constructs the shared
-// basis. Like buildColoring it bails out (returning nil) if any device
+// basis. Like the charge probe it bails out (returning nil) if any device
 // panics during the probe, which simply disables the incremental engine.
 func buildIncBasis(s *System) (basis *incBasis) {
 	defer func() {
@@ -263,7 +261,6 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	if p.NoLimit || p.SrcScale != 1 {
 		return false
 	}
-	start := time.Now()
 	basis := inc.basis
 	devices := ws.Sys.Circuit.devices
 	ctx := &ws.evalCtx
@@ -271,7 +268,7 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	// every linear device — and clearing the matrix first: the copy writes
 	// every entry — and the compact split triples rebuild the linear part of
 	// F and Q without touching the nonlinear-dominated pattern.
-	ws.beginLoad(ctx, x, p, 0, 1, zeroVectors)
+	ws.beginLoad(ctx, x, p, zeroVectors)
 	copy(ws.M.Values, inc.template(p.Alpha0))
 	for t, r := range basis.jfR {
 		ws.F[r] += basis.jfV[t] * x[basis.jfC[t]]
@@ -297,6 +294,6 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	for _, di := range basis.nonlinear {
 		devices[di].Eval(ctx)
 	}
-	ws.finishLoad(x, p, ctx.Limited, start)
+	ws.finishLoad(x, p, ctx.Limited)
 	return true
 }

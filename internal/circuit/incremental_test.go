@@ -5,6 +5,29 @@ import (
 	"testing"
 )
 
+// assertStampsEqual holds a's assembled system to b's within tol, relative to
+// max(1, magnitude).
+func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) {
+	t.Helper()
+	diff := func(u, v float64) bool {
+		scale := math.Max(1, math.Max(math.Abs(u), math.Abs(v)))
+		return math.Abs(u-v) > tol*scale
+	}
+	for i := range a.F {
+		if diff(a.F[i], b.F[i]) || diff(a.Q[i], b.Q[i]) || diff(a.B[i], b.B[i]) {
+			t.Fatalf("%s: vector mismatch at row %d", what, i)
+		}
+	}
+	for i := range a.M.Values {
+		if diff(a.M.Values[i], b.M.Values[i]) {
+			t.Fatalf("%s: matrix mismatch at slot %d: %g vs %g", what, i, a.M.Values[i], b.M.Values[i])
+		}
+	}
+	if a.Limited != b.Limited {
+		t.Fatalf("%s: limited flag mismatch", what)
+	}
+}
+
 // linStub is an exactly linear conductance + capacitance with a marker, so
 // incremental tests exercise the template layer.
 type linStub struct {

@@ -1,14 +1,11 @@
 package circuit
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Lane support: the ensemble engine runs K parameter-variants of one
 // topology in lockstep. All lanes share the host System's symbolic work —
-// the compiled Jacobian pattern, the fill-reducing ordering, and the LU
-// level schedules keyed by that pattern — while each lane owns a value
+// the compiled Jacobian pattern and the fill-reducing ordering — while each
+// lane owns a value
 // clone of the matrix and its own F/Q/B/limiting buffers, all carved from
 // contiguous struct-of-arrays blocks strided by lane.
 //
@@ -19,23 +16,21 @@ import (
 //     the host stores some), so every lane device holds slot ids valid on
 //     any clone of the host pattern and the host's charge-pass list covers
 //     every lane.
-//   - Lane workspaces assemble serially (no pool, no colored load, no
-//     device bypass), so per-lane results are bit-identical to a serial
-//     run of the same variant.
+//   - Lane workspaces assemble without the linear-stamp template, so per-lane
+//     results are bit-identical to a serial run of the same variant.
 
-// SetDevices overrides the device list this workspace's serial assembly
-// paths evaluate, so a lane workspace compiled against the host pattern
-// stamps its own variant's device instances. Only the serial Load/LoadSplit
-// paths and the charge pass honor the override; parallel loads and the
-// incremental engine index the host System's devices and must not be combined
-// with it (NewLaneWorkspaces never enables them). A nil devs restores the host
-// circuit's devices.
+// SetDevices overrides the device list this workspace's assembly paths
+// evaluate, so a lane workspace compiled against the host pattern stamps its
+// own variant's device instances. Load, LoadSplit and the charge pass honor
+// the override; the incremental engine indexes the host System's devices and
+// must not be combined with it (NewLaneWorkspaces never enables it). A nil
+// devs restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) {
 	ws.devs = devs
 	ws.chargeEvalers = nil // the charge pass dispatches to these instances
 }
 
-// Devices returns the devices the serial assembly paths iterate: the
+// Devices returns the devices the assembly paths iterate: the
 // SetDevices override when there is one, else the host circuit's.
 func (ws *Workspace) Devices() []Device {
 	if ws.devs != nil {
@@ -100,9 +95,8 @@ func (s *System) BindLanes(c *Circuit) error {
 		return fmt.Errorf("circuit %q: lane binds %d unknowns/%d states, host has %d/%d",
 			c.Title, branch, state, s.N, s.NumStates)
 	}
-	r := &Reserver{lookup: s.pattern, devRows: make([][]int, len(c.devices))}
-	for i, d := range c.devices {
-		r.current, r.devIdx = d, i
+	r := &Reserver{lookup: s.pattern}
+	for _, d := range c.devices {
 		d.Reserve(r)
 		if r.lookupErr != nil {
 			return fmt.Errorf("circuit %q: device %s: %w", c.Title, d.Name(), r.lookupErr)
@@ -158,7 +152,7 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	nd := 0
 	for li, ws := range lanes {
 		if ws != nil {
-			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], 0, 1, zeroAll)
+			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], zeroAll)
 			nd = max(nd, len(ws.Devices()))
 		}
 	}
@@ -174,7 +168,7 @@ func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	}
 	for li, ws := range lanes {
 		if ws != nil {
-			ws.finishLoad(xs[li], ps[li], ws.evalCtx.Limited, time.Time{})
+			ws.finishLoad(xs[li], ps[li], ws.evalCtx.Limited)
 		}
 	}
 }

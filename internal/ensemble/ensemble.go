@@ -3,10 +3,9 @@
 // Monte Carlo, PVT-corner and parameter-sweep workloads.
 //
 // All lanes share the host System's symbolic work, computed exactly once:
-// the compiled Jacobian pattern, the fill-reducing column ordering (every
+// the compiled Jacobian pattern and the fill-reducing column ordering (every
 // lane solver factorizes through FactorizeWithPerm on the shared
-// permutation), the Build-time conflict-graph coloring, and the per-pattern
-// LU level schedules. Per lane, only values differ: lane matrices stride
+// permutation). Per lane, only values differ: lane matrices stride
 // one contiguous value block, the F/Q/B and limiting-state vectors stride a
 // second, the Newton scratch (history vector, residual, update) a third,
 // and each lane's history/candidate points are carved from a shared arena —

@@ -62,7 +62,7 @@ type waiter struct {
 // yielding to preemption).
 type Grant struct {
 	// Cores is the number of cores granted (>= 1). Pass it to the run as
-	// its CoreBudget: the job's internal two-level scheduler subdivides it.
+	// its CoreBudget: the cap on the gangs of its coordinators.
 	Cores int
 	// Priority the grant was acquired with (informational).
 	Priority int

@@ -1,16 +1,18 @@
-// Package sched provides the shared two-level scheduling primitives used by
-// the simulator: a gang-scheduled worker Pool for intra-point parallelism
-// (colored device load, level-scheduled sparse LU) and a global core Budget
-// that both parallelism levels draw from, so that
+// Package sched provides the scheduling primitives of the coordinators — the
+// pipeline, the ensemble, the window runner and the service; a time point
+// itself is always solved by one goroutine. A Pool is a gang of persistent
+// workers (one pipeline stage's tasks, or the chunks of an ensemble's lanes),
+// a Budget is the core count every gang of a run draws from, so that
 //
-//	pipeline threads × intra-point gang width ≤ CoreBudget
+//	concurrent windows × pipeline threads ≤ CoreBudget
 //
-// never oversubscribes the machine. Pools are cheap, long-lived objects: the
-// workers are persistent goroutines that park on a channel between gangs, so
+// never oversubscribes the machine, and an Arbiter shares a host's cores
+// among the jobs of a service. Pools are cheap, long-lived objects: the
+// workers are persistent goroutines that park on a channel between rounds, so
 // the per-call cost of Run is two channel operations per worker instead of a
 // goroutine spawn. The calling goroutine always participates as worker 0,
-// which is what makes the budget arithmetic exact — a pipeline worker that
-// owns a gang of width k costs k cores total, not k+1.
+// which is what makes the budget arithmetic exact — a coordinator that leads
+// a gang of width k costs k cores total, not k+1.
 package sched
 
 import (
@@ -19,30 +21,23 @@ import (
 	"sync/atomic"
 )
 
-// maxGang caps a single pool's width. Level-scheduled LU and colored load
-// saturate well before this on every circuit in the suite; the cap only
-// guards against absurd -cores values creating thousands of spinners.
+// maxGang caps a single pool's width; it only guards against absurd -cores
+// values creating thousands of parked goroutines.
 const maxGang = 64
 
 // ForceGang is the package-wide analogue of Pool.Force: while true, every
-// pool's Gang() reports true regardless of GOMAXPROCS. Equivalence tests use
-// it to drive the concurrent kernels bitwise-identically on single-CPU hosts
-// where raising GOMAXPROCS above the hardware thread count would push the
-// spin barriers into OS time-slicing (milliseconds per crossing); with
-// GOMAXPROCS=1 the gang round-robins cooperatively through Gosched instead.
-// Not for production use: a forced gang on one CPU is strictly slower than
-// the degraded sequential sweep.
+// pool covers its full width regardless of GOMAXPROCS. Equivalence and race
+// tests use it to drive the concurrent paths of an engine they cannot reach
+// into, on hosts with fewer threads than the gang is wide. Not for production
+// use: a forced gang on one CPU is strictly slower than the sequential sweep.
 var ForceGang atomic.Bool
 
 // Pool is a gang of persistent workers. Run(fn) executes fn(w) for
 // w = 0..Workers()-1 concurrently, with the caller acting as worker 0, and
 // returns when every worker has finished. A Pool has a single owner: Run must
-// not be called concurrently with itself or with Close.
-//
-// Kernels that synchronize inside fn (e.g. with a Barrier sized to
-// Workers()) MUST check Gang() first and fall back to a serial variant when
-// it reports false: when the gang cannot actually run concurrently, Run
-// degrades to calling fn sequentially, which would deadlock a barrier.
+// not be called concurrently with itself or with Close. The fn of one round
+// must not wait on each other: when the gang cannot actually run
+// concurrently, Run and Round call them one after another.
 type Pool struct {
 	n     int              // gang width including the caller
 	tasks []chan func(int) // one per hired worker (n-1)
@@ -95,11 +90,9 @@ func (p *Pool) Workers() int {
 	return p.n
 }
 
-// Gang reports whether Run will actually execute the gang concurrently.
-// On a single-CPU host (GOMAXPROCS=1) spinning gang members would only slow
-// the caller down, so Run degrades to a sequential sweep unless Force is set;
-// kernels use Gang to pick between their concurrent and serial forms (and,
-// for the serial form, to model the would-be parallel critical path).
+// Gang reports whether Run will actually execute the gang concurrently. On a
+// single-CPU host (GOMAXPROCS=1) gang members would only take turns with the
+// caller, so Run degrades to a sequential sweep unless Force is set.
 func (p *Pool) Gang() bool { return p.Covers(2) }
 
 // Covers reports whether n independent tasks can each have a gang member and
@@ -205,9 +198,9 @@ func (p *Pool) Close() {
 	}
 }
 
-// Budget tracks a global core budget shared by every parallelism level of a
-// run. The engines reserve their pipeline lanes first, then carve intra-point
-// gangs out of the remainder, so the total reservation never exceeds Total.
+// Budget tracks the core budget shared by every gang of a run: each
+// coordinator reserves a core for itself and carves its gang out of what is
+// left, so the total reservation never exceeds Total.
 type Budget struct {
 	total int64
 	used  atomic.Int64
@@ -298,8 +291,8 @@ func (b *Budget) NewPool(gang int) *Pool {
 // gang, capped at maxUnits concurrent gangs. It returns how many gangs may
 // run at once and the per-gang core budget, chosen so that
 // units × perUnit ≤ total — the invariant the time-parallel window
-// coordinator relies on so windows × pipeline × intra-point parallelism
-// never oversubscribes the machine. A non-positive total means the budget
+// coordinator relies on so windows × pipeline parallelism never
+// oversubscribes the machine. A non-positive total means the budget
 // is unmanaged: every unit may run with an unmanaged (zero) inner budget.
 func SplitBudget(total, gang, maxUnits int) (units, perUnit int) {
 	if maxUnits < 1 {

@@ -51,14 +51,6 @@ func (b *Builder) Reserve(row, col int) int {
 // NNZ returns the number of reserved slots so far.
 func (b *Builder) NNZ() int { return len(b.rows) }
 
-// SlotRow returns the row of a slot index returned by Reserve. The circuit
-// layer uses it to recover the write-conflict footprint of each device when
-// building the coloring for parallel direct stamping.
-func (b *Builder) SlotRow(slot int) int { return b.rows[slot] }
-
-// SlotCol returns the column of a slot index returned by Reserve.
-func (b *Builder) SlotCol(slot int) int { return b.cols[slot] }
-
 // Compile freezes the pattern into a Matrix. The Builder may continue to be
 // used afterwards, but slots reserved later are not part of the compiled
 // matrix.

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"wavepipe/internal/faults"
-	"wavepipe/internal/sched"
 )
 
 // ErrRefactorPivot is returned by Refactor when a pivot chosen during the
@@ -36,9 +34,8 @@ type LU struct {
 	rowInv  []int // original row -> position
 
 	// L: strict lower part, by column in pivot coordinates, rows ascending.
-	// Indices are int32 (as in the level schedules of parallel.go): the
-	// refactor and solve sweeps are bound by index traffic, and half-width
-	// indices halve it.
+	// Indices are int32: the refactor and solve sweeps are bound by index
+	// traffic, and half-width indices halve it.
 	lp []int32
 	li []int32
 	lx []float64
@@ -58,13 +55,6 @@ type LU struct {
 	work      []float64 // Refactor workspace (an LU serves one goroutine)
 	solveWork []float64 // Solve workspace; separate from work, which Refactor
 	// requires to stay zeroed between columns
-
-	// Level-scheduled execution state (see parallel.go): the schedule is
-	// symbolic-pattern metadata cached next to the pattern, parWork holds one
-	// zeroed refactor workspace per gang member, parBar synchronizes levels.
-	lsched  *luSchedule
-	parWork [][]float64
-	parBar  sched.Barrier
 }
 
 // Factorize computes a fresh LU factorization of m using the given column
@@ -289,10 +279,7 @@ func (f *LU) scatterMap(m *Matrix) {
 
 // refactorColumn recomputes column k of the factorization from the values in
 // m, using w (pivot-position space, zero on entry and on return) as scatter
-// workspace. It reads only L columns from strictly earlier elimination
-// levels and writes only column k's own storage, which is what makes the
-// level-scheduled parallel Refactor both safe and bit-identical to the
-// serial sweep. A false return means the stored pivot went degenerate
+// workspace. A false return means the stored pivot went degenerate
 // (ErrRefactorPivot), leaving column k's storage undefined.
 //
 // Every loop runs over sub-slices cut once per column, so the only bounds
@@ -441,19 +428,6 @@ type Solver struct {
 	// out many solvers over one sparsity pattern share a single ordering
 	// this way (the ordering depends only on the pattern). Read-only here.
 	ColPerm []int
-	// Sched, when non-nil, runs Refactor and the triangular solves
-	// level-scheduled across the pool's gang (see parallel.go). Each pattern
-	// is profitability-gated: chain-like structures with no level width stay
-	// on the serial sweeps. Results are bit-identical either way.
-	Sched *sched.Pool
-
-	// LUWallNanos and LUCritNanos accumulate the wall-clock time and the
-	// modeled parallel critical-path time of the schedulable factorization
-	// work. On hosts without real spare cores the kernels degrade to their
-	// serial forms and the critical path is modeled from the schedule's
-	// chunk geometry, mirroring the device-load accounting in circuit.
-	LUWallNanos int64
-	LUCritNanos int64
 
 	// StoreBytes bounds a keyed store of earlier Refactor outputs (see
 	// factorStore): a request whose values are bit-for-bit those of a stored
@@ -507,7 +481,7 @@ func (s *Solver) Factorize() error {
 			}
 		}
 		st.claim(s.lu, len(s.M.Values), s.StoreBytes)
-		if err := s.refactor(); err == nil {
+		if err := s.lu.Refactor(s.M); err == nil {
 			s.Refactorizations++
 			st.admit(h, s.M.Values)
 			return nil
@@ -552,61 +526,13 @@ func sameBits(old, new []float64) bool {
 	return true
 }
 
-// refactor runs the numeric-only refactorization, level-scheduled across the
-// attached pool when the pattern has enough parallel width. On a degraded
-// pool (no spare CPUs) the serial sweep runs instead — bit-identical, since
-// per-column arithmetic is order-independent — and the parallel critical
-// path is modeled from the schedule geometry.
-func (s *Solver) refactor() error {
-	if s.Sched.Workers() > 1 {
-		if sc := s.lu.schedule(s.Sched.Workers()); sc.refPar {
-			start := time.Now()
-			var err error
-			gang := s.Sched.Gang()
-			if gang {
-				err = s.lu.RefactorParallel(s.M, s.Sched)
-			} else {
-				err = s.lu.Refactor(s.M)
-			}
-			wall := time.Since(start).Nanoseconds()
-			s.LUWallNanos += wall
-			if gang {
-				s.LUCritNanos += wall
-			} else {
-				s.LUCritNanos += int64(float64(wall) * sc.refFrac)
-			}
-			return err
-		}
-	}
-	return s.lu.Refactor(s.M)
-}
-
-// Solve computes x with A·x = b for the most recent factorization, routing
-// through the level-scheduled parallel solve when it is attached and
-// profitable.
+// Solve computes x with A·x = b for the most recent factorization.
 func (s *Solver) Solve(b, x []float64) error {
 	if s.lu == nil {
 		return errors.New("sparse: Solve called before Factorize")
 	}
 	if s.scratch == nil {
 		s.scratch = make([]float64, s.M.N())
-	}
-	if s.Sched.Workers() > 1 {
-		if sc := s.lu.schedule(s.Sched.Workers()); sc.solvePar {
-			start := time.Now()
-			if gang := s.Sched.Gang(); gang {
-				s.lu.SolveParallelWith(b, x, s.scratch, s.Sched)
-				wall := time.Since(start).Nanoseconds()
-				s.LUWallNanos += wall
-				s.LUCritNanos += wall
-			} else {
-				s.lu.SolveWith(b, x, s.scratch)
-				wall := time.Since(start).Nanoseconds()
-				s.LUWallNanos += wall
-				s.LUCritNanos += int64(float64(wall) * sc.solveFrac)
-			}
-			return nil
-		}
 	}
 	s.lu.SolveWith(b, x, s.scratch)
 	return nil

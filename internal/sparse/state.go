@@ -132,8 +132,8 @@ func validateFactor(cp, idx []int, nx, n int) error {
 
 // RestoreLU rebuilds a ready-to-use factorization from a snapshot. The
 // returned LU refactorizes and solves exactly as the snapshotted one did;
-// lazily-built scratch (Refactor/Solve workspaces, the parallel elimination
-// schedule) is reconstructed on first use.
+// lazily-built scratch (the Refactor/Solve workspaces, the scatter map) is
+// reconstructed on first use.
 func RestoreLU(st *LUState) (*LU, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err

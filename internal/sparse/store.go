@@ -4,9 +4,8 @@ import "math"
 
 // factors is one numeric factorization on a Solver's symbolic pattern: the
 // values of L and U and the matrix values they were computed from. Pattern,
-// pivot sequence, scatter map and level schedules stay on the LU and are
-// shared by every set, so attaching a set to the LU is three slice
-// assignments.
+// pivot sequence and scatter map stay on the LU and are shared by every set,
+// so attaching a set to the LU is three slice assignments.
 type factors struct {
 	values     []float64 // M.Values behind lx/ux/ud
 	lx, ux, ud []float64

@@ -6,22 +6,14 @@ import (
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
-	"wavepipe/internal/sched"
 	"wavepipe/internal/sparse"
 )
 
 // TestRefactorKernelMatchesReferenceOnSuite runs the compiled refactor kernel
 // against the reference sweep on the matrix of every evaluation circuit,
-// assembled at a transient-like operating point: the serial sweep and the
-// level-scheduled gang on forced goroutines must both reproduce the
-// reference factors bit for bit.
+// assembled at a transient-like operating point: the sweep must reproduce
+// the reference factors bit for bit.
 func TestRefactorKernelMatchesReferenceOnSuite(t *testing.T) {
-	pool := sched.NewPool(3)
-	if pool == nil {
-		t.Fatal("NewPool(3) = nil")
-	}
-	pool.Force = true
-	defer pool.Close()
 	for _, b := range circuits.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -52,26 +44,18 @@ func TestRefactorKernelMatchesReferenceOnSuite(t *testing.T) {
 				if !ok {
 					t.Fatal("reference sweep hit a degenerate pivot")
 				}
-				for _, run := range []struct {
-					name string
-					f    func() error
-				}{
-					{"serial", func() error { return lu.Refactor(m) }},
-					{"gang", func() error { return lu.RefactorParallel(m, pool) }},
-				} {
-					if err := run.f(); err != nil {
-						t.Fatalf("%s: %v", run.name, err)
-					}
-					glx, gux, gud := lu.Factors()
-					for _, c := range []struct {
-						name      string
-						got, want []float64
-					}{{"lx", glx, lx}, {"ux", gux, ux}, {"ud", gud, ud}} {
-						for i := range c.want {
-							if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
-								t.Fatalf("%s round %d: %s[%d] = %x, reference %x",
-									run.name, round, c.name, i, math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
-							}
+				if err := lu.Refactor(m); err != nil {
+					t.Fatal(err)
+				}
+				glx, gux, gud := lu.Factors()
+				for _, c := range []struct {
+					name      string
+					got, want []float64
+				}{{"lx", glx, lx}, {"ux", gux, ux}, {"ud", gud, ud}} {
+					for i := range c.want {
+						if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+							t.Fatalf("round %d: %s[%d] = %x, reference %x",
+								round, c.name, i, math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
 						}
 					}
 				}

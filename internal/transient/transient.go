@@ -18,7 +18,6 @@ import (
 	"wavepipe/internal/integrate"
 	"wavepipe/internal/newton"
 	"wavepipe/internal/num"
-	"wavepipe/internal/sched"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/waveform"
 )
@@ -55,13 +54,13 @@ type Options struct {
 	// NoLTE disables truncation-error step control (fixed conservative
 	// stepping; used by ablation experiments).
 	NoLTE bool
-	// CoreBudget > 1 attaches a shared worker gang to the point solver:
-	// colored device loads and the level-scheduled sparse LU kernels run on
-	// one pool of CoreBudget cores (caller included). Results are bit-
-	// identical to the serial path. 0/1 keeps everything serial. Small
-	// systems stay serial regardless (see IntraProfitable).
+	// CoreBudget caps the cores a run may occupy at once; 0 leaves it to the
+	// host. A time point is always solved by one goroutine, so Run itself
+	// uses one core whatever the budget and only records it in Stats; the
+	// pipeline engine reads it to size its stage gang, and the window
+	// coordinator hands each window its share. No budget changes a waveform.
 	CoreBudget int
-	// DeviceBypass enables the incremental assembly engine on serial loads:
+	// DeviceBypass enables the incremental assembly engine:
 	// linear devices collapse into a cached per-Alpha0 stamp template and two
 	// compact matrix-vector products; nonlinear devices are evaluated as
 	// always. The template sums the linear stamps in a different order than
@@ -185,10 +184,16 @@ type Stats struct {
 	// timing model used to report speedups on hosts with fewer cores than
 	// worker threads (see DESIGN.md, hardware substitution).
 	CriticalNanos int64 `json:"criticalNanos"`
-	// Two-level scheduling accounting: the core budget the run was given,
-	// how it was split between pipeline workers and intra-point workers,
-	// and whether the pipeline had to serialize because the host (or the
-	// budget) could not actually run the stage gangs concurrently.
+	// Scheduling accounting: the core budget the run was given, the pipeline
+	// workers (or ensemble lanes) it ran under it, and whether the pipeline
+	// had to serialize because the host (or the budget) could not actually
+	// run the stage gangs concurrently.
+	//
+	// IntraWorkers is 0 or 1 (1 from the pipeline and the ensemble, and from
+	// a serial run under a budget): a time point is solved by one goroutine,
+	// and the field stays only because bench/harness.go and checkpoint slot
+	// 19 read it. The benchmark PR of ROADMAP item 4 removes it together with
+	// sched.intra_workers.
 	CoreBudget         int  `json:"coreBudget"`
 	PipelineWorkers    int  `json:"pipelineWorkers"`
 	IntraWorkers       int  `json:"intraWorkers"`
@@ -273,10 +278,9 @@ type PointSolver struct {
 	Newton newton.Options
 	Gmin   float64
 	Stats  Stats
-	// LastNanos is the modeled compute time of the most recent SolveAt,
-	// WarmStart or ResumeAt call: measured wall time, with the device-load
-	// and LU-kernel wall segments replaced by their parallel critical paths.
-	// LastIters is the Newton iteration count of the last closed solve.
+	// LastNanos is the measured wall time of the most recent SolveAt,
+	// WarmStart or ResumeAt call; LastIters is the Newton iteration count of
+	// the last closed solve.
 	LastNanos int64
 	LastIters int
 
@@ -458,7 +462,6 @@ type pointSolve struct {
 	// iterations interleave with its chunk's so that it has no span of its
 	// own — the ensemble measures its gang's critical path by the round.
 	start time.Time
-	saved int64 // modeledSaving at begin
 	pt    *integrate.Point
 	co    integrate.Coeffs
 	p     circuit.LoadParams
@@ -467,21 +470,13 @@ type pointSolve struct {
 	flags uint8 // trace flags of the closing KindSolve event
 }
 
-// modeledSaving is the wall time the hardware-substitution model has taken
-// off this workspace so far: device-load and LU-kernel wall segments less
-// their parallel critical paths (see DESIGN.md, hardware substitution).
-func (ps *PointSolver) modeledSaving() int64 {
-	ws := ps.WS
-	return ws.LoadWallNanos - ws.LoadCritNanos + ws.Solver.LUWallNanos - ws.Solver.LUCritNanos
-}
-
 // begin opens a point solve at tNew against hist: the integration
 // coefficients and history vector, a pooled point holding seed (the
 // polynomial prediction from hist when nil), the assembly parameters and a
 // fresh iteration under opts. nodeGmin is the recovery ladder's
 // node-to-ground conductance. On error nothing is left open.
 func (ps *PointSolver) begin(start time.Time, hist *integrate.History, tNew float64, seed []float64, opts newton.Options, nodeGmin float64) error {
-	ps.cur = pointSolve{start: start, saved: ps.modeledSaving(), opts: opts}
+	ps.cur = pointSolve{start: start, opts: opts}
 	s := &ps.cur
 	var err error
 	if s.co, err = integrate.Compute(ps.Method, hist, tNew, ps.qhist); err != nil {
@@ -600,11 +595,10 @@ func (ps *PointSolver) closeSolve(err error) {
 	tr.Emit(ev)
 }
 
-// model records the modeled compute time of the solve being closed: measured
-// wall time less what the hardware-substitution model saved during it.
+// model records the measured compute time of the solve being closed.
 func (ps *PointSolver) model() {
 	if s := &ps.cur; !s.start.IsZero() {
-		ps.LastNanos = time.Since(s.start).Nanoseconds() - (ps.modeledSaving() - s.saved)
+		ps.LastNanos = time.Since(s.start).Nanoseconds()
 		ps.Stats.CriticalNanos += ps.LastNanos
 	}
 }
@@ -830,15 +824,6 @@ func RestartStep(gap, lastStep, hInit float64, ctrl integrate.Control) float64 {
 	return num.Clamp(h, ctrl.HMin, ctrl.HMax)
 }
 
-// IntraProfitable reports whether a system is large enough for the
-// intra-point gang (pooled colored loads + level-scheduled LU kernels) to
-// pay for its barrier overhead. Small circuits stay serial no matter what
-// core budget the caller offers: the per-level synchronization costs more
-// than the arithmetic it spreads.
-func IntraProfitable(sys *circuit.System) bool {
-	return sys.N >= 96 && len(sys.Circuit.Devices()) >= 128
-}
-
 // Run executes the serial adaptive transient analysis.
 func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 	if opts.TStop <= 0 {
@@ -851,15 +836,6 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 		ps.Stats.CoreBudget = opts.CoreBudget
 		ps.Stats.PipelineWorkers = 1
 		ps.Stats.IntraWorkers = 1
-	}
-	if opts.CoreBudget > 1 && IntraProfitable(sys) {
-		budget := sched.NewBudget(opts.CoreBudget)
-		budget.Reserve(1) // this goroutine is the gang leader
-		if pool := budget.NewPool(opts.CoreBudget); pool != nil {
-			defer pool.Close()
-			ps.WS.SetPool(pool)
-			ps.Stats.IntraWorkers = pool.Workers()
-		}
 	}
 	s := NewStepper(sys, ps, &opts, "transient")
 	defer s.Flush(s.Snapshot, &runErr)

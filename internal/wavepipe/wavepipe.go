@@ -121,51 +121,31 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 }
 
 // newEngine builds the run's solvers — one per pipeline slot — and its
-// worker gangs.
+// stage gang.
 func newEngine(sys *circuit.System, opts Options) *engine {
 	opts = opts.withDefaults()
 	base := opts.Base.WithDefaults()
 	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
 	e.taskFn = e.runTask
-	// Two-level budget split: the stage gang first — one core for the
-	// coordinator, which leads it, and one per further pipeline slot as far as
-	// the budget goes — then the remainder divided into equal per-solver
-	// intra-point gangs. Small systems keep the whole budget at the pipeline
-	// level — barrier costs would eat the intra-point gain (see
-	// transient.IntraProfitable).
-	var budget *sched.Budget
-	intra := 1
+	// The stage gang under a budget: one core for the coordinator, which
+	// leads it, and one per further pipeline slot as far as the budget goes.
 	if base.CoreBudget > 0 {
-		budget = sched.NewBudget(base.CoreBudget)
+		budget := sched.NewBudget(base.CoreBudget)
 		budget.Reserve(1)
 		e.gang = budget.NewPool(opts.Threads)
-		if n := base.CoreBudget / opts.Threads; n > 1 && transient.IntraProfitable(sys) {
-			intra = n
-		}
 	} else {
 		e.gang = sched.NewPool(opts.Threads)
 	}
 	for i := 0; i < opts.Threads; i++ {
 		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		ps.Attach(&e.base, int16(i))
-		// NewPool grants whatever the budget still covers; a nil pool (budget
-		// exhausted, or no intra level at all) leaves this solver serial inside.
-		if pool := budget.NewPool(intra); pool != nil {
-			ps.WS.SetPool(pool)
-			e.pools = append(e.pools, pool)
-		}
 		e.solvers = append(e.solvers, ps)
 	}
 	return e
 }
 
-// close stops the run's worker gangs.
-func (e *engine) close() {
-	e.gang.Close()
-	for _, p := range e.pools {
-		p.Close()
-	}
-}
+// close stops the run's stage gang.
+func (e *engine) close() { e.gang.Close() }
 
 // run advances the step controller stage by stage to the horizon.
 func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr error) {
@@ -227,11 +207,6 @@ func (e *engine) totals() transient.Stats {
 	stats.CoreBudget = e.base.CoreBudget
 	stats.PipelineWorkers = e.opts.Threads
 	stats.IntraWorkers = 1
-	for _, p := range e.pools {
-		if w := p.Workers(); w > stats.IntraWorkers {
-			stats.IntraWorkers = w
-		}
-	}
 	stats.PipelineSerialized = e.pipelineSerialized
 	stats.Add(e.s.Base)
 	return stats
@@ -257,12 +232,10 @@ type engine struct {
 	s      *transient.Stepper
 	warmup int // flush stages remaining after a breakpoint
 
-	// Two-level scheduling state: the stage gang the rounds run on (as wide
-	// as the pipeline, or as the core budget let it be), the intra-point
-	// pools the budget granted the solvers, and whether any round had to
+	// Scheduling state: the stage gang the rounds run on (as wide as the
+	// pipeline, or as the core budget let it be) and whether any round had to
 	// serialize.
 	gang               *sched.Pool
-	pools              []*sched.Pool
 	pipelineSerialized bool
 
 	// Robustness state: the run's fault harness, the flush stages left in the

@@ -32,7 +32,7 @@
 //
 // Core accounting goes through sched.SplitBudget: at most wconc windows
 // run at once, each inner engine granted CoreBudget/wconc cores, so
-// windows × pipeline × intra-point parallelism never oversubscribes.
+// windows × pipeline parallelism never oversubscribes.
 package windows
 
 import (

@@ -57,7 +57,7 @@ type ServiceConfig struct {
 // multi-tenant arbiter multiplexes every submission over one core budget
 // (priorities, fair share, preemption at accepted-step boundaries via
 // checkpoint/resume), and a compiled-artifact cache hands repeat decks
-// their System build, fill ordering, coloring and stamp templates without
+// their System build, fill ordering and stamp templates without
 // re-running symbolic analysis. Service implements Client; cmd/wavesimd
 // serves the same object over HTTP.
 type Service struct {
@@ -261,16 +261,14 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	}
 	opts.Observer = trace.Multi(observers...)
 
-	// The core request: an explicit CoreBudget wins, else the requested
-	// worker count, else one core. The grant (≤ the request) becomes the
-	// run's CoreBudget, so the job's internal two-level scheduler subdivides
-	// exactly what the arbiter allotted.
-	want := opts.CoreBudget
-	if want <= 0 {
-		want = opts.Threads
-	}
-	if want <= 0 {
-		want = 1
+	// The core request: the cores the run can occupy — one for Serial, the
+	// pipeline width for a scheme — and no more than an explicit CoreBudget.
+	// The grant (≤ the request) becomes the run's CoreBudget, so the stage
+	// gang is as wide as what the arbiter allotted; the waveform is the same
+	// under every grant.
+	want := engineWidth(opts)
+	if opts.CoreBudget > 0 {
+		want = min(want, opts.CoreBudget)
 	}
 
 	for {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -401,4 +402,114 @@ func TestServiceRefusesWindowedJob(t *testing.T) {
 	if _, err := s.Wait(ctx, st.ID); err != nil {
 		t.Fatalf("Windows=1 job failed: %v", err)
 	}
+}
+
+// endlessDeck cannot finish within any test timeout either, and unlike
+// hugeDeck starts at once: a DC source has no breakpoints to enumerate.
+const endlessDeck = `* endless rc
+V1 in 0 DC 1
+R1 in out 1k
+C1 out 0 1n
+.tran 0.1n 100000000n 0 0.5n UIC
+.end
+`
+
+// waitRunning polls until every listed job is running at once and returns
+// their statuses; it fails the test when that has not happened in 5 s or a
+// job ended first.
+func waitRunning(t *testing.T, s *Service, ids ...string) []JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sts := make([]JobStatus, 0, len(ids))
+		for _, id := range ids {
+			st, err := s.Status(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State.Terminal() {
+				t.Fatalf("job %s ended (%v) before it could be seen running", id, st.State)
+			}
+			if st.State == JobRunning {
+				sts = append(sts, st)
+			}
+		}
+		if len(sts) == len(ids) {
+			return sts
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs running after 5 s: the others wait for cores", len(sts), len(ids))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServiceRequestsTheCoresARunCanOccupy: a job asks the arbiter for the
+// width of its engine, capped by its CoreBudget — not for the budget itself.
+// Two Serial jobs with CoreBudget 2 on a two-core service therefore run side
+// by side on one core each instead of the second waiting behind a core the
+// first holds idle, and a four-thread pipeline under CoreBudget 2 is still
+// granted two.
+func TestServiceRequestsTheCoresARunCanOccupy(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, ServiceConfig{Cores: 2})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{CoreBudget: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, st := range waitRunning(t, s, ids...) {
+		if st.Cores != 1 {
+			t.Fatalf("Serial job %s holds %d cores, want 1", st.ID, st.Cores)
+		}
+	}
+	for _, id := range ids {
+		if err := s.Cancel(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, id); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("job %s: err = %v, want ErrCanceled", id, err)
+		}
+	}
+
+	wide := newTestService(t, ServiceConfig{Cores: 4})
+	st, err := wide.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Scheme: Combined, Threads: 4, CoreBudget: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitRunning(t, wide, st.ID)[0].Cores; got != 2 {
+		t.Fatalf("Combined/Threads=4/CoreBudget=2 job holds %d cores, want 2", got)
+	}
+	if err := wide.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wide.Wait(ctx, st.ID); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestServiceResultIndependentOfGrant: the same deck with the same options
+// returns the same waveform bit for bit whatever the arbiter granted — here
+// CoreBudget 4 on a one-core service and on a four-core one.
+func TestServiceResultIndependentOfGrant(t *testing.T) {
+	deck, err := os.ReadFile("testdata/grid16.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cores int) *Result {
+		s := newTestService(t, ServiceConfig{Cores: cores})
+		st, err := s.Submit(context.Background(), JobSpec{Deck: string(deck), Options: TranOptions{CoreBudget: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Wait(context.Background(), st.ID)
+		if err != nil {
+			t.Fatalf("Cores=%d: %v", cores, err)
+		}
+		return res
+	}
+	sameWaveform(t, "granted 4 cores vs granted 1", run(4), run(1))
 }

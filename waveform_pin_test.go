@@ -9,7 +9,6 @@ import (
 
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
-	"wavepipe/internal/sched"
 )
 
 // suiteWaveformHashes pins the Serial waveform of every suite circuit at its
@@ -90,10 +89,13 @@ var engineWaveformHashes = map[string]uint64{
 }
 
 // iterationWaveformHashes pins the configurations the Newton-iteration fold
-// (PR 15) touches and no row above covers: the incremental assembly engine,
-// the pooled colored load and level-scheduled LU under a forced gang of four,
+// (PR 15) touches and no row above covers: the incremental assembly engine
 // and a default (non-strict) four-window run. Generated on the commit before
-// the fold (PR 14, go1.24 linux/amd64), keyed "config/circuit". PR 22 retired
+// the fold (PR 14, go1.24 linux/amd64), keyed "config/circuit". (The two
+// gang4/ rows that stood here pinned the intra-point gang PR 23 removed; a
+// CoreBudget no longer selects a load path, and
+// TestCoreBudgetNeverChangesAWaveform holds budgeted runs to the rows of
+// their unbudgeted twins.) PR 22 retired
 // the nonlinear device bypass behind DeviceBypass and kept the linear-stamp
 // template: the two linear rows (ladder400, grid16) are as they were, the two
 // nonlinear ones were regenerated once — against the default run of the same
@@ -105,8 +107,6 @@ var iterationWaveformHashes = map[string]uint64{
 	"devbypass/inv50":     0xcaa9f7474bf7fbf6,
 	"devbypass/ladder400": 0x9fc36a7690893462,
 	"devbypass/grid16":    0x3cc0f120b5ec0af6,
-	"gang4/grid16":        0x52b577a1a9238cb6,
-	"gang4/grid24":        0x1a121213e69816bf,
 	"windows4/rect1k":     0x2baab5bf34976a41,
 }
 
@@ -322,13 +322,6 @@ func TestIterationWaveformHashesPinned(t *testing.T) {
 		switch b.Name {
 		case "ring9", "inv50", "ladder400", "grid16":
 			run("devbypass/"+b.Name, b, TranOptions{DeviceBypass: true})
-		}
-		if b.Name == "grid16" || b.Name == "grid24" {
-			// A real gang of four on however many CPUs the host has (see
-			// sched.ForceGang); the kernels are bit-identical across widths.
-			sched.ForceGang.Store(true)
-			run("gang4/"+b.Name, b, TranOptions{CoreBudget: 4})
-			sched.ForceGang.Store(false)
 		}
 		if b.Name == "rect1k" {
 			run("windows4/"+b.Name, b, TranOptions{Windows: 4})

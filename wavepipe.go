@@ -150,8 +150,6 @@ const (
 type Scheme int
 
 // Simulation engines: the serial baseline and the three WavePipe schemes.
-// (The conventional intra-point parallel baseline is Serial with a
-// CoreBudget.)
 const (
 	Serial Scheme = iota
 	Backward
@@ -386,13 +384,15 @@ type TranOptions struct {
 	// LTE band. false (the default) keeps assembly bit-identical to the
 	// always-evaluate engine.
 	DeviceBypass bool
-	// CoreBudget caps the total cores the run may occupy at once across
-	// both scheduling levels. The WavePipe schemes give one core to each
-	// pipeline worker and split the remainder into per-solver gangs that
-	// run colored device loads and the level-scheduled LU kernels; the
-	// serial engine puts the whole budget into one intra-point gang.
-	// Results are bit-identical to the serial path at every budget. 0 (the
-	// default) leaves scheduling unmanaged, as in earlier releases.
+	// CoreBudget caps the cores the run may occupy at once: the pipeline
+	// workers of a WavePipe scheme, the windows of a windowed run that
+	// refine concurrently (each with its own pipeline), and what a
+	// service's arbiter grants a job (an ensemble's gang is sized by
+	// Threads). A time point is always solved by one goroutine, so a
+	// Serial run occupies one core whatever the budget. A round with more tasks than the budget covers
+	// runs them one after another with the same results, so no budget
+	// changes the waveform of a Serial or pipelined run. 0 (the default)
+	// leaves scheduling to the host.
 	CoreBudget int
 	// Windows > 1 enables time-parallel simulation (pipelined Parareal):
 	// a cheap coarse propagator sweeps [0, TStop] once to seed Windows
@@ -765,17 +765,11 @@ func containPanic(res **Result, err *error) {
 func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Result, err error) {
 	defer containPanic(&res, &err)
 	if opts.Windows > 1 {
-		// One fine engine instance costs its pipeline width in cores — the
-		// gang width the window coordinator splits the core budget by.
-		perWindow := 1
-		if opts.Scheme != Serial {
-			perWindow = wpcore.Width(coreScheme(opts.Scheme), opts.Threads)
-		}
 		return windows.Run(sys, windows.Options{
 			W:                opts.Windows,
 			Coarse:           opts.CoarseOpts,
 			Base:             base,
-			ThreadsPerWindow: perWindow,
+			ThreadsPerWindow: engineWidth(opts),
 			CoreBudget:       opts.CoreBudget,
 			Fine: func(b transient.Options) (*Result, error) {
 				return runSchemeEngine(sys, opts, b)
@@ -783,6 +777,16 @@ func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Resu
 		})
 	}
 	return runSchemeEngine(sys, opts, base)
+}
+
+// engineWidth is the number of cores one engine instance can occupy: one for
+// Serial, the pipeline width for a scheme. The window coordinator splits the
+// core budget by it and the service sizes a job's core request with it.
+func engineWidth(opts TranOptions) int {
+	if opts.Scheme == Serial {
+		return 1
+	}
+	return wpcore.Width(coreScheme(opts.Scheme), opts.Threads)
 }
 
 // coreScheme maps a pipelined facade scheme to the engine's.

@@ -1,20 +1,18 @@
 package main
 
 // Machine-readable metrics (-json) and the figures that can emit their
-// sweep as JSON records (lanescale, windowscale, reducescale).
+// sweep as JSON records (windowscale, reducescale).
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"wavepipe"
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
-	"wavepipe/internal/device"
 )
 
 // benchMetrics is one benchmark's machine-readable record.
@@ -84,147 +82,6 @@ func jsonMetrics(benchName string, devBypass bool) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
-}
-
-// laneScaleRecord is one point of the batched-ensemble throughput sweep.
-type laneScaleRecord struct {
-	Circuit    string `json:"circuit"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Lanes      int    `json:"lanes"`
-	Workers    int    `json:"workers"`
-	Rounds     int    `json:"rounds"`
-	Points     int    `json:"points"`
-	WallNs     int64  `json:"wall_ns"`
-	CriticalNs int64  `json:"critical_ns"`
-	// SerialNs is the summed critical path of K independent serial runs of
-	// the same variants — the workload a corner sweep pays without batching.
-	SerialNs int64 `json:"serial_ns"`
-	// Speedup is SerialNs over the ensemble gang's critical path
-	// (critical-path timing model, as in every other figure).
-	Speedup float64 `json:"speedup"`
-}
-
-// laneVariants builds k structurally identical copies of a benchmark
-// circuit with every resistor scaled by a per-lane corner factor, the shape
-// of a PVT corner sweep.
-func laneVariants(b circuits.Benchmark, k int) []*wavepipe.Circuit {
-	variants := make([]*wavepipe.Circuit, k)
-	for i := range variants {
-		c := b.Make()
-		scale := 1 + 0.1*float64(i)/float64(k)
-		for _, d := range c.Devices() {
-			if r, ok := d.(*device.Resistor); ok {
-				r.SetValue(r.Value() * scale)
-			}
-		}
-		variants[i] = c
-	}
-	return variants
-}
-
-// timedEnsemble is timed for ensemble runs: best critical path over -reps
-// with the collector paused, mirroring the serial measurement protocol.
-func timedEnsemble(variants []*wavepipe.Circuit, opts wavepipe.TranOptions) (time.Duration, *wavepipe.EnsembleResult, error) {
-	opts.Observer = benchObserver
-	var best time.Duration
-	var bestCrit int64
-	var res *wavepipe.EnsembleResult
-	for i := 0; i < *reps; i++ {
-		runtime.GC()
-		old := debug.SetGCPercent(-1)
-		start := time.Now()
-		r, err := wavepipe.RunEnsembleCircuits(variants, opts)
-		d := time.Since(start)
-		debug.SetGCPercent(old)
-		if err != nil {
-			return 0, nil, err
-		}
-		for li, lr := range r.Lanes {
-			if lr.Err != nil {
-				return 0, nil, fmt.Errorf("lane %d: %w", li, lr.Err)
-			}
-		}
-		if i == 0 || r.Stats.CriticalNanos < bestCrit {
-			best = d
-			bestCrit = r.Stats.CriticalNanos
-			res = r
-		}
-	}
-	return best, res, nil
-}
-
-// figLaneScale measures batched-ensemble throughput: K corner variants of
-// one circuit run as lockstep lanes versus the same K variants run as
-// independent serial jobs. The baseline is the sum of the serial runs'
-// critical paths; the ensemble cost is the gang's measured critical path
-// (sum over rounds of the slowest worker chunk), so the figure reports how
-// much of the K-fold workload the shared symbolic analysis and
-// struct-of-arrays batching recover.
-func figLaneScale(jsonOut bool) error {
-	var records []laneScaleRecord
-	for _, name := range []string{"ladder400", "grid16"} {
-		b, ok := findBench(name)
-		if !ok {
-			return fmt.Errorf("no benchmark circuit %q", name)
-		}
-		base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-		for _, k := range []int{2, 4, 8} {
-			variants := laneVariants(b, k)
-
-			var serialCrit int64
-			for _, v := range variants {
-				sys, err := v.Build()
-				if err != nil {
-					return err
-				}
-				_, res, err := timed(sys, base)
-				if err != nil {
-					return err
-				}
-				serialCrit += res.Stats.CriticalNanos
-			}
-
-			opts := base
-			opts.Threads = k
-			if opts.Threads > 4 {
-				opts.Threads = 4
-			}
-			wall, res, err := timedEnsemble(laneVariants(b, k), opts)
-			if err != nil {
-				return err
-			}
-			points := 0
-			for _, lr := range res.Lanes {
-				points += lr.Res.Stats.Points
-			}
-			records = append(records, laneScaleRecord{
-				Circuit:    b.Name,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-				Lanes:      k,
-				Workers:    res.Stats.PipelineWorkers,
-				Rounds:     res.Rounds,
-				Points:     points,
-				WallNs:     wall.Nanoseconds(),
-				CriticalNs: res.Stats.CriticalNanos,
-				SerialNs:   serialCrit,
-				Speedup:    float64(serialCrit) / float64(res.Stats.CriticalNanos),
-			})
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(records)
-	}
-	fmt.Printf("Figure F9: ensemble throughput vs lane count (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,lanes,workers,rounds,points,wall_ms,crit_ms,serial_ms,speedup")
-	for _, r := range records {
-		fmt.Printf("%s,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f\n",
-			r.Circuit, r.Lanes, r.Workers, r.Rounds, r.Points,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6,
-			float64(r.SerialNs)/1e6, r.Speedup)
-	}
-	return nil
 }
 
 // windowScaleRecord is one point of the time-parallel window sweep.

@@ -56,7 +56,7 @@ func isFlagSet(name string) bool {
 
 func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
-	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, lanescale, windowscale, reducescale")
+	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, windowscale, reducescale")
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -devbypass)")
 	benchName := flag.String("bench", "grid16", "circuit for -json and the -fig windowscale/reducescale sweeps (a suite name, or all)")
@@ -126,13 +126,6 @@ func main() {
 			name = "" // default to the full ladder sweep + grid16 control
 		}
 		if err := figReduceScale(name, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "wavebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "lanescale" {
-		if err := figLaneScale(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
 			os.Exit(1)
 		}

@@ -516,8 +516,8 @@ func parseSweep(spec string) (name string, lo, hi float64, err error) {
 }
 
 // runLanes is the batched-ensemble path (-lanes / -sweep): K variants of
-// the deck run in lockstep sharing one symbolic analysis, and each lane's
-// waveform is written as its own CSV section under a "# lane" header.
+// the deck run as serial runs on one gang sharing one symbolic analysis, and
+// each lane's waveform is written as its own CSV section under a "# lane" header.
 func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wavepipe.TranOptions, out *os.File, rec *wavepipe.TraceRecorder) error {
 	k := cfg.lanes
 	if k == 0 {
@@ -590,8 +590,8 @@ func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wave
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr,
-			"wavesim: ensemble %s | lanes=%d workers=%d rounds=%d points=%d nr-iters=%d recoveries=%d crit=%s wall=%s\n",
-			deck.Title, len(res.Lanes), res.Stats.PipelineWorkers, res.Rounds,
+			"wavesim: ensemble %s | lanes=%d workers=%d points=%d nr-iters=%d recoveries=%d crit=%s wall=%s\n",
+			deck.Title, len(res.Lanes), res.Stats.PipelineWorkers,
 			res.Stats.Points, res.Stats.NRIters, res.Stats.Recoveries,
 			time.Duration(res.Stats.CriticalNanos).Round(time.Microsecond),
 			wall.Round(time.Microsecond))

@@ -8,12 +8,14 @@ package wavepipe
 // budget must be surfaced in Stats, and no gang goroutine may outlive its run.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"wavepipe/internal/circuits"
+	"wavepipe/internal/device"
 	"wavepipe/internal/sched"
 )
 
@@ -66,7 +68,9 @@ func sameWaveform(t *testing.T, tag string, got, want *Result) {
 // grid16 and nand5 — a linear mesh and a nonlinear circuit, both large enough
 // that a wider budget once bought a point solve a gang of its own — the
 // pinned two- and three-thread pipeline rows reproduce their hashes at
-// budgets 2, 4 and 8.
+// budgets 2, 4 and 8. An ensemble's gang is capped by the budget too: six
+// ladder lanes at budgets 1, 2 and 4 are the lanes without a budget bit for
+// bit, on a gang no wider than the budget.
 func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 	pinned := []struct {
 		name string
@@ -126,6 +130,44 @@ func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ensemble", func(t *testing.T) {
+		sched.ForceGang.Store(true) // the gang on real goroutines whatever the host
+		defer sched.ForceGang.Store(false)
+		run := func(budget int) *EnsembleResult {
+			lanes := make([]*Circuit, 6)
+			for i := range lanes {
+				lanes[i] = circuits.RCLadder(40)
+				for _, d := range lanes[i].Devices() {
+					if r, ok := d.(*device.Resistor); ok {
+						r.SetValue(r.Value() * (1 + 0.1*float64(i)))
+					}
+				}
+			}
+			res, err := RunEnsembleCircuitsCtx(context.Background(), lanes,
+				TranOptions{TStop: 20e-9, Threads: 6, CoreBudget: budget})
+			if err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
+			return res
+		}
+		ref := run(0)
+		if ref.Stats.PipelineWorkers != 6 {
+			t.Fatalf("no budget: gang of %d, want Threads = 6", ref.Stats.PipelineWorkers)
+		}
+		for _, budget := range []int{1, 2, 4} {
+			res := run(budget)
+			if res.Stats.PipelineWorkers > budget || res.Stats.CoreBudget != budget {
+				t.Fatalf("budget %d: Stats reports CoreBudget=%d and a gang of %d",
+					budget, res.Stats.CoreBudget, res.Stats.PipelineWorkers)
+			}
+			for i, lr := range res.Lanes {
+				if lr.Err != nil {
+					t.Fatalf("budget %d lane %d: %v", budget, i, lr.Err)
+				}
+				sameWaveform(t, fmt.Sprintf("lane %d, budget %d vs none", i, budget), lr.Res, ref.Lanes[i].Res)
+			}
+		}
+	})
 }
 
 // TestCoreBudgetCombinedBitIdentical: the combined scheme under a budget is

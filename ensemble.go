@@ -36,41 +36,35 @@ type LaneSpec struct {
 type EnsembleLane = ensemble.LaneResult
 
 // EnsembleResult is the outcome of a batched ensemble run: per-lane
-// results plus aggregate statistics. Stats.CriticalNanos models the gang's
-// critical path — the wall time a machine with Threads free cores would
-// need — while the per-lane Stats sum the usual work counters.
+// results plus aggregate statistics. The per-lane Stats are those of the
+// lanes' own serial runs and the aggregate sums their work counters, except
+// that Stats.CriticalNanos is the solve time of the busiest gang member — the
+// largest per-member sum of its lanes' CriticalNanos.
 type EnsembleResult = ensemble.Result
 
-// RunEnsemble runs K parameter-variants of one deck in lockstep over a
-// struct-of-arrays workspace: the Jacobian pattern and the fill-reducing
-// ordering are computed once and shared by every lane, and device evaluation
-// iterates the models once per batched Newton iteration, stamping all lanes'
-// adjacent value blocks.
+// RunEnsembleCtx runs K parameter-variants of one deck as K serial runs
+// dealt to one gang: the Jacobian pattern and the fill-reducing ordering are
+// computed once and shared by every lane, and each gang member takes the
+// next lane as soon as it has finished one.
 //
-// Step control stays independent per lane, so each lane's waveform is
-// bit-identical to its own serial RunTransient. Lanes that finish, fault
-// or exhaust the recovery ladder retire without stalling the rest.
+// A lane is its own serial run, so its waveform and counters are
+// bit-identical to RunTransientCtx on the same variant. Lanes that finish,
+// fault or exhaust the recovery ladder retire without holding the rest.
+// Cancellation stops every lane at its next time-point boundary with a
+// partial result and a typed ErrCanceled (lanes not yet started get an empty
+// one), and the run returns ErrCanceled too.
 //
-// Options follow RunTransient semantics with Threads as the gang width;
-// Scheme must be Serial (lanes are whole-waveform units — the WavePipe
-// schemes parallelize inside one waveform and do not compose with lane
-// batching), and durability, DeviceBypass and fault options are not supported.
-//
-// Deprecated: new code should call RunEnsembleCtx — the context-first core
-// every facade entry point now funnels through. This wrapper is kept so
-// existing callers keep compiling.
-func RunEnsemble(d *Deck, variants []LaneSpec, opts TranOptions) (*EnsembleResult, error) {
-	return RunEnsembleCtx(context.Background(), d, variants, opts)
-}
-
-// RunEnsembleCtx is RunEnsemble under a context: cancellation retires
-// every active lane with a partial result at the next round boundary.
+// Options follow RunTransientCtx semantics with Threads as the gang width,
+// capped by CoreBudget when that is set; Scheme must be Serial (lanes are
+// whole-waveform units — the WavePipe schemes parallelize inside one waveform
+// and do not compose with lane batching), and durability, DeviceBypass and
+// fault options are not supported.
 func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts TranOptions) (*EnsembleResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("wavepipe: ensemble needs at least one lane")
 	}
 	if d.nl().Src == "" {
-		return nil, fmt.Errorf("wavepipe: ensemble requires a deck parsed from source (ParseDeck); use RunEnsembleCircuits for programmatic circuits")
+		return nil, fmt.Errorf("wavepipe: ensemble requires a deck parsed from source (ParseDeck); use RunEnsembleCircuitsCtx for programmatic circuits")
 	}
 	opts, err := d.ApplyTo(opts)
 	if err != nil {
@@ -108,15 +102,10 @@ func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts Tran
 	return runEnsemble(ctx, sys, lanes, opts, keepDevices)
 }
 
-// RunEnsembleCircuits is RunEnsemble over programmatically built variant
-// circuits. All circuits must be structurally identical — same node names
-// in order, same device sequence and arity — differing only in parameter
-// values. Lane names come from the circuit titles.
-func RunEnsembleCircuits(circs []*Circuit, opts TranOptions) (*EnsembleResult, error) {
-	return RunEnsembleCircuitsCtx(context.Background(), circs, opts)
-}
-
-// RunEnsembleCircuitsCtx is RunEnsembleCircuits under a context.
+// RunEnsembleCircuitsCtx is RunEnsembleCtx over programmatically built
+// variant circuits. All circuits must be structurally identical — same node
+// names in order, same device sequence and arity — differing only in
+// parameter values. Lane names come from the circuit titles.
 func RunEnsembleCircuitsCtx(ctx context.Context, circs []*Circuit, opts TranOptions) (*EnsembleResult, error) {
 	if len(circs) == 0 {
 		return nil, fmt.Errorf("wavepipe: ensemble needs at least one lane")
@@ -166,7 +155,6 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 	}
 	base.Ctx = ctx
 	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
-	base.CoreBudget = 0
 	res, err := ensemble.Run(sys, lanes, ensemble.Options{Base: base, Workers: opts.Threads})
 	if res != nil && infos != nil {
 		for i := range res.Lanes {
@@ -189,8 +177,7 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 // reduceEnsemble applies one shared reduction plan to every lane. The plan
 // is computed from lane 0 and contains only value-independent structural
 // decisions, so applying it lane-by-lane keeps the variants structurally
-// identical — the invariant the struct-of-arrays batch engine binds lanes
-// under. Per-lane Apply recomputes merged and lumped values from each
+// identical — the invariant the batch engine binds lanes under. Per-lane Apply recomputes merged and lumped values from each
 // lane's own parameters, and the per-lane expansion records are returned
 // for waveform reconstruction.
 func reduceEnsemble(sys *System, lanes []ensemble.Lane, opts TranOptions, keepDevices []string) (*System, []*circuit.ReducedInfo, error) {

@@ -1,6 +1,7 @@
 package wavepipe
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -30,7 +31,7 @@ func TestRunEnsembleMatchesSerial(t *testing.T) {
 		{Name: "slow", Params: map[string]float64{"rval": 2.2e3}},
 		{Name: "bigC", Devices: map[string]float64{"C1": 2.2e-9}},
 	}
-	res, err := RunEnsemble(d, variants, TranOptions{})
+	res, err := RunEnsembleCtx(context.Background(), d, variants, TranOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,25 +105,25 @@ func TestRunEnsembleRejectsUnknownNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunEnsemble(d, []LaneSpec{{Params: map[string]float64{"rvla": 1}}}, TranOptions{}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{Params: map[string]float64{"rvla": 1}}}, TranOptions{}); err == nil {
 		t.Fatal("misspelled parameter accepted")
 	}
-	if _, err := RunEnsemble(d, []LaneSpec{{Devices: map[string]float64{"R9": 1}}}, TranOptions{}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{Devices: map[string]float64{"R9": 1}}}, TranOptions{}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
-	if _, err := RunEnsemble(d, nil, TranOptions{}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, nil, TranOptions{}); err == nil {
 		t.Fatal("empty variant list accepted")
 	}
-	if _, err := RunEnsemble(d, []LaneSpec{{}}, TranOptions{Scheme: Combined}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{Scheme: Combined}); err == nil {
 		t.Fatal("non-serial scheme accepted")
 	}
-	if _, err := RunEnsemble(d, []LaneSpec{{}}, TranOptions{DeviceBypass: true}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{DeviceBypass: true}); err == nil {
 		t.Fatal("device bypass accepted")
 	}
 	// The callback has no lane argument; it used to be forwarded and then
 	// never called.
 	onAccept := func(float64, []float64) { t.Error("OnAccept called from an ensemble run") }
-	if _, err := RunEnsemble(d, []LaneSpec{{}}, TranOptions{OnAccept: onAccept}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{OnAccept: onAccept}); err == nil {
 		t.Fatal("OnAccept accepted")
 	}
 }
@@ -137,7 +138,7 @@ func TestRunEnsembleCircuits(t *testing.T) {
 		AddCapacitor(c, "C1", out, Ground, 1e-9)
 		return c
 	}
-	res, err := RunEnsembleCircuits([]*Circuit{mk(1e3), mk(2e3)}, TranOptions{TStop: 5e-6})
+	res, err := RunEnsembleCircuitsCtx(context.Background(), []*Circuit{mk(1e3), mk(2e3)}, TranOptions{TStop: 5e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

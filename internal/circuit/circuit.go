@@ -377,8 +377,8 @@ type LoadParams struct {
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
 // vectors at iterate x. Every assembly path — this loop, LoadSplit, the
-// incremental engine and BatchLoad — is beginLoad, its own device sweep,
-// finishLoad, on the calling goroutine and without a clock read.
+// incremental engine and the lane sweep of lanes.go — is beginLoad, its own
+// device sweep, finishLoad, on the calling goroutine and without a clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	if inc := ws.inc; inc != nil {
 		if ws.loadIncremental(x, p) {

@@ -3,11 +3,10 @@ package circuit
 import "fmt"
 
 // Lane support: the ensemble engine runs K parameter-variants of one
-// topology in lockstep. All lanes share the host System's symbolic work —
-// the compiled Jacobian pattern and the fill-reducing ordering — while each
-// lane owns a value
-// clone of the matrix and its own F/Q/B/limiting buffers, all carved from
-// contiguous struct-of-arrays blocks strided by lane.
+// topology as K serial runs on workspaces of one host System. All lanes share
+// the host's symbolic work — the compiled Jacobian pattern and the
+// fill-reducing ordering — while each lane's workspace owns its matrix values
+// and F/Q/B/limiting buffers and evaluates its own variant's devices.
 //
 // The invariants that make sharing sound:
 //   - BindLanes only succeeds for circuits structurally identical to the
@@ -23,8 +22,8 @@ import "fmt"
 // evaluate, so a lane workspace compiled against the host pattern stamps its
 // own variant's device instances. Load, LoadSplit and the charge pass honor
 // the override; the incremental engine indexes the host System's devices and
-// must not be combined with it (NewLaneWorkspaces never enables it). A nil
-// devs restores the host circuit's devices.
+// must not be combined with it (the ensemble refuses DeviceBypass). A nil devs
+// restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) {
 	ws.devs = devs
 	ws.chargeEvalers = nil // the charge pass dispatches to these instances
@@ -105,49 +104,30 @@ func (s *System) BindLanes(c *Circuit) error {
 	return nil
 }
 
-// NewLaneWorkspaces allocates k workspaces whose mutable buffers stride
-// contiguous struct-of-arrays blocks: one K·nnz value block behind the K
-// matrix clones, one K·3N block behind F/Q/B, and one K·2·NumStates block
-// behind the limiting state. Lane i's slices are adjacent in memory so
-// lockstep assembly stays cache-friendly across lanes. Each workspace's
-// solver shares the System's fill ordering; Worker is set to the lane index
-// for trace attribution. The caller typically follows up with SetDevices to
-// point each lane at its variant's device instances.
+// NewLaneWorkspaces returns k fresh workspaces of s, Worker set to the lane
+// index for trace attribution; the caller follows up with SetDevices to point
+// each lane at its variant's device instances. The ensemble makes a lane's
+// workspace when the lane is dealt, so this is BatchLoad's set-up and goes
+// with it.
 func (s *System) NewLaneWorkspaces(k int) []*Workspace {
-	nnz := s.pattern.NNZ()
-	n := s.N
-	ns := s.NumStates
-	vals := make([]float64, k*nnz)
-	vecs := make([]float64, k*3*n)
-	states := make([]float64, k*2*ns)
 	lanes := make([]*Workspace, k)
-	for i := 0; i < k; i++ {
-		m := s.pattern.CloneWithValues(vals[i*nnz : (i+1)*nnz : (i+1)*nnz])
-		vb := vecs[i*3*n : (i+1)*3*n]
-		sb := states[i*2*ns : (i+1)*2*ns]
-		lanes[i] = &Workspace{
-			Sys:    s,
-			M:      m,
-			Solver: s.newSolver(m),
-			F:      vb[0:n:n],
-			Q:      vb[n : 2*n : 2*n],
-			B:      vb[2*n : 3*n : 3*n],
-			SPrev:  sb[0:ns:ns],
-			SNext:  sb[ns : 2*ns : 2*ns],
-			Worker: int16(i),
-		}
+	for i := range lanes {
+		lanes[i] = s.NewWorkspace()
+		lanes[i].Worker = int16(i)
 	}
 	return lanes
 }
 
-// BatchLoad assembles several lane workspaces at one Newton iteration in
-// lockstep: device-outer, lane-inner, so the model dispatch for device d is
-// amortized over all lanes and the lanes' stamps land in their adjacent
-// struct-of-arrays blocks. Nil entries in lanes are skipped (retired or
-// already-converged lanes). Per lane the operation sequence — zeroing,
-// evaluation order, limiting capture, NodeGmin, clamps, fault injection —
-// is exactly that of the serial Load, so each lane's assembled system is
-// bit-identical to what its own Load(xs[i], ps[i]) would produce.
+// BatchLoad assembles several lane workspaces at one Newton iteration,
+// device-outer, lane-inner. Nil entries in lanes are skipped. Per lane the
+// operation sequence — zeroing, evaluation order, limiting capture, NodeGmin,
+// clamps, fault injection — is exactly that of the serial Load, so each
+// lane's assembled system is bit-identical to what its own Load(xs[i], ps[i])
+// would produce.
+//
+// No engine calls it: the ensemble's lanes are serial runs, each with its own
+// Load. It stays only because bench/layers.go times it; the benchmark PR of
+// ROADMAP item 4 removes it together with circuit.batchload_ns_lane_op.
 func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	nd := 0
 	for li, ws := range lanes {

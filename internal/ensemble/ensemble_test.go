@@ -3,6 +3,7 @@ package ensemble
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -41,6 +42,35 @@ func hostFor(t testing.TB, lanes []Lane) *circuit.System {
 	return sys
 }
 
+// sameRun demands that got is want's run bit for bit: same accepted times,
+// same sampled values, and the whole Stats but CriticalNanos (a clock reading)
+// and the scheduling fields (they describe who ran it).
+func sameRun(t *testing.T, tag string, got, want *transient.Result) {
+	t.Helper()
+	gw, ww := got.W, want.W
+	if gw.Len() != ww.Len() {
+		t.Fatalf("%s: %d points vs %d", tag, gw.Len(), ww.Len())
+	}
+	for p := range gw.Times {
+		if gw.Times[p] != ww.Times[p] {
+			t.Fatalf("%s point %d: t=%g vs %g", tag, p, gw.Times[p], ww.Times[p])
+		}
+		for j := range gw.Data[p] {
+			if gw.Data[p][j] != ww.Data[p][j] {
+				t.Fatalf("%s point %d signal %s: %g vs %g", tag, p, gw.Names[j], gw.Data[p][j], ww.Data[p][j])
+			}
+		}
+	}
+	g, w := got.Stats, want.Stats
+	for _, st := range []*transient.Stats{&g, &w} {
+		st.CriticalNanos = 0
+		st.CoreBudget, st.PipelineWorkers, st.IntraWorkers, st.PipelineSerialized = 0, 0, 0, false
+	}
+	if g != w {
+		t.Fatalf("%s: counters diverge:\n%+v\n%+v", tag, g, w)
+	}
+}
+
 // Every lane's waveform must be bit-identical to its own independent
 // serial run: same accepted times, same sampled values, same counters.
 func TestLaneWaveformsMatchSerial(t *testing.T) {
@@ -69,30 +99,7 @@ func TestLaneWaveformsMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw, ww := lr.Res.W, want.W
-		if gw.Len() != ww.Len() {
-			t.Fatalf("lane %d: %d points vs serial %d", i, gw.Len(), ww.Len())
-		}
-		for p := range gw.Times {
-			if gw.Times[p] != ww.Times[p] {
-				t.Fatalf("lane %d point %d: t=%g vs serial %g", i, p, gw.Times[p], ww.Times[p])
-			}
-			for j := range gw.Data[p] {
-				if gw.Data[p][j] != ww.Data[p][j] {
-					t.Fatalf("lane %d point %d signal %s: %g vs serial %g",
-						i, p, gw.Names[j], gw.Data[p][j], ww.Data[p][j])
-				}
-			}
-		}
-		if lr.Res.Stats.Points != want.Stats.Points ||
-			lr.Res.Stats.Solves != want.Stats.Solves ||
-			lr.Res.Stats.NRIters != want.Stats.NRIters ||
-			lr.Res.Stats.LTERejects != want.Stats.LTERejects {
-			t.Fatalf("lane %d counters diverge: %+v vs serial %+v", i, lr.Res.Stats, want.Stats)
-		}
-	}
-	if res.Rounds == 0 {
-		t.Fatal("Rounds not counted")
+		sameRun(t, fmt.Sprintf("lane %d vs serial", i), lr.Res, want)
 	}
 	if res.Stats.CriticalNanos <= 0 {
 		t.Fatal("aggregate critical path not measured")
@@ -175,10 +182,41 @@ func TestFaultedLaneRetiresWithoutStallingGang(t *testing.T) {
 	}
 }
 
+// Every lane's waveform and counters are independent of the gang's width and
+// of which member happened to take the lane: the same lanes on gangs of 1, 2,
+// K and more than K members, on real goroutines.
+func TestLanesIndependentOfGangWidth(t *testing.T) {
+	forceGang(t)
+	const k, segs = 5, 16
+	base := transient.Options{TStop: 10e-9}
+	var ref *Result
+	for _, workers := range []int{1, 2, k, k + 3} {
+		lanes := ladderLanes(k, segs, 0.8)
+		res, err := Run(hostFor(t, lanes), lanes, Options{Base: base, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(workers, k); res.Stats.PipelineWorkers != want {
+			t.Fatalf("Workers %d: gang of %d, want %d", workers, res.Stats.PipelineWorkers, want)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		for i, lr := range res.Lanes {
+			if lr.Err != nil {
+				t.Fatalf("Workers %d lane %d: %v", workers, i, lr.Err)
+			}
+			sameRun(t, fmt.Sprintf("lane %d, gang of %d vs 1", i, workers), lr.Res, ref.Lanes[i].Res)
+		}
+	}
+}
+
 // A forced gang runs its members on real goroutines even on one CPU; under
-// -race this exercises the lockstep rounds for data races. The pool must not
-// leak goroutines after Run returns.
-func TestLockstepGangRace(t *testing.T) {
+// -race this exercises the lane deal — members pulling lanes off one counter
+// and running them on workspaces of one shared host — for data races. The
+// pool must not leak goroutines after Run returns.
+func TestLaneGangRace(t *testing.T) {
 	forceGang(t)
 	before := runtime.NumGoroutine()
 	lanes := ladderLanes(6, 12, 0.6)
@@ -254,26 +292,99 @@ func TestNonlinearLaneOfLinearHostRejected(t *testing.T) {
 	}
 }
 
-// Cancellation retires every active lane with a partial result.
+// cancelAt is an observer that cancels a context at a lane's n-th accepted
+// point.
+type cancelAt struct {
+	lane   int16
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAt) OnEvent(ev trace.Event) {
+	if ev.Kind == trace.KindAccept && ev.Worker == c.lane {
+		if c.n--; c.n == 0 {
+			c.cancel()
+		}
+	}
+}
+func (c *cancelAt) OnSnapshot(trace.Snapshot) {}
+
+// Cancellation retires every lane — in flight or not yet dealt — with a typed
+// ErrCanceled and a partial result, the run returns the ensemble's
+// ErrCanceled, and its stream carries one KindCancel however many lanes saw
+// the context end: before the first lane is dealt (nobody in flight), from
+// inside lane 1 on a gang of one (lane 0 done, lanes 2–4 never started), and
+// the same on a gang of two real goroutines, where who else is in flight is
+// up to the scheduler.
 func TestCancellationRetiresLanes(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	base := transient.Options{TStop: 10e-9, Ctx: ctx}
-	lanes := ladderLanes(3, 12, 0.3)
-	res, err := Run(hostFor(t, lanes), lanes, Options{Base: base})
-	if err == nil {
-		t.Fatal("canceled run returned nil error")
-	}
-	if res == nil {
-		t.Fatal("canceled run returned no result")
-	}
-	for i, lr := range res.Lanes {
-		if lr.Err == nil {
-			t.Fatalf("lane %d not marked canceled", i)
-		}
-		if lr.Res == nil {
-			t.Fatalf("lane %d has no partial result", i)
-		}
+	const k = 5
+	for _, tc := range []struct {
+		name    string
+		atPoint int // cancel at lane 1's n-th accepted point; 0: before Run
+		workers int
+	}{{"before", 0, 2}, {"midrun", 3, 1}, {"midrun-gang", 3, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			forceGang(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rec := trace.NewRecorder(0)
+			obs := trace.Observer(rec)
+			if tc.atPoint == 0 {
+				cancel()
+			} else {
+				obs = trace.Multi(rec, &cancelAt{lane: 1, n: tc.atPoint, cancel: cancel})
+			}
+			base := transient.Options{TStop: 10e-9, Ctx: ctx, Trace: trace.New(obs, 0)}
+			lanes := ladderLanes(k, 12, 0.3)
+			res, err := Run(hostFor(t, lanes), lanes, Options{Base: base, Workers: tc.workers})
+			var se *faults.SimError
+			if !errors.Is(err, faults.ErrCanceled) || !errors.As(err, &se) || se.Phase != "ensemble" {
+				t.Fatalf("canceled run returned %v, want the ensemble's ErrCanceled", err)
+			}
+			if res == nil {
+				t.Fatal("canceled run returned no result")
+			}
+			for i, lr := range res.Lanes {
+				if lr.Res == nil || lr.Res.W == nil {
+					t.Fatalf("lane %d has no partial result", i)
+				}
+				if lr.Err != nil && !errors.Is(lr.Err, faults.ErrCanceled) {
+					t.Fatalf("lane %d: %v, want ErrCanceled", i, lr.Err)
+				}
+				// On a gang of one the deal is in order: lane 0 ran to TStop
+				// before lane 1 started, lanes 2–4 were dealt after the end.
+				var want error
+				switch {
+				case tc.atPoint == 0 || i == 1:
+					want = faults.ErrCanceled
+				case tc.workers > 1:
+					continue
+				case i > 1:
+					want = faults.ErrCanceled
+					if lr.Res.W.Len() != 0 {
+						t.Fatalf("lane %d was dealt after the context ended and has %d points", i, lr.Res.W.Len())
+					}
+				}
+				if !errors.Is(lr.Err, want) {
+					t.Fatalf("lane %d: %v, want %v", i, lr.Err, want)
+				}
+			}
+			if tc.atPoint > 0 && res.Lanes[1].Res.Stats.Points != tc.atPoint {
+				t.Fatalf("lane 1 accepted %d points, canceled at its point %d", res.Lanes[1].Res.Stats.Points, tc.atPoint)
+			}
+			cancels, retires := 0, 0
+			for _, ev := range rec.Events() {
+				switch ev.Kind {
+				case trace.KindCancel:
+					cancels++
+				case trace.KindLaneRetire:
+					retires++
+				}
+			}
+			if cancels != 1 || retires != k {
+				t.Fatalf("%d KindCancel and %d KindLaneRetire events, want 1 and %d", cancels, retires, k)
+			}
+		})
 	}
 }
 
@@ -292,9 +403,9 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkEnsembleGrid16 guards the steady-state allocation rate of the
-// batch engine: allocations are dominated by per-run setup (workspaces,
-// arena, waveforms), so allocs/lane must stay bounded as rounds accumulate.
+// BenchmarkEnsembleGrid16 guards what a lane allocates: a lane is a serial
+// run, so allocs/lane is held to the allocations of transient.Run on the host
+// plus a tenth (the gang, the deal and the result slice, shared by the lanes).
 func BenchmarkEnsembleGrid16(b *testing.B) {
 	const k = 8
 	lanes := make([]Lane, k)
@@ -312,6 +423,11 @@ func BenchmarkEnsembleGrid16(b *testing.B) {
 		b.Fatal(err)
 	}
 	base := transient.Options{TStop: 20e-9}
+	serial := testing.AllocsPerRun(1, func() {
+		if _, err := transient.Run(sys, base); err != nil {
+			b.Fatal(err)
+		}
+	})
 
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -325,7 +441,11 @@ func BenchmarkEnsembleGrid16(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*k), "allocs/lane")
+	perLane := float64(m1.Mallocs-m0.Mallocs) / float64(b.N*k)
+	b.ReportMetric(perLane, "allocs/lane")
+	if perLane > 1.1*serial {
+		b.Fatalf("%.1f allocs/lane, a serial run of the host allocates %.0f", perLane, serial)
+	}
 }
 
 // Every lane's slice of the event stream (Worker = lane index) must replay

@@ -155,7 +155,7 @@ func TestLinearStepIsTheSolution(t *testing.T) {
 		// solution just declared.
 		var it Iter
 		Load(b.ws, b.x, b.p)
-		if _, err := it.Step(b.ws, b.x, b.p, b.qhist, opts, b.r, b.dx); err != nil {
+		if _, err := it.step(b.ws, b.x, b.p, b.qhist, opts, b.r, b.dx); err != nil {
 			t.Fatal(err)
 		}
 		for i := range one {

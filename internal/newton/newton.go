@@ -88,52 +88,39 @@ type Iter struct {
 	WarmExact bool
 }
 
-// EntryFault is the fault-injection check at the entry of a Newton iteration
-// that starts from a fresh assembly (a resumed one took its check when its
-// warm start began): nil in production, where ws.Faults is nil.
-func EntryFault(ws *circuit.Workspace, t float64) error {
-	if cls, ok := ws.Faults.At(faults.SiteNewton, t); ok && cls == faults.NoConvergence {
-		return faults.Wrap("newton", t, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
-	}
-	return nil
-}
-
-// Run drives the iteration to convergence or a terminal error (an exhausted
-// budget included): a Load at the current iterate, unless the workspace is
-// warm, then Step. The lockstep driver runs the same two halves itself, with
-// the loads of several lanes batched.
+// Run drives the iteration to convergence or a terminal error: a Load at the
+// current iterate, unless the workspace is warm, then step. Running out of
+// opts.MaxIter is a terminal error too.
 func (it *Iter) Run(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (done bool, err error) {
+	if opts.MaxIter <= 0 {
+		opts.MaxIter = DefaultMaxIter
+	}
+	// The fault-injection check at the entry of an iteration that starts from
+	// a fresh assembly (a resumed one took its check when its warm start
+	// began): ws.Faults is nil in production.
 	if !it.Warm {
-		if err := EntryFault(ws, p.Time); err != nil {
-			return false, err
+		if cls, ok := ws.Faults.At(faults.SiteNewton, p.Time); ok && cls == faults.NoConvergence {
+			return false, faults.Wrap("newton", p.Time, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
 		}
 	}
 	for !done && err == nil {
 		if !it.Warm {
 			Load(ws, x, p)
 		}
-		done, err = it.Step(ws, x, p, qhist, opts, r, dx)
+		done, err = it.step(ws, x, p, qhist, opts, r, dx)
+		if !done && err == nil && it.N >= opts.MaxIter {
+			err = faults.Wrap("newton", p.Time, -1,
+				fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter))
+		}
 	}
 	return done, err
 }
 
-// Step runs the post-assembly remainder of one Newton iteration — residual,
+// step runs the post-assembly remainder of one Newton iteration — residual,
 // factorize + solve, damped update, limiting-state flip, non-finite guard and
 // the convergence test — on a workspace whose Load at x the caller has
 // performed. done reports convergence; a non-nil err is terminal for this
-// point, and running out of opts.MaxIter is one.
-func (it *Iter) Step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (done bool, err error) {
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = DefaultMaxIter
-	}
-	done, err = it.step(ws, x, p, qhist, opts, r, dx)
-	if !done && err == nil && it.N >= opts.MaxIter {
-		err = faults.Wrap("newton", p.Time, -1,
-			fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter))
-	}
-	return done, err
-}
-
+// point.
 func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (bool, error) {
 	// Cooperative abort: a tripped deadline or watchdog interrupts even a
 	// hung iteration at the next iteration boundary.

@@ -1,8 +1,8 @@
 // Package sched provides the scheduling primitives of the coordinators — the
 // pipeline, the ensemble, the window runner and the service; a time point
 // itself is always solved by one goroutine. A Pool is a gang of persistent
-// workers (one pipeline stage's tasks, or the chunks of an ensemble's lanes),
-// a Budget is the core count every gang of a run draws from, so that
+// workers (one pipeline stage's tasks, or the members an ensemble deals its
+// lanes to), a Budget is the core count every gang of a run draws from, so that
 //
 //	concurrent windows × pipeline threads ≤ CoreBudget
 //

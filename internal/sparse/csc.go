@@ -161,21 +161,6 @@ func (m *Matrix) SlotAt(row, col int) int {
 	return -1
 }
 
-// CloneWithValues is Clone with a caller-supplied value array, so a batch of
-// lane matrices can stride one contiguous backing block (struct-of-arrays
-// layout). vals must have length NNZ; it is zeroed and adopted, not copied.
-func (m *Matrix) CloneWithValues(vals []float64) *Matrix {
-	if len(vals) != len(m.Values) {
-		panic(fmt.Sprintf("sparse: CloneWithValues needs len %d, got %d", len(m.Values), len(vals)))
-	}
-	for i := range vals {
-		vals[i] = 0
-	}
-	c := *m
-	c.Values = vals
-	return &c
-}
-
 // At returns the value at (row, col), or 0 if the slot is not part of the
 // pattern. Intended for tests and diagnostics; O(log nnz(col)).
 func (m *Matrix) At(row, col int) float64 {

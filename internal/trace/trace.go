@@ -41,7 +41,7 @@ const (
 	KindSerialFallback      // the pipeline degraded to serial integration
 	KindPhase               // a timed sub-phase of a solve (see Phase)
 	KindWorker              // one worker's occupancy span in a pipeline stage
-	KindCancel              // the run observed context cancellation
+	KindCancel              // the run observed context cancellation (once per run, see Tracer.Emit)
 	KindCheckpoint          // a durable checkpoint was written (Dur = encode+write time)
 	KindLaneRetire          // an ensemble lane detached from the gang (Detail = reason)
 	KindWindowSeed          // a Parareal window was launched from a coarse seed (Stage = window)
@@ -226,6 +226,8 @@ type Tracer struct {
 	lteRejects, discarded       int64
 	recoveries, linearHits      int64
 	lastSnapPoints, lastSnapWal int64
+
+	canceled bool // a KindCancel went out
 }
 
 // New returns a tracer forwarding to obs, snapshotting every snapshotEvery
@@ -257,6 +259,14 @@ func (t *Tracer) Emit(ev Event) {
 	// facade's containment path emits a final checkpoint event while the
 	// original Emit frame is still unwinding.
 	defer t.mu.Unlock()
+	// One KindCancel per run: every ensemble lane or window in flight polls
+	// the same dead context and reports it; the stream keeps the first.
+	if ev.Kind == KindCancel {
+		if t.canceled {
+			return
+		}
+		t.canceled = true
+	}
 	t.seq++
 	ev.Seq = t.seq
 	ev.Wall = time.Since(t.start).Nanoseconds()

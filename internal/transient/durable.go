@@ -107,7 +107,7 @@ func (s *Stepper) Capture(total Stats, warmup, scheme int) *checkpoint.State {
 		p := s.Hist.At(i)
 		pts[i] = &integrate.Point{T: p.T, X: num.Copy(p.X), Q: num.Copy(p.Q), Qdot: num.Copy(p.Qdot)}
 	}
-	sys, ws, w := s.sys, s.PS.WS, s.W
+	sys, ws, w := s.sys, s.ps.WS, s.W
 	return &checkpoint.State{
 		N:          sys.N,
 		NumStates:  sys.NumStates,
@@ -166,7 +166,7 @@ func SalvageResult(st *checkpoint.State) *Result {
 // incremental-engine generation. It returns the checkpointed pipeline
 // warm-up depth; every failure surfaces faults.ErrBadCheckpoint.
 func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
-	sys, ws := s.sys, s.PS.WS
+	sys, ws := s.sys, s.ps.WS
 	if err := st.Matches(sys.N, sys.NumStates, len(sys.Circuit.Devices()),
 		sys.PatternNNZ(), s.opts.TStop, int(s.opts.Method)); err != nil {
 		return 0, err

@@ -20,16 +20,15 @@ import (
 // the next candidate lands, what a failed solve costs, whether a converged
 // candidate passes the truncation-error test, what committing it means, and
 // how integration restarts after a waveform edge. It is decoupled from who
-// solves: the serial engine hands Step its point solver, an ensemble lane
-// runs Plan, solves in lockstep with its gang and calls Finish, and the
-// pipeline coordinator composes Plan/Failed/Reject/Commit/Restart around its
-// own stage proposers and LTE stencil.
+// solves: the serial engine (an ensemble lane is one) hands Step its point
+// solver, and the pipeline coordinator composes
+// Plan/Failed/Reject/Commit/Restart around its own stage proposers and LTE
+// stencil.
 type Stepper struct {
-	// PS is the solver whose workspace holds the authoritative limiting and
-	// factorization state (the serial solver, a lane's solver, or pipeline
-	// lane 0). It climbs the recovery ladder and carries the Points and
-	// LTERejects counters.
-	PS   *PointSolver
+	// ps is the solver whose workspace holds the authoritative limiting and
+	// factorization state (the serial solver or pipeline lane 0). It climbs
+	// the recovery ladder and carries the Points and LTERejects counters.
+	ps   *PointSolver
 	Hist *integrate.History
 	W    *waveform.Set
 	RL   *RecoveryLog
@@ -60,7 +59,7 @@ type Stepper struct {
 	hitBp       bool    // the candidate sits on it
 
 	ckptDue bool
-	lteBuf  [integrate.HistoryDepth + 1]*integrate.Point // Finish's LTE stencil
+	lteBuf  [integrate.HistoryDepth + 1]*integrate.Point // finish's LTE stencil
 }
 
 // NewStepper returns a controller positioned before the t = 0 point; Start
@@ -68,7 +67,7 @@ type Stepper struct {
 func NewStepper(sys *circuit.System, ps *PointSolver, opts *Options, phase string) *Stepper {
 	devs := ps.WS.Devices()
 	s := &Stepper{
-		PS: ps, RL: &RecoveryLog{},
+		ps: ps, RL: &RecoveryLog{},
 		AfterBreak: true, // the t = 0 point counts as a breakpoint start
 		Worker:     ps.WS.Worker,
 		sys:        sys, opts: *opts, ctrl: opts.Control, tr: opts.Trace, phase: phase,
@@ -121,7 +120,7 @@ func (s *Stepper) Start() (warmup int, err error) {
 	if st := s.opts.Resume; st != nil {
 		return s.restore(st)
 	}
-	p0, err := InitialPoint(s.sys, s.PS, s.opts)
+	p0, err := InitialPoint(s.sys, s.ps, s.opts)
 	if err != nil {
 		return 0, err
 	}
@@ -164,7 +163,7 @@ func (s *Stepper) Poll(capture func() *checkpoint.State) error {
 	}
 	// The budget is the run's, not the segment's: a resume restarts the
 	// solver's counter and carries the earlier segments in Base.
-	if s.Base.Points+s.PS.Stats.Points >= s.opts.MaxPoints {
+	if s.Base.Points+s.ps.Stats.Points >= s.opts.MaxPoints {
 		return fmt.Errorf("%s: exceeded %d points at t=%g", s.phase, s.opts.MaxPoints, s.T)
 	}
 	return nil
@@ -232,7 +231,7 @@ func (s *Stepper) Failed() (*integrate.Point, integrate.Coeffs, error) {
 	}
 	s.SetStep(s.ctrl.HMin)
 	tNew, _ := s.Plan()
-	pt, co, err := s.PS.RecoverAt(s.Hist, tNew, s.RL)
+	pt, co, err := s.ps.RecoverAt(s.Hist, tNew, s.RL)
 	if err != nil {
 		if aerr := s.opts.Guard.Err(); aerr != nil {
 			return nil, co, s.abort(aerr)
@@ -254,7 +253,7 @@ func (s *Stepper) TooCoarse(norm, h0 float64) bool {
 
 // Reject counts one LTE rejection of a candidate at t and shrinks the step.
 func (s *Stepper) Reject(t float64, co integrate.Coeffs, norm float64) {
-	s.PS.Stats.LTERejects++
+	s.ps.Stats.LTERejects++
 	if s.tr.Active() {
 		s.tr.Emit(trace.Event{Kind: trace.KindLTEReject, T: t, H: co.H0, Norm: norm, Worker: s.Worker, Stage: s.Stage})
 	}
@@ -274,7 +273,7 @@ func (s *Stepper) Commit(pt *integrate.Point, h, norm float64) (evicted *integra
 	if s.opts.OnAccept != nil {
 		s.opts.OnAccept(pt.T, s.W.Data[len(s.W.Data)-1])
 	}
-	s.PS.Stats.Points++
+	s.ps.Stats.Points++
 	s.T, s.HUsed = pt.T, h
 	if s.opts.Guard.NoteAccept() {
 		s.ckptDue = true // snapshot at the next Poll, never mid-step
@@ -304,13 +303,13 @@ func (s *Stepper) Restart(lastStep float64) (dropped []*integrate.Point) {
 	return dropped
 }
 
-// Finish judges a converged candidate for the planned time: LTE accept or
+// finish judges a converged candidate for the planned time: LTE accept or
 // reject (the norm is also what sizes the next step), commit, then either
-// the break restart or the next step. It reports whether the point was
-// accepted. The stepper's solver must be the history's sole owner: rejected,
-// evicted and truncated points are recycled into its pool.
-func (s *Stepper) Finish(pt *integrate.Point, co integrate.Coeffs) bool {
-	ps := s.PS
+// the break restart or the next step. The stepper's solver must be the
+// history's sole owner: rejected, evicted and truncated points are recycled
+// into its pool.
+func (s *Stepper) finish(pt *integrate.Point, co integrate.Coeffs) {
+	ps := s.ps
 	norm := 0.0
 	if !s.opts.NoLTE {
 		tail := append(s.Hist.AppendTail(s.lteBuf[:0], co.Order+1), pt)
@@ -327,7 +326,7 @@ func (s *Stepper) Finish(pt *integrate.Point, co integrate.Coeffs) bool {
 		if s.TooCoarse(norm, co.H0) {
 			s.Reject(pt.T, co, norm)
 			ps.PutPoint(pt)
-			return false
+			return
 		}
 	}
 	ps.PutPoint(s.Commit(pt, co.H0, norm))
@@ -335,19 +334,18 @@ func (s *Stepper) Finish(pt *integrate.Point, co integrate.Coeffs) bool {
 		for _, dp := range s.Restart(s.HUsed) {
 			ps.PutPoint(dp)
 		}
-		return true
+		return
 	}
 	s.AfterBreak = false
 	if s.opts.NoLTE {
 		s.SetStep(s.ctrl.ClampStep(s.HUsed, s.HUsed))
-		return true
+		return
 	}
 	s.SetStep(s.ctrl.ClampStep(s.ctrl.NextStep(ps.Method, co.Order, norm, s.HUsed, co.H1, s.HUsed), s.HUsed))
-	return true
 }
 
 // Step advances one candidate with the given solver: poll, plan, solve, the
-// failure response, Finish. A nil error with no progress (shrunk step, LTE
+// failure response, finish. A nil error with no progress (shrunk step, LTE
 // rejection) just means call again.
 func (s *Stepper) Step(solve func(*integrate.History, float64, []float64) (*integrate.Point, integrate.Coeffs, error)) error {
 	if err := s.Poll(s.Snapshot); err != nil {
@@ -360,16 +358,16 @@ func (s *Stepper) Step(solve func(*integrate.History, float64, []float64) (*inte
 			return err
 		}
 	}
-	s.Finish(pt, co)
+	s.finish(pt, co)
 	return nil
 }
 
-// Totals returns the run's cumulative statistics when PS did all the
-// solving (serial engine, ensemble lane): every solve was sequential, so
+// Totals returns the run's cumulative statistics when the stepper's solver did
+// all the solving (serial engine): every solve was sequential, so
 // Stages = Solves, plus the segments before a resume.
 func (s *Stepper) Totals() Stats {
-	s.PS.HarvestSolverStats()
-	st := s.PS.Stats
+	s.ps.HarvestSolverStats()
+	st := s.ps.Stats
 	st.Stages = st.Solves
 	st.Add(s.Base)
 	return st

@@ -30,7 +30,7 @@ func runStepper(t *testing.T, delay, tstop float64) *Stepper {
 		t.Fatal(err)
 	}
 	for !s.Done() {
-		if err := s.Step(s.PS.SolveAt); err != nil {
+		if err := s.Step(s.ps.SolveAt); err != nil {
 			t.Fatal(err)
 		}
 	}

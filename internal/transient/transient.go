@@ -315,20 +315,14 @@ type PointSolver struct {
 
 // NewPointSolver allocates a solver on a fresh workspace of sys.
 func NewPointSolver(sys *circuit.System, method integrate.Method, nopts newton.Options, gmin float64) *PointSolver {
-	return NewPointSolverOn(sys.NewWorkspace(), method, nopts, gmin, nil)
+	return NewPointSolverOn(sys.NewWorkspace(), method, nopts, gmin)
 }
 
-// NewPointSolverOn wraps an existing workspace (typically a lane workspace
-// from System.NewLaneWorkspaces) in a point solver. scratch, when it has at
-// least 3·N capacity, backs the solver's qhist/residual/update vectors —
-// the ensemble carves one contiguous block per lane so the per-iteration
-// vectors of adjacent lanes stay cache-adjacent; a nil or short scratch
-// falls back to a private allocation.
-func NewPointSolverOn(ws *circuit.Workspace, method integrate.Method, nopts newton.Options, gmin float64, scratch []float64) *PointSolver {
+// NewPointSolverOn wraps a workspace the caller prepared (an ensemble lane's,
+// with its own device list) in a point solver.
+func NewPointSolverOn(ws *circuit.Workspace, method integrate.Method, nopts newton.Options, gmin float64) *PointSolver {
 	n := ws.Sys.N
-	if len(scratch) < 3*n {
-		scratch = make([]float64, 3*n)
-	}
+	scratch := make([]float64, 3*n)
 	return &PointSolver{
 		WS: ws, Method: method, Newton: nopts, Gmin: gmin,
 		qhist: scratch[0:n:n], r: scratch[n : 2*n : 2*n], dx: scratch[2*n : 3*n : 3*n],
@@ -415,13 +409,6 @@ func (ps *PointSolver) PutPoint(pt *integrate.Point) {
 	ps.ptPool = append(ps.ptPool, pt)
 }
 
-// DonatePoints seeds the solver's point pool with pre-allocated points
-// (the ensemble carves each lane's points from one strided backing array,
-// so history rings and candidates stay struct-of-arrays too).
-func (ps *PointSolver) DonatePoints(pts []*integrate.Point) {
-	ps.ptPool = append(ps.ptPool, pts...)
-}
-
 // PredictPoint extrapolates a full (X, Q, Qdot) point from history — the
 // speculative stand-in for a predecessor that has not converged yet. The
 // returned point comes from a fixed four-slot rotation: it stays valid for
@@ -454,14 +441,9 @@ func (ps *PointSolver) HarvestSolverStats() {
 // Every way a point is computed is this one sequence: SolveAt and the
 // recovery ladder run it through (begin, iterate, Commit/Fail); ResumeAt does
 // the same with a warm iteration; WarmStart ends it by keeping the iterate
-// instead of closing it; and the ensemble drives it open, between Begin and
-// Commit/Fail, so the device loads of several lanes can be batched
-// (circuit.BatchLoad) while Step runs the rest of each iteration per lane.
+// instead of closing it.
 type pointSolve struct {
-	// start is when the solve began; zero for a lockstep solve, whose
-	// iterations interleave with its chunk's so that it has no span of its
-	// own — the ensemble measures its gang's critical path by the round.
-	start time.Time
+	start time.Time // when the solve began
 	pt    *integrate.Point
 	co    integrate.Coeffs
 	p     circuit.LoadParams
@@ -475,8 +457,8 @@ type pointSolve struct {
 // polynomial prediction from hist when nil), the assembly parameters and a
 // fresh iteration under opts. nodeGmin is the recovery ladder's
 // node-to-ground conductance. On error nothing is left open.
-func (ps *PointSolver) begin(start time.Time, hist *integrate.History, tNew float64, seed []float64, opts newton.Options, nodeGmin float64) error {
-	ps.cur = pointSolve{start: start, opts: opts}
+func (ps *PointSolver) begin(hist *integrate.History, tNew float64, seed []float64, opts newton.Options, nodeGmin float64) error {
+	ps.cur = pointSolve{start: time.Now(), opts: opts}
 	s := &ps.cur
 	var err error
 	if s.co, err = integrate.Compute(ps.Method, hist, tNew, ps.qhist); err != nil {
@@ -502,39 +484,6 @@ func (ps *PointSolver) run() (*integrate.Point, integrate.Coeffs, error) {
 	}
 	return ps.Commit(), s.co, nil
 }
-
-// Begin opens a lockstep point solve at tNew, seeded with the polynomial
-// prediction: the caller loads (LoadArgs) and Steps it until it converges
-// or fails, then calls Commit or Fail. A non-nil error is terminal for this
-// point and the solve is already closed.
-func (ps *PointSolver) Begin(hist *integrate.History, tNew float64) error {
-	if err := ps.begin(time.Time{}, hist, tNew, nil, ps.Newton, 0); err != nil {
-		return err
-	}
-	ps.Stats.Solves++
-	if err := newton.EntryFault(ps.WS, tNew); err != nil {
-		return ps.Fail(err)
-	}
-	return nil
-}
-
-// LoadArgs returns the iterate and assembly parameters the load of the open
-// solve's next iteration must use.
-func (ps *PointSolver) LoadArgs() ([]float64, circuit.LoadParams) {
-	return ps.cur.pt.X, ps.cur.p
-}
-
-// Step runs the post-assembly remainder of the open solve's current Newton
-// iteration; the caller must have loaded the workspace with LoadArgs first.
-// done reports convergence; err is terminal (exhausted iteration budget
-// included) and the caller must follow with Fail.
-func (ps *PointSolver) Step() (done bool, err error) {
-	s := &ps.cur
-	return s.it.Step(ps.WS, s.pt.X, s.p, ps.qhist, s.opts, ps.r, ps.dx)
-}
-
-// Coeffs returns the integration coefficients of the open (or last) solve.
-func (ps *PointSolver) Coeffs() integrate.Coeffs { return ps.cur.co }
 
 // Commit closes a converged solve: one charge pass at the solution, so the
 // stored charge vector is exactly Q(x) — the last load of the iteration sits
@@ -584,10 +533,7 @@ func (ps *PointSolver) closeSolve(err error) {
 	}
 	ev := trace.Event{
 		Kind: trace.KindSolve, T: s.p.Time, H: s.co.H0, Iters: int32(s.it.N),
-		Worker: ps.WS.Worker, Flags: s.flags,
-	}
-	if !s.start.IsZero() {
-		ev.Dur = time.Since(s.start).Nanoseconds()
+		Worker: ps.WS.Worker, Flags: s.flags, Dur: time.Since(s.start).Nanoseconds(),
 	}
 	if err != nil {
 		ev.Flags |= trace.FlagFailed
@@ -597,10 +543,8 @@ func (ps *PointSolver) closeSolve(err error) {
 
 // model records the measured compute time of the solve being closed.
 func (ps *PointSolver) model() {
-	if s := &ps.cur; !s.start.IsZero() {
-		ps.LastNanos = time.Since(s.start).Nanoseconds()
-		ps.Stats.CriticalNanos += ps.LastNanos
-	}
+	ps.LastNanos = time.Since(ps.cur.start).Nanoseconds()
+	ps.Stats.CriticalNanos += ps.LastNanos
 }
 
 // SolveAt computes the converged solution at tNew using hist for the
@@ -614,7 +558,7 @@ func (ps *PointSolver) SolveAt(hist *integrate.History, tNew float64, guess []fl
 // solveAtWith is SolveAt with explicit Newton options and an optional
 // node-to-ground conductance (the recovery ladder's knobs).
 func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess []float64, nopts newton.Options, nodeGmin float64) (*integrate.Point, integrate.Coeffs, error) {
-	if err := ps.begin(time.Now(), hist, tNew, guess, nopts, nodeGmin); err != nil {
+	if err := ps.begin(hist, tNew, guess, nopts, nodeGmin); err != nil {
 		return nil, ps.cur.co, err
 	}
 	return ps.run()
@@ -630,7 +574,7 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 	ps.warmPt = nil
 	opts := ps.Newton
 	opts.MaxIter = maxIter
-	if ps.begin(time.Now(), hist, tNew, nil, opts, 0) != nil {
+	if ps.begin(hist, tNew, nil, opts, 0) != nil {
 		return nil
 	}
 	defer ps.model()
@@ -664,7 +608,7 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 // costs one residual rebuild and triangular solve; otherwise it is a plain
 // SolveAt from the warm iterate.
 func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []float64) (*integrate.Point, integrate.Coeffs, error) {
-	if err := ps.begin(time.Now(), hist, tNew, warm, ps.Newton, 0); err != nil {
+	if err := ps.begin(hist, tNew, warm, ps.Newton, 0); err != nil {
 		return nil, ps.cur.co, err
 	}
 	s := &ps.cur
@@ -825,19 +769,29 @@ func RestartStep(gap, lastStep, hInit float64, ctrl integrate.Control) float64 {
 }
 
 // Run executes the serial adaptive transient analysis.
-func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
+func Run(sys *circuit.System, opts Options) (*Result, error) {
+	ws := sys.NewWorkspace()
+	ws.Worker = 0
+	return RunOn(ws, opts)
+}
+
+// RunOn is Run on a workspace the caller prepared — an ensemble lane's, with
+// the lane's device list (Workspace.SetDevices) and its index in ws.Worker,
+// which every event of the run is stamped with. The run owns ws until it
+// returns.
+func RunOn(ws *circuit.Workspace, opts Options) (result *Result, runErr error) {
 	if opts.TStop <= 0 {
 		return nil, fmt.Errorf("transient: TStop must be positive")
 	}
 	opts = opts.WithDefaults()
-	ps := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
-	ps.Attach(&opts, 0)
+	ps := NewPointSolverOn(ws, opts.Method, opts.Newton, opts.Gmin)
+	ps.Attach(&opts, ws.Worker)
 	if opts.CoreBudget > 0 {
 		ps.Stats.CoreBudget = opts.CoreBudget
 		ps.Stats.PipelineWorkers = 1
 		ps.Stats.IntraWorkers = 1
 	}
-	s := NewStepper(sys, ps, &opts, "transient")
+	s := NewStepper(ws.Sys, ps, &opts, "transient")
 	defer s.Flush(s.Snapshot, &runErr)
 	if _, err := s.Start(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ package wavepipe
 // composition with the ensemble and time-parallel window layers.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -190,7 +191,7 @@ func TestReduceUnderEnsemble(t *testing.T) {
 		{Name: "nominal"},
 		{Name: "slow", Params: map[string]float64{"rval": 25}},
 	}
-	res, err := RunEnsemble(d, variants, TranOptions{Reduce: true, ReduceTol: DefaultReduceTol})
+	res, err := RunEnsembleCtx(context.Background(), d, variants, TranOptions{Reduce: true, ReduceTol: DefaultReduceTol})
 	if err != nil {
 		t.Fatal(err)
 	}

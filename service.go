@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -480,18 +481,8 @@ func (s *Service) Jobs() []string {
 	for id := range s.jobs {
 		ids = append(ids, id)
 	}
-	sortStrings(ids)
+	slices.Sort(ids)
 	return ids
-}
-
-// sortStrings is a tiny insertion sort; job lists are small and this keeps
-// the facade free of a sort import for one call site.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k] < a[k-1]; k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
 }
 
 // CacheCounters reports the artifact cache's cumulative hits, misses and

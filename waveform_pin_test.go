@@ -1,6 +1,7 @@
 package wavepipe
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -271,7 +272,7 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 						}
 					}
 				}
-				res, err := RunEnsembleCircuits(circs, TranOptions{TStop: b.TStop})
+				res, err := RunEnsembleCircuitsCtx(context.Background(), circs, TranOptions{TStop: b.TStop})
 				if err != nil {
 					t.Fatal(err)
 				}

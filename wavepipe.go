@@ -386,13 +386,13 @@ type TranOptions struct {
 	DeviceBypass bool
 	// CoreBudget caps the cores the run may occupy at once: the pipeline
 	// workers of a WavePipe scheme, the windows of a windowed run that
-	// refine concurrently (each with its own pipeline), and what a
-	// service's arbiter grants a job (an ensemble's gang is sized by
-	// Threads). A time point is always solved by one goroutine, so a
-	// Serial run occupies one core whatever the budget. A round with more tasks than the budget covers
-	// runs them one after another with the same results, so no budget
-	// changes the waveform of a Serial or pipelined run. 0 (the default)
-	// leaves scheduling to the host.
+	// refine concurrently (each with its own pipeline), the gang an
+	// ensemble deals its lanes to, and what a service's arbiter grants a
+	// job. A time point is always solved by one goroutine, so a Serial run
+	// occupies one core whatever the budget. A round with more tasks than
+	// the budget covers runs them one after another with the same results,
+	// so no budget changes the waveform of a Serial or pipelined run or of
+	// an ensemble lane. 0 (the default) leaves scheduling to the host.
 	CoreBudget int
 	// Windows > 1 enables time-parallel simulation (pipelined Parareal):
 	// a cheap coarse propagator sweeps [0, TStop] once to seed Windows

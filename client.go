@@ -7,7 +7,7 @@ type JobState string
 
 // Job lifecycle states. A job is terminal in JobDone, JobFailed and
 // JobCanceled; JobPreempted is transient — the job yielded its cores to a
-// higher-priority run, checkpointed, and is queued to resume.
+// higher-priority run at an accepted step and is queued to continue from it.
 const (
 	JobQueued    JobState = "queued"
 	JobRunning   JobState = "running"
@@ -33,12 +33,13 @@ type JobSpec struct {
 	// owned by the service: the scheme's pipeline width (Threads), capped
 	// by CoreBudget, sizes the core request — a Serial job asks for one
 	// core — and the result does not depend on what was granted, while
-	// CheckpointPath, ResumeFrom, OnAccept, Observer and Faults must be
-	// zero — the service installs its own.
+	// CheckpointPath, CheckpointEvery, ResumeFrom, OnAccept, Observer and
+	// Faults must be zero: the service keeps a job's state across
+	// preemption in memory and installs its own stream and observer.
 	Options TranOptions
 	// Priority orders the global queue: higher runs first, and a strictly
 	// higher-priority job may preempt a running lower-priority one at its
-	// next accepted-step boundary (it checkpoints and resumes later).
+	// next accepted-step boundary (it continues from there later).
 	Priority int
 	// Label is an optional caller tag echoed in JobStatus.
 	Label string
@@ -52,12 +53,13 @@ type JobStatus struct {
 	Priority int      `json:"priority"`
 	// Cores is the current grant from the global arbiter (0 unless running).
 	Cores int `json:"cores"`
-	// Resumes counts preemption checkpoint/resume cycles the job survived.
+	// Resumes counts the preemptions the job was resumed from.
 	Resumes int `json:"resumes"`
 	// CacheHit reports whether the deck's compiled artifacts (System build,
 	// fill ordering, stamp templates) were reused from the cache.
 	CacheHit bool `json:"cacheHit"`
-	// Signals are the waveform column names the job records.
+	// Signals are the waveform column names the job records (for a Reduce
+	// job recording every node, the original node names, as in its Result).
 	Signals []string `json:"signals,omitempty"`
 	// Points is the number of accepted time points so far.
 	Points int `json:"points"`

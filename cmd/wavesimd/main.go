@@ -1,8 +1,9 @@
 // Command wavesimd runs the wavepipe simulation service: a long-running
 // HTTP daemon that accepts SPICE decks as jobs, multiplexes concurrent
 // simulations over one global core budget (priorities, fair share,
-// preemption via checkpoint/resume), reuses compiled artifacts across
-// repeat decks, and streams waveform rows as they are accepted.
+// preemption at accepted steps, resumed from state kept in memory), reuses
+// compiled artifacts across repeat decks, and streams waveform rows as they
+// are accepted.
 //
 // Endpoints (versioned wire JSON; see wavepipe/wire):
 //
@@ -35,9 +36,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8380", "listen address")
 	cores := flag.Int("cores", 0, "global core budget shared by all jobs (0 = GOMAXPROCS)")
-	maxQueued := flag.Int("max-queued", 64, "admission queue bound; beyond it submissions get 429")
+	queueBound := flag.Int("max-queued", 64, "admission queue bound; beyond it submissions get 429")
 	cacheSize := flag.Int("cache", 16, "compiled-artifact cache size in decks")
-	dir := flag.String("dir", "", "job state directory: checkpoints, traces (default: temp dir)")
+	dir := flag.String("dir", "", "directory for the per-job traces of -trace-jobs (default: temp dir)")
 	traceJobs := flag.Bool("trace-jobs", false, "write per-job JSONL traces into -dir")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -48,7 +49,7 @@ func main() {
 
 	svc, err := wavepipe.NewService(wavepipe.ServiceConfig{
 		Cores:     *cores,
-		MaxQueued: *maxQueued,
+		MaxQueued: *queueBound,
 		CacheSize: *cacheSize,
 		Dir:       *dir,
 		TraceJobs: *traceJobs,

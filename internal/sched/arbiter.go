@@ -8,37 +8,29 @@ import (
 	"sync/atomic"
 )
 
-// ErrQueueFull is returned by Arbiter.Acquire when admission control
-// rejects a job because the wait queue is at capacity. Serving layers map
-// it to a retryable "busy" answer (HTTP 429).
-var ErrQueueFull = errors.New("sched: admission queue full")
-
-// Arbiter promotes the per-run core Budget to a global, multi-tenant
-// scheduler: many concurrent simulations draw their core grants from one
-// machine-wide Budget, ordered by priority with FIFO fairness inside a
-// priority class. It adds the three policies a shared machine needs on top
-// of Budget's bare reservation arithmetic:
+// Arbiter shares one machine's cores among many concurrent simulations:
+// every job draws its core grant from one global count, ordered by priority
+// with FIFO fairness inside a priority class. Admission (how many jobs may
+// wait) is the caller's business; the arbiter adds the two policies a shared
+// machine needs on top of the bare count:
 //
-//   - Admission control: at most MaxQueued jobs may wait; further Acquire
-//     calls fail fast with ErrQueueFull instead of building unbounded
-//     backlog.
 //   - Fair-share allocation: a starting job is granted
 //     min(want, max(1, free/waiters)) cores, so a burst of arrivals splits
 //     the machine instead of the first job hogging every core.
 //   - Preemption: when the highest-priority waiter outranks a running
 //     grant and no core is free, the lowest-priority running grant is
 //     signalled to yield (its Preempted channel closes). The owner is
-//     expected to checkpoint at the next accepted-step boundary and
-//     Release; the waiter is dispatched as soon as the cores come back.
+//     expected to stop at the next accepted-step boundary and Release; the
+//     waiter is dispatched as soon as the cores come back.
 //
-// The sum of all outstanding grants never exceeds the budget: grants are
-// carved from a Budget with the same compare-and-swap reservation the
-// engines use, so the invariant holds under any interleaving.
+// The sum of all outstanding grants never exceeds the total: grants are
+// counted in one int under the mutex every Acquire, dispatch and Release
+// holds.
 type Arbiter struct {
-	budget    *Budget
-	maxQueued int
+	total int
 
 	mu      sync.Mutex
+	inUse   int
 	waiting []*waiter
 	running map[*Grant]struct{}
 	seq     uint64
@@ -46,7 +38,6 @@ type Arbiter struct {
 
 	preemptions atomic.Int64
 	admitted    atomic.Int64
-	rejected    atomic.Int64
 }
 
 // waiter is one blocked Acquire call.
@@ -76,11 +67,11 @@ type Grant struct {
 
 // Preempted returns a channel that is closed when the arbiter asks this
 // grant to yield to a higher-priority job. The owner should stop at its
-// next safe suspension point (for a simulation: checkpoint at an accepted
-// step), Release the grant, and re-Acquire to resume.
+// next safe suspension point (for a simulation: its last accepted step),
+// Release the grant, and re-Acquire to resume.
 func (g *Grant) Preempted() <-chan struct{} { return g.preempt }
 
-// Release returns the grant's cores to the global budget and dispatches any
+// Release returns the grant's cores to the global count and dispatches any
 // waiters that now fit. Safe to call once; further calls are no-ops.
 func (g *Grant) Release() {
 	a := g.a
@@ -91,29 +82,25 @@ func (g *Grant) Release() {
 	}
 	g.released = true
 	delete(a.running, g)
-	a.budget.Release(g.Cores)
+	a.inUse -= g.Cores
 	a.dispatch()
 	a.mu.Unlock()
 }
 
-// NewArbiter returns an arbiter over a budget of cores. maxQueued bounds
-// the wait queue (<= 0 means a default of 64).
-func NewArbiter(cores, maxQueued int) *Arbiter {
-	if maxQueued <= 0 {
-		maxQueued = 64
-	}
-	return &Arbiter{
-		budget:    NewBudget(cores),
-		maxQueued: maxQueued,
-		running:   make(map[*Grant]struct{}),
-	}
+// NewArbiter returns an arbiter over a budget of cores (< 0 counts as 0).
+func NewArbiter(cores int) *Arbiter {
+	return &Arbiter{total: max(cores, 0), running: make(map[*Grant]struct{})}
 }
 
 // Total returns the size of the global core budget.
-func (a *Arbiter) Total() int { return a.budget.Total() }
+func (a *Arbiter) Total() int { return a.total }
 
 // InUse returns the cores currently granted. It never exceeds Total.
-func (a *Arbiter) InUse() int { return a.budget.InUse() }
+func (a *Arbiter) InUse() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inUse
+}
 
 // Running returns the number of live grants.
 func (a *Arbiter) Running() int {
@@ -135,9 +122,6 @@ func (a *Arbiter) Preemptions() int64 { return a.preemptions.Load() }
 // Admitted returns the cumulative count of grants issued.
 func (a *Arbiter) Admitted() int64 { return a.admitted.Load() }
 
-// Rejected returns the cumulative count of admission rejections.
-func (a *Arbiter) Rejected() int64 { return a.rejected.Load() }
-
 // Acquire blocks until the arbiter can grant at least one core, or until
 // ctx is done. priority orders the wait queue (higher runs first; equal
 // priorities are FIFO); want caps the grant (want <= 0 asks for one core).
@@ -151,11 +135,6 @@ func (a *Arbiter) Acquire(ctx context.Context, priority, want int) (*Grant, erro
 	if a.closed {
 		a.mu.Unlock()
 		return nil, errors.New("sched: arbiter closed")
-	}
-	if len(a.waiting) >= a.maxQueued {
-		a.rejected.Add(1)
-		a.mu.Unlock()
-		return nil, ErrQueueFull
 	}
 	a.seq++
 	w := &waiter{priority: priority, want: want, seq: a.seq, ready: make(chan *Grant, 1)}
@@ -185,7 +164,7 @@ func (a *Arbiter) Acquire(ctx context.Context, priority, want int) (*Grant, erro
 		}
 		a.mu.Unlock()
 		// A grant may have been dispatched concurrently with the
-		// cancellation; it must not leak its reservation.
+		// cancellation; it must not keep its cores.
 		select {
 		case g := <-w.ready:
 			if g != nil {
@@ -203,7 +182,7 @@ func (a *Arbiter) Acquire(ctx context.Context, priority, want int) (*Grant, erro
 func (a *Arbiter) dispatch() {
 	for len(a.waiting) > 0 {
 		head := a.waiting[0]
-		free := a.budget.Total() - a.budget.InUse()
+		free := a.total - a.inUse
 		if free <= 0 {
 			a.preemptFor(head)
 			return
@@ -211,18 +190,8 @@ func (a *Arbiter) dispatch() {
 		// Fair share: a burst of waiters splits the free cores instead of
 		// the head taking them all; a lone waiter still gets everything it
 		// asked for.
-		share := free / len(a.waiting)
-		if share < 1 {
-			share = 1
-		}
-		if share > head.want {
-			share = head.want
-		}
-		got := a.budget.Reserve(share)
-		if got == 0 {
-			a.preemptFor(head)
-			return
-		}
+		got := min(max(free/len(a.waiting), 1), head.want)
+		a.inUse += got
 		g := &Grant{Cores: got, Priority: head.priority, a: a, seq: head.seq, preempt: make(chan struct{})}
 		a.running[g] = struct{}{}
 		a.waiting = a.waiting[1:]

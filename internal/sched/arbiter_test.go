@@ -13,7 +13,7 @@ import (
 // cycles and asserts the granted total never exceeds the budget.
 func TestArbiterNeverOversubscribes(t *testing.T) {
 	const cores, jobs = 4, 24
-	a := NewArbiter(cores, jobs)
+	a := NewArbiter(cores)
 	var peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -50,51 +50,10 @@ func TestArbiterNeverOversubscribes(t *testing.T) {
 	}
 }
 
-// TestArbiterAdmissionControl verifies the queue bound rejects with
-// ErrQueueFull instead of blocking forever.
-func TestArbiterAdmissionControl(t *testing.T) {
-	a := NewArbiter(1, 2)
-	g, err := a.Acquire(context.Background(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the wait queue.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			w, err := a.Acquire(ctx, 0, 1)
-			if w != nil {
-				w.Release()
-			}
-			errs <- err
-		}()
-	}
-	// Wait until both are queued, then the third must bounce.
-	deadline := time.Now().Add(2 * time.Second)
-	for a.Queued() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiters never queued (queued=%d)", a.Queued())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := a.Acquire(context.Background(), 0, 1); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	if a.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", a.Rejected())
-	}
-	cancel() // drain the two waiters
-	<-errs
-	<-errs
-	g.Release()
-}
-
 // TestArbiterPreemption verifies a higher-priority waiter signals the
 // lowest-priority running grant, and is dispatched once it releases.
 func TestArbiterPreemption(t *testing.T) {
-	a := NewArbiter(1, 8)
+	a := NewArbiter(1)
 	low, err := a.Acquire(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +111,7 @@ func TestArbiterPreemption(t *testing.T) {
 // TestArbiterFairShare verifies a burst of waiters splits the free cores
 // instead of the first taking everything.
 func TestArbiterFairShare(t *testing.T) {
-	a := NewArbiter(8, 8)
+	a := NewArbiter(8)
 	// Hold the whole budget, queue 4 greedy waiters, then release: each
 	// should get 8/4 = 2 cores.
 	hold, err := a.Acquire(context.Background(), 0, 8)
@@ -194,9 +153,9 @@ func TestArbiterFairShare(t *testing.T) {
 }
 
 // TestArbiterAcquireCancel verifies a canceled Acquire neither blocks nor
-// leaks a reservation.
+// keeps cores granted.
 func TestArbiterAcquireCancel(t *testing.T) {
-	a := NewArbiter(1, 8)
+	a := NewArbiter(1)
 	g, _ := a.Acquire(context.Background(), 0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -217,6 +176,6 @@ func TestArbiterAcquireCancel(t *testing.T) {
 	}
 	g.Release()
 	if a.InUse() != 0 {
-		t.Fatalf("reservation leaked: %d in use", a.InUse())
+		t.Fatalf("cores leaked: %d in use", a.InUse())
 	}
 }

@@ -2,7 +2,7 @@
 // pipeline, the ensemble, the window runner and the service; a time point
 // itself is always solved by one goroutine. A Pool is a gang of persistent
 // workers (one pipeline stage's tasks, or the members an ensemble deals its
-// lanes to), a Budget is the core count every gang of a run draws from, so that
+// lanes to), SplitBudget divides a run's core budget so that
 //
 //	concurrent windows × pipeline threads ≤ CoreBudget
 //
@@ -51,9 +51,6 @@ type Pool struct {
 	mu     sync.Mutex
 	pv     any // first panic recovered from a gang member
 	closed bool
-
-	budget  *Budget // set when the pool was carved out of a Budget
-	granted int     // extra cores reserved from budget (n-1 at creation)
 }
 
 // NewPool returns a pool of gang width n (caller included). Widths ≤ 1
@@ -96,8 +93,8 @@ func (p *Pool) Workers() int {
 func (p *Pool) Gang() bool { return p.Covers(2) }
 
 // Covers reports whether n independent tasks can each have a gang member and
-// a core of their own: the pool is at least n wide — a pool carved from a
-// Budget is only as wide as the budget granted — and the host schedules at
+// a core of their own: the pool is at least n wide — a pool sized under a
+// core budget is only as wide as the budget — and the host schedules at
 // least n threads (or the gang is forced). Tasks that time-share a core gain
 // nothing and blur every per-task clock reading behind the critical-path
 // model. GOMAXPROCS is read on every call: it can change mid-run.
@@ -174,10 +171,9 @@ func (p *Pool) runGuarded(fn func(int), w int) {
 	fn(w)
 }
 
-// Close stops the hired workers, waits for them to exit and only then
-// releases the pool's reservation back to its Budget: a core handed on is
-// free, and a caller counting goroutines after Close counts none of this
-// pool's. Safe on nil and safe to call twice.
+// Close stops the hired workers and waits for them to exit: a caller counting
+// goroutines after Close counts none of this pool's. Safe on nil and safe to
+// call twice.
 func (p *Pool) Close() {
 	if p == nil {
 		return
@@ -193,98 +189,6 @@ func (p *Pool) Close() {
 		close(ch)
 	}
 	p.hired.Wait()
-	if p.budget != nil {
-		p.budget.Release(p.granted)
-	}
-}
-
-// Budget tracks the core budget shared by every gang of a run: each
-// coordinator reserves a core for itself and carves its gang out of what is
-// left, so the total reservation never exceeds Total.
-type Budget struct {
-	total int64
-	used  atomic.Int64
-}
-
-// NewBudget returns a budget of total cores. total ≤ 0 yields a zero budget
-// (every Reserve grants nothing).
-func NewBudget(total int) *Budget {
-	if total < 0 {
-		total = 0
-	}
-	return &Budget{total: int64(total)}
-}
-
-// Total returns the budget's size.
-func (b *Budget) Total() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.total)
-}
-
-// InUse returns the number of cores currently reserved.
-func (b *Budget) InUse() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.used.Load())
-}
-
-// Reserve grants min(n, free) cores and records them as in use; it returns
-// the granted count (possibly 0). Callers must Release what they were
-// granted.
-func (b *Budget) Reserve(n int) int {
-	if b == nil || n <= 0 {
-		return 0
-	}
-	for {
-		used := b.used.Load()
-		free := b.total - used
-		if free <= 0 {
-			return 0
-		}
-		g := int64(n)
-		if g > free {
-			g = free
-		}
-		if b.used.CompareAndSwap(used, used+g) {
-			return int(g)
-		}
-	}
-}
-
-// Release returns n previously reserved cores to the budget.
-func (b *Budget) Release(n int) {
-	if b == nil || n <= 0 {
-		return
-	}
-	b.used.Add(int64(-n))
-}
-
-// NewPool reserves up to gang-1 extra cores (the gang leader is the calling
-// worker, assumed already accounted for by the caller's own reservation) and
-// returns a pool of width 1+granted. When nothing extra is available it
-// returns nil, i.e. serial. Closing the pool releases the reservation.
-func (b *Budget) NewPool(gang int) *Pool {
-	if gang > maxGang {
-		gang = maxGang
-	}
-	if b == nil || gang <= 1 {
-		return nil
-	}
-	g := b.Reserve(gang - 1)
-	if g == 0 {
-		return nil
-	}
-	p := NewPool(1 + g)
-	if p == nil { // 1+g == 1 cannot happen (g ≥ 1), but stay safe
-		b.Release(g)
-		return nil
-	}
-	p.budget = b
-	p.granted = g
-	return p
 }
 
 // SplitBudget divides a global core budget among identical gangs of width

@@ -83,49 +83,6 @@ func TestPoolDegradesSequentially(t *testing.T) {
 	}
 }
 
-// TestBudgetInvariant checks reservations never exceed the total and that
-// pool close releases its grant.
-func TestBudgetInvariant(t *testing.T) {
-	b := NewBudget(8)
-	if got := b.Reserve(4); got != 4 {
-		t.Fatalf("Reserve(4) = %d", got)
-	}
-	// Four coordinators reserved; each carves a gang of two out of the
-	// remainder, as four concurrent windows running two-thread pipelines do.
-	pools := make([]*Pool, 0, 4)
-	for i := 0; i < 4; i++ {
-		p := b.NewPool(2)
-		if p == nil {
-			t.Fatalf("gang %d: NewPool(2) = nil with %d free", i, b.Total()-b.InUse())
-		}
-		pools = append(pools, p)
-	}
-	if b.InUse() != 8 {
-		t.Fatalf("InUse = %d, want 8", b.InUse())
-	}
-	if p := b.NewPool(4); p != nil {
-		t.Fatalf("over-budget NewPool succeeded with width %d", p.Workers())
-	}
-	for _, p := range pools {
-		p.Close()
-	}
-	if b.InUse() != 4 {
-		t.Fatalf("after close InUse = %d, want 4", b.InUse())
-	}
-	b.Release(4)
-	if b.InUse() != 0 {
-		t.Fatalf("final InUse = %d, want 0", b.InUse())
-	}
-	// Partial grant: only 3 free, asking for a gang of 8 → width 4.
-	b2 := NewBudget(4)
-	b2.Reserve(1)
-	p := b2.NewPool(8)
-	if p.Workers() != 4 {
-		t.Fatalf("partial grant width = %d, want 4", p.Workers())
-	}
-	p.Close()
-}
-
 // TestPoolNoGoroutineLeak runs gangs on several pools and closes them: Close
 // joins its workers, so the goroutine count is back at its baseline the
 // moment the last Close returns.
@@ -148,22 +105,20 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesAfterWorkersExit: the reservation goes back to the budget
-// only once the hired goroutines are gone, so whoever is granted the cores
-// next never shares them with a worker still on its way out.
+// TestCloseReleasesAfterWorkersExit: Close returns only once the hired
+// goroutines are gone, so whoever is granted the cores next never shares them
+// with a worker still on its way out.
 func TestCloseReleasesAfterWorkersExit(t *testing.T) {
 	before := runtime.NumGoroutine()
-	b := NewBudget(4)
-	b.Reserve(1)
-	p := b.NewPool(4)
+	p := NewPool(4)
 	p.Force = true
 	p.Run(func(int) {})
 	if got := runtime.NumGoroutine(); got != before+3 {
 		t.Fatalf("%d goroutines with a 4-wide pool open, want %d", got, before+3)
 	}
 	p.Close()
-	if used, now := b.InUse(), runtime.NumGoroutine(); used != 1 || now != before {
-		t.Fatalf("after Close: %d cores in use (want 1), %d goroutines (want %d)", used, now, before)
+	if now := runtime.NumGoroutine(); now != before {
+		t.Fatalf("after Close: %d goroutines, want %d", now, before)
 	}
 }
 

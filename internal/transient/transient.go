@@ -91,8 +91,9 @@ type Options struct {
 	Resume *checkpoint.State
 	// OnAccept, when non-nil, observes every accepted time point right after
 	// it is committed to the waveform set: t is the point's time and row the
-	// recorded values in waveform column order. The row aliases the set's
-	// storage — callers that retain it past the callback must copy. Called
+	// recorded values in waveform column order. The row is the set's own row:
+	// waveform.Set.Append carves rows from chunks and never writes one again,
+	// so callers may keep it without copying (and must not modify it). Called
 	// from the engine's commit goroutine only, in time order, never after
 	// Run returns. A resumed run does not re-emit points restored from the
 	// checkpoint.

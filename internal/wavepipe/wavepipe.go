@@ -127,15 +127,13 @@ func newEngine(sys *circuit.System, opts Options) *engine {
 	base := opts.Base.WithDefaults()
 	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
 	e.taskFn = e.runTask
-	// The stage gang under a budget: one core for the coordinator, which
-	// leads it, and one per further pipeline slot as far as the budget goes.
+	// The stage gang under a budget: the coordinator leads it, so a gang of
+	// width k occupies k cores and the budget caps the width.
+	width := opts.Threads
 	if base.CoreBudget > 0 {
-		budget := sched.NewBudget(base.CoreBudget)
-		budget.Reserve(1)
-		e.gang = budget.NewPool(opts.Threads)
-	} else {
-		e.gang = sched.NewPool(opts.Threads)
+		width = min(width, base.CoreBudget)
 	}
+	e.gang = sched.NewPool(width)
 	for i := 0; i < opts.Threads; i++ {
 		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		ps.Attach(&e.base, int16(i))

@@ -156,7 +156,6 @@ type runner struct {
 	wconc       int
 	innerBudget int
 	slots       chan struct{}
-	budget      *sched.Budget
 
 	fallback   atomic.Bool
 	redoStreak atomic.Int32
@@ -236,7 +235,6 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 	}
 	r.wconc, r.innerBudget = sched.SplitBudget(opts.CoreBudget, perWindow, W)
 	r.slots = make(chan struct{}, r.wconc)
-	r.budget = sched.NewBudget(opts.CoreBudget)
 	for w := 0; w < W; w++ {
 		r.seedCh[w] = make(chan *checkpoint.State, 1)
 		r.convCh[w] = make(chan *winState, 1)
@@ -264,17 +262,12 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 	return r.assemble()
 }
 
-// acquire claims one of the wconc concurrency slots and reserves the
-// per-window share of the global core budget.
-func (r *runner) acquire() {
-	r.slots <- struct{}{}
-	r.budget.Reserve(r.innerBudget)
-}
+// acquire claims one of the wconc concurrency slots; a window holding one
+// runs under the per-window share innerBudget, so wconc × innerBudget ≤
+// CoreBudget.
+func (r *runner) acquire() { r.slots <- struct{}{} }
 
-func (r *runner) release() {
-	r.budget.Release(r.innerBudget)
-	<-r.slots
-}
+func (r *runner) release() { <-r.slots }
 
 func (r *runner) emit(kind trace.Kind, w int, t float64) {
 	if !r.tr.Active() {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"wavepipe/internal/artifact"
+	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/sched"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
@@ -25,13 +26,14 @@ var ErrUnknownJob = errors.New("wavepipe: unknown job")
 // ErrQueueFull is returned by Submit when the service's admission control
 // rejects a job because the wait queue is at capacity. Retry later; the
 // HTTP layer maps it to 429.
-var ErrQueueFull = sched.ErrQueueFull
+var ErrQueueFull = errors.New("wavepipe: admission queue full")
 
 // ErrJobUnsupported is returned by Submit for options that are valid for a
 // direct RunTransientCtx call but that the service cannot run as a job —
-// today Windows > 1, because every job is checkpointed so the arbiter can
-// preempt it and a time-parallel run has no single state to checkpoint. The
-// job is refused up front, never admitted; the HTTP layer maps it to 422.
+// today Windows > 1: the arbiter may preempt any job, which then continues
+// from the engine state of its last accepted step, and a time-parallel run
+// has no single engine state to hand back. The job is refused up front,
+// never admitted; the HTTP layer maps it to 422.
 var ErrJobUnsupported = errors.New("wavepipe: job options not supported by the service")
 
 // ServiceConfig sizes an in-process simulation service.
@@ -45,20 +47,22 @@ type ServiceConfig struct {
 	MaxQueued int
 	// CacheSize bounds the compiled-artifact cache in decks (default 16).
 	CacheSize int
-	// Dir receives per-job state: preemption checkpoints and (with
-	// TraceJobs) per-job JSONL traces. Empty means a temporary directory
-	// removed on Close.
+	// Dir receives the per-job JSONL traces of TraceJobs; the service writes
+	// nothing else into it. A named Dir is created at start and left to the
+	// caller; empty means a temporary directory, made only with TraceJobs
+	// and removed on Close.
 	Dir string
 	// TraceJobs writes each job's structured telemetry to Dir/<id>.trace.jsonl
-	// when the job ends.
+	// when the job ends. Without it the service touches no file.
 	TraceJobs bool
 }
 
 // Service runs simulations as jobs inside this process: a global
 // multi-tenant arbiter multiplexes every submission over one core budget
-// (priorities, fair share, preemption at accepted-step boundaries via
-// checkpoint/resume), and a compiled-artifact cache hands repeat decks
-// their System build, fill ordering and stamp templates without
+// (priorities, fair share, preemption at accepted-step boundaries — a
+// preempted job keeps the engine state of its last accepted step in memory
+// and the next grant continues from it), and a compiled-artifact cache hands
+// repeat decks their System build, fill ordering and stamp templates without
 // re-running symbolic analysis. Service implements Client; cmd/wavesimd
 // serves the same object over HTTP.
 type Service struct {
@@ -106,14 +110,18 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = runtime.GOMAXPROCS(0)
 	}
+	// The service writes nothing but the traces of TraceJobs, so a directory
+	// of its own is made only for them; a named Dir is the caller's.
 	dir, ownDir := cfg.Dir, false
-	if dir == "" {
-		d, err := os.MkdirTemp("", "wavesimd-*")
-		if err != nil {
-			return nil, fmt.Errorf("wavepipe: service dir: %w", err)
-		}
-		dir, ownDir = d, true
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	var err error
+	switch {
+	case dir != "":
+		err = os.MkdirAll(dir, 0o755)
+	case cfg.TraceJobs:
+		dir, err = os.MkdirTemp("", "wavesimd-*")
+		ownDir = true
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wavepipe: service dir: %w", err)
 	}
 	if cfg.MaxQueued <= 0 {
@@ -122,10 +130,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return &Service{
 		cfg: cfg,
 		// Admission is enforced at Submit (below), where it can fail fast
-		// and count only new jobs. The arbiter's own bound is left effectively
-		// unbounded so a preempted job's re-acquire — already admitted work —
-		// can never be bounced by admission control.
-		arb:     sched.NewArbiter(cfg.Cores, 1<<30),
+		// and count only new jobs, so a preempted job's re-acquire — already
+		// admitted work — is never bounced.
+		arb:     sched.NewArbiter(cfg.Cores),
 		cache:   artifact.New(cfg.CacheSize),
 		metrics: trace.NewMetrics(),
 		dir:     dir,
@@ -168,19 +175,17 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	if err := merged.validate(); err != nil {
 		return JobStatus{}, err
 	}
-	// What runs is not merged but merged plus the options the service sets
-	// itself (see run): a combination that only fails once those are in place
-	// must be refused here, not admitted and failed.
-	managed := merged
-	managed.CheckpointPath = s.checkpointPath("submit")
-	if err := managed.validate(); err != nil {
-		return JobStatus{}, fmt.Errorf("%w: every job is checkpointed for preemption: %v", ErrJobUnsupported, err)
+	if merged.Windows > 1 {
+		return JobStatus{}, fmt.Errorf("%w: Windows %d: a preempted job continues from the engine state of its last accepted step, and a time-parallel run has no single one", ErrJobUnsupported, merged.Windows)
 	}
 	base, err := baseOptions(entry.Sys, merged)
 	if err != nil {
 		return JobStatus{}, err
 	}
 	signals := transient.RecordSet(entry.Sys, base).Names
+	if ri := expansion(entry.Sys, merged); ri != nil {
+		signals = slices.Clone(ri.OrigNodes)
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -226,7 +231,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 func managedFieldsZero(o TranOptions) error {
 	switch {
 	case o.CheckpointPath != "" || o.CheckpointEvery != 0 || o.ResumeFrom != "":
-		return errors.New("wavepipe: Submit: checkpointing is managed by the service")
+		return errors.New("wavepipe: Submit: a job's state across preemption is kept by the service (no CheckpointPath, CheckpointEvery or ResumeFrom)")
 	case o.OnAccept != nil:
 		return errors.New("wavepipe: Submit: OnAccept is managed by the service (use Stream)")
 	case o.Observer != nil:
@@ -237,18 +242,12 @@ func managedFieldsZero(o TranOptions) error {
 	return nil
 }
 
-// checkpointPath is where a job's preemption checkpoint lives.
-func (s *Service) checkpointPath(id string) string {
-	return filepath.Join(s.dir, id+".ckpt")
-}
-
 // run drives one job through acquire → simulate → (preempt/resume)* → end.
 func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	defer s.wg.Done()
-	ckpt := s.checkpointPath(j.id)
-	opts.CheckpointPath = ckpt
+	// The row is the Result's own and is never written again (OnAccept).
 	opts.OnAccept = func(t float64, row []float64) {
-		p := StreamPoint{T: t, Values: append([]float64(nil), row...)}
+		p := StreamPoint{T: t, Values: row}
 		j.mu.Lock()
 		j.rows = append(j.rows, p)
 		j.broadcastLocked()
@@ -272,6 +271,9 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 		want = min(want, opts.CoreBudget)
 	}
 
+	// resume is the engine state a preempted attempt retained at its last
+	// accepted step; the next attempt continues from it.
+	var resume *checkpoint.State
 	for {
 		grant, err := s.arb.Acquire(j.ctx, j.spec.Priority, want)
 		if err != nil {
@@ -299,19 +301,23 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 
 		o := opts
 		o.CoreBudget = grant.Cores
-		if _, statErr := os.Stat(ckpt); statErr == nil {
-			o.ResumeFrom = ckpt
-		}
-		res, err := RunTransientCtx(runCtx, entry.Sys, o)
+		// Each attempt is guarded by the job's own Deadline and StallFactor
+		// and persists nothing; the guard retains the final state the engine
+		// captures at its last accepted step.
+		ctl := checkpoint.NewController(checkpoint.Config{Deadline: o.Deadline, StallFactor: o.StallFactor})
+		res, err := runGuarded(runCtx, entry.Sys, o, ctl, resume)
 		stopRun()
 		<-watchDone
 		grant.Release()
 
 		if err != nil && errors.Is(err, ErrCanceled) && preempted.Load() && j.ctx.Err() == nil {
-			// Preempted, not canceled: the final checkpoint the guard
-			// flushed at the last accepted step is the resume point. Back to
-			// the queue; the stream keeps its rows (a resumed run does not
-			// re-emit restored points).
+			// Preempted, not canceled: the retained state is the resume
+			// point (an attempt stopped before its first accepted step keeps
+			// the previous one). Back to the queue; the stream keeps its rows
+			// (a resumed run does not re-emit restored points).
+			if st := ctl.Retained(); st != nil {
+				resume = st
+			}
 			j.mu.Lock()
 			j.state = JobPreempted
 			j.cores = 0
@@ -345,7 +351,6 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.mu.Unlock()
 	close(j.done)
 	s.finished.Add(1)
-	os.Remove(s.checkpointPath(j.id))
 }
 
 // writeTrace flushes a finished job's telemetry to <dir>/<id>.trace.jsonl.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -159,11 +161,13 @@ func TestServiceGlobalBudgetNeverExceeded(t *testing.T) {
 }
 
 // TestServicePreemptionResumesBitIdentical: a higher-priority job preempts
-// a running low-priority one at an accepted-step boundary; the low job
-// checkpoints, resumes, and its final waveform is bit-identical to an
+// a running low-priority one at an accepted-step boundary; the low job keeps
+// the engine state of that step in memory — its Dir holds no file while it
+// waits — resumes from it, and its final waveform is bit-identical to an
 // uninterrupted run of the same deck.
 func TestServicePreemptionResumesBitIdentical(t *testing.T) {
-	s := newTestService(t, ServiceConfig{Cores: 1})
+	dir := t.TempDir()
+	s := newTestService(t, ServiceConfig{Cores: 1, Dir: dir})
 	low, err := s.Submit(context.Background(), JobSpec{Deck: longDeck, Priority: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +191,27 @@ func TestServicePreemptionResumesBitIdentical(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	high, err := s.Submit(context.Background(), JobSpec{Deck: serviceDeck, Priority: 5})
+	// The high job is the long deck too, so the low one stays preempted
+	// long enough to be seen.
+	high, err := s.Submit(context.Background(), JobSpec{Deck: longDeck, Priority: 5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for {
+		st, serr := s.Status(context.Background(), low.ID)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if st.State == JobPreempted {
+			break
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("low job never seen preempted (state %v)", st.State)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("a preempted job's state is kept in memory, but Dir holds %v (err %v)", files, err)
 	}
 	if _, err := s.Wait(context.Background(), high.ID); err != nil {
 		t.Fatalf("high-priority job: %v", err)
@@ -381,10 +403,10 @@ func TestServiceRejectsManagedFields(t *testing.T) {
 	}
 }
 
-// TestServiceRefusesWindowedJob: a Windows > 1 run cannot be checkpointed
-// and the service checkpoints every job, so Submit must refuse it with the
-// typed error — not admit a job that can only fail. Windows ≤ 1 is a plain
-// run and goes through.
+// TestServiceRefusesWindowedJob: a preempted job continues from the engine
+// state of its last accepted step and a Windows > 1 run has no single one, so
+// Submit must refuse it with the typed error — not admit a job that can only
+// fail. Windows ≤ 1 is a plain run and goes through.
 func TestServiceRefusesWindowedJob(t *testing.T) {
 	s := newTestService(t, ServiceConfig{Cores: 2})
 	ctx := context.Background()
@@ -512,4 +534,123 @@ func TestServiceResultIndependentOfGrant(t *testing.T) {
 		return res
 	}
 	sameWaveform(t, "granted 4 cores vs granted 1", run(4), run(1))
+}
+
+// checkStreamed holds a drained stream to the contract bench/service.go's
+// checkStream checks: every accepted point once, in time order, equal to the
+// rows of the returned Result.
+func checkStreamed(t *testing.T, pts []StreamPoint, res *Result) {
+	t.Helper()
+	if res == nil || res.W == nil {
+		t.Fatal("no result waveform")
+	}
+	if len(pts) != res.W.Len() {
+		t.Fatalf("stream has %d points, result %d", len(pts), res.W.Len())
+	}
+	for i, pt := range pts {
+		if pt.T != res.W.Times[i] {
+			t.Fatalf("stream point %d at t=%g, result row at t=%g", i, pt.T, res.W.Times[i])
+		}
+		if !slices.Equal(pt.Values, res.W.Data[i]) {
+			t.Fatalf("stream point %d has %d values %v, result row %d %v", i, len(pt.Values), pt.Values, len(res.W.Data[i]), res.W.Data[i])
+		}
+	}
+}
+
+// TestServiceReduceJobStreamsItsResultColumns: a Reduce job that records
+// every node streams what Wait returns — the original node names and their
+// values row for row, not the reduced nodes the engine solved.
+func TestServiceReduceJobStreamsItsResultColumns(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	ctx := context.Background()
+	st, err := s.Submit(ctx, JobSpec{Deck: reduceLadderDeck(200), Options: TranOptions{Reduce: true, ReduceTol: DefaultReduceTol}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := s.Stream(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []StreamPoint
+	for p := range ch {
+		pts = append(pts, p)
+	}
+	res, err := s.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ReducedNodes == 0 {
+		t.Fatal("the ladder was not reduced: nothing to expand")
+	}
+	if !slices.Equal(st.Signals, res.W.Names) {
+		t.Fatalf("job signals (%d) %v differ from the result's (%d)", len(st.Signals), st.Signals, len(res.W.Names))
+	}
+	checkStreamed(t, pts, res)
+}
+
+// TestServiceTouchesDirOnlyForTraces: without TraceJobs the service creates
+// no directory of its own and writes no file into a named Dir; with it, Dir
+// receives one trace per job.
+func TestServiceTouchesDirOnlyForTraces(t *testing.T) {
+	ctx := context.Background()
+	runOne := func(cfg ServiceConfig) string {
+		s := newTestService(t, cfg)
+		st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	runOne(ServiceConfig{Cores: 1})
+	if files, err := os.ReadDir(tmp); err != nil || len(files) != 0 {
+		t.Fatalf("TraceJobs off, no Dir: the temp directory holds %v (err %v)", files, err)
+	}
+
+	dir := t.TempDir()
+	runOne(ServiceConfig{Cores: 1, Dir: dir})
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("TraceJobs off: Dir holds %v (err %v)", files, err)
+	}
+
+	dir = filepath.Join(t.TempDir(), "traces")
+	id := runOne(ServiceConfig{Cores: 1, Dir: dir, TraceJobs: true})
+	// The trace is written right after the job turns terminal.
+	files, err := os.ReadDir(dir)
+	for deadline := time.Now().Add(5 * time.Second); err == nil && len(files) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		files, err = os.ReadDir(dir)
+	}
+	if err != nil || len(files) != 1 || files[0].Name() != id+".trace.jsonl" {
+		t.Fatalf("TraceJobs on: Dir holds %v (err %v), want %s.trace.jsonl", files, err, id)
+	}
+}
+
+// TestServiceJobDeadline: a job's own Deadline still bounds it — each attempt
+// runs under a guard built from the job's Deadline and StallFactor — and the
+// job fails with ErrDeadlineExceeded and its partial Result.
+func TestServiceJobDeadline(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	ctx := context.Background()
+	st, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Deadline: 50 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	res, err := s.Wait(wctx, st.ID)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	if res == nil || res.W == nil || res.W.Len() < 2 {
+		t.Fatalf("no partial result with the deadline error: %+v", res)
+	}
+	if fin, err := s.Status(ctx, st.ID); err != nil || fin.State != JobFailed {
+		t.Fatalf("state=%v err=%v, want failed", fin.State, err)
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"wavepipe/internal/checkpoint"
@@ -452,11 +453,13 @@ type TranOptions struct {
 	StallFactor float64
 	// OnAccept, when non-nil, observes every accepted time point right after
 	// it is committed: t is the point's time and row the recorded values in
-	// Result.W column order. The row aliases the result's storage — copy it
-	// to retain it past the callback. Called in time order from the engine's
-	// commit goroutine; never after the run returns. A resumed run does not
-	// re-emit points restored from the checkpoint. This is the hook the
-	// service's streaming endpoint is built on.
+	// Result.W column order. The row is the Result's own row (for a reduced
+	// run recording every node, its expansion onto the original nodes) and is
+	// never written again: keep it without copying, never modify it. Called
+	// in time order from the engine's commit goroutine; never after the run
+	// returns. A resumed run does not re-emit points restored from the
+	// checkpoint. This is the hook the service's streaming endpoint is built
+	// on.
 	OnAccept func(t float64, row []float64)
 	// Reduce enables the structure-exploiting parasitic reduction pass
 	// (internal/reduce) before the system is simulated: series R/L chains
@@ -611,18 +614,6 @@ func RunTransientCtx(ctx context.Context, sys *System, opts TranOptions) (*Resul
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	rsys, err := reduceSystem(sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys = rsys
-	base, err := baseOptions(sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	base.Ctx = ctx
-	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
-
 	var ctl *checkpoint.Controller
 	if opts.CheckpointPath != "" || opts.Deadline > 0 || opts.StallFactor > 0 {
 		ctl = checkpoint.NewController(checkpoint.Config{
@@ -631,17 +622,42 @@ func RunTransientCtx(ctx context.Context, sys *System, opts TranOptions) (*Resul
 			Deadline:    opts.Deadline,
 			StallFactor: opts.StallFactor,
 		})
-		ctl.SetTracer(base.Trace)
-		base.Guard = ctl
 	}
+	var resume *checkpoint.State
 	if opts.ResumeFrom != "" {
-		st, lerr := checkpoint.Load(opts.ResumeFrom)
-		if lerr != nil {
-			return nil, lerr
+		st, err := checkpoint.Load(opts.ResumeFrom)
+		if err != nil {
+			return nil, err
 		}
-		base.Resume = st
+		resume = st
+	}
+	return runGuarded(ctx, sys, opts, ctl, resume)
+}
+
+// runGuarded runs validated options under the guard ctl (nil: unguarded),
+// continuing from resume when it is non-nil. The guard keeps the final state
+// the engine captures at its last accepted step (ctl.Retained), which is both
+// the panic salvage below and what the service hands the next attempt of a
+// preempted job as its resume.
+func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpoint.Controller, resume *checkpoint.State) (*Result, error) {
+	sys, err := reduceSystem(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	base, err := baseOptions(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	base.Ctx = ctx
+	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
+	base.Resume = resume
+	if ri := expansion(sys, opts); ri != nil && base.OnAccept != nil {
+		onAccept := base.OnAccept
+		base.OnAccept = func(t float64, row []float64) { onAccept(t, expandRow(ri, row)) }
 	}
 	if ctl != nil {
+		ctl.SetTracer(base.Trace)
+		base.Guard = ctl
 		ctl.Start()
 		defer ctl.Stop()
 	}
@@ -708,37 +724,48 @@ func finishReduced(sys *System, opts TranOptions, res *Result) {
 	}
 	res.Stats.ReducedNodes = int64(ri.RemovedNodes)
 	res.Stats.ReducedDevices = int64(ri.RemovedDevices)
-	if ri.RemovedNodes == 0 || opts.Record != nil || res.W == nil {
-		return
+	if expansion(sys, opts) != nil && res.W != nil {
+		res.W = expandSet(ri, res.W)
 	}
-	res.W = expandSet(ri, res.W)
 }
 
-// expandSet reconstructs the suppressed node waveforms of a default-record
-// result: the reduced engine recorded every reduced node voltage in node
-// order, so column j is reduced node j and each original node is an affine
-// combination of columns. Sets with any other shape (partial salvage,
-// custom recording) are returned unchanged.
+// expansion returns the map from a reduced run's rows back onto the original
+// node set when the run records every node (Record nil) of a System the pass
+// actually shrank; nil when its rows are already what the caller asked for.
+func expansion(sys *System, opts TranOptions) *circuit.ReducedInfo {
+	if ri := sys.Reduction(); ri != nil && ri.RemovedNodes > 0 && opts.Record == nil {
+		return ri
+	}
+	return nil
+}
+
+// expandRow reconstructs one original-node row from a default-record row of
+// the reduced engine, which holds every reduced node voltage in node order:
+// column j is reduced node j and each original node is an affine combination
+// of columns. OnAccept rows and the final Result go through it alike.
+func expandRow(ri *circuit.ReducedInfo, row []float64) []float64 {
+	out := make([]float64, len(ri.OrigNodes))
+	for o := range out {
+		out[o] = ri.ExpandValue(o, row)
+	}
+	return out
+}
+
+// expandSet expands every row of a default-record result (see expandRow).
+// Sets with any other shape (partial salvage) are returned unchanged.
 func expandSet(ri *circuit.ReducedInfo, w *waveform.Set) *waveform.Set {
-	nRed := len(ri.OrigNodes) - ri.RemovedNodes
-	if len(w.Names) != nRed {
+	if len(w.Names) != len(ri.OrigNodes)-ri.RemovedNodes {
 		return w
 	}
-	names := make([]string, len(ri.OrigNodes))
 	index := make([]int, len(ri.OrigNodes))
-	copy(names, ri.OrigNodes)
 	for o := range index {
 		index[o] = o
 	}
 	data := make([][]float64, len(w.Data))
 	for k, row := range w.Data {
-		out := make([]float64, len(names))
-		for o := range names {
-			out[o] = ri.ExpandValue(o, row)
-		}
-		data[k] = out
+		data[k] = expandRow(ri, row)
 	}
-	ns, err := waveform.Restore(names, index, w.Times, data)
+	ns, err := waveform.Restore(slices.Clone(ri.OrigNodes), index, w.Times, data)
 	if err != nil {
 		return w
 	}

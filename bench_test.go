@@ -81,29 +81,6 @@ func BenchmarkTable1_BuildSuite(b *testing.B) {
 
 // Table 2: backward pipelining vs serial.
 func BenchmarkTable2_Grid16_Serial(b *testing.B) { runScheme(b, "grid16", Serial, 1) }
-
-// Same workload with the incremental assembly engine on: template way
-// buffers are allocated once per workspace and reused,
-// so the steady-state alloc count must stay within a hair of the plain run.
-func BenchmarkTable2_Grid16_Serial_DevBypass(b *testing.B) {
-	sys, opts := findBenchmark(b, "grid16")
-	opts.Scheme = Serial
-	opts.Threads = 1
-	opts.DeviceBypass = true
-	var last *Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunTransient(sys, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(last.Stats.Stages), "stages")
-	b.ReportMetric(float64(last.Stats.LinearStampHits), "linhits")
-}
 func BenchmarkTable2_Grid16_BWP2(b *testing.B)   { runScheme(b, "grid16", Backward, 2) }
 func BenchmarkTable2_Grid16_BWP3(b *testing.B)   { runScheme(b, "grid16", Backward, 3) }
 func BenchmarkTable2_Ladder_Serial(b *testing.B) { runScheme(b, "ladder400", Serial, 1) }

@@ -56,7 +56,7 @@ type JobStatus struct {
 	// Resumes counts the preemptions the job was resumed from.
 	Resumes int `json:"resumes"`
 	// CacheHit reports whether the deck's compiled artifacts (System build,
-	// fill ordering, stamp templates) were reused from the cache.
+	// fill ordering) were reused from the cache.
 	CacheHit bool `json:"cacheHit"`
 	// Signals are the waveform column names the job records (for a Reduce
 	// job recording every node, the original node names, as in its Result).

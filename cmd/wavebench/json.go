@@ -28,14 +28,11 @@ type benchMetrics struct {
 	ReusedFactorizations int    `json:"reused_factorizations"`
 	Refactorizations     int    `json:"refactorizations"`
 	FullFactorizations   int    `json:"full_factorizations"`
-	// Incremental-assembly metadata (zero values when -devbypass is unset).
-	DeviceBypass    bool  `json:"device_bypass"`
-	LinearStampHits int64 `json:"linear_stamp_hits"`
 }
 
 // jsonMetrics runs the selected circuit once per configuration and emits a
 // JSON array of benchMetrics on stdout.
-func jsonMetrics(benchName string, devBypass bool) error {
+func jsonMetrics(benchName string) error {
 	var records []benchMetrics
 	for _, b := range circuits.Suite() {
 		if benchName != "all" && b.Name != benchName {
@@ -45,11 +42,7 @@ func jsonMetrics(benchName string, devBypass bool) error {
 		if err != nil {
 			return err
 		}
-		opts := wavepipe.TranOptions{
-			TStop:        window(b),
-			Record:       []string{b.Probe},
-			DeviceBypass: devBypass,
-		}
+		opts := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
 		var ms0, ms1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
@@ -72,8 +65,6 @@ func jsonMetrics(benchName string, devBypass bool) error {
 			ReusedFactorizations: res.Stats.ReusedFactorizations,
 			Refactorizations:     res.Stats.Refactorizations,
 			FullFactorizations:   res.Stats.FullFactorizations,
-			DeviceBypass:         devBypass,
-			LinearStampHits:      res.Stats.LinearStampHits,
 		})
 	}
 	if len(records) == 0 {

@@ -58,9 +58,8 @@ func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
 	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, windowscale, reducescale")
 	all := flag.Bool("all", false, "regenerate every table and figure")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench, -devbypass)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench)")
 	benchName := flag.String("bench", "grid16", "circuit for -json and the -fig windowscale/reducescale sweeps (a suite name, or all)")
-	devBypass := flag.Bool("devbypass", false, "enable incremental assembly (the linear-stamp template) for the -json run")
 	maxCores := flag.Int("maxcores", 0, "largest core budget for -fig windowscale (0 = NumCPU)")
 	flag.Parse()
 
@@ -132,7 +131,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		if err := jsonMetrics(*benchName, *devBypass); err != nil {
+		if err := jsonMetrics(*benchName); err != nil {
 			fmt.Fprintln(os.Stderr, "wavebench:", err)
 			os.Exit(1)
 		}

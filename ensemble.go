@@ -57,8 +57,8 @@ type EnsembleResult = ensemble.Result
 // Options follow RunTransientCtx semantics with Threads as the gang width,
 // capped by CoreBudget when that is set; Scheme must be Serial (lanes are
 // whole-waveform units — the WavePipe schemes parallelize inside one waveform
-// and do not compose with lane batching), and durability, DeviceBypass and
-// fault options are not supported.
+// and do not compose with lane batching), and durability and fault options
+// are not supported.
 func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts TranOptions) (*EnsembleResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("wavepipe: ensemble needs at least one lane")
@@ -132,8 +132,6 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 	switch {
 	case opts.Scheme != Serial:
 		return nil, fmt.Errorf("wavepipe: ensemble lanes are whole-waveform units; Scheme must be Serial (got %v)", opts.Scheme)
-	case opts.DeviceBypass:
-		return nil, fmt.Errorf("wavepipe: DeviceBypass is not supported inside ensemble lanes")
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return nil, fmt.Errorf("wavepipe: checkpoint/resume is not supported for ensemble runs")
 	case opts.Deadline > 0 || opts.StallFactor > 0:

@@ -117,9 +117,6 @@ func TestRunEnsembleRejectsUnknownNames(t *testing.T) {
 	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{Scheme: Combined}); err == nil {
 		t.Fatal("non-serial scheme accepted")
 	}
-	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{DeviceBypass: true}); err == nil {
-		t.Fatal("device bypass accepted")
-	}
 	// The callback has no lane argument; it used to be forwarded and then
 	// never called.
 	onAccept := func(float64, []float64) { t.Error("OnAccept called from an ensemble run") }

@@ -4,11 +4,11 @@
 //
 // A deck's expensive derived artifacts all hang off its compiled
 // circuit.System: the frozen Jacobian pattern, the charge-pass device list,
-// the fill-reducing column ordering (computed once per System and shared by
-// every workspace via FactorizeWithPerm) and the incremental-assembly basis
-// (the linear-stamp template). A System is immutable
-// and safe to share across concurrent runs — per-run numerics live in
-// Workspaces — so caching the System *is* caching every artifact at once.
+// and the fill-reducing column ordering (computed once per System and shared
+// by every workspace via FactorizeWithPerm). A System is immutable and safe
+// to share across concurrent runs — per-run numerics, a linear circuit's
+// stamp template among them, live in Workspaces — so caching the System *is*
+// caching every artifact at once.
 //
 // Entries are keyed by a canonical netlist hash: the parsed deck is
 // re-rendered through the netlist writer, so two texts that differ only in

@@ -7,11 +7,10 @@
 // A State captures everything the serial engine needs to continue exactly
 // where it stopped: the trailing integrate.History window, the step
 // controller's position (h, hUsed, afterBreak), the junction-limiting state,
-// the recorded waveform, accumulated statistics, the recovery log, the
-// incremental-assembly generation counter, and — crucially for bit-identity —
-// the sparse LU factorization (pivot sequence, patterns, values), so the
-// first post-resume factorization takes the same Refactor path as the
-// uninterrupted run. The encoding is deterministic (fixed field order,
+// the recorded waveform, accumulated statistics, the recovery log, and —
+// crucially for bit-identity — the sparse LU factorization (pivot sequence,
+// patterns, values), so the first post-resume factorization takes the same
+// Refactor path as the uninterrupted run. The encoding is deterministic (fixed field order,
 // little-endian, no maps) and guarded by a CRC, a version number and
 // bounds-checked lengths: truncated, corrupted or wrong-version files decode
 // to a typed faults error, never a panic or silent garbage.
@@ -97,7 +96,6 @@ type Stats struct {
 	DegradedStages     int64
 	Refactorizations   int64
 	FullFactorizations int64
-	LinearStampHits    int64
 	CriticalNanos      int64
 	CoreBudget         int64
 	PipelineWorkers    int64

@@ -278,15 +278,16 @@ func encodeSizeHint(s *State) int {
 }
 
 // fields returns the int64 stats in their fixed wire order. Slots 11 and 14
-// held the counters of the two retired bypass engines; format version 1 keeps
-// their places, written as 0 and ignored on read, so files written before the
-// retirement still decode.
+// held the counters of the two retired bypass engines and slot 15 the retired
+// linear-template hit count; format version 1 keeps their places, written as
+// 0 and ignored on read, so files written before the retirements still
+// decode.
 func (st *Stats) fields() [20]int64 {
 	return [20]int64{
 		st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures,
 		st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics,
 		st.DegradedStages, 0, st.Refactorizations,
-		st.FullFactorizations, 0, st.LinearStampHits,
+		st.FullFactorizations, 0, 0,
 		st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers,
 	}
 }
@@ -295,7 +296,7 @@ func (st *Stats) setFields(v [20]int64) {
 	st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures = v[0], v[1], v[2], v[3], v[4]
 	st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics = v[5], v[6], v[7], v[8], v[9]
 	st.DegradedStages, st.Refactorizations = v[10], v[12]
-	st.FullFactorizations, st.LinearStampHits = v[13], v[15]
+	st.FullFactorizations = v[13]
 	st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers = v[16], v[17], v[18], v[19]
 }
 

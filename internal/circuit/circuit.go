@@ -213,12 +213,6 @@ type System struct {
 	colPermOnce sync.Once
 	colPerm     []int
 
-	// inc caches the Build-time incremental-assembly basis (the linear stamp
-	// template); built lazily on the first workspace that enables device
-	// bypass, nil when the circuit does not support it.
-	incOnce sync.Once
-	inc     *incBasis
-
 	// reduced records how this System was derived from a larger circuit by
 	// the parasitic-reduction pass (nil when built directly); see reduced.go.
 	reduced *ReducedInfo
@@ -241,8 +235,9 @@ func (s *System) fillOrdering() []int {
 // J_F + Alpha0·J_Q depends on the step alone and one full Newton step through
 // its exact factorization is the solution. The property is found at Build —
 // it is a fact about the device list, not something a caller asks for — and
-// two layers act on it: the Newton iteration certifies such a step at once
-// (newton.Iter.Step), and the step controller keeps its steps on short
+// three layers act on it: every workspace assembles through its stamp
+// template (incremental.go), the Newton iteration certifies such a step at
+// once (newton.Iter.Step), and the step controller keeps its steps on short
 // mantissas so that Alpha0, and with it the matrix, repeats bit for bit
 // whenever a step does (transient.Stepper.SetStep).
 func (s *System) Linear() bool { return s.linear }
@@ -332,16 +327,15 @@ type Workspace struct {
 
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
-	// inc holds the per-workspace incremental-assembly state (the linear stamp
-	// template LRU); nil unless SetDeviceBypass enabled it. Each workspace
-	// owns an independent copy, so concurrent pipeline points never share it.
-	inc *incState
+	// tmpl is the stamp template of this workspace's devices (incremental.go);
+	// nil on a nonlinear System, which always sweeps.
+	tmpl *stampTemplate
 }
 
 // NewWorkspace allocates a workspace (one per concurrent worker).
 func (s *System) NewWorkspace() *Workspace {
 	m := s.pattern.Clone()
-	return &Workspace{
+	ws := &Workspace{
 		Sys:    s,
 		M:      m,
 		Solver: s.newSolver(m),
@@ -352,6 +346,10 @@ func (s *System) NewWorkspace() *Workspace {
 		SNext:  make([]float64, s.NumStates),
 		Worker: -1,
 	}
+	if s.linear {
+		ws.tmpl = newStampTemplate(s, ws.Devices())
+	}
+	return ws
 }
 
 // LoadParams bundles the knobs of one assembly pass.
@@ -376,20 +374,21 @@ type LoadParams struct {
 }
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
-// vectors at iterate x. Every assembly path — this loop, LoadSplit, the
-// incremental engine and the lane sweep of lanes.go — is beginLoad, its own
-// device sweep, finishLoad, on the calling goroutine and without a clock read.
+// vectors at iterate x: through the stamp template on a linear System, else
+// by sweeping every device. NoLimit loads must evaluate every device exactly
+// at the iterate and source-stepping loads rescale B, so both always sweep.
+// Every assembly path — this one, LoadSplit and the lane sweep of lanes.go —
+// is beginLoad, its own sweep, finishLoad, on the calling goroutine and
+// without a clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
-	if inc := ws.inc; inc != nil {
-		if ws.loadIncremental(x, p) {
-			return
-		}
-		inc.lastLinear = false
-	}
 	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, zeroAll)
-	for _, d := range ws.Devices() {
-		d.Eval(ctx)
+	if tp := ws.tmpl; tp != nil && !p.NoLimit && p.SrcScale == 1 {
+		ws.loadTemplate(ctx, tp, x, p)
+	} else {
+		ws.beginLoad(ctx, x, p, zeroAll)
+		for _, d := range ws.Devices() {
+			d.Eval(ctx)
+		}
 	}
 	ws.finishLoad(x, p, ctx.Limited)
 }
@@ -398,26 +397,33 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 type passZero uint8
 
 const (
-	zeroM  passZero = 1 << iota // the Jacobian values
-	zeroFB                      // F and B
-	zeroQ
-	zeroVectors = zeroFB | zeroQ      // the incremental sweep: a template copy overwrites M whole
-	zeroAll     = zeroM | zeroVectors // every full assembly
+	zeroM   passZero = 1 << iota // the Jacobian values
+	zeroF                        // static currents
+	zeroQ                        // charges
+	zeroB                        // source terms
+	zeroAll = zeroM | zeroF | zeroQ | zeroB
 )
 
-// beginLoad opens an assembly pass at iterate x: the buffers named in zero
-// are cleared and ctx is pointed at the workspace buffers under p.
-func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, zero passZero) {
-	if zero&zeroM != 0 {
+// zero clears the workspace buffers named in z.
+func (ws *Workspace) zero(z passZero) {
+	if z&zeroM != 0 {
 		clear(ws.M.Values)
 	}
-	if zero&zeroFB != 0 {
+	if z&zeroF != 0 {
 		clear(ws.F)
-		clear(ws.B)
 	}
-	if zero&zeroQ != 0 {
+	if z&zeroQ != 0 {
 		clear(ws.Q)
 	}
+	if z&zeroB != 0 {
+		clear(ws.B)
+	}
+}
+
+// beginLoad opens an assembly pass at iterate x: the buffers named in z are
+// cleared and ctx is pointed at the workspace buffers under p.
+func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, z passZero) {
+	ws.zero(z)
 	*ctx = EvalCtx{
 		X:        x,
 		T:        p.Time,

@@ -1,35 +1,26 @@
-// Incremental MNA assembly: the linear-stamp template.
+// Linear systems: the stamp template.
 //
-// Every Newton iteration at every (speculative or committed) time point
-// normally re-evaluates all devices through per-device Eval interface calls.
-// Linear devices (R, C, L, sources, controlled sources) contribute Jacobian
-// stamps that are constant and F/Q vectors that are exactly J_F·x and J_Q·x.
-// For a fixed Alpha0 their Jacobian contribution is a constant template that
-// is copied instead of re-stamped, and their F and Q are two compact
-// matrix-vector products. Nonlinear devices are evaluated plainly on top.
+// On a linear System (see System.Linear) every device stamps constant
+// Jacobians, with F = J_F·x and Q = J_Q·x, and only the sources' B moves with
+// time. The matrix of a load is then J_F + Alpha0·J_Q, a blend of two fixed
+// arrays, and F and Q are two compact matrix-vector products. A load through
+// the template evaluates the sources for B and does arithmetic for the rest
+// instead of sweeping every device through Eval.
 //
-// The engine has two halves. The per-System incBasis (built once, immutable,
-// shared by all workspaces) holds the exact linear Jacobian split. The
-// per-Workspace incState holds the mutable template LRU, so concurrent
-// WavePipe points never share it.
-//
-// What stays on the plain path:
-//   - NoLimit loads and source-stepping loads (the charge pass that closes a
-//     point is not a Load at all and touches neither template nor counters).
+// Every workspace of a linear System builds its own template from its own
+// device list (NewWorkspace, SetDevices), so an ensemble lane is templated
+// from its variant's values and the template lives and dies with the
+// workspace. A nonlinear System has none. NoLimit loads and source-stepping
+// loads take the plain sweep on either. The template sums stamps in another
+// order than the sweep, so the two agree to rounding, not bit for bit.
 package circuit
-
-import (
-	"math"
-
-	"wavepipe/internal/sparse"
-)
 
 // LinearStamper marks a device whose F and Q stamps are exactly linear in
 // the iterate (F = J_F·x, Q = J_Q·x with constant Jacobians) and whose only
 // time dependence, if any, lives in the source vector B. The returned flag
 // reports whether the device stamps B at all: such devices (independent
 // sources) are re-evaluated every load for their B contribution, while their
-// constant Jacobian lives in the cached template.
+// constant Jacobian lives in the template.
 //
 // Implementing this interface is a correctness promise, not a hint: the
 // finite-difference Jacobian tests in internal/device are the safety net.
@@ -38,262 +29,128 @@ type LinearStamper interface {
 }
 
 // linearDevice reports whether d keeps that promise with no limiting state
-// of its own: the devices the linear template absorbs, and — when every
-// device of a circuit is one — what makes the System Linear.
+// of its own. A System whose every device is one is Linear.
 func linearDevice(d Device) bool {
 	_, ok := d.(LinearStamper)
 	return ok && d.States() == 0
 }
 
-// templateWays is the associativity of the per-workspace linear template
-// LRU. Variable-step runs revisit a handful of step sizes (and therefore
-// Alpha0 values); four ways cover the trap/Gear alternation plus the halved
-// and doubled neighbors without thrashing.
-const templateWays = 4
+// stampTemplate is the exact J_F / J_Q split of one workspace's devices in
+// compact form: the pattern is dominated by slots that are zero in both, so
+// the blend and the products iterate only the entries that exist. pos/jf/jq
+// drive the blend (M[pos[t]] = jf[t] + Alpha0·jq[t]); the (row, col, value)
+// triples drive the two matrix-vector products.
+type stampTemplate struct {
+	pos      []int
+	jf, jq   []float64
+	jfR, jfC []int
+	jfV      []float64
+	jqR, jqC []int
+	jqV      []float64
 
-// incBasis is the immutable Build-time half of the incremental engine,
-// shared by every workspace of a System.
-type incBasis struct {
-	// jf and jq hold the exact linear dF/dx and dQ/dx: the split-assembly
-	// probe routes AddJ into jf and AddJQ raw into jq, so the separation has
-	// no finite-difference error. The Alpha0-blended template jf + α0·jq is
-	// cached per workspace.
-	jf, jq *sparse.Matrix
-
-	// Compact forms of jf/jq: the full pattern is dominated by nonlinear
-	// slots that are zero in both, so the template blend and the linear
-	// F/Q rebuild iterate only the entries that exist. linPos/linJF/linJQ
-	// drive the blend (tv[linPos[t]] = linJF[t] + α0·linJQ[t]); the
-	// (row, col, value) triples drive the two matrix-vector products.
-	linPos       []int
-	linJF, linJQ []float64
-	jfR, jfC     []int
-	jfV          []float64
-	jqR, jqC     []int
-	jqV          []float64
-
-	// sources lists linear devices with time-varying B (independent
-	// sources); they are re-evaluated each load with their J/F/Q writes
-	// routed into dump buffers so only B lands in the workspace.
+	// sources lists the devices with a time-varying B (independent sources),
+	// evaluated every load for it.
 	sources []int
-
-	// nonlinear lists the device indices evaluated each load.
-	nonlinear []int
 }
 
-// incrementalBasis returns the System's incremental-assembly basis, building
-// it on first use. Returns nil when the circuit does not support the engine
-// (a device probe panicked). Safe for concurrent callers.
-func (s *System) incrementalBasis() *incBasis {
-	s.incOnce.Do(func() { s.inc = buildIncBasis(s) })
-	return s.inc
-}
-
-// buildIncBasis probes the compiled circuit once and constructs the shared
-// basis. Like the charge probe it bails out (returning nil) if any device
-// panics during the probe, which simply disables the incremental engine.
-func buildIncBasis(s *System) (basis *incBasis) {
+// newStampTemplate probes devs once at x = 0: AddJ routes into a J_F matrix
+// and AddJQ raw into a J_Q one (the split AC assembly uses), which separates
+// the two with no finite-difference error. F, Q and B writes are discarded;
+// for a linear device F(0) = Q(0) = 0, and B is stamped every load. Like the
+// charge probe it returns nil if a device is not linear or panics under the
+// probe, which leaves the workspace on the plain sweep.
+func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	defer func() {
 		if recover() != nil {
-			basis = nil
+			tp = nil
 		}
 	}()
-	devices := s.Circuit.devices
-	if len(devices) == 0 {
-		return nil
-	}
-	b := &incBasis{jf: s.pattern.Clone(), jq: s.pattern.Clone()}
 	n := s.N
-	// Split probe at x = 0 for the linear devices: AddJ routes into jf and
-	// AddJQ raw into jq (the mq routing used by AC assembly), giving an
-	// exact J_F / J_Q separation with no finite-difference error. F, Q and
-	// B writes are discarded — for a linear device F(0) = Q(0) = 0 and its
-	// B contribution, if any, is re-stamped every load.
-	linCtx := EvalCtx{
+	mf, mq := s.pattern.Clone(), s.pattern.Clone()
+	ctx := EvalCtx{
 		X:        make([]float64, n),
 		SrcScale: 1,
 		NoLimit:  true,
 		SPrev:    make([]float64, s.NumStates),
 		SNext:    make([]float64, s.NumStates),
-		m:        b.jf,
-		mq:       b.jq,
+		m:        mf,
+		mq:       mq,
 		F:        make([]float64, n),
 		Q:        make([]float64, n),
 		B:        make([]float64, n),
 	}
-	for di, d := range devices {
+	tp = &stampTemplate{}
+	for di, d := range devs {
 		if !linearDevice(d) {
-			b.nonlinear = append(b.nonlinear, di)
-			continue
+			return nil
 		}
-		d.Eval(&linCtx)
+		d.Eval(&ctx)
 		if d.(LinearStamper).LinearStamps() {
-			b.sources = append(b.sources, di)
+			tp.sources = append(tp.sources, di)
 		}
 	}
-	// Compress the linear split: record only the pattern entries where jf or
-	// jq is nonzero, with (row, col, value) triples for the mat-vec products.
+	// Sized exactly before they are filled: growing nine slices by appending
+	// costs a grid16 template about a hundred allocations, and an ensemble
+	// lane builds two (NewWorkspace, then SetDevices).
+	var nLin, nF, nQ int
+	for p, fv := range mf.Values {
+		qv := mq.Values[p]
+		if fv != 0 || qv != 0 {
+			nLin++
+		}
+		if fv != 0 {
+			nF++
+		}
+		if qv != 0 {
+			nQ++
+		}
+	}
+	tp.pos, tp.jf, tp.jq = make([]int, 0, nLin), make([]float64, 0, nLin), make([]float64, 0, nLin)
+	tp.jfR, tp.jfC, tp.jfV = make([]int, 0, nF), make([]int, 0, nF), make([]float64, 0, nF)
+	tp.jqR, tp.jqC, tp.jqV = make([]int, 0, nQ), make([]int, 0, nQ), make([]float64, 0, nQ)
 	for col := 0; col < n; col++ {
-		m := b.jf
-		for p := m.ColPtr[col]; p < m.ColPtr[col+1]; p++ {
-			fv, qv := b.jf.Values[p], b.jq.Values[p]
+		for p := mf.ColPtr[col]; p < mf.ColPtr[col+1]; p++ {
+			fv, qv := mf.Values[p], mq.Values[p]
 			if fv == 0 && qv == 0 {
 				continue
 			}
-			b.linPos = append(b.linPos, p)
-			b.linJF = append(b.linJF, fv)
-			b.linJQ = append(b.linJQ, qv)
+			tp.pos = append(tp.pos, p)
+			tp.jf = append(tp.jf, fv)
+			tp.jq = append(tp.jq, qv)
 			if fv != 0 {
-				b.jfR = append(b.jfR, m.RowIdx[p])
-				b.jfC = append(b.jfC, col)
-				b.jfV = append(b.jfV, fv)
+				tp.jfR = append(tp.jfR, mf.RowIdx[p])
+				tp.jfC = append(tp.jfC, col)
+				tp.jfV = append(tp.jfV, fv)
 			}
 			if qv != 0 {
-				b.jqR = append(b.jqR, m.RowIdx[p])
-				b.jqC = append(b.jqC, col)
-				b.jqV = append(b.jqV, qv)
+				tp.jqR = append(tp.jqR, mf.RowIdx[p])
+				tp.jqC = append(tp.jqC, col)
+				tp.jqV = append(tp.jqV, qv)
 			}
 		}
 	}
-	return b
+	return tp
 }
 
-// tmplWay is one way of the linear-template LRU.
-type tmplWay struct {
-	valid     bool
-	alphaBits uint64
-	used      uint64
-	values    []float64
-}
-
-// incState is the mutable per-workspace half of the incremental engine.
-type incState struct {
-	basis *incBasis
-
-	stamp uint64 // LRU clock
-	ways  [templateWays]tmplWay
-
-	// dump buffers absorb the J/F/Q writes of per-load source evaluations
-	// (their constant stamps already live in the template); lazily
-	// allocated, reused for the life of the workspace.
-	dumpM        *sparse.Matrix
-	dumpF, dumpQ []float64
-
-	lastLinear bool
-	linearHits int64
-}
-
-// SetDeviceBypass switches the incremental assembly engine of this workspace
-// on or off. Switching it on is a no-op when the circuit does not support it
-// (a Build-time probe failed), keeping the plain path in charge.
-func (ws *Workspace) SetDeviceBypass(on bool) {
-	ws.inc = nil
-	if !on {
-		return
+// loadTemplate is the sweep of a Load through the template. The sources are
+// evaluated straight into the workspace for B; their J, F and Q stamps are
+// already in the template, so M, F and Q are cleared after them and rebuilt
+// by the blend and the two products.
+func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, p LoadParams) {
+	ws.beginLoad(ctx, x, p, zeroB)
+	devs := ws.Devices()
+	for _, di := range tp.sources {
+		devs[di].Eval(ctx)
 	}
-	if basis := ws.Sys.incrementalBasis(); basis != nil {
-		ws.inc = &incState{basis: basis}
+	ws.zero(zeroM | zeroF | zeroQ)
+	m := ws.M.Values
+	for t, pos := range tp.pos {
+		m[pos] = tp.jf[t] + p.Alpha0*tp.jq[t]
 	}
-}
-
-// LastLoadLinearHit reports whether the most recent Load started from a
-// cached linear template (an LRU hit).
-func (ws *Workspace) LastLoadLinearHit() bool {
-	return ws.inc != nil && ws.inc.lastLinear
-}
-
-// LinearStampHits returns the cumulative count of loads that started from a
-// cached linear template.
-func (ws *Workspace) LinearStampHits() int64 {
-	if ws.inc == nil {
-		return 0
+	for t, r := range tp.jfR {
+		ws.F[r] += tp.jfV[t] * x[tp.jfC[t]]
 	}
-	return ws.inc.linearHits
-}
-
-// template returns the Alpha0-blended linear template values, serving from
-// the LRU when this Alpha0 was seen recently and otherwise evicting the
-// least recently used way. Way buffers are allocated once and reused across
-// evictions, so steady-state loads allocate nothing.
-func (inc *incState) template(alpha0 float64) []float64 {
-	bits := math.Float64bits(alpha0)
-	inc.stamp++
-	for w := range inc.ways {
-		way := &inc.ways[w]
-		if way.valid && way.alphaBits == bits {
-			way.used = inc.stamp
-			inc.lastLinear = true
-			inc.linearHits++
-			return way.values
-		}
+	for t, r := range tp.jqR {
+		ws.Q[r] += tp.jqV[t] * x[tp.jqC[t]]
 	}
-	victim := &inc.ways[0]
-	for w := 1; w < templateWays; w++ {
-		if inc.ways[w].used < victim.used {
-			victim = &inc.ways[w]
-		}
-	}
-	basis := inc.basis
-	if victim.values == nil {
-		victim.values = make([]float64, basis.jf.NNZ())
-	}
-	tv := victim.values
-	// Only entries with a linear contribution ever change; positions outside
-	// linPos stay zero for the life of the way buffer.
-	for t, p := range basis.linPos {
-		tv[p] = basis.linJF[t] + alpha0*basis.linJQ[t]
-	}
-	victim.valid = true
-	victim.alphaBits = bits
-	victim.used = inc.stamp
-	inc.lastLinear = false
-	return tv
-}
-
-// loadIncremental assembles the system through the incremental engine.
-// Returns false when this load must take the plain path (bookkeeping loads,
-// source stepping), leaving the workspace untouched.
-func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
-	inc := ws.inc
-	// NoLimit loads must evaluate every device exactly at the iterate;
-	// source-stepping loads rescale B under the template's feet. Both take
-	// the plain path.
-	if p.NoLimit || p.SrcScale != 1 {
-		return false
-	}
-	basis := inc.basis
-	devices := ws.Sys.Circuit.devices
-	ctx := &ws.evalCtx
-	// Linear layer: one memcpy of the blended template replaces re-stamping
-	// every linear device — and clearing the matrix first: the copy writes
-	// every entry — and the compact split triples rebuild the linear part of
-	// F and Q without touching the nonlinear-dominated pattern.
-	ws.beginLoad(ctx, x, p, zeroVectors)
-	copy(ws.M.Values, inc.template(p.Alpha0))
-	for t, r := range basis.jfR {
-		ws.F[r] += basis.jfV[t] * x[basis.jfC[t]]
-	}
-	for t, r := range basis.jqR {
-		ws.Q[r] += basis.jqV[t] * x[basis.jqC[t]]
-	}
-	if len(basis.sources) > 0 {
-		// Independent sources re-stamp only B each load; their constant
-		// Jacobian and F/Q contributions are already in the template and the
-		// MulVec products, so those writes drain into dump buffers.
-		if inc.dumpM == nil {
-			inc.dumpM = ws.M.Clone()
-			inc.dumpF = make([]float64, ws.Sys.N)
-			inc.dumpQ = make([]float64, ws.Sys.N)
-		}
-		ctx.m, ctx.F, ctx.Q = inc.dumpM, inc.dumpF, inc.dumpQ
-		for _, di := range basis.sources {
-			devices[di].Eval(ctx)
-		}
-		ctx.m, ctx.F, ctx.Q = ws.M, ws.F, ws.Q
-	}
-	for _, di := range basis.nonlinear {
-		devices[di].Eval(ctx)
-	}
-	ws.finishLoad(x, p, ctx.Limited)
-	return true
 }

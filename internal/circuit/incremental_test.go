@@ -6,10 +6,13 @@ import (
 )
 
 // assertStampsEqual holds a's assembled system to b's within tol, relative to
-// max(1, magnitude).
+// max(1, magnitude); tol 0 asks for the same bits.
 func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) {
 	t.Helper()
 	diff := func(u, v float64) bool {
+		if tol == 0 {
+			return math.Float64bits(u) != math.Float64bits(v)
+		}
 		scale := math.Max(1, math.Max(math.Abs(u), math.Abs(v)))
 		return math.Abs(u-v) > tol*scale
 	}
@@ -28,13 +31,13 @@ func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) 
 	}
 }
 
-// linStub is an exactly linear conductance + capacitance with a marker, so
-// incremental tests exercise the template layer.
+// linStub is an exactly linear conductance + capacitance.
 type linStub struct {
 	name               string
 	p, n               int
 	g, c               float64
 	spp, spn, snp, snn int
+	evals              int // Eval count
 }
 
 func (d *linStub) Name() string       { return d.name }
@@ -49,6 +52,7 @@ func (d *linStub) Reserve(r *Reserver) {
 	d.snn = r.J(d.n, d.n)
 }
 func (d *linStub) Eval(e *EvalCtx) {
+	d.evals++
 	v := e.V(d.p) - e.V(d.n)
 	e.AddF(d.p, d.g*v)
 	e.AddF(d.n, -d.g*v)
@@ -65,12 +69,13 @@ func (d *linStub) Eval(e *EvalCtx) {
 }
 
 // srcStub is a linear source: constant conductance plus a time-varying B
-// stamp, so incremental tests exercise the per-load source re-evaluation.
+// stamp, so the template's per-load source evaluation is exercised.
 type srcStub struct {
 	name   string
 	p      int
 	g, amp float64
 	spp    int
+	evals  int // Eval count
 }
 
 func (d *srcStub) Name() string       { return d.name }
@@ -82,22 +87,19 @@ func (d *srcStub) Reserve(r *Reserver) {
 	d.spp = r.J(d.p, d.p)
 }
 func (d *srcStub) Eval(e *EvalCtx) {
+	d.evals++
 	e.AddF(d.p, d.g*e.V(d.p))
 	e.AddJ(d.spp, d.g)
 	e.AddB(d.p, d.amp*(1+e.T))
 }
 
-// nlStub is a smooth nonlinear conductance i = g·v³ with one state slot and
-// a limiting threshold, so incremental tests exercise the plain evaluation of
-// nonlinear devices on top of the template and the Limited flag.
+// nlStub is a smooth nonlinear conductance i = g·v³ with one state slot.
 type nlStub struct {
 	name               string
 	p, n               int
 	g                  float64
-	limitAt            float64 // |v| beyond which the device reports limiting (0 = never)
 	state0             int
 	spp, spn, snp, snn int
-	evals              int // Eval count
 }
 
 func (d *nlStub) Name() string  { return d.name }
@@ -111,11 +113,7 @@ func (d *nlStub) Reserve(r *Reserver) {
 	d.snn = r.J(d.n, d.n)
 }
 func (d *nlStub) Eval(e *EvalCtx) {
-	d.evals++
 	v := e.V(d.p) - e.V(d.n)
-	if d.limitAt > 0 && math.Abs(v) > d.limitAt && !e.NoLimit {
-		e.Limited = true
-	}
 	i := d.g * v * v * v
 	gd := 3 * d.g * v * v
 	e.AddF(d.p, i)
@@ -127,170 +125,171 @@ func (d *nlStub) Eval(e *EvalCtx) {
 	e.SNext[d.state0] = v
 }
 
-// buildIncMix builds a mixed linear/source/nonlinear circuit and returns the
-// compiled system plus the nonlinear devices for eval counting.
-func buildIncMix(t *testing.T, nodes int) (*System, []*nlStub) {
-	t.Helper()
-	c := New("incmix")
+// linearMix returns an uncompiled chain of linear conductance/capacitance
+// sections driven by a source, with every section's conductance multiplied
+// by scale, and its devices for evaluation counts. With nonlinear set, a
+// cubic conductance sits beside every other section.
+func linearMix(nodes int, scale float64, nonlinear bool) (*Circuit, []*linStub, *srcStub) {
+	c := New("linmix")
 	ids := make([]int, nodes+1)
 	ids[0] = Ground
 	for i := 1; i <= nodes; i++ {
 		ids[i] = c.Node(string(rune('a' + i - 1)))
 	}
-	var nls []*nlStub
+	var lins []*linStub
 	for i := 0; i < nodes; i++ {
-		c.Add(&linStub{name: "L", p: ids[i+1], n: ids[i], g: 1e-3 * float64(i+1), c: 1e-9})
-		if i%2 == 0 {
-			nl := &nlStub{name: "N", p: ids[i+1], n: ids[i], g: 1e-4}
-			nls = append(nls, nl)
-			c.Add(nl)
+		l := &linStub{name: "L", p: ids[i+1], n: ids[i], g: 1e-3 * float64(i+1) * scale, c: 1e-9}
+		lins = append(lins, l)
+		c.Add(l)
+		if nonlinear && i%2 == 0 {
+			c.Add(&nlStub{name: "N", p: ids[i+1], n: ids[i], g: 1e-4})
 		}
 	}
-	c.Add(&srcStub{name: "I", p: ids[1], g: 1e-6, amp: 1e-3})
+	src := &srcStub{name: "I", p: ids[1], g: 1e-6, amp: 1e-3}
+	c.Add(src)
+	return c, lins, src
+}
+
+func buildMix(t *testing.T, c *Circuit) *System {
+	t.Helper()
 	sys, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, nls
+	return sys
 }
 
-// TestIncrementalLoadMatchesPlain drives the incremental path through the
-// template-build, template-hit and rebuild regimes and checks the assembled
-// system against the plain serial load each time, and that every nonlinear
-// device is evaluated on every load.
-func TestIncrementalLoadMatchesPlain(t *testing.T) {
-	sys, nls := buildIncMix(t, 9)
-	inc := sys.NewWorkspace()
-	inc.SetDeviceBypass(true)
-	if inc.inc == nil {
-		t.Fatal("device bypass did not enable")
-	}
-	ref := sys.NewWorkspace()
+// plainWorkspace returns a workspace of sys that always sweeps its devices.
+func plainWorkspace(sys *System) *Workspace {
+	ws := sys.NewWorkspace()
+	ws.tmpl = nil
+	return ws
+}
 
-	x := make([]float64, sys.N)
+func testX(n int) []float64 {
+	x := make([]float64, n)
 	for i := range x {
 		x[i] = 0.3 * math.Sin(float64(i+1))
 	}
-	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
+	return x
+}
 
-	step := func(what string, wantHit bool) {
+// TestStampTemplateOnLinearSystemsOnly: whether a workspace assembles through
+// the template is a fact about the device list. Every workspace of a linear
+// System has one, and a lane keeps it; a nonlinear System's have none.
+func TestStampTemplateOnLinearSystemsOnly(t *testing.T) {
+	c, _, _ := linearMix(5, 1, false)
+	lin := buildMix(t, c)
+	if !lin.Linear() {
+		t.Fatal("the linear mix is not Linear")
+	}
+	ws := lin.NewWorkspace()
+	if ws.tmpl == nil {
+		t.Fatal("a workspace of a linear System has no stamp template")
+	}
+	ws.SetDevices(lin.Circuit.Devices())
+	if ws.tmpl == nil {
+		t.Fatal("SetDevices on a linear System dropped the template")
+	}
+	c, _, _ = linearMix(5, 1, true)
+	nl := buildMix(t, c)
+	if nl.Linear() {
+		t.Fatal("the mix with cubic conductances is Linear")
+	}
+	if nl.NewWorkspace().tmpl != nil {
+		t.Fatal("a workspace of a nonlinear System has a stamp template")
+	}
+}
+
+// TestStampTemplateOfALaneIsItsOwn: a lane workspace of a linear host, pointed
+// at a variant with scaled conductances, assembles bit for bit what a
+// workspace of the variant's own System assembles — which it cannot while its
+// template still holds the host's values.
+func TestStampTemplateOfALaneIsItsOwn(t *testing.T) {
+	hostC, _, _ := linearMix(7, 1, false)
+	host := buildMix(t, hostC)
+	variant, _, _ := linearMix(7, 1.3, false)
+	if err := host.BindLanes(variant); err != nil {
+		t.Fatal(err)
+	}
+	lane := host.NewWorkspace()
+	lane.SetDevices(variant.Devices())
+	ownC, _, _ := linearMix(7, 1.3, false)
+	own := buildMix(t, ownC).NewWorkspace()
+
+	x := testX(host.N)
+	for _, alpha0 := range []float64{2e6, 3.7e6} {
+		p := LoadParams{Time: 1e-6, Alpha0: alpha0, Gmin: 1e-12, SrcScale: 1}
+		lane.Load(x, p)
+		own.Load(x, p)
+		assertStampsEqual(t, lane, own, 0, "lane against the variant's own System")
+	}
+}
+
+// TestIncrementalLoadMatchesPlain: on a linear mix a templated load evaluates
+// the source alone, no other device, and assembles the system the plain sweep
+// assembles to rounding — before and after an Alpha0 change, at an unchanged,
+// a barely moved and a far moved iterate.
+func TestIncrementalLoadMatchesPlain(t *testing.T) {
+	c, lins, src := linearMix(9, 1, false)
+	sys := buildMix(t, c)
+	ws := sys.NewWorkspace()
+	ref := plainWorkspace(sys)
+
+	x := testX(sys.N)
+	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
+	step := func(what string) {
 		t.Helper()
-		evals := nls[0].evals
-		inc.Load(x, p)
-		if nls[0].evals != evals+1 {
-			t.Fatalf("%s: the incremental load evaluated a nonlinear device %d times, want 1", what, nls[0].evals-evals)
+		linEvals, srcEvals := lins[0].evals, src.evals
+		ws.Load(x, p)
+		if lins[0].evals != linEvals || src.evals != srcEvals+1 {
+			t.Fatalf("%s: the templated load evaluated the conductance %d times and the source %d times, want 0 and 1",
+				what, lins[0].evals-linEvals, src.evals-srcEvals)
 		}
 		ref.Load(x, p)
-		assertStampsEqual(t, inc, ref, 1e-12, what)
-		if inc.LastLoadLinearHit() != wantHit {
-			t.Fatalf("%s: template hit = %v, want %v", what, !wantHit, wantHit)
-		}
+		assertStampsEqual(t, ws, ref, 1e-12, what)
 	}
-	step("first iteration (template build)", false)
-
-	// The template depends on Alpha0 alone: an unchanged, a barely moved and
-	// a far moved iterate all start from it.
-	step("same iterate", true)
+	step("first load")
+	step("same iterate")
 	for i := range x {
 		x[i] += 1e-9
 	}
-	step("barely moved iterate", true)
+	step("barely moved iterate")
 	for i := range x {
 		x[i] += 0.1
 	}
-	step("large move", true)
-
-	// New Alpha0 (step-size change): template rebuild.
+	step("large move")
 	p.Alpha0 = 3.7e6
-	step("alpha0 change (template rebuild)", false)
-	step("steady state at new alpha0", true)
+	step("alpha0 change")
+	p.Time = 2e-6
+	step("later time at the new alpha0")
 }
 
-// TestIncrementalBypassGuards checks which loads the engine declines —
-// NoLimit and source-stepping loads take the plain path — and that the
-// Limited flag is reported exactly like the plain path reports it.
+// TestIncrementalBypassGuards: NoLimit and source-stepping loads sweep every
+// device even on a templated workspace, bit for bit as a plain one does, and
+// the templated loads around them stay right across an Alpha0 change.
 func TestIncrementalBypassGuards(t *testing.T) {
-	c := New("guards")
-	a := c.Node("a")
-	nl := &nlStub{name: "N", p: a, n: Ground, g: 1e-3, limitAt: 0.5}
-	c.Add(&linStub{name: "L", p: a, n: Ground, g: 1e-3, c: 1e-9})
-	c.Add(&srcStub{name: "I", p: a, g: 1e-6, amp: 1e-3})
-	c.Add(nl)
-	sys, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, lins, _ := linearMix(4, 1, false)
+	sys := buildMix(t, c)
 	ws := sys.NewWorkspace()
-	ws.SetDeviceBypass(true)
-	ref := sys.NewWorkspace()
-	x := make([]float64, sys.N)
-	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
-	ws.Load(x, p)
-	ws.Load(x, p)
-	if !ws.LastLoadLinearHit() {
-		t.Fatal("second load missed the linear template")
-	}
-
-	for _, plain := range []LoadParams{
-		{Alpha0: 1e6, SrcScale: 1, NoLimit: true},
-		{Alpha0: 1e6, SrcScale: 0.5},
-	} {
-		evals := nl.evals
-		ws.Load(x, plain)
-		if ws.LastLoadLinearHit() {
-			t.Fatalf("load %+v went through the incremental path", plain)
-		}
-		if nl.evals != evals+1 {
-			t.Fatalf("load %+v did not evaluate the nonlinear device", plain)
-		}
-		ref.Load(x, plain)
-		assertStampsEqual(t, ws, ref, 0, "declined load")
-	}
-	if got := ws.LinearStampHits(); got != 1 {
-		t.Fatalf("%d linear hits after the declined loads, want 1", got)
-	}
-
-	for _, v := range []float64{1.0, 0.1} { // beyond limitAt, then below it
-		x[a] = v
+	ref := plainWorkspace(sys)
+	x := testX(sys.N)
+	for _, alpha0 := range []float64{1e6, 4e6} {
+		p := LoadParams{Alpha0: alpha0, SrcScale: 1}
 		ws.Load(x, p)
 		ref.Load(x, p)
-		if ws.Limited != ref.Limited || ws.Limited != (v > nl.limitAt) {
-			t.Fatalf("v = %g: Limited = %v, the plain load reports %v", v, ws.Limited, ref.Limited)
+		assertStampsEqual(t, ws, ref, 1e-12, "templated load")
+		for _, plain := range []LoadParams{
+			{Alpha0: alpha0, SrcScale: 1, NoLimit: true},
+			{Alpha0: alpha0, SrcScale: 0.5},
+		} {
+			evals := lins[0].evals
+			ws.Load(x, plain)
+			if lins[0].evals != evals+1 {
+				t.Fatalf("load %+v did not sweep the devices", plain)
+			}
+			ref.Load(x, plain)
+			assertStampsEqual(t, ws, ref, 0, "declined load")
 		}
-	}
-}
-
-// TestIncrementalTemplateLRU exercises the Alpha0-keyed template cache:
-// revisited step sizes hit, a fifth distinct Alpha0 evicts the least
-// recently used way.
-func TestIncrementalTemplateLRU(t *testing.T) {
-	sys, _ := buildIncMix(t, 5)
-	ws := sys.NewWorkspace()
-	ws.SetDeviceBypass(true)
-	x := make([]float64, sys.N)
-	load := func(alpha0 float64) bool {
-		ws.Load(x, LoadParams{Alpha0: alpha0, SrcScale: 1})
-		return ws.LastLoadLinearHit()
-	}
-	alphas := []float64{1e6, 2e6, 3e6, 4e6}
-	for _, a := range alphas {
-		if load(a) {
-			t.Fatalf("alpha0=%g hit on first sight", a)
-		}
-	}
-	for _, a := range alphas {
-		if !load(a) {
-			t.Fatalf("alpha0=%g missed on revisit", a)
-		}
-	}
-	if load(5e6) {
-		t.Fatal("fifth alpha0 hit a four-way cache")
-	}
-	// 1e6 was the least recently used way and must have been evicted.
-	if load(1e6) {
-		t.Fatal("evicted alpha0 still resident")
-	}
-	if hits := ws.LinearStampHits(); hits != 4 {
-		t.Fatalf("expected 4 linear hits, got %d", hits)
 	}
 }

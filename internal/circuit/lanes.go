@@ -15,18 +15,20 @@ import "fmt"
 //     the host stores some), so every lane device holds slot ids valid on
 //     any clone of the host pattern and the host's charge-pass list covers
 //     every lane.
-//   - Lane workspaces assemble without the linear-stamp template, so per-lane
-//     results are bit-identical to a serial run of the same variant.
+//   - A lane workspace builds its stamp template from its own devices, so
+//     per-lane results are bit-identical to a serial run of the same variant.
 
 // SetDevices overrides the device list this workspace's assembly paths
 // evaluate, so a lane workspace compiled against the host pattern stamps its
 // own variant's device instances. Load, LoadSplit and the charge pass honor
-// the override; the incremental engine indexes the host System's devices and
-// must not be combined with it (the ensemble refuses DeviceBypass). A nil devs
-// restores the host circuit's devices.
+// the override, and on a linear System the stamp template is rebuilt from
+// the new list. A nil devs restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) {
 	ws.devs = devs
 	ws.chargeEvalers = nil // the charge pass dispatches to these instances
+	if ws.Sys.linear {
+		ws.tmpl = newStampTemplate(ws.Sys, ws.Devices())
+	}
 }
 
 // Devices returns the devices the assembly paths iterate: the
@@ -121,9 +123,10 @@ func (s *System) NewLaneWorkspaces(k int) []*Workspace {
 // BatchLoad assembles several lane workspaces at one Newton iteration,
 // device-outer, lane-inner. Nil entries in lanes are skipped. Per lane the
 // operation sequence — zeroing, evaluation order, limiting capture, NodeGmin,
-// clamps, fault injection — is exactly that of the serial Load, so each
+// clamps, fault injection — is exactly that of Load's device sweep, so each
 // lane's assembled system is bit-identical to what its own Load(xs[i], ps[i])
-// would produce.
+// would produce on a nonlinear System (a linear one loads through its
+// template).
 //
 // No engine calls it: the ensemble's lanes are serial runs, each with its own
 // Load. It stays only because bench/layers.go times it; the benchmark PR of

@@ -11,11 +11,11 @@ import (
 // grid of deterministic operating points and at several Alpha0 blends
 // (Alpha0 = 0 isolates dF/dx; the large values fold dQ/dx in).
 //
-// The incremental assembly engine (internal/circuit) takes the linear devices'
+// The stamp template of a linear circuit (internal/circuit) takes its devices'
 // Jacobians as the whole of their F and Q (F = J_F·x, Q = J_Q·x), so an
 // analytic Jacobian that disagrees with the residual would not just slow
 // Newton down — it would silently corrupt templated assemblies. This sweep is
-// the safety net named in that engine's package contract.
+// the safety net named in the template's contract.
 func TestJacobianFDSweep(t *testing.T) {
 	alphas := []float64{0, 1e6, 1e8}
 	cases := []struct {

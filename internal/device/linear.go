@@ -2,18 +2,18 @@ package device
 
 import "wavepipe/internal/circuit"
 
-// LinearStamps implementations: these devices promise the incremental
-// assembly engine (internal/circuit/incremental.go) that their F and Q
-// stamps are exactly linear in the iterate with constant Jacobians, so their
-// contribution can live in the cached linear template. The returned flag
+// LinearStamps implementations: these devices promise the stamp template
+// (internal/circuit/incremental.go) that their F and Q stamps are exactly
+// linear in the iterate with constant Jacobians, so their contribution can
+// live in the template a linear circuit assembles from. The returned flag
 // reports whether the device stamps the source vector B: independent
 // sources do (their B is time-varying and re-stamped every load); pure
 // passives and controlled sources never touch B.
 //
 // This is a correctness promise. The finite-difference Jacobian checker in
-// jacobian_test.go and the template equivalence suite are the safety net; a
-// device whose stamps depend nonlinearly on x (or on time outside B) must
-// not implement this interface.
+// jacobian_test.go and the template tests of internal/circuit are the safety
+// net; a device whose stamps depend nonlinearly on x (or on time outside B)
+// must not implement this interface.
 
 // LinearStamps implements circuit.LinearStamper.
 func (d *Resistor) LinearStamps() bool { return false }

@@ -7,8 +7,8 @@
 // only values differ: a lane is transient.RunOn on a fresh workspace of the
 // host that evaluates the lane's own device instances, so its waveform and
 // counters are those of its own independent serial run because it is that
-// run (the incremental assembly engine, which indexes the host's devices, is
-// refused in lanes).
+// run (on a linear host the lane's stamp template is built from its own
+// devices too).
 //
 // The gang's members pull lane indices from one counter until none is left:
 // a lane that finishes early, faults, or exhausts the recovery ladder at the
@@ -44,8 +44,8 @@ type Lane struct {
 // Options configures an ensemble run.
 type Options struct {
 	// Base is the per-lane analysis configuration, shared by every lane.
-	// Durability (Guard/Resume), device bypass and OnAccept are not supported
-	// inside lanes and must be unset. Base.Trace receives the run's event
+	// Durability (Guard/Resume) and OnAccept are not supported inside lanes
+	// and must be unset. Base.Trace receives the run's event
 	// stream: per lane, the events of a serial run (Worker = lane index) and
 	// one KindLaneRetire. Base.Ctx stops every lane at its next time-point
 	// boundary; the run's stream carries one KindCancel however many lanes
@@ -85,8 +85,6 @@ func validate(base *transient.Options) error {
 		return fmt.Errorf("ensemble: TStop must be positive")
 	case base.Guard != nil || base.Resume != nil:
 		return fmt.Errorf("ensemble: durable runs (Guard/Resume) are not supported inside lanes")
-	case base.DeviceBypass:
-		return fmt.Errorf("ensemble: device bypass is not supported inside lanes")
 	case base.OnAccept != nil:
 		return fmt.Errorf("ensemble: OnAccept is not supported inside lanes (the callback has no lane argument)")
 	}

@@ -393,9 +393,8 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 	lanes := ladderLanes(1, 8, 0)
 	host := hostFor(t, lanes)
 	for name, base := range map[string]transient.Options{
-		"devbypass": {TStop: 1e-9, DeviceBypass: true},
-		"onaccept":  {TStop: 1e-9, OnAccept: func(float64, []float64) {}},
-		"no-tstop":  {},
+		"onaccept": {TStop: 1e-9, OnAccept: func(float64, []float64) {}},
+		"no-tstop": {},
 	} {
 		if _, err := Run(host, lanes, Options{Base: base}); err == nil {
 			t.Fatalf("%s options accepted", name)

@@ -189,9 +189,7 @@ func nonFiniteErr(x []float64, t float64, iters int) error {
 
 // Load assembles the system, pairing each load the engines perform — inside
 // the iteration or around it (initial point, warm start) — with exactly one
-// PhaseDeviceLoad event when tracing is active. FlagLinearHit marks a load
-// that started from a cached linear template, so trace replay reconciles 1:1
-// with the workspace's LinearStampHits.
+// PhaseDeviceLoad event when tracing is active.
 func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		ws.Load(x, p)
@@ -199,21 +197,16 @@ func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	}
 	t0 := time.Now()
 	ws.Load(x, p)
-	ev := trace.Event{
+	ws.Trace.Emit(trace.Event{
 		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
 		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ws.Worker,
-	}
-	if ws.LastLoadLinearHit() {
-		ev.Flags |= trace.FlagLinearHit
-	}
-	ws.Trace.Emit(ev)
+	})
 }
 
 // ChargePass books the charges of a converged iterate (Workspace.LoadCharges)
 // in place of the full load that used to, under the same one PhaseDeviceLoad
 // event: the device-model time of a point is still the sum of its
-// PhaseDeviceLoad spans, and a trace still holds one per point closed. The
-// event reports no template hit — the pass copies none.
+// PhaseDeviceLoad spans, and a trace still holds one per point closed.
 func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		ws.LoadCharges(x, p)

@@ -174,10 +174,10 @@ func otherEnd(d circuit.Device, n int) int {
 
 // node classification values.
 const (
-	plain  = iota // not a candidate
-	seriesR       // exactly two resistors
-	seriesL       // exactly two inductors
-	ladder        // two path resistors plus a grounded capacitor
+	plain   = iota // not a candidate
+	seriesR        // exactly two resistors
+	seriesL        // exactly two inductors
+	ladder         // two path resistors plus a grounded capacitor
 )
 
 // New builds a reduction plan for c under opts. The plan is value-free
@@ -706,8 +706,8 @@ func emitRun(nc *circuit.Circuit, devs []circuit.Device, run *ladderRun, remap f
 	// Suppressed caps lump onto the nearest anchor (ties go left); anchors
 	// that are Ground absorb nothing, so their share shifts to the opposite
 	// anchor of the span to conserve total capacitance.
-	addCap := map[int]float64{}  // anchor pos -> added C
-	capName := map[int]string{}  // anchor pos -> name of first contributor
+	addCap := map[int]float64{} // anchor pos -> added C
+	capName := map[int]string{} // anchor pos -> name of first contributor
 	for q := 1; q <= m; q++ {
 		if kept[q-1] {
 			continue

@@ -227,7 +227,7 @@ func TestHTTPErrors(t *testing.T) {
 // scheme gets a 400 at submission, not a job that silently runs without it.
 func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	_, svc, ts := newStack(t)
-	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`} {
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`} {
 		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

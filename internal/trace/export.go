@@ -27,14 +27,13 @@ type jsonlRecord struct {
 	Detail string  `json:"detail,omitempty"`
 
 	// Snapshot-only counters.
-	Points          int64   `json:"points,omitempty"`
-	Solves          int64   `json:"solves,omitempty"`
-	NRIters         int64   `json:"nr_iters,omitempty"`
-	LTERejects      int64   `json:"lte_rejects,omitempty"`
-	Discarded       int64   `json:"discarded,omitempty"`
-	Recoveries      int64   `json:"recoveries,omitempty"`
-	LinearStampHits int64   `json:"linear_stamp_hits,omitempty"`
-	PointsPerSec    float64 `json:"points_per_sec,omitempty"`
+	Points       int64   `json:"points,omitempty"`
+	Solves       int64   `json:"solves,omitempty"`
+	NRIters      int64   `json:"nr_iters,omitempty"`
+	LTERejects   int64   `json:"lte_rejects,omitempty"`
+	Discarded    int64   `json:"discarded,omitempty"`
+	Recoveries   int64   `json:"recoveries,omitempty"`
+	PointsPerSec float64 `json:"points_per_sec,omitempty"`
 }
 
 // WriteJSONL renders events and snapshots as one JSON object per line,
@@ -65,8 +64,7 @@ func WriteJSONL(w io.Writer, events []Event, snaps []Snapshot) error {
 				Type: "snapshot", Seq: s.Seq, Wall: s.Wall, T: s.T, H: s.H,
 				Points: s.Points, Solves: s.Solves, NRIters: s.NRIters,
 				LTERejects: s.LTERejects, Discarded: s.Discarded,
-				Recoveries: s.Recoveries, LinearStampHits: s.LinearStampHits,
-				PointsPerSec: s.PointsPerSec,
+				Recoveries: s.Recoveries, PointsPerSec: s.PointsPerSec,
 			}
 		}
 		if err := enc.Encode(rec); err != nil {
@@ -119,8 +117,7 @@ func ReadJSONL(r io.Reader) ([]Event, []Snapshot, error) {
 				Seq: rec.Seq, Wall: rec.Wall, T: rec.T, H: rec.H,
 				Points: rec.Points, Solves: rec.Solves, NRIters: rec.NRIters,
 				LTERejects: rec.LTERejects, Discarded: rec.Discarded,
-				Recoveries: rec.Recoveries, LinearStampHits: rec.LinearStampHits,
-				PointsPerSec: rec.PointsPerSec,
+				Recoveries: rec.Recoveries, PointsPerSec: rec.PointsPerSec,
 			})
 		default:
 			return nil, nil, fmt.Errorf("trace: line %d: unknown record type %q", line, rec.Type)
@@ -272,7 +269,6 @@ type ReplayCounts struct {
 	Recoveries      int // KindRecovery events
 	SerialFallbacks int // KindSerialFallback events
 	ReuseHits       int // exactly-reused-factorization phase events
-	LinearStampHits int // device-load phases flagged as linear-template hits
 	Cancels         int // KindCancel events
 	WindowSeeds     int // KindWindowSeed events (Parareal windows launched)
 	WindowConverges int // KindWindowConverge events (windows past their gate)
@@ -282,8 +278,7 @@ type ReplayCounts struct {
 // Replay recomputes the run counters from a recorded stream. On a complete
 // (undropped) trace these reconcile exactly with the run's transient.Stats:
 // Points, Solves, NRIters, LTERejects, Discarded and Recoveries match the
-// fields of the same name, ReuseHits matches ReusedFactorizations and
-// LinearStampHits the field of the same name.
+// fields of the same name and ReuseHits matches ReusedFactorizations.
 func Replay(events []Event) ReplayCounts {
 	var c ReplayCounts
 	for _, ev := range events {
@@ -314,9 +309,6 @@ func Replay(events []Event) ReplayCounts {
 		case KindPhase:
 			if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
 				c.ReuseHits++
-			}
-			if ev.Phase == PhaseDeviceLoad && ev.Flags&FlagLinearHit != 0 {
-				c.LinearStampHits++
 			}
 		}
 	}

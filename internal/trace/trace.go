@@ -109,15 +109,13 @@ func PhaseFromString(s string) (Phase, bool) {
 
 // Event flag bits.
 const (
-	// FlagFailed marks a solve attempt that returned an error. Bit 1 is
-	// unassigned (it marked the retired factorization bypass), so the flags
-	// below keep the values recorded traces carry.
+	// FlagFailed marks a solve attempt that returned an error. Bits 1 and 3
+	// are unassigned (they marked the retired factorization bypass and the
+	// retired linear-template cache hit), so the flags below keep the values
+	// recorded traces carry.
 	FlagFailed uint8 = 1 << 0
 	// FlagResumed marks a solve warm-started from speculative iterations.
 	FlagResumed uint8 = 1 << 2
-	// FlagLinearHit marks a device-load phase that started from a cached
-	// linear stamp template (incremental assembly LRU hit).
-	FlagLinearHit uint8 = 1 << 3
 	// FlagReused marks a factorization request handed the very values a
 	// factorization the solver holds was refactored from and answered with
 	// it, exactly.
@@ -146,18 +144,17 @@ type Event struct {
 // Snapshot is a periodic metrics sample, emitted every SnapshotEvery
 // accepted points (see New). Counters are cumulative since run start.
 type Snapshot struct {
-	Seq             uint64  // shared sequence with events
-	Wall            int64   // nanoseconds since run start
-	T               float64 // simulation time at the snapshot
-	H               float64 // step size of the most recent accepted point
-	Points          int64   // accepted time points
-	Solves          int64   // Newton point solves attempted
-	NRIters         int64   // Newton iterations (incl. speculative warm-starts)
-	LTERejects      int64   // truncation-error rejections
-	Discarded       int64   // speculative points thrown away
-	Recoveries      int64   // recovery-ladder rescues
-	LinearStampHits int64   // device loads started from a cached linear template
-	PointsPerSec    float64 // accept rate since the previous snapshot
+	Seq          uint64  // shared sequence with events
+	Wall         int64   // nanoseconds since run start
+	T            float64 // simulation time at the snapshot
+	H            float64 // step size of the most recent accepted point
+	Points       int64   // accepted time points
+	Solves       int64   // Newton point solves attempted
+	NRIters      int64   // Newton iterations (incl. speculative warm-starts)
+	LTERejects   int64   // truncation-error rejections
+	Discarded    int64   // speculative points thrown away
+	Recoveries   int64   // recovery-ladder rescues
+	PointsPerSec float64 // accept rate since the previous snapshot
 }
 
 // Observer receives the structured run telemetry. Callbacks are invoked
@@ -224,7 +221,7 @@ type Tracer struct {
 	// Rolling counters feeding snapshots.
 	points, solves, nrIters     int64
 	lteRejects, discarded       int64
-	recoveries, linearHits      int64
+	recoveries                  int64
 	lastSnapPoints, lastSnapWal int64
 
 	canceled bool // a KindCancel went out
@@ -284,10 +281,6 @@ func (t *Tracer) Emit(ev Event) {
 		t.discarded++
 	case KindRecovery:
 		t.recoveries++
-	case KindPhase:
-		if ev.Phase == PhaseDeviceLoad && ev.Flags&FlagLinearHit != 0 {
-			t.linearHits++
-		}
 	}
 	t.obs.OnEvent(ev)
 	if ev.Kind == KindAccept && t.points%t.every == 0 {
@@ -299,17 +292,16 @@ func (t *Tracer) Emit(ev Event) {
 func (t *Tracer) snapshotLocked(at Event) {
 	t.seq++
 	s := Snapshot{
-		Seq:             t.seq,
-		Wall:            at.Wall,
-		T:               at.T,
-		H:               at.H,
-		Points:          t.points,
-		Solves:          t.solves,
-		NRIters:         t.nrIters,
-		LTERejects:      t.lteRejects,
-		Discarded:       t.discarded,
-		Recoveries:      t.recoveries,
-		LinearStampHits: t.linearHits,
+		Seq:        t.seq,
+		Wall:       at.Wall,
+		T:          at.T,
+		H:          at.H,
+		Points:     t.points,
+		Solves:     t.solves,
+		NRIters:    t.nrIters,
+		LTERejects: t.lteRejects,
+		Discarded:  t.discarded,
+		Recoveries: t.recoveries,
 	}
 	if dw := at.Wall - t.lastSnapWal; dw > 0 {
 		s.PointsPerSec = float64(t.points-t.lastSnapPoints) / (float64(dw) / 1e9)

@@ -30,7 +30,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	tr.Emit(Event{Kind: KindLTEReject, T: 3e-9})
 	tr.Emit(Event{Kind: KindDiscard, T: 3e-9})
 	tr.Emit(Event{Kind: KindRecovery, T: 3e-9})
-	tr.Emit(Event{Kind: KindPhase, Phase: PhaseDeviceLoad, Flags: FlagLinearHit})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseDeviceLoad})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagReused})
 
 	evs := rec.Events()
@@ -52,7 +52,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 		t.Fatalf("got %d snapshots, want 1 (cadence 2, 2 accepts)", len(snaps))
 	}
 	s := snaps[0]
-	if s.Points != 2 || s.Solves != 2 || s.NRIters != 5 || s.LinearStampHits != 0 {
+	if s.Points != 2 || s.Solves != 2 || s.NRIters != 5 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.Seq <= evs[3].Seq {
@@ -60,7 +60,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	}
 
 	c := Replay(evs)
-	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, ReuseHits: 1, LinearStampHits: 1}
+	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, ReuseHits: 1}
 	if c != want {
 		t.Fatalf("Replay = %+v, want %+v", c, want)
 	}

@@ -31,7 +31,6 @@ func snapStats(s Stats) checkpoint.Stats {
 		DegradedStages:     int64(s.DegradedStages),
 		Refactorizations:   int64(s.Refactorizations),
 		FullFactorizations: int64(s.FullFactorizations),
-		LinearStampHits:    s.LinearStampHits,
 		CriticalNanos:      s.CriticalNanos,
 		CoreBudget:         int64(s.CoreBudget),
 		PipelineWorkers:    int64(s.PipelineWorkers),
@@ -56,7 +55,6 @@ func unsnapStats(s checkpoint.Stats) Stats {
 		DegradedStages:     int(s.DegradedStages),
 		Refactorizations:   int(s.Refactorizations),
 		FullFactorizations: int(s.FullFactorizations),
-		LinearStampHits:    s.LinearStampHits,
 		CriticalNanos:      s.CriticalNanos,
 		CoreBudget:         int(s.CoreBudget),
 		PipelineWorkers:    int(s.PipelineWorkers),
@@ -162,9 +160,9 @@ func SalvageResult(st *checkpoint.State) *Result {
 // restore validates a checkpoint against the live system and run options
 // and loads the state it describes into the stepper: history window,
 // waveform, step position, recovery log and pre-resume totals, plus — in
-// the solver's workspace — the limiting state, the LU factorization and the
-// incremental-engine generation. It returns the checkpointed pipeline
-// warm-up depth; every failure surfaces faults.ErrBadCheckpoint.
+// the solver's workspace — the limiting state and the LU factorization. It
+// returns the checkpointed pipeline warm-up depth; every failure surfaces
+// faults.ErrBadCheckpoint.
 func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
 	sys, ws := s.sys, s.ps.WS
 	if err := st.Matches(sys.N, sys.NumStates, len(sys.Circuit.Devices()),

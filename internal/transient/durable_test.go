@@ -14,27 +14,6 @@ import (
 	"wavepipe/internal/faults"
 )
 
-// The ladder must rescue a device-bypass run without bending the answer:
-// same closed-form check the plain-path recovery tests use, with the template
-// in play across the forced rungs.
-func TestRecoveryWithDeviceBypassKeepsAnswer(t *testing.T) {
-	sys, _ := rcCircuit(1e3, 1e-7) // tau = 1e-4
-	in := faults.NewInjector(faults.Rule{
-		Class:     faults.NoConvergence,
-		After:     1e-16,
-		Count:     9, // shrink attempts + both damping rungs
-		SpareFrom: faults.StageGmin,
-	})
-	res, err := Run(sys, Options{TStop: 1e-3, Faults: in, DeviceBypass: true})
-	if err != nil {
-		t.Fatalf("run failed despite gmin ramp: %v", err)
-	}
-	if res.Recovery.Count(RecoveryGminRamp) != 1 {
-		t.Fatalf("gmin recoveries: %+v", res.Recovery.Events())
-	}
-	checkRC(t, res)
-}
-
 // sameWaveform asserts bitwise equality of two waveform sets.
 func sameWaveform(t *testing.T, got, want *Result, ctxt string) {
 	t.Helper()
@@ -114,11 +93,12 @@ func TestSerialResumeBitIdentical(t *testing.T) {
 	resumeMatches(t, st, ref)
 }
 
-// Format version 1 keeps the places of three retired values — the device-
-// bypass generation and the two bypass counters among the stats — written as
-// 0. A file from before the retirement carries numbers there: it must still
-// decode, validate and resume to the same waveform, and nothing of them may
-// come back out when the state is encoded again.
+// Format version 1 keeps the places of four retired values — the device-
+// bypass generation, the two bypass counters and the linear-template hit
+// count among the stats — written as 0. A file from before the retirements
+// carries numbers there: it must still decode, validate and resume to the
+// same waveform, and nothing of them may come back out when the state is
+// encoded again.
 func TestResumeIgnoresRetiredCheckpointSlots(t *testing.T) {
 	ref, path := interruptedRun(t)
 	data, err := os.ReadFile(path)
@@ -127,10 +107,10 @@ func TestResumeIgnoresRetiredCheckpointSlots(t *testing.T) {
 	}
 	// Offsets in the file: 8 header bytes, 32 of fingerprint and run identity,
 	// 29 of engine position, then the generation (u64) and twenty i64 stats,
-	// the bypass counters being stats 11 and 14.
+	// the bypass counters being stats 11 and 14 and the template hits 15.
 	const generation, stats = 8 + 32 + 29, 8 + 32 + 29 + 8
 	old := append([]byte(nil), data...)
-	for _, off := range []int{generation, stats + 8*11, stats + 8*14} {
+	for _, off := range []int{generation, stats + 8*11, stats + 8*14, stats + 8*15} {
 		if binary.LittleEndian.Uint64(old[off:]) != 0 {
 			t.Fatalf("retired slot at byte %d written non-zero", off)
 		}

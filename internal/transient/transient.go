@@ -60,13 +60,6 @@ type Options struct {
 	// pipeline engine reads it to size its stage gang, and the window
 	// coordinator hands each window its share. No budget changes a waveform.
 	CoreBudget int
-	// DeviceBypass enables the incremental assembly engine:
-	// linear devices collapse into a cached per-Alpha0 stamp template and two
-	// compact matrix-vector products; nonlinear devices are evaluated as
-	// always. The template sums the linear stamps in a different order than
-	// the device sweep, so results agree with the default path to rounding,
-	// not bit for bit. false is the default, and the bit-exact reference path.
-	DeviceBypass bool
 	// Faults, when non-nil, is a deterministic fault-injection harness shared
 	// by every solver layer of the run (tests only; nil in production).
 	Faults *faults.Injector
@@ -175,10 +168,6 @@ type Stats struct {
 	ReusedFactorizations   int `json:"reusedFactorizations,omitempty"`
 	Refactorizations       int `json:"refactorizations"`
 	FullFactorizations     int `json:"fullFactorizations"`
-	// LinearStampHits counts device loads that started from a cached linear
-	// stamp template instead of re-stamping every linear device (filled from
-	// the workspace counter; 0 unless DeviceBypass is on).
-	LinearStampHits int64 `json:"linearStampHits"`
 	// CriticalNanos is the modeled multi-core wall-clock time: per pipeline
 	// stage, the slowest concurrent worker's measured compute time. For the
 	// serial engine it equals the sum of all point-solve times. This is the
@@ -233,7 +222,6 @@ func (s *Stats) Add(other Stats) {
 	s.ReusedFactorizations += other.ReusedFactorizations
 	s.Refactorizations += other.Refactorizations
 	s.FullFactorizations += other.FullFactorizations
-	s.LinearStampHits += other.LinearStampHits
 	s.CriticalNanos += other.CriticalNanos
 	// Scheduling fields describe the run, not per-worker work: keep the
 	// maximum (per-worker stats carry zeros) and OR the serialization flag.
@@ -338,12 +326,11 @@ func (ps *PointSolver) SetTrace(tr *trace.Tracer, worker int16) {
 }
 
 // Attach wires the solver's workspace to a run: its fault harness, the
-// guard's abort flag, the incremental assembly engine and the event stream
-// (worker is this solver's lane in the trace).
+// guard's abort flag and the event stream (worker is this solver's lane in
+// the trace).
 func (ps *PointSolver) Attach(opts *Options, worker int16) {
 	ps.WS.Faults = opts.Faults
 	ps.WS.Abort = opts.Guard.AbortFlag()
-	ps.WS.SetDeviceBypass(opts.DeviceBypass)
 	ps.SetTrace(opts.Trace, worker)
 }
 
@@ -435,7 +422,6 @@ func (ps *PointSolver) HarvestSolverStats() {
 	ps.Stats.ReusedFactorizations = ps.WS.Solver.ReusedFactorizations
 	ps.Stats.Refactorizations = ps.WS.Solver.Refactorizations
 	ps.Stats.FullFactorizations = ps.WS.Solver.FullFactorizations
-	ps.Stats.LinearStampHits = ps.WS.LinearStampHits()
 }
 
 // pointSolve is the state of one point solve between begin and Commit/Fail.

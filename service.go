@@ -62,8 +62,8 @@ type ServiceConfig struct {
 // (priorities, fair share, preemption at accepted-step boundaries — a
 // preempted job keeps the engine state of its last accepted step in memory
 // and the next grant continues from it), and a compiled-artifact cache hands
-// repeat decks their System build, fill ordering and stamp templates without
-// re-running symbolic analysis. Service implements Client; cmd/wavesimd
+// repeat decks their System build and fill ordering without re-running
+// symbolic analysis. Service implements Client; cmd/wavesimd
 // serves the same object over HTTP.
 type Service struct {
 	cfg     ServiceConfig

@@ -376,15 +376,6 @@ type TranOptions struct {
 	Record []string
 	// DeltaRatio tunes the backward offset δ/h (default 0.2).
 	DeltaRatio float64
-	// DeviceBypass enables the incremental assembly engine on serial device
-	// loads: exactly linear devices are folded into a cached per-step-size
-	// stamp template and two compact matrix-vector products instead of being
-	// re-stamped one by one; nonlinear devices are evaluated as always. Every
-	// assembly is exact, but the template sums the linear stamps in another
-	// order, so waveforms agree with the plain path to rounding, inside the
-	// LTE band. false (the default) keeps assembly bit-identical to the
-	// always-evaluate engine.
-	DeviceBypass bool
 	// CoreBudget caps the cores the run may occupy at once: the pipeline
 	// workers of a WavePipe scheme, the windows of a windowed run that
 	// refine concurrently (each with its own pipeline), the gang an
@@ -879,14 +870,13 @@ func RunDeckCtx(ctx context.Context, d *Deck, opts TranOptions) (*Result, error)
 // already vetted by the single validate() path.
 func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 	base := transient.Options{
-		TStop:        opts.TStop,
-		Method:       opts.Method,
-		HInit:        opts.InitStep,
-		UIC:          opts.UIC,
-		Faults:       opts.Faults,
-		DeviceBypass: opts.DeviceBypass,
-		CoreBudget:   opts.CoreBudget,
-		OnAccept:     opts.OnAccept,
+		TStop:      opts.TStop,
+		Method:     opts.Method,
+		HInit:      opts.InitStep,
+		UIC:        opts.UIC,
+		Faults:     opts.Faults,
+		CoreBudget: opts.CoreBudget,
+		OnAccept:   opts.OnAccept,
 	}
 	ctrl := integrate.DefaultControl(opts.TStop)
 	if opts.RelTol > 0 {

@@ -43,7 +43,6 @@ type TranOptions struct {
 	NodeSet       map[string]float64 `json:"nodeset,omitempty"`
 	Record        []string           `json:"record,omitempty"`
 	DeltaRatio    float64            `json:"deltaRatio,omitempty"`
-	DeviceBypass  bool               `json:"deviceBypass,omitempty"`
 	CoreBudget    int                `json:"coreBudget,omitempty"`
 	SnapshotEvery int                `json:"snapshotEvery,omitempty"`
 	Deadline      string             `json:"deadline,omitempty"`
@@ -78,7 +77,6 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 		NodeSet:        o.NodeSet,
 		Record:         o.Record,
 		DeltaRatio:     o.DeltaRatio,
-		DeviceBypass:   o.DeviceBypass,
 		CoreBudget:     o.CoreBudget,
 		SnapshotEvery:  o.SnapshotEvery,
 		StallFactor:    o.StallFactor,
@@ -118,7 +116,6 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		NodeSet:       w.NodeSet,
 		Record:        w.Record,
 		DeltaRatio:    w.DeltaRatio,
-		DeviceBypass:  w.DeviceBypass,
 		CoreBudget:    w.CoreBudget,
 		SnapshotEvery: w.SnapshotEvery,
 		StallFactor:   w.StallFactor,

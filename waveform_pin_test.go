@@ -97,10 +97,15 @@ var engineWaveformHashes = map[string]uint64{
 // touches and no row above covers: a default (non-strict) four-window run,
 // keyed "config/circuit" (go1.24 linux/amd64). A CoreBudget selects no load
 // path, and TestCoreBudgetNeverChangesAWaveform holds budgeted runs to the
-// rows of their unbudgeted twins; the stamp template is no option either, so
-// the rows of a linear circuit above are its templated runs.
+// rows of their unbudgeted twins. The two devbypass/ rows were recorded while
+// the stamp template ran only behind the DeviceBypass option; a linear
+// circuit now always assembles from its template, so they run at the default
+// options and are unedited: they hold the template's waveform to the record
+// it made as an option, where the suite rows above were regenerated.
 var iterationWaveformHashes = map[string]uint64{
-	"windows4/rect1k": 0x2baab5bf34976a41,
+	"devbypass/ladder400": 0x9fc36a7690893462,
+	"devbypass/grid16":    0x3cc0f120b5ec0af6,
+	"windows4/rect1k":     0x2baab5bf34976a41,
 }
 
 // stageWaveformHashes pins the stage shapes the pipeline-stage fold (PR 16)
@@ -312,6 +317,10 @@ func TestIterationWaveformHashesPinned(t *testing.T) {
 		})
 	}
 	for _, b := range circuits.Suite() {
+		switch b.Name {
+		case "ladder400", "grid16":
+			run("devbypass/"+b.Name, b, TranOptions{})
+		}
 		if b.Name == "rect1k" {
 			run("windows4/"+b.Name, b, TranOptions{Windows: 4})
 		}

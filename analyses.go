@@ -194,7 +194,7 @@ func RunDeckDC(d *Deck, record []string) (*Set, error) {
 }
 
 // RunOP computes the DC operating point and returns the node voltages by
-// name (branch currents are omitted; use RunTransient with Record for
+// name (branch currents are omitted; use RunTransientCtx with Record for
 // those).
 func RunOP(sys *System) (map[string]float64, error) {
 	ws := sys.NewWorkspace()

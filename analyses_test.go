@@ -1,6 +1,7 @@
 package wavepipe
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -260,7 +261,7 @@ CQB qb 0 5f
 	if d.NodeSets["q"] != 1.8 || d.NodeSets["qb"] != 0 {
 		t.Fatalf("nodesets = %v", d.NodeSets)
 	}
-	res, err := RunDeck(d, TranOptions{Record: []string{"q", "qb"}})
+	res, err := RunDeckCtx(context.Background(), d, TranOptions{Record: []string{"q", "qb"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ CQB qb 0 5f
 	}
 	// Unknown node in an explicit NodeSet errors.
 	sys, _ := d.Circuit.Build()
-	if _, err := RunTransient(sys, TranOptions{TStop: 1e-9, NodeSet: map[string]float64{"zz": 1}}); err == nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-9, NodeSet: map[string]float64{"zz": 1}}); err == nil {
 		t.Fatal("bad nodeset must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package wavepipe_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestApplyToNoTranNoTStop(t *testing.T) {
 	if merged.TStop != 0 {
 		t.Fatalf("TStop = %g, want 0 (deck has no .TRAN)", merged.TStop)
 	}
-	if _, rerr := wavepipe.RunDeck(d, wavepipe.TranOptions{}); rerr == nil {
+	if _, rerr := wavepipe.RunDeckCtx(context.Background(), d, wavepipe.TranOptions{}); rerr == nil {
 		t.Fatal("expected an error for missing .TRAN and TStop")
 	} else if !strings.Contains(rerr.Error(), ".TRAN") {
 		t.Fatalf("unhelpful error: %v", rerr)

@@ -12,6 +12,7 @@ package wavepipe
 // benchmarks are the per-experiment entry points for `go test -bench`.
 
 import (
+	"context"
 	"testing"
 
 	"wavepipe/internal/circuit"
@@ -48,15 +49,14 @@ func findBenchmark(b *testing.B, name string) (sys *System, opts TranOptions) {
 	return nil, TranOptions{}
 }
 
-func runScheme(b *testing.B, circuitName string, scheme Scheme, threads int) {
+func runScheme(b *testing.B, circuitName string, scheme Scheme) {
 	sys, opts := findBenchmark(b, circuitName)
 	opts.Scheme = scheme
-	opts.Threads = threads
 	var last *Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunTransient(sys, opts)
+		res, err := RunTransientCtx(context.Background(), sys, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,42 +80,39 @@ func BenchmarkTable1_BuildSuite(b *testing.B) {
 }
 
 // Table 2: backward pipelining vs serial.
-func BenchmarkTable2_Grid16_Serial(b *testing.B) { runScheme(b, "grid16", Serial, 1) }
-func BenchmarkTable2_Grid16_BWP2(b *testing.B)   { runScheme(b, "grid16", Backward, 2) }
-func BenchmarkTable2_Grid16_BWP3(b *testing.B)   { runScheme(b, "grid16", Backward, 3) }
-func BenchmarkTable2_Ladder_Serial(b *testing.B) { runScheme(b, "ladder400", Serial, 1) }
-func BenchmarkTable2_Ladder_BWP2(b *testing.B)   { runScheme(b, "ladder400", Backward, 2) }
-func BenchmarkTable2_Rect1k_Serial(b *testing.B) { runScheme(b, "rect1k", Serial, 1) }
-func BenchmarkTable2_Rect1k_BWP2(b *testing.B)   { runScheme(b, "rect1k", Backward, 2) }
+func BenchmarkTable2_Grid16_Serial(b *testing.B) { runScheme(b, "grid16", Serial) }
+func BenchmarkTable2_Grid16_BWP2(b *testing.B)   { runScheme(b, "grid16", Backward) }
+func BenchmarkTable2_Ladder_Serial(b *testing.B) { runScheme(b, "ladder400", Serial) }
+func BenchmarkTable2_Ladder_BWP2(b *testing.B)   { runScheme(b, "ladder400", Backward) }
+func BenchmarkTable2_Rect1k_Serial(b *testing.B) { runScheme(b, "rect1k", Serial) }
+func BenchmarkTable2_Rect1k_BWP2(b *testing.B)   { runScheme(b, "rect1k", Backward) }
 
 // Table 3: forward pipelining vs serial.
-func BenchmarkTable3_Rect1k_FWP2(b *testing.B)  { runScheme(b, "rect1k", Forward, 2) }
-func BenchmarkTable3_Ring9_Serial(b *testing.B) { runScheme(b, "ring9", Serial, 1) }
-func BenchmarkTable3_Ring9_FWP2(b *testing.B)   { runScheme(b, "ring9", Forward, 2) }
+func BenchmarkTable3_Rect1k_FWP2(b *testing.B)  { runScheme(b, "rect1k", Forward) }
+func BenchmarkTable3_Ring9_Serial(b *testing.B) { runScheme(b, "ring9", Serial) }
+func BenchmarkTable3_Ring9_FWP2(b *testing.B)   { runScheme(b, "ring9", Forward) }
 
 // Table 4: combined WavePipe.
-func BenchmarkTable4_Grid16_CMB3(b *testing.B)  { runScheme(b, "grid16", Combined, 3) }
-func BenchmarkTable4_Grid16_CMB4(b *testing.B)  { runScheme(b, "grid16", Combined, 4) }
-func BenchmarkTable4_Nand5_Serial(b *testing.B) { runScheme(b, "nand5", Serial, 1) }
-func BenchmarkTable4_Nand5_CMB4(b *testing.B)   { runScheme(b, "nand5", Combined, 4) }
+func BenchmarkTable4_Grid16_CMB4(b *testing.B)  { runScheme(b, "grid16", Combined) }
+func BenchmarkTable4_Nand5_Serial(b *testing.B) { runScheme(b, "nand5", Serial) }
+func BenchmarkTable4_Nand5_CMB4(b *testing.B)   { runScheme(b, "nand5", Combined) }
 
 // Figure F1 (step-size trace): serial vs backward on the rectifier, the
 // circuit whose trace the figure plots.
-func BenchmarkFig1_StepTrace_BWP2(b *testing.B) { runScheme(b, "rect1k", Backward, 2) }
+func BenchmarkFig1_StepTrace_BWP2(b *testing.B) { runScheme(b, "rect1k", Backward) }
 
 // Figure F2 (accuracy): the comparison cost itself — run both engines and
 // compare waveforms.
 func BenchmarkFig2_Accuracy_Ring9(b *testing.B) {
 	sys, opts := findBenchmark(b, "ring9")
 	for i := 0; i < b.N; i++ {
-		ref, err := RunTransient(sys, opts)
+		ref, err := RunTransientCtx(context.Background(), sys, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		wp := opts
 		wp.Scheme = Combined
-		wp.Threads = 4
-		res, err := RunTransient(sys, wp)
+		res, err := RunTransientCtx(context.Background(), sys, wp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,40 +122,15 @@ func BenchmarkFig2_Accuracy_Ring9(b *testing.B) {
 	}
 }
 
-// Figure F3 (scaling): thread sweep on the large grid.
-func BenchmarkFig3_Grid24_Serial(b *testing.B) { runScheme(b, "grid24", Serial, 1) }
-func BenchmarkFig3_Grid24_BWP2(b *testing.B)   { runScheme(b, "grid24", Backward, 2) }
-func BenchmarkFig3_Grid24_BWP4(b *testing.B)   { runScheme(b, "grid24", Backward, 4) }
-func BenchmarkFig3_Grid24_CMB4(b *testing.B)   { runScheme(b, "grid24", Combined, 4) }
+// Figure F3 (archived; the thread sweep is gone): the large grid, serial
+// beside the two-point and four-point stages.
+func BenchmarkFig3_Grid24_Serial(b *testing.B) { runScheme(b, "grid24", Serial) }
+func BenchmarkFig3_Grid24_BWP2(b *testing.B)   { runScheme(b, "grid24", Backward) }
+func BenchmarkFig3_Grid24_CMB4(b *testing.B)   { runScheme(b, "grid24", Combined) }
 
 // Figure F4 (work overhead): the combined scheme's total work on the RLC
 // tree, the highest-point-count circuit.
-func BenchmarkFig4_RLCTree_CMB4(b *testing.B) { runScheme(b, "rlctree8", Combined, 4) }
-
-// Ablation A1: backward offset ratio sweep.
-func BenchmarkAblationDelta_Small(b *testing.B) {
-	sys, opts := findBenchmark(b, "grid16")
-	opts.Scheme = Backward
-	opts.Threads = 2
-	opts.DeltaRatio = 0.05
-	for i := 0; i < b.N; i++ {
-		if _, err := RunTransient(sys, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationDelta_Large(b *testing.B) {
-	sys, opts := findBenchmark(b, "grid16")
-	opts.Scheme = Backward
-	opts.Threads = 2
-	opts.DeltaRatio = 0.5
-	for i := 0; i < b.N; i++ {
-		if _, err := RunTransient(sys, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig4_RLCTree_CMB4(b *testing.B) { runScheme(b, "rlctree8", Combined) }
 
 // Substrate micro-benchmarks: the sparse kernel dominates per-iteration
 // cost; track it separately.

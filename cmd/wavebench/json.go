@@ -4,6 +4,7 @@ package main
 // sweep as JSON records (windowscale, reducescale).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -47,7 +48,7 @@ func jsonMetrics(benchName string) error {
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		res, err := wavepipe.RunTransient(sys, opts)
+		res, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&ms1)
 		if err != nil {
@@ -93,15 +94,10 @@ type windowScaleRecord struct {
 	RelMaxDev       float64 `json:"rel_max_dev"`
 }
 
-// planThreads is the pipeline width of the "best WavePipe-only" baseline of
-// the windowscale figure at a given budget: the whole budget, clamped to the
-// combined scheme's useful 2-4 range.
-func planThreads(budget int) int { return min(max(budget, 2), 4) }
-
 // figWindowScale sweeps time-parallel window count against core budget:
 // for every budget (powers of two up to maxCores) it records the serial
 // baseline, the best WavePipe-only configuration at that budget
-// (combined scheme, planThreads width), and windowed runs at
+// (the combined scheme), and windowed runs at
 // W = 2/4/8 with serial fine engines — once at the accuracy-first
 // default gate and once at the speed tier (gate 32, "windows-fast"),
 // which accepts coarse seeds within 32 fine error weights and trades a
@@ -155,7 +151,7 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 				Mode:            mode,
 				CoreBudget:      opts.CoreBudget,
 				Windows:         W,
-				Threads:         opts.Threads,
+				Threads:         res.Stats.PipelineWorkers,
 				Gate:            opts.CoarseOpts.Gate,
 				WindowsLaunched: res.Stats.WindowsLaunched,
 				PararealIters:   res.Stats.PararealIters,
@@ -177,7 +173,6 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 			}
 			wp := base
 			wp.Scheme = wavepipe.Combined
-			wp.Threads = planThreads(budget)
 			wp.CoreBudget = budget
 			if err := add("wavepipe", 0, wp); err != nil {
 				return err

@@ -3,7 +3,7 @@
 //
 //	wavebench -all            # everything (several minutes)
 //	wavebench -table 2        # backward-pipelining speedup table
-//	wavebench -fig scaling    # speedup vs thread count series
+//	wavebench -fig work       # work overhead per scheme
 //	wavebench -quick -all     # reduced windows (smoke test)
 //
 // Tables print in the layout of the corresponding table in the paper;
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -56,7 +57,7 @@ func isFlagSet(name string) bool {
 
 func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-4)")
-	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, scaling, work, fwp, ablation, windowscale, reducescale")
+	fig := flag.String("fig", "", "regenerate figure: stepsize, accuracy, work, fwp, windowscale, reducescale")
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON metrics (see -bench)")
 	benchName := flag.String("bench", "grid16", "circuit for -json and the -fig windowscale/reducescale sweeps (a suite name, or all)")
@@ -172,17 +173,11 @@ func main() {
 	if *all || *fig == "accuracy" {
 		run("accuracy", figAccuracy)
 	}
-	if *all || *fig == "scaling" {
-		run("scaling", figScaling)
-	}
 	if *all || *fig == "work" {
 		run("work", figWork)
 	}
 	if *all || *fig == "fwp" {
 		run("fwp", figFWP)
-	}
-	if *all || *fig == "ablation" {
-		run("ablation", figAblation)
 	}
 }
 
@@ -216,7 +211,7 @@ func timed(sys *circuit.System, opts wavepipe.TranOptions) (time.Duration, *wave
 		runtime.GC()
 		old := debug.SetGCPercent(-1)
 		start := time.Now()
-		r, err := wavepipe.RunTransient(sys, opts)
+		r, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 		d := time.Since(start)
 		debug.SetGCPercent(old)
 		if err != nil {
@@ -244,20 +239,12 @@ func table1() error {
 	return nil
 }
 
-// speedupTable measures one scheme at the given thread counts against the
+// speedupTable measures one scheme, at its own stage width, against the
 // serial baseline.
-func speedupTable(title string, scheme wavepipe.Scheme, threadCounts []int) error {
+func speedupTable(title string, scheme wavepipe.Scheme) error {
 	fmt.Println(title)
-	header := fmt.Sprintf("%-10s %10s %8s", "circuit", "serial(ms)", "points")
-	for _, th := range threadCounts {
-		header += fmt.Sprintf(" %11s %8s %7s", fmt.Sprintf("%dT(ms)", th), "speedup", "stages")
-	}
-	fmt.Println(header)
-	type acc struct {
-		sum float64
-		n   int
-	}
-	sums := make([]acc, len(threadCounts))
+	fmt.Printf("%-10s %10s %8s %12s %8s %7s\n", "circuit", "serial(ms)", "points", scheme.String()+"(ms)", "speedup", "stages")
+	sum, n := 0.0, 0
 	for _, b := range circuits.Suite() {
 		sys, err := build(b)
 		if err != nil {
@@ -268,28 +255,20 @@ func speedupTable(title string, scheme wavepipe.Scheme, threadCounts []int) erro
 		if err != nil {
 			return err
 		}
-		serialCrit := serialRes.Stats.CriticalNanos
-		row := fmt.Sprintf("%-10s %10.2f %8d", b.Name, nanosMS(serialCrit), serialRes.Stats.Points)
-		for i, th := range threadCounts {
-			opts := base
-			opts.Scheme = scheme
-			opts.Threads = th
-			_, res, err := timed(sys, opts)
-			if err != nil {
-				return err
-			}
-			sp := float64(serialCrit) / float64(res.Stats.CriticalNanos)
-			sums[i].sum += sp
-			sums[i].n++
-			row += fmt.Sprintf(" %11.2f %8.2f %7d", nanosMS(res.Stats.CriticalNanos), sp, res.Stats.Stages)
+		opts := base
+		opts.Scheme = scheme
+		_, res, err := timed(sys, opts)
+		if err != nil {
+			return err
 		}
-		fmt.Println(row)
+		serialCrit := serialRes.Stats.CriticalNanos
+		sp := float64(serialCrit) / float64(res.Stats.CriticalNanos)
+		sum += sp
+		n++
+		fmt.Printf("%-10s %10.2f %8d %12.2f %8.2f %7d\n", b.Name, nanosMS(serialCrit), serialRes.Stats.Points,
+			nanosMS(res.Stats.CriticalNanos), sp, res.Stats.Stages)
 	}
-	avg := fmt.Sprintf("%-10s %10s %8s", "average", "", "")
-	for _, a := range sums {
-		avg += fmt.Sprintf(" %11s %8.2f %7s", "", a.sum/float64(a.n), "")
-	}
-	fmt.Println(avg)
+	fmt.Printf("%-10s %10s %8s %12s %8.2f\n", "average", "", "", "", sum/float64(n))
 	return nil
 }
 
@@ -298,19 +277,19 @@ func nanosMS(n int64) float64 { return float64(n) / 1e6 }
 func table2() error {
 	return speedupTable(
 		"Table 2: backward pipelining (BWP) speedup vs serial Gear-2 (reconstructed)",
-		wavepipe.Backward, []int{2, 3})
+		wavepipe.Backward)
 }
 
 func table3() error {
 	return speedupTable(
 		"Table 3: forward pipelining (FWP) speedup vs serial Gear-2 (reconstructed)",
-		wavepipe.Forward, []int{2})
+		wavepipe.Forward)
 }
 
 func table4() error {
 	return speedupTable(
 		"Table 4: combined WavePipe speedup vs serial Gear-2 (reconstructed)",
-		wavepipe.Combined, []int{3, 4})
+		wavepipe.Combined)
 }
 
 func figStepSize() error {
@@ -331,7 +310,6 @@ func figStepSize() error {
 		}
 		opts := base
 		opts.Scheme = wavepipe.Backward
-		opts.Threads = 2
 		_, bw, err := timed(sys, opts)
 		if err != nil {
 			return err
@@ -372,7 +350,6 @@ func figAccuracy() error {
 		for _, s := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward, wavepipe.Combined} {
 			opts := base
 			opts.Scheme = s
-			opts.Threads = 4
 			_, res, err := timed(sys, opts)
 			if err != nil {
 				return err
@@ -382,43 +359,6 @@ func figAccuracy() error {
 				return err
 			}
 			fmt.Printf("%-10s %-10s %12.3e %12.3e %12.5f\n", b.Name, s, dev.Max, dev.RMS, dev.RelMax())
-		}
-	}
-	return nil
-}
-
-func figScaling() error {
-	fmt.Println("Figure F3: speedup vs thread count (CSV: scheme,threads,speedup)")
-	b, _ := findBench("grid24")
-	sys, err := build(b)
-	if err != nil {
-		return err
-	}
-	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-	_, serialRes, err := timed(sys, base)
-	if err != nil {
-		return err
-	}
-	serialCrit := serialRes.Stats.CriticalNanos
-	fmt.Printf("serial,1,1.00\n")
-	type cfg struct {
-		scheme  wavepipe.Scheme
-		threads []int
-	}
-	for _, c := range []cfg{
-		{wavepipe.Backward, []int{2, 3, 4}},
-		{wavepipe.Forward, []int{2}},
-		{wavepipe.Combined, []int{3, 4}},
-	} {
-		for _, th := range c.threads {
-			opts := base
-			opts.Scheme = c.scheme
-			opts.Threads = th
-			_, res, err := timed(sys, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s,%d,%.2f\n", c.scheme, th, float64(serialCrit)/float64(res.Stats.CriticalNanos))
 		}
 	}
 	return nil
@@ -436,7 +376,6 @@ func figWork() error {
 		for _, s := range []wavepipe.Scheme{wavepipe.Serial, wavepipe.Backward, wavepipe.Combined} {
 			opts := base
 			opts.Scheme = s
-			opts.Threads = 4
 			_, res, err := timed(sys, opts)
 			if err != nil {
 				return err
@@ -475,7 +414,6 @@ func figFWP() error {
 			}
 			opts := base
 			opts.Scheme = wavepipe.Forward
-			opts.Threads = 2
 			_, res, err := timed(sys, opts)
 			if err != nil {
 				return err
@@ -485,35 +423,6 @@ func figFWP() error {
 				nanosMS(serialRes.Stats.CriticalNanos), nanosMS(res.Stats.CriticalNanos),
 				float64(serialRes.Stats.CriticalNanos)/float64(res.Stats.CriticalNanos))
 		}
-	}
-	return nil
-}
-
-func figAblation() error {
-	fmt.Println("Ablation A1: backward offset ratio δ/h sweep (grid16, 2 threads)")
-	fmt.Printf("%-8s %10s %8s %10s\n", "delta", "wall(ms)", "speedup", "stages")
-	b, _ := findBench("grid16")
-	sys, err := build(b)
-	if err != nil {
-		return err
-	}
-	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-	_, serialRes, err := timed(sys, base)
-	if err != nil {
-		return err
-	}
-	serialCrit := serialRes.Stats.CriticalNanos
-	for _, delta := range []float64{0.05, 0.1, 0.2, 0.3, 0.5} {
-		opts := base
-		opts.Scheme = wavepipe.Backward
-		opts.Threads = 2
-		opts.DeltaRatio = delta
-		_, res, err := timed(sys, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8.2f %10.2f %8.2f %10d\n", delta,
-			nanosMS(res.Stats.CriticalNanos), float64(serialCrit)/float64(res.Stats.CriticalNanos), res.Stats.Stages)
 	}
 	return nil
 }

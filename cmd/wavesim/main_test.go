@@ -41,7 +41,7 @@ func runToFile(t *testing.T, analysis, scheme, deckPath string) string {
 	out := filepath.Join(t.TempDir(), "out.csv")
 	err := runCfg(t, runConfig{
 		deckPath: deckPath, analysis: analysis, scheme: scheme,
-		method: "gear2", probes: "out", outPath: out, threads: 2,
+		method: "gear2", probes: "out", outPath: out,
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", analysis, scheme, err)
@@ -189,7 +189,7 @@ func TestTraceFlagOutputs(t *testing.T) {
 	err := runCfg(t, runConfig{
 		deckPath: deck, analysis: "tran", scheme: "combined", method: "gear2",
 		tstop: "5u", probes: "out", outPath: filepath.Join(dir, "a.csv"),
-		threads: 4, tracePath: jsonl,
+		tracePath: jsonl,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func budgetRun(t *testing.T, sys *System, opts TranOptions, budget, procs int) *
 	old := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(old)
 	opts.CoreBudget = budget
-	res, err := RunTransient(sys, opts)
+	res, err := RunTransientCtx(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatalf("budget=%d procs=%d: %v", budget, procs, err)
 	}
@@ -67,8 +67,8 @@ func sameWaveform(t *testing.T, tag string, got, want *Result) {
 // budgets 1, 2, 4 and 8 is the run without a budget bit for bit, and on
 // grid16 and nand5 — a linear mesh and a nonlinear circuit, both large enough
 // that a wider budget once bought a point solve a gang of its own — the
-// pinned two- and three-thread pipeline rows reproduce their hashes at
-// budgets 2, 4 and 8. An ensemble's gang is capped by the budget too: six
+// pinned rows of the three schemes reproduce their hashes at budgets 2, 4
+// and 8. An ensemble's gang is capped by the budget too: six
 // ladder lanes at budgets 1, 2 and 4 are the lanes without a budget bit for
 // bit, on a gang no wider than the budget.
 func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
@@ -76,9 +76,9 @@ func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 		name string
 		opts TranOptions
 	}{
-		{"backward2", TranOptions{Scheme: Backward, Threads: 2}},
-		{"forward2", TranOptions{Scheme: Forward, Threads: 2}},
-		{"combined3", TranOptions{Scheme: Combined, Threads: 3}},
+		{"backward2", TranOptions{Scheme: Backward}},
+		{"forward2", TranOptions{Scheme: Forward}},
+		{"combined4", TranOptions{Scheme: Combined}},
 	}
 	for _, b := range circuits.Suite() {
 		b := b
@@ -91,7 +91,7 @@ func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 			if testing.Short() {
 				opts.TStop /= 5
 			}
-			ref, err := RunTransient(sys, opts)
+			ref, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,6 @@ func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
 	sys, opts := suiteSystem(t, "grid16")
 	opts.TStop /= 5
 	opts.Scheme = Combined
-	opts.Threads = 4
 	par := forcedRun(t, sys, opts, 8)
 	deg := budgetRun(t, sys, opts, 8, 1)
 	sameWaveform(t, "combined gang vs degraded", par, deg)
@@ -193,11 +192,11 @@ func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
 	// hardware thread count is harmless here); with a budget narrower than a
 	// round it must.
 	small := lowpass(t)
-	wide := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined, Threads: 4}, 4, 4)
+	wide := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined}, 4, 4)
 	if wide.Stats.PipelineSerialized {
 		t.Fatal("4-proc budget-4 run reported pipeline serialization")
 	}
-	narrow := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined, Threads: 4}, 2, 4)
+	narrow := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined}, 2, 4)
 	if !narrow.Stats.PipelineSerialized {
 		t.Fatal("budget 2 under 4 pipeline workers must serialize the pipeline")
 	}
@@ -214,13 +213,12 @@ func TestCoreBudgetMatchesReference(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			sys, opts := suiteSystem(t, name)
-			ref, err := RunTransient(sys, opts)
+			ref, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wp := opts
 			wp.Scheme = Combined
-			wp.Threads = 4
 			res := budgetRun(t, sys, wp, 4, 4)
 			dev, err := Compare(res.W, ref.W, opts.Record[0])
 			if err != nil {
@@ -242,10 +240,8 @@ func TestCoreBudgetNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		wp := opts
 		wp.Scheme = Backward
-		wp.Threads = 2
 		forcedRun(t, sys, wp, 2)
 		wp.Scheme = Combined
-		wp.Threads = 4
 		forcedRun(t, sys, wp, 8)
 	}
 	deadline := time.Now().Add(5 * time.Second)

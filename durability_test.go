@@ -59,7 +59,7 @@ func TestKillAndResumeSerialBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := RunTransient(sys, base)
+			ref, err := RunTransientCtx(context.Background(), sys, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestKillAndResumeSerialBitIdentical(t *testing.T) {
 			}
 			resOpts := base
 			resOpts.ResumeFrom = path
-			res, err := RunTransient(sysB, resOpts)
+			res, err := RunTransientCtx(context.Background(), sysB, resOpts)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -129,7 +129,7 @@ func TestKillAndResumePipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunTransient(sys, base)
+	ref, err := RunTransientCtx(context.Background(), sys, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,6 @@ func TestKillAndResumePipelined(t *testing.T) {
 	}}
 	killOpts := base
 	killOpts.Scheme = Combined
-	killOpts.Threads = 3
 	killOpts.CheckpointPath = path
 	killOpts.CheckpointEvery = 16
 	killOpts.Observer = hook
@@ -156,9 +155,8 @@ func TestKillAndResumePipelined(t *testing.T) {
 	sysB, _ := b.Make().Build()
 	resOpts := base
 	resOpts.Scheme = Combined
-	resOpts.Threads = 3
 	resOpts.ResumeFrom = path
-	res, err := RunTransient(sysB, resOpts)
+	res, err := RunTransientCtx(context.Background(), sysB, resOpts)
 	if err != nil {
 		t.Fatalf("resumed pipelined run: %v", err)
 	}
@@ -188,7 +186,7 @@ func TestDeadlineAbort(t *testing.T) {
 	// Ten times the suite horizon: at the suite's own 80 ns the mesh now
 	// finishes in about the deadline (PRs 13, 19 and 20 each made it faster),
 	// and a run that finishes has nothing to abort.
-	res, err := RunTransient(sys, TranOptions{
+	res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 		TStop: 800e-9, Record: []string{"n12_12"},
 		Deadline:       30 * time.Millisecond,
 		CheckpointPath: path,
@@ -228,7 +226,7 @@ func TestStallWatchdogAbort(t *testing.T) {
 			time.Sleep(1500 * time.Millisecond)
 		}
 	}}
-	res, err := RunTransient(sys, TranOptions{
+	res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 		TStop: 80e-9, Record: []string{"n8_8"},
 		StallFactor:    2,
 		CheckpointPath: path,
@@ -261,7 +259,7 @@ func TestPanicContainmentSalvage(t *testing.T) {
 			panic("injected observer panic")
 		}
 	}}
-	res, err := RunTransient(sys, TranOptions{
+	res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 		TStop: 100e-9, Record: []string{"out"},
 		CheckpointPath:  path,
 		CheckpointEvery: 8,
@@ -283,7 +281,7 @@ func TestPanicContainmentSalvage(t *testing.T) {
 	// The salvaged waveform must be resumable: the crash lost at most the
 	// work after the last flushed snapshot.
 	sysB, _ := circuits.RCLadder(400).Build()
-	if _, err := RunTransient(sysB, TranOptions{
+	if _, err := RunTransientCtx(context.Background(), sysB, TranOptions{
 		TStop: 100e-9, Record: []string{"out"}, ResumeFrom: path,
 	}); err != nil {
 		t.Fatalf("resume after panic: %v", err)
@@ -302,7 +300,7 @@ func TestResumeFromGarbageFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunTransient(sys, TranOptions{TStop: 100e-9, ResumeFrom: path})
+	_, err = RunTransientCtx(context.Background(), sys, TranOptions{TStop: 100e-9, ResumeFrom: path})
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 	}
@@ -321,7 +319,7 @@ func TestDurabilityOptionValidation(t *testing.T) {
 		{TStop: 1e-9, StallFactor: -1},
 	}
 	for i, opts := range bad {
-		if _, err := RunTransient(sys, opts); err == nil {
+		if _, err := RunTransientCtx(context.Background(), sys, opts); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
@@ -353,7 +351,7 @@ func BenchmarkCheckpointOverheadGrid16(b *testing.B) {
 	base := TranOptions{TStop: 80e-9, Record: []string{"n8_8"}}
 	b.Run("unguarded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunTransient(sys, base); err != nil {
+			if _, err := RunTransientCtx(context.Background(), sys, base); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -363,7 +361,7 @@ func BenchmarkCheckpointOverheadGrid16(b *testing.B) {
 		opts := base
 		opts.CheckpointPath = filepath.Join(dir, "bench.wpcp")
 		for i := 0; i < b.N; i++ {
-			if _, err := RunTransient(sys, opts); err != nil {
+			if _, err := RunTransientCtx(context.Background(), sys, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

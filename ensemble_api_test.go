@@ -19,7 +19,7 @@ C1 out 0 1n
 
 // RunEnsemble must elaborate one lane per variant — .PARAM overrides and
 // direct device overrides — and every lane's waveform must match its own
-// serial RunDeck bit for bit.
+// serial RunDeckCtx bit for bit.
 func TestRunEnsembleMatchesSerial(t *testing.T) {
 	d, err := ParseDeck(sweepDeck)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestRunEnsembleMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		want, err := RunDeck(sd, TranOptions{})
+		want, err := RunDeckCtx(context.Background(), sd, TranOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

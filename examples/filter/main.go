@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -48,10 +49,10 @@ func main() {
 
 	// --- Transient: drive at the resonant frequency with WavePipe and
 	// measure the steady-state output. ---
-	tr, err := wavepipe.RunDeck(d, wavepipe.TranOptions{
-		Scheme:  wavepipe.Backward,
-		Threads: 2,
-		Record:  []string{"in", "out"},
+	ctx := context.Background()
+	tr, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{
+		Scheme: wavepipe.Backward,
+		Record: []string{"in", "out"},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -87,8 +88,8 @@ D1 out 0 dl
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr2, err := wavepipe.RunDeck(d2, wavepipe.TranOptions{
-		Scheme: wavepipe.Combined, Threads: 3, Record: []string{"out"},
+	tr2, err := wavepipe.RunDeckCtx(ctx, d2, wavepipe.TranOptions{
+		Scheme: wavepipe.Combined, Record: []string{"out"},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -52,7 +53,8 @@ func main() {
 	fmt.Printf("power grid: %d unknowns, probing %s\n\n", sys.N, probe)
 
 	base := wavepipe.TranOptions{TStop: 40e-9, Record: []string{probe}}
-	serial, err := wavepipe.RunTransient(sys, base)
+	ctx := context.Background()
+	serial, err := wavepipe.RunTransientCtx(ctx, sys, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,24 +71,16 @@ func main() {
 	fmt.Printf("%-12s %8s %8s %10s %12s\n", "engine", "points", "stages", "model(ms)", "speedup")
 	fmt.Printf("%-12s %8d %8d %10.2f %12s\n", "serial",
 		serial.Stats.Points, serial.Stats.Stages, float64(serialCrit)/1e6, "1.00")
-	for _, cfg := range []struct {
-		scheme  wavepipe.Scheme
-		threads int
-	}{
-		{wavepipe.Backward, 2},
-		{wavepipe.Forward, 2},
-		{wavepipe.Combined, 4},
-	} {
+	for _, scheme := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward, wavepipe.Combined} {
 		opts := base
-		opts.Scheme = cfg.scheme
-		opts.Threads = cfg.threads
-		res, err := wavepipe.RunTransient(sys, opts)
+		opts.Scheme = scheme
+		res, err := wavepipe.RunTransientCtx(ctx, sys, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		dev, _ := wavepipe.Compare(res.W, serial.W, probe)
 		fmt.Printf("%-12s %8d %8d %10.2f %12.2f   (dev %.2g V)\n",
-			fmt.Sprintf("%v/%dT", cfg.scheme, cfg.threads),
+			fmt.Sprintf("%v/%dT", scheme, res.Stats.PipelineWorkers),
 			res.Stats.Points, res.Stats.Stages,
 			float64(res.Stats.CriticalNanos)/1e6,
 			float64(serialCrit)/float64(res.Stats.CriticalNanos), dev.Max)

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,15 +24,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Serial reference first, then WavePipe with 4 worker threads.
-	serial, err := wavepipe.RunDeck(d, wavepipe.TranOptions{Scheme: wavepipe.Serial})
+	// Serial reference first, then combined WavePipe: four points a stage.
+	ctx := context.Background()
+	serial, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{Scheme: wavepipe.Serial})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipelined, err := wavepipe.RunDeck(d, wavepipe.TranOptions{
-		Scheme:  wavepipe.Combined,
-		Threads: 4,
-	})
+	pipelined, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{Scheme: wavepipe.Combined})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -32,10 +33,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := wavepipe.RunDeck(d, wavepipe.TranOptions{
-		Scheme:  wavepipe.Forward,
-		Threads: 2,
-		Record:  []string{"outp", "outn", "acp"},
+	res, err := wavepipe.RunDeckCtx(context.Background(), d, wavepipe.TranOptions{
+		Scheme: wavepipe.Forward,
+		Record: []string{"outp", "outn", "acp"},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,14 +67,14 @@ func main() {
 	sys := buildRing(7, vdd)
 	opts := wavepipe.TranOptions{TStop: 20e-9, Record: []string{"s0"}}
 
-	serial, err := wavepipe.RunTransient(sys, opts)
+	ctx := context.Background()
+	serial, err := wavepipe.RunTransientCtx(ctx, sys, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bw := opts
 	bw.Scheme = wavepipe.Backward
-	bw.Threads = 3
-	pipelined, err := wavepipe.RunTransient(sys, bw)
+	pipelined, err := wavepipe.RunTransientCtx(ctx, sys, bw)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ package wavepipe
 // the recovery log must all be reachable through the facade.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -30,7 +31,7 @@ func TestFacadeFaultInjectionAndRecovery(t *testing.T) {
 	in := NewFaultInjector(FaultRule{
 		Class: FaultNoConvergence, After: 1e-16, Count: 7, SpareFrom: 1, // spare from the damping rung up
 	})
-	res, err := RunTransient(faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
+	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
 	}
@@ -55,7 +56,7 @@ func TestFacadeTypedFailure(t *testing.T) {
 	in := NewFaultInjector(FaultRule{
 		Class: FaultNoConvergence, After: 1e-16, Count: 1_000_000,
 	})
-	res, err := RunTransient(faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
+	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
 	if err == nil {
 		t.Fatal("run succeeded with every solve defeated")
 	}

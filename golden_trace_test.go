@@ -1,6 +1,7 @@
 package wavepipe_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -98,7 +99,7 @@ func regenerateGoldenTrace(t *testing.T) {
 	rec := wavepipe.NewTraceRecorder(0)
 	// A short window keeps the checked-in file small while still exercising
 	// every record type (solve phases, accepts, rejects, snapshots).
-	res, err := wavepipe.RunTransient(sys, wavepipe.TranOptions{
+	res, err := wavepipe.RunTransientCtx(context.Background(), sys, wavepipe.TranOptions{
 		TStop: bench.TStop / 50, Record: []string{bench.Probe},
 		Observer: rec, SnapshotEvery: 8,
 	})

@@ -9,6 +9,7 @@ package wavepipe
 // run those analyses.
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,7 +63,7 @@ func TestDecksTransientAllSchemes(t *testing.T) {
 		if !ok {
 			t.Fatalf("no probe registered for %s", name)
 		}
-		ref, err := RunDeck(deck, TranOptions{Record: []string{probe}})
+		ref, err := RunDeckCtx(context.Background(), deck, TranOptions{Record: []string{probe}})
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
@@ -77,8 +78,8 @@ func TestDecksTransientAllSchemes(t *testing.T) {
 			t.Fatalf("%s: probe %s never moves (range %g)", name, probe, hi-lo)
 		}
 		for _, scheme := range []Scheme{Backward, Forward, Combined} {
-			res, err := RunDeck(deck, TranOptions{
-				Record: []string{probe}, Scheme: scheme, Threads: 3,
+			res, err := RunDeckCtx(context.Background(), deck, TranOptions{
+				Record: []string{probe}, Scheme: scheme,
 			})
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, scheme, err)
@@ -171,7 +172,7 @@ func TestDecksEdgeTiming(t *testing.T) {
 	decks := loadDecks(t)
 	for _, name := range []string{"ecl_gate.sp", "cmos_latch.sp"} {
 		probe := deckProbe[name]
-		ref, err := RunDeck(decks[name], TranOptions{Record: []string{probe}})
+		ref, err := RunDeckCtx(context.Background(), decks[name], TranOptions{Record: []string{probe}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func TestDecksEdgeTiming(t *testing.T) {
 			t.Fatalf("%s: no reference edges", name)
 		}
 		for _, scheme := range []Scheme{Backward, Forward, Combined} {
-			res, err := RunDeck(decks[name], TranOptions{Record: []string{probe}, Scheme: scheme, Threads: 3})
+			res, err := RunDeckCtx(context.Background(), decks[name], TranOptions{Record: []string{probe}, Scheme: scheme})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +201,7 @@ func TestDecksEdgeTiming(t *testing.T) {
 
 func TestDeckMeasurements(t *testing.T) {
 	decks := loadDecks(t)
-	res, err := RunDeck(decks["cmos_latch.sp"], TranOptions{Record: []string{"q", "qb", "set"}})
+	res, err := RunDeckCtx(context.Background(), decks["cmos_latch.sp"], TranOptions{Record: []string{"q", "qb", "set"}})
 	if err != nil {
 		t.Fatal(err)
 	}

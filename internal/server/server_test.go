@@ -132,7 +132,7 @@ func TestHTTPResultMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := wavepipe.RunDeck(d, wavepipe.TranOptions{CoreBudget: 1})
+	local, err := wavepipe.RunDeckCtx(context.Background(), d, wavepipe.TranOptions{CoreBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,12 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPRetiredOptionsRefused: a peer still sending a retired option or
-// scheme gets a 400 at submission, not a job that silently runs without it.
+// TestHTTPRetiredOptionsRefused: a peer still sending a retired option,
+// scheme or pipeline width gets a 400 at submission, not a job that silently
+// runs without it.
 func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	_, svc, ts := newStack(t)
-	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`} {
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`, `{"deltaRatio":0.2}`, `{"scheme":"backward","threads":3}`} {
 		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

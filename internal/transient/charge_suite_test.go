@@ -51,7 +51,7 @@ func TestChargePassBitIdenticalOnSuite(t *testing.T) {
 		case "ecl8":
 			t.Run("backward2/"+b.Name, func(t *testing.T) {
 				res, err := wavepipe.Run(build(t), wavepipe.Options{
-					Base: transient.Options{TStop: tstop}, Scheme: wavepipe.SchemeBackward, Threads: 2,
+					Base: transient.Options{TStop: tstop}, Scheme: wavepipe.SchemeBackward,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -28,9 +28,8 @@ func TestInstantFallPulseDoesNotStall(t *testing.T) {
 	}
 	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
 		res, err := Run(mk(), Options{
-			Base:    transient.Options{TStop: 5e-6, MaxPoints: 5000},
-			Scheme:  scheme,
-			Threads: 2,
+			Base:   transient.Options{TStop: 5e-6, MaxPoints: 5000},
+			Scheme: scheme,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)

@@ -10,14 +10,13 @@ import (
 	"wavepipe/internal/waveform"
 )
 
-// runRectifier executes a combined-scheme 4-thread run of the rectifier with
-// real concurrent workers and the given fault harness.
+// runRectifier executes a combined-scheme run (four points a stage) of the
+// rectifier with real concurrent workers and the given fault harness.
 func runRectifier(t *testing.T, in *faults.Injector) *transient.Result {
 	t.Helper()
 	res, err := runForced(rectifierSystem(t), Options{
-		Base:    transient.Options{TStop: 3e-3, Faults: in},
-		Scheme:  SchemeCombined,
-		Threads: 4,
+		Base:   transient.Options{TStop: 3e-3, Faults: in},
+		Scheme: SchemeCombined,
 	})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
@@ -117,10 +116,9 @@ func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
 		fired = append(fired, f.T)
 	}
 	sort.Float64s(fired)
-	o := Options{Scheme: SchemeCombined, Threads: maxWidth}.withDefaults()
-	p := planStage(&o, false, 0, fired[1], false, 3e-3)
-	want := []float64{p.backs[0].t, p.main.t, p.fwdBack.t, p.fwd.t}
-	if p.nBack != 1 || !slices.Equal(fired, want) {
+	p := planStage(SchemeCombined, false, 0, fired[1], false, 3e-3)
+	want := []float64{p.back.t, p.main.t, p.fwdBack.t, p.fwd.t}
+	if !slices.Equal(fired, want) {
 		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)
 	}
 }

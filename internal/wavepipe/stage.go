@@ -19,16 +19,21 @@ type target struct {
 
 var noTarget = target{solver: -1}
 
+// planned reports whether the stage computes the point at all.
+func (tg target) planned() bool { return tg.solver >= 0 }
+
+// deltaRatio places a backward point δ = deltaRatio·h before the point it
+// sits under, h being the stage's main step.
+const deltaRatio = 0.2
+
 // stagePlan is the shape of one stage, the scheme as data: which points ride
 // along with the main point and which solver owns each.
 //
-//	               main   backward under main       forward   backward under forward
-//	flush          0      —                         —         —
-//	Backward/W     k      0..k-1, k ≤ W-1 kept      —         —
-//	Forward        0      —                         1         —
-//	Combined/2     0      —                         1         —
-//	Combined/3     0      2                         1         —
-//	Combined/4     0      2                         1         3
+//	           main   backward under main   forward   backward under forward
+//	flush      0      —                     —         —
+//	Backward   1      0                     —         —
+//	Forward    0      —                     1         —
+//	Combined   0      2                     1         3
 //
 // The assignment is part of the result, not a free choice: a solver's
 // limiting state and warm factorization follow what it solved last, so moving
@@ -42,10 +47,9 @@ type stagePlan struct {
 	flush bool
 	main  target
 	hitBp bool // main lands on the controller's limit
-	// backs are the backward points main−jδ, ascending; offsets that would
-	// crowd the stage's base point are dropped.
-	backs [maxWidth - 1]target
-	nBack int
+	// back is the backward point main−δ. At δ = 0.2·h it always clears the
+	// stage's base point, so it is planned whenever the scheme has one.
+	back target
 	// fwd is the speculated point after main, one step of the same size on
 	// (no growth), never across a breakpoint; fwdBack the backward point
 	// under it.
@@ -54,37 +58,21 @@ type stagePlan struct {
 	fwdBack   target
 }
 
-// planStage expands scheme × width × flush state into the stage that takes
-// the run from t to tMain (on the limit when hitBp).
-func planStage(o *Options, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
-	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, fwd: noTarget, fwdBack: noTarget}
+// planStage expands scheme × flush state into the stage that takes the run
+// from t to tMain (on the limit when hitBp).
+func planStage(scheme Scheme, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
+	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, back: noTarget, fwd: noTarget, fwdBack: noTarget}
 	if flush {
 		return p
 	}
 	h0 := tMain - t
-	delta := o.DeltaRatio * h0
-	clearOf := func(tb, base float64) bool { return tb > base+0.05*h0 }
-
-	under := 0 // backward points asked for under main
-	switch {
-	case o.Scheme == SchemeBackward:
-		under = o.Threads - 1
-	case o.Scheme == SchemeCombined && o.Threads >= 3:
-		under = 1
-	}
-	for j := under; j >= 1; j-- {
-		if tb := tMain - float64(j)*delta; clearOf(tb, t) {
-			solver := 2
-			if o.Scheme == SchemeBackward {
-				solver = p.nBack
-			}
-			p.backs[p.nBack] = target{solver, tb}
-			p.nBack++
-		}
-	}
-	if o.Scheme == SchemeBackward {
-		p.main.solver = p.nBack
+	delta := deltaRatio * h0
+	switch scheme {
+	case SchemeBackward:
+		p.main.solver, p.back = 1, target{0, tMain - delta}
 		return p
+	case SchemeCombined:
+		p.back = target{2, tMain - delta}
 	}
 
 	t2, fwdHitsBp := transient.LandOn(limit, tMain+h0, h0)
@@ -92,10 +80,21 @@ func planStage(o *Options, flush bool, t, tMain float64, hitBp bool, limit float
 		return p
 	}
 	p.fwd, p.fwdHitsBp = target{1, t2}, fwdHitsBp
-	if o.Scheme == SchemeCombined && o.Threads >= 4 && clearOf(t2-delta, tMain) {
+	// A forward step cut short by the limit can leave t2−δ crowding main:
+	// the forward point then goes alone.
+	if scheme == SchemeCombined && t2-delta > tMain+0.05*h0 {
 		p.fwdBack = target{3, t2 - delta}
 	}
 	return p
+}
+
+// backs is 1 when the stage has a backward point under main, else 0: the
+// count a failed main point discards with it.
+func (p *stagePlan) backs() int {
+	if p.back.planned() {
+		return 1
+	}
+	return 0
 }
 
 // job is what a round asks of a solver.
@@ -115,7 +114,7 @@ type roundTask struct {
 
 // queue appends a task for tg, if the stage computes it at all.
 func queue(tasks []roundTask, tg target, j job) []roundTask {
-	if tg.solver < 0 {
+	if !tg.planned() {
 		return tasks
 	}
 	return append(tasks, roundTask{tg, j})
@@ -189,7 +188,7 @@ func (e *engine) runTask(i int) {
 		// scratch. A panic leaves warm nil and the resume solves cold.
 		e.warm[k.solver] = nil
 		ph := e.from.Clone()
-		for _, b := range e.p.backs[:e.p.nBack] {
+		if b := e.p.back; b.planned() {
 			ph.Add(ps.PredictPoint(e.from, b.t))
 		}
 		ph.Add(ps.PredictPoint(e.from, e.p.main.t))
@@ -208,9 +207,22 @@ func (e *engine) passes(hist *integrate.History, res *pointResult) bool {
 	return res.err == nil && (e.s.AfterBreak || e.lte(hist, res) <= 1)
 }
 
+// publishBack accepts the backward point tg when it passes against hist, and
+// counts it discarded when it does not.
+func (e *engine) publishBack(hist *integrate.History, tg target) {
+	if !tg.planned() {
+		return
+	}
+	if r := &e.res[tg.solver]; e.passes(hist, r) {
+		e.accept(r.pt)
+	} else {
+		e.noteDiscards(tg.t, 1)
+	}
+}
+
 // stage runs one pipeline stage:
 //
-//	round A — the main point t1 = t+h and the backward points t1−jδ, all from
+//	round A — the main point t1 = t+h and the backward point t1−δ, both from
 //	          the accepted history; meanwhile the forward solvers pre-iterate
 //	          t2 = t1+h (and t2−δ) against a polynomially *predicted* t1
 //	round B — the forward solvers finish t2 (and t2−δ) from the exact
@@ -224,14 +236,11 @@ func (e *engine) stage(flush bool) error {
 	s := e.s
 	hist := s.Hist
 	tMain, hitBp := s.Plan()
-	e.p = planStage(&e.opts, flush, s.T, tMain, hitBp, s.Limit())
+	e.p = planStage(e.opts.Scheme, flush, s.T, tMain, hitBp, s.Limit())
 	p := &e.p
 	e.depth = e.warmDepth()
 
-	tasks := e.tasks[:0]
-	for _, b := range p.backs[:p.nBack] {
-		tasks = append(tasks, roundTask{b, jobSolve})
-	}
+	tasks := queue(e.tasks[:0], p.back, jobSolve)
 	tasks = append(tasks, roundTask{p.main, jobSolve})
 	tasks = queue(queue(tasks, p.fwd, jobWarm), p.fwdBack, jobWarm)
 	e.runRound(p.main.t, hist, tasks)
@@ -246,7 +255,7 @@ func (e *engine) stage(flush bool) error {
 	}
 
 	if main.err != nil {
-		e.noteDiscards(p.main.t, p.nBack)
+		e.noteDiscards(p.main.t, p.backs())
 		if !p.flush && errors.Is(main.err, faults.ErrWorkerPanic) {
 			// A panicked main worker is not a step-size problem; the flush
 			// stages its panic scheduled simply redo the point.
@@ -272,12 +281,10 @@ func (e *engine) stage(flush bool) error {
 	// Round B, speculative with respect to the LTE checks below.
 	var trueHist *integrate.History
 	spec := 0 // forward-side points solved
-	if p.fwd.solver >= 0 {
+	if p.fwd.planned() {
 		trueHist = hist.Clone()
-		for _, b := range p.backs[:p.nBack] {
-			if r := &e.res[b.solver]; r.err == nil {
-				trueHist.Add(r.pt)
-			}
+		if b := p.back; b.planned() && e.res[b.solver].err == nil {
+			trueHist.Add(e.res[b.solver].pt)
 		}
 		trueHist.Add(main.pt)
 		tasks = queue(queue(e.tasks[:0], p.fwd, jobResume), p.fwdBack, jobResume)
@@ -290,21 +297,10 @@ func (e *engine) stage(flush bool) error {
 	mainNorm := e.lte(hist, main)
 	if s.TooCoarse(mainNorm, main.co.H0) {
 		e.s.Reject(p.main.t, main.co, mainNorm)
-		e.noteDiscards(p.main.t, p.nBack+spec)
+		e.noteDiscards(p.main.t, p.backs()+spec)
 		return nil
 	}
-	// Accepting a point moves the history the next one would be measured
-	// against, so judge all backward points first.
-	for i, b := range p.backs[:p.nBack] {
-		e.keep[i] = e.passes(hist, &e.res[b.solver])
-	}
-	for i, b := range p.backs[:p.nBack] {
-		if e.keep[i] {
-			e.accept(e.res[b.solver].pt)
-		} else {
-			e.noteDiscards(b.t, 1)
-		}
-	}
+	e.publishBack(hist, p.back)
 	e.accept(main.pt)
 	if p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
@@ -327,14 +323,8 @@ func (e *engine) stage(flush bool) error {
 	// backward point accepted here sits between the main and the forward
 	// point; history stays ascending either way.
 	last, lastNorm := main, mainNorm // the anchor the next step is sized from
-	if p.fwd.solver >= 0 {
-		if p.fwdBack.solver >= 0 {
-			if r := &e.res[p.fwdBack.solver]; e.passes(trueHist, r) {
-				e.accept(r.pt)
-			} else {
-				e.noteDiscards(p.fwdBack.t, 1)
-			}
-		}
+	if p.fwd.planned() {
+		e.publishBack(trueHist, p.fwdBack)
 		fwd := &e.res[p.fwd.solver]
 		if fwd.err != nil {
 			e.noteDiscards(p.fwd.t, 1)

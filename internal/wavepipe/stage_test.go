@@ -8,81 +8,54 @@ import (
 	"wavepipe/internal/transient"
 )
 
-// Every scheme × width expands into the stage plan documented on stagePlan:
-// roles, target times and solver indices, from t = 1 with h = 1 and the
-// limit far away unless the case says otherwise.
+// Every scheme expands into the stage plan documented on stagePlan: roles,
+// target times and solver indices, from t = 1 with h = 1 and the limit far
+// away unless the case says otherwise.
 func TestPlanStage(t *testing.T) {
 	type tg = target
 	none := noTarget
-	// Variables, not constants: the expected times must round as the plan's
+	// A variable, not a constant: the expected times must round as the plan's
 	// run-time arithmetic does.
-	d, half := 0.2, 0.5
+	d := 0.2
 	cases := []struct {
 		name         string
 		scheme       Scheme
-		threads      int
-		delta        float64
 		flush, hitBp bool
 		limit        float64
-		main         tg
-		backs        []tg
+		main, back   tg
 		fwd, fwdBack tg
 		fwdHitsBp    bool
 	}{
-		{name: "flush", scheme: SchemeCombined, threads: 4, delta: d, flush: true, limit: 100,
-			main: tg{0, 2}, fwd: none, fwdBack: none},
-		{name: "backward2", scheme: SchemeBackward, threads: 2, delta: d, limit: 100,
-			main: tg{1, 2}, backs: []tg{{0, 2 - d}}, fwd: none, fwdBack: none},
-		{name: "backward3", scheme: SchemeBackward, threads: 3, delta: d, limit: 100,
-			main: tg{2, 2}, backs: []tg{{0, 2 - 2*d}, {1, 2 - d}}, fwd: none, fwdBack: none},
-		{name: "backward4", scheme: SchemeBackward, threads: 4, delta: d, limit: 100,
-			main: tg{3, 2}, backs: []tg{{0, 2 - 3*d}, {1, 2 - 2*d}, {2, 2 - d}}, fwd: none, fwdBack: none},
-		// At DeltaRatio 0.5 the second offset lands on the base point and the
-		// third before it: both are dropped and the solver indices close up.
-		{name: "backward4/crowded", scheme: SchemeBackward, threads: 4, delta: half, limit: 100,
-			main: tg{1, 2}, backs: []tg{{0, 2 - half}}, fwd: none, fwdBack: none},
-		{name: "backward3/hitBp", scheme: SchemeBackward, threads: 3, delta: d, hitBp: true, limit: 2,
-			main: tg{2, 2}, backs: []tg{{0, 2 - 2*d}, {1, 2 - d}}, fwd: none, fwdBack: none},
-		{name: "forward2", scheme: SchemeForward, threads: 2, delta: d, limit: 100,
-			main: tg{0, 2}, fwd: tg{1, 3}, fwdBack: none},
-		{name: "combined2", scheme: SchemeCombined, threads: 2, delta: d, limit: 100,
-			main: tg{0, 2}, fwd: tg{1, 3}, fwdBack: none},
-		{name: "combined3", scheme: SchemeCombined, threads: 3, delta: d, limit: 100,
-			main: tg{0, 2}, backs: []tg{{2, 2 - d}}, fwd: tg{1, 3}, fwdBack: none},
-		{name: "combined4", scheme: SchemeCombined, threads: 4, delta: d, limit: 100,
-			main: tg{0, 2}, backs: []tg{{2, 2 - d}}, fwd: tg{1, 3}, fwdBack: tg{3, 3 - d}},
+		{name: "flush", scheme: SchemeCombined, flush: true, limit: 100,
+			main: tg{0, 2}, back: none, fwd: none, fwdBack: none},
+		{name: "backward", scheme: SchemeBackward, limit: 100,
+			main: tg{1, 2}, back: tg{0, 2 - d}, fwd: none, fwdBack: none},
+		{name: "forward", scheme: SchemeForward, limit: 100,
+			main: tg{0, 2}, back: none, fwd: tg{1, 3}, fwdBack: none},
+		{name: "combined", scheme: SchemeCombined, limit: 100,
+			main: tg{0, 2}, back: tg{2, 2 - d}, fwd: tg{1, 3}, fwdBack: tg{3, 3 - d}},
 		// The forward point lands on the limit; the backward point under it
 		// keeps its distance δ = 0.2·h from there.
-		{name: "combined4/fwdHitsBp", scheme: SchemeCombined, threads: 4, delta: d, limit: 2.9,
-			main: tg{0, 2}, backs: []tg{{2, 2 - d}}, fwd: tg{1, 2.9}, fwdBack: tg{3, 2.9 - d}, fwdHitsBp: true},
+		{name: "combined/fwdHitsBp", scheme: SchemeCombined, limit: 2.9,
+			main: tg{0, 2}, back: tg{2, 2 - d}, fwd: tg{1, 2.9}, fwdBack: tg{3, 2.9 - d}, fwdHitsBp: true},
 		// A limit so close behind main that the forward step would be a
 		// sliver: nothing is speculated.
-		{name: "combined4/sliver", scheme: SchemeCombined, threads: 4, delta: d, limit: 2.05,
-			main: tg{0, 2}, backs: []tg{{2, 2 - d}}, fwd: none, fwdBack: none},
+		{name: "combined/sliver", scheme: SchemeCombined, limit: 2.05,
+			main: tg{0, 2}, back: tg{2, 2 - d}, fwd: none, fwdBack: none},
 		// Main itself lands on the limit: no speculation across a breakpoint.
-		{name: "forward2/hitBp", scheme: SchemeForward, threads: 2, delta: d, hitBp: true, limit: 2,
-			main: tg{0, 2}, fwd: none, fwdBack: none},
+		{name: "forward/hitBp", scheme: SchemeForward, hitBp: true, limit: 2,
+			main: tg{0, 2}, back: none, fwd: none, fwdBack: none},
 		// The forward step is cut to 0.25·h by the limit; δ = 0.2·h under it
 		// would crowd main, so the forward point goes alone.
-		{name: "combined4/crowdedFwd", scheme: SchemeCombined, threads: 4, delta: d, limit: 2.25,
-			main: tg{0, 2}, backs: []tg{{2, 2 - d}}, fwd: tg{1, 2.25}, fwdBack: none, fwdHitsBp: true},
+		{name: "combined/crowdedFwd", scheme: SchemeCombined, limit: 2.25,
+			main: tg{0, 2}, back: tg{2, 2 - d}, fwd: tg{1, 2.25}, fwdBack: none, fwdHitsBp: true},
 	}
 	for _, c := range cases {
-		o := Options{Scheme: c.scheme, Threads: c.threads, DeltaRatio: c.delta}
-		p := planStage(&o, c.flush, 1, 2, c.hitBp, c.limit)
-		if p.flush != c.flush || p.hitBp != c.hitBp || p.main != c.main ||
+		p := planStage(c.scheme, c.flush, 1, 2, c.hitBp, c.limit)
+		if p.flush != c.flush || p.hitBp != c.hitBp || p.main != c.main || p.back != c.back ||
 			p.fwd != c.fwd || p.fwdBack != c.fwdBack || p.fwdHitsBp != c.fwdHitsBp {
-			t.Errorf("%s: plan %+v, want main %v fwd %v fwdBack %v fwdHitsBp %v",
-				c.name, p, c.main, c.fwd, c.fwdBack, c.fwdHitsBp)
-		}
-		if got := p.backs[:p.nBack]; len(got) != len(c.backs) {
-			t.Errorf("%s: backward points %v, want %v", c.name, got, c.backs)
-		} else {
-			for i := range got {
-				if got[i] != c.backs[i] {
-					t.Errorf("%s: backward point %d is %v, want %v", c.name, i, got[i], c.backs[i])
-				}
-			}
+			t.Errorf("%s: plan %+v, want main %v back %v fwd %v fwdBack %v fwdHitsBp %v",
+				c.name, p, c.main, c.back, c.fwd, c.fwdBack, c.fwdHitsBp)
 		}
 	}
 }
@@ -122,12 +95,11 @@ func TestStageGangIsPersistent(t *testing.T) {
 // included (it used to be measured once for the test and once more for the
 // step it leaves behind).
 func TestOneLTESpanPerCandidate(t *testing.T) {
-	for _, threads := range []int{2, 4} {
+	for _, scheme := range []Scheme{SchemeForward, SchemeCombined} {
 		rec := trace.NewRecorder(0)
 		_, err := Run(rectifierSystem(t), Options{
-			Base:    transient.Options{TStop: 3e-3, Trace: trace.New(rec, 0)},
-			Scheme:  SchemeCombined,
-			Threads: threads,
+			Base:   transient.Options{TStop: 3e-3, Trace: trace.New(rec, 0)},
+			Scheme: scheme,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -153,11 +125,11 @@ func TestOneLTESpanPerCandidate(t *testing.T) {
 		}
 		for k, n := range spans {
 			if n != 1 {
-				t.Errorf("%d threads: stage %d judged the candidate at t=%g %d times", threads, k.stage, k.t, n)
+				t.Errorf("%v: stage %d judged the candidate at t=%g %d times", scheme, k.stage, k.t, n)
 			}
 		}
 		if fwdRejects == 0 {
-			t.Errorf("%d threads: no forward point was rejected: the run does not reach the case", threads)
+			t.Errorf("%v: no forward point was rejected: the run does not reach the case", scheme)
 		}
 	}
 }

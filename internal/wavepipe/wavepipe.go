@@ -7,9 +7,9 @@
 // Two embodiments are provided, plus their combination:
 //
 //   - Backward pipelining (SchemeBackward): while the main worker computes
-//     the regular next point t+h, extra workers compute solutions at
-//     backward points t+h−δ, t+h−2δ, ... All depend only on already-known
-//     history, so they run fully in parallel. The densely spaced trailing
+//     the regular next point t+h, a second worker computes the backward
+//     point t+h−δ, δ = 0.2·h. Both depend only on already-known history,
+//     so they run fully in parallel. The densely spaced trailing
 //     points shrink the variable-step Gear-2 LTE constant and refresh the
 //     derivative estimate, allowing a larger next step — the pipeline
 //     advances simulated time faster than one serial step per solve.
@@ -24,7 +24,10 @@
 //     with the predecessor's.
 //
 //   - SchemeCombined layers a backward worker under the main point and
-//     (with 4 threads) under the forward point as well.
+//     under the forward point as well.
+//
+// A scheme is its stage: Backward and Forward solve two points at once,
+// Combined four (see Width and planStage).
 package wavepipe
 
 import (
@@ -71,42 +74,24 @@ type Options struct {
 	// tolerances). Method must be Gear2 or Trapezoidal for second-order
 	// pipelining; Gear2 (the default) is what the paper analyses.
 	Base transient.Options
-	// Scheme selects backward, forward or combined pipelining.
+	// Scheme selects backward, forward or combined pipelining, and with it
+	// the stage: how many points a stage solves and which (see Width).
 	Scheme Scheme
-	// Threads is the number of concurrent point workers: 2–3 for backward,
-	// 2 for forward, 3–4 for combined. Defaults to 2 (3 for combined).
-	Threads int
-	// DeltaRatio sets the backward offset δ = DeltaRatio·h (default 0.2).
-	DeltaRatio float64
 }
 
-// maxWidth is the widest pipeline any scheme runs: a main point with three
-// backward points, or a main and a forward point with one backward point each.
+// maxWidth is the widest stage: Combined's main and forward point with a
+// backward point under each.
 const maxWidth = 4
 
-// Width is the pipeline width a scheme runs at when asked for threads
-// workers (<= 0: the scheme's default) — what the engine uses, and what a
-// caller budgeting cores around it (the window coordinator) must count.
-func Width(scheme Scheme, threads int) int {
-	switch {
-	case scheme == SchemeForward:
-		return 2 // forward pipelining is depth-1 in this implementation
-	case threads <= 0 && scheme == SchemeCombined:
-		return 3
-	case threads <= 0:
-		return 2
-	case threads > maxWidth:
+// Width is the number of points a stage of the scheme solves at once — 2 for
+// Backward and Forward, 4 for Combined. It is the engine's solver count and
+// the width of its stage gang, and what a caller budgeting cores around it
+// (the window coordinator, the service) must count.
+func Width(scheme Scheme) int {
+	if scheme == SchemeCombined {
 		return maxWidth
 	}
-	return threads
-}
-
-func (o Options) withDefaults() Options {
-	o.Threads = Width(o.Scheme, o.Threads)
-	if o.DeltaRatio <= 0 || o.DeltaRatio >= 0.9 {
-		o.DeltaRatio = 0.2
-	}
-	return o
+	return 2
 }
 
 // Run executes a WavePipe transient analysis and returns a result of the
@@ -123,18 +108,18 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 // newEngine builds the run's solvers — one per pipeline slot — and its
 // stage gang.
 func newEngine(sys *circuit.System, opts Options) *engine {
-	opts = opts.withDefaults()
 	base := opts.Base.WithDefaults()
 	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
 	e.taskFn = e.runTask
 	// The stage gang under a budget: the coordinator leads it, so a gang of
 	// width k occupies k cores and the budget caps the width.
-	width := opts.Threads
+	width := Width(opts.Scheme)
+	gang := width
 	if base.CoreBudget > 0 {
-		width = min(width, base.CoreBudget)
+		gang = min(gang, base.CoreBudget)
 	}
-	e.gang = sched.NewPool(width)
-	for i := 0; i < opts.Threads; i++ {
+	e.gang = sched.NewPool(gang)
+	for i := 0; i < width; i++ {
 		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		ps.Attach(&e.base, int16(i))
 		e.solvers = append(e.solvers, ps)
@@ -203,7 +188,7 @@ func (e *engine) totals() transient.Stats {
 	stats.DegradedStages = e.degradedStages
 	stats.CriticalNanos = e.critNanos
 	stats.CoreBudget = e.base.CoreBudget
-	stats.PipelineWorkers = e.opts.Threads
+	stats.PipelineWorkers = len(e.solvers)
 	stats.IntraWorkers = 1
 	stats.PipelineSerialized = e.pipelineSerialized
 	stats.Add(e.s.Base)
@@ -267,7 +252,6 @@ type engine struct {
 	p      stagePlan
 	res    [maxWidth]pointResult
 	warm   [maxWidth][]float64
-	keep   [maxWidth]bool
 	depth  int                 // the stage's speculative iteration budget
 	from   *integrate.History  // what the round in flight solves from
 	tasks  [maxWidth]roundTask // the round in flight, task i for gang member i

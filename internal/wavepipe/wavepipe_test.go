@@ -64,23 +64,20 @@ func TestAccuracyMatchesSerialAllSchemes(t *testing.T) {
 			t.Fatalf("%s serial: %v", tc.name, err)
 		}
 		for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
-			for _, threads := range []int{2, 3, 4} {
-				res, err := Run(tc.mk(t), Options{
-					Base:    transient.Options{TStop: tc.tstop},
-					Scheme:  scheme,
-					Threads: threads,
-				})
-				if err != nil {
-					t.Fatalf("%s %v/%dT: %v", tc.name, scheme, threads, err)
-				}
-				dev, err := waveform.Compare(res.W, ref.W, "out")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dev.RelMax() > tc.limit {
-					t.Errorf("%s %v/%dT: relative deviation %.4f exceeds %.4f (max %g over range %g)",
-						tc.name, scheme, threads, dev.RelMax(), tc.limit, dev.Max, dev.Range)
-				}
+			res, err := Run(tc.mk(t), Options{
+				Base:   transient.Options{TStop: tc.tstop},
+				Scheme: scheme,
+			})
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, scheme, err)
+			}
+			dev, err := waveform.Compare(res.W, ref.W, "out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dev.RelMax() > tc.limit {
+				t.Errorf("%s %v: relative deviation %.4f exceeds %.4f (max %g over range %g)",
+					tc.name, scheme, dev.RelMax(), tc.limit, dev.Max, dev.Range)
 			}
 		}
 	}
@@ -115,9 +112,8 @@ func TestBackwardPipeliningTakesLargerSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(sineRCSystem(t), Options{
-		Base:    transient.Options{TStop: tstop},
-		Scheme:  SchemeBackward,
-		Threads: 2,
+		Base:   transient.Options{TStop: tstop},
+		Scheme: SchemeBackward,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +157,8 @@ func TestForwardPipeliningAcceptsSpeculativePoints(t *testing.T) {
 
 func TestCombinedSchemeUsesFourWorkers(t *testing.T) {
 	res, err := Run(rcSystem(t), Options{
-		Base:    transient.Options{TStop: 2e-3},
-		Scheme:  SchemeCombined,
-		Threads: 4,
+		Base:   transient.Options{TStop: 2e-3},
+		Scheme: SchemeCombined,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,20 +166,17 @@ func TestCombinedSchemeUsesFourWorkers(t *testing.T) {
 	if res.Stats.Points < 10 {
 		t.Fatalf("too few points: %d", res.Stats.Points)
 	}
+	if res.Stats.PipelineWorkers != 4 {
+		t.Fatalf("combined ran %d solvers, want 4", res.Stats.PipelineWorkers)
+	}
 }
 
+// A scheme is its stage: its width is fixed, not an option.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{Scheme: SchemeCombined}.withDefaults()
-	if o.Threads != 3 || o.DeltaRatio != 0.2 {
-		t.Fatalf("combined defaults: %+v", o)
-	}
-	o = Options{Scheme: SchemeForward, Threads: 8}.withDefaults()
-	if o.Threads != 2 {
-		t.Fatalf("forward must clamp to 2 threads: %+v", o)
-	}
-	o = Options{Scheme: SchemeBackward, Threads: 9}.withDefaults()
-	if o.Threads != 4 {
-		t.Fatalf("backward must clamp to 4 threads: %+v", o)
+	for s, want := range map[Scheme]int{SchemeBackward: 2, SchemeForward: 2, SchemeCombined: 4} {
+		if got := Width(s); got != want {
+			t.Fatalf("%v: width %d, want %d", s, got, want)
+		}
 	}
 	if SchemeBackward.String() != "backward" || SchemeForward.String() != "forward" ||
 		SchemeCombined.String() != "combined" || Scheme(9).String() != "unknown" {
@@ -209,9 +201,8 @@ func TestRunValidation(t *testing.T) {
 func TestTimeAxisStrictlyAscending(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
 		res, err := Run(rectifierSystem(t), Options{
-			Base:    transient.Options{TStop: 2e-3},
-			Scheme:  scheme,
-			Threads: 4,
+			Base:   transient.Options{TStop: 2e-3},
+			Scheme: scheme,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -352,9 +343,8 @@ func TestTrapezoidalSchemes(t *testing.T) {
 	}
 	for _, scheme := range []Scheme{SchemeBackward, SchemeCombined} {
 		res, err := Run(rectifierSystem(t), Options{
-			Base:    transient.Options{TStop: 2e-3, Method: integrate.Trapezoidal},
-			Scheme:  scheme,
-			Threads: 3,
+			Base:   transient.Options{TStop: 2e-3, Method: integrate.Trapezoidal},
+			Scheme: scheme,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -374,9 +364,8 @@ func TestTrapezoidalSchemes(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
 		opts := Options{
-			Base:    transient.Options{TStop: 1e-3},
-			Scheme:  scheme,
-			Threads: 4,
+			Base:   transient.Options{TStop: 1e-3},
+			Scheme: scheme,
 		}
 		a, err := Run(rectifierSystem(t), opts)
 		if err != nil {

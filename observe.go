@@ -12,7 +12,9 @@ package wavepipe
 //
 // A recorded stream reconciles exactly with the run's Stats: ReplayTrace's
 // Points/Solves/NRIters/LTERejects/Discarded/Recoveries equal the fields of
-// the same name in Result.Stats.
+// the same name in Result.Stats. Worker spans carry the solver of the stage
+// that ran them: 0–3 for the Combined run above, 0–1 for Backward and
+// Forward.
 
 import (
 	"io"

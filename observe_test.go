@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -39,11 +38,10 @@ func buildBench(t *testing.T, name string) (*wavepipe.System, wavepipe.TranOptio
 func TestTracedRunReconcilesWithStats(t *testing.T) {
 	sys, opts := buildBench(t, "grid16")
 	opts.Scheme = wavepipe.Combined
-	opts.Threads = 4
 	rec := wavepipe.NewTraceRecorder(0) // unbounded: reconciliation needs every event
 	opts.Observer = rec
 
-	res, err := wavepipe.RunTransient(sys, opts)
+	res, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestSerialTraceReconciles(t *testing.T) {
 	sys, opts := buildBench(t, "ladder400")
 	rec := wavepipe.NewTraceRecorder(0)
 	opts.Observer = rec
-	res, err := wavepipe.RunTransient(sys, opts)
+	res, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,6 @@ func TestCancellationMidRun(t *testing.T) {
 
 	sys, opts := buildBench(t, "grid16")
 	opts.Scheme = wavepipe.Combined
-	opts.Threads = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &cancelAfter{n: 10, cancel: cancel}
@@ -208,14 +205,12 @@ func TestTranOptionsValidation(t *testing.T) {
 	}{
 		{"negative threads", func(o *wavepipe.TranOptions) { o.Threads = -1 }, "Threads"},
 		{"absurd threads", func(o *wavepipe.TranOptions) { o.Threads = 4096 }, "Threads"},
-		{"NaN delta", func(o *wavepipe.TranOptions) { o.DeltaRatio = math.NaN() }, "DeltaRatio"},
-		{"negative delta", func(o *wavepipe.TranOptions) { o.DeltaRatio = -0.2 }, "DeltaRatio"},
-		{"delta >= 1", func(o *wavepipe.TranOptions) { o.DeltaRatio = 1.0 }, "DeltaRatio"},
+		{"backward at three", func(o *wavepipe.TranOptions) { o.Scheme, o.Threads = wavepipe.Backward, 3 }, "Threads"},
 	}
 	for _, tc := range cases {
 		opts := base
 		tc.mut(&opts)
-		_, err := wavepipe.RunTransient(sys, opts)
+		_, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 		if err == nil {
 			t.Fatalf("%s: expected an error", tc.name)
 		}
@@ -223,12 +218,11 @@ func TestTranOptionsValidation(t *testing.T) {
 			t.Fatalf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
 	}
-	// The boundary values are legal.
+	// A scheme at its own width is legal.
 	opts := base
 	opts.Scheme = wavepipe.Backward
 	opts.Threads = 2
-	opts.DeltaRatio = 0.5
-	if _, err := wavepipe.RunTransient(sys, opts); err != nil {
+	if _, err := wavepipe.RunTransientCtx(context.Background(), sys, opts); err != nil {
 		t.Fatalf("legal options rejected: %v", err)
 	}
 }
@@ -239,7 +233,7 @@ func TestMetricsObserverEndToEnd(t *testing.T) {
 	sys, opts := buildBench(t, "ladder400")
 	m := wavepipe.NewTraceMetrics()
 	opts.Observer = m
-	res, err := wavepipe.RunTransient(sys, opts)
+	res, err := wavepipe.RunTransientCtx(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,17 +44,16 @@ func TestOnAcceptRowsAreResultRows(t *testing.T) {
 	sys, base := suiteSystem(t, "nand5")
 	base.TStop /= 4
 	for _, tc := range []struct {
-		name    string
-		scheme  Scheme
-		threads int
+		name   string
+		scheme Scheme
 	}{
-		{"serial", Serial, 0},
-		{"combined3", Combined, 3},
+		{"serial", Serial},
+		{"combined", Combined},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var kept []keptRow
 			opts := base
-			opts.Scheme, opts.Threads = tc.scheme, tc.threads
+			opts.Scheme = tc.scheme
 			opts.OnAccept = func(tt float64, row []float64) { kept = append(kept, keptRow{tt, row}) }
 			res, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {

@@ -48,14 +48,14 @@ func TestReduceSuiteWaveformEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}}
-			ref, err := RunTransient(sys, opts)
+			ref, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ron := opts
 			ron.Reduce = true
 			ron.ReduceTol = DefaultReduceTol
-			res, err := RunTransient(sys, ron)
+			res, err := RunTransientCtx(context.Background(), sys, ron)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,14 +94,14 @@ func TestReduceSuiteExactModeBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}}
-			ref, err := RunTransient(sys, opts)
+			ref, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exact := opts
 			exact.Reduce = true
 			exact.ReduceTol = 0
-			res, err := RunTransient(sys, exact)
+			res, err := RunTransientCtx(context.Background(), sys, exact)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestReducePrintNodesProtected(t *testing.T) {
 	if !found {
 		t.Fatalf("ApplyTo did not fold the .print node into ReduceKeep: %v", opts.ReduceKeep)
 	}
-	res, err := RunDeck(d, opts)
+	res, err := RunDeckCtx(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestReduceUnknownKeepNodeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunTransient(sys, TranOptions{TStop: 1e-9, Reduce: true, ReduceKeep: []string{"ghost"}})
+	_, err = RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-9, Reduce: true, ReduceKeep: []string{"ghost"}})
 	var une *ReduceUnknownNodeError
 	if !errors.As(err, &une) {
 		t.Fatalf("err = %v, want *ReduceUnknownNodeError", err)
@@ -212,7 +212,7 @@ func TestReduceUnderEnsemble(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunDeck(sd, TranOptions{})
+		ref, err := RunDeckCtx(context.Background(), sd, TranOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestReduceUnderWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := TranOptions{TStop: 20e-9, Record: []string{"out"}}
-	ref, err := RunTransient(sys, base)
+	ref, err := RunTransientCtx(context.Background(), sys, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestReduceUnderWindows(t *testing.T) {
 	won.Windows = 4
 	won.Reduce = true
 	won.ReduceTol = DefaultReduceTol
-	res, err := RunTransient(sys, won)
+	res, err := RunTransientCtx(context.Background(), sys, won)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package wavepipe
 // ones refactorize far less often than they accept a point.
 
 import (
+	"context"
 	"testing"
 
 	"wavepipe/internal/circuits"
@@ -26,7 +27,7 @@ func TestFactorizationAccountingOnSuite(t *testing.T) {
 				tstop = b.TStop // ten clock periods: the store needs the first to fill
 			}
 			rec := NewTraceRecorder(0)
-			res, err := RunTransient(sys, TranOptions{
+			res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 				TStop: tstop, Record: []string{b.Probe}, Observer: rec,
 			})
 			if err != nil {

@@ -262,7 +262,8 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	opts.Observer = trace.Multi(observers...)
 
 	// The core request: the cores the run can occupy — one for Serial, the
-	// pipeline width for a scheme — and no more than an explicit CoreBudget.
+	// stage width for a scheme (two, or four for Combined) — and no more than
+	// an explicit CoreBudget.
 	// The grant (≤ the request) becomes the run's CoreBudget, so the stage
 	// gang is as wide as what the arbiter allotted; the waveform is the same
 	// under every grant.

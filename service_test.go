@@ -239,7 +239,7 @@ func TestServicePreemptionResumesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunDeck(d, TranOptions{CoreBudget: 1})
+	ref, err := RunDeckCtx(context.Background(), d, TranOptions{CoreBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,19 +497,25 @@ func TestServiceRequestsTheCoresARunCanOccupy(t *testing.T) {
 		}
 	}
 
+	// A Combined stage solves four points, so a default Combined job asks for
+	// four cores; an explicit budget caps the request.
 	wide := newTestService(t, ServiceConfig{Cores: 4})
-	st, err := wide.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Scheme: Combined, Threads: 4, CoreBudget: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitRunning(t, wide, st.ID)[0].Cores; got != 2 {
-		t.Fatalf("Combined/Threads=4/CoreBudget=2 job holds %d cores, want 2", got)
-	}
-	if err := wide.Cancel(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wide.Wait(ctx, st.ID); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	for _, c := range []struct {
+		budget, want int
+	}{{0, 4}, {2, 2}} {
+		st, err := wide.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Scheme: Combined, CoreBudget: c.budget}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitRunning(t, wide, st.ID)[0].Cores; got != c.want {
+			t.Fatalf("Combined/CoreBudget=%d job holds %d cores, want %d", c.budget, got, c.want)
+		}
+		if err := wide.Cancel(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wide.Wait(ctx, st.ID); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
 	}
 }
 

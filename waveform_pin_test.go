@@ -42,55 +42,58 @@ var suiteWaveformHashes = map[string]uint64{
 }
 
 // engineWaveformHashes extends the pin to the other step-control loops, one
-// row per engine configuration the step-controller fold (PR 14) must not
-// move: the pipelined schemes on every suite circuit, three resistor-scaled
+// row per engine configuration the step-controller fold must not move: the
+// three pipelined schemes on every suite circuit, three resistor-scaled
 // ensemble lanes (scale 1, 1.05, 1.1; one hash per lane) and a strict
-// four-window run. Generated on the commit before the fold (PR 13, go1.24
-// linux/amd64), keyed "config/circuit".
+// four-window run. Generated on the commit before that fold (go1.24
+// linux/amd64), keyed "config/circuit"; a scheme's key names the points its
+// stage solves, backward2 and forward2 two, combined4 four. The combined4 rows
+// were recorded before the pipeline-stage fold, while Combined could also run
+// at two and three points, and are unedited.
 var engineWaveformHashes = map[string]uint64{
 	"backward2/grid16":      0x9ebf34ee21d7ac00,
 	"forward2/grid16":       0x1ac516dea43bcaae,
-	"combined3/grid16":      0x80dceef2fced4f15,
+	"combined4/grid16":      0x56a1f2d7cd671977,
 	"lane0/grid16":          0x3cc0f120b5ec0af6,
 	"lane1/grid16":          0xdc15e2cc8e929839,
 	"lane2/grid16":          0xaf974c3ccf02dae3,
 	"backward2/grid24":      0x5eb3533819f979a1,
 	"forward2/grid24":       0xf6427582754bf30d,
-	"combined3/grid24":      0x286dd034182e629b,
+	"combined4/grid24":      0x6eee414cc15c6690,
 	"backward2/grid32":      0x9db7555769f43500,
 	"forward2/grid32":       0x0cb8b49159f18c8c,
-	"combined3/grid32":      0xd7abad1f32232c8a,
+	"combined4/grid32":      0xfacb9062fe3f66f0,
 	"backward2/ladder400":   0x1584ebcc54ae5b46,
 	"forward2/ladder400":    0x4032e1ef1e9844c8,
-	"combined3/ladder400":   0xf336b1d4f3a87cd1,
+	"combined4/ladder400":   0x4e022ab78c7b5d76,
 	"backward2/rlctree8":    0xaaec6831351b9598,
 	"forward2/rlctree8":     0xee59b1fd6e776ccc,
-	"combined3/rlctree8":    0x77f279c2d8ad70d5,
+	"combined4/rlctree8":    0xb4cc69865003b727,
 	"backward2/rect1k":      0x2bfd943f096f70f7,
 	"forward2/rect1k":       0xedd7b7706c6701d1,
-	"combined3/rect1k":      0xbd8835c6451a0e89,
+	"combined4/rect1k":      0x2390c08eecceb59f,
 	"windows4strict/rect1k": 0x2baab5bf34976a41,
 	"backward2/amp10M":      0xfba24c90016f478b,
 	"forward2/amp10M":       0xb224ceb97a37fafc,
-	"combined3/amp10M":      0x3b57f9cf47131db6,
+	"combined4/amp10M":      0xd0ecc8487053f868,
 	"backward2/ring9":       0x63e1fe245630b4ef,
 	"forward2/ring9":        0xe976cdaf5f72b007,
-	"combined3/ring9":       0x056c7fa8e885b74d,
+	"combined4/ring9":       0x6355a3a4572bb747,
 	"backward2/inv50":       0xc250cf4d7884f459,
 	"forward2/inv50":        0x0ee790e8aeb5b0a5,
-	"combined3/inv50":       0xb0bfc78ecdffaaa5,
+	"combined4/inv50":       0x47e36df28a940447,
 	"backward2/nand5":       0x8c8fbb8ddf022ab4,
 	"forward2/nand5":        0x147d28f276c455a6,
-	"combined3/nand5":       0x3e90329c3cc36098,
+	"combined4/nand5":       0x300375b5d001c72c,
 	"backward2/ekv30":       0x8b8935fceec028a2,
 	"forward2/ekv30":        0x50c90d42e0c9ed5b,
-	"combined3/ekv30":       0x66d2f77fd62d6a40,
+	"combined4/ekv30":       0xde877eb319b123cb,
 	"lane0/ekv30":           0x4f40d15d8b902544,
 	"lane1/ekv30":           0x4f40d15d8b902544,
 	"lane2/ekv30":           0x4f40d15d8b902544,
 	"backward2/ecl8":        0x237cbdcf34dde037,
 	"forward2/ecl8":         0x6e6a05705aba3d08,
-	"combined3/ecl8":        0x6b04c03cbab938cd,
+	"combined4/ecl8":        0x8418263a67a2f787,
 }
 
 // iterationWaveformHashes pins the configuration the Newton-iteration fold
@@ -106,63 +109,6 @@ var iterationWaveformHashes = map[string]uint64{
 	"devbypass/ladder400": 0x9fc36a7690893462,
 	"devbypass/grid16":    0x3cc0f120b5ec0af6,
 	"windows4/rect1k":     0x2baab5bf34976a41,
-}
-
-// stageWaveformHashes pins the stage shapes the pipeline-stage fold (PR 16)
-// rewrites and no row above reaches: two and three backward points under the
-// main point, Combined at width 2 (no backward point: the Forward stage) and
-// at width 4 (a backward point under the forward point as well). Generated on
-// the commit before the fold (PR 15, go1.24 linux/amd64), keyed
-// "config/circuit".
-var stageWaveformHashes = map[string]uint64{
-	"backward3/grid16":    0xba3c28b5de72a544,
-	"backward4/grid16":    0xbb083d63efcc570f,
-	"combined2/grid16":    0x1ac516dea43bcaae,
-	"combined4/grid16":    0x56a1f2d7cd671977,
-	"backward3/grid24":    0x12a573dc7e610f9b,
-	"backward4/grid24":    0xd35c5a36653e965b,
-	"combined2/grid24":    0xf6427582754bf30d,
-	"combined4/grid24":    0x6eee414cc15c6690,
-	"backward3/grid32":    0xeb6debf4c6367e90,
-	"backward4/grid32":    0x1e4c17895d23c3b2,
-	"combined2/grid32":    0x0cb8b49159f18c8c,
-	"combined4/grid32":    0xfacb9062fe3f66f0,
-	"backward3/ladder400": 0xf1856558f67d3ad7,
-	"backward4/ladder400": 0xa408cba8a8b849b2,
-	"combined2/ladder400": 0x4032e1ef1e9844c8,
-	"combined4/ladder400": 0x4e022ab78c7b5d76,
-	"backward3/rlctree8":  0x0d8a1a1c46a685db,
-	"backward4/rlctree8":  0x2b0421e246ec8187,
-	"combined2/rlctree8":  0xee59b1fd6e776ccc,
-	"combined4/rlctree8":  0xb4cc69865003b727,
-	"backward3/rect1k":    0xc8151cb129233896,
-	"backward4/rect1k":    0xa58e9d4dcc2a2bff,
-	"combined2/rect1k":    0xedd7b7706c6701d1,
-	"combined4/rect1k":    0x2390c08eecceb59f,
-	"backward3/amp10M":    0x236aab07dd8eb578,
-	"backward4/amp10M":    0x84a6399ea608bbd1,
-	"combined2/amp10M":    0xb224ceb97a37fafc,
-	"combined4/amp10M":    0xd0ecc8487053f868,
-	"backward3/ring9":     0x57e936305700c411,
-	"backward4/ring9":     0x4affb2878d8caeda,
-	"combined2/ring9":     0xe976cdaf5f72b007,
-	"combined4/ring9":     0x6355a3a4572bb747,
-	"backward3/inv50":     0x285809008e1b26f7,
-	"backward4/inv50":     0x83a72181234933e5,
-	"combined2/inv50":     0x0ee790e8aeb5b0a5,
-	"combined4/inv50":     0x47e36df28a940447,
-	"backward3/nand5":     0x3283fb71c6acd320,
-	"backward4/nand5":     0x1b8d776c4e824c31,
-	"combined2/nand5":     0x147d28f276c455a6,
-	"combined4/nand5":     0x300375b5d001c72c,
-	"backward3/ekv30":     0x44ca4e66d7d6b27c,
-	"backward4/ekv30":     0xb08cfc634a435875,
-	"combined2/ekv30":     0x50c90d42e0c9ed5b,
-	"combined4/ekv30":     0xde877eb319b123cb,
-	"backward3/ecl8":      0xf1511440146b9e5e,
-	"backward4/ecl8":      0xbb95662a944efde3,
-	"combined2/ecl8":      0x6e6a05705aba3d08,
-	"combined4/ecl8":      0x8418263a67a2f787,
 }
 
 func waveformHash(res *Result) uint64 {
@@ -216,7 +162,7 @@ func TestSuiteWaveformHashesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunTransient(sys, TranOptions{TStop: b.TStop})
+			res, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: b.TStop})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,17 +174,12 @@ func TestSuiteWaveformHashesPinned(t *testing.T) {
 func TestEngineWaveformHashesPinned(t *testing.T) {
 	skipUnpinnable(t)
 	pipelined := []struct {
-		name  string
-		opts  TranOptions
-		table map[string]uint64
+		name string
+		opts TranOptions
 	}{
-		{"backward2", TranOptions{Scheme: Backward, Threads: 2}, engineWaveformHashes},
-		{"forward2", TranOptions{Scheme: Forward, Threads: 2}, engineWaveformHashes},
-		{"combined3", TranOptions{Scheme: Combined, Threads: 3}, engineWaveformHashes},
-		{"backward3", TranOptions{Scheme: Backward, Threads: 3}, stageWaveformHashes},
-		{"backward4", TranOptions{Scheme: Backward, Threads: 4}, stageWaveformHashes},
-		{"combined2", TranOptions{Scheme: Combined, Threads: 2}, stageWaveformHashes},
-		{"combined4", TranOptions{Scheme: Combined, Threads: 4}, stageWaveformHashes},
+		{"backward2", TranOptions{Scheme: Backward}},
+		{"forward2", TranOptions{Scheme: Forward}},
+		{"combined4", TranOptions{Scheme: Combined}},
 	}
 	for _, b := range circuits.Suite() {
 		for _, cfg := range pipelined {
@@ -250,11 +191,11 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 				}
 				opts := cfg.opts
 				opts.TStop = b.TStop
-				res, err := RunTransient(sys, opts)
+				res, err := RunTransientCtx(context.Background(), sys, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPinned(t, cfg.table, cfg.name+"/"+b.Name, res)
+				checkPinned(t, engineWaveformHashes, cfg.name+"/"+b.Name, res)
 			})
 		}
 		if b.Name == "ekv30" || b.Name == "grid16" {
@@ -288,7 +229,7 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunTransient(sys, TranOptions{
+				res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 					TStop: b.TStop, Windows: 4, CoarseOpts: CoarseOptions{Strict: true},
 				})
 				if err != nil {
@@ -309,7 +250,7 @@ func TestIterationWaveformHashesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.TStop = b.TStop
-			res, err := RunTransient(sys, opts)
+			res, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

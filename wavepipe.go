@@ -9,7 +9,7 @@
 //
 //	deck, _ := wavepipe.ParseDeck(netlistText)
 //	sys, _ := deck.Build()
-//	res, _ := wavepipe.RunTransient(sys, wavepipe.TranOptions{
+//	res, _ := wavepipe.RunTransientCtx(ctx, sys, wavepipe.TranOptions{
 //		TStop:  deck.Tran.TStop,
 //		Scheme: wavepipe.Combined,
 //	})
@@ -351,12 +351,12 @@ type TranOptions struct {
 	TStop float64
 	// Scheme selects the engine (default Serial).
 	Scheme Scheme
-	// Threads is the pipeline width of the WavePipe schemes — how many
-	// points a stage solves at once, and the size of the run's persistent
-	// stage gang (default: scheme-specific, 2–3) — and the gang width for
-	// ensemble runs. On a host, or under a CoreBudget, with fewer cores than
-	// a round has tasks the round runs them one after another (same
-	// results; Stats.PipelineSerialized).
+	// Threads is the gang width an ensemble deals its lanes to. A WavePipe
+	// scheme runs at its own width — Backward and Forward solve 2 points a
+	// stage, Combined 4 — so a pipelined run accepts 0 or that width here
+	// and refuses any other value. On a host, or under a CoreBudget, with
+	// fewer cores than a round has tasks the round runs them one after
+	// another (same results; Stats.PipelineSerialized).
 	Threads int
 	// Method is the integration formula (default Gear2).
 	Method Method
@@ -374,8 +374,6 @@ type TranOptions struct {
 	NodeSet map[string]float64
 	// Record lists node names to record (nil = all node voltages).
 	Record []string
-	// DeltaRatio tunes the backward offset δ/h (default 0.2).
-	DeltaRatio float64
 	// CoreBudget caps the cores the run may occupy at once: the pipeline
 	// workers of a WavePipe scheme, the windows of a windowed run that
 	// refine concurrently (each with its own pipeline), the gang an
@@ -512,14 +510,8 @@ func (o TranOptions) validate() error {
 	if o.Threads > 1024 {
 		return fmt.Errorf("wavepipe: Threads %d is not a plausible worker count (max 1024)", o.Threads)
 	}
-	if math.IsNaN(o.DeltaRatio) {
-		return fmt.Errorf("wavepipe: DeltaRatio must not be NaN")
-	}
-	if o.DeltaRatio < 0 {
-		return fmt.Errorf("wavepipe: DeltaRatio must not be negative (got %g): the backward offset δ = DeltaRatio·h must stay inside the step", o.DeltaRatio)
-	}
-	if o.DeltaRatio >= 1 {
-		return fmt.Errorf("wavepipe: DeltaRatio %g must be below 1: a backward point at δ ≥ h would precede the current time", o.DeltaRatio)
+	if w := engineWidth(o); o.Scheme != Serial && o.Threads != 0 && o.Threads != w {
+		return fmt.Errorf("wavepipe: Threads %d does not fit the %v scheme, which solves %d points a stage (0 or %d)", o.Threads, o.Scheme, w, w)
 	}
 	if o.CoreBudget < 0 {
 		return fmt.Errorf("wavepipe: CoreBudget must not be negative (got %d)", o.CoreBudget)
@@ -576,17 +568,6 @@ type Result = transient.Result
 // Compare computes the deviation of a signal between two result waveforms.
 func Compare(a, ref *Set, signal string) (Deviation, error) {
 	return waveform.Compare(a, ref, signal)
-}
-
-// RunTransient simulates sys with the selected engine. It is shorthand for
-// RunTransientCtx with a background context.
-//
-// Deprecated: new code should call RunTransientCtx (context-first core) or,
-// when jobs need queueing, streaming or cancellation by ID, the Client
-// interface (NewService in-process, client.New over HTTP). This wrapper is
-// kept so existing callers keep compiling.
-func RunTransient(sys *System, opts TranOptions) (*Result, error) {
-	return RunTransientCtx(context.Background(), sys, opts)
 }
 
 // RunTransientCtx simulates sys with the selected engine under a context.
@@ -798,13 +779,14 @@ func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Resu
 }
 
 // engineWidth is the number of cores one engine instance can occupy: one for
-// Serial, the pipeline width for a scheme. The window coordinator splits the
-// core budget by it and the service sizes a job's core request with it.
+// Serial, the scheme's stage width for a pipelined run. The window
+// coordinator splits the core budget by it and the service sizes a job's core
+// request with it.
 func engineWidth(opts TranOptions) int {
 	if opts.Scheme == Serial {
 		return 1
 	}
-	return wpcore.Width(coreScheme(opts.Scheme), opts.Threads)
+	return wpcore.Width(coreScheme(opts.Scheme))
 }
 
 // coreScheme maps a pipelined facade scheme to the engine's.
@@ -829,30 +811,18 @@ func runSchemeEngine(sys *System, opts TranOptions, base transient.Options) (res
 	case Serial:
 		return transient.Run(sys, base)
 	case Backward, Forward, Combined:
-		return wpcore.Run(sys, wpcore.Options{
-			Base:       base,
-			Scheme:     coreScheme(opts.Scheme),
-			Threads:    opts.Threads,
-			DeltaRatio: opts.DeltaRatio,
-		})
+		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: coreScheme(opts.Scheme)})
 	default:
 		return nil, fmt.Errorf("wavepipe: unknown scheme %d", opts.Scheme)
 	}
 }
 
-// RunDeck builds and simulates a parsed deck, honouring its .TRAN, .IC and
-// .OPTIONS cards (explicit TranOptions fields win over deck options; see
-// Deck.ApplyTo for the precedence rules).
-//
-// Deprecated: new code should call RunDeckCtx, or Submit the deck source to
-// a Client (NewService in-process, client.New over HTTP) to get queueing,
-// artifact caching and streaming. This wrapper is kept so existing callers
-// keep compiling.
-func RunDeck(d *Deck, opts TranOptions) (*Result, error) {
-	return RunDeckCtx(context.Background(), d, opts)
-}
-
-// RunDeckCtx is RunDeck under a context (see RunTransientCtx).
+// RunDeckCtx builds and simulates a parsed deck under a context (see
+// RunTransientCtx), honouring its .TRAN, .IC and .OPTIONS cards (explicit
+// TranOptions fields win over deck options; see Deck.ApplyTo for the
+// precedence rules). To get queueing, artifact caching and streaming, Submit
+// the deck source to a Client (NewService in-process, client.New over HTTP)
+// instead.
 func RunDeckCtx(ctx context.Context, d *Deck, opts TranOptions) (*Result, error) {
 	sys, err := d.Build()
 	if err != nil {

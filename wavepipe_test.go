@@ -1,6 +1,8 @@
 package wavepipe
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,12 +24,12 @@ func lowpass(t *testing.T) *System {
 }
 
 func TestAllSchemesThroughFacade(t *testing.T) {
-	ref, err := RunTransient(lowpass(t), TranOptions{TStop: 3e-3})
+	ref, err := RunTransientCtx(context.Background(), lowpass(t), TranOptions{TStop: 3e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []Scheme{Backward, Forward, Combined} {
-		res, err := RunTransient(lowpass(t), TranOptions{TStop: 3e-3, Scheme: s})
+		res, err := RunTransientCtx(context.Background(), lowpass(t), TranOptions{TStop: 3e-3, Scheme: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -60,22 +62,56 @@ func TestSchemeString(t *testing.T) {
 
 func TestTranOptionsValidation(t *testing.T) {
 	sys := lowpass(t)
-	if _, err := RunTransient(sys, TranOptions{}); err == nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{}); err == nil {
 		t.Fatal("TStop=0 must fail")
 	}
-	if _, err := RunTransient(sys, TranOptions{TStop: 1e-3, Scheme: Scheme(42)}); err == nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-3, Scheme: Scheme(42)}); err == nil {
 		t.Fatal("bad scheme must fail")
 	}
-	if _, err := RunTransient(sys, TranOptions{TStop: 1e-3, IC: map[string]float64{"zz": 1}}); err == nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-3, IC: map[string]float64{"zz": 1}}); err == nil {
 		t.Fatal("IC for unknown node must fail")
 	}
-	if _, err := RunTransient(sys, TranOptions{TStop: 1e-3, Record: []string{"zz"}}); err == nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-3, Record: []string{"zz"}}); err == nil {
 		t.Fatal("recording unknown node must fail")
 	}
 }
 
+// A pipelined scheme runs at its own stage width: Threads may be 0 or that
+// width, and any other value is refused with the width named, never clamped.
+// Serial leaves Threads to the ensemble gang.
+func TestThreadsMustBeTheSchemeWidth(t *testing.T) {
+	cases := []struct {
+		scheme  Scheme
+		width   int
+		refused []int
+	}{
+		{Backward, 2, []int{1, 3, 4, 8}},
+		{Forward, 2, []int{1, 3, 4}},
+		{Combined, 4, []int{1, 2, 3, 8}},
+	}
+	for _, c := range cases {
+		for _, th := range []int{0, c.width} {
+			if err := (TranOptions{TStop: 1e-3, Scheme: c.scheme, Threads: th}).validate(); err != nil {
+				t.Errorf("%v/Threads %d refused: %v", c.scheme, th, err)
+			}
+		}
+		for _, th := range c.refused {
+			err := (TranOptions{TStop: 1e-3, Scheme: c.scheme, Threads: th}).validate()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("solves %d points a stage", c.width)) {
+				t.Errorf("%v/Threads %d: %v, want a refusal naming width %d", c.scheme, th, err, c.width)
+			}
+		}
+		if got := engineWidth(TranOptions{Scheme: c.scheme}); got != c.width {
+			t.Errorf("%v: engine width %d, want %d", c.scheme, got, c.width)
+		}
+	}
+	if err := (TranOptions{TStop: 1e-3, Threads: 8}).validate(); err != nil {
+		t.Errorf("Serial with an 8-wide gang refused: %v", err)
+	}
+}
+
 func TestRecordAndToleranceOptions(t *testing.T) {
-	res, err := RunTransient(lowpass(t), TranOptions{
+	res, err := RunTransientCtx(context.Background(), lowpass(t), TranOptions{
 		TStop:  1e-3,
 		Record: []string{"out"},
 		RelTol: 1e-4,
@@ -88,7 +124,7 @@ func TestRecordAndToleranceOptions(t *testing.T) {
 		t.Fatalf("record list = %v", res.W.Names)
 	}
 	// Tighter tolerance → more points than default.
-	def, err := RunTransient(lowpass(t), TranOptions{TStop: 1e-3})
+	def, err := RunTransientCtx(context.Background(), lowpass(t), TranOptions{TStop: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +142,7 @@ func TestICAndUICThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTransient(sys, TranOptions{
+	res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 		TStop: 2e-3, UIC: true, IC: map[string]float64{"out": 3, "0": 99},
 	})
 	if err != nil {
@@ -132,7 +168,7 @@ C1 out 0 10n
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDeck(d, TranOptions{Scheme: Combined})
+	res, err := RunDeckCtx(context.Background(), d, TranOptions{Scheme: Combined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +204,10 @@ func TestRunDeckErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDeck(d, TranOptions{}); err == nil {
+	if _, err := RunDeckCtx(context.Background(), d, TranOptions{}); err == nil {
 		t.Fatal("deck without .TRAN and without TStop must fail")
 	}
-	if _, err := RunDeck(d, TranOptions{TStop: 1e-6}); err != nil {
+	if _, err := RunDeckCtx(context.Background(), d, TranOptions{TStop: 1e-6}); err != nil {
 		t.Fatalf("explicit TStop should recover: %v", err)
 	}
 }
@@ -203,7 +239,7 @@ func TestControlledSourcesThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTransient(sys, TranOptions{TStop: 1e-3, Method: Trapezoidal}); err != nil {
+	if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-3, Method: Trapezoidal}); err != nil {
 		t.Fatal(err)
 	}
 }

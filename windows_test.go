@@ -22,7 +22,7 @@ import (
 // windowedRun executes one windowed transient and fails the test on error.
 func windowedRun(t *testing.T, sys *System, opts TranOptions) *Result {
 	t.Helper()
-	res, err := RunTransient(sys, opts)
+	res, err := RunTransientCtx(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatalf("windowed run: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestWindowsMatchSerialSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}}
-			ref, err := RunTransient(sys, opts)
+			ref, err := RunTransientCtx(context.Background(), sys, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestWindowsStrictBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := RunTransient(sys, TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}})
+			ref, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestWindowsSerialFallback(t *testing.T) {
 	if res.Recovery.Count(transient.RecoverySerialFallback) == 0 {
 		t.Fatalf("no serial-fallback recovery noted: %+v", res.Recovery.Events())
 	}
-	ref, err := RunTransient(sys, TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}})
+	ref, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: b.TStop / 5, Record: []string{b.Probe}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWindowsOptionValidation(t *testing.T) {
 	for i, mutate := range bad {
 		opts := base
 		mutate(&opts)
-		if _, err := RunTransient(sys, opts); err == nil {
+		if _, err := RunTransientCtx(context.Background(), sys, opts); err == nil {
 			t.Fatalf("case %d: invalid windowed options accepted", i)
 		}
 	}

@@ -42,7 +42,6 @@ type TranOptions struct {
 	IC            map[string]float64 `json:"ic,omitempty"`
 	NodeSet       map[string]float64 `json:"nodeset,omitempty"`
 	Record        []string           `json:"record,omitempty"`
-	DeltaRatio    float64            `json:"deltaRatio,omitempty"`
 	CoreBudget    int                `json:"coreBudget,omitempty"`
 	SnapshotEvery int                `json:"snapshotEvery,omitempty"`
 	Deadline      string             `json:"deadline,omitempty"`
@@ -76,7 +75,6 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 		IC:             o.IC,
 		NodeSet:        o.NodeSet,
 		Record:         o.Record,
-		DeltaRatio:     o.DeltaRatio,
 		CoreBudget:     o.CoreBudget,
 		SnapshotEvery:  o.SnapshotEvery,
 		StallFactor:    o.StallFactor,
@@ -115,7 +113,6 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		IC:            w.IC,
 		NodeSet:       w.NodeSet,
 		Record:        w.Record,
-		DeltaRatio:    w.DeltaRatio,
 		CoreBudget:    w.CoreBudget,
 		SnapshotEvery: w.SnapshotEvery,
 		StallFactor:   w.StallFactor,

@@ -79,10 +79,11 @@ type History struct {
 }
 
 // Add appends a point (which must be later than the current last point) and
-// trims the window to HistoryDepth. It returns the evicted point, or nil
-// when nothing fell out of the window. Only an owner that knows no clone or
-// other reference shares the point may recycle it (the serial engine does;
-// the pipeline engines, whose histories are cloned across workers, must not).
+// trims the window to HistoryDepth, in place, so that a full history adds
+// without allocating. It returns the evicted point, or nil when nothing fell
+// out of the window. Only an owner that knows no other history still holds
+// the point may recycle it: the engines recycle what their step controller's
+// history evicts, never what a scratch history filled by CopyFrom does.
 func (h *History) Add(p *Point) *Point {
 	if n := len(h.pts); n > 0 && p.T <= h.pts[n-1].T {
 		panic(fmt.Sprintf("integrate: History.Add out of order: %g after %g", p.T, h.pts[n-1].T))
@@ -90,7 +91,7 @@ func (h *History) Add(p *Point) *Point {
 	h.pts = append(h.pts, p)
 	if len(h.pts) > HistoryDepth {
 		ev := h.pts[0]
-		h.pts = h.pts[len(h.pts)-HistoryDepth:]
+		h.pts = h.pts[:copy(h.pts, h.pts[1:])]
 		return ev
 	}
 	return nil
@@ -172,13 +173,10 @@ func (h *History) AppendSpacedTail(dst []*Point, k int, minSep float64) []*Point
 	return dst
 }
 
-// Clone returns a history sharing the (immutable) points. Workers clone the
-// history to extend it speculatively without racing.
-func (h *History) Clone() *History {
-	c := &History{pts: make([]*Point, len(h.pts))}
-	copy(c.pts, h.pts)
-	return c
-}
+// CopyFrom makes h hold src's points (shared, not copied), reusing h's
+// storage: a scratch history a pipeline stage extends speculatively without
+// touching src.
+func (h *History) CopyFrom(src *History) { h.pts = append(h.pts[:0], src.pts...) }
 
 // Truncate keeps only the most recent point (used after waveform
 // breakpoints, where derivative history is invalid). It returns a view of

@@ -35,10 +35,12 @@ func TestHistoryBasics(t *testing.T) {
 	if len(tail) != 2 {
 		t.Fatalf("Tail = %d points", len(tail))
 	}
-	c := h.Clone()
+	var c History
+	c.Add(pt(-1, 0, 0, 0))
+	c.CopyFrom(h)
 	c.Add(pt(2, 3, 0, 0))
-	if h.Len() != 2 || c.Len() != 3 {
-		t.Fatal("Clone must not alias growth")
+	if h.Len() != 2 || c.Len() != 3 || c.At(0) != h.At(0) || c.At(1) != h.At(1) {
+		t.Fatal("CopyFrom must replace the points, share them and not alias growth")
 	}
 	h.Truncate()
 	if h.Len() != 1 || h.Last().T != 1 {
@@ -312,5 +314,34 @@ func TestNextStepSemantics(t *testing.T) {
 	}
 	if ratio := clustered / got; ratio < 1.15 || ratio > 1.45 {
 		t.Fatalf("coefficient gain ratio = %g, want ≈1.27 at δ=h/5", ratio)
+	}
+}
+
+// A full history, and a scratch history refilled from it, add in place: the
+// pipeline copies and extends one every stage. Each measured call adds a
+// window's worth of points, so trimming by reslicing — which reallocates
+// once the slice has walked off its array — would show.
+func TestFullHistoryAddsInPlace(t *testing.T) {
+	pts := make([]*Point, 512)
+	for i := range pts {
+		pts[i] = pt(float64(i), 0, 0, 0)
+	}
+	var h, scratch History
+	for _, p := range pts[:HistoryDepth] {
+		h.Add(p)
+	}
+	next := HistoryDepth
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < HistoryDepth; i++ {
+			if ev := h.Add(pts[next]); ev != pts[next-HistoryDepth] {
+				t.Fatalf("evicted %v, want the oldest point", ev)
+			}
+			next++
+			scratch.CopyFrom(&h)
+			scratch.Add(pts[next])
+		}
+	})
+	if allocs != 0 || h.Len() != HistoryDepth || scratch.Len() != HistoryDepth || scratch.Last() != pts[next] {
+		t.Fatalf("%v allocs per window, lengths %d/%d", allocs, h.Len(), scratch.Len())
 	}
 }

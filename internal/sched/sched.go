@@ -8,29 +8,38 @@
 //
 // never oversubscribes the machine, and an Arbiter shares a host's cores
 // among the jobs of a service. Pools are cheap, long-lived objects: the
-// workers are persistent goroutines that park on a channel between rounds, so
-// the per-call cost of Run is two channel operations per worker instead of a
-// goroutine spawn. The calling goroutine always participates as worker 0,
-// which is what makes the budget arithmetic exact — a coordinator that leads
-// a gang of width k costs k cores total, not k+1.
+// workers are persistent goroutines that spin, then park, between rounds
+// (see parker), so a round that follows closely on the last costs an atomic
+// add per worker and no thread wake-up. The calling goroutine always
+// participates as worker 0, which is what makes the budget arithmetic exact
+// — a coordinator that leads a gang of width k costs k cores total, not k+1.
 package sched
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // maxGang caps a single pool's width; it only guards against absurd -cores
 // values creating thousands of parked goroutines.
 const maxGang = 64
 
-// ForceGang is the package-wide analogue of Pool.Force: while true, every
-// pool covers its full width regardless of GOMAXPROCS. Equivalence and race
-// tests use it to drive the concurrent paths of an engine they cannot reach
-// into, on hosts with fewer threads than the gang is wide. Not for production
-// use: a forced gang on one CPU is strictly slower than the sequential sweep.
+// spinFor bounds a spinning wait. A pipeline round is one point solve, tens
+// of microseconds here, and the coordinator's turn between two rounds is
+// shorter still; a gap longer than spinFor is long enough that a park's
+// thread wake-up costs little beside it.
+const spinFor = 100 * time.Microsecond
+
+// ForceGang makes every pool cover its full width regardless of GOMAXPROCS
+// while true. Equivalence and race tests use it to drive the concurrent paths
+// on hosts with fewer threads than the gang is wide. Not for production use:
+// a forced gang on one CPU is strictly slower than the sequential sweep.
 var ForceGang atomic.Bool
+
+// testHookSpin, nil outside tests, is called whenever a wait starts to spin.
+var testHookSpin func()
 
 // Pool is a gang of persistent workers. Run(fn) executes fn(w) for
 // w = 0..Workers()-1 concurrently, with the caller acting as worker 0, and
@@ -39,18 +48,68 @@ var ForceGang atomic.Bool
 // must not wait on each other: when the gang cannot actually run
 // concurrently, Run and Round call them one after another.
 type Pool struct {
-	n     int              // gang width including the caller
-	tasks []chan func(int) // one per hired worker (n-1)
-	wg    sync.WaitGroup   // the round in flight
-	hired sync.WaitGroup   // the worker goroutines themselves; Close joins them
+	n       int            // gang width including the caller
+	members []member       // workers 1..n-1
+	fn      func(int)      // the round in flight
+	pending atomic.Int32   // members still running it
+	caller  parker         // where the caller waits for pending to reach 0
+	hired   sync.WaitGroup // the worker goroutines themselves; Close joins them
+	closed  bool
 
-	// Force makes Gang() report true even on GOMAXPROCS=1 hosts, so race
-	// tests can drive the concurrent paths on single-CPU machines.
-	Force bool
+	mu sync.Mutex
+	pv any // first panic recovered from a gang member
+}
 
-	mu     sync.Mutex
-	pv     any // first panic recovered from a gang member
-	closed bool
+// member is a hired worker: the number of rounds released to it, and where it
+// waits for the next.
+type member struct {
+	round atomic.Uint64
+	parker
+}
+
+// parker is one side of a spin-then-park handshake: the waiter announces
+// parked before it re-reads its condition, the waker makes the condition true
+// before it reads parked, so at least one sees the other and no wake-up is
+// lost. A token left over when both did ends a later park early; the waiter
+// then parks again.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // buffer of one: wakeUp never blocks
+}
+
+// wait returns once ready() is true. It spins for up to spinFor first only
+// while the host schedules a thread for each of the gang's width members: a
+// spin then stays inside the cores the gang was granted and never holds a
+// thread the waker needs — at GOMAXPROCS 1 nothing spins.
+func (k *parker) wait(width int, ready func() bool) {
+	if runtime.GOMAXPROCS(0) >= width {
+		if testHookSpin != nil {
+			testHookSpin()
+		}
+		for t0 := time.Now(); time.Since(t0) < spinFor; {
+			if ready() {
+				return
+			}
+		}
+	}
+	for !ready() {
+		k.parked.Store(true)
+		if !ready() {
+			<-k.wake
+		}
+		k.parked.Store(false)
+	}
+}
+
+// wakeUp releases the waiter if it parked, and reports whether it had.
+func (k *parker) wakeUp() (parked bool) {
+	if parked = k.parked.Load(); parked {
+		select {
+		case k.wake <- struct{}{}:
+		default:
+		}
+	}
+	return parked
 }
 
 // NewPool returns a pool of gang width n (caller included). Widths ≤ 1
@@ -62,17 +121,22 @@ func NewPool(n int) *Pool {
 	if n <= 1 {
 		return nil
 	}
-	p := &Pool{n: n, tasks: make([]chan func(int), n-1)}
-	for i := range p.tasks {
-		ch := make(chan func(int))
-		p.tasks[i] = ch
-		w := i + 1
-		p.hired.Add(1)
+	p := &Pool{n: n, members: make([]member, n-1), caller: parker{wake: make(chan struct{}, 1)}}
+	p.hired.Add(n - 1)
+	for i := range p.members {
+		m := &p.members[i]
+		m.wake = make(chan struct{}, 1)
 		go func() {
 			defer p.hired.Done()
-			for fn := range ch {
-				p.runGuarded(fn, w)
-				p.wg.Done()
+			for seen := uint64(1); ; seen++ {
+				m.wait(p.n, func() bool { return m.round.Load() == seen })
+				if p.closed {
+					return
+				}
+				p.runGuarded(p.fn, i+1)
+				if p.pending.Add(-1) == 0 {
+					p.caller.wakeUp()
+				}
 			}
 		}()
 	}
@@ -87,28 +151,24 @@ func (p *Pool) Workers() int {
 	return p.n
 }
 
-// Gang reports whether Run will actually execute the gang concurrently. On a
-// single-CPU host (GOMAXPROCS=1) gang members would only take turns with the
-// caller, so Run degrades to a sequential sweep unless Force is set.
-func (p *Pool) Gang() bool { return p.Covers(2) }
-
 // Covers reports whether n independent tasks can each have a gang member and
 // a core of their own: the pool is at least n wide — a pool sized under a
 // core budget is only as wide as the budget — and the host schedules at
-// least n threads (or the gang is forced). Tasks that time-share a core gain
+// least n threads (or ForceGang is set). Tasks that time-share a core gain
 // nothing and blur every per-task clock reading behind the critical-path
 // model. GOMAXPROCS is read on every call: it can change mid-run.
 func (p *Pool) Covers(n int) bool {
-	return p != nil && n <= p.n && (p.Force || ForceGang.Load() || runtime.GOMAXPROCS(0) >= n)
+	return p != nil && n <= p.n && (ForceGang.Load() || runtime.GOMAXPROCS(0) >= n)
 }
 
 // Run executes fn(w) for every worker w in [0, Workers()) and returns once
 // all have completed. If any fn panics, the first recovered value is
 // re-panicked on the caller after the gang has drained, so engine-level
 // panic fences (wavepipe's runRound) see it exactly like a serial panic.
-// With a nil pool, or when Gang() is false, fn is called sequentially.
+// With a nil pool, or on a host that cannot run two members at once, fn is
+// called sequentially.
 func (p *Pool) Run(fn func(w int)) {
-	if !p.Gang() {
+	if !p.Covers(2) {
 		for w := 0; w < p.Workers(); w++ {
 			fn(w)
 		}
@@ -136,25 +196,25 @@ func (p *Pool) Round(n int, fn func(i int)) bool {
 
 // dispatch runs fn on the caller and the first n-1 hired workers.
 func (p *Pool) dispatch(n int, fn func(int)) {
-	p.mu.Lock()
-	p.pv = nil
-	p.mu.Unlock()
-	p.wg.Add(n - 1)
-	for _, ch := range p.tasks[:n-1] {
-		ch <- fn
+	p.fn, p.pv = fn, nil
+	p.pending.Store(int32(n - 1))
+	parked := false
+	for i := range p.members[:n-1] {
+		p.members[i].round.Add(1)
+		parked = p.members[i].wakeUp() || parked
 	}
 	// A woken worker sits in this P's run-next slot, which other Ps steal
 	// only as a last resort and after a timed sleep: the caller would be well
 	// into its own share before the worker started. Yielding once lets this P
-	// start a worker now; the P being woken picks the caller up.
-	runtime.Gosched()
+	// start a worker now; the P being woken picks the caller up. A spinning
+	// worker needs no yield.
+	if parked {
+		runtime.Gosched()
+	}
 	p.runGuarded(fn, 0)
-	p.wg.Wait()
-	p.mu.Lock()
-	pv := p.pv
-	p.mu.Unlock()
-	if pv != nil {
-		panic(pv)
+	p.caller.wait(p.n, func() bool { return p.pending.Load() == 0 })
+	if p.pv != nil {
+		panic(p.pv)
 	}
 }
 
@@ -171,22 +231,16 @@ func (p *Pool) runGuarded(fn func(int), w int) {
 	fn(w)
 }
 
-// Close stops the hired workers and waits for them to exit: a caller counting
-// goroutines after Close counts none of this pool's. Safe on nil and safe to
-// call twice.
+// Close stops the hired workers, spinning or parked, and waits for them to
+// exit. Safe on nil and safe to call twice.
 func (p *Pool) Close() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p == nil || p.closed {
 		return
 	}
 	p.closed = true
-	p.mu.Unlock()
-	for _, ch := range p.tasks {
-		close(ch)
+	for i := range p.members {
+		p.members[i].round.Add(1)
+		p.members[i].wakeUp()
 	}
 	p.hired.Wait()
 }

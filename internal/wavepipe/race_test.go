@@ -8,21 +8,28 @@ import (
 )
 
 // TestParallelWorkersRaceAndEquivalence forces the truly concurrent stage
-// gang (see runForced; normally serialized on hosts with fewer cores than
-// a stage has points) so the race detector can inspect the sharing discipline: immutable history
-// points, per-worker solvers, coordinator-only acceptance. It also checks
-// that the concurrent path produces the same waveform as the sequential
-// one.
+// gang (see forceGang; normally serialized on hosts with fewer cores than
+// a stage has points) so the race detector can inspect the sharing
+// discipline: immutable history points, per-worker solvers, coordinator-only
+// acceptance and recycling. It also checks that the concurrent path produces
+// the same waveform as the sequential one.
 func TestParallelWorkersRaceAndEquivalence(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
-		seqRes, err := Run(rectifierSystem(t), Options{
+	schemes := []Scheme{SchemeBackward, SchemeForward, SchemeCombined}
+	var seq []*transient.Result
+	for _, scheme := range schemes {
+		res, err := Run(rectifierSystem(t), Options{
 			Base:   transient.Options{TStop: 1e-3},
 			Scheme: scheme,
 		})
 		if err != nil {
 			t.Fatalf("%v sequential: %v", scheme, err)
 		}
-		parRes, err := runForced(rectifierSystem(t), Options{
+		seq = append(seq, res)
+	}
+	forceGang(t)
+	for i, scheme := range schemes {
+		seqRes := seq[i]
+		parRes, err := Run(rectifierSystem(t), Options{
 			Base:   transient.Options{TStop: 1e-3},
 			Scheme: scheme,
 		})

@@ -14,7 +14,8 @@ import (
 // rectifier with real concurrent workers and the given fault harness.
 func runRectifier(t *testing.T, in *faults.Injector) *transient.Result {
 	t.Helper()
-	res, err := runForced(rectifierSystem(t), Options{
+	forceGang(t)
+	res, err := Run(rectifierSystem(t), Options{
 		Base:   transient.Options{TStop: 3e-3, Faults: in},
 		Scheme: SchemeCombined,
 	})

@@ -158,10 +158,10 @@ func (e *engine) noteWorker(t float64, w int) int64 {
 }
 
 // runTask is task i of the round in flight, run by one member of the stage
-// gang. It touches only its own solver and result slot plus the immutable
-// stage plan and history. The panic fence turns a panic into a typed error
-// on the slot instead of killing the process — a bad device model must cost
-// at most the stage, never the run.
+// gang. It touches only its own solver, result slot and predicted history
+// plus the immutable stage plan and history. The panic fence turns a panic
+// into a typed error on the slot instead of killing the process — a bad
+// device model must cost at most the stage, never the run.
 func (e *engine) runTask(i int) {
 	k := e.tasks[i]
 	ps, res := e.solvers[k.solver], &e.res[k.solver]
@@ -183,11 +183,12 @@ func (e *engine) runTask(i int) {
 	case jobWarm:
 		// The predicted history mirrors the spacing of the true one (the
 		// backward point under main included) so the speculative assembly's
-		// Alpha0 matches and ResumeAt can reuse it. Each solver predicts with
-		// its own pooled prediction ring, so concurrent warm-ups share no
-		// scratch. A panic leaves warm nil and the resume solves cold.
+		// Alpha0 matches and ResumeAt can reuse it. Each solver predicts into
+		// its own history with its own prediction ring, so concurrent warm-ups
+		// share no scratch. A panic leaves warm nil and the resume solves cold.
 		e.warm[k.solver] = nil
-		ph := e.from.Clone()
+		ph := &e.pred[k.solver]
+		ph.CopyFrom(e.from)
 		if b := e.p.back; b.planned() {
 			ph.Add(ps.PredictPoint(e.from, b.t))
 		}
@@ -214,9 +215,10 @@ func (e *engine) publishBack(hist *integrate.History, tg target) {
 		return
 	}
 	if r := &e.res[tg.solver]; e.passes(hist, r) {
-		e.accept(r.pt)
+		e.accept(r.pt, tg.solver)
 	} else {
 		e.noteDiscards(tg.t, 1)
+		e.recycle(tg)
 	}
 }
 
@@ -256,6 +258,7 @@ func (e *engine) stage(flush bool) error {
 
 	if main.err != nil {
 		e.noteDiscards(p.main.t, p.backs())
+		e.recycle(p.back)
 		if !p.flush && errors.Is(main.err, faults.ErrWorkerPanic) {
 			// A panicked main worker is not a step-size problem; the flush
 			// stages its panic scheduled simply redo the point.
@@ -279,10 +282,10 @@ func (e *engine) stage(flush bool) error {
 	}
 
 	// Round B, speculative with respect to the LTE checks below.
-	var trueHist *integrate.History
+	trueHist := &e.trueHist
 	spec := 0 // forward-side points solved
 	if p.fwd.planned() {
-		trueHist = hist.Clone()
+		trueHist.CopyFrom(hist)
 		if b := p.back; b.planned() && e.res[b.solver].err == nil {
 			trueHist.Add(e.res[b.solver].pt)
 		}
@@ -298,10 +301,13 @@ func (e *engine) stage(flush bool) error {
 	if s.TooCoarse(mainNorm, main.co.H0) {
 		e.s.Reject(p.main.t, main.co, mainNorm)
 		e.noteDiscards(p.main.t, p.backs()+spec)
+		for _, tg := range [...]target{p.main, p.back, p.fwd, p.fwdBack} {
+			e.recycle(tg)
+		}
 		return nil
 	}
 	e.publishBack(hist, p.back)
-	e.accept(main.pt)
+	e.accept(main.pt, p.main.solver)
 	if p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
 	}
@@ -331,10 +337,11 @@ func (e *engine) stage(flush bool) error {
 		} else if norm := e.lte(trueHist, fwd); norm > 1 {
 			// The forward point's LTE feedback still guides the next step.
 			e.noteDiscards(p.fwd.t, 1)
+			e.recycle(p.fwd)
 			e.s.Reject(p.fwd.t, fwd.co, norm)
 			return nil
 		} else {
-			e.accept(fwd.pt)
+			e.accept(fwd.pt, p.fwd.solver)
 			if e.landed(p.fwdHitsBp, fwd.co.H0) {
 				return nil
 			}

@@ -3,6 +3,7 @@ package wavepipe
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
@@ -64,9 +65,10 @@ func TestPlanStage(t *testing.T) {
 // the first stage to the last — no spawn per round — at one above the
 // caller's for a two-wide pipeline, and is back where it started after Run.
 func TestStageGangIsPersistent(t *testing.T) {
+	forceGang(t)
 	before := runtime.NumGoroutine()
 	var during []int
-	res, err := runForced(rectifierSystem(t), Options{
+	res, err := Run(rectifierSystem(t), Options{
 		Base: transient.Options{TStop: 6e-3, OnAccept: func(float64, []float64) {
 			during = append(during, runtime.NumGoroutine())
 		}},
@@ -84,9 +86,12 @@ func TestStageGangIsPersistent(t *testing.T) {
 				i, len(during), n, before)
 		}
 	}
-	// sched.Pool.Close joins its workers, so the gang is gone when Run returns.
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("%d goroutines after Run, %d before", n, before)
+	// sched.Pool.Close joins its workers, so the gang is gone once Run has
+	// returned and the member has finished exiting.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

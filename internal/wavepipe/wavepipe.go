@@ -130,22 +130,20 @@ func newEngine(sys *circuit.System, opts Options) *engine {
 // close stops the run's stage gang.
 func (e *engine) close() { e.gang.Close() }
 
-// run advances the step controller stage by stage to the horizon.
-func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr error) {
-	// The controller is built on solver 0: it solves every flush stage — the
-	// refill after a breakpoint, the fallback after a failure — and climbs the
-	// recovery ladder, so its workspace holds the limiting and factorization
-	// state a resume restores. Which solver owns the main point of a pipelined
-	// stage is the plan's business (see planStage). Coordinator events carry
-	// no lane.
-	s := transient.NewStepper(sys, e.solvers[0], &e.base, "wavepipe")
-	s.Worker = -1
-	e.s = s
-	defer s.Flush(e.capture, &runErr)
-	var err error
-	if e.warmup, err = s.Start(); err != nil {
-		return nil, err
+// start builds the step controller and establishes the first point. The
+// controller is built on solver 0: it solves every flush stage — the refill
+// after a breakpoint, the fallback after a failure — and climbs the recovery
+// ladder, so its workspace holds the limiting and factorization state a
+// resume restores. Which solver owns the main point of a pipelined stage is
+// the plan's business (see planStage). Coordinator events carry no lane.
+func (e *engine) start(sys *circuit.System) (err error) {
+	e.s = transient.NewStepper(sys, e.solvers[0], &e.base, "wavepipe")
+	e.s.Worker = -1
+	if e.warmup, err = e.s.Start(); err != nil {
+		return err
 	}
+	// The first points come from no solver's pool; solver 0 takes them.
+	e.owners = make([]int, e.s.Hist.Len(), integrate.HistoryDepth+1)
 	if e.base.Resume != nil {
 		// Solver 0 received the limiting/factorization state; the others
 		// adopt the limiting state. Pipelined resume is equivalence-
@@ -155,11 +153,21 @@ func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr erro
 			ps.WS.CopyStateFrom(e.solvers[0].WS)
 		}
 	}
-	for !s.Done() {
-		if err := s.Poll(e.capture); err != nil {
+	return nil
+}
+
+// run advances the step controller stage by stage to the horizon.
+func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr error) {
+	err := e.start(sys)
+	defer e.s.Flush(e.capture, &runErr)
+	if err != nil {
+		return nil, err
+	}
+	for !e.s.Done() {
+		if err := e.s.Poll(e.capture); err != nil {
 			return e.result(), err
 		}
-		s.Stage++
+		e.s.Stage++
 		// Pipeline flush: after a waveform discontinuity the truncation-error
 		// checks have no valid history, so speculative points would be accepted
 		// blind. Like a hardware pipeline after a branch, refill one point per
@@ -202,8 +210,8 @@ func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.
 func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
 
 // engine holds the per-run coordinator state. A round's tasks only touch
-// their own PointSolver and result slot plus the immutable plan and history
-// of the stage.
+// their own PointSolver, result slot and predicted history plus the
+// immutable plan and history of the stage.
 type engine struct {
 	opts Options
 	base transient.Options
@@ -242,10 +250,17 @@ type engine struct {
 
 	// Coordinator-side scratch: the LTE checks and step selection run on the
 	// coordinator between parallel phases, so one set of buffers makes the
-	// per-stage bookkeeping allocation-free.
-	ltePts  []*integrate.Point
-	tailBuf []*integrate.Point
-	lteScr  integrate.LTEScratch
+	// per-stage bookkeeping allocation-free. trueHist is round B's history and
+	// pred[k] solver k's predicted one (see stage.go), refilled each stage.
+	ltePts   []*integrate.Point
+	tailBuf  []*integrate.Point
+	lteScr   integrate.LTEScratch
+	trueHist integrate.History
+	pred     [maxWidth]integrate.History
+
+	// owners[i] is the solver whose pool s.Hist.At(i) came from and goes
+	// back to, so no pool runs dry while another fills up.
+	owners []int
 
 	// The stage in flight (see stage.go). res and warm are indexed by solver:
 	// a solver has at most one point per stage, so its slot is its own.
@@ -310,13 +325,32 @@ func (e *engine) lte(hist *integrate.History, res *pointResult) float64 {
 	return e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
 }
 
-// accept commits a point through the step controller. Pipeline points come
-// from several solvers' pools, so the one falling out of the history window
-// is left to the collector. Any accepted point is progress: the failure
-// streak resets.
-func (e *engine) accept(pt *integrate.Point) {
-	e.s.Commit(pt, pt.T-e.s.T, 0)
+// accept commits a point from owner's pool through the step controller. Any
+// accepted point is progress: the failure streak resets.
+func (e *engine) accept(pt *integrate.Point, owner int) {
+	if ev := e.s.Commit(pt, pt.T-e.s.T, 0); ev != nil {
+		e.release(ev)
+	}
+	e.owners = append(e.owners, owner)
 	e.failStreak = 0
+}
+
+// release returns the oldest points, just dropped from the history, to the
+// pools of the solvers that made them. Like recycle it runs between rounds,
+// where nothing else holds them (Capture and Waveform.Append copy).
+func (e *engine) release(pts ...*integrate.Point) {
+	for i, pt := range pts {
+		e.solvers[e.owners[i]].PutPoint(pt)
+	}
+	e.owners = e.owners[:copy(e.owners, e.owners[len(pts):])]
+}
+
+// recycle returns the point of a candidate the stage discards, if it has
+// one, to the pool of the solver that made it.
+func (e *engine) recycle(tg target) {
+	if tg.planned() {
+		e.solvers[tg.solver].PutPoint(e.res[tg.solver].pt)
+	}
 }
 
 // noteDiscards counts n speculative points thrown away unused, pairing each
@@ -357,7 +391,7 @@ func (e *engine) degrade(reason string) {
 // point. It reports whether the stage is over.
 func (e *engine) landed(hitBp bool, lastStep float64) bool {
 	if hitBp && e.s.RestartDue() {
-		e.s.Restart(lastStep)
+		e.release(e.s.Restart(lastStep)...)
 		e.warmup = 3
 		return true
 	}

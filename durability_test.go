@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/circuits"
 )
 
@@ -113,6 +114,64 @@ func TestKillAndResumeSerialBitIdentical(t *testing.T) {
 			}
 			if res.Stats.Points != ref.Stats.Points {
 				t.Fatalf("cumulative points %d, want %d", res.Stats.Points, ref.Stats.Points)
+			}
+		})
+	}
+}
+
+// TestResumedRunKeepsEveryCounter: a checkpoint carries the run's own
+// counters, so a Serial run cancelled at half its points and resumed — from
+// its CheckpointPath file, and from the state its guard retained in memory
+// (the service's path) — reports the uninterrupted run's work: the same
+// points, solves, Newton iterations, LTE rejections and Newton failures, and
+// the same number of factorization requests.
+func TestResumedRunKeepsEveryCounter(t *testing.T) {
+	work := func(s Stats) [6]int {
+		return [6]int{s.Points, s.Solves, s.NRIters, s.LTERejects, s.NRFailures,
+			s.FullFactorizations + s.Refactorizations + s.ReusedFactorizations}
+	}
+	for _, b := range durabilityCircuits() {
+		if b.Name != "grid16" && b.Name != "ladder400" {
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			sys, base := suiteSystem(t, b.Name)
+			ref, err := RunTransientCtx(context.Background(), sys, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(t.TempDir(), "run.wpcp")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			half := int64(ref.Stats.Points / 2)
+			killOpts := base
+			killOpts.Observer = &acceptHook{fn: func(n int64) {
+				if n == half {
+					cancel()
+				}
+			}}
+			guard := checkpoint.NewController(checkpoint.Config{Path: path})
+			if _, err := runGuarded(ctx, sys, killOpts, guard, nil); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("killed run: %v, want ErrCanceled", err)
+			}
+			fromFile, err := checkpoint.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, resume := range []struct {
+				name string
+				st   *checkpoint.State
+			}{{"file", fromFile}, {"retained", guard.Retained()}} {
+				res, err := runGuarded(context.Background(), sys, base, checkpoint.NewController(checkpoint.Config{}), resume.st)
+				if err != nil {
+					t.Fatalf("resumed from the %s state: %v", resume.name, err)
+				}
+				if got, want := work(res.Stats), work(ref.Stats); got != want {
+					t.Fatalf("resumed from the %s state: points, solves, NR iterations, LTE rejects, NR failures, factorizations %v; uninterrupted %v",
+						resume.name, got, want)
+				}
 			}
 		})
 	}

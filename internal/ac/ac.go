@@ -166,8 +166,8 @@ func Run(sys *circuit.System, opts Options) (*Result, error) {
 	// 4. Sweep: factorize once, refactorize per frequency.
 	cm := sparse.NewComplexFromPattern(ws.M)
 	order := sparse.ComputeOrdering(ws.M, sparse.OrderMinDegree)
-	res := &Result{Freqs: freqs, OP: op}
-	res.Names, res.Index = recordList(sys, opts.Record)
+	rec := transient.RecordSet(sys, transient.Options{Record: opts.Record})
+	res := &Result{Freqs: freqs, Names: rec.Names, Index: rec.Index, OP: op}
 
 	var lu *sparse.ComplexLU
 	x := make([]complex128, sys.N)
@@ -190,20 +190,4 @@ func Run(sys *circuit.System, opts Options) (*Result, error) {
 		res.Data = append(res.Data, row)
 	}
 	return res, nil
-}
-
-func recordList(sys *circuit.System, record []int) ([]string, []int) {
-	if record == nil {
-		names, idx := transient.DefaultRecord(sys)
-		return names, idx
-	}
-	names := make([]string, len(record))
-	for i, idx := range record {
-		if idx < sys.NumNodes {
-			names[i] = sys.Circuit.NodeName(idx)
-		} else {
-			names[i] = fmt.Sprintf("branch%d", idx-sys.NumNodes)
-		}
-	}
-	return names, record
 }

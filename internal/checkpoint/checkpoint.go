@@ -7,7 +7,7 @@
 // A State captures everything the serial engine needs to continue exactly
 // where it stopped: the trailing integrate.History window, the step
 // controller's position (h, hUsed, afterBreak), the junction-limiting state,
-// the recorded waveform, accumulated statistics, the recovery log, and —
+// the recorded waveform, the run's counters, the recovery log, and —
 // crucially for bit-identity — the sparse LU factorization (pivot sequence,
 // patterns, values), so the first post-resume factorization takes the same
 // Refactor path as the uninterrupted run. The encoding is deterministic (fixed field order,
@@ -32,10 +32,14 @@ import (
 	"wavepipe/internal/sparse"
 )
 
-// Format versioning.
 const (
-	// Version is the current checkpoint format version.
-	Version = 1
+	// Version is the current checkpoint format version; Decode refuses any
+	// other.
+	Version = 2
+	// Counters is the length of State.Stats: one slot per counter of
+	// transient.Stats, in the order its counter list gives them (transient
+	// returns that list as a [Counters] array, so the two cannot disagree).
+	Counters = 24
 )
 
 // magic identifies a WavePipe checkpoint file.
@@ -54,7 +58,6 @@ type State struct {
 	// Run identity.
 	TStop  float64
 	Method int // integrate.Method the run was started with
-	Scheme int // informational: facade scheme that wrote the snapshot
 
 	// Engine position.
 	T          float64 // time of the last accepted point
@@ -69,7 +72,9 @@ type State struct {
 	SNext []float64          // junction limiting state: current iterate
 	LU    *sparse.LUState    // last factorization (nil if none yet)
 
-	Stats    Stats
+	// Stats is the run's cumulative transient.Stats, including the segments
+	// before an earlier resume, as its Counters-long counter vector.
+	Stats    []int64
 	Recovery []RecoveryEvent
 
 	// Recorded waveform up to T.
@@ -79,42 +84,20 @@ type State struct {
 	WaveData  [][]float64
 }
 
-// Stats mirrors transient.Stats with fixed-width fields so the encoding is
-// platform-independent. The transient package converts in both directions
-// (it imports checkpoint, so checkpoint cannot name its type).
-type Stats struct {
-	Points             int64
-	Solves             int64
-	NRIters            int64
-	LTERejects         int64
-	NRFailures         int64
-	Discarded          int64
-	OpIters            int64
-	Stages             int64
-	Recoveries         int64
-	WorkerPanics       int64
-	DegradedStages     int64
-	Refactorizations   int64
-	FullFactorizations int64
-	CriticalNanos      int64
-	CoreBudget         int64
-	PipelineWorkers    int64
-	IntraWorkers       int64
-	PipelineSerialized bool
-}
-
-// RecoveryEvent mirrors transient.RecoveryEvent (same import-direction
-// reason as Stats).
+// RecoveryEvent records one robustness action taken during a run (a
+// recovery-ladder rung that rescued a point, a pipeline falling back to
+// serial integration). It is declared here, beside the state that carries
+// it across a suspension point; transient and the facade alias it.
 type RecoveryEvent struct {
-	T      float64
-	Kind   string
+	T      float64 // simulation time the solver was stuck at
+	Kind   string  // one of transient's Recovery* kinds
 	Detail string
 }
 
-// bad wraps a checkpoint-format complaint in the typed error chain every
-// decode/validation failure surfaces: a faults.SimError whose cause reaches
-// faults.ErrBadCheckpoint.
-func bad(format string, args ...any) error {
+// Bad wraps a checkpoint complaint in the typed error chain every decode,
+// validation and resume failure surfaces: a faults.SimError whose cause
+// reaches faults.ErrBadCheckpoint.
+func Bad(format string, args ...any) error {
 	return &faults.SimError{
 		Phase: "checkpoint",
 		Node:  -1,
@@ -128,19 +111,21 @@ func bad(format string, args ...any) error {
 func (s *State) Matches(n, numStates, numDevices, patternNNZ int, tstop float64, method int) error {
 	switch {
 	case s.N != n:
-		return bad("circuit mismatch: %d unknowns, checkpoint has %d", n, s.N)
+		return Bad("circuit mismatch: %d unknowns, checkpoint has %d", n, s.N)
 	case s.NumStates != numStates:
-		return bad("circuit mismatch: %d state slots, checkpoint has %d", numStates, s.NumStates)
+		return Bad("circuit mismatch: %d state slots, checkpoint has %d", numStates, s.NumStates)
 	case s.NumDevices != numDevices:
-		return bad("circuit mismatch: %d devices, checkpoint has %d", numDevices, s.NumDevices)
+		return Bad("circuit mismatch: %d devices, checkpoint has %d", numDevices, s.NumDevices)
 	case s.PatternNNZ != patternNNZ:
-		return bad("circuit mismatch: %d pattern nonzeros, checkpoint has %d", patternNNZ, s.PatternNNZ)
+		return Bad("circuit mismatch: %d pattern nonzeros, checkpoint has %d", patternNNZ, s.PatternNNZ)
 	case s.TStop != tstop:
-		return bad("run mismatch: tstop %g, checkpoint has %g", tstop, s.TStop)
+		return Bad("run mismatch: tstop %g, checkpoint has %g", tstop, s.TStop)
 	case s.Method != method:
-		return bad("run mismatch: method %d, checkpoint has %d", method, s.Method)
+		return Bad("run mismatch: method %d, checkpoint has %d", method, s.Method)
+	case len(s.Stats) != Counters:
+		return Bad("%d counters, want %d", len(s.Stats), Counters)
 	case len(s.Hist) == 0:
-		return bad("empty history")
+		return Bad("empty history")
 	}
 	return nil
 }

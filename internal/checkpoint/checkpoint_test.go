@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,7 +51,7 @@ func testState(t *testing.T) *State {
 	t.Helper()
 	return &State{
 		N: 3, NumStates: 2, NumDevices: 4, PatternNNZ: 6,
-		TStop: 1e-6, Method: 2, Scheme: 0,
+		TStop: 1e-6, Method: 2,
 		T: 3e-7, H: 1e-8, HUsed: 0.8e-8, AfterBreak: true, Warmup: 2,
 		Hist: []*integrate.Point{
 			{T: 1e-7, X: []float64{1, 2, 3}, Q: []float64{0.1, 0.2, 0.3}, Qdot: []float64{-1, -2, -3}},
@@ -59,11 +61,7 @@ func testState(t *testing.T) *State {
 		SPrev: []float64{0.6, 0.7},
 		SNext: []float64{0.61, 0.71},
 		LU:    testLU(t),
-		Stats: Stats{
-			Points: 3, Solves: 5, NRIters: 12, LTERejects: 1, Stages: 5,
-			Recoveries: 1, CriticalNanos: 12345, CoreBudget: 4,
-			PipelineWorkers: 2, IntraWorkers: 2, PipelineSerialized: true,
-		},
+		Stats: testCounters(),
 		Recovery: []RecoveryEvent{
 			{T: 1.5e-7, Kind: "damping", Detail: "damping 0.05"},
 		},
@@ -72,6 +70,15 @@ func testState(t *testing.T) *State {
 		WaveTimes: []float64{1e-7, 2e-7, 3e-7},
 		WaveData:  [][]float64{{3, 1}, {3.5, 1.5}, {3.7, 1.7}},
 	}
+}
+
+// testCounters is a counter vector with a distinct value in every slot.
+func testCounters() []int64 {
+	v := make([]int64, Counters)
+	for i := range v {
+		v[i] = int64(3*i + 1)
+	}
+	return v
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -158,6 +165,50 @@ func TestDecodeWrongVersion(t *testing.T) {
 	}
 }
 
+// encodeVersion1 lays s out as format Version 1 did: a scheme slot after the
+// method, then the retired device-bypass generation, twenty stats slots and
+// the pipeline-serialized flag where Version 2 has its counter vector; the
+// rest of the payload is laid out as in Version 2.
+func encodeVersion1(s *State) []byte {
+	const head = 16 + 8 + 4 // fingerprint, TStop, method
+	const position = 3*8 + 1 + 4
+	v2 := Encode(s)
+	e := &enc{b: append([]byte(nil), v2[:8+head]...)}
+	binary.LittleEndian.PutUint32(e.b[4:], 1)
+	e.u32(0) // scheme
+	e.b = append(e.b, v2[8+head:8+head+position]...)
+	for range 1 + 20 {
+		e.u64(0)
+	}
+	e.boolByte(false)
+	e.b = append(e.b, v2[8+head+position+4+8*Counters:len(v2)-4]...)
+	e.u32(crc32.ChecksumIEEE(e.b[8:]))
+	return e.b
+}
+
+// Version 2 drops Version 1's retired slots and its scheme slot, so a Version
+// 1 file — intact, its CRC right — is refused, not read.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	_, err := Decode(encodeVersion1(testState(t)))
+	wantBadCheckpoint(t, err, "version 1")
+	if !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("error %v does not name version 1", err)
+	}
+}
+
+// The counter vector is Counters long; a file carrying one counter more or
+// less than that describes a different Stats and is refused, and so is such
+// a state in memory.
+func TestWrongCounterCountRefused(t *testing.T) {
+	for _, n := range []int{0, Counters - 1, Counters + 1} {
+		s := testState(t)
+		s.Stats = make([]int64, n)
+		_, err := Decode(Encode(s))
+		wantBadCheckpoint(t, err, "counter vector")
+		wantBadCheckpoint(t, s.Matches(3, 2, 4, 6, 1e-6, 2), "counter vector in memory")
+	}
+}
+
 func TestDecodeTrailingBytes(t *testing.T) {
 	data := Encode(testState(t))
 	_, err := Decode(append(append([]byte(nil), data...), 0, 0, 0))
@@ -195,7 +246,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.wpcp")
 	s := testState(t)
-	if err := Save(path, s); err != nil {
+	if err := save(path, s, true); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	got, err := Load(path)
@@ -208,7 +259,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 	// Overwrite with a later snapshot; no temp litter may remain.
 	s.T = 4e-7
 	s.Hist[2].T = 4e-7 // keep internal consistency
-	if err := Save(path, s); err != nil {
+	if err := save(path, s, false); err != nil {
 		t.Fatalf("re-save: %v", err)
 	}
 	entries, err := os.ReadDir(dir)

@@ -79,7 +79,10 @@ type Controller struct {
 	saves    int
 }
 
-// NewController builds a controller from the config, applying defaults.
+// NewController builds a controller from the config, applying defaults. With
+// the zero Config it persists nothing and only retains the latest snapshot:
+// the in-memory hand-off the service resumes a preempted job from and the
+// window coordinator seeds the next window from.
 func NewController(cfg Config) *Controller {
 	if cfg.Path != "" && cfg.Every <= 0 {
 		cfg.Every = DefaultEvery
@@ -94,15 +97,6 @@ func NewController(cfg Config) *Controller {
 		cfg.StallFactor = minStallFactor
 	}
 	return &Controller{cfg: cfg}
-}
-
-// NewRetained returns a controller with no path, deadline or watchdog: it
-// persists nothing and only retains the latest snapshot in memory. The
-// time-parallel window coordinator attaches one to each inner engine run
-// to collect its final state — the same state the engines already hand to
-// SaveFinal on every exit path — and uses it as the next window's seed.
-func NewRetained() *Controller {
-	return NewController(Config{})
 }
 
 // SetTracer attaches the run's event stream; each Save emits one

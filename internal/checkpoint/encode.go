@@ -12,7 +12,7 @@ import (
 	"wavepipe/internal/sparse"
 )
 
-// Binary layout (version 1), everything little-endian:
+// Binary layout (version 2), everything little-endian:
 //
 //	magic "WPCP" · u32 version · payload · u32 CRC32(IEEE, payload)
 //
@@ -29,7 +29,6 @@ type enc struct{ b []byte }
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
 func (e *enc) f64(v float64) {
 	e.u64(math.Float64bits(v))
 }
@@ -56,6 +55,12 @@ func (e *enc) ints(v []int) {
 		e.u32(uint32(x))
 	}
 }
+func (e *enc) int64s(v []int64) {
+	e.u32(uint32(len(v)))
+	for _, x := range v {
+		e.u64(uint64(x))
+	}
+}
 
 // dec is a bounds-checked little-endian reader. The first failure latches
 // err and turns every later read into a zero-value no-op, so decoding code
@@ -68,7 +73,7 @@ type dec struct {
 
 func (d *dec) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = bad(format, args...)
+		d.err = Bad(format, args...)
 	}
 }
 
@@ -108,7 +113,6 @@ func (d *dec) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(s)
 }
-func (d *dec) i64() int64     { return int64(d.u64()) }
 func (d *dec) f64() float64   { return math.Float64frombits(d.u64()) }
 func (d *dec) boolByte() bool { return d.u8() != 0 }
 
@@ -134,17 +138,7 @@ func (d *dec) str(what string) string {
 	return string(d.take(n))
 }
 
-func (d *dec) floats(what string) []float64 {
-	n := d.count(8, what)
-	if d.err != nil {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
+func (d *dec) floats(what string) []float64 { return d.floatsN(d.count(8, what), what) }
 
 // floatsN reads exactly n floats with no length prefix (for runs whose
 // length is implied by an earlier field).
@@ -175,6 +169,18 @@ func (d *dec) ints(what string) []int {
 	return v
 }
 
+func (d *dec) int64s(what string) []int64 {
+	n := d.count(8, what)
+	if d.err != nil {
+		return nil
+	}
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = int64(d.u64())
+	}
+	return v
+}
+
 // Encode serializes the snapshot. The output is deterministic: the same
 // State always encodes to the same bytes.
 func Encode(s *State) []byte {
@@ -191,7 +197,6 @@ func Encode(s *State) []byte {
 	e.u32(uint32(s.PatternNNZ))
 	e.f64(s.TStop)
 	e.u32(uint32(s.Method))
-	e.u32(uint32(s.Scheme))
 
 	// Engine position.
 	e.f64(s.T)
@@ -199,13 +204,8 @@ func Encode(s *State) []byte {
 	e.f64(s.HUsed)
 	e.boolByte(s.AfterBreak)
 	e.u32(uint32(s.Warmup))
-	e.u64(0) // retired: the device-bypass generation counter
 
-	// Stats.
-	for _, v := range s.Stats.fields() {
-		e.i64(v)
-	}
-	e.boolByte(s.Stats.PipelineSerialized)
+	e.int64s(s.Stats)
 
 	// History window.
 	e.u32(uint32(len(s.Hist)))
@@ -267,7 +267,7 @@ func Encode(s *State) []byte {
 }
 
 func encodeSizeHint(s *State) int {
-	n := 256
+	n := 256 + 8*len(s.Stats)
 	n += len(s.Hist) * (32 + 24*s.N)
 	n += 16 * (len(s.SPrev) + len(s.SNext))
 	n += len(s.WaveTimes) * 8 * (1 + len(s.WaveNames))
@@ -277,49 +277,26 @@ func encodeSizeHint(s *State) int {
 	return n
 }
 
-// fields returns the int64 stats in their fixed wire order. Slots 11 and 14
-// held the counters of the two retired bypass engines and slot 15 the retired
-// linear-template hit count; format version 1 keeps their places, written as
-// 0 and ignored on read, so files written before the retirements still
-// decode.
-func (st *Stats) fields() [20]int64 {
-	return [20]int64{
-		st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures,
-		st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics,
-		st.DegradedStages, 0, st.Refactorizations,
-		st.FullFactorizations, 0, 0,
-		st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers,
-	}
-}
-
-func (st *Stats) setFields(v [20]int64) {
-	st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures = v[0], v[1], v[2], v[3], v[4]
-	st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics = v[5], v[6], v[7], v[8], v[9]
-	st.DegradedStages, st.Refactorizations = v[10], v[12]
-	st.FullFactorizations = v[13]
-	st.CriticalNanos, st.CoreBudget, st.PipelineWorkers, st.IntraWorkers = v[16], v[17], v[18], v[19]
-}
-
 // Decode parses and validates a checkpoint. Every failure — truncation,
-// corruption, unsupported version, inconsistent internal structure — returns
-// a typed faults.SimError wrapping faults.ErrBadCheckpoint; Decode never
-// panics on hostile input.
+// corruption, a version other than Version, inconsistent internal structure —
+// returns a typed faults.SimError wrapping faults.ErrBadCheckpoint; Decode
+// never panics on hostile input.
 func Decode(data []byte) (*State, error) {
 	const headerLen = 8 // magic + version
 	if len(data) < headerLen+4 {
-		return nil, bad("file too short: %d bytes", len(data))
+		return nil, Bad("file too short: %d bytes", len(data))
 	}
 	if string(data[:4]) != string(magic[:]) {
-		return nil, bad("bad magic %q", data[:4])
+		return nil, Bad("bad magic %q", data[:4])
 	}
 	version := binary.LittleEndian.Uint32(data[4:8])
 	if version != Version {
-		return nil, bad("unsupported version %d (have %d)", version, Version)
+		return nil, Bad("unsupported version %d (have %d)", version, Version)
 	}
 	payload := data[headerLen : len(data)-4]
 	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, bad("CRC mismatch: file %08x, computed %08x", wantCRC, got)
+		return nil, Bad("CRC mismatch: file %08x, computed %08x", wantCRC, got)
 	}
 
 	d := &dec{b: payload}
@@ -331,21 +308,17 @@ func Decode(data []byte) (*State, error) {
 	s.PatternNNZ = int(d.u32())
 	s.TStop = d.f64()
 	s.Method = int(d.u32())
-	s.Scheme = int(d.u32())
 
 	s.T = d.f64()
 	s.H = d.f64()
 	s.HUsed = d.f64()
 	s.AfterBreak = d.boolByte()
 	s.Warmup = int(d.u32())
-	d.u64() // retired slot, see Encode
 
-	var sf [20]int64
-	for i := range sf {
-		sf[i] = d.i64()
+	s.Stats = d.int64s("counters")
+	if d.err == nil && len(s.Stats) != Counters {
+		d.fail("%d counters, want %d", len(s.Stats), Counters)
 	}
-	s.Stats.setFields(sf)
-	s.Stats.PipelineSerialized = d.boolByte()
 
 	// History: every vector must match the fingerprint dimension, and the
 	// window must be ascending — integrate.RestoreHistory re-checks, but
@@ -439,24 +412,18 @@ func Decode(data []byte) (*State, error) {
 		return nil, d.err
 	}
 	if d.remaining() != 0 {
-		return nil, bad("%d trailing bytes after payload", d.remaining())
+		return nil, Bad("%d trailing bytes after payload", d.remaining())
 	}
 	return s, nil
 }
 
-// Save atomically and durably persists the snapshot: encode, write to a
-// temporary file in the same directory, fsync, rename over path, fsync the
-// directory. A crash — including kill -9 or power loss — at any moment
-// leaves either the previous checkpoint or the new one, never a torn file.
-func Save(path string, s *State) error {
-	return save(path, s, true)
-}
-
-// save writes the snapshot via the write-temp-then-rename dance. With
-// durable set it also fsyncs the file and directory, surviving a machine
-// crash. Without it the write is still atomic and survives process death at
-// any instant (the page cache outlives the process; only an OS crash can
-// lose it) — the cheap mode periodic snapshots use on the hot path.
+// save persists the snapshot atomically: encode, write to a temporary file
+// in the same directory, rename over path. The write survives process death
+// at any instant, kill -9 included (the page cache outlives the process), and
+// leaves either the previous checkpoint or the new one, never a torn file —
+// the cheap mode periodic snapshots use on the hot path. With durable set it
+// also fsyncs the file and the directory, so the snapshot survives a machine
+// crash or power loss as well.
 func save(path string, s *State, durable bool) error {
 	data := Encode(s)
 	dir := filepath.Dir(path)

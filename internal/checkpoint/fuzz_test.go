@@ -25,6 +25,7 @@ func FuzzDecode(f *testing.F) {
 			{T: 2e-7, X: []float64{7, 8}, Q: []float64{9, 10}, Qdot: []float64{11, 12}},
 		},
 		SPrev: []float64{0.5}, SNext: []float64{0.6},
+		Stats:     make([]int64, Counters),
 		Recovery:  []RecoveryEvent{{T: 1.5e-7, Kind: "damping", Detail: "d"}},
 		WaveNames: []string{"a"},
 		WaveIndex: []int{1},
@@ -37,13 +38,14 @@ func FuzzDecode(f *testing.F) {
 		TStop: 1, Method: 0, T: 0.5, H: 0.1,
 		Hist:  []*integrate.Point{{T: 0.5, X: []float64{1}, Q: []float64{0}, Qdot: []float64{0}}},
 		SPrev: []float64{}, SNext: []float64{},
+		Stats:     make([]int64, Counters),
 		WaveTimes: []float64{0.5}, WaveData: [][]float64{{}},
 	}
 	f.Add(Encode(minimal))
 	f.Add([]byte{})
 	f.Add([]byte("WPCP"))
-	f.Add([]byte("WPCP\x01\x00\x00\x00"))
-	f.Add([]byte("WPCP\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("WPCP\x02\x00\x00\x00"))
+	f.Add([]byte("WPCP\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	bigLen := Encode(minimal)
 	if len(bigLen) > 120 {
 		// Smash a plausible length-prefix region with 0xFF so the

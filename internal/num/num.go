@@ -42,31 +42,6 @@ func (t Tolerances) WeightedMaxNorm(err, ref []float64) float64 {
 	return m
 }
 
-// WeightedRMSNorm returns sqrt(mean_i (err[i]/weight(ref[i]))²).
-func (t Tolerances) WeightedRMSNorm(err, ref []float64) float64 {
-	if len(err) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, e := range err {
-		w := t.Weight(ref[i])
-		v := e / w
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(err)))
-}
-
-// MaxAbs returns max_i |v[i]|, or 0 for an empty slice.
-func MaxAbs(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // NonFiniteIndex returns the index of the first NaN or ±Inf entry of v, or
 // -1 when every entry is finite.
 func NonFiniteIndex(v []float64) int {
@@ -76,22 +51,6 @@ func NonFiniteIndex(v []float64) int {
 		}
 	}
 	return -1
-}
-
-// Dot returns the dot product of a and b (equal lengths required).
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i, x := range a {
-		s += x * b[i]
-	}
-	return s
-}
-
-// AxpyInPlace computes y += alpha*x in place.
-func AxpyInPlace(alpha float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // Copy returns a fresh copy of v.
@@ -123,37 +82,6 @@ func DividedDifferencesInto(ts, ys, c []float64) {
 			c[i] = (c[i] - c[i-1]) / (ts[i] - ts[i-k])
 		}
 	}
-}
-
-// DerivativeEstimate returns an estimate of the k-th derivative of the
-// sampled function at the trailing sample, using the order-k divided
-// difference over the last k+1 samples scaled by k!.
-func DerivativeEstimate(ts, ys []float64, k int) float64 {
-	n := len(ts)
-	if k+1 > n {
-		k = n - 1
-	}
-	dd := DividedDifferences(ts[n-k-1:], ys[n-k-1:])
-	f := 1.0
-	for i := 2; i <= k; i++ {
-		f *= float64(i)
-	}
-	return dd[k] * f
-}
-
-// PredictAt evaluates the Newton-form interpolating polynomial through the
-// points (ts, ys) at time t. Used by forward pipelining to predict a not-
-// yet-converged solution from history, and by step control to extrapolate
-// initial Newton guesses.
-func PredictAt(ts, ys []float64, t float64) float64 {
-	c := DividedDifferences(ts, ys)
-	n := len(ts)
-	// Horner evaluation of the Newton form.
-	v := c[n-1]
-	for i := n - 2; i >= 0; i-- {
-		v = v*(t-ts[i]) + c[i]
-	}
-	return v
 }
 
 // PredictVectorAt extrapolates each component of the history vectors hist

@@ -1,7 +1,5 @@
 package sparse
 
-import "math"
-
 // SolveTransposeWith solves Aᵀ·x = b using the factorization, with a
 // caller-provided scratch vector of length N. With B = P·A·Q = L·U, the
 // transpose system factors as Bᵀ = Uᵀ·Lᵀ: a forward solve on the
@@ -31,78 +29,4 @@ func (f *LU) SolveTransposeWith(b, x, scratch []float64) {
 	for k := 0; k < f.n; k++ {
 		x[f.rowPerm[k]] = w[k]
 	}
-}
-
-// OneNorm returns ‖A‖₁ (maximum absolute column sum).
-func (m *Matrix) OneNorm() float64 {
-	norm := 0.0
-	for j := 0; j < m.n; j++ {
-		s := 0.0
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			s += math.Abs(m.Values[p])
-		}
-		if s > norm {
-			norm = s
-		}
-	}
-	return norm
-}
-
-// CondEst1 returns a lower-bound estimate of the 1-norm condition number
-// κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ using Hager's algorithm on the factorization.
-// Circuit engines use it to flag near-singular operating points.
-func CondEst1(m *Matrix, f *LU) float64 {
-	n := m.N()
-	if n == 0 {
-		return 0
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	scratch := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	est := 0.0
-	for iter := 0; iter < 5; iter++ {
-		f.SolveWith(x, y, scratch) // y = A⁻¹·x
-		newEst := 0.0
-		for _, v := range y {
-			newEst += math.Abs(v)
-		}
-		if iter > 0 && newEst <= est {
-			break
-		}
-		est = newEst
-		for i, v := range y {
-			if v >= 0 {
-				z[i] = 1
-			} else {
-				z[i] = -1
-			}
-		}
-		f.SolveTransposeWith(z, y, scratch) // y = A⁻ᵀ·sign(y)
-		jmax, vmax := 0, 0.0
-		for i, v := range y {
-			if a := math.Abs(v); a > vmax {
-				vmax, jmax = a, i
-			}
-		}
-		if vmax <= dotAbs(y, x) {
-			break
-		}
-		for i := range x {
-			x[i] = 0
-		}
-		x[jmax] = 1
-	}
-	return est * m.OneNorm()
-}
-
-func dotAbs(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return math.Abs(s)
 }

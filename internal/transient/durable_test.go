@@ -1,12 +1,9 @@
 package transient
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -93,40 +90,6 @@ func TestSerialResumeBitIdentical(t *testing.T) {
 	resumeMatches(t, st, ref)
 }
 
-// Format version 1 keeps the places of four retired values — the device-
-// bypass generation, the two bypass counters and the linear-template hit
-// count among the stats — written as 0. A file from before the retirements
-// carries numbers there: it must still decode, validate and resume to the
-// same waveform, and nothing of them may come back out when the state is
-// encoded again.
-func TestResumeIgnoresRetiredCheckpointSlots(t *testing.T) {
-	ref, path := interruptedRun(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Offsets in the file: 8 header bytes, 32 of fingerprint and run identity,
-	// 29 of engine position, then the generation (u64) and twenty i64 stats,
-	// the bypass counters being stats 11 and 14 and the template hits 15.
-	const generation, stats = 8 + 32 + 29, 8 + 32 + 29 + 8
-	old := append([]byte(nil), data...)
-	for _, off := range []int{generation, stats + 8*11, stats + 8*14, stats + 8*15} {
-		if binary.LittleEndian.Uint64(old[off:]) != 0 {
-			t.Fatalf("retired slot at byte %d written non-zero", off)
-		}
-		binary.LittleEndian.PutUint64(old[off:], 12345)
-	}
-	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[8:len(old)-4]))
-	st, err := checkpoint.Decode(old)
-	if err != nil {
-		t.Fatalf("decoding a pre-retirement checkpoint: %v", err)
-	}
-	if !bytes.Equal(checkpoint.Encode(st), data) {
-		t.Fatal("retired values survived a decode-encode round trip")
-	}
-	resumeMatches(t, st, ref)
-}
-
 // Resuming against the wrong circuit or options must fail with the typed
 // checkpoint error before any solving happens.
 func TestResumeValidation(t *testing.T) {
@@ -176,8 +139,8 @@ func TestPointBudgetSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats.Points != 20 {
-		t.Fatalf("checkpoint holds %d points, want the 20 of the budget", st.Stats.Points)
+	if pts := statsFrom(st.Stats).Points; pts != 20 {
+		t.Fatalf("checkpoint holds %d points, want the 20 of the budget", pts)
 	}
 
 	sys, _ = rcCircuit(1e3, 1e-7)
@@ -210,7 +173,40 @@ func TestFinalCheckpointWritten(t *testing.T) {
 	if st.T != res.W.Times[res.W.Len()-1] {
 		t.Fatalf("final checkpoint at t=%g, run ended at t=%g", st.T, res.W.Times[res.W.Len()-1])
 	}
-	if int(st.Stats.Points) != res.Stats.Points {
-		t.Fatalf("checkpoint points %d, run points %d", st.Stats.Points, res.Stats.Points)
+	if got := statsFrom(st.Stats); got != res.Stats {
+		t.Fatalf("checkpoint stats %+v, run stats %+v", got, res.Stats)
+	}
+}
+
+// TestCheckpointCarriesEveryCounter: Stats.counters is the one list of what a
+// checkpoint carries, so every field of Stats must be on it, once — all but
+// BypassedFactorizations, which is retired (always 0). A Stats with a distinct
+// value in every field survives the trip through the counter vector.
+func TestCheckpointCarriesEveryCounter(t *testing.T) {
+	var s Stats
+	listed := map[any]bool{}
+	for _, f := range s.counters() {
+		if listed[f] {
+			t.Fatalf("field %T listed twice", f)
+		}
+		listed[f] = true
+	}
+	rv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		name := rv.Type().Field(i).Name
+		retired := name == "BypassedFactorizations"
+		if got := listed[rv.Field(i).Addr().Interface()]; got == retired {
+			t.Fatalf("Stats.%s on the checkpoint's counter list: %v, want %v", name, got, !retired)
+		}
+		switch f := rv.Field(i); {
+		case retired:
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		default:
+			f.SetInt(int64(100 + i))
+		}
+	}
+	if got := statsFrom(s.counterVector()); got != s {
+		t.Fatalf("counter vector round trip: got %+v, want %+v", got, s)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
 	"wavepipe/internal/newton"
@@ -40,12 +41,9 @@ const (
 	RecoverySerialFallback = "serial-fallback" // wavepipe degraded to serial integration
 )
 
-// RecoveryEvent records one robustness action taken during a run.
-type RecoveryEvent struct {
-	T      float64 // simulation time the solver was stuck at
-	Kind   string  // one of the Recovery* kinds
-	Detail string
-}
+// RecoveryEvent records one robustness action taken during a run; it is
+// checkpoint's type, so a checkpoint carries the log as it is.
+type RecoveryEvent = checkpoint.RecoveryEvent
 
 // RecoveryLog collects the recovery events of one run. All methods are safe
 // for concurrent use and are no-ops on a nil receiver.

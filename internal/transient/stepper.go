@@ -374,7 +374,7 @@ func (s *Stepper) Totals() Stats {
 }
 
 // Snapshot is Capture for the single-solver engines.
-func (s *Stepper) Snapshot() *checkpoint.State { return s.Capture(s.Totals(), 0, 0) }
+func (s *Stepper) Snapshot() *checkpoint.State { return s.Capture(s.Totals(), 0) }
 
 // Result assembles the run outcome — final, or partial beside an error —
 // from the controller state and the engine's totals.

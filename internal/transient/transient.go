@@ -181,8 +181,8 @@ type Stats struct {
 	//
 	// IntraWorkers is 0 or 1 (1 from the pipeline and the ensemble, and from
 	// a serial run under a budget): a time point is solved by one goroutine,
-	// and the field stays only because bench/harness.go and checkpoint slot
-	// 19 read it. The benchmark PR of ROADMAP item 4 removes it together with
+	// and the field stays only because bench/harness.go reads it. The
+	// benchmark PR of ROADMAP item 4 removes it together with
 	// sched.intra_workers.
 	CoreBudget         int  `json:"coreBudget"`
 	PipelineWorkers    int  `json:"pipelineWorkers"`
@@ -244,6 +244,59 @@ func (s *Stats) Add(other Stats) {
 	if other.ReducedDevices > s.ReducedDevices {
 		s.ReducedDevices = other.ReducedDevices
 	}
+}
+
+// counters lists every field of Stats but the retired
+// BypassedFactorizations, in the order checkpoint.State.Stats stores them. It
+// is the one definition of what crosses a suspension point: a field added to
+// Stats goes here, and the array length makes checkpoint.Counters follow
+// (TestCheckpointCarriesEveryCounter fails on a field left out).
+func (s *Stats) counters() [checkpoint.Counters]any {
+	return [...]any{
+		&s.Points, &s.Solves, &s.NRIters, &s.LTERejects, &s.NRFailures,
+		&s.Discarded, &s.OpIters, &s.Stages, &s.Recoveries,
+		&s.WorkerPanics, &s.DegradedStages,
+		&s.ReusedFactorizations, &s.Refactorizations, &s.FullFactorizations,
+		&s.CriticalNanos,
+		&s.CoreBudget, &s.PipelineWorkers, &s.IntraWorkers, &s.PipelineSerialized,
+		&s.WindowsLaunched, &s.PararealIters, &s.WindowRedos,
+		&s.ReducedNodes, &s.ReducedDevices,
+	}
+}
+
+// counterVector widens the stats to a checkpoint's counter vector.
+func (s Stats) counterVector() []int64 {
+	v := make([]int64, checkpoint.Counters)
+	for i, f := range s.counters() {
+		switch f := f.(type) {
+		case *int:
+			v[i] = int64(*f)
+		case *int64:
+			v[i] = *f
+		case *bool:
+			if *f {
+				v[i] = 1
+			}
+		}
+	}
+	return v
+}
+
+// statsFrom narrows a checkpoint's counter vector (checkpoint.Counters long)
+// back to Stats.
+func statsFrom(v []int64) Stats {
+	var s Stats
+	for i, f := range s.counters() {
+		switch f := f.(type) {
+		case *int:
+			*f = int(v[i])
+		case *int64:
+			*f = v[i]
+		case *bool:
+			*f = v[i] != 0
+		}
+	}
+	return s
 }
 
 // Result is the outcome of a transient analysis. On failure the engines
@@ -700,33 +753,26 @@ func horizonIsEdge(devs []circuit.Device, tstop float64) bool {
 	return false
 }
 
-// DefaultRecord returns the record list for nil Options.Record: every node
-// voltage.
-func DefaultRecord(sys *circuit.System) ([]string, []int) {
-	names := make([]string, sys.NumNodes)
-	idx := make([]int, sys.NumNodes)
-	for i := 0; i < sys.NumNodes; i++ {
-		names[i] = sys.Circuit.NodeName(i)
-		idx[i] = i
-	}
-	return names, idx
-}
-
-// RecordSet builds the waveform set for the given options.
+// RecordSet builds the waveform set for the given options: the unknowns
+// opts.Record lists, or every node voltage when it is nil. A node voltage is
+// named after its node, a branch current "branch<k>".
 func RecordSet(sys *circuit.System, opts Options) *waveform.Set {
-	if opts.Record == nil {
-		names, idx := DefaultRecord(sys)
-		return waveform.NewSet(names, idx)
+	index := opts.Record
+	if index == nil {
+		index = make([]int, sys.NumNodes)
+		for i := range index {
+			index[i] = i
+		}
 	}
-	names := make([]string, len(opts.Record))
-	for i, idx := range opts.Record {
+	names := make([]string, len(index))
+	for i, idx := range index {
 		if idx < sys.NumNodes {
 			names[i] = sys.Circuit.NodeName(idx)
 		} else {
 			names[i] = fmt.Sprintf("branch%d", idx-sys.NumNodes)
 		}
 	}
-	return waveform.NewSet(names, opts.Record)
+	return waveform.NewSet(names, index)
 }
 
 // GapAfter is the distance from t to the next breakpoint strictly after it

@@ -204,7 +204,7 @@ func (e *engine) totals() transient.Stats {
 }
 
 // capture snapshots the engine at a committed stage boundary.
-func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.warmup, 1) }
+func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.warmup) }
 
 // result assembles the (possibly partial) run outcome from the engine state.
 func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }

@@ -400,7 +400,7 @@ func (r *runner) coarseSweep() {
 			r.coarseErr = err
 			return
 		}
-		guard := checkpoint.NewRetained()
+		guard := checkpoint.NewController(checkpoint.Config{})
 		o := r.coarseOptions(k, resume)
 		o.Guard = guard
 		res, err := transient.Run(r.sys, o)
@@ -458,14 +458,13 @@ func (r *runner) canceled() error {
 func seedFrom(st *checkpoint.State, tEnd, hOverride float64, warmup int) *checkpoint.State {
 	s := *st
 	s.TStop = tEnd
-	s.Scheme = 0
 	s.Warmup = warmup
 	if hOverride > 0 && s.AfterBreak {
 		// The consuming Stepper reads the seed's step through SetStep, as
 		// the uninterrupted run's Restart would have set it.
 		s.H = hOverride // checkpoint.State
 	}
-	s.Stats = checkpoint.Stats{}
+	s.Stats = make([]int64, checkpoint.Counters)
 	s.Recovery = nil
 	n := len(st.WaveTimes)
 	if n > 0 {
@@ -489,7 +488,7 @@ func seedFrom(st *checkpoint.State, tEnd, hOverride float64, warmup int) *checkp
 // through the DC operating point) and returns the result plus the exact
 // end state retained by the engine's final checkpoint.
 func (r *runner) fineWindow(w int, seed *checkpoint.State) (*transient.Result, *checkpoint.State, error) {
-	guard := checkpoint.NewRetained()
+	guard := checkpoint.NewController(checkpoint.Config{})
 	o := r.base
 	o.TStop = r.tb[w+1]
 	o.Resume = seed

@@ -74,14 +74,14 @@ func TestOnAcceptRowsAreResultRows(t *testing.T) {
 				cancel()
 			}
 		}
-		first := checkpoint.NewRetained()
+		first := checkpoint.NewController(checkpoint.Config{})
 		if _, err := runGuarded(ctx, sys, opts, first, nil); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("first attempt: err = %v, want ErrCanceled", err)
 		}
 		if len(kept) != 40 || first.Retained() == nil {
 			t.Fatalf("first attempt kept %d rows, retained %v", len(kept), first.Retained())
 		}
-		res, err := runGuarded(context.Background(), sys, opts, checkpoint.NewRetained(), first.Retained())
+		res, err := runGuarded(context.Background(), sys, opts, checkpoint.NewController(checkpoint.Config{}), first.Retained())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,14 @@
 // Package client is the HTTP implementation of wavepipe.Client: it speaks
-// the versioned wire JSON API that internal/server exposes, so swapping the
+// the versioned wire API that internal/server exposes, so swapping the
 // in-process *wavepipe.Service for client.New("http://host:port") — or back
-// — changes no calling code.
+// — changes no calling code. Documents travel as wire JSON; waveform rows
+// (Wait, Stream) always travel as wire's binary frames.
 package client
 
 import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -60,13 +60,18 @@ func apiError(resp *http.Response) error {
 	}
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+// do sends a request. A non-empty accept asks for that media type and
+// refuses a response of any other.
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, accept string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -75,6 +80,10 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		return nil, apiError(resp)
+	}
+	if ct := resp.Header.Get("Content-Type"); accept != "" && ct != accept {
+		resp.Body.Close()
+		return nil, fmt.Errorf("client: %s answered %q, want %s", path, ct, accept)
 	}
 	return resp, nil
 }
@@ -92,7 +101,7 @@ func (c *Client) Submit(ctx context.Context, spec wavepipe.JobSpec) (wavepipe.Jo
 	}); err != nil {
 		return wavepipe.JobStatus{}, err
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", &buf)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", &buf, "")
 	if err != nil {
 		return wavepipe.JobStatus{}, err
 	}
@@ -106,7 +115,7 @@ func (c *Client) Submit(ctx context.Context, spec wavepipe.JobSpec) (wavepipe.Jo
 
 // Status snapshots a job.
 func (c *Client) Status(ctx context.Context, id string) (wavepipe.JobStatus, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, "")
 	if err != nil {
 		return wavepipe.JobStatus{}, err
 	}
@@ -122,14 +131,14 @@ func (c *Client) Status(ctx context.Context, id string) (wavepipe.JobStatus, err
 // simulation errors do not cross the wire: a failed job returns the partial
 // Result (when any) with a plain error carrying the server's message.
 func (c *Client) Wait(ctx context.Context, id string) (*wavepipe.Result, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, wire.FrameContentType)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	wres, err := wire.DecodeResult(resp.Body)
+	wres, err := wire.ReadResultFrame(bufio.NewReaderSize(resp.Body, 64<<10))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: job %s result: %w", id, err)
 	}
 	res, err := wres.ToResult()
 	if err != nil {
@@ -144,22 +153,20 @@ func (c *Client) Wait(ctx context.Context, id string) (*wavepipe.Result, error) 
 // Stream follows the job's accepted points: everything from t=0, then live
 // rows. The channel closes when the job ends or ctx is done.
 func (c *Client) Stream(ctx context.Context, id string) (<-chan wavepipe.StreamPoint, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil, wire.FrameContentType)
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	// The first NDJSON line is the header; validate its version eagerly so
-	// a schema mismatch fails the call, not the channel.
-	if !sc.Scan() {
+	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	// The first line is the JSON header; validate its version eagerly so a
+	// schema mismatch fails the call, not the channel.
+	line, err := br.ReadBytes('\n')
+	if err != nil {
 		resp.Body.Close()
-		if serr := sc.Err(); serr != nil {
-			return nil, serr
-		}
-		return nil, fmt.Errorf("client: empty stream response")
+		return nil, fmt.Errorf("client: stream header: %w", err)
 	}
-	if _, err := wire.DecodeStreamHeader(sc.Bytes()); err != nil {
+	h, err := wire.DecodeStreamHeader(line)
+	if err != nil {
 		resp.Body.Close()
 		return nil, err
 	}
@@ -167,15 +174,18 @@ func (c *Client) Stream(ctx context.Context, id string) (<-chan wavepipe.StreamP
 	go func() {
 		defer close(out)
 		defer resp.Body.Close()
-		for sc.Scan() {
-			var p wavepipe.StreamPoint
-			if json.Unmarshal(sc.Bytes(), &p) != nil {
+		for {
+			// The stream ends at io.EOF, a frame cut short or one over the bound.
+			pts, err := wire.ReadStreamFrame(br, len(h.Signals))
+			if err != nil {
 				return
 			}
-			select {
-			case out <- p:
-			case <-ctx.Done():
-				return
+			for _, p := range pts {
+				select {
+				case out <- p:
+				case <-ctx.Done():
+					return
+				}
 			}
 		}
 	}()
@@ -184,7 +194,7 @@ func (c *Client) Stream(ctx context.Context, id string) (<-chan wavepipe.StreamP
 
 // Cancel stops a job (idempotent on terminal jobs).
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
+	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, "")
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,10 @@
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /metrics             Prometheus text
 //
+// With "Accept: application/x-wavepipe-frame", /result and /stream send
+// their rows as binary little-endian float64 frames instead (the form
+// wavepipe/client always asks for).
+//
 // Exit codes: 0 clean shutdown (SIGINT/SIGTERM), 1 startup or serve error,
 // 2 flag usage.
 package main

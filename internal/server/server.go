@@ -13,12 +13,17 @@
 //	GET    /v1/jobs/{id}/stream NDJSON: one header line, then accepted rows
 //	DELETE /v1/jobs/{id}        cancel (idempotent)
 //	GET    /metrics             Prometheus text (engine + service rows)
+//
+// With "Accept: application/x-wavepipe-frame" /result is its JSON head line
+// then its rows as wire frames, and /stream the header line then one frame per
+// batch of waiting rows.
 package server
 
 import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 
 	"wavepipe"
 	"wavepipe/wire"
@@ -134,7 +139,17 @@ func (h *handler) result(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		out.Err = err.Error()
 	}
-	writeJSON(w, http.StatusOK, out)
+	if !wantsFrames(r) {
+		writeJSON(w, http.StatusOK, out)
+		return
+	}
+	w.Header().Set("Content-Type", wire.FrameContentType)
+	_ = wire.WriteResultFrame(w, out)
+}
+
+// wantsFrames reports whether the request accepts the binary row frames.
+func wantsFrames(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), wire.FrameContentType)
 }
 
 func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
@@ -149,7 +164,11 @@ func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	ct, frames := "application/x-ndjson", wantsFrames(r)
+	if frames {
+		ct = wire.FrameContentType
+	}
+	w.Header().Set("Content-Type", ct)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	if wire.Encode(w, wire.StreamHeader{SchemaVersion: wire.SchemaVersion, Signals: st.Signals}) != nil {
@@ -158,8 +177,25 @@ func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
+	// A frame carries the row in hand and the rows already waiting on ch:
+	// this handler is ch's one receiver, so len(ch) of them arrive without
+	// blocking.
+	maxRows := wire.StreamFrameRows(len(st.Signals))
+	var batch []wavepipe.StreamPoint
+	var buf []byte
 	for p := range ch {
-		if wire.Encode(w, p) != nil {
+		var err error
+		if frames {
+			batch = append(batch[:0], p)
+			for len(batch) < maxRows && len(ch) > 0 {
+				batch = append(batch, <-ch)
+			}
+			buf = wire.AppendStreamFrame(buf[:0], batch)
+			_, err = w.Write(buf)
+		} else {
+			err = wire.Encode(w, p)
+		}
+		if err != nil {
 			// Client went away: unblock the producer by draining.
 			for range ch {
 			}

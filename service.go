@@ -75,6 +75,7 @@ type Service struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*job
+	queued int // jobs that have not yet left JobQueued: the admission count
 	seq    int
 	closed bool
 	wg     sync.WaitGroup
@@ -192,19 +193,12 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, errors.New("wavepipe: service closed")
 	}
-	queued := 0
-	for _, q := range s.jobs {
-		q.mu.Lock()
-		if q.state == JobQueued {
-			queued++
-		}
-		q.mu.Unlock()
-	}
-	if queued >= s.cfg.MaxQueued {
+	if queued := s.queued; queued >= s.cfg.MaxQueued {
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		return JobStatus{}, fmt.Errorf("%w (%d jobs waiting)", ErrQueueFull, queued)
 	}
+	s.queued++
 	s.seq++
 	jctx, cancel := context.WithCancel(context.Background())
 	j := &job{
@@ -275,8 +269,16 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	// resume is the engine state a preempted attempt retained at its last
 	// accepted step; the next attempt continues from it.
 	var resume *checkpoint.State
-	for {
+	for first := true; ; first = false {
 		grant, err := s.arb.Acquire(j.ctx, j.spec.Priority, want)
+		if first {
+			// The job leaves JobQueued now, for running or, with no grant,
+			// for a terminal state. A preempted job waits as JobPreempted
+			// and is not counted again.
+			s.mu.Lock()
+			s.queued--
+			s.mu.Unlock()
+		}
 		if err != nil {
 			s.finish(j, nil, err)
 			return

@@ -1,7 +1,8 @@
 // Package wire defines the versioned JSON schema shared by every wavepipe
 // serialization surface: the wavesimd HTTP API, the wavepipe/client HTTP
 // client, and wavesim's -json output all speak these types, so a result
-// written by one tool is readable by the others.
+// written by one tool is readable by the others. Waveform rows also cross as
+// binary frames (frame.go), which the Go client always asks for.
 //
 // Every top-level document carries a schemaVersion field and decoding
 // rejects both unknown fields and version mismatches — a client from the
@@ -243,9 +244,10 @@ type Error struct {
 	Error         string `json:"error"`
 }
 
-// StreamHeader is the first NDJSON line of a GET /v1/jobs/{id}/stream
-// response; the row lines that follow are wavepipe.StreamPoint documents
-// whose values align with Signals.
+// StreamHeader is the first line of a GET /v1/jobs/{id}/stream response.
+// What follows are rows whose values align with Signals: one
+// wavepipe.StreamPoint JSON line per row (NDJSON), or, for a request that
+// accepts FrameContentType, stream frames (ReadStreamFrame).
 type StreamHeader struct {
 	SchemaVersion int      `json:"schemaVersion"`
 	Signals       []string `json:"signals"`

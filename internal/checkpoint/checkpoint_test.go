@@ -296,6 +296,37 @@ func TestControllerNoteAcceptCadence(t *testing.T) {
 	}
 }
 
+// TestControllerDeadlineOnlyKeepsNoHeartbeat: without StallFactor nothing
+// reads the heartbeat, so NoteAccept keeps none — yet it still reports the
+// Every cadence and the deadline still trips.
+func TestControllerDeadlineOnlyKeepsNoHeartbeat(t *testing.T) {
+	c := NewController(Config{Path: "x", Every: 3, Deadline: 30 * time.Millisecond, Poll: 5 * time.Millisecond})
+	c.Start()
+	defer c.Stop()
+	var due []int
+	for i := 1; i <= 10; i++ {
+		if c.NoteAccept() {
+			due = append(due, i)
+		}
+	}
+	if want := []int{3, 6, 9}; !reflect.DeepEqual(due, want) {
+		t.Fatalf("due at %v, want %v", due, want)
+	}
+	if b, l, e := c.beats.Load(), c.lastBeat.Load(), c.emaBeat.Load(); b != 0 || l != 0 || e != 0 {
+		t.Fatalf("heartbeat kept without a watchdog: beats=%d lastBeat=%d emaBeat=%d", b, l, e)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("deadline never tripped")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !errors.Is(c.Err(), faults.ErrDeadlineExceeded) {
+		t.Fatalf("abort cause %v, want ErrDeadlineExceeded", c.Err())
+	}
+}
+
 func TestControllerNoPathNeverDue(t *testing.T) {
 	c := NewController(Config{})
 	c.Start()

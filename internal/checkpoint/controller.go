@@ -63,7 +63,8 @@ type Controller struct {
 
 	accepts int // engine goroutine only
 
-	// Watchdog-shared heartbeat, all in nanoseconds since start.
+	// Watchdog-shared heartbeat, all in nanoseconds since start; kept only
+	// when StallFactor arms the watchdog.
 	lastBeat atomic.Int64 // time of the most recent accepted step
 	emaBeat  atomic.Int64 // EWMA of inter-accept intervals
 	beats    atomic.Int64 // accepted-step count (EWMA valid from the 2nd)
@@ -185,22 +186,25 @@ func (c *Controller) Err() error {
 	return c.abort.Err()
 }
 
-// NoteAccept records one accepted step for the watchdog's heartbeat and
-// reports whether a periodic snapshot is now due.
+// NoteAccept records one accepted step and reports whether a periodic
+// snapshot is now due. Only the stall watchdog reads the heartbeat, so the
+// clock is read and the heartbeat kept only when StallFactor arms it.
 func (c *Controller) NoteAccept() bool {
 	if c == nil {
 		return false
 	}
-	now := time.Since(c.start).Nanoseconds()
-	prev := c.lastBeat.Swap(now)
-	if c.beats.Add(1) > 1 {
-		dt := now - prev
-		if old := c.emaBeat.Load(); old == 0 {
-			c.emaBeat.Store(dt)
-		} else {
-			// EWMA with α = 1/8: smooth enough to ride out step-size
-			// oscillation, fresh enough to track a slowing run.
-			c.emaBeat.Store(old + (dt-old)/8)
+	if c.cfg.StallFactor > 0 {
+		now := time.Since(c.start).Nanoseconds()
+		prev := c.lastBeat.Swap(now)
+		if c.beats.Add(1) > 1 {
+			dt := now - prev
+			if old := c.emaBeat.Load(); old == 0 {
+				c.emaBeat.Store(dt)
+			} else {
+				// EWMA with α = 1/8: smooth enough to ride out step-size
+				// oscillation, fresh enough to track a slowing run.
+				c.emaBeat.Store(old + (dt-old)/8)
+			}
 		}
 	}
 	c.accepts++

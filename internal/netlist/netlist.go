@@ -99,6 +99,7 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 		sources: make(map[string]*device.VSource),
 		inducts: make(map[string]*device.Inductor),
 		params:  make(map[string]float64),
+		sizes:   make(map[string]int),
 	}
 	if len(over) > 0 {
 		p.locked = make(map[string]bool, len(over))
@@ -236,11 +237,20 @@ type pendingLine struct {
 	portMap map[string]string
 }
 
+// maxExpandedLines bounds the lines a deck's subcircuit instances expand to
+// in all. Decks arrive over the network (the service's job API), and the
+// nesting cap alone still lets ten instances a level grow exponentially.
+const maxExpandedLines = 1 << 20
+
 type parser struct {
 	deck    *Deck
 	models  map[string]modelCard
 	subckts map[string]*subcktDef
 	xDepth  int
+	// expanded counts the lines the top-level instances expand to; sizes
+	// memoizes one instance's count per subcircuit (-1 while counting).
+	expanded int
+	sizes    map[string]int
 	// F, H and K elements reference other devices by name; they are
 	// resolved after every element exists.
 	deferred []pendingLine
@@ -609,6 +619,13 @@ func (p *parser) expandSubckt(fields []string, prefix string, portMap map[string
 	if p.xDepth > 20 {
 		return fmt.Errorf("netlist: subcircuit nesting too deep (recursive %q?)", subName)
 	}
+	if p.xDepth == 0 {
+		// Counted before anything is built: a nested instance is in its
+		// top-level instance's count.
+		if p.expanded += p.instanceLines(subName); p.expanded > maxExpandedLines {
+			return fmt.Errorf("netlist: %s: subcircuit %q expands the deck past %d lines", fields[0], subName, maxExpandedLines)
+		}
+	}
 	inner := make(map[string]string, len(def.ports))
 	for i, port := range def.ports {
 		// Resolve the actual net in the caller's context to a flat name.
@@ -632,6 +649,37 @@ func (p *parser) expandSubckt(fields []string, prefix string, portMap map[string
 		}
 	}
 	return nil
+}
+
+// instanceLines returns how many lines one instance of the named subcircuit
+// parses, nested instances included (an X line counts itself and its body),
+// saturating past maxExpandedLines: a subcircuit that instantiates itself
+// expands without end. An unknown one counts nothing; its expansion reports it.
+func (p *parser) instanceLines(name string) int {
+	if n, ok := p.sizes[name]; ok {
+		if n < 0 {
+			return maxExpandedLines + 1
+		}
+		return n
+	}
+	def, ok := p.subckts[name]
+	if !ok {
+		return 0
+	}
+	p.sizes[name] = -1
+	n := 0
+	for _, ln := range def.lines {
+		if n > maxExpandedLines {
+			break
+		}
+		n++
+		if f := strings.Fields(ln); len(f) >= 2 && strings.EqualFold(f[0][:1], "x") {
+			n += p.instanceLines(strings.ToLower(f[len(f)-1]))
+		}
+	}
+	n = min(n, maxExpandedLines+1)
+	p.sizes[name] = n
+	return n
 }
 
 func (p *parser) parseDirective(fields []string) error {

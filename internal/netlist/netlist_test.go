@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/dcop"
@@ -300,6 +302,45 @@ Xtop in 0 full
 	}
 	if math.Abs(v-1) > 1e-6 {
 		t.Fatalf("v(xtop.m) = %g, want 1", v)
+	}
+}
+
+// TestSubcircuitExpansionCapped: ten instances a level over eight levels
+// would expand to about 10^8 lines; the parser counts that before building
+// anything and refuses the deck at once, naming the subcircuit. A
+// subcircuit that instantiates itself is refused the same way.
+func TestSubcircuitExpansionCapped(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("bomb\n.subckt l0 a b\nR1 a b 1k\n.ends\n")
+	for k := 1; k < 8; k++ {
+		fmt.Fprintf(&b, ".subckt l%d a b\n", k)
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&b, "X%d a b l%d\n", i, k-1)
+		}
+		b.WriteString(".ends\n")
+	}
+	b.WriteString("V1 in 0 DC 1\nXtop in 0 l7\n.end\n")
+	bomb := b.String()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Parse(bomb)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), `"l7"`) {
+		t.Fatalf("err = %v, want a refusal naming subcircuit l7", err)
+	}
+	if took > time.Second {
+		t.Fatalf("refusal took %v", took)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("refusal allocated %d bytes", alloc)
+	}
+
+	self := "t\n.subckt s a b\nR1 a b 1k\nX1 a b s\nX2 a b s\n.ends\nXtop in 0 s\n.end\n"
+	if _, err := Parse(self); err == nil || !strings.Contains(err.Error(), `"s"`) {
+		t.Fatalf("self-instantiating subcircuit: err = %v", err)
 	}
 }
 

@@ -121,7 +121,7 @@ func TestHTTPFrameMatchesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canceled, err := c.Submit(ctx, wavepipe.JobSpec{Deck: longDeck})
+	canceled, err := c.Submit(ctx, wavepipe.JobSpec{Deck: endlessDeck})
 	if err != nil {
 		t.Fatal(err)
 	}

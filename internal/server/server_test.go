@@ -32,6 +32,17 @@ C1 out 0 1n
 .end
 `
 
+// endlessDeck cannot finish within any test timeout (a billion forced
+// points), so a job canceled mid-stream is still running when the cancel
+// lands, however fast a point solve is.
+const endlessDeck = `* endless rc
+V1 in 0 DC 1
+R1 in out 1k
+C1 out 0 1n
+.tran 0.1n 100000000n 0 0.5n UIC
+.end
+`
+
 // newStack spins up service → HTTP server → HTTP client and returns the
 // client plus the underlying service (for metrics assertions).
 func newStack(t *testing.T) (*client.Client, *wavepipe.Service, *httptest.Server) {
@@ -157,7 +168,7 @@ func TestHTTPResultMatchesLocal(t *testing.T) {
 func TestHTTPCancelMidStream(t *testing.T) {
 	c, _, _ := newStack(t)
 	ctx := context.Background()
-	st, err := c.Submit(ctx, wavepipe.JobSpec{Deck: longDeck})
+	st, err := c.Submit(ctx, wavepipe.JobSpec{Deck: endlessDeck})
 	if err != nil {
 		t.Fatal(err)
 	}

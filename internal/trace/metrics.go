@@ -68,40 +68,65 @@ func (m *Metrics) OnSnapshot(s Snapshot) {
 	m.pointsPerSec.Store(math.Float64bits(s.PointsPerSec))
 }
 
-// metricRows enumerates the exported metrics with stable names. Gauge rows
-// carry float values; the rest are monotonic counters.
-func (m *Metrics) metricRows() []struct {
+// Counters are the monotonic counters Metrics keeps, as plain sums: a
+// service that folds each finished run's totals into them renders the same
+// rows Metrics does, without observing a single event.
+type Counters struct {
+	Points, Solves, NRIters, LTERejects, Discarded  int64
+	Recoveries, SerialFallbacks, Cancels, ReuseHits int64
+}
+
+// metricRow is one exported metric; gauges carry float values, the rest are
+// monotonic counters.
+type metricRow struct {
 	name, help string
 	gauge      bool
 	val        float64
-} {
-	f := func(u *atomic.Uint64) float64 { return math.Float64frombits(u.Load()) }
-	return []struct {
-		name, help string
-		gauge      bool
-		val        float64
-	}{
-		{"wavepipe_points_total", "Accepted time points.", false, float64(m.points.Load())},
-		{"wavepipe_solves_total", "Newton point solves attempted.", false, float64(m.solves.Load())},
-		{"wavepipe_nr_iters_total", "Newton iterations, including speculative warm-starts.", false, float64(m.nrIters.Load())},
-		{"wavepipe_lte_rejects_total", "Truncation-error rejections.", false, float64(m.lteRejects.Load())},
-		{"wavepipe_discarded_total", "Speculative points thrown away.", false, float64(m.discarded.Load())},
-		{"wavepipe_recoveries_total", "Recovery-ladder rescues.", false, float64(m.recoveries.Load())},
-		{"wavepipe_serial_fallbacks_total", "Pipeline degradations to serial integration.", false, float64(m.fallbacks.Load())},
-		{"wavepipe_cancels_total", "Context cancellations observed.", false, float64(m.cancels.Load())},
-		{"wavepipe_reuse_hits_total", "Factorizations answered exactly by the LU in hand (unchanged matrix).", false, float64(m.reuseHits.Load())},
-		{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events.Load())},
-		{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, f(&m.stepSize)},
-		{"wavepipe_sim_time_seconds", "Simulation time of the most recent accepted point.", true, f(&m.simTime)},
-		{"wavepipe_points_per_second", "Accept rate over the most recent snapshot window.", true, f(&m.pointsPerSec)},
+}
+
+// rows enumerates the counters under their stable names.
+func (c Counters) rows() []metricRow {
+	return []metricRow{
+		{"wavepipe_points_total", "Accepted time points.", false, float64(c.Points)},
+		{"wavepipe_solves_total", "Newton point solves attempted.", false, float64(c.Solves)},
+		{"wavepipe_nr_iters_total", "Newton iterations, including speculative warm-starts.", false, float64(c.NRIters)},
+		{"wavepipe_lte_rejects_total", "Truncation-error rejections.", false, float64(c.LTERejects)},
+		{"wavepipe_discarded_total", "Speculative points thrown away.", false, float64(c.Discarded)},
+		{"wavepipe_recoveries_total", "Recovery-ladder rescues.", false, float64(c.Recoveries)},
+		{"wavepipe_serial_fallbacks_total", "Pipeline degradations to serial integration.", false, float64(c.SerialFallbacks)},
+		{"wavepipe_cancels_total", "Context cancellations observed.", false, float64(c.Cancels)},
+		{"wavepipe_reuse_hits_total", "Factorizations answered exactly by the LU in hand (unchanged matrix).", false, float64(c.ReuseHits)},
 	}
+}
+
+// WritePrometheus renders the counters as Metrics renders them, without the
+// event count and the three gauges of the most recent accept.
+func (c Counters) WritePrometheus(w io.Writer) error { return writePrometheus(w, c.rows()) }
+
+// metricRows enumerates the exported metrics with stable names: the counters,
+// then the event count and the gauges.
+func (m *Metrics) metricRows() []metricRow {
+	f := func(u *atomic.Uint64) float64 { return math.Float64frombits(u.Load()) }
+	c := Counters{
+		Points: m.points.Load(), Solves: m.solves.Load(), NRIters: m.nrIters.Load(),
+		LTERejects: m.lteRejects.Load(), Discarded: m.discarded.Load(), Recoveries: m.recoveries.Load(),
+		SerialFallbacks: m.fallbacks.Load(), Cancels: m.cancels.Load(), ReuseHits: m.reuseHits.Load(),
+	}
+	return append(c.rows(),
+		metricRow{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events.Load())},
+		metricRow{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, f(&m.stepSize)},
+		metricRow{"wavepipe_sim_time_seconds", "Simulation time of the most recent accepted point.", true, f(&m.simTime)},
+		metricRow{"wavepipe_points_per_second", "Accept rate over the most recent snapshot window.", true, f(&m.pointsPerSec)},
+	)
 }
 
 // WritePrometheus renders the counters in the Prometheus text exposition
 // format (text/plain; version=0.0.4).
-func (m *Metrics) WritePrometheus(w io.Writer) error {
+func (m *Metrics) WritePrometheus(w io.Writer) error { return writePrometheus(w, m.metricRows()) }
+
+func writePrometheus(w io.Writer, rows []metricRow) error {
 	bw := bufio.NewWriter(w)
-	for _, r := range m.metricRows() {
+	for _, r := range rows {
 		typ := "counter"
 		if r.gauge {
 			typ = "gauge"

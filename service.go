@@ -66,19 +66,23 @@ type ServiceConfig struct {
 // symbolic analysis. Service implements Client; cmd/wavesimd
 // serves the same object over HTTP.
 type Service struct {
-	cfg     ServiceConfig
-	arb     *sched.Arbiter
-	cache   *artifact.Cache
-	metrics *trace.Metrics
-	dir     string
-	ownDir  bool
+	cfg    ServiceConfig
+	arb    *sched.Arbiter
+	cache  *artifact.Cache
+	dir    string
+	ownDir bool
 
 	mu     sync.Mutex
 	jobs   map[string]*job
 	queued int // jobs that have not yet left JobQueued: the admission count
 	seq    int
 	closed bool
-	wg     sync.WaitGroup
+	// The engine counters /metrics renders, folded from each finished job:
+	// the sum of their Stats, serial fallbacks, and jobs ended JobCanceled.
+	stats     Stats
+	fallbacks int64
+	cancels   int64
+	wg        sync.WaitGroup
 
 	submitted atomic.Int64
 	finished  atomic.Int64
@@ -133,18 +137,13 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		// Admission is enforced at Submit (below), where it can fail fast
 		// and count only new jobs, so a preempted job's re-acquire — already
 		// admitted work — is never bounced.
-		arb:     sched.NewArbiter(cfg.Cores),
-		cache:   artifact.New(cfg.CacheSize),
-		metrics: trace.NewMetrics(),
-		dir:     dir,
-		ownDir:  ownDir,
-		jobs:    make(map[string]*job),
+		arb:    sched.NewArbiter(cfg.Cores),
+		cache:  artifact.New(cfg.CacheSize),
+		dir:    dir,
+		ownDir: ownDir,
+		jobs:   make(map[string]*job),
 	}, nil
 }
-
-// Metrics returns the service-wide engine telemetry aggregate (the same
-// counters the /metrics endpoint exposes).
-func (s *Service) Metrics() *TraceMetrics { return s.metrics }
 
 // Submit compiles the deck (through the artifact cache), merges its cards
 // into the options, and enqueues the job with the global arbiter. It
@@ -236,9 +235,11 @@ func managedFieldsZero(o TranOptions) error {
 	return nil
 }
 
-// run drives one job through acquire → simulate → (preempt/resume)* → end.
-func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
-	defer s.wg.Done()
+// jobOptions wires a job's options to the service: OnAccept appends each
+// accepted row to the job's stream, and only TraceJobs attaches an observer,
+// the job's own Recorder. Otherwise the job runs untraced, on the same hot
+// path as RunDeckCtx: the service's counters come from the final Stats.
+func (s *Service) jobOptions(j *job, opts TranOptions) (TranOptions, *trace.Recorder) {
 	// The row is the Result's own and is never written again (OnAccept).
 	opts.OnAccept = func(t float64, row []float64) {
 		p := StreamPoint{T: t, Values: row}
@@ -247,13 +248,18 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 		j.broadcastLocked()
 		j.mu.Unlock()
 	}
-	var rec *trace.Recorder
-	observers := []trace.Observer{s.metrics}
-	if s.cfg.TraceJobs {
-		rec = trace.NewRecorder(0)
-		observers = append(observers, rec)
+	if !s.cfg.TraceJobs {
+		return opts, nil
 	}
-	opts.Observer = trace.Multi(observers...)
+	rec := trace.NewRecorder(0)
+	opts.Observer = rec
+	return opts, rec
+}
+
+// run drives one job through acquire → simulate → (preempt/resume)* → end.
+func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
+	defer s.wg.Done()
+	opts, rec := s.jobOptions(j, opts)
 
 	// The core request: the cores the run can occupy — one for Serial, the
 	// stage width for a scheme (two, or four for Combined) — and no more than
@@ -338,18 +344,31 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 }
 
 // finish moves a job to its terminal state and wakes waiters and streams.
+// The job's Stats (a salvaged partial result included) are folded into the
+// service's counters before anyone can see the job terminal.
 func (s *Service) finish(j *job, res *Result, err error) {
+	state := JobFailed
 	j.mu.Lock()
-	j.res, j.err = res, err
-	j.cores = 0
 	switch {
 	case err == nil:
-		j.state = JobDone
+		state = JobDone
 	case j.canceled && errors.Is(err, ErrCanceled):
-		j.state = JobCanceled
-	default:
-		j.state = JobFailed
+		state = JobCanceled
 	}
+	j.mu.Unlock()
+
+	s.mu.Lock()
+	if state == JobCanceled {
+		s.cancels++
+	}
+	if res != nil {
+		s.stats.Add(res.Stats)
+		s.fallbacks += int64(res.Recovery.Count(transient.RecoverySerialFallback))
+	}
+	s.mu.Unlock()
+
+	j.mu.Lock()
+	j.res, j.err, j.state, j.cores = res, err, state, 0
 	j.broadcastLocked()
 	j.mu.Unlock()
 	close(j.done)
@@ -507,10 +526,18 @@ func (s *Service) SchedSnapshot() (coresTotal, coresInUse, running, queued int, 
 }
 
 // WritePrometheus writes the service metrics in Prometheus text format: the
-// engine-level wavepipe_* rows plus the service-level wavesimd_* rows
-// (artifact cache, scheduler, job lifecycle).
+// engine-level wavepipe_* counters summed over finished jobs, then the
+// service-level wavesimd_* rows (artifact cache, scheduler, job lifecycle).
 func (s *Service) WritePrometheus(w io.Writer) error {
-	if err := s.metrics.WritePrometheus(w); err != nil {
+	s.mu.Lock()
+	st := s.stats
+	totals := trace.Counters{
+		Points: int64(st.Points), Solves: int64(st.Solves), NRIters: int64(st.NRIters),
+		LTERejects: int64(st.LTERejects), Discarded: int64(st.Discarded), Recoveries: int64(st.Recoveries),
+		SerialFallbacks: s.fallbacks, Cancels: s.cancels, ReuseHits: int64(st.ReusedFactorizations),
+	}
+	s.mu.Unlock()
+	if err := totals.WritePrometheus(w); err != nil {
 		return err
 	}
 	hits, misses, builds := s.cache.Counters()

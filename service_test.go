@@ -1,6 +1,8 @@
 package wavepipe
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,9 +10,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"wavepipe/internal/transient"
 )
 
 // serviceDeck is a small RC deck for quick service jobs.
@@ -22,13 +28,14 @@ C1 out 0 1n
 .end
 `
 
-// longDeck forces thousands of accepted points (tiny max step), so a job
-// stays running long enough to be preempted mid-flight.
+// longDeck forces tens of thousands of accepted points (tiny max step), so
+// a job stays running long enough to be preempted or canceled mid-flight,
+// untraced service jobs being as fast as an in-process run.
 const longDeck = `* long rc
 V1 in 0 PULSE(0 1 0 1n 1n 10n 20n)
 R1 in out 1k
 C1 out 0 1n
-.tran 0.1n 2000n 0 0.5n
+.tran 0.1n 20000n 0 0.5n
 .end
 `
 
@@ -160,14 +167,11 @@ func TestServiceGlobalBudgetNeverExceeded(t *testing.T) {
 	}
 }
 
-// TestServicePreemptionResumesBitIdentical: a higher-priority job preempts
-// a running low-priority one at an accepted-step boundary; the low job keeps
-// the engine state of that step in memory — its Dir holds no file while it
-// waits — resumes from it, and its final waveform is bit-identical to an
-// uninterrupted run of the same deck.
-func TestServicePreemptionResumesBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestService(t, ServiceConfig{Cores: 1, Dir: dir})
+// preemptLowJob submits a low-priority longDeck job to a one-core service,
+// waits until it is mid-run, submits a high-priority longDeck job and returns
+// both once the low one is seen preempted.
+func preemptLowJob(t *testing.T, s *Service) (low, high JobStatus) {
+	t.Helper()
 	low, err := s.Submit(context.Background(), JobSpec{Deck: longDeck, Priority: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +197,7 @@ func TestServicePreemptionResumesBitIdentical(t *testing.T) {
 	}
 	// The high job is the long deck too, so the low one stays preempted
 	// long enough to be seen.
-	high, err := s.Submit(context.Background(), JobSpec{Deck: longDeck, Priority: 5})
+	high, err = s.Submit(context.Background(), JobSpec{Deck: longDeck, Priority: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +207,24 @@ func TestServicePreemptionResumesBitIdentical(t *testing.T) {
 			t.Fatal(serr)
 		}
 		if st.State == JobPreempted {
-			break
+			return low, high
 		}
 		if st.State.Terminal() || time.Now().After(deadline) {
 			t.Fatalf("low job never seen preempted (state %v)", st.State)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// TestServicePreemptionResumesBitIdentical: a higher-priority job preempts
+// a running low-priority one at an accepted-step boundary; the low job keeps
+// the engine state of that step in memory — its Dir holds no file while it
+// waits — resumes from it, and its final waveform is bit-identical to an
+// uninterrupted run of the same deck.
+func TestServicePreemptionResumesBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, ServiceConfig{Cores: 1, Dir: dir})
+	low, high := preemptLowJob(t, s)
 	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
 		t.Fatalf("a preempted job's state is kept in memory, but Dir holds %v (err %v)", files, err)
 	}
@@ -658,5 +673,146 @@ func TestServiceJobDeadline(t *testing.T) {
 	}
 	if fin, err := s.Status(ctx, st.ID); err != nil || fin.State != JobFailed {
 		t.Fatalf("state=%v err=%v, want failed", fin.State, err)
+	}
+}
+
+// TestServiceMetricsReconcileWithStats: the wavepipe_* counters /metrics
+// renders are the sums of the finished jobs' Result.Stats — a job preempted
+// and resumed counts once, with the Stats its resumed run carried over, and a
+// canceled job adds its partial Stats and one cancel. The gauges of the most
+// recent accept, last-writer-wins across concurrent jobs, are not rendered.
+func TestServiceMetricsReconcileWithStats(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	low, high := preemptLowJob(t, s)
+	ids := []string{low.ID, high.ID}
+
+	canceled, err := s.Submit(ctx, JobSpec{Deck: endlessDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, canceled.ID)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := s.Status(ctx, canceled.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Points >= 20 {
+			break
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job to cancel never ran (state %v, %d points)", st.State, st.Points)
+		}
+	}
+	if err := s.Cancel(ctx, canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	// A Combined job on a nonlinear deck discards speculative points.
+	deck, err := os.ReadFile("testdata/opamp_filter.sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined, err := s.Submit(ctx, JobSpec{Deck: string(deck), Options: TranOptions{Scheme: Combined}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, combined.ID)
+
+	want := map[string]int64{}
+	for _, id := range ids {
+		res, err := s.Wait(ctx, id)
+		if id == canceled.ID {
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("canceled job: err = %v, want ErrCanceled", err)
+			}
+			want["wavepipe_cancels_total"]++
+		} else if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		if res == nil {
+			t.Fatalf("job %s returned no result", id)
+		}
+		st := res.Stats
+		want["wavepipe_points_total"] += int64(st.Points)
+		want["wavepipe_solves_total"] += int64(st.Solves)
+		want["wavepipe_nr_iters_total"] += int64(st.NRIters)
+		want["wavepipe_lte_rejects_total"] += int64(st.LTERejects)
+		want["wavepipe_discarded_total"] += int64(st.Discarded)
+		want["wavepipe_recoveries_total"] += int64(st.Recoveries)
+		want["wavepipe_reuse_hits_total"] += int64(st.ReusedFactorizations)
+		want["wavepipe_serial_fallbacks_total"] += int64(res.Recovery.Count(transient.RecoverySerialFallback))
+	}
+	if st, err := s.Status(ctx, low.ID); err != nil || st.Resumes < 1 {
+		t.Fatalf("low job resumes = %d (err %v), want >= 1", st.Resumes, err)
+	}
+	if want["wavepipe_points_total"] == 0 || want["wavepipe_discarded_total"] == 0 {
+		t.Fatalf("jobs did no measurable work: %v", want)
+	}
+
+	var buf bytes.Buffer
+	if err := s.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		name, val, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", sc.Text(), err)
+		}
+		got[name] = v
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != float64(w) {
+			t.Errorf("%s = %v (rendered %v), want the jobs' sum %d", name, g, ok, w)
+		}
+	}
+	for _, name := range []string{"wavepipe_step_size_seconds", "wavepipe_sim_time_seconds", "wavepipe_points_per_second", "wavepipe_trace_events_total"} {
+		if _, ok := got[name]; ok {
+			t.Errorf("%s rendered by the service", name)
+		}
+	}
+}
+
+// TestServiceJobRunsUntraced: without TraceJobs a job's options carry no
+// Observer, so it runs on the engine's untraced path; with TraceJobs the job's
+// own Recorder is its only observer and its trace lands in Dir.
+func TestServiceJobRunsUntraced(t *testing.T) {
+	plain := newTestService(t, ServiceConfig{Cores: 1})
+	o, rec := plain.jobOptions(&job{update: make(chan struct{})}, TranOptions{})
+	if o.Observer != nil || rec != nil {
+		t.Fatalf("untraced service: job observer %v, recorder %v, want none", o.Observer, rec)
+	}
+	if o.OnAccept == nil {
+		t.Fatal("job options carry no OnAccept: nothing would stream")
+	}
+
+	dir := t.TempDir()
+	traced := newTestService(t, ServiceConfig{Cores: 1, Dir: dir, TraceJobs: true})
+	o, rec = traced.jobOptions(&job{update: make(chan struct{})}, TranOptions{})
+	if rec == nil || o.Observer != Observer(rec) {
+		t.Fatalf("TraceJobs: job observer %v, want the job's recorder %v", o.Observer, rec)
+	}
+	ctx := context.Background()
+	st, err := traced.Submit(ctx, JobSpec{Deck: serviceDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The trace is written right after the job turns terminal.
+	path := filepath.Join(dir, st.ID+".trace.jsonl")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("TraceJobs: no trace at %s", path)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package wavepipe
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // JobState enumerates the lifecycle of a submitted simulation job.
 type JobState string
@@ -34,10 +37,15 @@ type JobSpec struct {
 	// Backward and Forward, four for Combined), capped by CoreBudget, sizes
 	// the core request — a Serial job asks for one core — and the result
 	// does not depend on what was granted, while
-	// CheckpointPath, CheckpointEvery, ResumeFrom, OnAccept, Observer and
-	// Faults must be zero: the service keeps a job's state across
-	// preemption in memory and installs its own stream and observer.
+	// CheckpointPath, CheckpointEvery, ResumeFrom, OnAccept and Observer
+	// must be zero: the service keeps a job's state across preemption in
+	// memory and installs its own stream and observer.
 	Options TranOptions
+	// Deadline bounds the job's wall-clock life from Submit: queueing, every
+	// attempt and every preempted wait draw on the one budget. A job past
+	// it ends JobFailed with ErrDeadlineExceeded and the partial Result of
+	// its last accepted step. 0 means none; negative is refused.
+	Deadline time.Duration
 	// Priority orders the global queue: higher runs first, and a strictly
 	// higher-priority job may preempt a running lower-priority one at its
 	// next accepted-step boundary (it continues from there later).

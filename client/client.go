@@ -90,15 +90,8 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ac
 
 // Submit sends the deck and options to the service's queue.
 func (c *Client) Submit(ctx context.Context, spec wavepipe.JobSpec) (wavepipe.JobStatus, error) {
-	opts := wire.FromTranOptions(spec.Options)
 	var buf bytes.Buffer
-	if err := wire.Encode(&buf, wire.JobRequest{
-		SchemaVersion: wire.SchemaVersion,
-		Deck:          spec.Deck,
-		Options:       &opts,
-		Priority:      spec.Priority,
-		Label:         spec.Label,
-	}); err != nil {
+	if err := wire.Encode(&buf, wire.FromJobSpec(spec)); err != nil {
 		return wavepipe.JobStatus{}, err
 	}
 	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", &buf, "")

@@ -32,10 +32,6 @@ var (
 	reps        = flag.Int("reps", 1, "wall-clock repetitions (minimum is reported)")
 	tracePath   = flag.String("trace", "", "record every timed run's event stream to this file (.jsonl = JSONL, else Chrome trace_event JSON)")
 	metricsAddr = flag.String("metrics-addr", "", "serve live run metrics over HTTP on this address (Prometheus text at /metrics)")
-	deadline    = flag.String("deadline", "", "wall-clock budget per timed run (Go duration, e.g. 5m); a run exceeding it aborts the regeneration")
-
-	// benchDeadline is the parsed -deadline, applied to every timed run.
-	benchDeadline time.Duration
 
 	// benchObserver, when non-nil, is attached to every timed run so one
 	// trace/metrics stream covers the whole regeneration. Tracing perturbs
@@ -63,15 +59,6 @@ func main() {
 	benchName := flag.String("bench", "grid16", "circuit for -json and the -fig windowscale/reducescale sweeps (a suite name, or all)")
 	maxCores := flag.Int("maxcores", 0, "largest core budget for -fig windowscale (0 = NumCPU)")
 	flag.Parse()
-
-	if *deadline != "" {
-		d, err := time.ParseDuration(*deadline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wavebench: bad -deadline:", err)
-			os.Exit(2)
-		}
-		benchDeadline = d
-	}
 
 	var traceRec *wavepipe.TraceRecorder
 	var observers []wavepipe.Observer
@@ -200,7 +187,6 @@ func build(b circuits.Benchmark) (*circuit.System, error) {
 // the same telemetry stream.
 func timed(sys *circuit.System, opts wavepipe.TranOptions) (time.Duration, *wavepipe.Result, error) {
 	opts.Observer = benchObserver
-	opts.Deadline = benchDeadline
 	var best time.Duration
 	var bestCrit int64
 	var res *wavepipe.Result

@@ -114,7 +114,7 @@ type runConfig struct {
 	metricsAddr  string
 	ckptPath     string
 	resumePath   string
-	deadline     string
+	deadline     time.Duration
 	ckptEvery    int
 	stallFactor  float64
 	threads      int
@@ -151,7 +151,7 @@ func main() {
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write durable run checkpoints to this file (periodic + final, atomic replace)")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "checkpoint cadence in accepted points (0 = default 256; requires -checkpoint)")
 	flag.StringVar(&cfg.resumePath, "resume", "", "resume the run from this checkpoint file")
-	flag.StringVar(&cfg.deadline, "deadline", "", "wall-clock budget for the run (Go duration, e.g. 30s, 5m); exit 9 on expiry")
+	flag.DurationVar(&cfg.deadline, "deadline", 0, "wall-clock budget for the run (Go duration, e.g. 30s, 5m); exit 9 on expiry")
 	flag.Float64Var(&cfg.stallFactor, "stall-factor", 0, "abort when no point is accepted within this multiple of the trailing per-point time (0 = off; exit 10)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "write transient results as versioned wire JSON instead of CSV")
 	flag.StringVar(&cfg.remote, "remote", "", "submit the deck to a wavesimd service at this base URL instead of simulating locally")
@@ -177,6 +177,13 @@ func main() {
 	// partial waveform (and trace) are still written before exiting 8.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// -deadline is the run context's: past it the run stops the same way,
+	// with ErrDeadlineExceeded (exit 9). A -remote job carries it instead.
+	if cfg.deadline > 0 && cfg.remote == "" {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
+		defer cancel()
+	}
 
 	if err := run(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "wavesim:", err)
@@ -317,14 +324,6 @@ func run(ctx context.Context, cfg runConfig) error {
 	if cfg.windows > 1 && (cfg.lanes != 0 || cfg.sweep != "") {
 		return fmt.Errorf("-windows cannot be combined with -lanes/-sweep: windows parallelize one run over time, lanes batch many runs")
 	}
-	if cfg.deadline != "" {
-		d, err := time.ParseDuration(cfg.deadline)
-		if err != nil {
-			return fmt.Errorf("bad -deadline: %w", err)
-		}
-		opts.Deadline = d
-	}
-
 	if cfg.remote != "" {
 		if cfg.lanes != 0 || cfg.sweep != "" {
 			return fmt.Errorf("-remote does not support -lanes/-sweep")
@@ -459,6 +458,7 @@ func runRemote(ctx context.Context, cfg runConfig, src string, opts wavepipe.Tra
 	st, err := c.Submit(ctx, wavepipe.JobSpec{
 		Deck:     src,
 		Options:  opts,
+		Deadline: cfg.deadline,
 		Priority: cfg.priority,
 		Label:    filepath.Base(cfg.deckPath),
 	})

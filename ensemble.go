@@ -51,14 +51,15 @@ type EnsembleResult = ensemble.Result
 // bit-identical to RunTransientCtx on the same variant. Lanes that finish,
 // fault or exhaust the recovery ladder retire without holding the rest.
 // Cancellation stops every lane at its next time-point boundary with a
-// partial result and a typed ErrCanceled (lanes not yet started get an empty
-// one), and the run returns ErrCanceled too.
+// partial result and a typed ErrCanceled, or ErrDeadlineExceeded when the
+// context passed its deadline (lanes not yet started get an empty one), and
+// the run returns the same error.
 //
 // Options follow RunTransientCtx semantics with Threads as the gang width,
 // capped by CoreBudget when that is set; Scheme must be Serial (lanes are
 // whole-waveform units — the WavePipe schemes parallelize inside one waveform
-// and do not compose with lane batching), and durability and fault options
-// are not supported.
+// and do not compose with lane batching), and the durability options are
+// not supported.
 func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts TranOptions) (*EnsembleResult, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("wavepipe: ensemble needs at least one lane")
@@ -134,10 +135,8 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 		return nil, fmt.Errorf("wavepipe: ensemble lanes are whole-waveform units; Scheme must be Serial (got %v)", opts.Scheme)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return nil, fmt.Errorf("wavepipe: checkpoint/resume is not supported for ensemble runs")
-	case opts.Deadline > 0 || opts.StallFactor > 0:
-		return nil, fmt.Errorf("wavepipe: deadline/stall watchdogs are not supported for ensemble runs")
-	case opts.Faults != nil:
-		return nil, fmt.Errorf("wavepipe: run-wide fault injection is not supported for ensemble runs (faults are per-lane)")
+	case opts.StallFactor > 0:
+		return nil, fmt.Errorf("wavepipe: the stall watchdog is not supported for ensemble runs")
 	case opts.Windows > 1:
 		return nil, fmt.Errorf("wavepipe: time-parallel windows are not supported inside ensemble lanes (run lanes or windows, not both)")
 	case opts.OnAccept != nil:
@@ -152,7 +151,7 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 		return nil, err
 	}
 	base.Ctx = ctx
-	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
+	base.Trace = trace.New(opts.Observer, trace.DefaultSnapshotEvery)
 	res, err := ensemble.Run(sys, lanes, ensemble.Options{Base: base, Workers: opts.Threads})
 	if res != nil && infos != nil {
 		for i := range res.Lanes {

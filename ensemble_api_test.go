@@ -2,10 +2,14 @@ package wavepipe
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"wavepipe/internal/circuits"
 )
 
 const sweepDeck = `rc corner fixture
@@ -149,6 +153,24 @@ func TestRunEnsembleCircuits(t *testing.T) {
 		}
 		if math.Abs(v-1) > 1e-2 {
 			t.Fatalf("lane %d did not settle: %g", i, v)
+		}
+	}
+}
+
+// TestRunEnsembleContextDeadline: an ensemble honours its context's deadline
+// like any other run: the run and every lane stopped by it report
+// ErrDeadlineExceeded, not ErrCanceled, each lane with its partial result.
+func TestRunEnsembleContextDeadline(t *testing.T) {
+	circs := []*Circuit{circuits.PowerGridMesh(24, 1.8), circuits.PowerGridMesh(24, 1.8)}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res, err := RunEnsembleCircuitsCtx(ctx, circs, TranOptions{TStop: 800e-9, Record: []string{"n12_12"}})
+	if !errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	for i, lr := range res.Lanes {
+		if !errors.Is(lr.Err, ErrDeadlineExceeded) || lr.Res == nil {
+			t.Fatalf("lane %d: err = %v, result %v; want ErrDeadlineExceeded with a partial result", i, lr.Err, lr.Res)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package wavepipe
 
-// Public-API robustness test: fault injection, the typed error taxonomy and
-// the recovery log must all be reachable through the facade.
+// Public-API robustness test: a run with faults injected through the
+// package's test seam (TranOptions.inject) must surface the typed error
+// taxonomy and the recovery log through the facade.
 
 import (
 	"context"
 	"errors"
 	"math"
 	"testing"
+
+	"wavepipe/internal/faults"
 )
 
 func faultTestSystem(t *testing.T) *System {
@@ -28,10 +31,10 @@ func faultTestSystem(t *testing.T) *System {
 // A faulted run through the facade must recover via the ladder, log the
 // events, and still produce the right waveform.
 func TestFacadeFaultInjectionAndRecovery(t *testing.T) {
-	in := NewFaultInjector(FaultRule{
-		Class: FaultNoConvergence, After: 1e-16, Count: 7, SpareFrom: 1, // spare from the damping rung up
+	in := faults.NewInjector(faults.Rule{
+		Class: faults.NoConvergence, After: 1e-16, Count: 7, SpareFrom: 1, // spare from the damping rung up
 	})
-	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
+	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, inject: in})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
 	}
@@ -53,10 +56,10 @@ func TestFacadeFaultInjectionAndRecovery(t *testing.T) {
 // An unrecoverable run must surface the taxonomy through the facade's
 // re-exported sentinels and return the partial result.
 func TestFacadeTypedFailure(t *testing.T) {
-	in := NewFaultInjector(FaultRule{
-		Class: FaultNoConvergence, After: 1e-16, Count: 1_000_000,
+	in := faults.NewInjector(faults.Rule{
+		Class: faults.NoConvergence, After: 1e-16, Count: 1_000_000,
 	})
-	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, Faults: in})
+	res, err := RunTransientCtx(context.Background(), faultTestSystem(t), TranOptions{TStop: 1e-3, inject: in})
 	if err == nil {
 		t.Fatal("run succeeded with every solve defeated")
 	}

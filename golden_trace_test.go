@@ -98,10 +98,10 @@ func regenerateGoldenTrace(t *testing.T) {
 	}
 	rec := wavepipe.NewTraceRecorder(0)
 	// A short window keeps the checked-in file small while still exercising
-	// every record type (solve phases, accepts, rejects, snapshots).
+	// every record type (solve phases, accepts, rejects, and at least one
+	// snapshot at the fixed cadence of 128 accepts).
 	res, err := wavepipe.RunTransientCtx(context.Background(), sys, wavepipe.TranOptions{
-		TStop: bench.TStop / 50, Record: []string{bench.Probe},
-		Observer: rec, SnapshotEvery: 8,
+		TStop: bench.TStop / 10, Record: []string{bench.Probe}, Observer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package checkpoint makes transient runs durable: periodic, versioned
 // snapshots of complete engine state taken at accepted-step boundaries — the
 // only safe suspension points WavePipe's accept/discard semantics define —
-// plus the wall-clock guard rails (deadline timer, stall watchdog) a
-// simulation service needs to preempt and migrate runs.
+// plus the stall watchdog a simulation service needs to preempt and
+// migrate runs.
 //
 // A State captures everything the serial engine needs to continue exactly
 // where it stopped: the trailing integrate.History window, the step

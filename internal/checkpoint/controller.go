@@ -21,22 +21,21 @@ const (
 	// a hang) does not abort the run.
 	DefaultStallFloor = time.Second
 	// DefaultPoll is the watchdog's wake-up period; it bounds how late a
-	// deadline or stall is detected.
+	// stall is detected.
 	DefaultPoll = 25 * time.Millisecond
 	// minStallFactor is the lowest accepted watchdog multiple: below ~2×
 	// the trailing average, ordinary step-to-step variance would trip it.
 	minStallFactor = 2.0
 )
 
-// Config describes one run's durability and time-bound contract.
+// Config describes one run's durability and stall contract. A run's
+// deadline is its context's (transient.Options.Stop), not the guard's.
 type Config struct {
 	// Path is the checkpoint file. Empty disables persistence; snapshots
 	// are still retained in memory for panic salvage.
 	Path string
 	// Every is the periodic-save cadence in accepted points (0 = DefaultEvery).
 	Every int
-	// Deadline is the wall-clock budget measured from Start (0 = none).
-	Deadline time.Duration
 	// StallFactor arms the watchdog: the run aborts with ErrStalled when no
 	// step is accepted within StallFactor × the trailing EWMA of
 	// inter-accept wall time (subject to StallFloor). 0 disables it.
@@ -49,7 +48,7 @@ type Config struct {
 }
 
 // Controller guards one run: it owns the cooperative abort flag, runs the
-// deadline/stall watchdog goroutine, decides when periodic snapshots are
+// stall watchdog goroutine, decides when periodic snapshots are
 // due, and persists them. Engine-facing methods (NoteAccept, Save, Err) are
 // called from the engine's coordinating goroutine; the watchdog shares only
 // atomics and the abort flag with it. All engine-facing methods are nil-safe
@@ -109,14 +108,14 @@ func (c *Controller) SetTracer(tr *trace.Tracer) {
 }
 
 // Start records the run's wall-clock origin and launches the watchdog if a
-// deadline or stall factor is configured.
+// stall factor is configured.
 func (c *Controller) Start() {
 	if c == nil || c.started {
 		return
 	}
 	c.started = true
 	c.start = time.Now()
-	if c.cfg.Deadline <= 0 && c.cfg.StallFactor <= 0 {
+	if c.cfg.StallFactor <= 0 {
 		return
 	}
 	c.quit = make(chan struct{})
@@ -146,13 +145,8 @@ func (c *Controller) watch() {
 		case <-c.quit:
 			return
 		case <-tick.C:
-			now := time.Since(c.start)
-			if c.cfg.Deadline > 0 && now >= c.cfg.Deadline {
-				c.abort.Trip(faults.ErrDeadlineExceeded)
-				return
-			}
-			if c.cfg.StallFactor > 0 && c.beats.Load() >= 2 {
-				idle := now.Nanoseconds() - c.lastBeat.Load()
+			if c.beats.Load() >= 2 {
+				idle := time.Since(c.start).Nanoseconds() - c.lastBeat.Load()
 				thr := int64(c.cfg.StallFactor * float64(c.emaBeat.Load()))
 				if floor := c.cfg.StallFloor.Nanoseconds(); thr < floor {
 					thr = floor
@@ -178,7 +172,7 @@ func (c *Controller) AbortFlag() *faults.Abort {
 	return &c.abort
 }
 
-// Err returns the abort cause once the deadline or watchdog has tripped.
+// Err returns the abort cause once the watchdog has tripped.
 func (c *Controller) Err() error {
 	if c == nil {
 		return nil

@@ -140,12 +140,12 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 	var err error
 	for _, lr := range res.Lanes {
 		res.Stats.Add(lr.Res.Stats)
-		if err == nil && errors.Is(lr.Err, faults.ErrCanceled) {
+		if err == nil && (errors.Is(lr.Err, faults.ErrCanceled) || errors.Is(lr.Err, faults.ErrDeadlineExceeded)) {
 			// A run with nothing in flight when the context ended has not
 			// reported it yet (the tracer keeps one KindCancel per run).
 			t := lastTime(lr.Res)
 			base.Trace.Emit(trace.Event{Kind: trace.KindCancel, T: t, Worker: -1})
-			err = transient.CancelError("ensemble", t)
+			err = base.Stop("ensemble", t)
 		}
 	}
 	res.Stats.CriticalNanos = slices.Max(crit)
@@ -162,9 +162,7 @@ func runLane(sys *circuit.System, l *Lane, i int, base transient.Options) LaneRe
 	if lr.Name == "" {
 		lr.Name = fmt.Sprintf("lane%d", i)
 	}
-	if base.Canceled() {
-		lr.Err = transient.CancelError("transient", 0)
-	} else {
+	if lr.Err = base.Stop("transient", 0); lr.Err == nil {
 		ws := sys.NewWorkspace()
 		ws.Worker = int16(i)
 		ws.SetDevices(l.Circ.Devices())

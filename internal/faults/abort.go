@@ -3,7 +3,7 @@ package faults
 import "sync/atomic"
 
 // Abort is a first-wins cooperative stop flag shared between a run's watchdog
-// and its solver stack. The watchdog (or deadline timer) trips it once with a
+// and its solver stack. The stall watchdog trips it once with a
 // typed cause; the Newton loop polls it every iteration and the engines poll
 // it at step boundaries, so even a hung solve is interrupted within one
 // iteration. All methods are safe for concurrent use and on a nil receiver,

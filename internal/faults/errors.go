@@ -27,8 +27,9 @@ var (
 	// ErrCanceled: the run observed context cancellation and stopped at a
 	// time-point boundary; the partial result up to that point is valid.
 	ErrCanceled = errors.New("transient: run canceled")
-	// ErrDeadlineExceeded: the run's wall-clock budget expired; the partial
-	// result and the final checkpoint up to the last accepted point are valid.
+	// ErrDeadlineExceeded: the run's context passed its deadline and the run
+	// stopped at a time-point boundary; the partial result and the final
+	// checkpoint up to the last accepted point are valid.
 	ErrDeadlineExceeded = errors.New("transient: wall-clock deadline exceeded")
 	// ErrStalled: the watchdog observed no accepted step within its multiple
 	// of the trailing step-time average and aborted the run.

@@ -96,14 +96,10 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	spec := wavepipe.JobSpec{Deck: req.Deck, Priority: req.Priority, Label: req.Label}
-	if req.Options != nil {
-		opts, oerr := req.Options.ToTranOptions()
-		if oerr != nil {
-			fail(w, oerr, http.StatusBadRequest)
-			return
-		}
-		spec.Options = opts
+	spec, err := req.ToJobSpec()
+	if err != nil {
+		fail(w, err, http.StatusBadRequest)
+		return
 	}
 	st, err := h.cfg.Client.Submit(r.Context(), spec)
 	if err != nil {

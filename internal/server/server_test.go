@@ -14,6 +14,7 @@ import (
 	"wavepipe"
 	"wavepipe/client"
 	"wavepipe/internal/server"
+	"wavepipe/wire"
 )
 
 const rcDeck = `* rc lowpass
@@ -239,7 +240,7 @@ func TestHTTPErrors(t *testing.T) {
 // runs without it.
 func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	_, svc, ts := newStack(t)
-	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`, `{"deltaRatio":0.2}`, `{"scheme":"backward","threads":3}`} {
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`, `{"deltaRatio":0.2}`, `{"scheme":"backward","threads":3}`, `{"snapshotEvery":64}`} {
 		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -252,6 +253,25 @@ func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	}
 	if ids := svc.Jobs(); len(ids) != 0 {
 		t.Fatalf("refused jobs were admitted: %v", ids)
+	}
+}
+
+// TestHTTPNegativeDeadlineRefused: a job's deadline travels as
+// options.deadline, and a negative one is refused at submission with a 400.
+func TestHTTPNegativeDeadlineRefused(t *testing.T) {
+	_, svc, ts := newStack(t)
+	body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":{"deadline":"-1s"}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(wire.DecodeError(msg), "Deadline") {
+		t.Fatalf("status = %d, body %s; want 400 naming the Deadline", resp.StatusCode, msg)
+	}
+	if ids := svc.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused job was admitted: %v", ids)
 	}
 }
 

@@ -141,7 +141,7 @@ type Event struct {
 	Detail string // rare human-readable context (recovery rung, reason)
 }
 
-// Snapshot is a periodic metrics sample, emitted every SnapshotEvery
+// Snapshot is a periodic metrics sample, emitted at the tracer's cadence in
 // accepted points (see New). Counters are cumulative since run start.
 type Snapshot struct {
 	Seq          uint64  // shared sequence with events
@@ -202,8 +202,8 @@ func Multi(obs ...Observer) Observer {
 	}
 }
 
-// DefaultSnapshotEvery is the snapshot cadence (in accepted points) used
-// when New is given a non-positive cadence.
+// DefaultSnapshotEvery is the snapshot cadence (in accepted points) of
+// every facade run, and what New selects for a non-positive cadence.
 const DefaultSnapshotEvery = 128
 
 // Tracer serializes the engines' event emissions: it stamps sequence

@@ -137,7 +137,7 @@ func (s *Stepper) Start() (warmup int, err error) {
 // Done reports whether the run has reached its horizon.
 func (s *Stepper) Done() bool { return s.T >= s.opts.TStop*(1-1e-12) }
 
-// abort wraps a tripped deadline or watchdog in the engine's typed error.
+// abort wraps a tripped watchdog in the engine's typed error.
 func (s *Stepper) abort(cause error) error {
 	return &faults.SimError{Phase: s.phase, Time: s.T, Node: -1, Cause: cause}
 }
@@ -145,7 +145,7 @@ func (s *Stepper) abort(cause error) error {
 // Poll is the loop-head check between steps: it writes the periodic
 // checkpoint an earlier Commit found due (a failed write is latched in the
 // controller but never kills a healthy run) and reports a tripped guard, a
-// canceled context or an exhausted point budget.
+// done context or an exhausted point budget.
 func (s *Stepper) Poll(capture func() *checkpoint.State) error {
 	guard := s.opts.Guard
 	if s.ckptDue {
@@ -155,11 +155,11 @@ func (s *Stepper) Poll(capture func() *checkpoint.State) error {
 	if aerr := guard.Err(); aerr != nil {
 		return s.abort(aerr)
 	}
-	if s.opts.Canceled() {
+	if err := s.opts.Stop(s.phase, s.T); err != nil {
 		if s.tr.Active() {
 			s.tr.Emit(trace.Event{Kind: trace.KindCancel, T: s.T, Worker: -1, Stage: s.Stage})
 		}
-		return CancelError(s.phase, s.T)
+		return err
 	}
 	// The budget is the run's, not the segment's: a resume restarts the
 	// solver's counter and carries the earlier segments in Base.
@@ -217,7 +217,7 @@ func (s *Stepper) Limit() float64 { return s.limit }
 // is the cheap first response: (nil, _, nil) asks the caller to plan again.
 // Once the floor is reached the convergence-recovery ladder takes over at
 // the smallest representable step and its point is returned — it still
-// faces the LTE test. A tripped deadline or watchdog surfaces as a solve
+// faces the LTE test. A tripped watchdog surfaces as a solve
 // error (the Newton loop polls the abort flag) and is reported as the abort
 // it is, not as a convergence failure.
 func (s *Stepper) Failed() (*integrate.Point, integrate.Coeffs, error) {

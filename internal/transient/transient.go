@@ -6,6 +6,7 @@ package transient
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -64,15 +65,15 @@ type Options struct {
 	// by every solver layer of the run (tests only; nil in production).
 	Faults *faults.Injector
 	// Ctx, when non-nil, is polled at every time-point boundary: once it is
-	// done the run stops, returning the partial Result alongside an error
-	// wrapping faults.ErrCanceled.
+	// done the run stops, returning the partial Result alongside the error
+	// Stop builds (ErrDeadlineExceeded past its deadline, else ErrCanceled).
 	Ctx context.Context
 	// Trace, when non-nil, receives the structured run telemetry (per-point
 	// events, solve-phase timings, periodic snapshots). Nil keeps the hot
 	// path allocation- and clock-read-free.
 	Trace *trace.Tracer
-	// Guard, when non-nil, makes the run durable and time-bound: it owns the
-	// cooperative abort flag (deadline timer, stall watchdog), decides when
+	// Guard, when non-nil, makes the run durable and stall-bound: it owns the
+	// cooperative abort flag (stall watchdog), decides when
 	// periodic checkpoints are due, and persists them. The engine writes a
 	// final checkpoint on every exit path that has at least one accepted
 	// point.
@@ -93,22 +94,23 @@ type Options struct {
 	OnAccept func(t float64, row []float64)
 }
 
-// Canceled reports whether o.Ctx has been canceled (nil-safe, non-blocking).
-func (o *Options) Canceled() bool {
+// Stop reports why a run must stop at this time-point boundary: nil while
+// o.Ctx is live (or nil), else a SimError wrapping faults.ErrDeadlineExceeded
+// when the context's deadline passed and faults.ErrCanceled otherwise.
+func (o *Options) Stop(phase string, t float64) error {
 	if o.Ctx == nil {
-		return false
+		return nil
 	}
 	select {
 	case <-o.Ctx.Done():
-		return true
 	default:
-		return false
+		return nil
 	}
-}
-
-// CancelError builds the typed error a canceled run returns.
-func CancelError(phase string, t float64) error {
-	return &faults.SimError{Phase: phase, Time: t, Node: -1, Cause: faults.ErrCanceled}
+	cause := faults.ErrCanceled
+	if errors.Is(o.Ctx.Err(), context.DeadlineExceeded) {
+		cause = faults.ErrDeadlineExceeded
+	}
+	return &faults.SimError{Phase: phase, Time: t, Node: -1, Cause: cause}
 }
 
 func (o Options) WithDefaults() Options {

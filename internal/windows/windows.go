@@ -396,7 +396,7 @@ func (r *runner) coarseSweep() {
 	defer r.release()
 	var resume *checkpoint.State
 	for k := 0; k < r.opts.W-1; k++ {
-		if err := r.canceled(); err != nil {
+		if err := r.base.Stop("window-coordinator", 0); err != nil {
 			r.coarseErr = err
 			return
 		}
@@ -428,13 +428,6 @@ func (r *runner) coarseSweep() {
 			resume.H = r.coarseH(k + 1) // checkpoint.State
 		}
 	}
-}
-
-func (r *runner) canceled() error {
-	if r.base.Canceled() {
-		return transient.CancelError("window-coordinator", 0)
-	}
-	return nil
 }
 
 // seedFrom rewrites a final checkpoint state into a window seed: the run

@@ -153,6 +153,9 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	if spec.Deck == "" {
 		return JobStatus{}, fmt.Errorf("wavepipe: Submit: empty deck")
 	}
+	if spec.Deadline < 0 {
+		return JobStatus{}, fmt.Errorf("wavepipe: Submit: Deadline must not be negative (got %v)", spec.Deadline)
+	}
 	if err := managedFieldsZero(spec.Options); err != nil {
 		return JobStatus{}, err
 	}
@@ -199,7 +202,13 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	}
 	s.queued++
 	s.seq++
-	jctx, cancel := context.WithCancel(context.Background())
+	var jctx context.Context
+	var cancel context.CancelFunc
+	if spec.Deadline > 0 {
+		jctx, cancel = context.WithTimeout(context.Background(), spec.Deadline)
+	} else {
+		jctx, cancel = context.WithCancel(context.Background())
+	}
 	j := &job{
 		id:       fmt.Sprintf("j%06d", s.seq),
 		spec:     spec,
@@ -229,8 +238,6 @@ func managedFieldsZero(o TranOptions) error {
 		return errors.New("wavepipe: Submit: OnAccept is managed by the service (use Stream)")
 	case o.Observer != nil:
 		return errors.New("wavepipe: Submit: Observer is managed by the service")
-	case o.Faults != nil:
-		return errors.New("wavepipe: Submit: fault injection is not accepted over the job API")
 	}
 	return nil
 }
@@ -286,7 +293,15 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 			s.mu.Unlock()
 		}
 		if err != nil {
-			s.finish(j, nil, err)
+			// The job's context ended while it waited (its deadline or a
+			// Cancel): it ends as a run stopped at its last accepted step
+			// would, with the partial result an earlier attempt retained.
+			if serr := (&transient.Options{Ctx: j.ctx}).Stop("queue", 0); serr != nil {
+				err = serr
+			}
+			res := transient.SalvageResult(resume)
+			finishReduced(entry.Sys, opts, res)
+			s.finish(j, res, err)
 			return
 		}
 		j.mu.Lock()
@@ -310,20 +325,22 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 
 		o := opts
 		o.CoreBudget = grant.Cores
-		// Each attempt is guarded by the job's own Deadline and StallFactor
-		// and persists nothing; the guard retains the final state the engine
-		// captures at its last accepted step.
-		ctl := checkpoint.NewController(checkpoint.Config{Deadline: o.Deadline, StallFactor: o.StallFactor})
+		// Each attempt runs under the job's context, whose deadline spans
+		// every attempt, and a guard that persists nothing: it arms the
+		// job's StallFactor and retains the final state the engine captures
+		// at its last accepted step.
+		ctl := checkpoint.NewController(checkpoint.Config{StallFactor: o.StallFactor})
 		res, err := runGuarded(runCtx, entry.Sys, o, ctl, resume)
 		stopRun()
 		<-watchDone
 		grant.Release()
 
-		if err != nil && errors.Is(err, ErrCanceled) && preempted.Load() && j.ctx.Err() == nil {
+		if errors.Is(err, ErrCanceled) && preempted.Load() && !errors.Is(j.ctx.Err(), context.Canceled) {
 			// Preempted, not canceled: the retained state is the resume
 			// point (an attempt stopped before its first accepted step keeps
 			// the previous one). Back to the queue; the stream keeps its rows
-			// (a resumed run does not re-emit restored points).
+			// (a resumed run does not re-emit restored points). A deadline
+			// that passed meanwhile ends the job at the next Acquire.
 			if st := ctl.Retained(); st != nil {
 				resume = st
 			}

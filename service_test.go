@@ -409,7 +409,6 @@ func TestServiceRejectsManagedFields(t *testing.T) {
 		{ResumeFrom: "x"},
 		{OnAccept: func(float64, []float64) {}},
 		{Observer: NewTraceMetrics()},
-		{Faults: NewFaultInjector()},
 	}
 	for i, o := range bad {
 		if _, err := s.Submit(context.Background(), JobSpec{Deck: serviceDeck, Options: o}); err == nil {
@@ -652,13 +651,13 @@ func TestServiceTouchesDirOnlyForTraces(t *testing.T) {
 	}
 }
 
-// TestServiceJobDeadline: a job's own Deadline still bounds it — each attempt
-// runs under a guard built from the job's Deadline and StallFactor — and the
-// job fails with ErrDeadlineExceeded and its partial Result.
+// TestServiceJobDeadline: a job's Deadline bounds it — the job's context
+// times out — and the job fails with ErrDeadlineExceeded and its partial
+// Result.
 func TestServiceJobDeadline(t *testing.T) {
 	s := newTestService(t, ServiceConfig{Cores: 1})
 	ctx := context.Background()
-	st, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Deadline: 50 * time.Millisecond}})
+	st, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Deadline: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,6 +672,66 @@ func TestServiceJobDeadline(t *testing.T) {
 	}
 	if fin, err := s.Status(ctx, st.ID); err != nil || fin.State != JobFailed {
 		t.Fatalf("state=%v err=%v, want failed", fin.State, err)
+	}
+}
+
+// TestServiceDeadlineSpansPreemption: a job's Deadline runs from Submit
+// across every attempt. A low-priority job preempted by an endless
+// high-priority one passes its deadline while it waits, and ends JobFailed
+// with ErrDeadlineExceeded and the partial Result of its last accepted step
+// within the deadline plus slack — it gets no fresh budget on resuming.
+func TestServiceDeadlineSpansPreemption(t *testing.T) {
+	const d, slack = 500 * time.Millisecond, 2 * time.Second
+	ctx := context.Background()
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	submitted := time.Now()
+	low, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Deadline: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := s.Status(ctx, low.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Points >= 20 {
+			break
+		}
+		if st.State.Terminal() || time.Since(submitted) > d {
+			t.Fatalf("low job never ran before its deadline (state %v, %d points)", st.State, st.Points)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	high, err := s.Submit(ctx, JobSpec{Deck: endlessDeck, Priority: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(ctx, high.ID)
+
+	wctx, cancel := context.WithTimeout(ctx, d+slack)
+	defer cancel()
+	res, err := s.Wait(wctx, low.ID)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("low job %v after Submit: err = %v, want ErrDeadlineExceeded", time.Since(submitted), err)
+	}
+	fin, serr := s.Status(ctx, low.ID)
+	if serr != nil || fin.State != JobFailed || fin.Resumes < 1 {
+		t.Fatalf("state=%v resumes=%d err=%v, want a preempted job that failed", fin.State, fin.Resumes, serr)
+	}
+	if res == nil || res.W.Len() < 2 || res.W.Len() != fin.Points {
+		t.Fatalf("partial result %+v, want the %d rows streamed before the deadline", res, fin.Points)
+	}
+}
+
+// TestServiceRefusesNegativeDeadline: a negative job deadline is refused at
+// Submit, never admitted.
+func TestServiceRefusesNegativeDeadline(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	if _, err := s.Submit(context.Background(), JobSpec{Deck: serviceDeck, Deadline: -time.Second}); err == nil {
+		t.Fatal("negative Deadline accepted")
+	}
+	if ids := s.Jobs(); len(ids) != 0 {
+		t.Fatalf("refused job was admitted: %v", ids)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/circuit"
@@ -79,24 +78,9 @@ type (
 	// ladder climbs, serial fallbacks) a run took; see Result.Recovery.
 	RecoveryLog   = transient.RecoveryLog
 	RecoveryEvent = transient.RecoveryEvent
-	// FaultInjector is the deterministic fault-injection harness (tests and
-	// robustness drills only; see TranOptions.Faults).
-	FaultInjector = faults.Injector
-	// FaultRule schedules one fault class at an instrumented site.
-	FaultRule = faults.Rule
-	// FaultClass enumerates the injectable fault classes.
-	FaultClass = faults.Class
 	// CoarseOptions tunes the time-parallel (Parareal) coarse propagator
 	// and per-window convergence gate; see TranOptions.Windows.
 	CoarseOptions = windows.CoarseOptions
-)
-
-// Injectable fault classes.
-const (
-	FaultNoConvergence = faults.NoConvergence
-	FaultSingular      = faults.Singular
-	FaultNonFinite     = faults.NonFinite
-	FaultWorkerPanic   = faults.WorkerPanic
 )
 
 // Error taxonomy sentinels: every engine failure wraps one of these, so
@@ -111,10 +95,10 @@ var (
 	// when the context is canceled mid-run; the partial Result up to the
 	// last completed time point is returned alongside it.
 	ErrCanceled = faults.ErrCanceled
-	// ErrDeadlineExceeded is returned (wrapped in a SimError) when the run
-	// overruns TranOptions.Deadline; like cancellation, the partial Result is
-	// returned alongside it and a final checkpoint is flushed first when
-	// checkpointing is configured.
+	// ErrDeadlineExceeded is returned (wrapped in a SimError) in place of
+	// ErrCanceled when the run's context ends by passing its deadline; the
+	// partial Result comes with it and a final checkpoint is flushed first
+	// when checkpointing is configured.
 	ErrDeadlineExceeded = faults.ErrDeadlineExceeded
 	// ErrStalled is returned (wrapped in a SimError) when the watchdog
 	// detects that no time point has been accepted for far longer than the
@@ -125,11 +109,6 @@ var (
 	// match the circuit and options of the resuming run.
 	ErrBadCheckpoint = faults.ErrBadCheckpoint
 )
-
-// NewFaultInjector builds a fault harness from the given rules.
-func NewFaultInjector(rules ...FaultRule) *FaultInjector {
-	return faults.NewInjector(rules...)
-}
 
 // MOSFET polarities.
 const (
@@ -394,35 +373,23 @@ type TranOptions struct {
 	// bit-identical to the sequential window chain. Windowed runs share
 	// CoreBudget across the coarse sweep and all windows, and are
 	// incompatible with the durability options (CheckpointPath,
-	// ResumeFrom, Deadline, StallFactor). 0/1 disables windowing.
+	// ResumeFrom, StallFactor). 0/1 disables windowing.
 	Windows int
 	// CoarseOpts tunes the Parareal coarse propagator and convergence
 	// gate when Windows > 1; the zero value selects the defaults.
 	CoarseOpts CoarseOptions
-	// Faults injects deterministic solver faults for robustness testing
-	// (nil in production runs).
-	Faults *FaultInjector
 	// Observer, when non-nil, receives the run's structured telemetry:
 	// per-point events (predict/solve/accept/LTE-reject/discard/recovery/
 	// serial-fallback), per-phase solve timings and periodic metrics
-	// snapshots. See NewTraceRecorder, NewTraceMetrics and MultiObserver
-	// for ready-made observers. Nil (the default) keeps the engines'
-	// hot path free of allocations, locks and clock reads.
+	// snapshots (every 128 accepted points). See NewTraceRecorder,
+	// NewTraceMetrics and MultiObserver for ready-made observers. Nil (the
+	// default) keeps the engines' hot path free of allocations, locks and
+	// clock reads.
 	Observer Observer
-	// SnapshotEvery is the metrics snapshot cadence in accepted points
-	// (default 128; only meaningful with an Observer).
-	SnapshotEvery int
-	// Deadline is a wall-clock budget for the run. When positive, a run
-	// exceeding it is aborted at the next solver boundary: the partial
-	// Result is returned with an error satisfying
-	// errors.Is(err, ErrDeadlineExceeded), and a final checkpoint is
-	// flushed first when CheckpointPath is set. 0 (the default) means no
-	// deadline.
-	Deadline time.Duration
 	// CheckpointPath enables durable checkpoints: the complete run state at
 	// accepted-step boundaries is atomically written to this file every
 	// CheckpointEvery accepted points and once more when the run ends for
-	// any reason (success, cancellation, deadline, stall, panic). A serial
+	// any reason (success, cancellation or deadline, stall, panic). A serial
 	// run resumed from such a checkpoint replays bit-identically to an
 	// uninterrupted one. Empty (the default) disables checkpointing.
 	CheckpointPath string
@@ -450,6 +417,9 @@ type TranOptions struct {
 	// checkpoint. This is the hook the service's streaming endpoint is built
 	// on.
 	OnAccept func(t float64, row []float64)
+	// inject is the fault harness the package's own tests set; every
+	// solver layer of the run shares it.
+	inject *faults.Injector
 	// Reduce enables the structure-exploiting parasitic reduction pass
 	// (internal/reduce) before the system is simulated: series R/L chains
 	// are merged exactly and uniform RC-ladder segments are lumped into
@@ -519,9 +489,6 @@ func (o TranOptions) validate() error {
 	if o.CoreBudget > 1024 {
 		return fmt.Errorf("wavepipe: CoreBudget %d is not a plausible core count (max 1024)", o.CoreBudget)
 	}
-	if o.Deadline < 0 {
-		return fmt.Errorf("wavepipe: Deadline must not be negative (got %v)", o.Deadline)
-	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("wavepipe: CheckpointEvery must not be negative (got %d)", o.CheckpointEvery)
 	}
@@ -555,9 +522,8 @@ func (o TranOptions) validate() error {
 	if o.ReduceTol >= 1 {
 		return fmt.Errorf("wavepipe: ReduceTol %g is not a plausible error budget (must be below 1)", o.ReduceTol)
 	}
-	if o.Windows > 1 &&
-		(o.CheckpointPath != "" || o.ResumeFrom != "" || o.Deadline > 0 || o.StallFactor > 0) {
-		return fmt.Errorf("wavepipe: Windows is incompatible with the durability options (CheckpointPath, ResumeFrom, Deadline, StallFactor): a time-parallel run has no single linear engine state to checkpoint")
+	if o.Windows > 1 && (o.CheckpointPath != "" || o.ResumeFrom != "" || o.StallFactor > 0) {
+		return fmt.Errorf("wavepipe: Windows is incompatible with the durability options (CheckpointPath, ResumeFrom, StallFactor): a time-parallel run has no single linear engine state to checkpoint")
 	}
 	return nil
 }
@@ -573,25 +539,25 @@ func Compare(a, ref *Set, signal string) (Deviation, error) {
 // RunTransientCtx simulates sys with the selected engine under a context.
 // Cancellation is honoured at every time-point boundary: the partial Result
 // computed so far is returned together with a typed error satisfying
-// errors.Is(err, ErrCanceled). When opts.Observer is non-nil the run streams
+// errors.Is(err, ErrCanceled), or ErrDeadlineExceeded when the context
+// passed its deadline. When opts.Observer is non-nil the run streams
 // structured telemetry into it (see TranOptions.Observer).
 //
-// Durability: TranOptions.CheckpointPath / Deadline / StallFactor arm a run
-// guard that snapshots state at accepted-step boundaries and aborts overdue
-// or stalled runs with a typed error (ErrDeadlineExceeded, ErrStalled); a
-// panic escaping any engine layer is contained here and converted into an
-// ErrWorkerPanic-wrapped error with the Result salvaged from the last
-// retained snapshot. See TranOptions.ResumeFrom for restarting a run.
+// Durability: TranOptions.CheckpointPath / StallFactor arm a run guard that
+// snapshots state at accepted-step boundaries and aborts stalled runs with
+// ErrStalled; a panic escaping any engine layer is contained here and
+// converted into an ErrWorkerPanic-wrapped error with the Result salvaged
+// from the last retained snapshot. See TranOptions.ResumeFrom for restarting
+// a run.
 func RunTransientCtx(ctx context.Context, sys *System, opts TranOptions) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	var ctl *checkpoint.Controller
-	if opts.CheckpointPath != "" || opts.Deadline > 0 || opts.StallFactor > 0 {
+	if opts.CheckpointPath != "" || opts.StallFactor > 0 {
 		ctl = checkpoint.NewController(checkpoint.Config{
 			Path:        opts.CheckpointPath,
 			Every:       opts.CheckpointEvery,
-			Deadline:    opts.Deadline,
 			StallFactor: opts.StallFactor,
 		})
 	}
@@ -621,7 +587,7 @@ func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpo
 		return nil, err
 	}
 	base.Ctx = ctx
-	base.Trace = trace.New(opts.Observer, opts.SnapshotEvery)
+	base.Trace = trace.New(opts.Observer, trace.DefaultSnapshotEvery)
 	base.Resume = resume
 	if ri := expansion(sys, opts); ri != nil && base.OnAccept != nil {
 		onAccept := base.OnAccept
@@ -844,7 +810,7 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 		Method:     opts.Method,
 		HInit:      opts.InitStep,
 		UIC:        opts.UIC,
-		Faults:     opts.Faults,
+		Faults:     opts.inject,
 		CoreBudget: opts.CoreBudget,
 		OnAccept:   opts.OnAccept,
 	}

@@ -237,7 +237,6 @@ func TestWindowsOptionValidation(t *testing.T) {
 		func(o *TranOptions) { o.Windows = 2; o.CoarseOpts.TolScale = -1 },
 		func(o *TranOptions) { o.Windows = 2; o.CoarseOpts.Gate = -1 },
 		func(o *TranOptions) { o.Windows = 2; o.CheckpointPath = "x.ckpt" },
-		func(o *TranOptions) { o.Windows = 2; o.Deadline = time.Second },
 	}
 	for i, mutate := range bad {
 		opts := base
@@ -245,6 +244,21 @@ func TestWindowsOptionValidation(t *testing.T) {
 		if _, err := RunTransientCtx(context.Background(), sys, opts); err == nil {
 			t.Fatalf("case %d: invalid windowed options accepted", i)
 		}
+	}
+}
+
+// TestWindowsContextDeadline: a windowed run honours its context's deadline
+// like any other run: it stops with ErrDeadlineExceeded, not ErrCanceled.
+func TestWindowsContextDeadline(t *testing.T) {
+	sys, err := circuits.PowerGridMesh(24, 1.8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	_, err = RunTransientCtx(ctx, sys, TranOptions{TStop: 800e-9, Record: []string{"n12_12"}, Windows: 2})
+	if !errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 }
 

@@ -40,9 +40,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 		if req == nil {
 			t.Fatal("DecodeJobRequest returned neither a request nor an error")
 		}
-		if req.Options != nil {
-			_, _ = req.Options.ToTranOptions()
-		}
+		_, _ = req.ToJobSpec()
 	})
 }
 

@@ -25,28 +25,30 @@ import (
 // top-level wire document.
 const SchemaVersion = 1
 
-// TranOptions is the wire form of wavepipe.TranOptions. Process-local
-// fields (Observer, Faults, OnAccept) and service-managed durability fields
+// TranOptions is the wire form of wavepipe.TranOptions, plus the job's
+// deadline (wavepipe.JobSpec.Deadline), which keeps its place here so
+// documents from older peers decode unchanged. Process-local fields
+// (Observer, OnAccept) and service-managed durability fields
 // (CheckpointPath, CheckpointEvery, ResumeFrom) have no wire form: the
 // first cannot cross a process boundary, the second are owned by whichever
-// process runs the simulation.
+// process runs the simulation. Retired options, snapshotEvery among them,
+// are unknown fields and refused.
 type TranOptions struct {
-	TStop         float64            `json:"tstop,omitempty"`
-	Scheme        string             `json:"scheme,omitempty"`
-	Threads       int                `json:"threads,omitempty"`
-	Method        string             `json:"method,omitempty"`
-	RelTol        float64            `json:"reltol,omitempty"`
-	AbsTol        float64            `json:"abstol,omitempty"`
-	MaxStep       float64            `json:"maxStep,omitempty"`
-	InitStep      float64            `json:"initStep,omitempty"`
-	UIC           bool               `json:"uic,omitempty"`
-	IC            map[string]float64 `json:"ic,omitempty"`
-	NodeSet       map[string]float64 `json:"nodeset,omitempty"`
-	Record        []string           `json:"record,omitempty"`
-	CoreBudget    int                `json:"coreBudget,omitempty"`
-	SnapshotEvery int                `json:"snapshotEvery,omitempty"`
-	Deadline      string             `json:"deadline,omitempty"`
-	StallFactor   float64            `json:"stallFactor,omitempty"`
+	TStop       float64            `json:"tstop,omitempty"`
+	Scheme      string             `json:"scheme,omitempty"`
+	Threads     int                `json:"threads,omitempty"`
+	Method      string             `json:"method,omitempty"`
+	RelTol      float64            `json:"reltol,omitempty"`
+	AbsTol      float64            `json:"abstol,omitempty"`
+	MaxStep     float64            `json:"maxStep,omitempty"`
+	InitStep    float64            `json:"initStep,omitempty"`
+	UIC         bool               `json:"uic,omitempty"`
+	IC          map[string]float64 `json:"ic,omitempty"`
+	NodeSet     map[string]float64 `json:"nodeset,omitempty"`
+	Record      []string           `json:"record,omitempty"`
+	CoreBudget  int                `json:"coreBudget,omitempty"`
+	Deadline    string             `json:"deadline,omitempty"`
+	StallFactor float64            `json:"stallFactor,omitempty"`
 	// Time-parallel (Parareal) window configuration. Additive since
 	// schemaVersion 1: absent fields mean no windowing, so documents from
 	// older peers decode unchanged.
@@ -63,8 +65,9 @@ type TranOptions struct {
 	ReduceKeep []string `json:"reduceKeep,omitempty"`
 }
 
-// FromTranOptions converts facade options to their wire form.
-func FromTranOptions(o wavepipe.TranOptions) TranOptions {
+// FromJobSpec converts a job submission to its wire form.
+func FromJobSpec(spec wavepipe.JobSpec) JobRequest {
+	o := spec.Options
 	w := TranOptions{
 		TStop:          o.TStop,
 		Threads:        o.Threads,
@@ -77,7 +80,6 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 		NodeSet:        o.NodeSet,
 		Record:         o.Record,
 		CoreBudget:     o.CoreBudget,
-		SnapshotEvery:  o.SnapshotEvery,
 		StallFactor:    o.StallFactor,
 		Windows:        o.Windows,
 		CoarseSteps:    o.CoarseOpts.Steps,
@@ -94,33 +96,37 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 	if o.Method != wavepipe.Gear2 {
 		w.Method = o.Method.String()
 	}
-	if o.Deadline > 0 {
-		w.Deadline = o.Deadline.String()
+	if spec.Deadline != 0 {
+		w.Deadline = spec.Deadline.String()
 	}
-	return w
+	return JobRequest{SchemaVersion: SchemaVersion, Deck: spec.Deck, Options: &w, Priority: spec.Priority, Label: spec.Label}
 }
 
-// ToTranOptions converts wire options back to facade options, resolving the
-// enumeration names and the deadline duration.
-func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
-	o := wavepipe.TranOptions{
-		TStop:         w.TStop,
-		Threads:       w.Threads,
-		RelTol:        w.RelTol,
-		AbsTol:        w.AbsTol,
-		MaxStep:       w.MaxStep,
-		InitStep:      w.InitStep,
-		UIC:           w.UIC,
-		IC:            w.IC,
-		NodeSet:       w.NodeSet,
-		Record:        w.Record,
-		CoreBudget:    w.CoreBudget,
-		SnapshotEvery: w.SnapshotEvery,
-		StallFactor:   w.StallFactor,
-		Windows:       w.Windows,
-		Reduce:        w.Reduce,
-		ReduceTol:     w.ReduceTol,
-		ReduceKeep:    w.ReduceKeep,
+// ToJobSpec converts a decoded request back to a job submission, resolving
+// the enumeration names and the deadline duration.
+func (q *JobRequest) ToJobSpec() (wavepipe.JobSpec, error) {
+	spec := wavepipe.JobSpec{Deck: q.Deck, Priority: q.Priority, Label: q.Label}
+	w := q.Options
+	if w == nil {
+		return spec, nil
+	}
+	spec.Options = wavepipe.TranOptions{
+		TStop:       w.TStop,
+		Threads:     w.Threads,
+		RelTol:      w.RelTol,
+		AbsTol:      w.AbsTol,
+		MaxStep:     w.MaxStep,
+		InitStep:    w.InitStep,
+		UIC:         w.UIC,
+		IC:          w.IC,
+		NodeSet:     w.NodeSet,
+		Record:      w.Record,
+		CoreBudget:  w.CoreBudget,
+		StallFactor: w.StallFactor,
+		Windows:     w.Windows,
+		Reduce:      w.Reduce,
+		ReduceTol:   w.ReduceTol,
+		ReduceKeep:  w.ReduceKeep,
 		CoarseOpts: wavepipe.CoarseOptions{
 			Steps:    w.CoarseSteps,
 			TolScale: w.CoarseTolScale,
@@ -129,20 +135,18 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		},
 	}
 	var err error
-	if o.Scheme, err = wavepipe.ParseScheme(w.Scheme); err != nil {
-		return o, err
+	if spec.Options.Scheme, err = wavepipe.ParseScheme(w.Scheme); err != nil {
+		return spec, err
 	}
-	if o.Method, err = wavepipe.ParseMethod(w.Method); err != nil {
-		return o, err
+	if spec.Options.Method, err = wavepipe.ParseMethod(w.Method); err != nil {
+		return spec, err
 	}
 	if w.Deadline != "" {
-		d, perr := time.ParseDuration(w.Deadline)
-		if perr != nil {
-			return o, fmt.Errorf("wire: bad deadline %q: %w", w.Deadline, perr)
+		if spec.Deadline, err = time.ParseDuration(w.Deadline); err != nil {
+			return spec, fmt.Errorf("wire: bad deadline %q: %w", w.Deadline, err)
 		}
-		o.Deadline = d
 	}
-	return o, nil
+	return spec, nil
 }
 
 // JobRequest is the POST /v1/jobs body: a deck (SPICE netlist source) plus

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"wavepipe"
 )
@@ -34,35 +35,28 @@ func jsonEqual(t *testing.T, a, b []byte) bool {
 	return reflect.DeepEqual(va, vb)
 }
 
-// TestJobRequestGoldenRoundTrip: golden JSON → wire → facade → wire → JSON
+// TestJobRequestGoldenRoundTrip: golden JSON → wire → JobSpec → wire → JSON
 // reproduces the document exactly. The golden file pins the schema: any
-// rename or retype of a wire field breaks this test.
+// rename or retype of a wire field breaks this test. The job's deadline
+// travels as options.deadline.
 func TestJobRequestGoldenRoundTrip(t *testing.T) {
 	golden := readGolden(t, "job_request.golden.json")
 	req, err := DecodeJobRequest(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := req.Options.ToTranOptions()
+	spec, err := req.ToJobSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Scheme != wavepipe.Combined || opts.Method != wavepipe.Trapezoidal {
-		t.Fatalf("enum decode: scheme=%v method=%v", opts.Scheme, opts.Method)
+	if spec.Options.Scheme != wavepipe.Combined || spec.Options.Method != wavepipe.Trapezoidal {
+		t.Fatalf("enum decode: scheme=%v method=%v", spec.Options.Scheme, spec.Options.Method)
 	}
-	if opts.Deadline.Seconds() != 30 {
-		t.Fatalf("deadline = %v, want 30s", opts.Deadline)
-	}
-	back := FromTranOptions(opts)
-	out := JobRequest{
-		SchemaVersion: SchemaVersion,
-		Deck:          req.Deck,
-		Options:       &back,
-		Priority:      req.Priority,
-		Label:         req.Label,
+	if spec.Deadline != 30*time.Second {
+		t.Fatalf("deadline = %v, want 30s", spec.Deadline)
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, out); err != nil {
+	if err := Encode(&buf, FromJobSpec(spec)); err != nil {
 		t.Fatal(err)
 	}
 	if !jsonEqual(t, golden, buf.Bytes()) {
@@ -134,7 +128,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 	// Retired options (PR 14) are unknown fields like any other: a peer
 	// still sending them is told so instead of having them dropped.
-	for _, opt := range []string{`"bogus":2`, `"aggressiveGrowth":true`, `"loadMode":"colored"`} {
+	for _, opt := range []string{`"bogus":2`, `"aggressiveGrowth":true`, `"loadMode":"colored"`, `"snapshotEvery":64`} {
 		doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,` + opt + `}}`
 		if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
 			t.Fatalf("option field %s accepted", opt)
@@ -145,7 +139,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := req.Options.ToTranOptions(); err == nil {
+	if _, err := req.ToJobSpec(); err == nil {
 		t.Fatal("retired scheme finegrain accepted")
 	}
 }

@@ -32,10 +32,7 @@ func parseApplyToDeck(t *testing.T) *wavepipe.Deck {
 // the deck's cards.
 func TestApplyToDeckDefaults(t *testing.T) {
 	d := parseApplyToDeck(t)
-	got, err := d.ApplyTo(wavepipe.TranOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := d.ApplyTo(wavepipe.TranOptions{})
 	if got.TStop != d.Tran.TStop || got.TStop < 29e-6 {
 		t.Errorf("TStop = %g, want 30u from .TRAN", got.TStop)
 	}
@@ -68,10 +65,7 @@ func TestApplyToExplicitWins(t *testing.T) {
 		IC:      map[string]float64{"out": 0.5},
 		NodeSet: map[string]float64{"in": 0.1},
 	}
-	got, err := d.ApplyTo(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := d.ApplyTo(in)
 	if got.TStop != 1e-6 || got.MaxStep != 1e-7 {
 		t.Errorf("explicit TStop/MaxStep overridden: %g/%g", got.TStop, got.MaxStep)
 	}
@@ -96,11 +90,7 @@ func TestApplyToUICFromOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ApplyTo(wavepipe.TranOptions{UIC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.UIC {
+	if got := d.ApplyTo(wavepipe.TranOptions{UIC: true}); !got.UIC {
 		t.Error("explicit UIC lost")
 	}
 }
@@ -113,11 +103,7 @@ func TestApplyToNoTranNoTStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, aerr := d.ApplyTo(wavepipe.TranOptions{})
-	if aerr != nil {
-		t.Fatalf("ApplyTo is a pure merge and must not error: %v", aerr)
-	}
-	if merged.TStop != 0 {
+	if merged := d.ApplyTo(wavepipe.TranOptions{}); merged.TStop != 0 {
 		t.Fatalf("TStop = %g, want 0 (deck has no .TRAN)", merged.TStop)
 	}
 	if _, rerr := wavepipe.RunDeckCtx(context.Background(), d, wavepipe.TranOptions{}); rerr == nil {
@@ -126,11 +112,7 @@ func TestApplyToNoTranNoTStop(t *testing.T) {
 		t.Fatalf("unhelpful error: %v", rerr)
 	}
 	// But an explicit TStop rescues it.
-	got, aerr := d.ApplyTo(wavepipe.TranOptions{TStop: 1e-6})
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	if got.TStop != 1e-6 {
+	if got := d.ApplyTo(wavepipe.TranOptions{TStop: 1e-6}); got.TStop != 1e-6 {
 		t.Fatalf("TStop = %g", got.TStop)
 	}
 }
@@ -139,14 +121,8 @@ func TestApplyToNoTranNoTStop(t *testing.T) {
 // same answer (the deck is read-only to ApplyTo).
 func TestApplyToDoesNotMutateDeck(t *testing.T) {
 	d := parseApplyToDeck(t)
-	a, err := d.ApplyTo(wavepipe.TranOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.ApplyTo(wavepipe.TranOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := d.ApplyTo(wavepipe.TranOptions{})
+	b := d.ApplyTo(wavepipe.TranOptions{})
 	if a.TStop != b.TStop || a.MaxStep != b.MaxStep || a.RelTol != b.RelTol {
 		t.Fatalf("repeated ApplyTo diverged: %+v vs %+v", a, b)
 	}

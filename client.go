@@ -36,10 +36,10 @@ type JobSpec struct {
 	// owned by the service: the scheme's stage width (two points for
 	// Backward and Forward, four for Combined), capped by CoreBudget, sizes
 	// the core request — a Serial job asks for one core — and the result
-	// does not depend on what was granted, while
-	// CheckpointPath, CheckpointEvery, ResumeFrom, OnAccept and Observer
-	// must be zero: the service keeps a job's state across preemption in
-	// memory and installs its own stream and observer.
+	// does not depend on what was granted, while CheckpointPath,
+	// ResumeFrom, OnAccept and Observer must be zero: the service keeps a
+	// job's state across preemption in memory and installs its own stream
+	// and observer.
 	Options TranOptions
 	// Deadline bounds the job's wall-clock life from Submit: queueing, every
 	// attempt and every preempted wait draw on the one budget. A job past

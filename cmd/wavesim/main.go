@@ -19,11 +19,12 @@
 // point: the partial waveform is still written, and the exit code is 8.
 //
 // Durable runs: -checkpoint FILE snapshots the complete run state to FILE
-// every -checkpoint-every accepted points and once more when the run ends
-// for any reason — including Ctrl-C, SIGTERM, -deadline expiry and watchdog
-// aborts — so -resume FILE can pick the run back up where it stopped (a
-// resumed serial run is bit-identical to an uninterrupted one). -deadline
-// bounds the run's wall-clock time (exit code 9 on expiry); -stall-factor
+// periodically (never within 256 accepted points of the last save, and
+// spaced so the saves cost at most 2% of wall time) and once more when the
+// run ends for any reason — including Ctrl-C, SIGTERM, -deadline expiry and
+// watchdog aborts — so -resume FILE can pick the run back up where it
+// stopped (a resumed serial run is bit-identical to an uninterrupted one).
+// -deadline bounds the run's wall-clock time (exit code 9 on expiry); -stall-factor
 // arms a watchdog that aborts a run whose solver has hung (exit code 10).
 //
 // Service mode: -remote URL submits the deck to a running wavesimd instance
@@ -115,15 +116,12 @@ type runConfig struct {
 	ckptPath     string
 	resumePath   string
 	deadline     time.Duration
-	ckptEvery    int
 	stallFactor  float64
 	threads      int
 	cores        int
 	lanes        int
 	sweep        string
 	windows      int
-	coarseSteps  int
-	coarseTol    float64
 	windowGate   float64
 	windowStrict bool
 	reduceOn     bool
@@ -149,7 +147,6 @@ func main() {
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the run's event trace to this file (.jsonl = JSONL event log, anything else = Chrome trace_event JSON)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve live run metrics over HTTP on this address (Prometheus text at /metrics)")
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write durable run checkpoints to this file (periodic + final, atomic replace)")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "checkpoint cadence in accepted points (0 = default 256; requires -checkpoint)")
 	flag.StringVar(&cfg.resumePath, "resume", "", "resume the run from this checkpoint file")
 	flag.DurationVar(&cfg.deadline, "deadline", 0, "wall-clock budget for the run (Go duration, e.g. 30s, 5m); exit 9 on expiry")
 	flag.Float64Var(&cfg.stallFactor, "stall-factor", 0, "abort when no point is accepted within this multiple of the trailing per-point time (0 = off; exit 10)")
@@ -159,8 +156,6 @@ func main() {
 	flag.IntVar(&cfg.lanes, "lanes", 0, "run N parameter-variant lanes as one batched ensemble (0 = off; requires -analysis tran)")
 	flag.StringVar(&cfg.sweep, "sweep", "", "sweep spec NAME=lo:hi for -lanes: NAME is a .PARAM name or a device instance (R/C/L/V/I), lanes get linearly spaced values")
 	flag.IntVar(&cfg.windows, "windows", 0, "split the run into N time-parallel Parareal windows refined concurrently by the selected engine (0 = off; requires -analysis tran)")
-	flag.IntVar(&cfg.coarseSteps, "coarse-steps", 0, "fixed coarse-propagator steps per window (0 = default 16; requires -windows)")
-	flag.Float64Var(&cfg.coarseTol, "coarse-tolscale", 0, "coarse-propagator Newton-tolerance loosening factor (0 = default 8; requires -windows)")
 	flag.Float64Var(&cfg.windowGate, "window-gate", 0, "per-window convergence gate in fine error weights (0 = default 2; requires -windows)")
 	flag.BoolVar(&cfg.windowStrict, "window-strict", false, "never accept a speculative window: bit-identical to the sequential window chain (requires -windows)")
 	flag.BoolVar(&cfg.reduceOn, "reduce", false, "collapse series R/L chains and lump uniform RC ladders before simulation (probed nodes are preserved; suppressed waveforms are reconstructed)")
@@ -307,7 +302,6 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 	opts.Record = record
 	opts.CheckpointPath = cfg.ckptPath
-	opts.CheckpointEvery = cfg.ckptEvery
 	opts.ResumeFrom = cfg.resumePath
 	opts.StallFactor = cfg.stallFactor
 	opts.Reduce = cfg.reduceOn
@@ -315,12 +309,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		opts.ReduceTol = cfg.reduceTol
 	}
 	opts.Windows = cfg.windows
-	opts.CoarseOpts = wavepipe.CoarseOptions{
-		Steps:    cfg.coarseSteps,
-		TolScale: cfg.coarseTol,
-		Gate:     cfg.windowGate,
-		Strict:   cfg.windowStrict,
-	}
+	opts.CoarseOpts = wavepipe.CoarseOptions{Gate: cfg.windowGate, Strict: cfg.windowStrict}
 	if cfg.windows > 1 && (cfg.lanes != 0 || cfg.sweep != "") {
 		return fmt.Errorf("-windows cannot be combined with -lanes/-sweep: windows parallelize one run over time, lanes batch many runs")
 	}

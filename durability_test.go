@@ -81,7 +81,6 @@ func TestKillAndResumeSerialBitIdentical(t *testing.T) {
 			}}
 			killOpts := base
 			killOpts.CheckpointPath = path
-			killOpts.CheckpointEvery = 16
 			killOpts.Observer = hook
 			sysA, err := b.Make().Build()
 			if err != nil {
@@ -204,7 +203,6 @@ func TestKillAndResumePipelined(t *testing.T) {
 	killOpts := base
 	killOpts.Scheme = Combined
 	killOpts.CheckpointPath = path
-	killOpts.CheckpointEvery = 16
 	killOpts.Observer = hook
 	sysA, _ := b.Make().Build()
 	if _, err := RunTransientCtx(ctx, sysA, killOpts); !errors.Is(err, ErrCanceled) {
@@ -322,9 +320,8 @@ func TestPanicContainmentSalvage(t *testing.T) {
 	}}
 	res, err := RunTransientCtx(context.Background(), sys, TranOptions{
 		TStop: 100e-9, Record: []string{"out"},
-		CheckpointPath:  path,
-		CheckpointEvery: 8,
-		Observer:        hook,
+		CheckpointPath: path,
+		Observer:       hook,
 	})
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("err = %v, want ErrWorkerPanic", err)
@@ -374,8 +371,6 @@ func TestDurabilityOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []TranOptions{
-		{TStop: 1e-9, CheckpointEvery: -1},
-		{TStop: 1e-9, CheckpointEvery: 10}, // cadence without a path
 		{TStop: 1e-9, StallFactor: -1},
 	}
 	for i, opts := range bad {

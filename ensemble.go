@@ -67,10 +67,7 @@ func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts Tran
 	if d.nl().Src == "" {
 		return nil, fmt.Errorf("wavepipe: ensemble requires a deck parsed from source (ParseDeck); use RunEnsembleCircuitsCtx for programmatic circuits")
 	}
-	opts, err := d.ApplyTo(opts)
-	if err != nil {
-		return nil, err
-	}
+	opts = d.ApplyTo(opts)
 	lanes := make([]ensemble.Lane, len(variants))
 	for i, spec := range variants {
 		if err := checkParams(d.nl(), spec.Params); err != nil {

@@ -117,10 +117,10 @@ type BuildOptions struct {
 	Reduce bool
 	// ReduceTol is the ladder-lumping error budget (0 = exact mode).
 	ReduceTol float64
-	// ReduceKeep lists node names the pass must preserve (the caller's
-	// record/keep/IC/NODESET names; the deck's own .PRINT, .IC and
-	// .NODESET references are added automatically).
-	ReduceKeep []string
+	// Keep lists node names the pass must preserve (the caller's
+	// record/IC/NODESET names; the deck's own .PRINT, .IC and .NODESET
+	// references are added automatically).
+	Keep []string
 }
 
 // keySuffix renders the build-shaping options into the hashed key material.
@@ -155,7 +155,7 @@ func (c *Cache) Compile(src string, bo BuildOptions) (e *Entry, hit bool, err er
 	}
 	var keep []string
 	if bo.Reduce {
-		keep = append(keep, bo.ReduceKeep...)
+		keep = append(keep, bo.Keep...)
 		keep = append(keep, deck.Prints...)
 		for name := range deck.ICs {
 			keep = append(keep, name)

@@ -188,7 +188,7 @@ func TestReduceOptionsShapeKey(t *testing.T) {
 	if _, hit, _ = c.Compile(deck, BuildOptions{Reduce: true, ReduceTol: 0.1}); hit {
 		t.Fatal("different ReduceTol answered a hit")
 	}
-	if _, hit, _ = c.Compile(deck, BuildOptions{Reduce: true, ReduceTol: 0.02, ReduceKeep: []string{"n20"}}); hit {
+	if _, hit, _ = c.Compile(deck, BuildOptions{Reduce: true, ReduceTol: 0.02, Keep: []string{"n20"}}); hit {
 		t.Fatal("different keep list answered a hit")
 	}
 	// A deck differing only in its .PRINT card protects different nodes, so
@@ -221,7 +221,7 @@ func TestReduceOptionsShapeKey(t *testing.T) {
 
 func TestReduceUnknownKeepFailsCompile(t *testing.T) {
 	c := New(4)
-	_, _, err := c.Compile(ladderDeck(10, "out"), BuildOptions{Reduce: true, ReduceKeep: []string{"ghost"}})
+	_, _, err := c.Compile(ladderDeck(10, "out"), BuildOptions{Reduce: true, Keep: []string{"ghost"}})
 	var une *reduce.UnknownNodeError
 	if !errors.As(err, &une) {
 		t.Fatalf("err = %v, want *reduce.UnknownNodeError", err)

@@ -281,37 +281,88 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
-func TestControllerNoteAcceptCadence(t *testing.T) {
-	c := NewController(Config{Path: "x", Every: 3})
-	c.Start()
-	defer c.Stop()
-	var due []int
-	for i := 1; i <= 10; i++ {
+// savedAgo stands in for a persisted save that took cost and ended ago
+// before now: what save() records for the cadence.
+func savedAgo(c *Controller, cost, ago time.Duration) {
+	c.sinceSave, c.lastSave, c.saveCost = 0, time.Now().Add(-ago), cost
+}
+
+// acceptsUntilDue counts accepted points until a periodic save is due;
+// limit+1 when none is within limit.
+func acceptsUntilDue(c *Controller, limit int) int {
+	for i := 1; i <= limit; i++ {
 		if c.NoteAccept() {
-			due = append(due, i)
+			return i
 		}
 	}
-	if want := []int{3, 6, 9}; !reflect.DeepEqual(due, want) {
-		t.Fatalf("due at %v, want %v", due, want)
+	return limit + 1
+}
+
+// TestControllerNoteAcceptCadence: with saves that take no time the point
+// floor alone sets the cadence, counted from each save.
+func TestControllerNoteAcceptCadence(t *testing.T) {
+	c := NewController(Config{Path: "x"})
+	c.Start()
+	defer c.Stop()
+	for k := 0; k < 3; k++ {
+		if n := acceptsUntilDue(c, 4*DefaultEvery); n != DefaultEvery {
+			t.Fatalf("save %d due after %d points, want %d", k, n, DefaultEvery)
+		}
+		savedAgo(c, 0, 0)
+	}
+}
+
+// TestControllerSaveCadenceScalesWithSaveCost: past the point floor a
+// periodic save is due only once saveCostRatio times the last save's
+// duration has passed since it ended, so slower saves space out further. A
+// path-less guard never finds a save due and its saves read no clock for
+// the cadence.
+func TestControllerSaveCadenceScalesWithSaveCost(t *testing.T) {
+	const limit = 10 * DefaultEvery
+	c := NewController(Config{Path: filepath.Join(t.TempDir(), "c.wpcp")})
+	savedAgo(c, time.Millisecond, time.Second)
+	if n := acceptsUntilDue(c, limit); n != DefaultEvery {
+		t.Fatalf("1 s after a 1 ms save: due after %d points, want %d", n, DefaultEvery)
+	}
+	savedAgo(c, time.Second, time.Second)
+	if n := acceptsUntilDue(c, limit); n <= limit {
+		t.Fatalf("1 s after a 1 s save: due after %d points, want none", n)
+	}
+	savedAgo(c, time.Second, 50*time.Second)
+	if n := acceptsUntilDue(c, limit); n != DefaultEvery {
+		t.Fatalf("50 s after a 1 s save: due after %d points, want %d", n, DefaultEvery)
+	}
+	if err := c.Save(testState(t)); err != nil {
+		t.Fatal(err)
+	}
+	if c.sinceSave != 0 || c.saveCost <= 0 || time.Since(c.lastSave) > time.Minute {
+		t.Fatalf("a persisted save recorded sinceSave=%d saveCost=%v lastSave=%v", c.sinceSave, c.saveCost, c.lastSave)
+	}
+
+	p := NewController(Config{})
+	savedAgo(p, 0, time.Hour)
+	if n := acceptsUntilDue(p, limit); n <= limit {
+		t.Fatalf("path-less guard: due after %d points", n)
+	}
+	p.lastSave = time.Time{}
+	if err := p.Save(testState(t)); err != nil {
+		t.Fatal(err)
+	}
+	if p.saveCost != 0 || !p.lastSave.IsZero() {
+		t.Fatalf("path-less save timed itself for the cadence: saveCost=%v lastSave=%v", p.saveCost, p.lastSave)
 	}
 }
 
 // TestControllerDeadlineOnlyKeepsNoHeartbeat: a deadline-only run bounds its
 // time through its context, so its controller has no StallFactor. Nothing
 // then reads the heartbeat: NoteAccept keeps none and no watchdog starts,
-// yet the Every cadence is still reported.
+// yet the periodic-save cadence is still reported.
 func TestControllerDeadlineOnlyKeepsNoHeartbeat(t *testing.T) {
-	c := NewController(Config{Path: "x", Every: 3})
+	c := NewController(Config{Path: "x"})
 	c.Start()
 	defer c.Stop()
-	var due []int
-	for i := 1; i <= 10; i++ {
-		if c.NoteAccept() {
-			due = append(due, i)
-		}
-	}
-	if want := []int{3, 6, 9}; !reflect.DeepEqual(due, want) {
-		t.Fatalf("due at %v, want %v", due, want)
+	if n := acceptsUntilDue(c, 4*DefaultEvery); n != DefaultEvery {
+		t.Fatalf("due after %d points, want %d", n, DefaultEvery)
 	}
 	if b, l, e := c.beats.Load(), c.lastBeat.Load(), c.emaBeat.Load(); b != 0 || l != 0 || e != 0 {
 		t.Fatalf("heartbeat kept without a watchdog: beats=%d lastBeat=%d emaBeat=%d", b, l, e)

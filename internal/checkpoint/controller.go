@@ -9,13 +9,16 @@ import (
 	"wavepipe/internal/trace"
 )
 
-// Defaults for Config fields left zero.
+// The periodic-save cadence, and defaults for Config fields left zero.
 const (
-	// DefaultEvery is the periodic-save cadence in accepted points when a
-	// checkpoint path is configured without an explicit interval. At this
-	// cadence the measured overhead on the grid16 serial benchmark is well
-	// under the 2% budget.
+	// DefaultEvery is the fewest accepted points between two periodic
+	// saves.
 	DefaultEvery = 256
+	// saveCostRatio is the least wall time, in multiples of the last save's
+	// duration, that passes between the end of one periodic save and the
+	// next: saves cost at most 1/(1+49) = 2% of the run's wall time however
+	// long the recording they encode grows.
+	saveCostRatio = 49
 	// DefaultStallFloor is the minimum idle time before the stall watchdog
 	// may trip, so a single genuinely hard time point (one slow solve, not
 	// a hang) does not abort the run.
@@ -34,8 +37,6 @@ type Config struct {
 	// Path is the checkpoint file. Empty disables persistence; snapshots
 	// are still retained in memory for panic salvage.
 	Path string
-	// Every is the periodic-save cadence in accepted points (0 = DefaultEvery).
-	Every int
 	// StallFactor arms the watchdog: the run aborts with ErrStalled when no
 	// step is accepted within StallFactor × the trailing EWMA of
 	// inter-accept wall time (subject to StallFloor). 0 disables it.
@@ -60,7 +61,10 @@ type Controller struct {
 
 	tr *trace.Tracer
 
-	accepts int // engine goroutine only
+	// Periodic-save cadence, engine goroutine only.
+	sinceSave int           // points accepted since the last save
+	lastSave  time.Time     // when the last persisted save ended
+	saveCost  time.Duration // how long that save took
 
 	// Watchdog-shared heartbeat, all in nanoseconds since start; kept only
 	// when StallFactor arms the watchdog.
@@ -84,9 +88,6 @@ type Controller struct {
 // the in-memory hand-off the service resumes a preempted job from and the
 // window coordinator seeds the next window from.
 func NewController(cfg Config) *Controller {
-	if cfg.Path != "" && cfg.Every <= 0 {
-		cfg.Every = DefaultEvery
-	}
 	if cfg.StallFloor <= 0 {
 		cfg.StallFloor = DefaultStallFloor
 	}
@@ -181,8 +182,11 @@ func (c *Controller) Err() error {
 }
 
 // NoteAccept records one accepted step and reports whether a periodic
-// snapshot is now due. Only the stall watchdog reads the heartbeat, so the
-// clock is read and the heartbeat kept only when StallFactor arms it.
+// snapshot is now due: with a Path set, once DefaultEvery points have been
+// accepted since the last save and saveCostRatio times that save's duration
+// has passed since it ended. The cadence reads the clock only past that
+// point floor; the heartbeat, which only the stall watchdog reads, is kept
+// only when StallFactor arms it.
 func (c *Controller) NoteAccept() bool {
 	if c == nil {
 		return false
@@ -201,8 +205,11 @@ func (c *Controller) NoteAccept() bool {
 			}
 		}
 	}
-	c.accepts++
-	return c.cfg.Path != "" && c.cfg.Every > 0 && c.accepts%c.cfg.Every == 0
+	c.sinceSave++
+	if c.cfg.Path == "" || c.sinceSave < DefaultEvery {
+		return false
+	}
+	return time.Since(c.lastSave) >= saveCostRatio*c.saveCost
 }
 
 // Save retains the snapshot (for panic salvage) and, when a path is
@@ -230,7 +237,10 @@ func (c *Controller) save(s *State, durable bool) error {
 	var err error
 	if c.cfg.Path != "" {
 		err = save(c.cfg.Path, s, durable)
+		c.lastSave = time.Now()
+		c.saveCost = c.lastSave.Sub(began)
 	}
+	c.sinceSave = 0
 	c.mu.Lock()
 	c.retained = s
 	c.saveErr = err

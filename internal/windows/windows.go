@@ -52,26 +52,28 @@ import (
 	"wavepipe/internal/waveform"
 )
 
-// Defaults for CoarseOptions and Options.
+// The coarse propagator, the gate default and the fallback streak.
 const (
-	DefaultSteps         = 16 // coarse fixed steps per window
-	DefaultTolScale      = 8  // coarse Newton-tolerance loosening factor
-	DefaultGate          = 2  // convergence gate in fine error weights
-	DefaultFallbackAfter = 2  // consecutive redos before serial fallback
+	// DefaultSteps is the number of fixed coarse steps per window. The
+	// coarse propagator integrates with NoLTE at h = windowLen/DefaultSteps,
+	// still landing on device breakpoints, so its cost is roughly
+	// W·DefaultSteps point solves regardless of the fine step density.
+	DefaultSteps = 16
+	// DefaultTolScale loosens the coarse Newton tolerances. Coarse accuracy
+	// only has to be good enough to pass the gate, not to ship: accepted
+	// waveforms always come from fine solves.
+	DefaultTolScale = 8
+	// DefaultGate is the convergence gate in fine error weights when
+	// CoarseOptions.Gate is zero.
+	DefaultGate = 2
+	// DefaultFallbackAfter is the consecutive-redo streak that triggers
+	// serial fallback.
+	DefaultFallbackAfter = 2
 )
 
-// CoarseOptions tunes the Parareal coarse propagator and the per-window
-// convergence gate. The zero value selects the defaults.
+// CoarseOptions tunes the per-window convergence gate of the Parareal
+// coarse propagator. The zero value selects the defaults.
 type CoarseOptions struct {
-	// Steps is the number of fixed coarse steps per window (default 16).
-	// The coarse propagator integrates with NoLTE at h = windowLen/Steps,
-	// still landing on device breakpoints, so its cost is roughly
-	// W·Steps point solves regardless of the fine step density.
-	Steps int
-	// TolScale loosens the coarse Newton tolerances by this factor
-	// (default 8). Coarse accuracy only has to be good enough to pass the
-	// gate, not to ship: accepted waveforms always come from fine solves.
-	TolScale float64
 	// Gate is the per-window convergence threshold in fine error weights
 	// (default 2): a speculative window is accepted when the weighted
 	// max-norm of (coarse seed − exact predecessor end state) under the
@@ -86,12 +88,6 @@ type CoarseOptions struct {
 }
 
 func (c CoarseOptions) withDefaults() CoarseOptions {
-	if c.Steps <= 0 {
-		c.Steps = DefaultSteps
-	}
-	if c.TolScale <= 0 {
-		c.TolScale = DefaultTolScale
-	}
 	if c.Gate <= 0 {
 		c.Gate = DefaultGate
 	}
@@ -116,9 +112,6 @@ type Options struct {
 	// coarse sweep. 0 leaves concurrency unmanaged (all W windows may
 	// run at once).
 	CoreBudget int
-	// FallbackAfter is the consecutive-redo streak that triggers serial
-	// fallback (default 2).
-	FallbackAfter int
 	// Fine runs one fine solve over a fully-prepared window-local options
 	// value (TStop, Resume, Guard, CoreBudget set by the coordinator).
 	// The facade injects its scheme dispatch here; nil defaults to the
@@ -151,7 +144,6 @@ type runner struct {
 	bps    []float64 // sorted device breakpoints over [0, TStop]
 	tr     *trace.Tracer
 	tol    num.Tolerances // fine tolerances the gate is judged under
-	fbAft  int
 
 	wconc       int
 	innerBudget int
@@ -221,13 +213,9 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 		bps:    bps,
 		tr:     base.Trace,
 		tol:    base.Control.Tol,
-		fbAft:  opts.FallbackAfter,
 		recs:   make([]winRec, W),
 		seedCh: make([]chan *checkpoint.State, W),
 		convCh: make([]chan *winState, W),
-	}
-	if r.fbAft <= 0 {
-		r.fbAft = DefaultFallbackAfter
 	}
 	perWindow := opts.ThreadsPerWindow
 	if perWindow < 1 {
@@ -349,14 +337,14 @@ func (r *runner) restartH(t, hUsed float64) float64 {
 
 // coarseH is the fixed coarse step for window w.
 func (r *runner) coarseH(w int) float64 {
-	return (r.tb[w+1] - r.tb[w]) / float64(r.coarse.Steps)
+	return (r.tb[w+1] - r.tb[w]) / DefaultSteps
 }
 
 // coarseOptions derives the coarse propagator configuration for the
 // segment covering window w from the fine base: fixed NoLTE steps at
-// windowLen/Steps and Newton tolerances loosened by TolScale. Fault
-// injection is stripped — the coarse sweep is an accelerator, and injected
-// faults belong to the fine runs whose results actually ship.
+// windowLen/DefaultSteps and Newton tolerances loosened by DefaultTolScale.
+// Fault injection is stripped — the coarse sweep is an accelerator, and
+// injected faults belong to the fine runs whose results actually ship.
 func (r *runner) coarseOptions(w int, resume *checkpoint.State) transient.Options {
 	o := r.base
 	o.TStop = r.tb[w+1]
@@ -369,11 +357,11 @@ func (r *runner) coarseOptions(w int, resume *checkpoint.State) transient.Option
 	if n.Tol == (num.Tolerances{}) {
 		n.Tol = num.DefaultTolerances()
 	}
-	n.Tol.RelTol *= r.coarse.TolScale
-	n.Tol.AbsTol *= r.coarse.TolScale
+	n.Tol.RelTol *= DefaultTolScale
+	n.Tol.AbsTol *= DefaultTolScale
 	o.Newton = n
-	o.Control.Tol.RelTol *= r.coarse.TolScale
-	o.Control.Tol.AbsTol *= r.coarse.TolScale
+	o.Control.Tol.RelTol *= DefaultTolScale
+	o.Control.Tol.AbsTol *= DefaultTolScale
 	o.Faults = nil
 	o.CoreBudget = r.innerBudget
 	o.Resume = resume
@@ -577,7 +565,7 @@ func (r *runner) worker(w int) {
 		// run as a sequential chain.
 		r.redoCount.Add(1)
 		r.emit(trace.KindWindowRedo, w, r.tb[w])
-		if int(r.redoStreak.Add(1)) >= r.fbAft && r.fallback.CompareAndSwap(false, true) {
+		if int(r.redoStreak.Add(1)) >= DefaultFallbackAfter && r.fallback.CompareAndSwap(false, true) {
 			if r.tr.Active() {
 				r.tr.Emit(trace.Event{
 					Kind:   trace.KindSerialFallback,

@@ -115,29 +115,42 @@ func TestReduceSuiteExactModeBitIdentity(t *testing.T) {
 }
 
 // TestReducePrintNodesProtected: a deck's .PRINT/.PLOT/.PROBE cards name
-// nodes the user wants to see; ApplyTo folds them into ReduceKeep so the
-// pass can never collapse them, and the full-record waveform still carries
-// every original node by way of the expansion map.
+// nodes the user wants to see; ApplyTo hands them to the pass so it can
+// never collapse them, and the full-record waveform still carries every
+// original node by way of the expansion map.
 func TestReducePrintNodesProtected(t *testing.T) {
+	reducedHas := func(src, node string) bool {
+		t.Helper()
+		d, err := ParseDeck(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := d.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsys, err := reduceSystem(sys, d.ApplyTo(TranOptions{Reduce: true, ReduceTol: DefaultReduceTol}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rsys.Reduction() == nil {
+			t.Fatal("ladder deck was not reduced at all")
+		}
+		_, ok := rsys.Circuit.FindNode(node)
+		return ok
+	}
+	if reducedHas(reduceLadderDeck(30), "n15") {
+		t.Fatal("n15 survives reduction unprinted: the deck does not test the keep list")
+	}
 	src := strings.Replace(reduceLadderDeck(30), ".end", ".print tran v(n15)\n.end", 1)
+	if !reducedHas(src, "n15") {
+		t.Fatal("the .print node n15 was collapsed by reduction")
+	}
 	d, err := ParseDeck(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := d.ApplyTo(TranOptions{Reduce: true, ReduceTol: DefaultReduceTol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, k := range opts.ReduceKeep {
-		if strings.EqualFold(k, "n15") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("ApplyTo did not fold the .print node into ReduceKeep: %v", opts.ReduceKeep)
-	}
-	res, err := RunDeckCtx(context.Background(), d, opts)
+	res, err := RunDeckCtx(context.Background(), d, TranOptions{Reduce: true, ReduceTol: DefaultReduceTol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +178,7 @@ func TestReduceUnknownKeepNodeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-9, Reduce: true, ReduceKeep: []string{"ghost"}})
+	_, err = RunTransientCtx(context.Background(), sys, TranOptions{TStop: 1e-9, Reduce: true, Record: []string{"ghost"}})
 	var une *ReduceUnknownNodeError
 	if !errors.As(err, &une) {
 		t.Fatalf("err = %v, want *ReduceUnknownNodeError", err)

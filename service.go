@@ -164,17 +164,14 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	// seed (the deck's own .PRINT/.IC/.NODESET references are added by the
 	// cache itself).
 	entry, hit, err := s.cache.Compile(spec.Deck, artifact.BuildOptions{
-		Reduce:     spec.Options.Reduce,
-		ReduceTol:  spec.Options.ReduceTol,
-		ReduceKeep: reduceKeepList(spec.Options),
+		Reduce:    spec.Options.Reduce,
+		ReduceTol: spec.Options.ReduceTol,
+		Keep:      reduceKeepList(spec.Options),
 	})
 	if err != nil {
 		return JobStatus{}, err
 	}
-	merged, err := (*Deck)(entry.Deck).ApplyTo(spec.Options)
-	if err != nil {
-		return JobStatus{}, err
-	}
+	merged := (*Deck)(entry.Deck).ApplyTo(spec.Options)
 	if err := merged.validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -232,8 +229,8 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 // managedFieldsZero rejects option fields the service owns.
 func managedFieldsZero(o TranOptions) error {
 	switch {
-	case o.CheckpointPath != "" || o.CheckpointEvery != 0 || o.ResumeFrom != "":
-		return errors.New("wavepipe: Submit: a job's state across preemption is kept by the service (no CheckpointPath, CheckpointEvery or ResumeFrom)")
+	case o.CheckpointPath != "" || o.ResumeFrom != "":
+		return errors.New("wavepipe: Submit: a job's state across preemption is kept by the service (no CheckpointPath or ResumeFrom)")
 	case o.OnAccept != nil:
 		return errors.New("wavepipe: Submit: OnAccept is managed by the service (use Stream)")
 	case o.Observer != nil:

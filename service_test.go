@@ -405,7 +405,6 @@ func TestServiceRejectsManagedFields(t *testing.T) {
 	s := newTestService(t, ServiceConfig{Cores: 1})
 	bad := []TranOptions{
 		{CheckpointPath: "x"},
-		{CheckpointEvery: 8},
 		{ResumeFrom: "x"},
 		{OnAccept: func(float64, []float64) {}},
 		{Observer: NewTraceMetrics()},

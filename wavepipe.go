@@ -215,14 +215,15 @@ func (d *Deck) FindSource(name string) (*device.VSource, bool) {
 //   - MaxStep: kept if positive, else .TRAN's TMax when present.
 //   - RelTol/AbsTol: kept if positive, else .OPTIONS reltol/abstol.
 //   - IC/NodeSet: kept if non-nil, else the deck's .IC/.NODESET maps.
+//   - The deck's .PRINT nodes survive reduction, beside Record, IC and
+//     NodeSet.
 //
 // ApplyTo only merges; it never validates. The merged options flow into the
 // single validation path (TranOptions.validate, run by every entry point),
 // which rejects a run that ended up without a positive TStop — so a deck
 // with no .TRAN and no explicit TStop fails there, not here. The receiver
-// is not modified; the merged options are returned. The error result is
-// always nil and retained only for call-site compatibility.
-func (d *Deck) ApplyTo(opts TranOptions) (TranOptions, error) {
+// is not modified; the merged options are returned.
+func (d *Deck) ApplyTo(opts TranOptions) TranOptions {
 	if opts.TStop <= 0 && d.Tran != nil {
 		opts.TStop = d.Tran.TStop
 	}
@@ -250,15 +251,8 @@ func (d *Deck) ApplyTo(opts TranOptions) (TranOptions, error) {
 	if len(d.NodeSets) > 0 && opts.NodeSet == nil {
 		opts.NodeSet = d.NodeSets
 	}
-	if len(d.Prints) > 0 {
-		// Nodes the deck asks to print must survive the reduction pass;
-		// appending is additive, so explicit ReduceKeep entries also stay.
-		merged := make([]string, 0, len(opts.ReduceKeep)+len(d.Prints))
-		merged = append(merged, opts.ReduceKeep...)
-		merged = append(merged, d.Prints...)
-		opts.ReduceKeep = merged
-	}
-	return opts, nil
+	opts.prints = d.Prints
+	return opts
 }
 
 // ParseDeck parses SPICE netlist text.
@@ -341,9 +335,8 @@ type TranOptions struct {
 	Method Method
 	// RelTol and AbsTol override the error tolerances (defaults 1e-3, 1e-6).
 	RelTol, AbsTol float64
-	// MaxStep and InitStep bound the adaptive step (defaults TStop/20 and
-	// TStop·1e-6).
-	MaxStep, InitStep float64
+	// MaxStep bounds the adaptive step (default TStop/20).
+	MaxStep float64
 	// UIC skips the operating point and starts from IC.
 	UIC bool
 	// IC maps node names to initial voltages.
@@ -387,15 +380,15 @@ type TranOptions struct {
 	// clock reads.
 	Observer Observer
 	// CheckpointPath enables durable checkpoints: the complete run state at
-	// accepted-step boundaries is atomically written to this file every
-	// CheckpointEvery accepted points and once more when the run ends for
-	// any reason (success, cancellation or deadline, stall, panic). A serial
-	// run resumed from such a checkpoint replays bit-identically to an
-	// uninterrupted one. Empty (the default) disables checkpointing.
+	// accepted-step boundaries is atomically written to this file
+	// periodically and once more when the run ends for any reason (success,
+	// cancellation or deadline, stall, panic). A periodic save is due once
+	// 256 points have been accepted since the last one and 49 times that
+	// save's duration has passed since it ended, so saves cost at most 2% of
+	// the run's wall time. A serial run resumed from such a checkpoint
+	// replays bit-identically to an uninterrupted one. Empty (the default)
+	// disables checkpointing.
 	CheckpointPath string
-	// CheckpointEvery is the periodic snapshot cadence in accepted points
-	// (default 256). Requires CheckpointPath.
-	CheckpointEvery int
 	// ResumeFrom resumes the run from a checkpoint file previously written
 	// via CheckpointPath. The checkpoint must match the circuit (unknown
 	// count, state count, device count, matrix pattern), TStop and Method of
@@ -420,13 +413,17 @@ type TranOptions struct {
 	// inject is the fault harness the package's own tests set; every
 	// solver layer of the run shares it.
 	inject *faults.Injector
+	// prints is the deck's .PRINT node list, set by Deck.ApplyTo: nodes
+	// reduction must keep beside Record, IC and NodeSet.
+	prints []string
 	// Reduce enables the structure-exploiting parasitic reduction pass
 	// (internal/reduce) before the system is simulated: series R/L chains
 	// are merged exactly and uniform RC-ladder segments are lumped into
 	// low-order sections under the ReduceTol error budget, shrinking the
 	// MNA dimension every downstream engine works on. Nodes named by
-	// Record, ReduceKeep, IC, NodeSet or deck .PRINT cards are never
-	// collapsed; suppressed node waveforms are reconstructed through the
+	// Record, IC, NodeSet or deck .PRINT cards are never collapsed
+	// (naming an unknown node fails the run with a typed
+	// *ReduceUnknownNodeError); suppressed node waveforms are reconstructed through the
 	// expansion map when Record is nil. Circuits containing devices the
 	// pass cannot analyze (current-controlled sources, mutual inductors,
 	// switches) are left untouched. false (the default) keeps runs
@@ -437,10 +434,6 @@ type TranOptions struct {
 	// error-free series merges are applied. The CLI default is
 	// DefaultReduceTol.
 	ReduceTol float64
-	// ReduceKeep lists additional node names that must survive reduction
-	// (beyond Record/IC/NodeSet and deck .PRINT references). Naming an
-	// unknown node fails the run with a typed *ReduceUnknownNodeError.
-	ReduceKeep []string
 }
 
 // DefaultReduceTol is the ladder-lumping error budget the CLI applies when
@@ -471,9 +464,6 @@ func (o TranOptions) validate() error {
 	if math.IsNaN(o.MaxStep) || o.MaxStep < 0 {
 		return fmt.Errorf("wavepipe: MaxStep must not be negative or NaN (got %g)", o.MaxStep)
 	}
-	if math.IsNaN(o.InitStep) || o.InitStep < 0 {
-		return fmt.Errorf("wavepipe: InitStep must not be negative or NaN (got %g)", o.InitStep)
-	}
 	if o.Threads < 0 {
 		return fmt.Errorf("wavepipe: Threads must not be negative (got %d)", o.Threads)
 	}
@@ -489,12 +479,6 @@ func (o TranOptions) validate() error {
 	if o.CoreBudget > 1024 {
 		return fmt.Errorf("wavepipe: CoreBudget %d is not a plausible core count (max 1024)", o.CoreBudget)
 	}
-	if o.CheckpointEvery < 0 {
-		return fmt.Errorf("wavepipe: CheckpointEvery must not be negative (got %d)", o.CheckpointEvery)
-	}
-	if o.CheckpointEvery > 0 && o.CheckpointPath == "" {
-		return fmt.Errorf("wavepipe: CheckpointEvery requires CheckpointPath")
-	}
 	if math.IsNaN(o.StallFactor) {
 		return fmt.Errorf("wavepipe: StallFactor must not be NaN")
 	}
@@ -506,12 +490,6 @@ func (o TranOptions) validate() error {
 	}
 	if o.Windows > 1024 {
 		return fmt.Errorf("wavepipe: Windows %d is not a plausible window count (max 1024)", o.Windows)
-	}
-	if o.CoarseOpts.Steps < 0 {
-		return fmt.Errorf("wavepipe: CoarseOpts.Steps must not be negative (got %d)", o.CoarseOpts.Steps)
-	}
-	if math.IsNaN(o.CoarseOpts.TolScale) || o.CoarseOpts.TolScale < 0 {
-		return fmt.Errorf("wavepipe: CoarseOpts.TolScale must not be negative or NaN (got %g)", o.CoarseOpts.TolScale)
 	}
 	if math.IsNaN(o.CoarseOpts.Gate) || o.CoarseOpts.Gate < 0 {
 		return fmt.Errorf("wavepipe: CoarseOpts.Gate must not be negative or NaN (got %g)", o.CoarseOpts.Gate)
@@ -557,7 +535,6 @@ func RunTransientCtx(ctx context.Context, sys *System, opts TranOptions) (*Resul
 	if opts.CheckpointPath != "" || opts.StallFactor > 0 {
 		ctl = checkpoint.NewController(checkpoint.Config{
 			Path:        opts.CheckpointPath,
-			Every:       opts.CheckpointEvery,
 			StallFactor: opts.StallFactor,
 		})
 	}
@@ -613,7 +590,7 @@ func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpo
 // sys has not been through it already (the artifact cache attaches the
 // reduction record to cached systems, including a no-op marker, so cached
 // entries are never reduced twice). The keep list protects every node the
-// caller can observe or seed: Record, ReduceKeep, IC and NodeSet names.
+// caller can observe or seed: Record, IC, NodeSet and deck .PRINT names.
 // When the pass is a no-op the original compiled System is returned
 // unchanged, preserving bit-identical results.
 func reduceSystem(sys *System, opts TranOptions) (*System, error) {
@@ -639,9 +616,9 @@ func reduceSystem(sys *System, opts TranOptions) (*System, error) {
 // reduceKeepList collects every node name reduction must preserve for the
 // run to be observationally equivalent to the unreduced one.
 func reduceKeepList(opts TranOptions) []string {
-	keep := make([]string, 0, len(opts.Record)+len(opts.ReduceKeep)+len(opts.IC)+len(opts.NodeSet))
+	keep := make([]string, 0, len(opts.Record)+len(opts.prints)+len(opts.IC)+len(opts.NodeSet))
 	keep = append(keep, opts.Record...)
-	keep = append(keep, opts.ReduceKeep...)
+	keep = append(keep, opts.prints...)
 	for name := range opts.IC {
 		keep = append(keep, name)
 	}
@@ -794,11 +771,7 @@ func RunDeckCtx(ctx context.Context, d *Deck, opts TranOptions) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	opts, err = d.ApplyTo(opts)
-	if err != nil {
-		return nil, err
-	}
-	return RunTransientCtx(ctx, sys, opts)
+	return RunTransientCtx(ctx, sys, d.ApplyTo(opts))
 }
 
 // baseOptions translates facade options into engine options, resolving node
@@ -808,7 +781,6 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 	base := transient.Options{
 		TStop:      opts.TStop,
 		Method:     opts.Method,
-		HInit:      opts.InitStep,
 		UIC:        opts.UIC,
 		Faults:     opts.inject,
 		CoreBudget: opts.CoreBudget,

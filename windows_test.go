@@ -132,7 +132,7 @@ func TestWindowsSerialFallback(t *testing.T) {
 	opts := TranOptions{
 		TStop: b.TStop / 5, Record: []string{b.Probe},
 		Windows:    6,
-		CoarseOpts: CoarseOptions{Gate: 1e-9, TolScale: 64, Steps: 4},
+		CoarseOpts: CoarseOptions{Gate: 1e-9},
 	}
 	res := windowedRun(t, sys, opts)
 	if res.Stats.WindowRedos == 0 {
@@ -233,8 +233,6 @@ func TestWindowsOptionValidation(t *testing.T) {
 	bad := []func(*TranOptions){
 		func(o *TranOptions) { o.Windows = -1 },
 		func(o *TranOptions) { o.Windows = 4096 },
-		func(o *TranOptions) { o.Windows = 2; o.CoarseOpts.Steps = -3 },
-		func(o *TranOptions) { o.Windows = 2; o.CoarseOpts.TolScale = -1 },
 		func(o *TranOptions) { o.Windows = 2; o.CoarseOpts.Gate = -1 },
 		func(o *TranOptions) { o.Windows = 2; o.CheckpointPath = "x.ckpt" },
 	}

@@ -29,10 +29,10 @@ const SchemaVersion = 1
 // deadline (wavepipe.JobSpec.Deadline), which keeps its place here so
 // documents from older peers decode unchanged. Process-local fields
 // (Observer, OnAccept) and service-managed durability fields
-// (CheckpointPath, CheckpointEvery, ResumeFrom) have no wire form: the
-// first cannot cross a process boundary, the second are owned by whichever
-// process runs the simulation. Retired options, snapshotEvery among them,
-// are unknown fields and refused.
+// (CheckpointPath, ResumeFrom) have no wire form: the first cannot cross a
+// process boundary, the second are owned by whichever process runs the
+// simulation. Retired options (snapshotEvery, initStep, reduceKeep,
+// coarseSteps, coarseTolScale among them) are unknown fields and refused.
 type TranOptions struct {
 	TStop       float64            `json:"tstop,omitempty"`
 	Scheme      string             `json:"scheme,omitempty"`
@@ -41,7 +41,6 @@ type TranOptions struct {
 	RelTol      float64            `json:"reltol,omitempty"`
 	AbsTol      float64            `json:"abstol,omitempty"`
 	MaxStep     float64            `json:"maxStep,omitempty"`
-	InitStep    float64            `json:"initStep,omitempty"`
 	UIC         bool               `json:"uic,omitempty"`
 	IC          map[string]float64 `json:"ic,omitempty"`
 	NodeSet     map[string]float64 `json:"nodeset,omitempty"`
@@ -52,43 +51,36 @@ type TranOptions struct {
 	// Time-parallel (Parareal) window configuration. Additive since
 	// schemaVersion 1: absent fields mean no windowing, so documents from
 	// older peers decode unchanged.
-	Windows        int     `json:"windows,omitempty"`
-	CoarseSteps    int     `json:"coarseSteps,omitempty"`
-	CoarseTolScale float64 `json:"coarseTolScale,omitempty"`
-	WindowGate     float64 `json:"windowGate,omitempty"`
-	WindowStrict   bool    `json:"windowStrict,omitempty"`
+	Windows      int     `json:"windows,omitempty"`
+	WindowGate   float64 `json:"windowGate,omitempty"`
+	WindowStrict bool    `json:"windowStrict,omitempty"`
 	// Parasitic-reduction configuration. Additive since schemaVersion 1:
 	// absent fields mean no reduction, so documents from older peers decode
 	// unchanged.
-	Reduce     bool     `json:"reduce,omitempty"`
-	ReduceTol  float64  `json:"reduceTol,omitempty"`
-	ReduceKeep []string `json:"reduceKeep,omitempty"`
+	Reduce    bool    `json:"reduce,omitempty"`
+	ReduceTol float64 `json:"reduceTol,omitempty"`
 }
 
 // FromJobSpec converts a job submission to its wire form.
 func FromJobSpec(spec wavepipe.JobSpec) JobRequest {
 	o := spec.Options
 	w := TranOptions{
-		TStop:          o.TStop,
-		Threads:        o.Threads,
-		RelTol:         o.RelTol,
-		AbsTol:         o.AbsTol,
-		MaxStep:        o.MaxStep,
-		InitStep:       o.InitStep,
-		UIC:            o.UIC,
-		IC:             o.IC,
-		NodeSet:        o.NodeSet,
-		Record:         o.Record,
-		CoreBudget:     o.CoreBudget,
-		StallFactor:    o.StallFactor,
-		Windows:        o.Windows,
-		CoarseSteps:    o.CoarseOpts.Steps,
-		CoarseTolScale: o.CoarseOpts.TolScale,
-		WindowGate:     o.CoarseOpts.Gate,
-		WindowStrict:   o.CoarseOpts.Strict,
-		Reduce:         o.Reduce,
-		ReduceTol:      o.ReduceTol,
-		ReduceKeep:     o.ReduceKeep,
+		TStop:        o.TStop,
+		Threads:      o.Threads,
+		RelTol:       o.RelTol,
+		AbsTol:       o.AbsTol,
+		MaxStep:      o.MaxStep,
+		UIC:          o.UIC,
+		IC:           o.IC,
+		NodeSet:      o.NodeSet,
+		Record:       o.Record,
+		CoreBudget:   o.CoreBudget,
+		StallFactor:  o.StallFactor,
+		Windows:      o.Windows,
+		WindowGate:   o.CoarseOpts.Gate,
+		WindowStrict: o.CoarseOpts.Strict,
+		Reduce:       o.Reduce,
+		ReduceTol:    o.ReduceTol,
 	}
 	if o.Scheme != wavepipe.Serial {
 		w.Scheme = o.Scheme.String()
@@ -116,7 +108,6 @@ func (q *JobRequest) ToJobSpec() (wavepipe.JobSpec, error) {
 		RelTol:      w.RelTol,
 		AbsTol:      w.AbsTol,
 		MaxStep:     w.MaxStep,
-		InitStep:    w.InitStep,
 		UIC:         w.UIC,
 		IC:          w.IC,
 		NodeSet:     w.NodeSet,
@@ -126,13 +117,7 @@ func (q *JobRequest) ToJobSpec() (wavepipe.JobSpec, error) {
 		Windows:     w.Windows,
 		Reduce:      w.Reduce,
 		ReduceTol:   w.ReduceTol,
-		ReduceKeep:  w.ReduceKeep,
-		CoarseOpts: wavepipe.CoarseOptions{
-			Steps:    w.CoarseSteps,
-			TolScale: w.CoarseTolScale,
-			Gate:     w.WindowGate,
-			Strict:   w.WindowStrict,
-		},
+		CoarseOpts:  wavepipe.CoarseOptions{Gate: w.WindowGate, Strict: w.WindowStrict},
 	}
 	var err error
 	if spec.Options.Scheme, err = wavepipe.ParseScheme(w.Scheme); err != nil {

@@ -128,7 +128,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 	// Retired options (PR 14) are unknown fields like any other: a peer
 	// still sending them is told so instead of having them dropped.
-	for _, opt := range []string{`"bogus":2`, `"aggressiveGrowth":true`, `"loadMode":"colored"`, `"snapshotEvery":64`} {
+	for _, opt := range []string{`"bogus":2`, `"aggressiveGrowth":true`, `"loadMode":"colored"`, `"snapshotEvery":64`, `"initStep":1e-12`, `"reduceKeep":["n5"]`, `"coarseSteps":12`, `"coarseTolScale":6`} {
 		doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,` + opt + `}}`
 		if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
 			t.Fatalf("option field %s accepted", opt)

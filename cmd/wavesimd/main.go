@@ -40,7 +40,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8380", "listen address")
 	cores := flag.Int("cores", 0, "global core budget shared by all jobs (0 = GOMAXPROCS)")
-	queueBound := flag.Int("max-queued", 64, "admission queue bound; beyond it submissions get 429")
+	queueBound := flag.Int("max-queued", 64, "admission queue bound; beyond it submissions get 429. Finished jobs past max-queued + cores are forgotten (their IDs get 404)")
 	cacheSize := flag.Int("cache", 16, "compiled-artifact cache size in decks")
 	dir := flag.String("dir", "", "directory for the per-job traces of -trace-jobs (default: temp dir)")
 	traceJobs := flag.Bool("trace-jobs", false, "write per-job JSONL traces into -dir")

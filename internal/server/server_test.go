@@ -369,3 +369,51 @@ func TestHTTPMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPForgottenJobIs404: a finished job the service has forgotten (past
+// MaxQueued + Cores finished after it) is 404 on every endpoint, and the
+// client maps it back to ErrUnknownJob.
+func TestHTTPForgottenJobIs404(t *testing.T) {
+	svc, err := wavepipe.NewService(wavepipe.ServiceConfig{Cores: 1, MaxQueued: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(server.Config{Client: svc}))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	c, err := client.New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var ids []string
+	for k := 0; k < 3; k++ {
+		st, err := c.Submit(ctx, wavepipe.JobSpec{Deck: rcDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, path := range []string{"", "/result", "/stream"} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + ids[0] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "finished and evicted") {
+			t.Fatalf("GET %s%s: %s %s; want 404, finished and evicted", ids[0], path, resp.Status, body)
+		}
+	}
+	if _, err := c.Wait(ctx, ids[0]); !errors.Is(err, wavepipe.ErrUnknownJob) {
+		t.Fatalf("Wait of a forgotten job: %v, want ErrUnknownJob", err)
+	}
+	if _, err := c.Status(ctx, ids[1]); err != nil {
+		t.Fatalf("a job within the window: %v", err)
+	}
+}

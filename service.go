@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +22,7 @@ import (
 )
 
 // ErrUnknownJob is returned by Status/Wait/Stream/Cancel for an ID the
-// service never issued.
+// service never issued, or one of a finished job it no longer holds.
 var ErrUnknownJob = errors.New("wavepipe: unknown job")
 
 // ErrQueueFull is returned by Submit when the service's admission control
@@ -43,7 +45,9 @@ type ServiceConfig struct {
 	// never exceeds it.
 	Cores int
 	// MaxQueued bounds the admission queue (default 64); beyond it Submit
-	// fails fast with ErrQueueFull.
+	// fails fast with ErrQueueFull. It also sizes how many finished jobs
+	// the service keeps: MaxQueued + Cores, one admission window; an older
+	// finished job's ID is ErrUnknownJob.
 	MaxQueued int
 	// CacheSize bounds the compiled-artifact cache in decks (default 16).
 	CacheSize int
@@ -76,6 +80,9 @@ type Service struct {
 	jobs   map[string]*job
 	queued int // jobs that have not yet left JobQueued: the admission count
 	seq    int
+	// done holds the IDs of the terminal jobs still in jobs, oldest first:
+	// at most one admission window, MaxQueued + Cores.
+	done   []string
 	closed bool
 	// The engine counters /metrics renders, folded from each finished job:
 	// the sum of their Stats, serial fallbacks, and jobs ended JobCanceled.
@@ -92,6 +99,7 @@ type Service struct {
 // job is the service-side state of one submission.
 type job struct {
 	id     string
+	seq    int
 	spec   JobSpec
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -104,7 +112,8 @@ type job struct {
 	cacheHit bool
 	signals  []string
 	rows     []StreamPoint
-	update   chan struct{} // closed and replaced on every state/row change
+	update   chan struct{} // closed and replaced on a state/row change once a Stream took it
+	watched  bool          // a Stream holds update
 	res      *Result
 	err      error
 	canceled bool // user asked; distinguishes cancel from preemption
@@ -207,7 +216,8 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 		jctx, cancel = context.WithCancel(context.Background())
 	}
 	j := &job{
-		id:       fmt.Sprintf("j%06d", s.seq),
+		id:       jobID(s.seq),
+		seq:      s.seq,
 		spec:     spec,
 		ctx:      jctx,
 		cancel:   cancel,
@@ -359,7 +369,10 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 
 // finish moves a job to its terminal state and wakes waiters and streams.
 // The job's Stats (a salvaged partial result included) are folded into the
-// service's counters before anyone can see the job terminal.
+// service's counters before anyone can see the job terminal. Past one
+// admission window of terminal jobs the oldest is forgotten: a client that
+// filled the queue and the cores still collects every result, and a Wait or
+// Stream already holding the job finishes as usual.
 func (s *Service) finish(j *job, res *Result, err error) {
 	state := JobFailed
 	j.mu.Lock()
@@ -379,12 +392,16 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		s.stats.Add(res.Stats)
 		s.fallbacks += int64(res.Recovery.Count(transient.RecoverySerialFallback))
 	}
-	s.mu.Unlock()
-
 	j.mu.Lock()
 	j.res, j.err, j.state, j.cores = res, err, state, 0
 	j.broadcastLocked()
 	j.mu.Unlock()
+	s.done = append(s.done, j.id)
+	if len(s.done) > s.cfg.MaxQueued+s.cfg.Cores {
+		delete(s.jobs, s.done[0])
+		s.done = slices.Delete(s.done, 0, 1)
+	}
+	s.mu.Unlock()
 	close(j.done)
 	s.finished.Add(1)
 }
@@ -399,18 +416,27 @@ func (s *Service) writeTrace(id string, rec *trace.Recorder) {
 	_ = trace.WriteJSONL(f, rec.Events(), rec.Snapshots())
 }
 
-// broadcastLocked wakes everything blocked on the job's next change.
-// Callers hold j.mu.
+// broadcastLocked wakes every Stream blocked on the job's next change; with
+// none it allocates nothing. Callers hold j.mu.
 func (j *job) broadcastLocked() {
+	if !j.watched {
+		return
+	}
 	close(j.update)
 	j.update = make(chan struct{})
+	j.watched = false
 }
+
+func jobID(seq int) string { return fmt.Sprintf("j%06d", seq) }
 
 func (s *Service) lookup(id string) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > 0 && n <= s.seq && jobID(n) == id {
+			return nil, fmt.Errorf("%w: %q finished and evicted", ErrUnknownJob, id)
+		}
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	return j, nil
@@ -479,6 +505,7 @@ func (s *Service) Stream(ctx context.Context, id string) (<-chan StreamPoint, er
 			j.mu.Lock()
 			rows := j.rows
 			update := j.update
+			j.watched = true
 			terminal := j.state.Terminal()
 			j.mu.Unlock()
 			for ; next < len(rows); next++ {
@@ -514,15 +541,19 @@ func (s *Service) Cancel(_ context.Context, id string) error {
 	return nil
 }
 
-// Jobs lists the IDs the service has issued, oldest first.
+// Jobs lists the IDs the service still holds, oldest first.
 func (s *Service) Jobs() []string {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
-	slices.Sort(ids)
+	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
 	return ids
 }
 

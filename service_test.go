@@ -874,3 +874,134 @@ func TestServiceJobRunsUntraced(t *testing.T) {
 		}
 	}
 }
+
+// rowsDeck is a short job with more rows than a Stream's channel buffers, so
+// a Stream opened on it is still replaying when the job is forgotten.
+const rowsDeck = `* rc lowpass, forced rows
+V1 in 0 PULSE(0 1 0 1n 1n 10n 20n)
+R1 in out 1k
+C1 out 0 1n
+.tran 0.1n 100n 0 0.5n
+.end
+`
+
+// TestServiceForgetsOldestFinishedJobs: past one admission window
+// (MaxQueued + Cores) of finished jobs the oldest is forgotten — its ID is
+// ErrUnknownJob to Status, Wait and Stream — while a Stream that already
+// held it drains every row, and a live job is never forgotten.
+func TestServiceForgetsOldestFinishedJobs(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, ServiceConfig{Cores: 1, MaxQueued: 2})
+	var ids []string
+	var first <-chan StreamPoint
+	var firstRes *Result
+	for k := 0; k < 6; k++ {
+		st, err := s.Submit(ctx, JobSpec{Deck: rowsDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+		if k == 0 {
+			if first, err = s.Stream(ctx, st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Wait(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			firstRes = res
+		}
+	}
+	if got := s.Jobs(); !slices.Equal(got, ids[3:]) {
+		t.Fatalf("Jobs() = %v, want the three newest %v", got, ids[3:])
+	}
+	if _, err := s.Status(ctx, ids[0]); !errors.Is(err, ErrUnknownJob) || !strings.Contains(err.Error(), "finished and evicted") {
+		t.Fatalf("Status of a forgotten job: %v, want ErrUnknownJob, finished and evicted", err)
+	}
+	if _, err := s.Wait(ctx, ids[0]); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Wait of a forgotten job: %v, want ErrUnknownJob", err)
+	}
+	if _, err := s.Stream(ctx, ids[0]); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Stream of a forgotten job: %v, want ErrUnknownJob", err)
+	}
+	if _, err := s.Status(ctx, "j999999"); err == nil || strings.Contains(err.Error(), "evicted") {
+		t.Fatalf("Status of an ID never issued: %v, want plain ErrUnknownJob", err)
+	}
+	var pts []StreamPoint
+	for p := range first {
+		pts = append(pts, p)
+	}
+	checkStreamed(t, pts, firstRes)
+
+	// A live job outlasts any number of finished ones: a low-priority long
+	// job, preempted by every short one, stays listed while more short jobs
+	// than the bound finish.
+	long, err := s.Submit(ctx, JobSpec{Deck: longDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, long.ID)
+	ids = ids[:0]
+	for k := 0; k < 4; k++ {
+		st, err := s.Submit(ctx, JobSpec{Deck: rowsDeck, Priority: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if got, want := s.Jobs(), append([]string{long.ID}, ids[1:]...); !slices.Equal(got, want) {
+		t.Fatalf("Jobs() = %v, want the live job and the three newest %v", got, want)
+	}
+	if st, err := s.Status(ctx, long.ID); err != nil || st.State.Terminal() {
+		t.Fatalf("long job: %v, %v; want it live", st.State, err)
+	}
+	if _, err := s.Wait(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceJobsInSequenceOrder: Jobs lists oldest first by sequence
+// number, past the six digits an ID is padded to.
+func TestServiceJobsInSequenceOrder(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, ServiceConfig{Cores: 1})
+	s.seq = 999_998
+	var ids []string
+	for k := 0; k < 3; k++ {
+		st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if want := []string{"j999999", "j1000000", "j1000001"}; !slices.Equal(ids, want) || !slices.Equal(s.Jobs(), want) {
+		t.Fatalf("issued %v, Jobs() = %v; want %v", ids, s.Jobs(), want)
+	}
+	for _, id := range ids {
+		if _, err := s.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUnwatchedBroadcastAllocatesNothing: with no Stream waiting, an
+// accepted row wakes no one and makes no channel.
+func TestUnwatchedBroadcastAllocatesNothing(t *testing.T) {
+	j := &job{update: make(chan struct{})}
+	if n := testing.AllocsPerRun(100, j.broadcastLocked); n != 0 {
+		t.Fatalf("unwatched broadcastLocked allocates %v times, want 0", n)
+	}
+	before := j.update
+	j.watched = true
+	j.broadcastLocked()
+	select {
+	case <-before:
+	default:
+		t.Fatal("a watched broadcast left the Stream's channel open")
+	}
+}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"io"
@@ -203,5 +204,73 @@ func TestReadStreamFrameEnds(t *testing.T) {
 	}
 	if n := StreamFrameRows(2); n*3*8 > 64<<20 || (n+1)*3*8 <= 64<<20 {
 		t.Fatalf("StreamFrameRows(2) = %d does not fill the 64 MiB bound", n)
+	}
+}
+
+// wideResult is a result of rows rows of cols values, the specials among them.
+func wideResult(rows, cols int) *Result {
+	r := &Result{SchemaVersion: SchemaVersion, Signals: make([]string, cols)}
+	for k := 0; k < rows; k++ {
+		row := make([]float64, cols)
+		for c := range row {
+			row[c] = specials[(k+c)%len(specials)]
+		}
+		r.Times, r.Data = append(r.Times, float64(k)), append(r.Data, row)
+	}
+	return r
+}
+
+// TestResultFrameRowsIn64KiBFrames: a long result leaves as frames of at most
+// 64 KiB of rows — one row when a row alone is wider — and reads back bit
+// for bit through the client's 64 KiB reader.
+func TestResultFrameRowsIn64KiBFrames(t *testing.T) {
+	for _, c := range []struct{ rows, cols, frames int }{
+		{10000, 3, 5}, // 2048 rows of 32 bytes a frame
+		{3, 9000, 3},  // one 72 008-byte row a frame
+		{1, 2, 1},     // one short frame
+	} {
+		r := wideResult(c.rows, c.cols)
+		b := frameOf(t, r)
+		frames := b[bytes.IndexByte(b, '\n')+1:]
+		rowBytes := 8 * (c.cols + 1)
+		var n int
+		for rest := frames; len(rest) > 0; n++ {
+			rows := int(binary.LittleEndian.Uint32(rest))
+			size := 4 + rows*rowBytes
+			if rows < 1 || (rows > 1 && size > 4+64<<10) || size > len(rest) {
+				t.Fatalf("%d×%d: frame %d holds %d rows, %d bytes", c.rows, c.cols, n, rows, size)
+			}
+			rest = rest[size:]
+		}
+		if n != c.frames {
+			t.Fatalf("%d×%d: %d frames, want %d", c.rows, c.cols, n, c.frames)
+		}
+		got, err := ReadResultFrame(bufio.NewReaderSize(bytes.NewReader(b), 64<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, got, r)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestWriteResultFrameAllocsDoNotGrowWithRows: the rows are encoded into one
+// buffer sized to a frame, so a long result allocates what a short one does.
+func TestWriteResultFrameAllocsDoNotGrowWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so the JSON head's allocations vary from run to run")
+	}
+	allocs := func(rows int) float64 {
+		r := wideResult(rows, 3)
+		return testing.AllocsPerRun(20, func() {
+			if err := WriteResultFrame(io.Discard, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(10000); short != long {
+		t.Fatalf("WriteResultFrame allocates %v times for 100 rows, %v for 10 000", short, long)
 	}
 }

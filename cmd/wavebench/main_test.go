@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
-	"time"
 
 	"wavepipe/internal/circuits"
 )
@@ -19,28 +21,47 @@ func TestFindBench(t *testing.T) {
 	}
 }
 
-func TestUnitHelpers(t *testing.T) {
-	if got := ms(1500 * time.Microsecond); got != 1.5 {
-		t.Fatalf("ms = %g", got)
-	}
-	if got := nanosMS(2_500_000); got != 2.5 {
-		t.Fatalf("nanosMS = %g", got)
-	}
-}
-
-func TestTable1Renders(t *testing.T) {
-	// Table 1 builds every suite circuit; it must succeed end to end.
-	if err := table1(); err != nil {
+// TestJSONMetricsRecord decodes the record of one small circuit: exactly one
+// element, carrying every key the record has always had, with a real run
+// behind it.
+func TestJSONMetricsRecord(t *testing.T) {
+	var buf bytes.Buffer
+	if err := jsonMetrics(&buf, "amp10M"); err != nil {
 		t.Fatal(err)
 	}
+	var raw []map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatalf("output is not a JSON array of objects: %v\n%s", err, buf.String())
+	}
+	if len(raw) != 1 {
+		t.Fatalf("%d records for one circuit, want 1", len(raw))
+	}
+	keys := make([]string, 0, len(raw[0]))
+	for k := range raw[0] {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"allocs_per_op", "circuit", "full_factorizations", "gomaxprocs", "nr_iters", "ns_per_op",
+		"points", "refactorizations", "reused_factorizations", "scheme", "stages"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("record keys %v, want %v", keys, want)
+	}
+	var recs []benchMetrics
+	if err := json.Unmarshal(buf.Bytes(), &recs); err != nil {
+		t.Fatal(err)
+	}
+	r := recs[0]
+	if r.Circuit != "amp10M" || r.Scheme != "serial" || r.Points <= 0 || r.FullFactorizations < 1 {
+		t.Fatalf("record %+v: want amp10M, serial, points > 0, full_factorizations >= 1", r)
+	}
 }
 
-func TestWindowQuickScaling(t *testing.T) {
-	b, _ := findBench("ring9")
-	full := window(b)
-	*quick = true
-	defer func() { *quick = false }()
-	if got := window(b); got != full/5 {
-		t.Fatalf("quick window = %g, want %g", got, full/5)
+func TestJSONMetricsUnknownCircuit(t *testing.T) {
+	var buf bytes.Buffer
+	if err := jsonMetrics(&buf, "nope"); err == nil {
+		t.Fatal("an unknown circuit name was accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %q for an unknown circuit", buf.String())
 	}
 }

@@ -114,6 +114,116 @@ func TestReduceSuiteExactModeBitIdentity(t *testing.T) {
 	}
 }
 
+// TestReduceLadder400KeepsAQuarter: at the default tolerance the ladder's
+// 402 nodes collapse to a handful (9 today), the probe stays within the 5%
+// suite bar at the full horizon, and the counters reconcile with the size
+// of the system the engine actually solved.
+func TestReduceLadder400KeepsAQuarter(t *testing.T) {
+	b, ok := findSuite("ladder400")
+	if !ok {
+		t.Fatal("no ladder400 benchmark")
+	}
+	sys, err := b.Make().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := TranOptions{TStop: b.TStop, Record: []string{b.Probe}}
+	ref, err := RunTransientCtx(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Reduce = true
+	opts.ReduceTol = DefaultReduceTol
+	res, err := RunTransientCtx(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsys, err := reduceSystem(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(sys.NumNodes - rsys.NumNodes); got != res.Stats.ReducedNodes {
+		t.Fatalf("%d nodes reduced to %d, Stats.ReducedNodes = %d", sys.NumNodes, rsys.NumNodes, res.Stats.ReducedNodes)
+	}
+	if 4*rsys.NumNodes > sys.NumNodes {
+		t.Fatalf("%d nodes reduced to %d, want at most a quarter", sys.NumNodes, rsys.NumNodes)
+	}
+	dev, err := Compare(res.W, ref.W, b.Probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := dev.RelMax(); m >= 0.05 {
+		t.Fatalf("reduced ladder400 deviates by %g, budget 0.05", m)
+	}
+	if res.Stats.CriticalNanos <= 0 {
+		t.Fatalf("CriticalNanos = %d", res.Stats.CriticalNanos)
+	}
+}
+
+// TestReduceGrid16IsANoOp: every mesh node carries four devices, so the pass
+// at the default tolerance finds nothing to reduce and the engine solves the
+// very same system, bit for bit.
+func TestReduceGrid16IsANoOp(t *testing.T) {
+	b, ok := findSuite("grid16")
+	if !ok {
+		t.Fatal("no grid16 benchmark")
+	}
+	sys, err := b.Make().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := TranOptions{TStop: b.TStop, Record: []string{b.Probe}}
+	ref, err := RunTransientCtx(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Reduce = true
+	opts.ReduceTol = DefaultReduceTol
+	res, err := RunTransientCtx(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ReducedNodes != 0 || res.Stats.ReducedDevices != 0 {
+		t.Fatalf("grid16 reduced: nodes %d, devices %d", res.Stats.ReducedNodes, res.Stats.ReducedDevices)
+	}
+	sameWaveform(t, "reduced vs off", res, ref)
+}
+
+// TestReduceLadder400IsFaster times whole runs, planning and rebuilding the
+// smaller system included: the reduced ladder400 must beat the full one by
+// at least 1.5x, best of three each at the full horizon (about 12x on a
+// 2.1 GHz Xeon).
+func TestReduceLadder400IsFaster(t *testing.T) {
+	b, ok := findSuite("ladder400")
+	if !ok {
+		t.Fatal("no ladder400 benchmark")
+	}
+	sys, err := b.Make().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := func(reduce bool) time.Duration {
+		opts := TranOptions{TStop: b.TStop, Record: []string{b.Probe}, Reduce: reduce, ReduceTol: DefaultReduceTol}
+		var fastest time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, err := RunTransientCtx(context.Background(), sys, opts); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); i == 0 || d < fastest {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+	full, reduced := best(false), best(true)
+	ratio := float64(full) / float64(reduced)
+	t.Logf("full %v, reduced %v: %.1fx", full, reduced, ratio)
+	if ratio < 1.5 {
+		t.Fatalf("reduced run %v against full %v: %.2fx, want >= 1.5x", reduced, full, ratio)
+	}
+}
+
 // TestReducePrintNodesProtected: a deck's .PRINT/.PLOT/.PROBE cards name
 // nodes the user wants to see; ApplyTo hands them to the pass so it can
 // never collapse them, and the full-record waveform still carries every

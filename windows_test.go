@@ -114,6 +114,54 @@ func TestWindowsStrictBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWindowsGrid16GateRows runs grid16 at its full suite horizon on a
+// two-core budget in W = 2, 4 and 8 windows, at the accuracy-first default
+// gate and at gate 32, which accepts coarse seeds up to 32 fine error
+// weights off. Every row must stay within 5% of the serial signal range,
+// launch no more windows than asked and carry a critical-path reading; so
+// must the serial reference and the combined scheme at the same budget, the
+// best run without windows. Gate 32 reads 4.5% at W = 8.
+func TestWindowsGrid16GateRows(t *testing.T) {
+	b, ok := findSuite("grid16")
+	if !ok {
+		t.Fatal("no grid16 benchmark")
+	}
+	sys, err := b.Make().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := TranOptions{TStop: b.TStop, Record: []string{b.Probe}, CoreBudget: 2}
+	ref := windowedRun(t, sys, TranOptions{TStop: b.TStop, Record: []string{b.Probe}})
+	cmb := base
+	cmb.Scheme = Combined
+	for _, res := range []*Result{ref, windowedRun(t, sys, cmb)} {
+		if res.Stats.CriticalNanos <= 0 {
+			t.Fatalf("CriticalNanos = %d without windows", res.Stats.CriticalNanos)
+		}
+	}
+	for _, gate := range []float64{0, 32} {
+		for _, W := range []int{2, 4, 8} {
+			opts := base
+			opts.Windows = W
+			opts.CoarseOpts.Gate = gate
+			res := windowedRun(t, sys, opts)
+			dev, err := Compare(res.W, ref.W, b.Probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := dev.RelMax(); m >= 0.05 {
+				t.Errorf("gate %g, W=%d: deviates by %g of signal range, bar 0.05", gate, W, m)
+			}
+			if n := res.Stats.WindowsLaunched; n < 0 || n > int64(W) {
+				t.Errorf("gate %g, W=%d: WindowsLaunched = %d", gate, W, n)
+			}
+			if res.Stats.CriticalNanos <= 0 {
+				t.Errorf("gate %g, W=%d: CriticalNanos = %d", gate, W, res.Stats.CriticalNanos)
+			}
+		}
+	}
+}
+
 // TestWindowsSerialFallback forces the Parareal iteration to fail its
 // contraction gate (an absurdly tight gate under an extra-loose coarse
 // propagator) and demands the documented degradation: redo counters rise,

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/device"
@@ -118,10 +120,10 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 	// First pass: collect .PARAM definitions, .SUBCKT bodies and .MODEL
 	// cards so instantiation order does not matter; brace expressions are
 	// substituted as each line is classified.
-	var mainLines []string
+	mainLines := make([][]string, 0, len(lines))
 	var cur *subcktDef
 	for _, ln := range lines {
-		if strings.HasPrefix(strings.ToLower(strings.TrimSpace(ln)), ".param") {
+		if len(ln) >= 6 && strings.EqualFold(ln[:6], ".param") {
 			if err := p.parseParam(ln); err != nil {
 				return nil, err
 			}
@@ -132,7 +134,10 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 			return nil, err
 		}
 		fields := strings.Fields(ln)
-		key := strings.ToLower(fields[0])
+		key := fields[0]
+		if key[0] == '.' {
+			key = strings.ToLower(key)
+		}
 		switch {
 		case key == ".subckt":
 			if cur != nil {
@@ -149,21 +154,21 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 			p.subckts[cur.name] = cur
 			cur = nil
 		case cur != nil:
-			cur.lines = append(cur.lines, ln)
+			cur.lines = append(cur.lines, fields)
 		case key == ".model":
 			if err := p.parseModel(fields); err != nil {
 				return nil, err
 			}
 		default:
-			mainLines = append(mainLines, ln)
+			mainLines = append(mainLines, fields)
 		}
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("netlist: unterminated .SUBCKT %q", cur.name)
 	}
 
-	for _, ln := range mainLines {
-		if err := p.parseLine(ln, "", nil); err != nil {
+	for _, fields := range mainLines {
+		if err := p.parseLine(fields, "", nil); err != nil {
 			return nil, err
 		}
 	}
@@ -176,18 +181,21 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 	return p.deck, nil
 }
 
-// preprocess strips comments, joins continuation lines and extracts the
-// title line.
+// preprocess strips comments, joins continuation lines, extracts the title
+// line and drops everything from .END on, in one pass.
 func preprocess(input string) ([]string, string) {
-	raw := strings.Split(input, "\n")
-	var joined []string
+	out := make([]string, 0, strings.Count(input, "\n")+1)
+	ended := func() bool { // the last line is final and is .END
+		return len(out) > 0 && strings.EqualFold(strings.TrimSpace(out[len(out)-1]), ".end")
+	}
 	title := ""
 	first := true
-	for _, ln := range raw {
+	for more := true; more; {
+		var ln string
+		ln, input, more = strings.Cut(input, "\n")
 		if i := strings.IndexAny(ln, ";$"); i >= 0 {
 			ln = ln[:i]
 		}
-		ln = strings.TrimRight(ln, " \t\r")
 		trimmed := strings.TrimSpace(ln)
 		if trimmed == "" || strings.HasPrefix(trimmed, "*") {
 			if first && strings.HasPrefix(trimmed, "*") {
@@ -202,20 +210,18 @@ func preprocess(input string) ([]string, string) {
 			continue
 		}
 		if strings.HasPrefix(trimmed, "+") {
-			if len(joined) > 0 {
-				joined[len(joined)-1] += " " + strings.TrimSpace(trimmed[1:])
+			if len(out) > 0 {
+				out[len(out)-1] += " " + strings.TrimSpace(trimmed[1:])
 			}
 			continue
 		}
-		joined = append(joined, trimmed)
-	}
-	// Drop .end.
-	var out []string
-	for _, ln := range joined {
-		if strings.EqualFold(strings.TrimSpace(ln), ".end") {
+		if ended() {
 			break
 		}
-		out = append(out, ln)
+		out = append(out, trimmed)
+	}
+	if ended() {
+		out = out[:len(out)-1]
 	}
 	return out, title
 }
@@ -228,11 +234,11 @@ type modelCard struct {
 type subcktDef struct {
 	name  string
 	ports []string
-	lines []string
+	lines [][]string // body lines, split into fields
 }
 
 type pendingLine struct {
-	line    string
+	fields  []string
 	prefix  string
 	portMap map[string]string
 }
@@ -347,20 +353,20 @@ func (p *parser) node(name string, prefix string, portMap map[string]string) int
 	return p.deck.Circuit.Node(key)
 }
 
-// parseLine dispatches one element or directive line. prefix/portMap carry
-// subcircuit expansion context ("" and nil at top level).
-func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
-	fields := strings.Fields(ln)
+// parseLine dispatches one element or directive line, split into fields.
+// prefix/portMap carry subcircuit expansion context ("" and nil at top
+// level).
+func (p *parser) parseLine(fields []string, prefix string, portMap map[string]string) error {
 	name := fields[0]
-	kind := strings.ToLower(name[:1])
+	kind := unicode.ToLower(rune(name[0]))
 	inst := prefix + name
 	nd := func(i int) int { return p.node(fields[i], prefix, portMap) }
 	ckt := p.deck.Circuit
 
 	switch kind {
-	case ".":
+	case '.':
 		return p.parseDirective(fields)
-	case "r", "c", "l":
+	case 'r', 'c', 'l':
 		if len(fields) < 4 {
 			return fmt.Errorf("netlist: %s: need 2 nodes and a value", name)
 		}
@@ -369,12 +375,12 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 			return fmt.Errorf("netlist: %s: %v", name, err)
 		}
 		switch kind {
-		case "r":
+		case 'r':
 			if v == 0 {
 				return fmt.Errorf("netlist: %s: zero resistance", name)
 			}
 			ckt.Add(device.NewResistor(inst, nd(1), nd(2), v))
-		case "c":
+		case 'c':
 			ckt.Add(device.NewCapacitor(inst, nd(1), nd(2), v))
 		default:
 			l := device.NewInductor(inst, nd(1), nd(2), v)
@@ -382,7 +388,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 			p.inducts[strings.ToLower(inst)] = l
 		}
 		return nil
-	case "v", "i":
+	case 'v', 'i':
 		if len(fields) < 4 {
 			return fmt.Errorf("netlist: %s: need 2 nodes and a source spec", name)
 		}
@@ -394,7 +400,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		if err != nil {
 			return fmt.Errorf("netlist: %s: %v", name, err)
 		}
-		if kind == "v" {
+		if kind == 'v' {
 			src := device.NewVSource(inst, nd(1), nd(2), w)
 			src.ACMag, src.ACPhase = acMag, acPhase
 			ckt.Add(src)
@@ -405,7 +411,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 			ckt.Add(src)
 		}
 		return nil
-	case "d":
+	case 'd':
 		if len(fields) < 4 {
 			return fmt.Errorf("netlist: %s: need 2 nodes and a model", name)
 		}
@@ -422,7 +428,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		}
 		ckt.Add(device.NewDiode(inst, nd(1), nd(2), diodeModel(mc.params), area))
 		return nil
-	case "m":
+	case 'm':
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need d g s b nodes and a model", name)
 		}
@@ -453,7 +459,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 			ckt.Add(device.NewMOSFET(inst, nd(1), nd(2), nd(3), nd(4), mosModel(mc), w, l))
 		}
 		return nil
-	case "e":
+	case 'e':
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need 4 nodes and a gain", name)
 		}
@@ -463,7 +469,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		}
 		ckt.Add(device.NewVCVS(inst, nd(1), nd(2), nd(3), nd(4), g))
 		return nil
-	case "g":
+	case 'g':
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need 4 nodes and a transconductance", name)
 		}
@@ -473,7 +479,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		}
 		ckt.Add(device.NewVCCS(inst, nd(1), nd(2), nd(3), nd(4), g))
 		return nil
-	case "q":
+	case 'q':
 		if len(fields) < 5 {
 			return fmt.Errorf("netlist: %s: need c b e nodes and a model", name)
 		}
@@ -489,7 +495,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		}
 		ckt.Add(device.NewBJT(inst, nd(1), nd(2), nd(3), bjtModel(mc), area))
 		return nil
-	case "s":
+	case 's':
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need p n cp cn and a model", name)
 		}
@@ -499,10 +505,10 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 		}
 		ckt.Add(device.NewSwitch(inst, nd(1), nd(2), nd(3), nd(4), switchModel(mc)))
 		return nil
-	case "f", "h", "k":
-		p.deferred = append(p.deferred, pendingLine{line: ln, prefix: prefix, portMap: portMap})
+	case 'f', 'h', 'k':
+		p.deferred = append(p.deferred, pendingLine{fields: fields, prefix: prefix, portMap: portMap})
 		return nil
-	case "x":
+	case 'x':
 		return p.expandSubckt(fields, prefix, portMap)
 	default:
 		return fmt.Errorf("netlist: unsupported element %q", name)
@@ -512,7 +518,7 @@ func (p *parser) parseLine(ln, prefix string, portMap map[string]string) error {
 // parseDeferred resolves F, H and K elements once every referenced device
 // exists.
 func (p *parser) parseDeferred(d pendingLine) error {
-	fields := strings.Fields(d.line)
+	fields := d.fields
 	name := fields[0]
 	inst := d.prefix + name
 	nd := func(i int) int { return p.node(fields[i], d.prefix, d.portMap) }
@@ -643,8 +649,8 @@ func (p *parser) expandSubckt(fields []string, prefix string, portMap map[string
 	newPrefix := prefix + strings.ToLower(fields[0]) + "."
 	p.xDepth++
 	defer func() { p.xDepth-- }()
-	for _, ln := range def.lines {
-		if err := p.parseLine(ln, newPrefix, inner); err != nil {
+	for _, f := range def.lines {
+		if err := p.parseLine(f, newPrefix, inner); err != nil {
 			return err
 		}
 	}
@@ -668,12 +674,12 @@ func (p *parser) instanceLines(name string) int {
 	}
 	p.sizes[name] = -1
 	n := 0
-	for _, ln := range def.lines {
+	for _, f := range def.lines {
 		if n > maxExpandedLines {
 			break
 		}
 		n++
-		if f := strings.Fields(ln); len(f) >= 2 && strings.EqualFold(f[0][:1], "x") {
+		if len(f) >= 2 && strings.EqualFold(f[0][:1], "x") {
 			n += p.instanceLines(strings.ToLower(f[len(f)-1]))
 		}
 	}
@@ -1058,7 +1064,7 @@ func parseArgs(s string, want int) ([]float64, error) {
 // f p n u m k meg g t (case-insensitive; "meg" before "m"). Trailing unit
 // text ("5pF", "10kOhm") is ignored, as in SPICE.
 func ParseValue(s string) (float64, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
+	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, fmt.Errorf("empty value")
 	}
@@ -1070,7 +1076,7 @@ func ParseValue(s string) (float64, error) {
 			i++
 			continue
 		}
-		if c == 'e' && i+1 < len(s) && (s[i+1] == '+' || s[i+1] == '-' || (s[i+1] >= '0' && s[i+1] <= '9')) {
+		if c|0x20 == 'e' && i+1 < len(s) && (s[i+1] == '+' || s[i+1] == '-' || (s[i+1] >= '0' && s[i+1] <= '9')) {
 			i += 2
 			continue
 		}
@@ -1078,31 +1084,35 @@ func ParseValue(s string) (float64, error) {
 	}
 	mant, err := strconv.ParseFloat(s[:i], 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
+		return 0, fmt.Errorf("bad number %q", strings.ToLower(s))
 	}
+	// Only the suffix's case matters, and an ASCII one folds in place.
 	suffix := s[i:]
+	if strings.ContainsFunc(suffix, func(r rune) bool { return r >= utf8.RuneSelf }) {
+		suffix = strings.ToLower(suffix)
+	}
 	switch {
 	case suffix == "":
 		return mant, nil
-	case strings.HasPrefix(suffix, "meg"):
+	case len(suffix) >= 3 && strings.EqualFold(suffix[:3], "meg"):
 		return mant * 1e6, nil
-	case strings.HasPrefix(suffix, "mil"):
+	case len(suffix) >= 3 && strings.EqualFold(suffix[:3], "mil"):
 		return mant * 25.4e-6, nil
-	case suffix[0] == 'f':
+	case suffix[0]|0x20 == 'f':
 		return mant * 1e-15, nil
-	case suffix[0] == 'p':
+	case suffix[0]|0x20 == 'p':
 		return mant * 1e-12, nil
-	case suffix[0] == 'n':
+	case suffix[0]|0x20 == 'n':
 		return mant * 1e-9, nil
-	case suffix[0] == 'u':
+	case suffix[0]|0x20 == 'u':
 		return mant * 1e-6, nil
-	case suffix[0] == 'm':
+	case suffix[0]|0x20 == 'm':
 		return mant * 1e-3, nil
-	case suffix[0] == 'k':
+	case suffix[0]|0x20 == 'k':
 		return mant * 1e3, nil
-	case suffix[0] == 'g':
+	case suffix[0]|0x20 == 'g':
 		return mant * 1e9, nil
-	case suffix[0] == 't':
+	case suffix[0]|0x20 == 't':
 		return mant * 1e12, nil
 	default:
 		// Unit text like "5v", "3a", "2ohm".

@@ -26,7 +26,8 @@ func TestParseValue(t *testing.T) {
 		{"10k", 10e3}, {"4.7u", 4.7e-6}, {"100n", 100e-9}, {"2p", 2e-12},
 		{"3f", 3e-15}, {"1meg", 1e6}, {"2g", 2e9}, {"1t", 1e12},
 		{"5m", 5e-3}, {"10kohm", 10e3}, {"5pF", 5e-12}, {"3V", 3},
-		{"1MEG", 1e6}, {"2.2K", 2200},
+		{"1MEG", 1e6}, {"2.2K", 2200}, {"1Meg", 1e6}, {"4.7U", 4.7e-6},
+		{"3MIL", 76.2e-6}, {"1E3", 1e3}, {"2.5E-3k", 2.5},
 	}
 	for _, c := range cases {
 		got, err := ParseValue(c.in)

@@ -31,6 +31,7 @@ package reduce
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"wavepipe/internal/circuit"
@@ -118,33 +119,34 @@ type Plan struct {
 // return the original circuit, guaranteeing bit-identical simulation).
 func (p *Plan) Empty() bool { return p.empty }
 
-// terminals lists the node indices a device touches (including pure sensing
-// terminals — a sensed node must survive). ok is false for device types the
-// pass cannot analyze, which disables reduction for the whole circuit.
-func terminals(d circuit.Device) ([]int, bool) {
+// terminals appends to buf the node indices a device touches (including
+// pure sensing terminals — a sensed node must survive). ok is false for
+// device types the pass cannot analyze, which disables reduction for the
+// whole circuit.
+func terminals(d circuit.Device, buf []int) ([]int, bool) {
 	switch t := d.(type) {
 	case *device.Resistor:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.Capacitor:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.Inductor:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.VSource:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.ISource:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.VCVS:
-		return []int{t.P, t.N, t.CP, t.CN}, true
+		return append(buf, t.P, t.N, t.CP, t.CN), true
 	case *device.VCCS:
-		return []int{t.P, t.N, t.CP, t.CN}, true
+		return append(buf, t.P, t.N, t.CP, t.CN), true
 	case *device.Diode:
-		return []int{t.P, t.N}, true
+		return append(buf, t.P, t.N), true
 	case *device.MOSFET:
-		return []int{t.D, t.G, t.S, t.B}, true
+		return append(buf, t.D, t.G, t.S, t.B), true
 	case *device.MOSFETEKV:
-		return []int{t.D, t.G, t.S, t.B}, true
+		return append(buf, t.D, t.G, t.S, t.B), true
 	case *device.BJT:
-		return []int{t.C, t.B, t.E}, true
+		return append(buf, t.C, t.B, t.E), true
 	default:
 		return nil, false
 	}
@@ -210,13 +212,20 @@ func New(c *circuit.Circuit, opts Options) (*Plan, error) {
 	// Incidence: every terminal of every device, deduplicated per device.
 	// Any device the pass cannot analyze or clone disables the whole plan —
 	// Apply must be able to re-instantiate every surviving device.
+	// Each node's list starts in a shared slab; one touched by more than
+	// three devices grows out of it.
 	incident := make([][]int, numNodes)
+	slab := make([]int, 3*numNodes)
+	for n := range incident {
+		incident[n] = slab[3*n : 3*n : 3*n+3]
+	}
 	keepDev := make(map[string]bool, len(opts.KeepDevices))
 	for _, n := range opts.KeepDevices {
 		keepDev[strings.ToLower(n)] = true
 	}
+	var buf [4]int
 	for di, d := range devs {
-		terms, ok := terminals(d)
+		terms, ok := terminals(d, buf[:0])
 		if !ok {
 			p.empty = true
 			return p, nil
@@ -225,13 +234,11 @@ func New(c *circuit.Circuit, opts Options) (*Plan, error) {
 			p.empty = true
 			return p, nil
 		}
-		prot := keepDev[strings.ToLower(d.Name())]
-		seen := map[int]bool{}
-		for _, t := range terms {
-			if t == circuit.Ground || seen[t] {
+		prot := len(keepDev) > 0 && keepDev[strings.ToLower(d.Name())]
+		for i, t := range terms {
+			if t == circuit.Ground || slices.Contains(terms[:i], t) {
 				continue
 			}
-			seen[t] = true
 			incident[t] = append(incident[t], di)
 			if prot {
 				protected[t] = true
@@ -264,13 +271,12 @@ func New(c *circuit.Circuit, opts Options) (*Plan, error) {
 				class[n] = seriesL
 			}
 		case 3:
-			var rs []int
-			cdev := -1
+			nr, cdev := 0, -1
 			for _, di := range inc {
 				switch t := devs[di].(type) {
 				case *device.Resistor:
 					if t.P != t.N {
-						rs = append(rs, di)
+						nr++
 					}
 				case *device.Capacitor:
 					if (t.P == n && t.N == circuit.Ground) || (t.N == n && t.P == circuit.Ground) {
@@ -278,9 +284,11 @@ func New(c *circuit.Circuit, opts Options) (*Plan, error) {
 					}
 				}
 			}
-			if len(rs) == 2 && cdev >= 0 {
+			if nr == 2 && cdev >= 0 {
 				class[n] = ladder
 				capOf[n] = cdev
+				// The cap goes last, so inc[:2] are the path resistors in order.
+				incident[n] = append(slices.DeleteFunc(inc, func(di int) bool { return di == cdev }), cdev)
 			}
 		}
 	}
@@ -303,16 +311,10 @@ func New(c *circuit.Circuit, opts Options) (*Plan, error) {
 	// node of the given class (the grounded cap of a ladder node is not a
 	// path edge).
 	pathDevs := func(n int) []int {
-		if class[n] != ladder {
-			return incident[n]
+		if class[n] == ladder {
+			return incident[n][:2]
 		}
-		out := make([]int, 0, 2)
-		for _, di := range incident[n] {
-			if di != capOf[n] {
-				out = append(out, di)
-			}
-		}
-		return out
+		return incident[n]
 	}
 
 	visited := make([]bool, numNodes)
@@ -593,15 +595,12 @@ func minOf(a []int) int {
 // interpolation weight w toward endB (ground anchors contribute zero and
 // are dropped).
 func affineTerms(remap func(int) int, endA, endB int, w float64) []circuit.ExpandTerm {
-	var terms []circuit.ExpandTerm
+	terms := make([]circuit.ExpandTerm, 0, 2)
 	if endA != circuit.Ground {
 		terms = append(terms, circuit.ExpandTerm{Node: remap(endA), W: 1 - w})
 	}
 	if endB != circuit.Ground {
 		terms = append(terms, circuit.ExpandTerm{Node: remap(endB), W: w})
-	}
-	if terms == nil {
-		terms = []circuit.ExpandTerm{}
 	}
 	return terms
 }
@@ -687,77 +686,58 @@ func emitRun(nc *circuit.Circuit, devs []circuit.Device, run *ladderRun, remap f
 		}
 	}
 
-	// Span resistors: exact sums between consecutive anchors.
-	for j := 0; j+1 < len(anchors); j++ {
+	// Span resistors: exact sums between consecutive anchors, added left to
+	// right as the expansion weights below add them, so tot is spanR[j].
+	spanR := make([]float64, len(anchors)-1)
+	for j := range spanR {
 		lo, hi := anchors[j], anchors[j+1]
-		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += rvals[i]
+		for _, r := range rvals[lo:hi] {
+			spanR[j] += r
 		}
 		name := devs[run.rDevs[lo]].Name()
-		nc.Add(device.NewResistor(name, remap(nodeAt(lo)), remap(nodeAt(hi)), sum))
-	}
-
-	kept := make([]bool, m)
-	for _, k := range run.keepPos {
-		kept[k] = true
+		nc.Add(device.NewResistor(name, remap(nodeAt(lo)), remap(nodeAt(hi)), spanR[j]))
 	}
 
 	// Suppressed caps lump onto the nearest anchor (ties go left); anchors
 	// that are Ground absorb nothing, so their share shifts to the opposite
-	// anchor of the span to conserve total capacitance.
-	addCap := map[int]float64{} // anchor pos -> added C
-	capName := map[int]string{} // anchor pos -> name of first contributor
+	// anchor of the span to conserve total capacitance. Both are indexed by
+	// anchor; first is the position of its first contributor (0 = none).
+	addCap := make([]float64, len(anchors))
+	first := make([]int, len(anchors))
+	j, cum := 0, 0.0 // q's span and the resistance from its left anchor to q
 	for q := 1; q <= m; q++ {
-		if kept[q-1] {
+		lo, hi := anchors[j], anchors[j+1]
+		if q == hi { // a kept node: the next span starts here
+			j, cum = j+1, 0
 			continue
 		}
-		// Locate the enclosing span.
-		j := 0
-		for ; j+1 < len(anchors); j++ {
-			if anchors[j] < q && q < anchors[j+1] {
-				break
-			}
-		}
-		lo, hi := anchors[j], anchors[j+1]
-		target := lo
+		cum += rvals[q-1]
+		k := j
 		if q-lo > hi-q {
-			target = hi
+			k = j + 1
 		}
-		if nodeAt(target) == circuit.Ground {
-			if target == lo {
-				target = hi
-			} else {
-				target = lo
-			}
+		if nodeAt(anchors[k]) == circuit.Ground {
+			k = 2*j + 1 - k // the span's other anchor
 		}
-		if nodeAt(target) == circuit.Ground {
+		if nodeAt(anchors[k]) == circuit.Ground {
 			continue // both anchors grounded: the cap has nowhere to live
 		}
-		addCap[target] += cvals[q-1]
-		if _, ok := capName[target]; !ok {
-			capName[target] = devs[run.cDevs[q-1]].Name()
+		addCap[k] += cvals[q-1]
+		if first[k] == 0 {
+			first[k] = q
 		}
 
 		// Expansion: resistive interpolation between the span anchors.
-		cum := 0.0
-		for i := lo; i < q; i++ {
-			cum += rvals[i]
-		}
-		tot := 0.0
-		for i := lo; i < hi; i++ {
-			tot += rvals[i]
-		}
 		w := 0.5
-		if tot != 0 {
+		if tot := spanR[j]; tot != 0 {
 			w = cum / tot
 		}
 		info.Expansion[run.interior[q-1]] = affineTerms(remap, nodeAt(lo), nodeAt(hi), w)
 	}
 	// Emit lumped caps in ascending anchor order for determinism.
-	for _, pos := range anchors {
-		if cv, ok := addCap[pos]; ok {
-			nc.Add(device.NewCapacitor(capName[pos], remap(nodeAt(pos)), circuit.Ground, cv))
+	for k, pos := range anchors {
+		if first[k] != 0 {
+			nc.Add(device.NewCapacitor(devs[run.cDevs[first[k]-1]].Name(), remap(nodeAt(pos)), circuit.Ground, addCap[k]))
 		}
 	}
 	return nil

@@ -57,7 +57,8 @@ type ServiceConfig struct {
 	// and removed on Close.
 	Dir string
 	// TraceJobs writes each job's structured telemetry to Dir/<id>.trace.jsonl
-	// when the job ends. Without it the service touches no file.
+	// when the job ends, and removes it when the job is forgotten. Without it
+	// the service touches no file.
 	TraceJobs bool
 }
 
@@ -359,10 +360,10 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 			j.mu.Unlock()
 			continue
 		}
-		s.finish(j, res, err)
 		if rec != nil {
 			s.writeTrace(j.id, rec)
 		}
+		s.finish(j, res, err)
 		return
 	}
 }
@@ -372,7 +373,8 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 // service's counters before anyone can see the job terminal. Past one
 // admission window of terminal jobs the oldest is forgotten: a client that
 // filled the queue and the cores still collects every result, and a Wait or
-// Stream already holding the job finishes as usual.
+// Stream already holding the job finishes as usual. A forgotten job's trace
+// goes with it; it was written before the job turned terminal.
 func (s *Service) finish(j *job, res *Result, err error) {
 	state := JobFailed
 	j.mu.Lock()
@@ -397,18 +399,25 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.broadcastLocked()
 	j.mu.Unlock()
 	s.done = append(s.done, j.id)
+	forgot := ""
 	if len(s.done) > s.cfg.MaxQueued+s.cfg.Cores {
-		delete(s.jobs, s.done[0])
+		forgot = s.done[0]
+		delete(s.jobs, forgot)
 		s.done = slices.Delete(s.done, 0, 1)
 	}
 	s.mu.Unlock()
+	if forgot != "" && s.cfg.TraceJobs {
+		os.Remove(s.tracePath(forgot))
+	}
 	close(j.done)
 	s.finished.Add(1)
 }
 
+func (s *Service) tracePath(id string) string { return filepath.Join(s.dir, id+".trace.jsonl") }
+
 // writeTrace flushes a finished job's telemetry to <dir>/<id>.trace.jsonl.
 func (s *Service) writeTrace(id string, rec *trace.Recorder) {
-	f, err := os.Create(filepath.Join(s.dir, id+".trace.jsonl"))
+	f, err := os.Create(s.tracePath(id))
 	if err != nil {
 		return
 	}

@@ -639,12 +639,8 @@ func TestServiceTouchesDirOnlyForTraces(t *testing.T) {
 
 	dir = filepath.Join(t.TempDir(), "traces")
 	id := runOne(ServiceConfig{Cores: 1, Dir: dir, TraceJobs: true})
-	// The trace is written right after the job turns terminal.
+	// The trace is written before the job turns terminal.
 	files, err := os.ReadDir(dir)
-	for deadline := time.Now().Add(5 * time.Second); err == nil && len(files) == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		files, err = os.ReadDir(dir)
-	}
 	if err != nil || len(files) != 1 || files[0].Name() != id+".trace.jsonl" {
 		t.Fatalf("TraceJobs on: Dir holds %v (err %v), want %s.trace.jsonl", files, err, id)
 	}
@@ -863,15 +859,10 @@ func TestServiceJobRunsUntraced(t *testing.T) {
 	if _, err := traced.Wait(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The trace is written right after the job turns terminal.
+	// The trace is written before the job turns terminal.
 	path := filepath.Join(dir, st.ID+".trace.jsonl")
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("TraceJobs: no trace at %s", path)
-		}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("TraceJobs: no trace at %s (%v)", path, err)
 	}
 }
 
@@ -962,6 +953,45 @@ func TestServiceForgetsOldestFinishedJobs(t *testing.T) {
 	}
 	if _, err := s.Wait(ctx, long.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceForgetsTraceOfForgottenJob: under TraceJobs a job's trace is on
+// disk when the job turns terminal and is removed when the job is forgotten;
+// a file the service did not write for one of its jobs stays in the Dir.
+func TestServiceForgetsTraceOfForgottenJob(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	earlier := filepath.Join(dir, "j999999.trace.jsonl")
+	if err := os.WriteFile(earlier, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, ServiceConfig{Cores: 1, MaxQueued: 1, Dir: dir, TraceJobs: true})
+	var ids []string
+	for k := 0; k < 4; k++ {
+		st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, st.ID+".trace.jsonl")); err != nil {
+			t.Fatalf("job %s is terminal but its trace is not on disk: %v", st.ID, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	want := []string{ids[2] + ".trace.jsonl", ids[3] + ".trace.jsonl", "j999999.trace.jsonl"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("Dir holds %v, want the two kept jobs' traces and the earlier file %v", names, want)
 	}
 }
 

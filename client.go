@@ -34,8 +34,8 @@ type JobSpec struct {
 	// Options configures the analysis. Deck cards fill unset fields
 	// (Deck.ApplyTo precedence). The scheduling and durability fields are
 	// owned by the service: the scheme's stage width (two points for
-	// Backward and Forward, four for Combined), capped by CoreBudget, sizes
-	// the core request — a Serial job asks for one core — and the result
+	// Backward and Forward), capped by CoreBudget, sizes the core request —
+	// a Serial job asks for one core — and the result
 	// does not depend on what was granted, while CheckpointPath,
 	// ResumeFrom, OnAccept and Observer must be zero: the service keeps a
 	// job's state across preemption in memory and installs its own stream

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	wavesim [-analysis tran] [-scheme combined] [-cores 8]
+//	wavesim [-analysis tran] [-scheme forward] [-cores 8]
 //	        [-tstop 1u] [-probe out,in] [-method gear2] [-o out.csv] [-stats]
 //	        [-trace run.json] [-metrics-addr :8123] deck.sp
 //	wavesim -analysis ac deck.sp     # uses the deck's .AC card
@@ -135,8 +135,8 @@ type runConfig struct {
 func main() {
 	cfg := runConfig{}
 	flag.StringVar(&cfg.analysis, "analysis", "tran", "analysis: tran, ac, dc")
-	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward, combined")
-	flag.IntVar(&cfg.threads, "threads", 0, "gang width for -lanes (0 = default); a pipelined scheme runs at its own width (backward and forward 2, combined 4) and refuses any other value")
+	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward")
+	flag.IntVar(&cfg.threads, "threads", 0, "gang width for -lanes (0 = default); a pipelined scheme runs at its own width, 2, and refuses any other value")
 	flag.IntVar(&cfg.cores, "cores", 0, "cap on the cores the run occupies at once: pipeline workers and concurrent windows (0 = unmanaged)")
 	flag.StringVar(&cfg.tstop, "tstop", "", "override the deck's .TRAN stop time (SPICE units, e.g. 10u)")
 	flag.StringVar(&cfg.method, "method", "gear2", "integration method: gear2, trap, be")

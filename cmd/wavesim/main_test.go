@@ -55,7 +55,7 @@ func runToFile(t *testing.T, analysis, scheme, deckPath string) string {
 
 func TestRunTransientAllSchemes(t *testing.T) {
 	deck := writeDeck(t, simDeck)
-	for _, scheme := range []string{"serial", "backward", "forward", "combined"} {
+	for _, scheme := range []string{"serial", "backward", "forward"} {
 		csv := runToFile(t, "tran", scheme, deck)
 		lines := strings.Split(strings.TrimSpace(csv), "\n")
 		if lines[0] != "time,out" {
@@ -89,6 +89,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"bad scheme", func(c *runConfig) { c.scheme = "bogus" }},
 		{"retired scheme", func(c *runConfig) { c.scheme = "finegrain" }},
+		{"retired scheme combined", func(c *runConfig) { c.scheme = "combined" }},
 		{"bad analysis", func(c *runConfig) { c.analysis = "bogus" }},
 		{"bad method", func(c *runConfig) { c.method = "bogus" }},
 		{"bad tstop", func(c *runConfig) { c.tstop = "zz" }},
@@ -187,7 +188,7 @@ func TestTraceFlagOutputs(t *testing.T) {
 
 	jsonl := filepath.Join(dir, "run.jsonl")
 	err := runCfg(t, runConfig{
-		deckPath: deck, analysis: "tran", scheme: "combined", method: "gear2",
+		deckPath: deck, analysis: "tran", scheme: "forward", method: "gear2",
 		tstop: "5u", probes: "out", outPath: filepath.Join(dir, "a.csv"),
 		tracePath: jsonl,
 	})

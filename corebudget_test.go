@@ -67,7 +67,7 @@ func sameWaveform(t *testing.T, tag string, got, want *Result) {
 // budgets 1, 2, 4 and 8 is the run without a budget bit for bit, and on
 // grid16 and nand5 — a linear mesh and a nonlinear circuit, both large enough
 // that a wider budget once bought a point solve a gang of its own — the
-// pinned rows of the three schemes reproduce their hashes at budgets 2, 4
+// pinned rows of the two schemes reproduce their hashes at budgets 2, 4
 // and 8. An ensemble's gang is capped by the budget too: six
 // ladder lanes at budgets 1, 2 and 4 are the lanes without a budget bit for
 // bit, on a gang no wider than the budget.
@@ -78,7 +78,6 @@ func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 	}{
 		{"backward2", TranOptions{Scheme: Backward}},
 		{"forward2", TranOptions{Scheme: Forward}},
-		{"combined4", TranOptions{Scheme: Combined}},
 	}
 	for _, b := range circuits.Suite() {
 		b := b
@@ -170,35 +169,29 @@ func TestCoreBudgetNeverChangesAWaveform(t *testing.T) {
 	})
 }
 
-// TestCoreBudgetCombinedBitIdentical: the combined scheme under a budget is
-// bit-identical whether its stage gang is forced through real goroutines or
-// degraded to the sequential sweep, and it reports what it ran as.
-func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
+// TestCoreBudgetBackwardBitIdentical: a pipelined run is bit-identical
+// whether its stage gang is forced through real goroutines or serialized by
+// CoreBudget=1, and it reports what it ran as.
+func TestCoreBudgetBackwardBitIdentical(t *testing.T) {
 	sys, opts := suiteSystem(t, "grid16")
 	opts.TStop /= 5
-	opts.Scheme = Combined
-	par := forcedRun(t, sys, opts, 8)
-	deg := budgetRun(t, sys, opts, 8, 1)
-	sameWaveform(t, "combined gang vs degraded", par, deg)
-	if par.Stats.CoreBudget != 8 || par.Stats.PipelineWorkers != 4 || par.Stats.IntraWorkers != 1 {
+	opts.Scheme = Backward
+	par := forcedRun(t, sys, opts, 2)
+	deg := budgetRun(t, sys, opts, 1, runtime.GOMAXPROCS(0))
+	sameWaveform(t, "backward gang vs budget 1", par, deg)
+	if par.Stats.CoreBudget != 2 || par.Stats.PipelineWorkers != 2 || par.Stats.IntraWorkers != 1 {
 		t.Fatalf("budget not surfaced: %+v", par.Stats)
 	}
 	if !deg.Stats.PipelineSerialized {
-		t.Fatal("1-core run did not report pipeline serialization")
+		t.Fatal("budget-1 run did not report pipeline serialization")
 	}
 
 	// With enough GOMAXPROCS and budget the pipeline must NOT report
 	// serialization (parked gang members don't spin, so GOMAXPROCS above the
-	// hardware thread count is harmless here); with a budget narrower than a
-	// round it must.
-	small := lowpass(t)
-	wide := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined}, 4, 4)
+	// hardware thread count is harmless here).
+	wide := budgetRun(t, lowpass(t), TranOptions{TStop: 3e-3, Scheme: Backward}, 2, 2)
 	if wide.Stats.PipelineSerialized {
-		t.Fatal("4-proc budget-4 run reported pipeline serialization")
-	}
-	narrow := budgetRun(t, small, TranOptions{TStop: 3e-3, Scheme: Combined}, 2, 4)
-	if !narrow.Stats.PipelineSerialized {
-		t.Fatal("budget 2 under 4 pipeline workers must serialize the pipeline")
+		t.Fatal("2-proc budget-2 run reported pipeline serialization")
 	}
 }
 
@@ -218,8 +211,8 @@ func TestCoreBudgetMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			wp := opts
-			wp.Scheme = Combined
-			res := budgetRun(t, sys, wp, 4, 4)
+			wp.Scheme = Forward
+			res := budgetRun(t, sys, wp, 2, 2)
 			dev, err := Compare(res.W, ref.W, opts.Record[0])
 			if err != nil {
 				t.Fatal(err)
@@ -241,8 +234,8 @@ func TestCoreBudgetNoGoroutineLeak(t *testing.T) {
 		wp := opts
 		wp.Scheme = Backward
 		forcedRun(t, sys, wp, 2)
-		wp.Scheme = Combined
-		forcedRun(t, sys, wp, 8)
+		wp.Scheme = Forward
+		forcedRun(t, sys, wp, 2)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

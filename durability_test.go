@@ -176,7 +176,7 @@ func TestResumedRunKeepsEveryCounter(t *testing.T) {
 	}
 }
 
-// TestKillAndResumePipelined covers the pipelined engine: a Combined-scheme
+// TestKillAndResumePipelined covers the pipelined engine: a Forward-scheme
 // run killed and resumed must still track the serial reference within the
 // equivalence tolerances (pipelining is tolerance-equivalent, not
 // bit-identical, so that is the contract after resume too).
@@ -201,7 +201,7 @@ func TestKillAndResumePipelined(t *testing.T) {
 		}
 	}}
 	killOpts := base
-	killOpts.Scheme = Combined
+	killOpts.Scheme = Forward
 	killOpts.CheckpointPath = path
 	killOpts.Observer = hook
 	sysA, _ := b.Make().Build()
@@ -211,7 +211,7 @@ func TestKillAndResumePipelined(t *testing.T) {
 
 	sysB, _ := b.Make().Build()
 	resOpts := base
-	resOpts.Scheme = Combined
+	resOpts.Scheme = Forward
 	resOpts.ResumeFrom = path
 	res, err := RunTransientCtx(context.Background(), sysB, resOpts)
 	if err != nil {

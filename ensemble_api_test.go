@@ -118,7 +118,7 @@ func TestRunEnsembleRejectsUnknownNames(t *testing.T) {
 	if _, err := RunEnsembleCtx(context.Background(), d, nil, TranOptions{}); err == nil {
 		t.Fatal("empty variant list accepted")
 	}
-	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{Scheme: Combined}); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), d, []LaneSpec{{}}, TranOptions{Scheme: Forward}); err == nil {
 		t.Fatal("non-serial scheme accepted")
 	}
 	// The callback has no lane argument; it used to be forwarded and then

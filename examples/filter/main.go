@@ -89,7 +89,7 @@ D1 out 0 dl
 		log.Fatal(err)
 	}
 	tr2, err := wavepipe.RunDeckCtx(ctx, d2, wavepipe.TranOptions{
-		Scheme: wavepipe.Combined, Record: []string{"out"},
+		Scheme: wavepipe.Backward, Record: []string{"out"},
 	})
 	if err != nil {
 		log.Fatal(err)

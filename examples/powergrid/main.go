@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("%-12s %8s %8s %10s %12s\n", "engine", "points", "stages", "model(ms)", "speedup")
 	fmt.Printf("%-12s %8d %8d %10.2f %12s\n", "serial",
 		serial.Stats.Points, serial.Stats.Stages, float64(serialCrit)/1e6, "1.00")
-	for _, scheme := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward, wavepipe.Combined} {
+	for _, scheme := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward} {
 		opts := base
 		opts.Scheme = scheme
 		res, err := wavepipe.RunTransientCtx(ctx, sys, opts)

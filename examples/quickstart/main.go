@@ -1,4 +1,4 @@
-// Quickstart: parse a SPICE deck, simulate it with the combined WavePipe
+// Quickstart: parse a SPICE deck, simulate it with the backward WavePipe
 // scheme, and print a few output samples plus the run statistics.
 package main
 
@@ -24,13 +24,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Serial reference first, then combined WavePipe: four points a stage.
+	// Serial reference first, then backward WavePipe: two points a stage.
 	ctx := context.Background()
 	serial, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{Scheme: wavepipe.Serial})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipelined, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{Scheme: wavepipe.Combined})
+	pipelined, err := wavepipe.RunDeckCtx(ctx, d, wavepipe.TranOptions{Scheme: wavepipe.Backward})
 	if err != nil {
 		log.Fatal(err)
 	}

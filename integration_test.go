@@ -77,7 +77,7 @@ func TestDecksTransientAllSchemes(t *testing.T) {
 		if hi-lo < 1e-3 {
 			t.Fatalf("%s: probe %s never moves (range %g)", name, probe, hi-lo)
 		}
-		for _, scheme := range []Scheme{Backward, Forward, Combined} {
+		for _, scheme := range []Scheme{Backward, Forward} {
 			res, err := RunDeckCtx(context.Background(), deck, TranOptions{
 				Record: []string{probe}, Scheme: scheme,
 			})
@@ -182,7 +182,7 @@ func TestDecksEdgeTiming(t *testing.T) {
 		if err != nil || len(refCross) == 0 {
 			t.Fatalf("%s: no reference edges", name)
 		}
-		for _, scheme := range []Scheme{Backward, Forward, Combined} {
+		for _, scheme := range []Scheme{Backward, Forward} {
 			res, err := RunDeckCtx(context.Background(), decks[name], TranOptions{Record: []string{probe}, Scheme: scheme})
 			if err != nil {
 				t.Fatal(err)

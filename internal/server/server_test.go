@@ -240,7 +240,7 @@ func TestHTTPErrors(t *testing.T) {
 // runs without it.
 func TestHTTPRetiredOptionsRefused(t *testing.T) {
 	_, svc, ts := newStack(t)
-	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`, `{"deltaRatio":0.2}`, `{"scheme":"backward","threads":3}`, `{"snapshotEvery":64}`, `{"initStep":1e-12}`, `{"reduceKeep":["n5"]}`, `{"coarseSteps":12}`, `{"coarseTolScale":6}`} {
+	for _, opts := range []string{`{"scheme":"finegrain"}`, `{"scheme":"combined"}`, `{"loadMode":"colored"}`, `{"aggressiveGrowth":true}`, `{"bypassTol":1e-3}`, `{"deviceBypass":true}`, `{"deltaRatio":0.2}`, `{"scheme":"backward","threads":3}`, `{"snapshotEvery":64}`, `{"initStep":1e-12}`, `{"reduceKeep":["n5"]}`, `{"coarseSteps":12}`, `{"coarseTolScale":6}`} {
 		body := `{"schemaVersion":1,"deck":` + strconv.Quote(rcDeck) + `,"options":` + opts + `}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

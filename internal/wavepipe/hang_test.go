@@ -26,7 +26,7 @@ func TestInstantFallPulseDoesNotStall(t *testing.T) {
 		}
 		return sys
 	}
-	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 		res, err := Run(mk(), Options{
 			Base:   transient.Options{TStop: 5e-6, MaxPoints: 5000},
 			Scheme: scheme,

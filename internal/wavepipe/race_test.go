@@ -14,7 +14,7 @@ import (
 // acceptance and recycling. It also checks that the concurrent path produces
 // the same waveform as the sequential one.
 func TestParallelWorkersRaceAndEquivalence(t *testing.T) {
-	schemes := []Scheme{SchemeBackward, SchemeForward, SchemeCombined}
+	schemes := []Scheme{SchemeBackward, SchemeForward}
 	var seq []*transient.Result
 	for _, scheme := range schemes {
 		res, err := Run(rectifierSystem(t), Options{

@@ -65,7 +65,7 @@ func (w *recycleWatch) visit(e *engine) {
 	var results []*integrate.Point
 	if w.snap != nil { // a stage ran: e.p and e.res are its own
 		p := &e.p
-		for _, tg := range [...]target{p.main, p.back, p.fwd, p.fwdBack} {
+		for _, tg := range [...]target{p.main, p.back, p.fwd} {
 			if tg.planned() && e.res[tg.solver].pt != nil {
 				results = append(results, e.res[tg.solver].pt)
 			}
@@ -156,7 +156,7 @@ func TestRecycledPointsAreNeverStillHeld(t *testing.T) {
 	}
 	reused := map[string]int{}
 	for _, r := range runs {
-		for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+		for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 			sys, tstop := build(r.circuit)
 			tstop *= r.horizon
 			opts := Options{Base: transient.Options{TStop: tstop}, Scheme: scheme}

@@ -10,14 +10,14 @@ import (
 	"wavepipe/internal/waveform"
 )
 
-// runRectifier executes a combined-scheme run (four points a stage) of the
+// runRectifier executes a forward-scheme run (both rounds of a stage) of the
 // rectifier with real concurrent workers and the given fault harness.
 func runRectifier(t *testing.T, in *faults.Injector) *transient.Result {
 	t.Helper()
 	forceGang(t)
 	res, err := Run(rectifierSystem(t), Options{
 		Base:   transient.Options{TStop: 3e-3, Faults: in},
-		Scheme: SchemeCombined,
+		Scheme: SchemeForward,
 	})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
@@ -101,41 +101,41 @@ func TestPipelineSurvivesWorkerPanics(t *testing.T) {
 	}
 }
 
-// The fence is per task, not per goroutine: when every task of a four-wide
-// round panics at once, three of them do so on gang members other than the
-// caller, and each is caught on its own slot. The firing log proves they
-// shared a round: its four times are exactly the four targets of the first
-// stage's plan (a panic in a later flush stage would repeat the main time).
+// The fence is per task, not per goroutine: when both tasks of a round panic
+// at once, one of them does so on the gang member beside the caller, and each
+// is caught on its own slot. The firing log proves they shared a round: its
+// two times are exactly the two targets of the first stage's plan (a panic in
+// a later flush stage would repeat the main time).
 func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
-	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: maxWidth})
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: Width})
 	res := checkFaulted(t, in)
-	if res.Stats.WorkerPanics != maxWidth {
-		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, maxWidth)
+	if res.Stats.WorkerPanics != Width {
+		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, Width)
 	}
 	var fired []float64
 	for _, f := range in.Firings() {
 		fired = append(fired, f.T)
 	}
 	sort.Float64s(fired)
-	p := planStage(SchemeCombined, false, 0, fired[1], false, 3e-3)
-	want := []float64{p.back.t, p.main.t, p.fwdBack.t, p.fwd.t}
+	p := planStage(SchemeForward, false, 0, fired[0], false, 3e-3)
+	want := []float64{p.main.t, p.fwd.t}
 	if !slices.Equal(fired, want) {
 		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)
 	}
 }
 
-// A panic in the flush stage itself — the fifth firing, after a whole round
+// A panic in the flush stage itself — the third firing, after a whole round
 // went down — is fenced like any other and costs a step shrink, not the run.
 func TestFlushStagePanicIsContained(t *testing.T) {
-	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: maxWidth + 1})
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: Width + 1})
 	res := checkFaulted(t, in)
-	if res.Stats.WorkerPanics != maxWidth+1 {
-		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, maxWidth+1)
+	if res.Stats.WorkerPanics != Width+1 {
+		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, Width+1)
 	}
 	fired := in.Firings()
-	last := fired[maxWidth]
-	if !slices.ContainsFunc(fired[:maxWidth], func(f faults.Firing) bool { return f.T == last.T }) {
-		t.Fatalf("fifth panic at t=%g is not the flush stage redoing the main point: %+v", last.T, fired)
+	last := fired[Width]
+	if !slices.ContainsFunc(fired[:Width], func(f faults.Firing) bool { return f.T == last.T }) {
+		t.Fatalf("third panic at t=%g is not the flush stage redoing the main point: %+v", last.T, fired)
 	}
 }
 

@@ -29,17 +29,15 @@ const deltaRatio = 0.2
 // stagePlan is the shape of one stage, the scheme as data: which points ride
 // along with the main point and which solver owns each.
 //
-//	           main   backward under main   forward   backward under forward
-//	flush      0      —                     —         —
-//	Backward   1      0                     —         —
-//	Forward    0      —                     1         —
-//	Combined   0      2                     1         3
+//	           main   backward   forward
+//	flush      0      —          —
+//	Backward   1      0          —
+//	Forward    0      —          1
 //
 // The assignment is part of the result, not a free choice: a solver's
 // limiting state and warm factorization follow what it solved last, so moving
 // a role to another solver moves the waveform in the last bits. Backward
-// numbers its points in time order (main last), the forward schemes in the
-// order they were added to the engine.
+// numbers its points in time order (main last).
 type stagePlan struct {
 	// flush marks the single-point stage that refills the pipeline after a
 	// breakpoint or a degradation: its main failure climbs the recovery
@@ -48,43 +46,31 @@ type stagePlan struct {
 	main  target
 	hitBp bool // main lands on the controller's limit
 	// back is the backward point main−δ. At δ = 0.2·h it always clears the
-	// stage's base point, so it is planned whenever the scheme has one.
+	// stage's base point, so Backward plans it on every pipelined stage.
 	back target
 	// fwd is the speculated point after main, one step of the same size on
-	// (no growth), never across a breakpoint; fwdBack the backward point
-	// under it.
+	// (no growth), never across a breakpoint.
 	fwd       target
 	fwdHitsBp bool
-	fwdBack   target
 }
 
 // planStage expands scheme × flush state into the stage that takes the run
 // from t to tMain (on the limit when hitBp).
 func planStage(scheme Scheme, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
-	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, back: noTarget, fwd: noTarget, fwdBack: noTarget}
+	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, back: noTarget, fwd: noTarget}
 	if flush {
 		return p
 	}
 	h0 := tMain - t
-	delta := deltaRatio * h0
-	switch scheme {
-	case SchemeBackward:
-		p.main.solver, p.back = 1, target{0, tMain - delta}
+	if scheme == SchemeBackward {
+		p.main.solver, p.back = 1, target{0, tMain - deltaRatio*h0}
 		return p
-	case SchemeCombined:
-		p.back = target{2, tMain - delta}
 	}
-
 	t2, fwdHitsBp := transient.LandOn(limit, tMain+h0, h0)
 	if hitBp || (fwdHitsBp && t2-tMain < 0.1*h0) {
 		return p
 	}
 	p.fwd, p.fwdHitsBp = target{1, t2}, fwdHitsBp
-	// A forward step cut short by the limit can leave t2−δ crowding main:
-	// the forward point then goes alone.
-	if scheme == SchemeCombined && t2-delta > tMain+0.05*h0 {
-		p.fwdBack = target{3, t2 - delta}
-	}
 	return p
 }
 
@@ -181,21 +167,15 @@ func (e *engine) runTask(i int) {
 	case jobSolve:
 		res.pt, res.co, res.err = ps.SolveAt(e.from, k.t, nil)
 	case jobWarm:
-		// The predicted history mirrors the spacing of the true one (the
-		// backward point under main included) so the speculative assembly's
-		// Alpha0 matches and ResumeAt can reuse it. Each solver predicts into
-		// its own history with its own prediction ring, so concurrent warm-ups
-		// share no scratch. A panic leaves warm nil and the resume solves cold.
-		e.warm[k.solver] = nil
-		ph := &e.pred[k.solver]
-		ph.CopyFrom(e.from)
-		if b := e.p.back; b.planned() {
-			ph.Add(ps.PredictPoint(e.from, b.t))
-		}
-		ph.Add(ps.PredictPoint(e.from, e.p.main.t))
-		e.warm[k.solver] = ps.WarmStart(ph, k.t, e.depth)
+		// The predicted history mirrors the spacing of the true one so the
+		// speculative assembly's Alpha0 matches and ResumeAt can reuse it. A
+		// panic leaves warm nil and the resume solves cold.
+		e.warm = nil
+		e.pred.CopyFrom(e.from)
+		e.pred.Add(ps.PredictPoint(e.from, e.p.main.t))
+		e.warm = ps.WarmStart(&e.pred, k.t, e.depth)
 	case jobResume:
-		res.pt, res.co, res.err = ps.ResumeAt(e.from, k.t, e.warm[k.solver])
+		res.pt, res.co, res.err = ps.ResumeAt(e.from, k.t, e.warm)
 	}
 }
 
@@ -224,15 +204,16 @@ func (e *engine) publishBack(hist *integrate.History, tg target) {
 
 // stage runs one pipeline stage:
 //
-//	round A — the main point t1 = t+h and the backward point t1−δ, both from
-//	          the accepted history; meanwhile the forward solvers pre-iterate
-//	          t2 = t1+h (and t2−δ) against a polynomially *predicted* t1
-//	round B — the forward solvers finish t2 (and t2−δ) from the exact
+//	round A — the main point t1 = t+h beside either the backward point t1−δ
+//	          (Backward), solved from the accepted history, or a pre-iteration
+//	          of the forward point t2 = t1+h against a polynomially
+//	          *predicted* t1 (Forward)
+//	round B — Forward only: the forward solver finishes t2 from the exact
 //	          history, warm-started from round A
 //
 // then validates and publishes in time order. Round B starts the moment the
 // true t1 point exists, before its LTE check. Accuracy is protected by
-// re-solving the forward points against the exact history and LTE-checking
+// re-solving the forward point against the exact history and LTE-checking
 // every accepted point against the history it was solved from.
 func (e *engine) stage(flush bool) error {
 	s := e.s
@@ -244,7 +225,7 @@ func (e *engine) stage(flush bool) error {
 
 	tasks := queue(e.tasks[:0], p.back, jobSolve)
 	tasks = append(tasks, roundTask{p.main, jobSolve})
-	tasks = queue(queue(tasks, p.fwd, jobWarm), p.fwdBack, jobWarm)
+	tasks = queue(tasks, p.fwd, jobWarm)
 	e.runRound(p.main.t, hist, tasks)
 	main := &e.res[p.main.solver]
 	// The rolling iteration count sizes the next warm-up. A pipelined main
@@ -283,16 +264,12 @@ func (e *engine) stage(flush bool) error {
 
 	// Round B, speculative with respect to the LTE checks below.
 	trueHist := &e.trueHist
-	spec := 0 // forward-side points solved
+	spec := 0 // forward points solved
 	if p.fwd.planned() {
 		trueHist.CopyFrom(hist)
-		if b := p.back; b.planned() && e.res[b.solver].err == nil {
-			trueHist.Add(e.res[b.solver].pt)
-		}
 		trueHist.Add(main.pt)
-		tasks = queue(queue(e.tasks[:0], p.fwd, jobResume), p.fwdBack, jobResume)
-		e.runRound(p.fwd.t, trueHist, tasks)
-		spec = len(tasks)
+		e.runRound(p.fwd.t, trueHist, append(e.tasks[:0], roundTask{p.fwd, jobResume}))
+		spec = 1
 	}
 
 	// Validation and publication, ascending in time. The stage is built on
@@ -301,7 +278,7 @@ func (e *engine) stage(flush bool) error {
 	if s.TooCoarse(mainNorm, main.co.H0) {
 		e.s.Reject(p.main.t, main.co, mainNorm)
 		e.noteDiscards(p.main.t, p.backs()+spec)
-		for _, tg := range [...]target{p.main, p.back, p.fwd, p.fwdBack} {
+		for _, tg := range [...]target{p.main, p.back, p.fwd} {
 			e.recycle(tg)
 		}
 		return nil
@@ -323,14 +300,11 @@ func (e *engine) stage(flush bool) error {
 		}
 	}
 
-	// The forward side. Speculative points pass the same LTE bar as
-	// everything else; a stricter bar was tried and bought no measurable
-	// accuracy while discarding ~15% more points (see EXPERIMENTS.md). A
-	// backward point accepted here sits between the main and the forward
-	// point; history stays ascending either way.
+	// The forward point. It passes the same LTE bar as everything else; a
+	// stricter bar was tried and bought no measurable accuracy while
+	// discarding ~15% more points (see EXPERIMENTS.md).
 	last, lastNorm := main, mainNorm // the anchor the next step is sized from
 	if p.fwd.planned() {
-		e.publishBack(trueHist, p.fwdBack)
 		fwd := &e.res[p.fwd.solver]
 		if fwd.err != nil {
 			e.noteDiscards(p.fwd.t, 1)

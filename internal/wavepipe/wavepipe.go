@@ -4,7 +4,7 @@
 // without relaxation — every accepted point satisfies the same implicit
 // integration formula, Newton tolerance and LTE test as the serial engine.
 //
-// Two embodiments are provided, plus their combination:
+// Two embodiments are provided:
 //
 //   - Backward pipelining (SchemeBackward): while the main worker computes
 //     the regular next point t+h, a second worker computes the backward
@@ -23,11 +23,8 @@
 //     point is still LTE-checked — but most of its Newton work overlapped
 //     with the predecessor's.
 //
-//   - SchemeCombined layers a backward worker under the main point and
-//     under the forward point as well.
-//
-// A scheme is its stage: Backward and Forward solve two points at once,
-// Combined four (see Width and planStage).
+// A scheme is its stage: both solve two points at once (see Width and
+// planStage).
 package wavepipe
 
 import (
@@ -51,7 +48,6 @@ type Scheme int
 const (
 	SchemeBackward Scheme = iota
 	SchemeForward
-	SchemeCombined
 )
 
 // String returns the scheme name.
@@ -61,8 +57,6 @@ func (s Scheme) String() string {
 		return "backward"
 	case SchemeForward:
 		return "forward"
-	case SchemeCombined:
-		return "combined"
 	default:
 		return "unknown"
 	}
@@ -74,25 +68,16 @@ type Options struct {
 	// tolerances). Method must be Gear2 or Trapezoidal for second-order
 	// pipelining; Gear2 (the default) is what the paper analyses.
 	Base transient.Options
-	// Scheme selects backward, forward or combined pipelining, and with it
-	// the stage: how many points a stage solves and which (see Width).
+	// Scheme selects backward or forward pipelining, and with it the stage:
+	// which points a stage solves (see planStage).
 	Scheme Scheme
 }
 
-// maxWidth is the widest stage: Combined's main and forward point with a
-// backward point under each.
-const maxWidth = 4
-
-// Width is the number of points a stage of the scheme solves at once — 2 for
-// Backward and Forward, 4 for Combined. It is the engine's solver count and
-// the width of its stage gang, and what a caller budgeting cores around it
-// (the window coordinator, the service) must count.
-func Width(scheme Scheme) int {
-	if scheme == SchemeCombined {
-		return maxWidth
-	}
-	return 2
-}
+// Width is the number of points a stage solves at once, the same for both
+// schemes: the main point and the backward or the forward one. It is the
+// engine's solver count and the width of its stage gang, and what a caller
+// budgeting cores around it (the window coordinator, the service) must count.
+const Width = 2
 
 // Run executes a WavePipe transient analysis and returns a result of the
 // same shape as the serial engine's.
@@ -113,13 +98,12 @@ func newEngine(sys *circuit.System, opts Options) *engine {
 	e.taskFn = e.runTask
 	// The stage gang under a budget: the coordinator leads it, so a gang of
 	// width k occupies k cores and the budget caps the width.
-	width := Width(opts.Scheme)
-	gang := width
+	gang := Width
 	if base.CoreBudget > 0 {
 		gang = min(gang, base.CoreBudget)
 	}
 	e.gang = sched.NewPool(gang)
-	for i := 0; i < width; i++ {
+	for i := 0; i < Width; i++ {
 		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		ps.Attach(&e.base, int16(i))
 		e.solvers = append(e.solvers, ps)
@@ -210,8 +194,9 @@ func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.
 func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
 
 // engine holds the per-run coordinator state. A round's tasks only touch
-// their own PointSolver, result slot and predicted history plus the
-// immutable plan and history of the stage.
+// their own PointSolver and result slot (the forward solver also the
+// predicted history and its warm iterate) plus the immutable plan and history
+// of the stage.
 type engine struct {
 	opts Options
 	base transient.Options
@@ -251,26 +236,28 @@ type engine struct {
 	// Coordinator-side scratch: the LTE checks and step selection run on the
 	// coordinator between parallel phases, so one set of buffers makes the
 	// per-stage bookkeeping allocation-free. trueHist is round B's history and
-	// pred[k] solver k's predicted one (see stage.go), refilled each stage.
+	// pred the forward solver's predicted one (see stage.go), refilled each
+	// stage.
 	ltePts   []*integrate.Point
 	tailBuf  []*integrate.Point
 	lteScr   integrate.LTEScratch
 	trueHist integrate.History
-	pred     [maxWidth]integrate.History
+	pred     integrate.History
 
 	// owners[i] is the solver whose pool s.Hist.At(i) came from and goes
 	// back to, so no pool runs dry while another fills up.
 	owners []int
 
-	// The stage in flight (see stage.go). res and warm are indexed by solver:
-	// a solver has at most one point per stage, so its slot is its own.
+	// The stage in flight (see stage.go). res is indexed by solver: a solver
+	// has at most one point per stage, so its slot is its own. warm is the
+	// forward solver's iterate from round A.
 	p      stagePlan
-	res    [maxWidth]pointResult
-	warm   [maxWidth][]float64
-	depth  int                 // the stage's speculative iteration budget
-	from   *integrate.History  // what the round in flight solves from
-	tasks  [maxWidth]roundTask // the round in flight, task i for gang member i
-	taskFn func(int)           // e.runTask, bound once
+	res    [Width]pointResult
+	warm   []float64
+	depth  int                // the stage's speculative iteration budget
+	from   *integrate.History // what the round in flight solves from
+	tasks  [Width]roundTask   // the round in flight, task i for gang member i
+	taskFn func(int)          // e.runTask, bound once
 }
 
 // warmDepth returns the speculative iteration budget for the forward

@@ -63,7 +63,7 @@ func TestAccuracyMatchesSerialAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", tc.name, err)
 		}
-		for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+		for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 			res, err := Run(tc.mk(t), Options{
 				Base:   transient.Options{TStop: tc.tstop},
 				Scheme: scheme,
@@ -155,31 +155,29 @@ func TestForwardPipeliningAcceptsSpeculativePoints(t *testing.T) {
 	}
 }
 
-func TestCombinedSchemeUsesFourWorkers(t *testing.T) {
-	res, err := Run(rcSystem(t), Options{
-		Base:   transient.Options{TStop: 2e-3},
-		Scheme: SchemeCombined,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Points < 10 {
-		t.Fatalf("too few points: %d", res.Stats.Points)
-	}
-	if res.Stats.PipelineWorkers != 4 {
-		t.Fatalf("combined ran %d solvers, want 4", res.Stats.PipelineWorkers)
+// A scheme is its stage, and every stage is two solvers: the width is fixed,
+// not an option.
+func TestEverySchemeRunsTwoSolvers(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
+		res, err := Run(rcSystem(t), Options{
+			Base:   transient.Options{TStop: 2e-3},
+			Scheme: scheme,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Points < 10 {
+			t.Fatalf("%v: too few points: %d", scheme, res.Stats.Points)
+		}
+		if res.Stats.PipelineWorkers != 2 {
+			t.Fatalf("%v ran %d solvers, want 2", scheme, res.Stats.PipelineWorkers)
+		}
 	}
 }
 
-// A scheme is its stage: its width is fixed, not an option.
 func TestOptionsDefaults(t *testing.T) {
-	for s, want := range map[Scheme]int{SchemeBackward: 2, SchemeForward: 2, SchemeCombined: 4} {
-		if got := Width(s); got != want {
-			t.Fatalf("%v: width %d, want %d", s, got, want)
-		}
-	}
 	if SchemeBackward.String() != "backward" || SchemeForward.String() != "forward" ||
-		SchemeCombined.String() != "combined" || Scheme(9).String() != "unknown" {
+		Scheme(9).String() != "unknown" {
 		t.Fatal("scheme names")
 	}
 }
@@ -199,7 +197,7 @@ func TestRunValidation(t *testing.T) {
 // in strictly ascending time order across all schemes (the coordinator's
 // ordering contract).
 func TestTimeAxisStrictlyAscending(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 		res, err := Run(rectifierSystem(t), Options{
 			Base:   transient.Options{TStop: 2e-3},
 			Scheme: scheme,
@@ -231,7 +229,7 @@ func TestBreakpointHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 		res, err := Run(sys, Options{Base: transient.Options{TStop: 4e-3}, Scheme: scheme})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -341,7 +339,7 @@ func TestTrapezoidalSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{SchemeBackward, SchemeCombined} {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 		res, err := Run(rectifierSystem(t), Options{
 			Base:   transient.Options{TStop: 2e-3, Method: integrate.Trapezoidal},
 			Scheme: scheme,
@@ -362,7 +360,7 @@ func TestTrapezoidalSchemes(t *testing.T) {
 // Determinism: identical options must produce bit-identical waveforms (no
 // map-iteration or scheduling nondeterminism leaks into results).
 func TestRunIsDeterministic(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
+	for _, scheme := range []Scheme{SchemeBackward, SchemeForward} {
 		opts := Options{
 			Base:   transient.Options{TStop: 1e-3},
 			Scheme: scheme,

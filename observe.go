@@ -6,15 +6,14 @@ package wavepipe
 //
 //	rec := wavepipe.NewTraceRecorder(0) // unbounded: keep every event
 //	res, err := wavepipe.RunTransientCtx(ctx, sys, wavepipe.TranOptions{
-//		TStop: 1e-3, Scheme: wavepipe.Combined, Observer: rec,
+//		TStop: 1e-3, Scheme: wavepipe.Forward, Observer: rec,
 //	})
 //	wavepipe.WriteChromeTrace(f, rec.Events(), rec.Snapshots())
 //
 // A recorded stream reconciles exactly with the run's Stats: ReplayTrace's
 // Points/Solves/NRIters/LTERejects/Discarded/Recoveries equal the fields of
 // the same name in Result.Stats. Worker spans carry the solver of the stage
-// that ran them: 0–3 for the Combined run above, 0–1 for Backward and
-// Forward.
+// that ran them, 0 or 1.
 
 import (
 	"io"

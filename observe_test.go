@@ -32,12 +32,18 @@ func buildBench(t *testing.T, name string) (*wavepipe.System, wavepipe.TranOptio
 }
 
 // TestTracedRunReconcilesWithStats is the acceptance test for the trace
-// layer: a combined-scheme run with an observer attached produces an event
-// stream whose replayed counters agree exactly with the engine's own Stats,
-// and whose Chrome export is loadable JSON.
+// layer: a pipelined run of either scheme with an observer attached produces
+// an event stream whose replayed counters agree exactly with the engine's own
+// Stats, and whose Chrome export is loadable JSON.
 func TestTracedRunReconcilesWithStats(t *testing.T) {
+	for _, scheme := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward} {
+		t.Run(scheme.String(), func(t *testing.T) { tracedRunReconciles(t, scheme) })
+	}
+}
+
+func tracedRunReconciles(t *testing.T, scheme wavepipe.Scheme) {
 	sys, opts := buildBench(t, "grid16")
-	opts.Scheme = wavepipe.Combined
+	opts.Scheme = scheme
 	rec := wavepipe.NewTraceRecorder(0) // unbounded: reconciliation needs every event
 	opts.Observer = rec
 
@@ -61,7 +67,6 @@ func TestTracedRunReconcilesWithStats(t *testing.T) {
 	check("LTERejects", rc.LTERejects, res.Stats.LTERejects)
 	check("Discarded", rc.Discarded, res.Stats.Discarded)
 	check("Recoveries", rc.Recoveries, res.Stats.Recoveries)
-	check("ReusedFactorizations", rc.ReuseHits, res.Stats.ReusedFactorizations)
 	check("ReusedFactorizations", rc.ReuseHits, res.Stats.ReusedFactorizations)
 	if res.Stats.ReusedFactorizations == 0 {
 		t.Error("a linear mesh never reused a factorization: the 1:1 check above is vacuous")
@@ -102,7 +107,7 @@ func TestTracedRunReconcilesWithStats(t *testing.T) {
 }
 
 // TestSerialTraceReconciles covers the serial engine's emission sites (the
-// combined engine routes through different code paths).
+// pipelined engine routes through different code paths).
 func TestSerialTraceReconciles(t *testing.T) {
 	sys, opts := buildBench(t, "ladder400")
 	rec := wavepipe.NewTraceRecorder(0)
@@ -134,14 +139,14 @@ func (c *cancelAfter) OnEvent(ev wavepipe.TraceEvent) {
 
 func (c *cancelAfter) OnSnapshot(wavepipe.TraceSnapshot) {}
 
-// TestCancellationMidRun cancels a combined-scheme grid run from inside the
+// TestCancellationMidRun cancels a forward-scheme grid run from inside the
 // event stream after ~10 accepted points and checks the contract: a partial
 // waveform, a typed ErrCanceled, and no leaked worker goroutines.
 func TestCancellationMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	sys, opts := buildBench(t, "grid16")
-	opts.Scheme = wavepipe.Combined
+	opts.Scheme = wavepipe.Forward
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &cancelAfter{n: 10, cancel: cancel}

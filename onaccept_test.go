@@ -48,7 +48,7 @@ func TestOnAcceptRowsAreResultRows(t *testing.T) {
 		scheme Scheme
 	}{
 		{"serial", Serial},
-		{"combined", Combined},
+		{"forward", Forward},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var kept []keptRow

@@ -52,9 +52,10 @@ type ServiceConfig struct {
 	// CacheSize bounds the compiled-artifact cache in decks (default 16).
 	CacheSize int
 	// Dir receives the per-job JSONL traces of TraceJobs; the service writes
-	// nothing else into it. A named Dir is created at start and left to the
-	// caller; empty means a temporary directory, made only with TraceJobs
-	// and removed on Close.
+	// nothing else into it. A named Dir is created at start (under TraceJobs,
+	// cleared of an earlier service's job traces) and left to the caller;
+	// empty means a temporary directory, made only with TraceJobs and removed
+	// on Close.
 	Dir string
 	// TraceJobs writes each job's structured telemetry to Dir/<id>.trace.jsonl
 	// when the job ends, and removes it when the job is forgotten. Without it
@@ -131,7 +132,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	var err error
 	switch {
 	case dir != "":
-		err = os.MkdirAll(dir, 0o755)
+		if err = os.MkdirAll(dir, 0o755); err == nil && cfg.TraceJobs {
+			err = removeJobTraces(dir)
+		}
 	case cfg.TraceJobs:
 		dir, err = os.MkdirTemp("", "wavesimd-*")
 		ownDir = true
@@ -276,9 +279,8 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 	defer s.wg.Done()
 	opts, rec := s.jobOptions(j, opts)
 
-	// The core request: the cores the run can occupy — one for Serial, the
-	// stage width for a scheme (two, or four for Combined) — and no more than
-	// an explicit CoreBudget.
+	// The core request: the cores the run can occupy — one for Serial, two
+	// for a pipelined scheme — and no more than an explicit CoreBudget.
 	// The grant (≤ the request) becomes the run's CoreBudget, so the stage
 	// gang is as wide as what the arbiter allotted; the waveform is the same
 	// under every grant.
@@ -414,6 +416,18 @@ func (s *Service) finish(j *job, res *Result, err error) {
 }
 
 func (s *Service) tracePath(id string) string { return filepath.Join(s.dir, id+".trace.jsonl") }
+
+// removeJobTraces deletes the job traces an earlier service left in dir: job
+// IDs restart at j000001, so a stale trace would pass for a new job's.
+func removeJobTraces(dir string) error {
+	files, err := os.ReadDir(dir)
+	for _, f := range files {
+		if ok, _ := filepath.Match("j[0-9][0-9][0-9][0-9][0-9][0-9].trace.jsonl", f.Name()); ok && err == nil {
+			err = os.Remove(filepath.Join(dir, f.Name()))
+		}
+	}
+	return err
+}
 
 // writeTrace flushes a finished job's telemetry to <dir>/<id>.trace.jsonl.
 func (s *Service) writeTrace(id string, rec *trace.Recorder) {

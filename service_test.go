@@ -510,18 +510,18 @@ func TestServiceRequestsTheCoresARunCanOccupy(t *testing.T) {
 		}
 	}
 
-	// A Combined stage solves four points, so a default Combined job asks for
-	// four cores; an explicit budget caps the request.
+	// A pipelined stage solves two points, so a default Backward job asks for
+	// two cores however many are free; an explicit budget caps the request.
 	wide := newTestService(t, ServiceConfig{Cores: 4})
 	for _, c := range []struct {
 		budget, want int
-	}{{0, 4}, {2, 2}} {
-		st, err := wide.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Scheme: Combined, CoreBudget: c.budget}})
+	}{{0, 2}, {1, 1}} {
+		st, err := wide.Submit(ctx, JobSpec{Deck: endlessDeck, Options: TranOptions{Scheme: Backward, CoreBudget: c.budget}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := waitRunning(t, wide, st.ID)[0].Cores; got != c.want {
-			t.Fatalf("Combined/CoreBudget=%d job holds %d cores, want %d", c.budget, got, c.want)
+			t.Fatalf("Backward/CoreBudget=%d job holds %d cores, want %d", c.budget, got, c.want)
 		}
 		if err := wide.Cancel(ctx, st.ID); err != nil {
 			t.Fatal(err)
@@ -761,16 +761,16 @@ func TestServiceMetricsReconcileWithStats(t *testing.T) {
 	if err := s.Cancel(ctx, canceled.ID); err != nil {
 		t.Fatal(err)
 	}
-	// A Combined job on a nonlinear deck discards speculative points.
+	// A Forward job on a nonlinear deck discards speculative points.
 	deck, err := os.ReadFile("testdata/opamp_filter.sp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := s.Submit(ctx, JobSpec{Deck: string(deck), Options: TranOptions{Scheme: Combined}})
+	forward, err := s.Submit(ctx, JobSpec{Deck: string(deck), Options: TranOptions{Scheme: Forward}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids = append(ids, combined.ID)
+	ids = append(ids, forward.ID)
 
 	want := map[string]int64{}
 	for _, id := range ids {
@@ -962,11 +962,11 @@ func TestServiceForgetsOldestFinishedJobs(t *testing.T) {
 func TestServiceForgetsTraceOfForgottenJob(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
+	s := newTestService(t, ServiceConfig{Cores: 1, MaxQueued: 1, Dir: dir, TraceJobs: true})
 	earlier := filepath.Join(dir, "j999999.trace.jsonl")
 	if err := os.WriteFile(earlier, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := newTestService(t, ServiceConfig{Cores: 1, MaxQueued: 1, Dir: dir, TraceJobs: true})
 	var ids []string
 	for k := 0; k < 4; k++ {
 		st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck})
@@ -992,6 +992,49 @@ func TestServiceForgetsTraceOfForgottenJob(t *testing.T) {
 	want := []string{ids[2] + ".trace.jsonl", ids[3] + ".trace.jsonl", "j999999.trace.jsonl"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("Dir holds %v, want the two kept jobs' traces and the earlier file %v", names, want)
+	}
+}
+
+// TestServiceRemovesTracesOfEarlierService: job IDs restart at j000001, so
+// the traces an earlier service left in a named Dir go when the new one
+// starts — otherwise a new job's trace path would hold another job's events
+// until it finished. Files not named like a job's trace stay.
+func TestServiceRemovesTracesOfEarlierService(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	for _, name := range []string{"j000001.trace.jsonl", "j000099.trace.jsonl", "notes.txt", "j1.trace.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestService(t, ServiceConfig{Cores: 1, Dir: dir, TraceJobs: true})
+	names := func() []string {
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		return names
+	}
+	if got, want := names(), []string{"j1.trace.jsonl", "notes.txt"}; !slices.Equal(got, want) {
+		t.Fatalf("a new service's Dir holds %v, want %v", got, want)
+	}
+	st, err := s.Submit(ctx, JobSpec{Deck: serviceDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, st.ID+".trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events, _, err := ReadTraceJSONL(bytes.NewReader(data)); err != nil || len(events) == 0 {
+		t.Fatalf("%s's trace holds %d events (err %v), want its own", st.ID, len(events), err)
 	}
 }
 

@@ -43,57 +43,43 @@ var suiteWaveformHashes = map[string]uint64{
 
 // engineWaveformHashes extends the pin to the other step-control loops, one
 // row per engine configuration the step-controller fold must not move: the
-// three pipelined schemes on every suite circuit, three resistor-scaled
+// two pipelined schemes on every suite circuit, three resistor-scaled
 // ensemble lanes (scale 1, 1.05, 1.1; one hash per lane) and a strict
 // four-window run. Generated on the commit before that fold (go1.24
 // linux/amd64), keyed "config/circuit"; a scheme's key names the points its
-// stage solves, backward2 and forward2 two, combined4 four. The combined4 rows
-// were recorded before the pipeline-stage fold, while Combined could also run
-// at two and three points, and are unedited.
+// stage solves, two for backward2 and forward2.
 var engineWaveformHashes = map[string]uint64{
 	"backward2/grid16":      0x9ebf34ee21d7ac00,
 	"forward2/grid16":       0x1ac516dea43bcaae,
-	"combined4/grid16":      0x56a1f2d7cd671977,
 	"lane0/grid16":          0x3cc0f120b5ec0af6,
 	"lane1/grid16":          0xdc15e2cc8e929839,
 	"lane2/grid16":          0xaf974c3ccf02dae3,
 	"backward2/grid24":      0x5eb3533819f979a1,
 	"forward2/grid24":       0xf6427582754bf30d,
-	"combined4/grid24":      0x6eee414cc15c6690,
 	"backward2/grid32":      0x9db7555769f43500,
 	"forward2/grid32":       0x0cb8b49159f18c8c,
-	"combined4/grid32":      0xfacb9062fe3f66f0,
 	"backward2/ladder400":   0x1584ebcc54ae5b46,
 	"forward2/ladder400":    0x4032e1ef1e9844c8,
-	"combined4/ladder400":   0x4e022ab78c7b5d76,
 	"backward2/rlctree8":    0xaaec6831351b9598,
 	"forward2/rlctree8":     0xee59b1fd6e776ccc,
-	"combined4/rlctree8":    0xb4cc69865003b727,
 	"backward2/rect1k":      0x2bfd943f096f70f7,
 	"forward2/rect1k":       0xedd7b7706c6701d1,
-	"combined4/rect1k":      0x2390c08eecceb59f,
 	"windows4strict/rect1k": 0x2baab5bf34976a41,
 	"backward2/amp10M":      0xfba24c90016f478b,
 	"forward2/amp10M":       0xb224ceb97a37fafc,
-	"combined4/amp10M":      0xd0ecc8487053f868,
 	"backward2/ring9":       0x63e1fe245630b4ef,
 	"forward2/ring9":        0xe976cdaf5f72b007,
-	"combined4/ring9":       0x6355a3a4572bb747,
 	"backward2/inv50":       0xc250cf4d7884f459,
 	"forward2/inv50":        0x0ee790e8aeb5b0a5,
-	"combined4/inv50":       0x47e36df28a940447,
 	"backward2/nand5":       0x8c8fbb8ddf022ab4,
 	"forward2/nand5":        0x147d28f276c455a6,
-	"combined4/nand5":       0x300375b5d001c72c,
 	"backward2/ekv30":       0x8b8935fceec028a2,
 	"forward2/ekv30":        0x50c90d42e0c9ed5b,
-	"combined4/ekv30":       0xde877eb319b123cb,
 	"lane0/ekv30":           0x4f40d15d8b902544,
 	"lane1/ekv30":           0x4f40d15d8b902544,
 	"lane2/ekv30":           0x4f40d15d8b902544,
 	"backward2/ecl8":        0x237cbdcf34dde037,
 	"forward2/ecl8":         0x6e6a05705aba3d08,
-	"combined4/ecl8":        0x8418263a67a2f787,
 }
 
 // iterationWaveformHashes pins the configuration the Newton-iteration fold
@@ -179,7 +165,6 @@ func TestEngineWaveformHashesPinned(t *testing.T) {
 	}{
 		{"backward2", TranOptions{Scheme: Backward}},
 		{"forward2", TranOptions{Scheme: Forward}},
-		{"combined4", TranOptions{Scheme: Combined}},
 	}
 	for _, b := range circuits.Suite() {
 		for _, cfg := range pipelined {

@@ -11,7 +11,7 @@
 //	sys, _ := deck.Build()
 //	res, _ := wavepipe.RunTransientCtx(ctx, sys, wavepipe.TranOptions{
 //		TStop:  deck.Tran.TStop,
-//		Scheme: wavepipe.Combined,
+//		Scheme: wavepipe.Backward,
 //	})
 //	v, _ := res.W.At("out", 1e-6)
 //
@@ -129,12 +129,11 @@ const (
 // Scheme selects the simulation engine.
 type Scheme int
 
-// Simulation engines: the serial baseline and the three WavePipe schemes.
+// Simulation engines: the serial baseline and the two WavePipe schemes.
 const (
 	Serial Scheme = iota
 	Backward
 	Forward
-	Combined
 )
 
 // String returns the scheme name.
@@ -146,8 +145,6 @@ func (s Scheme) String() string {
 		return "backward"
 	case Forward:
 		return "forward"
-	case Combined:
-		return "combined"
 	default:
 		return "unknown"
 	}
@@ -163,10 +160,8 @@ func ParseScheme(s string) (Scheme, error) {
 		return Backward, nil
 	case "forward":
 		return Forward, nil
-	case "combined":
-		return Combined, nil
 	default:
-		return 0, fmt.Errorf("wavepipe: unknown scheme %q (serial, backward, forward, combined)", s)
+		return 0, fmt.Errorf("wavepipe: unknown scheme %q (serial, backward, forward)", s)
 	}
 }
 
@@ -326,10 +321,10 @@ type TranOptions struct {
 	Scheme Scheme
 	// Threads is the gang width an ensemble deals its lanes to. A WavePipe
 	// scheme runs at its own width — Backward and Forward solve 2 points a
-	// stage, Combined 4 — so a pipelined run accepts 0 or that width here
-	// and refuses any other value. On a host, or under a CoreBudget, with
-	// fewer cores than a round has tasks the round runs them one after
-	// another (same results; Stats.PipelineSerialized).
+	// stage — so a pipelined run accepts 0 or 2 here and refuses any other
+	// value. On a host, or under a CoreBudget, with fewer cores than a round
+	// has tasks the round runs them one after another (same results;
+	// Stats.PipelineSerialized).
 	Threads int
 	// Method is the integration formula (default Gear2).
 	Method Method
@@ -722,26 +717,13 @@ func runEngine(sys *System, opts TranOptions, base transient.Options) (res *Resu
 }
 
 // engineWidth is the number of cores one engine instance can occupy: one for
-// Serial, the scheme's stage width for a pipelined run. The window
-// coordinator splits the core budget by it and the service sizes a job's core
-// request with it.
+// Serial, the stage width for a pipelined run. The window coordinator splits
+// the core budget by it and the service sizes a job's core request with it.
 func engineWidth(opts TranOptions) int {
 	if opts.Scheme == Serial {
 		return 1
 	}
-	return wpcore.Width(coreScheme(opts.Scheme))
-}
-
-// coreScheme maps a pipelined facade scheme to the engine's.
-func coreScheme(s Scheme) wpcore.Scheme {
-	switch s {
-	case Backward:
-		return wpcore.SchemeBackward
-	case Forward:
-		return wpcore.SchemeForward
-	default:
-		return wpcore.SchemeCombined
-	}
+	return wpcore.Width
 }
 
 // runSchemeEngine dispatches one engine run. It carries its own panic
@@ -753,8 +735,10 @@ func runSchemeEngine(sys *System, opts TranOptions, base transient.Options) (res
 	switch opts.Scheme {
 	case Serial:
 		return transient.Run(sys, base)
-	case Backward, Forward, Combined:
-		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: coreScheme(opts.Scheme)})
+	case Backward:
+		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: wpcore.SchemeBackward})
+	case Forward:
+		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: wpcore.SchemeForward})
 	default:
 		return nil, fmt.Errorf("wavepipe: unknown scheme %d", opts.Scheme)
 	}

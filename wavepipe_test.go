@@ -28,7 +28,7 @@ func TestAllSchemesThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Scheme{Backward, Forward, Combined} {
+	for _, s := range []Scheme{Backward, Forward} {
 		res, err := RunTransientCtx(context.Background(), lowpass(t), TranOptions{TStop: 3e-3, Scheme: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -46,17 +46,20 @@ func TestAllSchemesThroughFacade(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	names := map[Scheme]string{
 		Serial: "serial", Backward: "backward", Forward: "forward",
-		Combined: "combined", Scheme(99): "unknown",
+		Scheme(3): "unknown",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", s, s.String())
 		}
 	}
-	// The fine-grained baseline scheme is retired (PR 14): its name no longer
-	// parses, so a CLI flag or wire document still carrying it fails loudly.
-	if _, err := ParseScheme("finegrain"); err == nil {
-		t.Fatal(`ParseScheme("finegrain") accepted a retired scheme`)
+	// Retired schemes — the fine-grained baseline, and Combined, four points
+	// a stage — no longer parse, so a CLI flag or wire document still
+	// carrying one fails loudly.
+	for _, name := range []string{"finegrain", "combined"} {
+		if _, err := ParseScheme(name); err == nil {
+			t.Fatalf("ParseScheme(%q) accepted a retired scheme", name)
+		}
 	}
 }
 
@@ -87,7 +90,6 @@ func TestThreadsMustBeTheSchemeWidth(t *testing.T) {
 	}{
 		{Backward, 2, []int{1, 3, 4, 8}},
 		{Forward, 2, []int{1, 3, 4}},
-		{Combined, 4, []int{1, 2, 3, 8}},
 	}
 	for _, c := range cases {
 		for _, th := range []int{0, c.width} {
@@ -168,7 +170,7 @@ C1 out 0 10n
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDeckCtx(context.Background(), d, TranOptions{Scheme: Combined})
+	res, err := RunDeckCtx(context.Background(), d, TranOptions{Scheme: Backward})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestJobRequestGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Options.Scheme != wavepipe.Combined || spec.Options.Method != wavepipe.Trapezoidal {
+	if spec.Options.Scheme != wavepipe.Forward || spec.Options.Method != wavepipe.Trapezoidal {
 		t.Fatalf("enum decode: scheme=%v method=%v", spec.Options.Scheme, spec.Options.Method)
 	}
 	if spec.Deadline != 30*time.Second {
@@ -134,13 +134,15 @@ func TestUnknownFieldRejected(t *testing.T) {
 			t.Fatalf("option field %s accepted", opt)
 		}
 	}
-	doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"scheme":"finegrain"}}`
-	req, err := DecodeJobRequest(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := req.ToJobSpec(); err == nil {
-		t.Fatal("retired scheme finegrain accepted")
+	for _, scheme := range []string{"finegrain", "combined"} {
+		doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"scheme":"` + scheme + `"}}`
+		req, err := DecodeJobRequest(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.ToJobSpec(); err == nil {
+			t.Fatalf("retired scheme %s accepted", scheme)
+		}
 	}
 }
 

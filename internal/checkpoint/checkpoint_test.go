@@ -26,14 +26,13 @@ func testLU(t *testing.T) *sparse.LUState {
 	slots := [][3]int{ // row, col, value index into vals
 		{0, 0, 0}, {0, 1, 1}, {1, 0, 2}, {1, 1, 3}, {2, 2, 4}, {1, 2, 5},
 	}
-	idx := make([]int, len(slots))
-	for i, s := range slots {
-		idx[i] = b.Reserve(s[0], s[1])
+	for _, s := range slots {
+		b.Reserve(s[0], s[1])
 	}
 	m := b.Compile()
 	vals := []float64{4, 1, 1, 3, 5, 0.5}
 	for i, v := range vals {
-		m.Add(idx[i], v)
+		m.Add(m.SlotAt(slots[i][0], slots[i][1]), v)
 	}
 	s := sparse.NewSolver(m, sparse.OrderNatural)
 	if err := s.Factorize(); err != nil {

@@ -42,7 +42,8 @@ type Device interface {
 	// Bind tells the device the base index of its branch unknowns (an
 	// absolute index into the solution vector) and of its state slots.
 	Bind(branch0, state0 int)
-	// Reserve registers all Jacobian pattern slots the device will write.
+	// Reserve registers every Jacobian entry the device will write and keeps
+	// the position Reserver.J returns for each (Build calls it twice).
 	Reserve(r *Reserver)
 	// Eval accumulates the device contribution at the iterate in ctx.
 	Eval(ctx *EvalCtx)
@@ -60,6 +61,18 @@ type Circuit struct {
 // New returns an empty circuit.
 func New(title string) *Circuit {
 	return &Circuit{Title: title, nodeIndex: make(map[string]int)}
+}
+
+// NewSized returns an empty circuit with room for about nodes nodes and
+// devices devices, so that a deck parser that knows its line count builds
+// the node table and device list without regrowing them.
+func NewSized(title string, nodes, devices int) *Circuit {
+	return &Circuit{
+		Title:     title,
+		nodeNames: make([]string, 0, nodes),
+		nodeIndex: make(map[string]int, nodes),
+		devices:   make([]Device, 0, devices),
+	}
 }
 
 // Node returns the index for the named node, creating it on first use.
@@ -120,30 +133,36 @@ func (c *Circuit) Build() (*System, error) {
 		linear = linear && linearDevice(d)
 	}
 	n := branch
+	// First pass: record every stamp's (row, col). A node row no device
+	// stamps is almost certainly a netlist error.
 	b := sparse.NewBuilder(n)
-	r := &Reserver{b: b}
+	r := &Reserver{b: b, touched: make([]bool, n)}
 	for _, d := range c.devices {
 		d.Reserve(r)
 	}
-	// Reserve every diagonal so gmin continuation can always shunt node
-	// rows, and so the structural pattern never loses diagonals.
-	diag := make([]int, numNodes)
 	for i := 0; i < numNodes; i++ {
-		diag[i] = b.Reserve(i, i)
-	}
-	m := b.Compile()
-	// Detect completely floating nodes: a node row with only its reserved
-	// diagonal and no device stamp is almost certainly a netlist error.
-	touched := make([]bool, n)
-	for _, rc := range r.touchedRows {
-		if rc >= 0 {
-			touched[rc] = true
-		}
-	}
-	for i := 0; i < numNodes; i++ {
-		if !touched[i] {
+		if !r.touched[i] {
 			return nil, fmt.Errorf("circuit %q: node %q has no device connected", c.Title, c.nodeNames[i])
 		}
+	}
+	// Reserve every diagonal so gmin continuation can always shunt node
+	// rows, and so the structural pattern never loses diagonals.
+	for i := 0; i < numNodes; i++ {
+		b.Reserve(i, i)
+	}
+	m := b.Compile()
+	// Second pass: every device stamp learns its position in the value
+	// array, the lookup BindLanes replays against a host pattern.
+	r = &Reserver{lookup: m}
+	for _, d := range c.devices {
+		d.Reserve(r)
+	}
+	if r.lookupErr != nil {
+		return nil, fmt.Errorf("circuit %q: %w", c.Title, r.lookupErr)
+	}
+	diag := make([]int, numNodes)
+	for i := range diag {
+		diag[i] = m.SlotAt(i, i)
 	}
 	return &System{
 		Circuit:     c,
@@ -153,36 +172,40 @@ func (c *Circuit) Build() (*System, error) {
 		NumStates:   state,
 		linear:      linear,
 		pattern:     m,
-		diagSlots:   diag,
+		diagPos:     diag,
 		chargeDevs:  chargeDevices(c.devices, m, n, state),
 	}, nil
 }
 
-// Reserver hands out Jacobian pattern slots during Build. In lookup mode
-// (BindLanes) it resolves slots against a frozen host pattern instead of a
-// Builder, recording the first miss as a structural-mismatch error.
+// Reserver collects a device's Jacobian stamps during Build. In its first
+// pass it records each (row, col) into a Builder and marks the row touched;
+// in lookup mode (Build's second pass, BindLanes) it resolves each against a
+// frozen pattern to a position in the value array, recording the first miss
+// as a structural-mismatch error.
 type Reserver struct {
-	b           *sparse.Builder
-	lookup      *sparse.Matrix
-	lookupErr   error
-	touchedRows []int
+	b         *sparse.Builder
+	touched   []bool
+	lookup    *sparse.Matrix
+	lookupErr error
 }
 
-// J reserves the Jacobian slot (row, col) and returns its id, or -1 when
-// either index is Ground (stamps to -1 are discarded at Eval time).
+// J reserves the Jacobian entry (row, col) and returns its position, or -1
+// when either index is Ground (stamps to -1 are discarded at Eval time) and
+// during the first pass, which hands out no positions.
 func (r *Reserver) J(row, col int) int {
 	if row == Ground || col == Ground {
 		return -1
 	}
-	r.touchedRows = append(r.touchedRows, row)
 	if r.lookup != nil {
-		slot := r.lookup.SlotAt(row, col)
-		if slot < 0 && r.lookupErr == nil {
+		pos := r.lookup.SlotAt(row, col)
+		if pos < 0 && r.lookupErr == nil {
 			r.lookupErr = fmt.Errorf("stamp (%d,%d) not in host pattern", row, col)
 		}
-		return slot
+		return pos
 	}
-	return r.b.Reserve(row, col)
+	r.touched[row] = true
+	r.b.Reserve(row, col)
+	return -1
 }
 
 // System is a compiled circuit: a frozen Jacobian pattern plus the device
@@ -199,8 +222,8 @@ type System struct {
 	// limiting state (see Linear).
 	linear bool
 
-	pattern   *sparse.Matrix
-	diagSlots []int
+	pattern *sparse.Matrix
+	diagPos []int
 
 	// chargeDevs lists, in device order, the devices a charge pass visits
 	// (see charge.go): the ones that book charge or limiting state.
@@ -446,8 +469,8 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, z passZe
 func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	ws.Limited = limited
 	if p.NodeGmin > 0 {
-		for i, slot := range ws.Sys.diagSlots {
-			ws.M.Add(slot, p.NodeGmin)
+		for i, pos := range ws.Sys.diagPos {
+			ws.M.Add(pos, p.NodeGmin)
 			ws.F[i] += p.NodeGmin * x[i]
 		}
 	}
@@ -456,7 +479,7 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 			if i < 0 || i >= ws.Sys.NumNodes {
 				continue
 			}
-			ws.M.Add(ws.Sys.diagSlots[i], p.ClampG)
+			ws.M.Add(ws.Sys.diagPos[i], p.ClampG)
 			ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
 		}
 	}
@@ -559,25 +582,26 @@ func (e *EvalCtx) V(i int) float64 {
 	return e.X[i]
 }
 
-// AddJ accumulates a static-Jacobian (dF/dx) entry. slot -1 is discarded.
-func (e *EvalCtx) AddJ(slot int, v float64) {
-	if slot >= 0 {
-		e.m.Add(slot, v)
+// AddJ accumulates a static-Jacobian (dF/dx) entry at a position from
+// Reserver.J; position -1 is discarded.
+func (e *EvalCtx) AddJ(pos int, v float64) {
+	if pos >= 0 {
+		e.m.Add(pos, v)
 	}
 }
 
 // AddJQ accumulates a reactive-Jacobian (dQ/dx) entry, scaled by Alpha0 —
 // or routed unscaled into the separate C matrix during a split assembly
 // (AC analysis).
-func (e *EvalCtx) AddJQ(slot int, v float64) {
-	if slot < 0 {
+func (e *EvalCtx) AddJQ(pos int, v float64) {
+	if pos < 0 {
 		return
 	}
 	if e.mq != nil {
-		e.mq.Add(slot, v)
+		e.mq.Add(pos, v)
 		return
 	}
-	e.m.Add(slot, e.Alpha0*v)
+	e.m.Add(pos, e.Alpha0*v)
 }
 
 // AddF accumulates a static current into row i. Ground rows are discarded.

@@ -36,7 +36,7 @@ func linearDevice(d Device) bool {
 }
 
 // stampTemplate is the exact J_F / J_Q split of one workspace's devices in
-// compact form: the pattern is dominated by slots that are zero in both, so
+// compact form: the pattern is dominated by entries that are zero in both, so
 // the blend and the products iterate only the entries that exist. pos/jf/jq
 // drive the blend (M[pos[t]] = jf[t] + Alpha0·jq[t]); the (row, col, value)
 // triples drive the two matrix-vector products.

@@ -12,7 +12,7 @@ import "fmt"
 //   - BindLanes only succeeds for circuits structurally identical to the
 //     host (same node names in order, same device sequence with the same
 //     branch/state arity, same Reserve footprint, charge stored only where
-//     the host stores some), so every lane device holds slot ids valid on
+//     the host stores some), so every lane device holds positions valid on
 //     any clone of the host pattern and the host's charge-pass list covers
 //     every lane.
 //   - A lane workspace builds its stamp template from its own devices, so
@@ -43,8 +43,8 @@ func (ws *Workspace) Devices() []Device {
 // BindLanes binds a structurally identical variant circuit against this
 // System's frozen Jacobian pattern: devices receive the same branch/state
 // bases the host's Build assigned, and their Reserve calls are replayed
-// through a slot lookup on the host pattern instead of a fresh Builder. On
-// success every device in c holds slot ids valid on any clone of the host
+// through a position lookup on the host pattern instead of a fresh Builder. On
+// success every device in c holds positions valid on any clone of the host
 // pattern; on mismatch (different nodes, device sequence, arity, or stamp
 // footprint) an error identifies the first divergence and c's devices are
 // left bound to possibly inconsistent indices — discard the circuit.

@@ -3,6 +3,8 @@ package netlist
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +44,34 @@ V1 in 0 PULSE(0 1 0 1n 1n 5n 10n)
 		}
 		if d, err := ParseParams(src, map[string]float64{"r": r}); err == nil && d == nil {
 			t.Fatal("ParseParams returned neither a deck nor an error")
+		}
+	})
+}
+
+// FuzzSplitFields holds the parser's line splitter to strings.Fields on
+// arbitrary bytes, appended after a field already in the buffer.
+func FuzzSplitFields(f *testing.F) {
+	for _, s := range []string{
+		"R1 a 0 1k",
+		"\tR1\ta\t0\t1k\t",
+		"C1 a 0 2p\r",
+		"R1\va 0 1k",
+		"R1 a\f0 1k",
+		"R1\u0085a 0 1k",
+		"R1\u00a0a 0 1k",
+		"R1 a\u00a0",
+		"",
+		"   ",
+		"  R1 a 0 1k  ",
+		"\xff R1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := strings.Fields(s)
+		got := appendFields([]string{"kept"}, s)
+		if len(got) == 0 || got[0] != "kept" || !slices.Equal(got[1:], want) {
+			t.Fatalf("appendFields(%q) = %q, strings.Fields gives %q", s, got, want)
 		}
 	})
 }

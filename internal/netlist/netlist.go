@@ -7,6 +7,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -112,15 +113,22 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 		}
 	}
 	p.deck.Src = input
-	p.deck.Circuit = circuit.New("")
 	lines, title := preprocess(input)
 	p.deck.Title = title
-	p.deck.Circuit.Title = title
+	// A deck's element lines bring about one device each and, on the
+	// ladders and meshes that make decks long, one new node per two or three
+	// devices.
+	p.deck.Circuit = circuit.NewSized(title, len(lines)/2+1, len(lines))
 
 	// First pass: collect .PARAM definitions, .SUBCKT bodies and .MODEL
 	// cards so instantiation order does not matter; brace expressions are
-	// substituted as each line is classified.
-	mainLines := make([][]string, 0, len(lines))
+	// substituted as each line is classified. The other lines are kept,
+	// compacted in place, for the second pass, which splits each into one
+	// reused buffer: this pass reads only an element line's first byte.
+	// Top-level R, C and L lines are counted so that their devices come from
+	// one array each.
+	mainLines := lines[:0]
+	var nR, nC, nL int
 	var cur *subcktDef
 	for _, ln := range lines {
 		if len(ln) >= 6 && strings.EqualFold(ln[:6], ".param") {
@@ -133,13 +141,13 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 		if err != nil {
 			return nil, err
 		}
-		fields := strings.Fields(ln)
-		key := fields[0]
-		if key[0] == '.' {
-			key = strings.ToLower(key)
+		key := ln[:1] // a directive's lower-cased name, else the line's letter
+		if key == "." {
+			key = strings.ToLower(strings.Fields(ln)[0])
 		}
 		switch {
 		case key == ".subckt":
+			fields := strings.Fields(ln)
 			if cur != nil {
 				return nil, fmt.Errorf("netlist: nested .SUBCKT at %q", ln)
 			}
@@ -154,20 +162,31 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 			p.subckts[cur.name] = cur
 			cur = nil
 		case cur != nil:
-			cur.lines = append(cur.lines, fields)
+			cur.lines = append(cur.lines, strings.Fields(ln))
 		case key == ".model":
-			if err := p.parseModel(fields); err != nil {
+			if err := p.parseModel(strings.Fields(ln)); err != nil {
 				return nil, err
 			}
 		default:
-			mainLines = append(mainLines, fields)
+			mainLines = append(mainLines, ln)
+			switch key[0] | 0x20 {
+			case 'r':
+				nR++
+			case 'c':
+				nC++
+			case 'l':
+				nL++
+			}
 		}
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("netlist: unterminated .SUBCKT %q", cur.name)
 	}
+	p.res, p.caps, p.inds = make(slab[device.Resistor], nR), make(slab[device.Capacitor], nC), make(slab[device.Inductor], nL)
 
-	for _, fields := range mainLines {
+	var fields []string
+	for _, ln := range mainLines {
+		fields = appendFields(fields[:0], ln)
 		if err := p.parseLine(fields, "", nil); err != nil {
 			return nil, err
 		}
@@ -186,14 +205,20 @@ func ParseParams(input string, over map[string]float64) (*Deck, error) {
 func preprocess(input string) ([]string, string) {
 	out := make([]string, 0, strings.Count(input, "\n")+1)
 	ended := func() bool { // the last line is final and is .END
-		return len(out) > 0 && strings.EqualFold(strings.TrimSpace(out[len(out)-1]), ".end")
+		if len(out) == 0 || out[len(out)-1][0] != '.' {
+			return false
+		}
+		return strings.EqualFold(strings.TrimSpace(out[len(out)-1]), ".end")
 	}
 	title := ""
 	first := true
 	for more := true; more; {
 		var ln string
 		ln, input, more = strings.Cut(input, "\n")
-		if i := strings.IndexAny(ln, ";$"); i >= 0 {
+		if i := strings.IndexByte(ln, ';'); i >= 0 {
+			ln = ln[:i]
+		}
+		if i := strings.IndexByte(ln, '$'); i >= 0 {
 			ln = ln[:i]
 		}
 		trimmed := strings.TrimSpace(ln)
@@ -226,6 +251,93 @@ func preprocess(input string) ([]string, string) {
 	return out, title
 }
 
+// appendFields appends the fields of s to dst exactly as strings.Fields
+// splits them. Blanks, tabs, CR and LF are split here; a line with any other
+// byte strings.Fields may take for space (\v, \f, or any non-ASCII byte, as
+// in U+0085 and U+00A0) is split by strings.Fields itself.
+func appendFields(dst []string, s string) []string {
+	n0, start := len(dst), -1
+	for i := 0; i < len(s); i++ {
+		switch byteClass[s[i]] {
+		case fieldByte:
+			if start < 0 {
+				start = i
+			}
+		case splitByte:
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		default:
+			return append(dst[:n0], strings.Fields(s)...)
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// byteClass sorts the bytes for appendFields.
+var byteClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = otherByte
+	}
+	t['\v'], t['\f'] = otherByte, otherByte
+	t[' '], t['\t'], t['\r'], t['\n'] = splitByte, splitByte, splitByte, splitByte
+	return t
+}()
+
+const (
+	fieldByte = iota // part of a field
+	splitByte        // a space appendFields splits on
+	otherByte        // a byte that sends the line to strings.Fields
+)
+
+// slabChunk is how many devices of one type a slab array holds once the
+// array sized by the deck's top-level lines is used up (subcircuit bodies).
+const slabChunk = 64
+
+// slab hands out the elements of one array in turn, and makes the next
+// array when it runs dry.
+type slab[T any] []T
+
+func (s *slab[T]) take() *T {
+	if len(*s) == 0 {
+		*s = make([]T, slabChunk)
+	}
+	t := &(*s)[0]
+	*s = (*s)[1:]
+	return t
+}
+
+// lower returns name lower-cased. A name without capitals is returned as it
+// is; an ASCII one with capitals is folded into the parser's name arena, a
+// strings.Builder whose bytes are never rewritten, so a deck written in
+// capitals allocates no string per name.
+func (p *parser) lower(name string) string {
+	upper := false
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return strings.ToLower(name)
+		}
+		upper = upper || 'A' <= c && c <= 'Z'
+	}
+	if !upper {
+		return name
+	}
+	start := p.names.Len()
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		p.names.WriteByte(c)
+	}
+	return p.names.String()[start:]
+}
+
 type modelCard struct {
 	kind   string // "d", "nmos", "pmos"
 	params map[string]float64
@@ -249,7 +361,18 @@ type pendingLine struct {
 const maxExpandedLines = 1 << 20
 
 type parser struct {
-	deck    *Deck
+	deck *Deck
+	// names holds the lower-cased copies of names written with capitals;
+	// res, caps and inds hold the deck's resistors, capacitors and
+	// inductors.
+	names strings.Builder
+	res   slab[device.Resistor]
+	caps  slab[device.Capacitor]
+	inds  slab[device.Inductor]
+	// lastName and lastNode are the top-level node looked up last.
+	lastName string
+	lastNode int
+
 	models  map[string]modelCard
 	subckts map[string]*subcktDef
 	xDepth  int
@@ -340,7 +463,7 @@ func (p *parser) parseModel(fields []string) error {
 // node resolves a node name within an X-expansion context: port names map
 // to the caller's nets; internal names get the instance prefix.
 func (p *parser) node(name string, prefix string, portMap map[string]string) int {
-	key := strings.ToLower(name)
+	key := p.lower(name)
 	if key == "0" || key == "gnd" {
 		return circuit.Ground
 	}
@@ -350,7 +473,12 @@ func (p *parser) node(name string, prefix string, portMap map[string]string) int
 		}
 		return p.deck.Circuit.Node(prefix + key)
 	}
-	return p.deck.Circuit.Node(key)
+	// Decks name again the node they named last (a ladder's resistor, then
+	// its capacitor, then the next resistor): that one is remembered.
+	if key != p.lastName {
+		p.lastName, p.lastNode = key, p.deck.Circuit.Node(key)
+	}
+	return p.lastNode
 }
 
 // parseLine dispatches one element or directive line, split into fields.
@@ -379,13 +507,18 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 			if v == 0 {
 				return fmt.Errorf("netlist: %s: zero resistance", name)
 			}
-			ckt.Add(device.NewResistor(inst, nd(1), nd(2), v))
+			r := p.res.take()
+			*r = *device.NewResistor(inst, nd(1), nd(2), v)
+			ckt.Add(r)
 		case 'c':
-			ckt.Add(device.NewCapacitor(inst, nd(1), nd(2), v))
+			c := p.caps.take()
+			*c = *device.NewCapacitor(inst, nd(1), nd(2), v)
+			ckt.Add(c)
 		default:
-			l := device.NewInductor(inst, nd(1), nd(2), v)
+			l := p.inds.take()
+			*l = *device.NewInductor(inst, nd(1), nd(2), v)
 			ckt.Add(l)
-			p.inducts[strings.ToLower(inst)] = l
+			p.inducts[p.lower(inst)] = l
 		}
 		return nil
 	case 'v', 'i':
@@ -404,7 +537,7 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 			src := device.NewVSource(inst, nd(1), nd(2), w)
 			src.ACMag, src.ACPhase = acMag, acPhase
 			ckt.Add(src)
-			p.sources[strings.ToLower(inst)] = src
+			p.sources[p.lower(inst)] = src
 		} else {
 			src := device.NewISource(inst, nd(1), nd(2), w)
 			src.ACMag, src.ACPhase = acMag, acPhase
@@ -415,7 +548,7 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 		if len(fields) < 4 {
 			return fmt.Errorf("netlist: %s: need 2 nodes and a model", name)
 		}
-		mc, ok := p.models[strings.ToLower(fields[3])]
+		mc, ok := p.models[p.lower(fields[3])]
 		if !ok || mc.kind != "d" {
 			return fmt.Errorf("netlist: %s: unknown diode model %q", name, fields[3])
 		}
@@ -432,7 +565,7 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need d g s b nodes and a model", name)
 		}
-		mc, ok := p.models[strings.ToLower(fields[5])]
+		mc, ok := p.models[p.lower(fields[5])]
 		if !ok || (mc.kind != "nmos" && mc.kind != "pmos") {
 			return fmt.Errorf("netlist: %s: unknown MOS model %q", name, fields[5])
 		}
@@ -483,7 +616,7 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 		if len(fields) < 5 {
 			return fmt.Errorf("netlist: %s: need c b e nodes and a model", name)
 		}
-		mc, ok := p.models[strings.ToLower(fields[4])]
+		mc, ok := p.models[p.lower(fields[4])]
 		if !ok || (mc.kind != "npn" && mc.kind != "pnp") {
 			return fmt.Errorf("netlist: %s: unknown BJT model %q", name, fields[4])
 		}
@@ -499,14 +632,14 @@ func (p *parser) parseLine(fields []string, prefix string, portMap map[string]st
 		if len(fields) < 6 {
 			return fmt.Errorf("netlist: %s: need p n cp cn and a model", name)
 		}
-		mc, ok := p.models[strings.ToLower(fields[5])]
+		mc, ok := p.models[p.lower(fields[5])]
 		if !ok || mc.kind != "sw" {
 			return fmt.Errorf("netlist: %s: unknown switch model %q", name, fields[5])
 		}
 		ckt.Add(device.NewSwitch(inst, nd(1), nd(2), nd(3), nd(4), switchModel(mc)))
 		return nil
 	case 'f', 'h', 'k':
-		p.deferred = append(p.deferred, pendingLine{fields: fields, prefix: prefix, portMap: portMap})
+		p.deferred = append(p.deferred, pendingLine{fields: slices.Clone(fields), prefix: prefix, portMap: portMap})
 		return nil
 	case 'x':
 		return p.expandSubckt(fields, prefix, portMap)

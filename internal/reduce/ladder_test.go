@@ -13,11 +13,12 @@ import (
 	"wavepipe/internal/reduce"
 )
 
-// BenchmarkReduceRCLadder lumps the circuit of the reduce_ladder benchmark
-// workload: RCLadder(8000) driven by one slow edge, parsed from its deck
-// text, at the default error budget of 0.02.
-func BenchmarkReduceRCLadder(b *testing.B) {
-	c := circuits.RCLadder(8000)
+// parsedLadder returns RCLadder(segments) driven by one slow edge, parsed
+// from its deck text: the circuit of the reduce_ladder benchmark workload
+// (8000 segments there).
+func parsedLadder(tb testing.TB, segments int) *netlist.Deck {
+	tb.Helper()
+	c := circuits.RCLadder(segments)
 	for _, d := range c.Devices() {
 		if v, ok := d.(*device.VSource); ok {
 			v.W = device.Pulse{V1: 0, V2: 1, Delay: 0.1e-6, Rise: 0.2e-6, Fall: 0.2e-6, Width: 1, Period: 2}
@@ -25,18 +26,41 @@ func BenchmarkReduceRCLadder(b *testing.B) {
 	}
 	var src strings.Builder
 	if err := netlist.Write(&src, &netlist.Deck{Circuit: c, Tran: &netlist.TranSpec{TStep: 12e-8, TStop: 12e-6}}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dk, err := netlist.Parse(src.String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return dk
+}
+
+// BenchmarkReduceRCLadder lumps the circuit of the reduce_ladder benchmark
+// workload at the default error budget of 0.02.
+func BenchmarkReduceRCLadder(b *testing.B) {
+	dk := parsedLadder(b, 8000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := reduce.Reduce(dk.Circuit, reduce.Options{Tol: 0.02, Keep: []string{"out"}}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReduceRCLadderAllocs: lumping the 8000-segment ladder allocates by the
+// array, whatever the ladder's length. Every suppressed node's expansion
+// terms are a window of one array; a slice of its own each made 8 102
+// allocations here, and the pass now makes 110.
+func TestReduceRCLadderAllocs(t *testing.T) {
+	dk := parsedLadder(t, 8000)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := reduce.Reduce(dk.Circuit, reduce.Options{Tol: 0.02, Keep: []string{"out"}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("Reduce(RCLadder(8000)) makes %v allocations, want at most 200", allocs)
 	}
 }
 

@@ -537,6 +537,20 @@ func (p *Plan) Apply(c *circuit.Circuit) (*circuit.Circuit, *circuit.ReducedInfo
 		}
 	}
 
+	// Every suppressed node's expansion is a window of one array: at most
+	// two terms each, one per anchor that is not Ground.
+	terms := make([]circuit.ExpandTerm, 0, 2*info.RemovedNodes)
+	expand := func(nd, endA, endB int, w float64) {
+		start := len(terms)
+		if endA != circuit.Ground {
+			terms = append(terms, circuit.ExpandTerm{Node: remap(endA), W: 1 - w})
+		}
+		if endB != circuit.Ground {
+			terms = append(terms, circuit.ExpandTerm{Node: remap(endB), W: w})
+		}
+		info.Expansion[nd] = terms[start:len(terms):len(terms)]
+	}
+
 	// Group emission is anchored at each group's smallest device index so
 	// the reduced device order tracks the original order deterministically.
 	chainAt := map[int]*chain{}
@@ -567,12 +581,12 @@ func (p *Plan) Apply(c *circuit.Circuit) (*circuit.Circuit, *circuit.ReducedInfo
 			continue
 		}
 		if ch, ok := chainAt[i]; ok {
-			if err := emitChain(nc, devs, ch, remap, info); err != nil {
+			if err := emitChain(nc, devs, ch, remap, expand); err != nil {
 				return nil, nil, err
 			}
 		}
 		if rn, ok := runAt[i]; ok {
-			if err := emitRun(nc, devs, rn, remap, info); err != nil {
+			if err := emitRun(nc, devs, rn, remap, expand); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -591,23 +605,14 @@ func minOf(a []int) int {
 	return m
 }
 
-// affineTerms builds the two-anchor expansion for a suppressed node with
-// interpolation weight w toward endB (ground anchors contribute zero and
-// are dropped).
-func affineTerms(remap func(int) int, endA, endB int, w float64) []circuit.ExpandTerm {
-	terms := make([]circuit.ExpandTerm, 0, 2)
-	if endA != circuit.Ground {
-		terms = append(terms, circuit.ExpandTerm{Node: remap(endA), W: 1 - w})
-	}
-	if endB != circuit.Ground {
-		terms = append(terms, circuit.ExpandTerm{Node: remap(endB), W: w})
-	}
-	return terms
-}
+// expandFunc records the two-anchor expansion of suppressed node nd with
+// interpolation weight w toward endB (ground anchors contribute zero and are
+// dropped).
+type expandFunc func(nd, endA, endB int, w float64)
 
 // emitChain adds the merged series device and records the exact expansion
 // of each suppressed interior node (the resistive/inductive divider).
-func emitChain(nc *circuit.Circuit, devs []circuit.Device, ch *chain, remap func(int) int, info *circuit.ReducedInfo) error {
+func emitChain(nc *circuit.Circuit, devs []circuit.Device, ch *chain, remap func(int) int, expand expandFunc) error {
 	vals := make([]float64, len(ch.devs))
 	total := 0.0
 	for i, di := range ch.devs {
@@ -641,7 +646,7 @@ func emitChain(nc *circuit.Circuit, devs []circuit.Device, ch *chain, remap func
 		if total != 0 {
 			w = cum / total
 		}
-		info.Expansion[nd] = affineTerms(remap, ch.endA, ch.endB, w)
+		expand(nd, ch.endA, ch.endB, w)
 	}
 	return nil
 }
@@ -649,7 +654,7 @@ func emitChain(nc *circuit.Circuit, devs []circuit.Device, ch *chain, remap func
 // emitRun adds the lumped span resistors and nearest-anchor capacitors of a
 // ladder run and records the resistive-interpolation expansion of each
 // suppressed interior node.
-func emitRun(nc *circuit.Circuit, devs []circuit.Device, run *ladderRun, remap func(int) int, info *circuit.ReducedInfo) error {
+func emitRun(nc *circuit.Circuit, devs []circuit.Device, run *ladderRun, remap func(int) int, expand expandFunc) error {
 	m := len(run.interior)
 	rvals := make([]float64, len(run.rDevs))
 	for i, di := range run.rDevs {
@@ -732,7 +737,7 @@ func emitRun(nc *circuit.Circuit, devs []circuit.Device, run *ladderRun, remap f
 		if tot := spanR[j]; tot != 0 {
 			w = cum / tot
 		}
-		info.Expansion[run.interior[q-1]] = affineTerms(remap, nodeAt(lo), nodeAt(hi), w)
+		expand(run.interior[q-1], nodeAt(lo), nodeAt(hi), w)
 	}
 	// Emit lumped caps in ascending anchor order for determinism.
 	for k, pos := range anchors {

@@ -11,97 +11,83 @@ import (
 )
 
 // Builder accumulates the nonzero pattern of a matrix before it is compiled
-// into a CSC matrix. Circuit stamping reserves each (row, col) slot once at
-// setup time and receives a stable slot index used for O(1) value
-// accumulation on every Newton iteration.
+// into a CSC matrix. Circuit stamping reserves every (row, col) it will
+// write, as often as it writes it; Compile sorts and merges the requests.
+// Stamps then address the compiled matrix by position (Matrix.SlotAt), an
+// index into its value array.
 type Builder struct {
 	n     int
-	index map[[2]int]int
-	rows  []int
-	cols  []int
+	pairs [][2]int // (row, col) in the order reserved, repeats included
 }
 
 // NewBuilder returns a Builder for an n×n matrix.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, index: make(map[[2]int]int)}
+	return &Builder{n: n}
 }
 
 // N returns the matrix dimension.
 func (b *Builder) N() int { return b.n }
 
-// Reserve registers the (row, col) slot (0-based) and returns its stable
-// slot index. Reserving the same slot twice returns the same index.
-// Reserve panics on out-of-range coordinates: that is a programming error in
-// the stamping code, not a runtime condition.
-func (b *Builder) Reserve(row, col int) int {
+// Reserve registers the (row, col) entry (0-based); reserving it again is
+// harmless. Reserve panics on out-of-range coordinates: that is a
+// programming error in the stamping code, not a runtime condition.
+func (b *Builder) Reserve(row, col int) {
 	if row < 0 || row >= b.n || col < 0 || col >= b.n {
 		panic(fmt.Sprintf("sparse: Reserve(%d,%d) out of range for n=%d", row, col, b.n))
 	}
-	key := [2]int{row, col}
-	if idx, ok := b.index[key]; ok {
-		return idx
-	}
-	idx := len(b.rows)
-	b.index[key] = idx
-	b.rows = append(b.rows, row)
-	b.cols = append(b.cols, col)
-	return idx
+	b.pairs = append(b.pairs, [2]int{row, col})
 }
 
-// NNZ returns the number of reserved slots so far.
-func (b *Builder) NNZ() int { return len(b.rows) }
-
-// Compile freezes the pattern into a Matrix. The Builder may continue to be
-// used afterwards, but slots reserved later are not part of the compiled
-// matrix.
+// Compile freezes the pattern into a Matrix: one counting sort of the
+// reserved pairs by row, then one pass over the rows in ascending order that
+// deals each pair to its column. Every column's rows come out sorted, and a
+// pair equal to the last one dealt to its column is a repeat. Entries
+// reserved after Compile are not part of the compiled matrix.
 func (b *Builder) Compile() *Matrix {
-	nnz := len(b.rows)
-	m := &Matrix{
-		n:      b.n,
-		ColPtr: make([]int, b.n+1),
-		RowIdx: make([]int, nnz),
-		Values: make([]float64, nnz),
-		slot:   make([]int, nnz),
+	n := b.n
+	rowPtr := make([]int, n+1)
+	for _, rc := range b.pairs {
+		rowPtr[rc[0]+1]++
 	}
-	// Count entries per column, then prefix-sum into ColPtr.
-	for _, c := range b.cols {
-		m.ColPtr[c+1]++
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
 	}
-	for j := 0; j < b.n; j++ {
-		m.ColPtr[j+1] += m.ColPtr[j]
+	next := make([]int, n)
+	copy(next, rowPtr[:n])
+	byRow := make([]int, len(b.pairs)) // columns, bucketed by row
+	for _, rc := range b.pairs {
+		byRow[next[rc[0]]] = rc[1]
+		next[rc[0]]++
 	}
-	next := make([]int, b.n)
-	copy(next, m.ColPtr[:b.n])
-	for k := 0; k < nnz; k++ {
-		c := b.cols[k]
-		p := next[c]
-		next[c]++
-		m.RowIdx[p] = b.rows[k]
-		m.slot[p] = k
+	// Count each column's distinct rows; next[c] is the row last counted in
+	// column c.
+	colPtr := make([]int, n+1)
+	for c := range next {
+		next[c] = -1
 	}
-	// Sort rows within each column and keep slot mapping aligned.
-	for j := 0; j < b.n; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
+	for i := 0; i < n; i++ {
+		for _, c := range byRow[rowPtr[i]:rowPtr[i+1]] {
+			if next[c] != i {
+				next[c] = i
+				colPtr[c+1]++
+			}
 		}
-		sort.Slice(idx, func(a, bb int) bool { return m.RowIdx[idx[a]] < m.RowIdx[idx[bb]] })
-		rows := make([]int, hi-lo)
-		slots := make([]int, hi-lo)
-		for i, p := range idx {
-			rows[i] = m.RowIdx[p]
-			slots[i] = m.slot[p]
+	}
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	// Deal the rows; next[c] is column c's fill cursor.
+	rowIdx := make([]int, colPtr[n])
+	copy(next, colPtr[:n])
+	for i := 0; i < n; i++ {
+		for _, c := range byRow[rowPtr[i]:rowPtr[i+1]] {
+			if p := next[c]; p == colPtr[c] || rowIdx[p-1] != i {
+				rowIdx[p] = i
+				next[c]++
+			}
 		}
-		copy(m.RowIdx[lo:hi], rows)
-		copy(m.slot[lo:hi], slots)
 	}
-	// slotPos[slotIdx] = position in CSC arrays.
-	m.slotPos = make([]int, nnz)
-	for p, s := range m.slot {
-		m.slotPos[s] = p
-	}
-	return m
+	return &Matrix{n: n, ColPtr: colPtr, RowIdx: rowIdx, Values: make([]float64, len(rowIdx))}
 }
 
 // Matrix is an n×n sparse matrix in CSC layout with a frozen pattern.
@@ -111,9 +97,6 @@ type Matrix struct {
 	ColPtr []int     // len n+1
 	RowIdx []int     // len nnz, sorted within each column
 	Values []float64 // len nnz
-
-	slot    []int // CSC position -> builder slot index
-	slotPos []int // builder slot index -> CSC position
 }
 
 // N returns the matrix dimension.
@@ -121,8 +104,8 @@ func (m *Matrix) N() int { return m.n }
 
 // Clone returns a matrix sharing this matrix's (immutable) pattern with a
 // fresh, zeroed value array. Worker threads computing different time points
-// concurrently each own a clone; slot indices from the original Builder are
-// valid on every clone.
+// concurrently each own a clone; a position valid on the original is valid
+// on every clone.
 func (m *Matrix) Clone() *Matrix {
 	c := *m
 	c.Values = make([]float64, len(m.Values))
@@ -139,16 +122,17 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Add accumulates v into the slot previously returned by Builder.Reserve.
-func (m *Matrix) Add(slot int, v float64) {
-	m.Values[m.slotPos[slot]] += v
+// Add accumulates v into the entry at position pos of the value array (see
+// SlotAt).
+func (m *Matrix) Add(pos int, v float64) {
+	m.Values[pos] += v
 }
 
-// SlotAt returns the builder slot index stored at (row, col), or -1 if the
-// pattern has no entry there. The ensemble engine uses it to replay a
-// structurally identical circuit's Reserve calls against a frozen host
-// pattern, so variant devices obtain slot ids valid on every clone of that
-// pattern. O(log nnz(col)).
+// SlotAt returns the position of (row, col) in the value array, or -1 if the
+// pattern has no entry there. Circuit Build resolves every device stamp
+// through it once, and the ensemble engine resolves a structurally
+// identical circuit's stamps against a frozen host pattern the same way, so
+// the positions are valid on every clone of that pattern. O(log nnz(col)).
 func (m *Matrix) SlotAt(row, col int) int {
 	if row < 0 || row >= m.n || col < 0 || col >= m.n {
 		return -1
@@ -156,7 +140,7 @@ func (m *Matrix) SlotAt(row, col int) int {
 	lo, hi := m.ColPtr[col], m.ColPtr[col+1]
 	p := lo + sort.SearchInts(m.RowIdx[lo:hi], row)
 	if p < hi && m.RowIdx[p] == row {
-		return m.slot[p]
+		return p
 	}
 	return -1
 }
@@ -207,17 +191,18 @@ func (m *Matrix) ToDense() [][]float64 {
 func FromDense(d [][]float64) *Matrix {
 	n := len(d)
 	b := NewBuilder(n)
-	slots := make(map[[2]int]int)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if d[i][j] != 0 || i == j {
-				slots[[2]int{i, j}] = b.Reserve(i, j)
+				b.Reserve(i, j)
 			}
 		}
 	}
 	m := b.Compile()
-	for ij, s := range slots {
-		m.Add(s, d[ij[0]][ij[1]])
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			m.Add(p, d[m.RowIdx[p]][j])
+		}
 	}
 	return m
 }
@@ -225,31 +210,49 @@ func FromDense(d [][]float64) *Matrix {
 // SymmetrizedAdjacency returns, for each node, the sorted union of off-
 // diagonal row indices of column j and the off-diagonal column indices of
 // row j — the adjacency structure of A + Aᵀ used by the fill-reducing
-// orderings.
+// orderings. Row j is column j of Aᵀ, whose pattern a counting sort gives in
+// ascending order, so each list is the merge of two sorted runs; all lists
+// share one backing array.
 func (m *Matrix) SymmetrizedAdjacency() [][]int {
-	adj := make([][]int, m.n)
-	seen := make([]map[int]bool, m.n)
-	for i := range seen {
-		seen[i] = make(map[int]bool)
+	n := m.n
+	tPtr := make([]int, n+1)
+	for _, i := range m.RowIdx {
+		tPtr[i+1]++
 	}
-	for j := 0; j < m.n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			i := m.RowIdx[p]
-			if i == j {
-				continue
-			}
-			if !seen[i][j] {
-				seen[i][j] = true
-				adj[i] = append(adj[i], j)
-			}
-			if !seen[j][i] {
-				seen[j][i] = true
-				adj[j] = append(adj[j], i)
-			}
+	for i := 0; i < n; i++ {
+		tPtr[i+1] += tPtr[i]
+	}
+	next := make([]int, n)
+	copy(next, tPtr[:n])
+	tIdx := make([]int, len(m.RowIdx))
+	for j := 0; j < n; j++ {
+		for _, i := range m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]] {
+			tIdx[next[i]] = j
+			next[i]++
 		}
 	}
-	for i := range adj {
-		sort.Ints(adj[i])
+	adj := make([][]int, n)
+	slab := make([]int, 0, 2*len(m.RowIdx))
+	for j := 0; j < n; j++ {
+		a, b := m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]], tIdx[tPtr[j]:tPtr[j+1]]
+		start := len(slab)
+		for len(a) > 0 || len(b) > 0 {
+			var v int
+			switch {
+			case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+				v, a = a[0], a[1:]
+			case len(a) == 0 || b[0] < a[0]:
+				v, b = b[0], b[1:]
+			default:
+				v, a, b = a[0], a[1:], b[1:]
+			}
+			if v != j {
+				slab = append(slab, v)
+			}
+		}
+		if len(slab) > start {
+			adj[j] = slab[start:len(slab):len(slab)]
+		}
 	}
 	return adj
 }

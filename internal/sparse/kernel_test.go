@@ -23,29 +23,32 @@ func meshMatrix(side int, rng *rand.Rand) *Matrix {
 	b := NewBuilder(n)
 	at := func(i, j int) int { return i*side + j }
 	type stamp struct {
-		slot int
-		val  float64
+		row, col int
+		val      float64
 	}
 	var stamps []stamp
 	for i := 0; i < side; i++ {
 		for j := 0; j < side; j++ {
 			u := at(i, j)
-			stamps = append(stamps, stamp{b.Reserve(u, u), 4.1 + 0.1*rng.Float64()})
+			stamps = append(stamps, stamp{u, u, 4.1 + 0.1*rng.Float64()})
 			if i+1 < side {
 				v := at(i+1, j)
 				g := -1 - 0.05*rng.Float64()
-				stamps = append(stamps, stamp{b.Reserve(u, v), g}, stamp{b.Reserve(v, u), g})
+				stamps = append(stamps, stamp{u, v, g}, stamp{v, u, g})
 			}
 			if j+1 < side {
 				v := at(i, j+1)
 				g := -1 - 0.05*rng.Float64()
-				stamps = append(stamps, stamp{b.Reserve(u, v), g}, stamp{b.Reserve(v, u), g})
+				stamps = append(stamps, stamp{u, v, g}, stamp{v, u, g})
 			}
 		}
 	}
+	for _, s := range stamps {
+		b.Reserve(s.row, s.col)
+	}
 	m := b.Compile()
 	for _, s := range stamps {
-		m.Add(s.slot, s.val)
+		m.Add(m.SlotAt(s.row, s.col), s.val)
 	}
 	return m
 }

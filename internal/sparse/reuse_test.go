@@ -75,16 +75,15 @@ func TestExactReuseOnIdenticalValues(t *testing.T) {
 func TestExactReuseIsBitExact(t *testing.T) {
 	// A pattern with a structural zero to flip the sign of: entry (0,2).
 	b := NewBuilder(3)
-	var slots [3][3]int
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			slots[i][j] = b.Reserve(i, j)
+			b.Reserve(i, j)
 		}
 	}
 	m := b.Compile()
 	for i, row := range [][]float64{{4, 1, 0}, {1, 5, 2}, {0.5, 2, 6}} {
 		for j, v := range row {
-			m.Add(slots[i][j], v)
+			m.Add(m.SlotAt(i, j), v)
 		}
 	}
 	s := NewSolver(m, OrderNatural)
@@ -95,8 +94,8 @@ func TestExactReuseIsBitExact(t *testing.T) {
 	c.reused++
 	wantCounts(t, "baseline", s, c)
 
-	zero := m.slotPos[slots[0][2]]
-	other := m.slotPos[slots[1][1]]
+	zero := m.SlotAt(0, 2)
+	other := m.SlotAt(1, 1)
 	for _, ch := range []struct {
 		name string
 		pos  int

@@ -9,17 +9,18 @@ import (
 
 func TestBuilderCompileBasics(t *testing.T) {
 	b := NewBuilder(3)
-	s00 := b.Reserve(0, 0)
-	s11 := b.Reserve(1, 1)
-	s01 := b.Reserve(0, 1)
-	again := b.Reserve(0, 0)
-	if again != s00 {
-		t.Fatalf("re-Reserve returned new slot %d != %d", again, s00)
-	}
-	if b.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", b.NNZ())
-	}
+	b.Reserve(0, 0)
+	b.Reserve(1, 1)
+	b.Reserve(0, 1)
+	b.Reserve(0, 0)
 	m := b.Compile()
+	if m.NNZ() != 3 {
+		t.Fatalf("NNZ = %d, want 3 (a repeated Reserve is one entry)", m.NNZ())
+	}
+	s00, s11, s01 := m.SlotAt(0, 0), m.SlotAt(1, 1), m.SlotAt(0, 1)
+	if s00 < 0 || s11 < 0 || s01 < 0 || m.SlotAt(2, 2) != -1 {
+		t.Fatalf("SlotAt = %d %d %d, (2,2) %d", s00, s11, s01, m.SlotAt(2, 2))
+	}
 	m.Add(s00, 2)
 	m.Add(s00, 3)
 	m.Add(s11, -1)
@@ -375,28 +376,32 @@ func TestMinDegreeReducesFillOnGrid(t *testing.T) {
 	n := side * side
 	b := NewBuilder(n)
 	at := func(i, j int) int { return i*side + j }
-	var slots []int
+	var stamps [][2]int
 	var vals []float64
+	stamp := func(r, c int, v float64) {
+		b.Reserve(r, c)
+		stamps = append(stamps, [2]int{r, c})
+		vals = append(vals, v)
+	}
 	for i := 0; i < side; i++ {
 		for j := 0; j < side; j++ {
 			u := at(i, j)
-			slots = append(slots, b.Reserve(u, u))
-			vals = append(vals, 4.1)
+			stamp(u, u, 4.1)
 			if i+1 < side {
 				v := at(i+1, j)
-				slots = append(slots, b.Reserve(u, v), b.Reserve(v, u))
-				vals = append(vals, -1, -1)
+				stamp(u, v, -1)
+				stamp(v, u, -1)
 			}
 			if j+1 < side {
 				v := at(i, j+1)
-				slots = append(slots, b.Reserve(u, v), b.Reserve(v, u))
-				vals = append(vals, -1, -1)
+				stamp(u, v, -1)
+				stamp(v, u, -1)
 			}
 		}
 	}
 	m := b.Compile()
-	for k, s := range slots {
-		m.Add(s, vals[k])
+	for k, rc := range stamps {
+		m.Add(m.SlotAt(rc[0], rc[1]), vals[k])
 	}
 	luMD, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
 	if err != nil {

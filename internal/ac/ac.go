@@ -1,8 +1,10 @@
 // Package ac implements small-signal frequency-domain analysis (SPICE
 // .AC): the circuit is linearized at its DC operating point into separate
 // conductance (G) and capacitance (C) matrices, and the complex system
-// (G + jωC)·x = b is solved over a frequency sweep. The complex LU
-// factorization is refactorized per frequency on the fixed pattern.
+// (G + jωC)·(xr + j·xi) = br + j·bi is solved over a frequency sweep as its
+// real equivalent [G −ωC; ωC G]·[xr; xi] = [br; bi]. That 2N system goes
+// through the same sparse LU as every transient and DC solve: its pattern is
+// compiled once, and each frequency rewrites the values and refactorizes.
 package ac
 
 import (
@@ -98,13 +100,15 @@ func (r *Result) PhaseDeg(name string) ([]float64, error) {
 	return out, nil
 }
 
-// Frequencies expands the sweep specification into the frequency grid.
+// Frequencies expands the sweep specification into the frequency grid. A
+// range that is not finite and positive, or a grid of more than
+// dcop.MaxGridPoints frequencies, is refused.
 func (o Options) Frequencies() ([]float64, error) {
-	if o.FStart <= 0 || o.FStop < o.FStart {
+	if !(o.FStart > 0 && o.FStop >= o.FStart && !math.IsInf(o.FStop, 0)) {
 		return nil, fmt.Errorf("ac: invalid frequency range [%g, %g]", o.FStart, o.FStop)
 	}
-	if o.Points <= 0 {
-		return nil, fmt.Errorf("ac: Points must be positive")
+	if o.Points <= 0 || o.Points > dcop.MaxGridPoints {
+		return nil, fmt.Errorf("ac: Points must be in [1, %d], not %d", dcop.MaxGridPoints, o.Points)
 	}
 	var out []float64
 	switch o.Sweep {
@@ -120,6 +124,10 @@ func (o Options) Frequencies() ([]float64, error) {
 		base := 10.0
 		if o.Sweep == Oct {
 			base = 2
+		}
+		if steps := float64(o.Points) * math.Log(o.FStop/o.FStart) / math.Log(base); steps+1 > dcop.MaxGridPoints {
+			return nil, fmt.Errorf("ac: sweep from %g to %g Hz at %d points per ×%g interval exceeds %d frequencies",
+				o.FStart, o.FStop, o.Points, base, dcop.MaxGridPoints)
 		}
 		ratio := math.Pow(base, 1/float64(o.Points))
 		for f := o.FStart; f < o.FStop*(1+1e-9); f *= ratio {
@@ -163,31 +171,78 @@ func Run(sys *circuit.System, opts Options) (*Result, error) {
 		}
 	}
 
-	// 4. Sweep: factorize once, refactorize per frequency.
-	cm := sparse.NewComplexFromPattern(ws.M)
-	order := sparse.ComputeOrdering(ws.M, sparse.OrderMinDegree)
+	// 4. Sweep the real-equivalent system: the solver factorizes at the
+	// first frequency and refactorizes at the others, falling back to a full
+	// factorization when a stored pivot degenerates.
+	n := sys.N
+	re := newRealEquivalent(ws.M, ws.MC)
+	solver := sparse.NewSolver(re.m, sparse.ComputeOrdering(re.m))
+	rhs := make([]float64, 2*n)
+	for i, v := range b {
+		rhs[i], rhs[n+i] = real(v), imag(v)
+	}
 	rec := transient.RecordSet(sys, transient.Options{Record: opts.Record})
 	res := &Result{Freqs: freqs, Names: rec.Names, Index: rec.Index, OP: op}
-
-	var lu *sparse.ComplexLU
-	x := make([]complex128, sys.N)
+	x := make([]float64, 2*n)
 	for _, f := range freqs {
-		omega := 2 * math.Pi * f
-		cm.Fill(ws.M, ws.MC, omega)
-		if lu == nil {
-			lu, err = sparse.FactorizeComplex(cm, order, sparse.DefaultPivotTolerance)
-		} else if rerr := lu.Refactor(cm); rerr != nil {
-			lu, err = sparse.FactorizeComplex(cm, order, sparse.DefaultPivotTolerance)
-		}
-		if err != nil {
+		re.fill(ws.M, ws.MC, 2*math.Pi*f)
+		if err := solver.Factorize(); err != nil {
 			return nil, fmt.Errorf("ac: f=%g: %w", f, err)
 		}
-		lu.Solve(b, x)
+		solver.LU().Solve(rhs, x)
 		row := make([]complex128, len(res.Index))
 		for j, idx := range res.Index {
-			row[j] = x[idx]
+			row[j] = complex(x[idx], x[n+idx])
 		}
 		res.Data = append(res.Data, row)
 	}
 	return res, nil
+}
+
+// realEquivalent is the 2N real form [G −ωC; ωC G] of G + jωC, for G and
+// C on one pattern (LoadSplit's M and MC). Each entry of that pattern lands
+// in both diagonal blocks, and in both off-diagonal blocks where C is
+// nonzero (C is fixed over the sweep, so its zeros stay zero). The blocks
+// are disjoint: every position of the 2N matrix holds one entry of G or ±ωC.
+type realEquivalent struct {
+	m   *sparse.Matrix
+	pos [][4]int // per entry: its positions in the G, G, −ωC, ωC blocks (−1 where C is zero)
+}
+
+func newRealEquivalent(g, c *sparse.Matrix) *realEquivalent {
+	n := g.N()
+	// each visits every block entry k of every pattern entry p, at (i, j).
+	each := func(visit func(p, k, i, j int)) {
+		for j := 0; j < n; j++ {
+			for p := g.ColPtr[j]; p < g.ColPtr[j+1]; p++ {
+				i := g.RowIdx[p]
+				at := [4][2]int{{i, j}, {n + i, n + j}, {i, n + j}, {n + i, j}}
+				for k, rc := range at {
+					if k < 2 || c.Values[p] != 0 {
+						visit(p, k, rc[0], rc[1])
+					}
+				}
+			}
+		}
+	}
+	b := sparse.NewBuilder(2 * n)
+	each(func(_, _, i, j int) { b.Reserve(i, j) })
+	re := &realEquivalent{m: b.Compile(), pos: make([][4]int, len(g.RowIdx))}
+	for p := range re.pos {
+		re.pos[p] = [4]int{-1, -1, -1, -1}
+	}
+	each(func(p, k, i, j int) { re.pos[p][k] = re.m.SlotAt(i, j) })
+	return re
+}
+
+// fill writes the values of the system at angular frequency omega.
+func (re *realEquivalent) fill(g, c *sparse.Matrix, omega float64) {
+	v := re.m.Values
+	for p, pos := range re.pos {
+		v[pos[0]], v[pos[1]] = g.Values[p], g.Values[p]
+		if pos[2] >= 0 {
+			w := omega * c.Values[p]
+			v[pos[2]], v[pos[3]] = -w, w
+		}
+	}
 }

@@ -3,6 +3,7 @@ package ac
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"wavepipe/internal/circuit"
@@ -236,5 +237,35 @@ func TestEKVAmplifierGainAC(t *testing.T) {
 	fdGain := -(opOut(vg+dv) - opOut(vg-dv)) / (2 * dv)
 	if math.Abs(gain-fdGain) > 0.02*fdGain {
 		t.Fatalf("AC gain %g vs finite-difference %g", gain, fdGain)
+	}
+}
+
+// TestFrequencyGridBounds: a range that is not finite and positive, or a
+// grid past dcop.MaxGridPoints frequencies, is refused with an error naming
+// the analysis — not a panic, and not a grid that runs to +Inf.
+func TestFrequencyGridBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, row := range []struct {
+		name string
+		opts Options
+	}{
+		{"NaN start", Options{Sweep: Dec, Points: 10, FStart: nan, FStop: 1e6}},
+		{"NaN stop", Options{Sweep: Dec, Points: 10, FStart: 1, FStop: nan}},
+		{"+Inf stop", Options{Sweep: Dec, Points: 10, FStart: 1, FStop: inf}},
+		{"+Inf start and stop", Options{Sweep: Oct, Points: 10, FStart: inf, FStop: inf}},
+		{"+Inf stop, linear", Options{Sweep: Lin, Points: 10, FStart: 1, FStop: inf}},
+		{"linear grid past the bound", Options{Sweep: Lin, Points: 1<<20 + 1, FStart: 1, FStop: 2}},
+		{"decade grid past the bound", Options{Sweep: Dec, Points: 1 << 18, FStart: 1, FStop: 1e5}},
+		{"decade grid over 600 decades", Options{Sweep: Dec, Points: 2000, FStart: 1e-300, FStop: 1e300}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fs, err := row.opts.Frequencies()
+			if err == nil {
+				t.Fatalf("accepted: %d frequencies, last %g", len(fs), fs[len(fs)-1])
+			}
+			if !strings.HasPrefix(err.Error(), "ac: ") {
+				t.Fatalf("error %q does not name the analysis", err)
+			}
+		})
 	}
 }

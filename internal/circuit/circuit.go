@@ -248,7 +248,7 @@ type System struct {
 // of recomputing it per System.
 func (s *System) fillOrdering() []int {
 	s.colPermOnce.Do(func() {
-		s.colPerm = sparse.SharedOrdering(s.pattern, sparse.OrderMinDegree)
+		s.colPerm = sparse.SharedOrdering(s.pattern)
 	})
 	return s.colPerm
 }
@@ -282,8 +282,7 @@ const linearStoreBytes = 32 << 20
 // newSolver returns the sparse solver of one workspace on matrix m: the
 // shared fill ordering, and on a linear system the keyed factor store.
 func (s *System) newSolver(m *sparse.Matrix) *sparse.Solver {
-	sol := sparse.NewSolver(m, sparse.OrderMinDegree)
-	sol.ColPerm = s.fillOrdering()
+	sol := sparse.NewSolver(m, s.fillOrdering())
 	if s.linear {
 		sol.StoreBytes = linearStoreBytes
 	}

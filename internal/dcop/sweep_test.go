@@ -2,6 +2,7 @@ package dcop
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"wavepipe/internal/circuit"
@@ -180,5 +181,45 @@ func TestSensitivityAgainstFiniteDifference(t *testing.T) {
 	// Out-of-range output index errors.
 	if _, err := Sens(ws, x, 99, DefaultOptions()); err == nil {
 		t.Fatal("bad output index must fail")
+	}
+}
+
+// TestSweepGridBounds: bounds that are not finite, and grids past
+// MaxGridPoints values, are refused with an error naming the analysis before
+// any buffer is sized from them.
+func TestSweepGridBounds(t *testing.T) {
+	c := circuit.New("div")
+	in := c.Node("in")
+	src := device.NewVSource("V1", in, circuit.Ground, device.DC(0))
+	c.Add(src)
+	c.Add(device.NewResistor("R1", in, circuit.Ground, 1e3))
+	sys, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, row := range []struct {
+		name              string
+		start, stop, step float64
+	}{
+		{"NaN start", nan, 1, 0.1},
+		{"NaN stop", 0, nan, 0.1},
+		{"NaN step", 0, 1, nan},
+		{"+Inf stop", 0, inf, 0.1},
+		{"-Inf start", -inf, 1, 0.1},
+		{"1e12 points", 0, 1, 1e-12},
+		{"1e300 points", 0, 1, 1e-300},
+		{"one past the bound", 0, MaxGridPoints, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w, err := Sweep(sys.NewWorkspace(), src.SetDC, row.start, row.stop, row.step,
+				[]string{"in"}, []int{in}, DefaultOptions())
+			if err == nil {
+				t.Fatalf("accepted: %d points", w.Len())
+			}
+			if !strings.HasPrefix(err.Error(), "dcop: ") {
+				t.Fatalf("error %q does not name the analysis", err)
+			}
+		})
 	}
 }

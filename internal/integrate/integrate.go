@@ -127,16 +127,11 @@ func (h *History) Last() *Point {
 	return h.pts[len(h.pts)-1]
 }
 
-// Tail returns a copy of up to the k most recent points, oldest first. The
-// copy may be appended to freely (engines append candidate points for LTE
-// checks) without aliasing the history's backing array.
-func (h *History) Tail(k int) []*Point {
-	return h.AppendTail(nil, k)
-}
-
 // AppendTail appends up to the k most recent points (oldest first) to dst
-// and returns the extended slice — Tail for allocation-free inner loops that
-// reuse a scratch buffer across calls.
+// and returns the extended slice, for inner loops that reuse a scratch
+// buffer across calls. The result may be appended to freely (engines append
+// candidate points for LTE checks) without aliasing the history's backing
+// array.
 func (h *History) AppendTail(dst []*Point, k int) []*Point {
 	if k > len(h.pts) {
 		k = len(h.pts)
@@ -144,20 +139,14 @@ func (h *History) AppendTail(dst []*Point, k int) []*Point {
 	return append(dst, h.pts[len(h.pts)-k:]...)
 }
 
-// SpacedTail returns up to k recent points (oldest first) whose pairwise
-// spacing is at least minSep, always including the most recent point.
-// Divided-difference derivative estimates on clustered stencils amplify
-// solver noise by (span/minGap)², so the engines estimate derivatives from
-// spaced points even when the history contains tightly clustered backward-
-// pipelining points; the clustered spacing still enters the LTE error
-// *coefficient*, which is where the WavePipe gain lives.
-func (h *History) SpacedTail(k int, minSep float64) []*Point {
-	return h.AppendSpacedTail(make([]*Point, 0, k), k, minSep)
-}
-
-// AppendSpacedTail appends up to k spaced recent points (oldest first, see
-// SpacedTail) to dst and returns the extended slice — the allocation-free
-// variant for callers that reuse a scratch buffer across LTE checks.
+// AppendSpacedTail appends to dst up to k recent points (oldest first) whose
+// pairwise spacing is at least minSep, always including the most recent
+// point, and returns the extended slice. Divided-difference derivative
+// estimates on clustered stencils amplify solver noise by (span/minGap)², so
+// the engines estimate derivatives from spaced points even when the history
+// contains tightly clustered backward-pipelining points; the clustered
+// spacing still enters the LTE error *coefficient*, which is where the
+// WavePipe gain lives.
 func (h *History) AppendSpacedTail(dst []*Point, k int, minSep float64) []*Point {
 	start := len(dst)
 	for i := len(h.pts) - 1; i >= 0 && len(dst)-start < k; i-- {
@@ -288,9 +277,9 @@ func DefaultControl(tstop float64) Control {
 	}
 }
 
-// LTEScratch pools the small per-call vectors of DerivNorm/CheckLTE so the
-// steady-state accept loop allocates nothing. The zero value is ready to
-// use; one scratch serves one goroutine.
+// LTEScratch pools the small per-call vectors of DerivNormWith and
+// CheckLTEWith so the steady-state accept loop allocates nothing. The zero
+// value is ready to use; one scratch serves one goroutine.
 type LTEScratch struct {
 	ts, ys, dd []float64
 	xs         [][]float64
@@ -306,17 +295,12 @@ func (s *LTEScratch) ensure(n int) {
 	s.ts, s.ys, s.dd, s.xs = s.ts[:n], s.ys[:n], s.dd[:n], s.xs[:n]
 }
 
-// DerivNorm estimates the weighted norm of the (order+1)-th solution
-// derivative from the trailing points (the candidate point included, last).
-// The result has units such that ErrorCoefficient(...)·DerivNorm is the
-// dimensionless weighted LTE. When not enough points exist, it returns 0
-// (the step is accepted — matching SPICE's behaviour on startup).
-func DerivNorm(pts []*Point, order int, tol num.Tolerances) float64 {
-	var s LTEScratch
-	return DerivNormWith(pts, order, tol, &s)
-}
-
-// DerivNormWith is DerivNorm with caller-pooled scratch.
+// DerivNormWith estimates the weighted norm of the (order+1)-th solution
+// derivative from the trailing points (the candidate point included, last),
+// in caller-pooled scratch. The result has units such that
+// ErrorCoefficient(...)·DerivNormWith is the dimensionless weighted LTE.
+// When not enough points exist, it returns 0 (the step is accepted —
+// matching SPICE's behaviour on startup).
 func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) float64 {
 	k := order + 1 // derivative order to estimate
 	if len(pts) < k+1 {
@@ -335,15 +319,10 @@ func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) f
 	return tol.TopDifferenceNorm(s.ts, s.xs, fact, pts[len(pts)-1].X, s.ys, s.dd)
 }
 
-// CheckLTE returns the dimensionless LTE norm of the candidate step: the
-// step is acceptable when the result is <= 1. pts must end with the
-// candidate point; h1 is the trailing history spacing before the step.
-func (c Control) CheckLTE(m Method, order int, pts []*Point, h0, h1 float64) float64 {
-	var s LTEScratch
-	return c.CheckLTEWith(m, order, pts, h0, h1, &s)
-}
-
-// CheckLTEWith is CheckLTE with caller-pooled scratch.
+// CheckLTEWith returns the dimensionless LTE norm of the candidate step, in
+// caller-pooled scratch: the step is acceptable when the result is <= 1. pts
+// must end with the candidate point; h1 is the trailing history spacing
+// before the step.
 func (c Control) CheckLTEWith(m Method, order int, pts []*Point, h0, h1 float64, s *LTEScratch) float64 {
 	d := DerivNormWith(pts, order, c.Tol, s)
 	if d == 0 {
@@ -354,7 +333,7 @@ func (c Control) CheckLTEWith(m Method, order int, pts []*Point, h0, h1 float64,
 
 // MaxStep returns the largest step h0 from the end of the given history
 // such that the predicted LTE is acceptable: ErrorCoefficient(m, order, h0,
-// h1)·derivNorm <= TrTol. derivNorm should come from DerivNorm on the
+// h1)·derivNorm <= TrTol. derivNorm should come from DerivNormWith on the
 // trailing points. A zero derivNorm yields HMax.
 func (c Control) MaxStep(m Method, order int, derivNorm, h1 float64) float64 {
 	if derivNorm <= 0 {
@@ -380,7 +359,7 @@ func (c Control) MaxStep(m Method, order int, derivNorm, h1 float64) float64 {
 }
 
 // NextStep derives the step after an accepted point from that point's own
-// dimensionless LTE norm (CheckLTE at acceptance): the norm measured at
+// dimensionless LTE norm (CheckLTEWith at acceptance): the norm measured at
 // scale hUsed implies a derivative magnitude d = norm·TrTol/E(hUsed, h1Solve),
 // and the next step is the largest h with E(h, h1Next)·d <= TrTol. Using the
 // accepted point's norm keeps the derivative estimate at the scale the

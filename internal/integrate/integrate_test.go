@@ -31,9 +31,9 @@ func TestHistoryBasics(t *testing.T) {
 	if h.Len() != 2 || h.Last().T != 1 || h.At(0).T != 0 {
 		t.Fatal("add/last/at")
 	}
-	tail := h.Tail(5)
+	tail := h.AppendTail(nil, 5)
 	if len(tail) != 2 {
-		t.Fatalf("Tail = %d points", len(tail))
+		t.Fatalf("AppendTail = %d points", len(tail))
 	}
 	var c History
 	c.Add(pt(-1, 0, 0, 0))
@@ -172,13 +172,14 @@ func TestDerivNormOnCubic(t *testing.T) {
 	for _, tv := range []float64{0.7, 0.8, 0.95, 1.0} {
 		pts = append(pts, pt(tv, tv*tv*tv, 0, 0))
 	}
-	got := DerivNorm(pts, 2, tol)
+	var s LTEScratch
+	got := DerivNormWith(pts, 2, tol, &s)
 	want := 6 / tol.Weight(1.0)
 	if math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("DerivNorm = %g, want %g", got, want)
+		t.Fatalf("DerivNormWith = %g, want %g", got, want)
 	}
 	// Not enough points: 0.
-	if DerivNorm(pts[:2], 2, tol) != 0 {
+	if DerivNormWith(pts[:2], 2, tol, &s) != 0 {
 		t.Fatal("short history should return 0")
 	}
 }
@@ -198,9 +199,10 @@ func TestCheckLTEOrderBehaviour(t *testing.T) {
 		return pts, h, h
 	}
 	pts1, h0, h1 := mk(0.1)
-	n1 := c.CheckLTE(Gear2, 2, pts1, h0, h1)
+	var s LTEScratch
+	n1 := c.CheckLTEWith(Gear2, 2, pts1, h0, h1, &s)
 	pts2, h0b, h1b := mk(0.05)
-	n2 := c.CheckLTE(Gear2, 2, pts2, h0b, h1b)
+	n2 := c.CheckLTEWith(Gear2, 2, pts2, h0b, h1b, &s)
 	if ratio := n1 / n2; math.Abs(ratio-8) > 0.5 {
 		t.Fatalf("LTE ratio = %g, want ≈8", ratio)
 	}
@@ -269,7 +271,7 @@ func TestSpacedTail(t *testing.T) {
 	}
 	// minSep 0.5: newest always in; 1.96 and 1.8 skipped (too close to 2.0
 	// and then 1.0 is the next spaced one), 1.0 in, 0 in.
-	got := h.SpacedTail(4, 0.5)
+	got := h.AppendSpacedTail(nil, 4, 0.5)
 	want := []float64{0, 1.0, 2.0}
 	if len(got) != len(want) {
 		t.Fatalf("spaced tail times: got %d points", len(got))
@@ -280,17 +282,17 @@ func TestSpacedTail(t *testing.T) {
 		}
 	}
 	// k limits the count from the newest side.
-	got = h.SpacedTail(2, 0.5)
+	got = h.AppendSpacedTail(nil, 2, 0.5)
 	if len(got) != 2 || got[1].T != 2.0 || got[0].T != 1.0 {
 		t.Fatalf("k-limited tail: %v %v", got[0].T, got[1].T)
 	}
 	// minSep 0 degenerates to Tail.
-	if got := h.SpacedTail(3, 0); len(got) != 3 || got[2].T != 2.0 || got[1].T != 1.96 {
+	if got := h.AppendSpacedTail(nil, 3, 0); len(got) != 3 || got[2].T != 2.0 || got[1].T != 1.96 {
 		t.Fatal("zero minSep should keep clustered points")
 	}
 	// Empty history.
 	empty := &History{}
-	if len(empty.SpacedTail(3, 1)) != 0 {
+	if len(empty.AppendSpacedTail(nil, 3, 1)) != 0 {
 		t.Fatal("empty history")
 	}
 }

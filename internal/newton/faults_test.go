@@ -44,7 +44,7 @@ func TestNonFiniteIterateAbortsImmediately(t *testing.T) {
 	}
 }
 
-// ResumeSolve must carry the same guard: a NaN warm iterate fails fast.
+// A resumed iteration (Iter{Warm: true}) must carry the same guard: a NaN warm iterate fails fast.
 func TestResumeSolveGuardsNonFinite(t *testing.T) {
 	ws := linearWS(t)
 	x, r, dx := scratch(ws)
@@ -54,11 +54,13 @@ func TestResumeSolveGuardsNonFinite(t *testing.T) {
 	if err := ws.Solver.Factorize(); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the next assembly (ResumeSolve's continuation path reloads).
+	// Poison the next assembly (the resumed iteration's continuation path
+	// reloads).
 	ws.Faults = faults.NewInjector(faults.Rule{Class: faults.NonFinite})
-	res, err := ResumeSolve(ws, x, p, nil, DefaultOptions(), r, dx)
+	it := Iter{Warm: true}
+	done, err := it.Run(ws, x, p, nil, DefaultOptions(), r, dx)
 	if err == nil {
-		t.Fatalf("poisoned resume converged: %+v", res)
+		t.Fatalf("poisoned resume converged: done=%v after %d iterations", done, it.N)
 	}
 	if !errors.Is(err, faults.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)

@@ -58,16 +58,6 @@ func Solve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []flo
 	return Result{Iters: it.N, Converged: done}, err
 }
 
-// ResumeSolve continues a Newton iteration whose assembly already exists:
-// the workspace must hold a Load taken at x (same time point and Alpha0)
-// with a valid factorization — the state a speculative warm start leaves
-// behind (see Iter.Warm).
-func ResumeSolve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64, opts Options, r, dx []float64) (Result, error) {
-	it := Iter{Warm: true}
-	done, err := it.Run(ws, x, p, qhist, opts, r, dx)
-	return Result{Iters: it.N, Converged: done}, err
-}
-
 // Iter is the state one point's Newton iteration carries from step to step.
 // The zero value starts a fresh iteration.
 type Iter struct {

@@ -60,20 +60,12 @@ func Copy(v []float64) []float64 {
 	return out
 }
 
-// DividedDifferences computes the Newton divided-difference table for the
-// sample points (ts[i], ys[i]) and returns the coefficients c[k] =
-// y[t0, t1, ..., tk]. The times must be strictly distinct. The order-k
-// divided difference approximates f^(k)(ξ)/k! on the sample interval, which
-// is how the engines estimate the high-order derivatives entering the LTE
-// formulas.
-func DividedDifferences(ts, ys []float64) []float64 {
-	c := make([]float64, len(ts))
-	DividedDifferencesInto(ts, ys, c)
-	return c
-}
-
-// DividedDifferencesInto is DividedDifferences writing into a caller-owned
-// buffer (len(c) == len(ts)), for allocation-free inner loops.
+// DividedDifferencesInto computes the Newton divided-difference table for
+// the sample points (ts[i], ys[i]) and writes the coefficients c[k] =
+// y[t0, t1, ..., tk] into the caller-owned c (len(c) == len(ts)). The times
+// must be strictly distinct. The order-k divided difference approximates
+// f^(k)(ξ)/k! on the sample interval, which is how the engines estimate the
+// high-order derivatives entering the LTE formulas.
 func DividedDifferencesInto(ts, ys, c []float64) {
 	n := len(ts)
 	copy(c, ys)
@@ -84,16 +76,12 @@ func DividedDifferencesInto(ts, ys, c []float64) {
 	}
 }
 
-// PredictVectorAt extrapolates each component of the history vectors hist
-// (hist[j] is the full solution vector at time ts[j]) to time t, writing the
-// result into dst. The number of history vectors sets the polynomial order.
-func PredictVectorAt(ts []float64, hist [][]float64, t float64, dst []float64) {
-	PredictVectorAtWith(ts, hist, t, dst, nil, nil)
-}
-
-// PredictVectorAtWith is PredictVectorAt with caller-pooled scratch vectors
-// ys and c of length >= len(ts) (nil allocates fresh ones), for
-// allocation-free prediction in the point-solve hot path.
+// PredictVectorAtWith extrapolates each component of the history vectors
+// hist (hist[j] is the full solution vector at time ts[j]) to time t,
+// writing the result into dst. The number of history vectors sets the
+// polynomial order. ys and c are caller-pooled scratch vectors of length
+// >= len(ts) (nil allocates fresh ones), for allocation-free prediction in
+// the point-solve hot path.
 //
 // The triangle's denominators ts[i]−ts[i−k] and the Horner factors t−ts[j]
 // are the same for every component, so for the stencils the engines use (two

@@ -43,7 +43,8 @@ func TestDividedDifferencesQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return 2*x*x - 3*x + 1 }
 	ts := []float64{0.5, 1.25, 3.0}
 	ys := []float64{f(ts[0]), f(ts[1]), f(ts[2])}
-	dd := DividedDifferences(ts, ys)
+	dd := make([]float64, len(ts))
+	DividedDifferencesInto(ts, ys, dd)
 	if math.Abs(dd[2]-2) > 1e-12 {
 		t.Fatalf("leading divided difference = %g, want 2", dd[2])
 	}
@@ -80,7 +81,8 @@ func TestDividedDifferencesPolynomialProperty(t *testing.T) {
 			ts[i] = base + float64(i)*(0.3+rng.Float64())
 			ys[i] = eval(ts[i])
 		}
-		dd := DividedDifferences(ts, ys)
+		dd := make([]float64, len(ts))
+		DividedDifferencesInto(ts, ys, dd)
 		if math.Abs(dd[deg]-coef[deg]) > 1e-6*(1+math.Abs(coef[deg])) {
 			t.Fatalf("trial %d: dd[%d] = %g, want leading coeff %g", trial, deg, dd[deg], coef[deg])
 		}
@@ -94,15 +96,15 @@ func TestPredictVectorAt(t *testing.T) {
 	ts := []float64{0, 1}
 	hist := [][]float64{{1, 10}, {2, 20}}
 	dst := make([]float64, 2)
-	PredictVectorAt(ts, hist, 2, dst)
+	PredictVectorAtWith(ts, hist, 2, dst, nil, nil)
 	if dst[0] != 3 || dst[1] != 30 {
 		t.Fatalf("linear extrapolation = %v", dst)
 	}
-	PredictVectorAt(ts[:1], hist[:1], 5, dst)
+	PredictVectorAtWith(ts[:1], hist[:1], 5, dst, nil, nil)
 	if dst[0] != 1 || dst[1] != 10 {
 		t.Fatalf("constant extrapolation = %v", dst)
 	}
-	PredictVectorAt(nil, nil, 5, dst)
+	PredictVectorAtWith(nil, nil, 5, dst, nil, nil)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatalf("empty history should zero dst: %v", dst)
 	}

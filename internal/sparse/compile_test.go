@@ -49,7 +49,7 @@ func TestCompileMatchesReference(t *testing.T) {
 
 // TestSymmetrizedAdjacencyMatchesReference: the sorted merge of A and Aᵀ is
 // the per-node set construction's adjacency, and so gives the same
-// minimum-degree and RCM orderings, on random patterns.
+// minimum-degree ordering, on random patterns.
 func TestSymmetrizedAdjacencyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 300; trial++ {
@@ -63,8 +63,8 @@ func TestSymmetrizedAdjacencyMatchesReference(t *testing.T) {
 		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
 			t.Fatalf("trial %d (n=%d): adjacency\n got %v\nwant %v", trial, n, got, want)
 		}
-		if !slices.Equal(minDegree(got), minDegree(want)) || !slices.Equal(rcm(got), rcm(want)) {
-			t.Fatalf("trial %d: orderings differ", trial)
+		if !slices.Equal(minDegree(got), minDegree(want)) {
+			t.Fatalf("trial %d: minimum-degree orderings differ", trial)
 		}
 	}
 }

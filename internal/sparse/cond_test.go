@@ -12,7 +12,7 @@ func TestSolveTranspose(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		d, b := randSparseSystem(rng, n, 0.25)
 		m := FromDense(d)
-		lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+		lu, err := Factorize(m)
 		if err != nil {
 			continue
 		}

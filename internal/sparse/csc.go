@@ -1,8 +1,8 @@
 // Package sparse implements the sparse linear algebra kernel used by the
 // circuit engines: compressed sparse column (CSC) matrices with a fixed
-// nonzero pattern, fill-reducing orderings, and a KLU-style LU factorization
-// with a fast numeric refactorization path for Newton iterations where the
-// pattern never changes.
+// nonzero pattern, a minimum-degree fill-reducing ordering, and a KLU-style
+// LU factorization with a fast numeric refactorization path for Newton
+// iterations where the pattern never changes.
 package sparse
 
 import (
@@ -210,7 +210,7 @@ func FromDense(d [][]float64) *Matrix {
 // SymmetrizedAdjacency returns, for each node, the sorted union of off-
 // diagonal row indices of column j and the off-diagonal column indices of
 // row j — the adjacency structure of A + Aᵀ used by the fill-reducing
-// orderings. Row j is column j of Aᵀ, whose pattern a counting sort gives in
+// ordering. Row j is column j of Aᵀ, whose pattern a counting sort gives in
 // ascending order, so each list is the merge of two sorted runs; all lists
 // share one backing array.
 func (m *Matrix) SymmetrizedAdjacency() [][]int {

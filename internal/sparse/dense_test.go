@@ -1,9 +1,33 @@
 package sparse
 
 // Dense Gaussian elimination reference used only by tests to validate the
-// sparse kernel.
+// sparse kernel, and the column permutations the kernel is tested under.
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
+
+// columnOrders are the column permutations the kernel tests factorize
+// under: the production minimum-degree ordering, the identity, and a random
+// permutation drawn from the test's seeded source.
+var columnOrders = []struct {
+	name string
+	perm func(m *Matrix, rng *rand.Rand) []int
+}{
+	{"min-degree", func(m *Matrix, _ *rand.Rand) []int { return ComputeOrdering(m) }},
+	{"identity", func(m *Matrix, _ *rand.Rand) []int { return identity(m.N()) }},
+	{"random", func(m *Matrix, rng *rand.Rand) []int { return rng.Perm(m.N()) }},
+}
+
+// identity returns the natural ordering 0..n-1.
+func identity(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
+}
 
 func denseSolve(a [][]float64, b []float64) ([]float64, bool) {
 	n := len(a)

@@ -93,14 +93,16 @@ func sameAsReference(t *testing.T, tag string, lu *LU, m *Matrix, run func() err
 // TestRefactorKernelMatchesReference holds the compiled kernel (int32
 // indices, scatter map, sub-sliced and unrolled loops, fused gather) to the
 // old column sweep on random unsymmetric patterns of every small size — so
-// every remainder of the four-way unrolled loop occurs — under each ordering.
+// every remainder of the four-way unrolled loop occurs — under each column
+// permutation of columnOrders.
 func TestRefactorKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	permRng := rand.New(rand.NewSource(43))
 	checked := 0
-	for _, ord := range []Ordering{OrderMinDegree, OrderRCM, OrderNatural} {
+	for _, ord := range columnOrders {
 		for n := 1; n <= 60; n++ {
 			m := randUnsymmetric(rng, n, 0.2)
-			lu, err := Factorize(m, ord, DefaultPivotTolerance)
+			lu, err := FactorizeWithPerm(m, ord.perm(m, permRng))
 			if err != nil {
 				continue // singular draw
 			}
@@ -123,7 +125,7 @@ func TestRefactorLeavesWorkspaceClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := meshMatrix(8, rng)
 	good := append([]float64(nil), m.Values...)
-	lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	lu, err := Factorize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestRefactorLeavesWorkspaceClean(t *testing.T) {
 func TestLUStateRoundTripsThroughInt32Layout(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m := meshMatrix(12, rng)
-	lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	lu, err := Factorize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestLUStateRoundTripsThroughInt32Layout(t *testing.T) {
 
 func BenchmarkRefactorMesh32(b *testing.B) {
 	m := meshMatrix(32, rand.New(rand.NewSource(1)))
-	lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	lu, err := Factorize(m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func BenchmarkRefactorMesh32(b *testing.B) {
 
 func BenchmarkSolveMesh32(b *testing.B) {
 	m := meshMatrix(32, rand.New(rand.NewSource(1)))
-	lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	lu, err := Factorize(m)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,16 +51,18 @@ type LU struct {
 	// refactorization). Built by the first Refactor; see scatterMap.
 	aDst []int32
 
+	// pivTol is the threshold the pivots were chosen under:
+	// DefaultPivotTolerance, or the one a restored LUState recorded.
 	pivTol    float64
 	work      []float64 // Refactor workspace (an LU serves one goroutine)
 	solveWork []float64 // Solve workspace; separate from work, which Refactor
 	// requires to stay zeroed between columns
 }
 
-// Factorize computes a fresh LU factorization of m using the given column
-// ordering and threshold partial pivoting.
-func Factorize(m *Matrix, ordering Ordering, pivTol float64) (*LU, error) {
-	return FactorizeWithPerm(m, ComputeOrdering(m, ordering), pivTol)
+// Factorize computes a fresh LU factorization of m under its minimum-degree
+// column ordering and threshold partial pivoting.
+func Factorize(m *Matrix) (*LU, error) {
+	return FactorizeWithPerm(m, ComputeOrdering(m))
 }
 
 // FactorizeWithPerm is Factorize with a caller-supplied column permutation
@@ -68,10 +70,7 @@ func Factorize(m *Matrix, ordering Ordering, pivTol float64) (*LU, error) {
 // many matrices sharing one sparsity pattern compute the fill-reducing
 // ordering once and pass it here; the permutation is copied, so one slice
 // may back any number of concurrent factorizations.
-func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
-	if pivTol <= 0 || pivTol > 1 {
-		pivTol = DefaultPivotTolerance
-	}
+func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 	n := m.N()
 	f := &LU{
 		n:       n,
@@ -81,7 +80,7 @@ func FactorizeWithPerm(m *Matrix, perm []int, pivTol float64) (*LU, error) {
 		lp:      make([]int32, n+1),
 		up:      make([]int32, n+1),
 		ud:      make([]float64, n),
-		pivTol:  pivTol,
+		pivTol:  DefaultPivotTolerance,
 	}
 	for i := range f.rowInv {
 		f.rowInv[i] = -1
@@ -420,13 +419,11 @@ func (f *LU) UNNZ() int { return len(f.ui) + f.n }
 // Solve. A Solver is not safe for concurrent use; each worker thread owns
 // its own.
 type Solver struct {
-	M        *Matrix
-	Ordering Ordering
-	PivTol   float64
-	// ColPerm, when non-nil, is a precomputed column ordering used instead
-	// of computing Ordering on every full factorization. Systems that hand
-	// out many solvers over one sparsity pattern share a single ordering
-	// this way (the ordering depends only on the pattern). Read-only here.
+	M *Matrix
+	// ColPerm is the column ordering of every full factorization. Systems
+	// that hand out many solvers over one sparsity pattern share a single
+	// ordering this way (the ordering depends only on the pattern).
+	// Read-only here.
 	ColPerm []int
 
 	// StoreBytes bounds a keyed store of earlier Refactor outputs (see
@@ -454,9 +451,10 @@ type Solver struct {
 	LastReused           bool
 }
 
-// NewSolver returns a Solver for m using the given ordering.
-func NewSolver(m *Matrix, o Ordering) *Solver {
-	return &Solver{M: m, Ordering: o, PivTol: DefaultPivotTolerance}
+// NewSolver returns a Solver for m under the column ordering perm (see
+// ComputeOrdering and SharedOrdering).
+func NewSolver(m *Matrix, perm []int) *Solver {
+	return &Solver{M: m, ColPerm: perm}
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
@@ -492,13 +490,7 @@ func (s *Solver) Factorize() error {
 		// fails too and the LU stays in hand.
 		st.flush()
 	}
-	var lu *LU
-	var err error
-	if s.ColPerm != nil {
-		lu, err = FactorizeWithPerm(s.M, s.ColPerm, s.PivTol)
-	} else {
-		lu, err = Factorize(s.M, s.Ordering, s.PivTol)
-	}
+	lu, err := FactorizeWithPerm(s.M, s.ColPerm)
 	if err != nil {
 		return err
 	}

@@ -2,48 +2,11 @@ package sparse
 
 import "container/heap"
 
-// Ordering identifies a fill-reducing column preordering strategy.
-type Ordering int
-
-const (
-	// OrderMinDegree is a minimum-degree ordering on the symmetrized
-	// pattern A + Aᵀ (the default; best general fill reduction here).
-	OrderMinDegree Ordering = iota
-	// OrderRCM is reverse Cuthill–McKee bandwidth reduction.
-	OrderRCM
-	// OrderNatural keeps the natural 0..n-1 order.
-	OrderNatural
-)
-
-// String returns the ordering name.
-func (o Ordering) String() string {
-	switch o {
-	case OrderMinDegree:
-		return "min-degree"
-	case OrderRCM:
-		return "rcm"
-	case OrderNatural:
-		return "natural"
-	default:
-		return "unknown"
-	}
-}
-
-// ComputeOrdering returns a permutation perm where perm[k] is the original
-// index eliminated at step k.
-func ComputeOrdering(m *Matrix, o Ordering) []int {
-	switch o {
-	case OrderRCM:
-		return rcm(m.SymmetrizedAdjacency())
-	case OrderNatural:
-		perm := make([]int, m.N())
-		for i := range perm {
-			perm[i] = i
-		}
-		return perm
-	default:
-		return minDegree(m.SymmetrizedAdjacency())
-	}
+// ComputeOrdering returns the minimum-degree fill-reducing ordering of m's
+// pattern, taken on the symmetrized pattern A + Aᵀ: a permutation perm where
+// perm[k] is the original index eliminated at step k.
+func ComputeOrdering(m *Matrix) []int {
+	return minDegree(m.SymmetrizedAdjacency())
 }
 
 type mdItem struct {
@@ -135,80 +98,4 @@ func minDegree(adj [][]int) []int {
 		nbr[v] = nil
 	}
 	return perm
-}
-
-// rcm computes the reverse Cuthill–McKee ordering of an undirected graph,
-// processing each connected component from a pseudo-peripheral start node.
-func rcm(adj [][]int) []int {
-	n := len(adj)
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	degree := func(v int) int { return len(adj[v]) }
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		s := pseudoPeripheral(adj, start)
-		// BFS with neighbours sorted by ascending degree.
-		queue := []int{s}
-		visited[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			next := make([]int, 0, len(adj[v]))
-			for _, u := range adj[v] {
-				if !visited[u] {
-					visited[u] = true
-					next = append(next, u)
-				}
-			}
-			// insertion sort by degree: neighbour lists are short
-			for i := 1; i < len(next); i++ {
-				for j := i; j > 0 && degree(next[j]) < degree(next[j-1]); j-- {
-					next[j], next[j-1] = next[j-1], next[j]
-				}
-			}
-			queue = append(queue, next...)
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-// pseudoPeripheral finds a node of (approximately) maximal eccentricity in
-// the component of start by repeated BFS to the farthest minimum-degree node.
-func pseudoPeripheral(adj [][]int, start int) int {
-	cur := start
-	curEcc := -1
-	for {
-		far, ecc := bfsFarthest(adj, cur)
-		if ecc <= curEcc {
-			return cur
-		}
-		cur, curEcc = far, ecc
-	}
-}
-
-func bfsFarthest(adj [][]int, s int) (node, ecc int) {
-	dist := map[int]int{s: 0}
-	queue := []int{s}
-	node, ecc = s, 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range adj[v] {
-			if _, ok := dist[u]; !ok {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-				if dist[u] > ecc || (dist[u] == ecc && len(adj[u]) < len(adj[node])) {
-					node, ecc = u, dist[u]
-				}
-			}
-		}
-	}
-	return node, ecc
 }

@@ -18,7 +18,6 @@ import "sync"
 const orderingCacheSize = 8
 
 type orderingEntry struct {
-	ord    Ordering
 	n      int
 	fp     uint64
 	colPtr []int
@@ -74,17 +73,17 @@ func samePattern(e *orderingEntry, m *Matrix) bool {
 	return true
 }
 
-// SharedOrdering returns ComputeOrdering(m, o), serving repeat patterns
+// SharedOrdering returns ComputeOrdering(m), serving repeat patterns
 // from the process-wide cache. Callers must treat the returned permutation
 // as immutable (FactorizeWithPerm copies it, so the solver layer already
 // honors that). Safe for concurrent use.
-func SharedOrdering(m *Matrix, o Ordering) []int {
+func SharedOrdering(m *Matrix) []int {
 	fp := patternFingerprint(m)
 	c := &orderingCache
 	c.mu.Lock()
 	c.tick++
 	for _, e := range c.entries {
-		if e != nil && e.ord == o && e.fp == fp && samePattern(e, m) {
+		if e != nil && e.fp == fp && samePattern(e, m) {
 			e.tick = c.tick
 			c.hits++
 			perm := e.perm
@@ -95,7 +94,7 @@ func SharedOrdering(m *Matrix, o Ordering) []int {
 	c.misses++
 	c.mu.Unlock()
 
-	perm := ComputeOrdering(m, o)
+	perm := ComputeOrdering(m)
 
 	c.mu.Lock()
 	// Insert into the stalest slot (re-check for a racing insert is not
@@ -112,7 +111,7 @@ func SharedOrdering(m *Matrix, o Ordering) []int {
 	}
 	c.tick++
 	c.entries[slot] = &orderingEntry{
-		ord: o, n: m.n, fp: fp,
+		n: m.n, fp: fp,
 		colPtr: m.ColPtr, rowIdx: m.RowIdx,
 		perm: perm, tick: c.tick,
 	}

@@ -23,7 +23,7 @@ func TestSharedOrderingCachesByPattern(t *testing.T) {
 	h0, m0 := OrderingCacheCounters()
 
 	a := tridiag(40)
-	p1 := SharedOrdering(a, OrderMinDegree)
+	p1 := SharedOrdering(a)
 	if len(p1) != 40 {
 		t.Fatalf("perm length %d", len(p1))
 	}
@@ -33,9 +33,9 @@ func TestSharedOrderingCachesByPattern(t *testing.T) {
 	}
 
 	// Same matrix again: identity fast path.
-	p2 := SharedOrdering(a, OrderMinDegree)
+	p2 := SharedOrdering(a)
 	// Structurally identical rebuild: full pattern compare.
-	p3 := SharedOrdering(tridiag(40), OrderMinDegree)
+	p3 := SharedOrdering(tridiag(40))
 
 	h1, m1 := OrderingCacheCounters()
 	if h1-h0 < 2 {
@@ -51,7 +51,7 @@ func TestSharedOrderingCachesByPattern(t *testing.T) {
 	}
 
 	// A different pattern must not be answered from the cache.
-	q := SharedOrdering(tridiag(41), OrderMinDegree)
+	q := SharedOrdering(tridiag(41))
 	if len(q) != 41 {
 		t.Fatalf("wrong perm for different pattern: len %d", len(q))
 	}
@@ -65,7 +65,7 @@ func TestSharedOrderingCachesByPattern(t *testing.T) {
 // i.e. SharedOrdering agrees with a direct Factorize using the same rule.
 func TestSharedOrderingMatchesDirect(t *testing.T) {
 	m := tridiag(25)
-	perm := SharedOrdering(m, OrderMinDegree)
+	perm := SharedOrdering(m)
 	seen := make([]bool, len(perm))
 	for _, c := range perm {
 		if c < 0 || c >= len(perm) || seen[c] {

@@ -27,11 +27,17 @@ func mustFactorize(t *testing.T, s *Solver) {
 	}
 }
 
+// meshSolver returns a minimum-degree solver over a random 6×6 mesh matrix.
+func meshSolver(seed int64) *Solver {
+	m := meshMatrix(6, rand.New(rand.NewSource(seed)))
+	return NewSolver(m, ComputeOrdering(m))
+}
+
 // reuseSolver returns a solver whose LU in hand came out of Refactor — the
 // only state exact reuse answers from.
 func reuseSolver(t *testing.T) (*Solver, counts) {
 	t.Helper()
-	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(61))), OrderMinDegree)
+	s := meshSolver(61)
 	mustFactorize(t, s) // full
 	mustFactorize(t, s) // same values, but the LU came from a full factorization: refactor
 	c := counts{full: 1, refactor: 1}
@@ -86,7 +92,7 @@ func TestExactReuseIsBitExact(t *testing.T) {
 			m.Add(m.SlotAt(i, j), v)
 		}
 	}
-	s := NewSolver(m, OrderNatural)
+	s := NewSolver(m, identity(m.N()))
 	mustFactorize(t, s)
 	mustFactorize(t, s)
 	c := counts{full: 1, refactor: 1}
@@ -147,7 +153,7 @@ func wantEmptyStore(t *testing.T, tag string, s *Solver) {
 // refactorized again afterwards.
 func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 	bothStores(t, func(t *testing.T, storeBytes int) {
-		s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(67))), OrderMinDegree)
+		s := meshSolver(67)
 		s.StoreBytes = storeBytes
 		base := append([]float64(nil), s.M.Values...)
 		mustFactorize(t, s) // full
@@ -175,7 +181,7 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 
 		// Force the ErrRefactorPivot fallback: a 2×2 whose stored pivots vanish.
 		m := FromDense([][]float64{{4, 1}, {1, 4}})
-		s = NewSolver(m, OrderNatural)
+		s = NewSolver(m, identity(m.N()))
 		s.StoreBytes = storeBytes
 		good := append([]float64(nil), m.Values...)
 		mustFactorize(t, s)
@@ -207,7 +213,7 @@ func TestNoReuseFromUnrefactoredLU(t *testing.T) {
 func TestFailedRefactorInvalidatesSnapshot(t *testing.T) {
 	bothStores(t, func(t *testing.T, storeBytes int) {
 		m := FromDense([][]float64{{4, 1}, {1, 4}})
-		s := NewSolver(m, OrderNatural)
+		s := NewSolver(m, identity(m.N()))
 		s.StoreBytes = storeBytes
 		mustFactorize(t, s)
 		mustFactorize(t, s)

@@ -96,7 +96,8 @@ func randSparseSystem(rng *rand.Rand, n int, density float64) ([][]float64, []fl
 
 func TestLUSolveAgainstDenseAllOrderings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, ord := range []Ordering{OrderMinDegree, OrderRCM, OrderNatural} {
+	permRng := rand.New(rand.NewSource(11))
+	for _, ord := range columnOrders {
 		for trial := 0; trial < 30; trial++ {
 			n := 2 + rng.Intn(25)
 			d, b := randSparseSystem(rng, n, 0.25)
@@ -105,15 +106,15 @@ func TestLUSolveAgainstDenseAllOrderings(t *testing.T) {
 				continue
 			}
 			m := FromDense(d)
-			lu, err := Factorize(m, ord, DefaultPivotTolerance)
+			lu, err := FactorizeWithPerm(m, ord.perm(m, permRng))
 			if err != nil {
-				t.Fatalf("ordering %v trial %d: %v", ord, trial, err)
+				t.Fatalf("ordering %s trial %d: %v", ord.name, trial, err)
 			}
 			x := make([]float64, n)
 			lu.Solve(b, x)
 			for i := range x {
 				if math.Abs(x[i]-want[i]) > 1e-7*(1+math.Abs(want[i])) {
-					t.Fatalf("ordering %v trial %d: x[%d] = %g, want %g", ord, trial, i, x[i], want[i])
+					t.Fatalf("ordering %s trial %d: x[%d] = %g, want %g", ord.name, trial, i, x[i], want[i])
 				}
 			}
 		}
@@ -130,7 +131,7 @@ func TestLUZeroDiagonal(t *testing.T) {
 	}
 	b := []float64{0, 0, 5}
 	m := FromDense(d)
-	lu, err := Factorize(m, OrderNatural, DefaultPivotTolerance)
+	lu, err := FactorizeWithPerm(m, identity(m.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,12 @@ func TestLUSingular(t *testing.T) {
 		{0, 0, 1},
 	}
 	m := FromDense(d)
-	if _, err := Factorize(m, OrderNatural, DefaultPivotTolerance); err == nil {
+	if _, err := FactorizeWithPerm(m, identity(m.N())); err == nil {
 		t.Fatal("expected singular error")
 	}
 	// All-zero matrix is singular too.
 	z := FromDense([][]float64{{0, 0}, {0, 0}})
-	if _, err := Factorize(z, OrderMinDegree, DefaultPivotTolerance); err == nil {
+	if _, err := Factorize(z); err == nil {
 		t.Fatal("expected singular error for zero matrix")
 	}
 }
@@ -166,7 +167,7 @@ func TestRefactorMatchesFreshFactorization(t *testing.T) {
 	n := 20
 	d, b := randSparseSystem(rng, n, 0.2)
 	m := FromDense(d)
-	lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	lu, err := Factorize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRefactorDetectsDegeneratePivot(t *testing.T) {
 		{1, 4},
 	}
 	m := FromDense(d)
-	lu, err := Factorize(m, OrderNatural, DefaultPivotTolerance)
+	lu, err := FactorizeWithPerm(m, identity(m.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestSolverRefactorFallback(t *testing.T) {
 		{1, 4},
 	}
 	m := FromDense(d)
-	s := NewSolver(m, OrderNatural)
+	s := NewSolver(m, identity(m.N()))
 	if err := s.Factorize(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestSolverRefactorFallback(t *testing.T) {
 }
 
 func TestSolverSolveBeforeFactorize(t *testing.T) {
-	s := NewSolver(FromDense([][]float64{{1}}), OrderNatural)
+	s := NewSolver(FromDense([][]float64{{1}}), identity(1))
 	if err := s.Solve([]float64{1}, []float64{0}); err == nil {
 		t.Fatal("expected error")
 	}
@@ -286,7 +287,7 @@ func TestLUResidualQuick(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		d, b := randSparseSystem(rng, n, 0.15)
 		m := FromDense(d)
-		lu, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+		lu, err := Factorize(m)
 		if err != nil {
 			return true // singular random draw: vacuous
 		}
@@ -314,7 +315,7 @@ func TestRefactorLoopQuick(t *testing.T) {
 		n := 3 + rng.Intn(20)
 		d, b := randSparseSystem(rng, n, 0.2)
 		m := FromDense(d)
-		s := NewSolver(m, OrderMinDegree)
+		s := NewSolver(m, ComputeOrdering(m))
 		x := make([]float64, n)
 		r := make([]float64, n)
 		for iter := 0; iter < 5; iter++ {
@@ -347,25 +348,18 @@ func TestOrderingsArePermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d, _ := randSparseSystem(rng, 30, 0.1)
 	m := FromDense(d)
-	for _, o := range []Ordering{OrderMinDegree, OrderRCM, OrderNatural} {
-		perm := ComputeOrdering(m, o)
+	for _, o := range columnOrders {
+		perm := o.perm(m, rng)
 		if len(perm) != 30 {
-			t.Fatalf("%v: len %d", o, len(perm))
+			t.Fatalf("%s: len %d", o.name, len(perm))
 		}
 		seen := make([]bool, 30)
 		for _, p := range perm {
 			if p < 0 || p >= 30 || seen[p] {
-				t.Fatalf("%v: not a permutation: %v", o, perm)
+				t.Fatalf("%s: not a permutation: %v", o.name, perm)
 			}
 			seen[p] = true
 		}
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	if OrderMinDegree.String() != "min-degree" || OrderRCM.String() != "rcm" ||
-		OrderNatural.String() != "natural" || Ordering(99).String() != "unknown" {
-		t.Fatal("Ordering.String broken")
 	}
 }
 
@@ -403,11 +397,11 @@ func TestMinDegreeReducesFillOnGrid(t *testing.T) {
 	for k, rc := range stamps {
 		m.Add(m.SlotAt(rc[0], rc[1]), vals[k])
 	}
-	luMD, err := Factorize(m, OrderMinDegree, DefaultPivotTolerance)
+	luMD, err := Factorize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	luNat, err := Factorize(m, OrderNatural, DefaultPivotTolerance)
+	luNat, err := FactorizeWithPerm(m, identity(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -10,7 +9,7 @@ import (
 // sets, holding a full factorization of its base values, and those values.
 func keyedSolver(t *testing.T, seed int64, sets int) (*Solver, []float64) {
 	t.Helper()
-	s := NewSolver(meshMatrix(6, rand.New(rand.NewSource(seed))), OrderMinDegree)
+	s := meshSolver(seed)
 	mustFactorize(t, s)
 	s.StoreBytes = sets * s.store.cur.bytes()
 	return s, append([]float64(nil), s.M.Values...)
@@ -41,7 +40,7 @@ func wantRefactorBits(t *testing.T, tag string, s *Solver, values []float64) {
 	t.Helper()
 	m := s.M.Clone()
 	copy(m.Values, values)
-	ref := NewSolver(m, s.Ordering)
+	ref := NewSolver(m, s.ColPerm)
 	if err := ref.RestoreFactor(s.FactorState()); err != nil {
 		t.Fatal(err)
 	}

@@ -414,13 +414,6 @@ func pointX(p *integrate.Point) []float64    { return p.X }
 func pointQ(p *integrate.Point) []float64    { return p.Q }
 func pointQdot(p *integrate.Point) []float64 { return p.Qdot }
 
-// Predict extrapolates the solution history polynomially to time t, writing
-// the initial Newton guess into dst.
-func Predict(hist *integrate.History, t float64, dst []float64) {
-	var pr predictor
-	pr.extrapolate(hist, t, dst, pointX)
-}
-
 // newPoint allocates a point with X/Q/Qdot buffers of the system size.
 func (ps *PointSolver) newPoint() *integrate.Point {
 	n := ps.WS.Sys.N

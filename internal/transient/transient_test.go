@@ -253,7 +253,8 @@ func TestPredictExtrapolates(t *testing.T) {
 	h.Add(&integrate.Point{T: 0, X: []float64{0}})
 	h.Add(&integrate.Point{T: 1, X: []float64{2}})
 	dst := make([]float64, 1)
-	Predict(h, 2, dst)
+	var pr predictor
+	pr.extrapolate(h, 2, dst, pointX)
 	if math.Abs(dst[0]-4) > 1e-12 {
 		t.Fatalf("linear prediction = %g, want 4", dst[0])
 	}

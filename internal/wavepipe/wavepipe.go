@@ -295,8 +295,8 @@ type pointResult struct {
 
 // lte is the truncation-error norm of a candidate against the history it was
 // solved from, estimating the derivative from spaced points (see
-// History.SpacedTail) while keeping the candidate's true trailing spacing in
-// the error coefficient.
+// History.AppendSpacedTail) while keeping the candidate's true trailing
+// spacing in the error coefficient.
 func (e *engine) lte(hist *integrate.History, res *pointResult) float64 {
 	e.ltePts = hist.AppendSpacedTail(e.ltePts[:0], res.co.Order+1, res.co.H0/4)
 	e.ltePts = append(e.ltePts, res.pt)

@@ -509,6 +509,9 @@ func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wave
 	if k < 2 {
 		return fmt.Errorf("-lanes must be at least 2 (got %d)", cfg.lanes)
 	}
+	if k > deck.MaxLanes() {
+		return fmt.Errorf("-lanes %d: this deck runs at most %d lanes", k, deck.MaxLanes())
+	}
 	variants := make([]wavepipe.LaneSpec, k)
 	if cfg.sweep != "" {
 		name, lo, hi, err := parseSweep(cfg.sweep)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,6 +105,24 @@ func TestRunErrors(t *testing.T) {
 		}
 		if err := runCfg(t, cfg); err == nil {
 			t.Fatalf("%s must fail", tc.name)
+		}
+	}
+}
+
+// TestLaneCountBounded: a lane count whose elaborated decks would pass the
+// netlist's expansion bound is refused before the lane specs are allocated
+// or any lane runs.
+func TestLaneCountBounded(t *testing.T) {
+	deck := writeDeck(t, simDeck) // three devices: at most 2^20/3 lanes
+	for _, lanes := range []int{math.MaxInt, 1 << 62, 1<<20/3 + 1} {
+		out := filepath.Join(t.TempDir(), "out.csv")
+		err := runCfg(t, runConfig{deckPath: deck, analysis: "tran", scheme: "serial",
+			method: "gear2", lanes: lanes, outPath: out})
+		if err == nil || !strings.Contains(err.Error(), "at most 349525 lanes") {
+			t.Fatalf("-lanes %d: err = %v, want the lane bound", lanes, err)
+		}
+		if b, _ := os.ReadFile(out); len(b) != 0 {
+			t.Fatalf("-lanes %d wrote %d bytes of output", lanes, len(b))
 		}
 	}
 }

@@ -67,6 +67,9 @@ func RunEnsembleCtx(ctx context.Context, d *Deck, variants []LaneSpec, opts Tran
 	if d.nl().Src == "" {
 		return nil, fmt.Errorf("wavepipe: ensemble requires a deck parsed from source (ParseDeck); use RunEnsembleCircuitsCtx for programmatic circuits")
 	}
+	if k := d.MaxLanes(); len(variants) > k {
+		return nil, fmt.Errorf("wavepipe: %d lanes: a deck of %d devices runs at most %d", len(variants), len(d.Circuit.Devices()), k)
+	}
 	opts = d.ApplyTo(opts)
 	lanes := make([]ensemble.Lane, len(variants))
 	for i, spec := range variants {

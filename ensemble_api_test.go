@@ -130,6 +130,28 @@ func TestRunEnsembleRejectsUnknownNames(t *testing.T) {
 }
 
 // RunEnsembleCircuits covers programmatic lanes (no deck source).
+// TestRunEnsembleLaneBound: RunEnsembleCtx refuses more lanes than
+// Deck.MaxLanes before it elaborates one.
+func TestRunEnsembleLaneBound(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("wide deck\nV1 in 0 DC 1\n")
+	for i := 0; i < 4095; i++ {
+		b.WriteString("R" + strconv.Itoa(i) + " in 0 1k\n")
+	}
+	b.WriteString(".tran 1n 5n\n.end\n")
+	d, err := ParseDeck(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.MaxLanes(); got != 256 {
+		t.Fatalf("MaxLanes = %d for 4096 devices, want 256", got)
+	}
+	_, err = RunEnsembleCtx(context.Background(), d, make([]LaneSpec, 257), TranOptions{})
+	if err == nil || !strings.Contains(err.Error(), "runs at most 256") {
+		t.Fatalf("257 lanes: err = %v, want the lane bound", err)
+	}
+}
+
 func TestRunEnsembleCircuits(t *testing.T) {
 	mk := func(r float64) *Circuit {
 		c := NewCircuit("rc")

@@ -10,6 +10,7 @@ import (
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/newton"
+	"wavepipe/internal/sparse"
 )
 
 // Options controls the operating-point search.
@@ -116,9 +117,13 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		return stats, nil
 	}
 
-	// 3. Source stepping: ramp all independent sources from 0 to 100 %.
+	// 3. Source stepping: ramp all independent sources from 0 to 100 %. Its
+	// first steps bias a whole gain chain mid-rail, where under minimum degree
+	// the supply node's column carries the chain's gain product until a pivot
+	// leaves float64 (a 430-stage EKV chain): it and the run use SourcesFirst.
 	copy(x, save)
 	stats.Strategy = "source"
+	ws.Solver.Reorder(sparse.SourcesFirst(ws.Solver.M, ws.Solver.ColPerm))
 	ws.Faults.SetStage(faults.StageSource)
 	for i := 1; i <= opts.SrcSteps; i++ {
 		p := base

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wavepipe/internal/circuit"
+	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
 )
 
@@ -121,6 +122,31 @@ func TestRingOscillatorOPNeedsContinuation(t *testing.T) {
 	}
 	if x[nodes[0]] < 0.2 || x[nodes[0]] > 1.6 {
 		t.Fatalf("metastable point = %g, want inside the rails", x[nodes[0]])
+	}
+}
+
+// TestLongEKVChainOperatingPoint: under the minimum-degree order the supply
+// node of a long EKV inverter chain is eliminated last, and the first source
+// step's mid-rail iterate carries the chain's gain product into its column
+// until the last pivot leaves float64 ("singular matrix"). The ladder rerun
+// on the SourcesFirst order finds the point: input low, so the first stage is
+// high and the last of an even chain low.
+func TestLongEKVChainOperatingPoint(t *testing.T) {
+	for _, n := range []int{430, 440} {
+		c := circuits.InverterChainEKV(n, 1.2)
+		sys, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, sys.N)
+		if _, err := Solve(sys.NewWorkspace(), x, DefaultOptions()); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		c1, _ := c.FindNode("c1")
+		out, _ := c.FindNode("out")
+		if x[c1] < 1.1 || x[out] > 0.1 {
+			t.Fatalf("n=%d: v(c1) = %g, v(out) = %g; want ≈1.2 and ≈0", n, x[c1], x[out])
+		}
 	}
 }
 

@@ -355,10 +355,11 @@ type pendingLine struct {
 	portMap map[string]string
 }
 
-// maxExpandedLines bounds the lines a deck's subcircuit instances expand to
-// in all. Decks arrive over the network (the service's job API), and the
-// nesting cap alone still lets ten instances a level grow exponentially.
-const maxExpandedLines = 1 << 20
+// MaxExpandedLines bounds the lines a deck's subcircuit instances expand to
+// in all, and the devices of an ensemble's lanes together. Decks arrive over
+// the network (the service's job API), and the nesting cap alone still lets
+// ten instances a level grow exponentially.
+const MaxExpandedLines = 1 << 20
 
 type parser struct {
 	deck *Deck
@@ -761,8 +762,8 @@ func (p *parser) expandSubckt(fields []string, prefix string, portMap map[string
 	if p.xDepth == 0 {
 		// Counted before anything is built: a nested instance is in its
 		// top-level instance's count.
-		if p.expanded += p.instanceLines(subName); p.expanded > maxExpandedLines {
-			return fmt.Errorf("netlist: %s: subcircuit %q expands the deck past %d lines", fields[0], subName, maxExpandedLines)
+		if p.expanded += p.instanceLines(subName); p.expanded > MaxExpandedLines {
+			return fmt.Errorf("netlist: %s: subcircuit %q expands the deck past %d lines", fields[0], subName, MaxExpandedLines)
 		}
 	}
 	inner := make(map[string]string, len(def.ports))
@@ -792,12 +793,12 @@ func (p *parser) expandSubckt(fields []string, prefix string, portMap map[string
 
 // instanceLines returns how many lines one instance of the named subcircuit
 // parses, nested instances included (an X line counts itself and its body),
-// saturating past maxExpandedLines: a subcircuit that instantiates itself
+// saturating past MaxExpandedLines: a subcircuit that instantiates itself
 // expands without end. An unknown one counts nothing; its expansion reports it.
 func (p *parser) instanceLines(name string) int {
 	if n, ok := p.sizes[name]; ok {
 		if n < 0 {
-			return maxExpandedLines + 1
+			return MaxExpandedLines + 1
 		}
 		return n
 	}
@@ -808,7 +809,7 @@ func (p *parser) instanceLines(name string) int {
 	p.sizes[name] = -1
 	n := 0
 	for _, f := range def.lines {
-		if n > maxExpandedLines {
+		if n > MaxExpandedLines {
 			break
 		}
 		n++
@@ -816,7 +817,7 @@ func (p *parser) instanceLines(name string) int {
 			n += p.instanceLines(strings.ToLower(f[len(f)-1]))
 		}
 	}
-	n = min(n, maxExpandedLines+1)
+	n = min(n, MaxExpandedLines+1)
 	p.sizes[name] = n
 	return n
 }

@@ -428,9 +428,10 @@ type Solver struct {
 
 	// StoreBytes bounds a keyed store of earlier Refactor outputs (see
 	// factorStore): a request whose values are bit-for-bit those of a stored
-	// set is answered by attaching that set instead of refactorizing. 0 keeps
-	// only the set in hand. Set it before the first Factorize: sets admitted
-	// under a zero bound carry no hash.
+	// set is answered by attaching that set instead of refactorizing; a bound
+	// below one set's size keeps the most recent refactorization only. 0 keeps
+	// no set and no copy of the values: every request after the first
+	// refactorizes.
 	StoreBytes int
 
 	lu      *LU
@@ -443,10 +444,9 @@ type Solver struct {
 	FullFactorizations int
 	Refactorizations   int
 	// ReusedFactorizations counts Factorize calls handed the very values a
-	// factorization the solver still holds was refactored from — the one in
-	// hand, or one in the keyed store — and answered with it: the result is
-	// exact. LastReused reports the outcome for the trace. Every request ends
-	// in exactly one of the three counters.
+	// factorization in the keyed store was refactored from and answered with
+	// it: the result is exact. LastReused reports the outcome for the trace.
+	// Every request ends in exactly one of the three counters.
 	ReusedFactorizations int
 	LastReused           bool
 }
@@ -458,30 +458,30 @@ func NewSolver(m *Matrix, perm []int) *Solver {
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
-// numeric-only refactorization path. Values bit-identical to the ones a held
-// factorization was refactored from avoid even that: the call is a no-op with
-// an exact result (LastReused).
+// numeric-only refactorization path. Under a keyed store (StoreBytes > 0),
+// values bit-identical to the ones a stored factorization was refactored from
+// avoid even that: the call attaches the stored set, an exact result
+// (LastReused).
 func (s *Solver) Factorize() error {
 	s.LastReused = false
 	st := &s.store
-	if cur := st.cur; cur != nil && cur.refactored && sameBits(cur.values, s.M.Values) {
-		s.reused()
-		return nil
-	}
 	if s.lu != nil {
 		var h uint64
 		if s.StoreBytes > 0 {
 			h = st.key(s.M.Values)
 			if f := st.find(h, s.M.Values); f != nil {
 				st.attach(s.lu, f)
-				s.reused()
+				s.ReusedFactorizations++
+				s.LastReused = true
 				return nil
 			}
 		}
-		st.claim(s.lu, len(s.M.Values), s.StoreBytes)
+		st.claim(s.lu, s.StoreBytes)
 		if err := s.lu.Refactor(s.M); err == nil {
 			s.Refactorizations++
-			st.admit(h, s.M.Values)
+			if s.StoreBytes > 0 {
+				st.admit(h, s.M.Values)
+			}
 			return nil
 		}
 		// The failed sweep left the claimed set undefined, and the pivots the
@@ -490,32 +490,22 @@ func (s *Solver) Factorize() error {
 		// fails too and the LU stays in hand.
 		st.flush()
 	}
+	// The store is empty here: a solver's first factorization, RestoreFactor
+	// and a failed refactorization all leave it so.
 	lu, err := FactorizeWithPerm(s.M, s.ColPerm)
 	if err != nil {
 		return err
 	}
 	s.lu = lu
 	s.FullFactorizations++
-	st.adopt(lu, s.M.Values)
 	return nil
 }
 
-func (s *Solver) reused() {
-	s.ReusedFactorizations++
-	s.LastReused = true
-}
-
-// sameBits reports whether new is old bit for bit. Equality is on the IEEE
-// bits, so +0 against −0 and any NaN count as a difference; the scan ends at
-// the first differing entry.
-func sameBits(old, new []float64) bool {
-	old = old[:len(new)]
-	for i, nv := range new {
-		if math.Float64bits(nv) != math.Float64bits(old[i]) {
-			return false
-		}
-	}
-	return true
+// Reorder makes perm the column ordering of every later full factorization
+// and drops the LU in hand, so the next Factorize is one.
+func (s *Solver) Reorder(perm []int) {
+	s.ColPerm, s.lu = perm, nil
+	s.store.flush()
 }
 
 // Solve computes x with A·x = b for the most recent factorization.

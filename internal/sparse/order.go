@@ -99,3 +99,33 @@ func minDegree(adj [][]int) []int {
 	}
 	return perm
 }
+
+// SourcesFirst returns perm with each column a one-entry row pins (the node
+// of a grounded voltage source, pinned by its branch row) moved to the front,
+// right after the column of that row's index (the branch current), which
+// takes the node's own row as pivot and so leaves the branch row to pivot the
+// node. Minimum degree eliminates a supply node last, and its column then
+// carries the gain product of everything it feeds.
+func SourcesFirst(m *Matrix, perm []int) []int {
+	n := m.N()
+	count, col := make([]int, n), make([]int, n)
+	for j := 0; j < n; j++ {
+		for _, r := range m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]] {
+			count[r]++
+			col[r] = j
+		}
+	}
+	out, placed := make([]int, 0, n), make([]bool, n)
+	for r, c := range col {
+		if count[r] == 1 && c != r && !placed[r] && !placed[c] {
+			out = append(out, r, c)
+			placed[r], placed[c] = true, true
+		}
+	}
+	for _, j := range perm {
+		if !placed[j] {
+			out = append(out, j)
+		}
+	}
+	return out
+}

@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // tridiag builds a compiled n×n tridiagonal pattern.
 func tridiag(n int) *Matrix {
@@ -72,5 +75,35 @@ func TestSharedOrderingMatchesDirect(t *testing.T) {
 			t.Fatalf("not a permutation: %v", perm)
 		}
 		seen[c] = true
+	}
+}
+
+// TestSourcesFirstPivotsTheBranchRow: a supply node (unknown 0) held by a
+// grounded source (branch unknown 2, whose row holds one entry) and loaded by
+// node 1. SourcesFirst puts the branch column, then the node's, in front of
+// the rest, and the factorization pivots the node's column on the branch row.
+func TestSourcesFirstPivotsTheBranchRow(t *testing.T) {
+	b := NewBuilder(3)
+	entries := []struct {
+		i, j int
+		v    float64
+	}{{0, 0, 2e-3}, {0, 1, -1e-3}, {0, 2, 1}, {1, 0, -1e-3}, {1, 1, 2e-3}, {2, 0, 1}}
+	for _, e := range entries {
+		b.Reserve(e.i, e.j)
+	}
+	m := b.Compile()
+	for _, e := range entries {
+		m.Add(m.SlotAt(e.i, e.j), e.v)
+	}
+	perm := SourcesFirst(m, []int{1, 0, 2})
+	if want := []int{2, 0, 1}; !slices.Equal(perm, want) {
+		t.Fatalf("SourcesFirst = %v, want %v", perm, want)
+	}
+	lu, err := FactorizeWithPerm(m, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lu.rowPerm[1] != 2 {
+		t.Fatalf("node column pivoted on row %d, want the branch row 2", lu.rowPerm[1])
 	}
 }

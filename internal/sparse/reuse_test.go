@@ -33,11 +33,17 @@ func meshSolver(seed int64) *Solver {
 	return NewSolver(m, ComputeOrdering(m))
 }
 
-// reuseSolver returns a solver whose LU in hand came out of Refactor — the
-// only state exact reuse answers from.
+// oneSet is a StoreBytes below the size of any set: the keyed store then holds
+// the set in hand and nothing else, so a request is answered only when its
+// values are those of the most recent refactorization.
+const oneSet = 1
+
+// reuseSolver returns a one-set keyed solver whose LU in hand came out of
+// Refactor — the only state exact reuse answers from.
 func reuseSolver(t *testing.T) (*Solver, counts) {
 	t.Helper()
 	s := meshSolver(61)
+	s.StoreBytes = oneSet
 	mustFactorize(t, s) // full
 	mustFactorize(t, s) // same values, but the LU came from a full factorization: refactor
 	c := counts{full: 1, refactor: 1}
@@ -93,6 +99,7 @@ func TestExactReuseIsBitExact(t *testing.T) {
 		}
 	}
 	s := NewSolver(m, identity(m.N()))
+	s.StoreBytes = oneSet
 	mustFactorize(t, s)
 	mustFactorize(t, s)
 	c := counts{full: 1, refactor: 1}
@@ -129,10 +136,10 @@ func TestExactReuseIsBitExact(t *testing.T) {
 	}
 }
 
-// bothStores runs f against the one-set store every solver has and against a
-// keyed store with room to spare.
+// bothStores runs f against a keyed store of one set and against one with
+// room to spare.
 func bothStores(t *testing.T, f func(t *testing.T, storeBytes int)) {
-	t.Run("one set", func(t *testing.T) { f(t, 0) })
+	t.Run("one set", func(t *testing.T) { f(t, oneSet) })
 	t.Run("keyed", func(t *testing.T) { f(t, 1<<20) })
 }
 
@@ -142,6 +149,22 @@ func wantEmptyStore(t *testing.T, tag string, s *Solver) {
 	t.Helper()
 	if n := len(s.store.sets); n != 0 {
 		t.Fatalf("%s: store still holds %d sets", tag, n)
+	}
+}
+
+// TestUnkeyedSolverNeverReuses: without a keyed store every request after the
+// first refactorizes, identical values or not, and no copy of the values is
+// kept.
+func TestUnkeyedSolverNeverReuses(t *testing.T) {
+	s := meshSolver(61)
+	mustFactorize(t, s)
+	for i := 0; i < 3; i++ {
+		mustFactorize(t, s)
+	}
+	wantCounts(t, "identical values", s, counts{full: 1, refactor: 3})
+	wantEmptyStore(t, "unkeyed", s)
+	if s.store.cur.values != nil {
+		t.Fatal("an unkeyed solver copied the matrix values")
 	}
 }
 

@@ -3,18 +3,18 @@ package sparse
 import "math"
 
 // factors is one numeric factorization on a Solver's symbolic pattern: the
-// values of L and U and the matrix values they were computed from. Pattern,
-// pivot sequence and scatter map stay on the LU and are shared by every set,
-// so attaching a set to the LU is three slice assignments.
+// values of L and U and, once admitted to a keyed store, the matrix values
+// they were refactored from. Pattern, pivot sequence and scatter map stay on
+// the LU and are shared by every set, so attaching a set to the LU is three
+// slice assignments.
 type factors struct {
-	values     []float64 // M.Values behind lx/ux/ud
+	// values is nil until admit records that lx/ux/ud are Refactor's output
+	// for it — the only state a request may be answered from exactly. A set
+	// out of a full factorization holds the same matrix to rounding but was
+	// summed in a different order, and the run the answer stands in for would
+	// have refactored it; such a set answers nothing and is the next claimed.
+	values     []float64
 	lx, ux, ud []float64
-	// refactored reports that lx/ux/ud are Refactor's output for values — the
-	// only state a request may be answered from exactly. A set out of a full
-	// factorization holds the same matrix to rounding but was summed in a
-	// different order, and the run the answer stands in for would have
-	// refactored it; such a set answers nothing and is the next one claimed.
-	refactored bool
 	used       uint64 // store clock when the set last answered or was written
 }
 
@@ -23,11 +23,11 @@ func (f *factors) bytes() int {
 }
 
 // factorStore keeps the numeric factorizations a Solver may answer a request
-// from: always the set in hand (cur, attached to the LU), and — when the
-// solver's StoreBytes is positive — as many earlier Refactor outputs as fit
-// in that many bytes, found by a hash of the matrix values and admitted only
-// after a bit-for-bit comparison, evicted least recently used. With a zero
-// bound the store is the one set in hand and nothing is ever hashed. Every
+// from: when the solver's StoreBytes is positive, as many earlier Refactor
+// outputs as fit in that many bytes, found by a hash of the matrix values and
+// answered only after a bit-for-bit comparison, evicted least recently used.
+// The set in hand (cur, attached to the LU) is one of them once admitted.
+// With a zero bound nothing is ever admitted, hashed or copied. Every
 // set was computed along the LU's current pivot sequence: anything that
 // changes or voids the pivots (a full factorization, RestoreFactor, a failed
 // refactorization) flushes it.
@@ -56,13 +56,6 @@ func (st *factorStore) flush() {
 	st.sets, st.keys, st.cur = nil, nil, nil
 }
 
-// adopt makes the LU's own arrays — fresh out of a full factorization of
-// values — the set in hand. It is not refactored, so it is not findable.
-func (st *factorStore) adopt(lu *LU, values []float64) {
-	st.flush()
-	st.cur = &factors{values: append([]float64(nil), values...), lx: lu.lx, ux: lu.ux, ud: lu.ud}
-}
-
 // find returns the stored set whose values are bit-for-bit the given ones, or
 // nil. The hash only nominates candidates; the comparison decides.
 func (st *factorStore) find(h uint64, values []float64) *factors {
@@ -72,6 +65,19 @@ func (st *factorStore) find(h uint64, values []float64) *factors {
 		}
 	}
 	return nil
+}
+
+// sameBits reports whether new is old bit for bit. Equality is on the IEEE
+// bits, so +0 against −0 and any NaN count as a difference; the scan ends at
+// the first differing entry.
+func sameBits(old, new []float64) bool {
+	old = old[:len(new)]
+	for i, nv := range new {
+		if math.Float64bits(nv) != math.Float64bits(old[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // attach puts f in hand: the LU's kernels read and write f's arrays from now
@@ -85,23 +91,22 @@ func (st *factorStore) attach(lu *LU, f *factors) {
 
 // claim attaches the set the next refactorization writes into and takes it
 // out of the findable sets, its content being about to go. In order of
-// preference: the set in hand when it must not survive anyway (a one-set
-// store, or factors no request can be answered from), the LU's own arrays
+// preference: the set in hand when no request can be answered from it (an
+// unkeyed store's, or one out of a full factorization), the LU's own arrays
 // when nothing is in hand, a new set while the bound of limit bytes has room
 // (sets on one pivot sequence are all of one size), and the least recently
 // used set otherwise.
-func (st *factorStore) claim(lu *LU, nvalues, limit int) {
+func (st *factorStore) claim(lu *LU, limit int) {
 	f := st.cur
 	switch {
-	case f != nil && (limit <= 0 || !f.refactored):
+	case f != nil && f.values == nil:
 	case f == nil:
-		f = &factors{values: make([]float64, nvalues), lx: lu.lx, ux: lu.ux, ud: lu.ud}
+		f = &factors{lx: lu.lx, ux: lu.ux, ud: lu.ud}
 	case (len(st.sets)+1)*f.bytes() <= limit:
 		f = &factors{
-			values: make([]float64, nvalues),
-			lx:     make([]float64, len(lu.lx)),
-			ux:     make([]float64, len(lu.ux)),
-			ud:     make([]float64, len(lu.ud)),
+			lx: make([]float64, len(lu.lx)),
+			ux: make([]float64, len(lu.ux)),
+			ud: make([]float64, len(lu.ud)),
 		}
 	default:
 		for _, g := range st.sets {
@@ -110,16 +115,13 @@ func (st *factorStore) claim(lu *LU, nvalues, limit int) {
 			}
 		}
 	}
-	if f.refactored {
-		f.refactored = false
-		for i, g := range st.sets {
-			if g == f {
-				last := len(st.sets) - 1
-				st.sets[i], st.keys[i] = st.sets[last], st.keys[last]
-				st.sets[last] = nil
-				st.sets, st.keys = st.sets[:last], st.keys[:last]
-				break
-			}
+	for i, g := range st.sets {
+		if g == f {
+			last := len(st.sets) - 1
+			st.sets[i], st.keys[i] = st.sets[last], st.keys[last]
+			st.sets[last] = nil
+			st.sets, st.keys = st.sets[:last], st.keys[:last]
+			break
 		}
 	}
 	st.attach(lu, f)
@@ -129,8 +131,7 @@ func (st *factorStore) claim(lu *LU, nvalues, limit int) {
 // and makes it findable under h.
 func (st *factorStore) admit(h uint64, values []float64) {
 	f := st.cur
-	copy(f.values, values)
-	f.refactored = true
+	f.values = append(f.values[:0], values...)
 	st.sets, st.keys = append(st.sets, f), append(st.keys, h)
 }
 

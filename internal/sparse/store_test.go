@@ -11,7 +11,8 @@ func keyedSolver(t *testing.T, seed int64, sets int) (*Solver, []float64) {
 	t.Helper()
 	s := meshSolver(seed)
 	mustFactorize(t, s)
-	s.StoreBytes = sets * s.store.cur.bytes()
+	lu := s.LU()
+	s.StoreBytes = sets * (&factors{values: s.M.Values, lx: lu.lx, ux: lu.ux, ud: lu.ud}).bytes()
 	return s, append([]float64(nil), s.M.Values...)
 }
 

@@ -257,60 +257,3 @@ func WriteChromeTrace(w io.Writer, events []Event, snaps []Snapshot) error {
 	}
 	return bw.Flush()
 }
-
-// ReplayCounts are the Stats-reconcilable counters recomputed from a
-// recorded event stream (see Replay).
-type ReplayCounts struct {
-	Points          int // KindAccept events
-	Solves          int // KindSolve events (incl. failed attempts)
-	NRIters         int // iterations summed over solve + predict events
-	LTERejects      int // KindLTEReject events
-	Discarded       int // KindDiscard events
-	Recoveries      int // KindRecovery events
-	SerialFallbacks int // KindSerialFallback events
-	ReuseHits       int // exactly-reused-factorization phase events
-	Cancels         int // KindCancel events
-	WindowSeeds     int // KindWindowSeed events (Parareal windows launched)
-	WindowConverges int // KindWindowConverge events (windows past their gate)
-	WindowRedos     int // KindWindowRedo events (windows redone from exact state)
-}
-
-// Replay recomputes the run counters from a recorded stream. On a complete
-// (undropped) trace these reconcile exactly with the run's transient.Stats:
-// Points, Solves, NRIters, LTERejects, Discarded and Recoveries match the
-// fields of the same name and ReuseHits matches ReusedFactorizations.
-func Replay(events []Event) ReplayCounts {
-	var c ReplayCounts
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindAccept:
-			c.Points++
-		case KindSolve:
-			c.Solves++
-			c.NRIters += int(ev.Iters)
-		case KindPredict:
-			c.NRIters += int(ev.Iters)
-		case KindLTEReject:
-			c.LTERejects++
-		case KindDiscard:
-			c.Discarded++
-		case KindRecovery:
-			c.Recoveries++
-		case KindSerialFallback:
-			c.SerialFallbacks++
-		case KindCancel:
-			c.Cancels++
-		case KindWindowSeed:
-			c.WindowSeeds++
-		case KindWindowConverge:
-			c.WindowConverges++
-		case KindWindowRedo:
-			c.WindowRedos++
-		case KindPhase:
-			if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
-				c.ReuseHits++
-			}
-		}
-	}
-	return c
-}

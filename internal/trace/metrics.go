@@ -4,76 +4,42 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sync/atomic"
+	"sync"
 )
 
-// Metrics is an Observer that maintains live run counters behind atomic
-// loads, cheap enough to serve from an HTTP endpoint while the simulation
-// is running. It keeps no event history — pair it with a Recorder when the
+// Metrics is an Observer that keeps live run counters under one mutex,
+// cheap enough to serve from an HTTP endpoint while the simulation is
+// running. It keeps no event history — pair it with a Recorder when the
 // stream itself is wanted.
 type Metrics struct {
-	points     atomic.Int64
-	solves     atomic.Int64
-	nrIters    atomic.Int64
-	lteRejects atomic.Int64
-	discarded  atomic.Int64
-	recoveries atomic.Int64
-	fallbacks  atomic.Int64
-	cancels    atomic.Int64
-	reuseHits  atomic.Int64
-	events     atomic.Int64
+	mu     sync.Mutex
+	c      Counters
+	events int
 
-	stepSize     atomic.Uint64 // float64 bits
-	simTime      atomic.Uint64 // float64 bits
-	pointsPerSec atomic.Uint64 // float64 bits
+	stepSize, simTime float64 // of the most recent accept
+	pointsPerSec      float64 // of the most recent snapshot
 }
 
 // NewMetrics returns an empty live-metrics observer.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// OnEvent updates the counters for one event.
+// OnEvent folds one event into the counters.
 func (m *Metrics) OnEvent(ev Event) {
-	m.events.Add(1)
-	switch ev.Kind {
-	case KindAccept:
-		m.points.Add(1)
-		m.stepSize.Store(math.Float64bits(ev.H))
-		m.simTime.Store(math.Float64bits(ev.T))
-	case KindSolve:
-		m.solves.Add(1)
-		m.nrIters.Add(int64(ev.Iters))
-	case KindPredict:
-		m.nrIters.Add(int64(ev.Iters))
-	case KindLTEReject:
-		m.lteRejects.Add(1)
-	case KindDiscard:
-		m.discarded.Add(1)
-	case KindRecovery:
-		m.recoveries.Add(1)
-	case KindSerialFallback:
-		m.fallbacks.Add(1)
-	case KindCancel:
-		m.cancels.Add(1)
-	case KindPhase:
-		if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
-			m.reuseHits.Add(1)
-		}
+	m.mu.Lock()
+	m.events++
+	m.c.Add(ev)
+	if ev.Kind == KindAccept {
+		m.stepSize, m.simTime = ev.H, ev.T
 	}
+	m.mu.Unlock()
 }
 
 // OnSnapshot records the latest throughput sample.
 func (m *Metrics) OnSnapshot(s Snapshot) {
-	m.pointsPerSec.Store(math.Float64bits(s.PointsPerSec))
-}
-
-// Counters are the monotonic counters Metrics keeps, as plain sums: a
-// service that folds each finished run's totals into them renders the same
-// rows Metrics does, without observing a single event.
-type Counters struct {
-	Points, Solves, NRIters, LTERejects, Discarded  int64
-	Recoveries, SerialFallbacks, Cancels, ReuseHits int64
+	m.mu.Lock()
+	m.pointsPerSec = s.PointsPerSec
+	m.mu.Unlock()
 }
 
 // metricRow is one exported metric; gauges carry float values, the rest are
@@ -106,17 +72,13 @@ func (c Counters) WritePrometheus(w io.Writer) error { return writePrometheus(w,
 // metricRows enumerates the exported metrics with stable names: the counters,
 // then the event count and the gauges.
 func (m *Metrics) metricRows() []metricRow {
-	f := func(u *atomic.Uint64) float64 { return math.Float64frombits(u.Load()) }
-	c := Counters{
-		Points: m.points.Load(), Solves: m.solves.Load(), NRIters: m.nrIters.Load(),
-		LTERejects: m.lteRejects.Load(), Discarded: m.discarded.Load(), Recoveries: m.recoveries.Load(),
-		SerialFallbacks: m.fallbacks.Load(), Cancels: m.cancels.Load(), ReuseHits: m.reuseHits.Load(),
-	}
-	return append(c.rows(),
-		metricRow{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events.Load())},
-		metricRow{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, f(&m.stepSize)},
-		metricRow{"wavepipe_sim_time_seconds", "Simulation time of the most recent accepted point.", true, f(&m.simTime)},
-		metricRow{"wavepipe_points_per_second", "Accept rate over the most recent snapshot window.", true, f(&m.pointsPerSec)},
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append(m.c.rows(),
+		metricRow{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events)},
+		metricRow{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, m.stepSize},
+		metricRow{"wavepipe_sim_time_seconds", "Simulation time of the most recent accepted point.", true, m.simTime},
+		metricRow{"wavepipe_points_per_second", "Accept rate over the most recent snapshot window.", true, m.pointsPerSec},
 	)
 }
 
@@ -166,7 +128,14 @@ func (m *Metrics) Handler() http.Handler {
 }
 
 // Points returns the accepted-point count so far.
-func (m *Metrics) Points() int64 { return m.points.Load() }
+func (m *Metrics) Points() int64 { return int64(m.counters().Points) }
 
 // Solves returns the Newton point-solve count so far.
-func (m *Metrics) Solves() int64 { return m.solves.Load() }
+func (m *Metrics) Solves() int64 { return int64(m.counters().Solves) }
+
+// counters returns a copy of the counters folded so far.
+func (m *Metrics) counters() Counters {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.c
+}

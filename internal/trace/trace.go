@@ -17,8 +17,8 @@
 // point-solve attempt (Stats.Solves), one KindAccept per published point
 // (Stats.Points), one KindLTEReject per truncation-error rejection, one
 // KindDiscard per thrown-away speculative point, one KindRecovery per
-// successful recovery-ladder climb. Replay recomputes those counters from a
-// stream.
+// successful recovery-ladder climb. Counters.Add is the one fold from
+// events to those counters; Replay applies it to a recorded stream.
 package trace
 
 import (
@@ -157,6 +157,69 @@ type Snapshot struct {
 	PointsPerSec float64 // accept rate since the previous snapshot
 }
 
+// Counters are the run counters a trace stream folds into, one event at a
+// time through Add. On a complete (undropped) stream they reconcile exactly
+// with the run's transient.Stats: Points, Solves, NRIters, LTERejects,
+// Discarded and Recoveries match the fields of the same name and ReuseHits
+// matches ReusedFactorizations.
+type Counters struct {
+	Points          int // KindAccept events
+	Solves          int // KindSolve events (incl. failed attempts)
+	NRIters         int // iterations summed over solve + predict events
+	LTERejects      int // KindLTEReject events
+	Discarded       int // KindDiscard events
+	Recoveries      int // KindRecovery events
+	SerialFallbacks int // KindSerialFallback events
+	Cancels         int // KindCancel events
+	ReuseHits       int // exactly-reused-factorization phase events
+	WindowSeeds     int // KindWindowSeed events (Parareal windows launched)
+	WindowConverges int // KindWindowConverge events (windows past their gate)
+	WindowRedos     int // KindWindowRedo events (windows redone from exact state)
+}
+
+// Add folds one event into the counters. It is the only mapping from event
+// kinds to counts: snapshots, Metrics and Replay all count through it.
+func (c *Counters) Add(ev Event) {
+	switch ev.Kind {
+	case KindAccept:
+		c.Points++
+	case KindSolve:
+		c.Solves++
+		c.NRIters += int(ev.Iters)
+	case KindPredict:
+		c.NRIters += int(ev.Iters)
+	case KindLTEReject:
+		c.LTERejects++
+	case KindDiscard:
+		c.Discarded++
+	case KindRecovery:
+		c.Recoveries++
+	case KindSerialFallback:
+		c.SerialFallbacks++
+	case KindCancel:
+		c.Cancels++
+	case KindWindowSeed:
+		c.WindowSeeds++
+	case KindWindowConverge:
+		c.WindowConverges++
+	case KindWindowRedo:
+		c.WindowRedos++
+	case KindPhase:
+		if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
+			c.ReuseHits++
+		}
+	}
+}
+
+// Replay folds a recorded stream into its counters.
+func Replay(events []Event) Counters {
+	var c Counters
+	for _, ev := range events {
+		c.Add(ev)
+	}
+	return c
+}
+
 // Observer receives the structured run telemetry. Callbacks are invoked
 // synchronously, in emission order, from whichever goroutine emitted —
 // implementations must be safe for concurrent use with themselves only if
@@ -207,8 +270,8 @@ func Multi(obs ...Observer) Observer {
 const DefaultSnapshotEvery = 128
 
 // Tracer serializes the engines' event emissions: it stamps sequence
-// numbers and run-relative wall time, maintains the rolling counters behind
-// periodic snapshots, and forwards everything to the observer. A nil
+// numbers and run-relative wall time, folds every event into the counters
+// behind periodic snapshots, and forwards everything to the observer. A nil
 // *Tracer is valid and ignores all emissions — that is the production fast
 // path when no observer is attached.
 type Tracer struct {
@@ -216,13 +279,10 @@ type Tracer struct {
 	obs   Observer
 	start time.Time
 	seq   uint64
-	every int64 // snapshot cadence in accepted points
+	every int // snapshot cadence in accepted points
 
-	// Rolling counters feeding snapshots.
-	points, solves, nrIters     int64
-	lteRejects, discarded       int64
-	recoveries                  int64
-	lastSnapPoints, lastSnapWal int64
+	c           Counters // folded events feeding snapshots
+	lastSnapWal int64
 
 	canceled bool // a KindCancel went out
 }
@@ -237,7 +297,7 @@ func New(obs Observer, snapshotEvery int) *Tracer {
 	if snapshotEvery <= 0 {
 		snapshotEvery = DefaultSnapshotEvery
 	}
-	return &Tracer{obs: obs, start: time.Now(), every: int64(snapshotEvery)}
+	return &Tracer{obs: obs, start: time.Now(), every: snapshotEvery}
 }
 
 // Active reports whether emissions reach an observer. It is the test
@@ -267,23 +327,9 @@ func (t *Tracer) Emit(ev Event) {
 	t.seq++
 	ev.Seq = t.seq
 	ev.Wall = time.Since(t.start).Nanoseconds()
-	switch ev.Kind {
-	case KindSolve:
-		t.solves++
-		t.nrIters += int64(ev.Iters)
-	case KindPredict:
-		t.nrIters += int64(ev.Iters)
-	case KindAccept:
-		t.points++
-	case KindLTEReject:
-		t.lteRejects++
-	case KindDiscard:
-		t.discarded++
-	case KindRecovery:
-		t.recoveries++
-	}
+	t.c.Add(ev)
 	t.obs.OnEvent(ev)
-	if ev.Kind == KindAccept && t.points%t.every == 0 {
+	if ev.Kind == KindAccept && t.c.Points%t.every == 0 {
 		t.snapshotLocked(ev)
 	}
 }
@@ -296,17 +342,17 @@ func (t *Tracer) snapshotLocked(at Event) {
 		Wall:       at.Wall,
 		T:          at.T,
 		H:          at.H,
-		Points:     t.points,
-		Solves:     t.solves,
-		NRIters:    t.nrIters,
-		LTERejects: t.lteRejects,
-		Discarded:  t.discarded,
-		Recoveries: t.recoveries,
+		Points:     int64(t.c.Points),
+		Solves:     int64(t.c.Solves),
+		NRIters:    int64(t.c.NRIters),
+		LTERejects: int64(t.c.LTERejects),
+		Discarded:  int64(t.c.Discarded),
+		Recoveries: int64(t.c.Recoveries),
 	}
+	// Snapshots fall every t.every accepts, so that is the window's count.
 	if dw := at.Wall - t.lastSnapWal; dw > 0 {
-		s.PointsPerSec = float64(t.points-t.lastSnapPoints) / (float64(dw) / 1e9)
+		s.PointsPerSec = float64(t.every) / (float64(dw) / 1e9)
 	}
-	t.lastSnapPoints = t.points
 	t.lastSnapWal = at.Wall
 	t.obs.OnSnapshot(s)
 }

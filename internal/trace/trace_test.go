@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	}
 
 	c := Replay(evs)
-	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, ReuseHits: 1}
+	want := Counters{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, ReuseHits: 1}
 	if c != want {
 		t.Fatalf("Replay = %+v, want %+v", c, want)
 	}
@@ -315,6 +316,38 @@ func TestMetricsObserver(t *testing.T) {
 	}
 	if obj["wavepipe_points_total"] != 2 {
 		t.Fatalf("metrics JSON points = %g, want 2", obj["wavepipe_points_total"])
+	}
+}
+
+// TestMetricsConcurrentUse: one Metrics behind a tracer shared by several
+// emitting goroutines, scraped while they run, ends on the exact totals.
+func TestMetricsConcurrentUse(t *testing.T) {
+	m := NewMetrics()
+	tr := New(m, 16)
+	var wg sync.WaitGroup
+	const workers, per = 4, 300
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tr.Emit(Event{Kind: KindSolve, Iters: 2})
+				tr.Emit(Event{Kind: KindAccept, T: float64(i), H: 1})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			m.WritePrometheus(io.Discard)
+			m.WriteJSON(io.Discard)
+		}
+	}()
+	wg.Wait()
+	<-done
+	if m.Points() != workers*per || m.Solves() != workers*per {
+		t.Fatalf("Points=%d Solves=%d, want %d each", m.Points(), m.Solves(), workers*per)
 	}
 }
 

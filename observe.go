@@ -39,8 +39,8 @@ type (
 	// TraceMetrics is a live-counters Observer servable over HTTP.
 	TraceMetrics = trace.Metrics
 	// TraceReplayCounts are the Stats-reconcilable counters ReplayTrace
-	// recomputes from a recorded stream.
-	TraceReplayCounts = trace.ReplayCounts
+	// folds a recorded stream into.
+	TraceReplayCounts = trace.Counters
 )
 
 // Trace event kinds.

@@ -124,6 +124,60 @@ func TestSerialTraceReconciles(t *testing.T) {
 	}
 }
 
+// TestSnapshotsMetricsReplayAgree holds the three readers of one stream to
+// one fold: every snapshot's counters equal a replay of the events before
+// it, and live metrics fed the stream render the replay's counter rows.
+// Forward adds the speculative warm-starts Backward does not emit.
+func TestSnapshotsMetricsReplayAgree(t *testing.T) {
+	for _, scheme := range []wavepipe.Scheme{wavepipe.Backward, wavepipe.Forward} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			sys, opts := buildBench(t, "inv50")
+			opts.Scheme = scheme
+			rec := wavepipe.NewTraceRecorder(0)
+			opts.Observer = rec
+			if _, err := wavepipe.RunTransientCtx(context.Background(), sys, opts); err != nil {
+				t.Fatal(err)
+			}
+			snapshotsMetricsReplayAgree(t, rec.Events(), rec.Snapshots())
+		})
+	}
+}
+
+func snapshotsMetricsReplayAgree(t *testing.T, events []wavepipe.TraceEvent, snaps []wavepipe.TraceSnapshot) {
+	t.Helper()
+	if len(snaps) < 2 {
+		t.Fatalf("%d snapshots: the run is too short to check against", len(snaps))
+	}
+	for i, s := range snaps {
+		n := 0
+		for n < len(events) && events[n].Seq < s.Seq {
+			n++
+		}
+		rc := wavepipe.ReplayTrace(events[:n])
+		got := [6]int64{s.Points, s.Solves, s.NRIters, s.LTERejects, s.Discarded, s.Recoveries}
+		want := [6]int64{int64(rc.Points), int64(rc.Solves), int64(rc.NRIters),
+			int64(rc.LTERejects), int64(rc.Discarded), int64(rc.Recoveries)}
+		if got != want {
+			t.Fatalf("snapshot %d at seq %d counts %v, replay of the %d events before it %v", i, s.Seq, got, n, want)
+		}
+	}
+
+	m := wavepipe.NewTraceMetrics()
+	for _, ev := range events {
+		m.OnEvent(ev)
+	}
+	var live, replayed bytes.Buffer
+	if err := m.WritePrometheus(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := wavepipe.ReplayTrace(events).WritePrometheus(&replayed); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(live.String(), replayed.String()) {
+		t.Fatalf("live counter rows differ from the replay's:\n%s\nwant prefix\n%s", live.String(), replayed.String())
+	}
+}
+
 // cancelAfter is an Observer that cancels a context after n accepted points.
 type cancelAfter struct {
 	n       int64

@@ -89,8 +89,8 @@ type Service struct {
 	// The engine counters /metrics renders, folded from each finished job:
 	// the sum of their Stats, serial fallbacks, and jobs ended JobCanceled.
 	stats     Stats
-	fallbacks int64
-	cancels   int64
+	fallbacks int
+	cancels   int
 	wg        sync.WaitGroup
 
 	submitted atomic.Int64
@@ -394,7 +394,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 	if res != nil {
 		s.stats.Add(res.Stats)
-		s.fallbacks += int64(res.Recovery.Count(transient.RecoverySerialFallback))
+		s.fallbacks += res.Recovery.Count(transient.RecoverySerialFallback)
 	}
 	j.mu.Lock()
 	j.res, j.err, j.state, j.cores = res, err, state, 0
@@ -600,9 +600,9 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	s.mu.Lock()
 	st := s.stats
 	totals := trace.Counters{
-		Points: int64(st.Points), Solves: int64(st.Solves), NRIters: int64(st.NRIters),
-		LTERejects: int64(st.LTERejects), Discarded: int64(st.Discarded), Recoveries: int64(st.Recoveries),
-		SerialFallbacks: s.fallbacks, Cancels: s.cancels, ReuseHits: int64(st.ReusedFactorizations),
+		Points: st.Points, Solves: st.Solves, NRIters: st.NRIters,
+		LTERejects: st.LTERejects, Discarded: st.Discarded, Recoveries: st.Recoveries,
+		SerialFallbacks: s.fallbacks, Cancels: s.cancels, ReuseHits: st.ReusedFactorizations,
 	}
 	s.mu.Unlock()
 	if err := totals.WritePrometheus(w); err != nil {

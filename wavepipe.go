@@ -195,6 +195,13 @@ func (d *Deck) nl() *netlist.Deck { return (*netlist.Deck)(d) }
 // Build compiles the deck's circuit into a simulatable System.
 func (d *Deck) Build() (*System, error) { return d.Circuit.Build() }
 
+// MaxLanes is the most ensemble lanes RunEnsembleCtx runs of the deck: each
+// lane elaborates the whole deck again, and together they may hold no more
+// devices than netlist.MaxExpandedLines.
+func (d *Deck) MaxLanes() int {
+	return netlist.MaxExpandedLines / max(1, len(d.Circuit.Devices()))
+}
+
 // FindSource returns the named independent voltage source (for .DC sweeps);
 // names are case-insensitive.
 func (d *Deck) FindSource(name string) (*device.VSource, bool) {

@@ -266,17 +266,21 @@ func (s *System) fillOrdering() []int {
 func (s *System) Linear() bool { return s.linear }
 
 // linearStoreBytes bounds the factor store of a linear system's solver (see
-// sparse.Solver.StoreBytes). A linear matrix is a function of Alpha0 alone,
-// so the store's working set is the number of distinct steps a run revisits.
-// Measured on the clocked meshes of the suite, serial, full horizon: grid32
-// holds 53 sets of 227 KB (11.7 MB) by the end and touches 36 of them (8.0
-// MB) in one clock period; grid24 59 of 112 KB (6.5 MB), 41 a period; grid16
-// 62 of 41 KB (2.5 MB), 43 a period. 32 MB holds the largest of those whole
-// runs 2.7 times over, or the period of a mesh of four times the unknowns. A
-// circuit whose steps do not come back within that (ladder400: 575 sets of 19
-// KB; rlctree8: its 912-set period is 64 MB) fills the bound with chain
-// factors that are as cheap to recompute as to look up, and stops there. The
-// store belongs to the workspace and is freed with it.
+// sparse.Solver.StoreBytes). A linear matrix is a function of Alpha0 alone: a
+// templated load keys its request by Alpha0 (loadTemplate), and the store
+// answers a key it has seen with no blend, hash or compare, and a new one from
+// the matrix values (two steps can blend to one matrix). A set costs its
+// factors and one copy of the values, its keys next to nothing, so the working
+// set is the number of distinct matrices a run revisits. Measured on the
+// clocked meshes of the suite, serial, full horizon: grid32 holds 53 sets of
+// 227 KB (11.7 MB) by the end and touches 36 of them (8.0 MB) in one clock
+// period; grid24 59 of 112 KB (6.5 MB), 41 a period; grid16 62 of 41 KB (2.5
+// MB), 43 a period. 32 MB holds the largest of those whole runs 2.7 times over,
+// or the period of a mesh of four times the unknowns. A circuit whose steps do
+// not come back within that (ladder400: 575 sets of 19 KB; rlctree8: its
+// 912-set period is 64 MB) fills the bound with chain factors that are as cheap
+// to recompute as to look up, and stops there. The store belongs to the
+// workspace and is freed with it.
 const linearStoreBytes = 32 << 20
 
 // newSolver returns the sparse solver of one workspace on matrix m: the
@@ -349,9 +353,11 @@ type Workspace struct {
 
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
-	// tmpl is the stamp template of this workspace's devices (incremental.go);
-	// nil on a nonlinear System, which always sweeps.
-	tmpl *stampTemplate
+	// tmpl is the stamp template of this workspace's devices (incremental.go),
+	// probed for on the first templated load; nil on a nonlinear System, which
+	// always sweeps.
+	tmpl   *stampTemplate
+	probed bool
 }
 
 // NewWorkspace allocates a workspace (one per concurrent worker).
@@ -368,9 +374,7 @@ func (s *System) NewWorkspace() *Workspace {
 		SNext:  make([]float64, s.NumStates),
 		Worker: -1,
 	}
-	if s.linear {
-		ws.tmpl = newStampTemplate(s, ws.Devices())
-	}
+	ws.Solver.Assemble = ws.blend
 	return ws
 }
 
@@ -404,7 +408,7 @@ type LoadParams struct {
 // without a clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	ctx := &ws.evalCtx
-	if tp := ws.tmpl; tp != nil && !p.NoLimit && p.SrcScale == 1 {
+	if tp := ws.template(); tp != nil && !p.NoLimit && p.SrcScale == 1 {
 		ws.loadTemplate(ctx, tp, x, p)
 	} else {
 		ws.beginLoad(ctx, x, p, zeroAll)
@@ -413,6 +417,19 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		}
 	}
 	ws.finishLoad(x, p, ctx.Limited)
+}
+
+// Matrix returns the Jacobian the last Load assembled. A templated load
+// leaves its blend to the solver (see loadTemplate), so a reader of the
+// values asks here rather than reading M.
+func (ws *Workspace) Matrix() *sparse.Matrix { return ws.Solver.Materialize() }
+
+// writeM returns M for a load to add to: a deferred blend is assembled first,
+// and the request is keyed by its values from then on.
+func (ws *Workspace) writeM() *sparse.Matrix {
+	m := ws.Matrix()
+	ws.Solver.Written()
+	return m
 }
 
 // passZero names the workspace buffers an assembly pass starts from zero.
@@ -430,6 +447,7 @@ const (
 func (ws *Workspace) zero(z passZero) {
 	if z&zeroM != 0 {
 		clear(ws.M.Values)
+		ws.Solver.Written()
 	}
 	if z&zeroF != 0 {
 		clear(ws.F)
@@ -468,17 +486,19 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, z passZe
 func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	ws.Limited = limited
 	if p.NodeGmin > 0 {
+		m := ws.writeM()
 		for i, pos := range ws.Sys.diagPos {
-			ws.M.Add(pos, p.NodeGmin)
+			m.Add(pos, p.NodeGmin)
 			ws.F[i] += p.NodeGmin * x[i]
 		}
 	}
 	if p.ClampG > 0 {
+		m := ws.writeM()
 		for k, i := range p.ClampIdx {
 			if i < 0 || i >= ws.Sys.NumNodes {
 				continue
 			}
-			ws.M.Add(ws.Sys.diagPos[i], p.ClampG)
+			m.Add(ws.Sys.diagPos[i], p.ClampG)
 			ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
 		}
 	}

@@ -133,7 +133,7 @@ func TestWorkspaceLoadAndResidual(t *testing.T) {
 		t.Fatalf("B = %g", got)
 	}
 	// Jacobian diagonal: g + NodeGmin (AddJQ unused by the stub on diag).
-	if got := ws.M.At(0, 0); math.Abs(got-0.501) > 1e-15 {
+	if got := ws.Matrix().At(0, 0); math.Abs(got-0.501) > 1e-15 {
 		t.Fatalf("J = %g", got)
 	}
 	// Residual with history vector.
@@ -194,7 +194,7 @@ func TestLoadSplitSeparatesGAndC(t *testing.T) {
 	ws.LoadSplit(x, LoadParams{SrcScale: 1})
 	// The stub stamps only static conductance; MC must stay zero and M must
 	// carry g regardless of Alpha0 (which LoadSplit ignores).
-	if got := ws.M.At(0, 0); math.Abs(got-0.25) > 1e-15 {
+	if got := ws.Matrix().At(0, 0); math.Abs(got-0.25) > 1e-15 {
 		t.Fatalf("G(0,0) = %g", got)
 	}
 	if ws.MC == nil {
@@ -205,7 +205,7 @@ func TestLoadSplitSeparatesGAndC(t *testing.T) {
 	}
 	// A second split load reuses MC and re-zeros it.
 	ws.LoadSplit(x, LoadParams{SrcScale: 1})
-	if got := ws.M.At(0, 0); math.Abs(got-0.25) > 1e-15 {
+	if got := ws.Matrix().At(0, 0); math.Abs(got-0.25) > 1e-15 {
 		t.Fatalf("second split G = %g", got)
 	}
 }

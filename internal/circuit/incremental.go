@@ -8,11 +8,19 @@
 // instead of sweeping every device through Eval.
 //
 // Every workspace of a linear System builds its own template from its own
-// device list (NewWorkspace, SetDevices), so an ensemble lane is templated
-// from its variant's values and the template lives and dies with the
-// workspace. A nonlinear System has none. NoLimit loads and source-stepping
-// loads take the plain sweep on either. The template sums stamps in another
-// order than the sweep, so the two agree to rounding, not bit for bit.
+// device list on its first templated load (and again after SetDevices), so an
+// ensemble lane is templated from its variant's values and the template lives
+// and dies with the workspace. A nonlinear System has none. NoLimit loads and
+// source-stepping loads take the plain sweep on either. The template sums
+// stamps in another order than the sweep, so the two agree to rounding, not
+// bit for bit.
+//
+// The blend is a function of Alpha0 alone, so a templated load does not write
+// it: it hands Alpha0 to the solver as the request's key (sparse.Solver.Defer)
+// and the solver blends through Workspace.blend only when its store cannot
+// answer that key. A load that adds to the blend (a gmin-stepping or
+// .NODESET conductance) has it assembled first and is keyed by its values
+// (Workspace.writeM).
 package circuit
 
 // LinearStamper marks a device whose F and Q stamps are exactly linear in
@@ -90,8 +98,7 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 		}
 	}
 	// Sized exactly before they are filled: growing nine slices by appending
-	// costs a grid16 template about a hundred allocations, and an ensemble
-	// lane builds two (NewWorkspace, then SetDevices).
+	// costs a grid16 template about a hundred allocations.
 	var nLin, nF, nQ int
 	for p, fv := range mf.Values {
 		qv := mq.Values[p]
@@ -132,25 +139,49 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	return tp
 }
 
+// template returns the workspace's stamp template, probing its devices on
+// the first call after NewWorkspace or SetDevices; nil on a nonlinear System
+// and where the probe failed, which is remembered too.
+func (ws *Workspace) template() *stampTemplate {
+	if !ws.probed && ws.Sys.linear {
+		ws.tmpl, ws.probed = newStampTemplate(ws.Sys, ws.Devices()), true
+	}
+	return ws.tmpl
+}
+
 // loadTemplate is the sweep of a Load through the template. The sources are
 // evaluated straight into the workspace for B; their J, F and Q stamps are
-// already in the template, so M, F and Q are cleared after them and rebuilt
-// by the blend and the two products.
+// already in the template, so F and Q are cleared after them and rebuilt by
+// the two products, and M is the blend, deferred to the solver under the key
+// Alpha0 (finishLoad assembles it before adding to it).
 func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, p LoadParams) {
 	ws.beginLoad(ctx, x, p, zeroB)
 	devs := ws.Devices()
 	for _, di := range tp.sources {
 		devs[di].Eval(ctx)
 	}
-	ws.zero(zeroM | zeroF | zeroQ)
+	ws.zero(zeroF | zeroQ)
+	ws.Solver.Defer(p.Alpha0)
+	mulAdd(ws.F, x, tp.jfR, tp.jfC, tp.jfV)
+	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
+}
+
+// mulAdd accumulates the product of the (rows, cols, vals) triples with x
+// into dst, one triple after another.
+func mulAdd(dst, x []float64, rows, cols []int, vals []float64) {
+	cols, vals = cols[:len(rows)], vals[:len(rows)]
+	for t, r := range rows {
+		dst[r] += vals[t] * x[cols[t]]
+	}
+}
+
+// blend writes the template's matrix at alpha0 into M, the workspace's
+// sparse.Solver.Assemble.
+func (ws *Workspace) blend(alpha0 float64) {
+	tp := ws.tmpl
 	m := ws.M.Values
+	clear(m)
 	for t, pos := range tp.pos {
-		m[pos] = tp.jf[t] + p.Alpha0*tp.jq[t]
-	}
-	for t, r := range tp.jfR {
-		ws.F[r] += tp.jfV[t] * x[tp.jfC[t]]
-	}
-	for t, r := range tp.jqR {
-		ws.Q[r] += tp.jqV[t] * x[tp.jqC[t]]
+		m[pos] = tp.jf[t] + alpha0*tp.jq[t]
 	}
 }

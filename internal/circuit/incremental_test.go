@@ -3,6 +3,8 @@ package circuit
 import (
 	"math"
 	"testing"
+
+	"wavepipe/internal/faults"
 )
 
 // assertStampsEqual holds a's assembled system to b's within tol, relative to
@@ -21,9 +23,10 @@ func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) 
 			t.Fatalf("%s: vector mismatch at row %d", what, i)
 		}
 	}
-	for i := range a.M.Values {
-		if diff(a.M.Values[i], b.M.Values[i]) {
-			t.Fatalf("%s: matrix mismatch at slot %d: %g vs %g", what, i, a.M.Values[i], b.M.Values[i])
+	am, bm := a.Matrix().Values, b.Matrix().Values
+	for i := range am {
+		if diff(am[i], bm[i]) {
+			t.Fatalf("%s: matrix mismatch at slot %d: %g vs %g", what, i, am[i], bm[i])
 		}
 	}
 	if a.Limited != b.Limited {
@@ -162,7 +165,7 @@ func buildMix(t *testing.T, c *Circuit) *System {
 // plainWorkspace returns a workspace of sys that always sweeps its devices.
 func plainWorkspace(sys *System) *Workspace {
 	ws := sys.NewWorkspace()
-	ws.tmpl = nil
+	ws.probed = true
 	return ws
 }
 
@@ -184,19 +187,19 @@ func TestStampTemplateOnLinearSystemsOnly(t *testing.T) {
 		t.Fatal("the linear mix is not Linear")
 	}
 	ws := lin.NewWorkspace()
-	if ws.tmpl == nil {
+	if ws.template() == nil {
 		t.Fatal("a workspace of a linear System has no stamp template")
 	}
 	ws.SetDevices(lin.Circuit.Devices())
-	if ws.tmpl == nil {
-		t.Fatal("SetDevices on a linear System dropped the template")
+	if ws.template() == nil {
+		t.Fatal("SetDevices on a linear System lost the template")
 	}
 	c, _, _ = linearMix(5, 1, true)
 	nl := buildMix(t, c)
 	if nl.Linear() {
 		t.Fatal("the mix with cubic conductances is Linear")
 	}
-	if nl.NewWorkspace().tmpl != nil {
+	if nl.NewWorkspace().template() != nil {
 		t.Fatal("a workspace of a nonlinear System has a stamp template")
 	}
 }
@@ -238,6 +241,7 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 
 	x := testX(sys.N)
 	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
+	ws.template() // the probe, which the first templated load would run
 	step := func(what string) {
 		t.Helper()
 		linEvals, srcEvals := lins[0].evals, src.evals
@@ -292,4 +296,82 @@ func TestIncrementalBypassGuards(t *testing.T) {
 			assertStampsEqual(t, ws, ref, 0, "declined load")
 		}
 	}
+}
+
+// factorCounts is a workspace solver's (full, refactorized, reused) count.
+func factorCounts(ws *Workspace) [3]int {
+	s := ws.Solver
+	return [3]int{s.FullFactorizations, s.Refactorizations, s.ReusedFactorizations}
+}
+
+// loadAndFactorize loads ws at x under p and factorizes, failing unless the
+// counts move to want.
+func loadAndFactorize(t *testing.T, ws *Workspace, x []float64, p LoadParams, want [3]int, what string) {
+	t.Helper()
+	ws.Load(x, p)
+	if err := ws.Solver.Factorize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := factorCounts(ws); got != want {
+		t.Fatalf("%s: (full, refactorized, reused) = %v, want %v", what, got, want)
+	}
+}
+
+// TestKeyedLoadOnlyWhereMIsTheBlend: a templated load keys its matrix by
+// Alpha0, and its repeat is answered by that key. A gmin-stepping or .NODESET
+// load at the same Alpha0 adds to the blend, so it is not that matrix: it
+// refactorizes, assembles what the plain sweep assembles, and leaves the key
+// answering the blend. A fault harness changes nothing of M, so a load under
+// one is answered by its key too.
+func TestKeyedLoadOnlyWhereMIsTheBlend(t *testing.T) {
+	c, _, _ := linearMix(6, 1, false)
+	sys := buildMix(t, c)
+	ws := sys.NewWorkspace()
+	ref := plainWorkspace(sys)
+	x := testX(sys.N)
+	p := LoadParams{Alpha0: 2e6, SrcScale: 1}
+	loadAndFactorize(t, ws, x, p, [3]int{1, 0, 0}, "first load")
+	loadAndFactorize(t, ws, x, p, [3]int{1, 1, 0}, "second load")
+	loadAndFactorize(t, ws, x, p, [3]int{1, 1, 1}, "keyed repeat")
+	want := [3]int{1, 1, 1}
+	for _, extra := range []struct {
+		name string
+		p    LoadParams
+	}{
+		{"gmin stepping", LoadParams{Alpha0: 2e6, SrcScale: 1, NodeGmin: 1e-3}},
+		{".NODESET", LoadParams{Alpha0: 2e6, SrcScale: 1, ClampG: 1, ClampIdx: []int{0}, ClampV: []float64{0.5}}},
+	} {
+		want[1]++
+		loadAndFactorize(t, ws, x, extra.p, want, extra.name)
+		ref.Load(x, extra.p)
+		assertStampsEqual(t, ws, ref, 1e-12, extra.name)
+		want[2]++
+		loadAndFactorize(t, ws, x, p, want, extra.name+", then the blend")
+	}
+	ws.Faults = faults.NewInjector()
+	want[2]++
+	loadAndFactorize(t, ws, x, p, want, "under a fault harness")
+}
+
+// TestSetDevicesDropsTheKeys: the same Alpha0 blends another matrix from a
+// lane's devices, so after SetDevices a key the host's devices stored is not
+// answered: the lane's first factorization at that Alpha0 refactorizes.
+func TestSetDevicesDropsTheKeys(t *testing.T) {
+	hostC, _, _ := linearMix(6, 1, false)
+	host := buildMix(t, hostC)
+	variant, _, _ := linearMix(6, 1.3, false)
+	if err := host.BindLanes(variant); err != nil {
+		t.Fatal(err)
+	}
+	ws := host.NewWorkspace()
+	x := testX(host.N)
+	p := LoadParams{Alpha0: 2e6, SrcScale: 1}
+	loadAndFactorize(t, ws, x, p, [3]int{1, 0, 0}, "host, first load")
+	loadAndFactorize(t, ws, x, p, [3]int{1, 1, 0}, "host, second load")
+	ws.SetDevices(variant.Devices())
+	loadAndFactorize(t, ws, x, p, [3]int{1, 2, 0}, "lane at the host's Alpha0")
+	loadAndFactorize(t, ws, x, p, [3]int{1, 2, 1}, "lane, keyed repeat")
+	own := buildMix(t, func() *Circuit { c, _, _ := linearMix(6, 1.3, false); return c }()).NewWorkspace()
+	own.Load(x, p)
+	assertStampsEqual(t, ws, own, 0, "lane against the variant's own System")
 }

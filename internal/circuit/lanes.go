@@ -21,14 +21,14 @@ import "fmt"
 // SetDevices overrides the device list this workspace's assembly paths
 // evaluate, so a lane workspace compiled against the host pattern stamps its
 // own variant's device instances. Load, LoadSplit and the charge pass honor
-// the override, and on a linear System the stamp template is rebuilt from
-// the new list. A nil devs restores the host circuit's devices.
+// the override. The stamp template and the solver's Alpha0 keys were those of
+// the old list: both are dropped, and the next templated load probes the new
+// one. A nil devs restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) {
+	ws.Solver.Rekey()
 	ws.devs = devs
 	ws.chargeEvalers = nil // the charge pass dispatches to these instances
-	if ws.Sys.linear {
-		ws.tmpl = newStampTemplate(ws.Sys, ws.Devices())
-	}
+	ws.tmpl, ws.probed = nil, false
 }
 
 // Devices returns the devices the assembly paths iterate: the

@@ -29,6 +29,9 @@ type Options struct {
 	NodeSet map[int]float64
 }
 
+// srcStageBudget bounds a source ramp's stages, per SrcStep (see Solve).
+const srcStageBudget = 10
+
 // DefaultOptions returns the standard continuation ladder configuration.
 func DefaultOptions() Options {
 	return Options{Newton: newton.DefaultOptions(), Gmin: 1e-12, GminSteps: 10, SrcSteps: 10}
@@ -117,26 +120,46 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		return stats, nil
 	}
 
-	// 3. Source stepping: ramp all independent sources from 0 to 100 %. Its
-	// first steps bias a whole gain chain mid-rail, where under minimum degree
-	// the supply node's column carries the chain's gain product until a pivot
-	// leaves float64 (a 430-stage EKV chain): it and the run use SourcesFirst.
+	// 3. Source stepping: ramp all independent sources from 0 to 100 % in
+	// SrcSteps increments. Its first steps bias a whole gain chain mid-rail,
+	// where under minimum degree the supply node's column carries the chain's
+	// gain product until a pivot leaves float64 (a 430-stage EKV chain): it
+	// and the run use SourcesFirst. A longer chain's Newton update overflows
+	// from there (480 stages), so a failed step restarts from the last
+	// converged iterate at a quarter of the increment, down to 1e-6 of full
+	// scale, and a converged one doubles it back up to one SrcStep. The ramp
+	// counts in 2^-20 of a SrcStep, so an unbroken one steps through exactly
+	// the scales i/SrcSteps. A ramp that converges only near the floor would
+	// crawl for a million stages, so it gives up after srcStageBudget stages
+	// per SrcStep (the 800-stage chain takes 1.9).
 	copy(x, save)
 	stats.Strategy = "source"
 	ws.Solver.Reorder(sparse.SourcesFirst(ws.Solver.M, ws.Solver.ColPerm))
 	ws.Faults.SetStage(faults.StageSource)
-	for i := 1; i <= opts.SrcSteps; i++ {
+	const srcTicks = 1 << 20 // per SrcStep
+	full := int64(opts.SrcSteps) * srcTicks
+	var failedAt float64 // the scale of the last failed stage, and its error
+	var failed error
+	for stage, at, step := 0, int64(0), int64(srcTicks); at < full; stage++ {
+		if stage == srcStageBudget*opts.SrcSteps {
+			return stats, sourceSteppingFailed(failedAt, failed)
+		}
+		next := min(at+step, full)
 		p := base
-		p.SrcScale = float64(i) / float64(opts.SrcSteps)
+		p.SrcScale = float64(next) / float64(full)
 		p.NodeGmin = opts.Gmin
 		res, err = newton.Solve(ws, x, p, nil, opts.Newton, r, dx)
 		stats.NRIters += res.Iters
 		stats.Continues++
-		if err != nil {
-			return stats, &faults.SimError{
-				Phase: "dcop", Time: 0, Node: -1,
-				Cause: fmt.Errorf("source stepping failed at %.0f%%: %w", p.SrcScale*100, err),
-			}
+		if err == nil {
+			at, step = next, min(2*step, srcTicks)
+			copy(save, x)
+			continue
+		}
+		copy(x, save)
+		failedAt, failed = p.SrcScale, err
+		if step /= 4; float64(step) < 1e-6*float64(full) {
+			return stats, sourceSteppingFailed(failedAt, failed)
 		}
 	}
 	// Final clean solve at full sources without the node shunt.
@@ -149,4 +172,13 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// sourceSteppingFailed is the error of a source ramp that gave up, its last
+// failed stage at scale with err.
+func sourceSteppingFailed(scale float64, err error) error {
+	return &faults.SimError{
+		Phase: "dcop", Time: 0, Node: -1,
+		Cause: fmt.Errorf("source stepping failed at %.4g%%: %w", scale*100, err),
+	}
 }

@@ -132,7 +132,7 @@ func TestRingOscillatorOPNeedsContinuation(t *testing.T) {
 // on the SourcesFirst order finds the point: input low, so the first stage is
 // high and the last of an even chain low.
 func TestLongEKVChainOperatingPoint(t *testing.T) {
-	for _, n := range []int{430, 440} {
+	for _, n := range []int{430, 440, 480, 800} {
 		c := circuits.InverterChainEKV(n, 1.2)
 		sys, err := c.Build()
 		if err != nil {

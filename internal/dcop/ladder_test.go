@@ -71,6 +71,49 @@ func TestLadderFallsBackToSourceStepping(t *testing.T) {
 	}
 }
 
+// failAt returns an injector whose Newton entry check fails exactly at the
+// given (1-based, increasing) check numbers: rule j sees every check but
+// those the j rules before it fired on, so it skips c − j − 1.
+func failAt(checks ...int) *faults.Injector {
+	rules := make([]faults.Rule, len(checks))
+	for j, c := range checks {
+		rules[j] = faults.Rule{Class: faults.NoConvergence, Skip: c - j - 1}
+	}
+	return faults.NewInjector(rules...)
+}
+
+// A source ramp that converges only on small steps gives up after its stage
+// budget. Direct Newton and the first gmin stage fail (checks 1 and 2); the
+// ramp's first four stages fail, quartering its step to 2^-8 of a SrcStep,
+// and from then on every third stage fails, so the step cycles through
+// 2^-8, 2^-7, 2^-6 and the ramp would take some 2 500 stages to finish.
+// Without the budget it does finish, once the schedule runs out.
+func TestSourceRampStageBudget(t *testing.T) {
+	checks := []int{1, 2}
+	opts := DefaultOptions()
+	budget := srcStageBudget * opts.SrcSteps
+	for stage := 1; stage <= budget+10; stage++ {
+		if stage <= 4 || (stage-4)%3 == 0 {
+			checks = append(checks, stage+2)
+		}
+	}
+	ws, x, _ := divider(t, failAt(checks...))
+	st, err := Solve(ws, x, opts)
+	if err == nil {
+		t.Fatalf("the ramp finished: %+v", st)
+	}
+	if !errors.Is(err, faults.ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	var se *faults.SimError
+	if !errors.As(err, &se) || se.Phase != "dcop" {
+		t.Fatalf("missing dcop phase context: %v", err)
+	}
+	if st.Strategy != "source" || st.Continues != 1+budget {
+		t.Fatalf("strategy %q, %d continuation stages; want source, 1 gmin + %d source", st.Strategy, st.Continues, budget)
+	}
+}
+
 // With every strategy defeated, Solve must fail with the typed taxonomy:
 // a dcop-phase SimError carrying the no-convergence cause.
 func TestLadderExhaustionIsTyped(t *testing.T) {

@@ -265,7 +265,7 @@ func loadBits(t *testing.T, c *circuit.Circuit, xs [][]float64) []uint64 {
 		for _, noLimit := range []bool{false, true} {
 			ws.Load(x, circuit.LoadParams{Alpha0: 2e9, Gmin: 1e-12, SrcScale: 1, NoLimit: noLimit})
 			ws.FlipState()
-			for _, v := range [][]float64{ws.M.Values, ws.F, ws.Q, ws.SPrev} {
+			for _, v := range [][]float64{ws.Matrix().Values, ws.F, ws.Q, ws.SPrev} {
 				for _, f := range v {
 					bits = append(bits, math.Float64bits(f))
 				}

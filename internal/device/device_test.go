@@ -48,7 +48,7 @@ func fdJacobianCheck(t *testing.T, c *circuit.Circuit, x []float64, alpha0 float
 	for i := range jac {
 		jac[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
-			jac[i][j] = ws.M.At(i, j)
+			jac[i][j] = ws.Matrix().At(i, j)
 		}
 	}
 	rp := make([]float64, n)
@@ -121,7 +121,7 @@ func TestCapacitorChargeAndJacobian(t *testing.T) {
 		t.Fatalf("Q = %g, want 4.2e-7", got)
 	}
 	// J = g + alpha0*C = 1e-3 + 1e6*1e-6 = 1.001.
-	if got := ws.M.At(0, 0); math.Abs(got-1.001) > 1e-12 {
+	if got := ws.Matrix().At(0, 0); math.Abs(got-1.001) > 1e-12 {
 		t.Fatalf("J(0,0) = %g, want 1.001", got)
 	}
 	if got := ws.B[0]; math.Abs(got-1e-3) > 1e-18 {
@@ -166,7 +166,7 @@ func TestInductorFluxStamp(t *testing.T) {
 		t.Fatalf("flux Q = %g, want -5e-4", got)
 	}
 	// Branch Jacobian diagonal gets alpha0·(−L).
-	if got := ws.M.At(l.BranchIndex(), l.BranchIndex()); math.Abs(got-(-2)) > 1e-12 {
+	if got := ws.Matrix().At(l.BranchIndex(), l.BranchIndex()); math.Abs(got-(-2)) > 1e-12 {
 		t.Fatalf("J(br,br) = %g, want -2", got)
 	}
 }
@@ -216,7 +216,7 @@ func TestDiodeForwardCurrent(t *testing.T) {
 	}
 	// Conductance must be I'/V' = IS/VT·exp(v/VT).
 	wantG := 1e-14 / VThermal * math.Exp(v/VThermal)
-	if got := ws.M.At(0, 0); math.Abs(got-wantG) > 1e-5*wantG {
+	if got := ws.Matrix().At(0, 0); math.Abs(got-wantG) > 1e-5*wantG {
 		t.Fatalf("diode conductance = %g, want %g", got, wantG)
 	}
 }

@@ -207,7 +207,7 @@ func TestMutualInductanceCoupling(t *testing.T) {
 		t.Fatalf("flux2 = %g, want %g", ws.Q[l2.BranchIndex()], wantQ2)
 	}
 	// Off-diagonal JQ entries = alpha0·(−M).
-	if got := ws.M.At(l1.BranchIndex(), l2.BranchIndex()); math.Abs(got-(-1e6*m)) > 1e-3 {
+	if got := ws.Matrix().At(l1.BranchIndex(), l2.BranchIndex()); math.Abs(got-(-1e6*m)) > 1e-3 {
 		t.Fatalf("J12 = %g, want %g", got, -1e6*m)
 	}
 }

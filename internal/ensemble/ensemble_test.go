@@ -498,3 +498,58 @@ func TestLaneTraceReplaysToLaneStats(t *testing.T) {
 		t.Fatal("the sabotaged lane never reached the recovery ladder: the test exercises nothing")
 	}
 }
+
+// countingResistor counts its Evals. On a linear circuit a resistor is
+// evaluated only by the probe that builds a workspace's stamp template.
+type countingResistor struct {
+	*device.Resistor
+	evals int
+}
+
+func (r *countingResistor) Eval(ctx *circuit.EvalCtx) {
+	r.evals++
+	r.Resistor.Eval(ctx)
+}
+
+// A lane builds one stamp template, from its own devices: the host's are
+// never probed, and each lane's are probed once for the whole run.
+func TestLaneProbesItsDevicesOnce(t *testing.T) {
+	mk := func() (*circuit.Circuit, *countingResistor) {
+		c := circuit.New("rc")
+		in, out := c.Node("in"), c.Node("out")
+		r := &countingResistor{Resistor: device.NewResistor("R1", in, out, 1e3)}
+		c.Add(device.NewVSource("V1", in, circuit.Ground, device.Pulse{V2: 1, Rise: 1e-9, Width: 1}))
+		c.Add(r)
+		c.Add(device.NewCapacitor("C1", out, circuit.Ground, 1e-12))
+		return c, r
+	}
+	hostC, hostR := mk()
+	host, err := hostC.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !host.Linear() {
+		t.Fatal("the host is not linear")
+	}
+	hostEvals := hostR.evals
+	lanes := make([]Lane, 3)
+	rs := make([]*countingResistor, len(lanes))
+	for i := range lanes {
+		lanes[i].Circ, rs[i] = mk()
+	}
+	res, err := Run(host, lanes, Options{Base: transient.Options{TStop: 20e-9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hostR.evals != hostEvals {
+		t.Errorf("the host's resistor was evaluated %d times during the run, want 0", hostR.evals-hostEvals)
+	}
+	for i, r := range rs {
+		if r.evals != 1 {
+			t.Errorf("lane %d: resistor evaluated %d times, want 1 (its template's probe)", i, r.evals)
+		}
+		if res.Lanes[i].Res.Stats.Points == 0 {
+			t.Errorf("lane %d accepted no point", i)
+		}
+	}
+}

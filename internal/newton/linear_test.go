@@ -198,6 +198,53 @@ func TestLinearClampedStepStillIterates(t *testing.T) {
 	}
 }
 
+// TestLinearStepUpdateAndNorm: one step on the 12 V divider. Undamped past
+// 12 V it is certified, and its update is the one applyUpdate makes, bit for
+// bit. Under 5 V damping it is clamped: it takes applyUpdate's damped update,
+// and the update norm that step computes — 5 V against a tolerance of
+// millivolts — keeps it from converging.
+func TestLinearStepUpdateAndNorm(t *testing.T) {
+	ws := build(t, func(c *circuit.Circuit) {
+		in := c.Node("in")
+		mid := c.Node("mid")
+		c.Add(device.NewVSource("V1", in, circuit.Ground, device.DC(12)))
+		c.Add(device.NewResistor("R1", in, mid, 1e3))
+		c.Add(device.NewResistor("R2", mid, circuit.Ground, 1e3))
+	})
+	n := ws.Sys.N
+	for _, tc := range []struct {
+		damping float64
+		done    bool
+	}{{20, true}, {5, false}} {
+		opts := DefaultOptions()
+		opts.Damping = tc.damping
+		x, r, dx := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = 0.1 * float64(i+1)
+		}
+		x0 := append([]float64(nil), x...)
+		p := circuit.LoadParams{SrcScale: 1}
+		var it Iter
+		Load(ws, x, p)
+		done, err := it.step(ws, x, p, nil, opts, r, dx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != tc.done {
+			t.Fatalf("damping %g: done = %v, want %v", tc.damping, done, tc.done)
+		}
+		want := append([]float64(nil), x0...)
+		if norm := applyUpdate(want, dx, opts); norm <= 1 {
+			t.Fatalf("damping %g: a 12 V update has norm %g", tc.damping, norm)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("damping %g: x[%d] = %v, applyUpdate makes %v", tc.damping, i, x[i], want[i])
+			}
+		}
+	}
+}
+
 // A warm step rests on the factorization its warm start left. When that was
 // made under this very Alpha0 the step is exact and certified; when the two
 // differ — here in the last bit — it is not, however close.

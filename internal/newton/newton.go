@@ -131,8 +131,24 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	if err != nil {
 		return false, iterErr(p.Time, iter, err)
 	}
-	// x_{k+1} = x_k − J⁻¹·R, with optional per-component damping.
-	maxRatio, clamped := applyUpdate(x, dx, opts)
+	// On a linear system the residual is affine in x and the assembled matrix
+	// is its Jacobian everywhere, so a full Newton step taken through an exact
+	// factorization of that matrix lands on the solution: it is certified by
+	// construction, and an iteration spent confirming it would move x by
+	// round-off only. Two steps are not that step and go on to the update
+	// test below like any other: one that damping clamps, and a warm one
+	// whose LU was factorized under an Alpha0 differing from this point's in
+	// any bit. A certified step reads no update norm, so it is the plain
+	// x_{k+1} = x_k − J⁻¹·R; every other step takes applyUpdate's damped one.
+	certified := ws.Sys.Linear() && (!warm || it.WarmExact) && !clamps(dx, opts.Damping)
+	var maxRatio float64
+	if certified {
+		for i := range x {
+			x[i] -= dx[i]
+		}
+	} else {
+		maxRatio = applyUpdate(x, dx, opts)
+	}
 	if !warm {
 		ws.FlipState()
 	}
@@ -140,15 +156,7 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	if err := nonFiniteErr(x, p.Time, it.N); err != nil {
 		return false, err
 	}
-	// On a linear system the residual is affine in x and the assembled matrix
-	// is its Jacobian everywhere, so a full Newton step taken through an exact
-	// factorization of that matrix lands on the solution: it is certified by
-	// construction, and an iteration spent confirming it would move x by
-	// round-off only. Two steps are not that step and go on to the update
-	// test below like any other: one that applyUpdate clamped, and a warm one
-	// whose LU was factorized under an Alpha0 differing from this point's in
-	// any bit.
-	if ws.Sys.Linear() && !clamped && (!warm || it.WarmExact) {
+	if certified {
 		return true, nil
 	}
 	// SPICE's convergence rule: accept as soon as the Newton update is
@@ -259,15 +267,12 @@ func Factorize(ws *circuit.Workspace, at float64) error {
 	return err
 }
 
-// applyUpdate performs x -= clamp(dx) and returns the weighted update norm
-// and whether damping cut any component short of the full Newton step.
-func applyUpdate(x, dx []float64, opts Options) (maxRatio float64, clamped bool) {
+// applyUpdate performs x -= clamp(dx) and returns the weighted update norm.
+func applyUpdate(x, dx []float64, opts Options) (maxRatio float64) {
 	for i := range x {
 		d := dx[i]
 		if opts.Damping > 0 {
-			if c := num.Clamp(d, -opts.Damping, opts.Damping); c != d {
-				d, clamped = c, true
-			}
+			d = num.Clamp(d, -opts.Damping, opts.Damping)
 		}
 		xOld := x[i]
 		x[i] -= d
@@ -276,5 +281,18 @@ func applyUpdate(x, dx []float64, opts Options) (maxRatio float64, clamped bool)
 			maxRatio = ratio
 		}
 	}
-	return maxRatio, clamped
+	return maxRatio
+}
+
+// clamps reports whether damping (0: none) cuts any component of dx short
+// of the full Newton step.
+func clamps(dx []float64, damping float64) bool {
+	if damping > 0 {
+		for _, d := range dx {
+			if num.Clamp(d, -damping, damping) != d {
+				return true
+			}
+		}
+	}
+	return false
 }

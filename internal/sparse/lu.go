@@ -427,18 +427,26 @@ type Solver struct {
 	ColPerm []int
 
 	// StoreBytes bounds a keyed store of earlier Refactor outputs (see
-	// factorStore): a request whose values are bit-for-bit those of a stored
-	// set is answered by attaching that set instead of refactorizing; a bound
-	// below one set's size keeps the most recent refactorization only. 0 keeps
-	// no set and no copy of the values: every request after the first
-	// refactorizes.
+	// factorStore): a request whose key a stored set answered before, or
+	// whose values are bit-for-bit those of a stored set, is answered by
+	// attaching that set instead of refactorizing; a bound below one set's
+	// size keeps the most recent refactorization only. 0 keeps no set and no
+	// copy of the values: every request after the first refactorizes.
 	StoreBytes int
+
+	// Assemble writes into M the matrix of a deferred request (see Defer).
+	// The owner of a solver sets it once before its first Defer.
+	Assemble func(key float64)
 
 	lu      *LU
 	scratch []float64
 	// store holds the numeric factorizations a request may be answered from,
 	// the one attached to lu first among them.
 	store factorStore
+	// key is the key of the request in M while keyed; stale says that M does
+	// not hold its values yet.
+	key          float64
+	keyed, stale bool
 
 	// Stats.
 	FullFactorizations int
@@ -457,22 +465,67 @@ func NewSolver(m *Matrix, perm []int) *Solver {
 	return &Solver{M: m, ColPerm: perm}
 }
 
+// Defer stands for writing into M a matrix that is a function of key alone,
+// the same one every time the key's bits repeat (a linear circuit's
+// J_F + Alpha0·J_Q at Alpha0 = key): Assemble writes it only when it is
+// needed — by a Factorize the store cannot answer from the key, or by
+// Materialize. M belongs to the solver until the caller's next write, which
+// it announces with Written.
+func (s *Solver) Defer(key float64) {
+	s.key, s.keyed, s.stale = key, true, true
+}
+
+// Written announces that the caller wrote M's values itself: the next
+// request is keyed by its values alone.
+func (s *Solver) Written() {
+	s.keyed, s.stale = false, false
+}
+
+// Materialize writes a deferred request's matrix into M and returns M.
+func (s *Solver) Materialize() *Matrix {
+	if s.stale {
+		s.Assemble(s.key)
+		s.stale = false
+	}
+	return s.M
+}
+
+// Rekey is for an owner whose keys stop naming the matrices they named (a
+// workspace given other devices): a deferred request is assembled under the
+// old meaning, and every key is forgotten. The stored sets stay findable by
+// their values.
+func (s *Solver) Rekey() {
+	s.Materialize()
+	s.keyed = false
+	s.store.unalias()
+}
+
 // Factorize (re)factorizes the current values of the matrix, preferring the
 // numeric-only refactorization path. Under a keyed store (StoreBytes > 0),
-// values bit-identical to the ones a stored factorization was refactored from
-// avoid even that: the call attaches the stored set, an exact result
-// (LastReused).
+// a deferred request whose key a stored set answered before, or values
+// bit-identical to the ones a stored set was refactored from, avoid even
+// that: the call attaches the stored set, an exact result (LastReused). The
+// first way assembles nothing and looks at no value.
 func (s *Solver) Factorize() error {
 	s.LastReused = false
 	st := &s.store
+	keyed := s.keyed && s.StoreBytes > 0
+	if keyed && s.lu != nil {
+		if f := st.byAlias[math.Float64bits(s.key)]; f != nil {
+			s.reuse(f)
+			return nil
+		}
+	}
+	s.Materialize()
 	if s.lu != nil {
 		var h uint64
 		if s.StoreBytes > 0 {
 			h = st.key(s.M.Values)
 			if f := st.find(h, s.M.Values); f != nil {
-				st.attach(s.lu, f)
-				s.ReusedFactorizations++
-				s.LastReused = true
+				s.reuse(f)
+				if keyed {
+					st.alias(f, math.Float64bits(s.key))
+				}
 				return nil
 			}
 		}
@@ -481,6 +534,9 @@ func (s *Solver) Factorize() error {
 			s.Refactorizations++
 			if s.StoreBytes > 0 {
 				st.admit(h, s.M.Values)
+				if keyed {
+					st.alias(st.cur, math.Float64bits(s.key))
+				}
 			}
 			return nil
 		}
@@ -499,6 +555,13 @@ func (s *Solver) Factorize() error {
 	s.lu = lu
 	s.FullFactorizations++
 	return nil
+}
+
+// reuse answers a request with the stored set f.
+func (s *Solver) reuse(f *factors) {
+	s.store.attach(s.lu, f)
+	s.ReusedFactorizations++
+	s.LastReused = true
 }
 
 // Reorder makes perm the column ordering of every later full factorization

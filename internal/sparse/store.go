@@ -16,6 +16,9 @@ type factors struct {
 	values     []float64
 	lx, ux, ud []float64
 	used       uint64 // store clock when the set last answered or was written
+	// aliases lists the keys (see Solver.Defer) the set answers without its
+	// values being looked at: each one was assembled into exactly values.
+	aliases []uint64
 }
 
 func (f *factors) bytes() int {
@@ -24,21 +27,24 @@ func (f *factors) bytes() int {
 
 // factorStore keeps the numeric factorizations a Solver may answer a request
 // from: when the solver's StoreBytes is positive, as many earlier Refactor
-// outputs as fit in that many bytes, found by a hash of the matrix values and
-// answered only after a bit-for-bit comparison, evicted least recently used.
-// The set in hand (cur, attached to the LU) is one of them once admitted.
-// With a zero bound nothing is ever admitted, hashed or copied. Every
-// set was computed along the LU's current pivot sequence: anything that
-// changes or voids the pivots (a full factorization, RestoreFactor, a failed
-// refactorization) flushes it.
+// outputs as fit in that many bytes, found by the key of a deferred request
+// (byAlias) or else by a hash of the matrix values and a bit-for-bit
+// comparison, evicted least recently used. The set in hand (cur, attached to
+// the LU) is one of them once admitted. With a zero bound nothing is ever
+// admitted, hashed or copied. Every set was computed along the LU's current
+// pivot sequence: anything that changes or voids the pivots (a full
+// factorization, RestoreFactor, a failed refactorization) flushes it. An
+// alias lives as long as its set stays findable.
 type factorStore struct {
 	cur  *factors
 	sets []*factors // the refactored sets, cur among them when it is one
 	// keys[i] is the hash of sets[i].values (zero in a store that is not
 	// keyed), kept apart from the sets so that a lookup scans one contiguous
 	// array instead of touching every set.
-	keys  []uint64
-	clock uint64
+	keys []uint64
+	// byAlias finds a findable set by the key of a deferred request.
+	byAlias map[uint64]*factors
+	clock   uint64
 	// hash, when non-nil, replaces hashValues (tests force collisions with it).
 	hash func([]float64) uint64
 }
@@ -54,6 +60,24 @@ func (st *factorStore) key(values []float64) uint64 {
 // flush forgets every set and leaves nothing in hand.
 func (st *factorStore) flush() {
 	st.sets, st.keys, st.cur = nil, nil, nil
+	st.unalias()
+}
+
+// unalias forgets every alias; the sets stay findable by their values.
+func (st *factorStore) unalias() {
+	for _, f := range st.byAlias {
+		f.aliases = f.aliases[:0]
+	}
+	clear(st.byAlias)
+}
+
+// alias makes f answer key from now on.
+func (st *factorStore) alias(f *factors, key uint64) {
+	if st.byAlias == nil {
+		st.byAlias = make(map[uint64]*factors)
+	}
+	st.byAlias[key] = f
+	f.aliases = append(f.aliases, key)
 }
 
 // find returns the stored set whose values are bit-for-bit the given ones, or
@@ -124,6 +148,10 @@ func (st *factorStore) claim(lu *LU, limit int) {
 			break
 		}
 	}
+	for _, k := range f.aliases {
+		delete(st.byAlias, k)
+	}
+	f.aliases = f.aliases[:0]
 	st.attach(lu, f)
 }
 

@@ -180,3 +180,126 @@ func TestStoreHashCollisionIsCaught(t *testing.T) {
 		wantRefactorBits(t, "colliding hit", s, variant(base, k))
 	}
 }
+
+// keyed makes s defer its requests: key k stands for the values family(k),
+// which Assemble writes and counts.
+func keyed(s *Solver, family func(k float64) []float64) *int {
+	assembled := new(int)
+	s.Assemble = func(k float64) {
+		*assembled++
+		copy(s.M.Values, family(k))
+	}
+	return assembled
+}
+
+// deferred asks for a factorization of the matrix key k stands for.
+func deferred(t *testing.T, s *Solver, k float64) {
+	t.Helper()
+	s.Defer(k)
+	mustFactorize(t, s)
+}
+
+// TestKeyAnswersWithoutValues walks A, B, A, C, B by key: a key the
+// store has answered before is answered again without its matrix being
+// assembled, hashed or compared, with exactly the factors a refactorization
+// of that matrix writes; the matrix stays unassembled until asked for.
+func TestKeyAnswersWithoutValues(t *testing.T) {
+	s, base := keyedSolver(t, 103, 8)
+	v := func(k float64) []float64 { return variant(base, int(k)) }
+	assembled := keyed(s, v)
+	c := counts{full: 1}
+	for _, step := range []struct {
+		k   float64
+		hit bool
+	}{{0, false}, {1, false}, {0, true}, {2, false}, {1, true}} {
+		before := *assembled
+		deferred(t, s, step.k)
+		if step.hit {
+			c.reused++
+			if *assembled != before {
+				t.Fatalf("key %g: answered from the store after assembling its matrix", step.k)
+			}
+		} else {
+			c.refactor++
+		}
+		wantCounts(t, "walk by key", s, c)
+		wantRefactorBits(t, "walk by key", s, v(step.k))
+	}
+	before := *assembled
+	if m := s.Materialize(); *assembled != before+1 || !sameBits(m.Values, v(1)) {
+		t.Fatal("Materialize after a keyed hit did not assemble the key's matrix")
+	}
+}
+
+// TestKeyFallsBackToValues: two keys can stand for one matrix (two
+// Alpha0 whose blends round alike). The second key's first request finds the
+// set by its values, and from then on by its key too.
+func TestKeyFallsBackToValues(t *testing.T) {
+	s, base := keyedSolver(t, 107, 8)
+	v := func(k float64) []float64 { return variant(base, int(k)%2) }
+	assembled := keyed(s, v)
+	deferred(t, s, 1)
+	deferred(t, s, 3) // variant 1 again, under another key
+	wantCounts(t, "second key, same matrix", s, counts{full: 1, refactor: 1, reused: 1})
+	if *assembled != 2 {
+		t.Fatalf("the second key was answered without its matrix (%d assemblies)", *assembled)
+	}
+	deferred(t, s, 3)
+	wantCounts(t, "second key again", s, counts{full: 1, refactor: 1, reused: 2})
+	if *assembled != 2 {
+		t.Fatal("the second key's repeat assembled its matrix")
+	}
+	wantRefactorBits(t, "second key", s, v(3))
+}
+
+// TestKeyDiesWithItsSet: a key answers only while the set it names is
+// findable. After the set's eviction or a flush (Reorder, RestoreFactor) the
+// key's next request assembles and refactorizes, fully after Reorder; after
+// Rekey it assembles and is found by its values. Values the caller writes
+// carry no key at all.
+func TestKeyDiesWithItsSet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(t *testing.T, s *Solver)
+		want counts // after the kill and one more request for key 0
+	}{
+		{"evicted", func(t *testing.T, s *Solver) { deferred(t, s, 1) }, counts{full: 1, refactor: 3}},
+		{"Reorder", func(_ *testing.T, s *Solver) { s.Reorder(s.ColPerm) }, counts{full: 2, refactor: 1}},
+		{"RestoreFactor", func(t *testing.T, s *Solver) {
+			if err := s.RestoreFactor(s.FactorState()); err != nil {
+				t.Fatal(err)
+			}
+		}, counts{full: 1, refactor: 2}},
+		{"Rekey", func(_ *testing.T, s *Solver) { s.Rekey() }, counts{full: 1, refactor: 1, reused: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, base := keyedSolver(t, 109, 1)
+			v := func(k float64) []float64 { return variant(base, int(k)) }
+			assembled := keyed(s, v)
+			deferred(t, s, 0)
+			tc.kill(t, s)
+			before := *assembled
+			deferred(t, s, 0)
+			wantCounts(t, tc.name, s, tc.want)
+			if *assembled != before+1 {
+				t.Fatalf("%s: the key was answered without its matrix", tc.name)
+			}
+			if tc.want.full == 1 {
+				wantRefactorBits(t, tc.name, s, v(0))
+			}
+		})
+	}
+	// Values written by the caller are keyed by nothing: the store answers
+	// them by comparison, and a later request under the old key assembles.
+	s, base := keyedSolver(t, 113, 8)
+	assembled := keyed(s, func(k float64) []float64 { return variant(base, int(k)) })
+	deferred(t, s, 0)
+	s.Written()
+	copy(s.M.Values, variant(base, 2))
+	mustFactorize(t, s)
+	wantCounts(t, "written values", s, counts{full: 1, refactor: 2})
+	wantRefactorBits(t, "written values", s, variant(base, 2))
+	if *assembled != 1 {
+		t.Fatalf("values written by the caller were assembled over (%d assemblies)", *assembled)
+	}
+}

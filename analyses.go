@@ -105,7 +105,10 @@ type ACOptions struct {
 
 // RunAC computes the small-signal frequency response of sys, linearized at
 // its DC operating point. Sources with a nonzero ACMag provide the stimulus.
-func RunAC(sys *System, opts ACOptions) (*ACResult, error) {
+func RunAC(sys *System, opts ACOptions) (*ACResult, error) { return runAC(sys, opts, nil) }
+
+// runAC is RunAC with the operating point seeded by a deck's .NODESET.
+func runAC(sys *System, opts ACOptions, nodeSet map[string]float64) (*ACResult, error) {
 	inner := ac.Options{FStart: opts.FStart, FStop: opts.FStop, Points: opts.Points}
 	if inner.Points <= 0 {
 		inner.Points = 10
@@ -129,6 +132,10 @@ func RunAC(sys *System, opts ACOptions) (*ACResult, error) {
 			}
 			inner.Record[i] = idx
 		}
+	}
+	var err error
+	if inner.DCOp.NodeSet, err = nodeValues(sys, nodeSet, "NODESET"); err != nil {
+		return nil, err
 	}
 	return ac.Run(sys, inner)
 }
@@ -159,7 +166,7 @@ func RunDCSweep(sys *System, src *VSourceDevice, start, stop, step float64, reco
 }
 
 // RunDeckAC builds a deck and runs its .AC card (or the explicit options
-// when the deck has none).
+// when the deck has none), from the operating point its .NODESET steers.
 func RunDeckAC(d *Deck, opts ACOptions) (*ACResult, error) {
 	sys, err := d.Circuit.Build()
 	if err != nil {
@@ -174,7 +181,7 @@ func RunDeckAC(d *Deck, opts ACOptions) (*ACResult, error) {
 	if opts.FStart == 0 {
 		return nil, fmt.Errorf("wavepipe: deck has no .AC card and no explicit sweep")
 	}
-	return RunAC(sys, opts)
+	return runAC(sys, opts, d.NodeSets)
 }
 
 // RunDeckDC builds a deck and runs its .DC sweep card.

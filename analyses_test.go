@@ -276,3 +276,36 @@ CQB qb 0 5f
 		t.Fatal("bad nodeset must fail")
 	}
 }
+
+// A deck's .NODESET steers the operating point an .AC analysis linearizes
+// at, as it does the transient one: the same latch, driven through a small
+// coupling capacitor, resolves high/low rather than to its metastable point.
+func TestNodeSetSteersLatchACOP(t *testing.T) {
+	d, err := ParseDeck(`latch with nodeset, ac
+.model nch nmos(vto=0.5 kp=120u lambda=0.06)
+.model pch pmos(vto=-0.55 kp=50u lambda=0.06)
+VDD vdd 0 1.8
+MPA q qb vdd vdd pch w=2u l=0.5u
+MNA q qb 0 0 nch w=1u l=0.5u
+MPB qb q vdd vdd pch w=2u l=0.5u
+MNB qb q 0 0 nch w=1u l=0.5u
+CQ q 0 5f
+CQB qb 0 5f
+VIN inj 0 0 AC 1
+CIN inj q 1f
+.nodeset v(q)=1.8 v(qb)=0
+.ac dec 2 1k 1meg
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDeckAC(d, ACOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, qb := res.OP[res.Index[res.SignalIndex("q")]], res.OP[res.Index[res.SignalIndex("qb")]]
+	if q < 1.5 || qb > 0.3 {
+		t.Fatalf("seeded latch AC OP: q=%g qb=%g, want resolved high/low", q, qb)
+	}
+}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"wavepipe/internal/circuit"
 	"wavepipe/internal/device"
 	"wavepipe/internal/ensemble"
 	"wavepipe/internal/netlist"
-	"wavepipe/internal/reduce"
 	"wavepipe/internal/trace"
 )
 
@@ -142,7 +140,7 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 	case opts.OnAccept != nil:
 		return nil, fmt.Errorf("wavepipe: OnAccept is not supported for ensemble runs (the callback has no lane argument)")
 	}
-	sys, infos, err := reduceEnsemble(sys, lanes, opts, keepDevices)
+	sys, infos, err := reduceSystem(sys, lanes, opts, keepDevices)
 	if err != nil {
 		return nil, err
 	}
@@ -155,58 +153,12 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 	res, err := ensemble.Run(sys, lanes, ensemble.Options{Base: base, Workers: opts.Threads})
 	if res != nil && infos != nil {
 		for i := range res.Lanes {
-			lr := &res.Lanes[i]
-			if i >= len(infos) || infos[i] == nil || lr.Res == nil {
-				continue
-			}
-			lr.Res.Stats.ReducedNodes = int64(infos[i].RemovedNodes)
-			lr.Res.Stats.ReducedDevices = int64(infos[i].RemovedDevices)
-			if opts.Record == nil && lr.Res.W != nil {
-				lr.Res.W = expandSet(infos[i], lr.Res.W)
-			}
+			finishReduced(infos[i], opts, res.Lanes[i].Res)
 		}
 		res.Stats.ReducedNodes = int64(infos[0].RemovedNodes)
 		res.Stats.ReducedDevices = int64(infos[0].RemovedDevices)
 	}
 	return res, err
-}
-
-// reduceEnsemble applies one shared reduction plan to every lane. The plan
-// is computed from lane 0 and contains only value-independent structural
-// decisions, so applying it lane-by-lane keeps the variants structurally
-// identical — the invariant the batch engine binds lanes under. Per-lane Apply recomputes merged and lumped values from each
-// lane's own parameters, and the per-lane expansion records are returned
-// for waveform reconstruction.
-func reduceEnsemble(sys *System, lanes []ensemble.Lane, opts TranOptions, keepDevices []string) (*System, []*circuit.ReducedInfo, error) {
-	if !opts.Reduce || sys.Reduction() != nil {
-		return sys, nil, nil
-	}
-	plan, err := reduce.New(lanes[0].Circ, reduce.Options{
-		Tol:         opts.ReduceTol,
-		Keep:        reduceKeepList(opts),
-		KeepDevices: keepDevices,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if plan.Empty() {
-		return sys, nil, nil
-	}
-	infos := make([]*circuit.ReducedInfo, len(lanes))
-	for i := range lanes {
-		rc, ri, aerr := plan.Apply(lanes[i].Circ)
-		if aerr != nil {
-			return nil, nil, fmt.Errorf("wavepipe: ensemble lane %q: %w", lanes[i].Name, aerr)
-		}
-		lanes[i].Circ = rc
-		infos[i] = ri
-	}
-	rsys, err := lanes[0].Circ.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("wavepipe: reduced ensemble circuit failed to build: %w", err)
-	}
-	rsys.SetReduction(infos[0])
-	return rsys, infos, nil
 }
 
 // laneName applies the "laneN" default.

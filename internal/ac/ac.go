@@ -38,8 +38,6 @@ type Options struct {
 	Record []int
 	// DCOp configures the operating-point search.
 	DCOp dcop.Options
-	// Gmin is the junction shunt used at the operating point.
-	Gmin float64
 }
 
 // Result holds the complex response at each recorded signal and frequency.
@@ -146,12 +144,6 @@ func Run(sys *circuit.System, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Gmin <= 0 {
-		opts.Gmin = 1e-12
-	}
-	if opts.DCOp.GminSteps == 0 {
-		opts.DCOp = dcop.DefaultOptions()
-	}
 
 	// 1. Operating point.
 	ws := sys.NewWorkspace()
@@ -161,7 +153,7 @@ func Run(sys *circuit.System, opts Options) (*Result, error) {
 	}
 
 	// 2. Split linearization at the OP: G into ws.M, C into ws.MC.
-	ws.LoadSplit(op, circuit.LoadParams{Gmin: opts.Gmin, SrcScale: 1})
+	ws.LoadSplit(op, circuit.LoadParams{Gmin: circuit.JunctionGmin, SrcScale: 1})
 
 	// 3. Stimulus vector from the AC source specifications.
 	b := make([]complex128, sys.N)

@@ -399,10 +399,8 @@ func TestControllerNilSafe(t *testing.T) {
 
 func TestControllerStall(t *testing.T) {
 	before := runtime.NumGoroutine()
-	c := NewController(Config{
-		StallFactor: 2, StallFloor: 20 * time.Millisecond, Poll: 2 * time.Millisecond,
-	})
-	c.Start()
+	c := NewController(Config{StallFactor: 2})
+	c.startWith(20*time.Millisecond, 2*time.Millisecond)
 	// Two quick accepts establish a tiny EWMA; then go silent.
 	c.NoteAccept()
 	time.Sleep(2 * time.Millisecond)
@@ -423,10 +421,8 @@ func TestControllerStall(t *testing.T) {
 }
 
 func TestControllerStallNeedsTwoBeats(t *testing.T) {
-	c := NewController(Config{
-		StallFactor: 2, StallFloor: 5 * time.Millisecond, Poll: 2 * time.Millisecond,
-	})
-	c.Start()
+	c := NewController(Config{StallFactor: 2})
+	c.startWith(5*time.Millisecond, 2*time.Millisecond)
 	defer c.Stop()
 	c.NoteAccept() // one beat only: no EWMA yet, watchdog must stay quiet
 	time.Sleep(60 * time.Millisecond)

@@ -9,7 +9,7 @@ import (
 	"wavepipe/internal/trace"
 )
 
-// The periodic-save cadence, and defaults for Config fields left zero.
+// The periodic-save cadence and the stall watchdog's timing.
 const (
 	// DefaultEvery is the fewest accepted points between two periodic
 	// saves.
@@ -19,13 +19,13 @@ const (
 	// next: saves cost at most 1/(1+49) = 2% of the run's wall time however
 	// long the recording they encode grows.
 	saveCostRatio = 49
-	// DefaultStallFloor is the minimum idle time before the stall watchdog
-	// may trip, so a single genuinely hard time point (one slow solve, not
-	// a hang) does not abort the run.
-	DefaultStallFloor = time.Second
-	// DefaultPoll is the watchdog's wake-up period; it bounds how late a
+	// stallFloor is the minimum idle time before the stall watchdog may
+	// trip, so a single genuinely hard time point (one slow solve, not a
+	// hang) does not abort the run.
+	stallFloor = time.Second
+	// watchPoll is the watchdog's wake-up period; it bounds how late a
 	// stall is detected.
-	DefaultPoll = 25 * time.Millisecond
+	watchPoll = 25 * time.Millisecond
 	// minStallFactor is the lowest accepted watchdog multiple: below ~2×
 	// the trailing average, ordinary step-to-step variance would trip it.
 	minStallFactor = 2.0
@@ -39,13 +39,9 @@ type Config struct {
 	Path string
 	// StallFactor arms the watchdog: the run aborts with ErrStalled when no
 	// step is accepted within StallFactor × the trailing EWMA of
-	// inter-accept wall time (subject to StallFloor). 0 disables it.
+	// inter-accept wall time, and never sooner than stallFloor. 0
+	// disables it.
 	StallFactor float64
-	// StallFloor is the minimum idle time before a stall trips
-	// (0 = DefaultStallFloor).
-	StallFloor time.Duration
-	// Poll is the watchdog period (0 = DefaultPoll).
-	Poll time.Duration
 }
 
 // Controller guards one run: it owns the cooperative abort flag, runs the
@@ -83,17 +79,12 @@ type Controller struct {
 	saves    int
 }
 
-// NewController builds a controller from the config, applying defaults. With
-// the zero Config it persists nothing and only retains the latest snapshot:
-// the in-memory hand-off the service resumes a preempted job from and the
-// window coordinator seeds the next window from.
+// NewController builds a controller from the config, raising a stall factor
+// below minStallFactor to it. With the zero Config it persists nothing and
+// only retains the latest snapshot: the in-memory hand-off the service
+// resumes a preempted job from and the window coordinator seeds the next
+// window from.
 func NewController(cfg Config) *Controller {
-	if cfg.StallFloor <= 0 {
-		cfg.StallFloor = DefaultStallFloor
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultPoll
-	}
 	if cfg.StallFactor > 0 && cfg.StallFactor < minStallFactor {
 		cfg.StallFactor = minStallFactor
 	}
@@ -110,7 +101,11 @@ func (c *Controller) SetTracer(tr *trace.Tracer) {
 
 // Start records the run's wall-clock origin and launches the watchdog if a
 // stall factor is configured.
-func (c *Controller) Start() {
+func (c *Controller) Start() { c.startWith(stallFloor, watchPoll) }
+
+// startWith is Start with the watchdog's floor and period given (tests shorten
+// both).
+func (c *Controller) startWith(floor, poll time.Duration) {
 	if c == nil || c.started {
 		return
 	}
@@ -121,7 +116,7 @@ func (c *Controller) Start() {
 	}
 	c.quit = make(chan struct{})
 	c.wg.Add(1)
-	go c.watch()
+	go c.watch(floor, poll)
 }
 
 // Stop terminates the watchdog and waits for it; it is idempotent and safe
@@ -137,9 +132,9 @@ func (c *Controller) Stop() {
 	}
 }
 
-func (c *Controller) watch() {
+func (c *Controller) watch(floor, poll time.Duration) {
 	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.Poll)
+	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	for {
 		select {
@@ -149,9 +144,7 @@ func (c *Controller) watch() {
 			if c.beats.Load() >= 2 {
 				idle := time.Since(c.start).Nanoseconds() - c.lastBeat.Load()
 				thr := int64(c.cfg.StallFactor * float64(c.emaBeat.Load()))
-				if floor := c.cfg.StallFloor.Nanoseconds(); thr < floor {
-					thr = floor
-				}
+				thr = max(thr, floor.Nanoseconds())
 				if idle > thr {
 					c.abort.Trip(faults.ErrStalled)
 					return

@@ -378,6 +378,10 @@ func (s *System) NewWorkspace() *Workspace {
 	return ws
 }
 
+// JunctionGmin is the junction shunt conductance every analysis loads with
+// (LoadParams.Gmin): SPICE's GMIN.
+const JunctionGmin = 1e-12
+
 // LoadParams bundles the knobs of one assembly pass.
 type LoadParams struct {
 	Time     float64 // waveform evaluation time

@@ -15,13 +15,6 @@ import (
 
 // Options controls the operating-point search.
 type Options struct {
-	Newton newton.Options
-	// Gmin is the junction shunt conductance used everywhere (default 1e-12).
-	Gmin float64
-	// GminSteps is the number of gmin-stepping decades (default 10).
-	GminSteps int
-	// SrcSteps is the number of source-stepping increments (default 10).
-	SrcSteps int
 	// NodeSet maps node unknowns to suggested operating-point voltages
 	// (SPICE .NODESET): a first pass clamps those nodes toward the targets
 	// through 1 S conductances, then the clamps are released and the point
@@ -29,13 +22,17 @@ type Options struct {
 	NodeSet map[int]float64
 }
 
-// srcStageBudget bounds a source ramp's stages, per SrcStep (see Solve).
-const srcStageBudget = 10
+// The continuation ladder (see Solve): gminSteps decades of node shunt, then
+// a source ramp of srcSteps increments that gives up after srcStageBudget
+// stages per increment.
+const (
+	gminSteps      = 10
+	srcSteps       = 10
+	srcStageBudget = 10
+)
 
-// DefaultOptions returns the standard continuation ladder configuration.
-func DefaultOptions() Options {
-	return Options{Newton: newton.DefaultOptions(), Gmin: 1e-12, GminSteps: 10, SrcSteps: 10}
-}
+// DefaultOptions returns the options of an unseeded search (no .NODESET).
+func DefaultOptions() Options { return Options{} }
 
 // Stats reports how the operating point was found.
 type Stats struct {
@@ -47,19 +44,11 @@ type Stats struct {
 // Solve computes the DC operating point into x (which also provides the
 // initial guess, typically all zeros).
 func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
-	if opts.Gmin <= 0 {
-		opts.Gmin = 1e-12
-	}
-	if opts.GminSteps <= 0 {
-		opts.GminSteps = 10
-	}
-	if opts.SrcSteps <= 0 {
-		opts.SrcSteps = 10
-	}
+	nopts := newton.DefaultOptions()
 	n := ws.Sys.N
 	r := make([]float64, n)
 	dx := make([]float64, n)
-	base := circuit.LoadParams{Alpha0: 0, Gmin: opts.Gmin, SrcScale: 1}
+	base := circuit.LoadParams{Alpha0: 0, Gmin: circuit.JunctionGmin, SrcScale: 1}
 
 	stats := Stats{Strategy: "direct"}
 	// 0. .NODESET pre-pass: clamp the suggested nodes, solve, release.
@@ -73,7 +62,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 				x[idx] = v
 			}
 		}
-		res, err := newton.Solve(ws, x, clamped, nil, opts.Newton, r, dx)
+		res, err := newton.Solve(ws, x, clamped, nil, nopts, r, dx)
 		stats.NRIters += res.Iters
 		if err != nil {
 			// The clamp pass is best-effort: fall through to the ladder
@@ -87,7 +76,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 	// 1. Direct Newton.
 	save := make([]float64, n)
 	copy(save, x)
-	res, err := newton.Solve(ws, x, base, nil, opts.Newton, r, dx)
+	res, err := newton.Solve(ws, x, base, nil, nopts, r, dx)
 	stats.NRIters += res.Iters
 	if err == nil {
 		return stats, nil
@@ -102,12 +91,12 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 	ws.Faults.SetStage(faults.StageGmin)
 	gmin := 1e-2
 	ok := true
-	for i := 0; i <= opts.GminSteps; i++ {
+	for i := 0; i <= gminSteps; i++ {
 		p := base
-		if i < opts.GminSteps {
+		if i < gminSteps {
 			p.NodeGmin = gmin
 		}
-		res, err = newton.Solve(ws, x, p, nil, opts.Newton, r, dx)
+		res, err = newton.Solve(ws, x, p, nil, nopts, r, dx)
 		stats.NRIters += res.Iters
 		stats.Continues++
 		if err != nil {
@@ -121,34 +110,34 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 	}
 
 	// 3. Source stepping: ramp all independent sources from 0 to 100 % in
-	// SrcSteps increments. Its first steps bias a whole gain chain mid-rail,
+	// srcSteps increments. Its first steps bias a whole gain chain mid-rail,
 	// where under minimum degree the supply node's column carries the chain's
 	// gain product until a pivot leaves float64 (a 430-stage EKV chain): it
 	// and the run use SourcesFirst. A longer chain's Newton update overflows
 	// from there (480 stages), so a failed step restarts from the last
 	// converged iterate at a quarter of the increment, down to 1e-6 of full
-	// scale, and a converged one doubles it back up to one SrcStep. The ramp
-	// counts in 2^-20 of a SrcStep, so an unbroken one steps through exactly
-	// the scales i/SrcSteps. A ramp that converges only near the floor would
+	// scale, and a converged one doubles it back up to one increment. The ramp
+	// counts in 2^-20 of an increment, so an unbroken one steps through exactly
+	// the scales i/srcSteps. A ramp that converges only near the floor would
 	// crawl for a million stages, so it gives up after srcStageBudget stages
-	// per SrcStep (the 800-stage chain takes 1.9).
+	// per increment (the 800-stage chain takes 1.9).
 	copy(x, save)
 	stats.Strategy = "source"
 	ws.Solver.Reorder(sparse.SourcesFirst(ws.Solver.M, ws.Solver.ColPerm))
 	ws.Faults.SetStage(faults.StageSource)
-	const srcTicks = 1 << 20 // per SrcStep
-	full := int64(opts.SrcSteps) * srcTicks
+	const srcTicks = 1 << 20 // per increment
+	full := int64(srcSteps) * srcTicks
 	var failedAt float64 // the scale of the last failed stage, and its error
 	var failed error
 	for stage, at, step := 0, int64(0), int64(srcTicks); at < full; stage++ {
-		if stage == srcStageBudget*opts.SrcSteps {
+		if stage == srcStageBudget*srcSteps {
 			return stats, sourceSteppingFailed(failedAt, failed)
 		}
 		next := min(at+step, full)
 		p := base
 		p.SrcScale = float64(next) / float64(full)
-		p.NodeGmin = opts.Gmin
-		res, err = newton.Solve(ws, x, p, nil, opts.Newton, r, dx)
+		p.NodeGmin = circuit.JunctionGmin
+		res, err = newton.Solve(ws, x, p, nil, nopts, r, dx)
 		stats.NRIters += res.Iters
 		stats.Continues++
 		if err == nil {
@@ -163,7 +152,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		}
 	}
 	// Final clean solve at full sources without the node shunt.
-	res, err = newton.Solve(ws, x, base, nil, opts.Newton, r, dx)
+	res, err = newton.Solve(ws, x, base, nil, nopts, r, dx)
 	stats.NRIters += res.Iters
 	if err != nil {
 		return stats, &faults.SimError{

@@ -168,7 +168,7 @@ func TestHopelessCircuitFails(t *testing.T) {
 }
 
 func TestDefaultOptionFilling(t *testing.T) {
-	// Zero-valued options get defaults inside Solve (no panic, solves fine).
+	// The zero Options is the unseeded search DefaultOptions returns.
 	c := circuit.New("z")
 	a := c.Node("a")
 	c.Add(device.NewVSource("V1", a, circuit.Ground, device.DC(1)))

@@ -84,21 +84,20 @@ func failAt(checks ...int) *faults.Injector {
 
 // A source ramp that converges only on small steps gives up after its stage
 // budget. Direct Newton and the first gmin stage fail (checks 1 and 2); the
-// ramp's first four stages fail, quartering its step to 2^-8 of a SrcStep,
+// ramp's first four stages fail, quartering its step to 2^-8 of an increment,
 // and from then on every third stage fails, so the step cycles through
 // 2^-8, 2^-7, 2^-6 and the ramp would take some 2 500 stages to finish.
 // Without the budget it does finish, once the schedule runs out.
 func TestSourceRampStageBudget(t *testing.T) {
 	checks := []int{1, 2}
-	opts := DefaultOptions()
-	budget := srcStageBudget * opts.SrcSteps
+	budget := srcStageBudget * srcSteps
 	for stage := 1; stage <= budget+10; stage++ {
 		if stage <= 4 || (stage-4)%3 == 0 {
 			checks = append(checks, stage+2)
 		}
 	}
 	ws, x, _ := divider(t, failAt(checks...))
-	st, err := Solve(ws, x, opts)
+	st, err := Solve(ws, x, DefaultOptions())
 	if err == nil {
 		t.Fatalf("the ramp finished: %+v", st)
 	}

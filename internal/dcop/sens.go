@@ -46,7 +46,7 @@ func Sens(ws *circuit.Workspace, x []float64, outIdx int, opts Options) ([]Sensi
 	}
 	// Re-assemble the Jacobian at the solution and factorize for the
 	// adjoint solve.
-	ws.Load(x, circuit.LoadParams{Gmin: opts.Gmin, SrcScale: 1, NoLimit: true})
+	ws.Load(x, circuit.LoadParams{Gmin: circuit.JunctionGmin, SrcScale: 1, NoLimit: true})
 	if err := ws.Solver.Factorize(); err != nil {
 		return nil, err
 	}

@@ -258,22 +258,25 @@ func ErrorCoefficient(m Method, order int, h0, h1 float64) float64 {
 
 // Control carries the step-acceptance policy.
 type Control struct {
-	Tol       num.Tolerances
-	TrTol     float64 // LTE overestimation factor (SPICE TRTOL, default 7)
-	HMin      float64
-	HMax      float64
-	GrowthCap float64 // max ratio h_next/h_prev per accepted point (default 2)
+	Tol  num.Tolerances
+	HMin float64
+	HMax float64
 }
+
+// The step-acceptance constants every point is judged by, serial or
+// pipelined alike.
+const (
+	trTol     = 7 // LTE overestimation factor (SPICE TRTOL)
+	growthCap = 2 // max ratio h_next/h_prev per accepted point
+)
 
 // DefaultControl returns SPICE-like step control defaults for a simulation
 // window of length tstop.
 func DefaultControl(tstop float64) Control {
 	return Control{
-		Tol:       num.DefaultTolerances(),
-		TrTol:     7,
-		HMin:      tstop * 1e-12,
-		HMax:      tstop / 20,
-		GrowthCap: 2,
+		Tol:  num.DefaultTolerances(),
+		HMin: tstop * 1e-12,
+		HMax: tstop / 20,
 	}
 }
 
@@ -328,28 +331,28 @@ func (c Control) CheckLTEWith(m Method, order int, pts []*Point, h0, h1 float64,
 	if d == 0 {
 		return 0
 	}
-	return ErrorCoefficient(m, order, h0, h1) * d / c.TrTol
+	return ErrorCoefficient(m, order, h0, h1) * d / trTol
 }
 
 // MaxStep returns the largest step h0 from the end of the given history
 // such that the predicted LTE is acceptable: ErrorCoefficient(m, order, h0,
-// h1)·derivNorm <= TrTol. derivNorm should come from DerivNormWith on the
+// h1)·derivNorm <= trTol. derivNorm should come from DerivNormWith on the
 // trailing points. A zero derivNorm yields HMax.
 func (c Control) MaxStep(m Method, order int, derivNorm, h1 float64) float64 {
 	if derivNorm <= 0 {
 		return c.HMax
 	}
 	lo, hi := c.HMin, c.HMax
-	if ErrorCoefficient(m, order, hi, h1)*derivNorm <= c.TrTol {
+	if ErrorCoefficient(m, order, hi, h1)*derivNorm <= trTol {
 		return hi
 	}
-	if ErrorCoefficient(m, order, lo, h1)*derivNorm > c.TrTol {
+	if ErrorCoefficient(m, order, lo, h1)*derivNorm > trTol {
 		return lo
 	}
 	// Bisection: ErrorCoefficient is monotone in h0.
 	for i := 0; i < 60 && hi/lo > 1.0001; i++ {
 		mid := math.Sqrt(lo * hi)
-		if ErrorCoefficient(m, order, mid, h1)*derivNorm <= c.TrTol {
+		if ErrorCoefficient(m, order, mid, h1)*derivNorm <= trTol {
 			lo = mid
 		} else {
 			hi = mid
@@ -360,8 +363,8 @@ func (c Control) MaxStep(m Method, order int, derivNorm, h1 float64) float64 {
 
 // NextStep derives the step after an accepted point from that point's own
 // dimensionless LTE norm (CheckLTEWith at acceptance): the norm measured at
-// scale hUsed implies a derivative magnitude d = norm·TrTol/E(hUsed, h1Solve),
-// and the next step is the largest h with E(h, h1Next)·d <= TrTol. Using the
+// scale hUsed implies a derivative magnitude d = norm·trTol/E(hUsed, h1Solve),
+// and the next step is the largest h with E(h, h1Next)·d <= trTol. Using the
 // accepted point's norm keeps the derivative estimate at the scale the
 // integrator is actually resolving (raw divided differences over fine
 // stencils are dominated by sub-tolerance stiff micro-modes and would trap
@@ -373,7 +376,7 @@ func (c Control) NextStep(m Method, order int, norm, hUsed, h1Solve, h1Next floa
 	if norm <= 1e-12 {
 		return c.HMax
 	}
-	dImplied := norm * c.TrTol / ErrorCoefficient(m, order, hUsed, h1Solve)
+	dImplied := norm * trTol / ErrorCoefficient(m, order, hUsed, h1Solve)
 	// The 0.9 safety factor keeps the controller off the acceptance
 	// boundary; without it roughly a third of all candidates get rejected
 	// and the reject/shrink/regrow limit cycle wastes the step budget.
@@ -391,8 +394,8 @@ func (c Control) ShrinkOnReject(h, lteNorm float64, order int) float64 {
 // ClampStep applies the growth cap (relative to the last accepted step) and
 // the absolute bounds.
 func (c Control) ClampStep(h, hPrev float64) float64 {
-	if hPrev > 0 && h > c.GrowthCap*hPrev {
-		h = c.GrowthCap * hPrev
+	if hPrev > 0 && h > growthCap*hPrev {
+		h = growthCap * hPrev
 	}
 	return num.Clamp(h, c.HMin, c.HMax)
 }

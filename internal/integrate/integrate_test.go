@@ -187,7 +187,7 @@ func TestDerivNormOnCubic(t *testing.T) {
 func TestCheckLTEOrderBehaviour(t *testing.T) {
 	// For x(t)=t³ under Gear2, halving the step must reduce the LTE norm
 	// by ≈8 (third-order local error).
-	c := Control{Tol: num.DefaultTolerances(), TrTol: 1, HMin: 1e-15, HMax: 1}
+	c := Control{Tol: num.DefaultTolerances(), HMin: 1e-15, HMax: 1}
 	mk := func(h float64) ([]*Point, float64, float64) {
 		ts := []float64{0, h, 2 * h, 3 * h}
 		var pts []*Point
@@ -209,7 +209,7 @@ func TestCheckLTEOrderBehaviour(t *testing.T) {
 }
 
 func TestMaxStepMonotoneAndConsistent(t *testing.T) {
-	c := Control{Tol: num.DefaultTolerances(), TrTol: 7, HMin: 1e-12, HMax: 1}
+	c := Control{Tol: num.DefaultTolerances(), HMin: 1e-12, HMax: 1}
 	d := 1e6 // weighted third-derivative norm
 	h1 := 1e-3
 	h := c.MaxStep(Gear2, 2, d, h1)
@@ -235,7 +235,7 @@ func TestMaxStepMonotoneAndConsistent(t *testing.T) {
 }
 
 func TestShrinkAndClamp(t *testing.T) {
-	c := Control{Tol: num.DefaultTolerances(), TrTol: 7, HMin: 1e-9, HMax: 1, GrowthCap: 2}
+	c := Control{Tol: num.DefaultTolerances(), HMin: 1e-9, HMax: 1}
 	h := c.ShrinkOnReject(1e-3, 8, 2)
 	if h >= 1e-3 || h < 1e-4 {
 		t.Fatalf("ShrinkOnReject = %g", h)
@@ -256,9 +256,6 @@ func TestShrinkAndClamp(t *testing.T) {
 
 func TestDefaultControl(t *testing.T) {
 	c := DefaultControl(1e-6)
-	if c.TrTol != 7 || c.GrowthCap != 2 {
-		t.Fatalf("defaults: %+v", c)
-	}
 	if c.HMax != 5e-8 || math.Abs(c.HMin-1e-18) > 1e-24 {
 		t.Fatalf("bounds: %+v", c)
 	}
@@ -298,7 +295,7 @@ func TestSpacedTail(t *testing.T) {
 }
 
 func TestNextStepSemantics(t *testing.T) {
-	c := Control{Tol: num.DefaultTolerances(), TrTol: 7, HMin: 1e-12, HMax: 1, GrowthCap: 2}
+	c := Control{Tol: num.DefaultTolerances(), HMin: 1e-12, HMax: 1}
 	// No LTE information: HMax (cap applied by the caller).
 	if got := c.NextStep(Gear2, 2, 0, 1e-3, 1e-3, 1e-3); got != c.HMax {
 		t.Fatalf("zero norm -> %g", got)

@@ -67,7 +67,7 @@ func TestStepperFinalLanding(t *testing.T) {
 func newStepper(t *testing.T, sys *circuit.System, tstop float64) *Stepper {
 	t.Helper()
 	opts := Options{TStop: tstop}.WithDefaults()
-	ps := NewPointSolver(sys, opts.Method, opts.Newton, opts.Gmin)
+	ps := NewPointSolver(sys, opts.Method, opts.Newton)
 	ps.Attach(&opts, 0)
 	return NewStepper(sys, ps, &opts, "transient")
 }

@@ -36,7 +36,6 @@ type Options struct {
 	HInit   float64           // first step (default TStop·1e-6)
 	Control integrate.Control // zero value → integrate.DefaultControl(TStop)
 	Newton  newton.Options    // zero value → newton.DefaultOptions()
-	Gmin    float64           // junction shunt (default 1e-12)
 	// UIC skips the DC operating point and starts from the IC values
 	// (unspecified nodes start at 0), like SPICE's .TRAN ... UIC.
 	UIC bool
@@ -50,8 +49,6 @@ type Options struct {
 	Record []int
 	// MaxPoints aborts runaway simulations (default 2 000 000).
 	MaxPoints int
-	// DCOp configures the operating-point search.
-	DCOp dcop.Options
 	// NoLTE disables truncation-error step control (fixed conservative
 	// stepping; used by ablation experiments).
 	NoLTE bool
@@ -126,14 +123,8 @@ func (o Options) WithDefaults() Options {
 	if o.Newton.MaxIter == 0 {
 		o.Newton = newton.DefaultOptions()
 	}
-	if o.Gmin <= 0 {
-		o.Gmin = 1e-12
-	}
 	if o.MaxPoints <= 0 {
 		o.MaxPoints = 2_000_000
-	}
-	if o.DCOp.GminSteps == 0 {
-		o.DCOp = dcop.DefaultOptions()
 	}
 	return o
 }
@@ -320,7 +311,6 @@ type PointSolver struct {
 	WS     *circuit.Workspace
 	Method integrate.Method
 	Newton newton.Options
-	Gmin   float64
 	Stats  Stats
 	// LastNanos is the measured wall time of the most recent SolveAt,
 	// WarmStart or ResumeAt call; LastIters is the Newton iteration count of
@@ -358,17 +348,17 @@ type PointSolver struct {
 }
 
 // NewPointSolver allocates a solver on a fresh workspace of sys.
-func NewPointSolver(sys *circuit.System, method integrate.Method, nopts newton.Options, gmin float64) *PointSolver {
-	return NewPointSolverOn(sys.NewWorkspace(), method, nopts, gmin)
+func NewPointSolver(sys *circuit.System, method integrate.Method, nopts newton.Options) *PointSolver {
+	return NewPointSolverOn(sys.NewWorkspace(), method, nopts)
 }
 
 // NewPointSolverOn wraps a workspace the caller prepared (an ensemble lane's,
 // with its own device list) in a point solver.
-func NewPointSolverOn(ws *circuit.Workspace, method integrate.Method, nopts newton.Options, gmin float64) *PointSolver {
+func NewPointSolverOn(ws *circuit.Workspace, method integrate.Method, nopts newton.Options) *PointSolver {
 	n := ws.Sys.N
 	scratch := make([]float64, 3*n)
 	return &PointSolver{
-		WS: ws, Method: method, Newton: nopts, Gmin: gmin,
+		WS: ws, Method: method, Newton: nopts,
 		qhist: scratch[0:n:n], r: scratch[n : 2*n : 2*n], dx: scratch[2*n : 3*n : 3*n],
 	}
 }
@@ -506,7 +496,7 @@ func (ps *PointSolver) begin(hist *integrate.History, tNew float64, seed []float
 	} else {
 		ps.pred.extrapolate(hist, tNew, s.pt.X, pointX)
 	}
-	s.p = circuit.LoadParams{Time: tNew, Alpha0: s.co.Alpha0, Gmin: ps.Gmin, SrcScale: 1, NodeGmin: nodeGmin}
+	s.p = circuit.LoadParams{Time: tNew, Alpha0: s.co.Alpha0, Gmin: circuit.JunctionGmin, SrcScale: 1, NodeGmin: nodeGmin}
 	return nil
 }
 
@@ -670,11 +660,7 @@ func InitialPoint(sys *circuit.System, ps *PointSolver, opts Options) (*integrat
 			x[idx] = v
 		}
 	} else {
-		op := opts.DCOp
-		if len(opts.NodeSet) > 0 && op.NodeSet == nil {
-			op.NodeSet = opts.NodeSet
-		}
-		st, err := dcop.Solve(ps.WS, x, op)
+		st, err := dcop.Solve(ps.WS, x, dcop.Options{NodeSet: opts.NodeSet})
 		ps.Stats.OpIters += st.NRIters
 		if err != nil {
 			return nil, fmt.Errorf("transient: operating point: %w", err)
@@ -687,7 +673,7 @@ func InitialPoint(sys *circuit.System, ps *PointSolver, opts Options) (*integrat
 			}
 		}
 	}
-	newton.Load(ps.WS, x, circuit.LoadParams{Time: 0, Alpha0: 0, Gmin: opts.Gmin, SrcScale: 1})
+	newton.Load(ps.WS, x, circuit.LoadParams{Time: 0, Alpha0: 0, Gmin: circuit.JunctionGmin, SrcScale: 1})
 	return &integrate.Point{
 		T:    0,
 		X:    x,
@@ -812,7 +798,7 @@ func RunOn(ws *circuit.Workspace, opts Options) (result *Result, runErr error) {
 		return nil, fmt.Errorf("transient: TStop must be positive")
 	}
 	opts = opts.WithDefaults()
-	ps := NewPointSolverOn(ws, opts.Method, opts.Newton, opts.Gmin)
+	ps := NewPointSolverOn(ws, opts.Method, opts.Newton)
 	ps.Attach(&opts, ws.Worker)
 	if opts.CoreBudget > 0 {
 		ps.Stats.CoreBudget = opts.CoreBudget

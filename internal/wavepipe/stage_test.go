@@ -2,6 +2,7 @@ package wavepipe
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,16 +55,32 @@ func TestPlanStage(t *testing.T) {
 	}
 }
 
-// The stage gang is hired once per run: the goroutine count stays flat from
-// the first stage to the last — no spawn per round — at one above the
-// caller's for a two-wide pipeline, and is back where it started after Run.
+// The stage gang is hired once per run: from the first stage to the last the
+// run adds exactly one goroutine to those alive before it — the gang member
+// of a two-wide pipeline, the same one at every accept, so no spawn per round
+// — and that member is gone after Run. Goroutines are told apart by ID, so one
+// left exiting by an earlier test cannot shift the count.
 func TestStageGangIsPersistent(t *testing.T) {
 	forceGang(t)
-	before := runtime.NumGoroutine()
-	var during []int
+	buf := make([]byte, 1<<20)
+	before := goroutineStacks(buf)
+	member := ""
+	var accepts, stray int
 	res, err := Run(rectifierSystem(t), Options{
 		Base: transient.Options{TStop: 6e-3, OnAccept: func(float64, []float64) {
-			during = append(during, runtime.NumGoroutine())
+			accepts++
+			var added []string
+			for id, stack := range goroutineStacks(buf) {
+				if _, ok := before[id]; !ok {
+					added = append(added, id)
+					if member == "" && strings.Contains(stack, "created by wavepipe/internal/sched.NewPool") {
+						member = id
+					}
+				}
+			}
+			if len(added) != 1 || added[0] != member {
+				stray++
+			}
 		}},
 		Scheme: SchemeForward,
 	})
@@ -73,19 +90,31 @@ func TestStageGangIsPersistent(t *testing.T) {
 	if res.Stats.Stages < 200 {
 		t.Fatalf("only %d stages: lengthen the run", res.Stats.Stages)
 	}
-	for i, n := range during {
-		if n != before+1 {
-			t.Fatalf("accept %d of %d: %d goroutines, want the caller's %d plus one gang member",
-				i, len(during), n, before)
-		}
+	if member == "" || stray > 0 {
+		t.Fatalf("%d of %d accepts saw other goroutines than the one gang member (%q) beside the caller's",
+			stray, accepts, member)
 	}
 	// sched.Pool.Close joins its workers, so the gang is gone once Run has
 	// returned and the member has finished exiting.
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != before; runtime.Gosched() {
+	for deadline := time.Now().Add(time.Second); ; runtime.Gosched() {
+		if _, alive := goroutineStacks(buf)[member]; !alive {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+			t.Fatalf("gang member %s still alive after Run", member)
 		}
 	}
+}
+
+// goroutineStacks maps the ID of every live goroutine to its stack trace,
+// dumped into buf.
+func goroutineStacks(buf []byte) map[string]string {
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
 }
 
 // One truncation-error decision is one stencil evaluation: every candidate a

@@ -35,7 +35,6 @@ import (
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
-	"wavepipe/internal/num"
 	"wavepipe/internal/sched"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
@@ -104,7 +103,7 @@ func newEngine(sys *circuit.System, opts Options) *engine {
 	}
 	e.gang = sched.NewPool(gang)
 	for i := 0; i < Width; i++ {
-		ps := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
+		ps := transient.NewPointSolver(sys, base.Method, base.Newton)
 		ps.Attach(&e.base, int16(i))
 		e.solvers = append(e.solvers, ps)
 	}
@@ -401,10 +400,7 @@ func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
 		h1Next = last[1].T - last[0].T
 	}
 	h := e.ctrl.NextStep(e.base.Method, order, norm, hUsed, h1Solve, h1Next)
-	if capV := hUsed * e.ctrl.GrowthCap; h > capV {
-		h = capV
-	}
-	e.s.SetStep(num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax))
+	e.s.SetStep(e.ctrl.ClampStep(h, hUsed))
 }
 
 // shrinkAfterFailure reduces the stage step after a pipelined stage's main

@@ -266,7 +266,7 @@ func TestGear2DefaultMethod(t *testing.T) {
 // under the main step failed, changing the trailing spacing).
 func TestResumeAtFallback(t *testing.T) {
 	sys := rcSystem(t)
-	ps := transient.NewPointSolver(sys, integrate.Gear2, newtonDefaults(), 1e-12)
+	ps := transient.NewPointSolver(sys, integrate.Gear2, newtonDefaults())
 	hist := &integrate.History{}
 	p0, err := transient.InitialPoint(sys, ps, transient.Options{TStop: 1e-3}.WithDefaults())
 	if err != nil {

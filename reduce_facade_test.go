@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wavepipe/internal/circuits"
+	"wavepipe/internal/ensemble"
 )
 
 // reduceLadderDeck renders a parameterised RC ladder netlist. The .PARAM
@@ -138,7 +139,7 @@ func TestReduceLadder400KeepsAQuarter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsys, err := reduceSystem(sys, opts)
+	rsys, _, err := reduceSystem(sys, []ensemble.Lane{{Circ: sys.Circuit}}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestReducePrintNodesProtected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsys, err := reduceSystem(sys, d.ApplyTo(TranOptions{Reduce: true, ReduceTol: DefaultReduceTol}))
+		rsys, _, err := reduceSystem(sys, []ensemble.Lane{{Circ: sys.Circuit}}, d.ApplyTo(TranOptions{Reduce: true, ReduceTol: DefaultReduceTol}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	signals := transient.RecordSet(entry.Sys, base).Names
-	if ri := expansion(entry.Sys, merged); ri != nil {
+	if ri := expansion(entry.Sys.Reduction(), merged); ri != nil {
 		signals = slices.Clone(ri.OrigNodes)
 	}
 
@@ -310,7 +310,7 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 				err = serr
 			}
 			res := transient.SalvageResult(resume)
-			finishReduced(entry.Sys, opts, res)
+			finishReduced(entry.Sys.Reduction(), opts, res)
 			s.finish(j, res, err)
 			return
 		}

@@ -29,6 +29,7 @@ import (
 	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/device"
+	"wavepipe/internal/ensemble"
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
 	"wavepipe/internal/netlist"
@@ -557,7 +558,7 @@ func RunTransientCtx(ctx context.Context, sys *System, opts TranOptions) (*Resul
 // the panic salvage below and what the service hands the next attempt of a
 // preempted job as its resume.
 func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpoint.Controller, resume *checkpoint.State) (*Result, error) {
-	sys, err := reduceSystem(sys, opts)
+	sys, _, err := reduceSystem(sys, []ensemble.Lane{{Circ: sys.Circuit}}, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +569,7 @@ func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpo
 	base.Ctx = ctx
 	base.Trace = trace.New(opts.Observer, trace.DefaultSnapshotEvery)
 	base.Resume = resume
-	if ri := expansion(sys, opts); ri != nil && base.OnAccept != nil {
+	if ri := expansion(sys.Reduction(), opts); ri != nil && base.OnAccept != nil {
 		onAccept := base.OnAccept
 		base.OnAccept = func(t float64, row []float64) { onAccept(t, expandRow(ri, row)) }
 	}
@@ -584,35 +585,53 @@ func runGuarded(ctx context.Context, sys *System, opts TranOptions, ctl *checkpo
 		// partial result) still salvages the last snapshot the guard kept.
 		res = transient.SalvageResult(ctl.Retained())
 	}
-	finishReduced(sys, opts, res)
+	finishReduced(sys.Reduction(), opts, res)
 	return res, err
 }
 
-// reduceSystem runs the parasitic-reduction pass when opts asks for it and
-// sys has not been through it already (the artifact cache attaches the
-// reduction record to cached systems, including a no-op marker, so cached
-// entries are never reduced twice). The keep list protects every node the
-// caller can observe or seed: Record, IC, NodeSet and deck .PRINT names.
-// When the pass is a no-op the original compiled System is returned
-// unchanged, preserving bit-identical results.
-func reduceSystem(sys *System, opts TranOptions) (*System, error) {
+// reduceSystem runs the parasitic-reduction pass over a run's lanes — a
+// single run is the one lane sys.Circuit — when opts asks for it and sys has
+// not been through it already (the artifact cache attaches the reduction
+// record to cached systems, including a no-op marker, so cached entries are
+// never reduced twice). The keep list protects every node the caller can
+// observe or seed (Record, IC, NodeSet and deck .PRINT names) and the
+// terminals of keepDevices. One plan, made from lane 0, holds only
+// value-independent structural decisions, so applying it lane by lane keeps
+// the lanes structurally identical — the invariant the batch engine binds
+// lanes under — while each lane's merged and lumped values come from its own
+// parameters. It returns the System built from reduced lane 0, carrying lane
+// 0's record, and every lane's record; when the plan is empty it returns sys
+// itself and no records, preserving bit-identical results.
+func reduceSystem(sys *System, lanes []ensemble.Lane, opts TranOptions, keepDevices []string) (*System, []*circuit.ReducedInfo, error) {
 	if !opts.Reduce || sys.Reduction() != nil {
-		return sys, nil
+		return sys, nil, nil
 	}
-	keep := reduceKeepList(opts)
-	rc, ri, err := reduce.Reduce(sys.Circuit, reduce.Options{Tol: opts.ReduceTol, Keep: keep})
+	plan, err := reduce.New(lanes[0].Circ, reduce.Options{
+		Tol:         opts.ReduceTol,
+		Keep:        reduceKeepList(opts),
+		KeepDevices: keepDevices,
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if ri == nil {
-		return sys, nil
+	if plan.Empty() {
+		return sys, nil, nil
 	}
-	rsys, err := rc.Build()
+	infos := make([]*circuit.ReducedInfo, len(lanes))
+	for i := range lanes {
+		rc, ri, err := plan.Apply(lanes[i].Circ)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wavepipe: lane %q: %w", lanes[i].Name, err)
+		}
+		lanes[i].Circ = rc
+		infos[i] = ri
+	}
+	rsys, err := lanes[0].Circ.Build()
 	if err != nil {
-		return nil, fmt.Errorf("wavepipe: reduced circuit failed to build: %w", err)
+		return nil, nil, fmt.Errorf("wavepipe: reduced circuit failed to build: %w", err)
 	}
-	rsys.SetReduction(ri)
-	return rsys, nil
+	rsys.SetReduction(infos[0])
+	return rsys, infos, nil
 }
 
 // reduceKeepList collects every node name reduction must preserve for the
@@ -630,27 +649,27 @@ func reduceKeepList(opts TranOptions) []string {
 	return keep
 }
 
-// finishReduced fills the reduction counters on a finished run and, for
-// default recording, expands the reduced waveform back onto the full
-// original node set so callers see the same signals with and without
-// Reduce.
-func finishReduced(sys *System, opts TranOptions, res *Result) {
-	ri := sys.Reduction()
+// finishReduced fills the reduction counters on a run (or lane) finished on
+// a circuit reduced under ri and, for default recording, expands the reduced
+// waveform back onto the full original node set so callers see the same
+// signals with and without Reduce.
+func finishReduced(ri *circuit.ReducedInfo, opts TranOptions, res *Result) {
 	if ri == nil || res == nil {
 		return
 	}
 	res.Stats.ReducedNodes = int64(ri.RemovedNodes)
 	res.Stats.ReducedDevices = int64(ri.RemovedDevices)
-	if expansion(sys, opts) != nil && res.W != nil {
+	if expansion(ri, opts) != nil && res.W != nil {
 		res.W = expandSet(ri, res.W)
 	}
 }
 
-// expansion returns the map from a reduced run's rows back onto the original
-// node set when the run records every node (Record nil) of a System the pass
-// actually shrank; nil when its rows are already what the caller asked for.
-func expansion(sys *System, opts TranOptions) *circuit.ReducedInfo {
-	if ri := sys.Reduction(); ri != nil && ri.RemovedNodes > 0 && opts.Record == nil {
+// expansion returns ri, the map from a reduced run's rows back onto the
+// original node set, when the run records every node (Record nil) and the
+// pass actually shrank the circuit; nil when its rows are already what the
+// caller asked for.
+func expansion(ri *circuit.ReducedInfo, opts TranOptions) *circuit.ReducedInfo {
+	if ri != nil && ri.RemovedNodes > 0 && opts.Record == nil {
 		return ri
 	}
 	return nil
@@ -788,31 +807,12 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 		ctrl.HMax = opts.MaxStep
 	}
 	base.Control = ctrl
-	if len(opts.IC) > 0 {
-		base.IC = make(map[int]float64, len(opts.IC))
-		for name, v := range opts.IC {
-			idx, ok := sys.Circuit.FindNode(name)
-			if !ok {
-				return base, fmt.Errorf("wavepipe: IC for unknown node %q", name)
-			}
-			if idx == Ground {
-				continue
-			}
-			base.IC[idx] = v
-		}
+	var err error
+	if base.IC, err = nodeValues(sys, opts.IC, "IC"); err != nil {
+		return base, err
 	}
-	if len(opts.NodeSet) > 0 {
-		base.NodeSet = make(map[int]float64, len(opts.NodeSet))
-		for name, v := range opts.NodeSet {
-			idx, ok := sys.Circuit.FindNode(name)
-			if !ok {
-				return base, fmt.Errorf("wavepipe: NODESET for unknown node %q", name)
-			}
-			if idx == Ground {
-				continue
-			}
-			base.NodeSet[idx] = v
-		}
+	if base.NodeSet, err = nodeValues(sys, opts.NodeSet, "NODESET"); err != nil {
+		return base, err
 	}
 	if len(opts.Record) > 0 {
 		base.Record = make([]int, len(opts.Record))
@@ -825,4 +825,24 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 		}
 	}
 	return base, nil
+}
+
+// nodeValues resolves the node names of an .IC or .NODESET map (card names
+// it in the error) to unknown indices, dropping ground; an empty map
+// resolves to nil.
+func nodeValues(sys *System, byName map[string]float64, card string) (map[int]float64, error) {
+	if len(byName) == 0 {
+		return nil, nil
+	}
+	out := make(map[int]float64, len(byName))
+	for name, v := range byName {
+		idx, ok := sys.Circuit.FindNode(name)
+		if !ok {
+			return nil, fmt.Errorf("wavepipe: %s for unknown node %q", card, name)
+		}
+		if idx != Ground {
+			out[idx] = v
+		}
+	}
+	return out, nil
 }

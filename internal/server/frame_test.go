@@ -12,9 +12,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"wavepipe"
 	"wavepipe/client"
+	"wavepipe/internal/server"
 	"wavepipe/wire"
 )
 
@@ -163,6 +165,70 @@ func TestHTTPFrameMatchesJSON(t *testing.T) {
 			}
 			sameRows(t, rows, js)
 		}
+	}
+}
+
+// TestHTTPQueuedCancelHasAResult: a job canceled while it waits for a core
+// never runs, and still ends holding a Result — its signals, no rows — so
+// its /result answers 200 with the error in the body, and the JSON and frame
+// heads agree. One core, held by an endless job, keeps the second queued.
+func TestHTTPQueuedCancelHasAResult(t *testing.T) {
+	svc, err := wavepipe.NewService(wavepipe.ServiceConfig{Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(server.Config{Client: svc}))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	c, err := client.New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	holder, err := c.Submit(ctx, wavepipe.JobSpec{Deck: endlessDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Cancel(ctx, holder.ID)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, err := c.Status(ctx, holder.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == wavepipe.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the first job never ran: %v", st.State)
+		}
+	}
+	queued, err := c.Submit(ctx, wavepipe.JobSpec{Deck: endlessDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued.State != wavepipe.JobQueued {
+		t.Fatalf("second job is %v, want queued behind the first", queued.State)
+	}
+	if err := c.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	base := "/v1/jobs/" + queued.ID + "/result"
+	js, err := wire.DecodeResult(bytes.NewReader(get(t, ts, base, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := wire.ReadResultFrame(bufio.NewReader(bytes.NewReader(get(t, ts, base, true))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.Err == "" || len(js.Times) != 0 || len(js.Signals) == 0 {
+		t.Fatalf("queued cancel: error %q, %d rows, signals %v; want an error, no rows, the job's signals", js.Err, len(js.Times), js.Signals)
+	}
+	if !sameBits(fr.FinalX, js.FinalX) || fr.Stats != js.Stats || fr.Err != js.Err || fr.SchemaVersion != js.SchemaVersion ||
+		!reflect.DeepEqual(fr.Signals, js.Signals) || !reflect.DeepEqual(fr.Index, js.Index) || len(fr.Times) != 0 {
+		t.Fatalf("frame head %+v, JSON %+v", fr, js)
 	}
 }
 

@@ -311,7 +311,7 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 			}
 			res := transient.SalvageResult(resume)
 			finishReduced(entry.Sys.Reduction(), opts, res)
-			s.finish(j, res, err)
+			s.finish(j, orEmpty(res, entry, opts), err)
 			return
 		}
 		j.mu.Lock()
@@ -365,9 +365,23 @@ func (s *Service) run(j *job, entry *artifact.Entry, opts TranOptions) {
 		if rec != nil {
 			s.writeTrace(j.id, rec)
 		}
-		s.finish(j, res, err)
+		s.finish(j, orEmpty(res, entry, opts), err)
 		return
 	}
+}
+
+// orEmpty is res, or for a job that ends with nothing to salvage (canceled
+// while queued, or failed before its first point) an empty Result: the job's
+// signals and no rows, as an ensemble lane that never started has. Every
+// terminal job holds a Result.
+func orEmpty(res *Result, entry *artifact.Entry, opts TranOptions) *Result {
+	if res != nil {
+		return res
+	}
+	base, _ := baseOptions(entry.Sys, opts) // vetted at Submit
+	res = &Result{W: transient.RecordSet(entry.Sys, base), Recovery: &transient.RecoveryLog{}}
+	finishReduced(entry.Sys.Reduction(), opts, res)
+	return res
 }
 
 // finish moves a job to its terminal state and wakes waiters and streams.
@@ -495,8 +509,8 @@ func (s *Service) Status(_ context.Context, id string) (JobStatus, error) {
 }
 
 // Wait blocks until the job is terminal and returns its Result. Failed and
-// canceled jobs return the partial Result (when the engine salvaged one)
-// alongside the typed error.
+// canceled jobs return the partial Result alongside the typed error: the
+// rows the engine salvaged, or none.
 func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
 	j, err := s.lookup(id)
 	if err != nil {

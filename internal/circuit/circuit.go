@@ -255,14 +255,15 @@ func (s *System) fillOrdering() []int {
 
 // Linear reports whether the circuit equations are linear in the iterate:
 // F = J_F·x and Q = J_Q·x with constant Jacobians, so the assembled matrix
-// J_F + Alpha0·J_Q depends on the step alone and one full Newton step through
-// its exact factorization is the solution. The property is found at Build —
-// it is a fact about the device list, not something a caller asks for — and
-// three layers act on it: every workspace assembles through its stamp
-// template (incremental.go), the Newton iteration certifies such a step at
-// once (newton.Iter.Step), and the step controller keeps its steps on short
-// mantissas so that Alpha0, and with it the matrix, repeats bit for bit
-// whenever a step does (transient.Stepper.SetStep).
+// J_F + Alpha0·J_Q depends on the step alone and a point is the solution of
+// (J_F + Alpha0·J_Q)·x = B − qhist. The property is found at Build — it is a
+// fact about the device list, not something a caller asks for — and three
+// layers act on it: every workspace assembles through its stamp template
+// (incremental.go), a point is one solve for its iterate (newton.Iter.Direct,
+// chosen by the transient point solver and the operating point), and the
+// step controller keeps its steps on short mantissas so that Alpha0, and with
+// it the matrix, repeats bit for bit whenever a step does
+// (transient.Stepper.SetStep).
 func (s *System) Linear() bool { return s.linear }
 
 // linearStoreBytes bounds the factor store of a linear system's solver (see
@@ -486,14 +487,18 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, z passZe
 
 // finishLoad closes an assembly pass: the limiting flag the sweep gathered,
 // the gmin-stepping node conductances, the .NODESET clamps and a scheduled
-// assembly fault.
+// assembly fault. The conductances add their currents at x to F; a source
+// load (x nil) assembles no F, and its clamps add their targets' currents to
+// B instead, and a fault poisons B.
 func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	ws.Limited = limited
 	if p.NodeGmin > 0 {
 		m := ws.writeM()
 		for i, pos := range ws.Sys.diagPos {
 			m.Add(pos, p.NodeGmin)
-			ws.F[i] += p.NodeGmin * x[i]
+			if x != nil {
+				ws.F[i] += p.NodeGmin * x[i]
+			}
 		}
 	}
 	if p.ClampG > 0 {
@@ -503,7 +508,11 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 				continue
 			}
 			m.Add(ws.Sys.diagPos[i], p.ClampG)
-			ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
+			if x != nil {
+				ws.F[i] += p.ClampG * (x[i] - p.ClampV[k])
+			} else {
+				ws.B[i] += p.ClampG * p.ClampV[k]
+			}
 		}
 	}
 	// Injected assembly fault (tests only; Faults is nil otherwise). NoLimit
@@ -513,7 +522,11 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	// back instead of failing the solve in front of it.
 	if ws.Faults != nil && !p.NoLimit {
 		if cls, ok := ws.Faults.At(faults.SiteLoad, p.Time); ok && cls == faults.NonFinite {
-			ws.F[0] = math.NaN()
+			if x != nil {
+				ws.F[0] = math.NaN()
+			} else {
+				ws.B[0] = math.NaN()
+			}
 		}
 	}
 }

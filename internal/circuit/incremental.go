@@ -166,6 +166,45 @@ func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, 
 	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
 }
 
+// LoadSources is the load of a linear point solved for its iterate
+// (newton.Iter.Direct), which needs B and the matrix and nothing else: the
+// sources are evaluated for B, and the matrix is requested by Alpha0 as a
+// templated load requests it, with a gmin-stepping or .NODESET conductance
+// added as finishLoad adds it (a clamp's target current goes to B). The
+// sources' F stamps at x are dropped and Q is left alone; x is what they are
+// evaluated at and may hold any values. The System must be linear; where
+// its template probe failed, the sweep assembles the matrix and B instead.
+func (ws *Workspace) LoadSources(x []float64, p LoadParams) {
+	ctx := &ws.evalCtx
+	if tp := ws.template(); tp != nil {
+		ws.beginLoad(ctx, x, p, zeroF|zeroB)
+		devs := ws.Devices()
+		for _, di := range tp.sources {
+			devs[di].Eval(ctx)
+		}
+		ws.Solver.Defer(p.Alpha0)
+	} else {
+		ws.beginLoad(ctx, x, p, zeroAll)
+		for _, d := range ws.Devices() {
+			d.Eval(ctx)
+		}
+	}
+	ws.finishLoad(nil, p, false)
+}
+
+// BookCharges is the charge pass that closes a converged point. Through a
+// template it books Q = J_Q·x, what a templated load leaves in Q; on a
+// nonlinear System, or where the probe failed, it is LoadCharges.
+func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
+	tp := ws.template()
+	if tp == nil {
+		ws.LoadCharges(x, p)
+		return
+	}
+	clear(ws.Q)
+	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
+}
+
 // mulAdd accumulates the product of the (rows, cols, vals) triples with x
 // into dst, one triple after another.
 func mulAdd(dst, x []float64, rows, cols []int, vals []float64) {

@@ -73,8 +73,8 @@ func (s *System) BindLanes(c *Circuit) error {
 			return fmt.Errorf("circuit %q: device %d is %s(br=%d,st=%d), host has %s(br=%d,st=%d)",
 				c.Title, i, d.Name(), d.Branches(), d.States(), h.Name(), h.Branches(), h.States())
 		}
-		// A lane iterates under the host's Linear(): a nonlinear model in a
-		// lane of a linear host would be declared converged after one step.
+		// A lane is solved under the host's Linear(): a nonlinear model in a
+		// lane of a linear host would be solved as if linear, in one solve.
 		if s.linear && !linearDevice(d) {
 			return fmt.Errorf("circuit %q: device %s is not linear, host %q is",
 				c.Title, d.Name(), host.Title)

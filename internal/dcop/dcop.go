@@ -49,6 +49,16 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 	r := make([]float64, n)
 	dx := make([]float64, n)
 	base := circuit.LoadParams{Alpha0: 0, Gmin: circuit.JunctionGmin, SrcScale: 1}
+	// solve runs one stage of the ladder from x: Newton's iteration, or on a
+	// linear system one direct solve, which every stage is then.
+	solve := func(p circuit.LoadParams) (newton.Result, error) {
+		if !ws.Sys.Linear() {
+			return newton.Solve(ws, x, p, nil, nopts, r, dx)
+		}
+		var it newton.Iter
+		err := it.Direct(ws, x, p, nil)
+		return newton.Result{Iters: it.N, Converged: err == nil}, err
+	}
 
 	stats := Stats{Strategy: "direct"}
 	// 0. .NODESET pre-pass: clamp the suggested nodes, solve, release.
@@ -62,7 +72,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 				x[idx] = v
 			}
 		}
-		res, err := newton.Solve(ws, x, clamped, nil, nopts, r, dx)
+		res, err := solve(clamped)
 		stats.NRIters += res.Iters
 		if err != nil {
 			// The clamp pass is best-effort: fall through to the ladder
@@ -76,7 +86,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 	// 1. Direct Newton.
 	save := make([]float64, n)
 	copy(save, x)
-	res, err := newton.Solve(ws, x, base, nil, nopts, r, dx)
+	res, err := solve(base)
 	stats.NRIters += res.Iters
 	if err == nil {
 		return stats, nil
@@ -96,7 +106,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		if i < gminSteps {
 			p.NodeGmin = gmin
 		}
-		res, err = newton.Solve(ws, x, p, nil, nopts, r, dx)
+		res, err = solve(p)
 		stats.NRIters += res.Iters
 		stats.Continues++
 		if err != nil {
@@ -137,7 +147,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		p := base
 		p.SrcScale = float64(next) / float64(full)
 		p.NodeGmin = circuit.JunctionGmin
-		res, err = newton.Solve(ws, x, p, nil, nopts, r, dx)
+		res, err = solve(p)
 		stats.NRIters += res.Iters
 		stats.Continues++
 		if err == nil {
@@ -152,7 +162,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 		}
 	}
 	// Final clean solve at full sources without the node shunt.
-	res, err = newton.Solve(ws, x, base, nil, nopts, r, dx)
+	res, err = solve(base)
 	stats.NRIters += res.Iters
 	if err != nil {
 		return stats, &faults.SimError{

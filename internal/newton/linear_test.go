@@ -94,7 +94,7 @@ type bePoint struct {
 // the iteration from x0 (an order-zero prediction). The state is kept within
 // ten millivolts and milliamps: a random state is not a consistent one, and
 // a larger one would have inductor currents throw nodes past the 5 V damping
-// clamp, which has a test of its own.
+// clamp of the confirming Newton iteration.
 func newBEPoint(t *testing.T, c *circuit.Circuit, rng *rand.Rand, tNow, h float64) *bePoint {
 	t.Helper()
 	sys, err := c.Build()
@@ -120,22 +120,12 @@ func newBEPoint(t *testing.T, c *circuit.Circuit, rng *rand.Rand, tNow, h float6
 	return b
 }
 
-func (b *bePoint) solve(t *testing.T, opts Options) Result {
-	t.Helper()
-	res, err := Solve(b.ws, b.x, b.p, b.qhist, opts, b.r, b.dx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestLinearStepIsTheSolution: on seeded random linear circuits one Newton
-// iteration is declared converged, and the confirming iteration the rule
-// does away with would have moved no unknown by more than round-off at the
-// scale of the solution times the conditioning of these matrices (128 units
-// in the last place is the worst of the sixty; the bar leaves a factor of
-// eight) — four orders of magnitude inside the update tolerance it would
-// have been tested against.
+// TestLinearStepIsTheSolution: on seeded random linear circuits the direct
+// solve is one iteration, and a confirming Newton iteration from its point
+// moves no unknown by more than round-off at the scale of the solution times
+// the conditioning of these matrices (128 units in the last place is the
+// worst of the sixty; the bar leaves a factor of eight) — four orders of
+// magnitude inside the update tolerance it would be tested against.
 func TestLinearStepIsTheSolution(t *testing.T) {
 	opts := DefaultOptions()
 	for seed := int64(1); seed <= 60; seed++ {
@@ -143,16 +133,16 @@ func TestLinearStepIsTheSolution(t *testing.T) {
 		c := randomLinear(rng)
 		h := 1e-12 * math.Pow(10, 3*rng.Float64())
 		b := newBEPoint(t, c, rng, 1e-9*rng.Float64(), h)
-		if res := b.solve(t, opts); !res.Converged || res.Iters != 1 {
-			t.Fatalf("seed %d: %+v, want one converged iteration", seed, res)
+		var direct Iter
+		if err := direct.Direct(b.ws, b.x, b.p, b.qhist); err != nil || direct.N != 1 {
+			t.Fatalf("seed %d: %d iterations, %v; want one", seed, direct.N, err)
 		}
 		one := append([]float64(nil), b.x...)
 		scale := 0.0
 		for _, v := range one {
 			scale = math.Max(scale, math.Abs(v))
 		}
-		// The iteration the old rule ran next: a load and a step from the
-		// solution just declared.
+		// A Newton iteration from the point: a load and a step.
 		var it Iter
 		Load(b.ws, b.x, b.p)
 		if _, err := it.step(b.ws, b.x, b.p, b.qhist, opts, b.r, b.dx); err != nil {
@@ -171,36 +161,8 @@ func TestLinearStepIsTheSolution(t *testing.T) {
 	}
 }
 
-// The three steps the rule refuses to certify go on iterating as before.
-
-// A step that damping cut short is not the full Newton step: a 12 V jump
-// under 5 V damping takes two clamped iterations, and the third — the first
-// unclamped one — is the solution.
-func TestLinearClampedStepStillIterates(t *testing.T) {
-	ws := build(t, func(c *circuit.Circuit) {
-		in := c.Node("in")
-		mid := c.Node("mid")
-		c.Add(device.NewVSource("V1", in, circuit.Ground, device.DC(12)))
-		c.Add(device.NewResistor("R1", in, mid, 1e3))
-		c.Add(device.NewResistor("R2", mid, circuit.Ground, 1e3))
-	})
-	n := ws.Sys.N
-	x, r, dx := make([]float64, n), make([]float64, n), make([]float64, n)
-	res, err := Solve(ws, x, circuit.LoadParams{SrcScale: 1}, nil, DefaultOptions(), r, dx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters != 3 {
-		t.Fatalf("%d iterations, want 2 clamped + 1 full", res.Iters)
-	}
-	if math.Abs(x[0]-12) > 1e-9 || math.Abs(x[1]-6) > 1e-9 {
-		t.Fatalf("x = %v, want v(in) = 12, v(mid) = 6", x)
-	}
-}
-
-// TestLinearStepUpdateAndNorm: one step on the 12 V divider. Undamped past
-// 12 V it is certified, and its update is the one applyUpdate makes, bit for
-// bit. Under 5 V damping it is clamped: it takes applyUpdate's damped update,
+// TestLinearStepUpdateAndNorm: one Newton step on the 12 V divider under
+// 5 V damping is clamped: it takes applyUpdate's damped update, bit for bit,
 // and the update norm that step computes — 5 V against a tolerance of
 // millivolts — keeps it from converging.
 func TestLinearStepUpdateAndNorm(t *testing.T) {
@@ -212,69 +174,29 @@ func TestLinearStepUpdateAndNorm(t *testing.T) {
 		c.Add(device.NewResistor("R2", mid, circuit.Ground, 1e3))
 	})
 	n := ws.Sys.N
-	for _, tc := range []struct {
-		damping float64
-		done    bool
-	}{{20, true}, {5, false}} {
-		opts := DefaultOptions()
-		opts.Damping = tc.damping
-		x, r, dx := make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := range x {
-			x[i] = 0.1 * float64(i+1)
-		}
-		x0 := append([]float64(nil), x...)
-		p := circuit.LoadParams{SrcScale: 1}
-		var it Iter
-		Load(ws, x, p)
-		done, err := it.step(ws, x, p, nil, opts, r, dx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done != tc.done {
-			t.Fatalf("damping %g: done = %v, want %v", tc.damping, done, tc.done)
-		}
-		want := append([]float64(nil), x0...)
-		if norm := applyUpdate(want, dx, opts); norm <= 1 {
-			t.Fatalf("damping %g: a 12 V update has norm %g", tc.damping, norm)
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("damping %g: x[%d] = %v, applyUpdate makes %v", tc.damping, i, x[i], want[i])
-			}
-		}
+	opts := DefaultOptions()
+	x, r, dx := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = 0.1 * float64(i+1)
 	}
-}
-
-// A warm step rests on the factorization its warm start left. When that was
-// made under this very Alpha0 the step is exact and certified; when the two
-// differ — here in the last bit — it is not, however close.
-func TestLinearWarmStepNeedsTheSameAlpha0(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		exact     bool
-		wantIters int
-	}{{"same bits", true, 1}, {"one ulp off", false, 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			b := newBEPoint(t, randomLinear(rng), rng, 0, 1e-11)
-			warm := b.p
-			if !tc.exact {
-				warm.Alpha0 = math.Nextafter(b.p.Alpha0, math.Inf(1))
-			}
-			// What a warm start leaves: the assembly and an exact
-			// factorization at the iterate, under the warm start's Alpha0.
-			Load(b.ws, b.x, warm)
-			if err := Factorize(b.ws, warm.Time); err != nil {
-				t.Fatal(err)
-			}
-			it := Iter{Warm: true, WarmExact: warm.Alpha0 == b.p.Alpha0}
-			done, err := it.Run(b.ws, b.x, b.p, b.qhist, DefaultOptions(), b.r, b.dx)
-			if err != nil || !done {
-				t.Fatalf("done=%v err=%v", done, err)
-			}
-			if it.N != tc.wantIters {
-				t.Fatalf("%d iterations, want %d", it.N, tc.wantIters)
-			}
-		})
+	x0 := append([]float64(nil), x...)
+	p := circuit.LoadParams{SrcScale: 1}
+	var it Iter
+	Load(ws, x, p)
+	done, err := it.step(ws, x, p, nil, opts, r, dx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done {
+		t.Fatal("a clamped step converged")
+	}
+	want := append([]float64(nil), x0...)
+	if norm := applyUpdate(want, dx, opts); norm <= 1 {
+		t.Fatalf("a 12 V update has norm %g", norm)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x[%d] = %v, applyUpdate makes %v", i, x[i], want[i])
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package newton implements the damped Newton–Raphson loop used by the DC
 // operating-point and transient engines. One call solves the assembled
 // circuit equations F(x) + Alpha0·Q(x) + qhist − B(t) = 0 at a single time
-// point, reusing the workspace's sparse factorization across iterations.
+// point, reusing the workspace's sparse factorization across iterations. On
+// a linear system, where the equations are (J_F + Alpha0·J_Q)·x = B − qhist,
+// the callers solve for the point in one step instead (Iter.Direct).
 package newton
 
 import (
@@ -70,12 +72,9 @@ type Iter struct {
 	// factorization and no limiting-state flip — one residual rebuild and one
 	// triangular solve — and the iteration then continues with full steps.
 	// This is what makes forward pipelining pay: most of the forward point's
-	// computation happened speculatively, off the critical path.
+	// computation happened speculatively, off the critical path. For Direct
+	// it marks B and the factorization as this point's: the solve alone.
 	Warm bool
-	// WarmExact adds that the warm factorization is of the very matrix this
-	// point assembles — the warm start ran under this point's Alpha0, bit for
-	// bit — rather than of one a rounding away, which Warm alone admits.
-	WarmExact bool
 }
 
 // Run drives the iteration to convergence or a terminal error: a Load at the
@@ -131,33 +130,13 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	if err != nil {
 		return false, iterErr(p.Time, iter, err)
 	}
-	// On a linear system the residual is affine in x and the assembled matrix
-	// is its Jacobian everywhere, so a full Newton step taken through an exact
-	// factorization of that matrix lands on the solution: it is certified by
-	// construction, and an iteration spent confirming it would move x by
-	// round-off only. Two steps are not that step and go on to the update
-	// test below like any other: one that damping clamps, and a warm one
-	// whose LU was factorized under an Alpha0 differing from this point's in
-	// any bit. A certified step reads no update norm, so it is the plain
-	// x_{k+1} = x_k − J⁻¹·R; every other step takes applyUpdate's damped one.
-	certified := ws.Sys.Linear() && (!warm || it.WarmExact) && !clamps(dx, opts.Damping)
-	var maxRatio float64
-	if certified {
-		for i := range x {
-			x[i] -= dx[i]
-		}
-	} else {
-		maxRatio = applyUpdate(x, dx, opts)
-	}
+	maxRatio := applyUpdate(x, dx, opts)
 	if !warm {
 		ws.FlipState()
 	}
 	it.N++
 	if err := nonFiniteErr(x, p.Time, it.N); err != nil {
 		return false, err
-	}
-	if certified {
-		return true, nil
 	}
 	// SPICE's convergence rule: accept as soon as the Newton update is
 	// inside the tolerance band, on any iteration — the update was
@@ -167,6 +146,45 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	// active device limiting may pass the update test while grossly
 	// violating the true residual) is the limiting flag.
 	return maxRatio <= 1 && !limited, nil
+}
+
+// Direct solves one point of a linear system for its iterate:
+// x = (J_F + Alpha0·J_Q)⁻¹·(B − qhist), one triangular solve through the
+// factorization of the matrix the store holds for Alpha0, with no starting
+// iterate, residual or update. The sources are loaded first
+// (Workspace.LoadSources); a warm solve skips that and the factorization, its
+// warm start having left this point's B and a factorization under this very
+// Alpha0. The point crosses the fault sites, abort poll and trace events of
+// one Newton iteration, and counts as one.
+func (it *Iter) Direct(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64) error {
+	warm := it.Warm
+	it.Warm = false
+	if !warm {
+		if cls, ok := ws.Faults.At(faults.SiteNewton, p.Time); ok && cls == faults.NoConvergence {
+			return faults.Wrap("newton", p.Time, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
+		}
+		LoadSources(ws, x, p)
+	}
+	if err := ws.Abort.Err(); err != nil {
+		return faults.Wrap("newton", p.Time, -1, err)
+	}
+	copy(x, ws.B)
+	if qhist != nil {
+		for i, q := range qhist {
+			x[i] -= q
+		}
+	}
+	var err error
+	if warm {
+		err = ws.Solver.Solve(x, x)
+	} else {
+		err = factorAndSolve(ws, p.Time, x, x)
+	}
+	if err != nil {
+		return iterErr(p.Time, it.N, err)
+	}
+	it.N++
+	return nonFiniteErr(x, p.Time, it.N)
 }
 
 func iterErr(t float64, iter int, err error) error {
@@ -189,29 +207,31 @@ func nonFiniteErr(x []float64, t float64, iters int) error {
 // the iteration or around it (initial point, warm start) — with exactly one
 // PhaseDeviceLoad event when tracing is active.
 func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
-	if !ws.Trace.Active() {
-		ws.Load(x, p)
-		return
-	}
-	t0 := time.Now()
-	ws.Load(x, p)
-	ws.Trace.Emit(trace.Event{
-		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
-		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ws.Worker,
-	})
+	deviceLoad(ws, ws.Load, x, p)
 }
 
-// ChargePass books the charges of a converged iterate (Workspace.LoadCharges)
+// LoadSources is Load for a direct solve (Workspace.LoadSources), under the
+// same one PhaseDeviceLoad event.
+func LoadSources(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
+	deviceLoad(ws, ws.LoadSources, x, p)
+}
+
+// ChargePass books the charges of a converged iterate (Workspace.BookCharges)
 // in place of the full load that used to, under the same one PhaseDeviceLoad
 // event: the device-model time of a point is still the sum of its
 // PhaseDeviceLoad spans, and a trace still holds one per point closed.
 func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
+	deviceLoad(ws, ws.BookCharges, x, p)
+}
+
+// deviceLoad runs load under one PhaseDeviceLoad event when tracing is active.
+func deviceLoad(ws *circuit.Workspace, load func([]float64, circuit.LoadParams), x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
-		ws.LoadCharges(x, p)
+		load(x, p)
 		return
 	}
 	t0 := time.Now()
-	ws.LoadCharges(x, p)
+	load(x, p)
 	ws.Trace.Emit(trace.Event{
 		Kind: trace.KindPhase, Phase: trace.PhaseDeviceLoad,
 		Dur: time.Since(t0).Nanoseconds(), T: p.Time, Worker: ws.Worker,
@@ -282,17 +302,4 @@ func applyUpdate(x, dx []float64, opts Options) (maxRatio float64) {
 		}
 	}
 	return maxRatio
-}
-
-// clamps reports whether damping (0: none) cuts any component of dx short
-// of the full Newton step.
-func clamps(dx []float64, damping float64) bool {
-	if damping > 0 {
-		for _, d := range dx {
-			if num.Clamp(d, -damping, damping) != d {
-				return true
-			}
-		}
-	}
-	return false
 }

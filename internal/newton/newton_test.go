@@ -30,16 +30,12 @@ func TestLinearConvergesInOneIteration(t *testing.T) {
 		c.Add(device.NewResistor("R2", mid, circuit.Ground, 2e3))
 	})
 	x := make([]float64, ws.Sys.N)
-	r := make([]float64, ws.Sys.N)
-	dx := make([]float64, ws.Sys.N)
-	opts := DefaultOptions()
-	opts.Damping = 0 // the 6 V jump would otherwise be clamped, and a clamped step is not certified
-	res, err := Solve(ws, x, circuit.LoadParams{SrcScale: 1}, nil, opts, r, dx)
-	if err != nil {
+	var it Iter
+	if err := it.Direct(ws, x, circuit.LoadParams{SrcScale: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Iters != 1 {
-		t.Fatalf("result %+v", res)
+	if it.N != 1 {
+		t.Fatalf("%d iterations, want the one direct solve", it.N)
 	}
 	if math.Abs(x[1]-4) > 1e-9 {
 		t.Fatalf("v(mid) = %g, want 4", x[1])

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wavepipe/internal/circuit"
+	"wavepipe/internal/integrate"
 	"wavepipe/internal/newton"
 )
 
@@ -58,4 +59,44 @@ func OracleEveryCommit(t testing.TB) *atomic.Int64 {
 	}
 	t.Cleanup(func() { testHookCommit = nil })
 	return &commits
+}
+
+// NewtonFormForLinear solves every point of a linear system, for the rest of
+// the test, in the Newton form the direct solve replaced: from the seed (the
+// warm iterate of a resumed point) or the polynomial prediction, one load
+// there, the residual F + Alpha0·Q + qhist − B, a factorization (none for a
+// warm point: its warm start's serves) and solve, and the full update
+// x −= dx, taken as converged. That form iterated on after a step the
+// damping clamped, so such a step fails the test instead.
+func NewtonFormForLinear(t testing.TB) {
+	testHookLinear = func(ps *PointSolver, hist *integrate.History, seed []float64) error {
+		s := &ps.cur
+		ws, x := ps.WS, s.pt.X
+		warm := s.it.Warm
+		s.it.Warm = false
+		if seed != nil {
+			copy(x, seed)
+		} else {
+			ps.pred.extrapolate(hist, s.p.Time, x, pointX)
+		}
+		newton.Load(ws, x, s.p)
+		if !warm {
+			if err := newton.Factorize(ws, s.p.Time); err != nil {
+				return err
+			}
+		}
+		ws.Residual(s.p.Alpha0, ps.qhist, ps.r)
+		if err := ws.Solver.Solve(ps.r, ps.dx); err != nil {
+			return err
+		}
+		for i, d := range ps.dx {
+			if math.Abs(d) > s.opts.Damping {
+				t.Errorf("t=%g: the Newton step moves x[%d] by %g, past the %g damping", s.p.Time, i, d, s.opts.Damping)
+			}
+			x[i] -= d
+		}
+		s.it.N++
+		return nil
+	}
+	t.Cleanup(func() { testHookLinear = nil })
 }

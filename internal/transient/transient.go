@@ -466,7 +466,8 @@ func (ps *PointSolver) HarvestSolverStats() {
 // Every way a point is computed is this one sequence: SolveAt and the
 // recovery ladder run it through (begin, iterate, Commit/Fail); ResumeAt does
 // the same with a warm iteration; WarmStart ends it by keeping the iterate
-// instead of closing it.
+// instead of closing it. On a linear system the iteration is one direct
+// solve (newton.Iter.Direct).
 type pointSolve struct {
 	start time.Time // when the solve began
 	pt    *integrate.Point
@@ -481,7 +482,8 @@ type pointSolve struct {
 // coefficients and history vector, a pooled point holding seed (the
 // polynomial prediction from hist when nil), the assembly parameters and a
 // fresh iteration under opts. nodeGmin is the recovery ladder's
-// node-to-ground conductance. On error nothing is left open.
+// node-to-ground conductance. A linear point is solved for, not iterated
+// from a start, and gets no seed. On error nothing is left open.
 func (ps *PointSolver) begin(hist *integrate.History, tNew float64, seed []float64, opts newton.Options, nodeGmin float64) error {
 	ps.cur = pointSolve{start: time.Now(), opts: opts}
 	s := &ps.cur
@@ -491,9 +493,11 @@ func (ps *PointSolver) begin(hist *integrate.History, tNew float64, seed []float
 		return err
 	}
 	s.pt = ps.takePoint()
-	if seed != nil {
+	switch {
+	case ps.WS.Sys.Linear():
+	case seed != nil:
 		copy(s.pt.X, seed)
-	} else {
+	default:
 		ps.pred.extrapolate(hist, tNew, s.pt.X, pointX)
 	}
 	s.p = circuit.LoadParams{Time: tNew, Alpha0: s.co.Alpha0, Gmin: circuit.JunctionGmin, SrcScale: 1, NodeGmin: nodeGmin}
@@ -501,14 +505,33 @@ func (ps *PointSolver) begin(hist *integrate.History, tNew float64, seed []float
 }
 
 // run iterates the open solve to convergence or failure and closes it.
-func (ps *PointSolver) run() (*integrate.Point, integrate.Coeffs, error) {
+func (ps *PointSolver) run(hist *integrate.History, seed []float64) (*integrate.Point, integrate.Coeffs, error) {
 	s := &ps.cur
 	ps.Stats.Solves++
-	if _, err := s.it.Run(ps.WS, s.pt.X, s.p, ps.qhist, s.opts, ps.r, ps.dx); err != nil {
+	if err := ps.iterate(hist, seed); err != nil {
 		return nil, s.co, ps.Fail(err)
 	}
 	return ps.Commit(), s.co, nil
 }
+
+// iterate finds the open solve's point: one direct solve on a linear system,
+// Newton's iteration otherwise (hist and seed serve the tests' stand-in).
+func (ps *PointSolver) iterate(hist *integrate.History, seed []float64) error {
+	s := &ps.cur
+	switch {
+	case !ps.WS.Sys.Linear():
+		_, err := s.it.Run(ps.WS, s.pt.X, s.p, ps.qhist, s.opts, ps.r, ps.dx)
+		return err
+	case testHookLinear != nil:
+		return testHookLinear(ps, hist, seed)
+	}
+	return s.it.Direct(ps.WS, s.pt.X, s.p, ps.qhist)
+}
+
+// testHookLinear, nil outside tests (export_test.go sets it), solves the
+// open point of a linear system in place of the direct solve: the tests run
+// the Newton form it replaced there, from seed or the prediction from hist.
+var testHookLinear func(ps *PointSolver, hist *integrate.History, seed []float64) error
 
 // Commit closes a converged solve: one charge pass at the solution, so the
 // stored charge vector is exactly Q(x) — the last load of the iteration sits
@@ -586,7 +609,7 @@ func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess 
 	if err := ps.begin(hist, tNew, guess, nopts, nodeGmin); err != nil {
 		return nil, ps.cur.co, err
 	}
-	return ps.run()
+	return ps.run(hist, guess)
 }
 
 // WarmStart runs up to maxIter Newton iterations at tNew against the given
@@ -606,7 +629,7 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 	s := &ps.cur
 	ps.warmPt = s.pt
 	x := s.pt.X
-	s.it.Run(ps.WS, x, s.p, ps.qhist, s.opts, ps.r, ps.dx) // non-convergence is fine
+	ps.iterate(hist, nil) // non-convergence is fine
 	ps.Stats.NRIters += s.it.N
 	if tr := ps.WS.Trace; tr.Active() {
 		tr.Emit(trace.Event{
@@ -615,9 +638,14 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 		})
 	}
 	// Leave the workspace assembled and factorized exactly at x so ResumeAt
-	// can pick the speculative work up with only a residual rebuild. The
+	// can pick the speculative work up with only a residual rebuild (on a
+	// linear system: B and the factorization, for the solve alone). The
 	// device assembly is history-independent; only qhist will change.
-	newton.Load(ps.WS, x, s.p)
+	if ps.WS.Sys.Linear() {
+		newton.LoadSources(ps.WS, x, s.p)
+	} else {
+		newton.Load(ps.WS, x, s.p)
+	}
 	if err := newton.Factorize(ps.WS, tNew); err != nil {
 		return x
 	}
@@ -631,20 +659,25 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 // history: if the stored assembly matches (same time point, same Alpha0 —
 // i.e. the predicted history had the same spacings), the first correction
 // costs one residual rebuild and triangular solve; otherwise it is a plain
-// SolveAt from the warm iterate.
+// SolveAt from the warm iterate. A linear point's warm solve is the point
+// only through a factorization under this very Alpha0, so there the match
+// is bit for bit.
 func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []float64) (*integrate.Point, integrate.Coeffs, error) {
 	if err := ps.begin(hist, tNew, warm, ps.Newton, 0); err != nil {
 		return nil, ps.cur.co, err
 	}
 	s := &ps.cur
-	if ps.warmValid && warm != nil && ps.warmTime == tNew &&
-		math.Abs(ps.warmAlpha0-s.co.Alpha0) <= 1e-9*math.Abs(s.co.Alpha0) {
+	a0 := s.co.Alpha0
+	same := math.Abs(ps.warmAlpha0-a0) <= 1e-9*math.Abs(a0)
+	if ps.WS.Sys.Linear() {
+		same = ps.warmAlpha0 == a0
+	}
+	if ps.warmValid && warm != nil && ps.warmTime == tNew && same {
 		s.it.Warm = true
-		s.it.WarmExact = ps.warmAlpha0 == s.co.Alpha0
 		s.flags = trace.FlagResumed
 	}
 	ps.warmValid = false
-	return ps.run()
+	return ps.run(hist, warm)
 }
 
 // InitialPoint computes the t = 0 point: a DC operating point (or the UIC

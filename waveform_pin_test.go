@@ -24,14 +24,16 @@ import (
 // and in the three tables below; every nonlinear row is as first recorded.
 // Assembling every linear System through its stamp template regenerated the
 // same rows once more, since the template sums stamps in another order than
-// the device sweep: grid16 and ladder400 took the hashes the template's rows
-// had carried while it was an option, and lane0/grid16 equals grid16.
+// the device sweep, and so did solving each linear point directly for its
+// iterate, (G + Alpha0·C)·x = B − qhist, in place of one certified Newton
+// step from a prediction: the same step sequence and counts, values moved by
+// rounding. lane0/grid16 equals grid16.
 var suiteWaveformHashes = map[string]uint64{
-	"grid16":    0x3cc0f120b5ec0af6,
-	"grid24":    0xb085f718a6f7382d,
-	"grid32":    0x361c79f4878f56ce,
-	"ladder400": 0x9fc36a7690893462,
-	"rlctree8":  0x1b4d61eae1e201ca,
+	"grid16":    0xc45cfa89dc25442e,
+	"grid24":    0xed9056fd07c92ff7,
+	"grid32":    0x09e64afd2ede8672,
+	"ladder400": 0xd1009811fcbf5f10,
+	"rlctree8":  0xc9ceee1dc918f5c1,
 	"rect1k":    0x25d216e8df7be17c,
 	"amp10M":    0xaa0ac22efaca99ea,
 	"ring9":     0x99ff3b004ea3cb04,
@@ -49,19 +51,19 @@ var suiteWaveformHashes = map[string]uint64{
 // linux/amd64), keyed "config/circuit"; a scheme's key names the points its
 // stage solves, two for backward2 and forward2.
 var engineWaveformHashes = map[string]uint64{
-	"backward2/grid16":      0x9ebf34ee21d7ac00,
-	"forward2/grid16":       0x1ac516dea43bcaae,
-	"lane0/grid16":          0x3cc0f120b5ec0af6,
-	"lane1/grid16":          0xdc15e2cc8e929839,
-	"lane2/grid16":          0xaf974c3ccf02dae3,
-	"backward2/grid24":      0x5eb3533819f979a1,
-	"forward2/grid24":       0xf6427582754bf30d,
-	"backward2/grid32":      0x9db7555769f43500,
-	"forward2/grid32":       0x0cb8b49159f18c8c,
-	"backward2/ladder400":   0x1584ebcc54ae5b46,
-	"forward2/ladder400":    0x4032e1ef1e9844c8,
-	"backward2/rlctree8":    0xaaec6831351b9598,
-	"forward2/rlctree8":     0xee59b1fd6e776ccc,
+	"backward2/grid16":      0xf89edddc18f6fe43,
+	"forward2/grid16":       0xf56cdc0f2cd56820,
+	"lane0/grid16":          0xc45cfa89dc25442e,
+	"lane1/grid16":          0x02dfdf0b8c53cb9a,
+	"lane2/grid16":          0x8d4cc88717c57bad,
+	"backward2/grid24":      0x15470ddd0449dc42,
+	"forward2/grid24":       0x0650dc427900f325,
+	"backward2/grid32":      0xfa53c537f1608463,
+	"forward2/grid32":       0xec72daabf56d4002,
+	"backward2/ladder400":   0xa3faa8805be39a24,
+	"forward2/ladder400":    0xbbdaf38527c020f7,
+	"backward2/rlctree8":    0x1ae26b6683ab8839,
+	"forward2/rlctree8":     0x75103fc5ee81cc12,
 	"backward2/rect1k":      0x2bfd943f096f70f7,
 	"forward2/rect1k":       0xedd7b7706c6701d1,
 	"windows4strict/rect1k": 0x2baab5bf34976a41,
@@ -89,11 +91,11 @@ var engineWaveformHashes = map[string]uint64{
 // rows of their unbudgeted twins. The two devbypass/ rows were recorded while
 // the stamp template ran only behind the DeviceBypass option; a linear
 // circuit now always assembles from its template, so they run at the default
-// options and are unedited: they hold the template's waveform to the record
-// it made as an option, where the suite rows above were regenerated.
+// options and equal the suite rows of grid16 and ladder400, regenerated with
+// them when each linear point became one direct solve.
 var iterationWaveformHashes = map[string]uint64{
-	"devbypass/ladder400": 0x9fc36a7690893462,
-	"devbypass/grid16":    0x3cc0f120b5ec0af6,
+	"devbypass/ladder400": 0xd1009811fcbf5f10,
+	"devbypass/grid16":    0xc45cfa89dc25442e,
 	"windows4/rect1k":     0x2baab5bf34976a41,
 }
 

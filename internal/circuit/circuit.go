@@ -487,9 +487,9 @@ func (ws *Workspace) beginLoad(ctx *EvalCtx, x []float64, p LoadParams, z passZe
 
 // finishLoad closes an assembly pass: the limiting flag the sweep gathered,
 // the gmin-stepping node conductances, the .NODESET clamps and a scheduled
-// assembly fault. The conductances add their currents at x to F; a source
-// load (x nil) assembles no F, and its clamps add their targets' currents to
-// B instead, and a fault poisons B.
+// assembly fault, which poisons B. The conductances add their currents at x
+// to F; a source load (x nil) assembles no F, and its clamps add their
+// targets' currents to B instead.
 func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	ws.Limited = limited
 	if p.NodeGmin > 0 {
@@ -522,11 +522,7 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 	// back instead of failing the solve in front of it.
 	if ws.Faults != nil && !p.NoLimit {
 		if cls, ok := ws.Faults.At(faults.SiteLoad, p.Time); ok && cls == faults.NonFinite {
-			if x != nil {
-				ws.F[0] = math.NaN()
-			} else {
-				ws.B[0] = math.NaN()
-			}
+			ws.B[0] = math.NaN()
 		}
 	}
 }

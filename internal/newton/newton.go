@@ -65,15 +65,12 @@ func Solve(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []flo
 type Iter struct {
 	// N counts the iterations executed so far.
 	N int
-	// Warm marks the workspace as already assembled and factorized exactly at
-	// the iterate. Because the device assembly does not depend on the
-	// integration history, only the residual changes when the true history
-	// replaces a predicted one: the next step therefore takes no load, no
-	// factorization and no limiting-state flip — one residual rebuild and one
-	// triangular solve — and the iteration then continues with full steps.
-	// This is what makes forward pipelining pay: most of the forward point's
-	// computation happened speculatively, off the critical path. For Direct
-	// it marks B and the factorization as this point's: the solve alone.
+	// Warm marks the workspace as already assembled and factorized at the
+	// iterate (for Direct: this point's B, factorized under its Alpha0). The
+	// assembly does not depend on the integration history, so when the true
+	// history replaces a predicted one the next step takes no load,
+	// factorization or limiting-state flip, only the solve: most of a forward
+	// point's work happened speculatively, off the critical path.
 	Warm bool
 }
 
@@ -148,14 +145,10 @@ func (it *Iter) step(ws *circuit.Workspace, x []float64, p circuit.LoadParams, q
 	return maxRatio <= 1 && !limited, nil
 }
 
-// Direct solves one point of a linear system for its iterate:
-// x = (J_F + Alpha0·J_Q)⁻¹·(B − qhist), one triangular solve through the
-// factorization of the matrix the store holds for Alpha0, with no starting
-// iterate, residual or update. The sources are loaded first
-// (Workspace.LoadSources); a warm solve skips that and the factorization, its
-// warm start having left this point's B and a factorization under this very
-// Alpha0. The point crosses the fault sites, abort poll and trace events of
-// one Newton iteration, and counts as one.
+// Direct solves a point of a linear system for its iterate in one step,
+// x = (J_F + Alpha0·J_Q)⁻¹·(B − qhist), after Workspace.LoadSources (a warm
+// solve has its B and factorization). It crosses the fault sites, abort poll
+// and trace events of one Newton iteration, and counts as one.
 func (it *Iter) Direct(ws *circuit.Workspace, x []float64, p circuit.LoadParams, qhist []float64) error {
 	warm := it.Warm
 	it.Warm = false
@@ -163,7 +156,7 @@ func (it *Iter) Direct(ws *circuit.Workspace, x []float64, p circuit.LoadParams,
 		if cls, ok := ws.Faults.At(faults.SiteNewton, p.Time); ok && cls == faults.NoConvergence {
 			return faults.Wrap("newton", p.Time, -1, fmt.Errorf("%w (injected)", ErrNoConvergence))
 		}
-		LoadSources(ws, x, p)
+		DeviceLoad(ws, ws.LoadSources, x, p)
 	}
 	if err := ws.Abort.Err(); err != nil {
 		return faults.Wrap("newton", p.Time, -1, err)
@@ -203,29 +196,16 @@ func nonFiniteErr(x []float64, t float64, iters int) error {
 	return nil
 }
 
-// Load assembles the system, pairing each load the engines perform — inside
-// the iteration or around it (initial point, warm start) — with exactly one
-// PhaseDeviceLoad event when tracing is active.
+// Load is the load of a Newton iteration, traced by DeviceLoad.
 func Load(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
-	deviceLoad(ws, ws.Load, x, p)
+	DeviceLoad(ws, ws.Load, x, p)
 }
 
-// LoadSources is Load for a direct solve (Workspace.LoadSources), under the
-// same one PhaseDeviceLoad event.
-func LoadSources(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
-	deviceLoad(ws, ws.LoadSources, x, p)
-}
-
-// ChargePass books the charges of a converged iterate (Workspace.BookCharges)
-// in place of the full load that used to, under the same one PhaseDeviceLoad
-// event: the device-model time of a point is still the sum of its
-// PhaseDeviceLoad spans, and a trace still holds one per point closed.
-func ChargePass(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
-	deviceLoad(ws, ws.BookCharges, x, p)
-}
-
-// deviceLoad runs load under one PhaseDeviceLoad event when tracing is active.
-func deviceLoad(ws *circuit.Workspace, load func([]float64, circuit.LoadParams), x []float64, p circuit.LoadParams) {
+// DeviceLoad runs one load of ws — Load, LoadSources or the charge pass
+// BookCharges that closes a point — under exactly one PhaseDeviceLoad event
+// when tracing is active, so that a trace holds one span per load the
+// engines perform and the device-model time of a run is their sum.
+func DeviceLoad(ws *circuit.Workspace, load func([]float64, circuit.LoadParams), x []float64, p circuit.LoadParams) {
 	if !ws.Trace.Active() {
 		load(x, p)
 		return

@@ -19,6 +19,7 @@ import (
 // reproduces the waveforms the engines pinned before the direct solve bit for
 // bit on the meshes and ladder400; rlctree8 differs from those in the
 // rounding of its charges, which both forms book through the stamp template.
+// -short runs an eighth of each horizon.
 func TestLinearPointIsOneSolve(t *testing.T) {
 	configs := []struct {
 		name   string
@@ -32,6 +33,10 @@ func TestLinearPointIsOneSolve(t *testing.T) {
 		if !sys.Linear() {
 			continue
 		}
+		tstop := b.TStop
+		if testing.Short() {
+			tstop /= 8
+		}
 		for _, cfg := range configs {
 			t.Run(cfg.name+"/"+b.Name, func(t *testing.T) {
 				// run bounds the points, so that a direct solve gone wrong
@@ -41,7 +46,7 @@ func TestLinearPointIsOneSolve(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					base := transient.Options{TStop: b.TStop, MaxPoints: maxPoints}
+					base := transient.Options{TStop: tstop, MaxPoints: maxPoints}
 					var res *transient.Result
 					if cfg.scheme == 0 {
 						res, err = transient.Run(sys, base)

@@ -540,7 +540,7 @@ var testHookLinear func(ps *PointSolver, hist *integrate.History, seed []float64
 func (ps *PointSolver) Commit() *integrate.Point {
 	s := &ps.cur
 	ps.closeSolve(nil)
-	newton.ChargePass(ps.WS, s.pt.X, s.p)
+	newton.DeviceLoad(ps.WS, ps.WS.BookCharges, s.pt.X, s.p)
 	s.pt.T = s.p.Time
 	copy(s.pt.Q, ps.WS.Q)
 	for i := range s.pt.Qdot {
@@ -641,11 +641,11 @@ func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter 
 	// can pick the speculative work up with only a residual rebuild (on a
 	// linear system: B and the factorization, for the solve alone). The
 	// device assembly is history-independent; only qhist will change.
+	load := ps.WS.Load
 	if ps.WS.Sys.Linear() {
-		newton.LoadSources(ps.WS, x, s.p)
-	} else {
-		newton.Load(ps.WS, x, s.p)
+		load = ps.WS.LoadSources
 	}
+	newton.DeviceLoad(ps.WS, load, x, s.p)
 	if err := newton.Factorize(ps.WS, tNew); err != nil {
 		return x
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"wavepipe/internal/faults"
 )
@@ -87,12 +88,12 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 	}
 
 	// Workspaces, all indexed by original row.
-	x := make([]float64, n)      // numeric values of the current column
-	mark := make([]int, n)       // DFS visitation stamp (column index+1)
-	topo := make([]int, 0, n)    // reverse postorder pattern of the column
-	stack := make([]int, 0, n)   // DFS stack of original rows
-	stackP := make([]int, 0, n)  // per-stack-node child cursor
-	tmpCols := make([]int, 0, n) // scratch for sorting U entries
+	x := make([]float64, n)     // numeric values of the current column
+	mark := make([]int, n)      // DFS visitation stamp (column index+1)
+	topo := make([]int, 0, n)   // reverse postorder pattern of the column
+	stack := make([]int, 0, n)  // DFS stack of original rows
+	stackP := make([]int, 0, n) // per-stack-node child cursor
+	uPos := make([]int, 0, n)   // pivot positions of U(:, k)
 
 	for k := 0; k < n; k++ {
 		j := f.colPerm[k]
@@ -160,12 +161,12 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 
 		// Partition pattern into U entries (already pivotal rows) and pivot
 		// candidates, and choose the pivot.
-		tmpCols = tmpCols[:0]
+		uPos = uPos[:0]
 		pivotRow := -1
 		maxAbs := 0.0
 		for _, r := range topo {
-			if f.rowInv[r] >= 0 {
-				tmpCols = append(tmpCols, r)
+			if pos := f.rowInv[r]; pos >= 0 {
+				uPos = append(uPos, pos)
 				continue
 			}
 			a := math.Abs(x[r])
@@ -187,11 +188,11 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 		pv := x[pivotRow]
 		f.ud[k] = pv
 
-		// Store U(:, k): pivotal rows sorted by ascending pivot position.
-		insertionSortByPos(tmpCols, f.rowInv)
-		for _, r := range tmpCols {
-			f.ui = append(f.ui, int32(f.rowInv[r]))
-			f.ux = append(f.ux, x[r])
+		// Store U(:, k): pivotal rows by ascending pivot position.
+		slices.Sort(uPos)
+		for _, pos := range uPos {
+			f.ui = append(f.ui, int32(pos))
+			f.ux = append(f.ux, x[f.rowPerm[pos]])
 		}
 		f.up[k+1] = int32(len(f.ui))
 
@@ -209,33 +210,25 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 
 	// Finalize: translate L row indices from original rows to pivot
 	// positions and sort each column ascending (required by Refactor).
-	for p := range f.li {
-		f.li[p] = int32(f.rowInv[f.li[p]])
-	}
+	var col []lEntry
 	for k := 0; k < n; k++ {
-		sortColumn(f.li[f.lp[k]:f.lp[k+1]], f.lx[f.lp[k]:f.lp[k+1]])
+		li, lx := f.li[f.lp[k]:f.lp[k+1]], f.lx[f.lp[k]:f.lp[k+1]]
+		col = col[:0]
+		for q, r := range li {
+			col = append(col, lEntry{int32(f.rowInv[r]), lx[q]})
+		}
+		slices.SortFunc(col, func(a, b lEntry) int { return int(a.pos - b.pos) })
+		for q, e := range col {
+			li[q], lx[q] = e.pos, e.v
+		}
 	}
 	return f, nil
 }
 
-// insertionSortByPos sorts rows ascending by pos[row]; the slices involved
-// are short (one matrix column).
-func insertionSortByPos(rows []int, pos []int) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && pos[rows[j]] < pos[rows[j-1]]; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
-}
-
-// sortColumn sorts (idx, val) pairs ascending by idx.
-func sortColumn(idx []int32, val []float64) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-			val[j], val[j-1] = val[j-1], val[j]
-		}
-	}
+// lEntry is one entry of an L column while FactorizeWithPerm sorts it.
+type lEntry struct {
+	pos int32
+	v   float64
 }
 
 // Refactor recomputes the numeric factorization for new values in m,

@@ -10,6 +10,7 @@ import (
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
+	"wavepipe/internal/sparse"
 )
 
 // loadOnce assembles the grid system once at a transient-like operating
@@ -35,17 +36,23 @@ func findBenchmark(b *testing.B, name string) *System {
 }
 
 // Substrate micro-benchmarks: the sparse kernel dominates per-iteration
-// cost; track it separately.
+// cost; track it separately. BenchmarkSparseLUFactorGrid times the full
+// factorization (symbolic analysis, pivot search, sorted factors) that every
+// workspace pays once under the shared fill ordering.
 func BenchmarkSparseLUFactorGrid(b *testing.B) {
-	sys := findBenchmark(b, "grid24")
-	ws := sys.NewWorkspace()
-	x := make([]float64, sys.N)
-	loadOnce(b, ws, x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ws.Solver.Factorize(); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"grid24", "grid32"} {
+		sys := findBenchmark(b, name)
+		ws := sys.NewWorkspace()
+		x := make([]float64, sys.N)
+		loadOnce(b, ws, x)
+		m := ws.Solver.Materialize()
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sparse.FactorizeWithPerm(m, ws.Solver.ColPerm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,25 +15,27 @@ import (
 // the matrix values after; the two must answer the same requests with the
 // same sets, so these counts are those of the value-only store the table was
 // generated on (go1.24 linux/amd64). Keyed as the waveform pins are: serial,
-// the two pipelined schemes, and the three resistor-scaled grid16 lanes.
+// the two pipelined schemes, and the three resistor-scaled grid16 lanes. The
+// backward2/ rows were regenerated when the Backward offset moved onto the
+// step grid (planStage), which lets a backward point's Alpha0 repeat.
 var factorCounts = map[string][3]int{
 	"serial/grid16":       {1, 62, 432},
-	"backward2/grid16":    {2, 127, 530},
+	"backward2/grid16":    {2, 99, 558},
 	"forward2/grid16":     {2, 141, 583},
 	"lane0/grid16":        {1, 62, 432},
 	"lane1/grid16":        {1, 62, 432},
 	"lane2/grid16":        {1, 53, 360},
 	"serial/grid24":       {1, 59, 415},
-	"backward2/grid24":    {2, 157, 570},
+	"backward2/grid24":    {2, 99, 628},
 	"forward2/grid24":     {2, 97, 611},
 	"serial/grid32":       {1, 52, 402},
-	"backward2/grid32":    {2, 224, 609},
+	"backward2/grid32":    {2, 186, 647},
 	"forward2/grid32":     {2, 89, 570},
 	"serial/ladder400":    {1, 575, 46},
-	"backward2/ladder400": {2, 693, 142},
+	"backward2/ladder400": {2, 690, 145},
 	"forward2/ladder400":  {2, 446, 303},
 	"serial/rlctree8":     {2, 3443, 0},
-	"backward2/rlctree8":  {3, 3715, 1656},
+	"backward2/rlctree8":  {3, 872, 4566},
 	"forward2/rlctree8":   {3, 3571, 1853},
 }
 

@@ -244,8 +244,8 @@ type System struct {
 // fillOrdering returns the shared fill-reducing ordering, computing it on
 // first use. Safe for concurrent callers. The computation goes through the
 // sparse-level ordering cache, so sequential Builds of an identical deck
-// (and the lanes of an ensemble) reuse one minimum-degree analysis instead
-// of recomputing it per System.
+// (and the lanes of an ensemble) reuse one minimum-fill analysis instead of
+// recomputing it per System.
 func (s *System) fillOrdering() []int {
 	s.colPermOnce.Do(func() {
 		s.colPerm = sparse.SharedOrdering(s.pattern)
@@ -273,15 +273,15 @@ func (s *System) Linear() bool { return s.linear }
 // the matrix values (two steps can blend to one matrix). A set costs its
 // factors and one copy of the values, its keys next to nothing, so the working
 // set is the number of distinct matrices a run revisits. Measured on the
-// clocked meshes of the suite, serial, full horizon: grid32 holds 53 sets of
-// 227 KB (11.7 MB) by the end and touches 36 of them (8.0 MB) in one clock
-// period; grid24 59 of 112 KB (6.5 MB), 41 a period; grid16 62 of 41 KB (2.5
-// MB), 43 a period. 32 MB holds the largest of those whole runs 2.7 times over,
-// or the period of a mesh of four times the unknowns. A circuit whose steps do
-// not come back within that (ladder400: 575 sets of 19 KB; rlctree8: its
-// 912-set period is 64 MB) fills the bound with chain factors that are as cheap
-// to recompute as to look up, and stops there. The store belongs to the
-// workspace and is freed with it.
+// clocked meshes of the suite, serial, full horizon, under the minimum-fill
+// order: grid32 holds 53 sets of 213 KB (11.0 MB) by the end and touches 36
+// of them (7.5 MB) in one clock period; grid24 59 of 108 KB (6.2 MB), 41 a
+// period; grid16 62 of 40 KB (2.4 MB), 43 a period. 32 MB holds the largest
+// of those whole runs 2.9 times over, or the period of a mesh of four times
+// the unknowns. A circuit whose steps do not come back within that (ladder400:
+// 575 sets of 19 KB; rlctree8: its 912-set period is 64 MB) fills the bound
+// with chain factors that are as cheap to recompute as to look up, and stops
+// there. The store belongs to the workspace and is freed with it.
 const linearStoreBytes = 32 << 20
 
 // newSolver returns the sparse solver of one workspace on matrix m: the

@@ -121,7 +121,7 @@ func Solve(ws *circuit.Workspace, x []float64, opts Options) (Stats, error) {
 
 	// 3. Source stepping: ramp all independent sources from 0 to 100 % in
 	// srcSteps increments. Its first steps bias a whole gain chain mid-rail,
-	// where under minimum degree the supply node's column carries the chain's
+	// where under the fill ordering the supply node's column carries the chain's
 	// gain product until a pivot leaves float64 (a 430-stage EKV chain): it
 	// and the run use SourcesFirst. A longer chain's Newton update overflows
 	// from there (480 stages), so a failed step restarts from the last

@@ -125,7 +125,7 @@ func TestRingOscillatorOPNeedsContinuation(t *testing.T) {
 	}
 }
 
-// TestLongEKVChainOperatingPoint: under the minimum-degree order the supply
+// TestLongEKVChainOperatingPoint: under the minimum-fill order the supply
 // node of a long EKV inverter chain is eliminated last, and the first source
 // step's mid-rail iterate carries the chain's gain product into its column
 // until the last pivot leaves float64 ("singular matrix"). The ladder rerun

@@ -1,6 +1,6 @@
 // Package sparse implements the sparse linear algebra kernel used by the
 // circuit engines: compressed sparse column (CSC) matrices with a fixed
-// nonzero pattern, a minimum-degree fill-reducing ordering, and a KLU-style
+// nonzero pattern, a minimum-fill fill-reducing ordering, and a KLU-style
 // LU factorization with a fast numeric refactorization path for Newton
 // iterations where the pattern never changes.
 package sparse

@@ -9,7 +9,7 @@ import (
 )
 
 // columnOrders are the column permutations the kernel tests factorize
-// under: the production minimum-degree ordering, the identity, and a random
+// under: the production minimum-fill ordering, the identity, and a random
 // permutation drawn from the test's seeded source.
 var columnOrders = []struct {
 	name string

@@ -166,6 +166,19 @@ func RefSymmetrizedAdjacency(m *Matrix) [][]int {
 	return adj
 }
 
-// MinDegree exposes the minimum-degree ordering of an adjacency structure to
-// the external test package.
+// MinFill and MinDegree expose the production ordering of an adjacency
+// structure and the retired one it is held to, to the external test package.
+func MinFill(adj [][]int) []int   { return minFill(adj) }
 func MinDegree(adj [][]int) []int { return minDegree(adj) }
+
+// MulAdds counts the floating-point operations of one refactorization under
+// f's pattern: every stored U entry (i, k) subtracts L(:, i) times it from
+// column k, one multiply-add per entry of L(:, i), and every L entry is then
+// divided by its pivot, counted as one more.
+func (f *LU) MulAdds() int {
+	ops := len(f.li)
+	for _, i := range f.ui {
+		ops += int(f.lp[i+1] - f.lp[i])
+	}
+	return ops
+}

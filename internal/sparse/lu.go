@@ -60,7 +60,7 @@ type LU struct {
 	// requires to stay zeroed between columns
 }
 
-// Factorize computes a fresh LU factorization of m under its minimum-degree
+// Factorize computes a fresh LU factorization of m under its minimum-fill
 // column ordering and threshold partial pivoting.
 func Factorize(m *Matrix) (*LU, error) {
 	return FactorizeWithPerm(m, ComputeOrdering(m))

@@ -5,9 +5,10 @@ import "sync"
 // The ordering cache answers repeat symbolic analyses: two Systems built
 // from the same deck (a re-run of an identical netlist, or the K lanes of
 // an ensemble) produce bit-identical CSC patterns, and a fill-reducing
-// ordering depends only on that pattern. Recomputing minimum degree per run
-// is pure waste, so ComputeOrdering-through-SharedOrdering keeps a small
-// process-wide cache keyed by the exact pattern.
+// ordering depends only on that pattern. Recomputing minimum fill per run
+// (tens of milliseconds on a 64×64 mesh) is pure waste, so
+// ComputeOrdering-through-SharedOrdering keeps a small process-wide cache
+// keyed by the exact pattern.
 //
 // An entry stores references to the pattern's ColPtr/RowIdx slices plus a
 // cheap (n, nnz, fingerprint) prefilter, and a full O(nnz) comparison

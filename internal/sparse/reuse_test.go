@@ -27,7 +27,7 @@ func mustFactorize(t *testing.T, s *Solver) {
 	}
 }
 
-// meshSolver returns a minimum-degree solver over a random 6×6 mesh matrix.
+// meshSolver returns a minimum-fill solver over a random 6×6 mesh matrix.
 func meshSolver(seed int64) *Solver {
 	m := meshMatrix(6, rand.New(rand.NewSource(seed)))
 	return NewSolver(m, ComputeOrdering(m))

@@ -13,8 +13,8 @@ import (
 // adjacency construction it replaced, on the Jacobian pattern of every
 // evaluation circuit: every entry requested twice in a shuffled order
 // compiles to the same ColPtr/RowIdx through both builders, each request
-// resolves to the reference slot's position, and A + Aᵀ and its minimum-
-// degree ordering are the reference's.
+// resolves to the reference slot's position, and A + Aᵀ and its fill
+// ordering are the reference's.
 func TestSetupMatchesReferenceOnSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for _, bm := range circuits.Suite() {
@@ -52,8 +52,8 @@ func TestSetupMatchesReferenceOnSuite(t *testing.T) {
 		if !slices.EqualFunc(adj, refAdj, slices.Equal[[]int]) {
 			t.Fatalf("%s: A + Aᵀ differs from the reference", bm.Name)
 		}
-		if !slices.Equal(sparse.ComputeOrdering(pat), sparse.MinDegree(refAdj)) {
-			t.Fatalf("%s: minimum-degree ordering differs from the reference", bm.Name)
+		if !slices.Equal(sparse.ComputeOrdering(pat), sparse.MinFill(refAdj)) {
+			t.Fatalf("%s: fill ordering differs from the reference", bm.Name)
 		}
 	}
 }

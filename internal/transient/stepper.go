@@ -108,9 +108,16 @@ const stepMantissaBits = 12
 // unchanged and resume stays bit-identical.
 func (s *Stepper) SetStep(h float64) {
 	if s.sys.Linear() {
-		h = math.Float64frombits(math.Float64bits(h) &^ (1<<(53-stepMantissaBits) - 1))
+		h = RoundStep(h)
 	}
 	s.H = h
+}
+
+// RoundStep rounds h down to stepMantissaBits significant bits: the grid a
+// linear system's steps live on (SetStep), and the pipeline's backward offset
+// on one (wavepipe's planStage).
+func RoundStep(h float64) float64 {
+	return math.Float64frombits(math.Float64bits(h) &^ (1<<(53-stepMantissaBits) - 1))
 }
 
 // Start establishes the first point: the checkpoint named by Options.Resume

@@ -117,7 +117,7 @@ func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
 		fired = append(fired, f.T)
 	}
 	sort.Float64s(fired)
-	p := planStage(SchemeForward, false, 0, fired[0], false, 3e-3)
+	p := planStage(SchemeForward, false, 0, fired[0], false, 3e-3, false)
 	want := []float64{p.main.t, p.fwd.t}
 	if !slices.Equal(fired, want) {
 		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)

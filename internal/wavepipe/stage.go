@@ -23,7 +23,9 @@ var noTarget = target{solver: -1}
 func (tg target) planned() bool { return tg.solver >= 0 }
 
 // deltaRatio places a backward point δ = deltaRatio·h before the point it
-// sits under, h being the stage's main step.
+// sits under, h being the stage's main step. On a linear system δ is rounded
+// as the steps are (transient.RoundStep), so tMain − δ is exact and the
+// backward point's Alpha0 repeats whenever the stage's step does.
 const deltaRatio = 0.2
 
 // stagePlan is the shape of one stage, the scheme as data: which points ride
@@ -55,15 +57,19 @@ type stagePlan struct {
 }
 
 // planStage expands scheme × flush state into the stage that takes the run
-// from t to tMain (on the limit when hitBp).
-func planStage(scheme Scheme, flush bool, t, tMain float64, hitBp bool, limit float64) stagePlan {
+// from t to tMain (on the limit when hitBp); linear is circuit.System.Linear.
+func planStage(scheme Scheme, flush bool, t, tMain float64, hitBp bool, limit float64, linear bool) stagePlan {
 	p := stagePlan{flush: flush, main: target{0, tMain}, hitBp: hitBp, back: noTarget, fwd: noTarget}
 	if flush {
 		return p
 	}
 	h0 := tMain - t
 	if scheme == SchemeBackward {
-		p.main.solver, p.back = 1, target{0, tMain - deltaRatio*h0}
+		delta := deltaRatio * h0
+		if linear {
+			delta = transient.RoundStep(delta)
+		}
+		p.main.solver, p.back = 1, target{0, tMain - delta}
 		return p
 	}
 	t2, fwdHitsBp := transient.LandOn(limit, tMain+h0, h0)
@@ -219,7 +225,7 @@ func (e *engine) stage(flush bool) error {
 	s := e.s
 	hist := s.Hist
 	tMain, hitBp := s.Plan()
-	e.p = planStage(e.opts.Scheme, flush, s.T, tMain, hitBp, s.Limit())
+	e.p = planStage(e.opts.Scheme, flush, s.T, tMain, hitBp, s.Limit(), e.solvers[0].WS.Sys.Linear())
 	p := &e.p
 	e.depth = e.warmDepth()
 

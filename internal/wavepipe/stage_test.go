@@ -1,6 +1,8 @@
 package wavepipe
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,11 +48,32 @@ func TestPlanStage(t *testing.T) {
 			main: tg{0, 2}, back: none, fwd: none},
 	}
 	for _, c := range cases {
-		p := planStage(c.scheme, c.flush, 1, 2, c.hitBp, c.limit)
+		p := planStage(c.scheme, c.flush, 1, 2, c.hitBp, c.limit, false)
 		if p.flush != c.flush || p.hitBp != c.hitBp || p.main != c.main || p.back != c.back ||
 			p.fwd != c.fwd || p.fwdHitsBp != c.fwdHitsBp {
 			t.Errorf("%s: plan %+v, want main %v back %v fwd %v fwdHitsBp %v",
 				c.name, p, c.main, c.back, c.fwd, c.fwdHitsBp)
+		}
+	}
+}
+
+// On a linear system the backward offset is on the step grid: δ is 0.2·h
+// rounded as a step is, and the backward point sits exactly δ under main, so
+// a stage that repeats a step repeats the backward point's Alpha0 too.
+func TestBackwardPointOnTheStepGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 1000; trial++ {
+		tBase := transient.RoundStep(rng.Float64() * 1e-7)
+		h := transient.RoundStep(math.Ldexp(1+rng.Float64(), -40-rng.Intn(10)))
+		tMain := tBase + h
+		p := planStage(SchemeBackward, false, tBase, tMain, false, 1, true)
+		delta := transient.RoundStep(deltaRatio * (tMain - tBase))
+		if p.back.t != tMain-delta || tMain-p.back.t != delta {
+			t.Fatalf("t=%g h=%g: backward point %g is %g under main, want δ=%g exactly",
+				tBase, h, p.back.t, tMain-p.back.t, delta)
+		}
+		if nl := planStage(SchemeBackward, false, tBase, tMain, false, 1, false); nl.back.t != tMain-deltaRatio*(tMain-tBase) {
+			t.Fatalf("t=%g h=%g: a nonlinear system's backward point moved to %g", tBase, h, nl.back.t)
 		}
 	}
 }

@@ -27,11 +27,14 @@ import (
 // the device sweep, and so did solving each linear point directly for its
 // iterate, (G + Alpha0·C)·x = B − qhist, in place of one certified Newton
 // step from a prediction: the same step sequence and counts, values moved by
-// rounding. lane0/grid16 equals grid16.
+// rounding. The minimum-fill ordering regenerated the rows whose elimination
+// order it changed, those naming grid16, grid24, grid32 or ecl8 here and
+// below, and rounding the Backward offset onto the step grid the backward2/
+// rows of the five linear circuits. lane0/grid16 equals grid16.
 var suiteWaveformHashes = map[string]uint64{
-	"grid16":    0xc45cfa89dc25442e,
-	"grid24":    0xed9056fd07c92ff7,
-	"grid32":    0x09e64afd2ede8672,
+	"grid16":    0xeff6c42291956439,
+	"grid24":    0x82f926a5dd08f6f1,
+	"grid32":    0xdf5e71ca6c6ff76b,
 	"ladder400": 0xd1009811fcbf5f10,
 	"rlctree8":  0xc9ceee1dc918f5c1,
 	"rect1k":    0x25d216e8df7be17c,
@@ -40,7 +43,7 @@ var suiteWaveformHashes = map[string]uint64{
 	"inv50":     0x05af7cf0894e21a9,
 	"nand5":     0x687965018eefb983,
 	"ekv30":     0x4f40d15d8b902544,
-	"ecl8":      0xe1502373c2e813ca,
+	"ecl8":      0x996195857cf32eeb,
 }
 
 // engineWaveformHashes extends the pin to the other step-control loops, one
@@ -51,18 +54,18 @@ var suiteWaveformHashes = map[string]uint64{
 // linux/amd64), keyed "config/circuit"; a scheme's key names the points its
 // stage solves, two for backward2 and forward2.
 var engineWaveformHashes = map[string]uint64{
-	"backward2/grid16":      0xf89edddc18f6fe43,
-	"forward2/grid16":       0xf56cdc0f2cd56820,
-	"lane0/grid16":          0xc45cfa89dc25442e,
-	"lane1/grid16":          0x02dfdf0b8c53cb9a,
-	"lane2/grid16":          0x8d4cc88717c57bad,
-	"backward2/grid24":      0x15470ddd0449dc42,
-	"forward2/grid24":       0x0650dc427900f325,
-	"backward2/grid32":      0xfa53c537f1608463,
-	"forward2/grid32":       0xec72daabf56d4002,
-	"backward2/ladder400":   0xa3faa8805be39a24,
+	"backward2/grid16":      0xf48f678156d279d2,
+	"forward2/grid16":       0x14d6fa160b7020a1,
+	"lane0/grid16":          0xeff6c42291956439,
+	"lane1/grid16":          0x6102c77ec86e9a5e,
+	"lane2/grid16":          0x6e31491f7c8f2f76,
+	"backward2/grid24":      0xc319061fc6748e6a,
+	"forward2/grid24":       0x37af3d66ca4dbe07,
+	"backward2/grid32":      0x944a04b3cb42ec2d,
+	"forward2/grid32":       0x0b87316dab793aa7,
+	"backward2/ladder400":   0xd84fc150cf3e07ad,
 	"forward2/ladder400":    0xbbdaf38527c020f7,
-	"backward2/rlctree8":    0x1ae26b6683ab8839,
+	"backward2/rlctree8":    0x62d3052c4feaa378,
 	"forward2/rlctree8":     0x75103fc5ee81cc12,
 	"backward2/rect1k":      0x2bfd943f096f70f7,
 	"forward2/rect1k":       0xedd7b7706c6701d1,
@@ -80,8 +83,8 @@ var engineWaveformHashes = map[string]uint64{
 	"lane0/ekv30":           0x4f40d15d8b902544,
 	"lane1/ekv30":           0x4f40d15d8b902544,
 	"lane2/ekv30":           0x4f40d15d8b902544,
-	"backward2/ecl8":        0x237cbdcf34dde037,
-	"forward2/ecl8":         0x6e6a05705aba3d08,
+	"backward2/ecl8":        0xc54b01c76cc8a7a4,
+	"forward2/ecl8":         0x217037097c56c16f,
 }
 
 // iterationWaveformHashes pins the configuration the Newton-iteration fold
@@ -92,10 +95,11 @@ var engineWaveformHashes = map[string]uint64{
 // the stamp template ran only behind the DeviceBypass option; a linear
 // circuit now always assembles from its template, so they run at the default
 // options and equal the suite rows of grid16 and ladder400, regenerated with
-// them when each linear point became one direct solve.
+// them when each linear point became one direct solve and, for grid16, under
+// the minimum-fill ordering.
 var iterationWaveformHashes = map[string]uint64{
 	"devbypass/ladder400": 0xd1009811fcbf5f10,
-	"devbypass/grid16":    0xc45cfa89dc25442e,
+	"devbypass/grid16":    0xeff6c42291956439,
 	"windows4/rect1k":     0x2baab5bf34976a41,
 }
 

@@ -51,15 +51,7 @@ const truthConvergence = 1e-3
 // here, and a row that drifts past even that bar fails.
 const truthBar = 0.05
 
-// serial/ecl8 read 2.09 % under minimum degree and reads 5.74 % under minimum
-// fill, but neither figure is the ordering's: under minimum degree, scaling
-// every resistor by 1 + 1e-14 … 1 + 1e-6 already gives 4.5–6.3 %. The error
-// is a lag on the stage edge after an input breakpoint (24.5 ns here, 16.5 ns
-// in the perturbed runs): the restart step is the last step before the
-// breakpoint, 54 ps where a 2.09 % run had 2–5 ps, and it and the 108 ps step
-// after it are accepted with no error estimate (ROADMAP item 1(e)).
 var truthFindings = map[string]float64{
-	"serial/ecl8":        0.08,
 	"backward2/ecl8":     0.30,
 	"forward2/ecl8":      0.30,
 	"backward2/ring9":    0.16,

@@ -29,21 +29,24 @@ import (
 // step from a prediction: the same step sequence and counts, values moved by
 // rounding. The minimum-fill ordering regenerated the rows whose elimination
 // order it changed, those naming grid16, grid24, grid32 or ecl8 here and
-// below, and rounding the Backward offset onto the step grid the backward2/
-// rows of the five linear circuits. lane0/grid16 equals grid16.
+// below; rounding the Backward offset onto the step grid the backward2/ rows
+// of the five linear circuits; and holding a nonlinear system's step until
+// its LTE stencil is full (transient.Stepper.holdStep) every serial-engine
+// row of the seven nonlinear circuits: their suite rows, the three ekv30 lanes
+// and the two rect1k window rows. lane0/grid16 equals grid16.
 var suiteWaveformHashes = map[string]uint64{
 	"grid16":    0xeff6c42291956439,
 	"grid24":    0x82f926a5dd08f6f1,
 	"grid32":    0xdf5e71ca6c6ff76b,
 	"ladder400": 0xd1009811fcbf5f10,
 	"rlctree8":  0xc9ceee1dc918f5c1,
-	"rect1k":    0x25d216e8df7be17c,
-	"amp10M":    0xaa0ac22efaca99ea,
-	"ring9":     0x99ff3b004ea3cb04,
-	"inv50":     0x05af7cf0894e21a9,
-	"nand5":     0x687965018eefb983,
-	"ekv30":     0x4f40d15d8b902544,
-	"ecl8":      0x996195857cf32eeb,
+	"rect1k":    0x4b5c490871e241a4,
+	"amp10M":    0xf8ddeb39cbd111c0,
+	"ring9":     0x0d2c9fcc607f41f3,
+	"inv50":     0xc9997906129342a2,
+	"nand5":     0xbbee95bf68f9ad76,
+	"ekv30":     0x845a24b2c22bf2ad,
+	"ecl8":      0x5d48be31fbf6e90d,
 }
 
 // engineWaveformHashes extends the pin to the other step-control loops, one
@@ -69,7 +72,7 @@ var engineWaveformHashes = map[string]uint64{
 	"forward2/rlctree8":     0x75103fc5ee81cc12,
 	"backward2/rect1k":      0x2bfd943f096f70f7,
 	"forward2/rect1k":       0xedd7b7706c6701d1,
-	"windows4strict/rect1k": 0x2baab5bf34976a41,
+	"windows4strict/rect1k": 0x101e919d9dce43e3,
 	"backward2/amp10M":      0xfba24c90016f478b,
 	"forward2/amp10M":       0xb224ceb97a37fafc,
 	"backward2/ring9":       0x63e1fe245630b4ef,
@@ -80,9 +83,9 @@ var engineWaveformHashes = map[string]uint64{
 	"forward2/nand5":        0x147d28f276c455a6,
 	"backward2/ekv30":       0x8b8935fceec028a2,
 	"forward2/ekv30":        0x50c90d42e0c9ed5b,
-	"lane0/ekv30":           0x4f40d15d8b902544,
-	"lane1/ekv30":           0x4f40d15d8b902544,
-	"lane2/ekv30":           0x4f40d15d8b902544,
+	"lane0/ekv30":           0x845a24b2c22bf2ad,
+	"lane1/ekv30":           0x845a24b2c22bf2ad,
+	"lane2/ekv30":           0x845a24b2c22bf2ad,
 	"backward2/ecl8":        0xc54b01c76cc8a7a4,
 	"forward2/ecl8":         0x217037097c56c16f,
 }
@@ -100,7 +103,7 @@ var engineWaveformHashes = map[string]uint64{
 var iterationWaveformHashes = map[string]uint64{
 	"devbypass/ladder400": 0xd1009811fcbf5f10,
 	"devbypass/grid16":    0xeff6c42291956439,
-	"windows4/rect1k":     0x2baab5bf34976a41,
+	"windows4/rect1k":     0x101e919d9dce43e3,
 }
 
 func waveformHash(res *Result) uint64 {

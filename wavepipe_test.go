@@ -245,3 +245,73 @@ func TestControlledSourcesThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// acceptSteps is an Observer that records the time and step of every
+// accepted point.
+type acceptSteps struct{ t, h []float64 }
+
+func (a *acceptSteps) OnEvent(ev TraceEvent) {
+	if ev.Kind == TraceKindAccept {
+		a.t, a.h = append(a.t, ev.T), append(a.h, ev.H)
+	}
+}
+func (a *acceptSteps) OnSnapshot(TraceSnapshot) {}
+
+// TestStepHeldUntilTheStencilFills: the first point after a restart carries
+// no error estimate, so a nonlinear run takes the point after it with the
+// same step or less, where a linear run doubles it. The edges are those of
+// each circuit's pulse: ecl8's input (0.5 ns delay, 0.3 ns edges, 3.5 ns
+// wide) and grid16's current sinks (1 ns delay, 0.5 ns edges, 2 ns wide),
+// both every 8 ns.
+func TestStepHeldUntilTheStencilFills(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edges []float64
+		held  bool
+	}{
+		{"ecl8", []float64{0.5e-9, 0.8e-9, 4.3e-9, 4.6e-9}, true},
+		{"grid16", []float64{1e-9, 1.5e-9, 3.5e-9, 4e-9}, false},
+	} {
+		b, ok := findSuite(c.name)
+		if !ok {
+			t.Fatalf("no %s benchmark", c.name)
+		}
+		sys, err := b.Make().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var obs acceptSteps
+		if _, err := RunTransientCtx(context.Background(), sys, TranOptions{TStop: b.TStop, Record: []string{b.Probe}, Observer: &obs}); err != nil {
+			t.Fatal(err)
+		}
+		atEdge := func(tt float64) bool {
+			for _, e := range c.edges {
+				for p := e; p < b.TStop; p += 8e-9 {
+					if math.Abs(tt-p) <= 1e-12*p {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		restarts, doubled := 0, 0
+		for k := 0; k+2 < len(obs.t); k++ {
+			if !atEdge(obs.t[k]) {
+				continue
+			}
+			restarts++
+			if obs.h[k+2] > obs.h[k+1] {
+				doubled++
+			}
+		}
+		if restarts == 0 {
+			t.Fatalf("%s: no accepted point on an edge", c.name)
+		}
+		if c.held && doubled > 0 {
+			t.Errorf("%s: %d of %d restarts grew the step before the LTE could judge it", c.name, doubled, restarts)
+		}
+		if !c.held && doubled == 0 {
+			t.Errorf("%s: none of %d restarts grew the step", c.name, restarts)
+		}
+	}
+}

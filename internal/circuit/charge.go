@@ -8,9 +8,10 @@ import "wavepipe/internal/sparse"
 // the charges and only them.
 
 // ChargeEvaler is the optional device contract behind the charge pass. EvalQ
-// issues exactly the AddQ calls Eval issues under NoLimit, in the same order
-// and from the same expressions, and writes the limiting-state slots (SNext)
-// that pass writes; it touches nothing else — no AddF, AddB, AddJ or AddJQ.
+// issues exactly the AddQ calls Eval issues under NoLimit and the same
+// EvalCtx.Templated, in the same order and from the same expressions, and
+// writes the limiting-state slots (SNext) that pass writes; it touches
+// nothing else — no AddF, AddB, AddJ or AddJQ.
 // A device that stores charge or keeps limiting state implements it; one that
 // does neither has nothing to book and does not.
 //
@@ -79,15 +80,15 @@ func (ws *Workspace) planCharges() {
 	ws.chargeEvalers = evalers
 }
 
-// LoadCharges leaves in ws.Q the charge vector at iterate x and in ws.SNext
-// the unlimited junction voltages there — bit for bit what a full Load under
-// p with NoLimit leaves in them — without assembling anything else: it zeroes
-// Q only, sweeps only the devices that book charge or limiting state, and
-// leaves M, F, B and Limited as the last Load left them (a listed device
-// without EvalQ goes through its full Eval, whose stamps land on top of that
-// Load's; nothing reads them before the next Load's zeroing). It is what
-// closes a converged point solve; the full NoLimit load it replaced survives
-// as the oracle of the tests.
+// LoadCharges is the full sweep's charge pass: it leaves in ws.Q the charge
+// vector at iterate x and in ws.SNext the unlimited junction voltages there —
+// bit for bit what a full Load under p with NoLimit leaves in them — without
+// assembling anything else: it zeroes Q only, sweeps only the devices that
+// book charge or limiting state, and leaves M, F, B and Limited as the last
+// Load left them (a listed device without EvalQ goes through its full Eval,
+// whose stamps land on top of that Load's; nothing reads them before the next
+// Load's zeroing). It closes a converged point solve where the template probe
+// failed (BookCharges closes it everywhere else).
 func (ws *Workspace) LoadCharges(x []float64, p LoadParams) {
 	if ws.chargeEvalers == nil {
 		ws.planCharges()

@@ -355,8 +355,8 @@ type Workspace struct {
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
 	// tmpl is the stamp template of this workspace's devices (incremental.go),
-	// probed for on the first templated load; nil on a nonlinear System, which
-	// always sweeps.
+	// probed for on the first templated load; nil where the probe failed,
+	// which leaves every load on the full sweep.
 	tmpl   *stampTemplate
 	probed bool
 }
@@ -405,16 +405,17 @@ type LoadParams struct {
 }
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
-// vectors at iterate x: through the stamp template on a linear System, else
-// by sweeping every device. NoLimit loads must evaluate every device exactly
-// at the iterate and source-stepping loads rescale B, so both always sweep.
+// vectors at iterate x: through the stamp template, which sweeps only the
+// nonlinear devices (none on a linear System), else by sweeping every device.
+// NoLimit loads must evaluate every device exactly at the iterate and
+// source-stepping loads rescale B, so both always sweep in full.
 // Every assembly path — this one, LoadSplit and the lane sweep of lanes.go —
 // is beginLoad, its own sweep, finishLoad, on the calling goroutine and
 // without a clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
 	ctx := &ws.evalCtx
-	if tp := ws.template(); tp != nil && !p.NoLimit && p.SrcScale == 1 {
-		ws.loadTemplate(ctx, tp, x, p)
+	if !p.NoLimit && p.SrcScale == 1 && ws.template() != nil {
+		ws.loadTemplate(ctx, ws.tmpl, x, p)
 	} else {
 		ws.beginLoad(ctx, x, p, zeroAll)
 		for _, d := range ws.Devices() {
@@ -588,6 +589,9 @@ type EvalCtx struct {
 	NoLimit  bool
 	SPrev    []float64
 	SNext    []float64
+	// Templated says that the stamp template holds the linear part of every
+	// LinearPartStamper: their Eval and EvalQ skip it in this pass.
+	Templated bool
 
 	m  *sparse.Matrix
 	mq *sparse.Matrix // non-nil during split (G/C) assembly

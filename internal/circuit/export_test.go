@@ -7,6 +7,14 @@ import (
 	"wavepipe/internal/sparse"
 )
 
+// NewSweepWorkspace returns a workspace of s that assembles every load by
+// sweeping all of its devices, as one whose template probe failed does.
+func NewSweepWorkspace(s *System) *Workspace {
+	ws := s.NewWorkspace()
+	ws.probed = true
+	return ws
+}
+
 // CheckStampPositions evaluates every device of s alone twice at iterate x:
 // through the positions Build handed it, into a clone of the system
 // pattern, and through a pattern compiled from the device's own Reserve

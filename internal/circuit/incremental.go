@@ -1,26 +1,28 @@
-// Linear systems: the stamp template.
+// The stamp template.
 //
-// On a linear System (see System.Linear) every device stamps constant
-// Jacobians, with F = J_F·x and Q = J_Q·x, and only the sources' B moves with
-// time. The matrix of a load is then J_F + Alpha0·J_Q, a blend of two fixed
-// arrays, and F and Q are two compact matrix-vector products. A load through
-// the template evaluates the sources for B and does arithmetic for the rest
-// instead of sweeping every device through Eval.
+// Most of a circuit's stamps are constant: every linear device stamps constant
+// Jacobians, with F = J_F·x and Q = J_Q·x, and a nonlinear device may declare
+// a constant linear part of its own (LinearPartStamper: a MOSFET's gate and
+// junction capacitances). Each workspace probes these once into one J_F / J_Q
+// split, its template. A load through it evaluates the sources for B, takes
+// J_F + Alpha0·J_Q for the matrix and J_F·x, J_Q·x for F and Q, and then
+// sweeps the nonlinear devices alone, each under EvalCtx.Templated, so that
+// it skips the part the template holds. A linear System is the case with no
+// device to sweep.
 //
-// Every workspace of a linear System builds its own template from its own
-// device list on its first templated load (and again after SetDevices), so an
-// ensemble lane is templated from its variant's values and the template lives
-// and dies with the workspace. A nonlinear System has none. NoLimit loads and
-// source-stepping loads take the plain sweep on either. The template sums
-// stamps in another order than the sweep, so the two agree to rounding, not
-// bit for bit.
+// Every workspace probes its own device list on its first templated load (and
+// again after SetDevices), so an ensemble lane is templated from its variant's
+// values and the template lives and dies with the workspace. NoLimit loads and
+// source-stepping loads take the full sweep. The template sums stamps in
+// another order than the sweep, so the two agree to rounding, not bit for bit.
 //
-// The blend is a function of Alpha0 alone, so a templated load does not write
-// it: it hands Alpha0 to the solver as the request's key (sparse.Solver.Defer)
-// and the solver blends through Workspace.blend only when its store cannot
-// answer that key. A load that adds to the blend (a gmin-stepping or
-// .NODESET conductance) has it assembled first and is keyed by its values
-// (Workspace.writeM).
+// On a linear System the matrix is a function of Alpha0 alone, so a templated
+// load does not write it: it hands Alpha0 to the solver as the request's key
+// (sparse.Solver.Defer) and the solver blends through Workspace.blend only
+// when its store cannot answer that key. A load that adds to the blend (a
+// gmin-stepping or .NODESET conductance) has it assembled first and is keyed
+// by its values (Workspace.writeM). A nonlinear System's load writes the blend
+// itself and adds its devices' stamps to it.
 package circuit
 
 // LinearStamper marks a device whose F and Q stamps are exactly linear in
@@ -36,6 +38,17 @@ type LinearStamper interface {
 	LinearStamps() (timeVaryingB bool)
 }
 
+// LinearPartStamper marks a nonlinear device with a constant linear part:
+// StampLinearPart issues exactly the stamps of that part, with the same calls
+// and expressions as Eval, and F and Q exactly linear in the iterate (zero at
+// x = 0). Under EvalCtx.Templated the device's Eval and EvalQ skip that part,
+// which the template holds. Like LinearStamper this is a correctness promise:
+// a templated pass followed by StampLinearPart must issue what Eval issues,
+// slot for slot and bit for bit (TestLinearPartContract in internal/device).
+type LinearPartStamper interface {
+	StampLinearPart(ctx *EvalCtx)
+}
+
 // linearDevice reports whether d keeps that promise with no limiting state
 // of its own. A System whose every device is one is Linear.
 func linearDevice(d Device) bool {
@@ -43,11 +56,12 @@ func linearDevice(d Device) bool {
 	return ok && d.States() == 0
 }
 
-// stampTemplate is the exact J_F / J_Q split of one workspace's devices in
-// compact form: the pattern is dominated by entries that are zero in both, so
-// the blend and the products iterate only the entries that exist. pos/jf/jq
-// drive the blend (M[pos[t]] = jf[t] + Alpha0·jq[t]); the (row, col, value)
-// triples drive the two matrix-vector products.
+// stampTemplate is the exact J_F / J_Q split of the constant stamps of one
+// workspace's devices in compact form: the pattern is dominated by entries
+// that are zero in both, so the blend and the products iterate only the
+// entries that exist. pos/jf/jq drive the blend (M[pos[t]] = jf[t] +
+// Alpha0·jq[t]); the (row, col, value) triples drive the two matrix-vector
+// products.
 type stampTemplate struct {
 	pos      []int
 	jf, jq   []float64
@@ -59,14 +73,24 @@ type stampTemplate struct {
 	// sources lists the devices with a time-varying B (independent sources),
 	// evaluated every load for it.
 	sources []int
+	// sweep lists, in device order, the nonlinear devices a load evaluates.
+	sweep []int
+	// charges lists those of them the charge pass visits, with the EvalQ it
+	// calls (nil: the full Eval): every one that books charge or limiting
+	// state beyond its linear part.
+	charges       []int
+	chargeEvalers []ChargeEvaler
 }
 
-// newStampTemplate probes devs once at x = 0: AddJ routes into a J_F matrix
+// newStampTemplate probes devs once at x = 0: each linear device's Eval and
+// each declared linear part's StampLinearPart route AddJ into a J_F matrix
 // and AddJQ raw into a J_Q one (the split AC assembly uses), which separates
 // the two with no finite-difference error. F, Q and B writes are discarded;
-// for a linear device F(0) = Q(0) = 0, and B is stamped every load. Like the
-// charge probe it returns nil if a device is not linear or panics under the
-// probe, which leaves the workspace on the plain sweep.
+// the probed stamps are linear, so F(0) = Q(0) = 0, and B is stamped every
+// load. Every other device is swept; of those, the charge pass visits the
+// ones on s's charge list whose templated EvalQ still books charge at x = 0
+// or that keep limiting state. Like the charge probe it returns nil if a
+// device panics under the probe, which leaves the workspace on the full sweep.
 func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	defer func() {
 		if recover() != nil {
@@ -75,6 +99,7 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	}()
 	n := s.N
 	mf, mq := s.pattern.Clone(), s.pattern.Clone()
+	var wroteQ bool
 	ctx := EvalCtx{
 		X:        make([]float64, n),
 		SrcScale: 1,
@@ -89,13 +114,35 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	}
 	tp = &stampTemplate{}
 	for di, d := range devs {
-		if !linearDevice(d) {
-			return nil
+		switch lp, ok := d.(LinearPartStamper); {
+		case linearDevice(d):
+			d.Eval(&ctx)
+			if d.(LinearStamper).LinearStamps() {
+				tp.sources = append(tp.sources, di)
+			}
+		case ok:
+			lp.StampLinearPart(&ctx)
+			tp.sweep = append(tp.sweep, di)
+		default:
+			tp.sweep = append(tp.sweep, di)
 		}
-		d.Eval(&ctx)
-		if d.(LinearStamper).LinearStamps() {
-			tp.sources = append(tp.sources, di)
+	}
+	ctx.Templated, ctx.wroteQ = true, &wroteQ
+	for _, di := range s.chargeDevs {
+		d := devs[di]
+		if linearDevice(d) {
+			continue
 		}
+		q, _ := d.(ChargeEvaler)
+		if _, ok := d.(LinearPartStamper); ok && q != nil && d.States() == 0 {
+			wroteQ = false
+			q.EvalQ(&ctx)
+			if !wroteQ {
+				continue
+			}
+		}
+		tp.charges = append(tp.charges, int(di))
+		tp.chargeEvalers = append(tp.chargeEvalers, q)
 	}
 	// Sized exactly before they are filled: growing nine slices by appending
 	// costs a grid16 template about a hundred allocations.
@@ -140,10 +187,10 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 }
 
 // template returns the workspace's stamp template, probing its devices on
-// the first call after NewWorkspace or SetDevices; nil on a nonlinear System
-// and where the probe failed, which is remembered too.
+// the first call after NewWorkspace or SetDevices; nil where the probe
+// failed, which is remembered too.
 func (ws *Workspace) template() *stampTemplate {
-	if !ws.probed && ws.Sys.linear {
+	if !ws.probed {
 		ws.tmpl, ws.probed = newStampTemplate(ws.Sys, ws.Devices()), true
 	}
 	return ws.tmpl
@@ -152,8 +199,9 @@ func (ws *Workspace) template() *stampTemplate {
 // loadTemplate is the sweep of a Load through the template. The sources are
 // evaluated straight into the workspace for B; their J, F and Q stamps are
 // already in the template, so F and Q are cleared after them and rebuilt by
-// the two products, and M is the blend, deferred to the solver under the key
-// Alpha0 (finishLoad assembles it before adding to it).
+// the two products. M is the blend: on a linear System deferred to the solver
+// under the key Alpha0 (finishLoad assembles it before adding to it), on a
+// nonlinear one written here. The nonlinear devices are swept last, on top.
 func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, p LoadParams) {
 	ws.beginLoad(ctx, x, p, zeroB)
 	devs := ws.Devices()
@@ -161,9 +209,18 @@ func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, 
 		devs[di].Eval(ctx)
 	}
 	ws.zero(zeroF | zeroQ)
-	ws.Solver.Defer(p.Alpha0)
+	if ws.Sys.linear {
+		ws.Solver.Defer(p.Alpha0)
+	} else {
+		ws.blend(p.Alpha0)
+		ws.Solver.Written()
+	}
 	mulAdd(ws.F, x, tp.jfR, tp.jfC, tp.jfV)
 	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
+	ctx.Templated = true
+	for _, di := range tp.sweep {
+		devs[di].Eval(ctx)
+	}
 }
 
 // LoadSources is the load of a linear point solved for its iterate
@@ -192,9 +249,10 @@ func (ws *Workspace) LoadSources(x []float64, p LoadParams) {
 	ws.finishLoad(nil, p, false)
 }
 
-// BookCharges is the charge pass that closes a converged point. Through a
-// template it books Q = J_Q·x, what a templated load leaves in Q; on a
-// nonlinear System, or where the probe failed, it is LoadCharges.
+// BookCharges is the charge pass that closes a converged point: through the
+// template it books Q = J_Q·x, then the charges the swept devices book on
+// top, unlimited — bit for bit what a templated load at x under NoLimit
+// semantics leaves in Q and SNext. Where the probe failed it is LoadCharges.
 func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
 	tp := ws.template()
 	if tp == nil {
@@ -203,6 +261,21 @@ func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
 	}
 	clear(ws.Q)
 	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
+	if len(tp.charges) == 0 {
+		return
+	}
+	p.NoLimit = true
+	ctx := &ws.evalCtx
+	ws.beginLoad(ctx, x, p, 0)
+	ctx.Templated = true
+	devs := ws.Devices()
+	for k, di := range tp.charges {
+		if q := tp.chargeEvalers[k]; q != nil {
+			q.EvalQ(ctx)
+		} else {
+			devs[di].Eval(ctx)
+		}
+	}
 }
 
 // mulAdd accumulates the product of the (rows, cols, vals) triples with x

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wavepipe/internal/faults"
@@ -162,13 +163,6 @@ func buildMix(t *testing.T, c *Circuit) *System {
 	return sys
 }
 
-// plainWorkspace returns a workspace of sys that always sweeps its devices.
-func plainWorkspace(sys *System) *Workspace {
-	ws := sys.NewWorkspace()
-	ws.probed = true
-	return ws
-}
-
 func testX(n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -177,30 +171,51 @@ func testX(n int) []float64 {
 	return x
 }
 
-// TestStampTemplateOnLinearSystemsOnly: whether a workspace assembles through
-// the template is a fact about the device list. Every workspace of a linear
-// System has one, and a lane keeps it; a nonlinear System's have none.
-func TestStampTemplateOnLinearSystemsOnly(t *testing.T) {
+// TestStampTemplateSweepsTheNonlinearDevices: every workspace assembles
+// through one stamp template, and which devices a templated load still
+// evaluates is a fact about the device list. On a linear System the template
+// sweeps none, and a lane keeps it; on the mix with cubic conductances it
+// sweeps exactly those, in device order, its charge pass visits none (they
+// book no charge), and a templated load evaluates no linear device but the
+// source.
+func TestStampTemplateSweepsTheNonlinearDevices(t *testing.T) {
 	c, _, _ := linearMix(5, 1, false)
 	lin := buildMix(t, c)
 	if !lin.Linear() {
 		t.Fatal("the linear mix is not Linear")
 	}
 	ws := lin.NewWorkspace()
-	if ws.template() == nil {
-		t.Fatal("a workspace of a linear System has no stamp template")
+	if tp := ws.template(); tp == nil || len(tp.sweep) != 0 || len(tp.charges) != 0 {
+		t.Fatalf("a workspace of a linear System sweeps %v and visits %v for charge, want a template with neither", tp.sweep, tp.charges)
 	}
 	ws.SetDevices(lin.Circuit.Devices())
-	if ws.template() == nil {
+	if tp := ws.template(); tp == nil || len(tp.sweep) != 0 {
 		t.Fatal("SetDevices on a linear System lost the template")
 	}
-	c, _, _ = linearMix(5, 1, true)
+	c, lins, src := linearMix(5, 1, true)
 	nl := buildMix(t, c)
 	if nl.Linear() {
 		t.Fatal("the mix with cubic conductances is Linear")
 	}
-	if nl.NewWorkspace().template() != nil {
-		t.Fatal("a workspace of a nonlinear System has a stamp template")
+	var want []int
+	for i, d := range c.Devices() {
+		if _, ok := d.(*nlStub); ok {
+			want = append(want, i)
+		}
+	}
+	ws = nl.NewWorkspace()
+	tp := ws.template()
+	if tp == nil || !slices.Equal(tp.sweep, want) {
+		t.Fatalf("a workspace of the nonlinear mix sweeps %v, want the cubic conductances %v", tp.sweep, want)
+	}
+	if len(tp.charges) != 0 {
+		t.Fatalf("its charge pass visits %v; the cubic conductances book no charge", tp.charges)
+	}
+	linEvals, srcEvals := lins[0].evals, src.evals
+	ws.Load(testX(nl.N), LoadParams{Alpha0: 2e6, SrcScale: 1})
+	if lins[0].evals != linEvals || src.evals != srcEvals+1 {
+		t.Fatalf("the templated load evaluated a linear conductance %d times and the source %d times, want 0 and 1",
+			lins[0].evals-linEvals, src.evals-srcEvals)
 	}
 }
 
@@ -237,7 +252,7 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 	c, lins, src := linearMix(9, 1, false)
 	sys := buildMix(t, c)
 	ws := sys.NewWorkspace()
-	ref := plainWorkspace(sys)
+	ref := NewSweepWorkspace(sys)
 
 	x := testX(sys.N)
 	p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1, NodeGmin: 1e-9}
@@ -276,7 +291,7 @@ func TestIncrementalBypassGuards(t *testing.T) {
 	c, lins, _ := linearMix(4, 1, false)
 	sys := buildMix(t, c)
 	ws := sys.NewWorkspace()
-	ref := plainWorkspace(sys)
+	ref := NewSweepWorkspace(sys)
 	x := testX(sys.N)
 	for _, alpha0 := range []float64{1e6, 4e6} {
 		p := LoadParams{Alpha0: alpha0, SrcScale: 1}
@@ -327,7 +342,7 @@ func TestKeyedLoadOnlyWhereMIsTheBlend(t *testing.T) {
 	c, _, _ := linearMix(6, 1, false)
 	sys := buildMix(t, c)
 	ws := sys.NewWorkspace()
-	ref := plainWorkspace(sys)
+	ref := NewSweepWorkspace(sys)
 	x := testX(sys.N)
 	p := LoadParams{Alpha0: 2e6, SrcScale: 1}
 	loadAndFactorize(t, ws, x, p, [3]int{1, 0, 0}, "first load")

@@ -3,11 +3,12 @@ package device
 import "wavepipe/internal/circuit"
 
 // EvalQ implementations: these devices promise the charge pass
-// (circuit.Workspace.LoadCharges, what closes every converged point solve)
-// that EvalQ issues exactly the AddQ calls their Eval issues under NoLimit —
-// same rows, same order, same expressions, which is why each Eval calls the
-// helper its EvalQ calls (EvalQ itself, capQ, depletion.eval, junction) —
-// and writes the limiting-state slots that pass writes, and nothing else. The
+// (circuit.Workspace.BookCharges, what closes every converged point solve)
+// that EvalQ issues exactly the AddQ calls their Eval issues under NoLimit
+// and the same EvalCtx.Templated — same rows, same order, same expressions,
+// which is why each Eval calls the helper its EvalQ calls (EvalQ itself,
+// capQ, depletion.eval, junction) — and writes the limiting-state slots that
+// pass writes, and nothing else. The
 // list is every type that stores charge or keeps limiting state; the other
 // eight (R, the sources, the controlled sources, the switch) book neither and
 // are never visited.

@@ -25,10 +25,13 @@ func bitsDiffer(a, b []float64) int {
 	return -1
 }
 
-// checkChargePass holds LoadCharges to the full NoLimit Load at every given
-// iterate: Q and SNext equal in every bit, and M, F and B — filled by a
-// limited load at a nearby iterate first, as the last Newton iteration of a
-// point leaves them — untouched.
+// checkChargePass holds both charge passes at every given iterate: the full
+// sweep's (LoadCharges) to the full NoLimit Load, and the templated one
+// (BookCharges, which runs each EvalQ under EvalCtx.Templated) to the
+// templated load at x, its limiting state seeded there so that no junction
+// is clamped. Q and SNext must be equal in every bit, and M, F and B —
+// filled by a limited load at a nearby iterate first, as the last Newton
+// iteration of a point leaves them — untouched.
 func checkChargePass(t *testing.T, what string, c *circuit.Circuit, xs [][]float64) {
 	t.Helper()
 	sys, err := c.Build()
@@ -36,6 +39,7 @@ func checkChargePass(t *testing.T, what string, c *circuit.Circuit, xs [][]float
 		t.Fatalf("%s: %v", what, err)
 	}
 	pass, full := sys.NewWorkspace(), sys.NewWorkspace()
+	booked, templated := sys.NewWorkspace(), sys.NewWorkspace()
 	near := make([]float64, sys.N)
 	for _, x := range xs {
 		if len(x) != sys.N {
@@ -45,28 +49,45 @@ func checkChargePass(t *testing.T, what string, c *circuit.Circuit, xs [][]float
 		for i, v := range x {
 			near[i] = 0.9*v + 0.02
 		}
-		for _, ws := range []*circuit.Workspace{pass, full} {
+		for _, ws := range []*circuit.Workspace{pass, full, booked} {
 			ws.Load(near, p)
 			ws.FlipState()
 			ws.Load(near, p)
 		}
-		m := append([]float64(nil), pass.M.Values...)
-		f := append([]float64(nil), pass.F...)
-		b := append([]float64(nil), pass.B...)
+		for _, c := range []struct {
+			name     string
+			pass, at *circuit.Workspace
+			charge   func([]float64, circuit.LoadParams)
+		}{
+			{"charge pass", pass, full, pass.LoadCharges},
+			{"templated charge pass", booked, templated, booked.BookCharges},
+		} {
+			m := append([]float64(nil), c.pass.Matrix().Values...)
+			f := append([]float64(nil), c.pass.F...)
+			b := append([]float64(nil), c.pass.B...)
 
-		pass.LoadCharges(x, p)
-		p.NoLimit = true
-		full.Load(x, p)
+			c.charge(x, p)
+			unlimited := p
+			unlimited.NoLimit = true
+			c.at.Load(x, unlimited)
+			if c.at == templated {
+				c.at.FlipState()
+				c.at.Load(x, p)
+				if c.at.Limited {
+					t.Fatalf("%s at %v: the templated load clamped a junction at the voltages its state was seeded at", what, x)
+				}
+			}
 
-		if i := bitsDiffer(pass.Q, full.Q); i >= 0 {
-			t.Fatalf("%s at %v: charge pass Q[%d] = %x (%g), full load %x (%g)", what, x, i,
-				math.Float64bits(pass.Q[i]), pass.Q[i], math.Float64bits(full.Q[i]), full.Q[i])
-		}
-		if i := bitsDiffer(pass.SNext, full.SNext); i >= 0 {
-			t.Fatalf("%s at %v: charge pass SNext[%d] = %g, full load %g", what, x, i, pass.SNext[i], full.SNext[i])
-		}
-		if bitsDiffer(pass.M.Values, m) >= 0 || bitsDiffer(pass.F, f) >= 0 || bitsDiffer(pass.B, b) >= 0 {
-			t.Fatalf("%s at %v: the charge pass wrote M, F or B", what, x)
+			if i := bitsDiffer(c.pass.Q, c.at.Q); i >= 0 {
+				t.Fatalf("%s at %v: %s Q[%d] = %x (%g), its load %x (%g)", what, x, c.name, i,
+					math.Float64bits(c.pass.Q[i]), c.pass.Q[i], math.Float64bits(c.at.Q[i]), c.at.Q[i])
+			}
+			if i := bitsDiffer(c.pass.SNext, c.at.SNext); i >= 0 {
+				t.Fatalf("%s at %v: %s SNext[%d] = %g, its load %g", what, x, c.name, i, c.pass.SNext[i], c.at.SNext[i])
+			}
+			if bitsDiffer(c.pass.Matrix().Values, m) >= 0 || bitsDiffer(c.pass.F, f) >= 0 || bitsDiffer(c.pass.B, b) >= 0 {
+				t.Fatalf("%s at %v: the %s wrote M, F or B", what, x, c.name)
+			}
 		}
 	}
 }
@@ -83,7 +104,7 @@ func junctionBiases(fcv float64) []float64 {
 
 // TestEvalQMatchesEval: the promise behind the charge pass, device by device —
 // EvalQ books what Eval books under NoLimit, from the same expressions, and
-// writes nothing else. Every type that implements it, both polarities where
+// writes nothing else, with and without EvalCtx.Templated. Every type that implements it, both polarities where
 // there are two, biases across every branch of the charge model, and
 // parameter sets that switch each charge term on and off.
 func TestEvalQMatchesEval(t *testing.T) {
@@ -347,14 +368,13 @@ func TestConstantsFollowTheConstructor(t *testing.T) {
 	}
 }
 
-// TestChargeWritersImplementEvalQ is the guard for the next device somebody
-// adds. It reads the package's constructors from the source, demands an
-// instance of each in the table below, and fails for a type whose Eval books
-// charge at a generic bias, or that keeps limiting state, without
-// implementing circuit.ChargeEvaler: such a device would still be simulated
-// correctly — the charge pass sweeps it through its full Eval — but at the
-// cost the pass exists to remove, and nobody would notice.
-func TestChargeWritersImplementEvalQ(t *testing.T) {
+// everyDevice returns a circuit holding one instance of every device the
+// package constructs, built, and the instances by constructor name. It reads
+// the package's constructors from the source and fails t for one the table
+// has no instance of, so that the contract tests walking the table see the
+// next device somebody adds.
+func everyDevice(t *testing.T) (*circuit.System, map[string]circuit.Device) {
+	t.Helper()
 	c := circuit.New("every device")
 	n := func(name string) int { return c.Node(name) }
 	vs := NewVSource("V1", n("a"), circuit.Ground, DC(1))
@@ -405,7 +425,7 @@ func TestChargeWritersImplementEvalQ(t *testing.T) {
 			}
 			constructors++
 			if instances[fn.Name.Name] == nil {
-				t.Errorf("%s: no instance in this test's table — add one, so that its charge contract is checked", fn.Name.Name)
+				t.Errorf("%s: no instance in this test's table — add one, so that its contracts are checked", fn.Name.Name)
 			}
 		}
 	}
@@ -427,6 +447,18 @@ func TestChargeWritersImplementEvalQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys, instances
+}
+
+// TestChargeWritersImplementEvalQ is the guard for the next device somebody
+// adds. It demands an instance of every constructor (everyDevice) and fails
+// for a type whose Eval books charge at a generic bias, or that keeps
+// limiting state, without implementing circuit.ChargeEvaler: such a device
+// would still be simulated correctly — the charge pass sweeps it through its
+// full Eval — but at the cost the pass exists to remove, and nobody would
+// notice.
+func TestChargeWritersImplementEvalQ(t *testing.T) {
+	sys, instances := everyDevice(t)
 	rng := rand.New(rand.NewSource(20))
 	x := make([]float64, sys.N)
 	for i := range x {

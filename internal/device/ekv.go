@@ -173,14 +173,25 @@ func (m *MOSFETEKV) Eval(e *circuit.EvalCtx) {
 	e.AddJ(m.sss, -gs)
 	e.AddJ(m.ssb, -gb)
 
-	// Linear gate capacitances.
+	if !e.Templated {
+		m.StampLinearPart(e)
+	}
+}
+
+// StampLinearPart implements circuit.LinearPartStamper: the gate
+// capacitances are linear.
+func (m *MOSFETEKV) StampLinearPart(e *circuit.EvalCtx) {
 	stampTwoNodeCap(e, m.cgs, m.G, m.S, m.sgg, m.sgs, m.ssg, m.sss)
 	stampTwoNodeCap(e, m.cgd, m.G, m.D, m.sgg, m.sgd, m.sdg, m.sdd)
 }
 
 // EvalQ implements circuit.ChargeEvaler: the gate capacitances are linear,
-// so the charges need none of the interpolation function.
+// so the charges need none of the interpolation function, and none is left
+// to book where the template holds them.
 func (m *MOSFETEKV) EvalQ(e *circuit.EvalCtx) {
+	if e.Templated {
+		return
+	}
 	capQ(e, m.cgs, m.G, m.S)
 	capQ(e, m.cgd, m.G, m.D)
 }

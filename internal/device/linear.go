@@ -59,3 +59,15 @@ var (
 	_ circuit.LinearStamper = (*CCVS)(nil)
 	_ circuit.LinearStamper = (*Mutual)(nil)
 )
+
+// StampLinearPart implementations: these nonlinear devices declare the
+// constant linear part of their stamps, their gate and junction
+// capacitances, to the stamp template (circuit.LinearPartStamper). Eval
+// stamps that part through StampLinearPart unless the pass is templated, and
+// EvalQ books its charge only then, so a templated pass followed by the
+// linear part issues what the full Eval issues; TestLinearPartContract walks
+// every constructor and holds each declaring device to that bit for bit.
+var (
+	_ circuit.LinearPartStamper = (*MOSFET)(nil)
+	_ circuit.LinearPartStamper = (*MOSFETEKV)(nil)
+)

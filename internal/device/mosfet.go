@@ -216,7 +216,14 @@ func (m *MOSFET) Eval(e *circuit.EvalCtx) {
 		e.AddJ(m.sdd, gss)
 	}
 
-	// Linear gate and junction capacitances.
+	if !e.Templated {
+		m.StampLinearPart(e)
+	}
+}
+
+// StampLinearPart implements circuit.LinearPartStamper: the gate and junction
+// capacitances are linear.
+func (m *MOSFET) StampLinearPart(e *circuit.EvalCtx) {
 	stampTwoNodeCap(e, m.cgs, m.G, m.S, m.sgg, m.sgs, m.sgsT(), m.sss)
 	stampTwoNodeCap(e, m.cgd, m.G, m.D, m.sgg, m.sgd, m.sgdT(), m.sdd)
 	stampTwoNodeCap(e, m.cgb, m.G, m.B, m.sgg, m.sgb, m.sbg, m.sbb)
@@ -229,8 +236,12 @@ func (m *MOSFET) Eval(e *circuit.EvalCtx) {
 }
 
 // EvalQ implements circuit.ChargeEvaler: the model's capacitances are
-// linear, so its charges need no channel current.
+// linear, so its charges need no channel current, and none is left to book
+// where the template holds them.
 func (m *MOSFET) EvalQ(e *circuit.EvalCtx) {
+	if e.Templated {
+		return
+	}
 	capQ(e, m.cgs, m.G, m.S)
 	capQ(e, m.cgd, m.G, m.D)
 	capQ(e, m.cgb, m.G, m.B)

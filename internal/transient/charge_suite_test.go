@@ -12,13 +12,14 @@ import (
 )
 
 // TestChargePassBitIdenticalOnSuite: a point solve closes with a charge pass
-// where it used to run one more full assembly, and the claim is that nothing
+// where it used to run one more assembly, and the claim is that nothing
 // downstream can tell — the booked Q, and the limiting state left behind, are
-// the full load's in every bit. The old load is kept as the oracle and
-// compared at every Commit of every suite circuit through the serial engine,
-// of a two-thread backward pipeline (clustered points, several solvers
-// committing from the stage gang) and of resistor-scaled ensemble lanes
-// (variant device lists under SetDevices).
+// those of the templated Newton assembly at the solution in every bit. That
+// assembly is the oracle (transient.TemplatedAssembly), compared at every
+// Commit of every suite circuit through the serial engine, of a two-thread
+// backward pipeline (clustered points, several solvers committing from the
+// stage gang) and of resistor-scaled ensemble lanes (variant device lists
+// under SetDevices).
 func TestChargePassBitIdenticalOnSuite(t *testing.T) {
 	commits := transient.OracleEveryCommit(t)
 	compared := func(t *testing.T, points int) {

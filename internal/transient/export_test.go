@@ -11,21 +11,28 @@ import (
 	"wavepipe/internal/newton"
 )
 
-// BookkeepingLoad is what closed a converged point solve before the charge
-// pass did: one more full assembly at the solution, limiting off and the
-// recovery ladder's node conductance dropped, read for its Q alone. It is
-// kept here as the oracle the charge pass is held to.
-func BookkeepingLoad(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
+// TemplatedAssembly is the Newton iteration's load at a converged iterate x:
+// through the stamp template, limiting on, the recovery ladder's node
+// conductance dropped, read for its Q and its limiting state. Its limiting
+// state is first seeded at x itself, by a full sweep under NoLimit, so that
+// no junction is clamped: the load then holds the unlimited junction
+// voltages at x. It is the oracle the charge pass that closes a point is held
+// to, bit for bit.
+func TemplatedAssembly(ws *circuit.Workspace, x []float64, p circuit.LoadParams) {
 	p.NodeGmin, p.NoLimit = 0, true
+	newton.Load(ws, x, p)
+	ws.FlipState()
+	p.NoLimit = false
 	newton.Load(ws, x, p)
 }
 
 // OracleEveryCommit holds every Commit of every engine, for the rest of the
-// test, to the bookkeeping load: on a second workspace of the committing
-// solver's system and device list it assembles the point in full and demands
-// the committed charge vector and the solver's limiting state SNext in every
-// bit. The returned counter is the number of commits compared. Engines commit
-// from several goroutines; each solver gets an oracle workspace of its own.
+// test, to the templated assembly: on a second workspace of the committing
+// solver's system and device list it assembles the point as a Newton
+// iteration would and demands the committed charge vector and the solver's
+// limiting state SNext in every bit, and no clamped junction in the oracle.
+// The returned counter is the number of commits compared. Engines commit from
+// several goroutines; each solver gets an oracle workspace of its own.
 func OracleEveryCommit(t testing.TB) *atomic.Int64 {
 	var (
 		mu      sync.Mutex
@@ -42,15 +49,19 @@ func OracleEveryCommit(t testing.TB) *atomic.Int64 {
 		}
 		mu.Unlock()
 		pt := ps.cur.pt
-		BookkeepingLoad(ws, pt.X, ps.cur.p)
+		TemplatedAssembly(ws, pt.X, ps.cur.p)
 		commits.Add(1)
+		if ws.Limited {
+			t.Errorf("t=%g: the oracle clamped a junction at the iterate its state was seeded at", pt.T)
+			return
+		}
 		for _, v := range []struct {
 			what      string
 			got, want []float64
 		}{{"Q", pt.Q, ws.Q}, {"SNext", ps.WS.SNext, ws.SNext}} {
 			for i, want := range v.want {
 				if got := v.got[i]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("t=%g: charge pass %s[%d] = %x, bookkeeping load %x", pt.T, v.what, i,
+					t.Errorf("t=%g: charge pass %s[%d] = %x, templated assembly %x", pt.T, v.what, i,
 						math.Float64bits(got), math.Float64bits(want))
 					return
 				}

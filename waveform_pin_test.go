@@ -33,20 +33,23 @@ import (
 // of the five linear circuits; and holding a nonlinear system's step until
 // its LTE stencil is full (transient.Stepper.holdStep) every serial-engine
 // row of the seven nonlinear circuits: their suite rows, the three ekv30 lanes
-// and the two rect1k window rows. lane0/grid16 equals grid16.
+// and the two rect1k window rows. Assembling a nonlinear system's linear
+// devices and MOSFET capacitances from the stamp template regenerated every
+// row naming rect1k, amp10M, ring9, inv50, nand5, ekv30 or ecl8, here and
+// below. lane0/grid16 equals grid16.
 var suiteWaveformHashes = map[string]uint64{
 	"grid16":    0xeff6c42291956439,
 	"grid24":    0x82f926a5dd08f6f1,
 	"grid32":    0xdf5e71ca6c6ff76b,
 	"ladder400": 0xd1009811fcbf5f10,
 	"rlctree8":  0xc9ceee1dc918f5c1,
-	"rect1k":    0x4b5c490871e241a4,
-	"amp10M":    0xf8ddeb39cbd111c0,
-	"ring9":     0x0d2c9fcc607f41f3,
-	"inv50":     0xc9997906129342a2,
-	"nand5":     0xbbee95bf68f9ad76,
-	"ekv30":     0x845a24b2c22bf2ad,
-	"ecl8":      0x5d48be31fbf6e90d,
+	"rect1k":    0x357f91d64f942afd,
+	"amp10M":    0xfc8376b76b056e43,
+	"ring9":     0x1acb493c24866cbc,
+	"inv50":     0x0dd1f7b399f68173,
+	"nand5":     0x820ac7bbf4fccce4,
+	"ekv30":     0x1605e7a1b1c9ee53,
+	"ecl8":      0xbff98ee6b57ecd35,
 }
 
 // engineWaveformHashes extends the pin to the other step-control loops, one
@@ -70,24 +73,24 @@ var engineWaveformHashes = map[string]uint64{
 	"forward2/ladder400":    0xbbdaf38527c020f7,
 	"backward2/rlctree8":    0x62d3052c4feaa378,
 	"forward2/rlctree8":     0x75103fc5ee81cc12,
-	"backward2/rect1k":      0x2bfd943f096f70f7,
-	"forward2/rect1k":       0xedd7b7706c6701d1,
-	"windows4strict/rect1k": 0x101e919d9dce43e3,
-	"backward2/amp10M":      0xfba24c90016f478b,
-	"forward2/amp10M":       0xb224ceb97a37fafc,
-	"backward2/ring9":       0x63e1fe245630b4ef,
-	"forward2/ring9":        0xe976cdaf5f72b007,
-	"backward2/inv50":       0xc250cf4d7884f459,
-	"forward2/inv50":        0x0ee790e8aeb5b0a5,
-	"backward2/nand5":       0x8c8fbb8ddf022ab4,
-	"forward2/nand5":        0x147d28f276c455a6,
-	"backward2/ekv30":       0x8b8935fceec028a2,
-	"forward2/ekv30":        0x50c90d42e0c9ed5b,
-	"lane0/ekv30":           0x845a24b2c22bf2ad,
-	"lane1/ekv30":           0x845a24b2c22bf2ad,
-	"lane2/ekv30":           0x845a24b2c22bf2ad,
-	"backward2/ecl8":        0xc54b01c76cc8a7a4,
-	"forward2/ecl8":         0x217037097c56c16f,
+	"backward2/rect1k":      0xbff997181d20836d,
+	"forward2/rect1k":       0xcd1a7949b028681d,
+	"windows4strict/rect1k": 0xa143067088e49205,
+	"backward2/amp10M":      0x6b3dfa24c40075e2,
+	"forward2/amp10M":       0x1640a97c341659fd,
+	"backward2/ring9":       0x2f155ec070a60e31,
+	"forward2/ring9":        0xb905eb720037e578,
+	"backward2/inv50":       0x450695d27b85be75,
+	"forward2/inv50":        0x6307a685bbe2cbfd,
+	"backward2/nand5":       0xf56cce877c00bd39,
+	"forward2/nand5":        0x19873d828ba3d14b,
+	"backward2/ekv30":       0x033becf36e56852d,
+	"forward2/ekv30":        0xc667a288d976e8a8,
+	"lane0/ekv30":           0x1605e7a1b1c9ee53,
+	"lane1/ekv30":           0x1605e7a1b1c9ee53,
+	"lane2/ekv30":           0x1605e7a1b1c9ee53,
+	"backward2/ecl8":        0x94c1b8594231b363,
+	"forward2/ecl8":         0xeb54916f777a2495,
 }
 
 // iterationWaveformHashes pins the configuration the Newton-iteration fold
@@ -103,7 +106,7 @@ var engineWaveformHashes = map[string]uint64{
 var iterationWaveformHashes = map[string]uint64{
 	"devbypass/ladder400": 0xd1009811fcbf5f10,
 	"devbypass/grid16":    0xeff6c42291956439,
-	"windows4/rect1k":     0x101e919d9dce43e3,
+	"windows4/rect1k":     0xa143067088e49205,
 }
 
 func waveformHash(res *Result) uint64 {

@@ -85,19 +85,29 @@ func BenchmarkDeviceLoadGrid(b *testing.B) {
 	}
 }
 
+// genericBias is an iterate spread over a 1.8 V rail, one value per unknown.
+func genericBias(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1.8 * float64(i*7919%1000) / 1000
+	}
+	return x
+}
+
 // BenchmarkChargePass puts the charge pass that closes every converged point
-// (Workspace.LoadCharges) beside the full Load it replaced there, at a generic
-// bias, on the three kinds of circuit that matter: linear capacitances behind
-// Level-1 MOSFETs (inv50), junction and diffusion charge that needs its exp
-// and pow (ecl8), and a large RC mesh (grid32).
+// beside the load it replaces there, at a generic bias. The full sweep
+// (Load under NoLimit, LoadCharges) runs on the three kinds of circuit that
+// matter: linear capacitances behind Level-1 MOSFETs (inv50), junction and
+// diffusion charge that needs its exp and pow (ecl8), and a large RC mesh
+// (grid32). The engine's path — a Newton iteration's Load, limiting on, and
+// the BookCharges that closes the point, both through the stamp template —
+// runs on the three device models of digital_serial: Level-1 (inv50), EKV
+// (ekv30) and bipolar (ecl8).
 func BenchmarkChargePass(b *testing.B) {
 	for _, name := range []string{"inv50", "ecl8", "grid32"} {
 		sys := findBenchmark(b, name)
 		ws := sys.NewWorkspace()
-		x := make([]float64, sys.N)
-		for i := range x {
-			x[i] = 1.8 * float64(i*7919%1000) / 1000
-		}
+		x := genericBias(sys.N)
 		p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1, NoLimit: true}
 		b.Run(name+"/Load", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -107,6 +117,22 @@ func BenchmarkChargePass(b *testing.B) {
 		b.Run(name+"/LoadCharges", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ws.LoadCharges(x, p)
+			}
+		})
+	}
+	for _, name := range []string{"inv50", "ekv30", "ecl8"} {
+		sys := findBenchmark(b, name)
+		ws := sys.NewWorkspace()
+		x := genericBias(sys.N)
+		p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
+		b.Run(name+"/engine/Load", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ws.Load(x, p)
+			}
+		})
+		b.Run(name+"/engine/BookCharges", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ws.BookCharges(x, p)
 			}
 		})
 	}

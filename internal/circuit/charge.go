@@ -66,20 +66,6 @@ func chargeDevices(devices []Device, pattern *sparse.Matrix, n, numStates int) (
 	return list
 }
 
-// planCharges resolves, per listed device, the EvalQ the charge pass calls
-// (nil: the full Eval). The devices are swept in device order, the order Load
-// accumulates rows in, so a row several devices charge sums in the same
-// sequence either way. The dispatch is resolved against ws.Devices(), so a
-// lane workspace books its own variant's instances.
-func (ws *Workspace) planCharges() {
-	devs := ws.Devices()
-	evalers := make([]ChargeEvaler, len(ws.Sys.chargeDevs))
-	for k, di := range ws.Sys.chargeDevs {
-		evalers[k], _ = devs[di].(ChargeEvaler)
-	}
-	ws.chargeEvalers = evalers
-}
-
 // LoadCharges is the full sweep's charge pass: it leaves in ws.Q the charge
 // vector at iterate x and in ws.SNext the unlimited junction voltages there —
 // bit for bit what a full Load under p with NoLimit leaves in them — without
@@ -88,17 +74,17 @@ func (ws *Workspace) planCharges() {
 // Load left them (a listed device without EvalQ goes through its full Eval,
 // whose stamps land on top of that Load's; nothing reads them before the next
 // Load's zeroing). It closes a converged point solve where the template probe
-// failed (BookCharges closes it everywhere else).
+// failed (BookCharges closes it everywhere else). The devices are swept in
+// device order, the order Load accumulates rows in, so a row several devices
+// charge sums in the same sequence either way, and from ws.Devices(), so a
+// lane workspace books its own variant's instances.
 func (ws *Workspace) LoadCharges(x []float64, p LoadParams) {
-	if ws.chargeEvalers == nil {
-		ws.planCharges()
-	}
 	p.NoLimit = true
 	ctx := &ws.evalCtx
 	ws.beginLoad(ctx, x, p, zeroQ)
 	devs := ws.Devices()
-	for k, di := range ws.Sys.chargeDevs {
-		if q := ws.chargeEvalers[k]; q != nil {
+	for _, di := range ws.Sys.chargeDevs {
+		if q, ok := devs[di].(ChargeEvaler); ok {
 			q.EvalQ(ctx)
 		} else {
 			devs[di].Eval(ctx)

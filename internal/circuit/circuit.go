@@ -347,11 +347,6 @@ type Workspace struct {
 	// evaluate (see SetDevices in lanes.go — ensemble lane variants).
 	devs []Device
 
-	// chargeEvalers is the charge pass's dispatch resolved for this
-	// workspace's device list (see planCharges); nil until the first
-	// LoadCharges, and again after SetDevices.
-	chargeEvalers []ChargeEvaler
-
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
 	// tmpl is the stamp template of this workspace's devices (incremental.go),

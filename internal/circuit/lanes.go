@@ -27,7 +27,6 @@ import "fmt"
 func (ws *Workspace) SetDevices(devs []Device) {
 	ws.Solver.Rekey()
 	ws.devs = devs
-	ws.chargeEvalers = nil // the charge pass dispatches to these instances
 	ws.tmpl, ws.probed = nil, false
 }
 

@@ -555,7 +555,7 @@ func (ps *PointSolver) Commit() *integrate.Point {
 
 // testHookCommit, nil outside tests (export_test.go sets it), observes every
 // Commit of every engine once the point's charges are booked — where the
-// tests compare the charge pass with the full bookkeeping load it replaced.
+// tests compare the charge pass with the templated assembly at the solution.
 var testHookCommit func(ps *PointSolver)
 
 // Fail closes a solve that ended in a terminal error, recycling its point.

@@ -119,7 +119,10 @@ func TestWindowsStrictBitIdentical(t *testing.T) {
 // gate and at gate 32, which accepts coarse seeds up to 32 fine error
 // weights off. Every row must stay within 5% of the serial signal range,
 // launch no more windows than asked and carry a critical-path reading; so
-// must the serial reference. Gate 32 reads 4.5% at W = 8.
+// must the serial reference. Outside -short each row, and serial, is also
+// judged against truth: its truthDeviation from the fixed-step reference
+// must stay within truthBar, or within the bar of its finding in
+// truthFindings (gate 32 at W = 8, 6.4 % off truth and 4.5 % off serial).
 func TestWindowsGrid16GateRows(t *testing.T) {
 	b, ok := findSuite("grid16")
 	if !ok {
@@ -134,6 +137,22 @@ func TestWindowsGrid16GateRows(t *testing.T) {
 	if ref.Stats.CriticalNanos <= 0 {
 		t.Fatalf("CriticalNanos = %d without windows", ref.Stats.CriticalNanos)
 	}
+	// judge holds a run to truth under key, the serial reference included.
+	judge := func(key string, w *Set) {
+		if testing.Short() {
+			return
+		}
+		d := truthDeviation(t, suiteTruthCase(b), w)
+		bar, finding := truthFindings[key]
+		if !finding {
+			bar = truthBar
+		}
+		if d > bar {
+			t.Errorf("%s deviates %.2f%% from its reference, over its %.0f%% bar", key, 100*d, 100*bar)
+		}
+		t.Logf("%s: %.3f %% off truth", key, 100*d)
+	}
+	judge("serial/grid16", ref.W)
 	for _, gate := range []float64{0, 32} {
 		for _, W := range []int{2, 4, 8} {
 			opts := base
@@ -147,6 +166,7 @@ func TestWindowsGrid16GateRows(t *testing.T) {
 			if m := dev.RelMax(); m >= 0.05 {
 				t.Errorf("gate %g, W=%d: deviates by %g of signal range, bar 0.05", gate, W, m)
 			}
+			judge(fmt.Sprintf("windows%d-gate%g/grid16", W, gate), res.W)
 			if n := res.Stats.WindowsLaunched; n < 0 || n > int64(W) {
 				t.Errorf("gate %g, W=%d: WindowsLaunched = %d", gate, W, n)
 			}

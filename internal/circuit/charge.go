@@ -82,8 +82,14 @@ func (ws *Workspace) LoadCharges(x []float64, p LoadParams) {
 	p.NoLimit = true
 	ctx := &ws.evalCtx
 	ws.beginLoad(ctx, x, p, zeroQ)
+	ws.bookCharges(ctx, ws.Sys.chargeDevs)
+}
+
+// bookCharges sweeps the listed devices of ws.Devices() for a charge pass:
+// EvalQ where a device has one, else its full Eval.
+func (ws *Workspace) bookCharges(ctx *EvalCtx, list []int32) {
 	devs := ws.Devices()
-	for _, di := range ws.Sys.chargeDevs {
+	for _, di := range list {
 		if q, ok := devs[di].(ChargeEvaler); ok {
 			q.EvalQ(ctx)
 		} else {

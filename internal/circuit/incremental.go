@@ -75,11 +75,9 @@ type stampTemplate struct {
 	sources []int
 	// sweep lists, in device order, the nonlinear devices a load evaluates.
 	sweep []int
-	// charges lists those of them the charge pass visits, with the EvalQ it
-	// calls (nil: the full Eval): every one that books charge or limiting
-	// state beyond its linear part.
-	charges       []int
-	chargeEvalers []ChargeEvaler
+	// charges lists those of them the charge pass visits: every one that
+	// books charge or limiting state beyond its linear part.
+	charges []int32
 }
 
 // newStampTemplate probes devs once at x = 0: each linear device's Eval and
@@ -88,8 +86,8 @@ type stampTemplate struct {
 // the two with no finite-difference error. F, Q and B writes are discarded;
 // the probed stamps are linear, so F(0) = Q(0) = 0, and B is stamped every
 // load. Every other device is swept; of those, the charge pass visits the
-// ones on s's charge list whose templated EvalQ still books charge at x = 0
-// or that keep limiting state. Like the charge probe it returns nil if a
+// ones on s's charge list except a declaring device without limiting state
+// whose templated EvalQ books no charge at x = 0. Like the charge probe it returns nil if a
 // device panics under the probe, which leaves the workspace on the full sweep.
 func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 	defer func() {
@@ -133,16 +131,17 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 		if linearDevice(d) {
 			continue
 		}
-		q, _ := d.(ChargeEvaler)
-		if _, ok := d.(LinearPartStamper); ok && q != nil && d.States() == 0 {
+		// Only a declared linear part can leave a ChargeEvaler nothing to
+		// book: probe those without limiting state under Templated.
+		q, books := d.(ChargeEvaler)
+		if _, ok := d.(LinearPartStamper); ok && books && d.States() == 0 {
 			wroteQ = false
 			q.EvalQ(&ctx)
 			if !wroteQ {
 				continue
 			}
 		}
-		tp.charges = append(tp.charges, int(di))
-		tp.chargeEvalers = append(tp.chargeEvalers, q)
+		tp.charges = append(tp.charges, di)
 	}
 	// Sized exactly before they are filled: growing nine slices by appending
 	// costs a grid16 template about a hundred allocations.
@@ -268,14 +267,7 @@ func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
 	ctx := &ws.evalCtx
 	ws.beginLoad(ctx, x, p, 0)
 	ctx.Templated = true
-	devs := ws.Devices()
-	for k, di := range tp.charges {
-		if q := tp.chargeEvalers[k]; q != nil {
-			q.EvalQ(ctx)
-		} else {
-			devs[di].Eval(ctx)
-		}
-	}
+	ws.bookCharges(ctx, tp.charges)
 }
 
 // mulAdd accumulates the product of the (rows, cols, vals) triples with x

@@ -95,8 +95,8 @@ func genericBias(n int) []float64 {
 }
 
 // BenchmarkChargePass puts the charge pass that closes every converged point
-// beside the load it replaces there, at a generic bias. The full sweep
-// (Load under NoLimit, LoadCharges) runs on the three kinds of circuit that
+// beside the loads around it, at a generic bias. The full sweep's NoLimit
+// Load, the load the pass replaces, runs on the three kinds of circuit that
 // matter: linear capacitances behind Level-1 MOSFETs (inv50), junction and
 // diffusion charge that needs its exp and pow (ecl8), and a large RC mesh
 // (grid32). The engine's path — a Newton iteration's Load, limiting on, and
@@ -112,11 +112,6 @@ func BenchmarkChargePass(b *testing.B) {
 		b.Run(name+"/Load", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ws.Load(x, p)
-			}
-		})
-		b.Run(name+"/LoadCharges", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ws.LoadCharges(x, p)
 			}
 		})
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkBuildGrid32 compiles the mesh_serial benchmark circuit: two
-// Reserve passes over its devices, the pattern's counting sort, the floating
-// node check and the charge probe.
+// Reserve passes over its devices, the pattern's counting sort and the
+// floating node check.
 func BenchmarkBuildGrid32(b *testing.B) {
 	c := circuits.PowerGridMesh(32, 1.8)
 	b.ReportAllocs()

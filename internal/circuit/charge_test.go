@@ -2,25 +2,25 @@ package circuit
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
 // capStub is a capacitor c in parallel with a conductance g between p and n,
-// counting how it is called. It writes Q and does not implement ChargeEvaler:
-// the charge pass must reach it through Eval.
+// counting how it is called. It is no ChargeEvaler: the charge pass must not
+// visit it, so it is built with c = 0.
 type capStub struct {
 	name               string
 	p, n               int
 	c, g               float64
+	states             int
+	part               bool // the capacitor is a declared linear part (partStub)
 	spp, spn, snp, snn int
 	evals, evalQs      int
-	armed              bool // panic in Eval (a device the Build-time probe cannot evaluate)
 }
 
 func (d *capStub) Name() string  { return d.name }
 func (d *capStub) Branches() int { return 0 }
-func (d *capStub) States() int   { return 0 }
+func (d *capStub) States() int   { return d.states }
 func (d *capStub) Bind(int, int) {}
 func (d *capStub) Reserve(r *Reserver) {
 	d.spp = r.J(d.p, d.p)
@@ -29,9 +29,6 @@ func (d *capStub) Reserve(r *Reserver) {
 	d.snn = r.J(d.n, d.n)
 }
 func (d *capStub) Eval(e *EvalCtx) {
-	if d.armed {
-		panic("capStub: armed")
-	}
 	d.evals++
 	v := e.V(d.p) - e.V(d.n)
 	e.AddF(d.p, d.g*v)
@@ -40,14 +37,23 @@ func (d *capStub) Eval(e *EvalCtx) {
 	e.AddJ(d.spn, -d.g)
 	e.AddJ(d.snp, -d.g)
 	e.AddJ(d.snn, d.g)
-	if d.c != 0 {
-		d.bookQ(e)
-		e.AddJQ(d.spp, d.c)
-		e.AddJQ(d.spn, -d.c)
-		e.AddJQ(d.snp, -d.c)
-		e.AddJQ(d.snn, d.c)
+	if d.books(e) {
+		d.stampC(e)
 	}
 }
+
+// books reports whether a pass books the capacitor: it has one, and a
+// templated pass does not hold it already.
+func (d *capStub) books(e *EvalCtx) bool { return d.c != 0 && !(d.part && e.Templated) }
+
+func (d *capStub) stampC(e *EvalCtx) {
+	d.bookQ(e)
+	e.AddJQ(d.spp, d.c)
+	e.AddJQ(d.spn, -d.c)
+	e.AddJQ(d.snp, -d.c)
+	e.AddJQ(d.snn, d.c)
+}
+
 func (d *capStub) bookQ(e *EvalCtx) {
 	q := d.c * (e.V(d.p) - e.V(d.n))
 	e.AddQ(d.p, q)
@@ -59,15 +65,24 @@ type capStubQ struct{ capStub }
 
 func (d *capStubQ) EvalQ(e *EvalCtx) {
 	d.evalQs++
-	if d.c != 0 {
+	if d.books(e) {
 		d.bookQ(e)
 	}
 }
 
-// chargeMix is a five-node chain of the three kinds of device a charge pass
-// tells apart: conductances that book nothing (c = 0, no EvalQ), capacitors
-// that write Q without EvalQ, and capacitors with it.
-func chargeMix(armed bool) (c *Circuit, plain, viaEval []*capStub, viaEvalQ []*capStubQ) {
+// partStub is capStubQ declaring its capacitor as its constant linear part,
+// which the stamp template holds.
+type partStub struct{ capStubQ }
+
+func (d *partStub) StampLinearPart(e *EvalCtx) { d.stampC(e) }
+
+// chargeMix is a five-node chain of the kinds of device a charge pass tells
+// apart: conductances that book nothing and are no ChargeEvaler, grounded
+// capacitors with EvalQ, and grounded capacitors declared as linear parts —
+// without limiting state (the template books them whole) on even sections,
+// with one slot (the pass still visits them) on odd ones. No row sums more
+// than two charges, so their order cannot move a bit.
+func chargeMix() (c *Circuit, plain []*capStub, charged []*capStubQ, parts []*partStub) {
 	c = New("charge mix")
 	node := func(i int) int {
 		if i == 0 {
@@ -77,14 +92,14 @@ func chargeMix(armed bool) (c *Circuit, plain, viaEval []*capStub, viaEvalQ []*c
 	}
 	for i := 0; i < 5; i++ {
 		g := &capStub{name: "G", p: node(i), n: node(i + 1), g: 1e-3 * float64(i+1)}
-		ce := &capStub{name: "CE", p: node(i + 1), n: node(i), c: 1e-12 * float64(i+2), g: 1e-6, armed: armed && i == 2}
 		cq := &capStubQ{capStub{name: "CQ", p: node(i + 1), n: Ground, c: 0.3e-12 * float64(i+1)}}
+		lp := &partStub{capStubQ{capStub{name: "CP", p: node(i + 1), n: Ground, c: 1e-12 * float64(i+2), g: 1e-6, states: i % 2, part: true}}}
 		c.Add(g)
-		c.Add(ce)
 		c.Add(cq)
-		plain, viaEval, viaEvalQ = append(plain, g), append(viaEval, ce), append(viaEvalQ, cq)
+		c.Add(lp)
+		plain, charged, parts = append(plain, g), append(charged, cq), append(parts, lp)
 	}
-	return c, plain, viaEval, viaEvalQ
+	return c, plain, charged, parts
 }
 
 func testIterate(n int) []float64 {
@@ -115,81 +130,49 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestChargePassVisitsOnlyWhatBooksCharge: a device that writes Q without
-// EvalQ is swept through its Eval and its charge arrives; one with EvalQ is
-// swept through that alone; one that writes no Q is not visited at all.
+// TestChargePassVisitsOnlyWhatBooksCharge: the charge pass books through EvalQ
+// alone, and visits exactly the swept ChargeEvalers less the declared linear
+// parts without limiting state; a device that is no ChargeEvaler is not
+// visited at all. Its Q is the full load's, bit for bit.
 func TestChargePassVisitsOnlyWhatBooksCharge(t *testing.T) {
-	c, plain, viaEval, viaEvalQ := chargeMix(false)
+	c, plain, charged, parts := chargeMix()
 	sys, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := len(sys.chargeDevs), len(viaEval)+len(viaEvalQ); got != want {
-		t.Fatalf("%d devices listed for the charge pass, want the %d that book charge", got, want)
 	}
 	ws := sys.NewWorkspace()
 	x := testIterate(sys.N)
 	p := LoadParams{Alpha0: 1e9, SrcScale: 1}
 	ws.Load(x, p)
 	want := fullQ(ws, x, p)
-	for _, d := range c.devices {
-		switch d := d.(type) {
-		case *capStub:
-			d.evals = 0
-		case *capStubQ:
-			d.evals = 0
-		}
+	for _, d := range plain {
+		d.evals = 0
+	}
+	for _, d := range charged {
+		d.evals = 0
+	}
+	for _, d := range parts {
+		d.evals = 0
 	}
 	for i := range ws.Q {
 		ws.Q[i] = math.NaN() // the pass starts Q from zero, whatever it finds
 	}
-	ws.LoadCharges(x, p)
+	ws.BookCharges(x, p)
 	sameBits(t, "mixed chain", ws.Q, want)
 	for _, d := range plain {
 		if d.evals != 0 {
-			t.Errorf("%s writes no Q and was evaluated %d times", d.name, d.evals)
+			t.Errorf("%s is no ChargeEvaler and was evaluated %d times", d.name, d.evals)
 		}
 	}
-	for _, d := range viaEval {
-		if d.evals != 1 {
-			t.Errorf("%s writes Q without EvalQ: evaluated %d times, want once", d.name, d.evals)
-		}
-	}
-	for _, d := range viaEvalQ {
+	for _, d := range charged {
 		if d.evals != 0 || d.evalQs != 1 {
 			t.Errorf("%s has EvalQ: %d Eval and %d EvalQ calls, want 0 and 1", d.name, d.evals, d.evalQs)
 		}
 	}
-}
-
-// TestChargePassAfterFailedProbe: when a device panics under the Build-time
-// probe nothing is known about who writes Q, and the pass sweeps every device
-// — the cost of the load it replaced, and its Q.
-func TestChargePassAfterFailedProbe(t *testing.T) {
-	c, plain, viaEval, _ := chargeMix(true)
-	sys, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The conductances write no Q: only a failed probe lists them.
-	if len(sys.chargeDevs) != len(c.devices) {
-		t.Fatalf("%d of %d devices listed: the probe did not fail, or its fallback lost devices", len(sys.chargeDevs), len(c.devices))
-	}
-	for _, d := range viaEval {
-		d.armed = false
-	}
-	ws := sys.NewWorkspace()
-	x := testIterate(sys.N)
-	p := LoadParams{Alpha0: 1e9, SrcScale: 1}
-	want := fullQ(ws, x, p)
-	for _, d := range plain {
-		d.evals = 0
-	}
-	ws.LoadCharges(x, p)
-	sameBits(t, "failed probe", ws.Q, want)
-	for _, d := range plain {
-		if d.evals != 1 {
-			t.Errorf("%s evaluated %d times by the pass, want once", d.name, d.evals)
+	for i, d := range parts {
+		if want := i % 2; d.evals != 0 || d.evalQs != want {
+			t.Errorf("%s declares a linear part and keeps %d state slots: %d Eval and %d EvalQ calls, want 0 and %d",
+				d.name, d.states, d.evals, d.evalQs, want)
 		}
 	}
 }
@@ -197,17 +180,17 @@ func TestChargePassAfterFailedProbe(t *testing.T) {
 // TestChargePassOnLaneVariant: a lane workspace under SetDevices books the
 // charges of its own variant's instances, not the host's.
 func TestChargePassOnLaneVariant(t *testing.T) {
-	host, _, _, _ := chargeMix(false)
+	host, _, _, _ := chargeMix()
 	sys, err := host.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, _, ve, vq := chargeMix(false)
-	for _, d := range ve {
-		d.c *= 1.7
-	}
+	variant, _, vq, vp := chargeMix()
 	for _, d := range vq {
 		d.c *= 0.6
+	}
+	for _, d := range vp {
+		d.c *= 1.7
 	}
 	if err := sys.BindLanes(variant); err != nil {
 		t.Fatal(err)
@@ -215,10 +198,10 @@ func TestChargePassOnLaneVariant(t *testing.T) {
 	lanes := sys.NewLaneWorkspaces(2)
 	x := testIterate(sys.N)
 	p := LoadParams{Alpha0: 1e9, SrcScale: 1}
-	lanes[1].LoadCharges(x, p) // planned against the host's devices…
+	lanes[1].BookCharges(x, p) // templated from the host's devices…
 	lanes[1].SetDevices(variant.devices)
-	lanes[1].LoadCharges(x, p) // …and again against the variant's
-	lanes[0].LoadCharges(x, p)
+	lanes[1].BookCharges(x, p) // …and again from the variant's
+	lanes[0].BookCharges(x, p)
 	sameBits(t, "variant lane", lanes[1].Q, fullQ(lanes[1], x, p))
 	sameBits(t, "host lane", lanes[0].Q, fullQ(lanes[0], x, p))
 	if i := 1; lanes[0].Q[i] == lanes[1].Q[i] {
@@ -226,11 +209,11 @@ func TestChargePassOnLaneVariant(t *testing.T) {
 	}
 }
 
-// TestBindLanesRefusesChargeWhereHostHasNone: a lane closes its points with
-// the host's list of charge devices, so a variant that stores charge in a
-// slot where the host's device stores none would lose it silently. BindLanes
-// refuses it; the other way round is harmless and admitted.
-func TestBindLanesRefusesChargeWhereHostHasNone(t *testing.T) {
+// TestBindLanesAdmitsChargeWhereHostHasNone: a lane's template lists its own
+// charge devices, so a variant may store charge in a slot where the host's
+// device stores none. BindLanes admits it, and the lane's charge pass books
+// that charge: its Q is the full NoLimit load's, bit for bit.
+func TestBindLanesAdmitsChargeWhereHostHasNone(t *testing.T) {
 	build := func(charged bool) *Circuit {
 		c := New("pair")
 		a := c.Node("a")
@@ -246,14 +229,17 @@ func TestBindLanesRefusesChargeWhereHostHasNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.BindLanes(build(true)); err == nil || !strings.Contains(err.Error(), "stores charge") {
-		t.Fatalf("lane with a charge device where the host has none: err = %v", err)
+	variant := build(true)
+	if err := sys.BindLanes(variant); err != nil {
+		t.Fatalf("lane with a charge device where the host has none: %v", err)
 	}
-	sys, err = build(true).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.BindLanes(build(false)); err != nil {
-		t.Fatalf("lane without charge where the host has some: %v", err)
+	lane := sys.NewWorkspace()
+	lane.SetDevices(variant.devices)
+	x := testIterate(sys.N)
+	p := LoadParams{Alpha0: 1e9, SrcScale: 1}
+	lane.BookCharges(x, p)
+	sameBits(t, "variant lane", lane.Q, fullQ(lane, x, p))
+	if lane.Q[0] == 0 {
+		t.Fatal("the lane booked no charge")
 	}
 }

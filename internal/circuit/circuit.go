@@ -173,7 +173,6 @@ func (c *Circuit) Build() (*System, error) {
 		linear:      linear,
 		pattern:     m,
 		diagPos:     diag,
-		chargeDevs:  chargeDevices(c.devices, m, n, state),
 	}, nil
 }
 
@@ -224,10 +223,6 @@ type System struct {
 
 	pattern *sparse.Matrix
 	diagPos []int
-
-	// chargeDevs lists, in device order, the devices a charge pass visits
-	// (see charge.go): the ones that book charge or limiting state.
-	chargeDevs []int32
 
 	// colPerm caches the fill-reducing column ordering of the Jacobian
 	// pattern. The pattern never changes after Build, so every workspace's
@@ -350,8 +345,8 @@ type Workspace struct {
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
 	// tmpl is the stamp template of this workspace's devices (incremental.go),
-	// probed for on the first templated load; nil where the probe failed,
-	// which leaves every load on the full sweep.
+	// probed for on the first templated load. A workspace probed without one
+	// (the tests' sweep reference) loads by the full sweep.
 	tmpl   *stampTemplate
 	probed bool
 }
@@ -386,10 +381,10 @@ type LoadParams struct {
 	NodeGmin float64 // extra conductance added on every node diagonal (gmin stepping)
 	SrcScale float64 // source scaling in [0,1] (source stepping); 1 = full
 	// NoLimit disables junction-voltage limiting: what is evaluated at a
-	// solution — the charge pass that closes a point solve (LoadCharges sets
-	// it), the sensitivity analysis, the Build-time probes — must see the
-	// exact voltages, not clamped ones (the per-worker limiting state may be
-	// stale there).
+	// solution — the charge pass that closes a point solve (BookCharges sets
+	// it), the sensitivity analysis, the template probe — must see the exact
+	// voltages, not clamped ones (the per-worker limiting state may be stale
+	// there).
 	NoLimit bool
 	// ClampIdx/ClampV/ClampG pull the listed node unknowns toward target
 	// voltages through a conductance ClampG — the mechanism behind
@@ -594,11 +589,6 @@ type EvalCtx struct {
 	Q  []float64
 	B  []float64
 
-	// wroteQ is non-nil only during the Build-time charge probe (see
-	// chargeDevices): AddQ sets it, which is how a device that stores charge
-	// without being a ChargeEvaler is found.
-	wroteQ *bool
-
 	// Limited is set by devices that clamp a controlling voltage (for
 	// example pn-junction limiting); it blocks convergence this iteration.
 	Limited bool
@@ -645,9 +635,6 @@ func (e *EvalCtx) AddF(i int, v float64) {
 // AddQ accumulates a charge/flux into row i.
 func (e *EvalCtx) AddQ(i int, v float64) {
 	if i != Ground {
-		if e.wroteQ != nil {
-			*e.wroteQ = true
-		}
 		e.Q[i] += v
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // NewSweepWorkspace returns a workspace of s that assembles every load by
-// sweeping all of its devices, as one whose template probe failed does.
+// sweeping all of its devices: the reference the templated loads are held to.
 func NewSweepWorkspace(s *System) *Workspace {
 	ws := s.NewWorkspace()
 	ws.probed = true

@@ -8,7 +8,8 @@
 // J_F + Alpha0·J_Q for the matrix and J_F·x, J_Q·x for F and Q, and then
 // sweeps the nonlinear devices alone, each under EvalCtx.Templated, so that
 // it skips the part the template holds. A linear System is the case with no
-// device to sweep.
+// device to sweep. The charge pass (BookCharges) takes J_Q·x and the charges
+// of the swept devices the same probe listed.
 //
 // Every workspace probes its own device list on its first templated load (and
 // again after SetDevices), so an ensemble lane is templated from its variant's
@@ -49,8 +50,28 @@ type LinearPartStamper interface {
 	StampLinearPart(ctx *EvalCtx)
 }
 
-// linearDevice reports whether d keeps that promise with no limiting state
-// of its own. A System whose every device is one is Linear.
+// ChargeEvaler is the device contract behind the charge pass (BookCharges),
+// which books the charge vector Q(x) a converged point still owes the
+// integrator and nothing of what a full Load assembles beside it. EvalQ issues
+// exactly the AddQ calls Eval issues under NoLimit and the same
+// EvalCtx.Templated, in the same order and from the same expressions, and
+// writes the limiting-state slots (SNext) that pass writes; it touches
+// nothing else — no AddF, AddB, AddJ or AddJQ.
+// A device that stores charge or keeps limiting state must implement it: the
+// charge pass visits no other device. One that does neither has nothing to
+// book and does not.
+//
+// Like LinearStamper this is a correctness promise, not a hint: the same
+// calls in the same order is what makes the Q of a charge pass the Q of the
+// full NoLimit load bit for bit, and the device tests hold every
+// implementation to it (TestEvalQMatchesEval and
+// TestChargeWritersImplementEvalQ in internal/device).
+type ChargeEvaler interface {
+	EvalQ(ctx *EvalCtx)
+}
+
+// linearDevice reports whether d is a LinearStamper with no limiting state of
+// its own. A System whose every device is one is Linear.
 func linearDevice(d Device) bool {
 	_, ok := d.(LinearStamper)
 	return ok && d.States() == 0
@@ -75,9 +96,10 @@ type stampTemplate struct {
 	sources []int
 	// sweep lists, in device order, the nonlinear devices a load evaluates.
 	sweep []int
-	// charges lists those of them the charge pass visits: every one that
-	// books charge or limiting state beyond its linear part.
-	charges []int32
+	// charges lists, in device order, those of them the charge pass visits:
+	// every ChargeEvaler but a declared linear part without limiting state,
+	// whose templated EvalQ has nothing left to book.
+	charges []ChargeEvaler
 }
 
 // newStampTemplate probes devs once at x = 0: each linear device's Eval and
@@ -85,19 +107,12 @@ type stampTemplate struct {
 // and AddJQ raw into a J_Q one (the split AC assembly uses), which separates
 // the two with no finite-difference error. F, Q and B writes are discarded;
 // the probed stamps are linear, so F(0) = Q(0) = 0, and B is stamped every
-// load. Every other device is swept; of those, the charge pass visits the
-// ones on s's charge list except a declaring device without limiting state
-// whose templated EvalQ books no charge at x = 0. Like the charge probe it returns nil if a
-// device panics under the probe, which leaves the workspace on the full sweep.
-func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
-	defer func() {
-		if recover() != nil {
-			tp = nil
-		}
-	}()
+// load. Every other device is swept, and the same loop lists the ones the
+// charge pass visits: what a workspace sweeps and books is decided here and
+// nowhere else.
+func newStampTemplate(s *System, devs []Device) *stampTemplate {
 	n := s.N
 	mf, mq := s.pattern.Clone(), s.pattern.Clone()
-	var wroteQ bool
 	ctx := EvalCtx{
 		X:        make([]float64, n),
 		SrcScale: 1,
@@ -110,38 +125,23 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 		Q:        make([]float64, n),
 		B:        make([]float64, n),
 	}
-	tp = &stampTemplate{}
+	tp := &stampTemplate{}
 	for di, d := range devs {
-		switch lp, ok := d.(LinearPartStamper); {
-		case linearDevice(d):
+		if linearDevice(d) {
 			d.Eval(&ctx)
 			if d.(LinearStamper).LinearStamps() {
 				tp.sources = append(tp.sources, di)
 			}
-		case ok:
-			lp.StampLinearPart(&ctx)
-			tp.sweep = append(tp.sweep, di)
-		default:
-			tp.sweep = append(tp.sweep, di)
-		}
-	}
-	ctx.Templated, ctx.wroteQ = true, &wroteQ
-	for _, di := range s.chargeDevs {
-		d := devs[di]
-		if linearDevice(d) {
 			continue
 		}
-		// Only a declared linear part can leave a ChargeEvaler nothing to
-		// book: probe those without limiting state under Templated.
-		q, books := d.(ChargeEvaler)
-		if _, ok := d.(LinearPartStamper); ok && books && d.States() == 0 {
-			wroteQ = false
-			q.EvalQ(&ctx)
-			if !wroteQ {
-				continue
-			}
+		tp.sweep = append(tp.sweep, di)
+		lp, declares := d.(LinearPartStamper)
+		if declares {
+			lp.StampLinearPart(&ctx)
 		}
-		tp.charges = append(tp.charges, di)
+		if q, ok := d.(ChargeEvaler); ok && !(declares && d.States() == 0) {
+			tp.charges = append(tp.charges, q)
+		}
 	}
 	// Sized exactly before they are filled: growing nine slices by appending
 	// costs a grid16 template about a hundred allocations.
@@ -186,8 +186,7 @@ func newStampTemplate(s *System, devs []Device) (tp *stampTemplate) {
 }
 
 // template returns the workspace's stamp template, probing its devices on
-// the first call after NewWorkspace or SetDevices; nil where the probe
-// failed, which is remembered too.
+// the first call after NewWorkspace or SetDevices.
 func (ws *Workspace) template() *stampTemplate {
 	if !ws.probed {
 		ws.tmpl, ws.probed = newStampTemplate(ws.Sys, ws.Devices()), true
@@ -228,36 +227,28 @@ func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, 
 // templated load requests it, with a gmin-stepping or .NODESET conductance
 // added as finishLoad adds it (a clamp's target current goes to B). The
 // sources' F stamps at x are dropped and Q is left alone; x is what they are
-// evaluated at and may hold any values. The System must be linear; where
-// its template probe failed, the sweep assembles the matrix and B instead.
+// evaluated at and may hold any values. The System must be linear.
 func (ws *Workspace) LoadSources(x []float64, p LoadParams) {
+	tp := ws.template()
 	ctx := &ws.evalCtx
-	if tp := ws.template(); tp != nil {
-		ws.beginLoad(ctx, x, p, zeroF|zeroB)
-		devs := ws.Devices()
-		for _, di := range tp.sources {
-			devs[di].Eval(ctx)
-		}
-		ws.Solver.Defer(p.Alpha0)
-	} else {
-		ws.beginLoad(ctx, x, p, zeroAll)
-		for _, d := range ws.Devices() {
-			d.Eval(ctx)
-		}
+	ws.beginLoad(ctx, x, p, zeroF|zeroB)
+	devs := ws.Devices()
+	for _, di := range tp.sources {
+		devs[di].Eval(ctx)
 	}
+	ws.Solver.Defer(p.Alpha0)
 	ws.finishLoad(nil, p, false)
 }
 
 // BookCharges is the charge pass that closes a converged point: through the
-// template it books Q = J_Q·x, then the charges the swept devices book on
-// top, unlimited — bit for bit what a templated load at x under NoLimit
-// semantics leaves in Q and SNext. Where the probe failed it is LoadCharges.
+// template it books Q = J_Q·x, then the charges of the devices the template
+// lists for it on top, unlimited — bit for bit what a templated load at x
+// under NoLimit semantics leaves in Q and SNext. M, F, B and Limited stay as
+// the last Load left them. The list is in device order, the order a load
+// accumulates rows in, and from ws.Devices(), so a lane workspace books its
+// own variant's instances.
 func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
 	tp := ws.template()
-	if tp == nil {
-		ws.LoadCharges(x, p)
-		return
-	}
 	clear(ws.Q)
 	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
 	if len(tp.charges) == 0 {
@@ -267,7 +258,9 @@ func (ws *Workspace) BookCharges(x []float64, p LoadParams) {
 	ctx := &ws.evalCtx
 	ws.beginLoad(ctx, x, p, 0)
 	ctx.Templated = true
-	ws.bookCharges(ctx, tp.charges)
+	for _, d := range tp.charges {
+		d.EvalQ(ctx)
+	}
 }
 
 // mulAdd accumulates the product of the (rows, cols, vals) triples with x

@@ -11,12 +11,11 @@ import "fmt"
 // The invariants that make sharing sound:
 //   - BindLanes only succeeds for circuits structurally identical to the
 //     host (same node names in order, same device sequence with the same
-//     branch/state arity, same Reserve footprint, charge stored only where
-//     the host stores some), so every lane device holds positions valid on
-//     any clone of the host pattern and the host's charge-pass list covers
-//     every lane.
-//   - A lane workspace builds its stamp template from its own devices, so
-//     per-lane results are bit-identical to a serial run of the same variant.
+//     branch/state arity, same Reserve footprint), so every lane device holds
+//     positions valid on any clone of the host pattern.
+//   - A lane workspace builds its stamp template, and with it what its loads
+//     sweep and its charge pass books, from its own devices, so per-lane
+//     results are bit-identical to a serial run of the same variant.
 
 // SetDevices overrides the device list this workspace's assembly paths
 // evaluate, so a lane workspace compiled against the host pattern stamps its
@@ -65,7 +64,6 @@ func (s *System) BindLanes(c *Circuit) error {
 	}
 	branch := s.NumNodes
 	state := 0
-	charged := s.chargeDevs // cursor over the host's charge-pass list
 	for i, d := range c.devices {
 		h := host.devices[i]
 		if d.Name() != h.Name() || d.Branches() != h.Branches() || d.States() != h.States() {
@@ -76,15 +74,6 @@ func (s *System) BindLanes(c *Circuit) error {
 		// lane of a linear host would be solved as if linear, in one solve.
 		if s.linear && !linearDevice(d) {
 			return fmt.Errorf("circuit %q: device %s is not linear, host %q is",
-				c.Title, d.Name(), host.Title)
-		}
-		// A lane closes its points with the host's charge-pass list: a device
-		// that books charge where the host's books none would never be asked
-		// for it. (The other way round the pass finds nothing to book.)
-		if len(charged) > 0 && int(charged[0]) == i {
-			charged = charged[1:]
-		} else if _, ok := d.(ChargeEvaler); ok {
-			return fmt.Errorf("circuit %q: device %s stores charge or limiting state, host %q has none there",
 				c.Title, d.Name(), host.Title)
 		}
 		d.Bind(branch, state)
@@ -129,7 +118,7 @@ func (s *System) NewLaneWorkspaces(k int) []*Workspace {
 //
 // No engine calls it: the ensemble's lanes are serial runs, each with its own
 // Load. It stays only because bench/layers.go times it; the benchmark PR of
-// ROADMAP item 4 removes it together with circuit.batchload_ns_lane_op.
+// ROADMAP item 2 removes it together with circuit.batchload_ns_lane_op.
 func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
 	nd := 0
 	for li, ws := range lanes {

@@ -25,21 +25,29 @@ func bitsDiffer(a, b []float64) int {
 	return -1
 }
 
-// checkChargePass holds both charge passes at every given iterate: the full
-// sweep's (LoadCharges) to the full NoLimit Load, and the templated one
-// (BookCharges, which runs each EvalQ under EvalCtx.Templated) to the
-// templated load at x, its limiting state seeded there so that no junction
-// is clamped. Q and SNext must be equal in every bit, and M, F and B —
-// filled by a limited load at a nearby iterate first, as the last Newton
-// iteration of a point leaves them — untouched.
+// checkChargePass holds the charge pass (BookCharges, which runs each EvalQ
+// under EvalCtx.Templated) at every given iterate to the templated load at x,
+// its limiting state seeded there so that no junction is clamped. Q and SNext
+// must be equal in every bit, and M, F and B — filled by a limited load at a
+// nearby iterate first, as the last Newton iteration of a point leaves them —
+// untouched. Untemplated, every EvalQ swept alone in device order must book
+// the Q and SNext of the full NoLimit load: a linear device's EvalQ, which no
+// charge pass calls (the template books its charge), is held here.
 func checkChargePass(t *testing.T, what string, c *circuit.Circuit, xs [][]float64) {
 	t.Helper()
 	sys, err := c.Build()
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	pass, full := sys.NewWorkspace(), sys.NewWorkspace()
 	booked, templated := sys.NewWorkspace(), sys.NewWorkspace()
+	evalQs, full := sys.NewWorkspace(), sys.NewWorkspace()
+	var chargers []circuit.Device
+	for _, d := range c.Devices() {
+		if _, ok := d.(circuit.ChargeEvaler); ok {
+			chargers = append(chargers, asWhole{d, true})
+		}
+	}
+	evalQs.SetDevices(chargers)
 	near := make([]float64, sys.N)
 	for _, x := range xs {
 		if len(x) != sys.N {
@@ -49,45 +57,42 @@ func checkChargePass(t *testing.T, what string, c *circuit.Circuit, xs [][]float
 		for i, v := range x {
 			near[i] = 0.9*v + 0.02
 		}
-		for _, ws := range []*circuit.Workspace{pass, full, booked} {
-			ws.Load(near, p)
-			ws.FlipState()
-			ws.Load(near, p)
+		booked.Load(near, p)
+		booked.FlipState()
+		booked.Load(near, p)
+		m := append([]float64(nil), booked.Matrix().Values...)
+		f := append([]float64(nil), booked.F...)
+		b := append([]float64(nil), booked.B...)
+
+		booked.BookCharges(x, p)
+		unlimited := p
+		unlimited.NoLimit = true
+		templated.Load(x, unlimited)
+		templated.FlipState()
+		templated.Load(x, p)
+		if templated.Limited {
+			t.Fatalf("%s at %v: the templated load clamped a junction at the voltages its state was seeded at", what, x)
 		}
-		for _, c := range []struct {
-			name     string
-			pass, at *circuit.Workspace
-			charge   func([]float64, circuit.LoadParams)
-		}{
-			{"charge pass", pass, full, pass.LoadCharges},
-			{"templated charge pass", booked, templated, booked.BookCharges},
-		} {
-			m := append([]float64(nil), c.pass.Matrix().Values...)
-			f := append([]float64(nil), c.pass.F...)
-			b := append([]float64(nil), c.pass.B...)
 
-			c.charge(x, p)
-			unlimited := p
-			unlimited.NoLimit = true
-			c.at.Load(x, unlimited)
-			if c.at == templated {
-				c.at.FlipState()
-				c.at.Load(x, p)
-				if c.at.Limited {
-					t.Fatalf("%s at %v: the templated load clamped a junction at the voltages its state was seeded at", what, x)
-				}
-			}
+		if i := bitsDiffer(booked.Q, templated.Q); i >= 0 {
+			t.Fatalf("%s at %v: charge pass Q[%d] = %x (%g), its load %x (%g)", what, x, i,
+				math.Float64bits(booked.Q[i]), booked.Q[i], math.Float64bits(templated.Q[i]), templated.Q[i])
+		}
+		if i := bitsDiffer(booked.SNext, templated.SNext); i >= 0 {
+			t.Fatalf("%s at %v: charge pass SNext[%d] = %g, its load %g", what, x, i, booked.SNext[i], templated.SNext[i])
+		}
+		if bitsDiffer(booked.Matrix().Values, m) >= 0 || bitsDiffer(booked.F, f) >= 0 || bitsDiffer(booked.B, b) >= 0 {
+			t.Fatalf("%s at %v: the charge pass wrote M, F or B", what, x)
+		}
 
-			if i := bitsDiffer(c.pass.Q, c.at.Q); i >= 0 {
-				t.Fatalf("%s at %v: %s Q[%d] = %x (%g), its load %x (%g)", what, x, c.name, i,
-					math.Float64bits(c.pass.Q[i]), c.pass.Q[i], math.Float64bits(c.at.Q[i]), c.at.Q[i])
-			}
-			if i := bitsDiffer(c.pass.SNext, c.at.SNext); i >= 0 {
-				t.Fatalf("%s at %v: %s SNext[%d] = %g, its load %g", what, x, c.name, i, c.pass.SNext[i], c.at.SNext[i])
-			}
-			if bitsDiffer(c.pass.Matrix().Values, m) >= 0 || bitsDiffer(c.pass.F, f) >= 0 || bitsDiffer(c.pass.B, b) >= 0 {
-				t.Fatalf("%s at %v: the %s wrote M, F or B", what, x, c.name)
-			}
+		evalQs.Load(x, unlimited)
+		full.Load(x, unlimited)
+		if i := bitsDiffer(evalQs.Q, full.Q); i >= 0 {
+			t.Fatalf("%s at %v: EvalQ alone Q[%d] = %x (%g), the full load %x (%g)", what, x, i,
+				math.Float64bits(evalQs.Q[i]), evalQs.Q[i], math.Float64bits(full.Q[i]), full.Q[i])
+		}
+		if i := bitsDiffer(evalQs.SNext, full.SNext); i >= 0 {
+			t.Fatalf("%s at %v: EvalQ alone SNext[%d] = %g, the full load %g", what, x, i, evalQs.SNext[i], full.SNext[i])
 		}
 	}
 }
@@ -104,9 +109,10 @@ func junctionBiases(fcv float64) []float64 {
 
 // TestEvalQMatchesEval: the promise behind the charge pass, device by device —
 // EvalQ books what Eval books under NoLimit, from the same expressions, and
-// writes nothing else, with and without EvalCtx.Templated. Every type that implements it, both polarities where
-// there are two, biases across every branch of the charge model, and
-// parameter sets that switch each charge term on and off.
+// writes nothing else, with and without EvalCtx.Templated. Every type that
+// implements it, both polarities where there are two, biases across every
+// branch of the charge model, and parameter sets that switch each charge term
+// on and off.
 func TestEvalQMatchesEval(t *testing.T) {
 	t.Run("capacitor", func(t *testing.T) {
 		for _, cv := range []float64{0, 1e-15, 4.7e-9} {
@@ -453,10 +459,9 @@ func everyDevice(t *testing.T) (*circuit.System, map[string]circuit.Device) {
 // TestChargeWritersImplementEvalQ is the guard for the next device somebody
 // adds. It demands an instance of every constructor (everyDevice) and fails
 // for a type whose Eval books charge at a generic bias, or that keeps
-// limiting state, without implementing circuit.ChargeEvaler: such a device
-// would still be simulated correctly — the charge pass sweeps it through its
-// full Eval — but at the cost the pass exists to remove, and nobody would
-// notice.
+// limiting state, without implementing circuit.ChargeEvaler: the charge pass
+// visits no other device, so such a device's charge would be missing from
+// every accepted point's Q.
 func TestChargeWritersImplementEvalQ(t *testing.T) {
 	sys, instances := everyDevice(t)
 	rng := rand.New(rand.NewSource(20))

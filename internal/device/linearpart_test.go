@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,10 +13,11 @@ import (
 
 // asTemplated evaluates a device as a templated load and its stamp template
 // see it together: the pass under EvalCtx.Templated, then the declared linear
-// part, into the same buffers. With charges set the pass is EvalQ.
+// part, into the same buffers. With charges set the pass is EvalQ; with bare
+// set the linear part is left out, which leaves what the pass books alone.
 type asTemplated struct {
 	circuit.Device
-	charges bool
+	charges, bare bool
 }
 
 func (d asTemplated) Eval(e *circuit.EvalCtx) {
@@ -26,7 +28,9 @@ func (d asTemplated) Eval(e *circuit.EvalCtx) {
 		d.Device.Eval(e)
 	}
 	e.Templated = false
-	d.Device.(circuit.LinearPartStamper).StampLinearPart(e)
+	if !d.bare {
+		d.Device.(circuit.LinearPartStamper).StampLinearPart(e)
+	}
 }
 
 // asWhole evaluates a device in full: its Eval, or with charges set its EvalQ.
@@ -47,16 +51,19 @@ func (d asWhole) Eval(e *circuit.EvalCtx) {
 // contract at every iterate and Alpha0: a pass under EvalCtx.Templated
 // followed by StampLinearPart issues what the full Eval issues — M, F, Q, B
 // and SNext equal slot for slot in every bit — and a templated EvalQ
-// followed by the linear part books what the full EvalQ books.
+// followed by the linear part books what the full EvalQ books. Without
+// limiting state its templated EvalQ books nothing at all: the stamp template
+// leaves such a device out of the charge pass.
 func checkLinearPart(t *testing.T, what string, sys *circuit.System, d circuit.Device, xs [][]float64) {
 	t.Helper()
-	split, whole := sys.NewWorkspace(), sys.NewWorkspace()
+	split, whole, bare := sys.NewWorkspace(), sys.NewWorkspace(), sys.NewWorkspace()
 	for _, charges := range []bool{false, true} {
 		if _, ok := d.(circuit.ChargeEvaler); charges && !ok {
 			continue
 		}
-		split.SetDevices([]circuit.Device{asTemplated{d, charges}})
+		split.SetDevices([]circuit.Device{asTemplated{Device: d, charges: charges}})
 		whole.SetDevices([]circuit.Device{asWhole{d, charges}})
+		bare.SetDevices([]circuit.Device{asTemplated{Device: d, charges: charges, bare: true}})
 		for _, x := range xs {
 			for _, alpha0 := range []float64{0, 1e9, 2.5e11} {
 				p := circuit.LoadParams{Time: 1e-9, Alpha0: alpha0, Gmin: 1e-12, SrcScale: 1, NoLimit: true}
@@ -78,6 +85,16 @@ func checkLinearPart(t *testing.T, what string, sys *circuit.System, d circuit.D
 							what, charges, x, alpha0, v.name, i, math.Float64bits(v.got[i]), math.Float64bits(v.want[i]))
 					}
 				}
+				if !charges || d.States() > 0 {
+					continue
+				}
+				bare.Load(x, p)
+				for i, q := range bare.Q {
+					if q != 0 {
+						t.Fatalf("%s at %v, Alpha0 %g: keeps no limiting state, and its templated EvalQ books Q[%d] = %g",
+							what, x, alpha0, i, q)
+					}
+				}
 			}
 		}
 	}
@@ -88,9 +105,35 @@ func checkLinearPart(t *testing.T, what string, sys *circuit.System, d circuit.D
 // promise the stamp template relies on, at random iterates; further model
 // cards cover the other polarity and the junction capacitances. A device
 // that declares a linear part must not also be a LinearStamper, or the
-// template would hold its linear part twice.
+// template would hold its linear part twice. The template probes a workspace's
+// devices at x = 0 and T = 0 with nothing to catch a panic, so every
+// constructor's Eval, EvalQ and declared linear part, whole and templated,
+// must run there, and so must the probe of the circuit holding them all.
 func TestLinearPartContract(t *testing.T) {
 	sys, instances := everyDevice(t)
+	zero := make([]float64, sys.N)
+	atZero := circuit.LoadParams{SrcScale: 1, NoLimit: true}
+	for name, d := range instances {
+		passes := map[string]circuit.Device{"Eval": d}
+		if _, ok := d.(circuit.ChargeEvaler); ok {
+			passes["EvalQ"] = asWhole{d, true}
+		}
+		if _, ok := d.(circuit.LinearPartStamper); ok {
+			passes["templated Eval and StampLinearPart"] = asTemplated{Device: d}
+			passes["templated EvalQ and StampLinearPart"] = asTemplated{Device: d, charges: true}
+		}
+		for pass, as := range passes {
+			ws := sys.NewWorkspace()
+			ws.SetDevices([]circuit.Device{as})
+			if err := noPanic(func() { ws.Load(zero, atZero) }); err != nil {
+				t.Errorf("%s: %s at x = 0, T = 0 panics: %v", name, pass, err)
+			}
+		}
+	}
+	if err := noPanic(func() { sys.NewWorkspace().Load(zero, circuit.LoadParams{SrcScale: 1}) }); err != nil {
+		t.Errorf("the stamp template probe of every device panics: %v", err)
+	}
+
 	rng := rand.New(rand.NewSource(49))
 	iterates := func(n int) [][]float64 {
 		xs := make([][]float64, 32)
@@ -136,4 +179,15 @@ func TestLinearPartContract(t *testing.T) {
 		}
 		checkLinearPart(t, d.Name(), one, d, iterates(one.N))
 	}
+}
+
+// noPanic runs f and returns what it panicked with, as an error.
+func noPanic(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	f()
+	return nil
 }

@@ -75,7 +75,7 @@ type Result struct {
 	Stats transient.Stats
 	// Rounds is always 0: lanes no longer advance in gang rounds, and the
 	// field stays only because bench/engine.go reads it. The benchmark PR of
-	// ROADMAP item 4 removes it together with ensemble.rounds.
+	// ROADMAP item 2 removes it together with ensemble.rounds.
 	Rounds int
 }
 

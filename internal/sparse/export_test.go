@@ -57,6 +57,47 @@ func RefactorReference(f *LU, m *Matrix) (lx, ux, ud []float64, ok bool) {
 	return lx, ux, ud, true
 }
 
+// SolveReference is the column sweep SolveWith ran before the block plan,
+// kept here as the oracle the planned solve is held to bit for bit: the
+// forward sweep over every L column, skipping a zero multiplier, then the
+// backward sweep over every U column. It computes x with A·x = b from f's
+// factors, using scratch (length N) as workspace.
+func SolveReference(f *LU, b, x, scratch []float64) {
+	w := scratch[:f.n]
+	for k, r := range f.rowPerm {
+		w[k] = b[r]
+	}
+	// Forward: L·y = P·b (unit diagonal).
+	for k, yk := range w {
+		if yk == 0 {
+			continue
+		}
+		li := f.li[f.lp[k]:f.lp[k+1]]
+		lx := f.lx[f.lp[k]:f.lp[k+1]]
+		lx = lx[:len(li)]
+		for q, r := range li {
+			w[r] -= lx[q] * yk
+		}
+	}
+	// Backward: U·z = y, U stored by strict-upper columns + diagonal.
+	for k := f.n - 1; k >= 0; k-- {
+		zk := w[k] / f.ud[k]
+		w[k] = zk
+		if zk == 0 {
+			continue
+		}
+		ui := f.ui[f.up[k]:f.up[k+1]]
+		ux := f.ux[f.up[k]:f.up[k+1]]
+		ux = ux[:len(ui)]
+		for p, i := range ui {
+			w[i] -= ux[p] * zk
+		}
+	}
+	for k, c := range f.colPerm {
+		x[c] = w[k]
+	}
+}
+
 // Factors exposes the numeric factors (aliased, not copied) to the external
 // test package.
 func (f *LU) Factors() (lx, ux, ud []float64) { return f.lx, f.ux, f.ud }

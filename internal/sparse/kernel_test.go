@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -118,6 +119,128 @@ func TestRefactorKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// rhsVariants returns the right-hand sides the solve oracle runs on: a dense
+// one, as the engine's B − qhist is, and one of exact +0 and −0 entries with
+// a few values among them, so that the zero skip runs inside blocks.
+func rhsVariants(rng *rand.Rand, n int) [][]float64 {
+	dense, zeros := make([]float64, n), make([]float64, n)
+	for i := range dense {
+		dense[i] = rng.NormFloat64()
+		switch rng.Intn(4) {
+		case 0:
+			zeros[i] = rng.NormFloat64()
+		case 1:
+			zeros[i] = math.Copysign(0, -1)
+		}
+	}
+	return [][]float64{dense, zeros}
+}
+
+// sameSolveAsReference solves with lu for every right-hand side and demands
+// the solution of the reference sweep bit for bit.
+func sameSolveAsReference(t *testing.T, tag string, lu *LU, rhs [][]float64) {
+	t.Helper()
+	n := lu.n
+	want, got, w := make([]float64, n), make([]float64, n), make([]float64, n)
+	for v, b := range rhs {
+		SolveReference(lu, b, want, w)
+		lu.SolveWith(b, got, w)
+		bitsEqual(t, fmt.Sprintf("%s rhs %d: x", tag, v), got, want)
+	}
+}
+
+// TestSolveKernelMatchesReference holds the planned solve to the old column
+// sweep on the random patterns of TestRefactorKernelMatchesReference, on the
+// factors of the full factorization and of a refactorization.
+func TestSolveKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	permRng := rand.New(rand.NewSource(67))
+	checked := 0
+	for _, ord := range columnOrders {
+		for n := 1; n <= 60; n++ {
+			m := randUnsymmetric(rng, n, 0.2)
+			lu, err := FactorizeWithPerm(m, ord.perm(m, permRng))
+			if err != nil {
+				continue // singular draw
+			}
+			checked++
+			tag := fmt.Sprintf("%s n=%d", ord.name, n)
+			sameSolveAsReference(t, tag+" factorized", lu, rhsVariants(rng, n))
+			perturb(rng, m, 0.2)
+			if err := lu.Refactor(m); err != nil {
+				continue // a degenerate pivot leaves no factors to solve with
+			}
+			sameSolveAsReference(t, tag+" refactored", lu, rhsVariants(rng, n))
+		}
+	}
+	if checked < 150 {
+		t.Fatalf("only %d of 180 random patterns factorized: the comparison is thin", checked)
+	}
+}
+
+// signedZeros overwrites the off-diagonal entries of A in a third of the
+// pivot columns with exact zeros of random sign, so that whole blocks of a
+// later column's multipliers are +0 or −0 and the shared rows hold −0.
+func signedZeros(rng *rand.Rand, lu *LU, m *Matrix) {
+	for k := 0; k < lu.n; k++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		j := lu.colPerm[k]
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if m.RowIdx[p] != lu.rowPerm[k] {
+				m.Values[p] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
+		}
+	}
+}
+
+// TestBlockKernelsMatchReferenceOnMeshes holds the refactor and the solve to
+// the reference sweeps on the meshes of side 4 to 24, whose supernodes are
+// wide, so that every block width and remainder occurs. Besides perturbed
+// values it feeds exact zeros of either sign into blocks (the zero skip), a
+// NaN into A, so that an L entry is not finite and a skipped product would
+// be 0·NaN, and an infinite L entry into the solve (0·Inf).
+func TestBlockKernelsMatchReferenceOnMeshes(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for side := 4; side <= 24; side++ {
+		m := meshMatrix(side, rng)
+		n := m.N()
+		lu, err := Factorize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if side >= 8 && (len(lu.plan.ublk) == 0 || len(lu.plan.lblk) == 0) {
+			t.Fatalf("side %d: no block planned", side)
+		}
+		good := append([]float64(nil), m.Values...)
+		for round := 0; round < 4; round++ {
+			tag := fmt.Sprintf("side %d round %d", side, round)
+			copy(m.Values, good)
+			perturb(rng, m, 0.1)
+			if round >= 1 {
+				signedZeros(rng, lu, m)
+			}
+			if round == 3 {
+				m.Values[rng.Intn(len(m.Values))] = math.NaN()
+			}
+			sameAsReference(t, tag, lu, m, func() error { return lu.Refactor(m) })
+			sameSolveAsReference(t, tag, lu, rhsVariants(rng, n))
+		}
+		copy(m.Values, good)
+		if err := lu.Refactor(m); err != nil {
+			t.Fatal(err)
+		}
+		// An infinite entry in the shared rows of every planned solve block:
+		// a column whose multiplier is zero must not meet it.
+		for q := 0; q < len(lu.plan.lblk); q += 2 {
+			c := int(lu.plan.lblk[q])
+			lu.lx[lu.lp[c+1]-1] = math.Inf(1)
+		}
+		sameSolveAsReference(t, fmt.Sprintf("side %d, infinite L", side), lu, rhsVariants(rng, n))
+	}
+}
+
 // TestRefactorLeavesWorkspaceClean: a sweep abandoned at a degenerate pivot
 // must hand the next one a zeroed workspace, or its fill positions start
 // from garbage.
@@ -151,7 +274,7 @@ func TestRefactorLeavesWorkspaceClean(t *testing.T) {
 // TestLUStateRoundTripsThroughInt32Layout: the snapshot keeps its []int
 // arrays (checkpoint format Version 1), the factorization keeps int32 ones;
 // the conversion must lose nothing in either direction, and the restored
-// factorization must refactor to the same bits.
+// factorization must refactor and solve to the same bits.
 func TestLUStateRoundTripsThroughInt32Layout(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m := meshMatrix(12, rng)
@@ -180,6 +303,25 @@ func TestLUStateRoundTripsThroughInt32Layout(t *testing.T) {
 	bitsEqual(t, "restored lx", back.lx, lu.lx)
 	bitsEqual(t, "restored ux", back.ux, lu.ux)
 	bitsEqual(t, "restored ud", back.ud, lu.ud)
+	// The block plan is no part of the snapshot: the restored LU derives it
+	// from the pattern and solves like the original, before and after a
+	// refactorization.
+	if !reflect.DeepEqual(back.plan, lu.plan) {
+		t.Fatal("the restored LU planned other blocks")
+	}
+	fresh, err := RestoreLU(lu.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, w := make([]float64, m.N()), make([]float64, m.N())
+	for v, b := range rhsVariants(rng, m.N()) {
+		want := make([]float64, m.N())
+		lu.SolveWith(b, want, w)
+		for _, r := range []*LU{fresh, back} {
+			r.SolveWith(b, x, w)
+			bitsEqual(t, fmt.Sprintf("restored rhs %d: x", v), x, want)
+		}
+	}
 
 	st.N = math.MaxInt32
 	if err := st.Validate(); err == nil {

@@ -49,8 +49,12 @@ type LU struct {
 	// aDst is the refactor kernel's compiled scatter map: CSC position p of
 	// the matrix lands at pivot position aDst[p] of the column workspace
 	// (rowInv[RowIdx[p]], resolved once per pattern instead of per entry per
-	// refactorization). Built by the first Refactor; see scatterMap.
+	// refactorization). Built by the first Refactor; see compile.
 	aDst []int32
+	// plan is the refactor and solve kernels' block plan (see blockPlan),
+	// derived from the factor pattern when the LU is made, so that a
+	// concurrent SolveWith finds it built.
+	plan blockPlan
 
 	// pivTol is the threshold the pivots were chosen under:
 	// DefaultPivotTolerance, or the one a restored LUState recorded.
@@ -222,6 +226,7 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 			li[q], lx[q] = e.pos, e.v
 		}
 	}
+	f.buildPlan()
 	return f, nil
 }
 
@@ -237,29 +242,47 @@ type lEntry struct {
 // stored pivot has become too small for the new values, ErrRefactorPivot is
 // returned and the factorization content is undefined; the caller should
 // run a full Factorize.
+//
+// Column k runs refactorColumn over the stretches of U(:,k) between the
+// planned blocks of supernode columns, and lBlock on each block. The plan's
+// blocks ascend through ui, so one cursor walks them across all columns: a
+// column without a block costs one compare more than a single call.
 func (f *LU) Refactor(m *Matrix) error {
 	if m.N() != f.n {
 		return fmt.Errorf("sparse: Refactor dimension mismatch: %d vs %d", m.N(), f.n)
 	}
-	f.scatterMap(m)
-	if f.work == nil {
-		f.work = make([]float64, f.n)
-	}
+	f.compile(m)
 	w := f.work // pivot-position space, kept zero between columns
+	blk := f.plan.ublk
+	next := int32(math.MaxInt32) // position in ui of the next block
+	if len(blk) > 0 {
+		next = blk[0]
+	}
 	for k := 0; k < f.n; k++ {
-		if !f.refactorColumn(m, k, w) {
+		lo := f.up[k]
+		for next < f.up[k+1] {
+			f.refactorColumn(m, k, w, lo, next)
+			c, b := int(f.ui[next]), blk[1]
+			f.lBlock(w, c, int(b), f.ux[next:next+b])
+			clear(w[c : c+int(b)]) // read, as every U row's slot is cleared once read
+			lo, blk, next = next+b, blk[2:], math.MaxInt32
+			if len(blk) > 0 {
+				next = blk[0]
+			}
+		}
+		if !f.refactorColumn(m, k, w, lo, f.up[k+1]) {
 			return ErrRefactorPivot
 		}
 	}
 	return nil
 }
 
-// scatterMap builds the refactor kernel's scatter map from m's pattern on
-// first use. It is built here rather than by FactorizeWithPerm so that a
-// factorization restored from a checkpoint (which carries no matrix) gets it
-// the same way; every matrix an LU refactors shares one frozen pattern, so
-// one map serves them all.
-func (f *LU) scatterMap(m *Matrix) {
+// compile builds the refactor kernel's scatter map and workspace on first
+// use. It runs here rather than in FactorizeWithPerm so that a factorization
+// restored from a checkpoint (which carries no matrix) gets them the same
+// way; every matrix an LU refactors shares one frozen pattern, so one map
+// serves them all.
+func (f *LU) compile(m *Matrix) {
 	if f.aDst != nil {
 		return
 	}
@@ -267,35 +290,45 @@ func (f *LU) scatterMap(m *Matrix) {
 	for p, r := range m.RowIdx {
 		f.aDst[p] = int32(f.rowInv[r])
 	}
+	f.work = make([]float64, f.n)
 }
 
-// refactorColumn recomputes column k of the factorization from the values in
-// m, using w (pivot-position space, zero on entry and on return) as scatter
-// workspace. A false return means the stored pivot went degenerate
-// (ErrRefactorPivot), leaving column k's storage undefined.
+// refactorColumn runs the stretch [lo, end) of U(:,k) of the refactorization
+// from the values in m, using w (pivot-position space, zero on entry to the
+// column and on return from it) as scatter workspace: the stretch that
+// starts the column scatters A(:, colPerm[k]) into w first, and the stretch
+// that ends it gathers L(:,k) and tests the pivot. A false return means the
+// stored pivot went degenerate (ErrRefactorPivot), leaving column k's
+// storage undefined.
 //
-// Every loop runs over sub-slices cut once per column, so the only bounds
+// Every loop runs over sub-slices cut once per stretch, so the only bounds
 // checks left inside are the indirect ones into w. The arithmetic — which
 // products are subtracted from which entry, in which order, and the final
 // division by the pivot — is exactly that of the textbook left-looking
 // sweep, so the factors are a function of (pattern, pivots, values) alone.
-func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
-	j := f.colPerm[k]
-	alo, ahi := m.ColPtr[j], m.ColPtr[j+1]
-	vals := m.Values[alo:ahi]
-	dst := f.aDst[alo:ahi]
-	dst = dst[:len(vals)]
-	for p, v := range vals {
-		w[dst[p]] = v
+// refactorColumn calls nothing, so the width-1 loop keeps its registers.
+func (f *LU) refactorColumn(m *Matrix, k int, w []float64, lo, end int32) bool {
+	if lo == f.up[k] {
+		j := f.colPerm[k]
+		alo, ahi := m.ColPtr[j], m.ColPtr[j+1]
+		vals := m.Values[alo:ahi]
+		dst := f.aDst[alo:ahi]
+		dst = dst[:len(vals)]
+		for p, v := range vals {
+			w[dst[p]] = v
+		}
 	}
 	// Forward elimination along the stored U pattern (ascending pivot
 	// positions form a valid topological order for a lower-triangular
 	// dependency structure).
-	ui := f.ui[f.up[k]:f.up[k+1]]
-	ux := f.ux[f.up[k]:f.up[k+1]]
+	ui := f.ui[lo:end]
+	ux := f.ux[lo:end]
 	ux = ux[:len(ui)]
 	for p, i := range ui {
+		// No later column of L(:,k)'s elimination updates row i: its slot is
+		// cleared as its multiplier is read.
 		xi := w[i]
+		w[i] = 0
 		ux[p] = xi
 		if xi == 0 {
 			continue
@@ -305,8 +338,7 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 		lx = lx[:len(li)]
 		// Four updates per trip: the rows of one L column are distinct, so
 		// the updates are independent and the result is that of the plain
-		// loop; what goes is three quarters of its counter and branch work,
-		// a fifth of a refactorization's time on the mesh patterns.
+		// loop; what goes is three quarters of its counter and branch work.
 		for len(li) >= 4 && len(lx) >= 4 {
 			r0, r1, r2, r3 := li[0], li[1], li[2], li[3]
 			w[r0] -= lx[0] * xi
@@ -320,9 +352,14 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 			w[r] -= lx[q] * xi
 		}
 	}
+	if end != f.up[k+1] {
+		return true
+	}
+	// One pass over the L column gathers the entries, clears their workspace
+	// slots and finds the column scale the pivot is tested against; the
+	// division by the pivot rides along, since a failed test leaves the
+	// column undefined anyway.
 	pv := w[k]
-	// One pass over the L column gathers the unscaled entries, clears their
-	// workspace slots and finds the column scale the pivot is tested against.
 	li := f.li[f.lp[k]:f.lp[k+1]]
 	lx := f.lx[f.lp[k]:f.lp[k+1]]
 	lx = lx[:len(li)]
@@ -330,13 +367,10 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 	for q, r := range li {
 		v := w[r]
 		w[r] = 0
-		lx[q] = v
+		lx[q] = v / pv
 		if a := math.Abs(v); a > colMax {
 			colMax = a
 		}
-	}
-	for _, i := range ui {
-		w[i] = 0
 	}
 	w[k] = 0
 	// Scale test: the pivot must not be degenerate relative to the column
@@ -345,9 +379,6 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 		return false
 	}
 	f.ud[k] = pv
-	for q := range lx {
-		lx[q] /= pv
-	}
 	return true
 }
 
@@ -368,20 +399,32 @@ func (f *LU) SolveWith(b, x, scratch []float64) {
 	for k, r := range f.rowPerm {
 		w[k] = b[r]
 	}
-	// Forward: L·y = P·b (unit diagonal).
-	for k, yk := range w {
-		if yk == 0 {
-			continue
-		}
-		li := f.li[f.lp[k]:f.lp[k+1]]
-		lx := f.lx[f.lp[k]:f.lp[k+1]]
-		lx = lx[:len(li)]
-		for q, r := range li {
-			w[r] -= lx[q] * yk
-		}
+	f.solveL(w)
+	f.solveU(w)
+	for k, c := range f.colPerm {
+		x[c] = w[k]
 	}
-	// Backward: U·z = y, U stored by strict-upper columns + diagonal.
-	for k := f.n - 1; k >= 0; k-- {
+}
+
+// solveL is the forward sweep L·y = P·b (unit diagonal) in place in w:
+// lColumns over the stretches between the planned blocks of supernode
+// columns, lBlock on each block.
+func (f *LU) solveL(w []float64) {
+	k := 0
+	for blk := f.plan.lblk; len(blk) > 0; blk = blk[2:] {
+		c, b := int(blk[0]), int(blk[1])
+		f.lColumns(w, k, c)
+		f.lBlock(w, c, b, w[c:c+b])
+		k = c + b
+	}
+	f.lColumns(w, k, len(w))
+}
+
+// solveU is the backward sweep U·z = y in place in w, U stored by
+// strict-upper columns plus the diagonal. It is a function of its own so
+// that the calls solveL makes spill nothing of its loop.
+func (f *LU) solveU(w []float64) {
+	for k := len(w) - 1; k >= 0; k-- {
 		zk := w[k] / f.ud[k]
 		w[k] = zk
 		if zk == 0 {
@@ -394,8 +437,33 @@ func (f *LU) SolveWith(b, x, scratch []float64) {
 			w[i] -= ux[p] * zk
 		}
 	}
-	for k, c := range f.colPerm {
-		x[c] = w[k]
+}
+
+// lColumns runs the forward solve's width-1 columns lo, …, end-1: each
+// subtracts its multiple of L(:,k) from w, unless its entry of w is an exact
+// zero. It calls nothing, so the loop keeps its registers.
+func (f *LU) lColumns(w []float64, lo, end int) {
+	for t, yk := range w[lo:end] {
+		if yk == 0 {
+			continue
+		}
+		k := lo + t
+		li := f.li[f.lp[k]:f.lp[k+1]]
+		lx := f.lx[f.lp[k]:f.lp[k+1]]
+		lx = lx[:len(li)]
+		// Four updates per trip, as in refactorColumn.
+		for len(li) >= 4 && len(lx) >= 4 {
+			r0, r1, r2, r3 := li[0], li[1], li[2], li[3]
+			w[r0] -= lx[0] * yk
+			w[r1] -= lx[1] * yk
+			w[r2] -= lx[2] * yk
+			w[r3] -= lx[3] * yk
+			li, lx = li[4:], lx[4:]
+		}
+		lx = lx[:len(li)]
+		for q, r := range li {
+			w[r] -= lx[q] * yk
+		}
 	}
 }
 

@@ -131,9 +131,10 @@ func validateFactor(cp, idx []int, nx, n int) error {
 }
 
 // RestoreLU rebuilds a ready-to-use factorization from a snapshot. The
-// returned LU refactorizes and solves exactly as the snapshotted one did;
-// lazily-built scratch (the Refactor/Solve workspaces, the scatter map) is
-// reconstructed on first use.
+// returned LU refactorizes and solves exactly as the snapshotted one did:
+// its block plan is derived from the restored pattern, and lazily-built
+// scratch (the Refactor/Solve workspaces, the scatter map) is reconstructed
+// on first use.
 func RestoreLU(st *LUState) (*LU, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -155,6 +156,7 @@ func RestoreLU(st *LUState) (*LU, error) {
 	for k, r := range f.rowPerm {
 		f.rowInv[r] = k
 	}
+	f.buildPlan()
 	return f, nil
 }
 

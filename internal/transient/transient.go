@@ -175,7 +175,7 @@ type Stats struct {
 	// IntraWorkers is 0 or 1 (1 from the pipeline and the ensemble, and from
 	// a serial run under a budget): a time point is solved by one goroutine,
 	// and the field stays only because bench/harness.go reads it. The
-	// benchmark PR of ROADMAP item 4 removes it together with
+	// benchmark PR of ROADMAP item 2 removes it together with
 	// sched.intra_workers.
 	CoreBudget         int  `json:"coreBudget"`
 	PipelineWorkers    int  `json:"pipelineWorkers"`

@@ -56,25 +56,6 @@ func BenchmarkSparseLUFactorGrid(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseSolveGrid(b *testing.B) {
-	sys := findBenchmark(b, "grid24")
-	ws := sys.NewWorkspace()
-	x := make([]float64, sys.N)
-	loadOnce(b, ws, x)
-	if err := ws.Solver.Factorize(); err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, sys.N)
-	rhs[0] = 1
-	out := make([]float64, sys.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ws.Solver.Solve(rhs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDeviceLoadGrid(b *testing.B) {
 	sys := findBenchmark(b, "grid24")
 	ws := sys.NewWorkspace()
@@ -95,8 +76,8 @@ func genericBias(n int) []float64 {
 }
 
 // BenchmarkChargePass puts the charge pass that closes every converged point
-// beside the loads around it, at a generic bias. The full sweep's NoLimit
-// Load, the load the pass replaces, runs on the three kinds of circuit that
+// beside the loads around it, at a generic bias. A NoLimit Load, the load
+// the pass replaces, runs on the three kinds of circuit that
 // matter: linear capacitances behind Level-1 MOSFETs (inv50), junction and
 // diffusion charge that needs its exp and pow (ecl8), and a large RC mesh
 // (grid32). The engine's path — a Newton iteration's Load, limiting on, and

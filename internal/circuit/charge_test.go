@@ -110,10 +110,10 @@ func testIterate(n int) []float64 {
 	return x
 }
 
-// fullQ is the oracle: the Q of a full NoLimit load on a fresh workspace of
-// the same system and device list.
+// fullQ is the oracle: the Q of a NoLimit load by the full sweep on a fresh
+// workspace of the same system and device list.
 func fullQ(ws *Workspace, x []float64, p LoadParams) []float64 {
-	o := ws.Sys.NewWorkspace()
+	o := NewSweepWorkspace(ws.Sys)
 	o.SetDevices(ws.Devices())
 	p.NoLimit = true
 	o.Load(x, p)

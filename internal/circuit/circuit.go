@@ -263,9 +263,9 @@ func (s *System) Linear() bool { return s.linear }
 
 // linearStoreBytes bounds the factor store of a linear system's solver (see
 // sparse.Solver.StoreBytes). A linear matrix is a function of Alpha0 alone: a
-// templated load keys its request by Alpha0 (loadTemplate), and the store
-// answers a key it has seen with no blend, hash or compare, and a new one from
-// the matrix values (two steps can blend to one matrix). A set costs its
+// load keys its request by Alpha0 (Load), and the store answers a key it has
+// seen with no blend, hash or compare, and a new one from the matrix values
+// (two steps can blend to one matrix). A set costs its
 // factors and one copy of the values, its keys next to nothing, so the working
 // set is the number of distinct matrices a run revisits. Measured on the
 // clocked meshes of the suite, serial, full horizon, under the minimum-fill
@@ -345,10 +345,8 @@ type Workspace struct {
 	evalCtx EvalCtx // the load paths' context, reused across passes
 
 	// tmpl is the stamp template of this workspace's devices (incremental.go),
-	// probed for on the first templated load. A workspace probed without one
-	// (the tests' sweep reference) loads by the full sweep.
-	tmpl   *stampTemplate
-	probed bool
+	// made on the first load.
+	tmpl *stampTemplate
 }
 
 // NewWorkspace allocates a workspace (one per concurrent worker).
@@ -380,11 +378,11 @@ type LoadParams struct {
 	Gmin     float64 // junction + node-diagonal shunt conductance
 	NodeGmin float64 // extra conductance added on every node diagonal (gmin stepping)
 	SrcScale float64 // source scaling in [0,1] (source stepping); 1 = full
-	// NoLimit disables junction-voltage limiting: what is evaluated at a
-	// solution — the charge pass that closes a point solve (BookCharges sets
-	// it), the sensitivity analysis, the template probe — must see the exact
-	// voltages, not clamped ones (the per-worker limiting state may be stale
-	// there).
+	// NoLimit disables junction-voltage limiting in the swept devices: what
+	// is evaluated at a solution — the charge pass that closes a point solve
+	// (BookCharges sets it), the sensitivity analysis, the template probe —
+	// must see the exact voltages, not clamped ones (the per-worker limiting
+	// state may be stale there).
 	NoLimit bool
 	// ClampIdx/ClampV/ClampG pull the listed node unknowns toward target
 	// voltages through a conductance ClampG — the mechanism behind
@@ -395,28 +393,25 @@ type LoadParams struct {
 }
 
 // Load assembles the Jacobian (dF/dx + Alpha0·dQ/dx) and the F, Q, B
-// vectors at iterate x: through the stamp template, which sweeps only the
-// nonlinear devices (none on a linear System), else by sweeping every device.
-// NoLimit loads must evaluate every device exactly at the iterate and
-// source-stepping loads rescale B, so both always sweep in full.
-// Every assembly path — this one, LoadSplit and the lane sweep of lanes.go —
-// is beginLoad, its own sweep, finishLoad, on the calling goroutine and
-// without a clock read.
+// vectors at iterate x through the stamp template, which sweeps only the
+// nonlinear devices (none on a linear System). NoLimit and SrcScale reach the
+// swept devices and the sources; the template's linear part depends on
+// neither. Every assembly path — this one, LoadSplit and LoadSources — is
+// beginLoad, the template, finishLoad, on the calling goroutine and without a
+// clock read.
 func (ws *Workspace) Load(x []float64, p LoadParams) {
-	ctx := &ws.evalCtx
-	if !p.NoLimit && p.SrcScale == 1 && ws.template() != nil {
-		ws.loadTemplate(ctx, ws.tmpl, x, p)
+	ctx, tp := ws.loadSources(x, p)
+	if ws.Sys.linear {
+		ws.Solver.Defer(p.Alpha0)
 	} else {
-		ws.beginLoad(ctx, x, p, zeroAll)
-		for _, d := range ws.Devices() {
-			d.Eval(ctx)
-		}
+		ws.blend(p.Alpha0)
+		ws.Solver.Written()
 	}
-	ws.finishLoad(x, p, ctx.Limited)
+	ws.sweepNonlinear(ctx, tp, x, p)
 }
 
-// Matrix returns the Jacobian the last Load assembled. A templated load
-// leaves its blend to the solver (see loadTemplate), so a reader of the
+// Matrix returns the Jacobian the last Load assembled. A load of a linear
+// System leaves its blend to the solver (see Load), so a reader of the
 // values asks here rather than reading M.
 func (ws *Workspace) Matrix() *sparse.Matrix { return ws.Solver.Materialize() }
 
@@ -432,19 +427,13 @@ func (ws *Workspace) writeM() *sparse.Matrix {
 type passZero uint8
 
 const (
-	zeroM   passZero = 1 << iota // the Jacobian values
-	zeroF                        // static currents
-	zeroQ                        // charges
-	zeroB                        // source terms
-	zeroAll = zeroM | zeroF | zeroQ | zeroB
+	zeroF passZero = 1 << iota // static currents
+	zeroQ                      // charges
+	zeroB                      // source terms
 )
 
 // zero clears the workspace buffers named in z.
 func (ws *Workspace) zero(z passZero) {
-	if z&zeroM != 0 {
-		clear(ws.M.Values)
-		ws.Solver.Written()
-	}
 	if z&zeroF != 0 {
 		clear(ws.F)
 	}
@@ -519,21 +508,24 @@ func (ws *Workspace) finishLoad(x []float64, p LoadParams, limited bool) {
 }
 
 // LoadSplit assembles dF/dx into M and dQ/dx into MC separately at the
-// iterate x — the small-signal linearization AC analysis needs. Unlike
-// Load it never folds Alpha0 into the Jacobian.
+// iterate x — the small-signal linearization AC analysis needs. Unlike Load
+// it never folds Alpha0 into the Jacobian, and it writes M on a linear
+// System too, for AC reads M and MC directly.
 func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 	if ws.MC == nil {
 		ws.MC = ws.M.Clone()
 	}
-	ws.MC.Zero()
 	p.Alpha0 = 0
-	ctx := &ws.evalCtx
-	ws.beginLoad(ctx, x, p, zeroAll)
-	ctx.mq = ws.MC
-	for _, d := range ws.Devices() {
-		d.Eval(ctx)
+	ctx, tp := ws.loadSources(x, p)
+	ws.blend(0)
+	ws.Solver.Written()
+	mc := ws.MC.Values
+	clear(mc)
+	for t, pos := range tp.pos {
+		mc[pos] = tp.jq[t]
 	}
-	ws.finishLoad(x, p, ctx.Limited)
+	ctx.mq = ws.MC
+	ws.sweepNonlinear(ctx, tp, x, p)
 }
 
 // ACSource is implemented by independent sources that carry a small-signal

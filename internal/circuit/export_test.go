@@ -7,12 +7,47 @@ import (
 	"wavepipe/internal/sparse"
 )
 
-// NewSweepWorkspace returns a workspace of s that assembles every load by
-// sweeping all of its devices: the reference the templated loads are held to.
-func NewSweepWorkspace(s *System) *Workspace {
-	ws := s.NewWorkspace()
-	ws.probed = true
-	return ws
+// TemplateTol bounds how far a load through the stamp template may sit from
+// the full sweep (SweepWorkspace): the template adds the same stamps in
+// another order, so the two differ by the rounding of a few additions. An
+// entry of M or MC is held to it relative to its own magnitude; an entry of F
+// or Q relative to the largest entry of its vector, since the currents into a
+// node cancel to far below the terms they are summed from.
+const TemplateTol = 1e-12
+
+// SweepWorkspace is a workspace whose Load and LoadSplit evaluate every
+// device, each in full and in device order, with no stamp template: the
+// reference the templated loads are held to.
+type SweepWorkspace struct{ *Workspace }
+
+// NewSweepWorkspace returns a sweep workspace of s.
+func NewSweepWorkspace(s *System) SweepWorkspace { return SweepWorkspace{s.NewWorkspace()} }
+
+// Load assembles what Workspace.Load assembles, by the full sweep.
+func (ws SweepWorkspace) Load(x []float64, p LoadParams) { ws.sweep(x, p, nil) }
+
+// LoadSplit assembles what Workspace.LoadSplit assembles, by the full sweep.
+func (ws SweepWorkspace) LoadSplit(x []float64, p LoadParams) {
+	if ws.MC == nil {
+		ws.MC = ws.M.Clone()
+	}
+	clear(ws.MC.Values)
+	p.Alpha0 = 0
+	ws.sweep(x, p, ws.MC)
+}
+
+// sweep is beginLoad, every device's Eval, finishLoad, with dQ/dx routed
+// into mq when it is not nil.
+func (ws SweepWorkspace) sweep(x []float64, p LoadParams, mq *sparse.Matrix) {
+	clear(ws.M.Values)
+	ws.Solver.Written()
+	ctx := &ws.evalCtx
+	ws.beginLoad(ctx, x, p, zeroF|zeroQ|zeroB)
+	ctx.mq = mq
+	for _, d := range ws.Devices() {
+		d.Eval(ctx)
+	}
+	ws.finishLoad(x, p, ctx.Limited)
 }
 
 // CheckStampPositions evaluates every device of s alone twice at iterate x:

@@ -11,11 +11,12 @@
 // device to sweep. The charge pass (BookCharges) takes J_Q·x and the charges
 // of the swept devices the same probe listed.
 //
-// Every workspace probes its own device list on its first templated load (and
-// again after SetDevices), so an ensemble lane is templated from its variant's
-// values and the template lives and dies with the workspace. NoLimit loads and
-// source-stepping loads take the full sweep. The template sums stamps in
-// another order than the sweep, so the two agree to rounding, not bit for bit.
+// Every workspace probes its own device list on its first load (and again
+// after SetDevices), so an ensemble lane is templated from its variant's
+// values and the template lives and dies with the workspace. Every load goes
+// through it, NoLimit, source-stepping and AC split loads alike. It sums
+// stamps in another order than a sweep of every device, so the two agree to
+// rounding, not bit for bit.
 //
 // On a linear System the matrix is a function of Alpha0 alone, so a templated
 // load does not write it: it hands Alpha0 to the solver as the request's key
@@ -57,9 +58,9 @@ type LinearPartStamper interface {
 // EvalCtx.Templated, in the same order and from the same expressions, and
 // writes the limiting-state slots (SNext) that pass writes; it touches
 // nothing else — no AddF, AddB, AddJ or AddJQ.
-// A device that stores charge or keeps limiting state must implement it: the
-// charge pass visits no other device. One that does neither has nothing to
-// book and does not.
+// A swept device that stores charge or keeps limiting state must implement
+// it: the charge pass visits no other device, and the template books the
+// charge of the linear ones. Any other has nothing to book and does not.
 //
 // Like LinearStamper this is a correctness promise, not a hint: the same
 // calls in the same order is what makes the Q of a charge pass the Q of the
@@ -106,7 +107,7 @@ type stampTemplate struct {
 // each declared linear part's StampLinearPart route AddJ into a J_F matrix
 // and AddJQ raw into a J_Q one (the split AC assembly uses), which separates
 // the two with no finite-difference error. F, Q and B writes are discarded;
-// the probed stamps are linear, so F(0) = Q(0) = 0, and B is stamped every
+// those stamps are linear, so F(0) = Q(0) = 0, and B is stamped every
 // load. Every other device is swept, and the same loop lists the ones the
 // charge pass visits: what a workspace sweeps and books is decided here and
 // nowhere else.
@@ -188,37 +189,40 @@ func newStampTemplate(s *System, devs []Device) *stampTemplate {
 // template returns the workspace's stamp template, probing its devices on
 // the first call after NewWorkspace or SetDevices.
 func (ws *Workspace) template() *stampTemplate {
-	if !ws.probed {
-		ws.tmpl, ws.probed = newStampTemplate(ws.Sys, ws.Devices()), true
+	if ws.tmpl == nil {
+		ws.tmpl = newStampTemplate(ws.Sys, ws.Devices())
 	}
 	return ws.tmpl
 }
 
-// loadTemplate is the sweep of a Load through the template. The sources are
-// evaluated straight into the workspace for B; their J, F and Q stamps are
-// already in the template, so F and Q are cleared after them and rebuilt by
-// the two products. M is the blend: on a linear System deferred to the solver
-// under the key Alpha0 (finishLoad assembles it before adding to it), on a
-// nonlinear one written here. The nonlinear devices are swept last, on top.
-func (ws *Workspace) loadTemplate(ctx *EvalCtx, tp *stampTemplate, x []float64, p LoadParams) {
+// loadSources opens a load through the template at x: B is cleared and the
+// sources are evaluated straight into the workspace for it. Their J, F and Q
+// stamps are already in the template: the caller writes M from it, and
+// sweepNonlinear rebuilds F and Q.
+func (ws *Workspace) loadSources(x []float64, p LoadParams) (*EvalCtx, *stampTemplate) {
+	tp := ws.template()
+	ctx := &ws.evalCtx
 	ws.beginLoad(ctx, x, p, zeroB)
 	devs := ws.Devices()
 	for _, di := range tp.sources {
 		devs[di].Eval(ctx)
 	}
+	return ctx, tp
+}
+
+// sweepNonlinear closes a load through the template: F and Q are the two
+// products J_F·x and J_Q·x, the nonlinear devices are swept on top of them
+// and of M under EvalCtx.Templated, and finishLoad follows.
+func (ws *Workspace) sweepNonlinear(ctx *EvalCtx, tp *stampTemplate, x []float64, p LoadParams) {
 	ws.zero(zeroF | zeroQ)
-	if ws.Sys.linear {
-		ws.Solver.Defer(p.Alpha0)
-	} else {
-		ws.blend(p.Alpha0)
-		ws.Solver.Written()
-	}
 	mulAdd(ws.F, x, tp.jfR, tp.jfC, tp.jfV)
 	mulAdd(ws.Q, x, tp.jqR, tp.jqC, tp.jqV)
 	ctx.Templated = true
+	devs := ws.Devices()
 	for _, di := range tp.sweep {
 		devs[di].Eval(ctx)
 	}
+	ws.finishLoad(x, p, ctx.Limited)
 }
 
 // LoadSources is the load of a linear point solved for its iterate

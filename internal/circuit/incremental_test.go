@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -266,7 +267,7 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 				what, lins[0].evals-linEvals, src.evals-srcEvals)
 		}
 		ref.Load(x, p)
-		assertStampsEqual(t, ws, ref, 1e-12, what)
+		assertStampsEqual(t, ws, ref.Workspace, 1e-12, what)
 	}
 	step("first load")
 	step("same iterate")
@@ -284,31 +285,61 @@ func TestIncrementalLoadMatchesPlain(t *testing.T) {
 	step("later time at the new alpha0")
 }
 
-// TestIncrementalBypassGuards: NoLimit and source-stepping loads sweep every
-// device even on a templated workspace, bit for bit as a plain one does, and
-// the templated loads around them stay right across an Alpha0 change.
-func TestIncrementalBypassGuards(t *testing.T) {
-	c, lins, _ := linearMix(4, 1, false)
-	sys := buildMix(t, c)
-	ws := sys.NewWorkspace()
-	ref := NewSweepWorkspace(sys)
-	x := testX(sys.N)
-	for _, alpha0 := range []float64{1e6, 4e6} {
-		p := LoadParams{Alpha0: alpha0, SrcScale: 1}
-		ws.Load(x, p)
-		ref.Load(x, p)
-		assertStampsEqual(t, ws, ref, 1e-12, "templated load")
-		for _, plain := range []LoadParams{
-			{Alpha0: alpha0, SrcScale: 1, NoLimit: true},
-			{Alpha0: alpha0, SrcScale: 0.5},
-		} {
-			evals := lins[0].evals
-			ws.Load(x, plain)
-			if lins[0].evals != evals+1 {
-				t.Fatalf("load %+v did not sweep the devices", plain)
+// TestEveryLoadGoesThroughTheTemplate: NoLimit, source-stepping and split
+// (AC) loads go through the stamp template as every other load does. After
+// the probe they evaluate the source and no linear device, and they assemble
+// what the full sweep assembles to TemplateTol: a split load its M, which it
+// writes even on a linear System, and its MC. This holds on the linear mix and
+// on the nonlinear one, where a swept capacitor's dQ/dx and a declared linear
+// part are assembled as well, across an Alpha0 change.
+func TestEveryLoadGoesThroughTheTemplate(t *testing.T) {
+	for _, nonlinear := range []bool{false, true} {
+		c, lins, src := linearMix(4, 1, nonlinear)
+		if nonlinear {
+			b := c.Node("b")
+			c.Add(&capStub{name: "X", p: b, n: Ground, c: 0.7e-12, g: 1e-6})
+			c.Add(&partStub{capStubQ{capStub{name: "P", p: b, n: Ground, c: 1e-12, g: 1e-6, part: true}}})
+		}
+		sys := buildMix(t, c)
+		ws, ref := sys.NewWorkspace(), NewSweepWorkspace(sys)
+		ws.template()
+		x := testX(sys.N)
+		for _, alpha0 := range []float64{1e6, 4e6} {
+			for _, row := range []struct {
+				what  string
+				p     LoadParams
+				split bool
+			}{
+				{"NoLimit", LoadParams{Alpha0: alpha0, SrcScale: 1, NoLimit: true}, false},
+				{"source stepping", LoadParams{Alpha0: alpha0, SrcScale: 0.5}, false},
+				{"split", LoadParams{Time: alpha0 * 1e-12, Gmin: 1e-12, SrcScale: 1}, true},
+			} {
+				what := fmt.Sprintf("%s load (nonlinear %v, Alpha0 %g)", row.what, nonlinear, alpha0)
+				load, sweep := ws.Load, ref.Load
+				if row.split {
+					load, sweep = ws.LoadSplit, ref.LoadSplit
+				}
+				linEvals, srcEvals := lins[0].evals, src.evals
+				load(x, row.p)
+				if lins[0].evals != linEvals || src.evals != srcEvals+1 {
+					t.Fatalf("%s: evaluated a linear conductance %d times and the source %d times, want 0 and 1",
+						what, lins[0].evals-linEvals, src.evals-srcEvals)
+				}
+				sweep(x, row.p)
+				if row.split { // M as AC reads it, before Matrix could materialize it
+					for _, m := range []struct {
+						name      string
+						got, want []float64
+					}{{"M", ws.M.Values, ref.M.Values}, {"MC", ws.MC.Values, ref.MC.Values}} {
+						for i, want := range m.want {
+							if d := math.Abs(m.got[i] - want); d > TemplateTol*math.Abs(want) {
+								t.Fatalf("%s: %s[%d] = %g, the sweep %g", what, m.name, i, m.got[i], want)
+							}
+						}
+					}
+				}
+				assertStampsEqual(t, ws, ref.Workspace, TemplateTol, what)
 			}
-			ref.Load(x, plain)
-			assertStampsEqual(t, ws, ref, 0, "declined load")
 		}
 	}
 }
@@ -359,7 +390,7 @@ func TestKeyedLoadOnlyWhereMIsTheBlend(t *testing.T) {
 		want[1]++
 		loadAndFactorize(t, ws, x, extra.p, want, extra.name)
 		ref.Load(x, extra.p)
-		assertStampsEqual(t, ws, ref, 1e-12, extra.name)
+		assertStampsEqual(t, ws, ref.Workspace, 1e-12, extra.name)
 		want[2]++
 		loadAndFactorize(t, ws, x, p, want, extra.name+", then the blend")
 	}

@@ -19,14 +19,13 @@ import "fmt"
 
 // SetDevices overrides the device list this workspace's assembly paths
 // evaluate, so a lane workspace compiled against the host pattern stamps its
-// own variant's device instances. Load, LoadSplit and the charge pass honor
-// the override. The stamp template and the solver's Alpha0 keys were those of
-// the old list: both are dropped, and the next templated load probes the new
-// one. A nil devs restores the host circuit's devices.
+// own variant's device instances. The stamp template and the solver's Alpha0
+// keys were those of the old list: both are dropped, and the next load probes
+// the new one. A nil devs restores the host circuit's devices.
 func (ws *Workspace) SetDevices(devs []Device) {
 	ws.Solver.Rekey()
 	ws.devs = devs
-	ws.tmpl, ws.probed = nil, false
+	ws.tmpl = nil
 }
 
 // Devices returns the devices the assembly paths iterate: the
@@ -108,38 +107,16 @@ func (s *System) NewLaneWorkspaces(k int) []*Workspace {
 	return lanes
 }
 
-// BatchLoad assembles several lane workspaces at one Newton iteration,
-// device-outer, lane-inner. Nil entries in lanes are skipped. Per lane the
-// operation sequence — zeroing, evaluation order, limiting capture, NodeGmin,
-// clamps, fault injection — is exactly that of Load's device sweep, so each
-// lane's assembled system is bit-identical to what its own Load(xs[i], ps[i])
-// would produce on a nonlinear System (a linear one loads through its
-// template).
+// BatchLoad loads several lane workspaces at one Newton iteration, each
+// lane's Load(xs[i], ps[i]) in turn. Nil entries in lanes are skipped.
 //
 // No engine calls it: the ensemble's lanes are serial runs, each with its own
 // Load. It stays only because bench/layers.go times it; the benchmark PR of
 // ROADMAP item 2 removes it together with circuit.batchload_ns_lane_op.
 func BatchLoad(lanes []*Workspace, xs [][]float64, ps []LoadParams) {
-	nd := 0
-	for li, ws := range lanes {
+	for i, ws := range lanes {
 		if ws != nil {
-			ws.beginLoad(&ws.evalCtx, xs[li], ps[li], zeroAll)
-			nd = max(nd, len(ws.Devices()))
-		}
-	}
-	for di := 0; di < nd; di++ {
-		for _, ws := range lanes {
-			if ws == nil {
-				continue
-			}
-			if dl := ws.Devices(); di < len(dl) {
-				dl[di].Eval(&ws.evalCtx)
-			}
-		}
-	}
-	for li, ws := range lanes {
-		if ws != nil {
-			ws.finishLoad(xs[li], ps[li], ws.evalCtx.Limited)
+			ws.Load(xs[i], ps[i])
 		}
 	}
 }

@@ -9,24 +9,21 @@ import (
 	"wavepipe/internal/circuits"
 )
 
-// templateTol bounds how far a templated load's M, F and Q may sit from the
-// full sweep's: the template adds the same stamps in another order, so the
-// two differ by the rounding of a few additions. An entry of M is held to it
-// relative to its own magnitude; an entry of F or Q relative to the largest
-// entry of its vector, since the currents into a node cancel to far below the
-// terms they are summed from. The suite's worst reading is 9.4e-15 (nand5).
-const templateTol = 1e-12
-
 // TestTemplatedLoadMatchesSweepOnSuite: on every suite circuit, at several
 // iterates and Alpha0 values, a load through the stamp template assembles
-// what the full device sweep assembles — M, F and Q to templateTol, and B,
-// Limited and SNext in every bit. Both workspaces flip their limiting state
-// after every load, so the limited iterations see the same history, and the
-// loads run with and without a gmin-stepping conductance. Some of them must
-// clamp a junction, or the limited path went unchecked.
+// what the full device sweep assembles — M (and a split load's MC) entrywise
+// and F and Q normwise to circuit.TemplateTol, and B, Limited and SNext in
+// every bit. The rows are limited loads with and without a gmin-stepping
+// conductance, a NoLimit load, a source-stepping load and an AC split load,
+// whose M is read as AC reads it, unmaterialized. Both workspaces flip their
+// limiting state after every load, so the limited iterations see the same
+// history. Some loads must clamp a junction, or the limited path went
+// unchecked. The worst reading per row kind is logged; it is 9.4e-15 for
+// every kind.
 func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	limited := 0
+	worst := map[string]float64{}
 	for _, b := range circuits.Suite() {
 		sys, err := b.Make().Build()
 		if err != nil {
@@ -34,7 +31,6 @@ func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 		}
 		ws, ref := sys.NewWorkspace(), circuit.NewSweepWorkspace(sys)
 		x := make([]float64, sys.N)
-		worst := 0.0
 		for iter := 0; iter < 4; iter++ {
 			for i := range x {
 				switch iter {
@@ -46,18 +42,36 @@ func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 					x[i] = 2.2*rng.Float64() - 0.2
 				}
 			}
-			for _, p := range []circuit.LoadParams{
-				{Time: 1e-9, Alpha0: 0, Gmin: circuit.JunctionGmin, SrcScale: 1},
-				{Time: 2e-9, Alpha0: 1e9, Gmin: circuit.JunctionGmin, SrcScale: 1},
-				{Time: 3e-9, Alpha0: 3.7e11, Gmin: circuit.JunctionGmin, SrcScale: 1, NodeGmin: 1e-3},
+			for _, row := range []struct {
+				kind string
+				p    circuit.LoadParams
+			}{
+				{"limited", circuit.LoadParams{Time: 1e-9, Alpha0: 0, Gmin: circuit.JunctionGmin, SrcScale: 1}},
+				{"limited", circuit.LoadParams{Time: 2e-9, Alpha0: 1e9, Gmin: circuit.JunctionGmin, SrcScale: 1}},
+				{"limited", circuit.LoadParams{Time: 3e-9, Alpha0: 3.7e11, Gmin: circuit.JunctionGmin, SrcScale: 1, NodeGmin: 1e-3}},
+				{"NoLimit", circuit.LoadParams{Time: 4e-9, Alpha0: 1e9, Gmin: circuit.JunctionGmin, SrcScale: 1, NoLimit: true}},
+				{"source stepping", circuit.LoadParams{Time: 5e-9, Gmin: circuit.JunctionGmin, SrcScale: 0.37}},
+				{"split", circuit.LoadParams{Time: 6e-9, Gmin: circuit.JunctionGmin, SrcScale: 1}},
 			} {
-				ws.Load(x, p)
-				ref.Load(x, p)
-				for _, v := range []struct {
+				p := row.p
+				where := func() string { return b.Name + ", " + row.kind + " load" }
+				type vec struct {
 					what      string
 					got, want []float64
 					normwise  bool
-				}{{"M", ws.Matrix().Values, ref.Matrix().Values, false}, {"F", ws.F, ref.F, true}, {"Q", ws.Q, ref.Q, true}} {
+				}
+				var vecs []vec
+				if row.kind == "split" {
+					ws.LoadSplit(x, p)
+					ref.LoadSplit(x, p)
+					vecs = []vec{{"M", ws.M.Values, ref.M.Values, false}, {"MC", ws.MC.Values, ref.MC.Values, false}}
+				} else {
+					ws.Load(x, p)
+					ref.Load(x, p)
+					vecs = []vec{{"M", ws.Matrix().Values, ref.Matrix().Values, false}}
+				}
+				vecs = append(vecs, vec{"F", ws.F, ref.F, true}, vec{"Q", ws.Q, ref.Q, true})
+				for _, v := range vecs {
 					norm := 0.0
 					for _, want := range v.want {
 						norm = math.Max(norm, math.Abs(want))
@@ -73,10 +87,10 @@ func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 							scale = norm
 						}
 						rel := d / scale
-						worst = math.Max(worst, rel)
-						if rel > templateTol {
+						worst[row.kind] = math.Max(worst[row.kind], rel)
+						if rel > circuit.TemplateTol {
 							t.Fatalf("%s, iterate %d, Alpha0 %g: %s[%d] = %g, the sweep %g (relative %.3g)",
-								b.Name, iter, p.Alpha0, v.what, i, got, want, rel)
+								where(), iter, p.Alpha0, v.what, i, got, want, rel)
 						}
 					}
 				}
@@ -87,12 +101,12 @@ func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 					for i, want := range v.want {
 						if got := v.got[i]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s, iterate %d, Alpha0 %g: %s[%d] = %x, the sweep %x",
-								b.Name, iter, p.Alpha0, v.what, i, math.Float64bits(got), math.Float64bits(want))
+								where(), iter, p.Alpha0, v.what, i, math.Float64bits(got), math.Float64bits(want))
 						}
 					}
 				}
 				if ws.Limited != ref.Limited {
-					t.Fatalf("%s, iterate %d, Alpha0 %g: Limited = %v, the sweep %v", b.Name, iter, p.Alpha0, ws.Limited, ref.Limited)
+					t.Fatalf("%s, iterate %d, Alpha0 %g: Limited = %v, the sweep %v", where(), iter, p.Alpha0, ws.Limited, ref.Limited)
 				}
 				if ws.Limited {
 					limited++
@@ -101,7 +115,9 @@ func TestTemplatedLoadMatchesSweepOnSuite(t *testing.T) {
 				ref.FlipState()
 			}
 		}
-		t.Logf("%s: worst relative difference %.3g", b.Name, worst)
+	}
+	for _, kind := range []string{"limited", "NoLimit", "source stepping", "split"} {
+		t.Logf("%s loads: worst relative difference %.3g", kind, worst[kind])
 	}
 	if limited == 0 {
 		t.Fatal("no load clamped a junction")

@@ -253,18 +253,13 @@ func (d *Mutual) Reserve(r *circuit.Reserver) {
 	d.s21 = r.J(d.L2.BranchIndex(), d.L1.BranchIndex())
 }
 
-// Eval implements circuit.Device.
+// Eval implements circuit.Device. Each inductor's branch equation already
+// carries Q = −L·i_self; the coupling adds −M·i_other to each flux.
 func (d *Mutual) Eval(e *circuit.EvalCtx) {
-	d.EvalQ(e)
-	e.AddJQ(d.s12, -d.m)
-	e.AddJQ(d.s21, -d.m)
-}
-
-// EvalQ implements circuit.ChargeEvaler. Each inductor's branch equation
-// already carries Q = −L·i_self; the coupling adds −M·i_other to each flux.
-func (d *Mutual) EvalQ(e *circuit.EvalCtx) {
 	i1 := e.X[d.L1.BranchIndex()]
 	i2 := e.X[d.L2.BranchIndex()]
 	e.AddQ(d.L1.BranchIndex(), -d.m*i2)
 	e.AddQ(d.L2.BranchIndex(), -d.m*i1)
+	e.AddJQ(d.s12, -d.m)
+	e.AddJQ(d.s21, -d.m)
 }

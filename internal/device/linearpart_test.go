@@ -33,18 +33,24 @@ func (d asTemplated) Eval(e *circuit.EvalCtx) {
 	}
 }
 
-// asWhole evaluates a device in full: its Eval, or with charges set its EvalQ.
+// asWhole evaluates a device in full, as no stamp template sees it: it hides
+// the device's LinearStamper and LinearPartStamper, so a load sweeps it, and
+// clears EvalCtx.Templated around its Eval, or with charges set its EvalQ. A
+// workspace of wrapped devices alone is the untemplated reference.
 type asWhole struct {
 	circuit.Device
 	charges bool
 }
 
 func (d asWhole) Eval(e *circuit.EvalCtx) {
+	templated := e.Templated
+	e.Templated = false
 	if d.charges {
 		d.Device.(circuit.ChargeEvaler).EvalQ(e)
-		return
+	} else {
+		d.Device.Eval(e)
 	}
-	d.Device.Eval(e)
+	e.Templated = templated
 }
 
 // checkLinearPart holds a device of sys that declares a linear part to its
@@ -114,7 +120,7 @@ func TestLinearPartContract(t *testing.T) {
 	zero := make([]float64, sys.N)
 	atZero := circuit.LoadParams{SrcScale: 1, NoLimit: true}
 	for name, d := range instances {
-		passes := map[string]circuit.Device{"Eval": d}
+		passes := map[string]circuit.Device{"Eval": asWhole{d, false}}
 		if _, ok := d.(circuit.ChargeEvaler); ok {
 			passes["EvalQ"] = asWhole{d, true}
 		}

@@ -173,14 +173,19 @@ func benchSparseSolve(b *testing.B, name string) {
 	}
 }
 
-// The meshes are the wide-supernode side of the sparse kernels; inv50 and
-// ecl8, whose factors have no supernode, the small-pattern side.
+// The meshes are the wide-supernode side of the sparse kernels, which run
+// the column sweeps; the four digital_serial circuits, whose factors have no
+// supernode, the small-pattern side, which runs the op programs.
 func BenchmarkSparseRefactor_Grid16_Serial(b *testing.B) { benchSparseRefactor(b, "grid16") }
 func BenchmarkSparseRefactor_Grid32_Serial(b *testing.B) { benchSparseRefactor(b, "grid32") }
 func BenchmarkSparseRefactor_Inv50_Serial(b *testing.B)  { benchSparseRefactor(b, "inv50") }
 func BenchmarkSparseRefactor_Ecl8_Serial(b *testing.B)   { benchSparseRefactor(b, "ecl8") }
+func BenchmarkSparseRefactor_Ekv30_Serial(b *testing.B)  { benchSparseRefactor(b, "ekv30") }
+func BenchmarkSparseRefactor_Nand5_Serial(b *testing.B)  { benchSparseRefactor(b, "nand5") }
 
 func BenchmarkSparseSolve_Grid16_Serial(b *testing.B) { benchSparseSolve(b, "grid16") }
 func BenchmarkSparseSolve_Grid32_Serial(b *testing.B) { benchSparseSolve(b, "grid32") }
 func BenchmarkSparseSolve_Inv50_Serial(b *testing.B)  { benchSparseSolve(b, "inv50") }
 func BenchmarkSparseSolve_Ecl8_Serial(b *testing.B)   { benchSparseSolve(b, "ecl8") }
+func BenchmarkSparseSolve_Ekv30_Serial(b *testing.B)  { benchSparseSolve(b, "ekv30") }
+func BenchmarkSparseSolve_Nand5_Serial(b *testing.B)  { benchSparseSolve(b, "nand5") }

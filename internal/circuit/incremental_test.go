@@ -220,6 +220,67 @@ func TestStampTemplateSweepsTheNonlinearDevices(t *testing.T) {
 	}
 }
 
+// condStub is a stateless conductance g from node p to ground that is no
+// LinearStamper: a template holds nothing of it, and every load sweeps it.
+type condStub struct {
+	p   int
+	g   float64
+	spp int
+}
+
+func (d *condStub) Name() string        { return "G" }
+func (d *condStub) Branches() int       { return 0 }
+func (d *condStub) States() int         { return 0 }
+func (d *condStub) Bind(int, int)       {}
+func (d *condStub) Reserve(r *Reserver) { d.spp = r.J(d.p, d.p) }
+func (d *condStub) Eval(e *EvalCtx) {
+	e.AddF(d.p, d.g*e.V(d.p))
+	e.AddJ(d.spp, d.g)
+}
+
+// TestSetDevicesRefusesWhatALinearTemplateDrops: a linear System's load
+// leaves M to the solver's blend of the template, which holds nothing of a
+// device that is not linear, so SetDevices refuses a list with one (a g = 1
+// conductance on node 0) and the workspace keeps the list it had, and its
+// template. On a nonlinear System the same list is taken, and M holds the
+// conductance as the sweep stamps it.
+func TestSetDevicesRefusesWhatALinearTemplateDrops(t *testing.T) {
+	for _, nonlinear := range []bool{false, true} {
+		c, _, _ := linearMix(5, 1, nonlinear)
+		sys := buildMix(t, c)
+		ws := sys.NewWorkspace()
+		stub := &condStub{p: 0, g: 1, spp: ws.M.SlotAt(0, 0)}
+		devs := append(slices.Clone(c.Devices()), stub)
+		x := testX(sys.N)
+		p := LoadParams{Time: 1e-6, Alpha0: 2e6, Gmin: 1e-12, SrcScale: 1}
+		ws.Load(x, p)
+		tmpl := ws.tmpl
+		err := ws.SetDevices(devs)
+		if !nonlinear {
+			if err == nil {
+				t.Fatal("SetDevices took a conductance that is no LinearStamper on a linear System")
+			}
+			if len(ws.Devices()) != len(c.Devices()) || ws.tmpl != tmpl {
+				t.Fatal("a refused SetDevices changed the workspace's devices or template")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("SetDevices on a nonlinear System: %v", err)
+		}
+		ref := NewSweepWorkspace(sys)
+		if err := ref.SetDevices(devs); err != nil {
+			t.Fatal(err)
+		}
+		ws.Load(x, p)
+		ref.Load(x, p)
+		assertStampsEqual(t, ws, ref.Workspace, TemplateTol, "templated load with the conductance against the sweep")
+		if g := ws.Matrix().Values[stub.spp]; g < 1 {
+			t.Fatalf("M at diagonal 0 is %g without the g = 1 conductance", g)
+		}
+	}
+}
+
 // TestStampTemplateOfALaneIsItsOwn: a lane workspace of a linear host, pointed
 // at a variant with scaled conductances, assembles bit for bit what a
 // workspace of the variant's own System assembles — which it cannot while its

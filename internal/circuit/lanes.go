@@ -22,10 +22,25 @@ import "fmt"
 // own variant's device instances. The stamp template and the solver's Alpha0
 // keys were those of the old list: both are dropped, and the next load probes
 // the new one. A nil devs restores the host circuit's devices.
-func (ws *Workspace) SetDevices(devs []Device) {
+//
+// A linear System's loads leave M to the solver, which blends the template
+// alone, so a device the template cannot hold would lose its matrix stamps:
+// on such a System a list with a device that is not linear the way Build
+// counts it (a LinearStamper without state) is refused, and the workspace
+// keeps the list it had.
+func (ws *Workspace) SetDevices(devs []Device) error {
+	if ws.Sys.linear {
+		for i, d := range devs {
+			if !linearDevice(d) {
+				return fmt.Errorf("circuit %q: device %d (%s) is not linear, and a linear System's workspace assembles M from its template alone",
+					ws.Sys.Circuit.Title, i, d.Name())
+			}
+		}
+	}
 	ws.Solver.Rekey()
 	ws.devs = devs
 	ws.tmpl = nil
+	return nil
 }
 
 // Devices returns the devices the assembly paths iterate: the

@@ -165,9 +165,10 @@ func runLane(sys *circuit.System, l *Lane, i int, base transient.Options) LaneRe
 	if lr.Err = base.Stop("transient", 0); lr.Err == nil {
 		ws := sys.NewWorkspace()
 		ws.Worker = int16(i)
-		ws.SetDevices(l.Circ.Devices())
-		base.Faults = l.Faults
-		lr.Res, lr.Err = transient.RunOn(ws, base)
+		if lr.Err = ws.SetDevices(l.Circ.Devices()); lr.Err == nil {
+			base.Faults = l.Faults
+			lr.Res, lr.Err = transient.RunOn(ws, base)
+		}
 	}
 	if lr.Res == nil { // not started, or no operating point
 		lr.Res = &transient.Result{W: transient.RecordSet(sys, base), Recovery: &transient.RecoveryLog{}}

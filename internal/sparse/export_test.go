@@ -2,16 +2,18 @@ package sparse
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 )
 
 // RefactorReference is the column sweep Refactor ran before the compiled
-// kernel replaced it, kept here as the oracle the kernel is held to bit for
-// bit: the scatter through rowInv[RowIdx[p]], the elimination loop indexed
-// entry by entry, the separate scale scan, scaling and clearing passes. It
-// reads f's pattern and pivot sequence and returns its own factors, leaving
-// f untouched; ok is false where Refactor would return ErrRefactorPivot.
-func RefactorReference(f *LU, m *Matrix) (lx, ux, ud []float64, ok bool) {
+// kernels replaced it, kept here as the oracle they are held to bit for bit:
+// the scatter through rowInv[RowIdx[p]], the elimination loop indexed entry
+// by entry, the separate scale scan, scaling and clearing passes. It reads
+// f's pattern and pivot sequence and returns its own factors, leaving f
+// untouched; bad is the column where Refactor must return ErrRefactorPivot,
+// or -1.
+func RefactorReference(f *LU, m *Matrix) (lx, ux, ud []float64, bad int) {
 	lx = make([]float64, len(f.lx))
 	ux = make([]float64, len(f.ux))
 	ud = make([]float64, f.n)
@@ -40,7 +42,7 @@ func RefactorReference(f *LU, m *Matrix) (lx, ux, ud []float64, ok bool) {
 			}
 		}
 		if math.Abs(pv) < tinyPivot || (colMax > 0 && math.Abs(pv) < 1e-14*colMax) {
-			return nil, nil, nil, false
+			return nil, nil, nil, k
 		}
 		ud[k] = pv
 		for q := f.lp[k]; q < f.lp[k+1]; q++ {
@@ -54,11 +56,11 @@ func RefactorReference(f *LU, m *Matrix) (lx, ux, ud []float64, ok bool) {
 			w[f.li[q]] = 0
 		}
 	}
-	return lx, ux, ud, true
+	return lx, ux, ud, -1
 }
 
-// SolveReference is the column sweep SolveWith ran before the block plan,
-// kept here as the oracle the planned solve is held to bit for bit: the
+// SolveReference is the column sweep SolveWith ran before the block plan and
+// the op program, kept here as the oracle the solve is held to bit for bit: the
 // forward sweep over every L column, skipping a zero multiplier, then the
 // backward sweep over every U column. It computes x with A·x = b from f's
 // factors, using scratch (length N) as workspace.
@@ -223,3 +225,12 @@ func (f *LU) MulAdds() int {
 	}
 	return ops
 }
+
+// Programs reports whether f's refactor and forward solve run their op
+// programs, as the plan decides for a kernel without a planned block.
+func Programs(f *LU) (refactor, solve bool) {
+	return f.plan.colOps != nil, f.plan.lcol != nil
+}
+
+// SignedZeros exposes signedZeros to the external test package.
+func SignedZeros(rng *rand.Rand, f *LU, m *Matrix) { signedZeros(rng, f, m) }

@@ -72,14 +72,16 @@ func perturb(rng *rand.Rand, m *Matrix, rel float64) {
 }
 
 // sameAsReference refactors lu from m (through run) and demands the factors
-// match the reference sweep bit for bit.
+// match the reference sweep bit for bit, or, where the reference meets a
+// degenerate pivot, ErrRefactorPivot at the same column.
 func sameAsReference(t *testing.T, tag string, lu *LU, m *Matrix, run func() error) {
 	t.Helper()
-	lx, ux, ud, ok := RefactorReference(lu, m)
+	lx, ux, ud, bad := RefactorReference(lu, m)
 	err := run()
-	if !ok {
-		if !errors.Is(err, ErrRefactorPivot) {
-			t.Fatalf("%s: reference hit a degenerate pivot, kernel returned %v", tag, err)
+	if bad >= 0 {
+		var k pivotError
+		if !errors.Is(err, ErrRefactorPivot) || !errors.As(err, &k) || int(k) != bad {
+			t.Fatalf("%s: reference hit a degenerate pivot at column %d, kernel returned %v", tag, bad, err)
 		}
 		return
 	}
@@ -91,15 +93,19 @@ func sameAsReference(t *testing.T, tag string, lu *LU, m *Matrix, run func() err
 	bitsEqual(t, tag+" ud", lu.ud, ud)
 }
 
-// TestRefactorKernelMatchesReference holds the compiled kernel (int32
-// indices, scatter map, sub-sliced and unrolled loops, fused gather) to the
-// old column sweep on random unsymmetric patterns of every small size — so
-// every remainder of the four-way unrolled loop occurs — under each column
-// permutation of columnOrders.
+// TestRefactorKernelMatchesReference holds Refactor — the op program where
+// the plan has no refactor block, the column sweep (int32 indices, scatter
+// list, sub-sliced and unrolled loops, fused gather) elsewhere — to the old
+// column sweep on random unsymmetric patterns of every small size, so every
+// remainder of the four-way unrolled loop occurs, under each column
+// permutation of columnOrders. Each pattern is refactored from perturbed
+// values, from values with exact zeros of either sign (the zero skip), with
+// a NaN or an infinity in A, and with one pivot column zeroed or scaled into
+// the subnormals, where the kernel must give up at the reference's column.
 func TestRefactorKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	permRng := rand.New(rand.NewSource(43))
-	checked := 0
+	checked, flat := 0, 0
 	for _, ord := range columnOrders {
 		for n := 1; n <= 60; n++ {
 			m := randUnsymmetric(rng, n, 0.2)
@@ -108,14 +114,37 @@ func TestRefactorKernelMatchesReference(t *testing.T) {
 				continue // singular draw
 			}
 			checked++
-			for round := 0; round < 3; round++ {
+			if lu.plan.colOps != nil {
+				flat++
+			}
+			good := append([]float64(nil), m.Values...)
+			for round := 0; round < 7; round++ {
+				copy(m.Values, good)
 				perturb(rng, m, 0.2)
-				sameAsReference(t, "serial", lu, m, func() error { return lu.Refactor(m) })
+				switch round {
+				case 3:
+					signedZeros(rng, lu, m)
+				case 4:
+					m.Values[rng.Intn(len(m.Values))] = math.NaN()
+				case 5:
+					m.Values[rng.Intn(len(m.Values))] = math.Inf(2*rng.Intn(2) - 1)
+				case 6:
+					j := lu.colPerm[rng.Intn(n)]
+					scale := []float64{0, 1e-310}[rng.Intn(2)]
+					for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+						m.Values[p] *= scale
+					}
+				}
+				tag := fmt.Sprintf("%s n=%d round %d", ord.name, n, round)
+				sameAsReference(t, tag, lu, m, func() error { return lu.Refactor(m) })
 			}
 		}
 	}
 	if checked < 150 {
 		t.Fatalf("only %d of 180 random patterns factorized: the comparison is thin", checked)
+	}
+	if flat < 40 || flat > checked-40 {
+		t.Fatalf("%d of %d patterns ran the op program: one of the two kernels is barely held", flat, checked)
 	}
 }
 
@@ -149,13 +178,16 @@ func sameSolveAsReference(t *testing.T, tag string, lu *LU, rhs [][]float64) {
 	}
 }
 
-// TestSolveKernelMatchesReference holds the planned solve to the old column
-// sweep on the random patterns of TestRefactorKernelMatchesReference, on the
-// factors of the full factorization and of a refactorization.
+// TestSolveKernelMatchesReference holds the solve — the forward op program
+// where the plan has no solve block, the planned sweep elsewhere — to the old
+// column sweep on the random patterns of TestRefactorKernelMatchesReference,
+// on the factors of the full factorization and of a refactorization, and
+// with an infinite entry in every third L column, which a zero multiplier
+// must not meet (0·Inf).
 func TestSolveKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	permRng := rand.New(rand.NewSource(67))
-	checked := 0
+	checked, flat := 0, 0
 	for _, ord := range columnOrders {
 		for n := 1; n <= 60; n++ {
 			m := randUnsymmetric(rng, n, 0.2)
@@ -164,6 +196,9 @@ func TestSolveKernelMatchesReference(t *testing.T) {
 				continue // singular draw
 			}
 			checked++
+			if lu.plan.lcol != nil {
+				flat++
+			}
 			tag := fmt.Sprintf("%s n=%d", ord.name, n)
 			sameSolveAsReference(t, tag+" factorized", lu, rhsVariants(rng, n))
 			perturb(rng, m, 0.2)
@@ -171,10 +206,24 @@ func TestSolveKernelMatchesReference(t *testing.T) {
 				continue // a degenerate pivot leaves no factors to solve with
 			}
 			sameSolveAsReference(t, tag+" refactored", lu, rhsVariants(rng, n))
+			infiniteL(lu, 3)
+			sameSolveAsReference(t, tag+" infinite L", lu, rhsVariants(rng, n))
 		}
 	}
 	if checked < 150 {
 		t.Fatalf("only %d of 180 random patterns factorized: the comparison is thin", checked)
+	}
+	if flat < 40 || flat > checked-40 {
+		t.Fatalf("%d of %d patterns ran the forward op program: one of the two sweeps is barely held", flat, checked)
+	}
+}
+
+// infiniteL sets the last entry of every every-th nonempty L column to +Inf.
+func infiniteL(lu *LU, every int) {
+	for k := 0; k < lu.n; k += every {
+		if lu.lp[k+1] > lu.lp[k] {
+			lu.lx[lu.lp[k+1]-1] = math.Inf(1)
+		}
 	}
 }
 
@@ -196,11 +245,12 @@ func signedZeros(rng *rand.Rand, lu *LU, m *Matrix) {
 }
 
 // TestBlockKernelsMatchReferenceOnMeshes holds the refactor and the solve to
-// the reference sweeps on the meshes of side 4 to 24, whose supernodes are
-// wide, so that every block width and remainder occurs. Besides perturbed
-// values it feeds exact zeros of either sign into blocks (the zero skip), a
-// NaN into A, so that an L entry is not finite and a skipped product would
-// be 0·NaN, and an infinite L entry into the solve (0·Inf).
+// the reference sweeps on the meshes of side 4 to 24: from side 8 their
+// supernodes are wide, so that every block width and remainder occurs, and
+// below it the plan has no block and the op programs run. Besides perturbed
+// values it feeds exact zeros of either sign into blocks and ops (the zero
+// skip), a NaN into A, so that an L entry is not finite and a skipped product
+// would be 0·NaN, and an infinite L entry into the solve (0·Inf).
 func TestBlockKernelsMatchReferenceOnMeshes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for side := 4; side <= 24; side++ {
@@ -210,8 +260,9 @@ func TestBlockKernelsMatchReferenceOnMeshes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if side >= 8 && (len(lu.plan.ublk) == 0 || len(lu.plan.lblk) == 0) {
-			t.Fatalf("side %d: no block planned", side)
+		blocked := len(lu.plan.ublk) > 0 && len(lu.plan.lblk) > 0
+		if blocked != (side >= 8) || (lu.plan.colOps != nil) == blocked || (lu.plan.lcol != nil) == blocked {
+			t.Fatalf("side %d: blocks planned %v, op programs %v %v", side, blocked, lu.plan.colOps != nil, lu.plan.lcol != nil)
 		}
 		good := append([]float64(nil), m.Values...)
 		for round := 0; round < 4; round++ {
@@ -231,11 +282,15 @@ func TestBlockKernelsMatchReferenceOnMeshes(t *testing.T) {
 		if err := lu.Refactor(m); err != nil {
 			t.Fatal(err)
 		}
-		// An infinite entry in the shared rows of every planned solve block:
-		// a column whose multiplier is zero must not meet it.
+		// An infinite entry in the shared rows of every planned solve block,
+		// or in every other L column of a program: a column whose multiplier
+		// is zero must not meet it.
 		for q := 0; q < len(lu.plan.lblk); q += 2 {
 			c := int(lu.plan.lblk[q])
 			lu.lx[lu.lp[c+1]-1] = math.Inf(1)
+		}
+		if !blocked {
+			infiniteL(lu, 2)
 		}
 		sameSolveAsReference(t, fmt.Sprintf("side %d, infinite L", side), lu, rhsVariants(rng, n))
 	}
@@ -274,58 +329,143 @@ func TestRefactorLeavesWorkspaceClean(t *testing.T) {
 // TestLUStateRoundTripsThroughInt32Layout: the snapshot keeps its []int
 // arrays (checkpoint format Version 1), the factorization keeps int32 ones;
 // the conversion must lose nothing in either direction, and the restored
-// factorization must refactor and solve to the same bits.
+// factorization must have the original's plan — blocks on the side-12 mesh,
+// op programs on the side-6 one — and refactor and solve to the same bits.
 func TestLUStateRoundTripsThroughInt32Layout(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	m := meshMatrix(12, rng)
+	for _, side := range []int{12, 6} {
+		m := meshMatrix(side, rng)
+		lu, err := Factorize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := lu.State()
+		if err := st.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreLU(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2 := back.State(); !reflect.DeepEqual(st, st2) {
+			t.Fatalf("side %d: LUState changed across RestoreLU/State", side)
+		}
+		// The plan is no part of the snapshot: the restored LU derives it, and
+		// its op programs, from the pattern.
+		if !reflect.DeepEqual(back.plan, lu.plan) {
+			t.Fatalf("side %d: the restored LU planned otherwise", side)
+		}
+		if program := back.plan.colOps != nil && back.plan.lcol != nil; program != (side == 6) {
+			t.Fatalf("side %d: the restored LU runs op programs: %v", side, program)
+		}
+		fresh, err := RestoreLU(lu.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturb(rng, m, 0.1)
+		if err := lu.Refactor(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Refactor(m); err != nil { // builds its scatter list here
+			t.Fatal(err)
+		}
+		bitsEqual(t, "restored lx", back.lx, lu.lx)
+		bitsEqual(t, "restored ux", back.ux, lu.ux)
+		bitsEqual(t, "restored ud", back.ud, lu.ud)
+		// The restored LUs solve like the original, before (fresh) and after
+		// (back) a refactorization.
+		x, w := make([]float64, m.N()), make([]float64, m.N())
+		for v, b := range rhsVariants(rng, m.N()) {
+			want, old := make([]float64, m.N()), make([]float64, m.N())
+			lu.SolveWith(b, want, w)
+			back.SolveWith(b, x, w)
+			bitsEqual(t, fmt.Sprintf("side %d restored rhs %d: x", side, v), x, want)
+			SolveReference(fresh, b, old, w)
+			fresh.SolveWith(b, x, w)
+			bitsEqual(t, fmt.Sprintf("side %d restored, unrefactored, rhs %d: x", side, v), x, old)
+		}
+		st.N = math.MaxInt32
+		if err := st.Validate(); err == nil {
+			t.Fatal("a dimension beyond 32-bit indices validated")
+		}
+	}
+}
+
+// TestProgramRefusesWhatNoEliminationMakes: an op program needs every
+// product's target in its column's pattern, a U target not yet read, and the
+// matrix inside the factor pattern. RestoreLU refuses a snapshot whose
+// pattern breaks the first two, and Refactor a matrix that breaks the last;
+// a Solver handed such a matrix falls back to a full factorization.
+func TestProgramRefusesWhatNoEliminationMakes(t *testing.T) {
+	m := meshMatrix(5, rand.New(rand.NewSource(59)))
 	lu, err := Factorize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := lu.State()
-	if err := st.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := RestoreLU(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 := back.State(); !reflect.DeepEqual(st, st2) {
-		t.Fatal("LUState changed across RestoreLU/State")
-	}
-	perturb(rng, m, 0.1)
-	if err := lu.Refactor(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Refactor(m); err != nil { // builds its scatter map here
-		t.Fatal(err)
-	}
-	bitsEqual(t, "restored lx", back.lx, lu.lx)
-	bitsEqual(t, "restored ux", back.ux, lu.ux)
-	bitsEqual(t, "restored ud", back.ud, lu.ud)
-	// The block plan is no part of the snapshot: the restored LU derives it
-	// from the pattern and solves like the original, before and after a
-	// refactorization.
-	if !reflect.DeepEqual(back.plan, lu.plan) {
-		t.Fatal("the restored LU planned other blocks")
-	}
-	fresh, err := RestoreLU(lu.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, w := make([]float64, m.N()), make([]float64, m.N())
-	for v, b := range rhsVariants(rng, m.N()) {
-		want := make([]float64, m.N())
-		lu.SolveWith(b, want, w)
-		for _, r := range []*LU{fresh, back} {
-			r.SolveWith(b, x, w)
-			bitsEqual(t, fmt.Sprintf("restored rhs %d: x", v), x, want)
+	for _, c := range []struct {
+		name    string
+		corrupt func(st *LUState)
+	}{
+		// Row k of L(:,k) is the diagonal, no L row.
+		{"L row on the diagonal", func(st *LUState) {
+			for k := 0; k < st.N; k++ {
+				if st.Lp[k+1] > st.Lp[k] {
+					st.Li[st.Lp[k]] = k
+					return
+				}
+			}
+		}},
+		// U(:,k)'s rows descend: the second is updated after it is read.
+		{"U rows descending", func(st *LUState) {
+			for k := 0; k < st.N; k++ {
+				if p := st.Up[k]; st.Up[k+1]-p >= 2 {
+					st.Ui[p], st.Ui[p+1] = st.Ui[p+1], st.Ui[p]
+					return
+				}
+			}
+		}},
+	} {
+		st := lu.State()
+		c.corrupt(st)
+		if err := st.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := RestoreLU(st); !errors.Is(err, errPattern) {
+			t.Fatalf("%s: RestoreLU returned %v, want errPattern", c.name, err)
 		}
 	}
 
-	st.N = math.MaxInt32
-	if err := st.Validate(); err == nil {
-		t.Fatal("a dimension beyond 32-bit indices validated")
+	// A matrix with an entry the factors of a diagonal matrix do not hold.
+	b := NewBuilder(3)
+	for i := 0; i < 3; i++ {
+		b.Reserve(i, i)
+	}
+	b.Reserve(2, 0)
+	full := b.Compile()
+	for i := 0; i < 3; i++ {
+		full.Add(full.SlotAt(i, i), 2)
+	}
+	full.Add(full.SlotAt(2, 0), 1)
+	diag := FromDense([][]float64{{2, 0, 0}, {0, 2, 0}, {0, 0, 2}})
+	d, err := FactorizeWithPerm(diag, identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Refactor(full); err == nil || errors.Is(err, ErrRefactorPivot) {
+		t.Fatalf("Refactor of a matrix outside the factor pattern returned %v", err)
+	}
+	s := NewSolver(full, identity(3))
+	s.lu = d
+	mustFactorize(t, s)
+	if s.FullFactorizations != 1 || s.Refactorizations != 0 {
+		t.Fatalf("%d full factorizations, %d refactorizations: the Solver did not fall back", s.FullFactorizations, s.Refactorizations)
+	}
+	x := make([]float64, 3)
+	if err := s.Solve([]float64{2, 2, 3}, x); err != nil {
+		t.Fatal(err)
+	}
+	if x[0] != 1 || x[1] != 1 || x[2] != 1 {
+		t.Fatalf("x = %v, want 1 1 1", x)
 	}
 }
 

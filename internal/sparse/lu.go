@@ -39,29 +39,39 @@ type LU struct {
 	// traffic, and half-width indices halve it.
 	lp []int32
 	li []int32
-	lx []float64
 	// U: strict upper part, by column in pivot coordinates, rows ascending.
 	up []int32
 	ui []int32
-	ux []float64
-	ud []float64 // diagonal of U
 
-	// aDst is the refactor kernel's compiled scatter map: CSC position p of
-	// the matrix lands at pivot position aDst[p] of the column workspace
-	// (rowInv[RowIdx[p]], resolved once per pattern instead of per entry per
-	// refactorization). Built by the first Refactor; see compile.
-	aDst []int32
-	// plan is the refactor and solve kernels' block plan (see blockPlan),
-	// derived from the factor pattern when the LU is made, so that a
-	// concurrent SolveWith finds it built.
+	// fx holds the numeric factors in one slice of slots: L's entries, then
+	// U's, then U's diagonal. lx, ux and ud are its three parts.
+	fx         []float64
+	lx, ux, ud []float64
+
+	// scatter is the refactor's scatter list: CSC position p of the matrix
+	// lands in factor slot scatter[p] under the op program, at pivot position
+	// scatter[p] of the column sweep's workspace otherwise. fill lists the
+	// factor slots no position lands in, which the op program zeroes. Built
+	// by the first Refactor; see compile.
+	scatter, fill []int32
+	// plan is the refactor and solve kernels' plan (see blockPlan), derived
+	// from the factor pattern when the LU is made, so that a concurrent
+	// SolveWith finds it built.
 	plan blockPlan
 
 	// pivTol is the threshold the pivots were chosen under:
 	// DefaultPivotTolerance, or the one a restored LUState recorded.
 	pivTol    float64
-	work      []float64 // Refactor workspace (an LU serves one goroutine)
+	work      []float64 // column sweep workspace (an LU serves one goroutine)
 	solveWork []float64 // Solve workspace; separate from work, which Refactor
 	// requires to stay zeroed between columns
+}
+
+// bind makes fx the backing slice of the factors.
+func (f *LU) bind(fx []float64) {
+	nl, nu := len(f.li), len(f.ui)
+	f.fx = fx
+	f.lx, f.ux, f.ud = fx[:nl:nl], fx[nl:nl+nu:nl+nu], fx[nl+nu:]
 }
 
 // Factorize computes a fresh LU factorization of m under its minimum-fill
@@ -84,12 +94,13 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 		rowInv:  make([]int, n),
 		lp:      make([]int32, n+1),
 		up:      make([]int32, n+1),
-		ud:      make([]float64, n),
 		pivTol:  DefaultPivotTolerance,
 	}
 	for i := range f.rowInv {
 		f.rowInv[i] = -1
 	}
+	var lx, ux []float64
+	ud := make([]float64, n)
 
 	// Workspaces, all indexed by original row.
 	x := make([]float64, n)     // numeric values of the current column
@@ -159,7 +170,7 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 				continue
 			}
 			for c := f.lp[pos]; c < f.lp[pos+1]; c++ {
-				x[f.li[c]] -= f.lx[c] * xr
+				x[f.li[c]] -= lx[c] * xr
 			}
 		}
 
@@ -190,13 +201,13 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 		f.rowPerm[k] = pivotRow
 		f.rowInv[pivotRow] = k
 		pv := x[pivotRow]
-		f.ud[k] = pv
+		ud[k] = pv
 
 		// Store U(:, k): pivotal rows by ascending pivot position.
 		slices.Sort(uPos)
 		for _, pos := range uPos {
 			f.ui = append(f.ui, int32(pos))
-			f.ux = append(f.ux, x[f.rowPerm[pos]])
+			ux = append(ux, x[f.rowPerm[pos]])
 		}
 		f.up[k+1] = int32(len(f.ui))
 
@@ -207,7 +218,7 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 				continue
 			}
 			f.li = append(f.li, int32(r))
-			f.lx = append(f.lx, x[r]/pv)
+			lx = append(lx, x[r]/pv)
 		}
 		f.lp[k+1] = int32(len(f.li))
 	}
@@ -216,7 +227,7 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 	// positions and sort each column ascending (required by Refactor).
 	var col []lEntry
 	for k := 0; k < n; k++ {
-		li, lx := f.li[f.lp[k]:f.lp[k+1]], f.lx[f.lp[k]:f.lp[k+1]]
+		li, lx := f.li[f.lp[k]:f.lp[k+1]], lx[f.lp[k]:f.lp[k+1]]
 		col = col[:0]
 		for q, r := range li {
 			col = append(col, lEntry{int32(f.rowInv[r]), lx[q]})
@@ -226,7 +237,10 @@ func FactorizeWithPerm(m *Matrix, perm []int) (*LU, error) {
 			li[q], lx[q] = e.pos, e.v
 		}
 	}
-	f.buildPlan()
+	f.bind(slices.Concat(lx, ux, ud))
+	if err := f.buildPlan(); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -239,25 +253,33 @@ type lEntry struct {
 // Refactor recomputes the numeric factorization for new values in m,
 // reusing the symbolic pattern and pivot sequence of the receiver. It is
 // much faster than Factorize (no graph traversal, no pivot search). If a
-// stored pivot has become too small for the new values, ErrRefactorPivot is
-// returned and the factorization content is undefined; the caller should
-// run a full Factorize.
+// stored pivot has become too small for the new values, an error wrapping
+// ErrRefactorPivot is returned and the factorization content is undefined;
+// the caller should run a full Factorize, as for any other error (an entry
+// of m outside the factor pattern).
 //
-// Column k runs refactorColumn over the stretches of U(:,k) between the
-// planned blocks of supernode columns, and lBlock on each block. The plan's
-// blocks ascend through ui, so one cursor walks them across all columns: a
-// column without a block costs one compare more than a single call.
+// A pattern whose plan has no refactor block runs the op program
+// (refactorFlat). Otherwise column k runs refactorColumn over the stretches
+// of U(:,k) between the planned blocks of supernode columns, and lBlock on
+// each block. The plan's blocks ascend through ui, so one cursor walks them
+// across all columns: a column without a block costs one compare more than
+// a single call.
 func (f *LU) Refactor(m *Matrix) error {
 	if m.N() != f.n {
 		return fmt.Errorf("sparse: Refactor dimension mismatch: %d vs %d", m.N(), f.n)
 	}
-	f.compile(m)
+	if err := f.compile(m); err != nil {
+		return err
+	}
+	if f.plan.colOps != nil {
+		if k := f.refactorFlat(m); k >= 0 {
+			return pivotError(k)
+		}
+		return nil
+	}
 	w := f.work // pivot-position space, kept zero between columns
 	blk := f.plan.ublk
-	next := int32(math.MaxInt32) // position in ui of the next block
-	if len(blk) > 0 {
-		next = blk[0]
-	}
+	next := blk[0] // position in ui of the next block
 	for k := 0; k < f.n; k++ {
 		lo := f.up[k]
 		for next < f.up[k+1] {
@@ -271,26 +293,106 @@ func (f *LU) Refactor(m *Matrix) error {
 			}
 		}
 		if !f.refactorColumn(m, k, w, lo, f.up[k+1]) {
-			return ErrRefactorPivot
+			return pivotError(k)
 		}
 	}
 	return nil
 }
 
-// compile builds the refactor kernel's scatter map and workspace on first
-// use. It runs here rather than in FactorizeWithPerm so that a factorization
-// restored from a checkpoint (which carries no matrix) gets them the same
-// way; every matrix an LU refactors shares one frozen pattern, so one map
-// serves them all.
-func (f *LU) compile(m *Matrix) {
-	if f.aDst != nil {
-		return
+// pivotError is ErrRefactorPivot at the pivot column it holds.
+type pivotError int
+
+func (k pivotError) Error() string { return fmt.Sprintf("%v at column %d", ErrRefactorPivot, int(k)) }
+func (k pivotError) Unwrap() error { return ErrRefactorPivot }
+
+// degenerate is the refactor's pivot test: the pivot pv must not vanish,
+// absolutely or relative to the largest magnitude colMax of the column it
+// eliminates.
+func degenerate(pv, colMax float64) bool {
+	return math.Abs(pv) < tinyPivot || (colMax > 0 && math.Abs(pv) < 1e-14*colMax)
+}
+
+// compile builds the refactor's scatter list (and the column sweep's
+// workspace) on first use. It runs here rather than in FactorizeWithPerm so
+// that a factorization restored from a checkpoint (which carries no matrix)
+// gets them the same way; every matrix an LU refactors shares one frozen
+// pattern, so one list serves them all. An entry of m outside the factor
+// pattern has no slot to land in, and is an error.
+func (f *LU) compile(m *Matrix) error {
+	if f.scatter != nil {
+		return nil
 	}
-	f.aDst = make([]int32, len(m.RowIdx))
-	for p, r := range m.RowIdx {
-		f.aDst[p] = int32(f.rowInv[r])
+	flat := f.plan.colOps != nil
+	scatter := make([]int32, len(m.RowIdx))
+	hit := make([]bool, len(f.fx))
+	slot, mark := f.slotMap()
+	for k, j := range f.colPerm {
+		if err := f.markSlots(k, slot, mark); err != nil {
+			return err
+		}
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			r := int32(f.rowInv[m.RowIdx[p]])
+			if mark[r] != int32(k) {
+				return fmt.Errorf("sparse: Refactor: matrix entry (%d, %d) outside the factor pattern", m.RowIdx[p], j)
+			}
+			scatter[p], hit[slot[r]] = slot[r], true
+			if !flat {
+				scatter[p] = r
+			}
+		}
 	}
-	f.work = make([]float64, f.n)
+	if !flat {
+		f.work = make([]float64, f.n)
+	}
+	for s, h := range hit {
+		if flat && !h {
+			f.fill = append(f.fill, int32(s))
+		}
+	}
+	f.scatter = scatter
+	return nil
+}
+
+// refactorFlat runs the refactor's op program and returns the column whose
+// pivot went degenerate, or -1. The fill slots are zeroed and the scatter
+// list writes the matrix into the others; then column k runs its op
+// range, every product landing in the slot that holds its entry, and
+// divides L(:,k) by the pivot, testing it against the column's scale on the
+// way. The ops are the column sweep's products in its order, zero skip
+// included, so the factors are those of the sweep bit for bit. It calls
+// nothing, so the loops keep their registers.
+func (f *LU) refactorFlat(m *Matrix) int {
+	fx := f.fx
+	for _, s := range f.fill {
+		fx[s] = 0
+	}
+	vals := m.Values[:len(f.scatter)]
+	for p, s := range f.scatter {
+		fx[s] = vals[p]
+	}
+	ud := fx[len(f.li)+len(f.ui):]
+	ops, colOps, lp := f.plan.ops, f.plan.colOps, f.lp
+	colOps, lp = colOps[:len(ud)+1], lp[:len(ud)+1]
+	for k := range ud {
+		for _, o := range ops[colOps[k]:colOps[k+1]] {
+			if xu := fx[o.u]; xu != 0 {
+				fx[o.dst] -= fx[o.l] * xu
+			}
+		}
+		pv := ud[k]
+		colMax := math.Abs(pv)
+		l := fx[lp[k]:lp[k+1]]
+		for q, v := range l {
+			l[q] = v / pv
+			if a := math.Abs(v); a > colMax {
+				colMax = a
+			}
+		}
+		if degenerate(pv, colMax) {
+			return k
+		}
+	}
+	return -1
 }
 
 // refactorColumn runs the stretch [lo, end) of U(:,k) of the refactorization
@@ -312,7 +414,7 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64, lo, end int32) bool {
 		j := f.colPerm[k]
 		alo, ahi := m.ColPtr[j], m.ColPtr[j+1]
 		vals := m.Values[alo:ahi]
-		dst := f.aDst[alo:ahi]
+		dst := f.scatter[alo:ahi]
 		dst = dst[:len(vals)]
 		for p, v := range vals {
 			w[dst[p]] = v
@@ -373,9 +475,7 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64, lo, end int32) bool {
 		}
 	}
 	w[k] = 0
-	// Scale test: the pivot must not be degenerate relative to the column
-	// it eliminates.
-	if math.Abs(pv) < tinyPivot || (colMax > 0 && math.Abs(pv) < 1e-14*colMax) {
+	if degenerate(pv, colMax) {
 		return false
 	}
 	f.ud[k] = pv
@@ -399,7 +499,11 @@ func (f *LU) SolveWith(b, x, scratch []float64) {
 	for k, r := range f.rowPerm {
 		w[k] = b[r]
 	}
-	f.solveL(w)
+	if f.plan.lcol != nil {
+		f.solveLFlat(w)
+	} else {
+		f.solveL(w)
+	}
 	f.solveU(w)
 	for k, c := range f.colPerm {
 		x[c] = w[k]
@@ -418,6 +522,20 @@ func (f *LU) solveL(w []float64) {
 		k = c + b
 	}
 	f.lColumns(w, k, len(w))
+}
+
+// solveLFlat is the forward sweep L·y = P·b in place in w by the op
+// program: one loop over L, whose entry q subtracts its multiple of its
+// column's entry of w, unless that is an exact zero. An entry of column k
+// comes after every entry that updates w[k], so w[k] is final when read.
+func (f *LU) solveLFlat(w []float64) {
+	li, lcol := f.li, f.plan.lcol
+	li, lcol = li[:len(f.lx)], lcol[:len(f.lx)]
+	for q, l := range f.lx {
+		if y := w[lcol[q]]; y != 0 {
+			w[li[q]] -= l * y
+		}
+	}
 }
 
 // solveU is the backward sweep U·z = y in place in w, U stored by

@@ -1,17 +1,21 @@
 package sparse
 
-import "slices"
+import (
+	"errors"
+	"slices"
+)
 
 // blockWidth is the widest block of supernode columns the kernels apply in
 // one pass over their shared rows.
 const blockWidth = 4
 
-// blockPlan is the refactor and solve kernels' compiled block plan, a
-// function of the factor pattern alone. A supernode is a run of consecutive
-// pivot columns c, c+1, … with L(:,c) = {c+1} ∪ L(:,c+1): up to blockWidth
-// of its columns form a block, whose L part is a dense triangle over the
-// block's own rows plus one set of shared rows every column of the block
-// updates. Width-1 columns appear in no list.
+// blockPlan is the refactor and solve kernels' compiled plan, a function of
+// the factor pattern alone. A supernode is a run of consecutive pivot
+// columns c, c+1, … with L(:,c) = {c+1} ∪ L(:,c+1): up to blockWidth of its
+// columns form a block, whose L part is a dense triangle over the block's
+// own rows plus one set of shared rows every column of the block updates.
+// Width-1 columns appear in no list. A kernel with no planned block runs
+// the flat op program instead of its column sweep (see buildProgram).
 type blockPlan struct {
 	// lblk lists the forward solve's blocks as (first column, width) pairs,
 	// ascending: a greedy split of every supernode.
@@ -20,14 +24,30 @@ type blockPlan struct {
 	// ascending: within each U(:,k), runs of consecutive rows whose columns
 	// are one supernode, split greedily.
 	ublk []int32
+
+	// ops is the refactor's op program when ublk is empty: column k's
+	// multiply-subtracts are ops[colOps[k]:colOps[k+1]], in the order the
+	// column sweep runs them.
+	ops    []op
+	colOps []int32
+	// lcol[q] is the column of L entry q, the forward solve's op program
+	// when lblk is empty.
+	lcol []int32
 }
+
+// op is one multiply-subtract of the refactor program, fx[dst] -=
+// fx[l]·fx[u] over the LU's factor slots (see LU.fx), skipped when fx[u] is
+// an exact zero: l is an entry of L(:,i), u the U(:,k) slot of row i, dst
+// the slot of column k the product lands in.
+type op struct{ dst, l, u int32 }
 
 // minShared is the fewest shared rows a block must update to be planned:
 // below it the pass saves less than the block's set-up costs.
 const minShared = 8
 
-// buildPlan derives the block plan from the factor pattern.
-func (f *LU) buildPlan() {
+// buildPlan derives the block plan, and the op programs of the kernels that
+// plan no block, from the factor pattern.
+func (f *LU) buildPlan() error {
 	n := f.n
 	// chain[c]: columns c and c+1 are one supernode. The shared rows must
 	// also ascend strictly past the triangle, so that a block's rows are
@@ -85,6 +105,7 @@ func (f *LU) buildPlan() {
 			}
 		}
 	}
+	return f.buildProgram()
 }
 
 // lBlock applies the planned block of L columns c, …, c+b-1 (2 ≤ b ≤
@@ -189,4 +210,99 @@ func (f *LU) lBlock(w []float64, c, b int, xs []float64) {
 			}
 		}
 	}
+}
+
+// errPattern reports a factor pattern no left-looking elimination produces:
+// only a restored snapshot can hold one.
+var errPattern = errors.New("sparse: factor pattern is not that of an elimination")
+
+// buildProgram compiles the op programs of the kernels without a planned
+// block. The forward solve's is lcol: entry q of L subtracts lx[q] times
+// w[lcol[q]] from w[li[q]], so the sweep is one loop over L, which needs
+// every L row below its column. The refactor's replays the column sweep
+// with every workspace entry of column k resolved to the factor slot that
+// holds it, so the products accumulate in place and the sweep's scatter to,
+// gather from and clearing of a workspace go. Each op needs its target in
+// column k's pattern and, when that is a U row, not yet read as a
+// multiplier. A pattern that breaks either is refused.
+func (f *LU) buildProgram() error {
+	n := f.n
+	p := &f.plan
+	if len(p.lblk) == 0 {
+		p.lcol = make([]int32, len(f.li))
+		for k := 0; k < n; k++ {
+			for q := f.lp[k]; q < f.lp[k+1]; q++ {
+				if f.li[q] <= int32(k) {
+					return errPattern
+				}
+				p.lcol[q] = int32(k)
+			}
+		}
+	}
+	if len(p.ublk) > 0 {
+		return nil
+	}
+	nl := int32(len(f.li))
+	slot, mark := f.slotMap()
+	size := 0
+	for _, i := range f.ui {
+		size += int(f.lp[i+1] - f.lp[i])
+	}
+	p.ops = make([]op, 0, size)
+	p.colOps = make([]int32, n+1)
+	for k := 0; k < n; k++ {
+		if err := f.markSlots(k, slot, mark); err != nil {
+			return err
+		}
+		for t := f.up[k]; t < f.up[k+1]; t++ {
+			u := nl + t
+			i := f.ui[t]
+			for q := f.lp[i]; q < f.lp[i+1]; q++ {
+				r := f.li[q]
+				dst := slot[r]
+				if mark[r] != int32(k) || (dst >= nl && dst <= u) {
+					return errPattern
+				}
+				p.ops = append(p.ops, op{dst, q, u})
+			}
+		}
+		p.colOps[k+1] = int32(len(p.ops))
+	}
+	return nil
+}
+
+// slotMap returns the scratch markSlots fills: a slot per pivot row, and a
+// mark per row that no column has stamped yet.
+func (f *LU) slotMap() (slot, mark []int32) {
+	slot, mark = make([]int32, f.n), make([]int32, f.n)
+	for r := range mark {
+		mark[r] = -1
+	}
+	return slot, mark
+}
+
+// markSlots sets slot[r] to the factor slot of entry (r, k) and mark[r] to
+// k for every row r of column k's pattern: the U rows, which must precede
+// k, the diagonal, and the L rows, which must follow it, each once.
+func (f *LU) markSlots(k int, slot, mark []int32) error {
+	nl, nu := int32(len(f.li)), int32(len(f.ui))
+	set := func(r, s int32) bool {
+		if mark[r] == int32(k) {
+			return false
+		}
+		slot[r], mark[r] = s, int32(k)
+		return true
+	}
+	for t := f.up[k]; t < f.up[k+1]; t++ {
+		if r := f.ui[t]; r >= int32(k) || !set(r, nl+t) {
+			return errPattern
+		}
+	}
+	set(int32(k), nl+nu+int32(k))
+	for q := f.lp[k]; q < f.lp[k+1]; q++ {
+		if r := f.li[q]; r <= int32(k) || !set(r, q) {
+			return errPattern
+		}
+	}
+	return nil
 }

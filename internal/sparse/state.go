@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LUState is a serializable snapshot of a completed LU factorization: the
@@ -75,7 +76,7 @@ func (st *LUState) Validate() error {
 	if n <= 0 {
 		return errors.New("lu state: non-positive dimension")
 	}
-	if n >= math.MaxInt32 || len(st.Li) > math.MaxInt32 || len(st.Ui) > math.MaxInt32 {
+	if n >= math.MaxInt32 || len(st.Li)+len(st.Ui)+n > math.MaxInt32 {
 		return errors.New("lu state: factor too large for 32-bit indices")
 	}
 	if st.PivTol <= 0 || st.PivTol > 1 {
@@ -132,9 +133,10 @@ func validateFactor(cp, idx []int, nx, n int) error {
 
 // RestoreLU rebuilds a ready-to-use factorization from a snapshot. The
 // returned LU refactorizes and solves exactly as the snapshotted one did:
-// its block plan is derived from the restored pattern, and lazily-built
-// scratch (the Refactor/Solve workspaces, the scatter map) is reconstructed
-// on first use.
+// its plan and op programs are derived from the restored pattern, and
+// lazily-built scratch (the Refactor/Solve workspaces, the scatter list) is
+// reconstructed on first use. A pattern the op program cannot run is
+// refused.
 func RestoreLU(st *LUState) (*LU, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -147,16 +149,16 @@ func RestoreLU(st *LUState) (*LU, error) {
 		rowInv:  make([]int, st.N),
 		lp:      narrow(st.Lp),
 		li:      narrow(st.Li),
-		lx:      append([]float64(nil), st.Lx...),
 		up:      narrow(st.Up),
 		ui:      narrow(st.Ui),
-		ux:      append([]float64(nil), st.Ux...),
-		ud:      append([]float64(nil), st.Ud...),
 	}
 	for k, r := range f.rowPerm {
 		f.rowInv[r] = k
 	}
-	f.buildPlan()
+	f.bind(slices.Concat(st.Lx, st.Ux, st.Ud))
+	if err := f.buildPlan(); err != nil {
+		return nil, fmt.Errorf("lu state: %w", err)
+	}
 	return f, nil
 }
 

@@ -3,26 +3,26 @@ package sparse
 import "math"
 
 // factors is one numeric factorization on a Solver's symbolic pattern: the
-// values of L and U and, once admitted to a keyed store, the matrix values
-// they were refactored from. Pattern, pivot sequence and scatter map stay on
-// the LU and are shared by every set, so attaching a set to the LU is three
-// slice assignments.
+// factor slots (see LU.fx) and, once admitted to a keyed store, the matrix
+// values they were refactored from. Pattern, pivot sequence, plan and
+// scatter list stay on the LU and are shared by every set, so attaching a
+// set to the LU is binding its one slice.
 type factors struct {
-	// values is nil until admit records that lx/ux/ud are Refactor's output
+	// values is nil until admit records that fx is Refactor's output
 	// for it — the only state a request may be answered from exactly. A set
 	// out of a full factorization holds the same matrix to rounding but was
 	// summed in a different order, and the run the answer stands in for would
 	// have refactored it; such a set answers nothing and is the next claimed.
-	values     []float64
-	lx, ux, ud []float64
-	used       uint64 // store clock when the set last answered or was written
+	values []float64
+	fx     []float64
+	used   uint64 // store clock when the set last answered or was written
 	// aliases lists the keys (see Solver.Defer) the set answers without its
 	// values being looked at: each one was assembled into exactly values.
 	aliases []uint64
 }
 
 func (f *factors) bytes() int {
-	return 8 * (len(f.values) + len(f.lx) + len(f.ux) + len(f.ud))
+	return 8 * (len(f.values) + len(f.fx))
 }
 
 // factorStore keeps the numeric factorizations a Solver may answer a request
@@ -110,7 +110,7 @@ func (st *factorStore) attach(lu *LU, f *factors) {
 	st.clock++
 	f.used = st.clock
 	st.cur = f
-	lu.lx, lu.ux, lu.ud = f.lx, f.ux, f.ud
+	lu.bind(f.fx)
 }
 
 // claim attaches the set the next refactorization writes into and takes it
@@ -125,13 +125,9 @@ func (st *factorStore) claim(lu *LU, limit int) {
 	switch {
 	case f != nil && f.values == nil:
 	case f == nil:
-		f = &factors{lx: lu.lx, ux: lu.ux, ud: lu.ud}
+		f = &factors{fx: lu.fx}
 	case (len(st.sets)+1)*f.bytes() <= limit:
-		f = &factors{
-			lx: make([]float64, len(lu.lx)),
-			ux: make([]float64, len(lu.ux)),
-			ud: make([]float64, len(lu.ud)),
-		}
+		f = &factors{fx: make([]float64, len(lu.fx))}
 	default:
 		for _, g := range st.sets {
 			if g.used < f.used {

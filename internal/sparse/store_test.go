@@ -12,7 +12,7 @@ func keyedSolver(t *testing.T, seed int64, sets int) (*Solver, []float64) {
 	s := meshSolver(seed)
 	mustFactorize(t, s)
 	lu := s.LU()
-	s.StoreBytes = sets * (&factors{values: s.M.Values, lx: lu.lx, ux: lu.ux, ud: lu.ud}).bytes()
+	s.StoreBytes = sets * (&factors{values: s.M.Values, fx: lu.fx}).bytes()
 	return s, append([]float64(nil), s.M.Values...)
 }
 

@@ -27,7 +27,9 @@ import "fmt"
 // alone, so a device the template cannot hold would lose its matrix stamps:
 // on such a System a list with a device that is not linear the way Build
 // counts it (a LinearStamper without state) is refused, and the workspace
-// keeps the list it had.
+// keeps the list it had. BindLanes makes the same test of a lane's circuit,
+// so that an ensemble refuses a bad lane at set-up, before any lane runs;
+// this one holds for every list, bound by BindLanes or not.
 func (ws *Workspace) SetDevices(devs []Device) error {
 	if ws.Sys.linear {
 		for i, d := range devs {

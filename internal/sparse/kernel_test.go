@@ -296,6 +296,62 @@ func TestBlockKernelsMatchReferenceOnMeshes(t *testing.T) {
 	}
 }
 
+// TestRefactorProgramCapped: a band matrix with seven rows below the
+// diagonal and thirty above has no supernode (each L column shifts by a row)
+// and fills its band, so its refactor takes about five products per factor
+// slot, over maxOpsPerSlot: the refactor runs the column sweep with no block
+// in its plan, and the forward solve still its program. Both stay bit for
+// bit the reference sweeps', ±0, NaN and failing pivots included.
+func TestRefactorProgramCapped(t *testing.T) {
+	const n, below, above = 80, 7, 30
+	rng := rand.New(rand.NewSource(73))
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := max(0, i-below); j <= min(n-1, i+above); j++ {
+			d[i][j] = rng.Float64() - 0.5
+		}
+		d[i][i] = float64(below + above)
+	}
+	m := FromDense(d)
+	lu, err := FactorizeWithPerm(m, identity(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	products := 0
+	for _, i := range lu.ui {
+		products += int(lu.lp[i+1] - lu.lp[i])
+	}
+	if products <= maxOpsPerSlot*len(lu.fx) {
+		t.Fatalf("%d products on %d factor slots: the cap is not reached", products, len(lu.fx))
+	}
+	if len(lu.plan.ublk) > 0 || lu.plan.colOps != nil || lu.plan.ops != nil || lu.plan.lcol == nil {
+		t.Fatalf("refactor blocks %v, refactor program %v, forward program %v; want the column sweep and the forward program",
+			lu.plan.ublk, lu.plan.colOps != nil, lu.plan.lcol != nil)
+	}
+	good := append([]float64(nil), m.Values...)
+	for round := 0; round < 5; round++ {
+		tag := fmt.Sprintf("round %d", round)
+		copy(m.Values, good)
+		perturb(rng, m, 0.2)
+		switch round {
+		case 1:
+			signedZeros(rng, lu, m)
+		case 2:
+			m.Values[rng.Intn(len(m.Values))] = math.NaN()
+		case 3:
+			j := lu.colPerm[rng.Intn(n)]
+			for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+				m.Values[p] = 0
+			}
+		}
+		sameAsReference(t, tag, lu, m, func() error { return lu.Refactor(m) })
+		if round != 3 {
+			sameSolveAsReference(t, tag, lu, rhsVariants(rng, n))
+		}
+	}
+}
+
 // TestRefactorLeavesWorkspaceClean: a sweep abandoned at a degenerate pivot
 // must hand the next one a zeroed workspace, or its fill positions start
 // from garbage.

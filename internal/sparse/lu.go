@@ -48,11 +48,15 @@ type LU struct {
 	fx         []float64
 	lx, ux, ud []float64
 
-	// scatter is the refactor's scatter list: CSC position p of the matrix
-	// lands in factor slot scatter[p] under the op program, at pivot position
-	// scatter[p] of the column sweep's workspace otherwise. fill lists the
-	// factor slots no position lands in, which the op program zeroes. Built
-	// by the first Refactor; see compile.
+	// aDst is the column sweep's scatter map: CSC position p of the matrix
+	// lands at pivot position aDst[p] of the workspace (rowInv[RowIdx[p]],
+	// resolved once per pattern instead of per entry per refactorization).
+	// Built by the first Refactor; see compile.
+	aDst []int32
+	// scatter is the op program's scatter list: CSC position p lands in
+	// factor slot scatter[p]. fill lists the factor slots no position lands
+	// in, which the program zeroes. Built by the first Refactor; see
+	// compileScatter.
 	scatter, fill []int32
 	// plan is the refactor and solve kernels' plan (see blockPlan), derived
 	// from the factor pattern when the LU is made, so that a concurrent
@@ -258,28 +262,32 @@ type lEntry struct {
 // the caller should run a full Factorize, as for any other error (an entry
 // of m outside the factor pattern).
 //
-// A pattern whose plan has no refactor block runs the op program
-// (refactorFlat). Otherwise column k runs refactorColumn over the stretches
-// of U(:,k) between the planned blocks of supernode columns, and lBlock on
-// each block. The plan's blocks ascend through ui, so one cursor walks them
-// across all columns: a column without a block costs one compare more than
-// a single call.
+// A pattern whose plan has a refactor op program runs it (refactorFlat).
+// Otherwise column k runs refactorColumn over the stretches of U(:,k)
+// between the planned blocks of supernode columns, and lBlock on each block.
+// The plan's blocks ascend through ui, so one cursor walks them across all
+// columns: a column without a block costs one compare more than a single
+// call.
 func (f *LU) Refactor(m *Matrix) error {
 	if m.N() != f.n {
 		return fmt.Errorf("sparse: Refactor dimension mismatch: %d vs %d", m.N(), f.n)
 	}
-	if err := f.compile(m); err != nil {
-		return err
-	}
 	if f.plan.colOps != nil {
+		if err := f.compileScatter(m); err != nil {
+			return err
+		}
 		if k := f.refactorFlat(m); k >= 0 {
 			return pivotError(k)
 		}
 		return nil
 	}
+	f.compile(m)
 	w := f.work // pivot-position space, kept zero between columns
 	blk := f.plan.ublk
-	next := blk[0] // position in ui of the next block
+	next := int32(math.MaxInt32) // position in ui of the next block
+	if len(blk) > 0 {
+		next = blk[0]
+	}
 	for k := 0; k < f.n; k++ {
 		lo := f.up[k]
 		for next < f.up[k+1] {
@@ -312,17 +320,29 @@ func degenerate(pv, colMax float64) bool {
 	return math.Abs(pv) < tinyPivot || (colMax > 0 && math.Abs(pv) < 1e-14*colMax)
 }
 
-// compile builds the refactor's scatter list (and the column sweep's
-// workspace) on first use. It runs here rather than in FactorizeWithPerm so
-// that a factorization restored from a checkpoint (which carries no matrix)
-// gets them the same way; every matrix an LU refactors shares one frozen
-// pattern, so one list serves them all. An entry of m outside the factor
+// compile builds the column sweep's scatter map and workspace on first use.
+// It runs here rather than in FactorizeWithPerm so that a factorization
+// restored from a checkpoint (which carries no matrix) gets them the same
+// way; every matrix an LU refactors shares one frozen pattern, so one map
+// serves them all.
+func (f *LU) compile(m *Matrix) {
+	if f.aDst != nil {
+		return
+	}
+	f.aDst = make([]int32, len(m.RowIdx))
+	for p, r := range m.RowIdx {
+		f.aDst[p] = int32(f.rowInv[r])
+	}
+	f.work = make([]float64, f.n)
+}
+
+// compileScatter builds the op program's scatter list and fill slots on
+// first use, for the reasons compile gives. An entry of m outside the factor
 // pattern has no slot to land in, and is an error.
-func (f *LU) compile(m *Matrix) error {
+func (f *LU) compileScatter(m *Matrix) error {
 	if f.scatter != nil {
 		return nil
 	}
-	flat := f.plan.colOps != nil
 	scatter := make([]int32, len(m.RowIdx))
 	hit := make([]bool, len(f.fx))
 	slot, mark := f.slotMap()
@@ -331,21 +351,17 @@ func (f *LU) compile(m *Matrix) error {
 			return err
 		}
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			r := int32(f.rowInv[m.RowIdx[p]])
+			r := f.rowInv[m.RowIdx[p]]
 			if mark[r] != int32(k) {
 				return fmt.Errorf("sparse: Refactor: matrix entry (%d, %d) outside the factor pattern", m.RowIdx[p], j)
 			}
 			scatter[p], hit[slot[r]] = slot[r], true
-			if !flat {
-				scatter[p] = r
-			}
 		}
 	}
-	if !flat {
-		f.work = make([]float64, f.n)
-	}
+	// Each position lands in a slot of its own, so the rest are the fill.
+	f.fill = make([]int32, 0, len(hit)-len(scatter))
 	for s, h := range hit {
-		if flat && !h {
+		if !h {
 			f.fill = append(f.fill, int32(s))
 		}
 	}
@@ -414,7 +430,7 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64, lo, end int32) bool {
 		j := f.colPerm[k]
 		alo, ahi := m.ColPtr[j], m.ColPtr[j+1]
 		vals := m.Values[alo:ahi]
-		dst := f.scatter[alo:ahi]
+		dst := f.aDst[alo:ahi]
 		dst = dst[:len(vals)]
 		for p, v := range vals {
 			w[dst[p]] = v

@@ -15,7 +15,8 @@ const blockWidth = 4
 // columns form a block, whose L part is a dense triangle over the block's
 // own rows plus one set of shared rows every column of the block updates.
 // Width-1 columns appear in no list. A kernel with no planned block runs
-// the flat op program instead of its column sweep (see buildProgram).
+// a flat op program instead of its column sweep, the refactor only while
+// the program stays small (see buildProgram).
 type blockPlan struct {
 	// lblk lists the forward solve's blocks as (first column, width) pairs,
 	// ascending: a greedy split of every supernode.
@@ -25,7 +26,8 @@ type blockPlan struct {
 	// are one supernode, split greedily.
 	ublk []int32
 
-	// ops is the refactor's op program when ublk is empty: column k's
+	// ops is the refactor's op program when ublk is empty and the program
+	// is within maxOpsPerSlot (colOps is nil otherwise): column k's
 	// multiply-subtracts are ops[colOps[k]:colOps[k+1]], in the order the
 	// column sweep runs them.
 	ops    []op
@@ -113,6 +115,12 @@ func (f *LU) buildPlan() error {
 // stores the block's multipliers — each column's entry of w once the columns
 // before it are applied — in xs. It reads w[c:c+b] but leaves it as it was,
 // so the solve, which needs the multipliers there, passes it as xs.
+//
+// lBlock is the mesh kernels' inner block, and where it falls in the binary
+// moves the mesh workloads by a few per cent: with the op program builders
+// placed ahead of it in this file, it left the 64-byte boundary it has
+// without them and grid32 ran about 3 % slower on some sets, though no mesh
+// kernel had changed. Keep new code of this file after lBlock.
 //
 // The dense triangle runs on registers; then one pass over the shared rows —
 // the tail of every column of the block — loads and stores each w[r] once
@@ -216,14 +224,22 @@ func (f *LU) lBlock(w []float64, c, b int, xs []float64) {
 // only a restored snapshot can hold one.
 var errPattern = errors.New("sparse: factor pattern is not that of an elimination")
 
+// maxOpsPerSlot caps the refactor's op program at this many ops per factor
+// slot. An op is 12 bytes and a product of the refactor, so the program grows
+// with the flop count, which fill can lift far above the factor storage; a
+// pattern over the cap refactors by the column sweep, whose working set is
+// the factors. The evaluation circuits build 0.26–0.68 ops per slot.
+const maxOpsPerSlot = 4
+
 // buildProgram compiles the op programs of the kernels without a planned
-// block. The forward solve's is lcol: entry q of L subtracts lx[q] times
-// w[lcol[q]] from w[li[q]], so the sweep is one loop over L, which needs
-// every L row below its column. The refactor's replays the column sweep
-// with every workspace entry of column k resolved to the factor slot that
-// holds it, so the products accumulate in place and the sweep's scatter to,
-// gather from and clearing of a workspace go. Each op needs its target in
-// column k's pattern and, when that is a U row, not yet read as a
+// block (it sits after lBlock in this file; see there). The forward solve's
+// is lcol: entry q of L subtracts lx[q] times w[lcol[q]] from w[li[q]], so
+// the sweep is one loop over L, which needs every L row below its column.
+// The refactor's, built when it stays within maxOpsPerSlot, replays the
+// column sweep with every workspace entry of column k resolved to the factor
+// slot that holds it, so the products accumulate in place and the sweep's
+// scatter to, gather from and clearing of a workspace go. Each op needs its
+// target in column k's pattern and, when that is a U row, not yet read as a
 // multiplier. A pattern that breaks either is refused.
 func (f *LU) buildProgram() error {
 	n := f.n
@@ -242,12 +258,15 @@ func (f *LU) buildProgram() error {
 	if len(p.ublk) > 0 {
 		return nil
 	}
-	nl := int32(len(f.li))
-	slot, mark := f.slotMap()
 	size := 0
 	for _, i := range f.ui {
 		size += int(f.lp[i+1] - f.lp[i])
 	}
+	if size > maxOpsPerSlot*len(f.fx) {
+		return nil
+	}
+	nl := int32(len(f.li))
+	slot, mark := f.slotMap()
 	p.ops = make([]op, 0, size)
 	p.colOps = make([]int32, n+1)
 	for k := 0; k < n; k++ {
@@ -274,7 +293,8 @@ func (f *LU) buildProgram() error {
 // slotMap returns the scratch markSlots fills: a slot per pivot row, and a
 // mark per row that no column has stamped yet.
 func (f *LU) slotMap() (slot, mark []int32) {
-	slot, mark = make([]int32, f.n), make([]int32, f.n)
+	buf := make([]int32, 2*f.n)
+	slot, mark = buf[:f.n], buf[f.n:]
 	for r := range mark {
 		mark[r] = -1
 	}

@@ -29,8 +29,8 @@ func wantPrograms(t *testing.T, name string, lu *sparse.LU) {
 // transient-like operating point and at moved ones — the op program on nine
 // of them, the column sweep on the meshes. The kernel must reproduce the
 // reference factors bit for bit, also with exact zeros of either sign among
-// the off-diagonal entries and with a NaN in the matrix, or give up at the
-// reference's degenerate pivot.
+// the off-diagonal entries and with a NaN in the matrix, or — on those two
+// corrupted rounds only — give up at the reference's degenerate pivot.
 func TestRefactorKernelMatchesReferenceOnSuite(t *testing.T) {
 	for _, b := range circuits.Suite() {
 		b := b
@@ -69,6 +69,11 @@ func TestRefactorKernelMatchesReferenceOnSuite(t *testing.T) {
 				}
 				lx, ux, ud, bad := sparse.RefactorReference(lu, m)
 				err := lu.Refactor(m)
+				if bad >= 0 && round < 2 {
+					// The matrices of the first two rounds are the circuit's
+					// own: their factors must be compared.
+					t.Fatalf("round %d: reference sweep hit a degenerate pivot at column %d", round, bad)
+				}
 				if bad >= 0 {
 					if !errors.Is(err, sparse.ErrRefactorPivot) || !strings.HasSuffix(err.Error(), fmt.Sprintf(" at column %d", bad)) {
 						t.Fatalf("round %d: reference hit a degenerate pivot at column %d, kernel returned %v", round, bad, err)

@@ -17,26 +17,28 @@ import (
 // generated on (go1.24 linux/amd64). Keyed as the waveform pins are: serial,
 // the two pipelined schemes, and the three resistor-scaled grid16 lanes. The
 // backward2/ rows were regenerated when the Backward offset moved onto the
-// step grid (planStage), which lets a backward point's Alpha0 repeat.
+// step grid (planStage), which lets a backward point's Alpha0 repeat, and
+// every pipelined row with the pipelined waveform pins when the pipeline's
+// step came to be sized by the serial engine's rule.
 var factorCounts = map[string][3]int{
 	"serial/grid16":       {1, 62, 432},
-	"backward2/grid16":    {2, 99, 558},
-	"forward2/grid16":     {2, 141, 583},
+	"backward2/grid16":    {2, 106, 658},
+	"forward2/grid16":     {2, 139, 580},
 	"lane0/grid16":        {1, 62, 432},
 	"lane1/grid16":        {1, 62, 432},
 	"lane2/grid16":        {1, 53, 360},
 	"serial/grid24":       {1, 59, 415},
-	"backward2/grid24":    {2, 99, 628},
-	"forward2/grid24":     {2, 97, 611},
+	"backward2/grid24":    {2, 95, 629},
+	"forward2/grid24":     {2, 94, 608},
 	"serial/grid32":       {1, 52, 402},
-	"backward2/grid32":    {2, 186, 647},
-	"forward2/grid32":     {2, 89, 570},
+	"backward2/grid32":    {2, 86, 608},
+	"forward2/grid32":     {2, 89, 568},
 	"serial/ladder400":    {1, 575, 46},
-	"backward2/ladder400": {2, 690, 145},
-	"forward2/ladder400":  {2, 446, 303},
+	"backward2/ladder400": {2, 729, 139},
+	"forward2/ladder400":  {2, 458, 299},
 	"serial/rlctree8":     {2, 3443, 0},
-	"backward2/rlctree8":  {3, 872, 4566},
-	"forward2/rlctree8":   {3, 3571, 1853},
+	"backward2/rlctree8":  {3, 1431, 3846},
+	"forward2/rlctree8":   {3, 3568, 1850},
 }
 
 func TestFactorizationCountsPinned(t *testing.T) {

@@ -35,7 +35,7 @@ import (
 const (
 	// Version is the current checkpoint format version; Decode refuses any
 	// other.
-	Version = 2
+	Version = 3
 	// Counters is the length of State.Stats: one slot per counter of
 	// transient.Stats, in the order its counter list gives them (transient
 	// returns that list as a [Counters] array, so the two cannot disagree).
@@ -64,7 +64,6 @@ type State struct {
 	H          float64 // next step size the controller chose
 	HUsed      float64 // size of the last accepted step
 	AfterBreak bool    // first step after a breakpoint restart
-	Warmup     int     // pipeline serial-warmup stages remaining (0 for serial)
 
 	// Engine state proper.
 	Hist  []*integrate.Point // trailing window, ascending, deep-copied

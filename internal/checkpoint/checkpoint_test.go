@@ -51,7 +51,7 @@ func testState(t *testing.T) *State {
 	return &State{
 		N: 3, NumStates: 2, NumDevices: 4, PatternNNZ: 6,
 		TStop: 1e-6, Method: 2,
-		T: 3e-7, H: 1e-8, HUsed: 0.8e-8, AfterBreak: true, Warmup: 2,
+		T: 3e-7, H: 1e-8, HUsed: 0.8e-8, AfterBreak: true,
 		Hist: []*integrate.Point{
 			{T: 1e-7, X: []float64{1, 2, 3}, Q: []float64{0.1, 0.2, 0.3}, Qdot: []float64{-1, -2, -3}},
 			{T: 2e-7, X: []float64{1.5, 2.5, 3.5}, Q: []float64{0.15, 0.25, 0.35}, Qdot: []float64{-1.5, -2.5, -3.5}},
@@ -164,34 +164,68 @@ func TestDecodeWrongVersion(t *testing.T) {
 	}
 }
 
+// The byte offsets of a Version 3 file: the header (magic, version), the
+// fingerprint, TStop and method, then the engine position (T, H, HUsed,
+// AfterBreak).
+const (
+	v3Header   = 8
+	v3Head     = 16 + 8 + 4
+	v3Position = 3*8 + 1
+)
+
+// encodeVersion2 lays s out as format Version 2 did: a u32 pipeline warm-up
+// depth after the engine position, the rest as in Version 3.
+func encodeVersion2(s *State) []byte {
+	v3 := Encode(s)
+	at := v3Header + v3Head + v3Position
+	e := &enc{b: append([]byte(nil), v3[:at]...)}
+	binary.LittleEndian.PutUint32(e.b[4:], 2)
+	e.u32(3) // warm-up
+	e.b = append(e.b, v3[at:len(v3)-4]...)
+	e.u32(crc32.ChecksumIEEE(e.b[v3Header:]))
+	return e.b
+}
+
 // encodeVersion1 lays s out as format Version 1 did: a scheme slot after the
-// method, then the retired device-bypass generation, twenty stats slots and
-// the pipeline-serialized flag where Version 2 has its counter vector; the
-// rest of the payload is laid out as in Version 2.
+// method, then Version 2's warm-up slot, the retired device-bypass
+// generation, twenty stats slots and the pipeline-serialized flag where
+// Version 3 has its counter vector; the rest of the payload is laid out as
+// in Version 3.
 func encodeVersion1(s *State) []byte {
-	const head = 16 + 8 + 4 // fingerprint, TStop, method
-	const position = 3*8 + 1 + 4
-	v2 := Encode(s)
-	e := &enc{b: append([]byte(nil), v2[:8+head]...)}
+	v3 := Encode(s)
+	at := v3Header + v3Head
+	e := &enc{b: append([]byte(nil), v3[:at]...)}
 	binary.LittleEndian.PutUint32(e.b[4:], 1)
 	e.u32(0) // scheme
-	e.b = append(e.b, v2[8+head:8+head+position]...)
+	e.b = append(e.b, v3[at:at+v3Position]...)
+	e.u32(0) // warm-up
 	for range 1 + 20 {
 		e.u64(0)
 	}
 	e.boolByte(false)
-	e.b = append(e.b, v2[8+head+position+4+8*Counters:len(v2)-4]...)
-	e.u32(crc32.ChecksumIEEE(e.b[8:]))
+	e.b = append(e.b, v3[at+v3Position+8*Counters:len(v3)-4]...)
+	e.u32(crc32.ChecksumIEEE(e.b[v3Header:]))
 	return e.b
 }
 
-// Version 2 drops Version 1's retired slots and its scheme slot, so a Version
-// 1 file — intact, its CRC right — is refused, not read.
+// Version 2 dropped Version 1's retired slots and its scheme slot, so a
+// Version 1 file — intact, its CRC right — is refused, not read.
 func TestDecodeRefusesVersion1(t *testing.T) {
 	_, err := Decode(encodeVersion1(testState(t)))
 	wantBadCheckpoint(t, err, "version 1")
 	if !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("error %v does not name version 1", err)
+	}
+}
+
+// Version 3 drops Version 2's pipeline warm-up slot (the pipeline's refill
+// follows from the history), so an intact Version 2 file is refused, not
+// read with its fields shifted.
+func TestDecodeRefusesVersion2(t *testing.T) {
+	_, err := Decode(encodeVersion2(testState(t)))
+	wantBadCheckpoint(t, err, "version 2")
+	if !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("error %v does not name version 2", err)
 	}
 }
 

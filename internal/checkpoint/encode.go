@@ -12,7 +12,7 @@ import (
 	"wavepipe/internal/sparse"
 )
 
-// Binary layout (version 2), everything little-endian:
+// Binary layout (version 3), everything little-endian:
 //
 //	magic "WPCP" · u32 version · payload · u32 CRC32(IEEE, payload)
 //
@@ -44,7 +44,6 @@ func Encode(s *State) []byte {
 	e.F64(s.H)
 	e.F64(s.HUsed)
 	e.Bool(s.AfterBreak)
-	e.U32(uint32(s.Warmup))
 
 	e.Int64s(s.Stats)
 
@@ -154,7 +153,6 @@ func Decode(data []byte) (*State, error) {
 	s.H = d.F64()
 	s.HUsed = d.F64()
 	s.AfterBreak = d.Bool()
-	s.Warmup = int(d.U32())
 
 	s.Stats = d.Int64s("counters")
 	if d.Err == nil && len(s.Stats) != Counters {

@@ -268,6 +268,10 @@ type Control struct {
 const (
 	trTol     = 7 // LTE overestimation factor (SPICE TRTOL)
 	growthCap = 2 // max ratio h_next/h_prev per accepted point
+	// zeroStableRatio is the largest step ratio h0/h1 at which variable-step
+	// Gear-2 is zero-stable: past it the formula weights the older history
+	// point by ω²/(2ω+1) > 1 (2.3 at a backward point's ω = 5).
+	zeroStableRatio = 1 + math.Sqrt2
 )
 
 // DefaultControl returns SPICE-like step control defaults for a simulation
@@ -370,12 +374,16 @@ func (c Control) MaxStep(m Method, order int, derivNorm, h1 float64) float64 {
 // stencils are dominated by sub-tolerance stiff micro-modes and would trap
 // the step). h1Next is the trailing history spacing the next step will see —
 // this is where backward pipelining's clustered points relax the error
-// coefficient. A zero norm (no LTE information yet) yields HMax, leaving the
-// growth cap in charge.
+// coefficient — counted no shorter than hUsed/zeroStableRatio: the relaxed
+// coefficient assumes exact history, and past that step ratio the history's
+// own errors come back amplified, so a closer spacing buys no longer step
+// (serially h1Next is hUsed and the floor never binds). A zero norm (no LTE
+// information yet) yields HMax, leaving the growth cap in charge.
 func (c Control) NextStep(m Method, order int, norm, hUsed, h1Solve, h1Next float64) float64 {
 	if norm <= 1e-12 {
 		return c.HMax
 	}
+	h1Next = math.Max(h1Next, hUsed/zeroStableRatio)
 	dImplied := norm * trTol / ErrorCoefficient(m, order, hUsed, h1Solve)
 	// The 0.9 safety factor keeps the controller off the acceptance
 	// boundary; without it roughly a third of all candidates get rejected

@@ -306,13 +306,14 @@ func TestNextStepSemantics(t *testing.T) {
 		t.Fatalf("norm-1 next step = %g, want ≈0.9e-3", got)
 	}
 	// Clustered trailing spacing must allow a larger step than uniform —
-	// the backward-pipelining coefficient gain, end to end.
+	// the backward-pipelining coefficient gain, end to end — but no larger
+	// than the zero-stable spacing h/(1+√2) allows: δ = h/5 counts as that.
 	clustered := c.NextStep(Gear2, 2, 1, 1e-3, 1e-3, 2e-4)
-	if clustered <= got {
-		t.Fatalf("clustered %g not above uniform %g", clustered, got)
+	if stable := c.NextStep(Gear2, 2, 1, 1e-3, 1e-3, 1e-3/(1+math.Sqrt2)); clustered != stable {
+		t.Fatalf("spacing h/5 sized %g, the zero-stable h/(1+√2) %g", clustered, stable)
 	}
-	if ratio := clustered / got; ratio < 1.15 || ratio > 1.45 {
-		t.Fatalf("coefficient gain ratio = %g, want ≈1.27 at δ=h/5", ratio)
+	if ratio := clustered / got; ratio < 1.1 || ratio > 1.25 {
+		t.Fatalf("coefficient gain ratio = %g, want ≈1.17 at spacing h/(1+√2)", ratio)
 	}
 }
 

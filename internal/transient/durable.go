@@ -20,9 +20,8 @@ import (
 // factorization (its pivot sequence is what makes serial resume
 // bit-identical), the recorded waveform (aliased — rows are immutable once
 // appended), cumulative stats and the recovery log. total carries the run's
-// cumulative statistics, including any segments before an earlier resume;
-// warmup is the pipeline's refill depth (0 for the single-solver engines).
-func (s *Stepper) Capture(total Stats, warmup int) *checkpoint.State {
+// cumulative statistics, including any segments before an earlier resume.
+func (s *Stepper) Capture(total Stats) *checkpoint.State {
 	pts := make([]*integrate.Point, s.Hist.Len())
 	for i := range pts {
 		p := s.Hist.At(i)
@@ -40,7 +39,6 @@ func (s *Stepper) Capture(total Stats, warmup int) *checkpoint.State {
 		H:          s.H,
 		HUsed:      s.HUsed,
 		AfterBreak: s.AfterBreak,
-		Warmup:     warmup,
 		Hist:       pts,
 		SPrev:      num.Copy(ws.SPrev),
 		SNext:      num.Copy(ws.SNext),
@@ -82,44 +80,43 @@ func SalvageResult(st *checkpoint.State) *Result {
 // restore validates a checkpoint against the live system and run options
 // and loads the state it describes into the stepper: history window,
 // waveform, step position, recovery log and pre-resume totals, plus — in
-// the solver's workspace — the limiting state and the LU factorization. It
-// returns the checkpointed pipeline warm-up depth; every failure surfaces
-// faults.ErrBadCheckpoint.
-func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
+// the solver's workspace — the limiting state and the LU factorization.
+// Every failure surfaces faults.ErrBadCheckpoint.
+func (s *Stepper) restore(st *checkpoint.State) error {
 	sys, ws := s.sys, s.ps.WS
 	if err := st.Matches(sys.N, sys.NumStates, len(sys.Circuit.Devices()),
 		sys.PatternNNZ(), s.opts.TStop, int(s.opts.Method)); err != nil {
-		return 0, err
+		return err
 	}
 	// The waveform must describe the same record set this run would build;
 	// otherwise the resumed tail would append mismatched columns.
 	if expect := RecordSet(sys, s.opts); !slices.Equal(expect.Index, st.WaveIndex) {
-		return 0, checkpoint.Bad("record set mismatch: %d signals, checkpoint has %d",
+		return checkpoint.Bad("record set mismatch: %d signals, checkpoint has %d",
 			len(expect.Index), len(st.WaveIndex))
 	}
 	hist, err := integrate.RestoreHistory(st.Hist)
 	if err != nil {
-		return 0, checkpoint.Bad("%v", err)
+		return checkpoint.Bad("%v", err)
 	}
 	last := hist.Last()
 	if last == nil || last.T != st.T {
-		return 0, checkpoint.Bad("history does not end at checkpoint time %g", st.T)
+		return checkpoint.Bad("history does not end at checkpoint time %g", st.T)
 	}
 	w, err := waveform.Restore(st.WaveNames, st.WaveIndex, st.WaveTimes, st.WaveData)
 	if err != nil {
-		return 0, checkpoint.Bad("%v", err)
+		return checkpoint.Bad("%v", err)
 	}
 	if n := w.Len(); n == 0 || w.Times[n-1] != st.T {
-		return 0, checkpoint.Bad("waveform does not end at checkpoint time %g", st.T)
+		return checkpoint.Bad("waveform does not end at checkpoint time %g", st.T)
 	}
 	if st.H <= 0 {
-		return 0, checkpoint.Bad("non-positive step %g", st.H)
+		return checkpoint.Bad("non-positive step %g", st.H)
 	}
 	copy(ws.SPrev, st.SPrev)
 	copy(ws.SNext, st.SNext)
 	if st.LU != nil {
 		if err := ws.Solver.RestoreFactor(st.LU); err != nil {
-			return 0, checkpoint.Bad("%v", err)
+			return checkpoint.Bad("%v", err)
 		}
 	}
 	s.Hist, s.W = hist, w
@@ -128,5 +125,5 @@ func (s *Stepper) restore(st *checkpoint.State) (warmup int, err error) {
 	s.RL, s.Base = &RecoveryLog{events: slices.Clip(st.Recovery)}, statsFrom(st.Stats)
 	s.T, s.HUsed, s.AfterBreak = st.T, st.HUsed, st.AfterBreak
 	s.SetStep(st.H)
-	return st.Warmup, nil
+	return nil
 }

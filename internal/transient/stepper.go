@@ -19,11 +19,10 @@ import (
 // position (T, H, HUsed, AfterBreak) and the decisions taken on them — where
 // the next candidate lands, what a failed solve costs, whether a converged
 // candidate passes the truncation-error test, what committing it means, and
-// how integration restarts after a waveform edge. It is decoupled from who
-// solves: the serial engine (an ensemble lane is one) hands Step its point
-// solver, and the pipeline coordinator composes
-// Plan/Failed/Reject/Commit/Restart around its own stage proposers and LTE
-// stencil.
+// how the next step is sized or integration restarts after a waveform edge.
+// It is decoupled from who solves: the serial engine (an ensemble lane is
+// one) hands Step its point solver, and the pipeline coordinator composes
+// Plan/Failed/Norm/Reject/Commit/Land around its own stage proposers.
 type Stepper struct {
 	// ps is the solver whose workspace holds the authoritative limiting and
 	// factorization state (the serial solver or pipeline lane 0). It climbs
@@ -59,7 +58,8 @@ type Stepper struct {
 	hitBp       bool    // the candidate sits on it
 
 	ckptDue bool
-	lteBuf  [integrate.HistoryDepth + 1]*integrate.Point // finish's LTE stencil
+	lteBuf  [integrate.HistoryDepth + 1]*integrate.Point // Norm's stencil
+	lte     integrate.LTEScratch
 }
 
 // NewStepper returns a controller positioned before the t = 0 point; Start
@@ -121,15 +121,15 @@ func RoundStep(h float64) float64 {
 }
 
 // Start establishes the first point: the checkpoint named by Options.Resume
-// when there is one (returning its pipeline warm-up depth), else the DC
-// operating point, which is also the first accepted row.
-func (s *Stepper) Start() (warmup int, err error) {
+// when there is one, else the DC operating point, which is also the first
+// accepted row.
+func (s *Stepper) Start() error {
 	if st := s.opts.Resume; st != nil {
 		return s.restore(st)
 	}
 	p0, err := InitialPoint(s.sys, s.ps, s.opts)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	s.Hist = &integrate.History{}
 	s.Hist.Add(p0)
@@ -138,7 +138,7 @@ func (s *Stepper) Start() (warmup int, err error) {
 	if s.opts.OnAccept != nil {
 		s.opts.OnAccept(p0.T, s.W.Data[len(s.W.Data)-1])
 	}
-	return 0, nil
+	return nil
 }
 
 // Done reports whether the run has reached its horizon.
@@ -291,45 +291,77 @@ func (s *Stepper) Commit(pt *integrate.Point, h, norm float64) (evicted *integra
 	return evicted
 }
 
-// RestartDue reports whether a landing on the planned limit needs an
-// integrator restart. A final landing on the plain horizon (no waveform edge
-// at TStop) does not: the run is over, and keeping the history at full order
-// lets a resumed continuation — durable restore, a time-parallel window
-// chain — pick up without a restart transient.
-func (s *Stepper) RestartDue() bool { return !s.Done() || s.horizonEdge }
+// Norm is the LTE judgement of candidate pt, solved from hist with the
+// coefficients co: the dimensionless truncation-error norm over a stencil of
+// hist's order+1 latest points at least minSep apart, then pt. The serial
+// engine's stencil is the plain tail (minSep 0); the pipeline spaces it
+// (History.AppendSpacedTail) while the candidate's true trailing spacing
+// stays in the error coefficient. A traced run records the check as a
+// PhaseLTE span.
+func (s *Stepper) Norm(hist *integrate.History, pt *integrate.Point, co integrate.Coeffs, minSep float64) float64 {
+	stencil := append(hist.AppendSpacedTail(s.lteBuf[:0], co.Order+1, minSep), pt)
+	if !s.tr.Active() {
+		return s.ctrl.CheckLTEWith(s.opts.Method, co.Order, stencil, co.H0, co.H1, &s.lte)
+	}
+	t0 := time.Now()
+	norm := s.ctrl.CheckLTEWith(s.opts.Method, co.Order, stencil, co.H0, co.H1, &s.lte)
+	s.tr.Emit(trace.Event{
+		Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: pt.T, Norm: norm,
+		Worker: s.Worker, Stage: s.Stage, Dur: time.Since(t0).Nanoseconds(),
+	})
+	return norm
+}
 
-// Restart re-enters integration after landing on a discontinuity: derivative
-// history is invalid, so it is truncated (the dropped points are returned
-// for recycling) and the step is sized from the gap to the next strictly
-// later breakpoint, clamped by lastStep, as SPICE does. LTE control resumes
-// as soon as enough history accumulates.
-func (s *Stepper) Restart(lastStep float64) (dropped []*integrate.Point) {
-	dropped = s.Hist.Truncate()
-	s.SetStep(RestartStep(GapAfter(s.bps[s.nextBp:], s.T, s.opts.TStop), lastStep, s.opts.HInit, s.ctrl))
-	s.AfterBreak = true
-	return dropped
+// Land closes a committed point, reached by the step of co and judged by
+// norm, that was planned onto the limit when hitBp. A landing there restarts
+// integration after the discontinuity: derivative history is invalid, so it
+// is truncated (the dropped points are returned for recycling) and the step
+// is sized from the gap to the next strictly later breakpoint, clamped by the
+// step just taken, as SPICE does; LTE control resumes once enough history
+// accumulates. A final landing on the plain horizon (no waveform edge at
+// TStop) does not restart: the run is over, and keeping the history at full
+// order lets a resumed continuation — durable restore, a time-parallel window
+// chain — pick up without a restart transient. Any other point ends the
+// restart state and sizes the next step (sizeStep). It reports whether it
+// restarted.
+func (s *Stepper) Land(hitBp bool, co integrate.Coeffs, norm float64) (dropped []*integrate.Point, restarted bool) {
+	if hitBp && (!s.Done() || s.horizonEdge) {
+		dropped = s.Hist.Truncate()
+		s.SetStep(RestartStep(GapAfter(s.bps[s.nextBp:], s.T, s.opts.TStop), co.H0, s.opts.HInit, s.ctrl))
+		s.AfterBreak = true
+		return dropped, true
+	}
+	s.AfterBreak = false
+	s.sizeStep(co, norm)
+	return nil, false
+}
+
+// sizeStep sets the step after an accepted point, reached by the step of co
+// and judged by norm: the largest step the norm allows (Control.NextStep),
+// under the growth cap against co's step. The next step's trailing spacing
+// is the history's: the step just taken on the serial engine, a backward
+// point's clustered offset on the pipeline — which is where backward
+// pipelining relaxes the error coefficient. A held step (holdStep) or a run
+// without LTE control repeats co's step.
+func (s *Stepper) sizeStep(co integrate.Coeffs, norm float64) {
+	hUsed := co.H0
+	h := hUsed
+	if !s.opts.NoLTE && !s.holdStep(co.Order) {
+		n := s.Hist.Len()
+		h = s.ctrl.NextStep(s.opts.Method, co.Order, norm, hUsed, co.H1, s.Hist.At(n-1).T-s.Hist.At(n-2).T)
+	}
+	s.SetStep(s.ctrl.ClampStep(h, hUsed))
 }
 
 // finish judges a converged candidate for the planned time: LTE accept or
-// reject (the norm is also what sizes the next step), commit, then either
-// the break restart or the next step. The stepper's solver must be the
+// reject, commit, then the landing. The stepper's solver must be the
 // history's sole owner: rejected, evicted and truncated points are recycled
 // into its pool.
 func (s *Stepper) finish(pt *integrate.Point, co integrate.Coeffs) {
 	ps := s.ps
 	norm := 0.0
 	if !s.opts.NoLTE {
-		tail := append(s.Hist.AppendTail(s.lteBuf[:0], co.Order+1), pt)
-		if s.tr.Active() {
-			t0 := time.Now()
-			norm = s.ctrl.CheckLTEWith(ps.Method, co.Order, tail, co.H0, co.H1, &ps.LTE)
-			s.tr.Emit(trace.Event{
-				Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: pt.T, Norm: norm,
-				Worker: s.Worker, Stage: s.Stage, Dur: time.Since(t0).Nanoseconds(),
-			})
-		} else {
-			norm = s.ctrl.CheckLTEWith(ps.Method, co.Order, tail, co.H0, co.H1, &ps.LTE)
-		}
+		norm = s.Norm(s.Hist, pt, co, 0)
 		if s.TooCoarse(norm, co.H0) {
 			s.Reject(pt.T, co, norm)
 			ps.PutPoint(pt)
@@ -337,18 +369,10 @@ func (s *Stepper) finish(pt *integrate.Point, co integrate.Coeffs) {
 		}
 	}
 	ps.PutPoint(s.Commit(pt, co.H0, norm))
-	if s.hitBp && s.RestartDue() {
-		for _, dp := range s.Restart(s.HUsed) {
-			ps.PutPoint(dp)
-		}
-		return
+	dropped, _ := s.Land(s.hitBp, co, norm)
+	for _, dp := range dropped {
+		ps.PutPoint(dp)
 	}
-	s.AfterBreak = false
-	if s.opts.NoLTE || s.holdStep(co.Order) {
-		s.SetStep(s.ctrl.ClampStep(s.HUsed, s.HUsed))
-		return
-	}
-	s.SetStep(s.ctrl.ClampStep(s.ctrl.NextStep(ps.Method, co.Order, norm, s.HUsed, co.H1, s.HUsed), s.HUsed))
 }
 
 // holdStep reports whether the step after an accepted point of the given
@@ -395,7 +419,7 @@ func (s *Stepper) Totals() Stats {
 }
 
 // Snapshot is Capture for the single-solver engines.
-func (s *Stepper) Snapshot() *checkpoint.State { return s.Capture(s.Totals(), 0) }
+func (s *Stepper) Snapshot() *checkpoint.State { return s.Capture(s.Totals()) }
 
 // Result assembles the run outcome — final, or partial beside an error —
 // from the controller state and the engine's totals.

@@ -26,7 +26,7 @@ func runStepper(t *testing.T, delay, tstop float64) *Stepper {
 		t.Fatal(err)
 	}
 	s := newStepper(t, sys, tstop)
-	if _, err := s.Start(); err != nil {
+	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	for !s.Done() {

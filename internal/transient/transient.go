@@ -145,7 +145,8 @@ type Stats struct {
 	Recoveries int `json:"recoveries"` // points rescued by the convergence-recovery ladder
 	// WorkerPanics counts pipeline-stage worker panics converted to typed
 	// errors; DegradedStages counts stages the pipeline ran serially because
-	// of degradation (not counting post-breakpoint warmup).
+	// of degradation (not counting the refill of the LTE stencil after the
+	// start or a restart).
 	WorkerPanics   int `json:"workerPanics"`
 	DegradedStages int `json:"degradedStages"`
 	// Factorization accounting (filled from the sparse solver counters):
@@ -333,10 +334,8 @@ type PointSolver struct {
 	warmAlpha0 float64
 	warmValid  bool
 
-	// pred is the polynomial predictor's scratch; LTE holds the divided-
-	// difference scratch of the engines' acceptance checks.
+	// pred is the polynomial predictor's scratch.
 	pred predictor
-	LTE  integrate.LTEScratch
 
 	// ptPool recycles Point buffers (X/Q/Qdot) through takePoint/PutPoint.
 	// predRing backs PredictPoint's speculative full-point predictions: a
@@ -840,7 +839,7 @@ func RunOn(ws *circuit.Workspace, opts Options) (result *Result, runErr error) {
 	}
 	s := NewStepper(ws.Sys, ps, &opts, "transient")
 	defer s.Flush(s.Snapshot, &runErr)
-	if _, err := s.Start(); err != nil {
+	if err := s.Start(); err != nil {
 		return nil, err
 	}
 	for !s.Done() {

@@ -29,7 +29,7 @@ func runStages(sys *circuit.System, opts Options, visit func(e *engine)) error {
 	visit(e)
 	for !e.s.Done() {
 		e.s.Stage++
-		if err := e.stage(e.warmup > 0 || e.degraded > 0); err != nil {
+		if err := e.stage(); err != nil {
 			return err
 		}
 		visit(e)

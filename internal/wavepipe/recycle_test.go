@@ -133,6 +133,29 @@ func TestRecycledPointsAreNeverStillHeld(t *testing.T) {
 		}
 		return sys, b.TStop
 	}
+	// split is a time strictly between the backward and the main point of
+	// the first Backward stage past t0 of a clean run of name over tstop
+	// whose points are all later than every point planned before it: a
+	// Newton fault armed from there fails that main point and spares its
+	// backward partner, the failed-main path.
+	split := func(name string, tstop, t0 float64) float64 {
+		sys, _ := build(name)
+		seen, after := 0.0, 0.0
+		err := runStages(sys, Options{Base: transient.Options{TStop: tstop}, Scheme: SchemeBackward}, func(e *engine) {
+			p := &e.p
+			if e.s.Stage == 0 || after > 0 {
+				return
+			}
+			if p.back.planned() && p.back.t >= t0 && p.back.t > seen {
+				after = (p.back.t + p.main.t) / 2
+			}
+			seen = max(seen, p.main.t)
+		})
+		if err != nil || after == 0 {
+			t.Fatalf("%s: no Backward stage past %g to split (%v)", name, t0, err)
+		}
+		return after
+	}
 	type run struct {
 		circuit string
 		horizon float64 // fraction of the suite horizon
@@ -144,7 +167,7 @@ func TestRecycledPointsAreNeverStillHeld(t *testing.T) {
 		{circuit: "rect1k", horizon: 0.25},
 		{circuit: "ekv30", horizon: 0.5, faults: func(tstop float64) *faults.Injector {
 			return faults.NewInjector(faults.Rule{
-				Class: faults.NoConvergence, Site: faults.SiteNewton, After: 0.2 * tstop, Count: 12,
+				Class: faults.NoConvergence, Site: faults.SiteNewton, After: split("ekv30", tstop, 0.2*tstop), Count: 12,
 				SpareFrom: faults.StageDamping,
 			})
 		}},

@@ -1,6 +1,7 @@
 package wavepipe
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -101,13 +102,21 @@ func TestPipelineSurvivesWorkerPanics(t *testing.T) {
 	}
 }
 
+// refilled is the time of the last point of the rectifier's refill from its
+// DC point: the three flush stages that fill the Gear-2 LTE stencil, after
+// which the first pipelined stage solves its points strictly later.
+func refilled(t *testing.T) float64 {
+	return runRectifier(t, nil).W.Times[3]
+}
+
 // The fence is per task, not per goroutine: when both tasks of a round panic
 // at once, one of them does so on the gang member beside the caller, and each
 // is caught on its own slot. The firing log proves they shared a round: its
-// two times are exactly the two targets of the first stage's plan (a panic in
-// a later flush stage would repeat the main time).
+// two times are exactly the two targets of the first pipelined stage's plan
+// (a panic in a later flush stage would repeat the main time).
 func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
-	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: Width})
+	t0 := refilled(t)
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, After: math.Nextafter(t0, 1), Count: Width})
 	res := checkFaulted(t, in)
 	if res.Stats.WorkerPanics != Width {
 		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, Width)
@@ -117,17 +126,17 @@ func TestPipelineSurvivesPanicsOnEveryGangMember(t *testing.T) {
 		fired = append(fired, f.T)
 	}
 	sort.Float64s(fired)
-	p := planStage(SchemeForward, false, 0, fired[0], false, 3e-3, false)
+	p := planStage(SchemeForward, false, t0, fired[0], false, 3e-3, false)
 	want := []float64{p.main.t, p.fwd.t}
 	if !slices.Equal(fired, want) {
-		t.Fatalf("panics fired at %v, first stage's targets are %v", fired, want)
+		t.Fatalf("panics fired at %v, first pipelined stage's targets are %v", fired, want)
 	}
 }
 
 // A panic in the flush stage itself — the third firing, after a whole round
 // went down — is fenced like any other and costs a step shrink, not the run.
 func TestFlushStagePanicIsContained(t *testing.T) {
-	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, Count: Width + 1})
+	in := faults.NewInjector(faults.Rule{Class: faults.WorkerPanic, After: math.Nextafter(refilled(t), 1), Count: Width + 1})
 	res := checkFaulted(t, in)
 	if res.Stats.WorkerPanics != Width+1 {
 		t.Fatalf("%d panics counted, want %d", res.Stats.WorkerPanics, Width+1)

@@ -221,11 +221,18 @@ func (e *engine) publishBack(hist *integrate.History, tg target) {
 // true t1 point exists, before its LTE check. Accuracy is protected by
 // re-solving the forward point against the exact history and LTE-checking
 // every accepted point against the history it was solved from.
-func (e *engine) stage(flush bool) error {
+//
+// A stage is a flush stage while the history is short of the order+2 points
+// the LTE test needs — after the start and after every restart — because
+// speculative points would be accepted blind; like a hardware pipeline after
+// a branch, it refills one point a stage. The degradation window (see
+// degrade) is the same flush stage.
+func (e *engine) stage() error {
 	s := e.s
 	hist := s.Hist
+	refill := hist.Len() < e.base.Method.Order()+2
 	tMain, hitBp := s.Plan()
-	e.p = planStage(e.opts.Scheme, flush, s.T, tMain, hitBp, s.Limit(), e.solvers[0].WS.Sys.Linear())
+	e.p = planStage(e.opts.Scheme, refill || e.degraded > 0, s.T, tMain, hitBp, s.Limit(), e.solvers[0].WS.Sys.Linear())
 	p := &e.p
 	e.depth = e.warmDepth()
 
@@ -294,40 +301,32 @@ func (e *engine) stage(flush bool) error {
 	if p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
 	}
-	if e.landed(p.hitBp, main.co.H0) {
+	if e.land(p.hitBp, main, mainNorm) {
 		return nil
 	}
-	if p.flush { // one stage of the refill, or of the fallback window, done
-		if e.warmup > 0 {
-			e.warmup--
-		} else {
-			e.degraded--
-			e.degradedStages++
-		}
+	if p.flush && !refill { // one stage of the fallback window done
+		e.degraded--
+		e.degradedStages++
 	}
 
 	// The forward point. It passes the same LTE bar as everything else; a
 	// stricter bar was tried and bought no measurable accuracy while
-	// discarding ~15% more points (see EXPERIMENTS.md).
-	last, lastNorm := main, mainNorm // the anchor the next step is sized from
-	if p.fwd.planned() {
-		fwd := &e.res[p.fwd.solver]
-		if fwd.err != nil {
-			e.noteDiscards(p.fwd.t, 1)
-		} else if norm := e.lte(trueHist, fwd); norm > 1 {
-			// The forward point's LTE feedback still guides the next step.
-			e.noteDiscards(p.fwd.t, 1)
-			e.recycle(p.fwd)
-			e.s.Reject(p.fwd.t, fwd.co, norm)
-			return nil
-		} else {
-			e.accept(fwd.pt, p.fwd.solver)
-			if e.landed(p.fwdHitsBp, fwd.co.H0) {
-				return nil
-			}
-			last, lastNorm = fwd, norm
-		}
+	// discarding ~15% more points (see EXPERIMENTS.md). Accepted, it is the
+	// anchor the next step is sized from instead of main; rejected, its LTE
+	// feedback still guides the next step.
+	if !p.fwd.planned() {
+		return nil
 	}
-	e.nextStep(last.co.H0, lastNorm, last.co.H1)
+	fwd := &e.res[p.fwd.solver]
+	if fwd.err != nil {
+		e.noteDiscards(p.fwd.t, 1)
+	} else if norm := e.lte(trueHist, fwd); norm > 1 {
+		e.noteDiscards(p.fwd.t, 1)
+		e.recycle(p.fwd)
+		e.s.Reject(p.fwd.t, fwd.co, norm)
+	} else {
+		e.accept(fwd.pt, p.fwd.solver)
+		e.land(p.fwdHitsBp, fwd, norm)
+	}
 	return nil
 }

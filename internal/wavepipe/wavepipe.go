@@ -29,7 +29,6 @@ package wavepipe
 
 import (
 	"fmt"
-	"time"
 
 	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/circuit"
@@ -115,14 +114,14 @@ func (e *engine) close() { e.gang.Close() }
 
 // start builds the step controller and establishes the first point. The
 // controller is built on solver 0: it solves every flush stage — the refill
-// after a breakpoint, the fallback after a failure — and climbs the recovery
+// after the start or a breakpoint, the fallback after a failure — and climbs the recovery
 // ladder, so its workspace holds the limiting and factorization state a
 // resume restores. Which solver owns the main point of a pipelined stage is
 // the plan's business (see planStage). Coordinator events carry no lane.
 func (e *engine) start(sys *circuit.System) (err error) {
 	e.s = transient.NewStepper(sys, e.solvers[0], &e.base, "wavepipe")
 	e.s.Worker = -1
-	if e.warmup, err = e.s.Start(); err != nil {
+	if err = e.s.Start(); err != nil {
 		return err
 	}
 	// The first points come from no solver's pool; solver 0 takes them.
@@ -151,13 +150,7 @@ func (e *engine) run(sys *circuit.System) (result *transient.Result, runErr erro
 			return e.result(), err
 		}
 		e.s.Stage++
-		// Pipeline flush: after a waveform discontinuity the truncation-error
-		// checks have no valid history, so speculative points would be accepted
-		// blind. Like a hardware pipeline after a branch, refill one point per
-		// stage until LTE control re-engages. The same flush stage is the
-		// degradation fallback after worker panics or repeated stage failures
-		// (see degrade).
-		if err := e.stage(e.warmup > 0 || e.degraded > 0); err != nil {
+		if err := e.stage(); err != nil {
 			return e.result(), err
 		}
 	}
@@ -187,7 +180,7 @@ func (e *engine) totals() transient.Stats {
 }
 
 // capture snapshots the engine at a committed stage boundary.
-func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals(), e.warmup) }
+func (e *engine) capture() *checkpoint.State { return e.s.Capture(e.totals()) }
 
 // result assembles the (possibly partial) run outcome from the engine state.
 func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
@@ -203,9 +196,9 @@ type engine struct {
 
 	solvers []*transient.PointSolver
 	// s is the run's step controller (history, waveform, step position,
-	// breakpoints, checkpoint cadence), shared with the serial engine.
-	s      *transient.Stepper
-	warmup int // flush stages remaining after a breakpoint
+	// breakpoints, checkpoint cadence, step sizing), shared with the serial
+	// engine.
+	s *transient.Stepper
 
 	// Scheduling state: the stage gang the rounds run on (as wide as the
 	// pipeline, or as the core budget let it be) and whether any round had to
@@ -232,14 +225,9 @@ type engine struct {
 	critNanos      int64
 	emaIters       float64 // rolling main-solve Newton iteration count
 
-	// Coordinator-side scratch: the LTE checks and step selection run on the
-	// coordinator between parallel phases, so one set of buffers makes the
-	// per-stage bookkeeping allocation-free. trueHist is round B's history and
-	// pred the forward solver's predicted one (see stage.go), refilled each
-	// stage.
-	ltePts   []*integrate.Point
-	tailBuf  []*integrate.Point
-	lteScr   integrate.LTEScratch
+	// Coordinator-side scratch, refilled each stage so the per-stage
+	// bookkeeping is allocation-free: trueHist is round B's history and pred
+	// the forward solver's predicted one (see stage.go).
 	trueHist integrate.History
 	pred     integrate.History
 
@@ -293,22 +281,11 @@ type pointResult struct {
 }
 
 // lte is the truncation-error norm of a candidate against the history it was
-// solved from, estimating the derivative from spaced points (see
-// History.AppendSpacedTail) while keeping the candidate's true trailing
-// spacing in the error coefficient.
+// solved from, estimating the derivative from points at least a quarter of
+// its step apart (see History.AppendSpacedTail) while keeping the
+// candidate's true trailing spacing in the error coefficient.
 func (e *engine) lte(hist *integrate.History, res *pointResult) float64 {
-	e.ltePts = hist.AppendSpacedTail(e.ltePts[:0], res.co.Order+1, res.co.H0/4)
-	e.ltePts = append(e.ltePts, res.pt)
-	if e.tr.Active() {
-		t0 := time.Now()
-		norm := e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: res.pt.T, Norm: norm,
-			Worker: -1, Stage: e.s.Stage, Dur: time.Since(t0).Nanoseconds(),
-		})
-		return norm
-	}
-	return e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
+	return e.s.Norm(hist, res.pt, res.co, res.co.H0/4)
 }
 
 // accept commits a point from owner's pool through the step controller. Any
@@ -369,38 +346,14 @@ func (e *engine) degrade(reason string) {
 	e.degraded = degradeWindow
 }
 
-// landed closes a stage whose last accepted point may sit on a breakpoint:
-// when it does and the landing needs one (see Stepper.RestartDue), the
-// controller restarts integration with a step bounded by lastStep and the
-// pipeline refills serially until the LTE checks have a full stencil again —
-// Gear-2 needs order+2 = 4 points, i.e. 3 accepted steps past the breakpoint
-// point. It reports whether the stage is over.
-func (e *engine) landed(hitBp bool, lastStep float64) bool {
-	if hitBp && e.s.RestartDue() {
-		e.release(e.s.Restart(lastStep)...)
-		e.warmup = 3
-		return true
-	}
-	e.s.AfterBreak = false
-	return false
-}
-
-// nextStep picks the step for the following stage from the accepted
-// anchor's LTE norm (see integrate.Control.NextStep), under the growth cap.
-// The cap is applied to the stage's main advance (hUsed), exactly as the
-// serial engine caps against its last step — the pipelining gain comes from
-// the relaxed LTE error coefficient (clustered trailing history enters
-// h1Next), not from weakening the cap.
-func (e *engine) nextStep(hUsed, norm, h1Solve float64) {
-	order := e.base.Method.Order()
-	e.tailBuf = e.s.Hist.AppendTail(e.tailBuf[:0], 2)
-	last := e.tailBuf
-	h1Next := 0.0
-	if len(last) == 2 {
-		h1Next = last[1].T - last[0].T
-	}
-	h := e.ctrl.NextStep(e.base.Method, order, norm, hUsed, h1Solve, h1Next)
-	e.s.SetStep(e.ctrl.ClampStep(h, hUsed))
+// land closes a stage's accepted anchor through the step controller (see
+// Stepper.Land): a breakpoint restart, whose truncated points go back to
+// their solvers' pools and after which the pipeline refills (see stage), or
+// the next step sized from the anchor. It reports whether it restarted.
+func (e *engine) land(hitBp bool, anchor *pointResult, norm float64) bool {
+	dropped, restarted := e.s.Land(hitBp, anchor.co, norm)
+	e.release(dropped...)
+	return restarted
 }
 
 // shrinkAfterFailure reduces the stage step after a pipelined stage's main

@@ -405,10 +405,10 @@ func (r *runner) coarseSweep() {
 		}
 		// Two independent deep copies: the fine window and the next
 		// coarse segment both consume (and mutate) their seed's history.
-		r.seedCh[k+1] <- seedFrom(end, r.tb[k+2], r.restartH(end.T, end.HUsed), 3)
+		r.seedCh[k+1] <- seedFrom(end, r.tb[k+2], r.restartH(end.T, end.HUsed))
 		published++
 		if k+1 < r.opts.W-1 {
-			resume = seedFrom(end, r.tb[k+2], 0, 0)
+			resume = seedFrom(end, r.tb[k+2], 0)
 			// The coarse chain is NoLTE fixed-step: a truncated landing
 			// step must not leak into the next segment (NoLTE never grows
 			// the step back), so pin the segment's own coarse step. The
@@ -434,15 +434,13 @@ func (r *runner) coarseSweep() {
 // post-edge restart (AfterBreak): the engine that produced it saw a zero
 // gap beyond its own horizon, and the coordinator knows the true gap to
 // the next global breakpoint. A full-order continuation state keeps its
-// own LTE-chosen step. warmup is the pipeline refill depth for pipelined
-// fine engines (the serial engine ignores it).
-func seedFrom(st *checkpoint.State, tEnd, hOverride float64, warmup int) *checkpoint.State {
+// own LTE-chosen step.
+func seedFrom(st *checkpoint.State, tEnd, hOverride float64) *checkpoint.State {
 	s := *st
 	s.TStop = tEnd
-	s.Warmup = warmup
 	if hOverride > 0 && s.AfterBreak {
 		// The consuming Stepper reads the seed's step through SetStep, as
-		// the uninterrupted run's Restart would have set it.
+		// the uninterrupted run's Land would have set it.
 		s.H = hOverride // checkpoint.State
 	}
 	s.Stats = make([]int64, checkpoint.Counters)
@@ -577,7 +575,7 @@ func (r *runner) worker(w int) {
 			}
 		}
 	}
-	rseed := seedFrom(pred.state, r.tb[w+1], r.restartH(pred.state.T, pred.state.HUsed), 3)
+	rseed := seedFrom(pred.state, r.tb[w+1], r.restartH(pred.state.T, pred.state.HUsed))
 	r.acquire()
 	rec.redoRes, rec.end, rec.err = r.fineWindow(w, rseed)
 	r.release()

@@ -88,12 +88,12 @@ func TestSeedFromPreservesLU(t *testing.T) {
 		WaveTimes: []float64{0, 1e-9},
 		WaveData:  [][]float64{{0}, {1}},
 	}
-	s := seedFrom(st, 2e-9, 5e-12, 3)
+	s := seedFrom(st, 2e-9, 5e-12)
 	if s.LU == nil {
 		t.Fatal("seed dropped the LU snapshot")
 	}
-	if s.TStop != 2e-9 || s.Warmup != 3 {
-		t.Fatalf("seed horizon/warmup: %+v", s)
+	if s.TStop != 2e-9 {
+		t.Fatalf("seed horizon: %+v", s)
 	}
 	if s.H != 5e-12 {
 		t.Fatalf("post-edge restart state must take the coordinator's step, got %g", s.H)
@@ -108,7 +108,7 @@ func TestSeedFromPreservesLU(t *testing.T) {
 	}
 	// A full-order continuation state (AfterBreak false) keeps its own step.
 	st.AfterBreak = false
-	if s2 := seedFrom(st, 2e-9, 5e-12, 0); s2.H != st.H {
+	if s2 := seedFrom(st, 2e-9, 5e-12); s2.H != st.H {
 		t.Fatalf("continuation state step overridden: %g", s2.H)
 	}
 }

@@ -58,39 +58,43 @@ var suiteWaveformHashes = map[string]uint64{
 // ensemble lanes (scale 1, 1.05, 1.1; one hash per lane) and a strict
 // four-window run. Generated on the commit before that fold (go1.24
 // linux/amd64), keyed "config/circuit"; a scheme's key names the points its
-// stage solves, two for backward2 and forward2.
+// stage solves, two for backward2 and forward2. Every backward2/ and
+// forward2/ row was regenerated when the pipeline's step came to be sized by
+// the serial engine's rule (transient.Stepper.Land: the held step, the refill
+// from the LTE stencil, t = 0 included) and the sizing spacing was floored
+// at the zero-stable step ratio (integrate.Control.NextStep).
 var engineWaveformHashes = map[string]uint64{
-	"backward2/grid16":      0xf48f678156d279d2,
-	"forward2/grid16":       0x14d6fa160b7020a1,
+	"backward2/grid16":      0x035e0c72667dc8a8,
+	"forward2/grid16":       0x295aa9372809769d,
 	"lane0/grid16":          0xeff6c42291956439,
 	"lane1/grid16":          0x6102c77ec86e9a5e,
 	"lane2/grid16":          0x6e31491f7c8f2f76,
-	"backward2/grid24":      0xc319061fc6748e6a,
-	"forward2/grid24":       0x37af3d66ca4dbe07,
-	"backward2/grid32":      0x944a04b3cb42ec2d,
-	"forward2/grid32":       0x0b87316dab793aa7,
-	"backward2/ladder400":   0xd84fc150cf3e07ad,
-	"forward2/ladder400":    0xbbdaf38527c020f7,
-	"backward2/rlctree8":    0x62d3052c4feaa378,
-	"forward2/rlctree8":     0x75103fc5ee81cc12,
-	"backward2/rect1k":      0xbff997181d20836d,
-	"forward2/rect1k":       0xcd1a7949b028681d,
+	"backward2/grid24":      0x055423ea95db044d,
+	"forward2/grid24":       0x5d6079fd9914d82d,
+	"backward2/grid32":      0x6309192f715fce71,
+	"forward2/grid32":       0xa3cdacce51ef8cf9,
+	"backward2/ladder400":   0xe1357561a237373c,
+	"forward2/ladder400":    0x95bf23ff89fe8d35,
+	"backward2/rlctree8":    0x7a7825cf55181d61,
+	"forward2/rlctree8":     0x40a5826391fcb65f,
+	"backward2/rect1k":      0xc68408c8c9551057,
+	"forward2/rect1k":       0x59fd5448e9b22bea,
 	"windows4strict/rect1k": 0xa143067088e49205,
-	"backward2/amp10M":      0x6b3dfa24c40075e2,
-	"forward2/amp10M":       0x1640a97c341659fd,
-	"backward2/ring9":       0x2f155ec070a60e31,
-	"forward2/ring9":        0xb905eb720037e578,
-	"backward2/inv50":       0x450695d27b85be75,
-	"forward2/inv50":        0x6307a685bbe2cbfd,
-	"backward2/nand5":       0xf56cce877c00bd39,
-	"forward2/nand5":        0x19873d828ba3d14b,
-	"backward2/ekv30":       0x033becf36e56852d,
-	"forward2/ekv30":        0xc667a288d976e8a8,
+	"backward2/amp10M":      0x10833ab08549f52c,
+	"forward2/amp10M":       0x225ed093634e82c7,
+	"backward2/ring9":       0xffd742dea5dd9011,
+	"forward2/ring9":        0x8b93f966eee7cd69,
+	"backward2/inv50":       0xa3d6ae92710e742f,
+	"forward2/inv50":        0x8e393a0a9f7fb7de,
+	"backward2/nand5":       0xe1d3590ab30461fc,
+	"forward2/nand5":        0xe9f3a8dc41b512c9,
+	"backward2/ekv30":       0x4389decf2b19edda,
+	"forward2/ekv30":        0xd9f6df9e3a37af17,
 	"lane0/ekv30":           0x1605e7a1b1c9ee53,
 	"lane1/ekv30":           0x1605e7a1b1c9ee53,
 	"lane2/ekv30":           0x1605e7a1b1c9ee53,
-	"backward2/ecl8":        0x94c1b8594231b363,
-	"forward2/ecl8":         0xeb54916f777a2495,
+	"backward2/ecl8":        0x4a0e92eff6f89dc9,
+	"forward2/ecl8":         0x806ea4e5754795f9,
 }
 
 // iterationWaveformHashes pins the configuration the Newton-iteration fold

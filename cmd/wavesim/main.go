@@ -139,7 +139,7 @@ func main() {
 	flag.IntVar(&cfg.threads, "threads", 0, "gang width for -lanes (0 = default); a pipelined scheme runs at its own width, 2, and refuses any other value")
 	flag.IntVar(&cfg.cores, "cores", 0, "cap on the cores the run occupies at once: pipeline workers and concurrent windows (0 = unmanaged)")
 	flag.StringVar(&cfg.tstop, "tstop", "", "override the deck's .TRAN stop time (SPICE units, e.g. 10u)")
-	flag.StringVar(&cfg.method, "method", "gear2", "integration method: gear2, trap, be")
+	flag.StringVar(&cfg.method, "method", "gear2", "integration method: "+strings.Join(wavepipe.MethodNames(), ", "))
 	flag.StringVar(&cfg.probes, "probe", "", "comma-separated node names to record (default: all nodes)")
 	flag.StringVar(&cfg.interval, "interval", "", "resample transient output uniformly at this interval (e.g. 1u); default: the solver's own time points")
 	flag.StringVar(&cfg.outPath, "o", "", "CSV output file (default: stdout)")

@@ -150,7 +150,7 @@ func TestResampledOutput(t *testing.T) {
 func TestTstopOverrideAndMethods(t *testing.T) {
 	deck := writeDeck(t, simDeck)
 	out := filepath.Join(t.TempDir(), "o.csv")
-	for _, method := range []string{"gear2", "trap", "be"} {
+	for _, method := range []string{"gear2", "trap"} {
 		err := runCfg(t, runConfig{
 			deckPath: deck, analysis: "tran", scheme: "serial", method: method,
 			tstop: "5u", probes: "out", outPath: out, stats: true,
@@ -163,6 +163,21 @@ func TestTstopOverrideAndMethods(t *testing.T) {
 		last := strings.SplitN(lines[len(lines)-1], ",", 2)[0]
 		if !strings.HasPrefix(last, "5e-06") && !strings.HasPrefix(last, "4.99") {
 			t.Fatalf("%s: tstop override not honoured, last t=%s", method, last)
+		}
+	}
+	// Backward Euler is no method: -method be (any case) is refused, with
+	// the accepted names, before anything runs or a row is written.
+	for _, method := range []string{"be", "BE"} {
+		beOut := filepath.Join(t.TempDir(), "be.csv")
+		err := runCfg(t, runConfig{
+			deckPath: deck, analysis: "tran", scheme: "serial", method: method,
+			tstop: "5u", probes: "out", outPath: beOut,
+		})
+		if err == nil || exitCodeFor(err) == exitOK || !strings.Contains(err.Error(), "(gear2, trap)") {
+			t.Fatalf("-method %s: %v, want a refusal naming gear2 and trap", method, err)
+		}
+		if fi, statErr := os.Stat(beOut); statErr == nil && fi.Size() != 0 {
+			t.Fatalf("-method %s wrote %d bytes to %s", method, fi.Size(), beOut)
 		}
 	}
 }

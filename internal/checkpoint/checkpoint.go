@@ -35,7 +35,7 @@ import (
 const (
 	// Version is the current checkpoint format version; Decode refuses any
 	// other.
-	Version = 3
+	Version = 4
 	// Counters is the length of State.Stats: one slot per counter of
 	// transient.Stats, in the order its counter list gives them (transient
 	// returns that list as a [Counters] array, so the two cannot disagree).

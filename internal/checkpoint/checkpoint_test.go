@@ -164,26 +164,42 @@ func TestDecodeWrongVersion(t *testing.T) {
 	}
 }
 
-// The byte offsets of a Version 3 file: the header (magic, version), the
+// The byte offsets of a Version 4 file: the header (magic, version), the
 // fingerprint, TStop and method, then the engine position (T, H, HUsed,
 // AfterBreak).
 const (
-	v3Header   = 8
-	v3Head     = 16 + 8 + 4
-	v3Position = 3*8 + 1
+	v4Header   = 8
+	v4Head     = 16 + 8 + 4
+	v4Position = 3*8 + 1
 )
+
+// reseal writes version into b's header and the payload's CRC into its
+// trailer.
+func reseal(b []byte, version uint32) []byte {
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[v4Header:len(b)-4]))
+	return b
+}
+
+// encodeVersion3 lays s out as format Version 3 did: Version 4's slots, but
+// the method numbered as Version 3 numbered it (backward Euler 0,
+// trapezoidal 1, Gear2 2), where Version 4 has Gear2 0 and trapezoidal 1.
+func encodeVersion3(s *State) []byte {
+	b := Encode(s)
+	v3Method := [...]uint32{integrate.Gear2: 2, integrate.Trapezoidal: 1}[s.Method]
+	binary.LittleEndian.PutUint32(b[v4Header+v4Head-4:], v3Method)
+	return reseal(b, 3)
+}
 
 // encodeVersion2 lays s out as format Version 2 did: a u32 pipeline warm-up
 // depth after the engine position, the rest as in Version 3.
 func encodeVersion2(s *State) []byte {
-	v3 := Encode(s)
-	at := v3Header + v3Head + v3Position
+	v3 := encodeVersion3(s)
+	at := v4Header + v4Head + v4Position
 	e := &enc{b: append([]byte(nil), v3[:at]...)}
-	binary.LittleEndian.PutUint32(e.b[4:], 2)
 	e.u32(3) // warm-up
-	e.b = append(e.b, v3[at:len(v3)-4]...)
-	e.u32(crc32.ChecksumIEEE(e.b[v3Header:]))
-	return e.b
+	e.b = append(e.b, v3[at:]...)
+	return reseal(e.b, 2)
 }
 
 // encodeVersion1 lays s out as format Version 1 did: a scheme slot after the
@@ -192,26 +208,24 @@ func encodeVersion2(s *State) []byte {
 // Version 3 has its counter vector; the rest of the payload is laid out as
 // in Version 3.
 func encodeVersion1(s *State) []byte {
-	v3 := Encode(s)
-	at := v3Header + v3Head
+	v3 := encodeVersion3(s)
+	at := v4Header + v4Head
 	e := &enc{b: append([]byte(nil), v3[:at]...)}
-	binary.LittleEndian.PutUint32(e.b[4:], 1)
 	e.u32(0) // scheme
-	e.b = append(e.b, v3[at:at+v3Position]...)
+	e.b = append(e.b, v3[at:at+v4Position]...)
 	e.u32(0) // warm-up
 	for range 1 + 20 {
 		e.u64(0)
 	}
 	e.boolByte(false)
-	e.b = append(e.b, v3[at+v3Position+8*Counters:len(v3)-4]...)
-	e.u32(crc32.ChecksumIEEE(e.b[v3Header:]))
-	return e.b
+	e.b = append(e.b, v3[at+v4Position+8*Counters:]...)
+	return reseal(e.b, 1)
 }
 
 // Version 2 dropped Version 1's retired slots and its scheme slot, so a
 // Version 1 file — intact, its CRC right — is refused, not read.
 func TestDecodeRefusesVersion1(t *testing.T) {
-	_, err := Decode(encodeVersion1(testState(t)))
+	_, err := Decode(encodeVersion1(gear2State(t)))
 	wantBadCheckpoint(t, err, "version 1")
 	if !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("error %v does not name version 1", err)
@@ -222,11 +236,36 @@ func TestDecodeRefusesVersion1(t *testing.T) {
 // follows from the history), so an intact Version 2 file is refused, not
 // read with its fields shifted.
 func TestDecodeRefusesVersion2(t *testing.T) {
-	_, err := Decode(encodeVersion2(testState(t)))
+	_, err := Decode(encodeVersion2(gear2State(t)))
 	wantBadCheckpoint(t, err, "version 2")
 	if !strings.Contains(err.Error(), "unsupported version 2") {
 		t.Fatalf("error %v does not name version 2", err)
 	}
+}
+
+// Version 4 renumbers the method (Gear2, the default, is 0; backward Euler
+// is no method), so an intact Version 3 file is refused, not resumed under
+// whatever method its number now names.
+func TestDecodeRefusesVersion3(t *testing.T) {
+	_, err := Decode(encodeVersion3(gear2State(t)))
+	wantBadCheckpoint(t, err, "version 3")
+	if !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("error %v does not name version 3", err)
+	}
+	// The file is intact: under the current header it decodes, to the number
+	// Version 3 gave Gear2, which names no method now.
+	got, err := Decode(reseal(encodeVersion3(gear2State(t)), Version))
+	if err != nil || got.Method != 2 {
+		t.Fatalf("resealed Version 3 file: method %v, %v; want 2", got, err)
+	}
+}
+
+// gear2State is testState run under Gear2, a method every format version
+// has a number for.
+func gear2State(t *testing.T) *State {
+	s := testState(t)
+	s.Method = int(integrate.Gear2)
+	return s
 }
 
 // The counter vector is Counters long; a file carrying one counter more or

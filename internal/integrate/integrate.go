@@ -1,8 +1,8 @@
 // Package integrate provides the variable-step implicit integration
 // machinery shared by the serial and WavePipe transient engines: method
-// coefficients for backward Euler, trapezoidal and Gear-2 (BDF2), solution
-// history, local-truncation-error (LTE) estimation with variable-step error
-// constants, and step-size selection.
+// coefficients for trapezoidal and Gear-2 (BDF2) with a backward-Euler
+// start-up step, solution history, local-truncation-error (LTE) estimation
+// with variable-step error constants, and step-size selection.
 //
 // The discretization replaces d/dt q(x) at the new time point by
 //
@@ -26,37 +26,35 @@ import (
 	"wavepipe/internal/num"
 )
 
-// Method selects the implicit integration formula.
+// Method selects the implicit integration formula. Both methods are second
+// order; the zero value, Gear2, is the default.
 type Method int
 
 // Supported integration methods.
 const (
-	BackwardEuler Method = iota
+	Gear2 Method = iota
 	Trapezoidal
-	Gear2
 )
 
-// String returns the method name.
+// Order is the order of accuracy of every Method. Only the start-up step
+// from a one-point history (the start and every restart) is first order:
+// backward Euler, whatever the method.
+const Order = 2
+
+// names is the one name table: String reads it, and Names hands it to the
+// parsers of the command line and the wire.
+var names = [...]string{Gear2: "gear2", Trapezoidal: "trap"}
+
+// String returns the method name, or "unknown" for a value that names none.
 func (m Method) String() string {
-	switch m {
-	case BackwardEuler:
-		return "be"
-	case Trapezoidal:
-		return "trap"
-	case Gear2:
-		return "gear2"
-	default:
+	if m < 0 || int(m) >= len(names) {
 		return "unknown"
 	}
+	return names[m]
 }
 
-// Order returns the asymptotic order of accuracy of the method.
-func (m Method) Order() int {
-	if m == BackwardEuler {
-		return 1
-	}
-	return 2
-}
+// Names returns every method's name, indexed by the Method.
+func Names() []string { return append([]string(nil), names[:]...) }
 
 // Point is one accepted solution point. Points are immutable once published
 // and may be shared freely between workers.
@@ -182,17 +180,15 @@ func (h *History) Truncate() []*Point {
 
 // Coeffs holds the discretization at one new time point.
 type Coeffs struct {
-	Method Method
-	Order  int     // effective order (BE startup may lower it)
+	Order  int     // effective order (1 on the backward-Euler start-up step)
 	Alpha0 float64 // coefficient of q(x_new)
 	H0     float64 // step to the new point
 	H1     float64 // previous spacing (0 during startup)
 }
 
 // Compute returns the discretization coefficients and fills qhist (length
-// of the system) so that qdot_new = Alpha0·q_new + qhist. The effective
-// order degrades to backward Euler when the history is too short for the
-// requested method.
+// of the system) so that qdot_new = Alpha0·q_new + qhist. A one-point
+// history takes the backward-Euler start-up step, of order 1.
 func Compute(m Method, h *History, tNew float64, qhist []float64) (Coeffs, error) {
 	n := h.Len()
 	if n == 0 {
@@ -203,38 +199,29 @@ func Compute(m Method, h *History, tNew float64, qhist []float64) (Coeffs, error
 	if h0 <= 0 {
 		return Coeffs{}, fmt.Errorf("integrate: non-positive step %g", h0)
 	}
-	switch {
-	case m == BackwardEuler || n < 2:
+	if n < 2 {
 		a0 := 1 / h0
 		for i := range qhist {
 			qhist[i] = -last.Q[i] * a0
 		}
-		return Coeffs{Method: m, Order: 1, Alpha0: a0, H0: h0}, nil
-	case m == Trapezoidal:
+		return Coeffs{Order: 1, Alpha0: a0, H0: h0}, nil
+	}
+	prev := h.pts[n-2]
+	h1 := last.T - prev.T
+	if m == Trapezoidal {
 		a0 := 2 / h0
 		for i := range qhist {
 			qhist[i] = -a0*last.Q[i] - last.Qdot[i]
 		}
-		return Coeffs{Method: m, Order: 2, Alpha0: a0, H0: h0, H1: spacing(h)}, nil
-	default: // Gear2
-		prev := h.pts[n-2]
-		h1 := last.T - prev.T
-		a0 := (2*h0 + h1) / (h0 * (h0 + h1))
-		a1 := -(h0 + h1) / (h0 * h1)
-		a2 := h0 / (h1 * (h0 + h1))
-		for i := range qhist {
-			qhist[i] = a1*last.Q[i] + a2*prev.Q[i]
-		}
-		return Coeffs{Method: Gear2, Order: 2, Alpha0: a0, H0: h0, H1: h1}, nil
+		return Coeffs{Order: 2, Alpha0: a0, H0: h0, H1: h1}, nil
 	}
-}
-
-func spacing(h *History) float64 {
-	n := h.Len()
-	if n < 2 {
-		return 0
+	a0 := (2*h0 + h1) / (h0 * (h0 + h1)) // Gear2
+	a1 := -(h0 + h1) / (h0 * h1)
+	a2 := h0 / (h1 * (h0 + h1))
+	for i := range qhist {
+		qhist[i] = a1*last.Q[i] + a2*prev.Q[i]
 	}
-	return h.pts[n-1].T - h.pts[n-2].T
+	return Coeffs{Order: 2, Alpha0: a0, H0: h0, H1: h1}, nil
 }
 
 // ErrorCoefficient returns the LTE constant c(h0, h1) such that the local
@@ -242,7 +229,7 @@ func spacing(h *History) float64 {
 // two most recent history points (ignored where the formula is one-step).
 func ErrorCoefficient(m Method, order int, h0, h1 float64) float64 {
 	if order <= 1 {
-		return h0 * h0 / 2 // backward Euler: h²/2·x″
+		return h0 * h0 / 2 // the backward-Euler start-up: h²/2·x″
 	}
 	switch m {
 	case Trapezoidal:

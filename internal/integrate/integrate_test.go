@@ -11,13 +11,16 @@ func pt(t float64, x, q, qdot float64) *Point {
 	return &Point{T: t, X: []float64{x}, Q: []float64{q}, Qdot: []float64{qdot}}
 }
 
+// Gear2 is the zero Method; every value without a name is "unknown",
+// backward Euler's old number among them.
 func TestMethodMetadata(t *testing.T) {
-	if BackwardEuler.Order() != 1 || Trapezoidal.Order() != 2 || Gear2.Order() != 2 {
-		t.Fatal("orders")
-	}
-	if BackwardEuler.String() != "be" || Trapezoidal.String() != "trap" ||
-		Gear2.String() != "gear2" || Method(9).String() != "unknown" {
+	var zero Method
+	if zero != Gear2 || Trapezoidal.String() != "trap" || Gear2.String() != "gear2" ||
+		Method(2).String() != "unknown" || Method(-1).String() != "unknown" || Method(9).String() != "unknown" {
 		t.Fatal("names")
+	}
+	if n := Names(); len(n) != 2 || n[Gear2] != "gear2" || n[Trapezoidal] != "trap" {
+		t.Fatalf("Names() = %q", n)
 	}
 }
 
@@ -67,24 +70,23 @@ func TestHistoryAddOutOfOrderPanics(t *testing.T) {
 	h.Add(pt(0.5, 0, 0, 0))
 }
 
+// The start-up step: on a one-point history every method takes one
+// backward-Euler step, of order 1.
 func TestComputeBackwardEuler(t *testing.T) {
 	h := &History{}
 	h.Add(pt(0, 1, 3, 0))
-	qh := make([]float64, 1)
-	c, err := Compute(BackwardEuler, h, 0.5, qh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Order != 1 || math.Abs(c.Alpha0-2) > 1e-15 {
-		t.Fatalf("coeffs %+v", c)
-	}
-	if math.Abs(qh[0]-(-6)) > 1e-15 { // -q/h = -3/0.5
-		t.Fatalf("qhist = %v", qh)
-	}
-	// Gear2 with a single history point degrades to BE.
-	c, err = Compute(Gear2, h, 0.5, qh)
-	if err != nil || c.Order != 1 {
-		t.Fatalf("startup degradation: %+v, %v", c, err)
+	for _, m := range []Method{Gear2, Trapezoidal} {
+		qh := make([]float64, 1)
+		c, err := Compute(m, h, 0.5, qh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Order != 1 || math.Abs(c.Alpha0-2) > 1e-15 || c.H1 != 0 {
+			t.Fatalf("%v: coeffs %+v", m, c)
+		}
+		if math.Abs(qh[0]-(-6)) > 1e-15 { // -q/h = -3/0.5
+			t.Fatalf("%v: qhist = %v", m, qh)
+		}
 	}
 }
 
@@ -151,12 +153,14 @@ func TestErrorCoefficientLimits(t *testing.T) {
 	if ErrorCoefficient(Gear2, 2, h, h/10) >= ErrorCoefficient(Gear2, 2, h, h) {
 		t.Fatal("backward point must reduce the error constant")
 	}
-	// Trapezoidal and BE.
+	// Trapezoidal, and the backward-Euler start-up step of either method.
 	if got := ErrorCoefficient(Trapezoidal, 2, h, 0); math.Abs(got-h*h*h/12) > 1e-18 {
 		t.Fatalf("TR coeff = %g", got)
 	}
-	if got := ErrorCoefficient(BackwardEuler, 1, h, 0); math.Abs(got-h*h/2) > 1e-18 {
-		t.Fatalf("BE coeff = %g", got)
+	for _, m := range []Method{Gear2, Trapezoidal} {
+		if got := ErrorCoefficient(m, 1, h, 0); math.Abs(got-h*h/2) > 1e-18 {
+			t.Fatalf("%v start-up coeff = %g", m, got)
+		}
 	}
 	// h1 = 0 guard falls back to uniform.
 	if got, want := ErrorCoefficient(Gear2, 2, h, 0), 2*h*h*h/9; math.Abs(got-want) > 1e-18 {

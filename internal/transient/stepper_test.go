@@ -50,7 +50,7 @@ func TestStepperFinalLanding(t *testing.T) {
 	if plain.AfterBreak {
 		t.Error("plain-horizon landing restarted integration")
 	}
-	if n, want := plain.Hist.Len(), integrate.Gear2.Order()+2; n < want {
+	if n, want := plain.Hist.Len(), integrate.Order+2; n < want {
 		t.Errorf("plain-horizon landing kept %d history points, want the full LTE stencil (>= %d)", n, want)
 	}
 

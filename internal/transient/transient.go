@@ -111,9 +111,6 @@ func (o *Options) Stop(phase string, t float64) error {
 }
 
 func (o Options) WithDefaults() Options {
-	if o.Method == 0 {
-		o.Method = integrate.Gear2
-	}
 	if o.HInit <= 0 {
 		o.HInit = o.TStop * 1e-6
 	}

@@ -230,7 +230,7 @@ func (e *engine) publishBack(hist *integrate.History, tg target) {
 func (e *engine) stage() error {
 	s := e.s
 	hist := s.Hist
-	refill := hist.Len() < e.base.Method.Order()+2
+	refill := hist.Len() < integrate.Order+2
 	tMain, hitBp := s.Plan()
 	e.p = planStage(e.opts.Scheme, refill || e.degraded > 0, s.T, tMain, hitBp, s.Limit(), e.solvers[0].WS.Sys.Linear())
 	p := &e.p

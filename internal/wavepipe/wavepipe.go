@@ -63,8 +63,7 @@ func (s Scheme) String() string {
 // Options configures a WavePipe run.
 type Options struct {
 	// Base carries the underlying transient configuration (window, method,
-	// tolerances). Method must be Gear2 or Trapezoidal for second-order
-	// pipelining; Gear2 (the default) is what the paper analyses.
+	// tolerances). Gear2, the default, is what the paper analyses.
 	Base transient.Options
 	// Scheme selects backward or forward pipelining, and with it the stage:
 	// which points a stage solves (see planStage).

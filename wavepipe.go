@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"wavepipe/internal/checkpoint"
 	"wavepipe/internal/circuit"
@@ -117,14 +118,13 @@ const (
 	PMOS = device.PMOS
 )
 
-// Method selects the implicit integration formula.
+// Method selects the implicit integration formula; the zero value is Gear2.
 type Method = integrate.Method
 
 // Integration methods.
 const (
-	BackwardEuler = integrate.BackwardEuler
-	Trapezoidal   = integrate.Trapezoidal
-	Gear2         = integrate.Gear2
+	Gear2       = integrate.Gear2
+	Trapezoidal = integrate.Trapezoidal
 )
 
 // Scheme selects the simulation engine.
@@ -166,19 +166,22 @@ func ParseScheme(s string) (Scheme, error) {
 	}
 }
 
-// ParseMethod maps an integration-method name (as produced by Method.String)
-// back to the value.
+// MethodNames lists the integration-method names ParseMethod accepts, the
+// default first.
+func MethodNames() []string { return integrate.Names() }
+
+// ParseMethod maps an integration-method name (as produced by Method.String,
+// or "" for the default) back to the value.
 func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "gear2", "":
+	if s == "" {
 		return Gear2, nil
-	case "trap":
-		return Trapezoidal, nil
-	case "be":
-		return BackwardEuler, nil
-	default:
-		return 0, fmt.Errorf("wavepipe: unknown method %q (be, trap, gear2)", s)
 	}
+	for m, name := range integrate.Names() {
+		if s == name {
+			return Method(m), nil
+		}
+	}
+	return 0, fmt.Errorf("wavepipe: unknown method %q (%s)", s, strings.Join(MethodNames(), ", "))
 }
 
 // NewCircuit returns an empty circuit with the given title.
@@ -466,6 +469,9 @@ func (o TranOptions) validate() error {
 	}
 	if math.IsNaN(o.MaxStep) || o.MaxStep < 0 {
 		return fmt.Errorf("wavepipe: MaxStep must not be negative or NaN (got %g)", o.MaxStep)
+	}
+	if _, err := ParseMethod(o.Method.String()); err != nil {
+		return fmt.Errorf("wavepipe: Method %d is not an integration method (%s)", int(o.Method), strings.Join(MethodNames(), ", "))
 	}
 	if o.Threads < 0 {
 		return fmt.Errorf("wavepipe: Threads must not be negative (got %d)", o.Threads)

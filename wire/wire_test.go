@@ -121,6 +121,40 @@ func TestStatsRoundTripCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestMethodRoundTrip: a default job goes out with no method field, every
+// named method comes back as itself, and "be", which names no method, is
+// refused rather than run as the default.
+func TestMethodRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, FromJobSpec(wavepipe.JobSpec{Deck: "x"})); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"method"`)) {
+		t.Fatalf("a default job encodes a method: %s", buf.Bytes())
+	}
+	for _, name := range wavepipe.MethodNames() {
+		m, err := wavepipe.ParseMethod(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := FromJobSpec(wavepipe.JobSpec{Deck: "x", Options: wavepipe.TranOptions{Method: m}})
+		spec, err := req.ToJobSpec()
+		if err != nil || spec.Options.Method != m {
+			t.Fatalf("%s: round trip gave %v, %v", name, spec.Options.Method, err)
+		}
+	}
+	for _, name := range []string{"be", "BE"} {
+		doc := `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"method":"` + name + `"}}`
+		req, err := DecodeJobRequest(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.ToJobSpec(); err == nil || !strings.Contains(err.Error(), "(gear2, trap)") {
+			t.Fatalf("method %q: %v, want a refusal naming gear2 and trap", name, err)
+		}
+	}
+}
+
 func TestUnknownFieldRejected(t *testing.T) {
 	doc := `{"schemaVersion":1,"deck":"x","bogus":true}`
 	if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {

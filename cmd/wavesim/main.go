@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -135,7 +136,7 @@ type runConfig struct {
 func main() {
 	cfg := runConfig{}
 	flag.StringVar(&cfg.analysis, "analysis", "tran", "analysis: tran, ac, dc")
-	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: serial, backward, forward")
+	flag.StringVar(&cfg.scheme, "scheme", "serial", "engine: "+strings.Join(wavepipe.SchemeNames(), ", "))
 	flag.IntVar(&cfg.threads, "threads", 0, "gang width for -lanes (0 = default); a pipelined scheme runs at its own width, 2, and refuses any other value")
 	flag.IntVar(&cfg.cores, "cores", 0, "cap on the cores the run occupies at once: pipeline workers and concurrent windows (0 = unmanaged)")
 	flag.StringVar(&cfg.tstop, "tstop", "", "override the deck's .TRAN stop time (SPICE units, e.g. 10u)")
@@ -203,6 +204,31 @@ func reportFailure(w *os.File, res *wavepipe.Result, err error) {
 	}
 }
 
+// outFile is the -o file, created at its first write: a run refused or
+// failed before it has a result to write leaves an existing file as it was.
+type outFile struct {
+	path string
+	f    *os.File
+}
+
+func (o *outFile) Write(p []byte) (int, error) {
+	if o.f == nil {
+		f, err := os.Create(o.path)
+		if err != nil {
+			return 0, err
+		}
+		o.f = f
+	}
+	return o.f.Write(p)
+}
+
+func (o *outFile) Close() error {
+	if o.f == nil {
+		return nil
+	}
+	return o.f.Close()
+}
+
 // writeTrace exports a recorded event stream: JSONL for .jsonl paths, Chrome
 // trace_event JSON otherwise.
 func writeTrace(path string, rec *wavepipe.TraceRecorder) error {
@@ -249,12 +275,9 @@ func run(ctx context.Context, cfg runConfig) error {
 	if cfg.probes != "" {
 		record = strings.Split(cfg.probes, ",")
 	}
-	out := os.Stdout
+	var out io.Writer = os.Stdout
 	if cfg.outPath != "" {
-		f, err := os.Create(cfg.outPath)
-		if err != nil {
-			return err
-		}
+		f := &outFile{path: cfg.outPath}
 		defer f.Close()
 		out = f
 	}
@@ -416,7 +439,7 @@ func run(ctx context.Context, cfg runConfig) error {
 
 // writeTranResult renders a transient result: -interval resampling first,
 // then either the versioned wire JSON document (-json) or CSV.
-func writeTranResult(out *os.File, res *wavepipe.Result, cfg runConfig) error {
+func writeTranResult(out io.Writer, res *wavepipe.Result, cfg runConfig) error {
 	w := res.W
 	if cfg.interval != "" {
 		dt, err := netlist.ParseValue(cfg.interval)
@@ -438,7 +461,7 @@ func writeTranResult(out *os.File, res *wavepipe.Result, cfg runConfig) error {
 // runRemote ships the deck to a wavesimd instance and renders the result
 // exactly as a local run would. The service owns checkpointing, preemption
 // and artifact reuse; this path only submits, waits, and prints.
-func runRemote(ctx context.Context, cfg runConfig, src string, opts wavepipe.TranOptions, out *os.File) error {
+func runRemote(ctx context.Context, cfg runConfig, src string, opts wavepipe.TranOptions, out io.Writer) error {
 	c, err := client.New(cfg.remote, nil)
 	if err != nil {
 		return err
@@ -501,7 +524,7 @@ func parseSweep(spec string) (name string, lo, hi float64, err error) {
 // runLanes is the batched-ensemble path (-lanes / -sweep): K variants of
 // the deck run as serial runs on one gang sharing one symbolic analysis, and
 // each lane's waveform is written as its own CSV section under a "# lane" header.
-func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wavepipe.TranOptions, out *os.File, rec *wavepipe.TraceRecorder) error {
+func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wavepipe.TranOptions, out io.Writer, rec *wavepipe.TraceRecorder) error {
 	k := cfg.lanes
 	if k == 0 {
 		k = 8 // -sweep without -lanes: a reasonable corner count
@@ -593,7 +616,7 @@ func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wave
 
 // writeAC renders an AC result as CSV: frequency, then magnitude (dB) and
 // phase (degrees) per signal.
-func writeAC(out *os.File, res *wavepipe.ACResult) error {
+func writeAC(out io.Writer, res *wavepipe.ACResult) error {
 	fmt.Fprint(out, "freq")
 	for _, n := range res.Names {
 		fmt.Fprintf(out, ",%s_db,%s_deg", n, n)

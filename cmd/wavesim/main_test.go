@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -166,9 +167,14 @@ func TestTstopOverrideAndMethods(t *testing.T) {
 		}
 	}
 	// Backward Euler is no method: -method be (any case) is refused, with
-	// the accepted names, before anything runs or a row is written.
+	// the accepted names, before anything runs; the -o file an earlier run
+	// wrote keeps its bytes.
 	for _, method := range []string{"be", "BE"} {
 		beOut := filepath.Join(t.TempDir(), "be.csv")
+		earlier := []byte("time,out\n0,0\n")
+		if err := os.WriteFile(beOut, earlier, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		err := runCfg(t, runConfig{
 			deckPath: deck, analysis: "tran", scheme: "serial", method: method,
 			tstop: "5u", probes: "out", outPath: beOut,
@@ -176,8 +182,8 @@ func TestTstopOverrideAndMethods(t *testing.T) {
 		if err == nil || exitCodeFor(err) == exitOK || !strings.Contains(err.Error(), "(gear2, trap)") {
 			t.Fatalf("-method %s: %v, want a refusal naming gear2 and trap", method, err)
 		}
-		if fi, statErr := os.Stat(beOut); statErr == nil && fi.Size() != 0 {
-			t.Fatalf("-method %s wrote %d bytes to %s", method, fi.Size(), beOut)
+		if got, err := os.ReadFile(beOut); err != nil || !bytes.Equal(got, earlier) {
+			t.Fatalf("-method %s left %q in %s (%v), want the earlier %q", method, got, beOut, err, earlier)
 		}
 	}
 }

@@ -265,7 +265,9 @@ func (s *System) Linear() bool { return s.linear }
 // sparse.Solver.StoreBytes). A linear matrix is a function of Alpha0 alone: a
 // load keys its request by Alpha0 (Load), and the store answers a key it has
 // seen with no blend, hash or compare, and a new one from the matrix values
-// (two steps can blend to one matrix). A set costs its
+// (two steps can blend to one matrix). The values answer about 2 % of a
+// mesh's reuses, each for a key a few ulps from one stored: serial grid32 8
+// of 402, and without them it refactors 60 times, not 52. A set costs its
 // factors and one copy of the values, its keys next to nothing, so the working
 // set is the number of distinct matrices a run revisits. Measured on the
 // clocked meshes of the suite, serial, full horizon, under the minimum-fill

@@ -125,26 +125,14 @@ func (h *History) Last() *Point {
 	return h.pts[len(h.pts)-1]
 }
 
-// AppendTail appends up to the k most recent points (oldest first) to dst
-// and returns the extended slice, for inner loops that reuse a scratch
-// buffer across calls. The result may be appended to freely (engines append
-// candidate points for LTE checks) without aliasing the history's backing
-// array.
-func (h *History) AppendTail(dst []*Point, k int) []*Point {
-	if k > len(h.pts) {
-		k = len(h.pts)
-	}
-	return append(dst, h.pts[len(h.pts)-k:]...)
-}
-
 // AppendSpacedTail appends to dst up to k recent points (oldest first) whose
 // pairwise spacing is at least minSep, always including the most recent
-// point, and returns the extended slice. Divided-difference derivative
-// estimates on clustered stencils amplify solver noise by (span/minGap)², so
-// the engines estimate derivatives from spaced points even when the history
-// contains tightly clustered backward-pipelining points; the clustered
-// spacing still enters the LTE error *coefficient*, which is where the
-// WavePipe gain lives.
+// point, and returns the extended slice; at minSep 0 it is the plain tail.
+// Divided-difference derivative estimates on clustered stencils amplify
+// solver noise by (span/minGap)², so the LTE test estimates derivatives from
+// spaced points even when the history contains tightly clustered
+// backward-pipelining points; the clustered spacing still enters the LTE
+// error *coefficient*, which is where the WavePipe gain lives.
 func (h *History) AppendSpacedTail(dst []*Point, k int, minSep float64) []*Point {
 	start := len(dst)
 	for i := len(h.pts) - 1; i >= 0 && len(dst)-start < k; i-- {

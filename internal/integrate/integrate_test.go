@@ -34,9 +34,9 @@ func TestHistoryBasics(t *testing.T) {
 	if h.Len() != 2 || h.Last().T != 1 || h.At(0).T != 0 {
 		t.Fatal("add/last/at")
 	}
-	tail := h.AppendTail(nil, 5)
+	tail := h.AppendSpacedTail(nil, 5, 0)
 	if len(tail) != 2 {
-		t.Fatalf("AppendTail = %d points", len(tail))
+		t.Fatalf("AppendSpacedTail = %d points", len(tail))
 	}
 	var c History
 	c.Add(pt(-1, 0, 0, 0))
@@ -287,7 +287,7 @@ func TestSpacedTail(t *testing.T) {
 	if len(got) != 2 || got[1].T != 2.0 || got[0].T != 1.0 {
 		t.Fatalf("k-limited tail: %v %v", got[0].T, got[1].T)
 	}
-	// minSep 0 degenerates to Tail.
+	// minSep 0 is the plain tail.
 	if got := h.AppendSpacedTail(nil, 3, 0); len(got) != 3 || got[2].T != 2.0 || got[1].T != 1.96 {
 		t.Fatal("zero minSep should keep clustered points")
 	}

@@ -267,39 +267,38 @@ func (s *Stepper) Reject(t float64, co integrate.Coeffs, norm float64) {
 	s.SetStep(s.ctrl.ShrinkOnReject(co.H0, norm, co.Order))
 }
 
-// Commit publishes an accepted point reached by a step of h: history,
-// waveform row, OnAccept, the Points counter, the guard's heartbeat, and
-// last the accept event — emitted only after T, history and waveform agree,
-// because a panic unwinding out of an observer flushes a checkpoint that
-// must see a committed step. It returns the point that fell out of the
-// bounded history window; a caller whose solver is the history's sole owner
-// recycles it into the next solve.
-func (s *Stepper) Commit(pt *integrate.Point, h, norm float64) (evicted *integrate.Point) {
+// Commit publishes an accepted point, judged by norm, reached by the step
+// pt.T − T: history, waveform row, OnAccept, the Points counter, the guard's
+// heartbeat, and last the accept event — emitted only after T, history and
+// waveform agree, because a panic unwinding out of an observer flushes a
+// checkpoint that must see a committed step. It returns the point that fell
+// out of the bounded history window; a caller whose solver is the history's
+// sole owner recycles it into the next solve.
+func (s *Stepper) Commit(pt *integrate.Point, norm float64) (evicted *integrate.Point) {
 	evicted = s.Hist.Add(pt)
 	s.W.Append(pt.T, pt.X)
 	if s.opts.OnAccept != nil {
 		s.opts.OnAccept(pt.T, s.W.Data[len(s.W.Data)-1])
 	}
 	s.ps.Stats.Points++
-	s.T, s.HUsed = pt.T, h
+	s.T, s.HUsed = pt.T, pt.T-s.T
 	if s.opts.Guard.NoteAccept() {
 		s.ckptDue = true // snapshot at the next Poll, never mid-step
 	}
 	if s.tr.Active() {
-		s.tr.Emit(trace.Event{Kind: trace.KindAccept, T: pt.T, H: h, Norm: norm, Worker: s.Worker, Stage: s.Stage})
+		s.tr.Emit(trace.Event{Kind: trace.KindAccept, T: pt.T, H: s.HUsed, Norm: norm, Worker: s.Worker, Stage: s.Stage})
 	}
 	return evicted
 }
 
 // Norm is the LTE judgement of candidate pt, solved from hist with the
-// coefficients co: the dimensionless truncation-error norm over a stencil of
-// hist's order+1 latest points at least minSep apart, then pt. The serial
-// engine's stencil is the plain tail (minSep 0); the pipeline spaces it
-// (History.AppendSpacedTail) while the candidate's true trailing spacing
-// stays in the error coefficient. A traced run records the check as a
-// PhaseLTE span.
-func (s *Stepper) Norm(hist *integrate.History, pt *integrate.Point, co integrate.Coeffs, minSep float64) float64 {
-	stencil := append(hist.AppendSpacedTail(s.lteBuf[:0], co.Order+1, minSep), pt)
+// coefficients co: the dimensionless truncation-error norm over hist's
+// order+1 latest points at least a quarter of co's step apart
+// (History.AppendSpacedTail; under the ×2 growth cap only a pipeline's
+// clustered backward points are closer), then pt, with pt's true trailing
+// spacing in the error coefficient. A traced run records a PhaseLTE span.
+func (s *Stepper) Norm(hist *integrate.History, pt *integrate.Point, co integrate.Coeffs) float64 {
+	stencil := append(hist.AppendSpacedTail(s.lteBuf[:0], co.Order+1, co.H0/4), pt)
 	if !s.tr.Active() {
 		return s.ctrl.CheckLTEWith(s.opts.Method, co.Order, stencil, co.H0, co.H1, &s.lte)
 	}
@@ -361,14 +360,14 @@ func (s *Stepper) finish(pt *integrate.Point, co integrate.Coeffs) {
 	ps := s.ps
 	norm := 0.0
 	if !s.opts.NoLTE {
-		norm = s.Norm(s.Hist, pt, co, 0)
+		norm = s.Norm(s.Hist, pt, co)
 		if s.TooCoarse(norm, co.H0) {
 			s.Reject(pt.T, co, norm)
 			ps.PutPoint(pt)
 			return
 		}
 	}
-	ps.PutPoint(s.Commit(pt, co.H0, norm))
+	ps.PutPoint(s.Commit(pt, norm))
 	dropped, _ := s.Land(s.hitBp, co, norm)
 	for _, dp := range dropped {
 		ps.PutPoint(dp)

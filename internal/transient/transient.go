@@ -387,7 +387,7 @@ type predictor struct {
 // extrapolate writes into dst the polynomial extrapolation to time t of one
 // vector per trailing history point; pick selects which (X, Q or Qdot).
 func (pr *predictor) extrapolate(hist *integrate.History, t float64, dst []float64, pick func(*integrate.Point) []float64) {
-	pts := hist.AppendTail(pr.tail[:0], 3)
+	pts := hist.AppendSpacedTail(pr.tail[:0], 3, 0)
 	k := len(pts)
 	for i, p := range pts {
 		pr.ts[i] = p.T

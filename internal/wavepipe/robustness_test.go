@@ -148,6 +148,46 @@ func TestFlushStagePanicIsContained(t *testing.T) {
 	}
 }
 
+// A pipelined stage whose main solve fails at the step floor answers as the
+// serial engine does (Stepper.Failed): it climbs the recovery ladder and
+// publishes the ladder's point in that same stage, spending no flush stage.
+// The run is held at a step of four floors from the end of the refill on,
+// where a Newton fault fails every solve up to the main point and spares the
+// ladder's damping rung.
+func TestPipelinedFailureAtTheFloorClimbsTheLadder(t *testing.T) {
+	const tstop = 3e-3
+	t0 := refilled(t)
+	hMin := transient.Options{TStop: tstop}.WithDefaults().Control.HMin
+	h := 4 * hMin // its eighth is below the floor
+	in := faults.NewInjector(faults.Rule{
+		Class: faults.NoConvergence, After: math.Nextafter(t0, 1), Until: t0 + h, Count: 100,
+		SpareFrom: faults.StageDamping,
+	})
+	armed := false // the step is set: the next stage fails at the floor
+	err := runStages(rectifierSystem(t), Options{
+		Base:   transient.Options{TStop: tstop, Faults: in},
+		Scheme: SchemeForward,
+	}, func(e *engine) {
+		switch {
+		case armed:
+			if e.s.T != t0+hMin || e.degraded != 0 || e.totals().Recoveries != 1 {
+				t.Fatalf("after the failed stage: t=%g (ladder point %g), %d flush stages due, %d recoveries",
+					e.s.T, t0+hMin, e.degraded, e.totals().Recoveries)
+			}
+			armed = false
+		case e.s.T == t0 && in.Fired() == 0:
+			e.s.SetStep(h)
+			armed = true
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Fired() == 0 {
+		t.Fatal("fault rule never fired")
+	}
+}
+
 // A clean pipelined run must show zero robustness activity: no recovery
 // events, no recoveries, no panics, no degraded stages.
 func TestZeroFaultPipelineHasNoRecoveryActivity(t *testing.T) {

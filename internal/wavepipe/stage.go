@@ -42,8 +42,7 @@ const deltaRatio = 0.2
 // numbers its points in time order (main last).
 type stagePlan struct {
 	// flush marks the single-point stage that refills the pipeline after a
-	// breakpoint or a degradation: its main failure climbs the recovery
-	// ladder instead of falling back to — itself.
+	// breakpoint or a degradation.
 	flush bool
 	main  target
 	hitBp bool // main lands on the controller's limit
@@ -185,27 +184,22 @@ func (e *engine) runTask(i int) {
 	}
 }
 
-// passes reports whether a backward candidate may be published: it converged
-// and meets the LTE bar against the history it was solved from (right after
-// a breakpoint there is no history to measure against, as for the main
-// point). Backward points are optional accelerators: a failure only costs
-// the speed-up they would have bought.
-func (e *engine) passes(hist *integrate.History, res *pointResult) bool {
-	return res.err == nil && (e.s.AfterBreak || e.lte(hist, res) <= 1)
-}
-
-// publishBack accepts the backward point tg when it passes against hist, and
-// counts it discarded when it does not.
+// publishBack accepts the backward point tg when it converged and passes
+// the LTE test against hist, the history it was solved from, and counts it
+// discarded when it does not. Backward points are optional accelerators: a
+// failure only costs the speed-up they would have bought.
 func (e *engine) publishBack(hist *integrate.History, tg target) {
 	if !tg.planned() {
 		return
 	}
-	if r := &e.res[tg.solver]; e.passes(hist, r) {
-		e.accept(r.pt, tg.solver)
-	} else {
-		e.noteDiscards(tg.t, 1)
-		e.recycle(tg)
+	if r := &e.res[tg.solver]; r.err == nil {
+		if norm := e.s.Norm(hist, r.pt, r.co); !e.s.TooCoarse(norm, r.co.H0) {
+			e.accept(r.pt, tg.solver, norm)
+			return
+		}
 	}
+	e.noteDiscards(tg.t, 1)
+	e.recycle(tg)
 }
 
 // stage runs one pipeline stage:
@@ -220,7 +214,9 @@ func (e *engine) publishBack(hist *integrate.History, tg target) {
 // then validates and publishes in time order. Round B starts the moment the
 // true t1 point exists, before its LTE check. Accuracy is protected by
 // re-solving the forward point against the exact history and LTE-checking
-// every accepted point against the history it was solved from.
+// every accepted point against the history it was solved from. The step
+// controller alone judges (Stepper.Norm, TooCoarse), fails (Stepper.Failed)
+// and accepts (Stepper.Commit) a point, as it does for the serial engine.
 //
 // A stage is a flush stage while the history is short of the order+2 points
 // the LTE test needs — after the start and after every restart — because
@@ -259,19 +255,20 @@ func (e *engine) stage() error {
 			return nil
 		}
 		e.failStreak++
-		if !p.flush {
-			e.shrinkAfterFailure()
-			return nil
+		if e.failStreak >= 3 && !p.flush {
+			e.degrade("repeated stage failure")
 		}
-		// Step shrinking first; at the floor, the flush stage is the
-		// pipeline's last line of defense, so it climbs the same
-		// convergence-recovery ladder as the serial engine.
+		// The serial engine's response: shrink the step, and at the floor
+		// climb the convergence-recovery ladder on solver 0, whose point the
+		// stage then publishes alone.
 		pt, co, err := s.Failed()
 		if pt == nil {
 			return err
 		}
+		tLadder, hitBp := s.Plan() // where Failed placed the ladder's point: one floor step on
+		p.main, p.hitBp, p.back, p.fwd = target{0, tLadder}, hitBp, noTarget, noTarget
+		main = &e.res[0]
 		*main = pointResult{pt: pt, co: co}
-		p.main.t, p.hitBp = s.Plan() // where Failed placed the ladder's point: one floor step on
 		e.critNanos += e.noteWorker(p.main.t, 0)
 	}
 
@@ -287,7 +284,7 @@ func (e *engine) stage() error {
 
 	// Validation and publication, ascending in time. The stage is built on
 	// the main point: if it goes, everything goes.
-	mainNorm := e.lte(hist, main)
+	mainNorm := s.Norm(hist, main.pt, main.co)
 	if s.TooCoarse(mainNorm, main.co.H0) {
 		e.s.Reject(p.main.t, main.co, mainNorm)
 		e.noteDiscards(p.main.t, p.backs()+spec)
@@ -297,7 +294,7 @@ func (e *engine) stage() error {
 		return nil
 	}
 	e.publishBack(hist, p.back)
-	e.accept(main.pt, p.main.solver)
+	e.accept(main.pt, p.main.solver, mainNorm)
 	if p.flush {
 		e.noteMainIters(e.solvers[p.main.solver].LastIters)
 	}
@@ -320,12 +317,12 @@ func (e *engine) stage() error {
 	fwd := &e.res[p.fwd.solver]
 	if fwd.err != nil {
 		e.noteDiscards(p.fwd.t, 1)
-	} else if norm := e.lte(trueHist, fwd); norm > 1 {
+	} else if norm := s.Norm(trueHist, fwd.pt, fwd.co); s.TooCoarse(norm, fwd.co.H0) {
 		e.noteDiscards(p.fwd.t, 1)
 		e.recycle(p.fwd)
 		e.s.Reject(p.fwd.t, fwd.co, norm)
 	} else {
-		e.accept(fwd.pt, p.fwd.solver)
+		e.accept(fwd.pt, p.fwd.solver, norm)
 		e.land(p.fwdHitsBp, fwd, norm)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"wavepipe/internal/circuits"
 	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
 )
@@ -179,5 +180,48 @@ func TestOneLTESpanPerCandidate(t *testing.T) {
 	}
 	if fwdRejects == 0 {
 		t.Error("no forward point was rejected: the run does not reach the case")
+	}
+}
+
+// A pipelined stage hands the step controller the norm it judged each point
+// by, so every accept of a Backward stage on grid16 reports an LTE norm in
+// (0, 1]. A flush stage (one worker span: the refill after the start or a
+// restart) is left out: its first points are judged by no stencil.
+func TestPipelinedAcceptsCarryTheirNorm(t *testing.T) {
+	var grid circuits.Benchmark
+	for _, b := range circuits.Suite() {
+		if b.Name == "grid16" {
+			grid = b
+		}
+	}
+	sys, err := grid.Make().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(0)
+	if _, err := Run(sys, Options{
+		Base:   transient.Options{TStop: grid.TStop, Trace: trace.New(rec, 0)},
+		Scheme: SchemeBackward,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[int32]int{}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindWorker {
+			spans[ev.Stage]++
+		}
+	}
+	accepts := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind != trace.KindAccept || spans[ev.Stage] < Width {
+			continue
+		}
+		accepts++
+		if !(ev.Norm > 0 && ev.Norm <= 1) {
+			t.Errorf("stage %d accepted t=%g with norm %g", ev.Stage, ev.T, ev.Norm)
+		}
+	}
+	if accepts == 0 {
+		t.Fatal("no pipelined stage accepted a point")
 	}
 }

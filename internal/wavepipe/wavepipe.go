@@ -39,26 +39,31 @@ import (
 	"wavepipe/internal/transient"
 )
 
-// Scheme selects the pipelining embodiment.
+// Scheme selects the engine: the serial baseline or one of the two
+// pipelining embodiments. Run runs only the pipelined ones.
 type Scheme int
 
-// Available pipelining schemes.
+// Available schemes.
 const (
-	SchemeBackward Scheme = iota
+	SchemeSerial Scheme = iota
+	SchemeBackward
 	SchemeForward
 )
 
-// String returns the scheme name.
+// schemeNames is the one name table: String reads it, and Names hands it to
+// the parsers of the command line and the wire.
+var schemeNames = [...]string{SchemeSerial: "serial", SchemeBackward: "backward", SchemeForward: "forward"}
+
+// String returns the scheme name, or "unknown" for a value that names none.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeBackward:
-		return "backward"
-	case SchemeForward:
-		return "forward"
-	default:
+	if s < 0 || int(s) >= len(schemeNames) {
 		return "unknown"
 	}
+	return schemeNames[s]
 }
+
+// Names returns every scheme's name, indexed by the Scheme.
+func Names() []string { return append([]string(nil), schemeNames[:]...) }
 
 // Options configures a WavePipe run.
 type Options struct {
@@ -79,6 +84,9 @@ const Width = 2
 // Run executes a WavePipe transient analysis and returns a result of the
 // same shape as the serial engine's.
 func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
+	if opts.Scheme != SchemeBackward && opts.Scheme != SchemeForward {
+		return nil, fmt.Errorf("wavepipe: scheme %v (%d) is not pipelined", opts.Scheme, int(opts.Scheme))
+	}
 	if opts.Base.TStop <= 0 {
 		return nil, fmt.Errorf("wavepipe: TStop must be positive")
 	}
@@ -91,7 +99,7 @@ func Run(sys *circuit.System, opts Options) (*transient.Result, error) {
 // stage gang.
 func newEngine(sys *circuit.System, opts Options) *engine {
 	base := opts.Base.WithDefaults()
-	e := &engine{opts: opts, base: base, ctrl: base.Control, flt: base.Faults, tr: base.Trace}
+	e := &engine{opts: opts, base: base, flt: base.Faults, tr: base.Trace}
 	e.taskFn = e.runTask
 	// The stage gang under a budget: the coordinator leads it, so a gang of
 	// width k occupies k cores and the budget caps the width.
@@ -191,7 +199,6 @@ func (e *engine) result() *transient.Result { return e.s.Result(e.totals()) }
 type engine struct {
 	opts Options
 	base transient.Options
-	ctrl integrate.Control
 
 	solvers []*transient.PointSolver
 	// s is the run's step controller (history, waveform, step position,
@@ -279,18 +286,10 @@ type pointResult struct {
 	err error
 }
 
-// lte is the truncation-error norm of a candidate against the history it was
-// solved from, estimating the derivative from points at least a quarter of
-// its step apart (see History.AppendSpacedTail) while keeping the
-// candidate's true trailing spacing in the error coefficient.
-func (e *engine) lte(hist *integrate.History, res *pointResult) float64 {
-	return e.s.Norm(hist, res.pt, res.co, res.co.H0/4)
-}
-
-// accept commits a point from owner's pool through the step controller. Any
-// accepted point is progress: the failure streak resets.
-func (e *engine) accept(pt *integrate.Point, owner int) {
-	if ev := e.s.Commit(pt, pt.T-e.s.T, 0); ev != nil {
+// accept commits a point from owner's pool, judged by norm, through the step
+// controller. Any accepted point is progress: the failure streak resets.
+func (e *engine) accept(pt *integrate.Point, owner int, norm float64) {
+	if ev := e.s.Commit(pt, norm); ev != nil {
 		e.release(ev)
 	}
 	e.owners = append(e.owners, owner)
@@ -353,20 +352,4 @@ func (e *engine) land(hitBp bool, anchor *pointResult, norm float64) bool {
 	dropped, restarted := e.s.Land(hitBp, anchor.co, norm)
 	e.release(dropped...)
 	return restarted
-}
-
-// shrinkAfterFailure reduces the stage step after a pipelined stage's main
-// point failed Newton. It never fails the run: repeated failures and the
-// step floor both hand control to the flush stage, whose recovery ladder is
-// the last word.
-func (e *engine) shrinkAfterFailure() {
-	if e.failStreak >= 3 {
-		e.degrade("repeated stage failure")
-	}
-	if h := e.s.H / 8; h >= e.ctrl.HMin {
-		e.s.SetStep(h)
-	} else {
-		e.s.SetStep(e.ctrl.HMin)
-		e.degrade("step floor reached")
-	}
 }

@@ -176,8 +176,8 @@ func TestEverySchemeRunsTwoSolvers(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	if SchemeBackward.String() != "backward" || SchemeForward.String() != "forward" ||
-		Scheme(9).String() != "unknown" {
+	if SchemeSerial.String() != "serial" || SchemeBackward.String() != "backward" ||
+		SchemeForward.String() != "forward" || Scheme(9).String() != "unknown" || Scheme(-1).String() != "unknown" {
 		t.Fatal("scheme names")
 	}
 }
@@ -187,9 +187,15 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("TStop=0 must fail")
 	}
 	if _, err := Run(rcSystem(t), Options{
-		Base: transient.Options{TStop: 1e-3, MaxPoints: 2},
+		Base:   transient.Options{TStop: 1e-3, MaxPoints: 2},
+		Scheme: SchemeBackward,
 	}); err == nil {
 		t.Fatal("MaxPoints must abort")
+	}
+	for _, s := range []Scheme{SchemeSerial, Scheme(9)} {
+		if _, err := Run(rcSystem(t), Options{Base: transient.Options{TStop: 1e-3}, Scheme: s}); err == nil {
+			t.Fatalf("scheme %v must be refused", s)
+		}
 	}
 }
 
@@ -251,7 +257,8 @@ func TestBreakpointHandling(t *testing.T) {
 
 func TestGear2DefaultMethod(t *testing.T) {
 	res, err := Run(rcSystem(t), Options{
-		Base: transient.Options{TStop: 1e-3, Method: integrate.Gear2},
+		Base:   transient.Options{TStop: 1e-3, Method: integrate.Gear2},
+		Scheme: SchemeBackward,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,43 +127,32 @@ const (
 	Trapezoidal = integrate.Trapezoidal
 )
 
-// Scheme selects the simulation engine.
-type Scheme int
+// Scheme selects the simulation engine; the zero value is Serial.
+type Scheme = wpcore.Scheme
 
 // Simulation engines: the serial baseline and the two WavePipe schemes.
 const (
-	Serial Scheme = iota
-	Backward
-	Forward
+	Serial   = wpcore.SchemeSerial
+	Backward = wpcore.SchemeBackward
+	Forward  = wpcore.SchemeForward
 )
 
-// String returns the scheme name.
-func (s Scheme) String() string {
-	switch s {
-	case Serial:
-		return "serial"
-	case Backward:
-		return "backward"
-	case Forward:
-		return "forward"
-	default:
-		return "unknown"
-	}
-}
+// SchemeNames lists the scheme names ParseScheme accepts, the default first.
+func SchemeNames() []string { return wpcore.Names() }
 
-// ParseScheme maps a scheme name (as produced by Scheme.String) back to the
-// value. It is the inverse the CLIs and the wire schema share.
+// ParseScheme maps a scheme name (as produced by Scheme.String, or "" for
+// the default) back to the value. It is the inverse the CLIs and the wire
+// schema share.
 func ParseScheme(s string) (Scheme, error) {
-	switch s {
-	case "serial", "":
+	if s == "" {
 		return Serial, nil
-	case "backward":
-		return Backward, nil
-	case "forward":
-		return Forward, nil
-	default:
-		return 0, fmt.Errorf("wavepipe: unknown scheme %q (serial, backward, forward)", s)
 	}
+	for sc, name := range SchemeNames() {
+		if s == name {
+			return Scheme(sc), nil
+		}
+	}
+	return 0, fmt.Errorf("wavepipe: unknown scheme %q (%s)", s, strings.Join(SchemeNames(), ", "))
 }
 
 // MethodNames lists the integration-method names ParseMethod accepts, the
@@ -764,16 +753,10 @@ func engineWidth(opts TranOptions) int {
 // instead of unwinding through runEngine's fence.
 func runSchemeEngine(sys *System, opts TranOptions, base transient.Options) (res *Result, err error) {
 	defer containPanic(&res, &err)
-	switch opts.Scheme {
-	case Serial:
+	if opts.Scheme == Serial {
 		return transient.Run(sys, base)
-	case Backward:
-		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: wpcore.SchemeBackward})
-	case Forward:
-		return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: wpcore.SchemeForward})
-	default:
-		return nil, fmt.Errorf("wavepipe: unknown scheme %d", opts.Scheme)
 	}
+	return wpcore.Run(sys, wpcore.Options{Base: base, Scheme: opts.Scheme})
 }
 
 // RunDeckCtx builds and simulates a parsed deck under a context (see

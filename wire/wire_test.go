@@ -155,6 +155,44 @@ func TestMethodRoundTrip(t *testing.T) {
 	}
 }
 
+// Every scheme's name parses back to the scheme, travels the wire under it
+// (the default, Serial, as no field), and a name that is no scheme's is
+// refused with the list of names.
+func TestSchemeRoundTrip(t *testing.T) {
+	names := wavepipe.SchemeNames()
+	if len(names) != 3 || names[0] != wavepipe.Serial.String() {
+		t.Fatalf("scheme names %v, want serial first of three", names)
+	}
+	for _, name := range names {
+		sc, err := wavepipe.ParseScheme(name)
+		if err != nil || sc.String() != name {
+			t.Fatalf("%s: parsed to %v, %v", name, sc, err)
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, FromJobSpec(wavepipe.JobSpec{Deck: "x", Options: wavepipe.TranOptions{Scheme: sc}})); err != nil {
+			t.Fatal(err)
+		}
+		if hasField := bytes.Contains(buf.Bytes(), []byte(`"scheme"`)); hasField != (sc != wavepipe.Serial) {
+			t.Fatalf("%s: encoded as %s", name, buf.Bytes())
+		}
+		req, err := DecodeJobRequest(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec, err := req.ToJobSpec(); err != nil || spec.Options.Scheme != sc {
+			t.Fatalf("%s: round trip gave %v, %v", name, spec.Options.Scheme, err)
+		}
+	}
+	if sc, err := wavepipe.ParseScheme(""); err != nil || sc != wavepipe.Serial {
+		t.Fatalf(`ParseScheme("") = %v, %v, want serial`, sc, err)
+	}
+	for _, name := range []string{"Backward", "unknown", "pipelined", "combined"} {
+		if _, err := wavepipe.ParseScheme(name); err == nil || !strings.Contains(err.Error(), "(serial, backward, forward)") {
+			t.Fatalf("scheme %q: %v, want a refusal naming serial, backward and forward", name, err)
+		}
+	}
+}
+
 func TestUnknownFieldRejected(t *testing.T) {
 	doc := `{"schemaVersion":1,"deck":"x","bogus":true}`
 	if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
